@@ -2,7 +2,8 @@ GO ?= go
 
 .PHONY: check lint build test race bench-concurrency bench-quick bench-build bench-segments bench-vcache bench-serve bench-tenants
 
-# The pre-merge gate: vet + lint + build + full suite under the race detector.
+# The pre-merge gate: vet + lint + build + full suite under the race detector,
+# the bench smokes, and the benchmark module's vet, tests and smoke run.
 check:
 	sh scripts/check.sh
 

@@ -15,16 +15,20 @@ import (
 // fused hot path started escaping to the heap — fix the escape, don't raise
 // the budget. The same budgets apply to both label tiers: a warm vector-cache
 // hit serves slice views and must not allocate a single byte more than the
-// segment path it replaces.
+// segment path it replaces. Every kind works in pooled query state, so what
+// is left is the result itself (relation, row headers, one value array) plus
+// the facade's parameter and answer conversions.
 var fusedAllocBudgets = []struct {
 	name   string
 	budget float64
 }{
-	{"v2v-ea", 19},
-	{"v2v-sd", 19},
-	{"knn-naive-ea", 41},
-	{"knn-ea", 210},
-	{"otm-ld", 47},
+	{"v2v-ea", 4},
+	{"v2v-sd", 4},
+	{"knn-naive-ea", 10},
+	{"knn-ea", 10},
+	{"knn-ld", 10},
+	{"otm-ea", 10},
+	{"otm-ld", 10},
 }
 
 func TestFusedAllocsBudget(t *testing.T) {
@@ -73,6 +77,8 @@ func TestFusedAllocsBudget(t *testing.T) {
 				"v2v-sd":       func() error { _, _, err := db.ShortestDuration(s, g, tq, te); return err },
 				"knn-naive-ea": func() error { _, err := db.EAKNNNaive("poi", s, tq, 4); return err },
 				"knn-ea":       func() error { _, err := db.EAKNN("poi", s, tq, 4); return err },
+				"knn-ld":       func() error { _, err := db.LDKNN("poi", s, te, 4); return err },
+				"otm-ea":       func() error { _, err := db.EAOTM("poi", s, tq); return err },
 				"otm-ld":       func() error { _, err := db.LDOTM("poi", s, te); return err },
 			}
 			for _, tc := range fusedAllocBudgets {

@@ -45,6 +45,18 @@ func BenchmarkFusedExec(b *testing.B) {
 				return err
 			})
 		})
+		b.Run("KNN-LD/"+path, func(b *testing.B) {
+			runQueries(b, db, func(i int) error {
+				_, err := db.LDKNN(set, src[i%pool], ends[i%pool], 4)
+				return err
+			})
+		})
+		b.Run("OTM-EA/"+path, func(b *testing.B) {
+			runQueries(b, db, func(i int) error {
+				_, err := db.EAOTM(set, src[i%pool], starts[i%pool])
+				return err
+			})
+		})
 		b.Run("OTM-LD/"+path, func(b *testing.B) {
 			runQueries(b, db, func(i int) error {
 				_, err := db.LDOTM(set, src[i%pool], ends[i%pool])

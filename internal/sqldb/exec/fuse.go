@@ -20,6 +20,7 @@ import (
 	"errors"
 	"math"
 	"strings"
+	"sync"
 
 	"ptldb/internal/sqldb/sql"
 )
@@ -30,11 +31,20 @@ var ErrNotFused = errors.New("exec: not eligible for fused execution")
 
 // FusedPlan is a compiled fast path for one recognized label-query shape.
 // Plans are immutable after Fuse (SetSegments is called once by Prepare
-// before the plan is published) and safe for concurrent Run calls.
+// before the plan is published) apart from two caches — the resolved table
+// layouts and the pool of query states — and safe for concurrent Run calls.
+// A plan must not be copied.
 type FusedPlan struct {
 	kind     string
 	schema   Schema
 	maxParam int
+
+	// tables are the two base tables the plan reads: the query stop's label
+	// first, then the in-side label (v2v), the naive table or the condensed
+	// table.
+	tables [2]tableRef
+	// states recycles *queryState between Run calls.
+	states sync.Pool
 
 	// segments records whether the owning handle reads label tables through
 	// columnar segments. It only affects Explain — the runtime dispatch lives
@@ -48,6 +58,18 @@ type FusedPlan struct {
 	v2v  *fusedV2V
 	knn  *fusedKNNNaive
 	cond *fusedCondensed
+}
+
+// labelCols are the columns every fused code reads from a label table, the
+// single-column primary key first.
+var labelCols = []string{"v", "hubs", "tds", "tas"}
+
+// reads records the plan's two tables: the query stop's label table, and the
+// second table with the columns read from it, the first pk of which must be
+// exactly its primary key (0 leaves the key unchecked).
+func (p *FusedPlan) reads(labelTable, second string, pk int, cols ...string) {
+	p.tables[0] = tableRef{name: labelTable, cols: labelCols, pk: 1}
+	p.tables[1] = tableRef{name: second, cols: cols, pk: pk}
 }
 
 // Kind names the recognized shape ("v2v-ea", "knn-naive-ld", "cond-otm-ea",
@@ -564,12 +586,14 @@ func matchV2V(sel *sql.Select) *FusedPlan {
 	case 'S':
 		f.tParam, f.tEndParam, kind = depParam, arrParam, "v2v-sd"
 	}
-	return &FusedPlan{
+	p := &FusedPlan{
 		kind:     kind,
 		schema:   itemSchema(c.Items),
 		maxParam: maxInt(f.outVParam, f.inVParam, f.tParam, f.tEndParam),
 		v2v:      f,
 	}
+	p.reads(f.outTable, f.inTable, 1, labelCols...)
+	return p
 }
 
 // --- Code 2: naive kNN -------------------------------------------------------
@@ -711,12 +735,14 @@ func matchKNNNaive(sel *sql.Select) *FusedPlan {
 	if !ea {
 		kind = "knn-naive-ld"
 	}
-	return &FusedPlan{
+	p := &FusedPlan{
 		kind:     kind,
 		schema:   itemSchema(c.Items),
 		maxParam: maxInt(qParam, tParam, kParam1),
 		knn:      f,
 	}
+	p.reads(lout, naive, 0, "hub", "td", "vs", "tas")
+	return p
 }
 
 // --- Codes 3 and 4: condensed kNN and one-to-many ---------------------------
@@ -927,12 +953,14 @@ func matchCondensed(sel *sql.Select) *FusedPlan {
 	} else {
 		kind += "ld"
 	}
-	return &FusedPlan{
+	p := &FusedPlan{
 		kind:     kind,
 		schema:   itemSchema(c.Items),
 		maxParam: maxInt(qParam, f.tParam, kParam),
 		cond:     f,
 	}
+	p.reads(lout, aux, 2, "hub", f.bucketCol, f.topV, f.topVal, f.expTd, f.expV, f.expTa)
+	return p
 }
 
 // matchCondensedArmA matches the top-k arm. EA:

@@ -1,31 +1,33 @@
 package exec
 
 // fused_exec.go evaluates a FusedPlan directly over the label tables' typed
-// int64 column vectors. Each Run holds all scratch state locally, so a plan
-// is safe for concurrent use. Every precondition the recognizer could not
-// prove at prepare time — integer parameters, expected table layout,
-// non-NULL arrays of matching lengths — is checked here, and a violation
-// returns ErrNotFused so the caller falls back to the general executor,
-// which reproduces exact general semantics (including errors and the
-// NULL-padding behavior of unequal UNNEST lengths).
+// int64 column vectors. Each Run works in a queryState of its own, taken from
+// the plan's pool (fused_state.go), so a plan is safe for concurrent use.
+// Every precondition the recognizer could not prove at prepare time —
+// integer parameters, expected table layout, non-NULL arrays of matching
+// lengths — is checked here, and a violation returns ErrNotFused so the
+// caller falls back to the general executor, which reproduces exact general
+// semantics (including errors and the NULL-padding behavior of unequal
+// UNNEST lengths).
 
 import (
 	"math"
 	"sort"
-	"strings"
 
 	"ptldb/internal/sqldb/sqltypes"
 )
 
 // Run evaluates the fused plan against cat with the given parameters.
 func (p *FusedPlan) Run(cat Catalog, params []sqltypes.Value) (*Relation, error) {
+	st := p.acquire()
+	defer p.release(st)
 	switch {
 	case p.v2v != nil:
-		return p.runV2V(cat, params)
+		return p.runV2V(cat, params, st)
 	case p.knn != nil:
-		return p.runKNNNaive(cat, params)
+		return p.runKNNNaive(cat, params, st)
 	case p.cond != nil:
-		return p.runCondensed(cat, params)
+		return p.runCondensed(cat, params, st)
 	default:
 		return nil, ErrNotFused
 	}
@@ -41,61 +43,6 @@ func fusedInt(params []sqltypes.Value, n int) (int64, error) {
 		return 0, ErrNotFused
 	}
 	return params[n-1].I, nil
-}
-
-// label is one stop's hub label as three parallel typed columns.
-type label struct {
-	hubs, tds, tas []int64
-}
-
-// fusedLabel point-looks-up the label of stop v in the named label table,
-// decoding through s's reusable buffers when the table supports it. The
-// returned arrays stay valid for s's lifetime (the scratch arena is append-
-// only). A missing stop yields an empty label; an unexpected table layout
-// yields ErrNotFused.
-//
-// hotpath — allocheck root: the per-query label fetch shared by every fused
-// code; it must not allocate beyond the scratch it is handed.
-func fusedLabel(cat Catalog, table string, v int64, s *RowScratch) (label, error) {
-	tb, ok := cat.Table(table)
-	if !ok {
-		return label{}, ErrNotFused
-	}
-	cols := tb.Columns()
-	vIdx, hubsIdx, tdsIdx, tasIdx := -1, -1, -1, -1
-	for i, c := range cols {
-		switch {
-		case strings.EqualFold(c, "v"):
-			vIdx = i
-		case strings.EqualFold(c, "hubs"):
-			hubsIdx = i
-		case strings.EqualFold(c, "tds"):
-			tdsIdx = i
-		case strings.EqualFold(c, "tas"):
-			tasIdx = i
-		}
-	}
-	if vIdx < 0 || hubsIdx < 0 || tdsIdx < 0 || tasIdx < 0 {
-		return label{}, ErrNotFused
-	}
-	pk := tb.PKCols()
-	if len(pk) != 1 || pk[0] != vIdx {
-		return label{}, ErrNotFused
-	}
-	key := [1]int64{v}
-	row, found, err := lookupPKScratch(tb, key[:], s)
-	if err != nil {
-		return label{}, err
-	}
-	if !found {
-		return label{}, nil
-	}
-	hv, dv, av := row[hubsIdx], row[tdsIdx], row[tasIdx]
-	if hv.T != sqltypes.IntArray || dv.T != sqltypes.IntArray || av.T != sqltypes.IntArray ||
-		len(hv.A) != len(dv.A) || len(hv.A) != len(av.A) {
-		return label{}, ErrNotFused
-	}
-	return label{hubs: hv.A, tds: dv.A, tas: av.A}, nil
 }
 
 // hubSorted reports whether the label is sorted by (hub, td) — the order
@@ -126,7 +73,7 @@ func runEnd(hubs []int64, i int) int {
 
 // --- Code 1: vertex-to-vertex ------------------------------------------------
 
-func (p *FusedPlan) runV2V(cat Catalog, params []sqltypes.Value) (*Relation, error) {
+func (p *FusedPlan) runV2V(cat Catalog, params []sqltypes.Value, st *queryState) (*Relation, error) {
 	f := p.v2v
 	outV, err := fusedInt(params, f.outVParam)
 	if err != nil {
@@ -147,12 +94,12 @@ func (p *FusedPlan) runV2V(cat Catalog, params []sqltypes.Value) (*Relation, err
 			return nil, err
 		}
 	}
-	var scratch RowScratch
-	out, err := fusedLabel(cat, f.outTable, outV, &scratch)
+	// One scratch serves both labels: the arena only grows within a query.
+	out, err := p.tables[0].label(cat, outV, st)
 	if err != nil {
 		return nil, err
 	}
-	in, err := fusedLabel(cat, f.inTable, inV, &scratch)
+	in, err := p.tables[1].label(cat, inV, st)
 	if err != nil {
 		return nil, err
 	}
@@ -182,7 +129,7 @@ func (p *FusedPlan) runV2V(cat Catalog, params []sqltypes.Value) (*Relation, err
 		// by td, so a suffix minimum over its ta column answers "best arrival
 		// among connections departing the hub no earlier than x" with one
 		// binary search per out tuple.
-		var suffix []int64
+		suffix := st.suffix
 		i, j := 0, 0
 		for i < len(out.hubs) && j < len(in.hubs) {
 			switch {
@@ -255,6 +202,7 @@ func (p *FusedPlan) runV2V(cat Catalog, params []sqltypes.Value) (*Relation, err
 				i, j = ie, je
 			}
 		}
+		st.suffix = suffix
 	} else {
 		// Unsorted label (foreign data, or order not re-established): int-
 		// keyed hash join with the predicates applied directly.
@@ -297,112 +245,9 @@ func (p *FusedPlan) runV2V(cat Catalog, params []sqltypes.Value) (*Relation, err
 	return &Relation{Schema: p.schema, Rows: []sqltypes.Row{{v}}}, nil
 }
 
-// --- shared result shaping ---------------------------------------------------
-
-// kEntry is one (target, aggregate) result of a grouped query.
-type kEntry struct {
-	v, val int64
-}
-
-// topKEntries orders the accumulator by (val, v) — val descending when desc —
-// and keeps the first k entries when limited. The bounded variant maintains
-// a k-sized heap whose root is the worst kept entry, matching the general
-// executor's stable sort + truncate exactly (the (val, v) key is a total
-// order, so stability never matters).
-func topKEntries(acc map[int64]int64, k int, limited, desc bool) []kEntry {
-	less := func(a, b kEntry) bool {
-		if a.val != b.val {
-			if desc {
-				return a.val > b.val
-			}
-			return a.val < b.val
-		}
-		return a.v < b.v
-	}
-	if !limited || k >= len(acc) {
-		out := make([]kEntry, 0, len(acc))
-		for v, val := range acc {
-			out = append(out, kEntry{v, val})
-		}
-		sort.Slice(out, func(i, j int) bool { return less(out[i], out[j]) })
-		return out
-	}
-	if k <= 0 {
-		return nil
-	}
-	// h[0] is the worst kept entry under less.
-	h := make([]kEntry, 0, k)
-	worse := func(a, b kEntry) bool { return less(b, a) }
-	siftUp := func(i int) {
-		for i > 0 {
-			parent := (i - 1) / 2
-			if !worse(h[i], h[parent]) {
-				break
-			}
-			h[i], h[parent] = h[parent], h[i]
-			i = parent
-		}
-	}
-	siftDown := func(i int) {
-		for {
-			l, r := 2*i+1, 2*i+2
-			m := i
-			if l < len(h) && worse(h[l], h[m]) {
-				m = l
-			}
-			if r < len(h) && worse(h[r], h[m]) {
-				m = r
-			}
-			if m == i {
-				break
-			}
-			h[i], h[m] = h[m], h[i]
-			i = m
-		}
-	}
-	for v, val := range acc {
-		e := kEntry{v, val}
-		if len(h) < k {
-			h = append(h, e)
-			siftUp(len(h) - 1)
-		} else if less(e, h[0]) {
-			h[0] = e
-			siftDown(0)
-		}
-	}
-	sort.Slice(h, func(i, j int) bool { return less(h[i], h[j]) })
-	return h
-}
-
-func entriesToRows(schema Schema, entries []kEntry) *Relation {
-	rows := make([]sqltypes.Row, len(entries))
-	for i, e := range entries {
-		rows[i] = sqltypes.Row{sqltypes.NewInt(e.v), sqltypes.NewInt(e.val)}
-	}
-	return &Relation{Schema: schema, Rows: rows}
-}
-
-// foldMin folds val into acc[v], keeping the minimum.
-//
-// hotpath — allocheck root: per-label-entry fold in the kNN scans.
-func foldMin(acc map[int64]int64, v, val int64) {
-	if cur, ok := acc[v]; !ok || val < cur {
-		acc[v] = val
-	}
-}
-
-// foldMax folds val into acc[v], keeping the maximum.
-//
-// hotpath — allocheck root: per-label-entry fold in the kNN scans.
-func foldMax(acc map[int64]int64, v, val int64) {
-	if cur, ok := acc[v]; !ok || val > cur {
-		acc[v] = val
-	}
-}
-
 // --- Code 2: naive kNN -------------------------------------------------------
 
-func (p *FusedPlan) runKNNNaive(cat Catalog, params []sqltypes.Value) (*Relation, error) {
+func (p *FusedPlan) runKNNNaive(cat Catalog, params []sqltypes.Value, st *queryState) (*Relation, error) {
 	f := p.knn
 	q, err := fusedInt(params, f.qParam)
 	if err != nil {
@@ -423,167 +268,148 @@ func (p *FusedPlan) runKNNNaive(cat Catalog, params []sqltypes.Value) (*Relation
 	if k == 0 {
 		return &Relation{Schema: p.schema}, nil
 	}
-	// The scan callbacks below escape through the ScratchTable interface, so
-	// a counter they wrote to would be forced onto the heap; instead they
-	// capture the metrics pointer (assigned once, captured by value) and add
-	// per-row batches directly.
-	em := execMetrics(cat)
-	// Separate scratches: the label's arrays are retained across the scan
-	// below, while the scan recycles its scratch (arena included) per row.
-	var lookupScratch, rowScratch RowScratch
-	lab, err := fusedLabel(cat, f.lout, q, &lookupScratch)
+	lab, err := p.tables[0].label(cat, q, st)
 	if err != nil {
 		return nil, err
 	}
-
-	tb, ok := cat.Table(f.naive)
-	if !ok {
-		return nil, ErrNotFused
+	tb, ix, err := p.tables[1].resolve(cat)
+	if err != nil {
+		return nil, err
 	}
-	cols := tb.Columns()
-	hubIdx, tdIdx, vsIdx, tasIdx := -1, -1, -1, -1
-	for i, c := range cols {
-		switch {
-		case strings.EqualFold(c, "hub"):
-			hubIdx = i
-		case strings.EqualFold(c, "td"):
-			tdIdx = i
-		case strings.EqualFold(c, "vs"):
-			vsIdx = i
-		case strings.EqualFold(c, "tas"):
-			tasIdx = i
-		}
-	}
-	if hubIdx < 0 || tdIdx < 0 || vsIdx < 0 || tasIdx < 0 {
-		return nil, ErrNotFused
-	}
-
-	acc := make(map[int64]int64)
+	// The label is reduced to its per-hub groups before the scan starts, so
+	// the scan may recycle the scratch that decoded it. The callbacks escape
+	// through the ScratchTable interface; they count folds in st.merged, which
+	// is published once after the scan.
 	if f.ea {
-		// A naive row joins some label tuple iff the label's earliest
-		// arrival at the row's hub (among departures >= t) is <= the row's
-		// departure; MIN(n2.ta) is independent of which tuple joined.
-		minTa := make(map[int64]int64)
-		for i := range lab.hubs {
-			if lab.tds[i] >= t {
-				foldMin(minTa, lab.hubs[i], lab.tas[i])
-			}
-		}
-		if len(minTa) == 0 {
-			return &Relation{Schema: p.schema}, nil
-		}
-		err = scanScratch(tb, &rowScratch, func(row sqltypes.Row) error {
-			hv, dv, vv, av := row[hubIdx], row[tdIdx], row[vsIdx], row[tasIdx]
-			if hv.T != sqltypes.Int64 || dv.T != sqltypes.Int64 ||
-				vv.T != sqltypes.IntArray || av.T != sqltypes.IntArray ||
-				len(vv.A) != len(av.A) {
-				return ErrNotFused
-			}
-			if m, ok := minTa[hv.I]; !ok || dv.I < m {
-				return nil
-			}
-			kl := k
-			if kl > len(vv.A) {
-				kl = len(vv.A)
-			}
-			for j := 0; j < kl; j++ {
-				foldMin(acc, vv.A[j], av.A[j])
-			}
-			if em != nil {
-				em.TuplesMerged.Add(uint64(kl))
-			}
-			return nil
-		})
+		// A naive row joins some label tuple iff the label's earliest arrival
+		// at the row's hub (among departures >= t) is <= the row's departure;
+		// MIN(n2.ta) is independent of which tuple joined.
+		st.groupEA(lab, t, 0)
 	} else {
-		// LD aggregates MAX(n1.td) over joining label tuples, so build a
-		// per-hub prefix-max of td over tuples sorted by ta: the best
-		// departure among tuples arriving at the hub by a given time.
-		type hubList struct {
-			tas, maxTd []int64
-		}
-		byHub := make(map[int64]*hubList)
-		for i := range lab.hubs {
-			l := byHub[lab.hubs[i]]
-			if l == nil {
-				l = &hubList{}
-				byHub[lab.hubs[i]] = l
-			}
-			l.tas = append(l.tas, lab.tas[i])
-			l.maxTd = append(l.maxTd, lab.tds[i])
-		}
-		if len(byHub) == 0 {
-			return &Relation{Schema: p.schema}, nil
-		}
-		for _, l := range byHub {
-			sort.Sort(&taTdPairs{l.tas, l.maxTd})
-			for i := 1; i < len(l.maxTd); i++ {
-				if l.maxTd[i-1] > l.maxTd[i] {
-					l.maxTd[i] = l.maxTd[i-1]
-				}
-			}
-		}
-		err = scanScratch(tb, &rowScratch, func(row sqltypes.Row) error {
-			hv, dv, vv, av := row[hubIdx], row[tdIdx], row[vsIdx], row[tasIdx]
-			if hv.T != sqltypes.Int64 || dv.T != sqltypes.Int64 ||
-				vv.T != sqltypes.IntArray || av.T != sqltypes.IntArray ||
-				len(vv.A) != len(av.A) {
-				return ErrNotFused
-			}
-			l := byHub[hv.I]
-			if l == nil {
-				return nil
-			}
-			pos := sort.Search(len(l.tas), func(i int) bool { return l.tas[i] > dv.I })
-			if pos == 0 {
-				return nil
-			}
-			maxTd := l.maxTd[pos-1]
-			kl := k
-			if kl > len(vv.A) {
-				kl = len(vv.A)
-			}
-			folds := uint64(0)
-			for j := 0; j < kl; j++ {
-				if av.A[j] <= t {
-					foldMax(acc, vv.A[j], maxTd)
-					folds++
-				}
-			}
-			if em != nil {
-				em.TuplesMerged.Add(folds)
-			}
-			return nil
-		})
+		// LD aggregates MAX(n1.td) over the joining label tuples: the best
+		// departure among tuples arriving at the row's hub by its departure.
+		st.groupLD(lab, 0)
 	}
+	if len(st.groups) == 0 {
+		return &Relation{Schema: p.schema}, nil
+	}
+	err = scanScratch(tb, &st.scratch, func(row sqltypes.Row) error {
+		hv, dv, vv, av := row[ix[naiveHub]], row[ix[naiveTd]], row[ix[naiveVs]], row[ix[naiveTas]]
+		if hv.T != sqltypes.Int64 || dv.T != sqltypes.Int64 ||
+			vv.T != sqltypes.IntArray || av.T != sqltypes.IntArray ||
+			len(vv.A) != len(av.A) {
+			return ErrNotFused
+		}
+		gi, ok := st.gidx.find(hv.I, 0)
+		if !ok {
+			return nil
+		}
+		g := &st.groups[gi]
+		kl := min(k, len(vv.A))
+		if f.ea {
+			if dv.I < g.minTa {
+				return nil
+			}
+			for j := 0; j < kl; j++ {
+				st.acc.foldMin(vv.A[j], av.A[j])
+			}
+			st.merged += uint64(kl)
+			return nil
+		}
+		maxTd, ok := st.bestDeparture(g, dv.I)
+		if !ok {
+			return nil
+		}
+		for j := 0; j < kl; j++ {
+			if av.A[j] <= t {
+				st.acc.foldMax(vv.A[j], maxTd)
+				st.merged++
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	return entriesToRows(p.schema, topKEntries(acc, k, true, !f.ea)), nil
-}
-
-// taTdPairs sorts parallel (ta, td) slices by ta.
-type taTdPairs struct {
-	tas, tds []int64
-}
-
-func (p *taTdPairs) Len() int           { return len(p.tas) }
-func (p *taTdPairs) Less(i, j int) bool { return p.tas[i] < p.tas[j] }
-func (p *taTdPairs) Swap(i, j int) {
-	p.tas[i], p.tas[j] = p.tas[j], p.tas[i]
-	p.tds[i], p.tds[j] = p.tds[j], p.tds[i]
+	if em := execMetrics(cat); em != nil {
+		em.TuplesMerged.Add(st.merged)
+	}
+	return entriesToRows(p.schema, st.acc.topK(k, true, !f.ea)), nil
 }
 
 // --- Codes 3 and 4: condensed kNN and one-to-many ----------------------------
 
-// condRow is one memoized condensed-table lookup: the typed arm arrays, or
-// found=false for an absent (hub, bucket) key.
-type condRow struct {
-	found              bool
+// condArms are the typed arm arrays of one condensed-table row, the top-k arm
+// already cut to the query's k.
+type condArms struct {
 	topV, topVal       []int64
 	expTd, expV, expTa []int64
 }
 
-func (p *FusedPlan) runCondensed(cat Catalog, params []sqltypes.Value) (*Relation, error) {
+// hotpath — allocheck root: per distinct condensed row.
+func (c *condArms) load(row sqltypes.Row, ix *[maxFusedCols]int, k int, limited bool) error {
+	tv, tval := row[ix[auxTopV]], row[ix[auxTopVal]]
+	etd, ev, eta := row[ix[auxExpTd]], row[ix[auxExpV]], row[ix[auxExpTa]]
+	if tv.T != sqltypes.IntArray || tval.T != sqltypes.IntArray ||
+		etd.T != sqltypes.IntArray || ev.T != sqltypes.IntArray ||
+		eta.T != sqltypes.IntArray ||
+		len(tv.A) != len(tval.A) ||
+		len(etd.A) != len(ev.A) || len(etd.A) != len(eta.A) {
+		return ErrNotFused
+	}
+	kl := len(tv.A)
+	if limited && k < kl {
+		kl = k
+	}
+	c.topV, c.topVal = tv.A[:kl], tval.A[:kl]
+	c.expTd, c.expV, c.expTa = etd.A, ev.A, eta.A
+	return nil
+}
+
+// foldEA folds one condensed row for a group of label tuples whose earliest
+// arrival at the hub is g.minTa: the top-k arm unconditionally, the expanded
+// arm where that arrival reaches the connection's departure. The arms' inner
+// ORDER BY/LIMIT never affect the outer re-grouped top-k.
+//
+// hotpath — allocheck root: the EA inner loops.
+func (st *queryState) foldEA(c *condArms, g *hubGroup) {
+	for x, v := range c.topV {
+		st.acc.foldMin(v, c.topVal[x])
+	}
+	st.merged += uint64(len(c.topV))
+	for x, td := range c.expTd {
+		if g.minTa <= td {
+			st.acc.foldMin(c.expV[x], c.expTa[x])
+			st.merged++
+		}
+	}
+}
+
+// foldLD folds one condensed row for all label tuples of g's hub: the top-k
+// arm qualifies connections departing no earlier than a tuple's arrival, the
+// expanded arm additionally bounds the connection's arrival by t; both fold
+// the best departure among the tuples that qualify.
+//
+// hotpath — allocheck root: the LD inner loops.
+func (st *queryState) foldLD(c *condArms, g *hubGroup, t int64) {
+	for x, v := range c.topV {
+		if td, ok := st.bestDeparture(g, c.topVal[x]); ok {
+			st.acc.foldMax(v, td)
+			st.merged++
+		}
+	}
+	for x, v := range c.expV {
+		if c.expTa[x] > t {
+			continue
+		}
+		if td, ok := st.bestDeparture(g, c.expTd[x]); ok {
+			st.acc.foldMax(v, td)
+			st.merged++
+		}
+	}
+}
+
+func (p *FusedPlan) runCondensed(cat Catalog, params []sqltypes.Value, st *queryState) (*Relation, error) {
 	f := p.cond
 	q, err := fusedInt(params, f.qParam)
 	if err != nil {
@@ -607,143 +433,51 @@ func (p *FusedPlan) runCondensed(cat Catalog, params []sqltypes.Value) (*Relatio
 			return &Relation{Schema: p.schema}, nil
 		}
 	}
-	// One scratch serves the label and every aux lookup: all retained
-	// arrays live in the append-only arena.
-	var scratch RowScratch
-	lab, err := fusedLabel(cat, f.lout, q, &scratch)
+	lab, err := p.tables[0].label(cat, q, st)
+	if err != nil {
+		return nil, err
+	}
+	tb, ix, err := p.tables[1].resolve(cat)
 	if err != nil {
 		return nil, err
 	}
 
-	tb, ok := cat.Table(f.aux)
-	if !ok {
-		return nil, ErrNotFused
+	// Walk the label once, keeping per (hub, bucket) key only what dominates:
+	// EA probes FLOOR(ta/width) per tuple departing >= t, LD the one bucket
+	// FLOOR(t/width) per hub. Every condensed row is then fetched and folded
+	// exactly once, in the order its key first appeared in the label.
+	if f.ea {
+		st.groupEA(lab, t, f.width)
+	} else {
+		st.groupLD(lab, floorDiv(t, f.width))
 	}
-	cols := tb.Columns()
-	idxOf := func(name string) int {
-		for i, c := range cols {
-			if strings.EqualFold(c, name) {
-				return i
-			}
-		}
-		return -1
-	}
-	hubIdx := idxOf("hub")
-	bucketIdx := idxOf(f.bucketCol)
-	topVIdx := idxOf(f.topV)
-	topValIdx := idxOf(f.topVal)
-	expTdIdx := idxOf(f.expTd)
-	expVIdx := idxOf(f.expV)
-	expTaIdx := idxOf(f.expTa)
-	if hubIdx < 0 || bucketIdx < 0 || topVIdx < 0 || topValIdx < 0 ||
-		expTdIdx < 0 || expVIdx < 0 || expTaIdx < 0 {
-		return nil, ErrNotFused
-	}
-	pk := tb.PKCols()
-	if len(pk) != 2 || pk[0] != hubIdx || pk[1] != bucketIdx {
-		return nil, ErrNotFused
-	}
-
-	cache := make(map[[2]int64]*condRow)
-	var keyBuf [2]int64
-	lookup := func(hub, bucket int64) (*condRow, error) {
-		key := [2]int64{hub, bucket}
-		if c, ok := cache[key]; ok {
-			return c, nil
-		}
-		keyBuf = key
-		row, found, err := lookupPKScratch(tb, keyBuf[:], &scratch)
+	var arms condArms
+	for gi := range st.groups {
+		g := &st.groups[gi]
+		// The label is fully reduced and each row is consumed before the next
+		// fetch, so the arena holds one row at a time.
+		st.scratch.Arena = st.scratch.Arena[:0]
+		st.key = [2]int64{g.hub, g.bucket}
+		row, found, err := lookupPKScratch(tb, st.key[:], &st.scratch)
 		if err != nil {
 			return nil, err
 		}
-		c := &condRow{found: found}
-		if found {
-			tv, tval := row[topVIdx], row[topValIdx]
-			etd, ev, eta := row[expTdIdx], row[expVIdx], row[expTaIdx]
-			if tv.T != sqltypes.IntArray || tval.T != sqltypes.IntArray ||
-				etd.T != sqltypes.IntArray || ev.T != sqltypes.IntArray ||
-				eta.T != sqltypes.IntArray ||
-				len(tv.A) != len(tval.A) ||
-				len(etd.A) != len(ev.A) || len(etd.A) != len(eta.A) {
-				return nil, ErrNotFused
-			}
-			c.topV, c.topVal = tv.A, tval.A
-			c.expTd, c.expV, c.expTa = etd.A, ev.A, eta.A
+		if !found {
+			continue
 		}
-		cache[key] = c
-		return c, nil
-	}
-
-	sliceLen := func(n int) int {
-		if limited && k < n {
-			return k
+		if err := arms.load(row, ix, k, limited); err != nil {
+			return nil, err
 		}
-		return n
-	}
-
-	acc := make(map[int64]int64)
-	merged := uint64(0) // fold calls: condensed-arm entries reaching acc
-	if f.ea {
-		// Per label tuple departing >= t: probe (hub, FLOOR(ta/width)),
-		// fold the top-k arm unconditionally and the expanded arm where the
-		// tuple's arrival reaches the connection's departure. The arms'
-		// inner ORDER BY/LIMIT never affect the outer re-grouped top-k.
-		for i := range lab.hubs {
-			if lab.tds[i] < t {
-				continue
-			}
-			ta := lab.tas[i]
-			c, err := lookup(lab.hubs[i], floorDiv(ta, f.width))
-			if err != nil {
-				return nil, err
-			}
-			if !c.found {
-				continue
-			}
-			for x := 0; x < sliceLen(len(c.topV)); x++ {
-				foldMin(acc, c.topV[x], c.topVal[x])
-				merged++
-			}
-			for x := range c.expTd {
-				if ta <= c.expTd[x] {
-					foldMin(acc, c.expV[x], c.expTa[x])
-					merged++
-				}
-			}
-		}
-	} else {
-		// LD probes one bucket, FLOOR(t/width), per hub: the top-k arm
-		// qualifies connections departing no earlier than the tuple's
-		// arrival, the expanded arm additionally bounds the connection's
-		// arrival by t; both fold the tuple's departure time.
-		bucket := floorDiv(t, f.width)
-		for i := range lab.hubs {
-			td, ta := lab.tds[i], lab.tas[i]
-			c, err := lookup(lab.hubs[i], bucket)
-			if err != nil {
-				return nil, err
-			}
-			if !c.found {
-				continue
-			}
-			for x := 0; x < sliceLen(len(c.topV)); x++ {
-				if c.topVal[x] >= ta {
-					foldMax(acc, c.topV[x], td)
-					merged++
-				}
-			}
-			for x := range c.expTd {
-				if c.expTd[x] >= ta && c.expTa[x] <= t {
-					foldMax(acc, c.expV[x], td)
-					merged++
-				}
-			}
+		if f.ea {
+			st.foldEA(&arms, g)
+		} else {
+			st.foldLD(&arms, g, t)
 		}
 	}
 	if em := execMetrics(cat); em != nil {
-		em.TuplesMerged.Add(merged)
+		em.TuplesMerged.Add(st.merged)
 	}
-	return entriesToRows(p.schema, topKEntries(acc, k, limited, !f.ea)), nil
+	return entriesToRows(p.schema, st.acc.topK(k, limited, !f.ea)), nil
 }
 
 // floorDiv returns floor(a/b) for b > 0, matching FLOOR(a/b.0) in the

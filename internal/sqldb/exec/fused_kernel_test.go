@@ -1,0 +1,246 @@
+package exec
+
+// fused_kernel_test.go tests the hash-free condensed kernel on the shapes
+// real label data never produces: unsorted labels (every group lookup takes
+// the probe), many label tuples per (hub, bucket), negative timestamps
+// through floorDiv, k beyond an arm's length, empty labels and query stops
+// that are themselves targets — always against the general executor — plus
+// the flat index and top-k selection on their own, and one plan shared by
+// many goroutines.
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"sync"
+	"testing"
+
+	"ptldb/internal/sqldb/sqltypes"
+)
+
+func TestFlatIndexMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	var x flatIndex
+	for epoch := 0; epoch < 200; epoch++ {
+		if epoch == 100 {
+			x.epoch = math.MaxUint32 - 1 // the next two resets wrap the stamp
+		}
+		x.reset()
+		want := map[[2]int64]int32{}
+		keys := 1 + rng.Intn(300) // beyond the minimum table: forces growth
+		for i := 0; i < 4*keys; i++ {
+			k := [2]int64{int64(rng.Intn(keys)) - int64(keys/2), int64(rng.Intn(3)) - 1}
+			if rng.Intn(4) == 0 {
+				id, ok := x.find(k[0], k[1])
+				if w, wok := want[k]; ok != wok || (ok && id != w) {
+					t.Fatalf("epoch %d: find(%v) = %d,%v want %d,%v", epoch, k, id, ok, w, wok)
+				}
+				continue
+			}
+			id, added := x.findOrAdd(k[0], k[1])
+			w, seen := want[k]
+			if !seen {
+				w = int32(len(want)) // dense ids in first-touch order
+				want[k] = w
+			}
+			if added == seen || id != w {
+				t.Fatalf("epoch %d: findOrAdd(%v) = %d,%v want %d,%v", epoch, k, id, added, w, !seen)
+			}
+		}
+		if int(x.n) != len(want) {
+			t.Fatalf("epoch %d: %d ids, want %d", epoch, x.n, len(want))
+		}
+	}
+}
+
+func TestTopKMatchesSortAndTruncate(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 300; trial++ {
+		var acc targetAcc
+		acc.reset()
+		n := rng.Intn(40)
+		for i := 0; i < 3*n; i++ {
+			acc.foldMin(int64(rng.Intn(n+1))-3, int64(rng.Intn(8))-4) // few values: many ties
+		}
+		desc, limited, k := rng.Intn(2) == 0, rng.Intn(4) != 0, 1+rng.Intn(n+3)
+		want := slices.Clone(acc.entries)
+		order := entryAsc
+		if desc {
+			order = entryDesc
+		}
+		slices.SortFunc(want, order)
+		if limited && k < len(want) {
+			want = want[:k]
+		}
+		if got := acc.topK(k, limited, desc); !slices.Equal(got, want) {
+			t.Fatalf("trial %d (k=%d limited=%v desc=%v): got %v, want %v", trial, k, limited, desc, got, want)
+		}
+	}
+}
+
+// awkwardCatalog builds a label table for stops 1..6 and one condensed table
+// per direction whose targets are those same stops. Timestamps span
+// [-300, 280) so that, at width 50, buckets run from -6 to 5; dense labels
+// put ~15 tuples on each of four hubs, i.e. several per (hub, bucket).
+const awkwardWidth = 50
+
+func awkwardCatalog(rng *rand.Rand, sorted, dense bool) memCatalog {
+	maxEntries := 8
+	if dense {
+		maxEntries = 60
+	}
+	lout := randLabelTable(rng, 6, maxEntries, sorted)
+	for _, row := range lout.rows[1:] { // stop 1 keeps the non-negative range
+		shift := int64(rng.Intn(300))
+		for _, col := range row[2:] { // tds and tas move together: the order survives
+			for i := range col.A {
+				col.A[i] -= shift
+			}
+		}
+	}
+	lout.rows[2][1] = sqltypes.NewIntArray(nil) // stop 3: present but empty
+	lout.rows[2][2] = sqltypes.NewIntArray(nil)
+	lout.rows[2][3] = sqltypes.NewIntArray(nil)
+
+	aux := func(bucketCol, top string) *memTable {
+		tbl := &memTable{
+			cols: []string{"hub", bucketCol, "vs", top, "tds_exp", "vs_exp", "tas_exp"},
+			pk:   []int{0, 1},
+		}
+		arr := func(n int, gen func() int64) sqltypes.Value {
+			a := make([]int64, n)
+			for i := range a {
+				a[i] = gen()
+			}
+			return sqltypes.NewIntArray(a)
+		}
+		target := func() int64 { return 1 + int64(rng.Intn(6)) }
+		when := func() int64 { return int64(rng.Intn(700)) - 350 }
+		for hub := int64(0); hub < 4; hub++ {
+			for bucket := int64(-7); bucket <= 7; bucket++ {
+				if rng.Intn(5) == 0 {
+					continue // leave some (hub, bucket) cells missing
+				}
+				// As in real condensed tables the expanded connections leave
+				// within the row's bucket, so which label tuple of the bucket
+				// dominates decides what the arm contributes.
+				inBucket := func() int64 { return bucket*awkwardWidth + int64(rng.Intn(awkwardWidth)) }
+				n, m := rng.Intn(7), rng.Intn(7) // arms of 0..6 entries
+				tbl.rows = append(tbl.rows, sqltypes.Row{
+					sqltypes.NewInt(hub), sqltypes.NewInt(bucket),
+					arr(n, target), arr(n, when),
+					arr(m, inBucket), arr(m, target), arr(m, when),
+				})
+			}
+		}
+		return tbl
+	}
+	return memCatalog{
+		"lout":   lout,
+		"aux_ea": aux("dephour", "tas"),
+		"aux_ld": aux("arrhour", "tds"),
+	}
+}
+
+func TestFusedCondensedAwkwardShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	const width = awkwardWidth
+	queries := []struct {
+		q    string
+		kNN  bool
+		kind string
+	}{
+		{fmt.Sprintf(tmplKNNEA, "aux_ea", width, "lout"), true, "cond-knn-ea"},
+		{fmt.Sprintf(tmplKNNLD, "aux_ld", width, "lout"), true, "cond-knn-ld"},
+		{fmt.Sprintf(tmplOTMEA, "aux_ea", width, "lout"), false, "cond-otm-ea"},
+		{fmt.Sprintf(tmplOTMLD, "aux_ld", width, "lout"), false, "cond-otm-ld"},
+	}
+	for trial := 0; trial < 24; trial++ {
+		cat := awkwardCatalog(rng, trial%2 == 0, trial%4 < 2)
+		for _, qq := range queries {
+			if fp := Fuse(mustParse(t, qq.q)); fp == nil || fp.Kind() != qq.kind {
+				t.Fatalf("%s did not fuse", qq.kind)
+			}
+			for rep := 0; rep < 6; rep++ {
+				params := []sqltypes.Value{
+					sqltypes.NewInt(int64(rng.Intn(8))), // 0 and 7 are absent, 3 is empty
+					sqltypes.NewInt(int64(rng.Intn(800)) - 400),
+				}
+				if qq.kNN {
+					// 1..5 cut arms short, 6 is the longest arm (kmax), 7..9
+					// exceed every arm and the number of targets.
+					params = append(params, sqltypes.NewInt(int64(1+rng.Intn(9))))
+				}
+				diffRun(t, cat, qq.q, params)
+			}
+		}
+	}
+}
+
+// TestFusedPlanSharedAcrossGoroutines runs one prepared plan per condensed
+// kind from 8 goroutines at once, each over its own parameter list, through
+// the scratch catalog's hostile buffer reuse. Every answer must equal the one
+// computed single-threaded beforehand: pooled query state that leaked between
+// queries would show as a wrong or torn result (and as a race under -race).
+func TestFusedPlanSharedAcrossGoroutines(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	const width, workers, perWorker = awkwardWidth, 8, 60
+	cat := scratchCatalog{awkwardCatalog(rng, true, true)}
+	cat.inner["naive"] = randNaiveTable(rng)
+	for _, q := range []string{
+		fmt.Sprintf(tmplKNNEA, "aux_ea", width, "lout"),
+		fmt.Sprintf(tmplKNNLD, "aux_ld", width, "lout"),
+		fmt.Sprintf(tmplOTMEA, "aux_ea", width, "lout"),
+		fmt.Sprintf(tmplOTMLD, "aux_ld", width, "lout"),
+		fmt.Sprintf(tmplKNNNaiveEA, "naive", "lout"),
+		fmt.Sprintf(tmplKNNNaiveLD, "naive", "lout"),
+		fmt.Sprintf(tmplV2VEA, "lout", "lout"),
+	} {
+		fp := Fuse(mustParse(t, q))
+		if fp == nil {
+			t.Fatalf("query did not fuse:\n%s", q)
+		}
+		params := make([][][]sqltypes.Value, workers)
+		want := make([][]*Relation, workers)
+		for w := range params {
+			for i := 0; i < perWorker; i++ {
+				stop, when := sqltypes.NewInt(int64(rng.Intn(8))), sqltypes.NewInt(int64(rng.Intn(800))-400)
+				p := []sqltypes.Value{stop, when, sqltypes.NewInt(int64(1 + rng.Intn(7)))}[:fp.maxParam]
+				if fp.v2v != nil {
+					p = []sqltypes.Value{stop, sqltypes.NewInt(int64(rng.Intn(8))), when}
+				}
+				rel, err := fp.Run(cat, p)
+				if err != nil {
+					t.Fatalf("%s %v: %v", fp.Kind(), p, err)
+				}
+				params[w], want[w] = append(params[w], p), append(want[w], rel)
+			}
+		}
+		var wg sync.WaitGroup
+		errs := make(chan error, workers)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i, p := range params[w] {
+					got, err := fp.Run(cat, p)
+					if err != nil {
+						errs <- fmt.Errorf("%s %v: %v", fp.Kind(), p, err)
+						return
+					}
+					if fmt.Sprint(got.Rows) != fmt.Sprint(want[w][i].Rows) {
+						errs <- fmt.Errorf("%s %v: concurrent answer %v, single-threaded %v",
+							fp.Kind(), p, got.Rows, want[w][i].Rows)
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
+	}
+}

@@ -1,0 +1,528 @@
+package exec
+
+// fused_state.go holds what a fused query needs besides its inputs: the
+// resolved layout of the tables a plan reads (cached on the plan) and the
+// pooled per-query state — row scratch, the (hub, bucket) grouping of the
+// query stop's label, and the per-target MIN/MAX accumulator. Nothing here
+// touches a Go map: both lookups are open-addressed probes of one flat,
+// epoch-stamped table, so starting a query costs a counter increment rather
+// than a clear, and a steady-state query allocates only its result.
+
+import (
+	"cmp"
+	"math/bits"
+	"slices"
+	"sort"
+	"strings"
+	"sync/atomic"
+
+	"ptldb/internal/sqldb/sqltypes"
+)
+
+// --- table layouts -----------------------------------------------------------
+
+// maxFusedCols bounds the columns a fused operator reads from one table (the
+// condensed table's seven).
+const maxFusedCols = 7
+
+// Column slots of the three table shapes, in tableRef.cols order.
+const (
+	labV, labHubs, labTds, labTas = 0, 1, 2, 3
+
+	naiveHub, naiveTd, naiveVs, naiveTas = 0, 1, 2, 3
+
+	auxHub, auxBucket, auxTopV, auxTopVal, auxExpTd, auxExpV, auxExpTa = 0, 1, 2, 3, 4, 5, 6
+)
+
+// tableRef names one base table a fused plan reads, the columns it needs from
+// it, and how many of the leading ones must be exactly the primary key. The
+// resolved column positions are cached per table identity, so a query pays
+// one catalog lookup and one pointer compare instead of a name scan per
+// column.
+type tableRef struct {
+	name string
+	cols []string
+	pk   int // leading cols that must equal the table's PK columns; 0 = unchecked
+	lay  atomic.Pointer[tableLayout]
+}
+
+// tableLayout is the resolved position of each tableRef column in one
+// concrete table. Table values must be comparable (every implementation is a
+// pointer or a struct of pointers).
+type tableLayout struct {
+	tb  Table
+	idx [maxFusedCols]int
+}
+
+// resolve returns the table and the positions of r.cols in it, or ErrNotFused
+// when the table is missing, lacks a column or has a different key shape.
+//
+// hotpath — allocheck root: runs once per table per fused query.
+func (r *tableRef) resolve(cat Catalog) (Table, *[maxFusedCols]int, error) {
+	tb, ok := cat.Table(r.name)
+	if !ok {
+		return nil, nil, ErrNotFused
+	}
+	if l := r.lay.Load(); l != nil && l.tb == tb {
+		return tb, &l.idx, nil
+	}
+	return r.resolveSlow(tb)
+}
+
+// resolveSlow scans the column names once and publishes the layout. A
+// mismatch is not cached: it bails every time, exactly like the scan did.
+//
+// hotpath:cold — first query of a plan against a table.
+func (r *tableRef) resolveSlow(tb Table) (Table, *[maxFusedCols]int, error) {
+	l := &tableLayout{tb: tb}
+	cols := tb.Columns()
+	for i, name := range r.cols {
+		l.idx[i] = -1
+		for ci, c := range cols {
+			if strings.EqualFold(c, name) {
+				l.idx[i] = ci
+				break
+			}
+		}
+		if l.idx[i] < 0 {
+			return nil, nil, ErrNotFused
+		}
+	}
+	if r.pk > 0 {
+		pk := tb.PKCols()
+		if len(pk) != r.pk {
+			return nil, nil, ErrNotFused
+		}
+		for i := range pk {
+			if pk[i] != l.idx[i] {
+				return nil, nil, ErrNotFused
+			}
+		}
+	}
+	r.lay.Store(l)
+	return tb, &l.idx, nil
+}
+
+// label is one stop's hub label as three parallel typed columns.
+type label struct {
+	hubs, tds, tas []int64
+}
+
+// label point-looks-up the label of stop v in the referenced label table,
+// decoding through st's scratch when the table supports it. The returned
+// arrays stay valid until the scratch arena is next truncated. A missing stop
+// yields an empty label; an unexpected table layout yields ErrNotFused.
+//
+// hotpath — allocheck root: the per-query label fetch shared by every fused
+// code; it must not allocate beyond the scratch it is handed.
+func (r *tableRef) label(cat Catalog, v int64, st *queryState) (label, error) {
+	tb, ix, err := r.resolve(cat)
+	if err != nil {
+		return label{}, err
+	}
+	st.key[0] = v
+	row, found, err := lookupPKScratch(tb, st.key[:1], &st.scratch)
+	if err != nil {
+		return label{}, err
+	}
+	if !found {
+		return label{}, nil
+	}
+	hv, dv, av := row[ix[labHubs]], row[ix[labTds]], row[ix[labTas]]
+	if hv.T != sqltypes.IntArray || dv.T != sqltypes.IntArray || av.T != sqltypes.IntArray ||
+		len(hv.A) != len(dv.A) || len(hv.A) != len(av.A) {
+		return label{}, ErrNotFused
+	}
+	return label{hubs: hv.A, tds: dv.A, tas: av.A}, nil
+}
+
+// --- flat index ----------------------------------------------------------------
+
+// flatIndex maps a two-word key to a dense id handed out in first-touch
+// order: an open-addressed, linearly probed table whose slots carry the epoch
+// they were written in, so reset is O(1) and a recycled table needs no clear.
+type flatIndex struct {
+	slots []flatSlot // power-of-two length, at most half full
+	shift uint       // 64 - log2(len(slots))
+	epoch uint32
+	n     int32 // ids handed out this epoch
+}
+
+type flatSlot struct {
+	a, b  int64
+	id    int32
+	epoch uint32
+}
+
+const flatIndexMinSlots = 64
+
+func (x *flatIndex) reset() {
+	x.n = 0
+	x.epoch++
+	if x.epoch == 0 { // wrapped: stale stamps could alias, so start over
+		clear(x.slots)
+		x.epoch = 1
+	}
+}
+
+// hotpath — allocheck root: the probe under every fold and group lookup.
+func (x *flatIndex) home(a, b int64) int {
+	return int((uint64(a)*0x9E3779B97F4A7C15 + uint64(b)*0xC2B2AE3D27D4EB4F) * 0x9E3779B97F4A7C15 >> x.shift)
+}
+
+// find returns the id of key (a, b) if it was added this epoch.
+//
+// hotpath — allocheck root: per scanned row in the naive kNN.
+func (x *flatIndex) find(a, b int64) (int32, bool) {
+	if x.n == 0 {
+		return 0, false
+	}
+	mask := len(x.slots) - 1
+	for i := x.home(a, b); ; i = (i + 1) & mask {
+		s := &x.slots[i]
+		if s.epoch != x.epoch {
+			return 0, false
+		}
+		if s.a == a && s.b == b {
+			return s.id, true
+		}
+	}
+}
+
+// findOrAdd returns the id of key (a, b), assigning the next dense id when
+// the key is new this epoch.
+//
+// hotpath — allocheck root: per fold and per label tuple.
+func (x *flatIndex) findOrAdd(a, b int64) (id int32, added bool) {
+	if int(x.n)*2 >= len(x.slots) {
+		x.grow()
+	}
+	mask := len(x.slots) - 1
+	for i := x.home(a, b); ; i = (i + 1) & mask {
+		s := &x.slots[i]
+		if s.epoch != x.epoch {
+			*s = flatSlot{a: a, b: b, id: x.n, epoch: x.epoch}
+			x.n++
+			return s.id, true
+		}
+		if s.a == a && s.b == b {
+			return s.id, false
+		}
+	}
+}
+
+// grow doubles the table and re-seats this epoch's keys.
+//
+// hotpath:cold — amortized; a pooled table stops growing after warm-up.
+func (x *flatIndex) grow() {
+	old := x.slots
+	n := 2 * len(old)
+	if n < flatIndexMinSlots {
+		n = flatIndexMinSlots
+	}
+	x.slots = make([]flatSlot, n)
+	x.shift = uint(64 - bits.TrailingZeros(uint(n)))
+	if x.epoch == 0 {
+		x.epoch = 1 // a zero index works without a reset: fresh slots are epoch 0
+	}
+	mask := n - 1
+	for _, s := range old {
+		if s.epoch != x.epoch {
+			continue
+		}
+		i := x.home(s.a, s.b)
+		for x.slots[i].epoch == x.epoch {
+			i = (i + 1) & mask
+		}
+		x.slots[i] = s
+	}
+}
+
+// --- per-target accumulator ----------------------------------------------------
+
+// kEntry is one (target, aggregate) result of a grouped query.
+type kEntry struct {
+	v, val int64
+}
+
+// targetAcc is the GROUP BY v2 accumulator: a flatIndex from target to its
+// position in entries, which therefore lists the touched targets with their
+// running MIN or MAX in first-touch order.
+type targetAcc struct {
+	idx     flatIndex
+	entries []kEntry
+}
+
+func (a *targetAcc) reset() {
+	a.idx.reset()
+	a.entries = a.entries[:0]
+}
+
+// foldMin folds val into the entry of v, keeping the minimum.
+//
+// hotpath — allocheck root: per condensed-arm entry in the kNN scans.
+func (a *targetAcc) foldMin(v, val int64) {
+	id, added := a.idx.findOrAdd(v, 0)
+	if added {
+		a.entries = append(a.entries, kEntry{v, val})
+	} else if val < a.entries[id].val {
+		a.entries[id].val = val
+	}
+}
+
+// foldMax folds val into the entry of v, keeping the maximum.
+//
+// hotpath — allocheck root: per condensed-arm entry in the kNN scans.
+func (a *targetAcc) foldMax(v, val int64) {
+	id, added := a.idx.findOrAdd(v, 0)
+	if added {
+		a.entries = append(a.entries, kEntry{v, val})
+	} else if val > a.entries[id].val {
+		a.entries[id].val = val
+	}
+}
+
+// entryAsc orders by (val, v); entryDesc by val descending, then v. Both are
+// total orders over distinct targets, so sort stability never matters.
+func entryAsc(a, b kEntry) int {
+	if c := cmp.Compare(a.val, b.val); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.v, b.v)
+}
+
+func entryDesc(a, b kEntry) int {
+	if c := cmp.Compare(b.val, a.val); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.v, b.v)
+}
+
+// topK orders the accumulated entries by (val, v) — val descending when desc —
+// and keeps the first k when limited, matching the general executor's stable
+// sort + truncate exactly. The bounded variant selects in place: entries[:k]
+// is a heap whose root is the worst kept entry. The result aliases the
+// accumulator and is only valid until its next reset.
+func (a *targetAcc) topK(k int, limited, desc bool) []kEntry {
+	e := a.entries
+	order := entryAsc
+	if desc {
+		order = entryDesc
+	}
+	if limited && k < len(e) {
+		h := e[:k]
+		siftDown := func(i int) {
+			for {
+				m := i
+				if l := 2*i + 1; l < k && order(h[l], h[m]) > 0 {
+					m = l
+				}
+				if r := 2*i + 2; r < k && order(h[r], h[m]) > 0 {
+					m = r
+				}
+				if m == i {
+					return
+				}
+				h[i], h[m] = h[m], h[i]
+				i = m
+			}
+		}
+		for i := k/2 - 1; i >= 0; i-- {
+			siftDown(i)
+		}
+		for _, x := range e[k:] {
+			if order(x, h[0]) < 0 {
+				h[0] = x
+				siftDown(0)
+			}
+		}
+		e = h
+	}
+	slices.SortFunc(e, order)
+	return e
+}
+
+// entriesToRows copies the entries into a fresh result; all rows share one
+// backing array.
+func entriesToRows(schema Schema, entries []kEntry) *Relation {
+	vals := make([]sqltypes.Value, 2*len(entries))
+	rows := make([]sqltypes.Row, len(entries))
+	for i, e := range entries {
+		r := vals[2*i : 2*i+2 : 2*i+2]
+		r[0], r[1] = sqltypes.NewInt(e.v), sqltypes.NewInt(e.val)
+		rows[i] = r
+	}
+	return &Relation{Schema: schema, Rows: rows}
+}
+
+// --- label grouping --------------------------------------------------------------
+
+// hubGroup is the part of the query stop's label that probes one (hub,
+// bucket) key, reduced to what dominates: every label tuple of the group
+// folds a subset of what the dominating tuple folds (DESIGN.md §7.4).
+type hubGroup struct {
+	hub, bucket int64
+	// EA: the earliest arrival at hub among the group's tuples departing at
+	// or after t.
+	minTa int64
+	// LD: the group's range in queryState.tas / maxTd.
+	lo, hi int32
+}
+
+// queryState is everything a fused query needs besides its inputs. One is
+// taken from the plan's pool per Run and returned on exit; nothing in it is
+// meaningful between queries, and no result aliases it.
+type queryState struct {
+	scratch RowScratch
+	key     [2]int64 // lookup key buffer (escapes through the Table interface)
+	suffix  []int64  // v2v: suffix minimum over one in-side hub run
+
+	gidx   flatIndex  // (hub, bucket) -> position in groups
+	groups []hubGroup // first-touch order: the aux lookup order
+	last   int32      // group of the previous label tuple, -1 before the first
+
+	// LD only: per group, the tuples' arrivals ascending and the running
+	// maximum of their departures; tupleGroup is the scatter's first pass.
+	tupleGroup []int32
+	tas, maxTd []int64
+
+	acc    targetAcc
+	merged uint64 // fold calls, published once per query
+}
+
+// acquire hands out a reset query state.
+func (p *FusedPlan) acquire() *queryState {
+	st, _ := p.states.Get().(*queryState)
+	if st == nil {
+		st = new(queryState)
+	}
+	st.scratch.Arena = st.scratch.Arena[:0]
+	st.gidx.reset()
+	st.groups = st.groups[:0]
+	st.last = -1
+	st.acc.reset()
+	st.merged = 0
+	return st
+}
+
+// release returns st to the pool, dropping the row header's views so a
+// pooled state never keeps an evicted cache vector alive.
+func (p *FusedPlan) release(st *queryState) {
+	clear(st.scratch.Row[:cap(st.scratch.Row)])
+	p.states.Put(st)
+}
+
+// groupOf returns the group of key (hub, bucket), adding it on first touch.
+// Labels are (hub, td)-sorted, so the previous tuple's group almost always
+// matches and the probe is the fallback — unsorted labels take it every time.
+//
+// hotpath — allocheck root: per label tuple.
+func (st *queryState) groupOf(hub, bucket int64) (g *hubGroup, added bool) {
+	if st.last >= 0 {
+		if g = &st.groups[st.last]; g.hub == hub && g.bucket == bucket {
+			return g, false
+		}
+	}
+	st.last, added = st.gidx.findOrAdd(hub, bucket)
+	if added {
+		st.groups = append(st.groups, hubGroup{hub: hub, bucket: bucket})
+	}
+	return &st.groups[st.last], added
+}
+
+// groupEA groups the label tuples departing at or after t by (hub,
+// FLOOR(ta/width)) — by hub alone when width is 0 — keeping the earliest
+// arrival per group.
+//
+// hotpath — allocheck root: the one walk over the label of an EA query.
+func (st *queryState) groupEA(lab label, t, width int64) {
+	for i, td := range lab.tds {
+		if td < t {
+			continue
+		}
+		ta, bucket := lab.tas[i], int64(0)
+		if width > 0 {
+			bucket = floorDiv(ta, width)
+		}
+		if g, added := st.groupOf(lab.hubs[i], bucket); added || ta < g.minTa {
+			g.minTa = ta
+		}
+	}
+}
+
+// groupLD groups every label tuple by hub (all probe the one given bucket)
+// and lays each group out in tas/maxTd[lo:hi] ordered by arrival, with maxTd
+// the prefix maximum of the departures: bestDeparture answers "the latest
+// departure among tuples reaching the hub by x" with one binary search.
+//
+// hotpath — allocheck root: the one walk over the label of an LD query.
+func (st *queryState) groupLD(lab label, bucket int64) {
+	n := len(lab.hubs)
+	if cap(st.tas) < n {
+		st.tupleGroup = make([]int32, n)
+		st.tas = make([]int64, n)
+		st.maxTd = make([]int64, n)
+	}
+	st.tupleGroup, st.tas, st.maxTd = st.tupleGroup[:n], st.tas[:n], st.maxTd[:n]
+	for i, hub := range lab.hubs {
+		g, _ := st.groupOf(hub, bucket)
+		g.hi++
+		st.tupleGroup[i] = st.last
+	}
+	off := int32(0)
+	for gi := range st.groups {
+		g := &st.groups[gi]
+		g.lo, g.hi, off = off, off, off+g.hi
+	}
+	for i, gi := range st.tupleGroup {
+		g := &st.groups[gi]
+		st.tas[g.hi], st.maxTd[g.hi] = lab.tas[i], lab.tds[i]
+		g.hi++
+	}
+	for gi := range st.groups {
+		g := &st.groups[gi]
+		tas, maxTd := st.tas[g.lo:g.hi], st.maxTd[g.lo:g.hi]
+		// hotpath:cold — a Pareto-optimal label ascends in ta wherever it
+		// ascends in td; only foreign data needs the sort.
+		if !slices.IsSorted(tas) {
+			sort.Sort(&taTdPairs{tas, maxTd})
+		}
+		for i := 1; i < len(maxTd); i++ {
+			if maxTd[i-1] > maxTd[i] {
+				maxTd[i] = maxTd[i-1]
+			}
+		}
+	}
+}
+
+// bestDeparture returns the latest departure among g's tuples arriving at the
+// hub no later than x, or false when none does.
+//
+// hotpath — allocheck root: per condensed-arm entry of an LD query.
+func (st *queryState) bestDeparture(g *hubGroup, x int64) (int64, bool) {
+	tas := st.tas[g.lo:g.hi]
+	lo, hi := 0, len(tas)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); tas[m] <= x {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo == 0 {
+		return 0, false
+	}
+	return st.maxTd[int(g.lo)+lo-1], true
+}
+
+// taTdPairs sorts parallel (ta, td) slices by ta.
+type taTdPairs struct {
+	tas, tds []int64
+}
+
+func (p *taTdPairs) Len() int           { return len(p.tas) }
+func (p *taTdPairs) Less(i, j int) bool { return p.tas[i] < p.tas[j] }
+func (p *taTdPairs) Swap(i, j int) {
+	p.tas[i], p.tas[j] = p.tas[j], p.tas[i]
+	p.tds[i], p.tds[j] = p.tds[j], p.tds[i]
+}

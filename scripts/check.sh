@@ -1,7 +1,8 @@
 #!/bin/sh
 # Full pre-merge gate: formatting, vet, project lint, build, and the whole
-# test suite under the race detector with shuffled test order. Also available
-# as `make check`.
+# test suite under the race detector with shuffled test order, then the
+# benchmark module (benchmark/ is a module of its own, invisible to ./...).
+# Also available as `make check`.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -36,4 +37,8 @@ go run ./cmd/ptldb-bench -exp serve -cities Austin -scale 0.02 -queries 64 \
 echo "== tenants smoke (two cities, one process: answers must match direct handles, rollup /obs must sum per-tenant counters)"
 go run ./cmd/ptldb-bench -exp tenants -cities "Austin,Salt Lake City" -scale 0.02 \
     -queries 32 -serve-duration 300ms -q > /dev/null
+echo "== benchmark module (vet, tests, smoke run of all four workloads)"
+go -C benchmark vet .
+go -C benchmark test .
+go -C benchmark run . -smoke > /dev/null
 echo "== OK"
