@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check lint build test race bench-concurrency bench-quick bench-build bench-segments bench-vcache bench-serve bench-tenants
+.PHONY: check lint build test race bench-concurrency bench-quick bench-build bench-vcache bench-serve bench-tenants
 
 # The pre-merge gate: vet + lint + build + full suite under the race detector,
 # the bench smokes, and the benchmark module's vet, tests and smoke run.
@@ -33,11 +33,6 @@ bench-concurrency:
 bench-build:
 	$(GO) run ./cmd/ptldb-bench -exp build -cities Austin,Berlin -scale 0.02 -q
 	$(GO) test -run '^$$' -bench 'BenchmarkBuildParallel' -benchtime 1x ./internal/ttl
-
-# Columnar label segments vs the B+tree/heap read path (see
-# BENCH_segments.json): warm ns/op plus cold device pages per query.
-bench-segments:
-	$(GO) test -run '^$$' -bench 'BenchmarkSegments' -benchtime 100x .
 
 # Resident vector cache vs the segment read path, warm (see
 # BENCH_vcache.json); the budget sweep lives in `ptldb-bench -exp vcache`.

@@ -57,10 +57,10 @@ func benchSetup(b *testing.B) (*Network, string) {
 			return
 		}
 		// benchDatasetFormat versions the cached dataset directory: bump it
-		// whenever the on-disk format changes (e.g. the segment header CRC in
-		// v2), or a stale cache would silently demote every table to the heap
-		// path and the benchmarks would measure the wrong tier.
-		const benchDatasetFormat = 2
+		// whenever the on-disk format changes (the segment header CRC in v2,
+		// segment-only label tables in v3), or a stale cache would fail to
+		// open or carry files the current build no longer writes.
+		const benchDatasetFormat = 3
 		dir := filepath.Join(os.TempDir(),
 			fmt.Sprintf("ptldb-gobench-%s-%04d-f%d", benchState.city, int(benchState.scale*10000), benchDatasetFormat))
 		if _, err := os.Stat(filepath.Join(dir, "catalog.json")); err != nil {

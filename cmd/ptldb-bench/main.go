@@ -38,9 +38,7 @@ func main() {
 		parallel   = flag.Int("parallel", 1, "goroutines issuing queries concurrently (sim device time is divided by N)")
 		workers    = flag.Int("build-workers", 0, "preprocessing parallelism for database builds (0 = GOMAXPROCS)")
 		fused      = flag.String("fused", "on", "fused label-query execution: on or off (ablation)")
-		segments   = flag.String("segments", "on", "columnar label segments on the read path: on or off (ablation)")
-		vcache     = flag.String("vcache", "on", "resident vector cache over the segments: on or off (ablation)")
-		vcBytes    = flag.Int64("vcache-bytes", 0, "vector-cache budget in bytes (0 = default)")
+		vcBytes    = flag.Int64("vcache-bytes", 0, "vector-cache budget in bytes (0 = default, negative = no cache)")
 		svClients  = flag.String("serve-clients", "", "comma-separated client counts for -exp serve (default 1,4,16,64)")
 		svRate     = flag.Float64("serve-rate", 0, "per-client request rate for -exp serve (default 50/s)")
 		svDuration = flag.Duration("serve-duration", 0, "offered-load window per serve cell (default 2s)")
@@ -92,20 +90,6 @@ func main() {
 		cfg.FusedOff = true
 	default:
 		fatal(fmt.Errorf("-fused must be on or off, got %q", *fused))
-	}
-	switch *segments {
-	case "on":
-	case "off":
-		cfg.SegmentsOff = true
-	default:
-		fatal(fmt.Errorf("-segments must be on or off, got %q", *segments))
-	}
-	switch *vcache {
-	case "on":
-	case "off":
-		cfg.VCacheOff = true
-	default:
-		fatal(fmt.Errorf("-vcache must be on or off, got %q", *vcache))
 	}
 	cfg.VCacheBytes = *vcBytes
 	if *svClients != "" {

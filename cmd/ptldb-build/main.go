@@ -33,9 +33,7 @@ func main() {
 		bucket  = flag.Int("bucket", 3600, "knn/otm bucket width in seconds")
 		ordFlag = flag.String("order", "neighbor-degree", "vertex ordering: neighbor-degree, degree, random")
 		workers = flag.Int("workers", 0, "preprocessing parallelism (0 = GOMAXPROCS); output is identical for every value")
-		segs    = flag.String("segments", "on", "read label tables through columnar segments during this build session: on or off (segment files are written either way)")
-		vcache  = flag.String("vcache", "on", "resident vector cache during this build session: on or off")
-		vcBytes = flag.Int64("vcache-bytes", 0, "vector-cache budget in bytes (0 = default)")
+		vcBytes = flag.Int64("vcache-bytes", 0, "vector-cache budget in bytes (0 = default, negative = no cache)")
 		obsOut  = flag.String("obs-out", "", "write the build's observability snapshot (JSON) to this file")
 		list    = flag.Bool("list", false, "list synthetic city profiles and exit")
 	)
@@ -75,21 +73,13 @@ func main() {
 	fmt.Fprintf(os.Stderr, "ptldb-build: network: %d stops, %d connections, %d trips, span %v-%v\n",
 		tt.NumStops(), tt.NumConnections(), tt.NumTrips(), tt.MinTime(), tt.MaxTime())
 
-	if *segs != "on" && *segs != "off" {
-		fatal(fmt.Errorf("-segments must be on or off, got %q", *segs))
-	}
-	if *vcache != "on" && *vcache != "off" {
-		fatal(fmt.Errorf("-vcache must be on or off, got %q", *vcache))
-	}
 	db, stats, err := ptldb.CreateWithStats(*dbDir, tt, ptldb.Config{
-		Device:             "ram",
-		BucketSeconds:      int32(*bucket),
-		Ordering:           *ordFlag,
-		Seed:               *seed,
-		BuildWorkers:       *workers,
-		DisableSegments:    *segs == "off",
-		DisableVectorCache: *vcache == "off",
-		VectorCacheBytes:   *vcBytes,
+		Device:           "ram",
+		BucketSeconds:    int32(*bucket),
+		Ordering:         *ordFlag,
+		Seed:             *seed,
+		BuildWorkers:     *workers,
+		VectorCacheBytes: *vcBytes,
 	})
 	if err != nil {
 		fatal(err)

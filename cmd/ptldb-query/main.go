@@ -59,25 +59,17 @@ type backend interface {
 
 func main() {
 	var (
-		dbDir    = flag.String("db", "", "database directory (required unless -url)")
-		urlFlag  = flag.String("url", "", "ptldb-serve base URL (e.g. http://127.0.0.1:8080); replaces -db")
-		tenantF  = flag.String("tenant", "", "city key on a multi-tenant server (requires -url)")
-		device   = flag.String("device", "ssd", "simulated device: hdd, ssd, ram")
-		segments = flag.String("segments", "on", "columnar label segments on the read path: on or off")
-		vcache   = flag.String("vcache", "on", "resident vector cache over the segments: on or off")
-		vcBytes  = flag.Int64("vcache-bytes", 0, "vector-cache budget in bytes (0 = default)")
-		slow     = flag.Duration("slow", 0, "log queries slower than this to stderr (0 = off)")
-		obsDump  = flag.Bool("obs", false, "print the observability snapshot (JSON) to stderr on exit")
+		dbDir   = flag.String("db", "", "database directory (required unless -url)")
+		urlFlag = flag.String("url", "", "ptldb-serve base URL (e.g. http://127.0.0.1:8080); replaces -db")
+		tenantF = flag.String("tenant", "", "city key on a multi-tenant server (requires -url)")
+		device  = flag.String("device", "ssd", "simulated device: hdd, ssd, ram")
+		vcBytes = flag.Int64("vcache-bytes", 0, "vector-cache budget in bytes (0 = default, negative = no cache)")
+		slow    = flag.Duration("slow", 0, "log queries slower than this to stderr (0 = off)")
+		obsDump = flag.Bool("obs", false, "print the observability snapshot (JSON) to stderr on exit")
 	)
 	flag.Parse()
 	if (*dbDir == "") == (*urlFlag == "") || flag.NArg() == 0 {
 		fatal(fmt.Errorf("usage: ptldb-query {-db DIR | -url URL} CMD ARGS... (see source header)"))
-	}
-	if *segments != "on" && *segments != "off" {
-		fatal(fmt.Errorf("-segments must be on or off, got %q", *segments))
-	}
-	if *vcache != "on" && *vcache != "off" {
-		fatal(fmt.Errorf("-vcache must be on or off, got %q", *vcache))
 	}
 	if *tenantF != "" && *urlFlag == "" {
 		fatal(fmt.Errorf("-tenant selects a city on a server; it requires -url"))
@@ -113,8 +105,7 @@ func main() {
 	}
 
 	db, err := ptldb.Open(*dbDir, ptldb.Config{
-		Device: *device, SlowQueryThreshold: *slow, DisableSegments: *segments == "off",
-		DisableVectorCache: *vcache == "off", VectorCacheBytes: *vcBytes,
+		Device: *device, SlowQueryThreshold: *slow, VectorCacheBytes: *vcBytes,
 	})
 	if err != nil {
 		fatal(err)

@@ -63,9 +63,7 @@ func main() {
 		maxOpen   = flag.Int("max-open", 4, "max concurrently open tenant databases (-tenants mode)")
 		addr      = flag.String("addr", "127.0.0.1:8080", "listen address")
 		device    = flag.String("device", "ssd", "simulated device: hdd, ssd, ram")
-		segments  = flag.String("segments", "on", "columnar label segments on the read path: on or off")
-		vcache    = flag.String("vcache", "on", "resident vector cache over the segments: on or off")
-		vcBytes   = flag.Int64("vcache-bytes", 0, "vector-cache budget in bytes, process-wide (0 = default)")
+		vcBytes   = flag.Int64("vcache-bytes", 0, "vector-cache budget in bytes, process-wide (0 = default, negative = no cache)")
 		poolPages = flag.Int("pool-pages", 0, "buffer-pool budget in 8 KiB pages, process-wide (0 = default)")
 		inflight  = flag.Int("max-inflight", 64, "max concurrent query executions before 503")
 		timeout   = flag.Duration("timeout", 5*time.Second, "per-request deadline")
@@ -77,14 +75,11 @@ func main() {
 	if (*dbDir == "") == (*tenantDir == "") {
 		fatal(fmt.Errorf("usage: ptldb-serve {-db DIR | -tenants DIR} [flags] (see source header)"))
 	}
-	for name, v := range map[string]string{"segments": *segments, "vcache": *vcache, "coalesce": *coalesce} {
-		if v != "on" && v != "off" {
-			fatal(fmt.Errorf("-%s must be on or off, got %q", name, v))
-		}
+	if *coalesce != "on" && *coalesce != "off" {
+		fatal(fmt.Errorf("-coalesce must be on or off, got %q", *coalesce))
 	}
 	cfg := ptldb.Config{
 		Device: *device, SlowQueryThreshold: *slow,
-		DisableSegments: *segments == "off", DisableVectorCache: *vcache == "off",
 		VectorCacheBytes: *vcBytes, PoolPages: *poolPages,
 	}
 	opts := serve.Options{

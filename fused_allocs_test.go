@@ -53,14 +53,14 @@ func TestFusedAllocsBudget(t *testing.T) {
 	}
 
 	// The budgets hold on both label tiers: the default handle serves warm
-	// queries from resident vectors, the DisableVectorCache handle from
+	// queries from resident vectors, the negative-budget handle from
 	// segments.
 	for _, cfg := range []struct {
 		tier string
 		conf Config
 	}{
 		{"vcache", Config{Device: "ram"}},
-		{"segments", Config{Device: "ram", DisableVectorCache: true}},
+		{"segments", Config{Device: "ram", VectorCacheBytes: -1}},
 	} {
 		t.Run(cfg.tier, func(t *testing.T) {
 			db, err := Open(dir, cfg.conf)

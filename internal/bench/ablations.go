@@ -40,7 +40,7 @@ func (w *Workspace) AblationBucket() (*Table, error) {
 			db.Close()
 		}
 		db, err := ptldb.Open(dir, ptldb.Config{
-			Device: "hdd", PoolPages: w.cfg.PoolPages, DisableFusedExec: w.cfg.FusedOff, DisableSegments: w.cfg.SegmentsOff,
+			Device: "hdd", PoolPages: w.cfg.PoolPages, DisableFusedExec: w.cfg.FusedOff,
 			TraceHook: w.cfg.TraceHook,
 		})
 		if err != nil {

@@ -52,14 +52,8 @@ type Config struct {
 	// FusedOff disables the fused label-query execution path, running every
 	// query through the general SQL executor (the -fused=off ablation).
 	FusedOff bool
-	// SegmentsOff disables the columnar label segments on the read path,
-	// reverting label access to the B+tree/heap pair (the -segments=off
-	// ablation). Builds still write segment files either way.
-	SegmentsOff bool
-	// VCacheOff disables the resident vector cache, serving label reads from
-	// the columnar segments (the -vcache=off ablation).
-	VCacheOff bool
-	// VCacheBytes overrides the vector-cache budget (0 = ptldb's default).
+	// VCacheBytes overrides the vector-cache budget (0 = ptldb's default,
+	// negative = no cache: label reads served from the segments).
 	VCacheBytes int64
 	// BuildWorkers is the preprocessing parallelism of database builds
 	// (0 = GOMAXPROCS). The built databases are identical for every value.
@@ -121,10 +115,10 @@ func (c Config) Defaults() Config {
 }
 
 // datasetFormat versions the cache-dir naming. Bump it whenever the on-disk
-// image changes incompatibly (segment format v2 added region checksums):
-// a stale cache would otherwise open with its segments silently demoted to
-// the heap path, quietly invalidating every benchmark number.
-const datasetFormat = 2
+// image changes (v2: segment region checksums; v3: label tables are segments
+// only): a stale cache would otherwise fail to open or skew the storage
+// reports with files the current build no longer writes.
+const datasetFormat = 3
 
 // Densities are the paper's target-density values D = |T| / |V|.
 var Densities = []float64{0.001, 0.005, 0.01, 0.05, 0.1}
@@ -210,9 +204,8 @@ func (w *Workspace) Dataset(city string) (*Dataset, error) {
 	}
 	w.logf("preprocessing %s: %d stops, %d connections", city, tt.NumStops(), tt.NumConnections())
 	db, stats, err := ptldb.CreateWithStats(dir, tt, ptldb.Config{
-		Device: "ram", PoolPages: w.cfg.PoolPages, DisableFusedExec: w.cfg.FusedOff, DisableSegments: w.cfg.SegmentsOff,
-		DisableVectorCache: w.cfg.VCacheOff, VectorCacheBytes: w.cfg.VCacheBytes,
-		BuildWorkers: w.cfg.BuildWorkers,
+		Device: "ram", PoolPages: w.cfg.PoolPages, DisableFusedExec: w.cfg.FusedOff,
+		VectorCacheBytes: w.cfg.VCacheBytes, BuildWorkers: w.cfg.BuildWorkers,
 	})
 	if err != nil {
 		return nil, err
@@ -244,9 +237,8 @@ func sanitize(s string) string {
 // Open opens a dataset's database on the given simulated device.
 func (w *Workspace) Open(ds *Dataset, device string) (*ptldb.DB, error) {
 	return ptldb.Open(ds.Dir, ptldb.Config{
-		Device: device, PoolPages: w.cfg.PoolPages, DisableFusedExec: w.cfg.FusedOff, DisableSegments: w.cfg.SegmentsOff,
-		DisableVectorCache: w.cfg.VCacheOff, VectorCacheBytes: w.cfg.VCacheBytes,
-		TraceHook: w.cfg.TraceHook,
+		Device: device, PoolPages: w.cfg.PoolPages, DisableFusedExec: w.cfg.FusedOff,
+		VectorCacheBytes: w.cfg.VCacheBytes, TraceHook: w.cfg.TraceHook,
 	})
 }
 

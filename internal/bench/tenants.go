@@ -86,8 +86,7 @@ func (w *Workspace) Tenants() (*Table, error) {
 	dirs := map[string]string{keyA: dsA.Dir, keyB: dsB.Dir}
 	base := ptldb.Config{
 		Device: "ssd", RealLatency: true,
-		DisableFusedExec: cfg.FusedOff, DisableSegments: cfg.SegmentsOff,
-		DisableVectorCache: cfg.VCacheOff,
+		DisableFusedExec: cfg.FusedOff,
 	}
 	rcfg := tenant.Config{
 		MaxOpenTenants:   2,

@@ -2,8 +2,8 @@ package bench
 
 // vcache.go is the resident-vector-cache experiment behind ptldb-bench
 // -exp vcache: warm kNN-EA queries (the heaviest per-query read pattern, one
-// label lookup plus a condensed-table probe) measured at budgets of 0%, 50%
-// and 100% of the measured vector working set, plus an eviction-thrash row
+// label lookup plus a condensed-table probe) measured without a cache (a
+// negative budget) and at 50% and 100% of the measured vector working set, plus an eviction-thrash row
 // with the budget one notch below the working set so the clock hand churns.
 // Unlike every other experiment, the measured passes run WARM — the point of
 // the cache is the steady state after materialization — so this file owns
@@ -23,8 +23,8 @@ type vcacheStats struct {
 }
 
 // Vcache measures warm kNN-EA latency across vector-cache budgets on the
-// first configured city. Row "segments (0%)" is the cache-off baseline (the
-// columnar-segment read path); "full (100%)" must beat it by the win column.
+// first configured city. Row "segments (no cache)" is the baseline (the
+// columnar-segment read path); "vcache 100%" must beat it by the win column.
 func (w *Workspace) Vcache() (*Table, error) {
 	city := w.cfg.Cities[0]
 	ds, err := w.Dataset(city)
@@ -48,11 +48,10 @@ func (w *Workspace) Vcache() (*Table, error) {
 	wl := w.NewWorkload(ds, w.cfg.Queries)
 	n := w.cfg.Queries
 
-	open := func(budget int64, off bool) (*ptldb.DB, error) {
+	open := func(budget int64) (*ptldb.DB, error) {
 		return ptldb.Open(ds.Dir, ptldb.Config{
 			Device: "ssd", PoolPages: w.cfg.PoolPages,
-			DisableFusedExec: w.cfg.FusedOff, DisableSegments: w.cfg.SegmentsOff,
-			VectorCacheBytes: budget, DisableVectorCache: off,
+			DisableFusedExec: w.cfg.FusedOff, VectorCacheBytes: budget,
 			TraceHook: w.cfg.TraceHook,
 		})
 	}
@@ -102,7 +101,7 @@ func (w *Workspace) Vcache() (*Table, error) {
 	// Pass 1: size the working set. A budget far above any plausible label
 	// volume keeps every touched table resident; ResidentBytes after a full
 	// warm pass IS the vector working set of this workload.
-	probe, err := open(1<<40, false)
+	probe, err := open(1 << 40)
 	if err != nil {
 		return nil, err
 	}
@@ -122,7 +121,6 @@ func (w *Workspace) Vcache() (*Table, error) {
 	type budgetRow struct {
 		label  string
 		budget int64
-		off    bool
 	}
 	// The thrash budget is one byte short of the working set: every table
 	// still fits alone (so nothing is sticky-declined as too-big), but the
@@ -130,10 +128,10 @@ func (w *Workspace) Vcache() (*Table, error) {
 	// shortfall would undershoot the biggest label table and quietly turn
 	// the row into a segments measurement.
 	rows := []budgetRow{
-		{"segments (0%)", 0, true},
-		{"vcache 50%", working / 2, false},
-		{"vcache thrash (1 B short)", working - 1, false},
-		{"vcache 100%", working, false},
+		{"segments (no cache)", -1},
+		{"vcache 50%", working / 2},
+		{"vcache thrash (1 B short)", working - 1},
+		{"vcache 100%", working},
 	}
 	t := &Table{
 		ID:    "vcache",
@@ -148,7 +146,7 @@ func (w *Workspace) Vcache() (*Table, error) {
 	}
 	var base time.Duration
 	for _, r := range rows {
-		db, err := open(r.budget, r.off)
+		db, err := open(r.budget)
 		if err != nil {
 			return nil, err
 		}
@@ -160,11 +158,10 @@ func (w *Workspace) Vcache() (*Table, error) {
 		if err := db.Close(); err != nil {
 			return nil, err
 		}
-		if r.off {
-			base = per
-		}
 		vs := "1.0x"
-		if !r.off && per > 0 {
+		if r.budget < 0 {
+			base = per
+		} else if per > 0 {
 			vs = speedup(base, per)
 		}
 		t.Rows = append(t.Rows, []string{

@@ -15,10 +15,9 @@ import (
 
 // explainGoldens pins the operator tree of every prepared paper query on the
 // paper's worked example (7 stops, identity order, target set {4, 6}, one-hour
-// buckets) with the default configuration: label reads served from columnar
-// segments, hence the Segment* access-path operators. The heap-path
-// renderings are pinned separately under DisableSegments. The rendering is
-// deterministic; a change here is a change to the fused executor's shape and
+// buckets) on a handle without a vector cache: label reads served from the
+// columnar segments, hence the Segment* access-path operators. The rendering
+// is deterministic; a change here is a change to the fused executor's shape and
 // should be deliberate.
 var explainGoldens = map[string]string{
 	"v2v-ea": `FusedPlan v2v-ea
@@ -113,50 +112,12 @@ func TestExplainPreparedGoldens(t *testing.T) {
 	}
 }
 
-// TestExplainPreparedGoldensSegmentsOff pins the heap-path renderings: with
-// segments disabled every access-path operator reverts to its B+tree/heap
-// name (LabelLookup, TableScan, BucketProbe) while the rest of the tree is
-// unchanged. The expected strings are derived from explainGoldens by exactly
-// that substitution, so the two golden sets can never drift structurally.
-func TestExplainPreparedGoldensSegmentsOff(t *testing.T) {
-	labels := ttl.Build(timetable.PaperExample(), order.Identity(7)).Augment()
-	db, err := sqldb.Open(t.TempDir(), sqldb.Options{
-		Device: storage.RAM, PoolPages: 4096, DisableSegments: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { db.Close() })
-	st, err := Build(db, labels, BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.AddTargetSet("poi", []timetable.StopID{4, 6}, 4); err != nil {
-		t.Fatal(err)
-	}
-	heapOps := strings.NewReplacer(
-		"SegmentLookup", "LabelLookup",
-		"SegmentScan", "TableScan",
-		"SegmentProbe", "BucketProbe",
-	)
-	for name, segGolden := range explainGoldens {
-		want := heapOps.Replace(segGolden)
-		got, err := st.ExplainPrepared(name)
-		if err != nil {
-			t.Errorf("explain %q: %v", name, err)
-			continue
-		}
-		if got != want {
-			t.Errorf("explain %q with segments off:\n got:\n%s want:\n%s", name, got, want)
-		}
-	}
-}
-
 // TestExplainPreparedGoldensVectorCache pins the vector-tier renderings: with
 // a resident vector cache configured every access-path operator upgrades to
 // its Vector* name (the warm steady state — label reads served from decoded
 // column vectors) while the rest of the tree is unchanged. Derived from
-// explainGoldens by exactly that substitution, like the heap set.
+// explainGoldens by exactly that substitution, so the two golden sets can
+// never drift structurally.
 func TestExplainPreparedGoldensVectorCache(t *testing.T) {
 	labels := ttl.Build(timetable.PaperExample(), order.Identity(7)).Augment()
 	db, err := sqldb.Open(t.TempDir(), sqldb.Options{

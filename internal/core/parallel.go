@@ -33,9 +33,8 @@ func (c *errCollector) first() error {
 }
 
 // runJobs runs the jobs on up to workers goroutines and returns the first
-// error. Jobs touch disjoint tables (each table owns its heap and index
-// files; the buffer pool underneath is sharded and safe for concurrent
-// use), so they need no coordination beyond error collection. A failed job
+// error. Jobs touch disjoint tables (each table owns its files; the buffer
+// pool underneath is sharded and safe for concurrent use), so they need no coordination beyond error collection. A failed job
 // does not stop the others — table loads have no side effects outside their
 // own table, and the first error aborts the whole build anyway.
 func runJobs(workers int, jobs []func() error) error {

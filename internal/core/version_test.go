@@ -2,10 +2,15 @@ package core
 
 import (
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"ptldb/internal/csa"
 	"ptldb/internal/order"
+	"ptldb/internal/sqldb"
+	"ptldb/internal/sqldb/storage"
 	"ptldb/internal/timetable"
 	"ptldb/internal/ttl"
 )
@@ -156,5 +161,106 @@ func TestDropTargetSet(t *testing.T) {
 	got, err := st.EAKNN("poi", 0, 36000, 4)
 	if err != nil || len(got) != 2 {
 		t.Fatalf("rebuilt set: %v %v", got, err)
+	}
+}
+
+// TestDropTargetSetReleasesVectorCache: dropping a warm target set must give
+// its tables' vectors back to the cache budget — twenty add / warm / drop
+// rounds leave vcache.resident_bytes exactly where it started. (The clock
+// ring itself is checked in vcache's TestDropLeavesTheRing.)
+func TestDropTargetSetReleasesVectorCache(t *testing.T) {
+	labels := ttl.Build(timetable.PaperExample(), order.Identity(7)).Augment()
+	db, err := sqldb.Open(t.TempDir(), sqldb.Options{Device: storage.RAM, PoolPages: 4096, VectorCacheBytes: 64 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	st, err := Build(db, labels, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Warm lout and lin so the baseline holds the tables that stay.
+	if _, _, err := st.EarliestArrival(1, 4, 30000); err != nil {
+		t.Fatal(err)
+	}
+	base := db.Registry().Snapshot().VCache.ResidentBytes
+	if base <= 0 {
+		t.Fatalf("baseline ResidentBytes = %d, want > 0", base)
+	}
+	for round := 0; round < 20; round++ {
+		if err := st.AddTargetSet("poi", []timetable.StopID{4, 6}, 4); err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range []func() error{
+			func() error { _, err := st.EAKNN("poi", 1, 30000, 2); return err },
+			func() error { _, err := st.LDKNN("poi", 1, 60000, 2); return err },
+			func() error { _, err := st.EAKNNNaive("poi", 1, 30000, 2); return err },
+			func() error { _, err := st.EAOTM("poi", 1, 30000); return err },
+		} {
+			if err := q(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if warm := db.Registry().Snapshot().VCache.ResidentBytes; warm <= base {
+			t.Fatalf("round %d: ResidentBytes = %d with the set warm, baseline %d", round, warm, base)
+		}
+		if err := st.DropTargetSet("poi"); err != nil {
+			t.Fatal(err)
+		}
+		if got := db.Registry().Snapshot().VCache.ResidentBytes; got != base {
+			t.Fatalf("round %d: ResidentBytes = %d after DropTargetSet, want the baseline %d", round, got, base)
+		}
+	}
+}
+
+// TestOneFormPerTable: after Build + AddTargetSet + BuildPathTables every
+// label, kNN and one-to-many table is a segment and nothing else, while
+// stops, ptldb_meta and the Insert-filled paths tables are heap + B+tree.
+func TestOneFormPerTable(t *testing.T) {
+	tt := timetable.PaperExample()
+	dir := t.TempDir()
+	db, err := sqldb.Open(dir, sqldb.Options{Device: storage.RAM, PoolPages: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	st, err := Build(db, ttl.Build(tt, order.Identity(7)).Augment(), BuildOptions{Stops: tt.Stops()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AddTargetSet("poi", []timetable.StopID{4, 6}, 4); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.BuildPathTables(tt); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exts := map[string][]string{}
+	for _, e := range entries {
+		if ext := filepath.Ext(e.Name()); ext != ".json" {
+			name := strings.TrimSuffix(e.Name(), ext)
+			exts[name] = append(exts[name], ext)
+		}
+	}
+	tables := db.Tables()
+	if len(exts) != len(tables) {
+		t.Errorf("files for %d names, catalog has %d tables: %v", len(exts), len(tables), exts)
+	}
+	for _, name := range tables {
+		want := ".seg"
+		if name == "stops" || name == "ptldb_meta" || strings.HasPrefix(name, "paths_") {
+			want = ".heap.idx"
+		}
+		if got := strings.Join(exts[name], ""); got != want {
+			t.Errorf("table %s has files %q, want %q", name, got, want)
+		}
+	}
+	for _, name := range []string{"lout", "lin", "ea_knn_naive_poi", "knn_ld_poi", "otm_ea_poi", "stops", "ptldb_meta", "paths_out"} {
+		if _, ok := exts[name]; !ok {
+			t.Errorf("expected table %s, have %v", name, tables)
+		}
 	}
 }

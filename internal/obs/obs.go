@@ -223,16 +223,14 @@ func (m *ExecMetrics) Snapshot() ExecSnapshot {
 }
 
 // SegmentMetrics are the columnar label segment counters: rows served from
-// a segment (hits), columns decoded out of segment payloads, compressed
-// payload bytes read, and segment files rejected at open (corrupt or
-// truncated — the table degraded to the heap path). Device page reads for
-// segment files flow through the buffer pool and are counted in PoolMetrics
-// (and hence in Trace.PagesRead) like any other page.
+// a segment (hits), columns decoded out of segment payloads and compressed
+// payload bytes read. Device page reads for segment files flow through the
+// buffer pool and are counted in PoolMetrics (and hence in Trace.PagesRead)
+// like any other page.
 type SegmentMetrics struct {
 	Hits           Counter
 	ColumnsDecoded Counter
 	BytesRead      Counter
-	OpenFailures   Counter
 }
 
 // SegmentSnapshot is a point-in-time copy of SegmentMetrics.
@@ -240,7 +238,6 @@ type SegmentSnapshot struct {
 	Hits           uint64 `json:"hits"`
 	ColumnsDecoded uint64 `json:"columns_decoded"`
 	BytesRead      uint64 `json:"bytes_read"`
-	OpenFailures   uint64 `json:"open_failures,omitempty"`
 }
 
 // Snapshot copies the segment counters.
@@ -249,7 +246,6 @@ func (m *SegmentMetrics) Snapshot() SegmentSnapshot {
 		Hits:           m.Hits.Load(),
 		ColumnsDecoded: m.ColumnsDecoded.Load(),
 		BytesRead:      m.BytesRead.Load(),
-		OpenFailures:   m.OpenFailures.Load(),
 	}
 }
 

@@ -12,12 +12,16 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"ptldb"
+	"ptldb/internal/csa"
 	"ptldb/internal/tenant"
+	"ptldb/internal/timetable"
 )
 
 // buildCity generates a city store under dir, adds the shared target set,
@@ -194,4 +198,67 @@ func findPlanName(t *testing.T, base string) string {
 		t.Fatal("server advertises no prepared plans")
 	}
 	return pl.Names[0]
+}
+
+// TestCorruptTenantFailsClosed: a city whose lout.seg is damaged cannot be
+// opened, so every request to it — first try and retry alike, the failed open
+// is never cached as a success — answers 5xx, while the neighbouring city
+// behind the same server keeps answering 200 with the CSA oracle's values.
+func TestCorruptTenantFailsClosed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds two databases")
+	}
+	parent := t.TempDir()
+	buildCity(t, filepath.Join(parent, "austin"), "Austin", 7)
+	tt := buildCity(t, filepath.Join(parent, "slc"), "Salt Lake City", 42)
+
+	seg := filepath.Join(parent, "austin", "lout.seg")
+	image, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	image[8192+100] ^= 0x01 // one bit in the data region
+	if err := os.WriteFile(seg, image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	router, err := tenant.New(parent, tenant.Config{MaxOpenTenants: 2, Base: ptldb.Config{Device: "ram"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := router.Close(); err != nil {
+			t.Errorf("router close: %v", err)
+		}
+	})
+	url := startServer(t, NewMulti(router, Options{}))
+
+	healthy := &Client{BaseURL: url, Tenant: "slc"}
+	n := ptldb.StopID(tt.NumStops())
+	for round := 0; round < 3; round++ {
+		for _, p := range []string{V2VPath("ea", 1, 2, tt.MinTime()), KNNPath("eaknn", "poi", 0, tt.MinTime(), 2)} {
+			code, body := get(t, url+"/t/austin"+p)
+			if code < 500 {
+				t.Errorf("round %d: corrupt tenant answered %d %q to %s, want 5xx", round, code, body, p)
+			}
+			if !strings.Contains(body, "corrupt segment") {
+				t.Errorf("round %d: 5xx body does not name the cause: %q", round, body)
+			}
+		}
+		for i := 0; i < 8; i++ {
+			s, g := ptldb.StopID(i+round)%n, ptldb.StopID(7*i+3)%n
+			if s == g {
+				continue
+			}
+			dep := tt.MinTime() + ptldb.Time(i)*600
+			got, ok, err := healthy.EarliestArrival(s, g, dep)
+			if err != nil {
+				t.Fatalf("healthy tenant: %v", err)
+			}
+			want := csa.EarliestArrival(tt, s, g, dep)
+			if ok != (want != timetable.Infinity) || (ok && got != want) {
+				t.Errorf("healthy tenant EA(%d,%d,%d) = %d,%v; oracle says %d", s, g, dep, got, ok, want)
+			}
+		}
+	}
 }

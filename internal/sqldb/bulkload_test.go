@@ -1,81 +1,15 @@
 package sqldb
 
 import (
+	"errors"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"ptldb/internal/sqldb/sqltypes"
 	"ptldb/internal/sqldb/storage"
 )
-
-// TestTableBulkLoadMatchesInsert bulk-loads a table and checks it row-for-row
-// against an Insert-built twin: same scan order, same PK lookups.
-func TestTableBulkLoadMatchesInsert(t *testing.T) {
-	db := newTestDB(t)
-	rows := make([]sqltypes.Row, 0, 900)
-	for h := int64(0); h < 30; h++ {
-		for d := int64(0); d < 30; d++ {
-			rows = append(rows, sqltypes.Row{
-				sqltypes.NewInt(h),
-				sqltypes.NewInt(d * 10),
-				sqltypes.NewIntArray([]int64{h, d, h + d}),
-			})
-		}
-	}
-
-	bulk := mkTable(t, db, "bulk", []string{"h", "d"}, "h", "d", "vs:arr")
-	if err := bulk.BulkLoad(rows); err != nil {
-		t.Fatal(err)
-	}
-	ref := mkTable(t, db, "ref", []string{"h", "d"}, "h", "d", "vs:arr")
-	if err := ref.InsertRows(rows); err != nil {
-		t.Fatal(err)
-	}
-	if bulk.RowCount() != ref.RowCount() {
-		t.Fatalf("RowCount = %d, want %d", bulk.RowCount(), ref.RowCount())
-	}
-
-	var got, want []sqltypes.Row
-	collect := func(dst *[]sqltypes.Row) func(sqltypes.Row) error {
-		return func(r sqltypes.Row) error {
-			cp := make(sqltypes.Row, len(r))
-			copy(cp, r)
-			*dst = append(*dst, cp)
-			return nil
-		}
-	}
-	if err := bulk.Scan(collect(&got)); err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.Scan(collect(&want)); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("scan returned %d rows, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if len(got[i]) != len(want[i]) {
-			t.Fatalf("row %d: %v vs %v", i, got[i], want[i])
-		}
-		for j := range want[i] {
-			if got[i][j].String() != want[i][j].String() {
-				t.Fatalf("row %d col %d: %v vs %v", i, j, got[i][j], want[i][j])
-			}
-		}
-	}
-
-	for _, key := range [][]int64{{0, 0}, {15, 140}, {29, 290}} {
-		row, ok, err := bulk.LookupPK(key)
-		if err != nil || !ok {
-			t.Fatalf("LookupPK(%v) = %v, %v", key, ok, err)
-		}
-		if row[0].I != key[0] || row[1].I != key[1] {
-			t.Fatalf("LookupPK(%v) returned %v", key, row)
-		}
-	}
-	if _, ok, _ := bulk.LookupPK([]int64{30, 0}); ok {
-		t.Error("LookupPK on absent key returned ok")
-	}
-}
 
 // TestTableBulkLoadKeyless checks the keyless fallback keeps insertion order.
 func TestTableBulkLoadKeyless(t *testing.T) {
@@ -122,9 +56,11 @@ func TestTableBulkLoadCoercesInts(t *testing.T) {
 	}
 }
 
-// TestTableBulkLoadTinyReopen bulk-loads zero-row and one-row tables and
-// cycles the database through Close/Open: both tables must come back valid —
-// correct counts, working lookups and scans — and still accept inserts.
+// TestTableBulkLoadTinyReopen bulk-loads zero-row and one-row tables in both
+// forms — all-BIGINT rows become segments, the DOUBLE column keeps the other
+// pair heap + B+tree — and cycles the database through Close/Open: all four
+// must come back valid, with correct counts, working lookups and scans. The
+// heap pair still accepts inserts; the segment pair is immutable.
 func TestTableBulkLoadTinyReopen(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Device: storage.RAM, PoolPages: 256}
@@ -132,13 +68,15 @@ func TestTableBulkLoadTinyReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	empty := mkTable(t, db, "empty", []string{"k"}, "k", "v")
-	if err := empty.BulkLoad(nil); err != nil {
-		t.Fatalf("BulkLoad(nil): %v", err)
-	}
-	single := mkTable(t, db, "single", []string{"k"}, "k", "v")
-	if err := single.BulkLoad([]sqltypes.Row{ints(7, 70)}); err != nil {
-		t.Fatalf("BulkLoad(1 row): %v", err)
+	for _, form := range []struct{ prefix, third string }{{"seg", "x"}, {"heap", "x:float"}} {
+		empty := mkTable(t, db, form.prefix+"_empty", []string{"k"}, "k", "v", form.third)
+		if err := empty.BulkLoad(nil); err != nil {
+			t.Fatalf("BulkLoad(nil): %v", err)
+		}
+		single := mkTable(t, db, form.prefix+"_single", []string{"k"}, "k", "v", form.third)
+		if err := single.BulkLoad([]sqltypes.Row{ints(7, 70, 1)}); err != nil {
+			t.Fatalf("BulkLoad(1 row): %v", err)
+		}
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
@@ -149,39 +87,104 @@ func TestTableBulkLoadTinyReopen(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer db2.Close()
-	empty2, ok := db2.Table("empty")
-	if !ok {
-		t.Fatal("empty table missing after reopen")
+	for _, prefix := range []string{"seg", "heap"} {
+		empty, ok := db2.Table(prefix + "_empty")
+		if !ok {
+			t.Fatal("empty table missing after reopen")
+		}
+		single, ok := db2.Table(prefix + "_single")
+		if !ok {
+			t.Fatal("single table missing after reopen")
+		}
+		if _, isSeg := single.form.(*segForm); isSeg != (prefix == "seg") {
+			t.Fatalf("%s_single reopened as %T", prefix, single.form)
+		}
+		if empty.RowCount() != 0 || single.RowCount() != 1 {
+			t.Fatalf("RowCounts after reopen = %d, %d; want 0, 1", empty.RowCount(), single.RowCount())
+		}
+		if _, ok, err := empty.LookupPK([]int64{7}); err != nil || ok {
+			t.Fatalf("LookupPK on reopened empty table = %v, %v", ok, err)
+		}
+		row, ok, err := single.LookupPK([]int64{7})
+		if err != nil || !ok || row[1].I != 70 {
+			t.Fatalf("LookupPK on reopened single table = %v, %v, %v", row, ok, err)
+		}
+		rows := 0
+		if err := empty.Scan(func(sqltypes.Row) error { rows++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if rows != 0 {
+			t.Fatalf("scan of reopened empty table saw %d rows", rows)
+		}
+		for _, tbl := range []*Table{empty, single} {
+			err := tbl.Insert(ints(8, 80, 1))
+			if prefix == "seg" {
+				if !errors.Is(err, ErrImmutable) {
+					t.Fatalf("%s: Insert into a segment table = %v, want ErrImmutable", tbl.Def().Name, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s: Insert after reopen: %v", tbl.Def().Name, err)
+			}
+			if row, ok, err := tbl.LookupPK([]int64{8}); err != nil || !ok || row[1].I != 80 {
+				t.Fatalf("%s: LookupPK(8) after insert = %v, %v, %v", tbl.Def().Name, row, ok, err)
+			}
+		}
 	}
-	single2, ok := db2.Table("single")
-	if !ok {
-		t.Fatal("single table missing after reopen")
-	}
-	if empty2.RowCount() != 0 || single2.RowCount() != 1 {
-		t.Fatalf("RowCounts after reopen = %d, %d; want 0, 1", empty2.RowCount(), single2.RowCount())
-	}
-	if _, ok, err := empty2.LookupPK([]int64{7}); err != nil || ok {
-		t.Fatalf("LookupPK on reopened empty table = %v, %v", ok, err)
-	}
-	row, ok, err := single2.LookupPK([]int64{7})
-	if err != nil || !ok || row[1].I != 70 {
-		t.Fatalf("LookupPK on reopened single table = %v, %v, %v", row, ok, err)
-	}
-	rows := 0
-	if err := empty2.Scan(func(sqltypes.Row) error { rows++; return nil }); err != nil {
+}
+
+// TestSegmentTableImmutable: once BulkLoad has made a table a segment, every
+// write is refused — point writes with ErrImmutable, a second BulkLoad by the
+// segment's own row count — the table stays readable, only <name>.seg is on
+// disk, and DropTable + BulkLoad replaces it.
+func TestSegmentTableImmutable(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256, VectorCacheBytes: 1 << 20})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if rows != 0 {
-		t.Fatalf("scan of reopened empty table saw %d rows", rows)
+	defer db.Close()
+	tbl := mkTable(t, db, "lab", []string{"k"}, "k", "xs:arr")
+	row := func(k int64) sqltypes.Row {
+		return sqltypes.Row{sqltypes.NewInt(k), sqltypes.NewIntArray([]int64{k, k * 2})}
 	}
-	// Both reopened tables must still be writable.
-	for _, tbl := range []*Table{empty2, single2} {
-		if err := tbl.Insert(ints(8, 80)); err != nil {
-			t.Fatalf("%s: Insert after reopen: %v", tbl.Def().Name, err)
+	if err := tbl.BulkLoad([]sqltypes.Row{row(1), row(2), row(3)}); err != nil {
+		t.Fatal(err)
+	}
+	for _, suffix := range []string{".heap", ".idx"} {
+		if _, err := os.Stat(filepath.Join(dir, "lab"+suffix)); !os.IsNotExist(err) {
+			t.Errorf("lab%s left behind by a segment bulk load (stat: %v)", suffix, err)
 		}
-		if row, ok, err := tbl.LookupPK([]int64{8}); err != nil || !ok || row[1].I != 80 {
-			t.Fatalf("%s: LookupPK(8) after insert = %v, %v, %v", tbl.Def().Name, row, ok, err)
-		}
+	}
+	if err := tbl.Insert(row(4)); !errors.Is(err, ErrImmutable) {
+		t.Errorf("Insert = %v, want ErrImmutable", err)
+	}
+	if err := tbl.ReplaceByPK(row(2)); !errors.Is(err, ErrImmutable) {
+		t.Errorf("ReplaceByPK = %v, want ErrImmutable", err)
+	}
+	if err := tbl.BulkLoad([]sqltypes.Row{row(9)}); err == nil || !strings.Contains(err.Error(), "3 rows stored") {
+		t.Errorf("BulkLoad into a loaded segment table = %v, want the empty-table rejection", err)
+	}
+	if tbl.RowCount() != 3 {
+		t.Fatalf("RowCount = %d after refused writes, want 3", tbl.RowCount())
+	}
+	if got, ok, err := tbl.LookupPK([]int64{2}); err != nil || !ok || got[1].A[1] != 4 {
+		t.Fatalf("LookupPK(2) after refused writes = %v, %v, %v", got, ok, err)
+	}
+	if _, ok, _ := tbl.LookupPK([]int64{4}); ok {
+		t.Error("refused Insert is visible")
+	}
+
+	if err := db.DropTable("lab"); err != nil {
+		t.Fatal(err)
+	}
+	tbl = mkTable(t, db, "lab", []string{"k"}, "k", "xs:arr")
+	if err := tbl.BulkLoad([]sqltypes.Row{row(4), row(5)}); err != nil {
+		t.Fatalf("BulkLoad after DropTable: %v", err)
+	}
+	if got, ok, err := tbl.LookupPK([]int64{5}); err != nil || !ok || got[1].A[0] != 5 || tbl.RowCount() != 2 {
+		t.Fatalf("replaced table: LookupPK(5) = %v, %v, %v; RowCount %d", got, ok, err, tbl.RowCount())
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package sqldb is the embedded relational database used by PTLDB: a
-// directory of paged heap and index files, a shared buffer pool with a
-// simulated storage device, a persisted catalog, and a SQL query interface
-// (parser + executor) supporting the dialect of the paper's Codes 1–4.
+// directory of paged table files (one columnar segment, or one heap plus one
+// index, per table), a shared buffer pool with a simulated storage device, a
+// persisted catalog, and a SQL query interface (parser + executor) supporting
+// the dialect of the paper's Codes 1–4.
 //
 // It plays the role PostgreSQL plays in the paper. The engine is
 // bulk-load-then-read-only — there is no WAL or MVCC, matching the paper's
@@ -52,17 +53,10 @@ type Options struct {
 	// shapes (Codes 1–4); every statement then runs on the general executor.
 	// Used by the -fused=off benchmark ablation and by differential tests.
 	DisableFusedExec bool
-	// DisableSegments turns off the columnar label segments on the read path:
-	// scratch lookups and scans fall back to the B+tree/heap pair. Segment
-	// files are still written during bulk load (the disk image is independent
-	// of this flag); they are simply not opened. Used by the -segments=off
-	// ablation and by differential tests.
-	DisableSegments bool
-	// VectorCacheBytes is the resident vector cache's byte budget: segmented
+	// VectorCacheBytes is the resident vector cache's byte budget: segment
 	// tables are decoded once into flat column vectors and served as slice
-	// views until evicted. 0 disables the cache (the default at this layer;
-	// the ptldb facade supplies its own default budget). The cache requires
-	// segments — with DisableSegments set it never engages.
+	// views until evicted. Zero or negative means no cache (the default at
+	// this layer; the ptldb facade supplies its own default budget).
 	VectorCacheBytes int64
 }
 
@@ -73,16 +67,11 @@ type DB struct {
 	clock storage.Clock
 	pool  *storage.Pool
 
-	noFused    bool
-	noSegments bool
+	noFused bool
 
 	// vcache is the resident vector cache; nil when the handle was opened
-	// with a zero budget (or with segments disabled).
+	// without a budget.
 	vcache *vcache.Cache
-	// segFailLog gates the degraded-segment warning to one line per handle:
-	// a corrupt .seg demotes its table to the heap path, it does not fail
-	// the open.
-	segFailLog sync.Once
 
 	mu     sync.RWMutex
 	tables map[string]*Table
@@ -102,7 +91,9 @@ type DB struct {
 	reg obs.Registry
 }
 
-// Open opens (creating if needed) the database in dir.
+// Open opens (creating if needed) the database in dir. A table whose segment
+// fails validation fails the whole open with an error naming the table and
+// wrapping storage.ErrCorruptSegment; nothing stays open behind the error.
 func Open(dir string, opts Options) (*DB, error) {
 	if opts.Device.Name == "" {
 		opts.Device = storage.SSD
@@ -114,16 +105,15 @@ func Open(dir string, opts Options) (*DB, error) {
 		return nil, fmt.Errorf("sqldb: %w", err)
 	}
 	db := &DB{
-		dir:        dir,
-		dev:        opts.Device,
-		pool:       storage.NewPool(opts.PoolPages),
-		noFused:    opts.DisableFusedExec,
-		noSegments: opts.DisableSegments,
-		tables:     map[string]*Table{},
-		stmts:      map[string]*Stmt{},
+		dir:     dir,
+		dev:     opts.Device,
+		pool:    storage.NewPool(opts.PoolPages),
+		noFused: opts.DisableFusedExec,
+		tables:  map[string]*Table{},
+		stmts:   map[string]*Stmt{},
 	}
 	db.reg.Pool = db.pool.Metrics()
-	if opts.VectorCacheBytes > 0 && !opts.DisableSegments {
+	if opts.VectorCacheBytes > 0 {
 		db.reg.VCache = &obs.VCacheMetrics{}
 		db.vcache = vcache.New(opts.VectorCacheBytes, db.reg.VCache)
 	}
@@ -140,6 +130,9 @@ func Open(dir string, opts Options) (*DB, error) {
 	}
 	for _, def := range defs {
 		if _, err := db.openTable(def); err != nil {
+			for _, t := range db.tables {
+				_ = t.form.close() // best-effort cleanup; the open failure wins
+			}
 			return nil, err
 		}
 	}
@@ -205,61 +198,19 @@ func (db *DB) CreateTable(def TableDef) (*Table, error) {
 	return t, nil
 }
 
-// openTable opens the storage files of a table and registers it.
+// openTable opens a table in whichever form its files say and registers it.
 func (db *DB) openTable(def TableDef) (*Table, error) {
-	name := strings.ToLower(def.Name)
-	heapFile, err := storage.OpenPagedFile(filepath.Join(db.dir, name+".heap"), db.dev, &db.clock)
-	if err != nil {
-		return nil, err
-	}
-	db.pool.Register(heapFile)
-	heap, err := storage.OpenRowStore(heapFile, db.pool)
-	if err != nil {
-		_ = heapFile.Close() // best-effort cleanup; the open failure wins
-		return nil, err
-	}
-	idxFile, err := storage.OpenPagedFile(filepath.Join(db.dir, name+".idx"), db.dev, &db.clock)
-	if err != nil {
-		_ = heapFile.Close()
-		return nil, err
-	}
-	db.pool.Register(idxFile)
-	idx, err := storage.OpenBTree(idxFile, db.pool)
-	if err != nil {
-		_ = heapFile.Close()
-		_ = idxFile.Close()
-		return nil, err
-	}
-	t := &Table{
-		def:      def,
-		db:       db,
-		heapFile: heapFile,
-		idxFile:  idxFile,
-		heap:     heap,
-		idx:      idx,
-	}
+	def.Name = strings.ToLower(def.Name)
+	t := &Table{def: def, db: db}
 	for _, pk := range def.PK {
 		t.pkCols = append(t.pkCols, colIndex(def.Columns, pk))
 	}
-	// Attach the table's columnar segment when one exists on disk and the
-	// handle has segments enabled. OpenPagedFile creates missing files, so
-	// probe with Stat first — a table without a segment must stay seg-less.
-	// A segment that fails validation (truncated or corrupted .seg) demotes
-	// the table to the heap path instead of failing the open: the heap and
-	// index are the source of truth, the segment is a redundant acceleration
-	// structure. The failure is counted and logged once per handle.
-	if !db.noSegments {
-		segPath := filepath.Join(db.dir, name+".seg")
-		if _, err := os.Stat(segPath); err == nil {
-			if err := t.attachSegment(segPath); err != nil {
-				db.reg.Segment.OpenFailures.Add(1)
-				db.segFailLog.Do(func() {
-					fmt.Fprintf(os.Stderr, "sqldb: segment for table %q unusable, serving from heap: %v\n", name, err)
-				})
-			}
-		}
+	form, err := t.openForm()
+	if err != nil {
+		return nil, err
 	}
-	db.tables[name] = t
+	t.form = form
+	db.tables[def.Name] = t
 	return t, nil
 }
 
@@ -297,22 +248,16 @@ func (db *DB) DropTable(name string) error {
 	if !ok {
 		return fmt.Errorf("sqldb: no table %q", name)
 	}
-	// Evict the table's cached pages before the files disappear.
-	if err := db.pool.DropCaches(); err != nil {
+	delete(db.tables, name)
+	if err := t.form.remove(); err != nil {
 		return err
 	}
-	closeErr := firstError(t.heapFile.Close(), t.idxFile.Close())
-	if t.segFile != nil {
-		closeErr = firstError(closeErr, t.segFile.Close())
-	}
-	delete(db.tables, name)
-	for _, suffix := range []string{".heap", ".idx", ".seg"} {
-		if err := os.Remove(filepath.Join(db.dir, name+suffix)); err != nil && !os.IsNotExist(err) {
+	// A segment table of an older image still has the heap and index files
+	// that image wrote beside it.
+	for _, suffix := range []string{".heap", ".idx"} {
+		if err := os.Remove(t.path(suffix)); err != nil && !os.IsNotExist(err) {
 			return err
 		}
-	}
-	if closeErr != nil {
-		return closeErr
 	}
 	return db.saveCatalogLocked()
 }
@@ -341,10 +286,7 @@ func (db *DB) Flush() error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	for _, t := range db.tables {
-		if err := t.heap.Flush(); err != nil {
-			return err
-		}
-		if err := t.idx.Flush(); err != nil {
+		if err := t.form.flush(); err != nil {
 			return err
 		}
 	}
@@ -360,10 +302,7 @@ func (db *DB) Close() error {
 	defer db.mu.Unlock()
 	var closeErr error
 	for _, t := range db.tables {
-		closeErr = firstError(closeErr, t.heapFile.Close(), t.idxFile.Close())
-		if t.segFile != nil {
-			closeErr = firstError(closeErr, t.segFile.Close())
-		}
+		closeErr = firstError(closeErr, t.form.close())
 	}
 	db.tables = map[string]*Table{}
 	return closeErr
@@ -489,20 +428,11 @@ func (db *DB) Prepare(query string) (*Stmt, error) {
 	if !db.noFused {
 		st.fused = exec.Fuse(sel)
 		if st.fused != nil {
-			st.fused.SetSegments(!db.noSegments)
 			st.fused.SetVectorCache(db.vcache != nil)
 		}
 	}
 	return st, nil
 }
-
-// SegmentsEnabled reports whether the handle reads label tables through
-// their columnar segments (Options.DisableSegments unset).
-func (db *DB) SegmentsEnabled() bool { return !db.noSegments }
-
-// VectorCacheEnabled reports whether the handle serves segmented tables
-// through the resident vector cache (Options.VectorCacheBytes > 0).
-func (db *DB) VectorCacheEnabled() bool { return db.vcache != nil }
 
 // Fused reports whether the statement compiled to a fused plan.
 func (s *Stmt) Fused() bool { return s.fused != nil }

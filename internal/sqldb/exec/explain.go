@@ -29,42 +29,22 @@ func (p *FusedPlan) Explain() string {
 	return b.String()
 }
 
-// Access-path operator names: vector-cached handles resolve labels from
-// resident decoded column vectors, segment-backed ones through the columnar
-// segment (directory binary search + payload pages), heap-backed ones through
-// the B+tree/heap pair. The operator semantics are identical; the name
-// records which storage tier serves the rows (the Vector* names describe the
-// warm steady state — a cold or evicted table still falls through to the
-// segment at runtime).
-func (p *FusedPlan) lookupOp() string {
+// Access-path operator names: label tables are columnar segments (directory
+// binary search + payload pages), served from resident decoded column
+// vectors on handles with a vector cache. The operator semantics are
+// identical; the name records which tier serves the rows (the Vector* names
+// describe the warm steady state — a cold or evicted table still falls
+// through to the segment at runtime).
+func (p *FusedPlan) tier() string {
 	if p.vectors {
-		return "VectorLookup"
+		return "Vector"
 	}
-	if p.segments {
-		return "SegmentLookup"
-	}
-	return "LabelLookup"
+	return "Segment"
 }
 
-func (p *FusedPlan) scanOp() string {
-	if p.vectors {
-		return "VectorScan"
-	}
-	if p.segments {
-		return "SegmentScan"
-	}
-	return "TableScan"
-}
-
-func (p *FusedPlan) probeOp() string {
-	if p.vectors {
-		return "VectorProbe"
-	}
-	if p.segments {
-		return "SegmentProbe"
-	}
-	return "BucketProbe"
-}
+func (p *FusedPlan) lookupOp() string { return p.tier() + "Lookup" }
+func (p *FusedPlan) scanOp() string   { return p.tier() + "Scan" }
+func (p *FusedPlan) probeOp() string  { return p.tier() + "Probe" }
 
 func (p *FusedPlan) explainV2V(b *strings.Builder) {
 	f := p.v2v

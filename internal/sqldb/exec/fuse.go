@@ -30,7 +30,7 @@ import (
 var ErrNotFused = errors.New("exec: not eligible for fused execution")
 
 // FusedPlan is a compiled fast path for one recognized label-query shape.
-// Plans are immutable after Fuse (SetSegments is called once by Prepare
+// Plans are immutable after Fuse (SetVectorCache is called once by Prepare
 // before the plan is published) apart from two caches — the resolved table
 // layouts and the pool of query states — and safe for concurrent Run calls.
 // A plan must not be copied.
@@ -46,13 +46,10 @@ type FusedPlan struct {
 	// states recycles *queryState between Run calls.
 	states sync.Pool
 
-	// segments records whether the owning handle reads label tables through
-	// columnar segments. It only affects Explain — the runtime dispatch lives
-	// inside the storage layer's ScratchTable implementation, which this
-	// package reaches through the same interface either way.
-	segments bool
-	// vectors records whether the handle additionally serves segmented tables
-	// from the resident vector cache. Like segments, Explain-only.
+	// vectors records whether the owning handle fronts its label segments
+	// with the resident vector cache. It only affects Explain — the runtime
+	// dispatch lives inside the storage layer's ScratchTable implementation,
+	// which this package reaches through the same interface either way.
 	vectors bool
 
 	v2v  *fusedV2V
@@ -75,11 +72,6 @@ func (p *FusedPlan) reads(labelTable, second string, pk int, cols ...string) {
 // Kind names the recognized shape ("v2v-ea", "knn-naive-ld", "cond-otm-ea",
 // ...) for tests and diagnostics.
 func (p *FusedPlan) Kind() string { return p.kind }
-
-// SetSegments records whether label reads are served from columnar segments,
-// so Explain renders the matching access-path operators. Called once at
-// prepare time, before the plan is shared.
-func (p *FusedPlan) SetSegments(on bool) { p.segments = on }
 
 // SetVectorCache records whether the resident vector cache fronts the
 // segments, so Explain renders the Vector* access-path operators. Called once

@@ -1,0 +1,487 @@
+package sqldb
+
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+
+	"ptldb/internal/sqldb/exec"
+	"ptldb/internal/sqldb/sqltypes"
+	"ptldb/internal/sqldb/storage"
+	"ptldb/internal/sqldb/vcache"
+)
+
+// openForm opens the table's physical form, decided by which files exist:
+// <name>.seg makes it a segment (heap and index files left beside it by an
+// older build are ignored), otherwise it is heap + B+tree, created empty when
+// missing. A segment that fails validation fails the open — it is the
+// table's only copy.
+func (t *Table) openForm() (rowForm, error) {
+	if _, err := os.Stat(t.path(".seg")); err == nil {
+		return t.openSegment()
+	}
+	return t.openHeap()
+}
+
+// path returns the table's file with the given suffix.
+func (t *Table) path(suffix string) string {
+	return filepath.Join(t.db.dir, t.def.Name+suffix)
+}
+
+// heapForm is the mutable form: an append-only heap of tagged rows plus a
+// B+tree mapping primary keys to heap locators.
+type heapForm struct {
+	t                 *Table
+	heapFile, idxFile *storage.PagedFile
+	heap              *storage.RowStore
+	idx               *storage.BTree
+}
+
+func (t *Table) openHeap() (*heapForm, error) {
+	db := t.db
+	heapFile, err := storage.OpenPagedFile(t.path(".heap"), db.dev, &db.clock)
+	if err != nil {
+		return nil, err
+	}
+	db.pool.Register(heapFile)
+	heap, err := storage.OpenRowStore(heapFile, db.pool)
+	if err != nil {
+		_ = heapFile.Close() // best-effort cleanup; the open failure wins
+		return nil, err
+	}
+	idxFile, err := storage.OpenPagedFile(t.path(".idx"), db.dev, &db.clock)
+	if err != nil {
+		_ = heapFile.Close()
+		return nil, err
+	}
+	db.pool.Register(idxFile)
+	idx, err := storage.OpenBTree(idxFile, db.pool)
+	if err != nil {
+		_ = heapFile.Close()
+		_ = idxFile.Close()
+		return nil, err
+	}
+	return &heapForm{t: t, heapFile: heapFile, idxFile: idxFile, heap: heap, idx: idx}, nil
+}
+
+// bulkLoad appends the validated rows and, for keyed tables, builds the index
+// bottom-up from keys.
+func (h *heapForm) bulkLoad(rows []sqltypes.Row, keys []storage.Key) error {
+	var buf []byte
+	var entries []storage.BulkEntry
+	if keys != nil {
+		entries = make([]storage.BulkEntry, len(rows))
+	}
+	for i, r := range rows {
+		buf = sqltypes.EncodeRow(buf[:0], r)
+		loc, err := h.heap.Append(buf)
+		if err != nil {
+			return err
+		}
+		if keys != nil {
+			entries[i] = storage.BulkEntry{Key: keys[i], Loc: loc}
+		}
+	}
+	if keys == nil {
+		return nil
+	}
+	return h.idx.BulkLoad(entries)
+}
+
+// lookup descends the B+tree and reads the row's heap pages.
+//
+// hotpath — allocheck root: fused point lookups on heap-form tables.
+func (h *heapForm) lookup(key storage.Key, s *exec.RowScratch) (sqltypes.Row, bool, error) {
+	loc, ok, err := h.idx.Get(key)
+	if err != nil || !ok {
+		return nil, false, err
+	}
+	data, err := h.heap.ReadInto(loc, s.Buf)
+	if err != nil {
+		return nil, false, err
+	}
+	s.Buf = data
+	row, arena, err := sqltypes.DecodeRowInto(data, s.Row, s.Arena)
+	if err != nil {
+		return nil, false, fmt.Errorf("sqldb: %s: %w", h.t.def.Name, err)
+	}
+	s.Row, s.Arena = row, arena
+	h.t.db.reg.Exec.RowsScanned.Add(1)
+	return row, true, nil
+}
+
+// scan walks the index cursor (the heap itself for keyless tables).
+//
+// hotpath — allocheck root: the per-row loop must stay allocation-free.
+func (h *heapForm) scan(s *exec.RowScratch, fn func(sqltypes.Row) error) error {
+	if len(h.t.pkCols) == 0 {
+		// hotpath:cold — keyless tables never back a fused query; the heap
+		// walk may build its callback closure.
+		return h.heap.Scan(func(_ storage.Locator, data []byte) error {
+			row, err := h.decode(data, s)
+			if err != nil {
+				return err
+			}
+			// Per-row atomic add: h is captured read-only, so the counter
+			// costs no allocation even though this callback escapes.
+			h.t.db.reg.Exec.RowsScanned.Add(1)
+			return fn(row)
+		})
+	}
+	// hotpath:cold — cursor construction allocates once per scan; the loop
+	// below is the hot part.
+	cur, err := h.idx.SeekFirst()
+	if err != nil {
+		return err
+	}
+	defer cur.Close()
+	// Rows surfaced by the cursor walk, counted locally (no closure, so the
+	// counter stays on the stack) and published once on completion; a scan
+	// abandoned by an error drops its partial count.
+	rows := uint64(0)
+	for cur.Valid() {
+		data, err := h.heap.ReadInto(cur.Locator(), s.Buf)
+		if err != nil {
+			return err
+		}
+		s.Buf = data
+		row, err := h.decode(data, s)
+		if err != nil {
+			return err
+		}
+		rows++
+		if err := fn(row); err != nil {
+			return err
+		}
+		if err := cur.Next(); err != nil {
+			return err
+		}
+	}
+	h.t.db.reg.Exec.RowsScanned.Add(rows)
+	return nil
+}
+
+// decode decodes one tagged heap row into s's reusable buffers, resetting
+// the arena — scan semantics: each row replaces the last. A method rather
+// than a closure so the scan loop stays allocation-free.
+func (h *heapForm) decode(data []byte, s *exec.RowScratch) (sqltypes.Row, error) {
+	row, arena, err := sqltypes.DecodeRowInto(data, s.Row, s.Arena[:0])
+	if err != nil {
+		return nil, err
+	}
+	s.Row, s.Arena = row, arena
+	return row, nil
+}
+
+func (h *heapForm) count() uint64 { return h.heap.Count() }
+
+func (h *heapForm) flush() error {
+	if err := h.heap.Flush(); err != nil {
+		return err
+	}
+	return h.idx.Flush()
+}
+
+func (h *heapForm) close() error {
+	return firstError(h.heapFile.Close(), h.idxFile.Close())
+}
+
+func (h *heapForm) remove() error {
+	h.t.db.pool.Forget(h.heapFile)
+	h.t.db.pool.Forget(h.idxFile)
+	return firstError(h.close(), os.Remove(h.t.path(".heap")), os.Remove(h.t.path(".idx")))
+}
+
+// segForm is the immutable form: the table's columnar segment, fronted by its
+// slot in the handle's resident vector cache (nil when the handle has none).
+// When the slot declines the table (budget too small) reads fall through to
+// the segment.
+type segForm struct {
+	t    *Table
+	file *storage.PagedFile
+	seg  *storage.Segment
+	// types caches the column types in storage order so hot-path decodes
+	// never walk the TableDef.
+	types []sqltypes.Type
+	vcE   *vcache.Entry
+}
+
+// segmentData encodes freshly validated bulk-load rows (strictly ascending
+// keys) with the tag-free segment codec. It reports false for tables the
+// codec cannot represent: no primary key, a non-BIGINT/BIGINT[] column, or a
+// NULL value somewhere (allowed by checkRow).
+func (t *Table) segmentData(rows []sqltypes.Row, keys []storage.Key) (storage.SegmentData, bool) {
+	sd := storage.SegmentData{PKLen: len(t.pkCols), Keys: keys}
+	if keys == nil {
+		return sd, false
+	}
+	for _, c := range t.def.Columns {
+		if !sqltypes.SegEncodable(c.Type) {
+			return sd, false
+		}
+		sd.Cols = append(sd.Cols, byte(c.Type))
+	}
+	sd.Lens = make([]uint32, 0, len(rows))
+	for _, r := range rows {
+		start := len(sd.Data)
+		data, err := sqltypes.EncodeSegRow(sd.Data, r)
+		if err != nil {
+			return sd, false
+		}
+		sd.Data = data
+		sd.Lens = append(sd.Lens, uint32(len(sd.Data)-start))
+	}
+	return sd, true
+}
+
+// writeSegment writes sd as the table's segment file and opens it. The bytes
+// are a pure function of the rows, which keeps builds byte-identical at every
+// worker count. A failed write leaves no file behind, so the table stays an
+// empty heap.
+func (t *Table) writeSegment(sd storage.SegmentData) (*segForm, error) {
+	var f *segForm
+	err := storage.WriteSegmentFile(t.path(".seg"), t.db.dev, &t.db.clock, sd)
+	if err == nil {
+		f, err = t.openSegment()
+	}
+	if err != nil {
+		_ = os.Remove(t.path(".seg")) // best-effort cleanup; the write failure wins
+		return nil, err
+	}
+	return f, nil
+}
+
+// openSegment opens and validates the table's segment file — checksums and
+// layout in storage, column layout against the schema here.
+func (t *Table) openSegment() (*segForm, error) {
+	f, err := storage.OpenPagedFile(t.path(".seg"), t.db.dev, &t.db.clock)
+	if err != nil {
+		return nil, err
+	}
+	t.db.pool.Register(f)
+	seg, err := storage.OpenSegment(f, t.db.pool)
+	if err != nil {
+		_ = f.Close() // best-effort cleanup; the open failure wins
+		return nil, fmt.Errorf("sqldb: table %q: %w", t.def.Name, err)
+	}
+	cols := seg.Cols()
+	types := make([]sqltypes.Type, len(cols))
+	match := len(cols) == len(t.def.Columns) && seg.PKLen() == len(t.pkCols)
+	for i := 0; match && i < len(cols); i++ {
+		types[i] = sqltypes.Type(cols[i])
+		match = types[i] == t.def.Columns[i].Type
+	}
+	if !match {
+		_ = f.Close()
+		return nil, fmt.Errorf("sqldb: table %q: %w: header: columns %v (pk %d) do not match the schema",
+			t.def.Name, storage.ErrCorruptSegment, cols, seg.PKLen())
+	}
+	sf := &segForm{t: t, file: f, seg: seg, types: types}
+	if t.db.vcache != nil {
+		sf.vcE = t.db.vcache.Register()
+	}
+	return sf, nil
+}
+
+// lookup serves the row from the resident vectors when the cache holds the
+// table — binary search of the key directory, slice views of the decoded
+// columns, no pool, payload copy or varint decode — and from the segment
+// otherwise: binary search of the in-memory directory, the payload's own
+// pages through the pool, tag-free decode.
+//
+// hotpath — allocheck root: every fused label lookup funnels through here;
+// both tiers must stay allocation-free.
+func (f *segForm) lookup(key storage.Key, s *exec.RowScratch) (sqltypes.Row, bool, error) {
+	reg := &f.t.db.reg
+	if f.vcE != nil {
+		m, err := f.vcacheMat()
+		if err != nil {
+			return nil, false, err
+		}
+		if m != nil {
+			i, ok := m.Find(key)
+			if !ok {
+				return nil, false, nil
+			}
+			row := vcacheRow(m, i, s)
+			reg.Exec.RowsScanned.Add(1)
+			return row, true, nil
+		}
+	}
+	i, ok := f.seg.Find(key)
+	if !ok {
+		return nil, false, nil
+	}
+	data, err := f.seg.ReadRow(i, s.Buf)
+	if err != nil {
+		return nil, false, err
+	}
+	s.Buf = data
+	row, arena, err := sqltypes.DecodeSegRowInto(data, f.types, s.Row, s.Arena)
+	if err != nil {
+		return nil, false, fmt.Errorf("sqldb: %s: %w", f.t.def.Name, err)
+	}
+	s.Row, s.Arena = row, arena
+	reg.Segment.Hits.Add(1)
+	reg.Segment.ColumnsDecoded.Add(uint64(len(f.types)))
+	reg.Segment.BytesRead.Add(uint64(len(data)))
+	reg.Exec.RowsScanned.Add(1)
+	return row, true, nil
+}
+
+// scan iterates the resident vectors, or else the segment directory, in key
+// order. Counters accumulate locally and publish once at the end; a scan
+// abandoned by an error drops its partial count.
+//
+// hotpath — allocheck root: fused full-table scans (target sets, condensed
+// probes) iterate here; the per-row loop must stay allocation-free.
+func (f *segForm) scan(s *exec.RowScratch, fn func(sqltypes.Row) error) error {
+	reg := &f.t.db.reg
+	if f.vcE != nil {
+		m, err := f.vcacheMat()
+		if err != nil {
+			return err
+		}
+		if m != nil {
+			n := len(m.Keys)
+			for i := 0; i < n; i++ {
+				if err := fn(vcacheRow(m, i, s)); err != nil {
+					return err
+				}
+			}
+			reg.Exec.RowsScanned.Add(uint64(n))
+			return nil
+		}
+	}
+	rows, bytesRead := uint64(0), uint64(0)
+	n := f.seg.NumRows()
+	for i := 0; i < n; i++ {
+		data, err := f.seg.ReadRow(i, s.Buf)
+		if err != nil {
+			return err
+		}
+		s.Buf = data
+		row, arena, err := sqltypes.DecodeSegRowInto(data, f.types, s.Row, s.Arena[:0])
+		if err != nil {
+			return fmt.Errorf("sqldb: %s: %w", f.t.def.Name, err)
+		}
+		s.Row, s.Arena = row, arena
+		rows++
+		bytesRead += uint64(len(data))
+		if err := fn(row); err != nil {
+			return err
+		}
+	}
+	reg.Segment.Hits.Add(rows)
+	reg.Segment.ColumnsDecoded.Add(rows * uint64(len(f.types)))
+	reg.Segment.BytesRead.Add(bytesRead)
+	reg.Exec.RowsScanned.Add(rows)
+	return nil
+}
+
+func (f *segForm) count() uint64 { return uint64(f.seg.NumRows()) }
+
+func (f *segForm) flush() error { return nil }
+
+func (f *segForm) close() error { return f.file.Close() }
+
+func (f *segForm) remove() error {
+	if f.vcE != nil {
+		f.vcE.Drop()
+	}
+	f.t.db.pool.Forget(f.file)
+	return firstError(f.close(), os.Remove(f.t.path(".seg")))
+}
+
+// vcacheMat returns the table's materialized vectors, building them on first
+// touch, or nil when the cache declines the table (budget too small for it)
+// and the segment should serve instead.
+func (f *segForm) vcacheMat() (*vcache.Mat, error) {
+	if m := f.vcE.Acquire(); m != nil {
+		return m, nil
+	}
+	// hotpath:cold — first-touch materialization: the bound-method closure
+	// and the decode it drives are the cache-miss cost, paid once per
+	// residency.
+	return f.vcE.Materialize(f.materialize)
+}
+
+// materialize decodes the table's whole segment into column vectors for the
+// resident vector cache: the key directory is shared with the segment (both
+// immutable), scalar columns become one int64 per row, and array columns are
+// flattened with a starts index. The data region is read directly from the
+// device — one bulk pass that must not displace label pages from the buffer
+// pool — and every row goes through the same segment codec the per-lookup
+// path uses, so the vectors can never disagree with it.
+//
+// hotpath:cold — runs once per residency, off the lookup path.
+func (f *segForm) materialize() (*vcache.Mat, error) {
+	data, err := f.seg.LoadData()
+	if err != nil {
+		return nil, fmt.Errorf("sqldb: table %q: %w", f.t.def.Name, err)
+	}
+	n := f.seg.NumRows()
+	m := &vcache.Mat{Keys: f.seg.Keys(), Cols: make([]vcache.Col, len(f.types))}
+	for ci, typ := range f.types {
+		if typ == sqltypes.Int64 {
+			m.Cols[ci].Ints = make([]int64, n)
+		} else {
+			m.Cols[ci].Starts = make([]int32, n+1)
+		}
+	}
+	var (
+		row   sqltypes.Row
+		arena []int64
+		off   int64
+	)
+	for i := 0; i < n; i++ {
+		ln := int64(f.seg.RowLen(i))
+		r, a, err := sqltypes.DecodeSegRowInto(data[off:off+ln], f.types, row, arena[:0])
+		if err != nil {
+			return nil, fmt.Errorf("sqldb: %s: %w", f.t.def.Name, err)
+		}
+		row, arena = r, a
+		off += ln
+		for ci := range m.Cols {
+			col := &m.Cols[ci]
+			if col.Starts == nil {
+				col.Ints[i] = r[ci].I
+				continue
+			}
+			col.Ints = append(col.Ints, r[ci].A...)
+			if len(col.Ints) > (1<<31)-1 {
+				return nil, fmt.Errorf("sqldb: %s: column %d overflows the vector index", f.t.def.Name, ci)
+			}
+			col.Starts[i+1] = int32(len(col.Ints))
+		}
+	}
+	m.Bytes = int64(len(m.Keys)) * 16
+	for ci := range m.Cols {
+		m.Bytes += int64(cap(m.Cols[ci].Ints))*8 + int64(cap(m.Cols[ci].Starts))*4
+	}
+	return m, nil
+}
+
+// vcacheRow assembles row i of m into s.Row. The value headers are written
+// into the scratch, but the array payloads alias the cached vectors — no
+// copy, no arena traffic. The views satisfy the ScratchTable retention
+// contract trivially: the vectors are immutable and the garbage collector
+// keeps them alive as long as any view exists, even across eviction.
+func vcacheRow(m *vcache.Mat, i int, s *exec.RowScratch) sqltypes.Row {
+	var r sqltypes.Row
+	if cap(s.Row) >= len(m.Cols) {
+		r = s.Row[:len(m.Cols)]
+	} else {
+		r = make(sqltypes.Row, len(m.Cols))
+	}
+	for ci := range m.Cols {
+		col := &m.Cols[ci]
+		if col.Starts == nil {
+			r[ci] = sqltypes.NewInt(col.Ints[i])
+		} else {
+			r[ci] = sqltypes.NewIntArray(col.Array(i))
+		}
+	}
+	s.Row = r
+	return r
+}

@@ -1,0 +1,185 @@
+package sqldb
+
+// segment_failclosed_test.go checks the engine-level fault policy: a segment
+// is its table's only copy, so a corrupt or truncated .seg fails Open with an
+// error naming the table and wrapping storage.ErrCorruptSegment. Nothing
+// stays open behind the error, and a healthy sibling directory is unaffected.
+
+import (
+	"errors"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"ptldb/internal/sqldb/exec"
+	"ptldb/internal/sqldb/sqltypes"
+	"ptldb/internal/sqldb/storage"
+)
+
+// buildFaultDB bulk-loads two segment tables and one heap table into dir and
+// closes the database, leaving good.seg and bad.seg on disk.
+func buildFaultDB(t *testing.T, dir string) {
+	t.Helper()
+	db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"good", "bad"} {
+		tbl := mkTable(t, db, name, []string{"k"}, "k", "v", "xs:arr")
+		rows := make([]sqltypes.Row, 0, 3000)
+		for i := int64(0); i < 3000; i++ {
+			rows = append(rows, sqltypes.Row{
+				sqltypes.NewInt(i), sqltypes.NewInt(i * 3),
+				sqltypes.NewIntArray([]int64{i, i + 1, i + 2}),
+			})
+		}
+		if err := tbl.BulkLoad(rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := mkTable(t, db, "names", []string{"k"}, "k", "s:text").Insert(
+		sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewText("one")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkReads verifies the segment tables answer correctly through the
+// scratch read paths.
+func checkReads(t *testing.T, db *DB) {
+	t.Helper()
+	var s exec.RowScratch
+	for _, name := range []string{"good", "bad"} {
+		tbl, ok := db.Table(name)
+		if !ok {
+			t.Fatalf("table %q missing", name)
+		}
+		if got := tbl.RowCount(); got != 3000 {
+			t.Fatalf("%s: RowCount = %d, want 3000", name, got)
+		}
+		row, ok, err := tbl.LookupPKScratch([]int64{123}, &s)
+		if err != nil || !ok {
+			t.Fatalf("%s: LookupPKScratch(123) = %v, %v", name, ok, err)
+		}
+		if row[1].I != 369 || len(row[2].A) != 3 || row[2].A[2] != 125 {
+			t.Fatalf("%s: LookupPKScratch(123) returned %v", name, row)
+		}
+	}
+}
+
+// openFDs counts this process's open file descriptors.
+func openFDs(t *testing.T) int {
+	t.Helper()
+	entries, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no /proc/self/fd to count descriptors: %v", err)
+	}
+	return len(entries)
+}
+
+// TestOpenFailsClosedOnBadSegment damages each region of one table's segment
+// in turn. Open must return the sentinel with the table and region named,
+// leak no file handle, and keep failing on retry; the pristine copy of the
+// same database in a sibling directory opens and reads fine throughout.
+func TestOpenFailsClosedOnBadSegment(t *testing.T) {
+	healthy := t.TempDir()
+	buildFaultDB(t, healthy)
+	pristine, err := os.ReadFile(filepath.Join(healthy, "bad.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages := len(pristine) / storage.PageSize
+	if pages < 4 {
+		t.Fatalf("segment has %d pages; the fault offsets need header + 2 data + directory", pages)
+	}
+	flip := func(off int) func([]byte) []byte {
+		return func(b []byte) []byte { b[off] ^= 0x20; return b }
+	}
+	cases := []struct {
+		name, region string
+		damage       func([]byte) []byte
+	}{
+		{"header-flip", "header", flip(9)},
+		{"data-flip", "data", flip(storage.PageSize + 17)},
+		{"directory-flip", "directory", flip((pages-1)*storage.PageSize + 5)},
+		{"truncated-to-header", "layout", func(b []byte) []byte { return b[:storage.PageSize] }},
+		{"truncated-mid-data", "layout", func(b []byte) []byte { return b[:2*storage.PageSize] }},
+		{"truncated-empty", "header", func(b []byte) []byte { return nil }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			buildFaultDB(t, dir)
+			image := tc.damage(append([]byte(nil), pristine...))
+			if err := os.WriteFile(filepath.Join(dir, "bad.seg"), image, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before := openFDs(t)
+			for attempt := 0; attempt < 2; attempt++ {
+				db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256, VectorCacheBytes: 1 << 20})
+				if err == nil {
+					db.Close()
+					t.Fatal("Open accepted a damaged segment")
+				}
+				if !errors.Is(err, storage.ErrCorruptSegment) {
+					t.Errorf("error does not wrap ErrCorruptSegment: %v", err)
+				}
+				for _, frag := range []string{`table "bad"`, tc.region} {
+					if !strings.Contains(err.Error(), frag) {
+						t.Errorf("error lacks %q: %v", frag, err)
+					}
+				}
+			}
+			if after := openFDs(t); after != before {
+				t.Errorf("failed opens leaked file descriptors: %d before, %d after", before, after)
+			}
+
+			db, err := Open(healthy, Options{Device: storage.RAM, PoolPages: 256})
+			if err != nil {
+				t.Fatalf("healthy sibling: %v", err)
+			}
+			checkReads(t, db)
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestMaterializeRechecksDataCRC: damage that lands after Open (the file is
+// rewritten under a live handle) is caught by LoadData's checksum when the
+// vector cache first materializes the table — the query fails with the same
+// sentinel instead of serving corrupt vectors.
+func TestMaterializeRechecksDataCRC(t *testing.T) {
+	dir := t.TempDir()
+	buildFaultDB(t, dir)
+	db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256, VectorCacheBytes: 64 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	f, err := os.OpenFile(filepath.Join(dir, "bad.seg"), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{0xff, 0xff, 0xff, 0xff}, storage.PageSize+64); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tbl, _ := db.Table("bad")
+	var s exec.RowScratch
+	_, _, err = tbl.LookupPKScratch([]int64{123}, &s)
+	if !errors.Is(err, storage.ErrCorruptSegment) || !strings.Contains(err.Error(), `table "bad"`) {
+		t.Errorf("lookup over a segment damaged after open = %v, want ErrCorruptSegment naming the table", err)
+	}
+	if good, _ := db.Table("good"); good != nil {
+		if _, ok, err := good.LookupPKScratch([]int64{123}, &s); err != nil || !ok {
+			t.Errorf("intact table: %v, %v", ok, err)
+		}
+	}
+}

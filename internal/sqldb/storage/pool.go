@@ -369,6 +369,26 @@ func (p *Pool) DropCaches() error {
 	return nil
 }
 
+// Forget discards every cached page of f without writing it back: the file
+// is about to be deleted, so its dirty pages have nowhere to go. Only f's
+// frames are touched, which keeps it safe beside concurrent loads of other
+// files (DropCaches would flush and evict those too). A page still pinned is
+// left behind — a pin on a file being deleted is a caller bug, and the next
+// flush of the closed file reports it.
+func (p *Pool) Forget(f *PagedFile) {
+	for i := range p.shards {
+		sh := &p.shards[i]
+		sh.mu.Lock()
+		for key, fr := range sh.frames {
+			if key.file == f.id && fr.pins == 0 {
+				sh.lruRemove(fr)
+				delete(sh.frames, key)
+			}
+		}
+		sh.mu.Unlock()
+	}
+}
+
 // Stats reports hit/miss counters since creation. A Get that coalesces on
 // an in-flight load counts as a hit only once the load succeeds; the loader
 // counts exactly one miss per load attempt (successful or not), so misses

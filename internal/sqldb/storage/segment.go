@@ -2,6 +2,7 @@ package storage
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -29,8 +30,9 @@ import (
 // mutated; its bytes are a pure function of the row set, which is what keeps
 // build output byte-identical at every worker count. OpenSegment verifies
 // both region checksums and the exact page layout, so a truncated or
-// bit-flipped file is rejected at open — the caller degrades to the heap
-// path instead of serving corrupt labels.
+// bit-flipped file is rejected at open with ErrCorruptSegment — the segment
+// is the table's only copy, so the caller fails closed and the recovery is a
+// rebuild (bulk loads are deterministic).
 type Segment struct {
 	file *PagedFile
 	pool *Pool
@@ -61,6 +63,16 @@ const (
 	segHeaderCRCAt = 52         // offset of the header's own checksum
 	segHeaderBytes = 56         // fixed fields + header CRC; column tags follow
 )
+
+// ErrCorruptSegment is wrapped by every validation failure of OpenSegment and
+// LoadData: the file's bytes are not a segment WriteSegmentFile produced.
+var ErrCorruptSegment = errors.New("corrupt segment")
+
+// corruptSegment builds a validation failure naming the damaged region
+// ("header", "layout", "directory" or "data").
+func corruptSegment(region, format string, args ...any) error {
+	return fmt.Errorf("storage: %w: %s: %s", ErrCorruptSegment, region, fmt.Sprintf(format, args...))
+}
 
 // segCRCTable is the Castagnoli polynomial all three checksums use.
 var segCRCTable = crc32.MakeTable(crc32.Castagnoli)
@@ -184,24 +196,24 @@ func keyLess(a, b Key) bool {
 // Every header field is validated against the file's actual page count and
 // both region checksums are verified before the segment is returned, so a
 // truncated file, a bit flip anywhere in a meaningful byte, or a header
-// inflated to provoke huge allocations all fail the open instead of
-// panicking or mis-decoding later. (Flips in the zero padding of a region's
+// inflated to provoke huge allocations all fail the open with
+// ErrCorruptSegment instead of panicking or mis-decoding later. (Flips in the zero padding of a region's
 // last page are outside the checksums and harmless: no decode ever reads
 // them.)
 func OpenSegment(file *PagedFile, pool *Pool) (*Segment, error) {
 	var page [PageSize]byte
 	totalPages := uint64(file.NumPages())
 	if totalPages == 0 {
-		return nil, fmt.Errorf("storage: empty segment file")
+		return nil, corruptSegment("header", "empty file")
 	}
 	if err := file.ReadPage(0, page[:]); err != nil {
 		return nil, err
 	}
 	if binary.LittleEndian.Uint32(page[0:]) != segmentMagic {
-		return nil, fmt.Errorf("storage: bad segment magic")
+		return nil, corruptSegment("header", "bad magic")
 	}
 	if v := binary.LittleEndian.Uint32(page[4:]); v != segmentVersion {
-		return nil, fmt.Errorf("storage: segment version %d not supported", v)
+		return nil, corruptSegment("header", "version %d not supported", v)
 	}
 	nRows := binary.LittleEndian.Uint64(page[8:])
 	nCols := binary.LittleEndian.Uint32(page[16:])
@@ -212,29 +224,29 @@ func OpenSegment(file *PagedFile, pool *Pool) (*Segment, error) {
 	dataCRC := binary.LittleEndian.Uint32(page[44:])
 	dirCRC := binary.LittleEndian.Uint32(page[48:])
 	if got := binary.LittleEndian.Uint32(page[segHeaderCRCAt:]); got != headerCRC(page[:]) {
-		return nil, fmt.Errorf("storage: segment header checksum %08x does not match", got)
+		return nil, corruptSegment("header", "checksum %08x does not match", got)
 	}
 	if segHeaderBytes+int(nCols) > PageSize || pkLen < 1 || pkLen > 2 {
-		return nil, fmt.Errorf("storage: corrupt segment header")
+		return nil, corruptSegment("header", "column count or key width out of range")
 	}
 	// The page layout is fully determined by the header sizes; requiring an
 	// exact match against the file's real page count catches truncation (and
 	// trailing garbage) before any region is read. Bounding both sizes by the
 	// file itself first keeps the ceiling divisions overflow-free.
 	if dataBytes > totalPages*PageSize || dirBytes > totalPages*PageSize {
-		return nil, fmt.Errorf("storage: segment region sizes exceed the file")
+		return nil, corruptSegment("layout", "region sizes exceed the file")
 	}
 	dataPages := (dataBytes + PageSize - 1) / PageSize
 	dirPages := (dirBytes + PageSize - 1) / PageSize
 	if uint64(dirPage) != 1+dataPages || totalPages != 1+dataPages+dirPages {
-		return nil, fmt.Errorf("storage: segment layout mismatch: %d pages, header implies %d data + %d directory",
+		return nil, corruptSegment("layout", "%d pages, header implies %d data + %d directory",
 			totalPages, dataPages, dirPages)
 	}
 	// Every directory entry is at least three bytes, so nRows is bounded by
 	// the (already page-count-checked) directory size — a forged row count
 	// cannot provoke a huge allocation.
 	if nRows > dirBytes/3 {
-		return nil, fmt.Errorf("storage: segment claims %d rows in a %d-byte directory", nRows, dirBytes)
+		return nil, corruptSegment("directory", "%d rows claimed in %d bytes", nRows, dirBytes)
 	}
 	s := &Segment{
 		file:      file,
@@ -258,28 +270,28 @@ func OpenSegment(file *PagedFile, pool *Pool) (*Segment, error) {
 		copy(dir[off:], page[:])
 	}
 	if got := crc32.Checksum(dir, segCRCTable); got != dirCRC {
-		return nil, fmt.Errorf("storage: segment directory checksum %08x, header says %08x", got, dirCRC)
+		return nil, corruptSegment("directory", "checksum %08x, header says %08x", got, dirCRC)
 	}
 	var dataOff int64
 	for i := uint64(0); i < nRows; i++ {
 		var k Key
 		v, n := binary.Varint(dir)
 		if n <= 0 {
-			return nil, fmt.Errorf("storage: corrupt segment directory at row %d", i)
+			return nil, corruptSegment("directory", "bad entry at row %d", i)
 		}
 		k[0], dir = v, dir[n:]
 		v, n = binary.Varint(dir)
 		if n <= 0 {
-			return nil, fmt.Errorf("storage: corrupt segment directory at row %d", i)
+			return nil, corruptSegment("directory", "bad entry at row %d", i)
 		}
 		k[1], dir = v, dir[n:]
 		ln, n := binary.Uvarint(dir)
 		if n <= 0 || ln > dataBytes {
-			return nil, fmt.Errorf("storage: corrupt segment directory at row %d", i)
+			return nil, corruptSegment("directory", "bad entry at row %d", i)
 		}
 		dir = dir[n:]
 		if i > 0 && !keyLess(s.keys[i-1], k) {
-			return nil, fmt.Errorf("storage: segment directory not ascending at row %d", i)
+			return nil, corruptSegment("directory", "keys not ascending at row %d", i)
 		}
 		s.keys = append(s.keys, k)
 		s.offs = append(s.offs, dataOff)
@@ -287,10 +299,10 @@ func OpenSegment(file *PagedFile, pool *Pool) (*Segment, error) {
 		dataOff += int64(ln)
 	}
 	if len(dir) != 0 {
-		return nil, fmt.Errorf("storage: %d trailing bytes after segment directory", len(dir))
+		return nil, corruptSegment("directory", "%d trailing bytes", len(dir))
 	}
 	if uint64(dataOff) != dataBytes {
-		return nil, fmt.Errorf("storage: segment directory sums to %d bytes, header says %d", dataOff, dataBytes)
+		return nil, corruptSegment("directory", "payloads sum to %d bytes, header says %d", dataOff, dataBytes)
 	}
 	// Verify the data region, streaming page by page so the open allocates
 	// nothing proportional to the data size.
@@ -306,7 +318,7 @@ func OpenSegment(file *PagedFile, pool *Pool) (*Segment, error) {
 		crc = crc32.Update(crc, segCRCTable, page[:n])
 	}
 	if crc != dataCRC {
-		return nil, fmt.Errorf("storage: segment data checksum %08x, header says %08x", crc, dataCRC)
+		return nil, corruptSegment("data", "checksum %08x, header says %08x", crc, dataCRC)
 	}
 	return s, nil
 }
@@ -347,7 +359,7 @@ func (s *Segment) LoadData() ([]byte, error) {
 		copy(out[off:], page[:])
 	}
 	if crc := crc32.Checksum(out, segCRCTable); crc != s.dataCRC {
-		return nil, fmt.Errorf("storage: segment data checksum %08x, header says %08x", crc, s.dataCRC)
+		return nil, corruptSegment("data", "checksum %08x, header says %08x", crc, s.dataCRC)
 	}
 	return out, nil
 }

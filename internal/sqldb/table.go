@@ -1,51 +1,54 @@
 package sqldb
 
 import (
+	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync/atomic"
 
 	"ptldb/internal/sqldb/exec"
 	"ptldb/internal/sqldb/sqltypes"
 	"ptldb/internal/sqldb/storage"
-	"ptldb/internal/sqldb/vcache"
 )
 
-// Table is one stored table: an append-only heap of encoded rows plus a
-// B+tree primary-key index mapping key values to heap locators. Tables whose
-// columns are all BIGINT/BIGINT[] (the label tables) additionally carry an
-// immutable columnar segment built at bulk load; when attached, the scratch
-// read paths (LookupPKScratch/ScanScratch) serve rows from it instead of the
-// B+tree/heap pair, while the non-scratch paths stay on the heap as the
-// general-executor correctness oracle.
+// Table is one stored table in exactly one physical form, fixed when the
+// table is opened or bulk-loaded: a columnar segment (the label tables —
+// immutable, one directory search plus payload pages per row, fronted by the
+// resident vector cache) or an append-only heap of encoded rows under a
+// B+tree primary-key index (everything filled by Insert, non-BIGINT schemas,
+// rows with NULLs). Both executors read through the same form.
 type Table struct {
 	def    TableDef
 	db     *DB
 	pkCols []int
 
-	heapFile, idxFile *storage.PagedFile
-	heap              *storage.RowStore
-	idx               *storage.BTree
-
-	// Columnar segment, attached when a .seg file exists and the handle has
-	// segments enabled. segTypes caches the column types in storage order so
-	// hot-path decodes never walk the TableDef.
-	segFile  *storage.PagedFile
-	seg      *storage.Segment
-	segTypes []sqltypes.Type
-
-	// vcE is the table's slot in the handle's resident vector cache,
-	// non-nil only when the cache is enabled and a segment is attached
-	// (the cache materializes from the segment). When the slot declines a
-	// table (budget too small) reads fall through to the segment tier.
-	vcE *vcache.Entry
+	form rowForm
 
 	// Access counters: primary-key lookups answered (hit or miss) and full
 	// scans started. They let tests verify the paper's secondary-storage
 	// claims (e.g. "any v2v query needs to access exactly two rows").
 	lookups, scans atomic.Uint64
 }
+
+// rowForm is a table's physical form. Each implementation owns its files,
+// its read code and the counters that code feeds.
+type rowForm interface {
+	// lookup fetches the row stored under key, decoding into s (the
+	// ScratchTable retention contract applies).
+	lookup(key storage.Key, s *exec.RowScratch) (sqltypes.Row, bool, error)
+	// scan calls fn for every row in key order (insertion order for keyless
+	// tables), recycling s between rows.
+	scan(s *exec.RowScratch, fn func(sqltypes.Row) error) error
+	count() uint64
+	flush() error
+	close() error
+	// remove closes the form, forgets its cached pages and vectors, and
+	// deletes its files.
+	remove() error
+}
+
+// ErrImmutable is returned by writes to a segment-form table: a segment is
+// written once by BulkLoad; DropTable + BulkLoad replaces it.
+var ErrImmutable = errors.New("table is an immutable segment")
 
 // AccessStats reports how many PK lookups and full scans the table has
 // served since open.
@@ -69,7 +72,7 @@ func (t *Table) Columns() []string {
 func (t *Table) PKCols() []int { return t.pkCols }
 
 // RowCount returns the number of stored rows.
-func (t *Table) RowCount() uint64 { return t.heap.Count() }
+func (t *Table) RowCount() uint64 { return t.form.count() }
 
 // checkRow validates arity and column types, coercing integer values into
 // DOUBLE columns in place.
@@ -94,9 +97,23 @@ func (t *Table) checkRow(row sqltypes.Row) error {
 	return nil
 }
 
+// heapForWrite returns the table's heap form, or ErrImmutable when the table
+// is a segment.
+func (t *Table) heapForWrite() (*heapForm, error) {
+	h, ok := t.form.(*heapForm)
+	if !ok {
+		return nil, fmt.Errorf("sqldb: %s: %w", t.def.Name, ErrImmutable)
+	}
+	return h, nil
+}
+
 // Insert validates and stores one row. Inserting a duplicate primary key is
 // an error (the heap is append-only and cannot reclaim the old row).
 func (t *Table) Insert(row sqltypes.Row) error {
+	h, err := t.heapForWrite()
+	if err != nil {
+		return err
+	}
 	if err := t.checkRow(row); err != nil {
 		return err
 	}
@@ -105,22 +122,18 @@ func (t *Table) Insert(row sqltypes.Row) error {
 		return err
 	}
 	if len(t.pkCols) > 0 {
-		if _, exists, err := t.idx.Get(key); err != nil {
+		if _, exists, err := h.idx.Get(key); err != nil {
 			return err
 		} else if exists {
 			return fmt.Errorf("sqldb: %s: duplicate primary key %v", t.def.Name, key)
 		}
 	}
-	// A point write would leave an attached segment stale; drop it first.
-	if err := t.dropSegment(); err != nil {
-		return err
-	}
-	loc, err := t.heap.Append(sqltypes.EncodeRow(nil, row))
+	loc, err := h.heap.Append(sqltypes.EncodeRow(nil, row))
 	if err != nil {
 		return err
 	}
 	if len(t.pkCols) > 0 {
-		return t.idx.Insert(key, loc)
+		return h.idx.Insert(key, loc)
 	}
 	return nil
 }
@@ -129,6 +142,10 @@ func (t *Table) Insert(row sqltypes.Row) error {
 // key (the index entry is redirected; the heap is append-only, so the old
 // row's bytes remain unreferenced until a rebuild).
 func (t *Table) ReplaceByPK(row sqltypes.Row) error {
+	h, err := t.heapForWrite()
+	if err != nil {
+		return err
+	}
 	if len(t.pkCols) == 0 {
 		return fmt.Errorf("sqldb: %s has no primary key", t.def.Name)
 	}
@@ -139,14 +156,11 @@ func (t *Table) ReplaceByPK(row sqltypes.Row) error {
 	if err != nil {
 		return err
 	}
-	if err := t.dropSegment(); err != nil {
-		return err
-	}
-	loc, err := t.heap.Append(sqltypes.EncodeRow(nil, row))
+	loc, err := h.heap.Append(sqltypes.EncodeRow(nil, row))
 	if err != nil {
 		return err
 	}
-	return t.idx.Insert(key, loc)
+	return h.idx.Insert(key, loc)
 }
 
 // InsertRows bulk-inserts rows.
@@ -160,13 +174,20 @@ func (t *Table) InsertRows(rows []sqltypes.Row) error {
 }
 
 // BulkLoad stores rows already sorted by strictly ascending primary key into
-// an empty table, building the index bottom-up in one pass over full pages
-// instead of one root-to-leaf descent per row. All rows are validated before
-// anything is stored, so a rejected load leaves the table empty. Keyless
-// tables fall back to plain heap appends (insertion order is the scan order).
+// an empty table and fixes the table's form. A keyed all-BIGINT/BIGINT[]
+// table whose rows hold no NULL becomes a segment: only <name>.seg is
+// written and the empty heap and index files are deleted. Anything else
+// stays heap + B+tree, the index built bottom-up in one pass over full pages
+// (keyless tables are plain heap appends; insertion order is the scan
+// order). All rows are validated before anything is stored, so a rejected
+// load leaves the table empty.
 func (t *Table) BulkLoad(rows []sqltypes.Row) error {
-	if t.heap.Count() != 0 {
-		return fmt.Errorf("sqldb: %s: bulk load requires an empty table (%d rows stored)", t.def.Name, t.heap.Count())
+	if n := t.RowCount(); n != 0 {
+		return fmt.Errorf("sqldb: %s: bulk load requires an empty table (%d rows stored)", t.def.Name, n)
+	}
+	h, err := t.heapForWrite()
+	if err != nil {
+		return err
 	}
 	var keys []storage.Key
 	if len(t.pkCols) > 0 {
@@ -189,246 +210,20 @@ func (t *Table) BulkLoad(rows []sqltypes.Row) error {
 		}
 		keys[i] = key
 	}
-	var buf []byte
-	var entries []storage.BulkEntry
-	if keys != nil {
-		entries = make([]storage.BulkEntry, len(rows))
-	}
-	for i, r := range rows {
-		buf = sqltypes.EncodeRow(buf[:0], r)
-		loc, err := t.heap.Append(buf)
+	if sd, ok := t.segmentData(rows, keys); ok {
+		seg, err := t.writeSegment(sd)
 		if err != nil {
 			return err
 		}
-		if keys != nil {
-			entries[i] = storage.BulkEntry{Key: keys[i], Loc: loc}
-		}
+		t.form = seg
+		return h.remove()
 	}
-	if keys == nil {
-		return nil
-	}
-	if err := t.idx.BulkLoad(entries); err != nil {
-		return err
-	}
-	return t.buildSegment(rows, keys)
-}
-
-// segPath returns the table's segment file path.
-func (t *Table) segPath() string {
-	return filepath.Join(t.db.dir, t.def.Name+".seg")
-}
-
-// segEligible reports whether the table's schema allows a columnar segment:
-// a primary key plus all-BIGINT/BIGINT[] columns.
-func (t *Table) segEligible() bool {
-	if len(t.pkCols) == 0 {
-		return false
-	}
-	for _, c := range t.def.Columns {
-		if !sqltypes.SegEncodable(c.Type) {
-			return false
-		}
-	}
-	return true
-}
-
-// buildSegment writes the table's columnar segment from the freshly
-// bulk-loaded rows (already validated, in strictly ascending key order) and
-// attaches it unless the handle has segments disabled. The file is written
-// regardless of the DisableSegments flag so the on-disk image is a pure
-// function of the data — the build-determinism tests compare whole
-// directories across worker counts and configurations. Tables with an
-// ineligible schema, or with NULL values (allowed by checkRow but not
-// representable in the tag-free segment codec), simply skip the segment and
-// stay on the heap path.
-func (t *Table) buildSegment(rows []sqltypes.Row, keys []storage.Key) error {
-	if !t.segEligible() {
-		return nil
-	}
-	sd := storage.SegmentData{
-		Cols:  make([]byte, len(t.def.Columns)),
-		PKLen: len(t.pkCols),
-		Keys:  keys,
-		Lens:  make([]uint32, 0, len(rows)),
-	}
-	for i, c := range t.def.Columns {
-		sd.Cols[i] = byte(c.Type)
-	}
-	for _, r := range rows {
-		start := len(sd.Data)
-		data, err := sqltypes.EncodeSegRow(sd.Data, r)
-		if err != nil {
-			return nil // NULL value somewhere: not segment-representable
-		}
-		sd.Data = data
-		sd.Lens = append(sd.Lens, uint32(len(sd.Data)-start))
-	}
-	if err := storage.WriteSegmentFile(t.segPath(), t.db.dev, &t.db.clock, sd); err != nil {
-		return err
-	}
-	if t.db.noSegments {
-		return nil
-	}
-	return t.attachSegment(t.segPath())
-}
-
-// attachSegment opens the segment file at path and routes the scratch read
-// paths through it, validating the stored layout against the table schema.
-func (t *Table) attachSegment(path string) error {
-	f, err := storage.OpenPagedFile(path, t.db.dev, &t.db.clock)
-	if err != nil {
-		return err
-	}
-	t.db.pool.Register(f)
-	seg, err := storage.OpenSegment(f, t.db.pool)
-	if err != nil {
-		_ = f.Close()
-		return fmt.Errorf("sqldb: %s: %w", t.def.Name, err)
-	}
-	cols := seg.Cols()
-	if len(cols) != len(t.def.Columns) || seg.PKLen() != len(t.pkCols) {
-		_ = f.Close()
-		return fmt.Errorf("sqldb: %s: segment layout (%d cols, pk %d) does not match schema (%d cols, pk %d)",
-			t.def.Name, len(cols), seg.PKLen(), len(t.def.Columns), len(t.pkCols))
-	}
-	types := make([]sqltypes.Type, len(cols))
-	for i, k := range cols {
-		if sqltypes.Type(k) != t.def.Columns[i].Type {
-			_ = f.Close()
-			return fmt.Errorf("sqldb: %s: segment column %d is %s, schema says %s",
-				t.def.Name, i, sqltypes.Type(k), t.def.Columns[i].Type)
-		}
-		types[i] = sqltypes.Type(k)
-	}
-	t.segFile, t.seg, t.segTypes = f, seg, types
-	if t.db.vcache != nil {
-		t.vcE = t.db.vcache.Register()
-	}
-	return nil
-}
-
-// dropSegment detaches and deletes the table's segment. Point writes
-// (Insert/ReplaceByPK) call it so a segment can never serve stale rows; the
-// engine's tables are bulk-load-then-read-only, so in practice this only
-// fires for the metadata table, which is never segmented.
-func (t *Table) dropSegment() error {
-	if t.vcE != nil {
-		// Invalidate the cached vectors first so no reader can observe the
-		// cache serving rows the heap no longer agrees with.
-		t.vcE.Drop()
-		t.vcE = nil
-	}
-	if t.seg != nil {
-		err := t.segFile.Close()
-		t.segFile, t.seg, t.segTypes = nil, nil, nil
-		if err != nil {
-			return err
-		}
-	}
-	if err := os.Remove(t.segPath()); err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	return nil
-}
-
-// materialize decodes the table's whole segment into column vectors for the
-// resident vector cache: the key directory is shared with the segment (both
-// immutable), scalar columns become one int64 per row, and array columns are
-// flattened with a starts index. The data region is read directly from the
-// device — one bulk pass that must not displace label pages from the buffer
-// pool — and every row goes through the same segment codec the per-lookup
-// path uses, so the vectors can never disagree with it.
-// materialize decodes the whole segment into column vectors for the vector
-// cache.
-//
-// hotpath:cold — runs once per residency, off the lookup path.
-func (t *Table) materialize() (*vcache.Mat, error) {
-	data, err := t.seg.LoadData()
-	if err != nil {
-		return nil, err
-	}
-	n := t.seg.NumRows()
-	m := &vcache.Mat{Keys: t.seg.Keys(), Cols: make([]vcache.Col, len(t.segTypes))}
-	for ci, typ := range t.segTypes {
-		if typ == sqltypes.Int64 {
-			m.Cols[ci].Ints = make([]int64, n)
-		} else {
-			m.Cols[ci].Starts = make([]int32, n+1)
-		}
-	}
-	var (
-		row   sqltypes.Row
-		arena []int64
-		off   int64
-	)
-	for i := 0; i < n; i++ {
-		ln := int64(t.seg.RowLen(i))
-		r, a, err := sqltypes.DecodeSegRowInto(data[off:off+ln], t.segTypes, row, arena[:0])
-		if err != nil {
-			return nil, fmt.Errorf("sqldb: %s: %w", t.def.Name, err)
-		}
-		row, arena = r, a
-		off += ln
-		for ci := range m.Cols {
-			col := &m.Cols[ci]
-			if col.Starts == nil {
-				col.Ints[i] = r[ci].I
-				continue
-			}
-			col.Ints = append(col.Ints, r[ci].A...)
-			if len(col.Ints) > (1<<31)-1 {
-				return nil, fmt.Errorf("sqldb: %s: column %d overflows the vector index", t.def.Name, ci)
-			}
-			col.Starts[i+1] = int32(len(col.Ints))
-		}
-	}
-	m.Bytes = int64(len(m.Keys)) * 16
-	for ci := range m.Cols {
-		m.Bytes += int64(cap(m.Cols[ci].Ints))*8 + int64(cap(m.Cols[ci].Starts))*4
-	}
-	return m, nil
-}
-
-// vcacheMat returns the table's materialized vectors, building them on first
-// touch, or nil when the cache declines the table (budget too small for it,
-// or invalidated) and the segment tier should serve instead.
-func (t *Table) vcacheMat() (*vcache.Mat, error) {
-	if m := t.vcE.Acquire(); m != nil {
-		return m, nil
-	}
-	// hotpath:cold — first-touch materialization: the bound-method closure
-	// and the decode it drives are the cache-miss cost, paid once per
-	// residency.
-	return t.vcE.Materialize(t.materialize)
-}
-
-// vcacheRow assembles row i of m into s.Row. The value headers are written
-// into the scratch, but the array payloads alias the cached vectors — no
-// copy, no arena traffic. The views satisfy the ScratchTable retention
-// contract trivially: the vectors are immutable and the garbage collector
-// keeps them alive as long as any view exists, even across eviction.
-func (t *Table) vcacheRow(m *vcache.Mat, i int, s *exec.RowScratch) sqltypes.Row {
-	var r sqltypes.Row
-	if cap(s.Row) >= len(m.Cols) {
-		r = s.Row[:len(m.Cols)]
-	} else {
-		r = make(sqltypes.Row, len(m.Cols))
-	}
-	for ci := range m.Cols {
-		col := &m.Cols[ci]
-		if col.Starts == nil {
-			r[ci] = sqltypes.NewInt(col.Ints[i])
-		} else {
-			r[ci] = sqltypes.NewIntArray(col.Array(i))
-		}
-	}
-	s.Row = r
-	return r
+	return h.bulkLoad(rows, keys)
 }
 
 func (t *Table) keyOf(row sqltypes.Row) (storage.Key, error) {
 	// Single-column keys leave the second component zero, matching
-	// LookupPK's key construction.
+	// LookupPKScratch's key construction.
 	var key storage.Key
 	for i, ci := range t.pkCols {
 		v := row[ci]
@@ -442,41 +237,17 @@ func (t *Table) keyOf(row sqltypes.Row) (storage.Key, error) {
 }
 
 // LookupPK fetches the row with the given primary-key values (one per PK
-// column).
+// column) into buffers of its own, so the caller may keep the row.
 func (t *Table) LookupPK(keyVals []int64) (sqltypes.Row, bool, error) {
-	if len(keyVals) != len(t.pkCols) {
-		return nil, false, fmt.Errorf("sqldb: %s: lookup with %d key values, PK has %d columns",
-			t.def.Name, len(keyVals), len(t.pkCols))
-	}
-	if len(t.pkCols) == 0 {
-		return nil, false, fmt.Errorf("sqldb: %s has no primary key", t.def.Name)
-	}
-	t.lookups.Add(1)
-	var key storage.Key
-	copy(key[:], keyVals)
-	loc, ok, err := t.idx.Get(key)
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	data, err := t.heap.Read(loc)
-	if err != nil {
-		return nil, false, err
-	}
-	row, err := sqltypes.DecodeRow(data)
-	if err != nil {
-		return nil, false, fmt.Errorf("sqldb: %s: %w", t.def.Name, err)
-	}
-	t.db.reg.Exec.RowsScanned.Add(1)
-	return row, true, nil
+	var s exec.RowScratch
+	return t.LookupPKScratch(keyVals, &s)
 }
 
 // LookupPKScratch implements exec.ScratchTable: LookupPK decoding into s's
 // reusable buffers. The returned row is valid until the next call with the
-// same scratch; its array values live in s.Arena, which only ever grows, so
-// they remain valid for the scratch's lifetime.
-//
-// hotpath — allocheck root: every fused point lookup funnels through here;
-// all three tiers (vcache, segment, heap) must stay allocation-free.
+// same scratch; its array values live in s.Arena (which only ever grows) or
+// alias immutable cached vectors, so they remain valid for the scratch's
+// lifetime.
 func (t *Table) LookupPKScratch(keyVals []int64, s *exec.RowScratch) (sqltypes.Row, bool, error) {
 	if len(keyVals) != len(t.pkCols) {
 		return nil, false, fmt.Errorf("sqldb: %s: lookup with %d key values, PK has %d columns",
@@ -488,218 +259,24 @@ func (t *Table) LookupPKScratch(keyVals []int64, s *exec.RowScratch) (sqltypes.R
 	t.lookups.Add(1)
 	var key storage.Key
 	copy(key[:], keyVals)
-	if t.vcE != nil {
-		// Vector-cache tier: binary search the resident key directory and
-		// serve slice views of the decoded columns — no pool, no payload
-		// copy, no varint decode. Falls through to the segment tier when the
-		// cache declines the table.
-		m, err := t.vcacheMat()
-		if err != nil {
-			return nil, false, err
-		}
-		if m != nil {
-			i, ok := m.Find(key)
-			if !ok {
-				return nil, false, nil
-			}
-			row := t.vcacheRow(m, i, s)
-			t.db.reg.Exec.RowsScanned.Add(1)
-			return row, true, nil
-		}
-	}
-	if t.seg != nil {
-		// Segment path: binary search the in-memory directory, copy the
-		// payload's pages, decode tag-free. No header, B+tree or slotted-page
-		// traffic — cold I/O is exactly the payload's pages.
-		i, ok := t.seg.Find(key)
-		if !ok {
-			return nil, false, nil
-		}
-		data, err := t.seg.ReadRow(i, s.Buf)
-		if err != nil {
-			return nil, false, err
-		}
-		s.Buf = data
-		row, arena, err := sqltypes.DecodeSegRowInto(data, t.segTypes, s.Row, s.Arena)
-		if err != nil {
-			return nil, false, fmt.Errorf("sqldb: %s: %w", t.def.Name, err)
-		}
-		s.Row, s.Arena = row, arena
-		t.db.reg.Segment.Hits.Add(1)
-		t.db.reg.Segment.ColumnsDecoded.Add(uint64(len(t.segTypes)))
-		t.db.reg.Segment.BytesRead.Add(uint64(len(data)))
-		t.db.reg.Exec.RowsScanned.Add(1)
-		return row, true, nil
-	}
-	loc, ok, err := t.idx.Get(key)
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	data, err := t.heap.ReadInto(loc, s.Buf)
-	if err != nil {
-		return nil, false, err
-	}
-	s.Buf = data
-	row, arena, err := sqltypes.DecodeRowInto(data, s.Row, s.Arena)
-	if err != nil {
-		return nil, false, fmt.Errorf("sqldb: %s: %w", t.def.Name, err)
-	}
-	s.Row, s.Arena = row, arena
-	t.db.reg.Exec.RowsScanned.Add(1)
-	return row, true, nil
+	return t.form.lookup(key, s)
+}
+
+// Scan calls fn for every row: in key order for tables with a primary key,
+// in insertion order for keyless ones. Every row gets buffers of its own, so
+// fn may keep it (the general executor does).
+func (t *Table) Scan(fn func(sqltypes.Row) error) error {
+	var s exec.RowScratch
+	return t.ScanScratch(&s, func(row sqltypes.Row) error {
+		s = exec.RowScratch{}
+		return fn(row)
+	})
 }
 
 // ScanScratch implements exec.ScratchTable: Scan reusing s's buffers —
 // including the arena — for every row, so the callback must not retain the
 // row or any of its array values.
-//
-// hotpath — allocheck root: fused full-table scans (target sets, condensed
-// probes) iterate here; the per-row loop must stay allocation-free.
 func (t *Table) ScanScratch(s *exec.RowScratch, fn func(sqltypes.Row) error) error {
 	t.scans.Add(1)
-	if len(t.pkCols) == 0 {
-		// hotpath:cold — keyless tables never back a fused query; the heap
-		// walk may build its callback closure.
-		return t.heap.Scan(func(_ storage.Locator, data []byte) error {
-			row, err := t.decodeHeapRow(data, s)
-			if err != nil {
-				return err
-			}
-			// Per-row atomic add: t is captured read-only, so the counter
-			// costs no allocation even though this callback escapes.
-			t.db.reg.Exec.RowsScanned.Add(1)
-			return fn(row)
-		})
-	}
-	if t.vcE != nil {
-		// Vector-cache tier: iterate the resident vectors in key order,
-		// assembling each row as uncopied views.
-		m, err := t.vcacheMat()
-		if err != nil {
-			return err
-		}
-		if m != nil {
-			n := len(m.Keys)
-			for i := 0; i < n; i++ {
-				if err := fn(t.vcacheRow(m, i, s)); err != nil {
-					return err
-				}
-			}
-			t.db.reg.Exec.RowsScanned.Add(uint64(n))
-			return nil
-		}
-	}
-	if t.seg != nil {
-		// Segment path: the directory is already in key order, so iterating
-		// it reproduces the cursor walk without touching the B+tree. Counters
-		// accumulate locally and publish once at the end.
-		rows, bytesRead := uint64(0), uint64(0)
-		n := t.seg.NumRows()
-		for i := 0; i < n; i++ {
-			data, err := t.seg.ReadRow(i, s.Buf)
-			if err != nil {
-				return err
-			}
-			s.Buf = data
-			row, arena, err := sqltypes.DecodeSegRowInto(data, t.segTypes, s.Row, s.Arena[:0])
-			if err != nil {
-				return fmt.Errorf("sqldb: %s: %w", t.def.Name, err)
-			}
-			s.Row, s.Arena = row, arena
-			rows++
-			bytesRead += uint64(len(data))
-			if err := fn(row); err != nil {
-				return err
-			}
-		}
-		t.db.reg.Segment.Hits.Add(rows)
-		t.db.reg.Segment.ColumnsDecoded.Add(rows * uint64(len(t.segTypes)))
-		t.db.reg.Segment.BytesRead.Add(bytesRead)
-		t.db.reg.Exec.RowsScanned.Add(rows)
-		return nil
-	}
-	// hotpath:cold — cursor construction allocates once per scan; the loop
-	// below is the hot part.
-	cur, err := t.idx.SeekFirst()
-	if err != nil {
-		return err
-	}
-	defer cur.Close()
-	// Rows surfaced by the cursor walk, counted locally (no closure, so the
-	// counter stays on the stack) and published once on completion; a scan
-	// abandoned by an error drops its partial count.
-	rows := uint64(0)
-	for cur.Valid() {
-		data, err := t.heap.ReadInto(cur.Locator(), s.Buf)
-		if err != nil {
-			return err
-		}
-		s.Buf = data
-		row, err := t.decodeHeapRow(data, s)
-		if err != nil {
-			return err
-		}
-		rows++
-		if err := fn(row); err != nil {
-			return err
-		}
-		if err := cur.Next(); err != nil {
-			return err
-		}
-	}
-	t.db.reg.Exec.RowsScanned.Add(rows)
-	return nil
-}
-
-// decodeHeapRow decodes one tagged heap row into s's reusable buffers,
-// resetting the arena — scan semantics: each row replaces the last. A method
-// rather than a closure so the scan loop stays allocation-free.
-func (t *Table) decodeHeapRow(data []byte, s *exec.RowScratch) (sqltypes.Row, error) {
-	row, arena, err := sqltypes.DecodeRowInto(data, s.Row, s.Arena[:0])
-	if err != nil {
-		return nil, err
-	}
-	s.Row, s.Arena = row, arena
-	return row, nil
-}
-
-// Scan calls fn for every row. Tables with a primary key iterate in key
-// order via the index; keyless tables scan the heap in insertion order.
-func (t *Table) Scan(fn func(sqltypes.Row) error) error {
-	t.scans.Add(1)
-	if len(t.pkCols) == 0 {
-		return t.heap.Scan(func(_ storage.Locator, data []byte) error {
-			row, err := sqltypes.DecodeRow(data)
-			if err != nil {
-				return err
-			}
-			t.db.reg.Exec.RowsScanned.Add(1)
-			return fn(row)
-		})
-	}
-	cur, err := t.idx.SeekFirst()
-	if err != nil {
-		return err
-	}
-	defer cur.Close()
-	rows := uint64(0)
-	for cur.Valid() {
-		data, err := t.heap.Read(cur.Locator())
-		if err != nil {
-			return err
-		}
-		row, err := sqltypes.DecodeRow(data)
-		if err != nil {
-			return err
-		}
-		rows++
-		if err := fn(row); err != nil {
-			return err
-		}
-		if err := cur.Next(); err != nil {
-			return err
-		}
-	}
-	t.db.reg.Exec.RowsScanned.Add(rows)
-	return nil
+	return t.form.scan(s, fn)
 }

@@ -6,7 +6,7 @@
 // directory and writing value headers that alias the cached columns.
 //
 // The design follows the buffer pool one level up the memory hierarchy
-// (vcache → segment → heap → device):
+// (vcache → segment → device):
 //
 //   - Materialization is singleflight, the same latch protocol as the pool's
 //     coalesced page loads: the first miss builds the table's vectors while
@@ -28,6 +28,7 @@
 package vcache
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -125,7 +126,7 @@ type Entry struct {
 	building chan struct{} // lockcheck:latch level=10 — non-nil while a materialization is in flight
 	size     int64         // bytes charged while resident
 	tooBig   bool          // vectors exceed the whole budget; never retry
-	dropped  bool          // invalidated (segment dropped); never materialize
+	dropped  bool          // table dropped; never materialize
 }
 
 // Register adds a table slot to the cache's clock ring.
@@ -156,8 +157,8 @@ func (e *Entry) Acquire() *Mat {
 // necessary. Concurrent callers coalesce: one runs build (outside the cache
 // lock — build reads the device and decodes every row), the rest wait on the
 // latch and share the result. A nil, nil return means the cache declines to
-// hold this table (invalidated, or too big for the whole budget) and the
-// caller should fall back to the segment path.
+// hold this table (dropped, or too big for the whole budget) and the caller
+// should fall back to the segment path.
 func (e *Entry) Materialize(build func() (*Mat, error)) (*Mat, error) {
 	c := e.cache
 	for {
@@ -198,8 +199,7 @@ func (e *Entry) Materialize(build func() (*Mat, error)) (*Mat, error) {
 			return nil, err
 		}
 		if e.dropped {
-			// Invalidated while building (a point write dropped the
-			// segment): discard the stale vectors.
+			// The table was dropped while building: discard the vectors.
 			c.mu.Unlock()
 			return nil, nil
 		}
@@ -255,17 +255,27 @@ func (c *Cache) evictEntryLocked(e *Entry) {
 	e.size = 0
 }
 
-// Drop invalidates an entry: its vectors are unpublished and it will never
-// materialize again. Tables call it when their segment is dropped (a point
-// write landed), so the cache can never serve stale rows.
+// Drop releases an entry when its table is dropped: the vectors are
+// unpublished, their bytes return to the budget, the slot leaves the clock
+// ring, and a materialization still in flight is discarded on completion.
 func (e *Entry) Drop() {
 	c := e.cache
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	e.dropped = true
 	if e.mat.Load() != nil {
 		c.evictEntryLocked(e)
 	}
-	c.mu.Unlock()
+	if i := slices.Index(c.entries, e); i >= 0 {
+		c.entries = slices.Delete(c.entries, i, i+1)
+		// Keep the hand on the entry it was about to inspect.
+		if c.hand > i {
+			c.hand--
+		}
+		if c.hand >= len(c.entries) {
+			c.hand = 0
+		}
+	}
 }
 
 // DropAll evicts every resident table — the cold-start emulation behind

@@ -245,6 +245,50 @@ func TestDropIsPermanent(t *testing.T) {
 	}
 }
 
+// TestDropLeavesTheRing: a dropped entry gives its bytes back and leaves the
+// clock ring, wherever the hand stands, and eviction keeps working over the
+// survivors — registering and dropping tables forever must not grow the
+// cache.
+func TestDropLeavesTheRing(t *testing.T) {
+	c, met := newCache(300)
+	build := func() (*Mat, error) { return mat(100), nil }
+	keep := c.Register()
+	if _, err := keep.Materialize(build); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 20; round++ {
+		var es []*Entry
+		for i := 0; i < 3; i++ {
+			e := c.Register()
+			if _, err := e.Materialize(build); err != nil {
+				t.Fatal(err)
+			}
+			es = append(es, e)
+		}
+		// Four 100-byte tables against a 300-byte budget: the hand moved.
+		for _, i := range []int{1, 0, 2} {
+			es[i].Drop()
+		}
+		if len(c.entries) != 1 || c.entries[0] != keep || c.hand != 0 {
+			t.Fatalf("round %d: ring = %d entries, hand %d; want the one kept entry, hand 0", round, len(c.entries), c.hand)
+		}
+		if _, err := keep.Materialize(build); err != nil {
+			t.Fatal(err)
+		}
+		if got, gauge := c.Resident(), met.ResidentBytes.Load(); got != 100 || gauge != 100 {
+			t.Fatalf("round %d: resident = %d (gauge %d), want 100", round, got, gauge)
+		}
+	}
+	keep.Drop()
+	if len(c.entries) != 0 || c.Resident() != 0 {
+		t.Fatalf("empty cache holds %d entries, %d bytes", len(c.entries), c.Resident())
+	}
+	e := c.Register()
+	if m, err := e.Materialize(build); err != nil || m == nil {
+		t.Fatalf("Materialize after the ring emptied = %v, %v", m, err)
+	}
+}
+
 // TestDropAllReMaterializes: DropAll (cold-start emulation) evicts every
 // table but leaves the entries registered; the next miss rebuilds.
 func TestDropAllReMaterializes(t *testing.T) {

@@ -65,13 +65,13 @@ type Config struct {
 	// VectorCacheBytes is the process-global resident-vector-cache budget
 	// (default ptldb.DefaultVectorCacheBytes), divided evenly across the
 	// MaxOpenTenants slots so tenants cannot evict each other's vectors.
-	// Base.DisableVectorCache turns the cache off for every tenant.
+	// A negative budget means no cache for any tenant.
 	VectorCacheBytes int64
 	// PoolPages is the process-global buffer-pool budget in 8 KiB pages
 	// (default 131072), divided evenly like VectorCacheBytes.
 	PoolPages int
-	// Base is the per-tenant open configuration (device, segment and fused
-	// toggles, trace hooks). Its PoolPages and VectorCacheBytes are ignored:
+	// Base is the per-tenant open configuration (device, fused toggle, trace
+	// hooks). Its PoolPages and VectorCacheBytes are ignored:
 	// the router overwrites both with the per-tenant shares.
 	Base ptldb.Config
 	// Open opens one tenant database (default ptldb.Open). The lifecycle
@@ -87,7 +87,7 @@ func (c Config) withDefaults() Config {
 	if c.MaxOpenTenants <= 0 {
 		c.MaxOpenTenants = 4
 	}
-	if c.VectorCacheBytes <= 0 {
+	if c.VectorCacheBytes == 0 {
 		c.VectorCacheBytes = ptldb.DefaultVectorCacheBytes
 	}
 	if c.PoolPages <= 0 {
@@ -109,10 +109,10 @@ func (c Config) share() ptldb.Config {
 		cfg.PoolPages = 1
 	}
 	cfg.VectorCacheBytes = c.VectorCacheBytes / int64(c.MaxOpenTenants)
-	if cfg.VectorCacheBytes < 1 {
-		// ptldb treats 0 as "use the default"; pin the share to one byte so a
-		// pathological global budget degrades to an empty cache instead.
-		cfg.VectorCacheBytes = 1
+	if cfg.VectorCacheBytes == 0 {
+		// ptldb treats 0 as "use the default"; a budget too small (or too
+		// negative) to divide means no cache instead.
+		cfg.VectorCacheBytes = -1
 	}
 	return cfg
 }

@@ -126,26 +126,15 @@ type Config struct {
 	// executor. The ptldb-bench -fused=off ablation and the differential
 	// tests use this; it has no effect on query answers.
 	DisableFusedExec bool
-	// DisableSegments turns off the columnar label segments on the read path:
-	// label lookups and scans go back to the B+tree/heap pair. Segment files
-	// are still written during builds — the on-disk image is independent of
-	// this flag — they are simply not opened. The ptldb-bench -segments=off
-	// ablation and the differential tests use this; it has no effect on query
-	// answers.
-	DisableSegments bool
 	// VectorCacheBytes sets the resident vector cache's byte budget: label
 	// segments are decoded once into in-memory column vectors and served to
 	// the fused executor as direct slice views until evicted. 0 selects
-	// DefaultVectorCacheBytes; use DisableVectorCache to turn the cache off.
-	// Sizing guidance: budget one city's label tables (roughly the .seg bytes
-	// on disk) to keep the whole working set resident; smaller budgets evict
-	// whole tables clock-wise. It has no effect on query answers.
+	// DefaultVectorCacheBytes; a negative value means no cache, every read
+	// served from the segments. Sizing guidance: budget one city's label
+	// tables (roughly the .seg bytes on disk) to keep the whole working set
+	// resident; smaller budgets evict whole tables clock-wise. It has no
+	// effect on query answers.
 	VectorCacheBytes int64
-	// DisableVectorCache turns the resident vector cache off; reads are
-	// served from the columnar segments (or the heap, with DisableSegments).
-	// The ptldb-bench -vcache=off ablation and the differential tests use
-	// this; it has no effect on query answers.
-	DisableVectorCache bool
 	// BuildWorkers bounds the preprocessing parallelism (default GOMAXPROCS):
 	// TTL label construction runs rank-batched waves of this width, and the
 	// table loads of Create / AddTargetSet / AddVersion run on a worker pool
@@ -193,12 +182,9 @@ func (c Config) traceHook() func(obs.Trace) {
 // bytes on disk, tens of MiB per city at the benchmark scales).
 const DefaultVectorCacheBytes = 256 << 20
 
-// vcacheBytes resolves the effective vector-cache budget: 0 when disabled,
-// the default when unset.
+// vcacheBytes resolves the effective vector-cache budget: the default when
+// unset; negative (no cache) passes through.
 func (c Config) vcacheBytes() int64 {
-	if c.DisableVectorCache {
-		return 0
-	}
 	if c.VectorCacheBytes == 0 {
 		return DefaultVectorCacheBytes
 	}
@@ -294,7 +280,7 @@ func CreateWithStats(dir string, tt *Network, cfg Config) (*DB, PreprocessStats,
 	start = time.Now()
 	sdb, err := sqldb.Open(dir, sqldb.Options{
 		Device: dev, PoolPages: cfg.PoolPages, DisableFusedExec: cfg.DisableFusedExec,
-		DisableSegments: cfg.DisableSegments, VectorCacheBytes: cfg.vcacheBytes(),
+		VectorCacheBytes: cfg.vcacheBytes(),
 	})
 	if err != nil {
 		return nil, stats, err
@@ -329,7 +315,7 @@ func Open(dir string, cfg Config) (*DB, error) {
 	}
 	sdb, err := sqldb.Open(dir, sqldb.Options{
 		Device: dev, PoolPages: cfg.PoolPages, DisableFusedExec: cfg.DisableFusedExec,
-		DisableSegments: cfg.DisableSegments, VectorCacheBytes: cfg.vcacheBytes(),
+		VectorCacheBytes: cfg.vcacheBytes(),
 	})
 	if err != nil {
 		return nil, err

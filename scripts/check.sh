@@ -25,8 +25,6 @@ echo "== fused allocs/op ratchet (no race detector)"
 go test -run 'TestFusedAllocsBudget' -count=1 .
 echo "== bench smoke (fused executor, 5 iterations)"
 go test -run '^$' -bench 'BenchmarkFusedExec' -benchtime 5x .
-echo "== bench smoke (columnar segments, 5 iterations)"
-go test -run '^$' -bench 'BenchmarkSegments' -benchtime 5x .
 echo "== bench smoke (resident vector cache, 5 iterations)"
 go test -run '^$' -bench 'BenchmarkVCache' -benchtime 5x .
 echo "== bench smoke (parallel build, 1 iteration)"

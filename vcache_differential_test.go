@@ -8,11 +8,11 @@ import (
 )
 
 // vcacheDifferential builds one database from tt and runs the full seeded
-// query battery three ways over the same directory: with the resident vector
-// cache (the default), with the cache disabled (segment tier), and with
-// segments disabled entirely (heap tier). All three answer lists must be
-// identical, and the cache/segment counters prove which tier actually served
-// each handle.
+// query battery two ways over the same directory: with the resident vector
+// cache (the default budget) and without one (a negative budget — every read
+// served from the segments). The answer lists must be identical, and the
+// cache/segment counters prove which tier actually served each handle. The
+// segment-vs-heap form differential lives in internal/sqldb.
 func vcacheDifferential(t *testing.T, tt *Network, targets []StopID) {
 	t.Helper()
 	dir := t.TempDir()
@@ -35,54 +35,41 @@ func vcacheDifferential(t *testing.T, tt *Network, targets []StopID) {
 		t.Fatal(err)
 	}
 
-	sdb, err := Open(dir, Config{Device: "ram", DisableVectorCache: true})
+	sdb, err := Open(dir, Config{Device: "ram", VectorCacheBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer sdb.Close()
 	segmented := fusedBattery(t, sdb, tt)
 	snap := sdb.Snapshot()
-	if snap.VCache != nil && snap.VCache.Hits != 0 {
-		t.Errorf("DisableVectorCache handle hit the cache %d times, want 0", snap.VCache.Hits)
+	if snap.VCache != nil {
+		t.Errorf("negative-budget handle has a vector cache: %+v", snap.VCache)
 	}
 	if snap.Segment.Hits == 0 {
-		t.Error("DisableVectorCache handle served no rows from segments")
-	}
-	if err := sdb.Close(); err != nil {
-		t.Fatal(err)
+		t.Error("negative-budget handle served no rows from segments")
 	}
 
-	hdb, err := Open(dir, Config{Device: "ram", DisableSegments: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hdb.Close()
-	heap := fusedBattery(t, hdb, tt)
-	if hits := hdb.Snapshot().Segment.Hits; hits != 0 {
-		t.Errorf("DisableSegments handle served %d rows from segments, want 0", hits)
-	}
-
-	if len(vectored) != len(segmented) || len(vectored) != len(heap) {
-		t.Fatalf("battery sizes differ: %d vs %d vs %d", len(vectored), len(segmented), len(heap))
+	if len(vectored) != len(segmented) {
+		t.Fatalf("battery sizes differ: %d vs %d", len(vectored), len(segmented))
 	}
 	for i := range vectored {
-		if vectored[i] != segmented[i] || vectored[i] != heap[i] {
-			t.Errorf("answer %d differs:\n  vcache:   %s\n  segments: %s\n  heap:     %s",
-				i, vectored[i], segmented[i], heap[i])
+		if vectored[i] != segmented[i] {
+			t.Errorf("answer %d differs:\n  vcache:   %s\n  segments: %s", i, vectored[i], segmented[i])
 		}
 	}
 }
 
-// TestVCacheMatchesSegmentsAndHeapPaperExample runs the three-way battery on
-// the paper's Figure 1 network, where every answer is checkable by hand.
-func TestVCacheMatchesSegmentsAndHeapPaperExample(t *testing.T) {
+// TestVCacheMatchesSegmentsPaperExample runs the battery on the paper's
+// Figure 1 network, where every answer is checkable by hand.
+func TestVCacheMatchesSegmentsPaperExample(t *testing.T) {
 	tt := timetable.PaperExample()
 	vcacheDifferential(t, tt, []StopID{4, 6})
 }
 
-// TestVCacheMatchesSegmentsAndHeapSyntheticCity runs the three-way battery on
-// a synthetic city large enough that label runs span multiple segment pages
-// and several tables compete for cache residency.
-func TestVCacheMatchesSegmentsAndHeapSyntheticCity(t *testing.T) {
+// TestVCacheMatchesSegmentsSyntheticCity runs the battery on a synthetic city
+// large enough that label runs span multiple segment pages and several
+// tables compete for cache residency.
+func TestVCacheMatchesSegmentsSyntheticCity(t *testing.T) {
 	tt, err := GenerateCity("Austin", 0.01, 7)
 	if err != nil {
 		t.Fatal(err)
