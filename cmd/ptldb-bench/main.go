@@ -1,5 +1,9 @@
 // Command ptldb-bench regenerates the tables and figures of the PTLDB
-// paper's evaluation (Section 4) on synthetic datasets.
+// paper's evaluation (Section 4: Table 7, Figs. 2-8, the storage report) on
+// synthetic datasets, plus the four ablations of the paper's own design
+// arguments (bucket, ordering, layout, engine). System performance of this
+// implementation — latency, throughput, serving, tenants, cold I/O — is
+// measured by the benchmark/ module instead (see benchmark/README.md).
 //
 // Usage:
 //
@@ -19,7 +23,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"time"
 
@@ -29,25 +32,21 @@ import (
 
 func main() {
 	var (
-		scale      = flag.Float64("scale", 0.05, "dataset scale relative to the paper (0 < scale <= 1)")
-		queries    = flag.Int("queries", 200, "queries per experiment (paper: 1000)")
-		cities     = flag.String("cities", "", "comma-separated dataset names (default: all 11)")
-		exps       = flag.String("exp", "all", "comma-separated experiment ids or 'all': "+strings.Join(bench.ExperimentIDs, ","))
-		cache      = flag.String("cache", "", "database cache directory (default: $TMPDIR/ptldb-bench-cache)")
-		seed       = flag.Int64("seed", 1, "workload and generator seed")
-		parallel   = flag.Int("parallel", 1, "goroutines issuing queries concurrently (sim device time is divided by N)")
-		workers    = flag.Int("build-workers", 0, "preprocessing parallelism for database builds (0 = GOMAXPROCS)")
-		fused      = flag.String("fused", "on", "fused label-query execution: on or off (ablation)")
-		vcBytes    = flag.Int64("vcache-bytes", 0, "vector-cache budget in bytes (0 = default, negative = no cache)")
-		svClients  = flag.String("serve-clients", "", "comma-separated client counts for -exp serve (default 1,4,16,64)")
-		svRate     = flag.Float64("serve-rate", 0, "per-client request rate for -exp serve (default 50/s)")
-		svDuration = flag.Duration("serve-duration", 0, "offered-load window per serve cell (default 2s)")
-		svInflight = flag.Int("serve-inflight", 0, "server admission cap for -exp serve (default 64)")
-		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf    = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		out        = flag.String("o", "", "write the report to a file instead of stdout")
-		obsOut     = flag.String("obs-out", "", "write per-code query observability totals (JSON) to this file")
-		quiet      = flag.Bool("q", false, "suppress progress output")
+		scale    = flag.Float64("scale", 0.05, "dataset scale relative to the paper (0 < scale <= 1)")
+		queries  = flag.Int("queries", 200, "queries per experiment (paper: 1000)")
+		cities   = flag.String("cities", "", "comma-separated dataset names (default: all 11)")
+		exps     = flag.String("exp", "all", "comma-separated experiment ids or 'all' (paper Section 4 + four ablations; system performance: benchmark/): "+strings.Join(bench.ExperimentIDs, ","))
+		cache    = flag.String("cache", "", "database cache directory (default: $TMPDIR/ptldb-bench-cache)")
+		seed     = flag.Int64("seed", 1, "workload and generator seed")
+		parallel = flag.Int("parallel", 1, "goroutines issuing queries concurrently (sim device time is divided by N)")
+		workers  = flag.Int("build-workers", 0, "preprocessing parallelism for database builds (0 = GOMAXPROCS)")
+		fused    = flag.String("fused", "on", "fused label-query execution: on or off (ablation)")
+		vcBytes  = flag.Int64("vcache-bytes", 0, "vector-cache budget in bytes (0 = default, negative = no cache)")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit")
+		out      = flag.String("o", "", "write the report to a file instead of stdout")
+		obsOut   = flag.String("obs-out", "", "write per-code query observability totals (JSON) to this file")
+		quiet    = flag.Bool("q", false, "suppress progress output")
 	)
 	flag.Parse()
 
@@ -92,18 +91,6 @@ func main() {
 		fatal(fmt.Errorf("-fused must be on or off, got %q", *fused))
 	}
 	cfg.VCacheBytes = *vcBytes
-	if *svClients != "" {
-		for _, c := range strings.Split(*svClients, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(c))
-			if err != nil || n < 1 {
-				fatal(fmt.Errorf("-serve-clients: bad count %q", c))
-			}
-			cfg.ServeClients = append(cfg.ServeClients, n)
-		}
-	}
-	cfg.ServeRate = *svRate
-	cfg.ServeDuration = *svDuration
-	cfg.ServeMaxInFlight = *svInflight
 	var agg *obs.Aggregator
 	if *obsOut != "" {
 		agg = obs.NewAggregator()

@@ -7,7 +7,7 @@
 //
 //	ptldb-serve -db DIR [-addr 127.0.0.1:8080] [-device ssd]
 //	            [-max-inflight 64] [-timeout 5s] [-drain 10s]
-//	            [-coalesce on|off] [-slow DURATION] [-pool-pages N]
+//	            [-slow DURATION] [-pool-pages N]
 //	ptldb-serve -tenants DIR [-max-open 4] [shared flags as above]
 //
 // With -db, one database is served at the root paths. With -tenants, DIR's
@@ -35,8 +35,9 @@
 // lifecycle counters) and /obs (the cross-tenant rollup).
 //
 // Time parameters accept seconds after midnight or HH:MM:SS. SIGINT/SIGTERM
-// trigger a graceful drain: the listener closes, in-flight requests finish
-// (up to -drain), then the database(s) are closed.
+// trigger a graceful drain: the listener closes, in-flight requests and the
+// executions behind them finish (up to -drain), then the database(s) are
+// closed.
 package main
 
 import (
@@ -68,25 +69,17 @@ func main() {
 		inflight  = flag.Int("max-inflight", 64, "max concurrent query executions before 503")
 		timeout   = flag.Duration("timeout", 5*time.Second, "per-request deadline")
 		drain     = flag.Duration("drain", 10*time.Second, "graceful-shutdown window for in-flight requests")
-		coalesce  = flag.String("coalesce", "on", "query-level request coalescing: on or off")
 		slow      = flag.Duration("slow", 0, "log queries slower than this to stderr (0 = off)")
 	)
 	flag.Parse()
 	if (*dbDir == "") == (*tenantDir == "") {
 		fatal(fmt.Errorf("usage: ptldb-serve {-db DIR | -tenants DIR} [flags] (see source header)"))
 	}
-	if *coalesce != "on" && *coalesce != "off" {
-		fatal(fmt.Errorf("-coalesce must be on or off, got %q", *coalesce))
-	}
 	cfg := ptldb.Config{
 		Device: *device, SlowQueryThreshold: *slow,
 		VectorCacheBytes: *vcBytes, PoolPages: *poolPages,
 	}
-	opts := serve.Options{
-		MaxInFlight:       *inflight,
-		Timeout:           *timeout,
-		DisableCoalescing: *coalesce == "off",
-	}
+	opts := serve.Options{MaxInFlight: *inflight, Timeout: *timeout}
 
 	var (
 		srv     *serve.Server
@@ -122,8 +115,8 @@ func main() {
 		_ = closeDB()
 		fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "ptldb-serve: listening on http://%s (%s, device %s, max-inflight %d, coalesce %s)\n",
-		l.Addr(), what, *device, *inflight, *coalesce)
+	fmt.Fprintf(os.Stderr, "ptldb-serve: listening on http://%s (%s, device %s, max-inflight %d)\n",
+		l.Addr(), what, *device, *inflight)
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(l) }()

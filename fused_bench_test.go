@@ -1,9 +1,10 @@
 package ptldb
 
 // BenchmarkFusedExec measures the fused label-query pipeline against the
-// general tuple-at-a-time executor on the same database directory — the
-// before/after numbers recorded in BENCH_exec.json. Both handles run on the
-// warm RAM device so the delta is pure executor CPU and allocation.
+// general tuple-at-a-time executor on the same database directory. It is the
+// only place the general (reference) executor is timed; everything else about
+// performance is measured by benchmark/. Both handles run on the warm RAM
+// device so the delta is pure executor CPU and allocation.
 
 import "testing"
 

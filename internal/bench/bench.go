@@ -1,6 +1,8 @@
-// Package bench is the experiment harness behind cmd/ptldb-bench and the
-// root-level Go benchmarks: it rebuilds every table and figure of the
-// paper's evaluation (Section 4) on the synthetic datasets.
+// Package bench is the experiment harness behind cmd/ptldb-bench: it
+// rebuilds every table and figure of the paper's evaluation (Section 4) on
+// the synthetic datasets, plus four ablations of the paper's design
+// arguments. System performance of this implementation is measured by the
+// benchmark/ module, not here.
 //
 // Protocol (paper Section 4): for each experiment 1000 random source stops
 // (and goal stops for vertex-to-vertex queries) are drawn; EA and SD start
@@ -62,18 +64,6 @@ type Config struct {
 	// open, so per-query traces survive their internal open/close cycles
 	// (ptldb-bench -obs-out feeds an obs.Aggregator through it).
 	TraceHook func(ptldb.Trace)
-	// ServeClients are the client counts swept by the serve experiment
-	// (default 1, 4, 16, 64).
-	ServeClients []int
-	// ServeRate is each serve-experiment client's fixed arrival rate in
-	// requests per second (default 50; the load is open-loop).
-	ServeRate float64
-	// ServeDuration is how long each serve-experiment cell offers load
-	// (default 2s).
-	ServeDuration time.Duration
-	// ServeMaxInFlight is the server's admission cap in the serve experiment
-	// (default 64).
-	ServeMaxInFlight int
 }
 
 // Defaults fills unset fields: scale 0.05, 200 queries, all cities, a cache
@@ -98,18 +88,6 @@ func (c Config) Defaults() Config {
 	}
 	if c.Parallel == 0 {
 		c.Parallel = 1
-	}
-	if len(c.ServeClients) == 0 {
-		c.ServeClients = []int{1, 4, 16, 64}
-	}
-	if c.ServeRate == 0 {
-		c.ServeRate = 50
-	}
-	if c.ServeDuration == 0 {
-		c.ServeDuration = 2 * time.Second
-	}
-	if c.ServeMaxInFlight == 0 {
-		c.ServeMaxInFlight = 64
 	}
 	return c
 }

@@ -106,8 +106,11 @@ func TestAllExperimentsRun(t *testing.T) {
 			t.Errorf("%s: render lacks title", id)
 		}
 	}
-	if _, err := w.Run("fig99"); err == nil {
-		t.Error("unknown experiment accepted")
+	// Ids outside ExperimentIDs (system-performance experiments belong to
+	// benchmark/) are rejected with the list of valid ones.
+	want := fmt.Sprintf("unknown experiment %q (want one of %v)", "serve", ExperimentIDs)
+	if _, err := w.Run("serve"); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Run(\"serve\") = %v, want an error containing %q", err, want)
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 // ExperimentIDs lists the runnable experiments in paper order.
 var ExperimentIDs = []string{
 	"table7", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
-	"storage", "build", "ablation-bucket", "ablation-ordering",
-	"ablation-layout", "ablation-engine", "vcache", "serve", "tenants",
+	"storage", "ablation-bucket", "ablation-ordering", "ablation-layout",
+	"ablation-engine",
 }
 
 // Run executes one experiment by id.
@@ -35,8 +35,6 @@ func (w *Workspace) Run(id string) (*Table, error) {
 		return w.FigKNN("ssd", "fig8", "optimized EA/LD-kNN queries on SSD, D=0.01, varying k")
 	case "storage":
 		return w.Storage()
-	case "build":
-		return w.Build()
 	case "ablation-bucket":
 		return w.AblationBucket()
 	case "ablation-ordering":
@@ -45,12 +43,6 @@ func (w *Workspace) Run(id string) (*Table, error) {
 		return w.AblationLayout()
 	case "ablation-engine":
 		return w.AblationEngine()
-	case "vcache":
-		return w.Vcache()
-	case "serve":
-		return w.Serve()
-	case "tenants":
-		return w.Tenants()
 	default:
 		return nil, fmt.Errorf("bench: unknown experiment %q (want one of %v)", id, ExperimentIDs)
 	}

@@ -3,8 +3,8 @@ package serve
 // admission.go is the in-flight cap: a buffered-channel semaphore bounding
 // concurrent store executions. Acquisition is non-blocking — a saturated
 // server answers 503 with Retry-After immediately instead of queueing
-// requests unboundedly (the open-loop harness shows why: under overload an
-// unbounded queue turns every latency percentile into the test duration).
+// requests unboundedly (under open-loop overload an unbounded queue turns
+// every latency percentile into the test duration).
 // Coalesced joins ride an existing slot for free; only executions count.
 
 type semaphore struct {

@@ -2,7 +2,7 @@ package serve
 
 // client.go is the typed HTTP client over the JSON API: ptldb-query -url
 // runs every query command through it, the end-to-end tests compare its
-// answers against direct store calls, and the load harness reuses its URL
+// answers against direct store calls, and the benchmark reuses its URL
 // construction. Method signatures mirror the Store interface so CLI code is
 // identical for the local and remote paths.
 

@@ -14,12 +14,14 @@
 //   - request coalescing: identical (endpoint, args) requests in flight
 //     share one execution — the buffer pool's singleflight pattern lifted to
 //     the query layer, which on skewed workloads collapses the hot keys into
-//     a handful of executions (see BENCH_serve.json).
+//     a handful of executions (benchmark/ reports serve.coalesced_ratio and
+//     serve.executions_per_request on its http_tenants_open workload).
 //
 // Lifecycle: Serve accepts until Shutdown, which stops accepting, lets
-// in-flight handlers finish, and returns — the graceful-drain half of
-// cmd/ptldb-serve's SIGTERM handling. Counters live in obs.ServeMetrics and
-// are surfaced by the /obs endpoint next to the store's own registry.
+// in-flight handlers and the executions they started finish, and returns —
+// the graceful-drain half of cmd/ptldb-serve's SIGTERM handling. Counters
+// live in obs.ServeMetrics and are surfaced by the /obs endpoint next to the
+// store's own registry.
 //
 // A server built with NewMulti fronts a tenant.Router instead of one store:
 // the query and system endpoints move under /t/{city}/..., /tenants lists
@@ -36,8 +38,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"strconv"
-	"sync/atomic"
+	"sync"
 	"time"
 
 	"ptldb/internal/core"
@@ -72,9 +73,6 @@ type Options struct {
 	Timeout time.Duration
 	// RetryAfter is the hint attached to 503 responses (default 1s).
 	RetryAfter time.Duration
-	// DisableCoalescing gives every request its own execution (the bench
-	// harness's off-cells). Admission control still applies.
-	DisableCoalescing bool
 }
 
 func (o Options) withDefaults() Options {
@@ -103,9 +101,10 @@ type Server struct {
 	co      *coalescer
 	mux     *http.ServeMux
 	httpSrv *http.Server
-	// uncoalesced numbers the flights of a coalescing-off server so every
-	// request gets a unique key through the one shared dispatch path.
-	uncoalesced atomic.Uint64
+	// runs counts the executions running detached from their handlers
+	// (flights and system-endpoint runs): they outlive a request that
+	// answered 504, so Shutdown waits for them after the HTTP drain.
+	runs sync.WaitGroup
 }
 
 // New builds a server over store.
@@ -136,7 +135,7 @@ func (s *Server) init(opts Options) {
 }
 
 // Metrics exposes the serving counters (the /obs endpoint embeds a snapshot
-// of them; the bench harness reads them in-process).
+// of them; the benchmark reads them in-process).
 func (s *Server) Metrics() *obs.ServeMetrics { return s.metrics }
 
 // ServeHTTP implements http.Handler, so tests can drive the server through
@@ -151,12 +150,27 @@ func (s *Server) Serve(l net.Listener) error {
 	return s.httpSrv.Serve(l)
 }
 
-// Shutdown stops accepting new connections and waits for in-flight handlers
-// to finish, up to ctx's deadline — the graceful-drain protocol. Executions
-// whose every waiter already timed out are not waited for; they finish on
-// their own goroutines and their results are dropped with the process.
+// Shutdown stops accepting new connections, waits for in-flight handlers to
+// finish and then for every execution still running detached from a handler
+// that answered 504 — the graceful-drain protocol. After a nil return no
+// goroutine of the server touches the store or router, so the caller may
+// close them. If ctx expires first Shutdown returns ctx.Err() and executions
+// may still be running.
 func (s *Server) Shutdown(ctx context.Context) error {
-	return s.httpSrv.Shutdown(ctx)
+	if err := s.httpSrv.Shutdown(ctx); err != nil {
+		return err
+	}
+	drained := make(chan struct{})
+	go func() {
+		s.runs.Wait()
+		close(drained)
+	}()
+	select {
+	case <-drained:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // errSaturated is the 503 body text at the admission cap.
@@ -166,11 +180,6 @@ var errSaturated = errors.New("serve: server saturated, retry later")
 // flight's value, or an error paired with the HTTP status it maps to.
 func (s *Server) do(ctx context.Context, key string, run func() (any, error)) (any, int, error) {
 	s.metrics.Requests.Add(1)
-	if s.opts.DisableCoalescing {
-		// A unique suffix gives the request a private flight while keeping
-		// the admission/timeout path identical to the coalescing one.
-		key = key + "#" + strconv.FormatUint(s.uncoalesced.Add(1), 10)
-	}
 	f := s.co.lookup(key)
 	if f != nil {
 		s.metrics.Coalesced.Add(1)
@@ -184,6 +193,7 @@ func (s *Server) do(ctx context.Context, key string, run func() (any, error)) (a
 		if created {
 			s.metrics.Executions.Add(1)
 			s.metrics.InFlight.Add(1)
+			s.runs.Add(1)
 			go s.runFlight(key, f, run)
 		} else {
 			// Another request created the flight between lookup and begin;
@@ -209,6 +219,7 @@ func (s *Server) do(ctx context.Context, key string, run func() (any, error)) (a
 // keeps the result available to joiners even when the originating request
 // times out first.
 func (s *Server) runFlight(key string, f *flight, run func() (any, error)) {
+	defer s.runs.Done()
 	v, err := run()
 	s.co.finish(key, f, v, err)
 	s.metrics.InFlight.Add(-1)
@@ -220,14 +231,16 @@ func (s *Server) runFlight(key string, f *flight, run func() (any, error)) {
 // but no admission or coalescing — these endpoints read catalogs and
 // counters, not store executions, so they must stay answerable on a
 // saturated server. Like a flight, the run keeps going detached after a
-// timeout; its result is dropped.
+// timeout (Shutdown waits for it); its result is dropped.
 func (s *Server) doSystem(ctx context.Context, run func() (any, error)) (any, int, error) {
 	type outcome struct {
 		v   any
 		err error
 	}
 	ch := make(chan outcome, 1)
+	s.runs.Add(1)
 	go func() {
+		defer s.runs.Done()
 		v, err := run()
 		ch <- outcome{v: v, err: err}
 	}()

@@ -145,85 +145,71 @@ func get(t *testing.T, url string) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
+// TestCoalescingSharesOneExecution pins both halves of the coalescing
+// contract: concurrent requests for one key share a single execution, and
+// requests for distinct keys never share.
 func TestCoalescingSharesOneExecution(t *testing.T) {
-	fs := &fakeStore{block: make(chan struct{})}
-	srv := New(fs, Options{})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
 	const n = 8
-	var wg sync.WaitGroup
-	bodies := make([]string, n)
-	codes := make([]int, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			codes[i], bodies[i] = get(t, ts.URL+"/query/ea?from=1&to=2&t=28800")
-		}(i)
-	}
-	// All n requests target one key: exactly one execution starts (and parks
-	// in the fake store), the other n-1 join its flight.
-	m := srv.Metrics()
-	waitFor(t, "n-1 joiners", func() bool {
-		return m.Executions.Load() == 1 && m.Coalesced.Load() == n-1
-	})
-	if got := fs.calls.Load(); got != 1 {
-		t.Fatalf("store saw %d calls with execution in flight, want 1", got)
-	}
-	close(fs.block)
-	wg.Wait()
-	for i := 0; i < n; i++ {
-		if codes[i] != http.StatusOK {
-			t.Errorf("request %d: status %d, body %s", i, codes[i], bodies[i])
-		}
-		if bodies[i] != bodies[0] {
-			t.Errorf("request %d body %q differs from %q", i, bodies[i], bodies[0])
-		}
-	}
-	if got := fs.calls.Load(); got != 1 {
-		t.Errorf("store saw %d calls total, want 1", got)
-	}
-}
+	for _, c := range []struct {
+		name string
+		keys int // distinct request keys among the n requests = executions wanted
+	}{
+		{"identical keys", 1},
+		{"distinct keys", n},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			fs := &fakeStore{block: make(chan struct{})}
+			srv := New(fs, Options{})
+			ts := httptest.NewServer(srv)
+			defer ts.Close()
 
-func TestDisableCoalescingRunsEveryRequest(t *testing.T) {
-	fs := &fakeStore{}
-	srv := New(fs, Options{DisableCoalescing: true})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	const n = 6
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if code, body := get(t, ts.URL+"/query/ea?from=1&to=2&t=28800"); code != http.StatusOK {
-				t.Errorf("status %d, body %s", code, body)
+			var wg sync.WaitGroup
+			bodies := make([]string, n)
+			codes := make([]int, n)
+			for i := 0; i < n; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					codes[i], bodies[i] = get(t, fmt.Sprintf("%s/query/ea?from=%d&to=99&t=28800", ts.URL, i%c.keys))
+				}(i)
 			}
-		}()
-	}
-	wg.Wait()
-	m := srv.Metrics()
-	if m.Executions.Load() != n || m.Coalesced.Load() != 0 {
-		t.Errorf("executions %d coalesced %d, want %d and 0",
-			m.Executions.Load(), m.Coalesced.Load(), n)
+			// One execution per key starts (and parks in the fake store); every
+			// other request joins the flight of its key.
+			m := srv.Metrics()
+			waitFor(t, "every request parked in the store or joined", func() bool {
+				return fs.calls.Load() == int64(c.keys) &&
+					m.Executions.Load() == uint64(c.keys) && m.Coalesced.Load() == uint64(n-c.keys)
+			})
+			close(fs.block)
+			wg.Wait()
+			for i := 0; i < n; i++ {
+				if codes[i] != http.StatusOK {
+					t.Errorf("request %d: status %d, body %s", i, codes[i], bodies[i])
+				}
+				if bodies[i] != bodies[i%c.keys] {
+					t.Errorf("request %d body %q differs from %q", i, bodies[i], bodies[i%c.keys])
+				}
+			}
+			if got := fs.calls.Load(); got != int64(c.keys) {
+				t.Errorf("store saw %d calls total, want %d", got, c.keys)
+			}
+		})
 	}
 }
 
 func TestSaturatedServerAnswers503(t *testing.T) {
 	fs := &fakeStore{block: make(chan struct{})}
-	// Coalescing off so every request needs its own admission slot.
-	srv := New(fs, Options{MaxInFlight: 2, DisableCoalescing: true, RetryAfter: 3 * time.Second})
+	srv := New(fs, Options{MaxInFlight: 2, RetryAfter: 3 * time.Second})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
+	// Distinct keys, so every request needs its own admission slot.
 	results := make(chan int, 2)
 	for i := 0; i < 2; i++ {
-		go func() {
-			code, _ := get(t, ts.URL+"/query/ea?from=1&to=2&t=28800")
+		go func(i int) {
+			code, _ := get(t, fmt.Sprintf("%s/query/ea?from=%d&to=2&t=28800", ts.URL, i+3))
 			results <- code
-		}()
+		}(i)
 	}
 	waitFor(t, "both slots occupied", func() bool { return fs.calls.Load() == 2 })
 
@@ -326,6 +312,58 @@ func TestGracefulDrainWaitsForInFlight(t *testing.T) {
 	}
 }
 
+// TestShutdownWaitsForDetachedExecutions pins the drain contract past the
+// handlers: an execution whose request already answered 504 still runs
+// against the store, so Shutdown must not return (and the caller must not
+// close the store) before it finishes — and must give up with the context's
+// error when it does not finish in time.
+func TestShutdownWaitsForDetachedExecutions(t *testing.T) {
+	for _, path := range []string{"/query/ea?from=1&to=2&t=28800", "/obs"} {
+		t.Run(path, func(t *testing.T) {
+			release := make(chan struct{})
+			fs := &fakeStore{block: release, snapBlock: release}
+			srv := New(fs, Options{Timeout: 30 * time.Millisecond})
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			serveErr := make(chan error, 1)
+			go func() { serveErr <- srv.Serve(l) }()
+
+			if code, body := get(t, "http://"+l.Addr().String()+path); code != http.StatusGatewayTimeout {
+				t.Fatalf("status %d with the store parked, want 504 (body %s)", code, body)
+			}
+
+			short, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+			defer cancel()
+			if err := srv.Shutdown(short); !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("Shutdown with the execution still parked: %v, want deadline exceeded", err)
+			}
+
+			long, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			shutdownDone := make(chan error, 1)
+			go func() { shutdownDone <- srv.Shutdown(long) }()
+			select {
+			case err := <-shutdownDone:
+				t.Fatalf("Shutdown returned (%v) with a detached execution still in the store", err)
+			case <-time.After(50 * time.Millisecond):
+			}
+
+			close(release)
+			if err := <-shutdownDone; err != nil {
+				t.Fatalf("Shutdown after release: %v", err)
+			}
+			if got := srv.Metrics().InFlight.Load(); got != 0 {
+				t.Errorf("in-flight gauge %d after a clean Shutdown, want 0", got)
+			}
+			if err := <-serveErr; !errors.Is(err, http.ErrServerClosed) {
+				t.Fatalf("Serve returned %v, want http.ErrServerClosed", err)
+			}
+		})
+	}
+}
+
 func TestConcurrentClientsSmoke(t *testing.T) {
 	fs := &fakeStore{}
 	srv := New(fs, Options{MaxInFlight: 128})
@@ -421,7 +459,7 @@ func TestErrorStatusMapping(t *testing.T) {
 // RejectedLatency, never in the Latency histogram real executions feed.
 func TestRejectedLatencySplit(t *testing.T) {
 	fs := &fakeStore{block: make(chan struct{})}
-	srv := New(fs, Options{MaxInFlight: 1, DisableCoalescing: true})
+	srv := New(fs, Options{MaxInFlight: 1})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 

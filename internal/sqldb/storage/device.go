@@ -22,20 +22,6 @@ type DeviceModel struct {
 	RandRead time.Duration // random page read (seek + rotation + transfer)
 	SeqRead  time.Duration // sequential page read (transfer only)
 	Write    time.Duration // page write (sequential, write-back)
-
-	// RealLatency, when set, makes every device charge also consume real
-	// wall-clock time (time.Sleep) at the I/O call site. Accounting-only
-	// charges measure cost but cannot show concurrent I/O overlapping;
-	// real-latency devices let concurrency benchmarks observe that the
-	// latch-free read path overlaps misses on different pages.
-	RealLatency bool
-}
-
-// WithRealLatency returns a copy of the model whose charges consume real
-// wall-clock time.
-func (d DeviceModel) WithRealLatency() DeviceModel {
-	d.RealLatency = true
-	return d
 }
 
 // Predefined device models. Figures approximate the paper's hardware: a

@@ -5,7 +5,6 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // PageSize is the unit of I/O, matching PostgreSQL's default block size.
@@ -71,15 +70,6 @@ func (p *PagedFile) Allocate() (PageID, error) {
 	return id, nil
 }
 
-// charge accrues d on the virtual clock and, for real-latency devices,
-// also consumes it in wall-clock time.
-func (p *PagedFile) charge(d time.Duration) {
-	p.clock.Charge(d)
-	if p.dev.RealLatency && d > 0 {
-		time.Sleep(d)
-	}
-}
-
 // ReadPage fills buf (len PageSize) with page id and charges the device
 // model: a sequential read when id follows the previous read, a random read
 // otherwise. The transfer itself runs outside the file lock, so concurrent
@@ -95,9 +85,9 @@ func (p *PagedFile) ReadPage(id PageID, buf []byte) error {
 	p.mu.Unlock()
 	p.reads.Add(1)
 	if seq {
-		p.charge(p.dev.SeqRead)
+		p.clock.Charge(p.dev.SeqRead)
 	} else {
-		p.charge(p.dev.RandRead)
+		p.clock.Charge(p.dev.RandRead)
 	}
 	if _, err := p.f.ReadAt(buf[:PageSize], int64(id)*PageSize); err != nil {
 		return fmt.Errorf("storage: read page %d: %w", id, err)
@@ -114,7 +104,7 @@ func (p *PagedFile) WritePage(id PageID, buf []byte) error {
 		return fmt.Errorf("storage: write past end: page %d of %d", id, p.pages)
 	}
 	p.mu.Unlock()
-	p.charge(p.dev.Write)
+	p.clock.Charge(p.dev.Write)
 	if _, err := p.f.WriteAt(buf[:PageSize], int64(id)*PageSize); err != nil {
 		return fmt.Errorf("storage: write page %d: %w", id, err)
 	}

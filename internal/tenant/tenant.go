@@ -17,8 +17,8 @@
 //   - Budget division: Config.VectorCacheBytes and Config.PoolPages are
 //     global budgets divided evenly across the MaxOpenTenants slots. Every
 //     tenant database gets its own share, so one tenant's cold scan can
-//     evict only its own pages and vectors, never a warm neighbour's — the
-//     isolation property BENCH_tenants.json measures.
+//     evict only its own pages and vectors, never a warm neighbour's (the
+//     benchmark's http_tenants_open workload serves two cities this way).
 //
 // Per-tenant accounting (request counts, latency, open/close events,
 // resident bytes) lives in obs.TenantMetrics structs that outlive the
@@ -175,8 +175,7 @@ func New(dir string, cfg Config) (*Router, error) {
 }
 
 // NewFromDirs builds a router over an explicit city → directory mapping (the
-// bench harness's datasets live in per-city cache directories, not under one
-// parent).
+// benchmark's datasets live in per-city directories, not under one parent).
 func NewFromDirs(dirs map[string]string, cfg Config) (*Router, error) {
 	if len(dirs) == 0 {
 		return nil, fmt.Errorf("tenant: no tenants")

@@ -116,11 +116,6 @@ type Config struct {
 	Ordering string
 	// Seed feeds the "random" ordering.
 	Seed int64
-	// RealLatency makes the simulated device consume real wall-clock time
-	// for every charge instead of only advancing the I/O clock. Concurrency
-	// benchmarks use this to observe device reads overlapping across
-	// goroutines; it has no effect on query answers.
-	RealLatency bool
 	// DisableFusedExec turns off the fused execution path for the label
 	// queries (Codes 1–4), forcing every statement through the general SQL
 	// executor. The ptldb-bench -fused=off ablation and the differential
@@ -192,21 +187,16 @@ func (c Config) vcacheBytes() int64 {
 }
 
 func (c Config) device() (storage.DeviceModel, error) {
-	var dev storage.DeviceModel
 	switch c.Device {
 	case "", "ssd":
-		dev = storage.SSD
+		return storage.SSD, nil
 	case "hdd":
-		dev = storage.HDD
+		return storage.HDD, nil
 	case "ram":
-		dev = storage.RAM
+		return storage.RAM, nil
 	default:
 		return storage.DeviceModel{}, fmt.Errorf("ptldb: unknown device %q (want hdd, ssd or ram)", c.Device)
 	}
-	if c.RealLatency {
-		dev = dev.WithRealLatency()
-	}
-	return dev, nil
 }
 
 // DB is an open PTLDB database.
