@@ -17,7 +17,12 @@ import (
 
 // AblationBucket sweeps the knn/otm bucket width (the paper's Section 3.2.1
 // tuning discussion: smaller buckets mean more rows, larger buckets mean
-// fatter exp columns; one hour was their compromise).
+// fatter exp columns; one hour was their compromise). The condensed tables
+// are stored bucket-first, so the same trade-off shows at the page level: an
+// LD query reads one bucket's run of rows and an EA query a suffix of
+// buckets, and a run's length grows with the width. The pages and seeks
+// columns are exact counts from a second pass with no vector cache and the
+// buffer pool dropped before every query.
 func (w *Workspace) AblationBucket() (*Table, error) {
 	city := w.cfg.Cities[0]
 	tt, err := ptldb.GenerateCity(city, w.cfg.Scale, w.cfg.Seed)
@@ -25,13 +30,15 @@ func (w *Workspace) AblationBucket() (*Table, error) {
 		return nil, err
 	}
 	t := &Table{
-		ID:      "ablation-bucket",
-		Title:   fmt.Sprintf("knn table bucket width sweep on %s (EA-kNN, k=4, D=0.01, HDD)", city),
-		Columns: []string{"bucket", "knn_ea rows", "EA-kNN avg", "LD-kNN avg"},
-		Notes:   []string{"The paper argues one-hour buckets balance row count against exp-column width."},
+		ID:    "ablation-bucket",
+		Title: fmt.Sprintf("knn table bucket width sweep on %s (EA-kNN, k=4, D=0.01, HDD)", city),
+		Columns: []string{"bucket", "knn_ea rows", "EA-kNN avg", "LD-kNN avg",
+			"EA-kNN pages/query", "EA-kNN random reads/query", "LD-kNN pages/query", "LD-kNN random reads/query"},
+		Notes: []string{"The paper argues one-hour buckets balance row count against exp-column width.",
+			"pages and random reads per query: exact device reads of a cold query (pool dropped before each, no vector cache), label pages included."},
 	}
 	for _, width := range []int32{900, 3600, 10800} {
-		dir := filepath.Join(w.cfg.CacheDir, fmt.Sprintf("%s_bucket%d_s%04d", sanitize(city), width, int(w.cfg.Scale*10000)))
+		dir := w.cacheDir(fmt.Sprintf("%s_bucket%d", sanitize(city), width))
 		if _, err := os.Stat(filepath.Join(dir, "catalog.json")); err != nil {
 			db, err := ptldb.Create(dir, tt, ptldb.Config{Device: "ram", BucketSeconds: width})
 			if err != nil {
@@ -73,10 +80,61 @@ func (w *Workspace) AblationBucket() (*Table, error) {
 		if rel, err := db.Store().Raw(fmt.Sprintf("SELECT COUNT(*) FROM knn_ea_%s", set)); err == nil && len(rel.Rows) == 1 {
 			rows = rel.Rows[0][0].String()
 		}
-		t.Rows = append(t.Rows, []string{fmt.Sprintf("%ds", width), rows, ms(ea), ms(ld)})
 		db.Close()
+
+		cold, err := w.coldKNNReads(dir, set, wl)
+		if err != nil {
+			return nil, err
+		}
+		t.Rows = append(t.Rows, []string{fmt.Sprintf("%ds", width), rows, ms(ea), ms(ld),
+			cold[0], cold[1], cold[2], cold[3]})
 	}
 	return t, nil
+}
+
+// coldKNNReads reopens the database in dir with no vector cache on the
+// simulated HDD and returns, formatted, the device pages and random reads per
+// cold EA-kNN query and per cold LD-kNN query of the workload.
+func (w *Workspace) coldKNNReads(dir, set string, wl Workload) (cells [4]string, err error) {
+	db, err := ptldb.Open(dir, ptldb.Config{
+		Device: "hdd", PoolPages: w.cfg.PoolPages, DisableFusedExec: w.cfg.FusedOff, VectorCacheBytes: -1,
+	})
+	if err != nil {
+		return cells, err
+	}
+	defer db.Close()
+	for i, query := range []func(i int) error{
+		func(i int) error { _, err := db.EAKNN(set, wl.Sources[i], wl.Starts[i], 4); return err },
+		func(i int) error { _, err := db.LDKNN(set, wl.Sources[i], wl.Ends[i], 4); return err },
+	} {
+		pages, seeks, err := coldReads(db, w.cfg.Queries, query)
+		if err != nil {
+			return cells, err
+		}
+		cells[2*i], cells[2*i+1] = fmt.Sprintf("%.2f", pages), fmt.Sprintf("%.2f", seeks)
+	}
+	return cells, nil
+}
+
+// coldReads runs fn for queries 0..n-1, dropping db's caches before each, and
+// returns the device pages read and the reads charged as random, per query.
+// The handle must have no vector cache: rebuilding it after every drop would
+// be counted too.
+func coldReads(db *ptldb.DB, n int, fn func(i int) error) (pages, seeks float64, err error) {
+	var totalPages, totalSeeks uint64
+	for i := 0; i < n; i++ {
+		if err := db.DropCaches(); err != nil {
+			return 0, 0, err
+		}
+		before := db.Snapshot().Pool
+		if err := fn(i); err != nil {
+			return 0, 0, err
+		}
+		after := db.Snapshot().Pool
+		totalPages += after.RandReads + after.SeqReads - before.RandReads - before.SeqReads
+		totalSeeks += after.RandReads - before.RandReads
+	}
+	return float64(totalPages) / float64(n), float64(totalSeeks) / float64(n), nil
 }
 
 // AblationOrdering compares TTL label size and preprocessing time across

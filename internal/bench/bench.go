@@ -94,9 +94,11 @@ func (c Config) Defaults() Config {
 
 // datasetFormat versions the cache-dir naming. Bump it whenever the on-disk
 // image changes (v2: segment region checksums; v3: label tables are segments
-// only): a stale cache would otherwise fail to open or skew the storage
-// reports with files the current build no longer writes.
-const datasetFormat = 3
+// only; v4: condensed tables are keyed, hence laid out, bucket-first): a stale
+// cache would otherwise fail to open, skew the storage reports with files the
+// current build no longer writes, or — a v3 image still opens and answers —
+// silently report the old layout's cold read pattern.
+const datasetFormat = 4
 
 // Densities are the paper's target-density values D = |T| / |V|.
 var Densities = []float64{0.001, 0.005, 0.01, 0.05, 0.1}
@@ -167,8 +169,7 @@ func (w *Workspace) Dataset(city string) (*Dataset, error) {
 			prof = p
 		}
 	}
-	dir := filepath.Join(w.cfg.CacheDir,
-		fmt.Sprintf("%s_s%04d_r%d_f%d", sanitize(city), int(w.cfg.Scale*10000), w.cfg.Seed, datasetFormat))
+	dir := w.cacheDir(sanitize(city))
 	ds := &Dataset{Profile: prof, TT: tt, Dir: dir}
 
 	statsPath := filepath.Join(dir, "preproc.json")
@@ -197,6 +198,15 @@ func (w *Workspace) Dataset(city string) (*Dataset, error) {
 	ds.Preproc, ds.built = stats, true
 	w.datasets[city] = ds
 	return ds, nil
+}
+
+// cacheDir names the cached database of one build variant. Everything a built
+// image depends on besides the variant is in the name — scale, seed and
+// on-disk format — so workspaces that differ in any of them never share a
+// directory.
+func (w *Workspace) cacheDir(variant string) string {
+	return filepath.Join(w.cfg.CacheDir,
+		fmt.Sprintf("%s_s%04d_r%d_f%d", variant, int(w.cfg.Scale*10000), w.cfg.Seed, datasetFormat))
 }
 
 func sanitize(s string) string {

@@ -2,6 +2,8 @@ package bench
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -199,5 +201,32 @@ func TestMeasureQueriesParallel(t *testing.T) {
 		return query(i)
 	}); err != boom {
 		t.Errorf("parallel error not propagated: %v", err)
+	}
+}
+
+// TestAblationBucketCacheKeyedBySeedAndFormat: the bucket ablation's cached
+// databases are built from (city, width, scale, seed) in the current on-disk
+// format, so two workspaces that differ in seed build side by side in one
+// cache directory instead of one measuring the other's database — and a
+// directory left by an older format is never picked up.
+func TestAblationBucketCacheKeyedBySeedAndFormat(t *testing.T) {
+	cache := t.TempDir()
+	for _, seed := range []int64{3, 4} {
+		w, err := NewWorkspace(Config{Scale: 0.005, Cities: []string{"Austin"}, Queries: 2, Seed: seed, CacheDir: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Run("ablation-bucket"); err != nil {
+			t.Fatal(err)
+		}
+		for _, width := range []int{900, 3600, 10800} {
+			want := fmt.Sprintf("austin_bucket%d_s0050_r%d_f%d", width, seed, datasetFormat)
+			if _, err := os.Stat(filepath.Join(cache, want, "catalog.json")); err != nil {
+				t.Errorf("seed %d, width %d: no database at %s: %v", seed, width, want, err)
+			}
+		}
+	}
+	if entries, err := os.ReadDir(cache); err != nil || len(entries) != 6 {
+		t.Errorf("cache holds %d directories (%v), want one per (seed, width) = 6", len(entries), err)
 	}
 }

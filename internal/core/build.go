@@ -271,11 +271,14 @@ func arrivalTimes(rs []Result) sqltypes.Value {
 	return sqltypes.NewIntArray(a)
 }
 
-// condensedEADef is the schema of a knn_ea- or otm_ea-layout table.
+// condensedEADef is the schema of a knn_ea- or otm_ea-layout table. The key
+// is bucket-first because a table's rows are stored in key order and one
+// query reads a few adjacent buckets of many hubs: its rows are then one
+// contiguous run of the file (DESIGN.md §10.1).
 func condensedEADef(n string) sqldb.TableDef {
 	return sqldb.TableDef{
 		Name: n,
-		PK:   []string{"hub", "dephour"},
+		PK:   []string{"dephour", "hub"},
 		Columns: []sqldb.ColumnDef{
 			{Name: "hub", Type: sqltypes.Int64},
 			{Name: "dephour", Type: sqltypes.Int64},
@@ -292,7 +295,7 @@ func condensedEADef(n string) sqldb.TableDef {
 // (hub, dephour) whose exp columns expand every target tuple departing the
 // hub within the bucket (ordered by t_d) and whose vs/tas columns hold the
 // top-k per-target earliest arrivals over strictly later buckets
-// (Theorem 3.2.2). Rows come out in ascending (hub, dephour) order.
+// (Theorem 3.2.2). Rows come out in ascending (dephour, hub) order.
 func (s *Store) condensedEARows(hubs []timetable.StopID, byHub map[timetable.StopID][]targetTuple, k int) []sqltypes.Row {
 	var rows []sqltypes.Row
 	// Rows must exist for every bucket a journey can arrive at a hub in,
@@ -306,7 +309,6 @@ func (s *Store) condensedEARows(hubs []timetable.StopID, byHub map[timetable.Sto
 		// into the per-target future bests before emitting the row below it.
 		future := map[timetable.StopID]timetable.Time{}
 		idx := len(ts)
-		start := len(rows)
 		for bucket := hmax; bucket >= hmin; bucket-- {
 			// Tuples departing within this bucket: ts[lo:idx).
 			lo := idx
@@ -331,20 +333,24 @@ func (s *Store) condensedEARows(hubs []timetable.StopID, byHub map[timetable.Sto
 			}
 			idx = lo
 		}
-		// The fold direction emits this hub's buckets hmax→hmin; the bulk
-		// load wants them ascending.
-		for i, j := start, len(rows)-1; i < j; i, j = i+1, j-1 {
-			rows[i], rows[j] = rows[j], rows[i]
-		}
 	}
+	return bucketMajor(rows)
+}
+
+// bucketMajor reorders condensed rows built hub by hub (hubs ascending, each
+// hub's buckets distinct) into ascending (bucket, hub) key order.
+func bucketMajor(rows []sqltypes.Row) []sqltypes.Row {
+	sort.SliceStable(rows, func(i, j int) bool { return rows[i][1].I < rows[j][1].I })
 	return rows
 }
 
-// condensedLDDef is the schema of a knn_ld- or otm_ld-layout table.
+// condensedLDDef is the schema of a knn_ld- or otm_ld-layout table, keyed
+// bucket-first like condensedEADef: an LD query reads one bucket of every hub
+// in the label.
 func condensedLDDef(n string) sqldb.TableDef {
 	return sqldb.TableDef{
 		Name: n,
-		PK:   []string{"hub", "arrhour"},
+		PK:   []string{"arrhour", "hub"},
 		Columns: []sqldb.ColumnDef{
 			{Name: "hub", Type: sqltypes.Int64},
 			{Name: "arrhour", Type: sqltypes.Int64},
@@ -362,7 +368,7 @@ func condensedLDDef(n string) sqldb.TableDef {
 // the bucket (ordered by t_d) and whose vs/tds columns hold the top-k
 // per-target latest departures among tuples arriving at or before the bucket
 // start (paper Section 3.2.1, LD variant). Rows come out in ascending
-// (hub, arrhour) order.
+// (arrhour, hub) order.
 func (s *Store) condensedLDRows(hubs []timetable.StopID, byHub map[timetable.StopID][]targetTuple, k int) []sqltypes.Row {
 	var rows []sqltypes.Row
 	hmax := s.hour(s.vm().MaxTime)
@@ -426,7 +432,7 @@ func (s *Store) condensedLDRows(hubs []timetable.StopID, byHub map[timetable.Sto
 			})
 		}
 	}
-	return rows
+	return bucketMajor(rows)
 }
 
 func topKEA(best map[timetable.StopID]timetable.Time, k int) []Result {

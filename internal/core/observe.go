@@ -27,20 +27,44 @@ import (
 // installing a hook afterwards only affects the receiver.
 func (s *Store) SetTraceHook(fn func(obs.Trace)) { s.traceHook = fn }
 
+// ioMark is the registry's device and cache counters at the start of a traced
+// query; since fills a trace with their movement.
+type ioMark struct {
+	misses, randReads, seqReads, vhits uint64
+}
+
+func markIO(reg *obs.Registry) ioMark {
+	m := ioMark{
+		misses:    reg.Pool.Misses.Load(),
+		randReads: reg.Pool.RandReads.Load(),
+		seqReads:  reg.Pool.SeqReads.Load(),
+	}
+	if reg.VCache != nil {
+		m.vhits = reg.VCache.Hits.Load()
+	}
+	return m
+}
+
+func (m ioMark) since(reg *obs.Registry, tr *obs.Trace) {
+	tr.PagesRead = reg.Pool.Misses.Load() - m.misses
+	tr.RandReads = reg.Pool.RandReads.Load() - m.randReads
+	tr.SeqReads = reg.Pool.SeqReads.Load() - m.seqReads
+	if reg.VCache != nil {
+		tr.VCacheHits = reg.VCache.Hits.Load() - m.vhits
+	}
+}
+
 // observe runs st and feeds the registry: the Code's call count and latency
 // histogram always, and — only when a trace hook is installed — one
-// obs.Trace carrying the execution path and the buffer-pool miss delta
-// (pages fetched from disk on behalf of this query; concurrent queries on
-// the same DB inflate it, which is fine for the single-stream serving loops
-// it is meant for).
+// obs.Trace carrying the execution path and the device-read deltas (pages
+// fetched from disk on behalf of this query, split into seeks and sequential
+// reads; concurrent queries on the same DB inflate them, which is fine for
+// the single-stream serving loops it is meant for).
 func (s *Store) observe(code obs.Code, st *sqldb.Stmt, params ...sqltypes.Value) (*exec.Relation, error) {
 	reg := s.DB.Registry()
-	var missesBefore, vhitsBefore uint64
+	var before ioMark
 	if s.traceHook != nil {
-		missesBefore = reg.Pool.Misses.Load()
-		if reg.VCache != nil {
-			vhitsBefore = reg.VCache.Hits.Load()
-		}
+		before = markIO(reg)
 	}
 	start := time.Now()
 	rel, info, err := st.QueryInfo(params...)
@@ -53,16 +77,13 @@ func (s *Store) observe(code obs.Code, st *sqldb.Stmt, params ...sqltypes.Value)
 	}
 	if s.traceHook != nil {
 		tr := obs.Trace{
-			Code:      code.String(),
-			Fused:     info.Fused,
-			Bailout:   info.Bailout,
-			Rows:      len(rel.Rows),
-			Wall:      wall,
-			PagesRead: reg.Pool.Misses.Load() - missesBefore,
+			Code:    code.String(),
+			Fused:   info.Fused,
+			Bailout: info.Bailout,
+			Rows:    len(rel.Rows),
+			Wall:    wall,
 		}
-		if reg.VCache != nil {
-			tr.VCacheHits = reg.VCache.Hits.Load() - vhitsBefore
-		}
+		before.since(reg, &tr)
 		s.traceHook(tr)
 	}
 	return rel, nil
@@ -72,12 +93,9 @@ func (s *Store) observe(code obs.Code, st *sqldb.Stmt, params ...sqltypes.Value)
 // path (Raw/RawTraced): same counters under obs.CodeRaw, never fused.
 func (s *Store) observeRaw(run func() (*exec.Relation, error)) (*exec.Relation, error) {
 	reg := s.DB.Registry()
-	var missesBefore, vhitsBefore uint64
+	var before ioMark
 	if s.traceHook != nil {
-		missesBefore = reg.Pool.Misses.Load()
-		if reg.VCache != nil {
-			vhitsBefore = reg.VCache.Hits.Load()
-		}
+		before = markIO(reg)
 	}
 	start := time.Now()
 	rel, err := run()
@@ -89,15 +107,8 @@ func (s *Store) observeRaw(run func() (*exec.Relation, error)) (*exec.Relation, 
 		return nil, err
 	}
 	if s.traceHook != nil {
-		tr := obs.Trace{
-			Code:      obs.CodeRaw.String(),
-			Rows:      len(rel.Rows),
-			Wall:      wall,
-			PagesRead: reg.Pool.Misses.Load() - missesBefore,
-		}
-		if reg.VCache != nil {
-			tr.VCacheHits = reg.VCache.Hits.Load() - vhitsBefore
-		}
+		tr := obs.Trace{Code: obs.CodeRaw.String(), Rows: len(rel.Rows), Wall: wall}
+		before.since(reg, &tr)
 		s.traceHook(tr)
 	}
 	return rel, nil

@@ -369,4 +369,14 @@ func TestSegmentCountersAndTracePages(t *testing.T) {
 	if traces[0].PagesRead == 0 {
 		t.Error("cold traced query reported PagesRead = 0; segment reads missing from the pool delta")
 	}
+	// Every page the query read came through the pool, and each was charged
+	// either as a seek or as a sequential read: the split is exact.
+	if tr := traces[0]; tr.RandReads == 0 || tr.RandReads+tr.SeqReads != tr.PagesRead {
+		t.Errorf("trace splits %d pages into %d random + %d sequential reads", tr.PagesRead, tr.RandReads, tr.SeqReads)
+	}
+	if p := after.Pool; p.RandReads-before.Pool.RandReads != traces[0].RandReads ||
+		p.SeqReads-before.Pool.SeqReads != traces[0].SeqReads {
+		t.Errorf("snapshot read split moved %d + %d, trace says %d + %d",
+			p.RandReads-before.Pool.RandReads, p.SeqReads-before.Pool.SeqReads, traces[0].RandReads, traces[0].SeqReads)
+	}
 }

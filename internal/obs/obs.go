@@ -163,12 +163,18 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 // pool's singleflight accounting (a failed coalesced load is one miss and
 // zero hits); evictions count frames displaced for capacity (DropCaches,
 // being a bulk reset, is not an eviction); write-backs count dirty pages
-// written to the device by eviction or flushing.
+// written to the device by eviction or flushing. RandReads and SeqReads split
+// every device page read of the handle's files by how the device model
+// charged it — a seek, or a transfer following the previously read page of
+// the same file — so RandReads is the exact seek count. Their sum is at least
+// Misses: segment opens and vector materialization read past the pool.
 type PoolMetrics struct {
 	Hits       Counter
 	Misses     Counter
 	Evictions  Counter
 	WriteBacks Counter
+	RandReads  Counter
+	SeqReads   Counter
 }
 
 // PoolSnapshot is a point-in-time copy of PoolMetrics.
@@ -177,6 +183,8 @@ type PoolSnapshot struct {
 	Misses     uint64 `json:"misses"`
 	Evictions  uint64 `json:"evictions"`
 	WriteBacks uint64 `json:"write_backs"`
+	RandReads  uint64 `json:"rand_reads"`
+	SeqReads   uint64 `json:"seq_reads"`
 }
 
 // Snapshot copies the pool counters.
@@ -186,6 +194,8 @@ func (m *PoolMetrics) Snapshot() PoolSnapshot {
 		Misses:     m.Misses.Load(),
 		Evictions:  m.Evictions.Load(),
 		WriteBacks: m.WriteBacks.Load(),
+		RandReads:  m.RandReads.Load(),
+		SeqReads:   m.SeqReads.Load(),
 	}
 }
 
@@ -463,6 +473,11 @@ type Trace struct {
 	// the query ran. Under concurrent queries the attribution is
 	// approximate: the delta includes pages read by overlapping queries.
 	PagesRead uint64 `json:"pages_read"`
+	// RandReads and SeqReads split the device page reads charged while the
+	// query ran into seeks and sequential transfers (same approximate
+	// attribution as PagesRead, plus any read past the pool).
+	RandReads uint64 `json:"rand_reads"`
+	SeqReads  uint64 `json:"seq_reads"`
 	// VCacheHits counts resident-vector-cache hits while the query ran
 	// (same approximate attribution as PagesRead). Zero when the cache is
 	// disabled.
@@ -497,8 +512,8 @@ func (l *SlowQueryLogger) Observe(tr Trace) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	// Best-effort log sink: a failed slow-query line must not fail the query.
-	_, _ = fmt.Fprintf(l.w, "slow query: code=%s path=%s wall=%v rows=%d pages=%d\n",
-		tr.Code, path, tr.Wall, tr.Rows, tr.PagesRead)
+	_, _ = fmt.Fprintf(l.w, "slow query: code=%s path=%s wall=%v rows=%d pages=%d rand_reads=%d seq_reads=%d\n",
+		tr.Code, path, tr.Wall, tr.Rows, tr.PagesRead, tr.RandReads, tr.SeqReads)
 }
 
 // Aggregator folds traces into per-code totals; ptldb-bench -obs-out uses
@@ -516,6 +531,8 @@ type TraceTotals struct {
 	Bailouts   uint64        `json:"bailouts,omitempty"`
 	Rows       uint64        `json:"rows"`
 	PagesRead  uint64        `json:"pages_read"`
+	RandReads  uint64        `json:"rand_reads"`
+	SeqReads   uint64        `json:"seq_reads"`
 	VCacheHits uint64        `json:"vcache_hits,omitempty"`
 	WallTotal  time.Duration `json:"wall_total_ns"`
 	WallMax    time.Duration `json:"wall_max_ns"`
@@ -544,6 +561,8 @@ func (a *Aggregator) Observe(tr Trace) {
 	}
 	t.Rows += uint64(tr.Rows)
 	t.PagesRead += tr.PagesRead
+	t.RandReads += tr.RandReads
+	t.SeqReads += tr.SeqReads
 	t.VCacheHits += tr.VCacheHits
 	t.WallTotal += tr.Wall
 	if tr.Wall > t.WallMax {

@@ -150,9 +150,9 @@ func TestSlowQueryLogger(t *testing.T) {
 	if buf.Len() != 0 {
 		t.Fatalf("fast query logged: %q", buf.String())
 	}
-	l.Observe(Trace{Code: "knn-ea", Fused: true, Wall: 25 * time.Millisecond, Rows: 4, PagesRead: 7})
+	l.Observe(Trace{Code: "knn-ea", Fused: true, Wall: 25 * time.Millisecond, Rows: 4, PagesRead: 7, RandReads: 2, SeqReads: 5})
 	line := buf.String()
-	for _, frag := range []string{"code=knn-ea", "path=fused", "wall=25ms", "rows=4", "pages=7"} {
+	for _, frag := range []string{"code=knn-ea", "path=fused", "wall=25ms", "rows=4", "pages=7", "rand_reads=2", "seq_reads=5"} {
 		if !strings.Contains(line, frag) {
 			t.Errorf("slow line %q lacks %q", line, frag)
 		}
@@ -178,7 +178,7 @@ func TestAggregator(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				a.Observe(Trace{Code: "v2v-ea", Fused: true, Rows: 1,
-					Wall: time.Duration(g+1) * time.Millisecond, PagesRead: 2})
+					Wall: time.Duration(g+1) * time.Millisecond, PagesRead: 2, RandReads: 1, SeqReads: 1})
 			}
 		}(g)
 	}
@@ -186,7 +186,8 @@ func TestAggregator(t *testing.T) {
 	a.Observe(Trace{Code: "raw", Bailout: true, Wall: time.Second})
 	tot := a.Totals()
 	ea := tot["v2v-ea"]
-	if ea.Count != 400 || ea.Fused != 400 || ea.Rows != 400 || ea.PagesRead != 800 {
+	if ea.Count != 400 || ea.Fused != 400 || ea.Rows != 400 || ea.PagesRead != 800 ||
+		ea.RandReads != 400 || ea.SeqReads != 400 {
 		t.Fatalf("v2v-ea totals = %+v", ea)
 	}
 	if ea.WallMax != 4*time.Millisecond {

@@ -272,10 +272,11 @@ func (p *FusedPlan) runKNNNaive(cat Catalog, params []sqltypes.Value, st *queryS
 	if err != nil {
 		return nil, err
 	}
-	tb, ix, err := p.tables[1].resolve(cat)
+	lay, err := p.tables[1].resolve(cat)
 	if err != nil {
 		return nil, err
 	}
+	tb, ix := lay.tb, &lay.idx
 	// The label is reduced to its per-hub groups before the scan starts, so
 	// the scan may recycle the scratch that decoded it. The callbacks escape
 	// through the ScratchTable interface; they count folds in st.merged, which
@@ -437,7 +438,7 @@ func (p *FusedPlan) runCondensed(cat Catalog, params []sqltypes.Value, st *query
 	if err != nil {
 		return nil, err
 	}
-	tb, ix, err := p.tables[1].resolve(cat)
+	aux, err := p.tables[1].resolve(cat)
 	if err != nil {
 		return nil, err
 	}
@@ -445,27 +446,33 @@ func (p *FusedPlan) runCondensed(cat Catalog, params []sqltypes.Value, st *query
 	// Walk the label once, keeping per (hub, bucket) key only what dominates:
 	// EA probes FLOOR(ta/width) per tuple departing >= t, LD the one bucket
 	// FLOOR(t/width) per hub. Every condensed row is then fetched and folded
-	// exactly once, in the order its key first appeared in the label.
+	// exactly once, in the table's key order — the order its rows are stored
+	// in. The fold order is free: the accumulator keeps a MIN or MAX per
+	// target and topK is a total order.
 	if f.ea {
 		st.groupEA(lab, t, f.width)
 	} else {
 		st.groupLD(lab, floorDiv(t, f.width))
 	}
+	st.orderGroups(aux.keySwapped)
 	var arms condArms
-	for gi := range st.groups {
+	for _, gi := range st.order {
 		g := &st.groups[gi]
 		// The label is fully reduced and each row is consumed before the next
 		// fetch, so the arena holds one row at a time.
 		st.scratch.Arena = st.scratch.Arena[:0]
 		st.key = [2]int64{g.hub, g.bucket}
-		row, found, err := lookupPKScratch(tb, st.key[:], &st.scratch)
+		if aux.keySwapped {
+			st.key = [2]int64{g.bucket, g.hub}
+		}
+		row, found, err := lookupPKScratch(aux.tb, st.key[:], &st.scratch)
 		if err != nil {
 			return nil, err
 		}
 		if !found {
 			continue
 		}
-		if err := arms.load(row, ix, k, limited); err != nil {
+		if err := arms.load(row, &aux.idx, k, limited); err != nil {
 			return nil, err
 		}
 		if f.ea {

@@ -2,17 +2,21 @@ package exec
 
 // fused_kernel_test.go tests the hash-free condensed kernel on the shapes
 // real label data never produces: unsorted labels (every group lookup takes
-// the probe), many label tuples per (hub, bucket), negative timestamps
-// through floorDiv, k beyond an arm's length, empty labels and query stops
-// that are themselves targets — always against the general executor — plus
-// the flat index and top-k selection on their own, and one plan shared by
-// many goroutines.
+// the probe, and the probe order needs a comparison sort), many label tuples
+// per (hub, bucket), negative timestamps through floorDiv, a timestamp so far
+// out that its bucket is not worth counting to, k beyond an arm's length,
+// empty labels and query stops that are themselves targets — against
+// condensed tables keyed (hub, bucket) and (bucket, hub), always compared with
+// the general executor and always probing in ascending key order — plus the
+// flat index and top-k selection on their own, and one plan shared by many
+// goroutines.
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -82,10 +86,13 @@ func TestTopKMatchesSortAndTruncate(t *testing.T) {
 // awkwardCatalog builds a label table for stops 1..6 and one condensed table
 // per direction whose targets are those same stops. Timestamps span
 // [-300, 280) so that, at width 50, buckets run from -6 to 5; dense labels
-// put ~15 tuples on each of four hubs, i.e. several per (hub, bucket).
+// put ~15 tuples on each of four hubs, i.e. several per (hub, bucket), and
+// give stop 6 one departure a billion seconds out (bucket 20 000 000). The
+// condensed tables are keyed (bucket, hub) when bucketFirst, else (hub,
+// bucket).
 const awkwardWidth = 50
 
-func awkwardCatalog(rng *rand.Rand, sorted, dense bool) memCatalog {
+func awkwardCatalog(rng *rand.Rand, sorted, dense, bucketFirst bool) memCatalog {
 	maxEntries := 8
 	if dense {
 		maxEntries = 60
@@ -99,6 +106,10 @@ func awkwardCatalog(rng *rand.Rand, sorted, dense bool) memCatalog {
 			}
 		}
 	}
+	if dense {
+		far := lout.rows[5] // hub 3 is the largest, so a sorted label stays sorted
+		far[1].A, far[2].A, far[3].A = append(far[1].A, 3), append(far[2].A, 1e9), append(far[3].A, 1e9+5)
+	}
 	lout.rows[2][1] = sqltypes.NewIntArray(nil) // stop 3: present but empty
 	lout.rows[2][2] = sqltypes.NewIntArray(nil)
 	lout.rows[2][3] = sqltypes.NewIntArray(nil)
@@ -107,6 +118,9 @@ func awkwardCatalog(rng *rand.Rand, sorted, dense bool) memCatalog {
 		tbl := &memTable{
 			cols: []string{"hub", bucketCol, "vs", top, "tds_exp", "vs_exp", "tas_exp"},
 			pk:   []int{0, 1},
+		}
+		if bucketFirst {
+			tbl.pk = []int{1, 0}
 		}
 		arr := func(n int, gen func() int64) sqltypes.Value {
 			a := make([]int64, n)
@@ -143,6 +157,33 @@ func awkwardCatalog(rng *rand.Rand, sorted, dense bool) memCatalog {
 	}
 }
 
+// keyLogCatalog is a memCatalog that records, in order, the key of every
+// two-column point lookup made through it.
+type keyLogCatalog struct {
+	memCatalog
+	keys *[][2]int64
+}
+
+func (c keyLogCatalog) Table(name string) (Table, bool) {
+	t, ok := c.memCatalog[strings.ToLower(name)]
+	if !ok {
+		return nil, false
+	}
+	return keyLogTable{t, c.keys}, true
+}
+
+type keyLogTable struct {
+	*memTable
+	keys *[][2]int64
+}
+
+func (t keyLogTable) LookupPK(key []int64) (sqltypes.Row, bool, error) {
+	if len(key) == 2 {
+		*t.keys = append(*t.keys, [2]int64{key[0], key[1]})
+	}
+	return t.memTable.LookupPK(key)
+}
+
 func TestFusedCondensedAwkwardShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	const width = awkwardWidth
@@ -156,10 +197,13 @@ func TestFusedCondensedAwkwardShapes(t *testing.T) {
 		{fmt.Sprintf(tmplOTMEA, "aux_ea", width, "lout"), false, "cond-otm-ea"},
 		{fmt.Sprintf(tmplOTMLD, "aux_ld", width, "lout"), false, "cond-otm-ld"},
 	}
-	for trial := 0; trial < 24; trial++ {
-		cat := awkwardCatalog(rng, trial%2 == 0, trial%4 < 2)
+	for trial := 0; trial < 32; trial++ {
+		cat := awkwardCatalog(rng, trial%2 == 0, trial%4 < 2, trial%8 < 4)
+		var probed [][2]int64
+		logged := keyLogCatalog{cat, &probed}
 		for _, qq := range queries {
-			if fp := Fuse(mustParse(t, qq.q)); fp == nil || fp.Kind() != qq.kind {
+			fp := Fuse(mustParse(t, qq.q))
+			if fp == nil || fp.Kind() != qq.kind {
 				t.Fatalf("%s did not fuse", qq.kind)
 			}
 			for rep := 0; rep < 6; rep++ {
@@ -173,6 +217,20 @@ func TestFusedCondensedAwkwardShapes(t *testing.T) {
 					params = append(params, sqltypes.NewInt(int64(1+rng.Intn(9))))
 				}
 				diffRun(t, cat, qq.q, params)
+				// Keys reach the table in its own key order, so whatever that
+				// order is, a sweep of the table is a strictly ascending list.
+				probed = probed[:0]
+				if _, err := fp.Run(logged, params); err != nil {
+					t.Fatal(err)
+				}
+				if !slices.IsSortedFunc(probed, func(a, b [2]int64) int {
+					if a == b {
+						return -1 // a repeated probe is out of order too
+					}
+					return slices.Compare(a[:], b[:])
+				}) {
+					t.Fatalf("trial %d %s %v: probes not in ascending key order: %v", trial, qq.kind, params, probed)
+				}
 			}
 		}
 	}
@@ -186,7 +244,7 @@ func TestFusedCondensedAwkwardShapes(t *testing.T) {
 func TestFusedPlanSharedAcrossGoroutines(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	const width, workers, perWorker = awkwardWidth, 8, 60
-	cat := scratchCatalog{awkwardCatalog(rng, true, true)}
+	cat := scratchCatalog{awkwardCatalog(rng, true, true, true)}
 	cat.inner["naive"] = randNaiveTable(rng)
 	for _, q := range []string{
 		fmt.Sprintf(tmplKNNEA, "aux_ea", width, "lout"),

@@ -35,14 +35,14 @@ const (
 )
 
 // tableRef names one base table a fused plan reads, the columns it needs from
-// it, and how many of the leading ones must be exactly the primary key. The
-// resolved column positions are cached per table identity, so a query pays
-// one catalog lookup and one pointer compare instead of a name scan per
-// column.
+// it, and how many of the leading ones must be exactly the primary key — a
+// two-column key in either order. The resolved column positions are cached
+// per table identity, so a query pays one catalog lookup and one pointer
+// compare instead of a name scan per column.
 type tableRef struct {
 	name string
 	cols []string
-	pk   int // leading cols that must equal the table's PK columns; 0 = unchecked
+	pk   int // leading cols that must be the table's PK columns; 0 = unchecked
 	lay  atomic.Pointer[tableLayout]
 }
 
@@ -52,19 +52,25 @@ type tableRef struct {
 type tableLayout struct {
 	tb  Table
 	idx [maxFusedCols]int
+	// keySwapped reports a two-column key declared second tableRef column
+	// first — (bucket, hub) for a condensed table. The table's rows, and so
+	// its pages, follow that order; lookup keys are built and probes issued in
+	// it.
+	keySwapped bool
 }
 
-// resolve returns the table and the positions of r.cols in it, or ErrNotFused
-// when the table is missing, lacks a column or has a different key shape.
+// resolve returns the table with the positions of r.cols in it, or
+// ErrNotFused when the table is missing, lacks a column or has a different
+// key shape.
 //
 // hotpath — allocheck root: runs once per table per fused query.
-func (r *tableRef) resolve(cat Catalog) (Table, *[maxFusedCols]int, error) {
+func (r *tableRef) resolve(cat Catalog) (*tableLayout, error) {
 	tb, ok := cat.Table(r.name)
 	if !ok {
-		return nil, nil, ErrNotFused
+		return nil, ErrNotFused
 	}
 	if l := r.lay.Load(); l != nil && l.tb == tb {
-		return tb, &l.idx, nil
+		return l, nil
 	}
 	return r.resolveSlow(tb)
 }
@@ -73,7 +79,7 @@ func (r *tableRef) resolve(cat Catalog) (Table, *[maxFusedCols]int, error) {
 // mismatch is not cached: it bails every time, exactly like the scan did.
 //
 // hotpath:cold — first query of a plan against a table.
-func (r *tableRef) resolveSlow(tb Table) (Table, *[maxFusedCols]int, error) {
+func (r *tableRef) resolveSlow(tb Table) (*tableLayout, error) {
 	l := &tableLayout{tb: tb}
 	cols := tb.Columns()
 	for i, name := range r.cols {
@@ -85,22 +91,23 @@ func (r *tableRef) resolveSlow(tb Table) (Table, *[maxFusedCols]int, error) {
 			}
 		}
 		if l.idx[i] < 0 {
-			return nil, nil, ErrNotFused
+			return nil, ErrNotFused
 		}
 	}
 	if r.pk > 0 {
 		pk := tb.PKCols()
-		if len(pk) != r.pk {
-			return nil, nil, ErrNotFused
-		}
-		for i := range pk {
-			if pk[i] != l.idx[i] {
-				return nil, nil, ErrNotFused
-			}
+		switch {
+		case len(pk) != r.pk:
+			return nil, ErrNotFused
+		case slices.Equal(pk, l.idx[:r.pk]):
+		case r.pk == 2 && pk[0] == l.idx[1] && pk[1] == l.idx[0]:
+			l.keySwapped = true
+		default:
+			return nil, ErrNotFused
 		}
 	}
 	r.lay.Store(l)
-	return tb, &l.idx, nil
+	return l, nil
 }
 
 // label is one stop's hub label as three parallel typed columns.
@@ -116,12 +123,13 @@ type label struct {
 // hotpath — allocheck root: the per-query label fetch shared by every fused
 // code; it must not allocate beyond the scratch it is handed.
 func (r *tableRef) label(cat Catalog, v int64, st *queryState) (label, error) {
-	tb, ix, err := r.resolve(cat)
+	lay, err := r.resolve(cat)
 	if err != nil {
 		return label{}, err
 	}
+	ix := &lay.idx
 	st.key[0] = v
-	row, found, err := lookupPKScratch(tb, st.key[:1], &st.scratch)
+	row, found, err := lookupPKScratch(lay.tb, st.key[:1], &st.scratch)
 	if err != nil {
 		return label{}, err
 	}
@@ -378,8 +386,12 @@ type queryState struct {
 	suffix  []int64  // v2v: suffix minimum over one in-side hub run
 
 	gidx   flatIndex  // (hub, bucket) -> position in groups
-	groups []hubGroup // first-touch order: the aux lookup order
+	groups []hubGroup // first-touch order
 	last   int32      // group of the previous label tuple, -1 before the first
+
+	// Condensed only: positions of groups ascending in the aux table's key
+	// order — the aux lookup order — and the per-bucket counts that build it.
+	order, bucketCnt []int32
 
 	// LD only: per group, the tuples' arrivals ascending and the running
 	// maximum of their departures; tupleGroup is the scatter's first pass.
@@ -493,6 +505,93 @@ func (st *queryState) groupLD(lab label, bucket int64) {
 			}
 		}
 	}
+}
+
+// maxCountedBuckets bounds the bucket span orderGroups counts over: 4 096
+// hour-wide buckets are 170 days of timetable, and a pooled count array of
+// that size is 16 KiB.
+const maxCountedBuckets = 1 << 12
+
+// orderGroups fills st.order with the positions of st.groups ascending in the
+// condensed table's key order — (bucket, hub) when bucketFirst, else (hub,
+// bucket). A segment lays its rows out in key order, so probing in that order
+// sweeps the file front to back: each page is read once and a run of adjacent
+// rows is one sequential read. Groups appear in label order, which for a
+// (hub, td)-sorted label is hub-ascending: already key order for a hub-first
+// table, and one stable counting pass over the buckets away from it for a
+// bucket-first one.
+//
+// hotpath — allocheck root: once per condensed query, over its groups.
+func (st *queryState) orderGroups(bucketFirst bool) {
+	n := len(st.groups)
+	if cap(st.order) < n {
+		st.order = make([]int32, n)
+	}
+	order := st.order[:n]
+	st.order = order
+	if n == 0 {
+		return
+	}
+	lo, hi := st.groups[0].bucket, st.groups[0].bucket
+	inOrder, hubAsc := true, true
+	for i := range st.groups {
+		order[i] = int32(i)
+		if i == 0 {
+			continue
+		}
+		a, b := &st.groups[i-1], &st.groups[i]
+		lo, hi = min(lo, b.bucket), max(hi, b.bucket)
+		inOrder = inOrder && a.keyLess(b, bucketFirst)
+		hubAsc = hubAsc && a.hub <= b.hub
+	}
+	if inOrder {
+		return
+	}
+	span := uint64(hi) - uint64(lo) // exact even where hi-lo overflows int64
+	if !bucketFirst || !hubAsc || span >= maxCountedBuckets {
+		// hotpath:cold — an unsorted label, a hub-first table probed by a
+		// label whose arrivals do not ascend with its departures, or
+		// timestamps spread over more buckets than are worth counting.
+		slices.SortFunc(order, func(x, y int32) int {
+			switch a, b := &st.groups[x], &st.groups[y]; {
+			case a.keyLess(b, bucketFirst):
+				return -1
+			case b.keyLess(a, bucketFirst):
+				return 1
+			}
+			return 0
+		})
+		return
+	}
+	// Stable counting sort by bucket: within a bucket the groups keep their
+	// label order, which is hub-ascending.
+	if cap(st.bucketCnt) < int(span)+2 {
+		st.bucketCnt = make([]int32, span+2)
+	}
+	cnt := st.bucketCnt[:span+2]
+	clear(cnt)
+	for i := range st.groups {
+		cnt[uint64(st.groups[i].bucket)-uint64(lo)+1]++
+	}
+	for b := 1; b < len(cnt); b++ {
+		cnt[b] += cnt[b-1]
+	}
+	for i := range st.groups {
+		b := uint64(st.groups[i].bucket) - uint64(lo)
+		order[cnt[b]] = int32(i)
+		cnt[b]++
+	}
+}
+
+// keyLess orders two groups by (bucket, hub) when bucketFirst, else by (hub,
+// bucket).
+//
+// hotpath — allocheck root: per group in orderGroups.
+func (g *hubGroup) keyLess(o *hubGroup, bucketFirst bool) bool {
+	if bucketFirst {
+		return g.bucket < o.bucket || (g.bucket == o.bucket && g.hub < o.hub)
+	}
+	return g.hub < o.hub || (g.hub == o.hub && g.bucket < o.bucket)
 }
 
 // bestDeparture returns the latest departure among g's tuples arriving at the

@@ -28,6 +28,19 @@ func (t *Table) path(suffix string) string {
 	return filepath.Join(t.db.dir, t.def.Name+suffix)
 }
 
+// openFile opens the table's file with the given suffix on the handle's
+// device, clock, pool and read counters.
+func (t *Table) openFile(suffix string) (*storage.PagedFile, error) {
+	db := t.db
+	f, err := storage.OpenPagedFile(t.path(suffix), db.dev, &db.clock)
+	if err != nil {
+		return nil, err
+	}
+	db.pool.Register(f)
+	f.CountReads(&db.reg.Pool.RandReads, &db.reg.Pool.SeqReads)
+	return f, nil
+}
+
 // heapForm is the mutable form: an append-only heap of tagged rows plus a
 // B+tree mapping primary keys to heap locators.
 type heapForm struct {
@@ -39,22 +52,20 @@ type heapForm struct {
 
 func (t *Table) openHeap() (*heapForm, error) {
 	db := t.db
-	heapFile, err := storage.OpenPagedFile(t.path(".heap"), db.dev, &db.clock)
+	heapFile, err := t.openFile(".heap")
 	if err != nil {
 		return nil, err
 	}
-	db.pool.Register(heapFile)
 	heap, err := storage.OpenRowStore(heapFile, db.pool)
 	if err != nil {
 		_ = heapFile.Close() // best-effort cleanup; the open failure wins
 		return nil, err
 	}
-	idxFile, err := storage.OpenPagedFile(t.path(".idx"), db.dev, &db.clock)
+	idxFile, err := t.openFile(".idx")
 	if err != nil {
 		_ = heapFile.Close()
 		return nil, err
 	}
-	db.pool.Register(idxFile)
 	idx, err := storage.OpenBTree(idxFile, db.pool)
 	if err != nil {
 		_ = heapFile.Close()
@@ -254,11 +265,10 @@ func (t *Table) writeSegment(sd storage.SegmentData) (*segForm, error) {
 // openSegment opens and validates the table's segment file — checksums and
 // layout in storage, column layout against the schema here.
 func (t *Table) openSegment() (*segForm, error) {
-	f, err := storage.OpenPagedFile(t.path(".seg"), t.db.dev, &t.db.clock)
+	f, err := t.openFile(".seg")
 	if err != nil {
 		return nil, err
 	}
-	t.db.pool.Register(f)
 	seg, err := storage.OpenSegment(f, t.db.pool)
 	if err != nil {
 		_ = f.Close() // best-effort cleanup; the open failure wins

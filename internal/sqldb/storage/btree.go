@@ -7,9 +7,10 @@ import (
 )
 
 // BTree is a disk-resident B+tree mapping composite integer keys to record
-// locators. It backs every primary-key index in PTLDB: lout/lin use a single
-// column (v), the kNN and one-to-many tables use two (hub, dephour) or
-// (hub, td). Single-column keys fix the second component to zero.
+// locators. It backs the primary-key index of every heap-form table, with the
+// same Key the segments use: lout/lin use a single column (v), the kNN and
+// one-to-many tables use two, (dephour, hub) or (hub, td), in the order the
+// table declares them. Single-column keys fix the second component to zero.
 //
 // Leaves are chained left to right, so lookups support both exact matches
 // and ascending range scans from a seek position — the access path of the

@@ -5,6 +5,8 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
+
+	"ptldb/internal/obs"
 )
 
 // PageSize is the unit of I/O, matching PostgreSQL's default block size.
@@ -26,7 +28,10 @@ type PagedFile struct {
 	clock    *Clock
 	lastRead PageID        // for sequential-access detection
 	reads    atomic.Uint64 // device reads issued (test observability)
-	id       int           // pool key component, assigned by the buffer pool
+	// randReads and seqReads, when set by CountReads, count the reads charged
+	// as a seek and as a sequential transfer.
+	randReads, seqReads *obs.Counter
+	id                  int // pool key component, assigned by the buffer pool
 }
 
 // OpenPagedFile opens (creating if necessary) the file at path. Device
@@ -58,6 +63,11 @@ func (p *PagedFile) NumPages() PageID {
 // Reads returns the number of device page reads issued so far.
 func (p *PagedFile) Reads() uint64 { return p.reads.Load() }
 
+// CountReads makes every later ReadPage add one to rand when it is charged as
+// a random read and to seq when it is charged as a sequential one — the exact
+// seek count behind the simulated clock. Call it before the file is shared.
+func (p *PagedFile) CountReads(rand, seq *obs.Counter) { p.randReads, p.seqReads = rand, seq }
+
 // Allocate extends the file by one zero page and returns its id.
 func (p *PagedFile) Allocate() (PageID, error) {
 	p.mu.Lock()
@@ -86,8 +96,14 @@ func (p *PagedFile) ReadPage(id PageID, buf []byte) error {
 	p.reads.Add(1)
 	if seq {
 		p.clock.Charge(p.dev.SeqRead)
+		if p.seqReads != nil {
+			p.seqReads.Add(1)
+		}
 	} else {
 		p.clock.Charge(p.dev.RandRead)
+		if p.randReads != nil {
+			p.randReads.Add(1)
+		}
 	}
 	if _, err := p.f.ReadAt(buf[:PageSize], int64(id)*PageSize); err != nil {
 		return fmt.Errorf("storage: read page %d: %w", id, err)

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"ptldb/internal/obs"
 )
 
 func newTestFile(t *testing.T, dev DeviceModel, clock *Clock) (*PagedFile, *Pool) {
@@ -63,6 +65,8 @@ func TestDeviceCharging(t *testing.T) {
 		}
 	}
 	clock.Reset()
+	var randReads, seqReads obs.Counter
+	f.CountReads(&randReads, &seqReads)
 	// First read: random. Second read of the next page: sequential.
 	if err := f.ReadPage(0, buf); err != nil {
 		t.Fatal(err)
@@ -84,6 +88,11 @@ func TestDeviceCharging(t *testing.T) {
 	}
 	if got := clock.Elapsed() - before; got != HDD.RandRead {
 		t.Errorf("random re-read charged %v, want %v", got, HDD.RandRead)
+	}
+	// The counters split the reads exactly as the clock was charged.
+	if r, s := randReads.Load(), seqReads.Load(); r != 2 || s != 1 ||
+		clock.Elapsed() != time.Duration(r)*HDD.RandRead+time.Duration(s)*HDD.SeqRead {
+		t.Errorf("counted %d random + %d sequential reads for %v charged, want 2 + 1", r, s, clock.Elapsed())
 	}
 }
 
