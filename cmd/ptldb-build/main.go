@@ -89,6 +89,10 @@ func main() {
 		"ptldb-build: labels: %d tuples (%d/stop) + %d dummies; order %v, build %v, load %v\n",
 		stats.LabelTuples, stats.TuplesPerStop, stats.DummyTuples,
 		stats.OrderTime.Round(1e6), stats.LabelTime.Round(1e6), stats.LoadTime.Round(1e6))
+	ls := stats.Labels
+	fmt.Fprintf(os.Stderr,
+		"ptldb-build: label build: %d searches, %d tentative tuples (%d cross-pruned at commit), %d cover checks searching %d hub runs\n",
+		ls.Searches, ls.TentativeTuples, ls.CrossPruned, ls.CoverChecks, ls.RunsProbed)
 
 	if *targets != "" {
 		rng := rand.New(rand.NewSource(*seed))
@@ -129,7 +133,12 @@ func main() {
 	fmt.Fprintf(os.Stderr, "ptldb-build: database %s: %.1f MiB\n", *dbDir, float64(st.SizeOnDisk)/(1<<20))
 
 	if *obsOut != "" {
-		blob, err := json.MarshalIndent(db.Snapshot(), "", "  ")
+		// The registry's counters, plus the preprocessing breakdown under
+		// "build" (phase times, tuple counts, label-build work counters).
+		blob, err := json.MarshalIndent(struct {
+			ptldb.Snapshot
+			Build ptldb.PreprocessStats `json:"build"`
+		}{db.Snapshot(), stats}, "", "  ")
 		if err != nil {
 			fatal(err)
 		}

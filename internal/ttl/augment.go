@@ -1,6 +1,7 @@
 package ttl
 
 import (
+	"slices"
 	"sort"
 
 	"ptldb/internal/timetable"
@@ -28,38 +29,33 @@ func (l *Labels) Augment() *Labels {
 		return l
 	}
 	n := len(l.In)
-	times := make([]map[timetable.Time]struct{}, n)
-	add := func(v timetable.StopID, t timetable.Time) {
-		if times[v] == nil {
-			times[v] = make(map[timetable.Time]struct{})
-		}
-		times[v][t] = struct{}{}
-	}
+	times := make([][]timetable.Time, n)
 	for u := 0; u < n; u++ {
 		for _, x := range l.Out[u] {
-			add(x.Hub, x.Arr)
+			times[x.Hub] = append(times[x.Hub], x.Arr)
 		}
 		for _, y := range l.In[u] {
-			add(y.Hub, y.Dep)
-			add(timetable.StopID(u), y.Arr)
+			times[y.Hub] = append(times[y.Hub], y.Dep)
+			times[u] = append(times[u], y.Arr)
 		}
 	}
-	for v := 0; v < n; v++ {
-		if times[v] == nil {
+	for v, ts := range times {
+		if len(ts) == 0 {
 			continue
 		}
-		ts := make([]timetable.Time, 0, len(times[v]))
-		for t := range times[v] {
-			ts = append(ts, t)
+		slices.Sort(ts)
+		ts = slices.Compact(ts)
+		run := make([]Tuple, len(ts))
+		for i, t := range ts {
+			run[i] = Tuple{Hub: timetable.StopID(v), Dep: t, Arr: t, Pivot: timetable.NoStop, Trip: timetable.NoTrip}
 		}
-		sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
-		for _, t := range ts {
-			d := Tuple{Hub: timetable.StopID(v), Dep: t, Arr: t, Pivot: timetable.NoStop, Trip: timetable.NoTrip}
-			l.Out[v] = append(l.Out[v], d)
-			l.In[v] = append(l.In[v], d)
+		// Real tuples reference hubs that outrank their stop, so neither
+		// label has a tuple of hub v yet: the run goes in whole, after the
+		// smaller hubs.
+		for _, label := range [2]*[]Tuple{&l.Out[v], &l.In[v]} {
+			at := sort.Search(len(*label), func(i int) bool { return (*label)[i].Hub > timetable.StopID(v) })
+			*label = slices.Insert(*label, at, run...)
 		}
-		sortLabel(l.Out[v])
-		sortLabel(l.In[v])
 	}
 	l.Augmented = true
 	return l

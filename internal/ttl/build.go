@@ -1,34 +1,97 @@
 package ttl
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"ptldb/internal/order"
 	"ptldb/internal/timetable"
 )
 
-// newLabels allocates the empty label arrays for tt under ord.
-func newLabels(tt *timetable.Timetable, ord order.Order) *Labels {
+// hubRun is one entry of a label's build-time directory: the tuples of hub
+// occupy tuples[lo:hi] of the label. Every hub commits its batch in profile
+// order, so a run is a Pareto antichain sorted by departure and therefore by
+// arrival — "is there a tuple departing >= x arriving <= a" is answered by the
+// first tuple departing >= x alone (see viaHub). Hubs commit in rank order, so
+// a directory lists its hubs by increasing rank.
+type hubRun struct {
+	hub    timetable.StopID
+	lo, hi int32
+}
+
+// half is one direction of the labels under construction: tuples aliases
+// Labels.In or Labels.Out, runs[v] is the directory of tuples[v]. Searches
+// read both; only the committing goroutine writes, between searches.
+type half struct {
+	tuples [][]Tuple
+	runs   [][]hubRun
+}
+
+// add appends t to v's label, opening a directory entry when t is the first
+// tuple of its hub there.
+func (s *half) add(v timetable.StopID, t Tuple) {
+	n := int32(len(s.tuples[v]))
+	if r := s.runs[v]; len(r) > 0 && r[len(r)-1].hub == t.Hub {
+		r[len(r)-1].hi = n + 1
+	} else {
+		s.runs[v] = append(r, hubRun{hub: t.Hub, lo: n, hi: n + 1})
+	}
+	s.tuples[v] = append(s.tuples[v], t)
+}
+
+// construction is a label set being built: the labels and the two
+// directories over them.
+type construction struct {
+	l       *Labels
+	in, out half
+}
+
+func newConstruction(tt *timetable.Timetable, ord order.Order) *construction {
 	n := tt.NumStops()
-	return &Labels{
+	l := &Labels{
 		In:    make([][]Tuple, n),
 		Out:   make([][]Tuple, n),
 		Ranks: ord.Ranks(),
 	}
+	return &construction{
+		l:   l,
+		in:  half{tuples: l.In, runs: make([][]hubRun, n)},
+		out: half{tuples: l.Out, runs: make([][]hubRun, n)},
+	}
+}
+
+// finish puts every label into canonical (Hub, Dep) order and returns the
+// labels. Runs are already sorted by departure, so this permutes whole runs
+// by hub.
+func (c *construction) finish() *Labels {
+	var scratch []Tuple
+	for _, s := range [2]*half{&c.in, &c.out} {
+		for v, runs := range s.runs {
+			slices.SortFunc(runs, func(x, y hubRun) int { return cmp.Compare(x.hub, y.hub) })
+			label := s.tuples[v]
+			scratch = append(scratch[:0], label...)
+			n := 0
+			for _, r := range runs {
+				n += copy(label[n:], scratch[r.lo:r.hi])
+			}
+		}
+	}
+	return c.l
 }
 
 // newBuilder allocates the per-search scratch state for one worker. Builders
-// share the label set l read-only during searches; tuples are committed to l
-// by the orchestration in parallel.go, never by the searches themselves.
-func newBuilder(tt *timetable.Timetable, l *Labels) *builder {
+// share the construction read-only during searches; tuples are committed to
+// it by the orchestration in parallel.go, never by the searches themselves.
+func newBuilder(tt *timetable.Timetable, c *construction) *builder {
 	b := &builder{
-		tt:        tt,
-		l:         l,
-		ranks:     l.Ranks,
-		prof:      make([][]profEntry, tt.NumStops()),
-		meta:      make([][]profMeta, tt.NumStops()),
-		pos:       make([]int32, tt.NumStops()),
-		hubBlocks: make([]hubBlock, tt.NumStops()),
+		tt:     tt,
+		c:      c,
+		ranks:  c.l.Ranks,
+		prof:   make([][]profEntry, tt.NumStops()),
+		meta:   make([][]profMeta, tt.NumStops()),
+		pos:    make([]int32, tt.NumStops()),
+		ownRun: make([]hubRun, tt.NumStops()),
 	}
 	for i := range b.pos {
 		b.pos[i] = unreached
@@ -86,7 +149,7 @@ type pendingTuple struct {
 // builder carries the scratch state shared by the per-hub searches.
 type builder struct {
 	tt    *timetable.Timetable
-	l     *Labels
+	c     *construction
 	ranks []int32
 
 	// prof[w] is the Pareto profile of the current search at stop w, with
@@ -97,14 +160,18 @@ type builder struct {
 	pos     []int32
 	touched []timetable.StopID
 
-	// hubBlocks indexes the current hub's own label by hub stop for cover
-	// queries; hubUsed lists the occupied slots for reset.
-	hubBlocks []hubBlock
-	hubUsed   []timetable.StopID
+	// own is the current hub's own label (L_out(h) in a forward search,
+	// L_in(h) in a backward one) and ownRun[x] the run of hub x in it, empty
+	// when the label has none; indexOwn sets both, releaseOwn clears them.
+	own    []Tuple
+	ownRun []hubRun
+	ownDir []hubRun
 
 	// pend collects the surviving profile entries of the current search as
-	// tentative tuples; the orchestration commits them to l afterwards.
+	// tentative tuples; the orchestration commits them afterwards.
 	pend []pendingTuple
+
+	stats BuildStats
 
 	pq streamHeap
 }
@@ -117,7 +184,7 @@ type builder struct {
 // journey arriving at its departure stop by t is already in the profile.
 func (b *builder) forward(h timetable.StopID) {
 	tt, rankH := b.tt, b.ranks[h]
-	b.buildHubIndex(b.l.Out[h])
+	b.indexOwn(&b.c.out, h, 0)
 	b.pq = b.pq[:0]
 	b.pend = b.pend[:0]
 
@@ -175,7 +242,7 @@ func (b *builder) forward(h timetable.StopID) {
 			}
 			continue
 		}
-		if b.coveredForward(b.l.In[w], h, w, cand.d, cand.a) {
+		if b.coveredForward(w, cand.d, cand.a, 0) {
 			continue
 		}
 		b.insertForward(w, cand, m)
@@ -190,7 +257,7 @@ func (b *builder) forward(h timetable.StopID) {
 // stops.
 func (b *builder) backward(h timetable.StopID) {
 	tt, rankH := b.tt, b.ranks[h]
-	b.buildHubIndex(b.l.In[h])
+	b.indexOwn(&b.c.in, h, 0)
 	b.pq = b.pq[:0]
 	b.pend = b.pend[:0]
 
@@ -240,7 +307,7 @@ func (b *builder) backward(h timetable.StopID) {
 			}
 			continue
 		}
-		if b.coveredBackward(b.l.Out[w], h, w, cand.d, cand.a) {
+		if b.coveredBackward(w, cand.d, cand.a, 0) {
 			continue
 		}
 		b.insertBackward(w, cand, m)
@@ -263,7 +330,9 @@ func (b *builder) collect(h timetable.StopID) {
 	}
 	b.touched = b.touched[:0]
 	b.pos[h] = unreached
-	b.releaseHubIndex()
+	b.releaseOwn()
+	b.stats.Searches++
+	b.stats.TentativeTuples += int64(len(b.pend))
 }
 
 func (b *builder) openForwardStream(u timetable.StopID, pos int32) {
@@ -413,132 +482,97 @@ func splice[T any](s []T, lo, hi int, e T) []T {
 	}
 }
 
-// hubBlock summarizes the current hub's label tuples for one hub stop:
-// departures ascending with the suffix-minimum of arrivals, so that "exists a
-// tuple departing >= d and arriving <= a" is a binary search.
-type hubBlock struct {
-	deps      []timetable.Time
-	sufMinArr []timetable.Time
-}
-
-// buildHubIndex groups label (the current hub's own L_out or L_in) by hub.
-// During construction tuples of one hub are contiguous and sorted by
-// departure, because each earlier hub appended its batch in profile order.
-func (b *builder) buildHubIndex(label []Tuple) {
-	i := 0
-	for i < len(label) {
-		h := label[i].Hub
-		j := i
-		for j < len(label) && label[j].Hub == h {
-			j++
-		}
-		blk := hubBlock{
-			deps:      make([]timetable.Time, j-i),
-			sufMinArr: make([]timetable.Time, j-i),
-		}
-		min := timetable.Infinity
-		for k := j - 1; k >= i; k-- {
-			blk.deps[k-i] = label[k].Dep
-			if label[k].Arr < min {
-				min = label[k].Arr
-			}
-			blk.sufMinArr[k-i] = min
-		}
-		b.hubBlocks[h] = blk
-		b.hubUsed = append(b.hubUsed, h)
-		i = j
+// indexOwn makes label s.tuples[h] the builder's own label, entering its
+// directory entries from index from on into ownRun (from is 0 for a search;
+// a commit re-check needs only the current wave's runs).
+//
+// hotpath — allocheck root: once per search; the index is ranges into the
+// label, never copies of it.
+func (b *builder) indexOwn(s *half, h timetable.StopID, from int) {
+	b.own, b.ownDir = s.tuples[h], s.runs[h][from:]
+	for _, r := range b.ownDir {
+		b.ownRun[r.hub] = r
 	}
 }
 
-func (b *builder) releaseHubIndex() {
-	for _, h := range b.hubUsed {
-		b.hubBlocks[h] = hubBlock{}
+func (b *builder) releaseOwn() {
+	for _, r := range b.ownDir {
+		b.ownRun[r.hub] = hubRun{}
 	}
-	b.hubUsed = b.hubUsed[:0]
+	b.own, b.ownDir = nil, nil
 }
 
-// minArrFrom returns the minimum arrival among tuples departing >= d, or
-// timetable.Infinity.
-func (blk *hubBlock) minArrFrom(d timetable.Time) timetable.Time {
-	lo, hi := 0, len(blk.deps)
+// firstDep returns the index of the first tuple of run departing no earlier
+// than t, len(run) if there is none.
+func firstDep(run []Tuple, t timetable.Time) int {
+	lo, hi := 0, len(run)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if blk.deps[mid] < d {
+		if run[mid].Dep < t {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo == len(blk.deps) {
-		return timetable.Infinity
-	}
-	return blk.sufMinArr[lo]
+	return lo
 }
 
-// coveredForward reports whether the labels built by hubs more important than
-// h already certify a journey h -> w departing no earlier than d and arriving
-// no later than a. The hub index holds L_out(h); lin is L_in(w).
-func (b *builder) coveredForward(lin []Tuple, h, w timetable.StopID, d, a timetable.Time) bool {
-	// Direct: a tuple in L_out(h) whose hub is w itself.
-	if blk := &b.hubBlocks[w]; len(blk.deps) > 0 && blk.minArrFrom(d) <= a {
-		return true
+// viaHub reports whether two runs of one hub x — first holding journeys into
+// x, second journeys out of it — chain into a journey departing no earlier
+// than d and arriving no later than a. Both runs ascend in departure and
+// arrival, so the first tuple of first departing >= d reaches x earliest, and
+// the first tuple of second leaving x at or after that arrives earliest: if
+// that pair misses a, every pair does.
+func viaHub(first, second []Tuple, d, a timetable.Time) bool {
+	i := firstDep(first, d)
+	if i == len(first) {
+		return false
 	}
-	// Tuples in lin are contiguous per hub, so the transfer-time bound from
-	// L_out(h) is computed once per block.
-	for i := 0; i < len(lin); {
-		h2 := lin[i].Hub
-		j := i
-		for j < len(lin) && lin[j].Hub == h2 {
-			j++
+	j := firstDep(second, first[i].Arr)
+	return j < len(second) && second[j].Arr <= a
+}
+
+// coveredForward reports whether the labels certify a journey h -> w
+// departing no earlier than d and arriving no later than a through a hub
+// common to the own label L_out(h) and to the runs of L_in(w) from directory
+// index from on. w itself is never such a hub: the search reaches only stops
+// that h outranks, and L_out(h) holds only hubs that outrank h (Validate
+// enforces it). Nor is h: L_out(h) has no run of h, so the tuples of h that a
+// commit is appending to L_in(w) are passed over.
+//
+// hotpath — allocheck root: once per candidate journey of every search.
+func (b *builder) coveredForward(w timetable.StopID, d, a timetable.Time, from int) bool {
+	lin := b.c.in.tuples[w]
+	b.stats.CoverChecks++
+	for _, r := range b.c.in.runs[w][from:] {
+		o := b.ownRun[r.hub]
+		if o.hi == o.lo {
+			continue
 		}
-		// Tuples with hub h are this search's own output.
-		if h2 != h {
-			if blk := &b.hubBlocks[h2]; len(blk.deps) > 0 {
-				if minArr := blk.minArrFrom(d); minArr != timetable.Infinity {
-					for k := i; k < j; k++ {
-						if lin[k].Dep >= minArr && lin[k].Arr <= a {
-							return true
-						}
-					}
-				}
-			}
+		b.stats.RunsProbed++
+		if viaHub(b.own[o.lo:o.hi], lin[r.lo:r.hi], d, a) {
+			return true
 		}
-		i = j
 	}
 	return false
 }
 
-// coveredBackward reports whether existing labels certify a journey w -> h
-// departing >= d and arriving <= a. The hub index holds L_in(h); lout is
-// L_out(w).
-func (b *builder) coveredBackward(lout []Tuple, h, w timetable.StopID, d, a timetable.Time) bool {
-	// Direct: a tuple in L_in(h) whose hub is w itself.
-	if blk := &b.hubBlocks[w]; len(blk.deps) > 0 && blk.minArrFrom(d) <= a {
-		return true
-	}
-	// For a block of L_out(w) tuples sharing a hub, minArrFrom is monotone
-	// in its argument, so only the earliest transfer arrival among tuples
-	// departing >= d needs to be probed.
-	for i := 0; i < len(lout); {
-		h2 := lout[i].Hub
-		j := i
-		for j < len(lout) && lout[j].Hub == h2 {
-			j++
+// coveredBackward is coveredForward for a journey w -> h: the own label is
+// L_in(h) and the first leg comes from the runs of L_out(w).
+//
+// hotpath — allocheck root: once per candidate journey of every search.
+func (b *builder) coveredBackward(w timetable.StopID, d, a timetable.Time, from int) bool {
+	lout := b.c.out.tuples[w]
+	b.stats.CoverChecks++
+	for _, r := range b.c.out.runs[w][from:] {
+		o := b.ownRun[r.hub]
+		if o.hi == o.lo {
+			continue
 		}
-		if h2 != h {
-			if blk := &b.hubBlocks[h2]; len(blk.deps) > 0 {
-				xArrMin := timetable.Infinity
-				for k := i; k < j; k++ {
-					if lout[k].Dep >= d && lout[k].Arr < xArrMin {
-						xArrMin = lout[k].Arr
-					}
-				}
-				if xArrMin != timetable.Infinity && blk.minArrFrom(xArrMin) <= a {
-					return true
-				}
-			}
+		b.stats.RunsProbed++
+		if viaHub(lout[r.lo:r.hi], b.own[o.lo:o.hi], d, a) {
+			return true
 		}
-		i = j
 	}
 	return false
 }

@@ -32,20 +32,53 @@ func Build(tt *timetable.Timetable, ord order.Order) *Labels {
 // BuildParallel constructs the TTL index on the given number of workers
 // using rank-batched wave parallelism, in the spirit of the parallel label
 // generation of Public Transit Labeling (Delling et al. 2015): hubs are
-// taken in rank order in batches of K; the workers run the pruned forward
-// and backward searches of a whole batch against the labels committed by
-// earlier batches only, and the batch's tentative tuples are then committed
-// serially in rank order, re-checking each tuple's cover condition so that
-// tuples covered by a more-important hub of the same batch are cross-pruned.
+// taken in rank order in waves; the workers run the pruned forward and
+// backward searches of a whole wave against the labels committed by earlier
+// waves only, and the wave's tentative tuples are then committed serially in
+// rank order, re-checking each tuple against the more-important hubs of its
+// own wave so that tuples they cover are cross-pruned (see commitHub).
 //
 // Searching against the committed labels only makes the in-search pruning
 // conservative (fewer labels can only certify fewer journeys), so every
-// tuple the serial build emits is also generated here; the commit-time
-// re-check runs against exactly the label state the serial build saw at that
-// hub's turn, so everything extra is filtered out again. The output is
-// therefore byte-identical to Build's for every worker count and batch size
+// tuple the serial build emits is also generated here; search and commit
+// re-check together test exactly the label state the serial build saw at
+// that hub's turn, so everything extra is filtered out again. The output is
+// therefore byte-identical to Build's for every worker count and wave size
 // (the determinism tests assert this, metadata included).
 func BuildParallel(tt *timetable.Timetable, ord order.Order, workers int) *Labels {
+	l, _ := BuildWithStats(tt, ord, workers)
+	return l
+}
+
+// BuildStats counts the work of one label build, summed exactly from
+// per-worker locals. The counts depend on the worker count (a wider wave
+// prunes against fewer labels), which is why they are not part of Labels.
+type BuildStats struct {
+	// Searches is the number of profile searches run, two per hub.
+	Searches int64 `json:"searches"`
+	// TentativeTuples is the number of tuples those searches produced.
+	TentativeTuples int64 `json:"tentative_tuples"`
+	// CrossPruned is the number of tentative tuples dropped at commit because
+	// a more important hub of the same wave covers them; the labels hold
+	// TentativeTuples - CrossPruned tuples.
+	CrossPruned int64 `json:"cross_pruned"`
+	// CoverChecks is the number of cover tests, in searches and at commit.
+	CoverChecks int64 `json:"cover_checks"`
+	// RunsProbed is the number of hub runs those tests searched: one per
+	// hub common to the two labels, until one covers.
+	RunsProbed int64 `json:"runs_probed"`
+}
+
+func (s *BuildStats) add(o BuildStats) {
+	s.Searches += o.Searches
+	s.TentativeTuples += o.TentativeTuples
+	s.CrossPruned += o.CrossPruned
+	s.CoverChecks += o.CoverChecks
+	s.RunsProbed += o.RunsProbed
+}
+
+// BuildWithStats is BuildParallel returning the build's work counters.
+func BuildWithStats(tt *timetable.Timetable, ord order.Order, workers int) (*Labels, BuildStats) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -60,9 +93,9 @@ func BuildParallel(tt *timetable.Timetable, ord order.Order, workers int) *Label
 // search reads L_in(h), both write only their own scratch state, so one
 // long-lived goroutine runs every forward search while the caller's
 // goroutine runs the backward ones.
-func buildSerial(tt *timetable.Timetable, ord order.Order) *Labels {
-	l := newLabels(tt, ord)
-	fwd, bwd := newBuilder(tt, l), newBuilder(tt, l)
+func buildSerial(tt *timetable.Timetable, ord order.Order) (*Labels, BuildStats) {
+	c := newConstruction(tt, ord)
+	fwd, bwd := newBuilder(tt, c), newBuilder(tt, c)
 	hubs := make(chan timetable.StopID)
 	fdone := make(chan struct{})
 	go func() {
@@ -78,16 +111,23 @@ func buildSerial(tt *timetable.Timetable, ord order.Order) *Labels {
 		// Tuples from a one-hub batch are uncovered by construction: the
 		// searches checked against the full committed label set.
 		for _, p := range fwd.pend {
-			l.In[p.w] = append(l.In[p.w], p.t)
+			c.in.add(p.w, p.t)
 		}
 		for _, p := range bwd.pend {
-			l.Out[p.w] = append(l.Out[p.w], p.t)
+			c.out.add(p.w, p.t)
 		}
 	}
 	close(hubs)
-	finishLabels(l)
-	return l
+	stats := fwd.stats
+	stats.add(bwd.stats)
+	return c.finish(), stats
 }
+
+// waveHubsPerWorker sizes a wave: workers × this many hubs, twice as many
+// searches. A wider wave amortizes the barrier over more searches but prunes
+// each of them against fewer labels. With the commit re-check down to the
+// wave's own runs the optimum is flat; 2 measured best (DESIGN §6.6).
+const waveHubsPerWorker = 2
 
 // waveTask asks a worker to run one direction of one hub's profile search
 // and leave the tentative tuples in *dst.
@@ -102,17 +142,19 @@ type waveTask struct {
 // wave needs no locking: the task channel orders slot writes after the
 // previous commit, and the WaitGroup orders the commit after all slot
 // writes.
-func buildWaves(tt *timetable.Timetable, ord order.Order, workers int) *Labels {
-	l := newLabels(tt, ord)
-	batch := 4 * workers
+func buildWaves(tt *timetable.Timetable, ord order.Order, workers int) (*Labels, BuildStats) {
+	c := newConstruction(tt, ord)
+	batch := waveHubsPerWorker * workers
 	if batch > len(ord) && len(ord) > 0 {
 		batch = len(ord)
 	}
 	tasks := make(chan waveTask)
 	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
+	builders := make([]*builder, workers)
+	for i := range builders {
+		b := newBuilder(tt, c)
+		builders[i] = b
 		go func() {
-			b := newBuilder(tt, l)
 			for t := range tasks {
 				if t.forward {
 					b.forward(t.hub)
@@ -125,7 +167,7 @@ func buildWaves(tt *timetable.Timetable, ord order.Order, workers int) *Labels {
 		}()
 	}
 	// Scratch builder for the commit-time cover re-checks.
-	cb := newBuilder(tt, l)
+	cb := newBuilder(tt, c)
 	fwdPend := make([][]pendingTuple, batch)
 	bwdPend := make([][]pendingTuple, batch)
 	for lo := 0; lo < len(ord); lo += batch {
@@ -140,47 +182,59 @@ func buildWaves(tt *timetable.Timetable, ord order.Order, workers int) *Labels {
 		}
 		wg.Wait()
 		for i := lo; i < hi; i++ {
-			commitHub(cb, ord[i], fwdPend[i-lo], bwdPend[i-lo])
+			cb.commitHub(ord[i], int32(lo), fwdPend[i-lo], bwdPend[i-lo])
 		}
 	}
 	close(tasks)
-	finishLabels(l)
-	return l
+	// The last wg.Wait ordered every worker's counter writes before these
+	// reads.
+	stats := cb.stats
+	for _, b := range builders {
+		stats.add(b.stats)
+	}
+	return c.finish(), stats
+}
+
+// waveTail returns the index in dir of the first run committed by the wave
+// whose first hub has rank rankLo. Directories list hubs by increasing rank,
+// so those runs are a suffix.
+func (b *builder) waveTail(dir []hubRun, rankLo int32) int {
+	i := len(dir)
+	for i > 0 && b.ranks[dir[i-1].hub] >= rankLo {
+		i--
+	}
+	return i
 }
 
 // commitHub appends hub h's tentative tuples to the labels, dropping every
-// tuple whose cover condition now fails. The searches of h's wave pruned
-// against the labels committed before the wave started; by the time h
-// commits, the more-important hubs of the same wave have already committed,
-// so the re-check sees exactly the label state the serial build saw at h's
-// turn — this is the cross-prune that restores canonicality.
-func commitHub(b *builder, h timetable.StopID, fwdPend, bwdPend []pendingTuple) {
-	// L_out(h) (respectively L_in(h)) holds only tuples of more-important
-	// hubs: less-important hubs have not committed yet, and h's own searches
-	// skip journeys touching h again. Tuples of h itself appended below are
-	// skipped by the cover scan's h2 != h test, keeping the check equivalent
-	// to the serial one as the appends proceed.
-	b.buildHubIndex(b.l.Out[h])
+// tuple covered through a more-important hub of h's own wave (the wave whose
+// first hub has rank rankLo) — the cross-prune that restores canonicality.
+//
+// Only those hubs need testing. The cover condition is an OR over the hubs
+// common to L_out(h) and L_in(w) (L_in(h) and L_out(w) backward). A hub that
+// committed before the wave had its runs in both labels complete and frozen
+// when the search tested the tuple against them, and the tuple survived; a
+// hub less important than h has not committed. What is left are the runs at
+// the tail of both directories, and with them the re-check sees exactly the
+// label state the serial build saw at h's turn.
+func (b *builder) commitHub(h timetable.StopID, rankLo int32, fwdPend, bwdPend []pendingTuple) {
+	in, out := &b.c.in, &b.c.out
+	b.indexOwn(out, h, b.waveTail(out.runs[h], rankLo))
 	for _, p := range fwdPend {
-		if !b.coveredForward(b.l.In[p.w], h, p.w, p.t.Dep, p.t.Arr) {
-			b.l.In[p.w] = append(b.l.In[p.w], p.t)
+		if b.coveredForward(p.w, p.t.Dep, p.t.Arr, b.waveTail(in.runs[p.w], rankLo)) {
+			b.stats.CrossPruned++
+		} else {
+			in.add(p.w, p.t)
 		}
 	}
-	b.releaseHubIndex()
-	b.buildHubIndex(b.l.In[h])
+	b.releaseOwn()
+	b.indexOwn(in, h, b.waveTail(in.runs[h], rankLo))
 	for _, p := range bwdPend {
-		if !b.coveredBackward(b.l.Out[p.w], h, p.w, p.t.Dep, p.t.Arr) {
-			b.l.Out[p.w] = append(b.l.Out[p.w], p.t)
+		if b.coveredBackward(p.w, p.t.Dep, p.t.Arr, b.waveTail(out.runs[p.w], rankLo)) {
+			b.stats.CrossPruned++
+		} else {
+			out.add(p.w, p.t)
 		}
 	}
-	b.releaseHubIndex()
-}
-
-// finishLabels puts every per-stop label array into canonical (Hub, Dep)
-// order.
-func finishLabels(l *Labels) {
-	for v := range l.In {
-		sortLabel(l.In[v])
-		sortLabel(l.Out[v])
-	}
+	b.releaseOwn()
 }

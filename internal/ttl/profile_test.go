@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ptldb/internal/order"
 	"ptldb/internal/timetable"
 )
 
@@ -151,5 +152,101 @@ func TestSplice(t *testing.T) {
 				t.Fatalf("splice(%d,%d) = %v, want %v", c.lo, c.hi, got, c.want)
 			}
 		}
+	}
+}
+
+// randomConstruction fills a construction over n stops ranked by ID with
+// random labels of the shape the build produces: every label holds runs of
+// some of the hubs that outrank its stop, in rank order, each run an
+// antichain ascending in departure and arrival.
+func randomConstruction(rng *rand.Rand, tt *timetable.Timetable) *construction {
+	n := tt.NumStops()
+	c := newConstruction(tt, order.Identity(n))
+	for v := 1; v < n; v++ {
+		for _, s := range [2]*half{&c.in, &c.out} {
+			for hub := 0; hub < v; hub++ {
+				if rng.Intn(3) == 0 {
+					continue
+				}
+				d, a := timetable.Time(rng.Intn(10)), timetable.Time(10+rng.Intn(10))
+				for k := rng.Intn(6); k > 0; k-- {
+					s.add(timetable.StopID(v), Tuple{Hub: timetable.StopID(hub), Dep: d, Arr: a})
+					d += timetable.Time(1 + rng.Intn(12))
+					a = max(a, d) + timetable.Time(1+rng.Intn(12))
+				}
+			}
+		}
+	}
+	return c
+}
+
+// coveredBruteForce is the cover condition by its definition: some tuple x of
+// first and some tuple y of second share a hub of rank >= rankLo and chain
+// into a journey departing >= d and arriving <= a.
+func coveredBruteForce(first, second []Tuple, rankLo int, d, a timetable.Time) bool {
+	for _, x := range first {
+		for _, y := range second {
+			if x.Hub == y.Hub && int(x.Hub) >= rankLo && x.Dep >= d && x.Arr <= y.Dep && y.Arr <= a {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestCoverChecksMatchBruteForce compares the directory-walking, first-match
+// cover checks with the all-pairs definition on random labels: every hub h,
+// every stop w it outranks, a grid of (d, a) — over the whole directories, as
+// a search asks, and over the runs of rank >= rankLo only, as a commit
+// re-check of a wave starting at rankLo asks.
+func TestCoverChecksMatchBruteForce(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(7)
+		var tb timetable.Builder
+		tb.AddStops(n)
+		tt := tb.MustBuild()
+		c := randomConstruction(rng, tt)
+		if err := c.l.Validate(); err != nil {
+			t.Logf("seed %d: random labels invalid: %v", seed, err)
+			return false
+		}
+		b := newBuilder(tt, c)
+		for h := timetable.StopID(0); int(h) < n; h++ {
+			for _, rankLo := range []int{0, int(h) / 2, int(h)} {
+				for _, forward := range []bool{true, false} {
+					own, target := &c.out, &c.in
+					if !forward {
+						own, target = &c.in, &c.out
+					}
+					b.indexOwn(own, h, b.waveTail(own.runs[h], int32(rankLo)))
+					for w := h + 1; int(w) < n; w++ {
+						from := b.waveTail(target.runs[w], int32(rankLo))
+						for d := timetable.Time(0); d < 80; d += 3 {
+							for a := d; a < 90; a += 3 {
+								var got, want bool
+								if forward {
+									got = b.coveredForward(w, d, a, from)
+									want = coveredBruteForce(c.l.Out[h], c.l.In[w], rankLo, d, a)
+								} else {
+									got = b.coveredBackward(w, d, a, from)
+									want = coveredBruteForce(c.l.Out[w], c.l.In[h], rankLo, d, a)
+								}
+								if got != want {
+									t.Logf("seed %d: forward=%v h=%d w=%d rankLo=%d d=%d a=%d: got %v, want %v",
+										seed, forward, h, w, rankLo, d, a, got, want)
+									return false
+								}
+							}
+						}
+					}
+					b.releaseOwn()
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
 	}
 }

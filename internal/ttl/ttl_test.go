@@ -245,6 +245,26 @@ func TestStatsAccessors(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsBrokenRun checks the antichain invariant the build's
+// first-match cover checks rely on: within one hub's run a tuple may neither
+// repeat a departure nor arrive no later than its predecessor.
+func TestValidateRejectsBrokenRun(t *testing.T) {
+	for _, second := range []Tuple{
+		{Hub: 0, Dep: 100, Arr: 300}, // same departure
+		{Hub: 0, Dep: 150, Arr: 200}, // dominates its predecessor
+		{Hub: 0, Dep: 90, Arr: 150},  // out of order
+	} {
+		l := &Labels{
+			In:    [][]Tuple{nil, nil},
+			Out:   [][]Tuple{nil, {{Hub: 0, Dep: 100, Arr: 200}, second}},
+			Ranks: []int32{0, 1},
+		}
+		if err := l.Validate(); err == nil {
+			t.Errorf("Validate accepted run ending in %+v", second)
+		}
+	}
+}
+
 // TestPivotAndTrip spot-checks the reconstruction metadata on the paper
 // example: the journey 5 -> 0 rides trip 1 only (no transfer), while
 // 0 -> 6 requires staying on trip 1 (no transfer either, boarding at 0).

@@ -219,14 +219,22 @@ func Create(dir string, tt *Network, cfg Config) (*DB, error) {
 
 // PreprocessStats reports how Create spent its time and what it built.
 type PreprocessStats struct {
-	OrderTime     time.Duration
-	LabelTime     time.Duration
-	AugmentTime   time.Duration
-	LoadTime      time.Duration
-	LabelTuples   int // before augmentation
-	DummyTuples   int
-	TuplesPerStop int // |HL|/|V| after label construction, the Table 7 metric
+	OrderTime     time.Duration `json:"order_ns"`
+	LabelTime     time.Duration `json:"label_ns"`
+	AugmentTime   time.Duration `json:"augment_ns"`
+	LoadTime      time.Duration `json:"load_ns"`
+	LabelTuples   int           `json:"label_tuples"` // before augmentation
+	DummyTuples   int           `json:"dummy_tuples"`
+	TuplesPerStop int           `json:"tuples_per_stop"` // |HL|/|V| after label construction, the Table 7 metric
+	// Labels counts the work inside LabelTime: profile searches, tentative
+	// and cross-pruned tuples, cover checks and the hub runs they probed.
+	// Exact, and the same for every build of one network at one
+	// Config.BuildWorkers.
+	Labels LabelBuildStats `json:"labels"`
 }
+
+// LabelBuildStats are the label construction's work counters.
+type LabelBuildStats = ttl.BuildStats
 
 // CreateWithStats is Create returning the preprocessing breakdown.
 func CreateWithStats(dir string, tt *Network, cfg Config) (*DB, PreprocessStats, error) {
@@ -257,8 +265,9 @@ func CreateWithStats(dir string, tt *Network, cfg Config) (*DB, PreprocessStats,
 	stats.OrderTime = time.Since(start)
 
 	start = time.Now()
-	labels := ttl.BuildParallel(tt, ord, cfg.BuildWorkers)
+	labels, labelStats := ttl.BuildWithStats(tt, ord, cfg.BuildWorkers)
 	stats.LabelTime = time.Since(start)
+	stats.Labels = labelStats
 	stats.LabelTuples = labels.NumTuples()
 	stats.TuplesPerStop = labels.TuplesPerStop()
 

@@ -154,6 +154,11 @@ func TestCreateWithStats(t *testing.T) {
 	if stats.LabelTime <= 0 || stats.LoadTime <= 0 {
 		t.Errorf("timings = %+v", stats)
 	}
+	// The label-build counters account for the labels they built.
+	if ls := stats.Labels; ls.Searches != int64(2*tt.NumStops()) ||
+		ls.TentativeTuples-ls.CrossPruned != int64(stats.LabelTuples) || ls.CoverChecks <= 0 {
+		t.Errorf("label build counters %+v do not match %d stops, %d tuples", ls, tt.NumStops(), stats.LabelTuples)
+	}
 	// The paper reports dummies as a small fraction of all tuples.
 	frac := float64(stats.DummyTuples) / float64(stats.LabelTuples+stats.DummyTuples)
 	if frac > 0.35 {

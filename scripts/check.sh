@@ -28,7 +28,7 @@ go test -run 'TestFusedAllocsBudget' -count=1 .
 echo "== bench smoke (fused executor, 5 iterations)"
 go test -run '^$' -bench 'BenchmarkFusedExec' -benchtime 5x .
 echo "== bench smoke (parallel build, 1 iteration)"
-go test -run '^$' -bench 'BenchmarkBuildParallel/workers=4' -benchtime 1x ./internal/ttl
+go test -run '^$' -bench 'BenchmarkBuildParallel/workers=GOMAXPROCS' -benchtime 1x ./internal/ttl
 echo "== benchmark module (vet, tests, smoke run of all four workloads)"
 go -C benchmark vet .
 go -C benchmark test .
