@@ -263,13 +263,16 @@ func (m *SegmentMetrics) Snapshot() SegmentSnapshot {
 // from materialized column vectors (hits), lookups that found the table not
 // resident (misses), whole-table evictions under budget pressure,
 // materializations performed (singleflight — concurrent first-touch queries
-// share one), the current resident bytes, and the latency of each
+// share one), tables declined at registration because their vectors exceed
+// the whole budget (their lookups bypass the cache and count as neither hit
+// nor miss), the current resident bytes, and the latency of each
 // materialization (segment read + decode).
 type VCacheMetrics struct {
 	Hits             Counter
 	Misses           Counter
 	Evictions        Counter
 	Materializations Counter
+	Declined         Counter
 	ResidentBytes    Gauge
 	Materialize      Histogram
 }
@@ -280,6 +283,7 @@ type VCacheSnapshot struct {
 	Misses           uint64            `json:"misses"`
 	Evictions        uint64            `json:"evictions"`
 	Materializations uint64            `json:"materializations"`
+	Declined         uint64            `json:"declined"`
 	ResidentBytes    int64             `json:"resident_bytes"`
 	Materialize      HistogramSnapshot `json:"materialize"`
 }
@@ -291,6 +295,7 @@ func (m *VCacheMetrics) Snapshot() VCacheSnapshot {
 		Misses:           m.Misses.Load(),
 		Evictions:        m.Evictions.Load(),
 		Materializations: m.Materializations.Load(),
+		Declined:         m.Declined.Load(),
 		ResidentBytes:    m.ResidentBytes.Load(),
 		Materialize:      m.Materialize.Snapshot(),
 	}

@@ -24,6 +24,18 @@ const obsGolden = `{
     "rand_reads": 0,
     "seq_reads": 0
   },
+  "vcache": {
+    "hits": 0,
+    "misses": 0,
+    "evictions": 0,
+    "materializations": 0,
+    "declined": 0,
+    "resident_bytes": 0,
+    "materialize": {
+      "count": 0,
+      "mean_us": 0
+    }
+  },
   "exec": {
     "fused_runs": 0,
     "fused_bailouts": 0,

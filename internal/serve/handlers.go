@@ -35,6 +35,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"strings"
 	"time"
 
 	"ptldb/internal/core"
@@ -524,19 +525,22 @@ func intParam(q url.Values, name string) (int64, error) {
 }
 
 // timeParam accepts seconds after midnight or HH:MM:SS, like the query CLI.
+// The two spellings are disjoint — only a clock time holds a colon — so each
+// value goes to one parser; plain seconds, the spelling every URL the client
+// builds uses, never pay for a failed clock parse.
 func timeParam(q url.Values, name string) (timetable.Time, error) {
 	raw := q.Get(name)
 	if raw == "" {
 		return 0, fmt.Errorf("serve: missing parameter %q", name)
 	}
-	if t, err := gtfs.ParseTime(raw); err == nil {
-		return t, nil
+	if strings.Contains(raw, ":") {
+		if t, err := gtfs.ParseTime(raw); err == nil {
+			return t, nil
+		}
+	} else if v, err := strconv.ParseInt(raw, 10, 64); err == nil {
+		return timetable.Time(v), nil
 	}
-	v, err := strconv.ParseInt(raw, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("serve: parameter %s=%q is neither seconds nor HH:MM:SS", name, raw)
-	}
-	return timetable.Time(v), nil
+	return 0, fmt.Errorf("serve: parameter %s=%q is neither seconds nor HH:MM:SS", name, raw)
 }
 
 // setParams pulls the shared set/from/t triple of the kNN and OTM endpoints.

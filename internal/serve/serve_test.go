@@ -111,7 +111,8 @@ func (f *fakeStore) Snapshot() obs.Snapshot {
 	if f.snapBlock != nil {
 		<-f.snapBlock
 	}
-	return obs.Snapshot{}
+	// An empty vector-cache section, so the /obs goldens pin its shape too.
+	return obs.Snapshot{VCache: &obs.VCacheSnapshot{}}
 }
 
 func (f *fakeStore) Close() error {

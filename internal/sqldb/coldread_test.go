@@ -1,0 +1,291 @@
+package sqldb
+
+// coldread_test.go pins what a cold start costs in device reads — Open reads
+// every file once, front to back, and a table the vector cache cannot hold is
+// never bulk-read — and that the size the cache admits a table on, worked out
+// at open from a varint count, is exactly the size of the vectors built later.
+
+import (
+	"math"
+	"os"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"ptldb/internal/sqldb/exec"
+	"ptldb/internal/sqldb/sqltypes"
+	"ptldb/internal/sqldb/storage"
+)
+
+// awkwardTables are row sets chosen to stress the size prediction: it must
+// hold whatever the mix of scalars, length prefixes and elements.
+var awkwardTables = []struct {
+	name string
+	pk   []string
+	cols []string
+	rows func() []sqltypes.Row
+}{
+	{"labels", []string{"k"}, []string{"k", "hubs:arr", "tds:arr", "tas:arr"}, func() []sqltypes.Row {
+		var rows []sqltypes.Row
+		for i := int64(0); i < 2000; i++ {
+			n := int(i % 37)
+			a, b, c := make([]int64, n), make([]int64, n), make([]int64, n)
+			for j := range a {
+				a[j], b[j], c[j] = int64(j)*3, 20000+i*int64(j), 90000-int64(j)*400
+			}
+			rows = append(rows, sqltypes.Row{sqltypes.NewInt(i), sqltypes.NewIntArray(a), sqltypes.NewIntArray(b), sqltypes.NewIntArray(c)})
+		}
+		return rows
+	}},
+	{"empty_arrays", []string{"k"}, []string{"k", "xs:arr", "ys:arr"}, func() []sqltypes.Row {
+		var rows []sqltypes.Row
+		for i := int64(0); i < 300; i++ {
+			rows = append(rows, sqltypes.Row{sqltypes.NewInt(i), sqltypes.NewIntArray(nil), sqltypes.NewIntArray([]int64{})})
+		}
+		return rows
+	}},
+	{"negative_deltas", []string{"k"}, []string{"k", "v", "xs:arr"}, func() []sqltypes.Row {
+		var rows []sqltypes.Row
+		for i := int64(-50); i < 50; i++ {
+			rows = append(rows, sqltypes.Row{sqltypes.NewInt(i), sqltypes.NewInt(math.MinInt64 + i + 50),
+				sqltypes.NewIntArray([]int64{math.MaxInt64, math.MinInt64, 0, -1, i << 40, -(i << 20)})})
+		}
+		return rows
+	}},
+	{"scalar_only", []string{"k"}, []string{"k", "a", "b"}, func() []sqltypes.Row {
+		var rows []sqltypes.Row
+		for i := int64(0); i < 1000; i++ {
+			rows = append(rows, ints(i, i*i*i, -i<<33))
+		}
+		return rows
+	}},
+	{"two_column_key", []string{"b", "h"}, []string{"b", "h", "vs:arr", "tas:arr"}, func() []sqltypes.Row {
+		var rows []sqltypes.Row
+		for b := int64(0); b < 24; b++ {
+			for h := int64(0); h < 40; h += 1 + b%3 {
+				rows = append(rows, sqltypes.Row{sqltypes.NewInt(b), sqltypes.NewInt(h),
+					sqltypes.NewIntArray([]int64{h, h + 1}), sqltypes.NewIntArray([]int64{b * 3600})})
+			}
+		}
+		return rows
+	}},
+	{"zero_rows", []string{"k"}, []string{"k", "xs:arr"}, func() []sqltypes.Row { return []sqltypes.Row{} }},
+}
+
+// buildAwkwardDB bulk-loads awkwardTables into dir and closes the database.
+func buildAwkwardDB(t *testing.T, dir string) {
+	t.Helper()
+	db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range awkwardTables {
+		if err := mkTable(t, db, spec.name, spec.pk, spec.cols...).BulkLoad(spec.rows()); err != nil {
+			t.Fatalf("%s: %v", spec.name, err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// rowVectorBytes works a table's vector size out from its rows alone.
+func rowVectorBytes(types []sqltypes.Type, rows []sqltypes.Row) int64 {
+	n := int64(len(rows))
+	size := 16 * n
+	for ci, typ := range types {
+		if typ == sqltypes.Int64 {
+			size += 8 * n
+			continue
+		}
+		size += 4 * (n + 1)
+		for _, r := range rows {
+			size += 8 * int64(len(r[ci].A))
+		}
+	}
+	return size
+}
+
+// TestVectorSizePrediction: for every awkward table the size predicted from
+// the varint count, the size worked out from the rows, Mat.Bytes and the
+// bytes actually allocated all agree, and materialize allocates per column,
+// not per row.
+func TestVectorSizePrediction(t *testing.T) {
+	dir := t.TempDir()
+	buildAwkwardDB(t, dir)
+	db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256, VectorCacheBytes: 64 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for _, spec := range awkwardTables {
+		tbl, _ := db.Table(spec.name)
+		sf, ok := tbl.form.(*segForm)
+		if !ok {
+			t.Fatalf("%s is not a segment table", spec.name)
+		}
+		rows := spec.rows()
+		want := rowVectorBytes(sf.types, rows)
+
+		data, err := sf.seg.LoadData()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := vectorBytes(sf.types, sf.seg.NumRows(), sqltypes.CountSegVarints(data)); got != want {
+			t.Errorf("%s: predicted %d bytes of vectors, its rows need %d", spec.name, got, want)
+		}
+
+		m, err := sf.materialize()
+		if err != nil {
+			t.Fatalf("%s: %v", spec.name, err)
+		}
+		allocated := int64(cap(m.Keys)) * 16
+		for ci := range m.Cols {
+			col := &m.Cols[ci]
+			if len(col.Ints) != cap(col.Ints) || len(col.Starts) != cap(col.Starts) {
+				t.Errorf("%s: column %d has slack: ints %d/%d, starts %d/%d", spec.name, ci,
+					len(col.Ints), cap(col.Ints), len(col.Starts), cap(col.Starts))
+			}
+			allocated += 8*int64(len(col.Ints)) + 4*int64(len(col.Starts))
+		}
+		if m.Bytes != want || allocated != want {
+			t.Errorf("%s: Mat.Bytes %d, allocated %d, want %d", spec.name, m.Bytes, allocated, want)
+		}
+		var s exec.RowScratch
+		for i, r := range rows {
+			got := vcacheRow(m, i, &s)
+			for ci := range r {
+				if !sqltypes.Equal(got[ci], r[ci]) {
+					t.Fatalf("%s: row %d column %d = %v, want %v", spec.name, i, ci, got[ci], r[ci])
+				}
+			}
+		}
+
+		// Seven allocations whatever the row count — the data region, the
+		// counts, the shared ints and starts arrays, the Mat, its column
+		// headers and the fill cursors — and one more under the race detector.
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := sf.materialize(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 8 {
+			t.Errorf("%s: materialize made %.0f allocations for %d rows, want <= 8", spec.name, allocs, len(rows))
+		}
+	}
+}
+
+// TestOpenReadsEachFileOnce: opening an N-segment database costs N seeks —
+// every other page of every file is the next page of that file.
+func TestOpenReadsEachFileOnce(t *testing.T) {
+	dir := t.TempDir()
+	buildAwkwardDB(t, dir)
+	files, pages := uint64(0), uint64(0)
+	for _, spec := range awkwardTables {
+		st, err := os.Stat(filepath.Join(dir, spec.name+".seg"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files++
+		pages += uint64(st.Size() / storage.PageSize)
+	}
+	db, err := Open(dir, Options{Device: storage.HDD, PoolPages: 256, VectorCacheBytes: 64 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	pool := db.Registry().Snapshot().Pool
+	if pool.RandReads != files || pool.SeqReads != pages-files {
+		t.Errorf("open charged %d random + %d sequential reads for %d files of %d pages; want %d + %d",
+			pool.RandReads, pool.SeqReads, files, pages, files, pages-files)
+	}
+	want := storage.HDD.RandRead*time.Duration(files) + storage.HDD.SeqRead*time.Duration(pages-files)
+	if got := db.Clock().Elapsed(); got != want {
+		t.Errorf("open charged %v of device time, want %v", got, want)
+	}
+}
+
+// TestDeclinedTableIsNeverBulkRead: under a budget one byte short of a
+// table's vectors the table is declined at open and its first lookup reads
+// the row's own pages and nothing else; at exactly its size the table is
+// admitted and the first lookup is the one bulk read.
+func TestDeclinedTableIsNeverBulkRead(t *testing.T) {
+	spec := awkwardTables[0]
+	rows := spec.rows()
+	dir := t.TempDir()
+	db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mkTable(t, db, spec.name, spec.pk, spec.cols...).BulkLoad(rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	const probe = 1234
+	open := func(budget int64) (*DB, *segForm) {
+		db, err := Open(dir, Options{Device: storage.HDD, PoolPages: 256, VectorCacheBytes: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl, _ := db.Table(spec.name)
+		return db, tbl.form.(*segForm)
+	}
+	lookup := func(db *DB) {
+		tbl, _ := db.Table(spec.name)
+		var s exec.RowScratch
+		row, ok, err := tbl.LookupPKScratch([]int64{probe}, &s)
+		if err != nil || !ok || !sqltypes.Equal(row[2], rows[probe][2]) {
+			t.Fatalf("lookup(%d) = %v, %v, %v", probe, row, ok, err)
+		}
+	}
+
+	db, sf := open(1)
+	size := rowVectorBytes(sf.types, rows)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db, sf = open(size - 1)
+	if sf.vcE != nil {
+		t.Fatal("a table larger than the budget holds a cache slot")
+	}
+	var off int64
+	for i := 0; i < probe; i++ {
+		off += int64(sf.seg.RowLen(i))
+	}
+	rowPages := uint64((off+int64(sf.seg.RowLen(probe))-1)/storage.PageSize - off/storage.PageSize + 1)
+	before, reads := db.Registry().Snapshot(), sf.file.Reads()
+	lookup(db)
+	after := db.Registry().Snapshot()
+	if got := sf.file.Reads() - reads; got != rowPages || after.Pool.Misses-before.Pool.Misses != rowPages ||
+		after.Pool.RandReads-before.Pool.RandReads != 1 {
+		t.Errorf("first lookup of a declined table: %d device reads, %d pool misses, %d seeks; its row lies on %d pages",
+			got, after.Pool.Misses-before.Pool.Misses, after.Pool.RandReads-before.Pool.RandReads, rowPages)
+	}
+	if vc := after.VCache; vc.Declined != 1 || vc.Materializations != 0 || vc.Hits+vc.Misses != 0 || vc.ResidentBytes != 0 {
+		t.Errorf("declined table: vcache = %+v; want declined 1 and nothing else", *vc)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db, sf = open(size)
+	defer db.Close()
+	reads = sf.file.Reads()
+	lookup(db)
+	lookup(db)
+	after = db.Registry().Snapshot()
+	if vc := after.VCache; vc.Declined != 0 || vc.Materializations != 1 || vc.ResidentBytes != size || vc.Hits != 1 {
+		t.Errorf("table that fits exactly: vcache = %+v; want one materialization of %d bytes", *vc, size)
+	}
+	var dataBytes uint64
+	for i := 0; i < sf.seg.NumRows(); i++ {
+		dataBytes += uint64(sf.seg.RowLen(i))
+	}
+	if got, want := sf.file.Reads()-reads, (dataBytes+storage.PageSize-1)/storage.PageSize; got != want || after.Pool.Misses != 0 {
+		t.Errorf("admitted table: %d device reads and %d pool misses; want its %d data pages once, past the pool",
+			got, after.Pool.Misses, want)
+	}
+}

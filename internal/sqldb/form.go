@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -204,9 +205,9 @@ func (h *heapForm) remove() error {
 }
 
 // segForm is the immutable form: the table's columnar segment, fronted by its
-// slot in the handle's resident vector cache (nil when the handle has none).
-// When the slot declines the table (budget too small) reads fall through to
-// the segment.
+// slot in the handle's resident vector cache — nil when the handle has no
+// cache or the cache declined the table (its vectors exceed the whole
+// budget), and then every read goes straight to the segment.
 type segForm struct {
 	t    *Table
 	file *storage.PagedFile
@@ -263,13 +264,19 @@ func (t *Table) writeSegment(sd storage.SegmentData) (*segForm, error) {
 }
 
 // openSegment opens and validates the table's segment file — checksums and
-// layout in storage, column layout against the schema here.
+// layout in storage, column layout against the schema here. The pass that
+// checksums the data region also counts its varints, which is all it takes to
+// know the size of the table's vectors (vectorBytes) before the vector cache
+// is asked to hold them.
 func (t *Table) openSegment() (*segForm, error) {
 	f, err := t.openFile(".seg")
 	if err != nil {
 		return nil, err
 	}
-	seg, err := storage.OpenSegment(f, t.db.pool)
+	varints := 0
+	seg, err := storage.OpenSegmentObserved(f, t.db.pool, func(chunk []byte) {
+		varints += sqltypes.CountSegVarints(chunk)
+	})
 	if err != nil {
 		_ = f.Close() // best-effort cleanup; the open failure wins
 		return nil, fmt.Errorf("sqldb: table %q: %w", t.def.Name, err)
@@ -288,9 +295,28 @@ func (t *Table) openSegment() (*segForm, error) {
 	}
 	sf := &segForm{t: t, file: f, seg: seg, types: types}
 	if t.db.vcache != nil {
-		sf.vcE = t.db.vcache.Register()
+		sf.vcE = t.db.vcache.Register(vectorBytes(types, seg.NumRows(), varints))
 	}
 	return sf, nil
+}
+
+// vectorBytes is the exact size of a segment table's materialized vectors —
+// vcache.Mat.Bytes before the Mat exists — from what open already knows: the
+// shared key directory, one int64 per row and BIGINT column, rows+1 starts
+// per BIGINT[] column, and one int64 per array element. Every varint of the
+// data region is a BIGINT, an array's length prefix or an array element, so
+// the elements are the varints minus one per row and column.
+func vectorBytes(types []sqltypes.Type, rows, varints int) int64 {
+	n := int64(rows)
+	size := 16*n + 8*(int64(varints)-n*int64(len(types)))
+	for _, typ := range types {
+		if typ == sqltypes.Int64 {
+			size += 8 * n
+		} else {
+			size += 4 * (n + 1)
+		}
+	}
+	return size
 }
 
 // lookup serves the row from the resident vectors when the cache holds the
@@ -404,8 +430,8 @@ func (f *segForm) remove() error {
 }
 
 // vcacheMat returns the table's materialized vectors, building them on first
-// touch, or nil when the cache declines the table (budget too small for it)
-// and the segment should serve instead.
+// touch, or nil when the table was dropped meanwhile and the segment should
+// serve instead.
 func (f *segForm) vcacheMat() (*vcache.Mat, error) {
 	if m := f.vcE.Acquire(); m != nil {
 		return m, nil
@@ -421,8 +447,10 @@ func (f *segForm) vcacheMat() (*vcache.Mat, error) {
 // immutable), scalar columns become one int64 per row, and array columns are
 // flattened with a starts index. The data region is read directly from the
 // device — one bulk pass that must not displace label pages from the buffer
-// pool — and every row goes through the same segment codec the per-lookup
-// path uses, so the vectors can never disagree with it.
+// pool. A counting pass over the bytes in memory sizes every column, the
+// vectors are carved out of two allocations of exactly that size (so
+// Mat.Bytes is vectorBytes, which the cache admitted the table on), and the
+// rows are decoded straight into them with the segment codec.
 //
 // hotpath:cold — runs once per residency, off the lookup path.
 func (f *segForm) materialize() (*vcache.Mat, error) {
@@ -431,43 +459,56 @@ func (f *segForm) materialize() (*vcache.Mat, error) {
 		return nil, fmt.Errorf("sqldb: table %q: %w", f.t.def.Name, err)
 	}
 	n := f.seg.NumRows()
-	m := &vcache.Mat{Keys: f.seg.Keys(), Cols: make([]vcache.Col, len(f.types))}
-	for ci, typ := range f.types {
-		if typ == sqltypes.Int64 {
-			m.Cols[ci].Ints = make([]int64, n)
-		} else {
-			m.Cols[ci].Starts = make([]int32, n+1)
-		}
-	}
-	var (
-		row   sqltypes.Row
-		arena []int64
-		off   int64
-	)
-	for i := 0; i < n; i++ {
-		ln := int64(f.seg.RowLen(i))
-		r, a, err := sqltypes.DecodeSegRowInto(data[off:off+ln], f.types, row, arena[:0])
-		if err != nil {
+	elems := make([]int, len(f.types))
+	nInts, nArrays := 0, 0
+	for i, off := 0, 0; i < n; i++ {
+		end := off + int(f.seg.RowLen(i))
+		if err := sqltypes.CountSegRow(data[off:end], f.types, elems); err != nil {
 			return nil, fmt.Errorf("sqldb: %s: %w", f.t.def.Name, err)
 		}
-		row, arena = r, a
-		off += ln
-		for ci := range m.Cols {
-			col := &m.Cols[ci]
-			if col.Starts == nil {
-				col.Ints[i] = r[ci].I
-				continue
-			}
-			col.Ints = append(col.Ints, r[ci].A...)
-			if len(col.Ints) > (1<<31)-1 {
-				return nil, fmt.Errorf("sqldb: %s: column %d overflows the vector index", f.t.def.Name, ci)
-			}
-			col.Starts[i+1] = int32(len(col.Ints))
+		off = end
+	}
+	for ci, typ := range f.types {
+		switch {
+		case typ == sqltypes.Int64:
+			elems[ci] = n
+		case elems[ci] > math.MaxInt32:
+			return nil, fmt.Errorf("sqldb: %s: column %d overflows the vector index", f.t.def.Name, ci)
+		default:
+			nArrays++
+		}
+		nInts += elems[ci]
+	}
+	ints := make([]int64, nInts)
+	starts := make([]int32, nArrays*(n+1))
+	m := &vcache.Mat{
+		Keys:  f.seg.Keys(),
+		Cols:  make([]vcache.Col, len(f.types)),
+		Bytes: int64(n)*16 + int64(len(ints))*8 + int64(len(starts))*4,
+	}
+	// vecs[ci] is column ci's vector while it fills: empty, its capacity the
+	// column's share of ints.
+	vecs := make([][]int64, len(f.types))
+	for ci, typ := range f.types {
+		vecs[ci], ints = ints[:0:elems[ci]], ints[elems[ci]:]
+		if typ == sqltypes.IntArray {
+			m.Cols[ci].Starts, starts = starts[:n+1:n+1], starts[n+1:]
 		}
 	}
-	m.Bytes = int64(len(m.Keys)) * 16
+	for i, off := 0, 0; i < n; i++ {
+		end := off + int(f.seg.RowLen(i))
+		if err := sqltypes.DecodeSegRowColumns(data[off:end], f.types, vecs); err != nil {
+			return nil, fmt.Errorf("sqldb: %s: %w", f.t.def.Name, err)
+		}
+		off = end
+		for ci := range m.Cols {
+			if st := m.Cols[ci].Starts; st != nil {
+				st[i+1] = int32(len(vecs[ci]))
+			}
+		}
+	}
 	for ci := range m.Cols {
-		m.Bytes += int64(cap(m.Cols[ci].Ints))*8 + int64(cap(m.Cols[ci].Starts))*4
+		m.Cols[ci].Ints = vecs[ci]
 	}
 	return m, nil
 }

@@ -3,6 +3,7 @@ package sqltypes
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // Segment codec: the compact row encoding used by columnar label segments.
@@ -100,4 +101,104 @@ func DecodeSegRowInto(buf []byte, types []Type, row Row, arena []int64) (Row, []
 		return nil, arena, fmt.Errorf("sqltypes: %d trailing bytes after segment row", len(buf))
 	}
 	return r, arena, nil
+}
+
+// The three functions below decode a whole table at once, into column vectors
+// instead of rows. They rest on one property of the encoding: every payload
+// byte belongs to exactly one varint, and a varint ends at its only byte
+// below 0x80. So the varints of any run of rows can be counted without
+// decoding them, and their number is the rows' scalars + array length
+// prefixes + array elements.
+
+// CountSegVarints returns how many varints end in b: the bytes below 0x80,
+// counted eight at a time. b may be any chunk of encoded rows — a varint
+// split across two chunks is counted once, with the chunk holding its last
+// byte.
+//
+// hotpath — allocheck root: runs over every data page of every segment at
+// open.
+func CountSegVarints(b []byte) int {
+	n := 0
+	for ; len(b) >= 8; b = b[8:] {
+		n += 8 - bits.OnesCount64(binary.LittleEndian.Uint64(b)&0x8080808080808080)
+	}
+	for _, c := range b {
+		if c < 0x80 {
+			n++
+		}
+	}
+	return n
+}
+
+// CountSegRow adds the length of each BIGINT[] value of one encoded row to
+// elems[i], i the value's column; BIGINT columns are left alone. It walks the
+// varints without decoding them, so it accepts every row DecodeSegRowColumns
+// accepts and sizes that function's vectors exactly.
+func CountSegRow(buf []byte, types []Type, elems []int) error {
+	for i, t := range types {
+		skip := uint64(1)
+		if t == IntArray {
+			ln, k := binary.Uvarint(buf)
+			if k <= 0 || ln > uint64(len(buf)-k) {
+				return fmt.Errorf("sqltypes: corrupt segment array at value %d", i)
+			}
+			buf = buf[k:]
+			elems[i] += int(ln)
+			skip = ln
+		}
+		for ; skip > 0; skip-- {
+			k := 0
+			for k < len(buf) && buf[k] >= 0x80 {
+				k++
+			}
+			if k == len(buf) {
+				return fmt.Errorf("sqltypes: corrupt segment row at value %d", i)
+			}
+			buf = buf[k+1:]
+		}
+	}
+	if len(buf) != 0 {
+		return fmt.Errorf("sqltypes: %d trailing bytes after segment row", len(buf))
+	}
+	return nil
+}
+
+// DecodeSegRowColumns decodes one encoded row onto the ends of per-column
+// vectors: a BIGINT extends cols[i] by its value, a BIGINT[] by its elements
+// (the caller records the row boundary). The vectors grow only within their
+// capacity — the caller allocated them once, at the sizes CountSegRow found —
+// so a row that does not fit is an error, never a reallocation.
+func DecodeSegRowColumns(buf []byte, types []Type, cols [][]int64) error {
+	for i, t := range types {
+		// A BIGINT decodes like a one-element array without the length
+		// prefix: its single delta from zero is the value itself.
+		ln := uint64(1)
+		if t == IntArray {
+			var k int
+			if ln, k = binary.Uvarint(buf); k <= 0 {
+				return fmt.Errorf("sqltypes: corrupt segment array at value %d", i)
+			}
+			buf = buf[k:]
+		}
+		col := cols[i]
+		if ln > uint64(cap(col)-len(col)) {
+			return fmt.Errorf("sqltypes: segment value %d overflows its column vector", i)
+		}
+		out := col[len(col) : len(col)+int(ln)]
+		prev := int64(0)
+		for j := range out {
+			d, k := binary.Varint(buf)
+			if k <= 0 {
+				return fmt.Errorf("sqltypes: corrupt segment element %d of value %d", j, i)
+			}
+			buf = buf[k:]
+			prev += d
+			out[j] = prev
+		}
+		cols[i] = col[:len(col)+int(ln)]
+	}
+	if len(buf) != 0 {
+		return fmt.Errorf("sqltypes: %d trailing bytes after segment row", len(buf))
+	}
+	return nil
 }

@@ -255,5 +255,75 @@ func FuzzSegCodecRoundTrip(f *testing.F) {
 			t.Fatalf("canonical encoding not a fixed point:\n first %x\nsecond %x", enc, enc2)
 		}
 		_ = arena
+		// The invariant the vector-size prediction rests on: every byte of an
+		// accepted row belongs to one varint, so its terminators number the
+		// scalars + array length prefixes + elements — canonical or not — and
+		// the column decoder sees the same values as the row decoder.
+		checkSegVectors(t, data, types, row)
+		checkSegVectors(t, enc, types, row)
 	})
+}
+
+// checkSegVectors runs the whole-table helpers over one encoded row known to
+// decode to want.
+func checkSegVectors(t *testing.T, enc []byte, types []Type, want Row) {
+	t.Helper()
+	varints := 0
+	elems := make([]int, len(types))
+	for i, v := range want {
+		varints++
+		if v.T == IntArray {
+			varints += len(v.A)
+			elems[i] = len(v.A)
+		}
+	}
+	if got := CountSegVarints(enc); got != varints {
+		t.Fatalf("CountSegVarints(%x) = %d, row %v holds %d varints", enc, got, want, varints)
+	}
+	// Counted chunk by chunk the total is the same wherever the cut falls.
+	for cut := 0; cut <= len(enc); cut++ {
+		if got := CountSegVarints(enc[:cut]) + CountSegVarints(enc[cut:]); got != varints {
+			t.Fatalf("CountSegVarints(%x) cut at %d = %d, want %d", enc, cut, got, varints)
+		}
+	}
+	counted := make([]int, len(types))
+	if err := CountSegRow(enc, types, counted); err != nil {
+		t.Fatalf("CountSegRow rejects a row the decoder accepts: %v (%x)", err, enc)
+	}
+	cols := make([][]int64, len(types))
+	for i, typ := range types {
+		if counted[i] != elems[i] {
+			t.Fatalf("CountSegRow(%x): column %d has %d elements, want %d", enc, i, counted[i], elems[i])
+		}
+		if typ == Int64 {
+			counted[i] = 1
+		}
+		cols[i] = make([]int64, 0, counted[i])
+	}
+	if err := DecodeSegRowColumns(enc, types, cols); err != nil {
+		t.Fatalf("DecodeSegRowColumns rejects a row the decoder accepts: %v (%x)", err, enc)
+	}
+	for i, v := range want {
+		got := NewIntArray(cols[i])
+		if v.T == Int64 {
+			got = NewInt(cols[i][0])
+		}
+		if len(cols[i]) != cap(cols[i]) || !Equal(got, v) {
+			t.Fatalf("DecodeSegRowColumns(%x): column %d = %v, want %v", enc, i, cols[i], v)
+		}
+	}
+	// One slot short anywhere and the row must be refused, not grown into.
+	for i := range cols {
+		if cap(cols[i]) == 0 {
+			continue
+		}
+		short := make([][]int64, len(cols))
+		for j := range cols {
+			short[j] = make([]int64, 0, cap(cols[j]))
+		}
+		short[i] = make([]int64, 0, cap(cols[i])-1)
+		if err := DecodeSegRowColumns(enc, types, short); err == nil {
+			t.Fatalf("DecodeSegRowColumns(%x) fit column %d into %d slots", enc, i, cap(short[i]))
+		}
+	}
 }

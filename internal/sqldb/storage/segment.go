@@ -189,18 +189,31 @@ func keyLess(a, b Key) bool {
 }
 
 // OpenSegment opens a segment over file, decoding the directory into memory.
-// The header, directory and data pages are read directly from the device —
-// each is touched exactly once per open, so caching them would only displace
-// label pages from the pool.
+// The file is read front to back, exactly once: header, data region,
+// directory — one seek and then sequential transfers, straight from the
+// device, since caching pages touched once per open would only displace label
+// pages from the pool.
 //
 // Every header field is validated against the file's actual page count and
 // both region checksums are verified before the segment is returned, so a
 // truncated file, a bit flip anywhere in a meaningful byte, or a header
 // inflated to provoke huge allocations all fail the open with
-// ErrCorruptSegment instead of panicking or mis-decoding later. (Flips in the zero padding of a region's
-// last page are outside the checksums and harmless: no decode ever reads
-// them.)
+// ErrCorruptSegment instead of panicking or mis-decoding later. Because the
+// data region comes first in the file its checksum is the one reported when
+// both regions are damaged. (Flips in the zero padding of a region's last
+// page are outside the checksums and harmless: no decode ever reads them.)
 func OpenSegment(file *PagedFile, pool *Pool) (*Segment, error) {
+	return OpenSegmentObserved(file, pool, nil)
+}
+
+// OpenSegmentObserved is OpenSegment with a tap on the pass that checksums
+// the data region: observe, when non-nil, is handed the region's logical
+// bytes chunk by chunk in file order (each chunk is valid only during the
+// call). The payloads stay opaque to storage; the caller that encoded them
+// can derive whatever it needs about them — sqldb sizes the table's decoded
+// vectors — without reading the file a second time. What observe saw is only
+// meaningful when the open succeeds.
+func OpenSegmentObserved(file *PagedFile, pool *Pool, observe func(chunk []byte)) (*Segment, error) {
 	var page [PageSize]byte
 	totalPages := uint64(file.NumPages())
 	if totalPages == 0 {
@@ -248,16 +261,23 @@ func OpenSegment(file *PagedFile, pool *Pool) (*Segment, error) {
 	if nRows > dirBytes/3 {
 		return nil, corruptSegment("directory", "%d rows claimed in %d bytes", nRows, dirBytes)
 	}
-	s := &Segment{
-		file:      file,
-		pool:      pool,
-		cols:      append([]byte(nil), page[segHeaderBytes:segHeaderBytes+int(nCols)]...),
-		pkLen:     int(pkLen),
-		keys:      make([]Key, 0, nRows),
-		offs:      make([]int64, 0, nRows),
-		lens:      make([]uint32, 0, nRows),
-		dataBytes: dataBytes,
-		dataCRC:   dataCRC,
+	cols := append([]byte(nil), page[segHeaderBytes:segHeaderBytes+int(nCols)]...)
+
+	// Verify the data region, streaming page by page so the open allocates
+	// nothing proportional to the data size.
+	crc := uint32(0)
+	for off := uint64(0); off < dataBytes; off += PageSize {
+		if err := file.ReadPage(PageID(1+off/PageSize), page[:]); err != nil {
+			return nil, err
+		}
+		chunk := page[:min(dataBytes-off, PageSize)]
+		crc = crc32.Update(crc, segCRCTable, chunk)
+		if observe != nil {
+			observe(chunk)
+		}
+	}
+	if crc != dataCRC {
+		return nil, corruptSegment("data", "checksum %08x, header says %08x", crc, dataCRC)
 	}
 
 	// Read and checksum the directory, then decode it.
@@ -271,6 +291,17 @@ func OpenSegment(file *PagedFile, pool *Pool) (*Segment, error) {
 	}
 	if got := crc32.Checksum(dir, segCRCTable); got != dirCRC {
 		return nil, corruptSegment("directory", "checksum %08x, header says %08x", got, dirCRC)
+	}
+	s := &Segment{
+		file:      file,
+		pool:      pool,
+		cols:      cols,
+		pkLen:     int(pkLen),
+		keys:      make([]Key, 0, nRows),
+		offs:      make([]int64, 0, nRows),
+		lens:      make([]uint32, 0, nRows),
+		dataBytes: dataBytes,
+		dataCRC:   dataCRC,
 	}
 	var dataOff int64
 	for i := uint64(0); i < nRows; i++ {
@@ -303,22 +334,6 @@ func OpenSegment(file *PagedFile, pool *Pool) (*Segment, error) {
 	}
 	if uint64(dataOff) != dataBytes {
 		return nil, corruptSegment("directory", "payloads sum to %d bytes, header says %d", dataOff, dataBytes)
-	}
-	// Verify the data region, streaming page by page so the open allocates
-	// nothing proportional to the data size.
-	crc := uint32(0)
-	for off := uint64(0); off < dataBytes; off += PageSize {
-		if err := file.ReadPage(PageID(1+off/PageSize), page[:]); err != nil {
-			return nil, err
-		}
-		n := dataBytes - off
-		if n > PageSize {
-			n = PageSize
-		}
-		crc = crc32.Update(crc, segCRCTable, page[:n])
-	}
-	if crc != dataCRC {
-		return nil, corruptSegment("data", "checksum %08x, header says %08x", crc, dataCRC)
 	}
 	return s, nil
 }

@@ -20,14 +20,17 @@
 //   - The mutex guards only the admission bookkeeping (ring, budget,
 //     building latches). Decode and device I/O always happen outside it.
 //
-// The cache is sized in bytes (Config.VectorCacheBytes); a table whose
-// vectors alone exceed the whole budget is marked too-big once and served
-// from its segment forever after. Tables are registered per database handle
+// The cache is sized in bytes (Config.VectorCacheBytes). A table registers
+// with the exact size of its vectors, known before any of them is built, and
+// one whose vectors alone exceed the whole budget is declined there and then:
+// it gets no slot, so its lookups never reach the cache and its bytes are
+// never read to be thrown away. Tables are registered per database handle
 // today, but nothing in the accounting assumes one database — a shared
 // multi-city cache only needs entries registered from several handles.
 package vcache
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -124,14 +127,21 @@ type Entry struct {
 	// it while re-taking cache.mu (level 20) to publish, so the latch must
 	// order strictly below the mutex.
 	building chan struct{} // lockcheck:latch level=10 — non-nil while a materialization is in flight
-	size     int64         // bytes charged while resident
-	tooBig   bool          // vectors exceed the whole budget; never retry
 	dropped  bool          // table dropped; never materialize
+
+	size int64 // bytes of the table's vectors, charged while resident; fixed at Register
 }
 
-// Register adds a table slot to the cache's clock ring.
-func (c *Cache) Register() *Entry {
-	e := &Entry{cache: c}
+// Register adds a slot for a table whose vectors take exactly size bytes to
+// the cache's clock ring. A table that cannot fit even an empty cache is
+// declined: Register counts it and returns nil, and the caller serves the
+// table from its segment without ever asking the cache again.
+func (c *Cache) Register(size int64) *Entry {
+	if size > c.budget {
+		c.met.Declined.Add(1)
+		return nil
+	}
+	e := &Entry{cache: c, size: size}
 	c.mu.Lock()
 	c.entries = append(c.entries, e)
 	c.mu.Unlock()
@@ -156,9 +166,9 @@ func (e *Entry) Acquire() *Mat {
 // Materialize returns the entry's vectors, building them with build if
 // necessary. Concurrent callers coalesce: one runs build (outside the cache
 // lock — build reads the device and decodes every row), the rest wait on the
-// latch and share the result. A nil, nil return means the cache declines to
-// hold this table (dropped, or too big for the whole budget) and the caller
-// should fall back to the segment path.
+// latch and share the result. A nil, nil return means the table was dropped
+// and the caller should fall back to the segment path. build must produce
+// vectors of exactly the registered size — the budget was checked against it.
 func (e *Entry) Materialize(build func() (*Mat, error)) (*Mat, error) {
 	c := e.cache
 	for {
@@ -166,7 +176,7 @@ func (e *Entry) Materialize(build func() (*Mat, error)) (*Mat, error) {
 			return m, nil
 		}
 		c.mu.Lock()
-		if e.dropped || e.tooBig {
+		if e.dropped {
 			c.mu.Unlock()
 			return nil, nil
 		}
@@ -203,14 +213,12 @@ func (e *Entry) Materialize(build func() (*Mat, error)) (*Mat, error) {
 			c.mu.Unlock()
 			return nil, nil
 		}
-		if m.Bytes > c.budget {
-			e.tooBig = true
+		if m.Bytes != e.size {
 			c.mu.Unlock()
-			return nil, nil
+			return nil, fmt.Errorf("vcache: built %d bytes of vectors for a table registered at %d", m.Bytes, e.size)
 		}
-		c.evictLocked(m.Bytes)
-		e.size = m.Bytes
-		c.resident += m.Bytes
+		c.evictLocked(e.size)
+		c.resident += e.size
 		e.mat.Store(m)
 		e.ref.Store(true)
 		c.mu.Unlock()
@@ -225,8 +233,8 @@ func (e *Entry) Materialize(build func() (*Mat, error)) (*Mat, error) {
 // evictLocked runs the clock hand until need bytes fit under the budget:
 // resident entries with the reference bit set get a second chance (the bit
 // is cleared), unreferenced ones are unpublished. Terminates because every
-// full sweep either evicts a table or clears every reference bit, and the
-// admission check already guaranteed need fits an empty cache.
+// full sweep either evicts a table or clears every reference bit, and
+// Register already guaranteed need fits an empty cache.
 func (c *Cache) evictLocked(need int64) {
 	for c.resident+need > c.budget {
 		if c.resident == 0 || len(c.entries) == 0 {
@@ -252,7 +260,6 @@ func (c *Cache) evictEntryLocked(e *Entry) {
 	e.mat.Store(nil)
 	c.resident -= e.size
 	c.met.ResidentBytes.Add(-e.size)
-	e.size = 0
 }
 
 // Drop releases an entry when its table is dropped: the vectors are

@@ -26,7 +26,7 @@ func newCache(budget int64) (*Cache, *obs.VCacheMetrics) {
 
 func TestAcquireMissThenHit(t *testing.T) {
 	c, met := newCache(1000)
-	e := c.Register()
+	e := c.Register(100)
 	if m := e.Acquire(); m != nil {
 		t.Fatal("Acquire on empty entry returned a Mat")
 	}
@@ -84,7 +84,7 @@ func TestColArray(t *testing.T) {
 // build must run and every caller must get the same Mat.
 func TestMaterializeSingleflight(t *testing.T) {
 	c, met := newCache(1000)
-	e := c.Register()
+	e := c.Register(100)
 	var builds atomic.Int64
 	gate := make(chan struct{})
 	var wg sync.WaitGroup
@@ -96,7 +96,7 @@ func TestMaterializeSingleflight(t *testing.T) {
 			<-gate
 			m, err := e.Materialize(func() (*Mat, error) {
 				builds.Add(1)
-				return mat(64), nil
+				return mat(100), nil
 			})
 			if err != nil {
 				t.Errorf("Materialize: %v", err)
@@ -123,12 +123,12 @@ func TestMaterializeSingleflight(t *testing.T) {
 // the next caller retries.
 func TestMaterializeErrorRetries(t *testing.T) {
 	c, _ := newCache(1000)
-	e := c.Register()
+	e := c.Register(100)
 	boom := errors.New("device gone")
 	if _, err := e.Materialize(func() (*Mat, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
-	m, err := e.Materialize(func() (*Mat, error) { return mat(10), nil })
+	m, err := e.Materialize(func() (*Mat, error) { return mat(100), nil })
 	if err != nil || m == nil {
 		t.Fatalf("retry after error = %v, %v", m, err)
 	}
@@ -139,7 +139,7 @@ func TestMaterializeErrorRetries(t *testing.T) {
 // bit) and evict the untouched one.
 func TestEvictionSecondChance(t *testing.T) {
 	c, met := newCache(250)
-	a, b := c.Register(), c.Register()
+	a, b := c.Register(100), c.Register(100)
 	if _, err := a.Materialize(func() (*Mat, error) { return mat(100), nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestEvictionSecondChance(t *testing.T) {
 	// that evicts nothing... instead, emulate steady state directly.
 	a.ref.Store(true)
 	b.ref.Store(false)
-	d := c.Register()
+	d := c.Register(100)
 	if _, err := d.Materialize(func() (*Mat, error) { return mat(100), nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -172,24 +172,44 @@ func TestEvictionSecondChance(t *testing.T) {
 	}
 }
 
-// TestTooBigStickyDecline: a table whose vectors exceed the whole budget is
-// declined once and never rebuilt.
-func TestTooBigStickyDecline(t *testing.T) {
-	c, _ := newCache(50)
-	e := c.Register()
-	builds := 0
-	build := func() (*Mat, error) { builds++; return mat(100), nil }
-	for i := 0; i < 3; i++ {
-		m, err := e.Materialize(build)
-		if err != nil || m != nil {
-			t.Fatalf("Materialize #%d = %v, %v; want nil, nil", i, m, err)
+// TestRegisterDeclinesTooBig: a table whose vectors exceed the whole budget
+// gets no slot — the decision takes no build and no device read — while one
+// that exactly fills the budget is admitted.
+func TestRegisterDeclinesTooBig(t *testing.T) {
+	c, met := newCache(50)
+	if e := c.Register(51); e != nil {
+		t.Fatal("Register admitted a table larger than the whole budget")
+	}
+	if got := met.Declined.Load(); got != 1 {
+		t.Errorf("Declined = %d, want 1", got)
+	}
+	if len(c.entries) != 0 {
+		t.Errorf("a declined table occupies %d ring slots", len(c.entries))
+	}
+	e := c.Register(50)
+	if e == nil {
+		t.Fatal("Register declined a table that fits the budget exactly")
+	}
+	if m, err := e.Materialize(func() (*Mat, error) { return mat(50), nil }); err != nil || m == nil {
+		t.Fatalf("Materialize = %v, %v", m, err)
+	}
+	if got, d := c.Resident(), met.Declined.Load(); got != 50 || d != 1 {
+		t.Errorf("Resident = %d, Declined = %d; want 50, 1", got, d)
+	}
+}
+
+// TestMaterializeRejectsWrongSize: the budget was checked against the
+// registered size, so vectors of any other size are refused, not charged.
+func TestMaterializeRejectsWrongSize(t *testing.T) {
+	c, _ := newCache(1000)
+	e := c.Register(100)
+	for _, built := range []int64{99, 101, 2000} {
+		if m, err := e.Materialize(func() (*Mat, error) { return mat(built), nil }); err == nil || m != nil {
+			t.Fatalf("Materialize of %d bytes on a 100-byte slot = %v, %v; want an error", built, m, err)
 		}
 	}
-	if builds != 1 {
-		t.Errorf("build ran %d times, want 1 (sticky decline)", builds)
-	}
-	if got := c.Resident(); got != 0 {
-		t.Errorf("Resident = %d, want 0", got)
+	if got := c.Resident(); got != 0 || e.Acquire() != nil {
+		t.Errorf("a refused build left %d bytes resident", got)
 	}
 }
 
@@ -197,7 +217,7 @@ func TestTooBigStickyDecline(t *testing.T) {
 // rebuilds, even when Drop races an in-flight materialization.
 func TestDropIsPermanent(t *testing.T) {
 	c, _ := newCache(1000)
-	e := c.Register()
+	e := c.Register(100)
 	if _, err := e.Materialize(func() (*Mat, error) { return mat(100), nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +238,7 @@ func TestDropIsPermanent(t *testing.T) {
 
 	// Race: the drop lands while a build is in flight; the stale vectors
 	// must be discarded, not installed.
-	e2 := c.Register()
+	e2 := c.Register(100)
 	started := make(chan struct{})
 	proceed := make(chan struct{})
 	done := make(chan struct{})
@@ -252,14 +272,14 @@ func TestDropIsPermanent(t *testing.T) {
 func TestDropLeavesTheRing(t *testing.T) {
 	c, met := newCache(300)
 	build := func() (*Mat, error) { return mat(100), nil }
-	keep := c.Register()
+	keep := c.Register(100)
 	if _, err := keep.Materialize(build); err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < 20; round++ {
 		var es []*Entry
 		for i := 0; i < 3; i++ {
-			e := c.Register()
+			e := c.Register(100)
 			if _, err := e.Materialize(build); err != nil {
 				t.Fatal(err)
 			}
@@ -283,7 +303,7 @@ func TestDropLeavesTheRing(t *testing.T) {
 	if len(c.entries) != 0 || c.Resident() != 0 {
 		t.Fatalf("empty cache holds %d entries, %d bytes", len(c.entries), c.Resident())
 	}
-	e := c.Register()
+	e := c.Register(100)
 	if m, err := e.Materialize(build); err != nil || m == nil {
 		t.Fatalf("Materialize after the ring emptied = %v, %v", m, err)
 	}
@@ -293,7 +313,7 @@ func TestDropLeavesTheRing(t *testing.T) {
 // table but leaves the entries registered; the next miss rebuilds.
 func TestDropAllReMaterializes(t *testing.T) {
 	c, met := newCache(1000)
-	a, b := c.Register(), c.Register()
+	a, b := c.Register(100), c.Register(100)
 	for _, e := range []*Entry{a, b} {
 		if _, err := e.Materialize(func() (*Mat, error) { return mat(100), nil }); err != nil {
 			t.Fatal(err)
@@ -324,7 +344,7 @@ func TestBudgetAccountingAcrossEvictions(t *testing.T) {
 	c, met := newCache(300)
 	entries := make([]*Entry, 8)
 	for i := range entries {
-		entries[i] = c.Register()
+		entries[i] = c.Register(100)
 	}
 	for round := 0; round < 5; round++ {
 		for _, e := range entries {
