@@ -34,11 +34,14 @@ func dirImage(t *testing.T, dir string) map[string][]byte {
 	return out
 }
 
-// TestBuildWorkersDiskImageIdentical builds the same database at several
-// BuildWorkers values — exercising every parallel preprocessing path: the
-// wave-parallel label construction, the pooled label/stops loads of Create,
-// the six-table loads of AddTargetSet and the versioned loads of
-// AddVersion — and asserts the resulting directories are byte-identical.
+// TestBuildWorkersDiskImageIdentical builds the same database twice serially
+// and at several BuildWorkers values — exercising every parallel
+// preprocessing path: the wave-parallel label construction, the pooled
+// label/stops loads of Create, the six-table loads of AddTargetSet and the
+// versioned loads of AddVersion — plus BuildPathTables, whose rows are
+// produced in map iteration order and sorted before they are loaded. The
+// resulting directories — segments and the catalog, nothing else — must be
+// byte-identical, paths_* and the thrice-rewritten ptldb_meta included.
 func TestBuildWorkersDiskImageIdentical(t *testing.T) {
 	tt, err := GenerateCity("Salt Lake City", 0.02, 42)
 	if err != nil {
@@ -62,6 +65,9 @@ func TestBuildWorkersDiskImageIdentical(t *testing.T) {
 		if err := db.AddVersion("weekend", tt2); err != nil {
 			t.Fatalf("workers=%d: AddVersion: %v", workers, err)
 		}
+		if err := db.BuildPathTables(tt); err != nil {
+			t.Fatalf("workers=%d: BuildPathTables: %v", workers, err)
+		}
 		if err := db.Close(); err != nil {
 			t.Fatalf("workers=%d: Close: %v", workers, err)
 		}
@@ -77,16 +83,17 @@ func TestBuildWorkersDiskImageIdentical(t *testing.T) {
 	if len(names) == 0 {
 		t.Fatal("serial build produced no files")
 	}
-	segs := 0
 	for _, name := range names {
-		if strings.HasSuffix(name, ".seg") {
-			segs++
+		if name != "catalog.json" && !strings.HasSuffix(name, ".seg") {
+			t.Errorf("build produced %s; want segments and the catalog only", name)
 		}
 	}
-	if segs == 0 {
-		t.Error("build produced no .seg segment files; byte-compare is not covering segments")
+	for _, table := range []string{"lout", "stops", "ptldb_meta", "knn_ea_poi", "lin__weekend", "paths_out", "paths_in"} {
+		if len(want[table+".seg"]) == 0 {
+			t.Errorf("build produced no %s.seg; the byte-compare is not covering it", table)
+		}
 	}
-	for _, workers := range []int{2, 7} {
+	for _, workers := range []int{1, 2, 7} {
 		got := build(workers)
 		if len(got) != len(want) {
 			t.Errorf("workers=%d: %d files, serial build has %d", workers, len(got), len(want))

@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"os"
 	"strconv"
-	"strings"
 
 	"ptldb"
 	"ptldb/internal/gtfs"
@@ -122,13 +121,6 @@ func main() {
 	switch args[0] {
 	case "sql":
 		need(args, 2)
-		trimmed := strings.ToUpper(strings.TrimSpace(args[1]))
-		if !strings.HasPrefix(trimmed, "SELECT") && !strings.HasPrefix(trimmed, "WITH") {
-			n, err := db.Store().DB.Exec(args[1])
-			check(err)
-			fmt.Printf("ok (%d rows affected)\n", n)
-			return
-		}
 		rel, err := db.Store().Raw(args[1])
 		check(err)
 		for _, c := range rel.Columns() {

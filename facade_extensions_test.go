@@ -1,6 +1,11 @@
 package ptldb
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
 
 // TestFacadeVersions covers the weekday/weekend multi-version workflow of
 // the paper's Section 3.1 through the public API.
@@ -103,5 +108,61 @@ func TestFacadePathTables(t *testing.T) {
 	}
 	if checked < 5 {
 		t.Fatalf("only %d reachable pairs checked", checked)
+	}
+}
+
+// TestOpenFailsClosedOnMissingLabelSegment: a database whose lout.seg is gone
+// does not open — it used to open, grow an empty lout beside the real lin,
+// and answer "no journey" to every query. The error names the table and the
+// remedy, the failed open leaves the directory exactly as it found it, and a
+// retry fails the same way.
+func TestOpenFailsClosedOnMissingLabelSegment(t *testing.T) {
+	tt, err := GenerateCity("Austin", 0.02, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	db, err := Create(dir, tt, Config{Device: "ram"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, g := StopID(0), StopID(tt.NumStops()-1)
+	want, ok, err := db.EarliestArrival(s, g, tt.MinTime())
+	if err != nil || !ok {
+		t.Fatalf("EA on the intact database = %v, %v, %v; the test needs a journey", want, ok, err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, "lout.seg")); err != nil {
+		t.Fatal(err)
+	}
+	listing := func() string {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		return strings.Join(names, " ")
+	}
+	before := listing()
+	for attempt := 0; attempt < 2; attempt++ {
+		db, err := Open(dir, Config{Device: "ram"})
+		if err == nil {
+			got, ok, qerr := db.EarliestArrival(s, g, tt.MinTime())
+			db.Close()
+			t.Fatalf("Open accepted a database without lout.seg; EA now answers %v, %v, %v (was %v)", got, ok, qerr, want)
+		}
+		for _, frag := range []string{`table "lout"`, "lout.seg", "rebuild"} {
+			if !strings.Contains(err.Error(), frag) {
+				t.Errorf("error lacks %q: %v", frag, err)
+			}
+		}
+		if after := listing(); after != before {
+			t.Fatalf("the failed open changed the directory: %s, was %s", after, before)
+		}
 	}
 }

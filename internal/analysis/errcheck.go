@@ -9,9 +9,9 @@ import (
 
 // errCheck is a deliberately small errcheck: inside the storage engine a
 // swallowed error is silent data loss (a failed WritePage that nobody sees
-// corrupts the heap file on the next read), so a bare call statement whose
-// results include an error is a finding — the error vanished without anyone
-// deciding to drop it.
+// leaves a segment that fails its checksum at the next open), so a bare call
+// statement whose results include an error is a finding — the error vanished
+// without anyone deciding to drop it.
 //
 // Explicitly assigning the error to the blank identifier ("_ = f.Close()")
 // is the sanctioned escape hatch: the discard is visible in the source and

@@ -19,9 +19,9 @@ package analysis
 // receive, or a call whose summary says it may blocking-acquire — adds one
 // edge held→acquired per held class. Function summaries (may-acquire, opens
 // a latch, closes a latch) are computed to fixpoint over static module-local
-// calls, so the graph spans packages: the pool's frame latch held across its
-// write-back re-lock shows up as Frame.ready → poolShard.mu even though the
-// acquisition is two calls deep.
+// calls, so the graph spans packages: the pool's frame latch held across the
+// re-lock that detaches a failed load shows up as Frame.ready → poolShard.mu
+// even though the acquisition is a call deep.
 //
 // Findings:
 //   - any cycle among lock classes (classic deadlock potential);

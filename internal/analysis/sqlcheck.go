@@ -20,8 +20,6 @@ import (
 //
 //   - Query, QueryTraced, Prepare, CachedPrepare: the first argument must
 //     parse as a SELECT (sql.Parse).
-//   - Exec: the first argument must parse as a statement
-//     (sql.ParseStatement).
 //   - prepared (core's plan-cache helper): the first argument must parse as
 //     a SELECT and additionally compile with exec.Fuse — the nine prepared
 //     Code 1–4 statements all flow through it, so breaking a fused shape
@@ -43,11 +41,10 @@ func NewSQLCheck() Checker { return sqlCheck{} }
 func (sqlCheck) Name() string { return "sqlcheck" }
 
 // sqlParseSinks require the first argument to parse as a SELECT;
-// sqlStatementSinks accept any statement; sqlFusedSinks must also fuse.
+// sqlFusedSinks must also fuse.
 var (
-	sqlParseSinks     = map[string]bool{"Query": true, "QueryTraced": true, "Prepare": true, "CachedPrepare": true, "prepared": true}
-	sqlStatementSinks = map[string]bool{"Exec": true}
-	sqlFusedSinks     = map[string]bool{"prepared": true}
+	sqlParseSinks = map[string]bool{"Query": true, "QueryTraced": true, "Prepare": true, "CachedPrepare": true, "prepared": true}
+	sqlFusedSinks = map[string]bool{"prepared": true}
 )
 
 func (c sqlCheck) Check(p *Package) []Finding {
@@ -59,7 +56,7 @@ func (c sqlCheck) Check(p *Package) []Finding {
 				return true
 			}
 			name := calleeName(call)
-			if (!sqlParseSinks[name] && !sqlStatementSinks[name]) || len(call.Args) == 0 {
+			if !sqlParseSinks[name] || len(call.Args) == 0 {
 				return true
 			}
 			arg := ast.Unparen(call.Args[0])
@@ -72,13 +69,6 @@ func (c sqlCheck) Check(p *Package) []Finding {
 			if err != nil {
 				out = append(out, Finding{pos, c.Name(),
 					fmt.Sprintf("SQL constant passed to %s: %v", name, err)})
-				return true
-			}
-			if sqlStatementSinks[name] {
-				if _, err := sql.ParseStatement(subst); err != nil {
-					out = append(out, Finding{pos, c.Name(),
-						fmt.Sprintf("SQL constant passed to %s does not parse: %v", name, err)})
-				}
 				return true
 			}
 			sel, err := sql.Parse(subst)

@@ -13,7 +13,6 @@ type db struct{}
 func (db) Prepare(q string) (*stmt, error)       { return nil, nil }
 func (db) CachedPrepare(q string) (*stmt, error) { return nil, nil }
 func (db) Query(q string, args ...any) error     { return nil }
-func (db) Exec(q string) error                   { return nil }
 
 type store struct{ db db }
 
@@ -47,8 +46,6 @@ func examples(s store, d db) {
 	_ = d.Query("SELECT a FROM nums")                    // ok: parses
 	_ = d.Query(fmt.Sprintf("SELECT a FROM %s", "nums")) // ok: constant format, parses after substitution
 	_ = d.Query(fmt.Sprintf("SELEC a FROM %s", "nums"))  // want `does not parse`
-	_ = d.Exec("CREATE TABLE t (a BIGINT)")              // ok: statement sink accepts DDL
-	_ = d.Exec("CREATE TABLE t (")                       // want `does not parse`
 	_, _ = d.CachedPrepare("SELECT a FROM nums")         // ok: parse-only sink
 	_, _ = d.Prepare("SELECT a FROM nums WHERE")         // want `does not parse`
 	_, _ = s.prepared(fusedEA, "lout", "lin")            // ok: Code 1 fuses

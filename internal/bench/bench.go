@@ -94,11 +94,12 @@ func (c Config) Defaults() Config {
 
 // datasetFormat versions the cache-dir naming. Bump it whenever the on-disk
 // image changes (v2: segment region checksums; v3: label tables are segments
-// only; v4: condensed tables are keyed, hence laid out, bucket-first): a stale
-// cache would otherwise fail to open, skew the storage reports with files the
-// current build no longer writes, or — a v3 image still opens and answers —
-// silently report the old layout's cold read pattern.
-const datasetFormat = 4
+// only; v4: condensed tables are keyed, hence laid out, bucket-first; v5:
+// every table is a segment — a v4 image has stops.heap and no stops.seg): a
+// stale cache would otherwise fail to open, skew the storage reports with
+// files the current build no longer writes, or — a v3 image still opens and
+// answers — silently report the old layout's cold read pattern.
+const datasetFormat = 5
 
 // Densities are the paper's target-density values D = |T| / |V|.
 var Densities = []float64{0.001, 0.005, 0.01, 0.05, 0.1}

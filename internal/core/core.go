@@ -242,22 +242,17 @@ func Build(db *sqldb.DB, labels *ttl.Labels, opts BuildOptions) (*Store, error) 
 		base.MinTime, base.MaxTime = 0, 0
 	}
 
-	metaTbl, err := db.CreateTable(sqldb.TableDef{
-		Name: "ptldb_meta",
+	if _, err := db.CreateTable(sqldb.TableDef{
+		Name: metaTable,
 		PK:   []string{"id"},
 		Columns: []sqldb.ColumnDef{
 			{Name: "id", Type: sqltypes.Int64},
 			{Name: "payload", Type: sqltypes.Text},
 		},
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
 	}
-	blob, err := json.Marshal(s.meta)
-	if err != nil {
-		return nil, err
-	}
-	if err := metaTbl.Insert(sqltypes.Row{sqltypes.NewInt(0), sqltypes.NewText(string(blob))}); err != nil {
+	if err := s.saveMeta(); err != nil {
 		return nil, err
 	}
 	if err := s.prepareStatements(); err != nil {
@@ -329,8 +324,7 @@ func loadLabelTables(db *sqldb.DB, suffix string, labels *ttl.Labels, vm *Versio
 }
 
 // loadLabelSide bulk-loads one label side into its table: the rows are
-// already in ascending primary-key (stop id) order, so the index is built
-// bottom-up from full pages instead of one descent per row.
+// already in ascending primary-key (stop id) order.
 func loadLabelSide(tbl *sqldb.Table, side [][]ttl.Tuple, r *timeRange) error {
 	r.min, r.max = timetable.Infinity, timetable.NegInfinity
 	rows := make([]sqltypes.Row, len(side))
@@ -378,36 +372,23 @@ func loadStops(tbl *sqldb.Table, stops []timetable.Stop) error {
 
 // Open attaches to a previously built PTLDB database.
 func Open(db *sqldb.DB) (*Store, error) {
-	rel, err := db.Query("SELECT payload FROM ptldb_meta WHERE id = 0")
+	tbl, ok := db.Table(metaTable)
+	if !ok {
+		return nil, fmt.Errorf("core: not a PTLDB database: no %s table", metaTable)
+	}
+	row, found, err := tbl.LookupPK([]int64{0})
 	if err != nil {
 		return nil, fmt.Errorf("core: not a PTLDB database: %w", err)
 	}
-	if len(rel.Rows) != 1 {
-		return nil, fmt.Errorf("core: ptldb_meta has %d rows, want 1", len(rel.Rows))
+	if !found {
+		return nil, fmt.Errorf("core: %s has no row 0", metaTable)
 	}
 	var meta Meta
-	if err := json.Unmarshal([]byte(rel.Rows[0][0].S), &meta); err != nil {
+	if err := json.Unmarshal([]byte(row[1].S), &meta); err != nil {
 		return nil, fmt.Errorf("core: corrupt meta: %w", err)
 	}
-	if meta.Versions == nil || meta.Versions[BaseVersion] == nil {
-		// Databases written before the multi-version format carried the base
-		// version's fields at the top level; migrate them in place.
-		var legacy struct {
-			MinTime    timetable.Time           `json:"min_time"`
-			MaxTime    timetable.Time           `json:"max_time"`
-			TargetSets map[string]TargetSetMeta `json:"target_sets"`
-		}
-		if err := json.Unmarshal([]byte(rel.Rows[0][0].S), &legacy); err != nil {
-			return nil, fmt.Errorf("core: corrupt legacy meta: %w", err)
-		}
-		if legacy.TargetSets == nil {
-			legacy.TargetSets = map[string]TargetSetMeta{}
-		}
-		meta.Versions = map[string]*VersionMeta{BaseVersion: {
-			MinTime:    legacy.MinTime,
-			MaxTime:    legacy.MaxTime,
-			TargetSets: legacy.TargetSets,
-		}}
+	if meta.Versions[BaseVersion] == nil {
+		return nil, fmt.Errorf("core: corrupt meta: no %q version", BaseVersion)
 	}
 	s := &Store{DB: db, meta: meta, version: BaseVersion}
 	if err := s.prepareStatements(); err != nil {
@@ -429,18 +410,21 @@ func (s *Store) TargetSet(name string) (TargetSetMeta, bool) {
 // TargetSets returns the target sets of the bound version.
 func (s *Store) TargetSets() map[string]TargetSetMeta { return s.vm().TargetSets }
 
+// metaTable is the one-row table (id 0, JSON payload) holding Meta.
+const metaTable = "ptldb_meta"
+
+// saveMeta rewrites the meta table with the store's current metadata: a bulk
+// load of its one row, which replaces the table's file atomically.
 func (s *Store) saveMeta() error {
 	blob, err := json.Marshal(s.meta)
 	if err != nil {
 		return err
 	}
-	// The meta row is replaced in place via the PK index (the heap is
-	// append-only; the stale payload is simply unreferenced).
-	tbl, ok := s.DB.Table("ptldb_meta")
+	tbl, ok := s.DB.Table(metaTable)
 	if !ok {
-		return fmt.Errorf("core: ptldb_meta table missing")
+		return fmt.Errorf("core: %s table missing", metaTable)
 	}
-	return tbl.ReplaceByPK(sqltypes.Row{sqltypes.NewInt(0), sqltypes.NewText(string(blob))})
+	return tbl.BulkLoad([]sqltypes.Row{{sqltypes.NewInt(0), sqltypes.NewText(string(blob))}})
 }
 
 // Stop returns the stored metadata of one stop (requires the stops table).

@@ -3,8 +3,6 @@ package core
 import (
 	"math/rand"
 	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"ptldb/internal/csa"
@@ -213,9 +211,10 @@ func TestDropTargetSetReleasesVectorCache(t *testing.T) {
 	}
 }
 
-// TestOneFormPerTable: after Build + AddTargetSet + BuildPathTables every
-// label, kNN and one-to-many table is a segment and nothing else, while
-// stops, ptldb_meta and the Insert-filled paths tables are heap + B+tree.
+// TestOneFormPerTable: a built directory holds catalog.json and exactly one
+// file per catalogued table, <table>.seg — after Build, after AddTargetSet,
+// AddVersion and BuildPathTables (each of which also rewrites ptldb_meta), and
+// after a reopen, which must create nothing.
 func TestOneFormPerTable(t *testing.T) {
 	tt := timetable.PaperExample()
 	dir := t.TempDir()
@@ -223,44 +222,62 @@ func TestOneFormPerTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { db.Close() })
-	st, err := Build(db, ttl.Build(tt, order.Identity(7)).Augment(), BuildOptions{Stops: tt.Stops()})
+	defer func() { db.Close() }()
+	onlySegments := func(when string) {
+		t.Helper()
+		want := map[string]bool{"catalog.json": true}
+		for _, name := range db.Tables() {
+			want[name+".seg"] = true
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if !want[e.Name()] {
+				t.Errorf("%s: unexpected file %s", when, e.Name())
+			}
+			delete(want, e.Name())
+		}
+		for name := range want {
+			t.Errorf("%s: %s is missing", when, name)
+		}
+	}
+	labels := ttl.Build(tt, order.Identity(7)).Augment()
+	st, err := Build(db, labels, BuildOptions{Stops: tt.Stops()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	onlySegments("after Build")
 	if err := st.AddTargetSet("poi", []timetable.StopID{4, 6}, 4); err != nil {
 		t.Fatal(err)
 	}
+	onlySegments("after AddTargetSet")
+	if err := st.AddVersion("weekend", labels); err != nil {
+		t.Fatal(err)
+	}
+	onlySegments("after AddVersion")
 	if err := st.BuildPathTables(tt); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
+	onlySegments("after BuildPathTables")
+	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	exts := map[string][]string{}
-	for _, e := range entries {
-		if ext := filepath.Ext(e.Name()); ext != ".json" {
-			name := strings.TrimSuffix(e.Name(), ext)
-			exts[name] = append(exts[name], ext)
+	if db, err = sqldb.Open(dir, sqldb.Options{Device: storage.RAM, PoolPages: 4096}); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = Open(db); err != nil {
+		t.Fatal(err)
+	}
+	onlySegments("after a reopen")
+	for _, name := range []string{"lout", "lin", "lout__weekend", "ea_knn_naive_poi", "knn_ld_poi", "otm_ea_poi", "stops", "ptldb_meta", "paths_out", "paths_in"} {
+		if _, ok := db.Table(name); !ok {
+			t.Errorf("expected table %s, have %v", name, db.Tables())
 		}
 	}
-	tables := db.Tables()
-	if len(exts) != len(tables) {
-		t.Errorf("files for %d names, catalog has %d tables: %v", len(exts), len(tables), exts)
-	}
-	for _, name := range tables {
-		want := ".seg"
-		if name == "stops" || name == "ptldb_meta" || strings.HasPrefix(name, "paths_") {
-			want = ".heap.idx"
-		}
-		if got := strings.Join(exts[name], ""); got != want {
-			t.Errorf("table %s has files %q, want %q", name, got, want)
-		}
-	}
-	for _, name := range []string{"lout", "lin", "ea_knn_naive_poi", "knn_ld_poi", "otm_ea_poi", "stops", "ptldb_meta", "paths_out"} {
-		if _, ok := exts[name]; !ok {
-			t.Errorf("expected table %s, have %v", name, tables)
-		}
+	// The reopened store still has what the last metadata rewrite recorded.
+	if _, ok := st.TargetSet("poi"); !ok || len(st.Versions()) != 2 || !st.HasPathTables() {
+		t.Errorf("reopened store: target sets %v, versions %v, path tables %v", st.TargetSets(), st.Versions(), st.HasPathTables())
 	}
 }

@@ -162,40 +162,36 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 // PoolMetrics are the buffer pool's counters. Hits and misses follow the
 // pool's singleflight accounting (a failed coalesced load is one miss and
 // zero hits); evictions count frames displaced for capacity (DropCaches,
-// being a bulk reset, is not an eviction); write-backs count dirty pages
-// written to the device by eviction or flushing. RandReads and SeqReads split
+// being a bulk reset, is not an eviction). RandReads and SeqReads split
 // every device page read of the handle's files by how the device model
 // charged it — a seek, or a transfer following the previously read page of
 // the same file — so RandReads is the exact seek count. Their sum is at least
 // Misses: segment opens and vector materialization read past the pool.
 type PoolMetrics struct {
-	Hits       Counter
-	Misses     Counter
-	Evictions  Counter
-	WriteBacks Counter
-	RandReads  Counter
-	SeqReads   Counter
+	Hits      Counter
+	Misses    Counter
+	Evictions Counter
+	RandReads Counter
+	SeqReads  Counter
 }
 
 // PoolSnapshot is a point-in-time copy of PoolMetrics.
 type PoolSnapshot struct {
-	Hits       uint64 `json:"hits"`
-	Misses     uint64 `json:"misses"`
-	Evictions  uint64 `json:"evictions"`
-	WriteBacks uint64 `json:"write_backs"`
-	RandReads  uint64 `json:"rand_reads"`
-	SeqReads   uint64 `json:"seq_reads"`
+	Hits      uint64 `json:"hits"`
+	Misses    uint64 `json:"misses"`
+	Evictions uint64 `json:"evictions"`
+	RandReads uint64 `json:"rand_reads"`
+	SeqReads  uint64 `json:"seq_reads"`
 }
 
 // Snapshot copies the pool counters.
 func (m *PoolMetrics) Snapshot() PoolSnapshot {
 	return PoolSnapshot{
-		Hits:       m.Hits.Load(),
-		Misses:     m.Misses.Load(),
-		Evictions:  m.Evictions.Load(),
-		WriteBacks: m.WriteBacks.Load(),
-		RandReads:  m.RandReads.Load(),
-		SeqReads:   m.SeqReads.Load(),
+		Hits:      m.Hits.Load(),
+		Misses:    m.Misses.Load(),
+		Evictions: m.Evictions.Load(),
+		RandReads: m.RandReads.Load(),
+		SeqReads:  m.SeqReads.Load(),
 	}
 }
 

@@ -20,7 +20,6 @@ const obsGolden = `{
     "hits": 0,
     "misses": 0,
     "evictions": 0,
-    "write_backs": 0,
     "rand_reads": 0,
     "seq_reads": 0
   },

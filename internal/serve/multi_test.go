@@ -268,7 +268,6 @@ const tenantObsGolden = `{
     "hits": 0,
     "misses": 0,
     "evictions": 0,
-    "write_backs": 0,
     "rand_reads": 0,
     "seq_reads": 0
   },

@@ -46,11 +46,11 @@ func BenchmarkPointLookupSQL(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var rows []sqltypes.Row
 	for i := int64(0); i < 10000; i++ {
-		if err := tbl.Insert(sqltypes.Row{sqltypes.NewInt(i), sqltypes.NewInt(i * 2)}); err != nil {
-			b.Fatal(err)
-		}
+		rows = append(rows, ints(i, i*2))
 	}
+	load(b, tbl, rows...)
 	st, err := db.Prepare("SELECT v FROM kv WHERE k = $1")
 	if err != nil {
 		b.Fatal(err)
@@ -89,10 +89,8 @@ func BenchmarkUnnestJoinAggregate(b *testing.B) {
 				tas = append(tas, 30000+d*600+900)
 			}
 		}
-		if err := tbl.Insert(sqltypes.Row{sqltypes.NewInt(0),
-			sqltypes.NewIntArray(hubs), sqltypes.NewIntArray(tds), sqltypes.NewIntArray(tas)}); err != nil {
-			b.Fatal(err)
-		}
+		load(b, tbl, sqltypes.Row{sqltypes.NewInt(0),
+			sqltypes.NewIntArray(hubs), sqltypes.NewIntArray(tds), sqltypes.NewIntArray(tas)})
 	}
 	st, err := db.Prepare(`
 WITH outp AS

@@ -9,6 +9,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -109,7 +111,8 @@ func rowVectorBytes(types []sqltypes.Type, rows []sqltypes.Row) int64 {
 // TestVectorSizePrediction: for every awkward table the size predicted from
 // the varint count, the size worked out from the rows, Mat.Bytes and the
 // bytes actually allocated all agree, and materialize allocates per column,
-// not per row.
+// not per row. The prediction holds for all-BIGINT/BIGINT[] tables only, so a
+// table with a DOUBLE or TEXT column is never registered with the cache.
 func TestVectorSizePrediction(t *testing.T) {
 	dir := t.TempDir()
 	buildAwkwardDB(t, dir)
@@ -118,12 +121,28 @@ func TestVectorSizePrediction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	for _, spec := range awkwardTables {
-		tbl, _ := db.Table(spec.name)
-		sf, ok := tbl.form.(*segForm)
-		if !ok {
-			t.Fatalf("%s is not a segment table", spec.name)
+	for _, cols := range [][]string{{"k", "lat:float"}, {"k", "name:text"}, {"k", "xs:arr", "name:text", "lat:float"}} {
+		tbl := mkTable(t, db, "mixed"+strings.Join(cols, "_"), []string{"k"}, cols...)
+		row := sqltypes.Row{sqltypes.NewInt(1)}
+		for _, c := range tbl.Def().Columns[1:] {
+			row = append(row, map[sqltypes.Type]sqltypes.Value{
+				sqltypes.Float64:  sqltypes.NewFloat(30.25),
+				sqltypes.Text:     sqltypes.NewText("Congress Ave"),
+				sqltypes.IntArray: sqltypes.NewIntArray([]int64{1, 2, 3}),
+			}[c.Type])
 		}
+		before := db.Registry().VCache.Snapshot()
+		load(t, tbl, row)
+		got, ok, err := tbl.LookupPK([]int64{1})
+		if err != nil || !ok || !sqltypes.Equal(got[len(got)-1], row[len(row)-1]) {
+			t.Fatalf("%v: LookupPK = %v, %v, %v", cols, got, ok, err)
+		}
+		if after := db.Registry().VCache.Snapshot(); tbl.vcE != nil || !reflect.DeepEqual(after, before) {
+			t.Errorf("%v: a table with a DOUBLE or TEXT column touched the vector cache: %+v -> %+v", cols, before, after)
+		}
+	}
+	for _, spec := range awkwardTables {
+		sf, _ := db.Table(spec.name)
 		rows := spec.rows()
 		want := rowVectorBytes(sf.types, rows)
 
@@ -224,13 +243,13 @@ func TestDeclinedTableIsNeverBulkRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	const probe = 1234
-	open := func(budget int64) (*DB, *segForm) {
+	open := func(budget int64) (*DB, *Table) {
 		db, err := Open(dir, Options{Device: storage.HDD, PoolPages: 256, VectorCacheBytes: budget})
 		if err != nil {
 			t.Fatal(err)
 		}
 		tbl, _ := db.Table(spec.name)
-		return db, tbl.form.(*segForm)
+		return db, tbl
 	}
 	lookup := func(db *DB) {
 		tbl, _ := db.Table(spec.name)
@@ -287,5 +306,37 @@ func TestDeclinedTableIsNeverBulkRead(t *testing.T) {
 	if got, want := sf.file.Reads()-reads, (dataBytes+storage.PageSize-1)/storage.PageSize; got != want || after.Pool.Misses != 0 {
 		t.Errorf("admitted table: %d device reads and %d pool misses; want its %d data pages once, past the pool",
 			got, after.Pool.Misses, want)
+	}
+}
+
+// TestDropCachesForgetsReadPosition: a query after DropCaches is a cold
+// start, so its first page costs a seek even when it happens to follow the
+// page the previous query read last. Two lookups of rows on adjacent pages,
+// with DropCaches between them, are each charged exactly one random read.
+func TestDropCachesForgetsReadPosition(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir, Options{Device: storage.HDD, PoolPages: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	tbl := mkTable(t, db, "wide", []string{"k"}, "k", "xs:arr")
+	var rows []sqltypes.Row
+	for i := int64(0); i < 8; i++ { // key byte + two length bytes + one byte per zero: exactly one page per row
+		rows = append(rows, sqltypes.Row{sqltypes.NewInt(i), sqltypes.NewIntArray(make([]int64, storage.PageSize-3))})
+	}
+	load(t, tbl, rows...)
+	for _, k := range []int64{3, 4, 5} {
+		if err := db.DropCaches(); err != nil {
+			t.Fatal(err)
+		}
+		before := db.Registry().Snapshot().Pool
+		if _, ok, err := tbl.LookupPK([]int64{k}); err != nil || !ok {
+			t.Fatalf("LookupPK(%d) = %v, %v", k, ok, err)
+		}
+		after := db.Registry().Snapshot().Pool
+		if pages, seeks, seq := after.Misses-before.Misses, after.RandReads-before.RandReads, after.SeqReads-before.SeqReads; pages != 1 || seeks != 1 || seq != 0 {
+			t.Errorf("cold lookup of row %d: %d pages, %d random + %d sequential reads; want 1 page, 1 seek", k, pages, seeks, seq)
+		}
 	}
 }

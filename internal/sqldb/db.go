@@ -1,13 +1,14 @@
 // Package sqldb is the embedded relational database used by PTLDB: a
-// directory of paged table files (one columnar segment, or one heap plus one
-// index, per table), a shared buffer pool with a simulated storage device, a
-// persisted catalog, and a SQL query interface (parser + executor) supporting
-// the dialect of the paper's Codes 1–4.
+// directory of paged table files (one immutable segment per table), a shared
+// buffer pool with a simulated storage device, a persisted catalog, and a SQL
+// query interface (parser + executor) supporting the SELECT dialect of the
+// paper's Codes 1–4.
 //
-// It plays the role PostgreSQL plays in the paper. The engine is
-// bulk-load-then-read-only — there is no WAL or MVCC, matching the paper's
-// workload in which all tables are created during preprocessing — and
-// read queries may run concurrently.
+// It plays the role PostgreSQL plays in the paper. The engine is read-only
+// storage under a bulk loader: a table is written once, whole, by
+// Table.BulkLoad, and nothing else writes — there is no row-at-a-time insert,
+// no WAL and no MVCC, matching the paper's workload in which all tables are
+// created during preprocessing — and read queries may run concurrently.
 package sqldb
 
 import (
@@ -33,8 +34,8 @@ type ColumnDef struct {
 	Type sqltypes.Type `json:"type"`
 }
 
-// TableDef declares a table: columns plus an optional primary key of up to
-// two integer columns.
+// TableDef declares a table: columns plus a primary key of one or two
+// integer columns.
 type TableDef struct {
 	Name    string      `json:"name"`
 	Columns []ColumnDef `json:"columns"`
@@ -91,9 +92,12 @@ type DB struct {
 	reg obs.Registry
 }
 
-// Open opens (creating if needed) the database in dir. A table whose segment
-// fails validation fails the whole open with an error naming the table and
-// wrapping storage.ErrCorruptSegment; nothing stays open behind the error.
+// Open opens the database in dir, an empty one when dir has no catalog yet
+// (the directory is created if needed; no other file ever is). Every
+// catalogued table must have its segment: one that is missing, or fails
+// validation (wrapping storage.ErrCorruptSegment), fails the whole open with
+// an error naming the table, and nothing stays open behind the error. The
+// recovery is a rebuild.
 func Open(dir string, opts Options) (*DB, error) {
 	if opts.Device.Name == "" {
 		opts.Device = storage.SSD
@@ -129,12 +133,15 @@ func Open(dir string, opts Options) (*DB, error) {
 		return nil, fmt.Errorf("sqldb: parse catalog: %w", err)
 	}
 	for _, def := range defs {
-		if _, err := db.openTable(def); err != nil {
+		def.Name = strings.ToLower(def.Name)
+		t := db.newTable(def)
+		if err := t.open(); err != nil {
 			for _, t := range db.tables {
-				_ = t.form.close() // best-effort cleanup; the open failure wins
+				_ = t.file.Close() // best-effort cleanup; the open failure wins
 			}
 			return nil, err
 		}
+		db.tables[def.Name] = t
 	}
 	return db, nil
 }
@@ -151,17 +158,27 @@ func (db *DB) Pool() *storage.Pool { return db.pool }
 // Device returns the device model the database was opened with.
 func (db *DB) Device() storage.DeviceModel { return db.dev }
 
-// DropCaches flushes and empties the buffer pool — and evicts the resident
-// vector cache — emulating the paper's server restart + OS cache drop before
-// each experiment (a restart would lose both in-memory tiers).
+// DropCaches empties the buffer pool, evicts the resident vector cache and
+// forgets where every table file was last read — emulating the paper's server
+// restart + OS cache drop before each experiment (a restart would lose both
+// in-memory tiers, and the first read of any file after it is a seek).
 func (db *DB) DropCaches() error {
 	if db.vcache != nil {
 		db.vcache.DropAll()
 	}
+	db.mu.RLock()
+	for _, t := range db.tables {
+		if t.file != nil {
+			t.file.ForgetLastRead()
+		}
+	}
+	db.mu.RUnlock()
 	return db.pool.DropCaches()
 }
 
-// CreateTable creates a new empty table.
+// CreateTable declares a new table: its catalog entry. The table reads as
+// empty until Table.BulkLoad writes its segment, which every catalogued table
+// must have by the time the directory is opened again.
 func (db *DB) CreateTable(def TableDef) (*Table, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -175,8 +192,8 @@ func (db *DB) CreateTable(def TableDef) (*Table, error) {
 	if len(def.Columns) == 0 {
 		return nil, fmt.Errorf("sqldb: table %q has no columns", def.Name)
 	}
-	if len(def.PK) > 2 {
-		return nil, fmt.Errorf("sqldb: table %q: primary keys support at most two columns", def.Name)
+	if len(def.PK) < 1 || len(def.PK) > 2 {
+		return nil, fmt.Errorf("sqldb: table %q: a table needs a primary key of one or two columns, got %d", def.Name, len(def.PK))
 	}
 	for _, pk := range def.PK {
 		ci := colIndex(def.Columns, pk)
@@ -188,29 +205,12 @@ func (db *DB) CreateTable(def TableDef) (*Table, error) {
 		}
 	}
 	def.Name = name
-	t, err := db.openTable(def)
-	if err != nil {
-		return nil, err
-	}
+	t := db.newTable(def)
+	db.tables[name] = t
 	if err := db.saveCatalogLocked(); err != nil {
+		delete(db.tables, name)
 		return nil, err
 	}
-	return t, nil
-}
-
-// openTable opens a table in whichever form its files say and registers it.
-func (db *DB) openTable(def TableDef) (*Table, error) {
-	def.Name = strings.ToLower(def.Name)
-	t := &Table{def: def, db: db}
-	for _, pk := range def.PK {
-		t.pkCols = append(t.pkCols, colIndex(def.Columns, pk))
-	}
-	form, err := t.openForm()
-	if err != nil {
-		return nil, err
-	}
-	t.form = form
-	db.tables[def.Name] = t
 	return t, nil
 }
 
@@ -238,7 +238,7 @@ func (db *DB) saveCatalogLocked() error {
 	return os.Rename(tmp, db.catalogPath())
 }
 
-// DropTable removes a table and deletes its files. Concurrent queries must
+// DropTable removes a table and deletes its file. Concurrent queries must
 // not be running (bulk-maintenance operation, like everything that writes).
 func (db *DB) DropTable(name string) error {
 	db.mu.Lock()
@@ -249,15 +249,8 @@ func (db *DB) DropTable(name string) error {
 		return fmt.Errorf("sqldb: no table %q", name)
 	}
 	delete(db.tables, name)
-	if err := t.form.remove(); err != nil {
+	if err := t.remove(); err != nil {
 		return err
-	}
-	// A segment table of an older image still has the heap and index files
-	// that image wrote beside it.
-	for _, suffix := range []string{".heap", ".idx"} {
-		if err := os.Remove(t.path(suffix)); err != nil && !os.IsNotExist(err) {
-			return err
-		}
 	}
 	return db.saveCatalogLocked()
 }
@@ -281,16 +274,16 @@ func (db *DB) Tables() []string {
 	return out
 }
 
-// Flush persists all tables and the buffer pool.
+// Flush makes every completed write durable. Table files and the catalog are
+// written whole under a temporary name and renamed into place (the segments
+// synced first), so all that is left to do is to sync the directory that
+// holds the renames.
 func (db *DB) Flush() error {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	for _, t := range db.tables {
-		if err := t.form.flush(); err != nil {
-			return err
-		}
+	d, err := os.Open(db.dir)
+	if err != nil {
+		return fmt.Errorf("sqldb: %w", err)
 	}
-	return db.pool.FlushAll()
+	return firstError(d.Sync(), d.Close())
 }
 
 // Close flushes and releases all files.
@@ -302,7 +295,9 @@ func (db *DB) Close() error {
 	defer db.mu.Unlock()
 	var closeErr error
 	for _, t := range db.tables {
-		closeErr = firstError(closeErr, t.form.close())
+		if t.file != nil {
+			closeErr = firstError(closeErr, t.file.Close())
+		}
 	}
 	db.tables = map[string]*Table{}
 	return closeErr
@@ -344,59 +339,6 @@ func (db *DB) Query(query string, params ...sqltypes.Value) (*exec.Relation, err
 	}
 	db.reg.Exec.GeneralRuns.Add(1)
 	return exec.Run(sel, catalogAdapter{db}, params)
-}
-
-// Exec runs a non-SELECT statement (CREATE TABLE, INSERT INTO ... VALUES,
-// DROP TABLE) with positional parameters, returning the number of rows
-// affected. SELECT statements are rejected — use Query.
-func (db *DB) Exec(stmtText string, params ...sqltypes.Value) (int, error) {
-	stmt, err := sql.ParseStatement(stmtText)
-	if err != nil {
-		return 0, err
-	}
-	switch s := stmt.(type) {
-	case *sql.CreateTable:
-		def := TableDef{Name: s.Name, PK: s.PK}
-		for _, c := range s.Columns {
-			var typ sqltypes.Type
-			switch c.Type {
-			case sql.ColBigint:
-				typ = sqltypes.Int64
-			case sql.ColDouble:
-				typ = sqltypes.Float64
-			case sql.ColText:
-				typ = sqltypes.Text
-			case sql.ColBigintArray:
-				typ = sqltypes.IntArray
-			}
-			def.Columns = append(def.Columns, ColumnDef{Name: c.Name, Type: typ})
-		}
-		_, err := db.CreateTable(def)
-		return 0, err
-	case *sql.Insert:
-		tbl, ok := db.Table(s.Table)
-		if !ok {
-			return 0, fmt.Errorf("sqldb: no table %q", s.Table)
-		}
-		n := 0
-		for _, rowExprs := range s.Rows {
-			row, err := exec.EvalConstRow(rowExprs, params)
-			if err != nil {
-				return n, err
-			}
-			if err := tbl.Insert(row); err != nil {
-				return n, err
-			}
-			n++
-		}
-		return n, nil
-	case *sql.DropTable:
-		return 0, db.DropTable(s.Name)
-	case *sql.Select:
-		return 0, fmt.Errorf("sqldb: Exec of a SELECT; use Query")
-	default:
-		return 0, fmt.Errorf("sqldb: unsupported statement %T", stmt)
-	}
 }
 
 // QueryTraced executes a SELECT and also returns the access-path trace (one

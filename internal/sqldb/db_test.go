@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -41,6 +42,32 @@ func mkTable(t *testing.T, db *DB, name string, pk []string, cols ...string) *Ta
 		t.Fatal(err)
 	}
 	return tbl
+}
+
+// load makes rows the table's content the one way a table is written: sorted
+// by primary key, then bulk-loaded.
+func load(t testing.TB, tbl *Table, rows ...sqltypes.Row) {
+	t.Helper()
+	sort.SliceStable(rows, func(a, b int) bool {
+		for _, ci := range tbl.PKCols() {
+			if rows[a][ci].I != rows[b][ci].I {
+				return rows[a][ci].I < rows[b][ci].I
+			}
+		}
+		return false
+	})
+	if err := tbl.BulkLoad(rows); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// numbered prefixes each row with its position: the key (column "n") of test
+// tables whose own columns have no natural one.
+func numbered(rows ...sqltypes.Row) []sqltypes.Row {
+	for i, r := range rows {
+		rows[i] = append(sqltypes.Row{sqltypes.NewInt(int64(i))}, r...)
+	}
+	return rows
 }
 
 func ints(vs ...int64) sqltypes.Row {
@@ -110,34 +137,58 @@ func TestCreateTableValidation(t *testing.T) {
 		Columns: []ColumnDef{{Name: "a", Type: sqltypes.IntArray}}, PK: []string{"a"}}); err == nil {
 		t.Error("array PK accepted")
 	}
-	mkTable(t, db, "t", nil, "a")
-	if _, err := db.CreateTable(TableDef{Name: "T",
+	if _, err := db.CreateTable(TableDef{Name: "t",
+		Columns: []ColumnDef{{Name: "a", Type: sqltypes.Int64}}}); err == nil {
+		t.Error("keyless table accepted")
+	}
+	if _, err := db.CreateTable(TableDef{Name: "t", PK: []string{"a", "b", "c"}, Columns: []ColumnDef{
+		{Name: "a", Type: sqltypes.Int64}, {Name: "b", Type: sqltypes.Int64}, {Name: "c", Type: sqltypes.Int64}}}); err == nil {
+		t.Error("three-column PK accepted")
+	}
+	if names := db.Tables(); len(names) != 0 {
+		t.Errorf("rejected definitions left tables %v", names)
+	}
+	mkTable(t, db, "t", []string{"a"}, "a")
+	if _, err := db.CreateTable(TableDef{Name: "T", PK: []string{"a"},
 		Columns: []ColumnDef{{Name: "a", Type: sqltypes.Int64}}}); err == nil {
 		t.Error("duplicate (case-insensitive) table accepted")
 	}
 }
 
+// TestInsertValidationAndLookup: what a table accepts as its rows — every
+// column kind, no duplicate key, the declared arity and types, no NULL — and
+// that a refused load stores nothing.
 func TestInsertValidationAndLookup(t *testing.T) {
 	db := newTestDB(t)
-	tbl := mkTable(t, db, "t", []string{"id"}, "id", "xs:arr", "name:text")
-	row := sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewIntArray([]int64{10, 20}), sqltypes.NewText("one")}
-	if err := tbl.Insert(row); err != nil {
-		t.Fatal(err)
+	tbl := mkTable(t, db, "t", []string{"id"}, "id", "xs:arr", "name:text", "w:float")
+	row := func(id int64) sqltypes.Row {
+		return sqltypes.Row{sqltypes.NewInt(id), sqltypes.NewIntArray([]int64{10, 20}), sqltypes.NewText("one"), sqltypes.NewFloat(0.5)}
 	}
-	if err := tbl.Insert(row); err == nil {
+	if err := tbl.BulkLoad([]sqltypes.Row{row(1), row(1)}); err == nil {
 		t.Error("duplicate PK accepted")
 	}
-	if err := tbl.Insert(ints(2)); err == nil {
+	if err := tbl.BulkLoad([]sqltypes.Row{row(1), ints(2)}); err == nil {
 		t.Error("wrong arity accepted")
 	}
-	if err := tbl.Insert(sqltypes.Row{sqltypes.NewText("x"), sqltypes.Null, sqltypes.Null}); err == nil {
+	if err := tbl.BulkLoad([]sqltypes.Row{{sqltypes.NewText("x"), row(1)[1], row(1)[2], row(1)[3]}}); err == nil {
 		t.Error("type mismatch accepted")
 	}
+	for ci := range row(1) {
+		withNull := row(1)
+		withNull[ci] = sqltypes.Null
+		if err := tbl.BulkLoad([]sqltypes.Row{withNull}); err == nil {
+			t.Errorf("NULL in column %d accepted", ci)
+		}
+	}
+	if tbl.RowCount() != 0 {
+		t.Fatalf("refused loads stored %d rows", tbl.RowCount())
+	}
+	load(t, tbl, row(1))
 	got, ok, err := tbl.LookupPK([]int64{1})
 	if err != nil || !ok {
 		t.Fatalf("LookupPK: %v %v", ok, err)
 	}
-	if got[2].S != "one" || len(got[1].A) != 2 {
+	if got[2].S != "one" || len(got[1].A) != 2 || got[3].F != 0.5 {
 		t.Errorf("row = %v", got)
 	}
 	if _, ok, _ := tbl.LookupPK([]int64{99}); ok {
@@ -156,11 +207,11 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var rows []sqltypes.Row
 	for i := int64(0); i < 500; i++ {
-		if err := tbl.Insert(sqltypes.Row{sqltypes.NewInt(i), sqltypes.NewIntArray([]int64{i, i * 2})}); err != nil {
-			t.Fatal(err)
-		}
+		rows = append(rows, sqltypes.Row{sqltypes.NewInt(i), sqltypes.NewIntArray([]int64{i, i * 2})})
 	}
+	load(t, tbl, rows...)
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -188,9 +239,11 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 func TestBasicSelect(t *testing.T) {
 	db := newTestDB(t)
 	tbl := mkTable(t, db, "nums", []string{"a"}, "a", "b")
+	var rows []sqltypes.Row
 	for i := int64(0); i < 10; i++ {
-		tbl.Insert(ints(i, i*i))
+		rows = append(rows, ints(i, i*i))
 	}
+	load(t, tbl, rows...)
 	eqRows(t, queryInts(t, db, "SELECT a, b FROM nums WHERE a >= 7 ORDER BY a DESC"),
 		[][]int64{{9, 81}, {8, 64}, {7, 49}})
 	eqRows(t, queryInts(t, db, "SELECT b FROM nums WHERE a = $1", sqltypes.NewInt(4)),
@@ -212,7 +265,7 @@ func TestSelectWithoutFrom(t *testing.T) {
 func TestUnnestParallel(t *testing.T) {
 	db := newTestDB(t)
 	tbl := mkTable(t, db, "lab", []string{"v"}, "v", "hubs:arr", "tds:arr")
-	tbl.Insert(sqltypes.Row{sqltypes.NewInt(1),
+	load(t, tbl, sqltypes.Row{sqltypes.NewInt(1),
 		sqltypes.NewIntArray([]int64{10, 20, 30}), sqltypes.NewIntArray([]int64{100, 200, 300})})
 	got := queryInts(t, db, "SELECT v, UNNEST(hubs) AS h, UNNEST(tds) AS d FROM lab WHERE v=1")
 	eqRows(t, got, [][]int64{{1, 10, 100}, {1, 20, 200}, {1, 30, 300}})
@@ -226,10 +279,8 @@ func TestUnnestParallel(t *testing.T) {
 
 func TestGroupByWithOrderOnAggregate(t *testing.T) {
 	db := newTestDB(t)
-	tbl := mkTable(t, db, "obs", nil, "grp", "val")
-	for _, r := range [][2]int64{{1, 5}, {1, 3}, {2, 9}, {2, 1}, {3, 4}} {
-		tbl.Insert(ints(r[0], r[1]))
-	}
+	tbl := mkTable(t, db, "obs", []string{"n"}, "n", "grp", "val")
+	load(t, tbl, numbered(ints(1, 5), ints(1, 3), ints(2, 9), ints(2, 1), ints(3, 4))...)
 	got := queryInts(t, db, "SELECT grp, MIN(val) FROM obs GROUP BY grp ORDER BY MIN(val), grp")
 	eqRows(t, got, [][]int64{{2, 1}, {1, 3}, {3, 4}})
 	got = queryInts(t, db, "SELECT grp, MAX(val) FROM obs GROUP BY grp ORDER BY MAX(val) DESC LIMIT 2")
@@ -244,10 +295,8 @@ func TestGroupByWithOrderOnAggregate(t *testing.T) {
 
 func TestUnionDedupAndAll(t *testing.T) {
 	db := newTestDB(t)
-	tbl := mkTable(t, db, "u", nil, "x")
-	for _, v := range []int64{1, 2} {
-		tbl.Insert(ints(v))
-	}
+	tbl := mkTable(t, db, "u", []string{"n"}, "n", "x")
+	load(t, tbl, numbered(ints(1), ints(2))...)
 	got := queryInts(t, db, "SELECT x FROM u UNION SELECT x FROM u ORDER BY x")
 	eqRows(t, got, [][]int64{{1}, {2}})
 	got = queryInts(t, db, "SELECT x FROM u UNION ALL SELECT x FROM u ORDER BY x")
@@ -261,11 +310,8 @@ func TestCTEAndHashJoin(t *testing.T) {
 	db := newTestDB(t)
 	a := mkTable(t, db, "a", []string{"id"}, "id", "k")
 	b := mkTable(t, db, "b", []string{"id"}, "id", "k", "w")
-	a.Insert(ints(1, 10))
-	a.Insert(ints(2, 20))
-	a.Insert(ints(3, 10))
-	b.Insert(ints(1, 10, 111))
-	b.Insert(ints(2, 30, 222))
+	load(t, a, ints(1, 10), ints(2, 20), ints(3, 10))
+	load(t, b, ints(1, 10, 111), ints(2, 30, 222))
 	got := queryInts(t, db, `
 WITH aa AS (SELECT id, k FROM a)
 SELECT aa.id, b.w FROM aa, b WHERE aa.k = b.k ORDER BY aa.id`)
@@ -275,15 +321,16 @@ SELECT aa.id, b.w FROM aa, b WHERE aa.k = b.k ORDER BY aa.id`)
 func TestIndexNestedLoopJoin(t *testing.T) {
 	db := newTestDB(t)
 	dim := mkTable(t, db, "dim", []string{"h", "bucket"}, "h", "bucket", "payload")
+	var dims []sqltypes.Row
 	for h := int64(0); h < 5; h++ {
 		for bk := int64(0); bk < 4; bk++ {
-			dim.Insert(ints(h, bk, h*100+bk))
+			dims = append(dims, ints(h, bk, h*100+bk))
 		}
 	}
+	load(t, dim, dims...)
 	facts := mkTable(t, db, "facts", []string{"id"}, "id", "h", "t")
-	facts.Insert(ints(1, 2, 7200))
-	facts.Insert(ints(2, 4, 3601))
-	facts.Insert(ints(3, 9, 0)) // no matching dim row
+	load(t, facts, ints(1, 2, 7200), ints(2, 4, 3601),
+		ints(3, 9, 0)) // no matching dim row
 	got := queryInts(t, db, `
 WITH f AS (SELECT id, h, t FROM facts)
 SELECT f.id, d.payload FROM dim d, f
@@ -294,23 +341,22 @@ ORDER BY f.id`)
 
 func TestThreeValuedLogicAndNulls(t *testing.T) {
 	db := newTestDB(t)
-	tbl := mkTable(t, db, "n", nil, "x")
-	tbl.Insert(sqltypes.Row{sqltypes.Null})
-	tbl.Insert(ints(1))
+	tbl := mkTable(t, db, "n", []string{"k"}, "k", "x")
+	load(t, tbl, ints(0, 0), ints(1, 1))
+	// A stored row holds no NULL; the CASE without ELSE makes one of x = 0.
+	const nullable = "(SELECT CASE WHEN x > 0 THEN x END AS y FROM n) s"
 	// NULL comparisons exclude rows.
-	got := queryInts(t, db, "SELECT x FROM n WHERE x >= 0")
+	got := queryInts(t, db, "SELECT y FROM "+nullable+" WHERE y >= 0")
 	eqRows(t, got, [][]int64{{1}})
 	// Aggregates skip NULLs; COUNT(*) does not.
-	got = queryInts(t, db, "SELECT COUNT(*), COUNT(x), MIN(x) FROM n")
+	got = queryInts(t, db, "SELECT COUNT(*), COUNT(y), MIN(y) FROM "+nullable)
 	eqRows(t, got, [][]int64{{2, 1, 1}})
 }
 
 func TestQueryErrors(t *testing.T) {
 	db := newTestDB(t)
 	tbl := mkTable(t, db, "t", []string{"a"}, "a", "xs:arr")
-	if err := tbl.Insert(sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewIntArray([]int64{1})}); err != nil {
-		t.Fatal(err)
-	}
+	load(t, tbl, sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewIntArray([]int64{1})})
 	for _, q := range []string{
 		"SELECT nope FROM t",
 		"SELECT a FROM missing",
@@ -336,18 +382,18 @@ func TestPaperCode1OnExampleData(t *testing.T) {
 	lin := mkTable(t, db, "lin", []string{"v"}, "v", "hubs:arr", "tds:arr", "tas:arr")
 
 	// From Table 1 of the paper (times in 100 s units), stops 0, 1 and 4.
-	insert := func(tbl *Table, v int64, hubs, tds, tas []int64) {
-		if err := tbl.Insert(sqltypes.Row{sqltypes.NewInt(v),
-			sqltypes.NewIntArray(hubs), sqltypes.NewIntArray(tds), sqltypes.NewIntArray(tas)}); err != nil {
-			t.Fatal(err)
-		}
+	label := func(v int64, hubs, tds, tas []int64) sqltypes.Row {
+		return sqltypes.Row{sqltypes.NewInt(v),
+			sqltypes.NewIntArray(hubs), sqltypes.NewIntArray(tds), sqltypes.NewIntArray(tas)}
 	}
-	insert(lout, 0, []int64{0}, []int64{360}, []int64{360})
-	insert(lin, 0, []int64{0}, []int64{360}, []int64{360})
-	insert(lout, 1, []int64{0, 1, 1}, []int64{324, 324, 396}, []int64{360, 324, 396})
-	insert(lin, 1, []int64{0, 1, 1}, []int64{360, 324, 396}, []int64{396, 324, 396})
-	insert(lout, 4, []int64{0, 4}, []int64{324, 396}, []int64{360, 396})
-	insert(lin, 4, []int64{0, 4}, []int64{360, 396}, []int64{396, 396})
+	load(t, lout,
+		label(0, []int64{0}, []int64{360}, []int64{360}),
+		label(1, []int64{0, 1, 1}, []int64{324, 324, 396}, []int64{360, 324, 396}),
+		label(4, []int64{0, 4}, []int64{324, 396}, []int64{360, 396}))
+	load(t, lin,
+		label(0, []int64{0}, []int64{360}, []int64{360}),
+		label(1, []int64{0, 1, 1}, []int64{360, 324, 396}, []int64{396, 324, 396}),
+		label(4, []int64{0, 4}, []int64{360, 396}, []int64{396, 396}))
 
 	const code1EA = `
 WITH outp AS
@@ -374,12 +420,11 @@ WHERE outp.hub=inp.hub AND outp.ta<=inp.td AND outp.td>=$3`
 func TestDropCachesForcesMisses(t *testing.T) {
 	db := newTestDB(t)
 	tbl := mkTable(t, db, "t", []string{"a"}, "a", "b")
+	var rows []sqltypes.Row
 	for i := int64(0); i < 100; i++ {
-		tbl.Insert(ints(i, i))
+		rows = append(rows, ints(i, i))
 	}
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	load(t, tbl, rows...)
 	queryInts(t, db, "SELECT b FROM t WHERE a=50")
 	if err := db.DropCaches(); err != nil {
 		t.Fatal(err)
@@ -394,8 +439,7 @@ func TestDropCachesForcesMisses(t *testing.T) {
 func TestPreparedStatement(t *testing.T) {
 	db := newTestDB(t)
 	tbl := mkTable(t, db, "t", []string{"a"}, "a", "b")
-	tbl.Insert(ints(1, 10))
-	tbl.Insert(ints(2, 20))
+	load(t, tbl, ints(1, 10), ints(2, 20))
 	st, err := db.Prepare("SELECT b FROM t WHERE a = $1")
 	if err != nil {
 		t.Fatal(err)
@@ -414,7 +458,7 @@ func TestPreparedStatement(t *testing.T) {
 func TestSizeOnDisk(t *testing.T) {
 	db := newTestDB(t)
 	tbl := mkTable(t, db, "t", []string{"a"}, "a", "b")
-	tbl.Insert(ints(1, 1))
+	load(t, tbl, ints(1, 1))
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -430,9 +474,9 @@ func TestHashJoinTextKeysFallback(t *testing.T) {
 	db := newTestDB(t)
 	a := mkTable(t, db, "ta", []string{"id"}, "id", "name:text")
 	b := mkTable(t, db, "tb", []string{"id"}, "id", "name:text", "w")
-	a.Insert(sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewText("x")})
-	a.Insert(sqltypes.Row{sqltypes.NewInt(2), sqltypes.NewText("y")})
-	b.Insert(sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewText("y"), sqltypes.NewInt(7)})
+	load(t, a, sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewText("x")},
+		sqltypes.Row{sqltypes.NewInt(2), sqltypes.NewText("y")})
+	load(t, b, sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewText("y"), sqltypes.NewInt(7)})
 	got := queryInts(t, db, "SELECT ta.id, tb.w FROM ta, tb WHERE ta.name = tb.name")
 	eqRows(t, got, [][]int64{{2, 7}})
 }
@@ -444,10 +488,13 @@ func TestFusedPredicateMatchesPostFilter(t *testing.T) {
 	db := newTestDB(t)
 	a := mkTable(t, db, "fa", []string{"id"}, "id", "k", "x")
 	b := mkTable(t, db, "fb", []string{"id"}, "id", "k", "y")
+	var as, bs []sqltypes.Row
 	for i := int64(0); i < 20; i++ {
-		a.Insert(ints(i, i%5, i*3))
-		b.Insert(ints(i, i%5, i*7))
+		as = append(as, ints(i, i%5, i*3))
+		bs = append(bs, ints(i, i%5, i*7))
 	}
+	load(t, a, as...)
+	load(t, b, bs...)
 	fused := queryInts(t, db,
 		"SELECT fa.id, fb.id FROM fa, fb WHERE fa.k = fb.k AND fa.x <= fb.y AND fa.id <> fb.id ORDER BY fa.id, fb.id")
 	wrapped := queryInts(t, db, `
@@ -467,12 +514,9 @@ func TestThreeWayJoin(t *testing.T) {
 	a := mkTable(t, db, "j1", []string{"id"}, "id", "k")
 	b := mkTable(t, db, "j2", []string{"id"}, "id", "k", "m")
 	c := mkTable(t, db, "j3", []string{"id"}, "id", "m", "w")
-	a.Insert(ints(1, 10))
-	a.Insert(ints(2, 20))
-	b.Insert(ints(1, 10, 100))
-	b.Insert(ints(2, 20, 200))
-	c.Insert(ints(1, 100, 111))
-	c.Insert(ints(2, 200, 222))
+	load(t, a, ints(1, 10), ints(2, 20))
+	load(t, b, ints(1, 10, 100), ints(2, 20, 200))
+	load(t, c, ints(1, 100, 111), ints(2, 200, 222))
 	got := queryInts(t, db, `
 SELECT j1.id, j3.w FROM j1, j2, j3
 WHERE j1.k = j2.k AND j2.m = j3.m AND j3.w > 111
@@ -485,9 +529,11 @@ ORDER BY j1.id`)
 func TestIndexJoinWithFusedPredicate(t *testing.T) {
 	db := newTestDB(t)
 	dim := mkTable(t, db, "dim2", []string{"h"}, "h", "payload")
+	var dims []sqltypes.Row
 	for h := int64(0); h < 10; h++ {
-		dim.Insert(ints(h, h*10))
+		dims = append(dims, ints(h, h*10))
 	}
+	load(t, dim, dims...)
 	got := queryInts(t, db, `
 WITH f AS (SELECT 1 AS one)
 SELECT d.payload FROM dim2 d, f WHERE d.h = 3 + f.one AND d.payload > 100`)
@@ -502,8 +548,8 @@ SELECT d.payload FROM dim2 d, f WHERE d.h = 3 + f.one AND d.payload > 10`)
 // mis-routed an aggregated-but-empty arm to the non-aggregate ORDER BY path.
 func TestAggregateEmptyGroupedUnionArm(t *testing.T) {
 	db := newTestDB(t)
-	tbl := mkTable(t, db, "eg", nil, "grp", "val")
-	tbl.Insert(ints(1, 5))
+	tbl := mkTable(t, db, "eg", []string{"n"}, "n", "grp", "val")
+	load(t, tbl, numbered(ints(1, 5))...)
 	got := queryInts(t, db, `
 SELECT grp, v FROM (
   (SELECT grp, MIN(val) AS v FROM eg WHERE val > 100 GROUP BY grp ORDER BY MIN(val), grp LIMIT 3)
@@ -516,8 +562,8 @@ SELECT grp, v FROM (
 // TestAggregateWithoutGroupByRejectsBareColumns enforces the standard rule.
 func TestAggregateWithoutGroupByRejectsBareColumns(t *testing.T) {
 	db := newTestDB(t)
-	tbl := mkTable(t, db, "ng", nil, "a", "b")
-	tbl.Insert(ints(1, 2))
+	tbl := mkTable(t, db, "ng", []string{"n"}, "n", "a", "b")
+	load(t, tbl, numbered(ints(1, 2))...)
 	if _, err := db.Query("SELECT a, MIN(b) FROM ng"); err == nil {
 		t.Error("bare column alongside aggregate without GROUP BY accepted")
 	}
@@ -526,56 +572,10 @@ func TestAggregateWithoutGroupByRejectsBareColumns(t *testing.T) {
 	}
 }
 
-// TestExecDDLAndDML drives the pure-SQL path end to end: CREATE TABLE,
-// INSERT ... VALUES (with parameters), SELECT, DROP TABLE.
-func TestExecDDLAndDML(t *testing.T) {
-	db := newTestDB(t)
-	if _, err := db.Exec(`
-CREATE TABLE pois (id BIGINT, name TEXT, score DOUBLE PRECISION, tags BIGINT[], PRIMARY KEY (id))`); err != nil {
-		t.Fatal(err)
-	}
-	n, err := db.Exec("INSERT INTO pois VALUES (1, 'museum', 4.5, NULL), ($1, $2, 3.0 + 0.5, NULL)",
-		sqltypes.NewInt(2), sqltypes.NewText("park"))
-	if err != nil || n != 2 {
-		t.Fatalf("insert: n=%d err=%v", n, err)
-	}
-	rel, err := db.Query("SELECT name, score FROM pois WHERE id = 2")
-	if err != nil || len(rel.Rows) != 1 || rel.Rows[0][0].S != "park" || rel.Rows[0][1].F != 3.5 {
-		t.Fatalf("select: %v %v", rel, err)
-	}
-	// Errors: wrong arity, dup key, column refs in VALUES, exec of SELECT.
-	if _, err := db.Exec("INSERT INTO pois VALUES (9)"); err == nil {
-		t.Error("arity mismatch accepted")
-	}
-	if _, err := db.Exec("INSERT INTO pois VALUES (1, 'dup', 0.0, NULL)"); err == nil {
-		t.Error("duplicate key accepted")
-	}
-	if _, err := db.Exec("INSERT INTO pois VALUES (id, 'x', 0.0, NULL)"); err == nil {
-		t.Error("column reference in VALUES accepted")
-	}
-	if _, err := db.Exec("SELECT 1"); err == nil {
-		t.Error("Exec of SELECT accepted")
-	}
-	if _, err := db.Exec("DROP TABLE pois"); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := db.Table("pois"); ok {
-		t.Error("table survives DROP")
-	}
-	if _, err := db.Exec("CREATE TABLE bad (a TIMESTAMP)"); err == nil {
-		t.Error("unknown type accepted")
-	}
-	if _, err := db.Exec("CREATE TABLE bad (xs BIGINT[], PRIMARY KEY (xs))"); err == nil {
-		t.Error("array PK accepted")
-	}
-}
-
 func TestHavingInBetween(t *testing.T) {
 	db := newTestDB(t)
-	tbl := mkTable(t, db, "h", nil, "grp", "val")
-	for _, r := range [][2]int64{{1, 5}, {1, 3}, {2, 9}, {2, 1}, {3, 4}, {4, 8}} {
-		tbl.Insert(ints(r[0], r[1]))
-	}
+	tbl := mkTable(t, db, "h", []string{"n"}, "n", "grp", "val")
+	load(t, tbl, numbered(ints(1, 5), ints(1, 3), ints(2, 9), ints(2, 1), ints(3, 4), ints(4, 8))...)
 	// HAVING filters groups by aggregate.
 	got := queryInts(t, db, "SELECT grp, MIN(val) FROM h GROUP BY grp HAVING MIN(val) < 4 ORDER BY grp")
 	eqRows(t, got, [][]int64{{1, 3}, {2, 1}})
@@ -604,10 +604,8 @@ func TestHavingInBetween(t *testing.T) {
 
 func TestCaseExpression(t *testing.T) {
 	db := newTestDB(t)
-	tbl := mkTable(t, db, "c", nil, "x")
-	for _, v := range []int64{1, 5, 12} {
-		tbl.Insert(ints(v))
-	}
+	tbl := mkTable(t, db, "c", []string{"n"}, "n", "x")
+	load(t, tbl, numbered(ints(1), ints(5), ints(12))...)
 	got := queryInts(t, db, `
 SELECT CASE WHEN x < 3 THEN 100 WHEN x < 10 THEN 200 ELSE 300 END FROM c ORDER BY x`)
 	eqRows(t, got, [][]int64{{100}, {200}, {300}})
@@ -638,20 +636,16 @@ func TestAccessorsAndReplace(t *testing.T) {
 	if def := tbl.Def(); def.Name != "acc" || len(def.Columns) != 2 {
 		t.Errorf("Def = %+v", def)
 	}
-	if err := tbl.InsertRows([]sqltypes.Row{ints(1, 10), ints(2, 20)}); err != nil {
-		t.Fatal(err)
+	load(t, tbl, ints(1, 10), ints(2, 20))
+	// A refused load surfaces the failing row index and replaces nothing.
+	if err := tbl.BulkLoad([]sqltypes.Row{ints(3, 30), ints(1, 99)}); err == nil || !strings.Contains(err.Error(), "row 1") {
+		t.Errorf("out-of-order load: %v, want a rejection naming row 1", err)
 	}
-	// InsertRows surfaces the failing row index.
-	if err := tbl.InsertRows([]sqltypes.Row{ints(3, 30), ints(1, 99)}); err == nil {
-		t.Error("duplicate in InsertRows accepted")
-	}
-	// ReplaceByPK overwrites in place via the index.
-	if err := tbl.ReplaceByPK(ints(2, 222)); err != nil {
-		t.Fatal(err)
-	}
+	// Loading a table that has rows replaces them.
+	load(t, tbl, ints(1, 10), ints(2, 222))
 	row, ok, err := tbl.LookupPK([]int64{2})
-	if err != nil || !ok || row[1].I != 222 {
-		t.Fatalf("after replace: %v %v %v", row, ok, err)
+	if err != nil || !ok || row[1].I != 222 || tbl.RowCount() != 2 {
+		t.Fatalf("after replace: %v %v %v (%d rows)", row, ok, err, tbl.RowCount())
 	}
 	l0, s0 := tbl.AccessStats()
 	tbl.LookupPK([]int64{1})
@@ -668,7 +662,7 @@ func TestAccessorsAndReplace(t *testing.T) {
 func TestQueryTracedSQL(t *testing.T) {
 	db := newTestDB(t)
 	tbl := mkTable(t, db, "qt", []string{"k"}, "k", "v")
-	tbl.Insert(ints(1, 10))
+	load(t, tbl, ints(1, 10))
 	rel, trace, err := db.QueryTraced("SELECT v FROM qt WHERE k = 1")
 	if err != nil || len(rel.Rows) != 1 {
 		t.Fatal(rel, err)

@@ -853,22 +853,3 @@ func itemSchema(items []sql.SelectItem) Schema {
 	}
 	return s
 }
-
-// EvalConstRow evaluates row-independent expressions (literals, parameters,
-// arithmetic over them) into a row of values: the VALUES clause of INSERT.
-func EvalConstRow(exprs []sql.Expr, params []sqltypes.Value) (sqltypes.Row, error) {
-	ce := &compileEnv{params: params}
-	out := make(sqltypes.Row, len(exprs))
-	for i, e := range exprs {
-		c, err := ce.compile(e)
-		if err != nil {
-			return nil, err
-		}
-		v, err := c(nil)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}

@@ -363,23 +363,6 @@ func TestIndexNestedLoopAndNullKeys(t *testing.T) {
 	}
 }
 
-func TestEvalConstRow(t *testing.T) {
-	row, err := EvalConstRow([]sql.Expr{
-		&sql.IntLit{V: 5},
-		&sql.BinaryOp{Op: "+", L: &sql.Param{N: 1}, R: &sql.IntLit{V: 1}},
-		&sql.NullLit{},
-	}, []sqltypes.Value{sqltypes.NewInt(41)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row[0].I != 5 || row[1].I != 42 || !row[2].IsNull() {
-		t.Fatalf("row = %v", row)
-	}
-	if _, err := EvalConstRow([]sql.Expr{&sql.ColumnRef{Column: "x"}}, nil); err == nil {
-		t.Error("column ref in const row accepted")
-	}
-}
-
 func TestIntCmpAllOps(t *testing.T) {
 	cat := testCatalog()
 	rel := run(t, cat, "SELECT 1 = 1, 1 <> 2, 1 < 2, 2 <= 2, 3 > 2, 2 >= 3")

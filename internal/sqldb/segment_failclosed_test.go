@@ -2,13 +2,17 @@ package sqldb
 
 // segment_failclosed_test.go checks the engine-level fault policy: a segment
 // is its table's only copy, so a corrupt or truncated .seg fails Open with an
-// error naming the table and wrapping storage.ErrCorruptSegment. Nothing
-// stays open behind the error, and a healthy sibling directory is unaffected.
+// error naming the table and wrapping storage.ErrCorruptSegment, and a missing
+// one fails it with an error naming the table and the remedy (rebuild).
+// Nothing stays open behind the error, nothing is created by it, and a
+// healthy sibling directory is unaffected.
 
 import (
 	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -17,8 +21,9 @@ import (
 	"ptldb/internal/sqldb/storage"
 )
 
-// buildFaultDB bulk-loads two segment tables and one heap table into dir and
-// closes the database, leaving good.seg and bad.seg on disk.
+// buildFaultDB bulk-loads two integer tables and one with a text column into
+// dir and closes the database, leaving good.seg, bad.seg and names.seg on
+// disk.
 func buildFaultDB(t *testing.T, dir string) {
 	t.Helper()
 	db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256})
@@ -38,10 +43,8 @@ func buildFaultDB(t *testing.T, dir string) {
 			t.Fatal(err)
 		}
 	}
-	if err := mkTable(t, db, "names", []string{"k"}, "k", "s:text").Insert(
-		sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewText("one")}); err != nil {
-		t.Fatal(err)
-	}
+	load(t, mkTable(t, db, "names", []string{"k"}, "k", "s:text"),
+		sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewText("one")})
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -131,6 +134,117 @@ func TestOpenFailsClosedOnBadSegment(t *testing.T) {
 					if !strings.Contains(err.Error(), frag) {
 						t.Errorf("error lacks %q: %v", frag, err)
 					}
+				}
+			}
+			if after := openFDs(t); after != before {
+				t.Errorf("failed opens leaked file descriptors: %d before, %d after", before, after)
+			}
+
+			db, err := Open(healthy, Options{Device: storage.RAM, PoolPages: 256})
+			if err != nil {
+				t.Fatalf("healthy sibling: %v", err)
+			}
+			checkReads(t, db)
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// dirListing renders a directory as "name:size" lines, to show an operation
+// created, removed and resized nothing.
+func dirListing(t *testing.T, dir string) string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, e := range entries {
+		info, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.WriteString(e.Name() + ":" + strconv.FormatInt(info.Size(), 10) + "\n")
+	}
+	return b.String()
+}
+
+// TestOpenFailsClosedOnMissingSegment removes one table's segment from a
+// built directory. The form of a table is not guessed from the files that
+// happen to exist: Open must fail with an error naming the table and telling
+// the operator to rebuild, create nothing in the directory, leak no file
+// handle, and keep failing on retry. The second case is a directory as a
+// build from before every table was a segment left it — a catalogued table
+// with only a heap and an index file — and the third a build that declared a
+// table and never loaded it; both get the same answer.
+func TestOpenFailsClosedOnMissingSegment(t *testing.T) {
+	healthy := t.TempDir()
+	buildFaultDB(t, healthy)
+	remove := func(t *testing.T, dir, name string) {
+		if err := os.Remove(filepath.Join(dir, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []struct {
+		name, table string
+		damage      func(t *testing.T, dir string)
+	}{
+		{"deleted", "bad", func(t *testing.T, dir string) { remove(t, dir, "bad.seg") }},
+		{"image-from-before-segments", "names", func(t *testing.T, dir string) {
+			remove(t, dir, "names.seg")
+			for _, name := range []string{"names.heap", "names.idx"} {
+				if err := os.WriteFile(filepath.Join(dir, name), make([]byte, 2*storage.PageSize), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+		{"declared-never-loaded", "pending", func(t *testing.T, dir string) {
+			db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Until it is loaded the table reads as empty and has no file.
+			tbl := mkTable(t, db, "pending", []string{"k"}, "k", "v")
+			rows := 0
+			if err := tbl.Scan(func(sqltypes.Row) error { rows++; return nil }); err != nil || rows != 0 || tbl.RowCount() != 0 {
+				t.Fatalf("scan of a never-loaded table: %d rows (RowCount %d), %v", rows, tbl.RowCount(), err)
+			}
+			if _, ok, err := tbl.LookupPK([]int64{1}); err != nil || ok {
+				t.Fatalf("LookupPK on a never-loaded table = %v, %v", ok, err)
+			}
+			if err := db.DropCaches(); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			buildFaultDB(t, dir)
+			tc.damage(t, dir)
+			listing := dirListing(t, dir)
+			before := openFDs(t)
+			for attempt := 0; attempt < 2; attempt++ {
+				db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256, VectorCacheBytes: 1 << 20})
+				if err == nil {
+					db.Close()
+					t.Fatal("Open accepted a directory with a table's segment missing")
+				}
+				if !errors.Is(err, fs.ErrNotExist) {
+					t.Errorf("error does not wrap fs.ErrNotExist: %v", err)
+				}
+				for _, frag := range []string{`table "` + tc.table + `"`, tc.table + ".seg", "rebuild"} {
+					if !strings.Contains(err.Error(), frag) {
+						t.Errorf("error lacks %q: %v", frag, err)
+					}
+				}
+				if got := dirListing(t, dir); got != listing {
+					t.Fatalf("the failed open changed the directory:\n%s\nwas:\n%s", got, listing)
 				}
 			}
 			if after := openFDs(t); after != before {

@@ -58,12 +58,6 @@ func (p *parser) expectKw(kw string) error {
 	return nil
 }
 
-// peekKw reports whether the next token is the given keyword.
-func (p *parser) peekKw(kw string) bool {
-	t := p.peek()
-	return t.Kind == TokIdent && strings.EqualFold(t.Text, kw)
-}
-
 func (p *parser) acceptOp(op string) bool {
 	t := p.peek()
 	if t.Kind == TokOp && t.Text == op {

@@ -3,27 +3,30 @@ package sqltypes
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 )
 
-// Segment codec: the compact row encoding used by columnar label segments.
-// Unlike EncodeRow it writes no per-value type tags — the column types are
-// fixed by the table schema and stored once in the segment header — so a
-// label row costs exactly its varints. Only Int64 (zigzag varint) and
-// IntArray (uvarint length + per-element delta varints) columns are
-// encodable; NULL, DOUBLE and TEXT make a table segment-ineligible.
+// Segment codec: the row encoding of every stored table. Unlike EncodeRow it
+// writes no per-value type tags — the column types are fixed by the table
+// schema and stored once in the segment header — so a label row costs exactly
+// its varints. BIGINT is a zigzag varint, BIGINT[] a uvarint length plus
+// per-element delta varints, DOUBLE its 8 IEEE-754 bytes (little-endian, bit
+// pattern preserved) and TEXT a uvarint length plus the bytes. There is no
+// encoding of NULL: a stored row has none.
 
-// SegEncodable reports whether a column type can appear in a segment.
-func SegEncodable(t Type) bool { return t == Int64 || t == IntArray }
-
-// EncodeSegRow appends the segment encoding of r to buf. Every value must
-// be a non-NULL Int64 or IntArray; anything else is an error (the caller
-// skips segment construction for such tables).
+// EncodeSegRow appends the segment encoding of r to buf. A NULL value is an
+// error.
 func EncodeSegRow(buf []byte, r Row) ([]byte, error) {
 	for i, v := range r {
 		switch v.T {
 		case Int64:
 			buf = binary.AppendVarint(buf, v.I)
+		case Float64:
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.F))
+		case Text:
+			buf = binary.AppendUvarint(buf, uint64(len(v.S)))
+			buf = append(buf, v.S...)
 		case IntArray:
 			buf = binary.AppendUvarint(buf, uint64(len(v.A)))
 			prev := int64(0)
@@ -39,10 +42,14 @@ func EncodeSegRow(buf []byte, r Row) ([]byte, error) {
 }
 
 // DecodeSegRowInto parses a row written by EncodeSegRow given the column
-// types, reusing caller-owned buffers exactly like DecodeRowInto: the
-// returned Row occupies row's capacity when it suffices, and every BIGINT[]
-// value is carved out of arena, which is returned grown. The arena is
-// append-only; see DecodeRowInto for the retention rules.
+// types, reusing caller-owned buffers: the returned Row occupies row's
+// capacity when it suffices, and every BIGINT[] value is carved out of arena,
+// which is returned grown. The arena is append-only — growing it reallocates
+// but never overwrites, so array slices from earlier calls stay valid as long
+// as the caller keeps passing the returned arena back in. Truncating the
+// arena between calls (arena[:0]) recycles the backing and clobbers all
+// previously decoded arrays; only do that when nothing is retained. A TEXT
+// value is copied out of buf, so it is always safe to keep.
 func DecodeSegRowInto(buf []byte, types []Type, row Row, arena []int64) (Row, []int64, error) {
 	var r Row
 	if cap(row) >= len(types) {
@@ -59,6 +66,22 @@ func DecodeSegRowInto(buf []byte, types []Type, row Row, arena []int64) (Row, []
 			}
 			buf = buf[k:]
 			r[i] = NewInt(v)
+		case Float64:
+			if len(buf) < 8 {
+				return nil, arena, fmt.Errorf("sqltypes: corrupt segment float at value %d", i)
+			}
+			r[i] = NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(buf)))
+			buf = buf[8:]
+		case Text:
+			ln, k := binary.Uvarint(buf)
+			if k <= 0 || ln > uint64(len(buf)-k) {
+				return nil, arena, fmt.Errorf("sqltypes: corrupt segment text at value %d", i)
+			}
+			// hotpath:cold — text columns never appear in the integer-only
+			// label tables the fused codes read; the copy is also what makes
+			// the value safe to retain past the scratch buffer.
+			r[i] = NewText(string(buf[k : k+int(ln)]))
+			buf = buf[k+int(ln):]
 		case IntArray:
 			ln, k := binary.Uvarint(buf)
 			// Every element costs at least one byte, so a length beyond the
@@ -104,11 +127,12 @@ func DecodeSegRowInto(buf []byte, types []Type, row Row, arena []int64) (Row, []
 }
 
 // The three functions below decode a whole table at once, into column vectors
-// instead of rows. They rest on one property of the encoding: every payload
-// byte belongs to exactly one varint, and a varint ends at its only byte
-// below 0x80. So the varints of any run of rows can be counted without
-// decoding them, and their number is the rows' scalars + array length
-// prefixes + array elements.
+// instead of rows, and apply to all-BIGINT/BIGINT[] tables only (the resident
+// vector cache holds no others). They rest on one property of that encoding:
+// every payload byte belongs to exactly one varint, and a varint ends at its
+// only byte below 0x80. So the varints of any run of rows can be counted
+// without decoding them, and their number is the rows' scalars + array length
+// prefixes + array elements. A DOUBLE or TEXT column breaks the property.
 
 // CountSegVarints returns how many varints end in b: the bytes below 0x80,
 // counted eight at a time. b may be any chunk of encoded rows — a varint

@@ -1,8 +1,8 @@
 // Package sqltypes defines the value system of the embedded SQL engine used
 // by PTLDB: 64-bit integers, double-precision floats, text, arrays of 64-bit
 // integers (PostgreSQL's BIGINT[] as used for the hubs/tds/tas columns), and
-// SQL NULL. It also provides the binary row codec shared by the storage
-// engine and the executor.
+// SQL NULL. It also provides the segment row codec of the storage engine and
+// the executor's row-key encoding.
 package sqltypes
 
 import (
@@ -218,9 +218,12 @@ func (r Row) Clone() Row {
 	return out
 }
 
-// EncodeRow serializes a row with the storage codec: per value a type tag
-// followed by a type-specific payload (zigzag varints for integers, length-
-// prefixed bytes for text, length-prefixed delta-varint arrays).
+// EncodeRow serializes a row, NULLs included, as a byte string that is
+// distinct for distinct rows: per value a type tag followed by a type-specific
+// payload (zigzag varints for integers, length-prefixed bytes for text,
+// length-prefixed delta-varint arrays). The general executor keys its group
+// and distinct maps with it; nothing decodes it (stored rows use the tag-free
+// segment codec, EncodeSegRow).
 func EncodeRow(buf []byte, r Row) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(r)))
 	for _, v := range r {
@@ -244,167 +247,4 @@ func EncodeRow(buf []byte, r Row) []byte {
 		}
 	}
 	return buf
-}
-
-// DecodeRowInto parses a row previously written by EncodeRow, reusing
-// caller-owned buffers: the returned Row occupies row's capacity when it
-// suffices, and every BIGINT[] value is carved out of arena, which is
-// returned grown. The arena is append-only — growing it reallocates but
-// never overwrites, so array slices from earlier calls stay valid as long
-// as the caller keeps passing the returned arena back in. Truncating the
-// arena between calls (arena[:0]) recycles the backing and clobbers all
-// previously decoded arrays; only do that when nothing is retained.
-func DecodeRowInto(buf []byte, row Row, arena []int64) (Row, []int64, error) {
-	n, k := binary.Uvarint(buf)
-	if k <= 0 {
-		return nil, arena, fmt.Errorf("sqltypes: corrupt row header")
-	}
-	buf = buf[k:]
-	var r Row
-	if uint64(cap(row)) >= n {
-		r = row[:n]
-	} else {
-		r = make(Row, n)
-	}
-	for i := range r {
-		if len(buf) == 0 {
-			return nil, arena, fmt.Errorf("sqltypes: truncated row at value %d", i)
-		}
-		t := Type(buf[0])
-		buf = buf[1:]
-		switch t {
-		case NullType:
-			r[i] = Null
-		case Int64:
-			v, k := binary.Varint(buf)
-			if k <= 0 {
-				return nil, arena, fmt.Errorf("sqltypes: corrupt int at value %d", i)
-			}
-			buf = buf[k:]
-			r[i] = NewInt(v)
-		case Float64:
-			if len(buf) < 8 {
-				return nil, arena, fmt.Errorf("sqltypes: corrupt float at value %d", i)
-			}
-			r[i] = NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(buf)))
-			buf = buf[8:]
-		case Text:
-			ln, k := binary.Uvarint(buf)
-			if k <= 0 || uint64(len(buf)-k) < ln {
-				return nil, arena, fmt.Errorf("sqltypes: corrupt text at value %d", i)
-			}
-			// hotpath:cold — text columns never appear in the integer-only
-			// label tables the fused codes read; the copy is also what makes
-			// the value safe to retain past the scratch buffer.
-			r[i] = NewText(string(buf[k : k+int(ln)]))
-			buf = buf[k+int(ln):]
-		case IntArray:
-			ln, k := binary.Uvarint(buf)
-			// Every element costs at least one byte, so a length beyond the
-			// remaining buffer is corrupt — checked before it can size the
-			// arena (or overflow int) on attacker-controlled input.
-			if k <= 0 || ln > uint64(len(buf)-k) {
-				return nil, arena, fmt.Errorf("sqltypes: corrupt array at value %d", i)
-			}
-			buf = buf[k:]
-			if free := cap(arena) - len(arena); free < int(ln) {
-				grown := 2 * cap(arena)
-				if grown < len(arena)+int(ln) {
-					grown = len(arena) + int(ln)
-				}
-				if grown < 64 {
-					grown = 64
-				}
-				na := make([]int64, len(arena), grown)
-				copy(na, arena)
-				arena = na
-			}
-			a := arena[len(arena) : len(arena)+int(ln) : len(arena)+int(ln)]
-			arena = arena[:len(arena)+int(ln)]
-			prev := int64(0)
-			for j := range a {
-				d, k := binary.Varint(buf)
-				if k <= 0 {
-					return nil, arena, fmt.Errorf("sqltypes: corrupt array element %d of value %d", j, i)
-				}
-				buf = buf[k:]
-				prev += d
-				a[j] = prev
-			}
-			r[i] = NewIntArray(a)
-		default:
-			return nil, arena, fmt.Errorf("sqltypes: unknown type tag %d at value %d", t, i)
-		}
-	}
-	if len(buf) != 0 {
-		return nil, arena, fmt.Errorf("sqltypes: %d trailing bytes after row", len(buf))
-	}
-	return r, arena, nil
-}
-
-// DecodeRow parses a row previously written by EncodeRow.
-func DecodeRow(buf []byte) (Row, error) {
-	n, k := binary.Uvarint(buf)
-	if k <= 0 {
-		return nil, fmt.Errorf("sqltypes: corrupt row header")
-	}
-	buf = buf[k:]
-	r := make(Row, n)
-	for i := range r {
-		if len(buf) == 0 {
-			return nil, fmt.Errorf("sqltypes: truncated row at value %d", i)
-		}
-		t := Type(buf[0])
-		buf = buf[1:]
-		switch t {
-		case NullType:
-			r[i] = Null
-		case Int64:
-			v, k := binary.Varint(buf)
-			if k <= 0 {
-				return nil, fmt.Errorf("sqltypes: corrupt int at value %d", i)
-			}
-			buf = buf[k:]
-			r[i] = NewInt(v)
-		case Float64:
-			if len(buf) < 8 {
-				return nil, fmt.Errorf("sqltypes: corrupt float at value %d", i)
-			}
-			r[i] = NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(buf)))
-			buf = buf[8:]
-		case Text:
-			ln, k := binary.Uvarint(buf)
-			if k <= 0 || uint64(len(buf)-k) < ln {
-				return nil, fmt.Errorf("sqltypes: corrupt text at value %d", i)
-			}
-			r[i] = NewText(string(buf[k : k+int(ln)]))
-			buf = buf[k+int(ln):]
-		case IntArray:
-			ln, k := binary.Uvarint(buf)
-			// As in DecodeRowInto: each element costs at least one byte, so
-			// bound the length before it sizes the allocation.
-			if k <= 0 || ln > uint64(len(buf)-k) {
-				return nil, fmt.Errorf("sqltypes: corrupt array at value %d", i)
-			}
-			buf = buf[k:]
-			a := make([]int64, ln)
-			prev := int64(0)
-			for j := range a {
-				d, k := binary.Varint(buf)
-				if k <= 0 {
-					return nil, fmt.Errorf("sqltypes: corrupt array element %d of value %d", j, i)
-				}
-				buf = buf[k:]
-				prev += d
-				a[j] = prev
-			}
-			r[i] = NewIntArray(a)
-		default:
-			return nil, fmt.Errorf("sqltypes: unknown type tag %d at value %d", t, i)
-		}
-	}
-	if len(buf) != 0 {
-		return nil, fmt.Errorf("sqltypes: %d trailing bytes after row", len(buf))
-	}
-	return r, nil
 }

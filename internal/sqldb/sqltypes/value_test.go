@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -93,31 +94,20 @@ func TestCompare(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	rows := []Row{
-		{},
-		{Null},
-		{NewInt(0), NewInt(-1), NewInt(math.MaxInt64), NewInt(math.MinInt64)},
-		{NewFloat(3.14159), NewFloat(math.Inf(1))},
-		{NewText(""), NewText("hello, κόσμε")},
-		{NewIntArray(nil), NewIntArray([]int64{5}), NewIntArray([]int64{100, 90, 80, -3})},
-		{NewInt(1), Null, NewText("x"), NewIntArray([]int64{36000, 36100, 39600})},
+// typesOf returns the column types of a NULL-free row.
+func typesOf(r Row) []Type {
+	types := make([]Type, len(r))
+	for i, v := range r {
+		types[i] = v.T
 	}
-	for i, r := range rows {
-		buf := EncodeRow(nil, r)
-		got, err := DecodeRow(buf)
-		if err != nil {
-			t.Fatalf("row %d: DecodeRow: %v", i, err)
-		}
-		if len(got) != len(r) {
-			t.Fatalf("row %d: got %d values, want %d", i, len(got), len(r))
-		}
-		for j := range r {
-			if !reflect.DeepEqual(normalize(got[j]), normalize(r[j])) {
-				t.Errorf("row %d value %d: got %+v, want %+v", i, j, got[j], r[j])
-			}
-		}
-	}
+	return types
+}
+
+// sameValue is bit-exact equality: NaN payloads and the sign of zero count,
+// invalid UTF-8 is compared byte for byte, nil and empty arrays are equal.
+func sameValue(a, b Value) bool {
+	return a.T == b.T && a.I == b.I && math.Float64bits(a.F) == math.Float64bits(b.F) &&
+		a.S == b.S && reflect.DeepEqual(normalize(a).A, normalize(b).A)
 }
 
 // normalize maps empty and nil arrays to a canonical form for comparison.
@@ -128,42 +118,86 @@ func normalize(v Value) Value {
 	return v
 }
 
-func TestDecodeRejectsCorrupt(t *testing.T) {
-	good := EncodeRow(nil, Row{NewInt(12345), NewText("abc"), NewIntArray([]int64{1, 2, 3})})
-	// Truncations at every prefix must error, never panic.
-	for i := 0; i < len(good); i++ {
-		if _, err := DecodeRow(good[:i]); err == nil && i < len(good) {
-			// A prefix may accidentally parse only if it is self-delimiting;
-			// the row header pins the value count, so any true prefix fails.
-			t.Errorf("DecodeRow(prefix %d/%d) succeeded", i, len(good))
+// TestEncodeDecodeRoundTrip round-trips fixed rows of every column kind
+// through the segment codec, the encoding every stored row has.
+func TestEncodeDecodeRoundTrip(t *testing.T) {
+	multiPage := strings.Repeat("0123456789abcdef", 2048) // 32 KiB: four pages of text
+	rows := []Row{
+		{},
+		{NewInt(0), NewInt(-1), NewInt(math.MaxInt64), NewInt(math.MinInt64)},
+		{NewFloat(3.14159), NewFloat(math.Inf(1)), NewFloat(math.Inf(-1))},
+		{NewFloat(0), NewFloat(math.Copysign(0, -1))},
+		{NewFloat(math.NaN()), NewFloat(math.Float64frombits(0x7ff8dead0000beef)), NewFloat(math.Float64frombits(0xfff0000000000001))},
+		{NewText(""), NewText("hello, κόσμε"), NewText("\xff\xfe not utf-8 \x80"), NewText(multiPage)},
+		{NewIntArray(nil), NewIntArray([]int64{5}), NewIntArray([]int64{100, 90, 80, -3})},
+		{NewInt(1), NewFloat(30.2672), NewText("x"), NewIntArray([]int64{36000, 36100, 39600})},
+	}
+	for i, r := range rows {
+		buf, err := EncodeSegRow(nil, r)
+		if err != nil {
+			t.Fatalf("row %d: EncodeSegRow: %v", i, err)
 		}
-	}
-	// Trailing garbage.
-	if _, err := DecodeRow(append(append([]byte(nil), good...), 0xFF)); err == nil {
-		t.Error("DecodeRow with trailing bytes succeeded")
-	}
-	// Unknown tag.
-	bad := EncodeRow(nil, Row{NewInt(1)})
-	bad[1] = 0x7F
-	if _, err := DecodeRow(bad); err == nil {
-		t.Error("DecodeRow with bad tag succeeded")
+		got, _, err := DecodeSegRowInto(buf, typesOf(r), nil, nil)
+		if err != nil {
+			t.Fatalf("row %d: DecodeSegRowInto: %v", i, err)
+		}
+		if len(got) != len(r) {
+			t.Fatalf("row %d: got %d values, want %d", i, len(got), len(r))
+		}
+		for j := range r {
+			if !sameValue(got[j], r[j]) {
+				t.Errorf("row %d value %d: got %+v, want %+v", i, j, got[j], r[j])
+			}
+		}
 	}
 }
 
-// TestEncodeDecodeQuick is a property test over random rows.
+func TestDecodeRejectsCorrupt(t *testing.T) {
+	row := Row{NewInt(12345), NewText("abc"), NewFloat(2.5), NewIntArray([]int64{1, 2, 3})}
+	types := typesOf(row)
+	good, err := EncodeSegRow(nil, row)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every value needs at least one byte and every length is checked against
+	// what is left, so each true prefix must error, never panic.
+	for i := 0; i < len(good); i++ {
+		if _, _, err := DecodeSegRowInto(good[:i], types, nil, nil); err == nil {
+			t.Errorf("DecodeSegRowInto(prefix %d/%d) succeeded", i, len(good))
+		}
+	}
+	// Trailing garbage.
+	if _, _, err := DecodeSegRowInto(append(append([]byte(nil), good...), 0xFF), types, nil, nil); err == nil {
+		t.Error("DecodeSegRowInto with trailing bytes succeeded")
+	}
+	// A text length prefix past the end of the row, small and huge.
+	for _, bad := range [][]byte{
+		{0x04, 'a', 'b', 'c'},
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 'a'},
+	} {
+		if _, _, err := DecodeSegRowInto(bad, []Type{Text}, nil, nil); err == nil {
+			t.Errorf("text length past the end of %x accepted", bad)
+		}
+	}
+	// A DOUBLE is exactly eight bytes.
+	if _, _, err := DecodeSegRowInto(make([]byte, 7), []Type{Float64}, nil, nil); err == nil {
+		t.Error("seven-byte DOUBLE accepted")
+	}
+}
+
+// TestEncodeDecodeQuick is a property test over random NULL-free rows of
+// random schemas.
 func TestEncodeDecodeQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		r := make(Row, rng.Intn(8))
 		for i := range r {
-			switch rng.Intn(5) {
+			switch rng.Intn(4) {
 			case 0:
-				r[i] = Null
-			case 1:
 				r[i] = NewInt(rng.Int63() - rng.Int63())
+			case 1:
+				r[i] = NewFloat(math.Float64frombits(rng.Uint64()))
 			case 2:
-				r[i] = NewFloat(rng.NormFloat64())
-			case 3:
 				b := make([]byte, rng.Intn(20))
 				rng.Read(b)
 				r[i] = NewText(string(b))
@@ -175,13 +209,16 @@ func TestEncodeDecodeQuick(t *testing.T) {
 				r[i] = NewIntArray(a)
 			}
 		}
-		buf := EncodeRow(nil, r)
-		got, err := DecodeRow(buf)
+		buf, err := EncodeSegRow(nil, r)
+		if err != nil {
+			return false
+		}
+		got, _, err := DecodeSegRowInto(buf, typesOf(r), nil, nil)
 		if err != nil || len(got) != len(r) {
 			return false
 		}
 		for i := range r {
-			if !reflect.DeepEqual(normalize(got[i]), normalize(r[i])) {
+			if !sameValue(got[i], r[i]) {
 				return false
 			}
 		}
@@ -208,11 +245,20 @@ func TestCompareArraysEqualPrefixLonger(t *testing.T) {
 	}
 }
 
+// TestDecodeRowInto pins DecodeSegRowInto's buffer-reuse contract on rows of
+// mixed column kinds.
 func TestDecodeRowInto(t *testing.T) {
 	rows := []Row{
 		{NewInt(1), NewIntArray([]int64{3, 1, 4, 1, 5}), NewIntArray([]int64{9, 2, 6})},
 		{NewInt(2), NewIntArray(nil), NewIntArray([]int64{-7})},
-		{Null, NewText("x"), NewFloat(2.5)},
+		{NewInt(3), NewText("x"), NewFloat(2.5)},
+	}
+	encode := func(r Row) []byte {
+		buf, err := EncodeSegRow(nil, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf
 	}
 
 	// Reused buffers round-trip every row; the arena is append-only, so
@@ -221,17 +267,16 @@ func TestDecodeRowInto(t *testing.T) {
 	var arena []int64
 	var decoded []Row
 	for i, r := range rows {
-		buf := EncodeRow(nil, r)
-		got, grown, err := DecodeRowInto(buf, scratchRow, arena)
+		got, grown, err := DecodeSegRowInto(encode(r), typesOf(r), scratchRow, arena)
 		if err != nil {
-			t.Fatalf("row %d: DecodeRowInto: %v", i, err)
+			t.Fatalf("row %d: DecodeSegRowInto: %v", i, err)
 		}
 		scratchRow, arena = got, grown
 		if len(got) != len(r) {
 			t.Fatalf("row %d: got %d values, want %d", i, len(got), len(r))
 		}
 		for j := range r {
-			if !reflect.DeepEqual(normalize(got[j]), normalize(r[j])) {
+			if !sameValue(got[j], r[j]) {
 				t.Errorf("row %d value %d: got %+v, want %+v", i, j, got[j], r[j])
 			}
 		}
@@ -245,7 +290,7 @@ func TestDecodeRowInto(t *testing.T) {
 			if r[j].T != IntArray {
 				continue
 			}
-			if !reflect.DeepEqual(normalize(decoded[i][j]), normalize(r[j])) {
+			if !sameValue(decoded[i][j], r[j]) {
 				t.Errorf("retained row %d value %d clobbered: got %+v, want %+v",
 					i, j, decoded[i][j], r[j])
 			}
@@ -253,8 +298,8 @@ func TestDecodeRowInto(t *testing.T) {
 	}
 
 	// Truncating the arena recycles the backing store.
-	buf := EncodeRow(nil, rows[0])
-	got, grown, err := DecodeRowInto(buf, scratchRow, arena[:0])
+	buf := encode(rows[0])
+	got, grown, err := DecodeSegRowInto(buf, typesOf(rows[0]), scratchRow, arena[:0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,8 +310,8 @@ func TestDecodeRowInto(t *testing.T) {
 		t.Errorf("reuse decode got %v", got[1].A)
 	}
 
-	// Corrupt input is rejected like DecodeRow.
-	if _, _, err := DecodeRowInto(buf[:len(buf)-1], nil, nil); err == nil {
+	// Corrupt input is rejected.
+	if _, _, err := DecodeSegRowInto(buf[:len(buf)-1], typesOf(rows[0]), nil, nil); err == nil {
 		t.Error("truncated buffer accepted")
 	}
 }

@@ -1,130 +1,20 @@
 package storage
 
 import (
-	"math/rand"
 	"path/filepath"
 	"testing"
 )
 
-func benchTree(b *testing.B, n int) (*BTree, *Pool) {
-	b.Helper()
-	var clock Clock
-	f, err := OpenPagedFile(filepath.Join(b.TempDir(), "bt.pg"), RAM, &clock)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { f.Close() })
-	pool := NewPool(4096)
-	pool.Register(f)
-	bt, err := OpenBTree(f, pool)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	for _, i := range rng.Perm(n) {
-		if err := bt.Insert(Key{int64(i), int64(i)}, Locator{Page: PageID(i)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return bt, pool
-}
-
-func BenchmarkBTreeGet(b *testing.B) {
-	bt, _ := benchTree(b, 100000)
-	rng := rand.New(rand.NewSource(2))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k := int64(rng.Intn(100000))
-		if _, ok, err := bt.Get(Key{k, k}); err != nil || !ok {
-			b.Fatal(ok, err)
-		}
-	}
-}
-
-func BenchmarkBTreeInsert(b *testing.B) {
-	var clock Clock
-	f, err := OpenPagedFile(filepath.Join(b.TempDir(), "bt.pg"), RAM, &clock)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer f.Close()
-	pool := NewPool(4096)
-	pool.Register(f)
-	bt, err := OpenBTree(f, pool)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := bt.Insert(Key{int64(i), 0}, Locator{Page: PageID(i)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBTreeRangeScan100(b *testing.B) {
-	bt, _ := benchTree(b, 100000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		start := int64((i * 97) % 90000)
-		cur, err := bt.Seek(Key{start, start})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for n := 0; n < 100 && cur.Valid(); n++ {
-			_ = cur.Key()
-			if err := cur.Next(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		cur.Close()
-	}
-}
-
-func BenchmarkRowStoreAppendRead(b *testing.B) {
-	var clock Clock
-	f, err := OpenPagedFile(filepath.Join(b.TempDir(), "rs.pg"), RAM, &clock)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer f.Close()
-	pool := NewPool(4096)
-	pool.Register(f)
-	rs, err := OpenRowStore(f, pool)
-	if err != nil {
-		b.Fatal(err)
-	}
-	payload := make([]byte, 512)
-	var locs []Locator
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		loc, err := rs.Append(payload)
-		if err != nil {
-			b.Fatal(err)
-		}
-		locs = append(locs, loc)
-		if i%8 == 0 {
-			if _, err := rs.Read(locs[i/2]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
 func BenchmarkPoolGetHit(b *testing.B) {
 	var clock Clock
-	f, err := OpenPagedFile(filepath.Join(b.TempDir(), "p.pg"), RAM, &clock)
+	f, err := CreatePagedFile(filepath.Join(b.TempDir(), "p.pg"), RAM, &clock)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer f.Close()
 	pool := NewPool(64)
 	pool.Register(f)
-	fr, err := pool.NewPage(f)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pool.Unpin(fr)
+	stampPages(b, f, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fr, err := pool.Get(f, 0)

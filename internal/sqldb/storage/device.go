@@ -1,6 +1,7 @@
 // Package storage implements the storage engine of the embedded SQL database
-// used by PTLDB: fixed-size pages on disk, a shared LRU buffer pool, an
-// append-only row store with multi-page rows, and a B+tree for primary keys.
+// used by PTLDB: fixed-size pages on disk, a shared LRU buffer pool (a read
+// cache), and the immutable segment file — rows packed back to back under a
+// sorted key directory — that is every table's one stored form.
 //
 // Because the PTLDB evaluation compares secondary-storage devices (paper
 // Sections 4.1 vs 4.2), every physical page access is charged against a
@@ -21,7 +22,7 @@ type DeviceModel struct {
 	Name     string
 	RandRead time.Duration // random page read (seek + rotation + transfer)
 	SeqRead  time.Duration // sequential page read (transfer only)
-	Write    time.Duration // page write (sequential, write-back)
+	Write    time.Duration // page write (sequential)
 }
 
 // Predefined device models. Figures approximate the paper's hardware: a

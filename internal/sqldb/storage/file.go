@@ -16,8 +16,10 @@ const PageSize = 8192
 type PageID uint32
 
 // PagedFile is a page-granular view of an on-disk file. All physical reads
-// and writes flow through it so the device model sees every access. It is
-// safe for concurrent use: the mutex only guards the page count and the
+// and writes flow through it so the device model sees every access. A file is
+// either being written (CreatePagedFile: the one pass of WriteSegmentFile) or
+// read (OpenPagedFile: read-only, for the rest of its life). It is safe for
+// concurrent use: the mutex only guards the page count and the
 // sequential-access detector, while the transfers themselves use pread/
 // pwrite outside any lock so concurrent page I/O overlaps.
 type PagedFile struct {
@@ -34,10 +36,21 @@ type PagedFile struct {
 	id                  int // pool key component, assigned by the buffer pool
 }
 
-// OpenPagedFile opens (creating if necessary) the file at path. Device
-// charges accrue on clock.
+// OpenPagedFile opens the existing file at path for reading; a missing file
+// is an error (wrapping fs.ErrNotExist), never created. Device charges accrue
+// on clock.
 func OpenPagedFile(path string, dev DeviceModel, clock *Clock) (*PagedFile, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	return openPagedFile(path, os.O_RDONLY, dev, clock)
+}
+
+// CreatePagedFile creates the file at path, empty, for writing (and reading
+// back), replacing whatever was there.
+func CreatePagedFile(path string, dev DeviceModel, clock *Clock) (*PagedFile, error) {
+	return openPagedFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, dev, clock)
+}
+
+func openPagedFile(path string, flag int, dev DeviceModel, clock *Clock) (*PagedFile, error) {
+	f, err := os.OpenFile(path, flag, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("storage: open %s: %w", path, err)
 	}
@@ -50,7 +63,19 @@ func OpenPagedFile(path string, dev DeviceModel, clock *Clock) (*PagedFile, erro
 		_ = f.Close()
 		return nil, fmt.Errorf("storage: %s size %d is not page-aligned", path, st.Size())
 	}
-	return &PagedFile{f: f, pages: PageID(st.Size() / PageSize), dev: dev, clock: clock, lastRead: ^PageID(0)}, nil
+	return &PagedFile{f: f, pages: PageID(st.Size() / PageSize), dev: dev, clock: clock, lastRead: noPage}, nil
+}
+
+// noPage is lastRead before any read: no page follows it.
+const noPage = ^PageID(0)
+
+// ForgetLastRead resets the sequential-access detector, so the next read is
+// charged as a seek whichever page it is — what a restart does to the disk
+// head. DB.DropCaches calls it on every table file.
+func (p *PagedFile) ForgetLastRead() {
+	p.mu.Lock()
+	p.lastRead = noPage
+	p.mu.Unlock()
 }
 
 // NumPages returns the current page count.
@@ -90,7 +115,7 @@ func (p *PagedFile) ReadPage(id PageID, buf []byte) error {
 		p.mu.Unlock()
 		return fmt.Errorf("storage: read past end: page %d of %d", id, p.pages)
 	}
-	seq := p.lastRead != ^PageID(0) && id == p.lastRead+1
+	seq := p.lastRead != noPage && id == p.lastRead+1
 	p.lastRead = id
 	p.mu.Unlock()
 	p.reads.Add(1)

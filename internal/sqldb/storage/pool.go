@@ -10,10 +10,12 @@ import (
 )
 
 // Pool is the shared buffer pool: a fixed number of page frames cached over
-// any number of PagedFiles, with LRU replacement and write-back of dirty
-// pages. It plays the role of PostgreSQL's shared_buffers in the PTLDB
-// evaluation; DropCaches emulates the paper's "restart the server and clear
-// the operating system's cache" step.
+// any number of PagedFiles, with LRU replacement. It is a read cache: table
+// files are written whole by WriteSegmentFile and only read afterwards, so a
+// frame is never dirty and eviction is a map delete. It plays the role of
+// PostgreSQL's shared_buffers in the PTLDB evaluation; DropCaches emulates
+// the paper's "restart the server and clear the operating system's cache"
+// step.
 //
 // The pool is sharded by frame-key hash — max(8, GOMAXPROCS) shards, each
 // with its own mutex, frame table and LRU list — so unrelated page accesses
@@ -25,24 +27,17 @@ import (
 // different pages therefore overlap their I/O; concurrent misses on the
 // same page trigger exactly one device read.
 //
-// The bytes of a pinned frame may be read concurrently; mutating them is
-// only safe while the caller is the sole writer (PTLDB's workload is
-// bulk-load-then-read-only, matching the paper).
-//
-// Write-back follows the same no-I/O-under-lock discipline as loads
-// (enforced by lockcheck, see DESIGN.md §8): eviction and flushing pin their
-// dirty victims under the shard lock, drop the lock, write the pages back,
-// and then relock to unpin and complete (or cancel) the eviction. A
-// concurrent Get that re-pins a victim mid-write-back simply keeps the frame
-// resident.
+// The bytes of a pinned frame may be read concurrently and are never
+// modified. The one rule lockcheck enforces on the shard mutexes (DESIGN.md
+// §8) is that no page is read while one is held.
 type Pool struct {
 	shards []poolShard
 
 	nextFileID atomic.Int64
 
 	// metrics holds the pool's observability counters (hits, misses,
-	// evictions, write-backs); Metrics exposes them so a database handle can
-	// graft them into its obs.Registry.
+	// evictions); Metrics exposes them so a database handle can graft them
+	// into its obs.Registry.
 	metrics obs.PoolMetrics
 
 	// loadHook, when non-nil, runs after a loading frame is installed and
@@ -52,8 +47,8 @@ type Pool struct {
 
 // poolShard is one independently locked slice of the pool.
 type poolShard struct {
-	// mu is acquisition level 20: taken after a frame latch (level 10) on the
-	// write-back path, never while another shard-class mutex is held
+	// mu is acquisition level 20: taken after a frame latch (level 10) when a
+	// failed load is published, never while another shard-class mutex is held
 	// (lockordercheck).
 	mu       sync.Mutex // lockcheck:shard level=20
 	capacity int
@@ -68,8 +63,7 @@ type frameKey struct {
 	page PageID
 }
 
-// Frame is one pinned buffer-pool page. Callers must Unpin it when done and
-// MarkDirty after modifying its Data.
+// Frame is one pinned buffer-pool page. Callers must Unpin it when done.
 //
 // Lifecycle: loading (installed pinned, ready open) → resident (ready
 // closed, loadErr nil) → evicted (removed from the shard table once
@@ -78,28 +72,24 @@ type frameKey struct {
 // a later Get retries the read from scratch.
 type Frame struct {
 	key   frameKey
-	file  *PagedFile
 	shard *poolShard
 
 	// ready is closed once data is valid or loadErr is set; loadErr must
 	// only be read after ready is closed. The latch is acquisition level 10:
-	// the loader holds it open while re-taking shard mutexes (level 20) for
-	// write-back and publication, so it orders strictly below them.
+	// the loader holds it open while re-taking its shard mutex (level 20) to
+	// detach a failed load, so it orders strictly below them.
 	ready   chan struct{} // lockcheck:latch level=10
 	loadErr error
 
-	data  [PageSize]byte
-	pins  int
-	dirty bool
+	data [PageSize]byte
+	pins int
 
 	prev, next *Frame // LRU links, valid only while unpinned and resident
 }
 
-// Data returns the page bytes. The slice is valid while the frame is pinned.
+// Data returns the page bytes, which must not be modified. The slice is valid
+// while the frame is pinned.
 func (f *Frame) Data() []byte { return f.data[:] }
-
-// MarkDirty records that the page must be written back before eviction.
-func (f *Frame) MarkDirty() { f.dirty = true }
 
 // Page returns the page id this frame caches.
 func (f *Frame) Page() PageID { return f.key.page }
@@ -173,17 +163,13 @@ func (p *Pool) Get(f *PagedFile, id PageID) (*Frame, error) {
 		p.metrics.Hits.Add(1)
 		return fr, nil
 	}
-	// Miss: install a loading frame (the latch), then do all device work —
-	// victim write-back and the page read — with the shard lock dropped so
-	// misses on other pages proceed in parallel. The miss is counted up
-	// front, exactly once per load attempt, whether or not the write-back
-	// or the read below fails.
-	fr, victims := sh.installLocked(f, key)
+	// Miss: install a loading frame (the latch), then read the page with the
+	// shard lock dropped so misses on other pages proceed in parallel. The
+	// miss is counted up front, exactly once per load attempt, whether or not
+	// the read below fails.
+	fr := sh.installLocked(key)
 	sh.mu.Unlock()
 	p.metrics.Misses.Add(1)
-	if werr := p.writeBack(victims, true); werr != nil {
-		return nil, p.failLoad(fr, werr)
-	}
 	if p.loadHook != nil {
 		p.loadHook(key)
 	}
@@ -206,91 +192,28 @@ func (p *Pool) failLoad(fr *Frame, err error) error {
 	return err
 }
 
-// NewPage allocates a fresh page in f and returns it pinned and zeroed.
-func (p *Pool) NewPage(f *PagedFile) (*Frame, error) {
-	id, err := f.Allocate()
-	if err != nil {
-		return nil, err
-	}
-	key := frameKey{file: f.id, page: id}
-	sh := p.shard(key)
-	sh.mu.Lock()
-	fr, victims := sh.installLocked(f, key)
-	fr.dirty = true
-	sh.mu.Unlock()
-	if werr := p.writeBack(victims, true); werr != nil {
-		return nil, p.failLoad(fr, werr)
-	}
-	close(fr.ready) // a fresh page is valid (zeroed) immediately
-	return fr, nil
-}
-
 // installLocked finds room in the shard (evicting unpinned frames while at
-// capacity), installs a new loading frame pinned once, and returns it along
-// with the dirty victims the caller must write back (and thereby evict) once
-// the lock is dropped. Clean victims are evicted immediately; dirty ones are
-// pinned and handed to writeBack so no device I/O happens under sh.mu. When
-// every resident frame is pinned the shard overflows temporarily instead of
-// failing: pinned frames must live somewhere, and later allocations trim the
-// shard back to capacity. Caller holds sh.mu.
+// capacity) and installs a new loading frame pinned once. When every resident
+// frame is pinned the shard overflows temporarily instead of failing: pinned
+// frames must live somewhere, and later allocations and unpins trim the shard
+// back to capacity. Caller holds sh.mu.
 //
 // hotpath:cold — the pool miss path: the one place a frame and its latch are
 // allocated; the runtime ratchet bounds how often it runs.
-func (sh *poolShard) installLocked(f *PagedFile, key frameKey) (fr *Frame, victims []*Frame) {
-	for len(sh.frames)-len(victims) >= sh.capacity {
-		victim := sh.lruHead
-		if victim == nil {
-			break // all pinned: allow temporary overflow
-		}
-		sh.lruRemove(victim)
-		if victim.dirty {
-			// Keep the victim resident and pinned until its bytes are safely
-			// on the device; writeBack finishes the eviction (and counts it).
-			victim.pins++
-			victims = append(victims, victim)
-			continue
-		}
-		delete(sh.frames, victim.key)
-		sh.metrics.Evictions.Add(1)
+func (sh *poolShard) installLocked(key frameKey) *Frame {
+	for len(sh.frames) >= sh.capacity && sh.lruHead != nil {
+		sh.evictLocked(sh.lruHead)
 	}
-	fr = &Frame{key: key, file: f, shard: sh, pins: 1, ready: make(chan struct{})}
+	fr := &Frame{key: key, shard: sh, pins: 1, ready: make(chan struct{})}
 	sh.frames[key] = fr
-	return fr, victims
+	return fr
 }
 
-// writeBack writes the pinned victims' pages to their devices — outside any
-// shard lock — then unpins each one. A victim written successfully is marked
-// clean and, when evict is set, removed from its shard; a victim that failed
-// to write or was re-pinned by a concurrent Get stays resident (and, on
-// failure, dirty) so a later flush retries. All victims are unpinned even
-// when a write fails; the first error is returned.
-func (p *Pool) writeBack(victims []*Frame, evict bool) error {
-	var firstErr error
-	for _, v := range victims {
-		err := v.file.WritePage(v.key.page, v.data[:])
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		if err == nil {
-			p.metrics.WriteBacks.Add(1)
-		}
-		sh := v.shard
-		sh.mu.Lock()
-		v.pins--
-		if err == nil {
-			v.dirty = false
-		}
-		if v.pins == 0 && sh.frames[v.key] == v {
-			if evict && err == nil {
-				delete(sh.frames, v.key)
-				sh.metrics.Evictions.Add(1)
-			} else {
-				sh.lruAppend(v)
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return firstErr
+// evictLocked drops an unpinned resident frame. Caller holds sh.mu.
+func (sh *poolShard) evictLocked(victim *Frame) {
+	sh.lruRemove(victim)
+	delete(sh.frames, victim.key)
+	sh.metrics.Evictions.Add(1)
 }
 
 // Unpin releases one pin. Unpinned frames become eviction candidates.
@@ -304,51 +227,16 @@ func (p *Pool) Unpin(fr *Frame) {
 	fr.pins--
 	if fr.pins == 0 && sh.frames[fr.key] == fr {
 		sh.lruAppend(fr)
-		// Trim pinned-overflow back toward capacity. Only clean frames are
-		// evicted here (Unpin cannot report a write-back error); dirty
-		// overflow is trimmed by the next allocation in this shard.
-		for len(sh.frames) > sh.capacity && sh.lruHead != nil && !sh.lruHead.dirty {
-			victim := sh.lruHead
-			sh.lruRemove(victim)
-			delete(sh.frames, victim.key)
-			sh.metrics.Evictions.Add(1)
+		// Trim pinned-overflow back toward capacity.
+		for len(sh.frames) > sh.capacity && sh.lruHead != nil {
+			sh.evictLocked(sh.lruHead)
 		}
 	}
 }
 
-// FlushAll writes every dirty frame back to its file. Dirty frames are
-// pinned under the shard lock, written with the lock dropped, and unpinned;
-// frames dirtied concurrently with the flush may be missed, so callers
-// wanting a full sync must quiesce writers first (PTLDB's bulk-load flow
-// does).
-func (p *Pool) FlushAll() error {
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		var victims []*Frame
-		for _, fr := range sh.frames {
-			if fr.dirty {
-				if fr.pins == 0 {
-					sh.lruRemove(fr)
-				}
-				fr.pins++
-				victims = append(victims, fr)
-			}
-		}
-		sh.mu.Unlock()
-		if err := p.writeBack(victims, false); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// DropCaches flushes and evicts every frame, emulating a cold server start.
-// It fails if any frame is still pinned or if a write races the drop.
+// DropCaches evicts every frame, emulating a cold server start. It fails if
+// any frame is still pinned.
 func (p *Pool) DropCaches() error {
-	if err := p.FlushAll(); err != nil {
-		return err
-	}
 	for i := range p.shards {
 		sh := &p.shards[i]
 		sh.mu.Lock()
@@ -356,10 +244,6 @@ func (p *Pool) DropCaches() error {
 			if fr.pins > 0 {
 				sh.mu.Unlock()
 				return fmt.Errorf("storage: DropCaches with pinned page %d", fr.key.page)
-			}
-			if fr.dirty {
-				sh.mu.Unlock()
-				return fmt.Errorf("storage: DropCaches raced a write to page %d", fr.key.page)
 			}
 		}
 		sh.frames = make(map[frameKey]*Frame, sh.capacity)
@@ -369,12 +253,11 @@ func (p *Pool) DropCaches() error {
 	return nil
 }
 
-// Forget discards every cached page of f without writing it back: the file
-// is about to be deleted, so its dirty pages have nowhere to go. Only f's
-// frames are touched, which keeps it safe beside concurrent loads of other
-// files (DropCaches would flush and evict those too). A page still pinned is
-// left behind — a pin on a file being deleted is a caller bug, and the next
-// flush of the closed file reports it.
+// Forget discards every cached page of f: the file is about to be deleted or
+// replaced. Only f's frames are touched, which keeps it safe beside
+// concurrent loads of other files (DropCaches would evict those too). A page
+// still pinned is left behind — a pin on a file being deleted is a caller
+// bug — and is never served again, since no later file gets f's id.
 func (p *Pool) Forget(f *PagedFile) {
 	for i := range p.shards {
 		sh := &p.shards[i]
@@ -399,11 +282,11 @@ func (p *Pool) Stats() (hits, misses uint64) {
 	return p.metrics.Hits.Load(), p.metrics.Misses.Load()
 }
 
-// Metrics exposes the pool's full counter set — hits, misses, evictions and
-// write-backs — for grafting into an obs.Registry. The returned pointer is
-// live: counters keep advancing as the pool runs. Evictions count frames
-// displaced for capacity (by allocation, write-back completion or overflow
-// trimming); DropCaches is a bulk reset and is deliberately not counted.
+// Metrics exposes the pool's full counter set — hits, misses and evictions —
+// for grafting into an obs.Registry. The returned pointer is live: counters
+// keep advancing as the pool runs. Evictions count frames displaced for
+// capacity (by allocation or overflow trimming); DropCaches is a bulk reset
+// and is deliberately not counted.
 func (p *Pool) Metrics() *obs.PoolMetrics {
 	return &p.metrics
 }

@@ -16,28 +16,14 @@ import (
 func stampedFile(t *testing.T, n int, capacity int) (*PagedFile, *Pool) {
 	t.Helper()
 	var clock Clock
-	f, err := OpenPagedFile(filepath.Join(t.TempDir(), "stress.pg"), RAM, &clock)
+	f, err := CreatePagedFile(filepath.Join(t.TempDir(), "stress.pg"), RAM, &clock)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { f.Close() })
 	pool := NewPool(capacity)
 	pool.Register(f)
-	for i := 0; i < n; i++ {
-		fr, err := pool.NewPage(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		binary.LittleEndian.PutUint32(fr.Data(), uint32(fr.Page()))
-		fr.MarkDirty()
-		pool.Unpin(fr)
-	}
-	if err := pool.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	if err := pool.DropCaches(); err != nil {
-		t.Fatal(err)
-	}
+	stampPages(t, f, n)
 	return f, pool
 }
 

@@ -8,13 +8,26 @@ import (
 	"os"
 )
 
-// Segment is the immutable columnar label file of one table: the row
-// payloads (opaque to this package — sqldb encodes them with the tag-free
-// segment codec) packed back to back in a page-aligned data region, plus an
-// in-memory directory mapping each primary key to its payload's offset and
-// length. The directory is decoded once at open, so a cold lookup costs only
-// the payload's own pages — no header, B+tree or slotted-page traffic —
-// which is where the paper-style label layout wins over the heap path.
+// Key is a primary key of up to two BIGINT components; a single-column key
+// leaves the second zero.
+type Key [2]int64
+
+// Less orders keys by first then second component.
+func (k Key) Less(o Key) bool {
+	if k[0] != o[0] {
+		return k[0] < o[0]
+	}
+	return k[1] < o[1]
+}
+
+// Segment is the immutable file of one table — the only stored form a table
+// has: the row payloads (opaque to this package — sqldb encodes them with the
+// tag-free segment codec) packed back to back in a page-aligned data region,
+// plus an in-memory directory mapping each primary key to its payload's
+// offset and length. The directory is decoded once at open, so a cold lookup
+// costs only the payload's own pages — no header, index or slotted-page
+// traffic. The zero Segment is an empty one with no file behind it (a table
+// declared but not yet loaded).
 //
 // File layout (all little-endian):
 //
@@ -27,8 +40,9 @@ import (
 //	                    uvarint payload length, zero-padded to a page
 //
 // A segment is written once by WriteSegmentFile during bulk load and never
-// mutated; its bytes are a pure function of the row set, which is what keeps
-// build output byte-identical at every worker count. OpenSegment verifies
+// mutated (a table is changed by writing a new file over it); its bytes are a
+// pure function of the row set, which is what keeps build output
+// byte-identical at every worker count. OpenSegment verifies
 // both region checksums and the exact page layout, so a truncated or
 // bit-flipped file is rejected at open with ErrCorruptSegment — the segment
 // is the table's only copy, so the caller fails closed and the recovery is a
@@ -86,28 +100,44 @@ func headerCRC(page []byte) uint32 {
 	return crc32.Update(crc, segCRCTable, page[segHeaderBytes:PageSize])
 }
 
-// WriteSegmentFile writes sd to a fresh segment file at path, replacing any
-// existing file. Writes are page-granular through a PagedFile so the device
+// WriteSegmentFile writes sd as the segment file at path, atomically: the
+// bytes go to path+".tmp", are synced, and the finished file is renamed over
+// whatever path held, so a reader (or a crash) sees the old file or the new
+// one, never a partial one. A failed write leaves path untouched and no
+// temporary file. Writes are page-granular through a PagedFile so the device
 // model charges them like any other build I/O.
 func WriteSegmentFile(path string, dev DeviceModel, clock *Clock, sd SegmentData) error {
+	tmp := path + ".tmp"
+	err := writeSegmentFile(tmp, dev, clock, sd)
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		_ = os.Remove(tmp) // best-effort cleanup; the write failure wins
+		return fmt.Errorf("storage: segment %s: %w", path, err)
+	}
+	return nil
+}
+
+func writeSegmentFile(path string, dev DeviceModel, clock *Clock, sd SegmentData) (err error) {
 	if len(sd.Keys) != len(sd.Lens) {
-		return fmt.Errorf("storage: segment %s: %d keys vs %d lens", path, len(sd.Keys), len(sd.Lens))
+		return fmt.Errorf("%d keys vs %d lens", len(sd.Keys), len(sd.Lens))
 	}
 	if sd.PKLen < 1 || sd.PKLen > 2 {
-		return fmt.Errorf("storage: segment %s: pk width %d out of range", path, sd.PKLen)
+		return fmt.Errorf("pk width %d out of range", sd.PKLen)
 	}
 	if segHeaderBytes+len(sd.Cols) > PageSize {
-		return fmt.Errorf("storage: segment %s: %d columns overflow the header page", path, len(sd.Cols))
+		return fmt.Errorf("%d columns overflow the header page", len(sd.Cols))
 	}
 	var total uint64
 	for i, ln := range sd.Lens {
 		total += uint64(ln)
-		if i > 0 && !keyLess(sd.Keys[i-1], sd.Keys[i]) {
-			return fmt.Errorf("storage: segment %s: keys not strictly ascending at row %d", path, i)
+		if i > 0 && !sd.Keys[i-1].Less(sd.Keys[i]) {
+			return fmt.Errorf("keys not strictly ascending at row %d", i)
 		}
 	}
 	if total != uint64(len(sd.Data)) {
-		return fmt.Errorf("storage: segment %s: %d data bytes vs %d from lens", path, len(sd.Data), total)
+		return fmt.Errorf("%d data bytes vs %d from lens", len(sd.Data), total)
 	}
 
 	// Build the directory image.
@@ -118,14 +148,15 @@ func WriteSegmentFile(path string, dev DeviceModel, clock *Clock, sd SegmentData
 		dir = binary.AppendUvarint(dir, uint64(sd.Lens[i]))
 	}
 
-	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("storage: segment %s: %w", path, err)
-	}
-	f, err := OpenPagedFile(path, dev, clock)
+	f, err := CreatePagedFile(path, dev, clock)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}()
 
 	dataPages := (len(sd.Data) + PageSize - 1) / PageSize
 	dirPage := 1 + dataPages
@@ -178,14 +209,6 @@ func writeSegRegion(f *PagedFile, b []byte) error {
 		b = b[n:]
 	}
 	return nil
-}
-
-// keyLess orders keys by first then second component.
-func keyLess(a, b Key) bool {
-	if a[0] != b[0] {
-		return a[0] < b[0]
-	}
-	return a[1] < b[1]
 }
 
 // OpenSegment opens a segment over file, decoding the directory into memory.
@@ -321,7 +344,7 @@ func OpenSegmentObserved(file *PagedFile, pool *Pool, observe func(chunk []byte)
 			return nil, corruptSegment("directory", "bad entry at row %d", i)
 		}
 		dir = dir[n:]
-		if i > 0 && !keyLess(s.keys[i-1], k) {
+		if i > 0 && !s.keys[i-1].Less(k) {
 			return nil, corruptSegment("directory", "keys not ascending at row %d", i)
 		}
 		s.keys = append(s.keys, k)
@@ -388,7 +411,7 @@ func (s *Segment) Find(key Key) (int, bool) {
 	lo, hi := 0, len(s.keys)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if keyLess(s.keys[mid], key) {
+		if s.keys[mid].Less(key) {
 			lo = mid + 1
 		} else {
 			hi = mid

@@ -118,6 +118,10 @@ func TestSegmentWriteDeterministic(t *testing.T) {
 	if !bytes.Equal(images[0], images[1]) {
 		t.Fatal("rewriting the same SegmentData produced different bytes")
 	}
+	// The second write replaced the first by rename: one file, no temporary.
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 || entries[0].Name() != "t.seg" {
+		t.Fatalf("directory after two writes: %v, want t.seg alone", entries)
+	}
 }
 
 func TestSegmentRejectsBadInput(t *testing.T) {
@@ -131,17 +135,33 @@ func TestSegmentRejectsBadInput(t *testing.T) {
 		{Cols: []byte{1}, PKLen: 1, Keys: []Key{{2, 0}, {1, 0}}, Lens: []uint32{0, 0}},
 		{Cols: []byte{1}, PKLen: 1, Keys: []Key{{1, 0}}, Lens: []uint32{4}, Data: []byte{0}},
 	}
+	// A rejected write leaves the file it would have replaced as it was, and
+	// no temporary beside it.
+	good := buildSegmentData(rand.New(rand.NewSource(9)), 10)
+	if err := WriteSegmentFile(path, dev, &clock, good); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, sd := range cases {
 		if err := WriteSegmentFile(path, dev, &clock, sd); err == nil {
 			t.Fatalf("case %d: WriteSegmentFile succeeded, want error", i)
 		}
 	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(before, after) {
+		t.Fatalf("rejected writes changed the existing segment (%v)", err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Fatalf("rejected writes left %d files in the directory, want 1", len(entries))
+	}
 	// A non-segment page-aligned file must be rejected at open.
-	heap := filepath.Join(dir, "not.seg")
-	if err := os.WriteFile(heap, make([]byte, PageSize), 0o644); err != nil {
+	zeroed := filepath.Join(dir, "not.seg")
+	if err := os.WriteFile(zeroed, make([]byte, PageSize), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f, err := OpenPagedFile(heap, dev, &clock)
+	f, err := OpenPagedFile(zeroed, dev, &clock)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,25 +3,39 @@ package sqldb
 import (
 	"errors"
 	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 
 	"ptldb/internal/sqldb/exec"
 	"ptldb/internal/sqldb/sqltypes"
 	"ptldb/internal/sqldb/storage"
+	"ptldb/internal/sqldb/vcache"
 )
 
-// Table is one stored table in exactly one physical form, fixed when the
-// table is opened or bulk-loaded: a columnar segment (the label tables —
-// immutable, one directory search plus payload pages per row, fronted by the
-// resident vector cache) or an append-only heap of encoded rows under a
-// B+tree primary-key index (everything filled by Insert, non-BIGINT schemas,
-// rows with NULLs). Both executors read through the same form.
+// Table is one stored table. It has exactly one physical form, the immutable
+// segment file <name>.seg: one directory search plus the payload's own pages
+// per row, fronted by the resident vector cache for all-integer tables. The
+// file is written whole by BulkLoad and only read in between; both executors
+// read through LookupPKScratch and ScanScratch.
 type Table struct {
 	def    TableDef
 	db     *DB
 	pkCols []int
+	// types caches the column types in storage order so hot-path decodes
+	// never walk the TableDef.
+	types []sqltypes.Type
 
-	form rowForm
+	// The open segment, replaced as one by BulkLoad. Between CreateTable and
+	// the first BulkLoad there is no file yet and seg is the zero Segment, an
+	// empty one. vcE is the table's slot in the handle's resident vector
+	// cache — nil when the handle has no cache, the table has a DOUBLE or
+	// TEXT column, or the cache declined it (its vectors exceed the whole
+	// budget) — and then every read goes straight to the segment.
+	file *storage.PagedFile
+	seg  *storage.Segment
+	vcE  *vcache.Entry
 
 	// Access counters: primary-key lookups answered (hit or miss) and full
 	// scans started. They let tests verify the paper's secondary-storage
@@ -29,26 +43,17 @@ type Table struct {
 	lookups, scans atomic.Uint64
 }
 
-// rowForm is a table's physical form. Each implementation owns its files,
-// its read code and the counters that code feeds.
-type rowForm interface {
-	// lookup fetches the row stored under key, decoding into s (the
-	// ScratchTable retention contract applies).
-	lookup(key storage.Key, s *exec.RowScratch) (sqltypes.Row, bool, error)
-	// scan calls fn for every row in key order (insertion order for keyless
-	// tables), recycling s between rows.
-	scan(s *exec.RowScratch, fn func(sqltypes.Row) error) error
-	count() uint64
-	flush() error
-	close() error
-	// remove closes the form, forgets its cached pages and vectors, and
-	// deletes its files.
-	remove() error
+// newTable builds the in-memory side of a table from its definition.
+func (db *DB) newTable(def TableDef) *Table {
+	t := &Table{def: def, db: db, types: make([]sqltypes.Type, len(def.Columns)), seg: new(storage.Segment)}
+	for i, c := range def.Columns {
+		t.types[i] = c.Type
+	}
+	for _, pk := range def.PK {
+		t.pkCols = append(t.pkCols, colIndex(def.Columns, pk))
+	}
+	return t
 }
-
-// ErrImmutable is returned by writes to a segment-form table: a segment is
-// written once by BulkLoad; DropTable + BulkLoad replaces it.
-var ErrImmutable = errors.New("table is an immutable segment")
 
 // AccessStats reports how many PK lookups and full scans the table has
 // served since open.
@@ -72,168 +77,150 @@ func (t *Table) Columns() []string {
 func (t *Table) PKCols() []int { return t.pkCols }
 
 // RowCount returns the number of stored rows.
-func (t *Table) RowCount() uint64 { return t.form.count() }
+func (t *Table) RowCount() uint64 { return uint64(t.seg.NumRows()) }
 
-// checkRow validates arity and column types, coercing integer values into
-// DOUBLE columns in place.
+// segPath is the table's one file.
+func (t *Table) segPath() string { return filepath.Join(t.db.dir, t.def.Name+".seg") }
+
+// checkRow validates arity, the absence of NULL and the column types,
+// coercing integer values into DOUBLE columns in place.
 func (t *Table) checkRow(row sqltypes.Row) error {
 	if len(row) != len(t.def.Columns) {
 		return fmt.Errorf("sqldb: %s: row has %d values, table has %d columns", t.def.Name, len(row), len(t.def.Columns))
 	}
 	for i, v := range row {
-		if v.IsNull() {
+		want := t.types[i]
+		if v.T == want {
 			continue
 		}
-		want := t.def.Columns[i].Type
-		if v.T != want {
-			// Integers are accepted into DOUBLE columns.
-			if want == sqltypes.Float64 && v.T == sqltypes.Int64 {
-				row[i] = sqltypes.NewFloat(float64(v.I))
-				continue
-			}
-			return fmt.Errorf("sqldb: %s.%s: cannot store %s into %s", t.def.Name, t.def.Columns[i].Name, v.T, want)
+		if want == sqltypes.Float64 && v.T == sqltypes.Int64 {
+			row[i] = sqltypes.NewFloat(float64(v.I))
+			continue
 		}
+		return fmt.Errorf("sqldb: %s.%s: cannot store %s into %s", t.def.Name, t.def.Columns[i].Name, v.T, want)
 	}
 	return nil
 }
 
-// heapForWrite returns the table's heap form, or ErrImmutable when the table
-// is a segment.
-func (t *Table) heapForWrite() (*heapForm, error) {
-	h, ok := t.form.(*heapForm)
-	if !ok {
-		return nil, fmt.Errorf("sqldb: %s: %w", t.def.Name, ErrImmutable)
-	}
-	return h, nil
-}
-
-// Insert validates and stores one row. Inserting a duplicate primary key is
-// an error (the heap is append-only and cannot reclaim the old row).
-func (t *Table) Insert(row sqltypes.Row) error {
-	h, err := t.heapForWrite()
-	if err != nil {
-		return err
-	}
-	if err := t.checkRow(row); err != nil {
-		return err
-	}
-	key, err := t.keyOf(row)
-	if err != nil {
-		return err
-	}
-	if len(t.pkCols) > 0 {
-		if _, exists, err := h.idx.Get(key); err != nil {
-			return err
-		} else if exists {
-			return fmt.Errorf("sqldb: %s: duplicate primary key %v", t.def.Name, key)
-		}
-	}
-	loc, err := h.heap.Append(sqltypes.EncodeRow(nil, row))
-	if err != nil {
-		return err
-	}
-	if len(t.pkCols) > 0 {
-		return h.idx.Insert(key, loc)
-	}
-	return nil
-}
-
-// ReplaceByPK stores row, overwriting any existing row with the same primary
-// key (the index entry is redirected; the heap is append-only, so the old
-// row's bytes remain unreferenced until a rebuild).
-func (t *Table) ReplaceByPK(row sqltypes.Row) error {
-	h, err := t.heapForWrite()
-	if err != nil {
-		return err
-	}
-	if len(t.pkCols) == 0 {
-		return fmt.Errorf("sqldb: %s has no primary key", t.def.Name)
-	}
-	if len(row) != len(t.def.Columns) {
-		return fmt.Errorf("sqldb: %s: row has %d values, table has %d columns", t.def.Name, len(row), len(t.def.Columns))
-	}
-	key, err := t.keyOf(row)
-	if err != nil {
-		return err
-	}
-	loc, err := h.heap.Append(sqltypes.EncodeRow(nil, row))
-	if err != nil {
-		return err
-	}
-	return h.idx.Insert(key, loc)
-}
-
-// InsertRows bulk-inserts rows.
-func (t *Table) InsertRows(rows []sqltypes.Row) error {
-	for i, r := range rows {
-		if err := t.Insert(r); err != nil {
-			return fmt.Errorf("row %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// BulkLoad stores rows already sorted by strictly ascending primary key into
-// an empty table and fixes the table's form. A keyed all-BIGINT/BIGINT[]
-// table whose rows hold no NULL becomes a segment: only <name>.seg is
-// written and the empty heap and index files are deleted. Anything else
-// stays heap + B+tree, the index built bottom-up in one pass over full pages
-// (keyless tables are plain heap appends; insertion order is the scan
-// order). All rows are validated before anything is stored, so a rejected
-// load leaves the table empty.
+// BulkLoad makes rows the table's content — the one write a table has. The
+// rows must be sorted by strictly ascending primary key and hold no NULL;
+// all of them are validated before a byte is written, so a rejected load
+// leaves the table as it was. The segment is written beside the live one and
+// renamed over it, so loading a table that already has rows replaces them
+// atomically. Reads of this table must not run concurrently with its load
+// (bulk maintenance, like CreateTable and DropTable); loads of different
+// tables may.
 func (t *Table) BulkLoad(rows []sqltypes.Row) error {
-	if n := t.RowCount(); n != 0 {
-		return fmt.Errorf("sqldb: %s: bulk load requires an empty table (%d rows stored)", t.def.Name, n)
+	sd := storage.SegmentData{
+		Cols:  make([]byte, len(t.types)),
+		PKLen: len(t.pkCols),
+		Keys:  make([]storage.Key, len(rows)),
+		Lens:  make([]uint32, len(rows)),
 	}
-	h, err := t.heapForWrite()
-	if err != nil {
-		return err
+	for i, typ := range t.types {
+		sd.Cols[i] = byte(typ)
 	}
-	var keys []storage.Key
-	if len(t.pkCols) > 0 {
-		keys = make([]storage.Key, len(rows))
-	}
+	// The rows are validated and encoded in memory; the file is not touched
+	// until every one of them has passed.
 	for i, r := range rows {
 		if err := t.checkRow(r); err != nil {
 			return fmt.Errorf("row %d: %w", i, err)
 		}
-		if keys == nil {
-			continue
+		for k, ci := range t.pkCols {
+			sd.Keys[i][k] = r[ci].I
 		}
-		key, err := t.keyOf(r)
-		if err != nil {
-			return err
-		}
-		if i > 0 && !keys[i-1].Less(key) {
+		if i > 0 && !sd.Keys[i-1].Less(sd.Keys[i]) {
 			return fmt.Errorf("sqldb: %s: bulk load rows not in strictly ascending key order at row %d (%v then %v)",
-				t.def.Name, i, keys[i-1], key)
+				t.def.Name, i, sd.Keys[i-1], sd.Keys[i])
 		}
-		keys[i] = key
-	}
-	if sd, ok := t.segmentData(rows, keys); ok {
-		seg, err := t.writeSegment(sd)
+		start := len(sd.Data)
+		data, err := sqltypes.EncodeSegRow(sd.Data, r)
 		if err != nil {
-			return err
+			return fmt.Errorf("sqldb: %s: row %d: %w", t.def.Name, i, err)
 		}
-		t.form = seg
-		return h.remove()
+		sd.Data = data
+		sd.Lens[i] = uint32(len(sd.Data) - start)
 	}
-	return h.bulkLoad(rows, keys)
+	if err := storage.WriteSegmentFile(t.segPath(), t.db.dev, &t.db.clock, sd); err != nil {
+		return err
+	}
+	oldFile, oldVectors := t.file, t.vcE
+	if err := t.open(); err != nil {
+		return err
+	}
+	return t.db.release(oldFile, oldVectors)
 }
 
-func (t *Table) keyOf(row sqltypes.Row) (storage.Key, error) {
-	// Single-column keys leave the second component zero, matching
-	// LookupPKScratch's key construction.
-	var key storage.Key
-	for i, ci := range t.pkCols {
-		v := row[ci]
-		if v.T != sqltypes.Int64 {
-			return key, fmt.Errorf("sqldb: %s: primary-key column %s is %s, not BIGINT",
-				t.def.Name, t.def.Columns[ci].Name, v.T)
-		}
-		key[i] = v.I
+// open opens and validates the table's segment file — checksums and layout
+// in storage, column layout against the schema here — and registers an
+// all-integer table with the vector cache. For those, the pass that checksums
+// the data region also counts its varints, which is all it takes to know the
+// size of the table's vectors (vectorBytes) before the cache is asked to hold
+// them. Open never creates the file: a missing one is an error.
+func (t *Table) open() error {
+	db := t.db
+	f, err := storage.OpenPagedFile(t.segPath(), db.dev, &db.clock)
+	if errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("sqldb: table %q: segment file %s.seg is missing — the directory is damaged or was built by an older version; rebuild it: %w",
+			t.def.Name, t.def.Name, err)
 	}
-	return key, nil
+	if err != nil {
+		return fmt.Errorf("sqldb: table %q: %w", t.def.Name, err)
+	}
+	db.pool.Register(f)
+	f.CountReads(&db.reg.Pool.RandReads, &db.reg.Pool.SeqReads)
+
+	vectors := db.vcache != nil
+	for _, typ := range t.types {
+		vectors = vectors && (typ == sqltypes.Int64 || typ == sqltypes.IntArray)
+	}
+	varints := 0
+	var observe func([]byte)
+	if vectors {
+		observe = func(chunk []byte) { varints += sqltypes.CountSegVarints(chunk) }
+	}
+	seg, err := storage.OpenSegmentObserved(f, db.pool, observe)
+	if err != nil {
+		_ = f.Close() // best-effort cleanup; the open failure wins
+		return fmt.Errorf("sqldb: table %q: %w", t.def.Name, err)
+	}
+	cols := seg.Cols()
+	match := len(cols) == len(t.types) && seg.PKLen() == len(t.pkCols)
+	for i := 0; match && i < len(cols); i++ {
+		match = sqltypes.Type(cols[i]) == t.types[i]
+	}
+	if !match {
+		_ = f.Close()
+		return fmt.Errorf("sqldb: table %q: %w: header: columns %v (pk %d) do not match the schema",
+			t.def.Name, storage.ErrCorruptSegment, cols, seg.PKLen())
+	}
+	t.file, t.seg, t.vcE = f, seg, nil
+	if vectors {
+		t.vcE = db.vcache.Register(vectorBytes(t.types, seg.NumRows(), varints))
+	}
+	return nil
+}
+
+// release lets go of an open segment that is being replaced or dropped: its
+// vectors, its cached pages and its file handle. A table never loaded has
+// none of them.
+func (db *DB) release(f *storage.PagedFile, vectors *vcache.Entry) error {
+	if f == nil {
+		return nil
+	}
+	if vectors != nil {
+		vectors.Drop()
+	}
+	db.pool.Forget(f)
+	return f.Close()
+}
+
+// remove releases the table's segment and deletes its file.
+func (t *Table) remove() error {
+	if t.file == nil {
+		return nil
+	}
+	return firstError(t.db.release(t.file, t.vcE), os.Remove(t.segPath()))
 }
 
 // LookupPK fetches the row with the given primary-key values (one per PK
@@ -248,23 +235,63 @@ func (t *Table) LookupPK(keyVals []int64) (sqltypes.Row, bool, error) {
 // same scratch; its array values live in s.Arena (which only ever grows) or
 // alias immutable cached vectors, so they remain valid for the scratch's
 // lifetime.
+//
+// The row is served from the resident vectors when the cache holds the
+// table — binary search of the key directory, slice views of the decoded
+// columns, no pool, payload copy or varint decode — and from the segment
+// otherwise: binary search of the in-memory directory, the payload's own
+// pages through the pool, tag-free decode.
+//
+// hotpath — allocheck root: every fused label lookup funnels through here;
+// both tiers must stay allocation-free.
 func (t *Table) LookupPKScratch(keyVals []int64, s *exec.RowScratch) (sqltypes.Row, bool, error) {
 	if len(keyVals) != len(t.pkCols) {
 		return nil, false, fmt.Errorf("sqldb: %s: lookup with %d key values, PK has %d columns",
 			t.def.Name, len(keyVals), len(t.pkCols))
 	}
-	if len(t.pkCols) == 0 {
-		return nil, false, fmt.Errorf("sqldb: %s has no primary key", t.def.Name)
-	}
 	t.lookups.Add(1)
+	// Single-column keys leave the second component zero, as BulkLoad's do.
 	var key storage.Key
 	copy(key[:], keyVals)
-	return t.form.lookup(key, s)
+	reg := &t.db.reg
+	if t.vcE != nil {
+		m, err := t.vcacheMat()
+		if err != nil {
+			return nil, false, err
+		}
+		if m != nil {
+			i, ok := m.Find(key)
+			if !ok {
+				return nil, false, nil
+			}
+			row := vcacheRow(m, i, s)
+			reg.Exec.RowsScanned.Add(1)
+			return row, true, nil
+		}
+	}
+	i, ok := t.seg.Find(key)
+	if !ok {
+		return nil, false, nil
+	}
+	data, err := t.seg.ReadRow(i, s.Buf)
+	if err != nil {
+		return nil, false, err
+	}
+	s.Buf = data
+	row, arena, err := sqltypes.DecodeSegRowInto(data, t.types, s.Row, s.Arena)
+	if err != nil {
+		return nil, false, fmt.Errorf("sqldb: %s: %w", t.def.Name, err)
+	}
+	s.Row, s.Arena = row, arena
+	reg.Segment.Hits.Add(1)
+	reg.Segment.ColumnsDecoded.Add(uint64(len(t.types)))
+	reg.Segment.BytesRead.Add(uint64(len(data)))
+	reg.Exec.RowsScanned.Add(1)
+	return row, true, nil
 }
 
-// Scan calls fn for every row: in key order for tables with a primary key,
-// in insertion order for keyless ones. Every row gets buffers of its own, so
-// fn may keep it (the general executor does).
+// Scan calls fn for every row in key order. Every row gets buffers of its
+// own, so fn may keep it (the general executor does).
 func (t *Table) Scan(fn func(sqltypes.Row) error) error {
 	var s exec.RowScratch
 	return t.ScanScratch(&s, func(row sqltypes.Row) error {
@@ -275,8 +302,54 @@ func (t *Table) Scan(fn func(sqltypes.Row) error) error {
 
 // ScanScratch implements exec.ScratchTable: Scan reusing s's buffers —
 // including the arena — for every row, so the callback must not retain the
-// row or any of its array values.
+// row or any of its array values. It iterates the resident vectors, or else
+// the segment directory, in key order. Counters accumulate locally and
+// publish once at the end; a scan abandoned by an error drops its partial
+// count.
+//
+// hotpath — allocheck root: fused full-table scans (target sets, condensed
+// probes) iterate here; the per-row loop must stay allocation-free.
 func (t *Table) ScanScratch(s *exec.RowScratch, fn func(sqltypes.Row) error) error {
 	t.scans.Add(1)
-	return t.form.scan(s, fn)
+	reg := &t.db.reg
+	if t.vcE != nil {
+		m, err := t.vcacheMat()
+		if err != nil {
+			return err
+		}
+		if m != nil {
+			n := len(m.Keys)
+			for i := 0; i < n; i++ {
+				if err := fn(vcacheRow(m, i, s)); err != nil {
+					return err
+				}
+			}
+			reg.Exec.RowsScanned.Add(uint64(n))
+			return nil
+		}
+	}
+	rows, bytesRead := uint64(0), uint64(0)
+	n := t.seg.NumRows()
+	for i := 0; i < n; i++ {
+		data, err := t.seg.ReadRow(i, s.Buf)
+		if err != nil {
+			return err
+		}
+		s.Buf = data
+		row, arena, err := sqltypes.DecodeSegRowInto(data, t.types, s.Row, s.Arena[:0])
+		if err != nil {
+			return fmt.Errorf("sqldb: %s: %w", t.def.Name, err)
+		}
+		s.Row, s.Arena = row, arena
+		rows++
+		bytesRead += uint64(len(data))
+		if err := fn(row); err != nil {
+			return err
+		}
+	}
+	reg.Segment.Hits.Add(rows)
+	reg.Segment.ColumnsDecoded.Add(rows * uint64(len(t.types)))
+	reg.Segment.BytesRead.Add(bytesRead)
+	reg.Exec.RowsScanned.Add(rows)
+	return nil
 }

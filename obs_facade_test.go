@@ -70,8 +70,14 @@ func TestFacadeObservability(t *testing.T) {
 	if snap.Exec.FusedRuns < n {
 		t.Errorf("snapshot fused runs = %d, want >= %d", snap.Exec.FusedRuns, n)
 	}
-	if snap.Pool.Hits == 0 {
-		t.Errorf("snapshot pool hits = 0")
+	// Only a table outside the vector cache is read through the buffer pool.
+	for i := 0; i < 2; i++ {
+		if _, ok, err := db.Stop(0); err != nil || !ok {
+			t.Fatalf("Stop(0) = %v, %v", ok, err)
+		}
+	}
+	if pool := db.Snapshot().Pool; pool.Hits == 0 || pool.Misses == 0 {
+		t.Errorf("snapshot pool = %+v, want the stop lookups' miss and hit", pool)
 	}
 	if snap.VCache == nil {
 		t.Error("snapshot has no vcache block on a default-config handle")

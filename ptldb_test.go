@@ -81,11 +81,18 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Errorf("OTM returned fewer targets (%d) than 3-NN (%d)", len(otm), len(res))
 	}
 
+	// The label reads above were served by the vector cache; the stops table
+	// (it has text and float columns) is read through the buffer pool.
+	for i := 0; i < 2; i++ {
+		if stop, ok, err := db.Stop(g); err != nil || !ok || stop.ID != g {
+			t.Fatalf("Stop(%d) = %+v, %v, %v", g, stop, ok, err)
+		}
+	}
 	st, err := db.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.SizeOnDisk <= 0 || st.CacheHits == 0 {
+	if st.SizeOnDisk <= 0 || st.CacheHits == 0 || st.CacheMisses == 0 {
 		t.Errorf("stats = %+v", st)
 	}
 }

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Full pre-merge gate: formatting, vet, project lint, build, and the whole
 # test suite under the race detector with shuffled test order, then the
-# benchmark module (benchmark/ is a module of its own, invisible to ./...).
+# benchmark module (benchmark/ is a module of its own, invisible to ./...) and
+# a look at what ptldb-build leaves in a database directory.
 # Also available as `make check`.
 set -eu
 cd "$(dirname "$0")/.."
@@ -33,4 +34,14 @@ echo "== benchmark module (vet, tests, smoke run of all four workloads)"
 go -C benchmark vet .
 go -C benchmark test .
 go -C benchmark run . -smoke > /dev/null
+echo "== built image holds segments and the catalog only"
+img=$(mktemp -d)
+trap 'rm -rf "$img"' EXIT
+go run ./cmd/ptldb-build -city Austin -scale 0.01 -targets 0.1:4 -db "$img/db" > /dev/null
+stray=$(ls -A "$img/db" | grep -v -e '\.seg$' -e '^catalog\.json$' || true)
+if [ -n "$stray" ] || [ ! -f "$img/db/lout.seg" ]; then
+    echo "ptldb-build left something other than <table>.seg and catalog.json:" >&2
+    ls -A "$img/db" >&2
+    exit 1
+fi
 echo "== OK"

@@ -11,8 +11,7 @@ import (
 // query battery two ways over the same directory: with the resident vector
 // cache (the default budget) and without one (a negative budget — every read
 // served from the segments). The answer lists must be identical, and the
-// cache/segment counters prove which tier actually served each handle. The
-// segment-vs-heap form differential lives in internal/sqldb.
+// cache/segment counters prove which tier actually served each handle.
 func vcacheDifferential(t *testing.T, tt *Network, targets []StopID) {
 	t.Helper()
 	dir := t.TempDir()
