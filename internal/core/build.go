@@ -481,8 +481,9 @@ func expColumn(ts []targetTuple, get func(targetTuple) timetable.Time) sqltypes.
 // stop's label arrays in place. TTL construction already emits tuples sorted
 // by (Hub, Dep), so the verification pass is the common case and the sort
 // runs only for labels from other producers (e.g. hand-built tables in
-// tests). The fused executor's merge join relies on this order and falls
-// back to a hash join when a label is found unsorted at query time.
+// tests). It is the first half of the label tables' declared run order; the
+// second — arrivals ascend with departures inside a hub's run — no sort can
+// establish, and BulkLoad rejects a label without it.
 func ensureLabelOrder(hubs, tds, tas []int64) {
 	sorted := true
 	for i := 1; i < len(hubs); i++ {

@@ -290,6 +290,10 @@ func labelTableJobs(db *sqldb.DB, suffix string, labels *ttl.Labels) (jobs []fun
 				{Name: "tds", Type: sqltypes.IntArray},
 				{Name: "tas", Type: sqltypes.IntArray},
 			},
+			// Hubs ascend; a hub's run is a Pareto antichain, ascending in
+			// departure and in arrival. Declared, it is validated by BulkLoad
+			// and the v2v join searches the runs instead of scanning them.
+			RunOrder: []string{"hubs", "tds", "tas"},
 		}
 	}
 	loutTbl, err := db.CreateTable(def("lout" + suffix))
@@ -324,7 +328,8 @@ func loadLabelTables(db *sqldb.DB, suffix string, labels *ttl.Labels, vm *Versio
 }
 
 // loadLabelSide bulk-loads one label side into its table: the rows are
-// already in ascending primary-key (stop id) order.
+// already in ascending primary-key (stop id) order, so a rejected row's index
+// is its stop.
 func loadLabelSide(tbl *sqldb.Table, side [][]ttl.Tuple, r *timeRange) error {
 	r.min, r.max = timetable.Infinity, timetable.NegInfinity
 	rows := make([]sqltypes.Row, len(side))
@@ -341,8 +346,11 @@ func loadLabelSide(tbl *sqldb.Table, side [][]ttl.Tuple, r *timeRange) error {
 				r.max = t.Arr
 			}
 		}
-		// The fused executor's merge join requires hub-sorted labels; verify
-		// (and if needed re-establish) the order before the row is frozen.
+		// The table declares its run order: validated by BulkLoad, trusted by
+		// the executor. Sorting re-establishes (hub, td, ta) for a producer
+		// that emits another order; a run that is not a Pareto antichain (an
+		// arrival descending as departures ascend) is left for BulkLoad to
+		// reject.
 		ensureLabelOrder(hubs, tds, tas)
 		rows[v] = sqltypes.Row{
 			sqltypes.NewInt(int64(v)),
@@ -351,7 +359,10 @@ func loadLabelSide(tbl *sqldb.Table, side [][]ttl.Tuple, r *timeRange) error {
 			sqltypes.NewIntArray(tas),
 		}
 	}
-	return tbl.BulkLoad(rows)
+	if err := tbl.BulkLoad(rows); err != nil {
+		return fmt.Errorf("core: load %s (row = stop id): %w", tbl.Def().Name, err)
+	}
+	return nil
 }
 
 // loadStops bulk-loads the stops metadata table in ascending id order.

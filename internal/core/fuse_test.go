@@ -3,9 +3,13 @@ package core
 import (
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
+	"ptldb/internal/sqldb"
+	"ptldb/internal/sqldb/storage"
 	"ptldb/internal/timetable"
+	"ptldb/internal/ttl"
 )
 
 // TestPreparedStatementsFuse asserts that every Code 1–4 statement the store
@@ -52,6 +56,43 @@ func TestPreparedStatementsFuse(t *testing.T) {
 	if fallbacks != 0 {
 		t.Errorf("query battery hit %d runtime fallbacks, want 0", fallbacks)
 	}
+}
+
+// TestBuildRejectsUnorderedLabels: a label whose arrivals descend while its
+// departures ascend inside one hub's run is in no order a sort can repair.
+// The label tables declare their run order, so Build and AddVersion stop with
+// the table and the stop named instead of storing an image only the hash join
+// could answer.
+func TestBuildRejectsUnorderedLabels(t *testing.T) {
+	st, labels := paperStore(t)
+	bad := labels.Clone()
+	run := []ttl.Tuple{
+		{Hub: 0, Dep: 100, Arr: 900, Pivot: timetable.NoStop, Trip: timetable.NoTrip},
+		{Hub: 0, Dep: 200, Arr: 800, Pivot: timetable.NoStop, Trip: timetable.NoTrip},
+	}
+	bad.Out[3] = append(run, bad.Out[3]...)
+	check := func(what string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s accepted a label that is not run-ordered", what)
+		}
+		for _, frag := range []string{"lout", "row 3", "run order"} {
+			if !strings.Contains(err.Error(), frag) {
+				t.Errorf("%s: error lacks %q: %v", what, frag, err)
+			}
+		}
+	}
+	check("AddVersion", st.AddVersion("weekend", bad))
+	if arr, ok, err := st.EarliestArrival(1, 1, 32400); err != nil || !ok || arr != 32400 {
+		t.Errorf("after the refused version: EA(1,1,324) = %v, %v, %v", arr, ok, err)
+	}
+	db, err := sqldb.Open(t.TempDir(), sqldb.Options{Device: storage.RAM, PoolPages: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	_, err = Build(db, bad, BuildOptions{})
+	check("Build", err)
 }
 
 func TestEnsureLabelOrder(t *testing.T) {

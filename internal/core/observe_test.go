@@ -1,6 +1,9 @@
 package core
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -18,23 +21,24 @@ import (
 // buckets) on a handle without a vector cache: label reads served from the
 // columnar segments, hence the Segment* access-path operators. The rendering
 // is deterministic; a change here is a change to the fused executor's shape and
-// should be deliberate.
+// should be deliberate. The label tables of a built store declare their run
+// order, hence RunJoin; TestExplainUndeclaredImage pins the other join.
 var explainGoldens = map[string]string{
 	"v2v-ea": `FusedPlan v2v-ea
 └─ Aggregate MIN(in.ta)
-   └─ MergeJoin out.hub = in.hub, reach out.ta <= in.td
+   └─ RunJoin out.hub = in.hub, reach out.ta <= in.td
       ├─ SegmentLookup lout [v = $1, td >= $3]
       └─ SegmentLookup lin [v = $2]
 `,
 	"v2v-ld": `FusedPlan v2v-ld
 └─ Aggregate MAX(out.td)
-   └─ MergeJoin out.hub = in.hub, reach out.ta <= in.td
+   └─ RunJoin out.hub = in.hub, reach out.ta <= in.td
       ├─ SegmentLookup lout [v = $1]
       └─ SegmentLookup lin [v = $2, ta <= $3]
 `,
 	"v2v-sd": `FusedPlan v2v-sd
 └─ Aggregate MIN(in.ta - out.td)
-   └─ MergeJoin out.hub = in.hub, reach out.ta <= in.td
+   └─ RunJoin out.hub = in.hub, reach out.ta <= in.td
       ├─ SegmentLookup lout [v = $1, td >= $3]
       └─ SegmentLookup lin [v = $2, ta <= $4]
 `,
@@ -149,6 +153,78 @@ func TestExplainPreparedGoldensVectorCache(t *testing.T) {
 		if got != want {
 			t.Errorf("explain %q with vector cache:\n got:\n%s want:\n%s", name, got, want)
 		}
+	}
+}
+
+// stripRunOrder rewrites dir's catalog without any run-order declaration —
+// the catalog a build from before the declaration wrote, the segments being
+// the same bytes either way.
+func stripRunOrder(t *testing.T, dir string) {
+	t.Helper()
+	path := filepath.Join(dir, "catalog.json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var defs []sqldb.TableDef
+	if err := json.Unmarshal(data, &defs); err != nil {
+		t.Fatal(err)
+	}
+	declared := 0
+	for i := range defs {
+		if defs[i].RunOrder != nil {
+			declared++
+		}
+		defs[i].RunOrder = nil
+	}
+	if declared != 2 {
+		t.Fatalf("%d tables declare a run order, want lout and lin", declared)
+	}
+	if data, err = json.MarshalIndent(defs, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestExplainUndeclaredImage: EXPLAIN states the join that will run. The same
+// image with the declaration taken out of its catalog — what a directory
+// built before the declaration existed looks like — answers through the hash
+// join, and says so; nothing else in the tree changes.
+func TestExplainUndeclaredImage(t *testing.T) {
+	dir := t.TempDir()
+	opts := sqldb.Options{Device: storage.RAM, PoolPages: 4096}
+	db, err := sqldb.Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Build(db, ttl.Build(timetable.PaperExample(), order.Identity(7)), BuildOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stripRunOrder(t, dir)
+	if db, err = sqldb.Open(dir, opts); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	st, err := Open(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"v2v-ea", "v2v-ld", "v2v-sd"} {
+		want := strings.Replace(explainGoldens[name], "RunJoin", "HashJoin", 1)
+		if got, err := st.ExplainPrepared(name); err != nil || got != want {
+			t.Errorf("explain %q on an undeclared image (%v):\n got:\n%s want:\n%s", name, err, got, want)
+		}
+	}
+	if got, ok, err := st.EarliestArrival(1, 1, 32400); err != nil || !ok || got != 32400 {
+		t.Errorf("EA(1,1,324) through the hash join = %v, %v, %v; want 32400", got, ok, err)
+	}
+	if _, bailouts := db.FusedStats(); bailouts != 0 {
+		t.Errorf("%d fused bailouts on an undeclared image, want 0", bailouts)
 	}
 }
 

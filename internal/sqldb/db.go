@@ -35,11 +35,15 @@ type ColumnDef struct {
 }
 
 // TableDef declares a table: columns plus a primary key of one or two
-// integer columns.
+// integer columns. RunOrder, when set, names three BIGINT[] columns (g, a, b)
+// and declares that in every row the three arrays have equal length, g is
+// non-decreasing, and within a run of equal g both a and b are non-decreasing.
+// BulkLoad rejects a row that breaks it, so readers trust it unchecked.
 type TableDef struct {
-	Name    string      `json:"name"`
-	Columns []ColumnDef `json:"columns"`
-	PK      []string    `json:"pk"`
+	Name     string      `json:"name"`
+	Columns  []ColumnDef `json:"columns"`
+	PK       []string    `json:"pk"`
+	RunOrder []string    `json:"run_order,omitempty"`
 }
 
 // Options configures Open.
@@ -134,8 +138,11 @@ func Open(dir string, opts Options) (*DB, error) {
 	}
 	for _, def := range defs {
 		def.Name = strings.ToLower(def.Name)
-		t := db.newTable(def)
-		if err := t.open(); err != nil {
+		t, err := db.newTable(def)
+		if err == nil {
+			err = t.open()
+		}
+		if err != nil {
 			for _, t := range db.tables {
 				_ = t.file.Close() // best-effort cleanup; the open failure wins
 			}
@@ -205,7 +212,10 @@ func (db *DB) CreateTable(def TableDef) (*Table, error) {
 		}
 	}
 	def.Name = name
-	t := db.newTable(def)
+	t, err := db.newTable(def)
+	if err != nil {
+		return nil, err
+	}
 	db.tables[name] = t
 	if err := db.saveCatalogLocked(); err != nil {
 		delete(db.tables, name)
@@ -427,7 +437,7 @@ func (s *Stmt) QueryInfo(params ...sqltypes.Value) (*exec.Relation, ExecInfo, er
 // executor will evaluate.
 func (s *Stmt) Explain() string {
 	if s.fused != nil {
-		return s.fused.Explain()
+		return s.fused.Explain(catalogAdapter{s.db})
 	}
 	return exec.ExplainSelect(s.sel)
 }

@@ -42,6 +42,15 @@ type Table interface {
 	Scan(fn func(sqltypes.Row) error) error
 }
 
+// RunOrdered is an optional Table extension. RunOrder returns the positions
+// of three BIGINT[] columns (g, a, b), or nil: in every stored row the arrays
+// have equal length, g is non-decreasing, and within equal g both a and b are
+// non-decreasing. The table vouches for it (sqldb validates every row it
+// writes); the fused executor trusts it without looking.
+type RunOrdered interface {
+	RunOrder() []int
+}
+
 // RowScratch holds reusable row-decoding buffers for ScratchTable calls.
 // A scratch belongs to one query execution; it must not be shared across
 // goroutines.

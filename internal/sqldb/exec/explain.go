@@ -2,7 +2,8 @@ package exec
 
 // explain.go renders a FusedPlan as a human-readable operator tree — the
 // EXPLAIN counterpart of fused_exec.go. The output is deterministic (plans
-// are immutable after Fuse), so tests pin it with golden strings.
+// are immutable after Fuse; the catalog adds only what the label tables
+// declare), so tests pin it with golden strings.
 
 import (
 	"fmt"
@@ -14,13 +15,13 @@ import (
 // Explain renders the fused operator tree: one line per operator, children
 // indented under their parent, parameters shown as $n exactly as they were
 // bound in the recognized SQL. The rendering reflects how fused_exec.go
-// evaluates the plan, not the SQL's syntactic join order.
-func (p *FusedPlan) Explain() string {
+// evaluates the plan against cat, not the SQL's syntactic join order.
+func (p *FusedPlan) Explain(cat Catalog) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "FusedPlan %s\n", p.kind)
 	switch {
 	case p.v2v != nil:
-		p.explainV2V(&b)
+		p.explainV2V(&b, cat)
 	case p.knn != nil:
 		p.explainKNNNaive(&b)
 	case p.cond != nil:
@@ -46,7 +47,7 @@ func (p *FusedPlan) lookupOp() string { return p.tier() + "Lookup" }
 func (p *FusedPlan) scanOp() string   { return p.tier() + "Scan" }
 func (p *FusedPlan) probeOp() string  { return p.tier() + "Probe" }
 
-func (p *FusedPlan) explainV2V(b *strings.Builder) {
+func (p *FusedPlan) explainV2V(b *strings.Builder, cat Catalog) {
 	f := p.v2v
 	switch f.op {
 	case 'E':
@@ -56,7 +57,14 @@ func (p *FusedPlan) explainV2V(b *strings.Builder) {
 	case 'S':
 		fmt.Fprintf(b, "└─ Aggregate MIN(in.ta - out.td)\n")
 	}
-	fmt.Fprintf(b, "   └─ MergeJoin out.hub = in.hub, reach out.ta <= in.td\n")
+	// The join runV2V takes, read from the layouts it reads it from.
+	join := "RunJoin"
+	for i := range p.tables {
+		if lay, err := p.tables[i].resolve(cat); err != nil || !lay.ordered {
+			join = "HashJoin"
+		}
+	}
+	fmt.Fprintf(b, "   └─ %s out.hub = in.hub, reach out.ta <= in.td\n", join)
 	outFilter, inFilter := "", ""
 	switch f.op {
 	case 'E':

@@ -356,6 +356,13 @@ func (c scratchCatalog) Table(name string) (Table, bool) {
 // to match the general executor's schema and rows exactly.
 func diffRun(t *testing.T, cat memCatalog, q string, params []sqltypes.Value) {
 	t.Helper()
+	diffRunOver(t, cat, []Catalog{cat, scratchCatalog{cat}}, q, params)
+}
+
+// diffRunOver is diffRun with the fused plan run over each of views — other
+// ways of serving cat's tables — instead of the default two.
+func diffRunOver(t *testing.T, cat memCatalog, views []Catalog, q string, params []sqltypes.Value) {
+	t.Helper()
 	sel := mustParse(t, q)
 	fp := Fuse(sel)
 	if fp == nil {
@@ -365,7 +372,7 @@ func diffRun(t *testing.T, cat memCatalog, q string, params []sqltypes.Value) {
 	if err != nil {
 		t.Fatalf("general run (params %v): %v", params, err)
 	}
-	for _, c := range []Catalog{cat, scratchCatalog{cat}} {
+	for _, c := range views {
 		got, err := fp.Run(c, params)
 		if err != nil {
 			t.Fatalf("fused run (params %v): %v", params, err)
@@ -407,8 +414,8 @@ func compareRelations(t *testing.T, got, want *Relation, params []sqltypes.Value
 
 // randLabelTable builds a label table (v, hubs, tds, tas) for stops
 // 1..nStops. Hubs are drawn from a small range so the two sides of the join
-// collide; sorted=false leaves the arrays in random (hub, td) order to
-// exercise the hash-join fallback.
+// collide; sorted=false leaves the arrays in random (hub, td) order. Sorted
+// or not, arrivals are random within a hub's run: see runOrdered.
 func randLabelTable(rng *rand.Rand, nStops, maxEntries int, sorted bool) *memTable {
 	tbl := &memTable{cols: []string{"v", "hubs", "tds", "tas"}, pk: []int{0}}
 	for v := int64(1); v <= int64(nStops); v++ {
@@ -462,12 +469,30 @@ func TestFusedV2VDifferential(t *testing.T) {
 		{fmt.Sprintf(tmplV2VSD, "lout", "lin"), 4},
 	}
 	for trial := 0; trial < 30; trial++ {
-		sorted := trial%2 == 0 // odd trials exercise the hash-join fallback
+		// Even trials hold run-ordered labels and run on both joins: through
+		// tables that declare the order and through tables that do not. Odd
+		// trials hold unordered labels, which only an undeclared table may,
+		// so the hash join stays covered on data it alone can answer.
+		ordered := trial%2 == 0
 		cat := memCatalog{
-			"lout": randLabelTable(rng, 5, 8, sorted),
-			"lin":  randLabelTable(rng, 5, 8, sorted),
+			"lout": randLabelTable(rng, 5, 8, ordered),
+			"lin":  randLabelTable(rng, 5, 8, ordered),
+		}
+		views := []Catalog{cat, scratchCatalog{cat}}
+		if ordered {
+			runOrdered(cat["lout"])
+			runOrdered(cat["lin"])
+			views = append(views, declaredCatalog{cat})
 		}
 		for _, qq := range queries {
+			// The plan names the join each view takes.
+			fp := Fuse(mustParse(t, qq.q))
+			if plan := fp.Explain(cat); !strings.Contains(plan, "HashJoin") {
+				t.Fatalf("undeclared tables: want HashJoin in\n%s", plan)
+			}
+			if plan := fp.Explain(declaredCatalog{cat}); !strings.Contains(plan, "RunJoin") {
+				t.Fatalf("declaring tables: want RunJoin in\n%s", plan)
+			}
 			for rep := 0; rep < 4; rep++ {
 				tv := int64(rng.Intn(220))
 				params := []sqltypes.Value{
@@ -478,7 +503,7 @@ func TestFusedV2VDifferential(t *testing.T) {
 				if qq.nParams == 4 {
 					params = append(params, sqltypes.NewInt(tv+int64(rng.Intn(150))))
 				}
-				diffRun(t, cat, qq.q, params)
+				diffRunOver(t, cat, views, qq.q, params)
 			}
 		}
 	}

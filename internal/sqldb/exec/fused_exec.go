@@ -8,14 +8,11 @@ package exec
 // lengths — is checked here, and a violation returns ErrNotFused so the
 // caller falls back to the general executor, which reproduces exact general
 // semantics (including errors and the NULL-padding behavior of unequal
-// UNNEST lengths).
+// UNNEST lengths). The order of a label's arrays is not among them: a table
+// declares it (RunOrdered), BulkLoad validated it where the row was written,
+// and runV2V trusts it.
 
-import (
-	"math"
-	"sort"
-
-	"ptldb/internal/sqldb/sqltypes"
-)
+import "ptldb/internal/sqldb/sqltypes"
 
 // Run evaluates the fused plan against cat with the given parameters.
 func (p *FusedPlan) Run(cat Catalog, params []sqltypes.Value) (*Relation, error) {
@@ -45,30 +42,50 @@ func fusedInt(params []sqltypes.Value, n int) (int64, error) {
 	return params[n-1].I, nil
 }
 
-// hubSorted reports whether the label is sorted by (hub, td) — the order
-// core.ensureLabelOrder establishes at build time, which enables the merge
-// join.
+// firstGE returns the first index in [lo, hi) whose value is at least v, or
+// hi; a[lo:hi] must be non-decreasing. It gallops from lo — probes at doubling
+// distances, then a binary search of the last gap — so it costs the logarithm
+// of the distance moved, not of hi-lo.
 //
-// hotpath — allocheck root: runs per query over whole labels.
-func hubSorted(l label) bool {
-	for i := 1; i < len(l.hubs); i++ {
-		if l.hubs[i] < l.hubs[i-1] ||
-			(l.hubs[i] == l.hubs[i-1] && l.tds[i] < l.tds[i-1]) {
-			return false
+// hotpath — allocheck root: the run-order join's search over hubs and tds.
+func firstGE(a []int64, lo, hi int, v int64) int {
+	for step := 1; lo+step <= hi; step <<= 1 {
+		if a[lo+step-1] >= v {
+			hi = lo + step - 1
+			break
+		}
+		lo += step
+	}
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); a[m] < v {
+			lo = m + 1
+		} else {
+			hi = m
 		}
 	}
-	return true
+	return lo
 }
 
-// runEnd returns the end of the equal-hub run starting at i.
+// firstGT is firstGE for the first value greater than v — the end of v's run,
+// one past the last value <= v — without a v+1 to overflow at math.MaxInt64.
 //
-// hotpath — allocheck root: inner loop of the merge join.
-func runEnd(hubs []int64, i int) int {
-	j := i + 1
-	for j < len(hubs) && hubs[j] == hubs[i] {
-		j++
+// hotpath — allocheck root: the run-order join's run ends and LD bounds.
+func firstGT(a []int64, lo, hi int, v int64) int {
+	for step := 1; lo+step <= hi; step <<= 1 {
+		if a[lo+step-1] > v {
+			hi = lo + step - 1
+			break
+		}
+		lo += step
 	}
-	return j
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); a[m] <= v {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // --- Code 1: vertex-to-vertex ------------------------------------------------
@@ -104,108 +121,67 @@ func (p *FusedPlan) runV2V(cat Catalog, params []sqltypes.Value, st *queryState)
 		return nil, err
 	}
 
-	const unset = math.MaxInt64
-	best := int64(unset)
-	hasBest := false
+	best, hasBest := int64(0), false
 	// merged counts fold calls — label tuple (pairs) reaching the aggregate.
 	// The fold closure never escapes runV2V, so the captured counter stays on
 	// the stack and the instrumentation costs no allocation.
 	merged := uint64(0)
 	fold := func(v int64) {
 		merged++
-		if f.op == 'L' {
-			if !hasBest || v > best {
-				best, hasBest = v, true
-			}
-		} else {
-			if !hasBest || v < best {
-				best, hasBest = v, true
-			}
+		if !hasBest || (f.op == 'L' && v > best) || (f.op != 'L' && v < best) {
+			best, hasBest = v, true
 		}
 	}
 
-	if hubSorted(out) && hubSorted(in) {
-		// Merge join over equal-hub runs. Within a run the in side is sorted
-		// by td, so a suffix minimum over its ta column answers "best arrival
-		// among connections departing the hub no earlier than x" with one
-		// binary search per out tuple.
-		suffix := st.suffix
-		i, j := 0, 0
-		for i < len(out.hubs) && j < len(in.hubs) {
-			switch {
-			case out.hubs[i] < in.hubs[j]:
-				i = runEnd(out.hubs, i)
-			case out.hubs[i] > in.hubs[j]:
-				j = runEnd(in.hubs, j)
-			default:
-				ie, je := runEnd(out.hubs, i), runEnd(in.hubs, j)
-				n := je - j
-				if cap(suffix) < n+1 {
-					suffix = make([]int64, n+1)
-				}
-				suffix = suffix[:n+1]
-				suffix[n] = unset
-				for x := n - 1; x >= 0; x-- {
-					ta := in.tas[j+x]
-					switch f.op {
-					case 'L':
-						if ta > t {
-							ta = unset
-						}
-					case 'S':
-						if ta > tEnd {
-							ta = unset
-						}
-					}
-					if ta < suffix[x+1] {
-						suffix[x] = ta
-					} else {
-						suffix[x] = suffix[x+1]
-					}
-				}
-				inTds := in.tds[j:je]
-				search := func(outTa int64) int {
-					return sort.Search(n, func(x int) bool { return inTds[x] >= outTa })
-				}
-				switch f.op {
-				case 'E':
-					for x := i; x < ie; x++ {
-						if out.tds[x] < t {
-							continue
-						}
-						if s := suffix[search(out.tas[x])]; s != unset {
-							fold(s)
-						}
-					}
-				case 'L':
-					// Out tds ascend within the run: the first qualifying
-					// tuple from the back is the run's best departure.
-					for x := ie - 1; x >= i; x-- {
-						if hasBest && out.tds[x] <= best {
-							break
-						}
-						if suffix[search(out.tas[x])] != unset {
-							fold(out.tds[x])
-							break
-						}
-					}
-				case 'S':
-					for x := i; x < ie; x++ {
-						if out.tds[x] < t {
-							continue
-						}
-						if s := suffix[search(out.tas[x])]; s != unset {
-							fold(s - out.tds[x])
-						}
-					}
-				}
-				i, j = ie, je
+	if out.ordered && in.ordered {
+		// Run-order join (DESIGN.md §7.2): both tables declare, and BulkLoad
+		// validated, that hubs ascend and that tds and tas both ascend within
+		// a hub's run. Gallop to each common hub and search its two runs.
+		no, ni := len(out.hubs), len(in.hubs)
+		for i, j := 0, 0; i < no && j < ni; {
+			h := out.hubs[i]
+			if hj := in.hubs[j]; h < hj {
+				i = firstGE(out.hubs, i, no, hj)
+				continue
+			} else if h > hj {
+				j = firstGE(in.hubs, j, ni, h)
+				continue
 			}
+			ie, je := firstGT(out.hubs, i, no, h), firstGT(in.hubs, j, ni, h)
+			switch f.op {
+			case 'E':
+				// The first departure >= t arrives earliest, so it reaches
+				// most of the in run, whose first tuple arrives earliest.
+				if x := firstGE(out.tds, i, ie, t); x < ie {
+					if y := firstGE(in.tds, j, je, out.tas[x]); y < je {
+						fold(in.tas[y])
+					}
+				}
+			case 'L':
+				// The mirror: the last arrival <= t departs latest; the last
+				// out tuple reaching it is the latest departure.
+				if y := firstGT(in.tas, j, je, t); y > j {
+					if x := firstGT(out.tas, i, ie, in.tds[y-1]); x > i {
+						fold(out.tds[x-1])
+					}
+				}
+			case 'S':
+				// Per departure >= t the first in tuple it reaches; once that
+				// arrives after tEnd, so does every later departure's.
+				y := j
+				for x := firstGE(out.tds, i, ie, t); x < ie; x++ {
+					y = firstGE(in.tds, y, je, out.tas[x])
+					if y == je || in.tas[y] > tEnd {
+						break
+					}
+					fold(in.tas[y] - out.tds[x])
+				}
+			}
+			i, j = ie, je
 		}
-		st.suffix = suffix
 	} else {
-		// Unsorted label (foreign data, or order not re-established): int-
-		// keyed hash join with the predicates applied directly.
+		// A side declares no run order (an older image, a foreign table):
+		// int-keyed hash join, every predicate applied, no order assumed.
 		byHub := make(map[int64][]int32, len(in.hubs))
 		for idx := range in.hubs {
 			byHub[in.hubs[idx]] = append(byHub[in.hubs[idx]], int32(idx))

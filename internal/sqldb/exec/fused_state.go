@@ -57,6 +57,9 @@ type tableLayout struct {
 	// its pages, follow that order; lookup keys are built and probes issued in
 	// it.
 	keySwapped bool
+	// ordered: the table declares a run order (RunOrdered) over exactly this
+	// layout's hubs, tds and tas, so its labels are never re-checked.
+	ordered bool
 }
 
 // resolve returns the table with the positions of r.cols in it, or
@@ -106,13 +109,18 @@ func (r *tableRef) resolveSlow(tb Table) (*tableLayout, error) {
 			return nil, ErrNotFused
 		}
 	}
+	if ro, ok := tb.(RunOrdered); ok {
+		l.ordered = slices.Equal(ro.RunOrder(), l.idx[labHubs:labTas+1])
+	}
 	r.lay.Store(l)
 	return l, nil
 }
 
-// label is one stop's hub label as three parallel typed columns.
+// label is one stop's hub label as three parallel typed columns, and its
+// table's tableLayout.ordered.
 type label struct {
 	hubs, tds, tas []int64
+	ordered        bool
 }
 
 // label point-looks-up the label of stop v in the referenced label table,
@@ -141,7 +149,7 @@ func (r *tableRef) label(cat Catalog, v int64, st *queryState) (label, error) {
 		len(hv.A) != len(dv.A) || len(hv.A) != len(av.A) {
 		return label{}, ErrNotFused
 	}
-	return label{hubs: hv.A, tds: dv.A, tas: av.A}, nil
+	return label{hubs: hv.A, tds: dv.A, tas: av.A, ordered: lay.ordered}, nil
 }
 
 // --- flat index ----------------------------------------------------------------
@@ -383,7 +391,6 @@ type hubGroup struct {
 type queryState struct {
 	scratch RowScratch
 	key     [2]int64 // lookup key buffer (escapes through the Table interface)
-	suffix  []int64  // v2v: suffix minimum over one in-side hub run
 
 	gidx   flatIndex  // (hub, bucket) -> position in groups
 	groups []hubGroup // first-touch order

@@ -1,0 +1,188 @@
+package sqldb
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
+	"testing"
+
+	"ptldb/internal/sqldb/sqltypes"
+	"ptldb/internal/sqldb/storage"
+)
+
+// labelDef is a label-shaped table declaring runOrder.
+func labelDef(name string, runOrder ...string) TableDef {
+	return TableDef{
+		Name: name, PK: []string{"v"}, RunOrder: runOrder,
+		Columns: []ColumnDef{
+			{Name: "v", Type: sqltypes.Int64},
+			{Name: "hubs", Type: sqltypes.IntArray},
+			{Name: "tds", Type: sqltypes.IntArray},
+			{Name: "tas", Type: sqltypes.IntArray},
+			{Name: "extra", Type: sqltypes.IntArray},
+		},
+	}
+}
+
+func labelRow(v int64, hubs, tds, tas []int64) sqltypes.Row {
+	return sqltypes.Row{sqltypes.NewInt(v), sqltypes.NewIntArray(hubs), sqltypes.NewIntArray(tds),
+		sqltypes.NewIntArray(tas), sqltypes.NewIntArray(nil)}
+}
+
+// TestBulkLoadValidatesRunOrder: a declared run order is checked on every row
+// of the one write a table has. A row that breaks it rejects the whole load
+// with the row and the array position named, and the table — loaded or not —
+// stays as it was, with no temporary file behind. What the declaration admits
+// (ties, duplicates, empty arrays, a later run restarting lower) loads, and a
+// table that declares nothing takes any order.
+func TestBulkLoadValidatesRunOrder(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	tbl, err := db.CreateTable(labelDef("lab", "hubs", "tds", "tas"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tbl.RunOrder(); !slices.Equal(got, []int{1, 2, 3}) {
+		t.Fatalf("RunOrder() = %v, want the positions of hubs, tds, tas", got)
+	}
+	good := labelRow(0, []int64{1, 1, 1, 1, 5, 5}, []int64{10, 10, 10, 20, 3, 4}, []int64{30, 30, 31, 31, 9, 9})
+	bad := []struct {
+		name string
+		row  sqltypes.Row
+		frag string
+	}{
+		{"hub descends", labelRow(1, []int64{1, 2, 1}, []int64{1, 1, 1}, []int64{2, 2, 2}), "position 2"},
+		{"td descends inside a run", labelRow(1, []int64{4, 4}, []int64{9, 8}, []int64{10, 10}), "position 1"},
+		{"ta descends inside a run", labelRow(1, []int64{4, 4, 4, 4}, []int64{1, 2, 3, 4}, []int64{9, 9, 9, 8}), "position 3"},
+		{"arrays of different length", labelRow(1, []int64{4, 4}, []int64{1, 2}, []int64{9}), "lengths 2, 2, 1"},
+	}
+	rejected := func(loaded ...string) {
+		t.Helper()
+		for _, tc := range bad {
+			err := tbl.BulkLoad([]sqltypes.Row{good, tc.row})
+			if err == nil {
+				t.Errorf("%s: accepted", tc.name)
+				continue
+			}
+			for _, frag := range []string{"row 1", "lab", tc.frag} {
+				if !strings.Contains(err.Error(), frag) {
+					t.Errorf("%s: error lacks %q: %v", tc.name, frag, err)
+				}
+			}
+		}
+		requireOnlySegments(t, dir, loaded...)
+	}
+	rejected()
+	if tbl.RowCount() != 0 {
+		t.Fatalf("rejected loads stored %d rows", tbl.RowCount())
+	}
+	load(t, tbl, good, labelRow(2, nil, nil, nil))
+	rejected("lab")
+	if row, ok, err := tbl.LookupPK([]int64{0}); err != nil || !ok || !slices.Equal(row[3].A, good[3].A) || tbl.RowCount() != 2 {
+		t.Fatalf("rejected loads changed a loaded table: %v, %v, %v (%d rows)", row, ok, err, tbl.RowCount())
+	}
+
+	free, err := db.CreateTable(labelDef("free"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if free.RunOrder() != nil {
+		t.Fatalf("undeclared table reports run order %v", free.RunOrder())
+	}
+	load(t, free, bad[0].row, good)
+}
+
+// TestRunOrderDeclarationFailsClosed: a declaration that is not three
+// BIGINT[] columns of the table is refused where the table is declared, and
+// refused again — naming the table, opening nothing — when the same text
+// reaches Open through a hand-edited catalog. A table that declares nothing
+// writes a catalog entry without the field.
+func TestRunOrderDeclarationFailsClosed(t *testing.T) {
+	bad := map[string][]string{
+		"a missing column": {"hubs", "tds", "nope"},
+		"a BIGINT column":  {"v", "tds", "tas"},
+		"a fourth column":  {"hubs", "tds", "tas", "extra"},
+		"two columns":      {"hubs", "tds"},
+	}
+	dir := t.TempDir()
+	db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for what, runOrder := range bad {
+		if _, err := db.CreateTable(labelDef("lab", runOrder...)); err == nil || !strings.Contains(err.Error(), `"lab"`) {
+			t.Errorf("CreateTable declaring %s: %v, want a rejection naming the table", what, err)
+		}
+	}
+	if _, ok := db.Table("lab"); ok {
+		t.Fatal("a refused declaration left the table behind")
+	}
+	if _, err := os.Stat(filepath.Join(dir, "catalog.json")); !os.IsNotExist(err) {
+		t.Fatalf("a refused declaration wrote the catalog: %v", err)
+	}
+	for _, def := range []TableDef{labelDef("lab", "hubs", "tds", "tas"), labelDef("other")} {
+		tbl, err := db.CreateTable(def)
+		if err != nil {
+			t.Fatal(err)
+		}
+		load(t, tbl, labelRow(1, []int64{1}, []int64{2}, []int64{3}))
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	catalog, err := os.ReadFile(filepath.Join(dir, "catalog.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(catalog, []byte(`"run_order"`)); n != 1 {
+		t.Fatalf("catalog mentions run_order %d times, want once (the declaring table only):\n%s", n, catalog)
+	}
+	declared := []byte(`"run_order": [
+      "hubs",
+      "tds",
+      "tas"
+    ]`)
+	if !bytes.Contains(catalog, declared) {
+		t.Fatalf("catalog does not hold the declaration as expected:\n%s", catalog)
+	}
+
+	for what, runOrder := range bad {
+		edited := bytes.Replace(catalog, declared, []byte(`"run_order": ["`+strings.Join(runOrder, `", "`)+`"]`), 1)
+		if err := os.WriteFile(filepath.Join(dir, "catalog.json"), edited, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := openFDs(t)
+		db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256, VectorCacheBytes: 1 << 20})
+		if err == nil {
+			db.Close()
+			t.Fatalf("Open accepted a catalog declaring %s", what)
+		}
+		if !strings.Contains(err.Error(), `"lab"`) {
+			t.Errorf("catalog declaring %s: error does not name the table: %v", what, err)
+		}
+		if after := openFDs(t); after != before {
+			t.Errorf("catalog declaring %s: failed open leaked file descriptors: %d before, %d after", what, before, after)
+		}
+	}
+
+	// The declaration restored, the directory opens and still declares.
+	if err := os.WriteFile(filepath.Join(dir, "catalog.json"), catalog, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db, err = Open(dir, Options{Device: storage.RAM, PoolPages: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	lab, _ := db.Table("lab")
+	other, _ := db.Table("other")
+	if !slices.Equal(lab.RunOrder(), []int{1, 2, 3}) || other.RunOrder() != nil {
+		t.Fatalf("after reopen: lab declares %v, other %v", lab.RunOrder(), other.RunOrder())
+	}
+}

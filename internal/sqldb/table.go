@@ -26,6 +26,9 @@ type Table struct {
 	// types caches the column types in storage order so hot-path decodes
 	// never walk the TableDef.
 	types []sqltypes.Type
+	// runOrder is the positions of def.RunOrder's columns, nil when the table
+	// declares no run order.
+	runOrder []int
 
 	// The open segment, replaced as one by BulkLoad. Between CreateTable and
 	// the first BulkLoad there is no file yet and seg is the zero Segment, an
@@ -43,8 +46,10 @@ type Table struct {
 	lookups, scans atomic.Uint64
 }
 
-// newTable builds the in-memory side of a table from its definition.
-func (db *DB) newTable(def TableDef) *Table {
+// newTable builds the in-memory side of a table from its definition — one
+// being created or one read back from the catalog. A run-order declaration
+// that is not three existing BIGINT[] columns is an error either way.
+func (db *DB) newTable(def TableDef) (*Table, error) {
 	t := &Table{def: def, db: db, types: make([]sqltypes.Type, len(def.Columns)), seg: new(storage.Segment)}
 	for i, c := range def.Columns {
 		t.types[i] = c.Type
@@ -52,7 +57,17 @@ func (db *DB) newTable(def TableDef) *Table {
 	for _, pk := range def.PK {
 		t.pkCols = append(t.pkCols, colIndex(def.Columns, pk))
 	}
-	return t
+	if len(def.RunOrder) != 0 && len(def.RunOrder) != 3 {
+		return nil, fmt.Errorf("sqldb: table %q: run order names %d columns, want 3", def.Name, len(def.RunOrder))
+	}
+	for _, name := range def.RunOrder {
+		ci := colIndex(def.Columns, name)
+		if ci < 0 || t.types[ci] != sqltypes.IntArray {
+			return nil, fmt.Errorf("sqldb: table %q: run-order column %q is not a BIGINT[] column of the table", def.Name, name)
+		}
+		t.runOrder = append(t.runOrder, ci)
+	}
+	return t, nil
 }
 
 // AccessStats reports how many PK lookups and full scans the table has
@@ -76,14 +91,18 @@ func (t *Table) Columns() []string {
 // PKCols returns the indices of the primary-key columns.
 func (t *Table) PKCols() []int { return t.pkCols }
 
+// RunOrder implements exec.RunOrdered: the positions of the declared
+// run-order columns, nil when the table declares none.
+func (t *Table) RunOrder() []int { return t.runOrder }
+
 // RowCount returns the number of stored rows.
 func (t *Table) RowCount() uint64 { return uint64(t.seg.NumRows()) }
 
 // segPath is the table's one file.
 func (t *Table) segPath() string { return filepath.Join(t.db.dir, t.def.Name+".seg") }
 
-// checkRow validates arity, the absence of NULL and the column types,
-// coercing integer values into DOUBLE columns in place.
+// checkRow validates arity, the absence of NULL, the column types — coercing
+// integer values into DOUBLE columns in place — and the declared run order.
 func (t *Table) checkRow(row sqltypes.Row) error {
 	if len(row) != len(t.def.Columns) {
 		return fmt.Errorf("sqldb: %s: row has %d values, table has %d columns", t.def.Name, len(row), len(t.def.Columns))
@@ -98,6 +117,19 @@ func (t *Table) checkRow(row sqltypes.Row) error {
 			continue
 		}
 		return fmt.Errorf("sqldb: %s.%s: cannot store %s into %s", t.def.Name, t.def.Columns[i].Name, v.T, want)
+	}
+	if t.runOrder == nil {
+		return nil
+	}
+	g, a, b := row[t.runOrder[0]].A, row[t.runOrder[1]].A, row[t.runOrder[2]].A
+	if len(g) != len(a) || len(g) != len(b) {
+		return fmt.Errorf("sqldb: %s: run-order arrays %v have lengths %d, %d, %d", t.def.Name, t.def.RunOrder, len(g), len(a), len(b))
+	}
+	for i := 1; i < len(g); i++ {
+		if g[i] < g[i-1] || (g[i] == g[i-1] && (a[i] < a[i-1] || b[i] < b[i-1])) {
+			return fmt.Errorf("sqldb: %s: run order %v broken at position %d: (%d, %d, %d) after (%d, %d, %d)",
+				t.def.Name, t.def.RunOrder, i, g[i], a[i], b[i], g[i-1], a[i-1], b[i-1])
+		}
 	}
 	return nil
 }

@@ -2,7 +2,8 @@
 # Full pre-merge gate: formatting, vet, project lint, build, and the whole
 # test suite under the race detector with shuffled test order, then the
 # benchmark module (benchmark/ is a module of its own, invisible to ./...) and
-# a look at what ptldb-build leaves in a database directory.
+# a look at what ptldb-build leaves in a database directory and at the join
+# its v2v plans take.
 # Also available as `make check`.
 set -eu
 cd "$(dirname "$0")/.."
@@ -44,4 +45,14 @@ if [ -n "$stray" ] || [ ! -f "$img/db/lout.seg" ]; then
     ls -A "$img/db" >&2
     exit 1
 fi
+echo "== built image declares the label run order (v2v plans show RunJoin)"
+# Both joins give the same answers, so only the plan shows a build that
+# silently stopped declaring.
+for plan in v2v-ea v2v-ld v2v-sd; do
+    if ! go run ./cmd/ptldb-query -db "$img/db" plan "$plan" | grep -q 'RunJoin'; then
+        echo "ptldb-query plan $plan does not show the run-order join:" >&2
+        go run ./cmd/ptldb-query -db "$img/db" plan "$plan" >&2
+        exit 1
+    fi
+done
 echo "== OK"
