@@ -40,7 +40,6 @@ func main() {
 		seed     = flag.Int64("seed", 1, "workload and generator seed")
 		parallel = flag.Int("parallel", 1, "goroutines issuing queries concurrently (sim device time is divided by N)")
 		workers  = flag.Int("build-workers", 0, "preprocessing parallelism for database builds (0 = GOMAXPROCS)")
-		fused    = flag.String("fused", "on", "fused label-query execution: on or off (ablation)")
 		vcBytes  = flag.Int64("vcache-bytes", 0, "vector-cache budget in bytes (0 = default, negative = no cache)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -82,13 +81,6 @@ func main() {
 		CacheDir:     *cache,
 		Parallel:     *parallel,
 		BuildWorkers: *workers,
-	}
-	switch *fused {
-	case "on":
-	case "off":
-		cfg.FusedOff = true
-	default:
-		fatal(fmt.Errorf("-fused must be on or off, got %q", *fused))
 	}
 	cfg.VCacheBytes = *vcBytes
 	var agg *obs.Aggregator

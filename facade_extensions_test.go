@@ -84,6 +84,7 @@ func TestFacadePathTables(t *testing.T) {
 	if err := db.BuildPathTables(tt); err != nil {
 		t.Fatal(err)
 	}
+	general := db.Snapshot().Exec.GeneralRuns
 	checked := 0
 	for s := 0; s < tt.NumStops() && checked < 25; s++ {
 		g := (s*17 + 5) % tt.NumStops()
@@ -108,6 +109,9 @@ func TestFacadePathTables(t *testing.T) {
 	}
 	if checked < 5 {
 		t.Fatalf("only %d reachable pairs checked", checked)
+	}
+	if now := db.Snapshot().Exec.GeneralRuns; now != general {
+		t.Errorf("journeys ran the general executor %d times, want 0", now-general)
 	}
 }
 

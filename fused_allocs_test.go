@@ -7,7 +7,11 @@ package ptldb
 // (instrumented builds perturb allocation counts, so it skips itself there).
 
 import (
+	"fmt"
 	"testing"
+
+	"ptldb/internal/sqldb/exec"
+	"ptldb/internal/sqldb/sqltypes"
 )
 
 // fusedAllocBudgets pin the steady-state allocations per query of each fused
@@ -100,6 +104,25 @@ func TestFusedAllocsBudget(t *testing.T) {
 					t.Errorf("%s (%s): %v allocs/query, budget %v — the fused hot path regressed",
 						tc.name, cfg.tier, got, tc.budget)
 				}
+			}
+			// The witness is a second output of the run-order join, not a
+			// second kernel: executing its statement allocates no more than
+			// executing v2v-ea (the journey's own stop and trip slices are the
+			// caller's, not the executor's).
+			params := []sqltypes.Value{sqltypes.NewInt(int64(s)), sqltypes.NewInt(int64(g)), sqltypes.NewInt(int64(tq))}
+			stmtAllocs := func(text string) float64 {
+				stmt, err := db.Store().DB.CachedPrepare(fmt.Sprintf(text, "lout", "lin"))
+				if err != nil || !stmt.Fused() {
+					t.Fatal(stmt, err)
+				}
+				return testing.AllocsPerRun(100, func() {
+					if _, err := stmt.Query(params...); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			if ea, witness := stmtAllocs(exec.SQLV2VEA), stmtAllocs(exec.SQLV2VEAWitness); witness > ea {
+				t.Errorf("witness statement (%s): %v allocs/execution, v2v-ea %v", cfg.tier, witness, ea)
 			}
 			if cfg.tier == "vcache" {
 				snap := db.Snapshot()

@@ -4,11 +4,15 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"ptldb/internal/csa"
+	"ptldb/internal/timetable"
 )
 
-// fusedBattery replays a fixed seeded battery of all seven query types and
-// returns one printable record per query, so two executors can be compared
-// answer-by-answer.
+// fusedBattery replays a fixed seeded battery of all ten statements — every
+// query type, and the journey where the path tables exist — and returns one printable record per query, so
+// two executors can be compared answer-by-answer. The vertex-to-vertex answers
+// and the journeys are also checked against the CSA oracle.
 func fusedBattery(t *testing.T, db *DB, tt *Network) []string {
 	t.Helper()
 	rng := rand.New(rand.NewSource(99))
@@ -20,24 +24,52 @@ func fusedBattery(t *testing.T, db *DB, tt *Network) []string {
 	for i := 0; i < 40; i++ {
 		s, g := StopID(rng.Intn(n)), StopID(rng.Intn(n))
 		t0 := randTime()
-		arr, ok, err := db.EarliestArrival(s, g, t0)
+		arr, okEA, err := db.EarliestArrival(s, g, t0)
 		if err != nil {
 			t.Fatalf("EA(%d,%d,%d): %v", s, g, t0, err)
 		}
-		out = append(out, fmt.Sprintf("EA %d %d %d -> %d %v", s, g, t0, arr, ok))
+		out = append(out, fmt.Sprintf("EA %d %d %d -> %d %v", s, g, t0, arr, okEA))
 
-		dep, ok, err := db.LatestDeparture(s, g, t0)
+		dep, okLD, err := db.LatestDeparture(s, g, t0)
 		if err != nil {
 			t.Fatalf("LD(%d,%d,%d): %v", s, g, t0, err)
 		}
-		out = append(out, fmt.Sprintf("LD %d %d %d -> %d %v", s, g, t0, dep, ok))
+		out = append(out, fmt.Sprintf("LD %d %d %d -> %d %v", s, g, t0, dep, okLD))
 
 		t1 := t0 + Time(rng.Intn(span+1))
-		dur, ok, err := db.ShortestDuration(s, g, t0, t1)
+		dur, okSD, err := db.ShortestDuration(s, g, t0, t1)
 		if err != nil {
 			t.Fatalf("SD(%d,%d,%d,%d): %v", s, g, t0, t1, err)
 		}
-		out = append(out, fmt.Sprintf("SD %d %d %d %d -> %d %v", s, g, t0, t1, dur, ok))
+		out = append(out, fmt.Sprintf("SD %d %d %d %d -> %d %v", s, g, t0, t1, dur, okSD))
+
+		if s == g {
+			continue // the dummy-tuple convention, not the oracle's
+		}
+		wantEA, wantLD, wantSD := csa.EarliestArrival(tt, s, g, t0), csa.LatestDeparture(tt, s, g, t0), csa.ShortestDuration(tt, s, g, t0, t1)
+		type check struct {
+			name      string
+			got, want Time
+			ok, found bool
+		}
+		checks := []check{
+			{"EA", arr, wantEA, okEA, wantEA < timetable.Infinity},
+			{"LD", dep, wantLD, okLD, wantLD > timetable.NegInfinity},
+			{"SD", dur, wantSD, okSD, wantSD < timetable.Infinity},
+		}
+		if db.Store().HasPathTables() {
+			j, ok, err := db.JourneyFromDB(s, g, t0)
+			if err != nil {
+				t.Fatalf("Journey(%d,%d,%d): %v", s, g, t0, err)
+			}
+			out = append(out, fmt.Sprintf("Journey %d %d %d -> %+v %v", s, g, t0, j, ok))
+			checks = append(checks, check{"Journey", j.Arr, wantEA, ok, wantEA < timetable.Infinity})
+		}
+		for _, c := range checks {
+			if c.ok != c.found || (c.ok && c.got != c.want) {
+				t.Errorf("%s %d %d %d %d: %d %v, the oracle has %d %v", c.name, s, g, t0, t1, c.got, c.ok, c.want, c.found)
+			}
+		}
 	}
 
 	for i := 0; i < 15; i++ {
@@ -65,11 +97,11 @@ func fusedBattery(t *testing.T, db *DB, tt *Network) []string {
 	return out
 }
 
-// TestFusedMatchesGeneralExecutor builds one database, runs the battery with
-// the fused path enabled (the default), reopens the same directory with
-// DisableFusedExec, reruns the identical battery, and requires every answer
-// to match. The FusedStats counters prove which executor actually served
-// each handle.
+// TestFusedMatchesGeneralExecutor builds one database, runs the battery on
+// the production handle, reopens the same directory on the reference executor
+// (OpenReference), reruns the identical battery, and requires every answer to
+// match. The FusedStats counters prove that each handle ran its own executor
+// and no other.
 func TestFusedMatchesGeneralExecutor(t *testing.T) {
 	tt, err := GenerateCity("Austin", 0.01, 7)
 	if err != nil {
@@ -87,26 +119,26 @@ func TestFusedMatchesGeneralExecutor(t *testing.T) {
 		fdb.Close()
 		t.Fatal(err)
 	}
-	fused := fusedBattery(t, fdb, tt)
-	hits, fallbacks := fdb.Store().DB.FusedStats()
-	if hits == 0 {
-		t.Error("fused handle recorded no fused executions")
+	if err := fdb.BuildPathTables(tt); err != nil {
+		fdb.Close()
+		t.Fatal(err)
 	}
-	if fallbacks != 0 {
-		t.Errorf("fused handle hit %d runtime fallbacks, want 0", fallbacks)
+	fused := fusedBattery(t, fdb, tt)
+	if runs, general := fdb.Store().DB.FusedStats(); runs == 0 || general != 0 {
+		t.Errorf("production handle: %d fused runs, %d general runs; want > 0 and 0", runs, general)
 	}
 	if err := fdb.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	gdb, err := Open(dir, Config{Device: "ram", DisableFusedExec: true})
+	gdb, err := OpenReference(dir, Config{Device: "ram"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer gdb.Close()
 	general := fusedBattery(t, gdb, tt)
-	if hits, _ := gdb.Store().DB.FusedStats(); hits != 0 {
-		t.Errorf("DisableFusedExec handle recorded %d fused executions, want 0", hits)
+	if runs, generalRuns := gdb.Store().DB.FusedStats(); runs != 0 || generalRuns == 0 {
+		t.Errorf("reference handle: %d fused runs, %d general runs; want 0 and > 0", runs, generalRuns)
 	}
 
 	if len(fused) != len(general) {

@@ -51,7 +51,7 @@ func TestCondensedKernelProperties(t *testing.T) {
 		if err := fdb.AddTargetSet("poi", targets, kmax); err != nil {
 			t.Fatal(err)
 		}
-		gdb, err := Open(dir, Config{Device: "ram", DisableFusedExec: true})
+		gdb, err := OpenReference(dir, Config{Device: "ram"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,8 +134,11 @@ func TestCondensedKernelProperties(t *testing.T) {
 				}
 			}
 		}
-		if hits, fallbacks := fdb.Store().DB.FusedStats(); hits == 0 || fallbacks != 0 {
-			t.Errorf("%s: fused handle hits=%d fallbacks=%d, want >0 and 0", city.name, hits, fallbacks)
+		if fused, general := fdb.Store().DB.FusedStats(); fused == 0 || general != 0 {
+			t.Errorf("%s: production handle ran %d fused, %d general; want > 0 and 0", city.name, fused, general)
+		}
+		if fused, general := gdb.Store().DB.FusedStats(); fused != 0 || general == 0 {
+			t.Errorf("%s: reference handle ran %d fused, %d general; want 0 and > 0", city.name, fused, general)
 		}
 	}
 }

@@ -6,8 +6,9 @@
 //   - sqlcheck: every string constant reaching Prepare/CachedPrepare/Query/
 //     Exec is parsed at lint time with internal/sqldb/sql, and statements
 //     reaching core's prepared() helper must additionally compile with
-//     exec.Fuse — SQL drift in the paper's Codes 1–4 becomes a lint failure
-//     instead of a runtime ErrNotFused fallback.
+//     exec.Fuse, i.e. be one of the ten texts of exec/codes.go — a statement
+//     that drifted from them becomes a lint failure instead of a production
+//     query on the general executor.
 //   - lockcheck: no device I/O or blocking channel operations while a
 //     buffer-pool shard mutex (a mutex field annotated "lockcheck:shard") is
 //     held, and every Lock has an Unlock on all return paths.

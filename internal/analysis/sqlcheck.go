@@ -21,11 +21,12 @@ import (
 //   - Query, QueryTraced, Prepare, CachedPrepare: the first argument must
 //     parse as a SELECT (sql.Parse).
 //   - prepared (core's plan-cache helper): the first argument must parse as
-//     a SELECT and additionally compile with exec.Fuse — the nine prepared
-//     Code 1–4 statements all flow through it, so breaking a fused shape
-//     (unsorting a join input, renaming a label column, reordering ORDER BY
-//     keys) fails the lint gate instead of silently downgrading every query
-//     to the general executor.
+//     a SELECT and additionally compile with exec.Fuse. Fuse recognizes the
+//     ten texts of exec/codes.go and nothing else, so "must fuse" means "is
+//     one of them, with a table name in each table verb and a positive width
+//     in the bucket verb": a statement written out beside them, or one whose
+//     text drifted (a renamed alias, a reordered conjunct), fails the lint
+//     gate instead of silently running every query on the general executor.
 //
 // Arguments are resolved to text when they are string constants, or
 // fmt.Sprintf calls of a string constant. Printf-style table-name and
@@ -79,7 +80,7 @@ func (c sqlCheck) Check(p *Package) []Finding {
 			}
 			if sqlFusedSinks[name] && exec.Fuse(sel) == nil {
 				out = append(out, Finding{pos, c.Name(),
-					fmt.Sprintf("statement passed to %s does not compile to a fused plan: the shape drifted from the recognized Codes 1-4 templates and every execution would fall back to the general executor", name)})
+					fmt.Sprintf("statement passed to %s does not compile to a fused plan: it is not one of the texts of exec/codes.go, and every execution would run on the general executor", name)})
 			}
 			return true
 		})

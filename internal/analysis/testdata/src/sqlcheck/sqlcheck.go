@@ -22,7 +22,7 @@ func (s store) prepared(format string, a ...any) (*stmt, error) {
 	return s.db.CachedPrepare(fmt.Sprintf(format, a...))
 }
 
-// fusedEA is the paper's Code 1 EA statement, verbatim from internal/core:
+// fusedEA is the paper's Code 1 EA statement, verbatim from exec/codes.go:
 // it must parse and fuse.
 const fusedEA = `
 WITH outp AS

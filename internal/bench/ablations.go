@@ -47,7 +47,7 @@ func (w *Workspace) AblationBucket() (*Table, error) {
 			db.Close()
 		}
 		db, err := ptldb.Open(dir, ptldb.Config{
-			Device: "hdd", PoolPages: w.cfg.PoolPages, DisableFusedExec: w.cfg.FusedOff,
+			Device: "hdd", PoolPages: w.cfg.PoolPages,
 			TraceHook: w.cfg.TraceHook,
 		})
 		if err != nil {
@@ -97,7 +97,7 @@ func (w *Workspace) AblationBucket() (*Table, error) {
 // cold EA-kNN query and per cold LD-kNN query of the workload.
 func (w *Workspace) coldKNNReads(dir, set string, wl Workload) (cells [4]string, err error) {
 	db, err := ptldb.Open(dir, ptldb.Config{
-		Device: "hdd", PoolPages: w.cfg.PoolPages, DisableFusedExec: w.cfg.FusedOff, VectorCacheBytes: -1,
+		Device: "hdd", PoolPages: w.cfg.PoolPages, VectorCacheBytes: -1,
 	})
 	if err != nil {
 		return cells, err

@@ -51,9 +51,6 @@ type Config struct {
 	// device time is divided by N, modelling N independent device channels —
 	// concurrent queries overlap their I/O in the sharded buffer pool.
 	Parallel int
-	// FusedOff disables the fused label-query execution path, running every
-	// query through the general SQL executor (the -fused=off ablation).
-	FusedOff bool
 	// VCacheBytes overrides the vector-cache budget (0 = ptldb's default,
 	// negative = no cache: label reads served from the segments).
 	VCacheBytes int64
@@ -95,11 +92,10 @@ func (c Config) Defaults() Config {
 // datasetFormat versions the cache-dir naming. Bump it whenever the on-disk
 // image changes (v2: segment region checksums; v3: label tables are segments
 // only; v4: condensed tables are keyed, hence laid out, bucket-first; v5:
-// every table is a segment — a v4 image has stops.heap and no stops.seg): a
-// stale cache would otherwise fail to open, skew the storage reports with
-// files the current build no longer writes, or — a v3 image still opens and
-// answers — silently report the old layout's cold read pattern.
-const datasetFormat = 5
+// every table is a segment — a v4 image has stops.heap and no stops.seg; v6:
+// the label tables declare run_order in catalog.json — a v5 image built before
+// they did has none): a stale cache would otherwise fail to open.
+const datasetFormat = 6
 
 // Densities are the paper's target-density values D = |T| / |V|.
 var Densities = []float64{0.001, 0.005, 0.01, 0.05, 0.1}
@@ -184,7 +180,7 @@ func (w *Workspace) Dataset(city string) (*Dataset, error) {
 	}
 	w.logf("preprocessing %s: %d stops, %d connections", city, tt.NumStops(), tt.NumConnections())
 	db, stats, err := ptldb.CreateWithStats(dir, tt, ptldb.Config{
-		Device: "ram", PoolPages: w.cfg.PoolPages, DisableFusedExec: w.cfg.FusedOff,
+		Device: "ram", PoolPages: w.cfg.PoolPages,
 		VectorCacheBytes: w.cfg.VCacheBytes, BuildWorkers: w.cfg.BuildWorkers,
 	})
 	if err != nil {
@@ -226,7 +222,7 @@ func sanitize(s string) string {
 // Open opens a dataset's database on the given simulated device.
 func (w *Workspace) Open(ds *Dataset, device string) (*ptldb.DB, error) {
 	return ptldb.Open(ds.Dir, ptldb.Config{
-		Device: device, PoolPages: w.cfg.PoolPages, DisableFusedExec: w.cfg.FusedOff,
+		Device: device, PoolPages: w.cfg.PoolPages,
 		VectorCacheBytes: w.cfg.VCacheBytes, TraceHook: w.cfg.TraceHook,
 	})
 }

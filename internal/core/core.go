@@ -24,6 +24,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"regexp"
+	"slices"
 	"sort"
 
 	"ptldb/internal/obs"
@@ -83,7 +84,7 @@ type Store struct {
 
 	// Code 1 statements of the bound version, parsed once at Build/Open/
 	// Version so steady-state v2v queries never touch the SQL parser.
-	v2vEA, v2vLD, v2vSD *sqldb.Stmt
+	v2vEA, v2vLD, v2vSD, v2vWitness *sqldb.Stmt
 
 	// traceHook, when non-nil, receives one obs.Trace per successful query
 	// method call (see SetTraceHook). Version copies the struct, so views
@@ -277,6 +278,12 @@ func (vm *VersionMeta) fold(r timeRange) {
 	}
 }
 
+// labelRunOrder is the run order every label table declares: hubs ascend; a
+// hub's run is a Pareto antichain, ascending in departure and in arrival.
+// Declared, it is validated by BulkLoad, the kernels search the runs instead
+// of scanning them, and Open refuses a label table without it.
+var labelRunOrder = []string{"hubs", "tds", "tas"}
+
 // labelTableJobs creates one version's lout/lin tables and returns the two
 // load jobs plus the time-range slots they fill.
 func labelTableJobs(db *sqldb.DB, suffix string, labels *ttl.Labels) (jobs []func() error, out, in *timeRange, err error) {
@@ -290,10 +297,7 @@ func labelTableJobs(db *sqldb.DB, suffix string, labels *ttl.Labels) (jobs []fun
 				{Name: "tds", Type: sqltypes.IntArray},
 				{Name: "tas", Type: sqltypes.IntArray},
 			},
-			// Hubs ascend; a hub's run is a Pareto antichain, ascending in
-			// departure and in arrival. Declared, it is validated by BulkLoad
-			// and the v2v join searches the runs instead of scanning them.
-			RunOrder: []string{"hubs", "tds", "tas"},
+			RunOrder: labelRunOrder,
 		}
 	}
 	loutTbl, err := db.CreateTable(def("lout" + suffix))
@@ -402,6 +406,17 @@ func Open(db *sqldb.DB) (*Store, error) {
 		return nil, fmt.Errorf("core: corrupt meta: no %q version", BaseVersion)
 	}
 	s := &Store{DB: db, meta: meta, version: BaseVersion}
+	// The kernels search a label's hub runs without checking their order, so
+	// a label table that does not declare it — an image from before the
+	// declaration existed — is refused here, like every other old image.
+	for _, name := range s.Versions() {
+		v := Store{version: name}
+		for _, table := range []string{v.loutTable(), v.linTable()} {
+			if tbl, ok := db.Table(table); !ok || !slices.Equal(tbl.Def().RunOrder, labelRunOrder) {
+				return nil, fmt.Errorf("core: label table %s does not declare the run order %v: the directory was built by an older version; rebuild it", table, labelRunOrder)
+			}
+		}
+	}
 	if err := s.prepareStatements(); err != nil {
 		return nil, err
 	}

@@ -7,23 +7,24 @@ import (
 	"testing"
 
 	"ptldb/internal/sqldb"
+	"ptldb/internal/sqldb/exec"
 	"ptldb/internal/sqldb/storage"
 	"ptldb/internal/timetable"
 	"ptldb/internal/ttl"
 )
 
-// TestPreparedStatementsFuse asserts that every Code 1–4 statement the store
-// issues compiles to a fused plan, and that running the full query battery
-// never bails out to the tuple-at-a-time executor.
+// TestPreparedStatementsFuse asserts that every statement the store issues
+// compiles to a fused plan, and that the full query battery never reaches the
+// general executor.
 func TestPreparedStatementsFuse(t *testing.T) {
 	st, _ := paperStore(t)
 	if err := st.AddTargetSet("poi", []timetable.StopID{4, 6}, 4); err != nil {
 		t.Fatal(err)
 	}
 
-	if !st.v2vEA.Fused() || !st.v2vLD.Fused() || !st.v2vSD.Fused() {
-		t.Errorf("v2v statements fused = %v, %v, %v; want all true",
-			st.v2vEA.Fused(), st.v2vLD.Fused(), st.v2vSD.Fused())
+	if !st.v2vEA.Fused() || !st.v2vLD.Fused() || !st.v2vSD.Fused() || !st.v2vWitness.Fused() {
+		t.Errorf("v2v statements fused = %v, %v, %v, %v; want all true",
+			st.v2vEA.Fused(), st.v2vLD.Fused(), st.v2vSD.Fused(), st.v2vWitness.Fused())
 	}
 
 	knn := []struct {
@@ -31,12 +32,12 @@ func TestPreparedStatementsFuse(t *testing.T) {
 		format string
 		args   []any
 	}{
-		{"knn-naive-ea", sqlKNNNaiveEA, []any{st.setTable("ea_knn_naive", "poi"), st.loutTable()}},
-		{"knn-naive-ld", sqlKNNNaiveLD, []any{st.setTable("ld_knn_naive", "poi"), st.loutTable()}},
-		{"knn-ea", sqlKNNEA, []any{st.setTable("knn_ea", "poi"), st.meta.BucketSeconds, st.loutTable()}},
-		{"knn-ld", sqlKNNLD, []any{st.setTable("knn_ld", "poi"), st.meta.BucketSeconds, st.loutTable()}},
-		{"otm-ea", sqlOTMEA, []any{st.setTable("otm_ea", "poi"), st.meta.BucketSeconds, st.loutTable()}},
-		{"otm-ld", sqlOTMLD, []any{st.setTable("otm_ld", "poi"), st.meta.BucketSeconds, st.loutTable()}},
+		{"knn-naive-ea", exec.SQLKNNNaiveEA, []any{st.setTable("ea_knn_naive", "poi"), st.loutTable()}},
+		{"knn-naive-ld", exec.SQLKNNNaiveLD, []any{st.setTable("ld_knn_naive", "poi"), st.loutTable()}},
+		{"knn-ea", exec.SQLKNNEA, []any{st.setTable("knn_ea", "poi"), st.meta.BucketSeconds, st.loutTable()}},
+		{"knn-ld", exec.SQLKNNLD, []any{st.setTable("knn_ld", "poi"), st.meta.BucketSeconds, st.loutTable()}},
+		{"otm-ea", exec.SQLOTMEA, []any{st.setTable("otm_ea", "poi"), st.meta.BucketSeconds, st.loutTable()}},
+		{"otm-ld", exec.SQLOTMLD, []any{st.setTable("otm_ld", "poi"), st.meta.BucketSeconds, st.loutTable()}},
 	}
 	for _, q := range knn {
 		stmt, err := st.prepared(q.format, q.args...)
@@ -49,20 +50,20 @@ func TestPreparedStatementsFuse(t *testing.T) {
 	}
 
 	queryBattery(t, st)
-	hits, fallbacks := st.DB.FusedStats()
-	if hits == 0 {
+	fused, general := st.DB.FusedStats()
+	if fused == 0 {
 		t.Error("query battery recorded no fused executions")
 	}
-	if fallbacks != 0 {
-		t.Errorf("query battery hit %d runtime fallbacks, want 0", fallbacks)
+	if general != 0 {
+		t.Errorf("query battery ran the general executor %d times, want 0", general)
 	}
 }
 
 // TestBuildRejectsUnorderedLabels: a label whose arrivals descend while its
 // departures ascend inside one hub's run is in no order a sort can repair.
 // The label tables declare their run order, so Build and AddVersion stop with
-// the table and the stop named instead of storing an image only the hash join
-// could answer.
+// the table and the stop named instead of storing an image the run-order join
+// would answer wrongly.
 func TestBuildRejectsUnorderedLabels(t *testing.T) {
 	st, labels := paperStore(t)
 	bad := labels.Clone()

@@ -39,16 +39,25 @@ func negativeLabels() *ttl.Labels {
 	return l.Augment()
 }
 
-func negativeStore(t *testing.T, disableFused bool) (*Store, *ttl.Labels) {
+// negativeStore builds the hand-made network on a production handle, or on
+// the reference executor, and at the end of the test checks that the handle
+// ran every query on its own executor only.
+func negativeStore(t *testing.T, reference bool) (*Store, *ttl.Labels) {
 	t.Helper()
 	labels := negativeLabels()
 	db, err := sqldb.Open(t.TempDir(), sqldb.Options{
-		Device: storage.RAM, PoolPages: 1024, DisableFusedExec: disableFused,
+		Device: storage.RAM, PoolPages: 1024, ReferenceExec: reference,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { db.Close() })
+	t.Cleanup(func() {
+		fused, general := db.FusedStats()
+		if (reference && fused != 0) || (!reference && general != 0) || fused+general == 0 {
+			t.Errorf("reference executor %v: %d fused runs, %d general runs", reference, fused, general)
+		}
+		db.Close()
+	})
 	st, err := Build(db, labels, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -66,11 +75,11 @@ func negativeStore(t *testing.T, disableFused bool) (*Store, *ttl.Labels) {
 // at -50, after t); floor division reports the correct -7200.
 func TestKNNNegativeTimeStraddle(t *testing.T) {
 	for _, mode := range []struct {
-		name         string
-		disableFused bool
+		name      string
+		reference bool
 	}{{"fused", false}, {"general", true}} {
 		t.Run(mode.name, func(t *testing.T) {
-			st, _ := negativeStore(t, mode.disableFused)
+			st, _ := negativeStore(t, mode.reference)
 
 			got, err := st.LDKNN("poi", 1, -100, 1)
 			if err != nil {
@@ -99,11 +108,11 @@ func TestNegativeTimeSweep(t *testing.T) {
 		-601, -600, -101, -100, -51, -50, -1, 0, 1, 3599, 3600,
 	}
 	for _, mode := range []struct {
-		name         string
-		disableFused bool
+		name      string
+		reference bool
 	}{{"fused", false}, {"general", true}} {
 		t.Run(mode.name, func(t *testing.T) {
-			st, labels := negativeStore(t, mode.disableFused)
+			st, labels := negativeStore(t, mode.reference)
 			for _, tq := range sweep {
 				// Vertex-to-vertex EA and LD.
 				wantEA := labels.EarliestArrivalUnified(1, 2, tq)

@@ -77,11 +77,10 @@ func (s *Store) observe(code obs.Code, st *sqldb.Stmt, params ...sqltypes.Value)
 	}
 	if s.traceHook != nil {
 		tr := obs.Trace{
-			Code:    code.String(),
-			Fused:   info.Fused,
-			Bailout: info.Bailout,
-			Rows:    len(rel.Rows),
-			Wall:    wall,
+			Code:  code.String(),
+			Fused: info.Fused,
+			Rows:  len(rel.Rows),
+			Wall:  wall,
 		}
 		before.since(reg, &tr)
 		s.traceHook(tr)
@@ -115,10 +114,10 @@ func (s *Store) observeRaw(run func() (*exec.Relation, error)) (*exec.Relation, 
 }
 
 // ExplainNames lists the query names ExplainPrepared accepts under the bound
-// version: the three v2v kinds plus "<kind>:<set>" for every registered
+// version: the four v2v kinds plus "<kind>:<set>" for every registered
 // target set.
 func (s *Store) ExplainNames() []string {
-	out := []string{"v2v-ea", "v2v-ld", "v2v-sd"}
+	out := []string{"v2v-ea", "v2v-ld", "v2v-sd", "v2v-ea-witness"}
 	for _, set := range s.targetSetNames() {
 		for _, kind := range []string{"knn-naive-ea", "knn-naive-ld", "knn-ea", "knn-ld", "otm-ea", "otm-ld"} {
 			out = append(out, kind+":"+set)
@@ -128,11 +127,11 @@ func (s *Store) ExplainNames() []string {
 }
 
 // ExplainPrepared renders the plan of one of the paper's prepared queries,
-// named "<kind>" for the v2v Codes ("v2v-ea", "v2v-ld", "v2v-sd") or
-// "<kind>:<set>" for the per-target-set Codes ("knn-naive-ea", "knn-naive-ld",
-// "knn-ea", "knn-ld", "otm-ea", "otm-ld"). The statement is built exactly as
-// the corresponding query method builds it, so the rendered tree is the tree
-// that method executes.
+// named "<kind>" for the v2v Codes ("v2v-ea", "v2v-ld", "v2v-sd",
+// "v2v-ea-witness") or "<kind>:<set>" for the per-target-set Codes
+// ("knn-naive-ea", "knn-naive-ld", "knn-ea", "knn-ld", "otm-ea", "otm-ld").
+// The statement is built exactly as the corresponding query method builds it,
+// so the rendered tree is the tree that method executes.
 func (s *Store) ExplainPrepared(name string) (string, error) {
 	kind, set := name, ""
 	if i := strings.IndexByte(name, ':'); i >= 0 {
@@ -140,11 +139,13 @@ func (s *Store) ExplainPrepared(name string) (string, error) {
 	}
 	switch kind {
 	case "v2v-ea":
-		return s.v2vEA.Explain(), nil
+		return s.v2vEA.Explain()
 	case "v2v-ld":
-		return s.v2vLD.Explain(), nil
+		return s.v2vLD.Explain()
 	case "v2v-sd":
-		return s.v2vSD.Explain(), nil
+		return s.v2vSD.Explain()
+	case "v2v-ea-witness":
+		return s.v2vWitness.Explain()
 	}
 	if set == "" {
 		return "", invalidf("explain %q: kind %q needs a target set (\"%s:<set>\")", name, kind, kind)
@@ -156,24 +157,24 @@ func (s *Store) ExplainPrepared(name string) (string, error) {
 	var err error
 	switch kind {
 	case "knn-naive-ea":
-		st, err = s.prepared(sqlKNNNaiveEA, s.setTable("ea_knn_naive", set), s.loutTable())
+		st, err = s.prepared(exec.SQLKNNNaiveEA, s.setTable("ea_knn_naive", set), s.loutTable())
 	case "knn-naive-ld":
-		st, err = s.prepared(sqlKNNNaiveLD, s.setTable("ld_knn_naive", set), s.loutTable())
+		st, err = s.prepared(exec.SQLKNNNaiveLD, s.setTable("ld_knn_naive", set), s.loutTable())
 	case "knn-ea":
-		st, err = s.prepared(sqlKNNEA, s.setTable("knn_ea", set), s.meta.BucketSeconds, s.loutTable())
+		st, err = s.prepared(exec.SQLKNNEA, s.setTable("knn_ea", set), s.meta.BucketSeconds, s.loutTable())
 	case "knn-ld":
-		st, err = s.prepared(sqlKNNLD, s.setTable("knn_ld", set), s.meta.BucketSeconds, s.loutTable())
+		st, err = s.prepared(exec.SQLKNNLD, s.setTable("knn_ld", set), s.meta.BucketSeconds, s.loutTable())
 	case "otm-ea":
-		st, err = s.prepared(sqlOTMEA, s.setTable("otm_ea", set), s.meta.BucketSeconds, s.loutTable())
+		st, err = s.prepared(exec.SQLOTMEA, s.setTable("otm_ea", set), s.meta.BucketSeconds, s.loutTable())
 	case "otm-ld":
-		st, err = s.prepared(sqlOTMLD, s.setTable("otm_ld", set), s.meta.BucketSeconds, s.loutTable())
+		st, err = s.prepared(exec.SQLOTMLD, s.setTable("otm_ld", set), s.meta.BucketSeconds, s.loutTable())
 	default:
 		return "", invalidf("explain %q: unknown query kind %q", name, kind)
 	}
 	if err != nil {
 		return "", err
 	}
-	return st.Explain(), nil
+	return st.Explain()
 }
 
 // targetSetNames returns the bound version's target-set names, sorted.

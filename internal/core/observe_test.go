@@ -1,9 +1,6 @@
 package core
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -21,8 +18,7 @@ import (
 // buckets) on a handle without a vector cache: label reads served from the
 // columnar segments, hence the Segment* access-path operators. The rendering
 // is deterministic; a change here is a change to the fused executor's shape and
-// should be deliberate. The label tables of a built store declare their run
-// order, hence RunJoin; TestExplainUndeclaredImage pins the other join.
+// should be deliberate.
 var explainGoldens = map[string]string{
 	"v2v-ea": `FusedPlan v2v-ea
 └─ Aggregate MIN(in.ta)
@@ -41,6 +37,12 @@ var explainGoldens = map[string]string{
    └─ RunJoin out.hub = in.hub, reach out.ta <= in.td
       ├─ SegmentLookup lout [v = $1, td >= $3]
       └─ SegmentLookup lin [v = $2, ta <= $4]
+`,
+	"v2v-ea-witness": `FusedPlan v2v-ea-witness
+└─ First by in.ta, out.td desc, out.hub, out.ta, in.td
+   └─ RunJoin out.hub = in.hub, reach out.ta <= in.td
+      ├─ SegmentLookup lout [v = $1, td >= $3]
+      └─ SegmentLookup lin [v = $2]
 `,
 	"knn-naive-ea:poi": `FusedPlan knn-naive-ea
 └─ TopK k = $3 by MIN(n2.ta) asc, v2
@@ -156,109 +158,11 @@ func TestExplainPreparedGoldensVectorCache(t *testing.T) {
 	}
 }
 
-// stripRunOrder rewrites dir's catalog without any run-order declaration —
-// the catalog a build from before the declaration wrote, the segments being
-// the same bytes either way.
-func stripRunOrder(t *testing.T, dir string) {
-	t.Helper()
-	path := filepath.Join(dir, "catalog.json")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var defs []sqldb.TableDef
-	if err := json.Unmarshal(data, &defs); err != nil {
-		t.Fatal(err)
-	}
-	declared := 0
-	for i := range defs {
-		if defs[i].RunOrder != nil {
-			declared++
-		}
-		defs[i].RunOrder = nil
-	}
-	if declared != 2 {
-		t.Fatalf("%d tables declare a run order, want lout and lin", declared)
-	}
-	if data, err = json.MarshalIndent(defs, "", "  "); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestExplainUndeclaredImage: EXPLAIN states the join that will run. The same
-// image with the declaration taken out of its catalog — what a directory
-// built before the declaration existed looks like — answers through the hash
-// join, and says so; nothing else in the tree changes.
-func TestExplainUndeclaredImage(t *testing.T) {
-	dir := t.TempDir()
-	opts := sqldb.Options{Device: storage.RAM, PoolPages: 4096}
-	db, err := sqldb.Open(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Build(db, ttl.Build(timetable.PaperExample(), order.Identity(7)), BuildOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	stripRunOrder(t, dir)
-	if db, err = sqldb.Open(dir, opts); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { db.Close() })
-	st, err := Open(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"v2v-ea", "v2v-ld", "v2v-sd"} {
-		want := strings.Replace(explainGoldens[name], "RunJoin", "HashJoin", 1)
-		if got, err := st.ExplainPrepared(name); err != nil || got != want {
-			t.Errorf("explain %q on an undeclared image (%v):\n got:\n%s want:\n%s", name, err, got, want)
-		}
-	}
-	if got, ok, err := st.EarliestArrival(1, 1, 32400); err != nil || !ok || got != 32400 {
-		t.Errorf("EA(1,1,324) through the hash join = %v, %v, %v; want 32400", got, ok, err)
-	}
-	if _, bailouts := db.FusedStats(); bailouts != 0 {
-		t.Errorf("%d fused bailouts on an undeclared image, want 0", bailouts)
-	}
-}
-
 func TestExplainPreparedErrors(t *testing.T) {
 	st, _ := paperStore(t)
 	for _, name := range []string{"knn-ea", "knn-ea:nope", "bogus", "bogus:poi", ""} {
 		if _, err := st.ExplainPrepared(name); err == nil {
 			t.Errorf("explain %q: expected error", name)
-		}
-	}
-}
-
-// TestExplainPreparedGeneralPlan checks the fallback rendering when the fused
-// path is disabled: the same statement explains as a general plan shape.
-func TestExplainPreparedGeneralPlan(t *testing.T) {
-	labels := ttl.Build(timetable.PaperExample(), order.Identity(7)).Augment()
-	db, err := sqldb.Open(t.TempDir(), sqldb.Options{
-		Device: storage.RAM, PoolPages: 4096, DisableFusedExec: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { db.Close() })
-	st, err := Build(db, labels, BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := st.ExplainPrepared("v2v-ea")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, frag := range []string{"GeneralPlan", "CTE outp", "CTE inp", "Select"} {
-		if !strings.Contains(plan, frag) {
-			t.Errorf("general plan lacks %q:\n%s", frag, plan)
 		}
 	}
 }
@@ -283,8 +187,8 @@ func TestSnapshotWorkedExample(t *testing.T) {
 	if got := after.Exec.FusedRuns - before.Exec.FusedRuns; got != 1 {
 		t.Errorf("fused runs delta = %d, want 1", got)
 	}
-	if after.Exec.FusedBailouts != before.Exec.FusedBailouts {
-		t.Errorf("v2v query bailed out of the fused path")
+	if after.Exec.GeneralRuns != before.Exec.GeneralRuns {
+		t.Errorf("v2v query reached the general executor")
 	}
 	q := after.Query["v2v-ea"]
 	if q.Count != before.Query["v2v-ea"].Count+1 || q.Latency.Count != q.Count {
@@ -337,11 +241,17 @@ func TestTraceHook(t *testing.T) {
 	if _, err := st.Raw("SELECT COUNT(*) FROM lout"); err != nil {
 		t.Fatal(err)
 	}
-	if len(traces) != 3 {
-		t.Fatalf("got %d traces, want 3: %+v", len(traces), traces)
+	if err := st.BuildPathTables(timetable.PaperExample()); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := st.EarliestArrivalJourneyDB(5, 6, 28800); err != nil || !ok {
+		t.Fatal(ok, err)
+	}
+	if len(traces) != 4 {
+		t.Fatalf("got %d traces, want 4: %+v", len(traces), traces)
 	}
 	ea := traces[0]
-	if ea.Code != "v2v-ea" || !ea.Fused || ea.Bailout || ea.Rows != 1 || ea.Wall <= 0 {
+	if ea.Code != "v2v-ea" || !ea.Fused || ea.Rows != 1 || ea.Wall <= 0 {
 		t.Errorf("EA trace = %+v", ea)
 	}
 	knn := traces[1]
@@ -351,6 +261,13 @@ func TestTraceHook(t *testing.T) {
 	raw := traces[2]
 	if raw.Code != "raw" || raw.Fused || raw.Rows != 1 {
 		t.Errorf("raw trace = %+v", raw)
+	}
+	journey := traces[3]
+	if journey.Code != "v2v-ea-witness" || !journey.Fused || journey.Rows != 1 {
+		t.Errorf("journey trace = %+v", journey)
+	}
+	if n := st.DB.Registry().Snapshot().Query["v2v-ea-witness"].Count; n != 1 {
+		t.Errorf("registry counts %d journeys, want 1", n)
 	}
 
 	// Errors must not emit traces (counters still tick).

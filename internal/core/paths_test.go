@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -75,6 +76,12 @@ func TestPathTablesPaperExample(t *testing.T) {
 	if _, ok, err := st.EarliestArrivalJourneyDB(5, 6, 28801); err != nil || ok {
 		t.Errorf("journey after close: %v %v", ok, err)
 	}
+	// A stop outside the network is an invalid argument, not "no journey".
+	for _, pair := range [][2]timetable.StopID{{-1, 6}, {5, timetable.StopID(st.Meta().Stops)}} {
+		if _, _, err := st.EarliestArrivalJourneyDB(pair[0], pair[1], 0); !errors.Is(err, ErrInvalidArgument) {
+			t.Errorf("journey %d->%d: err = %v, want ErrInvalidArgument", pair[0], pair[1], err)
+		}
+	}
 	// Same-stop journey.
 	j, ok, err = st.EarliestArrivalJourneyDB(2, 2, 32400)
 	if err != nil || !ok {
@@ -95,6 +102,7 @@ func TestPathTablesRandom(t *testing.T) {
 		if err := st.BuildPathTables(tt); err != nil {
 			t.Fatal(err)
 		}
+		general := st.DB.Registry().Exec.GeneralRuns.Load()
 		n := tt.NumStops()
 		for trial := 0; trial < 60; trial++ {
 			s := timetable.StopID(rng.Intn(n))
@@ -117,6 +125,9 @@ func TestPathTablesRandom(t *testing.T) {
 					t.Fatalf("journey departs %v before query time %v", j.Dep, tq)
 				}
 			}
+		}
+		if now := st.DB.Registry().Exec.GeneralRuns.Load(); now != general {
+			t.Errorf("journeys ran the general executor %d times, want 0", now-general)
 		}
 	}
 }

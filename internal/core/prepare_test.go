@@ -6,9 +6,15 @@ import (
 	"ptldb/internal/timetable"
 )
 
-// queryBattery runs one query of every kind the store supports.
+// queryBattery runs one query of every kind the store supports, the journey
+// included where the path tables exist.
 func queryBattery(t *testing.T, st *Store) {
 	t.Helper()
+	if st.HasPathTables() {
+		if _, _, err := st.EarliestArrivalJourneyDB(5, 6, 28800); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if _, _, err := st.EarliestArrival(0, 4, 36000); err != nil {
 		t.Fatal(err)
 	}
@@ -42,9 +48,13 @@ func TestSteadyStateZeroParse(t *testing.T) {
 	if err := st.AddTargetSet("poi", []timetable.StopID{4, 6}, 4); err != nil {
 		t.Fatal(err)
 	}
+	if err := st.BuildPathTables(timetable.PaperExample()); err != nil {
+		t.Fatal(err)
+	}
 
 	// Warm-up: the first battery may prepare each kNN/OTM statement once.
-	// (The three V2V statements were already prepared at Build time.)
+	// (The V2V statements, the witness among them, were prepared at Build
+	// time.)
 	queryBattery(t, st)
 
 	hits0, misses0 := st.DB.StmtCacheStats()
@@ -69,14 +79,14 @@ func TestSteadyStateZeroParse(t *testing.T) {
 // between Build and Open.
 func TestReopenPreparesStatements(t *testing.T) {
 	st, _ := paperStore(t)
-	if st.v2vEA == nil || st.v2vLD == nil || st.v2vSD == nil {
+	if st.v2vEA == nil || st.v2vLD == nil || st.v2vSD == nil || st.v2vWitness == nil {
 		t.Fatal("Build left V2V statements unprepared")
 	}
 	v, err := st.Version(BaseVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.v2vEA == nil || v.v2vLD == nil || v.v2vSD == nil {
+	if v.v2vEA == nil || v.v2vLD == nil || v.v2vSD == nil || v.v2vWitness == nil {
 		t.Fatal("Version() store left V2V statements unprepared")
 	}
 }

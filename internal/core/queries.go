@@ -10,238 +10,6 @@ import (
 	"ptldb/internal/timetable"
 )
 
-// The SQL below is the paper's Codes 1–4, with positional parameters in
-// place of the inline s, g, t, k values and the table names / bucket width
-// interpolated at statement-build time. Each variant the paper derives by
-// "choosing between lines" is spelled out as its own constant.
-
-// Code 1 — vertex-to-vertex queries. %[1]s = lout table, %[2]s = lin
-// table. $1 = s, $2 = g, then the timestamps.
-const (
-	sqlV2VEA = `
-WITH outp AS
-  (SELECT UNNEST(hubs) AS hub, UNNEST(tds) AS td, UNNEST(tas) AS ta
-   FROM %[1]s WHERE v=$1),
-inp AS
-  (SELECT UNNEST(hubs) AS hub, UNNEST(tds) AS td, UNNEST(tas) AS ta
-   FROM %[2]s WHERE v=$2)
-SELECT MIN(inp.ta)
-FROM outp, inp
-WHERE outp.hub=inp.hub AND outp.ta<=inp.td
-  AND outp.td>=$3`
-
-	sqlV2VLD = `
-WITH outp AS
-  (SELECT UNNEST(hubs) AS hub, UNNEST(tds) AS td, UNNEST(tas) AS ta
-   FROM %[1]s WHERE v=$1),
-inp AS
-  (SELECT UNNEST(hubs) AS hub, UNNEST(tds) AS td, UNNEST(tas) AS ta
-   FROM %[2]s WHERE v=$2)
-SELECT MAX(outp.td)
-FROM outp, inp
-WHERE outp.hub=inp.hub AND outp.ta<=inp.td
-  AND inp.ta<=$3`
-
-	sqlV2VSD = `
-WITH outp AS
-  (SELECT UNNEST(hubs) AS hub, UNNEST(tds) AS td, UNNEST(tas) AS ta
-   FROM %[1]s WHERE v=$1),
-inp AS
-  (SELECT UNNEST(hubs) AS hub, UNNEST(tds) AS td, UNNEST(tas) AS ta
-   FROM %[2]s WHERE v=$2)
-SELECT MIN(inp.ta-outp.td)
-FROM outp, inp
-WHERE outp.hub=inp.hub AND outp.ta<=inp.td
-  AND outp.td>=$3
-  AND inp.ta<=$4`
-)
-
-// Code 2 — naive kNN. %[1]s = naive table, %[2]s = lout table. $1 = q, $2 = t, $3 = k (EA);
-// $1 = q, $2 = t, $3 = k (LD, with t bounding arrivals).
-const (
-	sqlKNNNaiveEA = `
-WITH n1 AS
-  (SELECT v, hub, td, ta
-   FROM
-     (SELECT v AS v, UNNEST(hubs) AS hub, UNNEST(tds) AS td, UNNEST(tas) AS ta
-      FROM %[2]s
-      WHERE v=$1) n1a
-   WHERE td >=$2)
-SELECT v2, MIN(n2.ta)
-FROM n1,
-  (SELECT hub, td, UNNEST(vs[1:$3]) AS v2, UNNEST(tas[1:$3]) AS ta
-   FROM %[1]s) n2
-WHERE n1.hub=n2.hub
-  AND n2.td>=n1.ta
-GROUP BY v2
-ORDER BY MIN(n2.ta), v2
-LIMIT $3`
-
-	// The LD analogue the paper benchmarks in Figure 3 but does not print:
-	// the departure from q is maximized subject to arriving by $2.
-	sqlKNNNaiveLD = `
-WITH n1 AS
-  (SELECT v, hub, td, ta
-   FROM
-     (SELECT v AS v, UNNEST(hubs) AS hub, UNNEST(tds) AS td, UNNEST(tas) AS ta
-      FROM %[2]s
-      WHERE v=$1) n1a)
-SELECT v2, MAX(n1.td)
-FROM n1,
-  (SELECT hub, td, UNNEST(vs[1:$3]) AS v2, UNNEST(tas[1:$3]) AS ta
-   FROM %[1]s) n2
-WHERE n1.hub=n2.hub
-  AND n2.td>=n1.ta
-  AND n2.ta<=$2
-GROUP BY v2
-ORDER BY MAX(n1.td) DESC, v2
-LIMIT $3`
-)
-
-// Code 3 — optimized EA-kNN and EA-OTM. %[1]s = knn_ea/otm_ea table,
-// %[2]d = bucket width, %[3]s = lout table. $1 = q, $2 = t, $3 = k (kNN only).
-const (
-	sqlKNNEA = `
-WITH n1 AS
-  (SELECT v, hub, td, ta
-   FROM
-     (SELECT v, UNNEST(hubs) AS hub, UNNEST(tds) AS td, UNNEST(tas) AS ta
-      FROM %[3]s
-      WHERE v=$1) n1a
-   WHERE td >=$2),
-    n1b AS
-  (SELECT n1bb.*, n1.ta AS n1_ta, n1.td AS n1_td
-   FROM %[1]s n1bb, n1
-   WHERE n1bb.hub=n1.hub
-     AND n1bb.dephour=FLOOR(n1.ta/%[2]d.0))
-SELECT v2, MIN(ta)
-FROM (
-      (SELECT v2, MIN(n3.ta) AS ta
-       FROM
-          (SELECT UNNEST(tas[1:$3]) AS ta, UNNEST(vs[1:$3]) AS v2
-           FROM n1b) n3
-       GROUP BY v2
-       ORDER BY MIN(n3.ta), v2
-       LIMIT $3)
-   UNION
-      (SELECT n2.v2, MIN(n2.ta) AS ta
-       FROM
-          (SELECT n1_ta, UNNEST(tds_exp) AS td, UNNEST(vs_exp) AS v2, UNNEST(tas_exp) AS ta
-           FROM n1b) n2
-       WHERE n1_ta <= n2.td
-       GROUP BY n2.v2
-       ORDER BY MIN(n2.ta), v2
-       LIMIT $3)) S53
-GROUP BY v2
-ORDER BY MIN(ta), v2
-LIMIT $3`
-
-	sqlOTMEA = `
-WITH n1 AS
-  (SELECT v, hub, td, ta
-   FROM
-     (SELECT v, UNNEST(hubs) AS hub, UNNEST(tds) AS td, UNNEST(tas) AS ta
-      FROM %[3]s
-      WHERE v=$1) n1a
-   WHERE td >=$2),
-    n1b AS
-  (SELECT n1bb.*, n1.ta AS n1_ta, n1.td AS n1_td
-   FROM %[1]s n1bb, n1
-   WHERE n1bb.hub=n1.hub
-     AND n1bb.dephour=FLOOR(n1.ta/%[2]d.0))
-SELECT v2, MIN(ta)
-FROM (
-      (SELECT v2, MIN(n3.ta) AS ta
-       FROM
-          (SELECT UNNEST(tas) AS ta, UNNEST(vs) AS v2
-           FROM n1b) n3
-       GROUP BY v2
-       ORDER BY MIN(n3.ta), v2)
-   UNION
-      (SELECT n2.v2, MIN(n2.ta) AS ta
-       FROM
-          (SELECT n1_ta, UNNEST(tds_exp) AS td, UNNEST(vs_exp) AS v2, UNNEST(tas_exp) AS ta
-           FROM n1b) n2
-       WHERE n1_ta <= n2.td
-       GROUP BY n2.v2
-       ORDER BY MIN(n2.ta), v2)) S53
-GROUP BY v2
-ORDER BY MIN(ta), v2`
-)
-
-// Code 4 — optimized LD-kNN and LD-OTM. %[1]s = knn_ld/otm_ld table,
-// %[2]d = bucket width, %[3]s = lout table. $1 = q, $2 = t, $3 = k (kNN only).
-const (
-	sqlKNNLD = `
-WITH n1 AS
-  (SELECT v, hub, td, ta
-   FROM
-     (SELECT v, UNNEST(hubs) AS hub, UNNEST(tds) AS td, UNNEST(tas) AS ta
-      FROM %[3]s
-      WHERE v=$1) n1a),
-    n1b AS
-  (SELECT n1bb.*, n1.ta AS n1_ta, n1.td AS n1_td
-   FROM %[1]s n1bb, n1
-   WHERE n1bb.hub=n1.hub
-     AND n1bb.arrhour=FLOOR($2/%[2]d.0))
-SELECT v2, MAX(td)
-FROM (
-      (SELECT v2, MAX(n3.n1_td) AS td
-       FROM
-          (SELECT n1_td, n1_ta, UNNEST(tds[1:$3]) AS td, UNNEST(vs[1:$3]) AS v2
-           FROM n1b) n3
-       WHERE n3.td>=n1_ta
-       GROUP BY v2
-       ORDER BY MAX(n3.n1_td) DESC, v2
-       LIMIT $3)
-   UNION
-      (SELECT n2.v2, MAX(n2.n1_td) AS td
-       FROM
-          (SELECT n1_td, n1_ta, UNNEST(tds_exp) AS td, UNNEST(vs_exp) AS v2, UNNEST(tas_exp) AS ta
-           FROM n1b) n2
-       WHERE n2.td>=n1_ta
-         AND n2.ta<=$2
-       GROUP BY n2.v2
-       ORDER BY MAX(n2.n1_td) DESC, v2
-       LIMIT $3)) S53
-GROUP BY v2
-ORDER BY MAX(td) DESC, v2
-LIMIT $3`
-
-	sqlOTMLD = `
-WITH n1 AS
-  (SELECT v, hub, td, ta
-   FROM
-     (SELECT v, UNNEST(hubs) AS hub, UNNEST(tds) AS td, UNNEST(tas) AS ta
-      FROM %[3]s
-      WHERE v=$1) n1a),
-    n1b AS
-  (SELECT n1bb.*, n1.ta AS n1_ta, n1.td AS n1_td
-   FROM %[1]s n1bb, n1
-   WHERE n1bb.hub=n1.hub
-     AND n1bb.arrhour=FLOOR($2/%[2]d.0))
-SELECT v2, MAX(td)
-FROM (
-      (SELECT v2, MAX(n3.n1_td) AS td
-       FROM
-          (SELECT n1_td, n1_ta, UNNEST(tds) AS td, UNNEST(vs) AS v2
-           FROM n1b) n3
-       WHERE n3.td>=n1_ta
-       GROUP BY v2
-       ORDER BY MAX(n3.n1_td) DESC, v2)
-   UNION
-      (SELECT n2.v2, MAX(n2.n1_td) AS td
-       FROM
-          (SELECT n1_td, n1_ta, UNNEST(tds_exp) AS td, UNNEST(vs_exp) AS v2, UNNEST(tas_exp) AS ta
-           FROM n1b) n2
-       WHERE n2.td>=n1_ta
-         AND n2.ta<=$2
-       GROUP BY n2.v2
-       ORDER BY MAX(n2.n1_td) DESC, v2)) S53
-GROUP BY v2
-ORDER BY MAX(td) DESC, v2`
-)
-
 // prepared returns the shared prepared statement for the formatted SQL,
 // parsing it at most once per database via the plan cache.
 func (s *Store) prepared(format string, a ...any) (*sqldb.Stmt, error) {
@@ -252,13 +20,16 @@ func (s *Store) prepared(format string, a ...any) (*sqldb.Stmt, error) {
 // after this, steady-state v2v queries execute with zero SQL parses.
 func (s *Store) prepareStatements() error {
 	var err error
-	if s.v2vEA, err = s.prepared(sqlV2VEA, s.loutTable(), s.linTable()); err != nil {
+	if s.v2vEA, err = s.prepared(exec.SQLV2VEA, s.loutTable(), s.linTable()); err != nil {
 		return err
 	}
-	if s.v2vLD, err = s.prepared(sqlV2VLD, s.loutTable(), s.linTable()); err != nil {
+	if s.v2vLD, err = s.prepared(exec.SQLV2VLD, s.loutTable(), s.linTable()); err != nil {
 		return err
 	}
-	s.v2vSD, err = s.prepared(sqlV2VSD, s.loutTable(), s.linTable())
+	if s.v2vSD, err = s.prepared(exec.SQLV2VSD, s.loutTable(), s.linTable()); err != nil {
+		return err
+	}
+	s.v2vWitness, err = s.prepared(exec.SQLV2VEAWitness, s.loutTable(), s.linTable())
 	return err
 }
 
@@ -357,7 +128,7 @@ func (s *Store) EAKNNNaive(set string, q timetable.StopID, t timetable.Time, k i
 	if err := s.checkK(set, q, k); err != nil {
 		return nil, err
 	}
-	st, err := s.prepared(sqlKNNNaiveEA, s.setTable("ea_knn_naive", set), s.loutTable())
+	st, err := s.prepared(exec.SQLKNNNaiveEA, s.setTable("ea_knn_naive", set), s.loutTable())
 	if err != nil {
 		return nil, err
 	}
@@ -371,7 +142,7 @@ func (s *Store) LDKNNNaive(set string, q timetable.StopID, t timetable.Time, k i
 	if err := s.checkK(set, q, k); err != nil {
 		return nil, err
 	}
-	st, err := s.prepared(sqlKNNNaiveLD, s.setTable("ld_knn_naive", set), s.loutTable())
+	st, err := s.prepared(exec.SQLKNNNaiveLD, s.setTable("ld_knn_naive", set), s.loutTable())
 	if err != nil {
 		return nil, err
 	}
@@ -384,7 +155,7 @@ func (s *Store) EAKNN(set string, q timetable.StopID, t timetable.Time, k int) (
 	if err := s.checkK(set, q, k); err != nil {
 		return nil, err
 	}
-	st, err := s.prepared(sqlKNNEA, s.setTable("knn_ea", set), s.meta.BucketSeconds, s.loutTable())
+	st, err := s.prepared(exec.SQLKNNEA, s.setTable("knn_ea", set), s.meta.BucketSeconds, s.loutTable())
 	if err != nil {
 		return nil, err
 	}
@@ -411,7 +182,7 @@ func (s *Store) LDKNN(set string, q timetable.StopID, t timetable.Time, k int) (
 	if err := s.checkK(set, q, k); err != nil {
 		return nil, err
 	}
-	st, err := s.prepared(sqlKNNLD, s.setTable("knn_ld", set), s.meta.BucketSeconds, s.loutTable())
+	st, err := s.prepared(exec.SQLKNNLD, s.setTable("knn_ld", set), s.meta.BucketSeconds, s.loutTable())
 	if err != nil {
 		return nil, err
 	}
@@ -425,7 +196,7 @@ func (s *Store) EAOTM(set string, q timetable.StopID, t timetable.Time) ([]Resul
 	if err := s.checkSet(set, q); err != nil {
 		return nil, err
 	}
-	st, err := s.prepared(sqlOTMEA, s.setTable("otm_ea", set), s.meta.BucketSeconds, s.loutTable())
+	st, err := s.prepared(exec.SQLOTMEA, s.setTable("otm_ea", set), s.meta.BucketSeconds, s.loutTable())
 	if err != nil {
 		return nil, err
 	}
@@ -438,7 +209,7 @@ func (s *Store) LDOTM(set string, q timetable.StopID, t timetable.Time) ([]Resul
 	if err := s.checkSet(set, q); err != nil {
 		return nil, err
 	}
-	st, err := s.prepared(sqlOTMLD, s.setTable("otm_ld", set), s.meta.BucketSeconds, s.loutTable())
+	st, err := s.prepared(exec.SQLOTMLD, s.setTable("otm_ld", set), s.meta.BucketSeconds, s.loutTable())
 	if err != nil {
 		return nil, err
 	}

@@ -47,21 +47,23 @@ func (g *Gauge) Add(n int64) { g.v.Add(n) }
 func (g *Gauge) Load() int64 { return g.v.Load() }
 
 // Code identifies one query shape of the paper: Codes 1-4 in their EA/LD/SD
-// variants, plus Raw for ad-hoc SQL issued through the store.
+// variants, plus the journey witness of Code 1 and Raw for ad-hoc SQL issued
+// through the store.
 type Code int
 
 // The query codes, in the order the paper introduces them.
 const (
-	CodeV2VEA      Code = iota // Code 1, earliest arrival
-	CodeV2VLD                  // Code 1, latest departure
-	CodeV2VSD                  // Code 1, shortest duration
-	CodeKNNNaiveEA             // Code 2, EA
-	CodeKNNNaiveLD             // Code 2, LD analogue
-	CodeKNNEA                  // Code 3, kNN
-	CodeKNNLD                  // Code 4, kNN
-	CodeOTMEA                  // Code 3, one-to-many
-	CodeOTMLD                  // Code 4, one-to-many
-	CodeRaw                    // ad-hoc SQL
+	CodeV2VEA        Code = iota // Code 1, earliest arrival
+	CodeV2VLD                    // Code 1, latest departure
+	CodeV2VSD                    // Code 1, shortest duration
+	CodeKNNNaiveEA               // Code 2, EA
+	CodeKNNNaiveLD               // Code 2, LD analogue
+	CodeKNNEA                    // Code 3, kNN
+	CodeKNNLD                    // Code 4, kNN
+	CodeOTMEA                    // Code 3, one-to-many
+	CodeOTMLD                    // Code 4, one-to-many
+	CodeV2VEAWitness             // Code 1, the earliest arrival's hub and tuple pair
+	CodeRaw                      // ad-hoc SQL
 	NumCodes
 )
 
@@ -69,6 +71,7 @@ var codeNames = [NumCodes]string{
 	"v2v-ea", "v2v-ld", "v2v-sd",
 	"knn-naive-ea", "knn-naive-ld",
 	"knn-ea", "knn-ld", "otm-ea", "otm-ld",
+	"v2v-ea-witness",
 	"raw",
 }
 
@@ -196,12 +199,14 @@ func (m *PoolMetrics) Snapshot() PoolSnapshot {
 }
 
 // ExecMetrics are the executor's counters: how statements were dispatched
-// (fused vs. general, with runtime bailouts counted separately), how many
-// table rows the storage layer surfaced, and how many label tuples the
-// operators merged (fused fold steps, or rows produced by UNNEST expansion
-// on the general path).
+// (fused vs. general), how many table rows the storage layer surfaced, and
+// how many label tuples the operators merged (fused fold steps, or rows
+// produced by UNNEST expansion on the general path).
 type ExecMetrics struct {
-	FusedRuns     Counter
+	FusedRuns Counter
+	// FusedBailouts is never incremented: a fused plan answers or errors. It
+	// and its snapshot field leave with the next [benchmark] PR
+	// (benchmark/layers.go compiles against them).
 	FusedBailouts Counter
 	GeneralRuns   Counter
 	RowsScanned   Counter
@@ -461,11 +466,8 @@ func (r *Registry) Snapshot() Snapshot {
 type Trace struct {
 	// Code names the query shape ("v2v-ea", "knn-ld", "raw", ...).
 	Code string `json:"code"`
-	// Fused reports whether the fused executor answered the query; Bailout
-	// reports a fused plan that hit a runtime precondition failure and
-	// re-ran on the general executor.
-	Fused   bool `json:"fused"`
-	Bailout bool `json:"bailout,omitempty"`
+	// Fused reports whether the fused executor answered the query.
+	Fused bool `json:"fused"`
 	// Rows is the result-row count.
 	Rows int `json:"rows"`
 	// Wall is the query's wall-clock time.
@@ -507,8 +509,6 @@ func (l *SlowQueryLogger) Observe(tr Trace) {
 	path := "general"
 	if tr.Fused {
 		path = "fused"
-	} else if tr.Bailout {
-		path = "bailout"
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -529,7 +529,6 @@ type Aggregator struct {
 type TraceTotals struct {
 	Count      uint64        `json:"count"`
 	Fused      uint64        `json:"fused"`
-	Bailouts   uint64        `json:"bailouts,omitempty"`
 	Rows       uint64        `json:"rows"`
 	PagesRead  uint64        `json:"pages_read"`
 	RandReads  uint64        `json:"rand_reads"`
@@ -556,9 +555,6 @@ func (a *Aggregator) Observe(tr Trace) {
 	t.Count++
 	if tr.Fused {
 		t.Fused++
-	}
-	if tr.Bailout {
-		t.Bailouts++
 	}
 	t.Rows += uint64(tr.Rows)
 	t.PagesRead += tr.PagesRead

@@ -158,11 +158,6 @@ func TestSlowQueryLogger(t *testing.T) {
 		}
 	}
 	buf.Reset()
-	l.Observe(Trace{Code: "raw", Bailout: true, Wall: time.Second})
-	if !strings.Contains(buf.String(), "path=bailout") {
-		t.Errorf("bailout path not labelled: %q", buf.String())
-	}
-	buf.Reset()
 	l.Observe(Trace{Code: "raw", Wall: time.Second})
 	if !strings.Contains(buf.String(), "path=general") {
 		t.Errorf("general path not labelled: %q", buf.String())
@@ -183,7 +178,7 @@ func TestAggregator(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	a.Observe(Trace{Code: "raw", Bailout: true, Wall: time.Second})
+	a.Observe(Trace{Code: "raw", Wall: time.Second})
 	tot := a.Totals()
 	ea := tot["v2v-ea"]
 	if ea.Count != 400 || ea.Fused != 400 || ea.Rows != 400 || ea.PagesRead != 800 ||
@@ -193,7 +188,7 @@ func TestAggregator(t *testing.T) {
 	if ea.WallMax != 4*time.Millisecond {
 		t.Errorf("wall max = %v, want 4ms", ea.WallMax)
 	}
-	if tot["raw"].Bailouts != 1 {
+	if tot["raw"].Count != 1 || tot["raw"].Fused != 0 {
 		t.Errorf("raw totals = %+v", tot["raw"])
 	}
 	if codes := a.Codes(); len(codes) != 2 || codes[0] != "raw" || codes[1] != "v2v-ea" {

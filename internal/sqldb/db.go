@@ -54,10 +54,11 @@ type Options struct {
 	// = 1 GiB, a laptop-scale stand-in for the paper's 8 GiB
 	// shared_buffers).
 	PoolPages int
-	// DisableFusedExec turns off the fused execution path for the label-query
-	// shapes (Codes 1–4); every statement then runs on the general executor.
-	// Used by the -fused=off benchmark ablation and by differential tests.
-	DisableFusedExec bool
+	// ReferenceExec is the tests' reference switch: Prepare never fuses, so
+	// every statement runs on the general executor the differential batteries
+	// compare the fused one against. No public type, flag or environment
+	// variable reaches it; production handles leave it false.
+	ReferenceExec bool
 	// VectorCacheBytes is the resident vector cache's byte budget: segment
 	// tables are decoded once into flat column vectors and served as slice
 	// views until evicted. Zero or negative means no cache (the default at
@@ -72,7 +73,7 @@ type DB struct {
 	clock storage.Clock
 	pool  *storage.Pool
 
-	noFused bool
+	referenceExec bool // Options.ReferenceExec
 
 	// vcache is the resident vector cache; nil when the handle was opened
 	// without a budget.
@@ -90,9 +91,8 @@ type DB struct {
 	stmtMisses uint64
 
 	// reg is the handle's observability registry: executor dispatch counters
-	// (fused runs vs. bailouts vs. general runs, rows scanned, tuples
-	// merged), per-Code query latencies, and — grafted in at Open — the
-	// buffer pool's counters.
+	// (fused runs vs. general runs, rows scanned, tuples merged), per-Code
+	// query latencies, and — grafted in at Open — the buffer pool's counters.
 	reg obs.Registry
 }
 
@@ -113,12 +113,12 @@ func Open(dir string, opts Options) (*DB, error) {
 		return nil, fmt.Errorf("sqldb: %w", err)
 	}
 	db := &DB{
-		dir:     dir,
-		dev:     opts.Device,
-		pool:    storage.NewPool(opts.PoolPages),
-		noFused: opts.DisableFusedExec,
-		tables:  map[string]*Table{},
-		stmts:   map[string]*Stmt{},
+		dir:           dir,
+		dev:           opts.Device,
+		pool:          storage.NewPool(opts.PoolPages),
+		referenceExec: opts.ReferenceExec,
+		tables:        map[string]*Table{},
+		stmts:         map[string]*Stmt{},
 	}
 	db.reg.Pool = db.pool.Metrics()
 	if opts.VectorCacheBytes > 0 {
@@ -369,15 +369,16 @@ type Stmt struct {
 	fused *exec.FusedPlan // non-nil when the statement matched a fused shape
 }
 
-// Prepare parses a SELECT for repeated execution, recognizing the fused
-// label-query shapes (Codes 1–4) unless the DB disables them.
+// Prepare parses a SELECT for repeated execution. A statement of the workload
+// (exec.Fuse: the ten texts of exec/codes.go) compiles to its fused plan; any
+// other runs on the general executor.
 func (db *DB) Prepare(query string) (*Stmt, error) {
 	sel, err := sql.Parse(query)
 	if err != nil {
 		return nil, err
 	}
 	st := &Stmt{db: db, sel: sel}
-	if !db.noFused {
+	if !db.referenceExec {
 		st.fused = exec.Fuse(sel)
 		if st.fused != nil {
 			st.fused.SetVectorCache(db.vcache != nil)
@@ -390,21 +391,15 @@ func (db *DB) Prepare(query string) (*Stmt, error) {
 func (s *Stmt) Fused() bool { return s.fused != nil }
 
 // ExecInfo reports which execution path answered one Stmt.Query: Fused is
-// set when the fused plan produced the result, Bailout when a fused plan hit
-// a runtime precondition failure (ErrNotFused) and the general executor
-// re-ran the statement. Plain general execution leaves both false. Returned
-// by value so the hot path never allocates for it.
+// set when the fused plan produced the result. Returned by value so the hot
+// path never allocates for it.
 type ExecInfo struct {
-	Fused   bool
-	Bailout bool
+	Fused bool
 }
 
 // Query executes the prepared statement. The statement is immutable after
 // Prepare (execution never mutates the AST or the fused plan), so one Stmt
-// may be executed from many goroutines concurrently. A fused plan that bails
-// at runtime (ErrNotFused — unexpected parameter types or table layout)
-// falls back to the general executor, which owns the semantics of every
-// case the fused path does not cover.
+// may be executed from many goroutines concurrently.
 func (s *Stmt) Query(params ...sqltypes.Value) (*exec.Relation, error) {
 	rel, _, err := s.QueryInfo(params...)
 	return rel, err
@@ -412,42 +407,33 @@ func (s *Stmt) Query(params ...sqltypes.Value) (*exec.Relation, error) {
 
 // QueryInfo is Query, additionally reporting which execution path produced
 // the result — the per-query counterpart of FusedStats, used by trace hooks.
+// A fused plan answers or fails; the general executor runs only a statement
+// that did not fuse at Prepare.
 func (s *Stmt) QueryInfo(params ...sqltypes.Value) (*exec.Relation, ExecInfo, error) {
-	var info ExecInfo
 	if s.fused != nil {
+		s.db.reg.Exec.FusedRuns.Add(1)
 		rel, err := s.fused.Run(catalogAdapter{s.db}, params)
-		if err == nil {
-			s.db.reg.Exec.FusedRuns.Add(1)
-			info.Fused = true
-			return rel, info, nil
-		}
-		if !errors.Is(err, exec.ErrNotFused) {
-			return nil, info, err
-		}
-		s.db.reg.Exec.FusedBailouts.Add(1)
-		info.Bailout = true
+		return rel, ExecInfo{Fused: true}, err
 	}
 	s.db.reg.Exec.GeneralRuns.Add(1)
 	rel, err := exec.Run(s.sel, catalogAdapter{s.db}, params)
-	return rel, info, err
+	return rel, ExecInfo{}, err
 }
 
-// Explain renders the statement's plan: the fused operator tree when the
-// statement compiled to one, otherwise the structural shape the general
-// executor will evaluate.
-func (s *Stmt) Explain() string {
-	if s.fused != nil {
-		return s.fused.Explain(catalogAdapter{s.db})
+// Explain renders the fused operator tree of a statement that compiled to
+// one.
+func (s *Stmt) Explain() (string, error) {
+	if s.fused == nil {
+		return "", errors.New("sqldb: statement has no fused plan to explain")
 	}
-	return exec.ExplainSelect(s.sel)
+	return s.fused.Explain(), nil
 }
 
-// FusedStats reports how many prepared-statement executions were served by
-// the fused path and how many bailed out to the general executor. It reads
-// the registry's executor counters (the pre-registry fused counters were
-// absorbed into it).
-func (db *DB) FusedStats() (hits, fallbacks uint64) {
-	return db.reg.Exec.FusedRuns.Load(), db.reg.Exec.FusedBailouts.Load()
+// FusedStats reports how many prepared-statement executions ran on the fused
+// plans and how many on the general executor (which also counts every
+// DB.Query).
+func (db *DB) FusedStats() (fused, general uint64) {
+	return db.reg.Exec.FusedRuns.Load(), db.reg.Exec.GeneralRuns.Load()
 }
 
 // Registry exposes the handle's observability registry. The pointer is

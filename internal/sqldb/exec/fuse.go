@@ -1,23 +1,21 @@
 package exec
 
-// fuse.go is the pattern recognizer of the fused execution path. It detects
-// the paper's Codes 1-4 query skeleton — UNNEST(label arrays), equi-join on
-// hub, filter, MIN/MAX aggregate, optionally GROUP BY v2 with ORDER BY and
-// LIMIT k — in a parsed statement and compiles it into a FusedPlan that
-// fused_exec.go evaluates directly over the typed int64 column vectors, with
-// no per-element boxing and no intermediate Relation materialization.
+// fuse.go is the recognizer of the fused execution path. The workload is the
+// ten statements of codes.go; a statement fuses when it is one of them — the
+// same syntax tree, identifiers compared case-insensitively, with a table
+// name in each table hole and a positive integral width in the bucket hole —
+// and compiles into a FusedPlan that fused_exec.go evaluates directly over
+// the typed int64 column vectors, with no per-element boxing and no
+// intermediate Relation materialization. Any other statement, including
+// another spelling of the same query, runs on the general executor (Run).
 //
-// Recognition is strictly structural: every clause of the statement must
-// destructure exactly into the recognized template, otherwise Fuse returns
-// nil and the statement runs on the general executor. The general executor
-// also remains the runtime fallback — FusedPlan.Run returns ErrNotFused
-// whenever a precondition that cannot be checked at prepare time fails
-// (non-integer parameters, unexpected table layout, NULL label arrays), and
-// the caller re-runs the statement on the general path, which reproduces
-// exact general semantics including errors.
+// A fused plan answers or returns an error that says what is wrong: a
+// parameter that is not a BIGINT, a negative LIMIT, a table that is missing,
+// lacks a column, has another key or does not declare its labels' run order.
+// Each is a caller bug or a violated storage invariant; there is no fallback.
 
 import (
-	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -25,19 +23,16 @@ import (
 	"ptldb/internal/sqldb/sql"
 )
 
-// ErrNotFused reports that a runtime precondition of the fused path does not
-// hold and the caller must fall back to the general executor.
-var ErrNotFused = errors.New("exec: not eligible for fused execution")
-
-// FusedPlan is a compiled fast path for one recognized label-query shape.
+// FusedPlan is a compiled fast path for one recognized statement.
 // Plans are immutable after Fuse (SetVectorCache is called once by Prepare
 // before the plan is published) apart from two caches — the resolved table
 // layouts and the pool of query states — and safe for concurrent Run calls.
 // A plan must not be copied.
 type FusedPlan struct {
-	kind     string
-	schema   Schema
-	maxParam int
+	kind   string
+	schema Schema
+	// width is the statement's bucket width (the condensed codes only).
+	width int64
 
 	// tables are the two base tables the plan reads: the query stop's label
 	// first, then the in-side label (v2v), the naive table or the condensed
@@ -52,6 +47,8 @@ type FusedPlan struct {
 	// which this package reaches through the same interface either way.
 	vectors bool
 
+	// Exactly one is set; the values are the code's, shared by every plan of
+	// its kind.
 	v2v  *fusedV2V
 	knn  *fusedKNNNaive
 	cond *fusedCondensed
@@ -65,12 +62,12 @@ var labelCols = []string{"v", "hubs", "tds", "tas"}
 // second table with the columns read from it, the first pk of which must be
 // exactly its primary key (0 leaves the key unchecked).
 func (p *FusedPlan) reads(labelTable, second string, pk int, cols ...string) {
-	p.tables[0] = tableRef{name: labelTable, cols: labelCols, pk: 1}
-	p.tables[1] = tableRef{name: second, cols: cols, pk: pk}
+	p.tables[0] = tableRef{name: labelTable, cols: labelCols, pk: 1, ordered: true}
+	p.tables[1] = tableRef{name: second, cols: cols, pk: pk, ordered: p.v2v != nil}
 }
 
-// Kind names the recognized shape ("v2v-ea", "knn-naive-ld", "cond-otm-ea",
-// ...) for tests and diagnostics.
+// Kind names the recognized statement ("v2v-ea", "knn-naive-ld",
+// "cond-otm-ea", ...) for tests and diagnostics.
 func (p *FusedPlan) Kind() string { return p.kind }
 
 // SetVectorCache records whether the resident vector cache fronts the
@@ -78,14 +75,13 @@ func (p *FusedPlan) Kind() string { return p.kind }
 // at prepare time, before the plan is shared.
 func (p *FusedPlan) SetVectorCache(on bool) { p.vectors = on }
 
-// fusedV2V is Code 1: join of one lout and one lin label, MIN/MAX scalar.
+// fusedV2V is Code 1: join of one lout and one lin label, MIN/MAX scalar or
+// the witness row.
 type fusedV2V struct {
-	op        byte // 'E' (EA), 'L' (LD), 'S' (SD)
-	outTable  string
-	inTable   string
+	op        byte // 'E' (EA), 'L' (LD), 'S' (SD), 'W' (EA witness)
 	outVParam int
 	inVParam  int
-	tParam    int // departure bound (EA/SD) or arrival bound (LD)
+	tParam    int // departure bound (EA/SD/witness) or arrival bound (LD)
 	tEndParam int // SD only: arrival bound
 }
 
@@ -93,8 +89,6 @@ type fusedV2V struct {
 // per-(hub, td) table, grouped by target.
 type fusedKNNNaive struct {
 	ea     bool
-	lout   string
-	naive  string
 	qParam int
 	tParam int
 	kParam int
@@ -106,12 +100,9 @@ type fusedKNNNaive struct {
 // per-target accumulator.
 type fusedCondensed struct {
 	ea        bool
-	lout      string
-	aux       string
 	qParam    int
 	tParam    int
-	kParam    int // 0 = one-to-many (no LIMIT, no [1:k] slices)
-	width     int64
+	kParam    int    // 0 = one-to-many (no LIMIT, no [1:k] slices)
 	bucketCol string // dephour (EA) or arrhour (LD)
 	topV      string // armA target column (vs)
 	topVal    string // armA value column (tas for EA, tds for LD)
@@ -120,169 +111,218 @@ type fusedCondensed struct {
 	expTa     string
 }
 
-// Fuse compiles sel into a FusedPlan, or returns nil when the statement does
-// not match a recognized shape.
+// condensed returns what Codes 3 and 4 fix besides the direction and the
+// LIMIT parameter.
+func condensed(ea bool, kParam int) *fusedCondensed {
+	f := &fusedCondensed{ea: ea, qParam: 1, tParam: 2, kParam: kParam,
+		bucketCol: "arrhour", topV: "vs", topVal: "tds",
+		expTd: "tds_exp", expV: "vs_exp", expTa: "tas_exp"}
+	if ea {
+		f.bucketCol, f.topVal = "dephour", "tas"
+	}
+	return f
+}
+
+// code is one statement of the workload: its text, and the kernel values the
+// text fixes.
+type code struct {
+	kind string
+	text string
+	v2v  *fusedV2V
+	knn  *fusedKNNNaive
+	cond *fusedCondensed
+	// pattern is text parsed with holeTable(n) in its %[n]s verbs and 1 in
+	// its %[n]d verb.
+	pattern *sql.Select
+}
+
+// holePrefix starts the reserved identifiers that stand for the table holes
+// of a pattern.
+const holePrefix = "ptldb_hole_"
+
+// codes parses the workload once per process.
+var codes = sync.OnceValue(func() []code {
+	cs := []code{
+		{kind: "v2v-ea", text: SQLV2VEA, v2v: &fusedV2V{op: 'E', outVParam: 1, inVParam: 2, tParam: 3}},
+		{kind: "v2v-ld", text: SQLV2VLD, v2v: &fusedV2V{op: 'L', outVParam: 1, inVParam: 2, tParam: 3}},
+		{kind: "v2v-sd", text: SQLV2VSD, v2v: &fusedV2V{op: 'S', outVParam: 1, inVParam: 2, tParam: 3, tEndParam: 4}},
+		{kind: "v2v-ea-witness", text: SQLV2VEAWitness, v2v: &fusedV2V{op: 'W', outVParam: 1, inVParam: 2, tParam: 3}},
+		{kind: "knn-naive-ea", text: SQLKNNNaiveEA, knn: &fusedKNNNaive{ea: true, qParam: 1, tParam: 2, kParam: 3}},
+		{kind: "knn-naive-ld", text: SQLKNNNaiveLD, knn: &fusedKNNNaive{qParam: 1, tParam: 2, kParam: 3}},
+		{kind: "cond-knn-ea", text: SQLKNNEA, cond: condensed(true, 3)},
+		{kind: "cond-otm-ea", text: SQLOTMEA, cond: condensed(true, 0)},
+		{kind: "cond-knn-ld", text: SQLKNNLD, cond: condensed(false, 3)},
+		{kind: "cond-otm-ld", text: SQLOTMLD, cond: condensed(false, 0)},
+	}
+	for i := range cs {
+		c := &cs[i]
+		args := []any{holePrefix + "1", holePrefix + "2"}
+		if c.cond != nil {
+			args = []any{holePrefix + "1", 1, holePrefix + "3"}
+		}
+		pattern, err := sql.Parse(fmt.Sprintf(c.text, args...))
+		if err != nil {
+			panic(fmt.Sprintf("exec: %s does not parse: %v", c.kind, err))
+		}
+		c.pattern = pattern
+	}
+	return cs
+})
+
+// Fuse compiles sel into a FusedPlan, or returns nil when the statement is
+// not one of the workload's.
 func Fuse(sel *sql.Select) *FusedPlan {
-	if sel == nil {
-		return nil
-	}
-	if p := matchV2V(sel); p != nil {
-		return p
-	}
-	if p := matchKNNNaive(sel); p != nil {
-		return p
-	}
-	if p := matchCondensed(sel); p != nil {
+	cs := codes()
+	for i := range cs {
+		c := &cs[i]
+		var m match
+		if !m.sel(c.pattern, sel) || !baseTablesDistinctFromCTEs(sel, m.tables[:]...) {
+			continue
+		}
+		p := &FusedPlan{kind: c.kind, schema: itemSchema(sel.Core.Items), width: m.width,
+			v2v: c.v2v, knn: c.knn, cond: c.cond}
+		switch {
+		case c.v2v != nil: // %[1]s = lout, %[2]s = lin
+			p.reads(m.tables[0], m.tables[1], 1, labelCols...)
+		case c.knn != nil: // %[1]s = naive, %[2]s = lout
+			p.reads(m.tables[1], m.tables[0], 0, "hub", "td", "vs", "tas")
+		default: // %[1]s = condensed, %[3]s = lout
+			f := c.cond
+			p.reads(m.tables[2], m.tables[0], 2, "hub", f.bucketCol, f.topV, f.topVal, f.expTd, f.expV, f.expTa)
+		}
 		return p
 	}
 	return nil
 }
 
-// --- small AST predicates ---------------------------------------------------
-
-func asColRef(e sql.Expr) (*sql.ColumnRef, bool) {
-	c, ok := e.(*sql.ColumnRef)
-	return c, ok
+// match is what a statement binds a pattern's holes to: tables[n-1] is the
+// table in hole n, width the bucket width.
+type match struct {
+	tables [3]string
+	width  int64
 }
 
-// isBareCol matches an unqualified column reference by name.
-func isBareCol(e sql.Expr, name string) bool {
-	c, ok := asColRef(e)
-	return ok && c.Table == "" && strings.EqualFold(c.Column, name)
+// sel walks pattern p and statement s in lock step and reports whether they
+// are the same tree up to identifier case and the holes, which it binds.
+func (m *match) sel(p, s *sql.Select) bool {
+	if p == nil || s == nil {
+		return p == nil && s == nil
+	}
+	if len(p.With) != len(s.With) || len(p.Arms) != len(s.Arms) || len(p.All) != len(s.All) ||
+		len(p.OrderBy) != len(s.OrderBy) || (p.Core == nil) != (s.Core == nil) {
+		return false
+	}
+	for i, cte := range p.With {
+		if !strings.EqualFold(cte.Name, s.With[i].Name) || !m.sel(cte.Query, s.With[i].Query) {
+			return false
+		}
+	}
+	if p.Core != nil && !m.core(p.Core, s.Core) {
+		return false
+	}
+	for i, arm := range p.Arms {
+		if !m.sel(arm, s.Arms[i]) {
+			return false
+		}
+	}
+	for i, all := range p.All {
+		if all != s.All[i] {
+			return false
+		}
+	}
+	for i, o := range p.OrderBy {
+		if o.Desc != s.OrderBy[i].Desc || !m.expr(o.Expr, s.OrderBy[i].Expr) {
+			return false
+		}
+	}
+	return m.expr(p.Limit, s.Limit)
 }
 
-// isQualCol matches a qualified column reference by qualifier and name.
-func isQualCol(e sql.Expr, qual, name string) bool {
-	c, ok := asColRef(e)
-	return ok && strings.EqualFold(c.Table, qual) && strings.EqualFold(c.Column, name)
+func (m *match) core(p, s *sql.SelectCore) bool {
+	if len(p.Items) != len(s.Items) || len(p.From) != len(s.From) || len(p.GroupBy) != len(s.GroupBy) {
+		return false
+	}
+	for i, it := range p.Items {
+		o := s.Items[i]
+		if it.Star != o.Star || !strings.EqualFold(it.Alias, o.Alias) ||
+			!strings.EqualFold(it.Table, o.Table) || !m.expr(it.Expr, o.Expr) {
+			return false
+		}
+	}
+	for i, f := range p.From {
+		o := s.From[i]
+		if !strings.EqualFold(f.Alias, o.Alias) || !m.sel(f.Subquery, o.Subquery) || !m.table(f.Table, o.Table) {
+			return false
+		}
+	}
+	for i, g := range p.GroupBy {
+		if !m.expr(g, s.GroupBy[i]) {
+			return false
+		}
+	}
+	return m.expr(p.Where, s.Where) && m.expr(p.Having, s.Having)
 }
 
-func paramOf(e sql.Expr) (int, bool) {
-	p, ok := e.(*sql.Param)
-	if !ok {
-		return 0, false
+// table compares a FROM item's table name: a hole binds the statement's name,
+// to the same name every time it appears; any other name must be equal.
+func (m *match) table(p, s string) bool {
+	n, isHole := strings.CutPrefix(p, holePrefix)
+	if !isHole {
+		return strings.EqualFold(p, s)
 	}
-	return p.N, true
+	bound := &m.tables[n[0]-'1']
+	if *bound == "" {
+		*bound = s
+	}
+	return s != "" && strings.EqualFold(*bound, s)
 }
 
-// unnestArg returns the single argument of a top-level UNNEST call.
-func unnestArg(e sql.Expr) (sql.Expr, bool) {
-	fc, ok := e.(*sql.FuncCall)
-	if !ok || fc.Name != "UNNEST" || fc.Star || len(fc.Args) != 1 {
-		return nil, false
+// expr reports structural equality of two expressions. The one decimal
+// literal of a pattern is its width hole: FLOOR(x/3600.0) keeps the division
+// exact where an integer one would truncate toward zero on negative
+// timestamps, and the fused runtime reproduces FLOOR of that quotient with
+// integer floor division — so the statement's literal must be a decimal too,
+// positive and integral.
+func (m *match) expr(p, s sql.Expr) bool {
+	if p == nil || s == nil {
+		return p == nil && s == nil
 	}
-	return fc.Args[0], true
-}
-
-// unnestBareCol matches UNNEST(col) of an unqualified column, returning the
-// column name.
-func unnestBareCol(e sql.Expr) (string, bool) {
-	arg, ok := unnestArg(e)
-	if !ok {
-		return "", false
-	}
-	c, ok := asColRef(arg)
-	if !ok || c.Table != "" {
-		return "", false
-	}
-	return c.Column, true
-}
-
-// unnestSlicedCol matches UNNEST(col[1:$k]) of an unqualified column,
-// returning the column name and the slice parameter.
-func unnestSlicedCol(e sql.Expr) (string, int, bool) {
-	arg, ok := unnestArg(e)
-	if !ok {
-		return "", 0, false
-	}
-	sl, ok := arg.(*sql.ArraySlice)
-	if !ok {
-		return "", 0, false
-	}
-	lo, ok := sl.Lo.(*sql.IntLit)
-	if !ok || lo.V != 1 {
-		return "", 0, false
-	}
-	k, ok := paramOf(sl.Hi)
-	if !ok {
-		return "", 0, false
-	}
-	c, ok := asColRef(sl.A)
-	if !ok || c.Table != "" {
-		return "", 0, false
-	}
-	return c.Column, k, true
-}
-
-// normCmp rewrites > and >= comparisons as < and <= with swapped operands,
-// so classification handles one orientation per operator.
-func normCmp(b *sql.BinaryOp) (op string, l, r sql.Expr) {
-	switch b.Op {
-	case ">":
-		return "<", b.R, b.L
-	case ">=":
-		return "<=", b.R, b.L
-	default:
-		return b.Op, b.L, b.R
-	}
-}
-
-// plainCore reports whether sel is a bare SELECT core: no WITH, no UNION
-// arms, no ORDER BY, no LIMIT.
-func plainCore(sel *sql.Select) bool {
-	return sel != nil && sel.Core != nil && len(sel.With) == 0 &&
-		len(sel.Arms) == 0 && len(sel.OrderBy) == 0 && sel.Limit == nil
-}
-
-// exprEqual reports structural equality of two expressions (used to verify
-// that an ORDER BY key recomputes the select list's aggregate).
-func exprEqual(a, b sql.Expr) bool {
-	if a == nil || b == nil {
-		return a == nil && b == nil
-	}
-	switch x := a.(type) {
+	switch x := p.(type) {
 	case *sql.ColumnRef:
-		y, ok := b.(*sql.ColumnRef)
+		y, ok := s.(*sql.ColumnRef)
 		return ok && strings.EqualFold(x.Table, y.Table) && strings.EqualFold(x.Column, y.Column)
 	case *sql.IntLit:
-		y, ok := b.(*sql.IntLit)
+		y, ok := s.(*sql.IntLit)
 		return ok && x.V == y.V
 	case *sql.FloatLit:
-		y, ok := b.(*sql.FloatLit)
-		return ok && x.V == y.V
-	case *sql.StringLit:
-		y, ok := b.(*sql.StringLit)
-		return ok && x.V == y.V
-	case *sql.NullLit:
-		_, ok := b.(*sql.NullLit)
-		return ok
+		y, ok := s.(*sql.FloatLit)
+		if !ok || y.V < 1 || y.V != math.Trunc(y.V) || y.V >= math.MaxInt64 {
+			return false
+		}
+		m.width = int64(y.V)
+		return true
 	case *sql.Param:
-		y, ok := b.(*sql.Param)
+		y, ok := s.(*sql.Param)
 		return ok && x.N == y.N
 	case *sql.BinaryOp:
-		y, ok := b.(*sql.BinaryOp)
-		return ok && x.Op == y.Op && exprEqual(x.L, y.L) && exprEqual(x.R, y.R)
-	case *sql.UnaryOp:
-		y, ok := b.(*sql.UnaryOp)
-		return ok && x.Op == y.Op && exprEqual(x.E, y.E)
+		y, ok := s.(*sql.BinaryOp)
+		return ok && x.Op == y.Op && m.expr(x.L, y.L) && m.expr(x.R, y.R)
 	case *sql.FuncCall:
-		y, ok := b.(*sql.FuncCall)
+		y, ok := s.(*sql.FuncCall)
 		if !ok || !strings.EqualFold(x.Name, y.Name) || x.Star != y.Star || len(x.Args) != len(y.Args) {
 			return false
 		}
 		for i := range x.Args {
-			if !exprEqual(x.Args[i], y.Args[i]) {
+			if !m.expr(x.Args[i], y.Args[i]) {
 				return false
 			}
 		}
 		return true
-	case *sql.ArrayIndex:
-		y, ok := b.(*sql.ArrayIndex)
-		return ok && exprEqual(x.A, y.A) && exprEqual(x.I, y.I)
 	case *sql.ArraySlice:
-		y, ok := b.(*sql.ArraySlice)
-		return ok && exprEqual(x.A, y.A) && exprEqual(x.Lo, y.Lo) && exprEqual(x.Hi, y.Hi)
+		y, ok := s.(*sql.ArraySlice)
+		return ok && m.expr(x.A, y.A) && m.expr(x.Lo, y.Lo) && m.expr(x.Hi, y.Hi)
 	default:
+		// No statement of the workload holds another kind of node.
 		return false
 	}
 }
@@ -299,947 +339,5 @@ func baseTablesDistinctFromCTEs(sel *sql.Select, tables ...string) bool {
 			}
 		}
 	}
-	return true
-}
-
-func maxInt(xs ...int) int {
-	m := 0
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// --- shared fragments: label scans and the n1 CTE ---------------------------
-
-// matchLabelScan matches the unnested label projection
-//
-//	SELECT [v [AS v],] UNNEST(hubs) AS hub, UNNEST(tds) AS td,
-//	       UNNEST(tas) AS ta FROM <table> WHERE v=$n
-//
-// returning the label table and the stop parameter. withV selects the
-// four-item variant (Codes 2-4) over the three-item variant (Code 1).
-func matchLabelScan(sel *sql.Select, withV bool) (table string, vParam int, ok bool) {
-	if !plainCore(sel) {
-		return "", 0, false
-	}
-	c := sel.Core
-	if len(c.From) != 1 || c.From[0].Subquery != nil || c.From[0].Alias != "" ||
-		c.From[0].Table == "" || len(c.GroupBy) != 0 || c.Having != nil {
-		return "", 0, false
-	}
-	items := c.Items
-	if withV {
-		if len(items) != 4 {
-			return "", 0, false
-		}
-		it := items[0]
-		if it.Star || !isBareCol(it.Expr, "v") ||
-			(it.Alias != "" && !strings.EqualFold(it.Alias, "v")) {
-			return "", 0, false
-		}
-		items = items[1:]
-	} else if len(items) != 3 {
-		return "", 0, false
-	}
-	want := [3][2]string{{"hubs", "hub"}, {"tds", "td"}, {"tas", "ta"}}
-	for i, it := range items {
-		if it.Star {
-			return "", 0, false
-		}
-		col, ok := unnestBareCol(it.Expr)
-		if !ok || !strings.EqualFold(col, want[i][0]) || !strings.EqualFold(it.Alias, want[i][1]) {
-			return "", 0, false
-		}
-	}
-	b, ok2 := c.Where.(*sql.BinaryOp)
-	if !ok2 || b.Op != "=" {
-		return "", 0, false
-	}
-	switch {
-	case isBareCol(b.L, "v"):
-		vParam, ok = paramOf(b.R)
-	case isBareCol(b.R, "v"):
-		vParam, ok = paramOf(b.L)
-	}
-	if !ok {
-		return "", 0, false
-	}
-	return c.From[0].Table, vParam, true
-}
-
-// matchN1 matches the n1 CTE body of Codes 2-4:
-//
-//	SELECT v, hub, td, ta FROM (<label scan with v>) n1a [WHERE td >= $t]
-//
-// tdParam is 0 when the departure filter is absent (the LD variants).
-func matchN1(sel *sql.Select) (lout string, vParam, tdParam int, ok bool) {
-	if !plainCore(sel) {
-		return "", 0, 0, false
-	}
-	c := sel.Core
-	if len(c.Items) != 4 || len(c.From) != 1 || c.From[0].Subquery == nil ||
-		c.From[0].Alias == "" || len(c.GroupBy) != 0 || c.Having != nil {
-		return "", 0, 0, false
-	}
-	for i, name := range []string{"v", "hub", "td", "ta"} {
-		it := c.Items[i]
-		if it.Star || it.Alias != "" || !isBareCol(it.Expr, name) {
-			return "", 0, 0, false
-		}
-	}
-	lout, vParam, ok = matchLabelScan(c.From[0].Subquery, true)
-	if !ok {
-		return "", 0, 0, false
-	}
-	if c.Where != nil {
-		b, okb := c.Where.(*sql.BinaryOp)
-		if !okb {
-			return "", 0, 0, false
-		}
-		op, l, r := normCmp(b)
-		if op != "<=" {
-			return "", 0, 0, false
-		}
-		// td >= $t normalizes to $t <= td.
-		tdParam, ok = paramOf(l)
-		if !ok || !isBareCol(r, "td") {
-			return "", 0, 0, false
-		}
-	}
-	return lout, vParam, tdParam, true
-}
-
-// --- Code 1: vertex-to-vertex -----------------------------------------------
-
-// matchV2V recognizes the three Code 1 variants:
-//
-//	WITH outp AS (<label scan>), inp AS (<label scan>)
-//	SELECT MIN(inp.ta) | MAX(outp.td) | MIN(inp.ta-outp.td)
-//	FROM outp, inp
-//	WHERE outp.hub=inp.hub AND outp.ta<=inp.td
-//	  [AND outp.td>=$t] [AND inp.ta<=$tEnd]
-func matchV2V(sel *sql.Select) *FusedPlan {
-	if len(sel.With) != 2 || sel.Core == nil || len(sel.Arms) != 0 ||
-		len(sel.OrderBy) != 0 || sel.Limit != nil {
-		return nil
-	}
-	type cteInfo struct {
-		name   string
-		table  string
-		vParam int
-	}
-	var ctes [2]cteInfo
-	for i, cte := range sel.With {
-		tbl, p, ok := matchLabelScan(cte.Query, false)
-		if !ok || cte.Name == "" {
-			return nil
-		}
-		ctes[i] = cteInfo{cte.Name, tbl, p}
-	}
-	if strings.EqualFold(ctes[0].name, ctes[1].name) {
-		return nil
-	}
-	if !baseTablesDistinctFromCTEs(sel, ctes[0].table, ctes[1].table) {
-		return nil
-	}
-	c := sel.Core
-	if len(c.Items) != 1 || c.Items[0].Star || c.Items[0].Alias != "" ||
-		len(c.From) != 2 || len(c.GroupBy) != 0 || c.Having != nil {
-		return nil
-	}
-	for i, fi := range c.From {
-		if fi.Subquery != nil || fi.Alias != "" || !strings.EqualFold(fi.Table, ctes[i].name) {
-			return nil
-		}
-	}
-	qualIdx := func(q string) int {
-		switch {
-		case strings.EqualFold(q, ctes[0].name):
-			return 0
-		case strings.EqualFold(q, ctes[1].name):
-			return 1
-		default:
-			return -1
-		}
-	}
-
-	conj := splitConjuncts(c.Where)
-	if len(conj) < 3 || len(conj) > 4 {
-		return nil
-	}
-	hubSeen := false
-	outI, inI := -1, -1
-	depParam, arrParam := 0, 0
-	depQual, arrQual := "", ""
-	for _, e := range conj {
-		b, ok := e.(*sql.BinaryOp)
-		if !ok {
-			return nil
-		}
-		op, l, r := normCmp(b)
-		switch op {
-		case "=":
-			lc, lok := asColRef(l)
-			rc, rok := asColRef(r)
-			if !lok || !rok || hubSeen ||
-				!strings.EqualFold(lc.Column, "hub") || !strings.EqualFold(rc.Column, "hub") {
-				return nil
-			}
-			li, ri := qualIdx(lc.Table), qualIdx(rc.Table)
-			if li < 0 || ri < 0 || li == ri {
-				return nil
-			}
-			hubSeen = true
-		case "<=":
-			if lc, lok := asColRef(l); lok {
-				if rc, rok := asColRef(r); rok {
-					// Reachability: out.ta <= in.td.
-					if outI >= 0 || !strings.EqualFold(lc.Column, "ta") || !strings.EqualFold(rc.Column, "td") {
-						return nil
-					}
-					oi, ii := qualIdx(lc.Table), qualIdx(rc.Table)
-					if oi < 0 || ii < 0 || oi == ii {
-						return nil
-					}
-					outI, inI = oi, ii
-				} else if p, pok := paramOf(r); pok {
-					// Arrival bound: in.ta <= $p.
-					if arrParam != 0 || !strings.EqualFold(lc.Column, "ta") {
-						return nil
-					}
-					arrParam, arrQual = p, lc.Table
-				} else {
-					return nil
-				}
-			} else if p, pok := paramOf(l); pok {
-				// Departure bound: out.td >= $p, normalized to $p <= out.td.
-				rc, rok := asColRef(r)
-				if !rok || depParam != 0 || !strings.EqualFold(rc.Column, "td") {
-					return nil
-				}
-				depParam, depQual = p, rc.Table
-			} else {
-				return nil
-			}
-		default:
-			return nil
-		}
-	}
-	if !hubSeen || outI < 0 {
-		return nil
-	}
-	if depParam > 0 && qualIdx(depQual) != outI {
-		return nil
-	}
-	if arrParam > 0 && qualIdx(arrQual) != inI {
-		return nil
-	}
-
-	fc, ok := c.Items[0].Expr.(*sql.FuncCall)
-	if !ok || fc.Star || len(fc.Args) != 1 {
-		return nil
-	}
-	outName, inName := ctes[outI].name, ctes[inI].name
-	var op byte
-	switch {
-	case fc.Name == "MIN" && isQualCol(fc.Args[0], inName, "ta") &&
-		depParam > 0 && arrParam == 0:
-		op = 'E'
-	case fc.Name == "MAX" && isQualCol(fc.Args[0], outName, "td") &&
-		arrParam > 0 && depParam == 0:
-		op = 'L'
-	case fc.Name == "MIN" && depParam > 0 && arrParam > 0:
-		sub, okb := fc.Args[0].(*sql.BinaryOp)
-		if !okb || sub.Op != "-" ||
-			!isQualCol(sub.L, inName, "ta") || !isQualCol(sub.R, outName, "td") {
-			return nil
-		}
-		op = 'S'
-	default:
-		return nil
-	}
-
-	f := &fusedV2V{
-		op:        op,
-		outTable:  ctes[outI].table,
-		inTable:   ctes[inI].table,
-		outVParam: ctes[outI].vParam,
-		inVParam:  ctes[inI].vParam,
-	}
-	kind := "v2v-ea"
-	switch op {
-	case 'E':
-		f.tParam = depParam
-	case 'L':
-		f.tParam, kind = arrParam, "v2v-ld"
-	case 'S':
-		f.tParam, f.tEndParam, kind = depParam, arrParam, "v2v-sd"
-	}
-	p := &FusedPlan{
-		kind:     kind,
-		schema:   itemSchema(c.Items),
-		maxParam: maxInt(f.outVParam, f.inVParam, f.tParam, f.tEndParam),
-		v2v:      f,
-	}
-	p.reads(f.outTable, f.inTable, 1, labelCols...)
-	return p
-}
-
-// --- Code 2: naive kNN -------------------------------------------------------
-
-// matchKNNNaive recognizes the naive kNN query (EA and LD):
-//
-//	WITH n1 AS (<n1 body>)
-//	SELECT v2, MIN(n2.ta) | MAX(n1.td)
-//	FROM n1, (SELECT hub, td, UNNEST(vs[1:$k]) AS v2, UNNEST(tas[1:$k]) AS ta
-//	          FROM <naive>) n2
-//	WHERE n1.hub=n2.hub AND n2.td>=n1.ta [AND n2.ta<=$t]
-//	GROUP BY v2 ORDER BY <agg> [DESC], v2 LIMIT $k
-func matchKNNNaive(sel *sql.Select) *FusedPlan {
-	if len(sel.With) != 1 || sel.Core == nil || len(sel.Arms) != 0 {
-		return nil
-	}
-	n1Name := sel.With[0].Name
-	if n1Name == "" {
-		return nil
-	}
-	lout, qParam, tdParam, ok := matchN1(sel.With[0].Query)
-	if !ok {
-		return nil
-	}
-
-	c := sel.Core
-	if len(c.Items) != 2 || len(c.From) != 2 || c.Having != nil {
-		return nil
-	}
-	if c.Items[0].Star || c.Items[0].Alias != "" || !isBareCol(c.Items[0].Expr, "v2") {
-		return nil
-	}
-	if c.From[0].Subquery != nil || c.From[0].Alias != "" || !strings.EqualFold(c.From[0].Table, n1Name) {
-		return nil
-	}
-	n2Alias := c.From[1].Alias
-	n2 := c.From[1].Subquery
-	if n2 == nil || n2Alias == "" || strings.EqualFold(n2Alias, n1Name) || !plainCore(n2) {
-		return nil
-	}
-	nc := n2.Core
-	if len(nc.Items) != 4 || len(nc.From) != 1 || nc.From[0].Subquery != nil ||
-		nc.From[0].Alias != "" || nc.Where != nil || len(nc.GroupBy) != 0 || nc.Having != nil {
-		return nil
-	}
-	naive := nc.From[0].Table
-	if naive == "" || !baseTablesDistinctFromCTEs(sel, lout, naive) {
-		return nil
-	}
-	if nc.Items[0].Star || nc.Items[0].Alias != "" || !isBareCol(nc.Items[0].Expr, "hub") ||
-		nc.Items[1].Star || nc.Items[1].Alias != "" || !isBareCol(nc.Items[1].Expr, "td") {
-		return nil
-	}
-	vsCol, kParam1, ok := unnestSlicedCol(nc.Items[2].Expr)
-	if !ok || !strings.EqualFold(vsCol, "vs") || !strings.EqualFold(nc.Items[2].Alias, "v2") {
-		return nil
-	}
-	tasCol, kParam2, ok := unnestSlicedCol(nc.Items[3].Expr)
-	if !ok || !strings.EqualFold(tasCol, "tas") || !strings.EqualFold(nc.Items[3].Alias, "ta") ||
-		kParam2 != kParam1 {
-		return nil
-	}
-
-	// Join predicates: n1.hub=n2.hub, n2.td>=n1.ta, optionally n2.ta<=$t.
-	conj := splitConjuncts(c.Where)
-	hubSeen, reachSeen := false, false
-	arrParam := 0
-	for _, e := range conj {
-		b, okb := e.(*sql.BinaryOp)
-		if !okb {
-			return nil
-		}
-		op, l, r := normCmp(b)
-		switch op {
-		case "=":
-			ok1 := isQualCol(l, n1Name, "hub") && isQualCol(r, n2Alias, "hub")
-			ok2 := isQualCol(l, n2Alias, "hub") && isQualCol(r, n1Name, "hub")
-			if hubSeen || (!ok1 && !ok2) {
-				return nil
-			}
-			hubSeen = true
-		case "<=":
-			if isQualCol(l, n1Name, "ta") && isQualCol(r, n2Alias, "td") {
-				if reachSeen {
-					return nil
-				}
-				reachSeen = true
-			} else if isQualCol(l, n2Alias, "ta") {
-				p, pok := paramOf(r)
-				if !pok || arrParam != 0 {
-					return nil
-				}
-				arrParam = p
-			} else {
-				return nil
-			}
-		default:
-			return nil
-		}
-	}
-	if !hubSeen || !reachSeen {
-		return nil
-	}
-
-	// Variant: EA filters n1 by departure and aggregates MIN(n2.ta); LD
-	// leaves n1 unfiltered, bounds n2.ta by $t and aggregates MAX(n1.td).
-	agg, ok := c.Items[1].Expr.(*sql.FuncCall)
-	if !ok || c.Items[1].Star || c.Items[1].Alias != "" || agg.Star || len(agg.Args) != 1 {
-		return nil
-	}
-	var ea bool
-	var tParam int
-	switch {
-	case agg.Name == "MIN" && isQualCol(agg.Args[0], n2Alias, "ta") && tdParam > 0 && arrParam == 0:
-		ea, tParam = true, tdParam
-	case agg.Name == "MAX" && isQualCol(agg.Args[0], n1Name, "td") && tdParam == 0 && arrParam > 0:
-		ea, tParam = false, arrParam
-	default:
-		return nil
-	}
-
-	// GROUP BY v2; ORDER BY <agg> [DESC], v2; LIMIT $k.
-	if len(c.GroupBy) != 1 || !isBareCol(c.GroupBy[0], "v2") {
-		return nil
-	}
-	if len(sel.OrderBy) != 2 ||
-		!exprEqual(sel.OrderBy[0].Expr, c.Items[1].Expr) || sel.OrderBy[0].Desc != !ea ||
-		!isBareCol(sel.OrderBy[1].Expr, "v2") || sel.OrderBy[1].Desc {
-		return nil
-	}
-	limParam, ok := paramOf(sel.Limit)
-	if !ok || limParam != kParam1 {
-		return nil
-	}
-
-	f := &fusedKNNNaive{ea: ea, lout: lout, naive: naive,
-		qParam: qParam, tParam: tParam, kParam: kParam1}
-	kind := "knn-naive-ea"
-	if !ea {
-		kind = "knn-naive-ld"
-	}
-	p := &FusedPlan{
-		kind:     kind,
-		schema:   itemSchema(c.Items),
-		maxParam: maxInt(qParam, tParam, kParam1),
-		knn:      f,
-	}
-	p.reads(lout, naive, 0, "hub", "td", "vs", "tas")
-	return p
-}
-
-// --- Codes 3 and 4: condensed kNN and one-to-many ---------------------------
-
-// matchCondensed recognizes the optimized EA/LD kNN and one-to-many queries
-// built on the hour-condensed tables: n1 (the unnested lout label), n1b (the
-// (hub, bucket) probe of the condensed table), and a UNION of the top-k arm
-// and the expanded arm, re-grouped by target.
-func matchCondensed(sel *sql.Select) *FusedPlan {
-	if len(sel.With) != 2 || sel.Core == nil || len(sel.Arms) != 0 {
-		return nil
-	}
-	n1Name, n1bName := sel.With[0].Name, sel.With[1].Name
-	if n1Name == "" || n1bName == "" || strings.EqualFold(n1Name, n1bName) {
-		return nil
-	}
-	lout, qParam, tdParam, ok := matchN1(sel.With[0].Query)
-	if !ok {
-		return nil
-	}
-
-	// n1b: SELECT n1bb.*, n1.ta AS n1_ta, n1.td AS n1_td
-	//      FROM <aux> n1bb, n1
-	//      WHERE n1bb.hub=n1.hub AND n1bb.<bucket>=FLOOR(<src>/<width>)
-	nb := sel.With[1].Query
-	if !plainCore(nb) {
-		return nil
-	}
-	bc := nb.Core
-	if len(bc.Items) != 3 || len(bc.From) != 2 || len(bc.GroupBy) != 0 || bc.Having != nil {
-		return nil
-	}
-	aux, auxAlias := bc.From[0].Table, bc.From[0].Alias
-	if bc.From[0].Subquery != nil || aux == "" || auxAlias == "" {
-		return nil
-	}
-	if bc.From[1].Subquery != nil || bc.From[1].Alias != "" || !strings.EqualFold(bc.From[1].Table, n1Name) {
-		return nil
-	}
-	if strings.EqualFold(auxAlias, n1Name) || !baseTablesDistinctFromCTEs(sel, lout, aux) {
-		return nil
-	}
-	if !bc.Items[0].Star || !strings.EqualFold(bc.Items[0].Table, auxAlias) {
-		return nil
-	}
-	if bc.Items[1].Star || !strings.EqualFold(bc.Items[1].Alias, "n1_ta") ||
-		!isQualCol(bc.Items[1].Expr, n1Name, "ta") {
-		return nil
-	}
-	if bc.Items[2].Star || !strings.EqualFold(bc.Items[2].Alias, "n1_td") ||
-		!isQualCol(bc.Items[2].Expr, n1Name, "td") {
-		return nil
-	}
-	bconj := splitConjuncts(bc.Where)
-	if len(bconj) != 2 {
-		return nil
-	}
-	hubSeen := false
-	bucketCol := ""
-	var width int64
-	bucketByTa := false // EA buckets by FLOOR(n1.ta/width); LD by FLOOR($t/width)
-	bucketParam := 0
-	for _, e := range bconj {
-		b, okb := e.(*sql.BinaryOp)
-		if !okb || b.Op != "=" {
-			return nil
-		}
-		// Orient so the aux-side column reference is on the left.
-		l, r := b.L, b.R
-		if lc, lok := asColRef(l); !lok || !strings.EqualFold(lc.Table, auxAlias) {
-			l, r = r, l
-		}
-		lc, lok := asColRef(l)
-		if !lok || !strings.EqualFold(lc.Table, auxAlias) {
-			return nil
-		}
-		if strings.EqualFold(lc.Column, "hub") {
-			if hubSeen || !isQualCol(r, n1Name, "hub") {
-				return nil
-			}
-			hubSeen = true
-			continue
-		}
-		// Bucket equality: <aux>.<bucket> = FLOOR(src / width).
-		if bucketCol != "" {
-			return nil
-		}
-		fc, fok := r.(*sql.FuncCall)
-		if !fok || fc.Name != "FLOOR" || fc.Star || len(fc.Args) != 1 {
-			return nil
-		}
-		div, dok := fc.Args[0].(*sql.BinaryOp)
-		if !dok || div.Op != "/" {
-			return nil
-		}
-		// The width may be an integer literal or an integral float literal:
-		// the SQL uses FLOOR(x/3600.0) so that division is exact (float)
-		// rather than truncating toward zero on negative timestamps. The
-		// fused runtime reproduces FLOOR of the float quotient with integer
-		// floor division.
-		var widthV int64
-		switch w := div.R.(type) {
-		case *sql.IntLit:
-			widthV = w.V
-		case *sql.FloatLit:
-			if w.V != math.Trunc(w.V) {
-				return nil
-			}
-			widthV = int64(w.V)
-		default:
-			return nil
-		}
-		if widthV <= 0 {
-			return nil
-		}
-		switch {
-		case isQualCol(div.L, n1Name, "ta"):
-			bucketByTa = true
-		default:
-			p, pok := paramOf(div.L)
-			if !pok {
-				return nil
-			}
-			bucketParam = p
-		}
-		bucketCol, width = lc.Column, widthV
-	}
-	if !hubSeen || bucketCol == "" {
-		return nil
-	}
-
-	// Outer: SELECT v2, MIN(ta)|MAX(td) FROM ((armA) UNION (armB)) S
-	//        GROUP BY v2 ORDER BY <agg> [DESC], v2 [LIMIT $k]
-	c := sel.Core
-	if len(c.Items) != 2 || len(c.From) != 1 || c.From[0].Subquery == nil ||
-		c.From[0].Alias == "" || c.Where != nil || c.Having != nil {
-		return nil
-	}
-	if c.Items[0].Star || c.Items[0].Alias != "" || !isBareCol(c.Items[0].Expr, "v2") {
-		return nil
-	}
-	agg, ok := c.Items[1].Expr.(*sql.FuncCall)
-	if !ok || c.Items[1].Star || c.Items[1].Alias != "" || agg.Star || len(agg.Args) != 1 {
-		return nil
-	}
-	var ea bool
-	switch {
-	case agg.Name == "MIN" && isBareCol(agg.Args[0], "ta"):
-		ea = true
-	case agg.Name == "MAX" && isBareCol(agg.Args[0], "td"):
-		ea = false
-	default:
-		return nil
-	}
-	// The n1 filter and the bucket source must match the variant: EA filters
-	// departures and buckets by the label's arrival; LD buckets by $t.
-	if ea && (tdParam == 0 || !bucketByTa) {
-		return nil
-	}
-	if !ea && (tdParam != 0 || bucketByTa) {
-		return nil
-	}
-	if len(c.GroupBy) != 1 || !isBareCol(c.GroupBy[0], "v2") {
-		return nil
-	}
-	if len(sel.OrderBy) != 2 ||
-		!exprEqual(sel.OrderBy[0].Expr, c.Items[1].Expr) || sel.OrderBy[0].Desc != !ea ||
-		!isBareCol(sel.OrderBy[1].Expr, "v2") || sel.OrderBy[1].Desc {
-		return nil
-	}
-	kParam := 0
-	if sel.Limit != nil {
-		kParam, ok = paramOf(sel.Limit)
-		if !ok || kParam == 0 {
-			return nil
-		}
-	}
-
-	union := c.From[0].Subquery
-	if union.Core != nil || len(union.Arms) != 2 || len(union.With) != 0 ||
-		len(union.OrderBy) != 0 || union.Limit != nil ||
-		len(union.All) != 1 || union.All[0] {
-		return nil
-	}
-
-	f := &fusedCondensed{ea: ea, lout: lout, aux: aux, qParam: qParam,
-		kParam: kParam, width: width, bucketCol: bucketCol}
-	if ea {
-		f.tParam = tdParam
-	} else {
-		f.tParam = bucketParam
-	}
-	if !matchCondensedArmA(union.Arms[0], n1bName, ea, kParam, f) {
-		return nil
-	}
-	if !matchCondensedArmB(union.Arms[1], n1bName, ea, kParam, f.tParam, f) {
-		return nil
-	}
-
-	kind := "cond-"
-	if kParam == 0 {
-		kind += "otm-"
-	} else {
-		kind += "knn-"
-	}
-	if ea {
-		kind += "ea"
-	} else {
-		kind += "ld"
-	}
-	p := &FusedPlan{
-		kind:     kind,
-		schema:   itemSchema(c.Items),
-		maxParam: maxInt(qParam, f.tParam, kParam),
-		cond:     f,
-	}
-	p.reads(lout, aux, 2, "hub", f.bucketCol, f.topV, f.topVal, f.expTd, f.expV, f.expTa)
-	return p
-}
-
-// matchCondensedArmA matches the top-k arm. EA:
-//
-//	SELECT v2, MIN(n3.ta) AS ta
-//	FROM (SELECT UNNEST(tas[1:$k]) AS ta, UNNEST(vs[1:$k]) AS v2 FROM n1b) n3
-//	GROUP BY v2 ORDER BY MIN(n3.ta), v2 LIMIT $k
-//
-// LD:
-//
-//	SELECT v2, MAX(n3.n1_td) AS td
-//	FROM (SELECT n1_td, n1_ta, UNNEST(tds[1:$k]) AS td, UNNEST(vs[1:$k]) AS v2
-//	      FROM n1b) n3
-//	WHERE n3.td>=n1_ta
-//	GROUP BY v2 ORDER BY MAX(n3.n1_td) DESC, v2 LIMIT $k
-//
-// The one-to-many variant (k == 0) drops the slices and the LIMIT. The arm's
-// inner grouping, ordering and LIMIT never change the statement's final
-// result (the outer re-group folds the same per-target optimum, and the arm
-// keeps the top k of the same (value, v2) order the outer LIMIT uses), so
-// the fused evaluator only needs the arm's source arrays; the match still
-// verifies the full shape so deviating queries fall back.
-func matchCondensedArmA(arm *sql.Select, n1bName string, ea bool, kParam int, f *fusedCondensed) bool {
-	if arm == nil || arm.Core == nil || len(arm.With) != 0 || len(arm.Arms) != 0 {
-		return false
-	}
-	a := arm.Core
-	if len(a.Items) != 2 || len(a.From) != 1 || a.From[0].Subquery == nil ||
-		a.From[0].Alias == "" || a.Having != nil {
-		return false
-	}
-	n3 := a.From[0].Alias
-	if a.Items[0].Star || a.Items[0].Alias != "" || !isBareCol(a.Items[0].Expr, "v2") {
-		return false
-	}
-	agg, ok := a.Items[1].Expr.(*sql.FuncCall)
-	if !ok || a.Items[1].Star || agg.Star || len(agg.Args) != 1 {
-		return false
-	}
-	valAlias := "ta"
-	if !ea {
-		valAlias = "td"
-	}
-	if !strings.EqualFold(a.Items[1].Alias, valAlias) {
-		return false
-	}
-
-	inner := a.From[0].Subquery
-	if !plainCore(inner) {
-		return false
-	}
-	ic := inner.Core
-	if len(ic.From) != 1 || ic.From[0].Subquery != nil || ic.From[0].Alias != "" ||
-		!strings.EqualFold(ic.From[0].Table, n1bName) ||
-		ic.Where != nil || len(ic.GroupBy) != 0 || ic.Having != nil {
-		return false
-	}
-
-	matchArrayItem := func(it sql.SelectItem, alias string) (string, bool) {
-		if it.Star || !strings.EqualFold(it.Alias, alias) {
-			return "", false
-		}
-		if kParam == 0 {
-			col, ok := unnestBareCol(it.Expr)
-			return col, ok
-		}
-		col, k, ok := unnestSlicedCol(it.Expr)
-		return col, ok && k == kParam
-	}
-
-	if ea {
-		// Items: UNNEST(tas…) AS ta, UNNEST(vs…) AS v2; no WHERE;
-		// aggregate MIN(n3.ta).
-		if len(ic.Items) != 2 || a.Where != nil {
-			return false
-		}
-		valCol, ok := matchArrayItem(ic.Items[0], "ta")
-		if !ok {
-			return false
-		}
-		vCol, ok := matchArrayItem(ic.Items[1], "v2")
-		if !ok {
-			return false
-		}
-		if agg.Name != "MIN" || !isQualCol(agg.Args[0], n3, "ta") {
-			return false
-		}
-		f.topVal, f.topV = valCol, vCol
-	} else {
-		// Items: n1_td, n1_ta, UNNEST(tds…) AS td, UNNEST(vs…) AS v2;
-		// WHERE n3.td>=n1_ta; aggregate MAX(n3.n1_td).
-		if len(ic.Items) != 4 {
-			return false
-		}
-		if ic.Items[0].Star || ic.Items[0].Alias != "" || !isBareCol(ic.Items[0].Expr, "n1_td") ||
-			ic.Items[1].Star || ic.Items[1].Alias != "" || !isBareCol(ic.Items[1].Expr, "n1_ta") {
-			return false
-		}
-		valCol, ok := matchArrayItem(ic.Items[2], "td")
-		if !ok {
-			return false
-		}
-		vCol, ok := matchArrayItem(ic.Items[3], "v2")
-		if !ok {
-			return false
-		}
-		b, okb := a.Where.(*sql.BinaryOp)
-		if !okb {
-			return false
-		}
-		op, l, r := normCmp(b)
-		// n3.td >= n1_ta normalizes to n1_ta <= n3.td.
-		if op != "<=" || !isBareCol(l, "n1_ta") || !isQualCol(r, n3, "td") {
-			return false
-		}
-		if agg.Name != "MAX" || !isQualCol(agg.Args[0], n3, "n1_td") {
-			return false
-		}
-		f.topVal, f.topV = valCol, vCol
-	}
-
-	if len(a.GroupBy) != 1 || !isBareCol(a.GroupBy[0], "v2") {
-		return false
-	}
-	if len(arm.OrderBy) != 2 ||
-		!exprEqual(arm.OrderBy[0].Expr, agg) || arm.OrderBy[0].Desc != !ea ||
-		!isBareCol(arm.OrderBy[1].Expr, "v2") || arm.OrderBy[1].Desc {
-		return false
-	}
-	if kParam == 0 {
-		return arm.Limit == nil
-	}
-	p, ok := paramOf(arm.Limit)
-	return ok && p == kParam
-}
-
-// matchCondensedArmB matches the expanded arm. EA:
-//
-//	SELECT n2.v2, MIN(n2.ta) AS ta
-//	FROM (SELECT n1_ta, UNNEST(tds_exp) AS td, UNNEST(vs_exp) AS v2,
-//	             UNNEST(tas_exp) AS ta FROM n1b) n2
-//	WHERE n1_ta <= n2.td
-//	GROUP BY n2.v2 ORDER BY MIN(n2.ta), v2 LIMIT $k
-//
-// LD:
-//
-//	SELECT n2.v2, MAX(n2.n1_td) AS td
-//	FROM (SELECT n1_td, n1_ta, UNNEST(tds_exp) AS td, UNNEST(vs_exp) AS v2,
-//	             UNNEST(tas_exp) AS ta FROM n1b) n2
-//	WHERE n2.td>=n1_ta AND n2.ta<=$t
-//	GROUP BY n2.v2 ORDER BY MAX(n2.n1_td) DESC, v2 LIMIT $k
-func matchCondensedArmB(arm *sql.Select, n1bName string, ea bool, kParam, tParam int, f *fusedCondensed) bool {
-	if arm == nil || arm.Core == nil || len(arm.With) != 0 || len(arm.Arms) != 0 {
-		return false
-	}
-	a := arm.Core
-	if len(a.Items) != 2 || len(a.From) != 1 || a.From[0].Subquery == nil ||
-		a.From[0].Alias == "" || a.Having != nil {
-		return false
-	}
-	n2 := a.From[0].Alias
-	if a.Items[0].Star || a.Items[0].Alias != "" || !isQualCol(a.Items[0].Expr, n2, "v2") {
-		return false
-	}
-	agg, ok := a.Items[1].Expr.(*sql.FuncCall)
-	if !ok || a.Items[1].Star || agg.Star || len(agg.Args) != 1 {
-		return false
-	}
-
-	inner := a.From[0].Subquery
-	if !plainCore(inner) {
-		return false
-	}
-	ic := inner.Core
-	if len(ic.From) != 1 || ic.From[0].Subquery != nil || ic.From[0].Alias != "" ||
-		!strings.EqualFold(ic.From[0].Table, n1bName) ||
-		ic.Where != nil || len(ic.GroupBy) != 0 || ic.Having != nil {
-		return false
-	}
-	unnested := func(it sql.SelectItem, alias string) (string, bool) {
-		if it.Star || !strings.EqualFold(it.Alias, alias) {
-			return "", false
-		}
-		return unnestBareCol(it.Expr)
-	}
-	var expTd, expV, expTa string
-	scalarItems := 1 // EA carries n1_ta; LD carries n1_td, n1_ta
-	if !ea {
-		scalarItems = 2
-	}
-	if len(ic.Items) != scalarItems+3 {
-		return false
-	}
-	if ea {
-		if ic.Items[0].Star || ic.Items[0].Alias != "" || !isBareCol(ic.Items[0].Expr, "n1_ta") {
-			return false
-		}
-	} else {
-		if ic.Items[0].Star || ic.Items[0].Alias != "" || !isBareCol(ic.Items[0].Expr, "n1_td") ||
-			ic.Items[1].Star || ic.Items[1].Alias != "" || !isBareCol(ic.Items[1].Expr, "n1_ta") {
-			return false
-		}
-	}
-	expTd, ok = unnested(ic.Items[scalarItems], "td")
-	if !ok {
-		return false
-	}
-	expV, ok = unnested(ic.Items[scalarItems+1], "v2")
-	if !ok {
-		return false
-	}
-	expTa, ok = unnested(ic.Items[scalarItems+2], "ta")
-	if !ok {
-		return false
-	}
-
-	conj := splitConjuncts(a.Where)
-	if ea {
-		// WHERE n1_ta <= n2.td; aggregate MIN(n2.ta).
-		if len(conj) != 1 {
-			return false
-		}
-		b, okb := conj[0].(*sql.BinaryOp)
-		if !okb {
-			return false
-		}
-		op, l, r := normCmp(b)
-		if op != "<=" || !isBareCol(l, "n1_ta") || !isQualCol(r, n2, "td") {
-			return false
-		}
-		if agg.Name != "MIN" || !isQualCol(agg.Args[0], n2, "ta") {
-			return false
-		}
-	} else {
-		// WHERE n2.td>=n1_ta AND n2.ta<=$t; aggregate MAX(n2.n1_td).
-		if len(conj) != 2 {
-			return false
-		}
-		reachSeen, boundSeen := false, false
-		for _, e := range conj {
-			b, okb := e.(*sql.BinaryOp)
-			if !okb {
-				return false
-			}
-			op, l, r := normCmp(b)
-			if op != "<=" {
-				return false
-			}
-			switch {
-			case isBareCol(l, "n1_ta") && isQualCol(r, n2, "td") && !reachSeen:
-				reachSeen = true
-			case isQualCol(l, n2, "ta") && !boundSeen:
-				p, pok := paramOf(r)
-				if !pok || p != tParam {
-					return false
-				}
-				boundSeen = true
-			default:
-				return false
-			}
-		}
-		if !reachSeen || !boundSeen {
-			return false
-		}
-		if agg.Name != "MAX" || !isQualCol(agg.Args[0], n2, "n1_td") {
-			return false
-		}
-	}
-
-	if len(a.GroupBy) != 1 || !isQualCol(a.GroupBy[0], n2, "v2") {
-		return false
-	}
-	if len(arm.OrderBy) != 2 ||
-		!exprEqual(arm.OrderBy[0].Expr, agg) || arm.OrderBy[0].Desc != !ea ||
-		!isBareCol(arm.OrderBy[1].Expr, "v2") || arm.OrderBy[1].Desc {
-		return false
-	}
-	if kParam == 0 {
-		if arm.Limit != nil {
-			return false
-		}
-	} else {
-		p, okp := paramOf(arm.Limit)
-		if !okp || p != kParam {
-			return false
-		}
-	}
-	f.expTd, f.expV, f.expTa = expTd, expV, expTa
 	return true
 }

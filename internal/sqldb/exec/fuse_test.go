@@ -1,229 +1,15 @@
 package exec
 
 import (
-	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 
 	"ptldb/internal/sqldb/sql"
 	"ptldb/internal/sqldb/sqltypes"
-)
-
-// The templates below are the paper's Codes 1–4 exactly as core/queries.go
-// issues them (core cannot be imported here without a cycle). Table names
-// and the bucket width are interpolated like core does.
-const (
-	tmplV2VEA = `
-WITH outp AS
-  (SELECT UNNEST(hubs) AS hub, UNNEST(tds) AS td, UNNEST(tas) AS ta
-   FROM %[1]s WHERE v=$1),
-inp AS
-  (SELECT UNNEST(hubs) AS hub, UNNEST(tds) AS td, UNNEST(tas) AS ta
-   FROM %[2]s WHERE v=$2)
-SELECT MIN(inp.ta)
-FROM outp, inp
-WHERE outp.hub=inp.hub AND outp.ta<=inp.td
-  AND outp.td>=$3`
-
-	tmplV2VLD = `
-WITH outp AS
-  (SELECT UNNEST(hubs) AS hub, UNNEST(tds) AS td, UNNEST(tas) AS ta
-   FROM %[1]s WHERE v=$1),
-inp AS
-  (SELECT UNNEST(hubs) AS hub, UNNEST(tds) AS td, UNNEST(tas) AS ta
-   FROM %[2]s WHERE v=$2)
-SELECT MAX(outp.td)
-FROM outp, inp
-WHERE outp.hub=inp.hub AND outp.ta<=inp.td
-  AND inp.ta<=$3`
-
-	tmplV2VSD = `
-WITH outp AS
-  (SELECT UNNEST(hubs) AS hub, UNNEST(tds) AS td, UNNEST(tas) AS ta
-   FROM %[1]s WHERE v=$1),
-inp AS
-  (SELECT UNNEST(hubs) AS hub, UNNEST(tds) AS td, UNNEST(tas) AS ta
-   FROM %[2]s WHERE v=$2)
-SELECT MIN(inp.ta-outp.td)
-FROM outp, inp
-WHERE outp.hub=inp.hub AND outp.ta<=inp.td
-  AND outp.td>=$3
-  AND inp.ta<=$4`
-
-	tmplKNNNaiveEA = `
-WITH n1 AS
-  (SELECT v, hub, td, ta
-   FROM
-     (SELECT v AS v, UNNEST(hubs) AS hub, UNNEST(tds) AS td, UNNEST(tas) AS ta
-      FROM %[2]s
-      WHERE v=$1) n1a
-   WHERE td >=$2)
-SELECT v2, MIN(n2.ta)
-FROM n1,
-  (SELECT hub, td, UNNEST(vs[1:$3]) AS v2, UNNEST(tas[1:$3]) AS ta
-   FROM %[1]s) n2
-WHERE n1.hub=n2.hub
-  AND n2.td>=n1.ta
-GROUP BY v2
-ORDER BY MIN(n2.ta), v2
-LIMIT $3`
-
-	tmplKNNNaiveLD = `
-WITH n1 AS
-  (SELECT v, hub, td, ta
-   FROM
-     (SELECT v AS v, UNNEST(hubs) AS hub, UNNEST(tds) AS td, UNNEST(tas) AS ta
-      FROM %[2]s
-      WHERE v=$1) n1a)
-SELECT v2, MAX(n1.td)
-FROM n1,
-  (SELECT hub, td, UNNEST(vs[1:$3]) AS v2, UNNEST(tas[1:$3]) AS ta
-   FROM %[1]s) n2
-WHERE n1.hub=n2.hub
-  AND n2.td>=n1.ta
-  AND n2.ta<=$2
-GROUP BY v2
-ORDER BY MAX(n1.td) DESC, v2
-LIMIT $3`
-
-	tmplKNNEA = `
-WITH n1 AS
-  (SELECT v, hub, td, ta
-   FROM
-     (SELECT v, UNNEST(hubs) AS hub, UNNEST(tds) AS td, UNNEST(tas) AS ta
-      FROM %[3]s
-      WHERE v=$1) n1a
-   WHERE td >=$2),
-    n1b AS
-  (SELECT n1bb.*, n1.ta AS n1_ta, n1.td AS n1_td
-   FROM %[1]s n1bb, n1
-   WHERE n1bb.hub=n1.hub
-     AND n1bb.dephour=FLOOR(n1.ta/%[2]d.0))
-SELECT v2, MIN(ta)
-FROM (
-      (SELECT v2, MIN(n3.ta) AS ta
-       FROM
-          (SELECT UNNEST(tas[1:$3]) AS ta, UNNEST(vs[1:$3]) AS v2
-           FROM n1b) n3
-       GROUP BY v2
-       ORDER BY MIN(n3.ta), v2
-       LIMIT $3)
-   UNION
-      (SELECT n2.v2, MIN(n2.ta) AS ta
-       FROM
-          (SELECT n1_ta, UNNEST(tds_exp) AS td, UNNEST(vs_exp) AS v2, UNNEST(tas_exp) AS ta
-           FROM n1b) n2
-       WHERE n1_ta <= n2.td
-       GROUP BY n2.v2
-       ORDER BY MIN(n2.ta), v2
-       LIMIT $3)) S53
-GROUP BY v2
-ORDER BY MIN(ta), v2
-LIMIT $3`
-
-	tmplOTMEA = `
-WITH n1 AS
-  (SELECT v, hub, td, ta
-   FROM
-     (SELECT v, UNNEST(hubs) AS hub, UNNEST(tds) AS td, UNNEST(tas) AS ta
-      FROM %[3]s
-      WHERE v=$1) n1a
-   WHERE td >=$2),
-    n1b AS
-  (SELECT n1bb.*, n1.ta AS n1_ta, n1.td AS n1_td
-   FROM %[1]s n1bb, n1
-   WHERE n1bb.hub=n1.hub
-     AND n1bb.dephour=FLOOR(n1.ta/%[2]d.0))
-SELECT v2, MIN(ta)
-FROM (
-      (SELECT v2, MIN(n3.ta) AS ta
-       FROM
-          (SELECT UNNEST(tas) AS ta, UNNEST(vs) AS v2
-           FROM n1b) n3
-       GROUP BY v2
-       ORDER BY MIN(n3.ta), v2)
-   UNION
-      (SELECT n2.v2, MIN(n2.ta) AS ta
-       FROM
-          (SELECT n1_ta, UNNEST(tds_exp) AS td, UNNEST(vs_exp) AS v2, UNNEST(tas_exp) AS ta
-           FROM n1b) n2
-       WHERE n1_ta <= n2.td
-       GROUP BY n2.v2
-       ORDER BY MIN(n2.ta), v2)) S53
-GROUP BY v2
-ORDER BY MIN(ta), v2`
-
-	tmplKNNLD = `
-WITH n1 AS
-  (SELECT v, hub, td, ta
-   FROM
-     (SELECT v, UNNEST(hubs) AS hub, UNNEST(tds) AS td, UNNEST(tas) AS ta
-      FROM %[3]s
-      WHERE v=$1) n1a),
-    n1b AS
-  (SELECT n1bb.*, n1.ta AS n1_ta, n1.td AS n1_td
-   FROM %[1]s n1bb, n1
-   WHERE n1bb.hub=n1.hub
-     AND n1bb.arrhour=FLOOR($2/%[2]d.0))
-SELECT v2, MAX(td)
-FROM (
-      (SELECT v2, MAX(n3.n1_td) AS td
-       FROM
-          (SELECT n1_td, n1_ta, UNNEST(tds[1:$3]) AS td, UNNEST(vs[1:$3]) AS v2
-           FROM n1b) n3
-       WHERE n3.td>=n1_ta
-       GROUP BY v2
-       ORDER BY MAX(n3.n1_td) DESC, v2
-       LIMIT $3)
-   UNION
-      (SELECT n2.v2, MAX(n2.n1_td) AS td
-       FROM
-          (SELECT n1_td, n1_ta, UNNEST(tds_exp) AS td, UNNEST(vs_exp) AS v2, UNNEST(tas_exp) AS ta
-           FROM n1b) n2
-       WHERE n2.td>=n1_ta
-         AND n2.ta<=$2
-       GROUP BY n2.v2
-       ORDER BY MAX(n2.n1_td) DESC, v2
-       LIMIT $3)) S53
-GROUP BY v2
-ORDER BY MAX(td) DESC, v2
-LIMIT $3`
-
-	tmplOTMLD = `
-WITH n1 AS
-  (SELECT v, hub, td, ta
-   FROM
-     (SELECT v, UNNEST(hubs) AS hub, UNNEST(tds) AS td, UNNEST(tas) AS ta
-      FROM %[3]s
-      WHERE v=$1) n1a),
-    n1b AS
-  (SELECT n1bb.*, n1.ta AS n1_ta, n1.td AS n1_td
-   FROM %[1]s n1bb, n1
-   WHERE n1bb.hub=n1.hub
-     AND n1bb.arrhour=FLOOR($2/%[2]d.0))
-SELECT v2, MAX(td)
-FROM (
-      (SELECT v2, MAX(n3.n1_td) AS td
-       FROM
-          (SELECT n1_td, n1_ta, UNNEST(tds) AS td, UNNEST(vs) AS v2
-           FROM n1b) n3
-       WHERE n3.td>=n1_ta
-       GROUP BY v2
-       ORDER BY MAX(n3.n1_td) DESC, v2)
-   UNION
-      (SELECT n2.v2, MAX(n2.n1_td) AS td
-       FROM
-          (SELECT n1_td, n1_ta, UNNEST(tds_exp) AS td, UNNEST(vs_exp) AS v2, UNNEST(tas_exp) AS ta
-           FROM n1b) n2
-       WHERE n2.td>=n1_ta
-         AND n2.ta<=$2
-       GROUP BY n2.v2
-       ORDER BY MAX(n2.n1_td) DESC, v2)) S53
-GROUP BY v2
-ORDER BY MAX(td) DESC, v2`
 )
 
 func mustParse(t *testing.T, q string) *sql.Select {
@@ -235,20 +21,28 @@ func mustParse(t *testing.T, q string) *sql.Select {
 	return sel
 }
 
+// TestFuseRecognizesCodes: each of the ten texts of codes.go fuses as its own
+// kind, with the statement's tables behind the plan's two table references —
+// the query stop's label first — and the statement's bucket width.
 func TestFuseRecognizesCodes(t *testing.T) {
 	cases := []struct {
-		kind string
-		q    string
+		kind, q       string
+		label, second string
+		width         int64
 	}{
-		{"v2v-ea", fmt.Sprintf(tmplV2VEA, "lout", "lin")},
-		{"v2v-ld", fmt.Sprintf(tmplV2VLD, "lout", "lin")},
-		{"v2v-sd", fmt.Sprintf(tmplV2VSD, "lout", "lin")},
-		{"knn-naive-ea", fmt.Sprintf(tmplKNNNaiveEA, "ea_knn_naive_s", "lout")},
-		{"knn-naive-ld", fmt.Sprintf(tmplKNNNaiveLD, "ld_knn_naive_s", "lout")},
-		{"cond-knn-ea", fmt.Sprintf(tmplKNNEA, "knn_ea_s", 3600, "lout")},
-		{"cond-otm-ea", fmt.Sprintf(tmplOTMEA, "otm_ea_s", 3600, "lout")},
-		{"cond-knn-ld", fmt.Sprintf(tmplKNNLD, "knn_ld_s", 3600, "lout")},
-		{"cond-otm-ld", fmt.Sprintf(tmplOTMLD, "otm_ld_s", 3600, "lout")},
+		{"v2v-ea", fmt.Sprintf(SQLV2VEA, "lout", "lin"), "lout", "lin", 0},
+		{"v2v-ld", fmt.Sprintf(SQLV2VLD, "lout_v2", "lin_v2"), "lout_v2", "lin_v2", 0},
+		{"v2v-sd", fmt.Sprintf(SQLV2VSD, "lout", "lin"), "lout", "lin", 0},
+		{"v2v-ea-witness", fmt.Sprintf(SQLV2VEAWitness, "lout__weekend", "lin__weekend"), "lout__weekend", "lin__weekend", 0},
+		{"knn-naive-ea", fmt.Sprintf(SQLKNNNaiveEA, "ea_knn_naive_s", "lout"), "lout", "ea_knn_naive_s", 0},
+		{"knn-naive-ld", fmt.Sprintf(SQLKNNNaiveLD, "ld_knn_naive_s_v2", "lout_v2"), "lout_v2", "ld_knn_naive_s_v2", 0},
+		{"cond-knn-ea", fmt.Sprintf(SQLKNNEA, "knn_ea_s", 3600, "lout"), "lout", "knn_ea_s", 3600},
+		{"cond-otm-ea", fmt.Sprintf(SQLOTMEA, "otm_ea_s", 900, "lout"), "lout", "otm_ea_s", 900},
+		{"cond-knn-ld", fmt.Sprintf(SQLKNNLD, "knn_ld_s_v2", 900, "lout_v2"), "lout_v2", "knn_ld_s_v2", 900},
+		{"cond-otm-ld", fmt.Sprintf(SQLOTMLD, "otm_ld_s", 1, "LOUT"), "LOUT", "otm_ld_s", 1},
+		// Identifiers compare case-insensitively, as the general executor
+		// resolves them.
+		{"cond-knn-ea", strings.ToUpper(fmt.Sprintf(SQLKNNEA, "knn_ea_s", 50, "lout")), "LOUT", "KNN_EA_S", 50},
 	}
 	for _, tc := range cases {
 		fp := Fuse(mustParse(t, tc.q))
@@ -259,13 +53,20 @@ func TestFuseRecognizesCodes(t *testing.T) {
 		if fp.Kind() != tc.kind {
 			t.Errorf("Kind() = %q, want %q", fp.Kind(), tc.kind)
 		}
+		if fp.tables[0].name != tc.label || fp.tables[1].name != tc.second || fp.width != tc.width {
+			t.Errorf("%s: reads (%q, %q) at width %d, want (%q, %q) at %d", tc.kind,
+				fp.tables[0].name, fp.tables[1].name, fp.width, tc.label, tc.second, tc.width)
+		}
 	}
 }
 
-// TestFuseRejectsNearMisses feeds queries that are one mutation away from
-// the recognized shapes; all of them must fall back to the general executor.
+// TestFuseRejectsNearMisses feeds queries that are one mutation away from a
+// statement of the workload; none may fuse. The second group are other
+// spellings of the same queries: they run on the general executor, which
+// answers them exactly as it answers the canonical text.
 func TestFuseRejectsNearMisses(t *testing.T) {
-	v2vEA := fmt.Sprintf(tmplV2VEA, "lout", "lin")
+	v2vEA := fmt.Sprintf(SQLV2VEA, "lout", "lin")
+	knnEA := fmt.Sprintf(SQLKNNEA, "aux_ea", 50, "lout")
 	cases := []struct {
 		name string
 		q    string
@@ -283,18 +84,70 @@ func TestFuseRejectsNearMisses(t *testing.T) {
 		{"cte shadows base table",
 			// The second label scan reads FROM outp, which the general
 			// executor resolves to the first CTE, not a base table.
-			fmt.Sprintf(tmplV2VEA, "lout", "outp")},
+			fmt.Sprintf(SQLV2VEA, "lout", "outp")},
 		{"knn limit differs from slice bound",
-			strings.Replace(fmt.Sprintf(tmplKNNNaiveEA, "naive", "lout"), "LIMIT $3", "LIMIT $2", 1)},
+			strings.Replace(fmt.Sprintf(SQLKNNNaiveEA, "naive", "lout"), "LIMIT $3", "LIMIT $2", 1)},
 		{"knn missing order by",
-			strings.Replace(fmt.Sprintf(tmplKNNNaiveEA, "naive", "lout"), "ORDER BY MIN(n2.ta), v2\n", "", 1)},
+			strings.Replace(fmt.Sprintf(SQLKNNNaiveEA, "naive", "lout"), "ORDER BY MIN(n2.ta), v2\n", "", 1)},
 		{"condensed union all",
-			strings.Replace(fmt.Sprintf(tmplKNNEA, "aux_ea", 50, "lout"), "UNION", "UNION ALL", 1)},
+			strings.Replace(knnEA, "UNION", "UNION ALL", 1)},
 		{"plain select", "SELECT a FROM nums"},
+		{"zero width", strings.Replace(knnEA, "/50.0", "/0.0", 1)},
+		{"fractional width", strings.Replace(knnEA, "/50.0", "/50.5", 1)},
 	}
 	for _, tc := range cases {
 		if fp := Fuse(mustParse(t, tc.q)); fp != nil {
 			t.Errorf("%s: unexpectedly fused as %q", tc.name, fp.Kind())
+		}
+	}
+
+	rng := rand.New(rand.NewSource(19))
+	cat := memCatalog{
+		"lout":   randLabelTable(rng, 5, 8),
+		"lin":    randLabelTable(rng, 5, 8),
+		"aux_ea": randAuxTable(rng, "dephour", "tas"),
+	}
+	spellings := []struct {
+		name, canonical, q string
+	}{
+		{"renamed alias", v2vEA, strings.ReplaceAll(v2vEA, "outp", "o")},
+		{"renumbered parameters", v2vEA,
+			strings.NewReplacer("$1", "$2", "$2", "$1").Replace(v2vEA)},
+		{"swapped join operands", v2vEA,
+			strings.Replace(v2vEA, "outp.hub=inp.hub", "inp.hub=outp.hub", 1)},
+		{"reordered conjuncts", v2vEA,
+			strings.Replace(v2vEA, "outp.hub=inp.hub AND outp.ta<=inp.td", "outp.ta<=inp.td AND outp.hub=inp.hub", 1)},
+		{"integer width", knnEA, strings.Replace(knnEA, "/50.0", "/50", 1)},
+	}
+	for _, tc := range spellings {
+		if tc.q == tc.canonical {
+			t.Fatalf("%s: the mutation did not apply", tc.name)
+		}
+		sel := mustParse(t, tc.q)
+		if fp := Fuse(sel); fp != nil {
+			t.Errorf("%s: unexpectedly fused as %q", tc.name, fp.Kind())
+		}
+		canonical := mustParse(t, tc.canonical)
+		for rep := 0; rep < 20; rep++ {
+			a, b := sqltypes.NewInt(int64(rng.Intn(7))), sqltypes.NewInt(int64(rng.Intn(7)))
+			params := []sqltypes.Value{a, b, sqltypes.NewInt(int64(rng.Intn(220)))}
+			swapped := params
+			switch tc.name {
+			case "renumbered parameters":
+				swapped = []sqltypes.Value{b, a, params[2]}
+			case "integer width": // $1 = q, $2 = t, $3 = k
+				params = []sqltypes.Value{a, params[2], sqltypes.NewInt(int64(rng.Intn(5)))}
+				swapped = params
+			}
+			want, err := Run(canonical, cat, params)
+			if err != nil {
+				t.Fatalf("%s: canonical: %v", tc.name, err)
+			}
+			got, err := Run(sel, cat, swapped)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			compareRelations(t, got, want, params)
 		}
 	}
 }
@@ -356,13 +209,6 @@ func (c scratchCatalog) Table(name string) (Table, bool) {
 // to match the general executor's schema and rows exactly.
 func diffRun(t *testing.T, cat memCatalog, q string, params []sqltypes.Value) {
 	t.Helper()
-	diffRunOver(t, cat, []Catalog{cat, scratchCatalog{cat}}, q, params)
-}
-
-// diffRunOver is diffRun with the fused plan run over each of views — other
-// ways of serving cat's tables — instead of the default two.
-func diffRunOver(t *testing.T, cat memCatalog, views []Catalog, q string, params []sqltypes.Value) {
-	t.Helper()
 	sel := mustParse(t, q)
 	fp := Fuse(sel)
 	if fp == nil {
@@ -372,7 +218,7 @@ func diffRunOver(t *testing.T, cat memCatalog, views []Catalog, q string, params
 	if err != nil {
 		t.Fatalf("general run (params %v): %v", params, err)
 	}
-	for _, c := range views {
+	for _, c := range []Catalog{cat, scratchCatalog{cat}} {
 		got, err := fp.Run(c, params)
 		if err != nil {
 			t.Fatalf("fused run (params %v): %v", params, err)
@@ -413,11 +259,12 @@ func compareRelations(t *testing.T, got, want *Relation, params []sqltypes.Value
 }
 
 // randLabelTable builds a label table (v, hubs, tds, tas) for stops
-// 1..nStops. Hubs are drawn from a small range so the two sides of the join
-// collide; sorted=false leaves the arrays in random (hub, td) order. Sorted
-// or not, arrivals are random within a hub's run: see runOrdered.
-func randLabelTable(rng *rand.Rand, nStops, maxEntries int, sorted bool) *memTable {
-	tbl := &memTable{cols: []string{"v", "hubs", "tds", "tas"}, pk: []int{0}}
+// 1..nStops that declares its run order and keeps it: hubs, drawn from a small
+// range so the two sides of the join collide, ascend, and departures and
+// arrivals both ascend within a hub's run (each sorted on its own, which keeps
+// every arrival after its departure).
+func randLabelTable(rng *rand.Rand, nStops, maxEntries int) *memTable {
+	tbl := &memTable{cols: labelCols, pk: []int{0}, runOrder: []int{1, 2, 3}}
 	for v := int64(1); v <= int64(nStops); v++ {
 		n := rng.Intn(maxEntries + 1)
 		hubs := make([]int64, n)
@@ -428,25 +275,15 @@ func randLabelTable(rng *rand.Rand, nStops, maxEntries int, sorted bool) *memTab
 			tds[i] = int64(rng.Intn(200))
 			tas[i] = tds[i] + 1 + int64(rng.Intn(80))
 		}
-		if sorted {
-			idx := make([]int, n)
-			for i := range idx {
-				idx[i] = i
+		slices.Sort(hubs)
+		for i := 0; i < n; {
+			j := i
+			for j < n && hubs[j] == hubs[i] {
+				j++
 			}
-			sort.Slice(idx, func(a, b int) bool {
-				ia, ib := idx[a], idx[b]
-				if hubs[ia] != hubs[ib] {
-					return hubs[ia] < hubs[ib]
-				}
-				return tds[ia] < tds[ib]
-			})
-			sh := make([]int64, n)
-			sd := make([]int64, n)
-			sa := make([]int64, n)
-			for i, p := range idx {
-				sh[i], sd[i], sa[i] = hubs[p], tds[p], tas[p]
-			}
-			hubs, tds, tas = sh, sd, sa
+			slices.Sort(tds[i:j])
+			slices.Sort(tas[i:j])
+			i = j
 		}
 		tbl.rows = append(tbl.rows, sqltypes.Row{
 			sqltypes.NewInt(v),
@@ -464,35 +301,17 @@ func TestFusedV2VDifferential(t *testing.T) {
 		q       string
 		nParams int
 	}{
-		{fmt.Sprintf(tmplV2VEA, "lout", "lin"), 3},
-		{fmt.Sprintf(tmplV2VLD, "lout", "lin"), 3},
-		{fmt.Sprintf(tmplV2VSD, "lout", "lin"), 4},
+		{fmt.Sprintf(SQLV2VEA, "lout", "lin"), 3},
+		{fmt.Sprintf(SQLV2VLD, "lout", "lin"), 3},
+		{fmt.Sprintf(SQLV2VSD, "lout", "lin"), 4},
+		{fmt.Sprintf(SQLV2VEAWitness, "lout", "lin"), 3},
 	}
 	for trial := 0; trial < 30; trial++ {
-		// Even trials hold run-ordered labels and run on both joins: through
-		// tables that declare the order and through tables that do not. Odd
-		// trials hold unordered labels, which only an undeclared table may,
-		// so the hash join stays covered on data it alone can answer.
-		ordered := trial%2 == 0
 		cat := memCatalog{
-			"lout": randLabelTable(rng, 5, 8, ordered),
-			"lin":  randLabelTable(rng, 5, 8, ordered),
-		}
-		views := []Catalog{cat, scratchCatalog{cat}}
-		if ordered {
-			runOrdered(cat["lout"])
-			runOrdered(cat["lin"])
-			views = append(views, declaredCatalog{cat})
+			"lout": randLabelTable(rng, 5, 8),
+			"lin":  randLabelTable(rng, 5, 8),
 		}
 		for _, qq := range queries {
-			// The plan names the join each view takes.
-			fp := Fuse(mustParse(t, qq.q))
-			if plan := fp.Explain(cat); !strings.Contains(plan, "HashJoin") {
-				t.Fatalf("undeclared tables: want HashJoin in\n%s", plan)
-			}
-			if plan := fp.Explain(declaredCatalog{cat}); !strings.Contains(plan, "RunJoin") {
-				t.Fatalf("declaring tables: want RunJoin in\n%s", plan)
-			}
 			for rep := 0; rep < 4; rep++ {
 				tv := int64(rng.Intn(220))
 				params := []sqltypes.Value{
@@ -503,7 +322,7 @@ func TestFusedV2VDifferential(t *testing.T) {
 				if qq.nParams == 4 {
 					params = append(params, sqltypes.NewInt(tv+int64(rng.Intn(150))))
 				}
-				diffRunOver(t, cat, views, qq.q, params)
+				diffRun(t, cat, qq.q, params)
 			}
 		}
 	}
@@ -539,11 +358,11 @@ func randNaiveTable(rng *rand.Rand) *memTable {
 
 func TestFusedKNNNaiveDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	qEA := fmt.Sprintf(tmplKNNNaiveEA, "naive", "lout")
-	qLD := fmt.Sprintf(tmplKNNNaiveLD, "naive", "lout")
+	qEA := fmt.Sprintf(SQLKNNNaiveEA, "naive", "lout")
+	qLD := fmt.Sprintf(SQLKNNNaiveLD, "naive", "lout")
 	for trial := 0; trial < 30; trial++ {
 		cat := memCatalog{
-			"lout":  randLabelTable(rng, 5, 8, trial%2 == 0),
+			"lout":  randLabelTable(rng, 5, 8),
 			"naive": randNaiveTable(rng),
 		}
 		for _, q := range []string{qEA, qLD} {
@@ -607,14 +426,14 @@ func TestFusedCondensedDifferential(t *testing.T) {
 		q       string
 		nParams int
 	}{
-		{fmt.Sprintf(tmplKNNEA, "aux_ea", width, "lout"), 3},
-		{fmt.Sprintf(tmplKNNLD, "aux_ld", width, "lout"), 3},
-		{fmt.Sprintf(tmplOTMEA, "aux_ea", width, "lout"), 2},
-		{fmt.Sprintf(tmplOTMLD, "aux_ld", width, "lout"), 2},
+		{fmt.Sprintf(SQLKNNEA, "aux_ea", width, "lout"), 3},
+		{fmt.Sprintf(SQLKNNLD, "aux_ld", width, "lout"), 3},
+		{fmt.Sprintf(SQLOTMEA, "aux_ea", width, "lout"), 2},
+		{fmt.Sprintf(SQLOTMLD, "aux_ld", width, "lout"), 2},
 	}
 	for trial := 0; trial < 25; trial++ {
 		cat := memCatalog{
-			"lout":   randLabelTable(rng, 5, 8, trial%2 == 0),
+			"lout":   randLabelTable(rng, 5, 8),
 			"aux_ea": randAuxTable(rng, "dephour", "tas"),
 			"aux_ld": randAuxTable(rng, "arrhour", "tds"),
 		}
@@ -633,60 +452,81 @@ func TestFusedCondensedDifferential(t *testing.T) {
 	}
 }
 
-// TestFusedRuntimeBailouts checks that every runtime precondition failure
-// surfaces as ErrNotFused so Stmt.Query can fall back, and that the general
-// executor handles the same input.
-func TestFusedRuntimeBailouts(t *testing.T) {
-	q := fmt.Sprintf(tmplV2VEA, "lout", "lin")
-	sel := mustParse(t, q)
-	fp := Fuse(sel)
-	if fp == nil {
-		t.Fatal("v2v-ea did not fuse")
-	}
-
+// TestFusedTypedErrors: a fused plan answers or says what is wrong. Every
+// precondition it cannot check at prepare time fails with an error naming the
+// plan kind (a parameter) or the table (a layout or a row).
+func TestFusedTypedErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
+	zero, one, arr := sqltypes.NewInt(0), sqltypes.NewInt(1), sqltypes.NewIntArray
+	ones := []sqltypes.Value{one, one, one}
+	// Stop 1 reaches hub 0 at 20, in bucket 0 of width 50.
+	lout := &memTable{cols: labelCols, pk: []int{0}, runOrder: []int{1, 2, 3},
+		rows: []sqltypes.Row{{one, arr([]int64{0}), arr([]int64{10}), arr([]int64{20})}}}
 	good := memCatalog{
-		"lout": randLabelTable(rng, 3, 5, true),
-		"lin":  randLabelTable(rng, 3, 5, true),
+		"lout":   lout,
+		"lin":    randLabelTable(rng, 3, 5),
+		"naive":  randNaiveTable(rng),
+		"aux_ea": randAuxTable(rng, "dephour", "tas"),
 	}
-	one := sqltypes.NewInt(1)
+	// with returns good with one table replaced.
+	with := func(name string, tbl *memTable) memCatalog {
+		c := maps.Clone(good)
+		c[name] = tbl
+		return c
+	}
+	undeclared := *good["lin"]
+	undeclared.runOrder = nil
 
+	v2vEA := fmt.Sprintf(SQLV2VEA, "lout", "lin")
+	naiveEA := fmt.Sprintf(SQLKNNNaiveEA, "naive", "lout")
+	knnEA := fmt.Sprintf(SQLKNNEA, "aux_ea", 50, "lout")
 	cases := []struct {
-		name   string
-		cat    Catalog
-		params []sqltypes.Value
+		name, q string
+		cat     memCatalog
+		params  []sqltypes.Value
+		want    []string // fragments of the error
 	}{
-		{"null parameter", good, []sqltypes.Value{{}, one, one}},
-		{"float parameter", good, []sqltypes.Value{one, sqltypes.NewFloat(1.5), one}},
-		{"missing parameter", good, []sqltypes.Value{one, one}},
-		{"table without pk", memCatalog{
-			"lout": &memTable{cols: []string{"v", "hubs", "tds", "tas"}},
-			"lin":  good["lin"],
-		}, []sqltypes.Value{one, one, one}},
-		{"unequal array lengths", memCatalog{
-			"lout": &memTable{cols: []string{"v", "hubs", "tds", "tas"}, pk: []int{0},
-				rows: []sqltypes.Row{{one,
-					sqltypes.NewIntArray([]int64{1, 2}),
-					sqltypes.NewIntArray([]int64{5}),
-					sqltypes.NewIntArray([]int64{6, 7})}}},
-			"lin": good["lin"],
-		}, []sqltypes.Value{one, one, one}},
+		{"null parameter", v2vEA, good, []sqltypes.Value{{}, one, one}, []string{"v2v-ea", "$1", "BIGINT"}},
+		{"float parameter", v2vEA, good, []sqltypes.Value{one, sqltypes.NewFloat(1.5), one}, []string{"v2v-ea", "$2", "BIGINT"}},
+		{"missing parameter", v2vEA, good, ones[:2], []string{"v2v-ea", "$3", "missing"}},
+		{"negative k, naive", naiveEA, good, []sqltypes.Value{one, one, sqltypes.NewInt(-1)}, []string{"knn-naive-ea", "negative LIMIT"}},
+		{"negative k, condensed", knnEA, good, []sqltypes.Value{one, one, sqltypes.NewInt(-2)}, []string{"cond-knn-ea", "negative LIMIT"}},
+		{"missing table", v2vEA, memCatalog{"lout": good["lout"]}, ones, []string{`"lin"`}},
+		{"table without key", v2vEA,
+			with("lout", &memTable{cols: labelCols, runOrder: []int{1, 2, 3}}), ones, []string{`"lout"`, "primary key"}},
+		{"missing column", v2vEA,
+			with("lout", &memTable{cols: []string{"v", "hubs", "tds"}, pk: []int{0}}), ones, []string{`"lout"`, `"tas"`}},
+		{"no run order", v2vEA, with("lin", &undeclared), ones, []string{`"lin"`, "run order", "rebuild"}},
+		{"unequal label arrays", v2vEA,
+			with("lout", &memTable{cols: labelCols, pk: []int{0}, runOrder: []int{1, 2, 3},
+				rows: []sqltypes.Row{{one, arr([]int64{1, 2}), arr([]int64{5}), arr([]int64{6, 7})}}}),
+			ones, []string{`"lout"`, "one length"}},
+		{"unequal naive arrays", naiveEA,
+			with("naive", &memTable{cols: good["naive"].cols, pk: []int{0, 1},
+				rows: []sqltypes.Row{{zero, sqltypes.NewInt(30), arr([]int64{1, 2}), arr([]int64{5})}}}),
+			ones, []string{`"naive"`, "vs, tas"}},
+		{"unequal condensed arrays", knnEA,
+			with("aux_ea", &memTable{cols: good["aux_ea"].cols, pk: []int{0, 1},
+				rows: []sqltypes.Row{{zero, zero, arr(nil), arr(nil), arr([]int64{1}), arr(nil), arr(nil)}}}),
+			ones, []string{`"aux_ea"`, "tds_exp"}},
 	}
 	for _, tc := range cases {
-		if _, err := fp.Run(tc.cat, tc.params); !errors.Is(err, ErrNotFused) {
-			t.Errorf("%s: err = %v, want ErrNotFused", tc.name, err)
+		fp := Fuse(mustParse(t, tc.q))
+		if fp == nil {
+			t.Fatalf("%s: did not fuse", tc.name)
 		}
-	}
-
-	// The general executor must still be able to answer the bailout cases
-	// that are legal SQL (everything except the missing parameter).
-	for _, tc := range cases[:1] {
-		if _, err := Run(sel, tc.cat, tc.params); err != nil {
-			t.Errorf("%s: general executor failed too: %v", tc.name, err)
+		for _, c := range []Catalog{tc.cat, scratchCatalog{tc.cat}} {
+			_, err := fp.Run(c, tc.params)
+			if err == nil {
+				t.Errorf("%s: no error", tc.name)
+				continue
+			}
+			for _, frag := range tc.want {
+				if !strings.Contains(err.Error(), frag) {
+					t.Errorf("%s: error %q lacks %q", tc.name, err, frag)
+				}
+			}
 		}
-	}
-	if _, err := Run(sel, cases[4].cat, cases[4].params); err != nil {
-		t.Errorf("unequal array lengths: general executor failed too: %v", err)
 	}
 }
 

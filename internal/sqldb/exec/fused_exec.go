@@ -3,16 +3,17 @@ package exec
 // fused_exec.go evaluates a FusedPlan directly over the label tables' typed
 // int64 column vectors. Each Run works in a queryState of its own, taken from
 // the plan's pool (fused_state.go), so a plan is safe for concurrent use.
-// Every precondition the recognizer could not prove at prepare time —
-// integer parameters, expected table layout, non-NULL arrays of matching
-// lengths — is checked here, and a violation returns ErrNotFused so the
-// caller falls back to the general executor, which reproduces exact general
-// semantics (including errors and the NULL-padding behavior of unequal
-// UNNEST lengths). The order of a label's arrays is not among them: a table
-// declares it (RunOrdered), BulkLoad validated it where the row was written,
-// and runV2V trusts it.
+// What the recognizer cannot know at prepare time — integer parameters, the
+// expected table layout, arrays of matching lengths — is checked here, and a
+// violation is an error naming the plan kind or the table. The order of a
+// label's arrays is not among them: a table declares it (RunOrdered), BulkLoad
+// validated it where the row was written, and the kernels trust it.
 
-import "ptldb/internal/sqldb/sqltypes"
+import (
+	"fmt"
+
+	"ptldb/internal/sqldb/sqltypes"
+)
 
 // Run evaluates the fused plan against cat with the given parameters.
 func (p *FusedPlan) Run(cat Catalog, params []sqltypes.Value) (*Relation, error) {
@@ -23,23 +24,38 @@ func (p *FusedPlan) Run(cat Catalog, params []sqltypes.Value) (*Relation, error)
 		return p.runV2V(cat, params, st)
 	case p.knn != nil:
 		return p.runKNNNaive(cat, params, st)
-	case p.cond != nil:
-		return p.runCondensed(cat, params, st)
 	default:
-		return nil, ErrNotFused
+		return p.runCondensed(cat, params, st)
 	}
 }
 
-// fusedInt reads the 1-based parameter n as an integer. Anything else —
-// missing, NULL, float, text — bails to the general executor, which owns
-// the exact semantics (and error messages) of those cases.
+// intParam reads the 1-based parameter n, which must be a BIGINT.
 //
 // hotpath — allocheck root: parameter decode for every fused code.
-func fusedInt(params []sqltypes.Value, n int) (int64, error) {
-	if n < 1 || n > len(params) || params[n-1].T != sqltypes.Int64 {
-		return 0, ErrNotFused
+func (p *FusedPlan) intParam(params []sqltypes.Value, n int) (int64, error) {
+	if n > len(params) || params[n-1].T != sqltypes.Int64 {
+		return 0, p.paramErr(params, n)
 	}
 	return params[n-1].I, nil
+}
+
+// paramErr says what is wrong with parameter n.
+//
+// hotpath:cold — a caller bug.
+func (p *FusedPlan) paramErr(params []sqltypes.Value, n int) error {
+	if n > len(params) {
+		return fmt.Errorf("exec: %s: parameter $%d is missing", p.kind, n)
+	}
+	return fmt.Errorf("exec: %s: parameter $%d is %s, want BIGINT", p.kind, n, params[n-1].T)
+}
+
+// limitParam reads the LIMIT parameter n, a non-negative BIGINT.
+func (p *FusedPlan) limitParam(params []sqltypes.Value, n int) (int, error) {
+	k, err := p.intParam(params, n)
+	if err == nil && k < 0 {
+		err = fmt.Errorf("exec: %s: negative LIMIT %d in parameter $%d", p.kind, k, n)
+	}
+	return int(k), err
 }
 
 // firstGE returns the first index in [lo, hi) whose value is at least v, or
@@ -92,21 +108,21 @@ func firstGT(a []int64, lo, hi int, v int64) int {
 
 func (p *FusedPlan) runV2V(cat Catalog, params []sqltypes.Value, st *queryState) (*Relation, error) {
 	f := p.v2v
-	outV, err := fusedInt(params, f.outVParam)
+	outV, err := p.intParam(params, f.outVParam)
 	if err != nil {
 		return nil, err
 	}
-	inV, err := fusedInt(params, f.inVParam)
+	inV, err := p.intParam(params, f.inVParam)
 	if err != nil {
 		return nil, err
 	}
-	t, err := fusedInt(params, f.tParam)
+	t, err := p.intParam(params, f.tParam)
 	if err != nil {
 		return nil, err
 	}
 	var tEnd int64
 	if f.op == 'S' {
-		tEnd, err = fusedInt(params, f.tEndParam)
+		tEnd, err = p.intParam(params, f.tEndParam)
 		if err != nil {
 			return nil, err
 		}
@@ -122,6 +138,7 @@ func (p *FusedPlan) runV2V(cat Catalog, params []sqltypes.Value, st *queryState)
 	}
 
 	best, hasBest := int64(0), false
+	var witness [5]int64 // the statement's row, under hasBest: its in.ta is best
 	// merged counts fold calls — label tuple (pairs) reaching the aggregate.
 	// The fold closure never escapes runV2V, so the captured counter stays on
 	// the stack and the instrumentation costs no allocation.
@@ -133,85 +150,95 @@ func (p *FusedPlan) runV2V(cat Catalog, params []sqltypes.Value, st *queryState)
 		}
 	}
 
-	if out.ordered && in.ordered {
-		// Run-order join (DESIGN.md §7.2): both tables declare, and BulkLoad
-		// validated, that hubs ascend and that tds and tas both ascend within
-		// a hub's run. Gallop to each common hub and search its two runs.
-		no, ni := len(out.hubs), len(in.hubs)
-		for i, j := 0, 0; i < no && j < ni; {
-			h := out.hubs[i]
-			if hj := in.hubs[j]; h < hj {
-				i = firstGE(out.hubs, i, no, hj)
-				continue
-			} else if h > hj {
-				j = firstGE(in.hubs, j, ni, h)
-				continue
-			}
-			ie, je := firstGT(out.hubs, i, no, h), firstGT(in.hubs, j, ni, h)
-			switch f.op {
-			case 'E':
-				// The first departure >= t arrives earliest, so it reaches
-				// most of the in run, whose first tuple arrives earliest.
-				if x := firstGE(out.tds, i, ie, t); x < ie {
-					if y := firstGE(in.tds, j, je, out.tas[x]); y < je {
-						fold(in.tas[y])
-					}
-				}
-			case 'L':
-				// The mirror: the last arrival <= t departs latest; the last
-				// out tuple reaching it is the latest departure.
-				if y := firstGT(in.tas, j, je, t); y > j {
-					if x := firstGT(out.tas, i, ie, in.tds[y-1]); x > i {
-						fold(out.tds[x-1])
-					}
-				}
-			case 'S':
-				// Per departure >= t the first in tuple it reaches; once that
-				// arrives after tEnd, so does every later departure's.
-				y := j
-				for x := firstGE(out.tds, i, ie, t); x < ie; x++ {
-					y = firstGE(in.tds, y, je, out.tas[x])
-					if y == je || in.tas[y] > tEnd {
-						break
-					}
-					fold(in.tas[y] - out.tds[x])
-				}
-			}
-			i, j = ie, je
+	// Run-order join (DESIGN.md §7.2): both tables declare, and BulkLoad
+	// validated, that hubs ascend and that tds and tas both ascend within a
+	// hub's run. Gallop to each common hub and search its two runs.
+	no, ni := len(out.hubs), len(in.hubs)
+	for i, j := 0, 0; i < no && j < ni; {
+		h := out.hubs[i]
+		if hj := in.hubs[j]; h < hj {
+			i = firstGE(out.hubs, i, no, hj)
+			continue
+		} else if h > hj {
+			j = firstGE(in.hubs, j, ni, h)
+			continue
 		}
-	} else {
-		// A side declares no run order (an older image, a foreign table):
-		// int-keyed hash join, every predicate applied, no order assumed.
-		byHub := make(map[int64][]int32, len(in.hubs))
-		for idx := range in.hubs {
-			byHub[in.hubs[idx]] = append(byHub[in.hubs[idx]], int32(idx))
-		}
-		for x := range out.hubs {
-			if f.op != 'L' && out.tds[x] < t {
-				continue
-			}
-			for _, idx := range byHub[out.hubs[x]] {
-				if out.tas[x] > in.tds[idx] {
-					continue
-				}
-				switch f.op {
-				case 'E':
-					fold(in.tas[idx])
-				case 'L':
-					if in.tas[idx] <= t {
-						fold(out.tds[x])
-					}
-				case 'S':
-					if in.tas[idx] <= tEnd {
-						fold(in.tas[idx] - out.tds[x])
-					}
+		ie, je := firstGT(out.hubs, i, no, h), firstGT(in.hubs, j, ni, h)
+		switch f.op {
+		case 'E':
+			// The first departure >= t arrives earliest, so it reaches
+			// most of the in run, whose first tuple arrives earliest.
+			if x := firstGE(out.tds, i, ie, t); x < ie {
+				if y := firstGE(in.tds, j, je, out.tas[x]); y < je {
+					fold(in.tas[y])
 				}
 			}
+		case 'L':
+			// The mirror: the last arrival <= t departs latest; the last
+			// out tuple reaching it is the latest departure.
+			if y := firstGT(in.tas, j, je, t); y > j {
+				if x := firstGT(out.tas, i, ie, in.tds[y-1]); x > i {
+					fold(out.tds[x-1])
+				}
+			}
+		case 'S':
+			// Per departure >= t the first in tuple it reaches; once that
+			// arrives after tEnd, so does every later departure's.
+			y := j
+			for x := firstGE(out.tds, i, ie, t); x < ie; x++ {
+				y = firstGE(in.tds, y, je, out.tas[x])
+				if y == je || in.tas[y] > tEnd {
+					break
+				}
+				fold(in.tas[y] - out.tds[x])
+			}
+		case 'W':
+			// The EA fold, then the statement's ORDER BY among the pairs of
+			// this hub that arrive at arr: in[y0:y1] arrive then, and the last
+			// of them departs latest, so the last out tuple reaching it is the
+			// latest departure dep; of the out tuples departing at dep the
+			// first arrives earliest, and the first in tuple it reaches
+			// departs earliest. Hubs ascend, so a later hub replaces the row
+			// only by arriving earlier or, arriving with it, departing later.
+			x0 := firstGE(out.tds, i, ie, t)
+			if x0 == ie {
+				break
+			}
+			y0 := firstGE(in.tds, j, je, out.tas[x0])
+			if y0 == je {
+				break
+			}
+			merged++
+			arr := in.tas[y0]
+			if hasBest && arr > best {
+				break
+			}
+			y1 := firstGT(in.tas, y0, je, arr)
+			xm := firstGT(out.tas, x0, ie, in.tds[y1-1]) - 1
+			dep := out.tds[xm]
+			if hasBest && arr == best && dep <= witness[1] {
+				break
+			}
+			x := firstGE(out.tds, x0, xm+1, dep)
+			y := firstGE(in.tds, y0, y1, out.tas[x])
+			best, hasBest = arr, true
+			witness = [5]int64{h, dep, out.tas[x], in.tds[y], arr}
 		}
+		i, j = ie, je
 	}
 
 	if em := execMetrics(cat); em != nil {
 		em.TuplesMerged.Add(merged)
+	}
+	if f.op == 'W' {
+		if !hasBest {
+			return &Relation{Schema: p.schema}, nil
+		}
+		row := make(sqltypes.Row, len(witness))
+		for c, v := range witness {
+			row[c] = sqltypes.NewInt(v)
+		}
+		return &Relation{Schema: p.schema, Rows: []sqltypes.Row{row}}, nil
 	}
 	// MIN/MAX with no GROUP BY over empty input yields one NULL row.
 	v := sqltypes.Null
@@ -225,22 +252,18 @@ func (p *FusedPlan) runV2V(cat Catalog, params []sqltypes.Value, st *queryState)
 
 func (p *FusedPlan) runKNNNaive(cat Catalog, params []sqltypes.Value, st *queryState) (*Relation, error) {
 	f := p.knn
-	q, err := fusedInt(params, f.qParam)
+	q, err := p.intParam(params, f.qParam)
 	if err != nil {
 		return nil, err
 	}
-	t, err := fusedInt(params, f.tParam)
+	t, err := p.intParam(params, f.tParam)
 	if err != nil {
 		return nil, err
 	}
-	k64, err := fusedInt(params, f.kParam)
+	k, err := p.limitParam(params, f.kParam)
 	if err != nil {
 		return nil, err
 	}
-	if k64 < 0 {
-		return nil, ErrNotFused // general path owns the negative-LIMIT error
-	}
-	k := int(k64)
 	if k == 0 {
 		return &Relation{Schema: p.schema}, nil
 	}
@@ -275,7 +298,7 @@ func (p *FusedPlan) runKNNNaive(cat Catalog, params []sqltypes.Value, st *queryS
 		if hv.T != sqltypes.Int64 || dv.T != sqltypes.Int64 ||
 			vv.T != sqltypes.IntArray || av.T != sqltypes.IntArray ||
 			len(vv.A) != len(av.A) {
-			return ErrNotFused
+			return p.tables[1].lengthsErr(naiveVs, naiveTas)
 		}
 		gi, ok := st.gidx.find(hv.I, 0)
 		if !ok {
@@ -324,7 +347,7 @@ type condArms struct {
 }
 
 // hotpath — allocheck root: per distinct condensed row.
-func (c *condArms) load(row sqltypes.Row, ix *[maxFusedCols]int, k int, limited bool) error {
+func (c *condArms) load(row sqltypes.Row, ix *[maxFusedCols]int, k int, limited bool) bool {
 	tv, tval := row[ix[auxTopV]], row[ix[auxTopVal]]
 	etd, ev, eta := row[ix[auxExpTd]], row[ix[auxExpV]], row[ix[auxExpTa]]
 	if tv.T != sqltypes.IntArray || tval.T != sqltypes.IntArray ||
@@ -332,7 +355,7 @@ func (c *condArms) load(row sqltypes.Row, ix *[maxFusedCols]int, k int, limited 
 		eta.T != sqltypes.IntArray ||
 		len(tv.A) != len(tval.A) ||
 		len(etd.A) != len(ev.A) || len(etd.A) != len(eta.A) {
-		return ErrNotFused
+		return false
 	}
 	kl := len(tv.A)
 	if limited && k < kl {
@@ -340,7 +363,7 @@ func (c *condArms) load(row sqltypes.Row, ix *[maxFusedCols]int, k int, limited 
 	}
 	c.topV, c.topVal = tv.A[:kl], tval.A[:kl]
 	c.expTd, c.expV, c.expTa = etd.A, ev.A, eta.A
-	return nil
+	return true
 }
 
 // foldEA folds one condensed row for a group of label tuples whose earliest
@@ -388,24 +411,19 @@ func (st *queryState) foldLD(c *condArms, g *hubGroup, t int64) {
 
 func (p *FusedPlan) runCondensed(cat Catalog, params []sqltypes.Value, st *queryState) (*Relation, error) {
 	f := p.cond
-	q, err := fusedInt(params, f.qParam)
+	q, err := p.intParam(params, f.qParam)
 	if err != nil {
 		return nil, err
 	}
-	t, err := fusedInt(params, f.tParam)
+	t, err := p.intParam(params, f.tParam)
 	if err != nil {
 		return nil, err
 	}
-	k, limited := 0, false
-	if f.kParam > 0 {
-		k64, err := fusedInt(params, f.kParam)
-		if err != nil {
+	k, limited := 0, f.kParam > 0
+	if limited {
+		if k, err = p.limitParam(params, f.kParam); err != nil {
 			return nil, err
 		}
-		if k64 < 0 {
-			return nil, ErrNotFused // general path owns the negative-LIMIT error
-		}
-		k, limited = int(k64), true
 		if k == 0 {
 			return &Relation{Schema: p.schema}, nil
 		}
@@ -426,9 +444,9 @@ func (p *FusedPlan) runCondensed(cat Catalog, params []sqltypes.Value, st *query
 	// in. The fold order is free: the accumulator keeps a MIN or MAX per
 	// target and topK is a total order.
 	if f.ea {
-		st.groupEA(lab, t, f.width)
+		st.groupEA(lab, t, p.width)
 	} else {
-		st.groupLD(lab, floorDiv(t, f.width))
+		st.groupLD(lab, floorDiv(t, p.width))
 	}
 	st.orderGroups(aux.keySwapped)
 	var arms condArms
@@ -448,8 +466,8 @@ func (p *FusedPlan) runCondensed(cat Catalog, params []sqltypes.Value, st *query
 		if !found {
 			continue
 		}
-		if err := arms.load(row, &aux.idx, k, limited); err != nil {
-			return nil, err
+		if !arms.load(row, &aux.idx, k, limited) {
+			return nil, p.tables[1].lengthsErr(auxTopV, auxTopVal, auxExpTd, auxExpV, auxExpTa)
 		}
 		if f.ea {
 			st.foldEA(&arms, g)

@@ -1,10 +1,10 @@
 package exec
 
 // fused_kernel_test.go tests the hash-free condensed kernel on the shapes
-// real label data never produces: unsorted labels (every group lookup takes
-// the probe, and the probe order needs a comparison sort), many label tuples
-// per (hub, bucket), negative timestamps through floorDiv, a timestamp so far
-// out that its bucket is not worth counting to, k beyond an arm's length,
+// real label data rarely produces: many label tuples per (hub, bucket),
+// negative timestamps through floorDiv, a timestamp so far out that its bucket
+// is not worth counting to (the probe order needs a comparison sort), k beyond
+// an arm's length,
 // empty labels and query stops that are themselves targets — against
 // condensed tables keyed (hub, bucket) and (bucket, hub), always compared with
 // the general executor and always probing in ascending key order — plus the
@@ -92,12 +92,12 @@ func TestTopKMatchesSortAndTruncate(t *testing.T) {
 // bucket).
 const awkwardWidth = 50
 
-func awkwardCatalog(rng *rand.Rand, sorted, dense, bucketFirst bool) memCatalog {
+func awkwardCatalog(rng *rand.Rand, dense, bucketFirst bool) memCatalog {
 	maxEntries := 8
 	if dense {
 		maxEntries = 60
 	}
-	lout := randLabelTable(rng, 6, maxEntries, sorted)
+	lout := randLabelTable(rng, 6, maxEntries)
 	for _, row := range lout.rows[1:] { // stop 1 keeps the non-negative range
 		shift := int64(rng.Intn(300))
 		for _, col := range row[2:] { // tds and tas move together: the order survives
@@ -107,7 +107,7 @@ func awkwardCatalog(rng *rand.Rand, sorted, dense, bucketFirst bool) memCatalog 
 		}
 	}
 	if dense {
-		far := lout.rows[5] // hub 3 is the largest, so a sorted label stays sorted
+		far := lout.rows[5] // hub 3 is the largest, so the label stays run-ordered
 		far[1].A, far[2].A, far[3].A = append(far[1].A, 3), append(far[2].A, 1e9), append(far[3].A, 1e9+5)
 	}
 	lout.rows[2][1] = sqltypes.NewIntArray(nil) // stop 3: present but empty
@@ -192,13 +192,13 @@ func TestFusedCondensedAwkwardShapes(t *testing.T) {
 		kNN  bool
 		kind string
 	}{
-		{fmt.Sprintf(tmplKNNEA, "aux_ea", width, "lout"), true, "cond-knn-ea"},
-		{fmt.Sprintf(tmplKNNLD, "aux_ld", width, "lout"), true, "cond-knn-ld"},
-		{fmt.Sprintf(tmplOTMEA, "aux_ea", width, "lout"), false, "cond-otm-ea"},
-		{fmt.Sprintf(tmplOTMLD, "aux_ld", width, "lout"), false, "cond-otm-ld"},
+		{fmt.Sprintf(SQLKNNEA, "aux_ea", width, "lout"), true, "cond-knn-ea"},
+		{fmt.Sprintf(SQLKNNLD, "aux_ld", width, "lout"), true, "cond-knn-ld"},
+		{fmt.Sprintf(SQLOTMEA, "aux_ea", width, "lout"), false, "cond-otm-ea"},
+		{fmt.Sprintf(SQLOTMLD, "aux_ld", width, "lout"), false, "cond-otm-ld"},
 	}
 	for trial := 0; trial < 32; trial++ {
-		cat := awkwardCatalog(rng, trial%2 == 0, trial%4 < 2, trial%8 < 4)
+		cat := awkwardCatalog(rng, trial%2 == 0, trial%4 < 2)
 		var probed [][2]int64
 		logged := keyLogCatalog{cat, &probed}
 		for _, qq := range queries {
@@ -244,16 +244,16 @@ func TestFusedCondensedAwkwardShapes(t *testing.T) {
 func TestFusedPlanSharedAcrossGoroutines(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	const width, workers, perWorker = awkwardWidth, 8, 60
-	cat := scratchCatalog{awkwardCatalog(rng, true, true, true)}
+	cat := scratchCatalog{awkwardCatalog(rng, true, true)}
 	cat.inner["naive"] = randNaiveTable(rng)
 	for _, q := range []string{
-		fmt.Sprintf(tmplKNNEA, "aux_ea", width, "lout"),
-		fmt.Sprintf(tmplKNNLD, "aux_ld", width, "lout"),
-		fmt.Sprintf(tmplOTMEA, "aux_ea", width, "lout"),
-		fmt.Sprintf(tmplOTMLD, "aux_ld", width, "lout"),
-		fmt.Sprintf(tmplKNNNaiveEA, "naive", "lout"),
-		fmt.Sprintf(tmplKNNNaiveLD, "naive", "lout"),
-		fmt.Sprintf(tmplV2VEA, "lout", "lout"),
+		fmt.Sprintf(SQLKNNEA, "aux_ea", width, "lout"),
+		fmt.Sprintf(SQLKNNLD, "aux_ld", width, "lout"),
+		fmt.Sprintf(SQLOTMEA, "aux_ea", width, "lout"),
+		fmt.Sprintf(SQLOTMLD, "aux_ld", width, "lout"),
+		fmt.Sprintf(SQLKNNNaiveEA, "naive", "lout"),
+		fmt.Sprintf(SQLKNNNaiveLD, "naive", "lout"),
+		fmt.Sprintf(SQLV2VEA, "lout", "lout"),
 	} {
 		fp := Fuse(mustParse(t, q))
 		if fp == nil {
@@ -264,7 +264,7 @@ func TestFusedPlanSharedAcrossGoroutines(t *testing.T) {
 		for w := range params {
 			for i := 0; i < perWorker; i++ {
 				stop, when := sqltypes.NewInt(int64(rng.Intn(8))), sqltypes.NewInt(int64(rng.Intn(800))-400)
-				p := []sqltypes.Value{stop, when, sqltypes.NewInt(int64(1 + rng.Intn(7)))}[:fp.maxParam]
+				p := []sqltypes.Value{stop, when, sqltypes.NewInt(int64(1 + rng.Intn(7)))} // a one-to-many ignores $3
 				if fp.v2v != nil {
 					p = []sqltypes.Value{stop, sqltypes.NewInt(int64(rng.Intn(8))), when}
 				}

@@ -10,9 +10,9 @@ package exec
 
 import (
 	"cmp"
+	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 	"strings"
 	"sync/atomic"
 
@@ -36,14 +36,17 @@ const (
 
 // tableRef names one base table a fused plan reads, the columns it needs from
 // it, and how many of the leading ones must be exactly the primary key — a
-// two-column key in either order. The resolved column positions are cached
+// two-column key in either order. A label table must also declare its run
+// order (RunOrdered) over exactly its hubs, tds and tas: the kernels search
+// the runs and never re-check them. The resolved column positions are cached
 // per table identity, so a query pays one catalog lookup and one pointer
 // compare instead of a name scan per column.
 type tableRef struct {
-	name string
-	cols []string
-	pk   int // leading cols that must be the table's PK columns; 0 = unchecked
-	lay  atomic.Pointer[tableLayout]
+	name    string
+	cols    []string
+	pk      int  // leading cols that must be the table's PK columns; 0 = unchecked
+	ordered bool // a label table: cols are labelCols, and it must declare their run order
+	lay     atomic.Pointer[tableLayout]
 }
 
 // tableLayout is the resolved position of each tableRef column in one
@@ -57,20 +60,17 @@ type tableLayout struct {
 	// its pages, follow that order; lookup keys are built and probes issued in
 	// it.
 	keySwapped bool
-	// ordered: the table declares a run order (RunOrdered) over exactly this
-	// layout's hubs, tds and tas, so its labels are never re-checked.
-	ordered bool
 }
 
-// resolve returns the table with the positions of r.cols in it, or
-// ErrNotFused when the table is missing, lacks a column or has a different
-// key shape.
+// resolve returns the table with the positions of r.cols in it, or an error
+// naming the table when it is missing, lacks a column, has a different key
+// shape or is a label table that declares no run order.
 //
 // hotpath — allocheck root: runs once per table per fused query.
 func (r *tableRef) resolve(cat Catalog) (*tableLayout, error) {
 	tb, ok := cat.Table(r.name)
 	if !ok {
-		return nil, ErrNotFused
+		return nil, fmt.Errorf("exec: no table %q", r.name)
 	}
 	if l := r.lay.Load(); l != nil && l.tb == tb {
 		return l, nil
@@ -79,7 +79,7 @@ func (r *tableRef) resolve(cat Catalog) (*tableLayout, error) {
 }
 
 // resolveSlow scans the column names once and publishes the layout. A
-// mismatch is not cached: it bails every time, exactly like the scan did.
+// mismatch is not cached: it fails every time.
 //
 // hotpath:cold — first query of a plan against a table.
 func (r *tableRef) resolveSlow(tb Table) (*tableLayout, error) {
@@ -94,39 +94,48 @@ func (r *tableRef) resolveSlow(tb Table) (*tableLayout, error) {
 			}
 		}
 		if l.idx[i] < 0 {
-			return nil, ErrNotFused
+			return nil, fmt.Errorf("exec: table %q has no column %q", r.name, name)
 		}
 	}
 	if r.pk > 0 {
 		pk := tb.PKCols()
 		switch {
-		case len(pk) != r.pk:
-			return nil, ErrNotFused
 		case slices.Equal(pk, l.idx[:r.pk]):
-		case r.pk == 2 && pk[0] == l.idx[1] && pk[1] == l.idx[0]:
+		case r.pk == 2 && len(pk) == 2 && pk[0] == l.idx[1] && pk[1] == l.idx[0]:
 			l.keySwapped = true
 		default:
-			return nil, ErrNotFused
+			return nil, fmt.Errorf("exec: table %q: primary key is not (%s)", r.name, strings.Join(r.cols[:r.pk], ", "))
 		}
 	}
-	if ro, ok := tb.(RunOrdered); ok {
-		l.ordered = slices.Equal(ro.RunOrder(), l.idx[labHubs:labTas+1])
+	if ro, ok := tb.(RunOrdered); r.ordered && (!ok || !slices.Equal(ro.RunOrder(), l.idx[labHubs:labTas+1])) {
+		return nil, fmt.Errorf("exec: label table %q does not declare the run order (%s); rebuild the database",
+			r.name, strings.Join(r.cols[labHubs:], ", "))
 	}
 	r.lay.Store(l)
 	return l, nil
 }
 
-// label is one stop's hub label as three parallel typed columns, and its
-// table's tableLayout.ordered.
+// lengthsErr reports a row whose parallel arrays are not all BIGINT[] of one
+// length — a violated storage invariant (BulkLoad validates a declared run
+// order; the condensed builders emit parallel arrays).
+func (r *tableRef) lengthsErr(cols ...int) error {
+	names := make([]string, len(cols))
+	for i, c := range cols {
+		names[i] = r.cols[c]
+	}
+	return fmt.Errorf("exec: table %q: a row's %s are not BIGINT[] values of one length", r.name, strings.Join(names, ", "))
+}
+
+// label is one stop's hub label as three parallel typed columns, run-ordered:
+// hubs ascend, and tds and tas both ascend within a hub's run.
 type label struct {
 	hubs, tds, tas []int64
-	ordered        bool
 }
 
 // label point-looks-up the label of stop v in the referenced label table,
 // decoding through st's scratch when the table supports it. The returned
 // arrays stay valid until the scratch arena is next truncated. A missing stop
-// yields an empty label; an unexpected table layout yields ErrNotFused.
+// yields an empty label.
 //
 // hotpath — allocheck root: the per-query label fetch shared by every fused
 // code; it must not allocate beyond the scratch it is handed.
@@ -147,9 +156,9 @@ func (r *tableRef) label(cat Catalog, v int64, st *queryState) (label, error) {
 	hv, dv, av := row[ix[labHubs]], row[ix[labTds]], row[ix[labTas]]
 	if hv.T != sqltypes.IntArray || dv.T != sqltypes.IntArray || av.T != sqltypes.IntArray ||
 		len(hv.A) != len(dv.A) || len(hv.A) != len(av.A) {
-		return label{}, ErrNotFused
+		return label{}, r.lengthsErr(labHubs, labTds, labTas)
 	}
-	return label{hubs: hv.A, tds: dv.A, tas: av.A, ordered: lay.ordered}, nil
+	return label{hubs: hv.A, tds: dv.A, tas: av.A}, nil
 }
 
 // --- flat index ----------------------------------------------------------------
@@ -432,8 +441,8 @@ func (p *FusedPlan) release(st *queryState) {
 }
 
 // groupOf returns the group of key (hub, bucket), adding it on first touch.
-// Labels are (hub, td)-sorted, so the previous tuple's group almost always
-// matches and the probe is the fallback — unsorted labels take it every time.
+// Labels are run-ordered, so the previous tuple's group almost always matches
+// and the probe is the fallback.
 //
 // hotpath — allocheck root: per label tuple.
 func (st *queryState) groupOf(hub, bucket int64) (g *hubGroup, added bool) {
@@ -500,12 +509,7 @@ func (st *queryState) groupLD(lab label, bucket int64) {
 	}
 	for gi := range st.groups {
 		g := &st.groups[gi]
-		tas, maxTd := st.tas[g.lo:g.hi], st.maxTd[g.lo:g.hi]
-		// hotpath:cold — a Pareto-optimal label ascends in ta wherever it
-		// ascends in td; only foreign data needs the sort.
-		if !slices.IsSorted(tas) {
-			sort.Sort(&taTdPairs{tas, maxTd})
-		}
+		maxTd := st.maxTd[g.lo:g.hi]
 		for i := 1; i < len(maxTd); i++ {
 			if maxTd[i-1] > maxTd[i] {
 				maxTd[i] = maxTd[i-1]
@@ -523,10 +527,9 @@ const maxCountedBuckets = 1 << 12
 // condensed table's key order — (bucket, hub) when bucketFirst, else (hub,
 // bucket). A segment lays its rows out in key order, so probing in that order
 // sweeps the file front to back: each page is read once and a run of adjacent
-// rows is one sequential read. Groups appear in label order, which for a
-// (hub, td)-sorted label is hub-ascending: already key order for a hub-first
-// table, and one stable counting pass over the buckets away from it for a
-// bucket-first one.
+// rows is one sequential read. Groups appear in label order, which is
+// hub-ascending: already key order for a hub-first table, and one stable
+// counting pass over the buckets away from it for a bucket-first one.
 //
 // hotpath — allocheck root: once per condensed query, over its groups.
 func (st *queryState) orderGroups(bucketFirst bool) {
@@ -556,9 +559,9 @@ func (st *queryState) orderGroups(bucketFirst bool) {
 	}
 	span := uint64(hi) - uint64(lo) // exact even where hi-lo overflows int64
 	if !bucketFirst || !hubAsc || span >= maxCountedBuckets {
-		// hotpath:cold — an unsorted label, a hub-first table probed by a
-		// label whose arrivals do not ascend with its departures, or
-		// timestamps spread over more buckets than are worth counting.
+		// hotpath:cold — timestamps spread over more buckets than are worth
+		// counting (or groups that did not arrive hub-ascending, which a
+		// run-ordered label never produces).
 		slices.SortFunc(order, func(x, y int32) int {
 			switch a, b := &st.groups[x], &st.groups[y]; {
 			case a.keyLess(b, bucketFirst):
@@ -619,16 +622,4 @@ func (st *queryState) bestDeparture(g *hubGroup, x int64) (int64, bool) {
 		return 0, false
 	}
 	return st.maxTd[int(g.lo)+lo-1], true
-}
-
-// taTdPairs sorts parallel (ta, td) slices by ta.
-type taTdPairs struct {
-	tas, tds []int64
-}
-
-func (p *taTdPairs) Len() int           { return len(p.tas) }
-func (p *taTdPairs) Less(i, j int) bool { return p.tas[i] < p.tas[j] }
-func (p *taTdPairs) Swap(i, j int) {
-	p.tas[i], p.tas[j] = p.tas[j], p.tas[i]
-	p.tds[i], p.tds[j] = p.tds[j], p.tds[i]
 }

@@ -1,55 +1,21 @@
 package exec
 
-// runjoin_test.go tests the run-order join of runV2V — the kernel that runs
-// when both label tables declare their run order — against a brute-force
-// double loop over the same labels, and the galloping searches on their own.
-// The test tables declare the order through RunOrdered; nothing validates it
-// for them, so every label here is built run-ordered.
+// runjoin_test.go tests the run-order join of runV2V against a brute-force
+// double loop over the same labels — the three aggregates and the witness row
+// — and the galloping searches on their own. The test tables declare the order
+// through RunOrdered; nothing validates it for them, so every label here is
+// built run-ordered.
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
 	"slices"
-	"strings"
 	"testing"
 
 	"ptldb/internal/sqldb/sqltypes"
 )
-
-// declaredMemTable is a memTable that declares (hubs, tds, tas) run-ordered.
-type declaredMemTable struct{ *memTable }
-
-func (declaredMemTable) RunOrder() []int { return []int{1, 2, 3} }
-
-// declaredCatalog serves every table of inner as a declaring one.
-type declaredCatalog struct{ inner memCatalog }
-
-func (c declaredCatalog) Table(name string) (Table, bool) {
-	t, ok := c.inner[strings.ToLower(name)]
-	if !ok {
-		return nil, false
-	}
-	return declaredMemTable{t}, true
-}
-
-// runOrdered rewrites every label of a (hub, td)-sorted label table so that
-// arrivals ascend within a hub's run too: each run's arrivals are sorted on
-// their own, which keeps every arrival after its departure.
-func runOrdered(tbl *memTable) *memTable {
-	for _, row := range tbl.rows {
-		hubs, tas := row[1].A, row[3].A
-		for i := 0; i < len(hubs); {
-			j := i
-			for j < len(hubs) && hubs[j] == hubs[i] {
-				j++
-			}
-			slices.Sort(tas[i:j])
-			i = j
-		}
-	}
-	return tbl
-}
 
 func TestGallopSearches(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -117,11 +83,33 @@ func bruteV2V(op byte, out, in sqltypes.Row, t, tEnd int64) (best int64, ok bool
 	return best, ok
 }
 
+// bruteWitness is SQLV2VEAWitness as a double loop: every pair passing the EA
+// predicates, the smallest under the statement's ORDER BY. A row is (hub,
+// out.td, out.ta, in.td, in.ta).
+func bruteWitness(out, in sqltypes.Row, t int64) (best [5]int64, ok bool) {
+	for x, hub := range out[1].A {
+		for y, inHub := range in[1].A {
+			row := [5]int64{hub, out[2].A[x], out[3].A[x], in[2].A[y], in[3].A[y]}
+			if hub != inHub || row[2] > row[3] || row[1] < t {
+				continue
+			}
+			// ORDER BY inp.ta, outp.td DESC, outp.hub, outp.ta, inp.td
+			if !ok || cmp.Or(cmp.Compare(row[4], best[4]), cmp.Compare(best[1], row[1]),
+				cmp.Compare(row[0], best[0]), cmp.Compare(row[2], best[2]), cmp.Compare(row[3], best[3])) < 0 {
+				best, ok = row, true
+			}
+		}
+	}
+	return best, ok
+}
+
 // TestRunJoinMatchesBruteForce builds random run-ordered label pairs — hubs at
-// both ends of int64, runs with equal-departure ties and fully duplicate
-// tuples, empty labels, pairs with no or exactly one common hub — and checks
-// all three operators at every interesting time: below, at, between and above
-// every tuple, and math.MaxInt64.
+// both ends of int64, runs with equal-departure ties with different arrivals,
+// equal-arrival ties with different departures and fully duplicate tuples,
+// empty labels, pairs with no or exactly one common hub — and checks all three
+// aggregates and the witness at every interesting time: below, at, between and
+// above every tuple, and both ends of int64. The witness must also equal the
+// general executor's row, column for column.
 func TestRunJoinMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	hubPool := []int64{math.MinInt64, -3, 0, 1, 2, 7, math.MaxInt64}
@@ -135,10 +123,12 @@ func TestRunJoinMatchesBruteForce(t *testing.T) {
 			td, ta := int64(rng.Intn(20)), int64(20+rng.Intn(20))
 			for n := 1 + rng.Intn(5); n > 0; n-- {
 				hubs, tds, tas = append(hubs, hub), append(tds, td), append(tas, ta)
-				switch rng.Intn(4) {
+				switch rng.Intn(5) {
 				case 0: // a fully duplicate tuple
 				case 1: // an equal-departure tie with a later arrival
 					ta += int64(1 + rng.Intn(10))
+				case 2: // an equal-arrival tie with a later departure
+					td += int64(1 + rng.Intn(10))
 				default:
 					td += int64(rng.Intn(15))
 					ta += int64(rng.Intn(15))
@@ -148,7 +138,8 @@ func TestRunJoinMatchesBruteForce(t *testing.T) {
 		return sqltypes.Row{sqltypes.NewInt(v), sqltypes.NewIntArray(hubs), sqltypes.NewIntArray(tds), sqltypes.NewIntArray(tas)}
 	}
 	plans := map[byte]*FusedPlan{}
-	for op, tmpl := range map[byte]string{'E': tmplV2VEA, 'L': tmplV2VLD, 'S': tmplV2VSD} {
+	witnessSel := mustParse(t, fmt.Sprintf(SQLV2VEAWitness, "lout", "lin"))
+	for op, tmpl := range map[byte]string{'E': SQLV2VEA, 'L': SQLV2VLD, 'S': SQLV2VSD, 'W': SQLV2VEAWitness} {
 		if plans[op] = Fuse(mustParse(t, fmt.Sprintf(tmpl, "lout", "lin"))); plans[op] == nil {
 			t.Fatalf("v2v %c did not fuse", op)
 		}
@@ -168,10 +159,10 @@ func TestRunJoinMatchesBruteForce(t *testing.T) {
 			outMask, inMask = outMask|one, inMask&^outMask|one
 		}
 		out, in := side(1, outMask), side(1, inMask)
-		cat := declaredCatalog{memCatalog{
-			"lout": &memTable{cols: labelCols, pk: []int{0}, rows: []sqltypes.Row{out}},
-			"lin":  &memTable{cols: labelCols, pk: []int{0}, rows: []sqltypes.Row{in}},
-		}}
+		cat := memCatalog{
+			"lout": &memTable{cols: labelCols, pk: []int{0}, runOrder: []int{1, 2, 3}, rows: []sqltypes.Row{out}},
+			"lin":  &memTable{cols: labelCols, pk: []int{0}, runOrder: []int{1, 2, 3}, rows: []sqltypes.Row{in}},
+		}
 		times := []int64{math.MinInt64, -1, math.MaxInt64 - 1, math.MaxInt64}
 		for _, col := range [][]int64{out[2].A, out[3].A, in[2].A, in[3].A} {
 			for _, v := range col {
@@ -181,9 +172,6 @@ func TestRunJoinMatchesBruteForce(t *testing.T) {
 		slices.Sort(times)
 		times = slices.Compact(times)
 		for op, fp := range plans {
-			if !strings.Contains(fp.Explain(cat), "RunJoin") {
-				t.Fatalf("declared tables do not take the run-order join:\n%s", fp.Explain(cat))
-			}
 			for _, tv := range times {
 				ends := []int64{0}
 				if op == 'S' {
@@ -197,6 +185,23 @@ func TestRunJoinMatchesBruteForce(t *testing.T) {
 					rel, err := fp.Run(cat, params)
 					if err != nil {
 						t.Fatal(err)
+					}
+					if op == 'W' {
+						want, ok := bruteWitness(out, in, tv)
+						if (len(rel.Rows) == 1) != ok {
+							t.Fatalf("trial %d W(t=%d): %d rows, want a row: %v\nout %v\n in %v", trial, tv, len(rel.Rows), ok, out, in)
+						}
+						for c := 0; ok && c < len(want); c++ {
+							if rel.Rows[0][c].I != want[c] {
+								t.Fatalf("trial %d W(t=%d): got %v, want %v\nout %v\n in %v", trial, tv, rel.Rows[0], want, out, in)
+							}
+						}
+						general, err := Run(witnessSel, cat, params)
+						if err != nil {
+							t.Fatal(err)
+						}
+						compareRelations(t, rel, general, params)
+						continue
 					}
 					want, ok := bruteV2V(op, out, in, tv, tEnd)
 					got := rel.Rows[0][0]

@@ -2,12 +2,14 @@ package sqldb
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 
+	"ptldb/internal/sqldb/exec"
 	"ptldb/internal/sqldb/sqltypes"
 	"ptldb/internal/sqldb/storage"
 )
@@ -184,5 +186,84 @@ func TestRunOrderDeclarationFailsClosed(t *testing.T) {
 	other, _ := db.Table("other")
 	if !slices.Equal(lab.RunOrder(), []int{1, 2, 3}) || other.RunOrder() != nil {
 		t.Fatalf("after reopen: lab declares %v, other %v", lab.RunOrder(), other.RunOrder())
+	}
+}
+
+// TestFusedPlanAnswersOrErrors: a prepared statement of the workload runs on
+// its fused plan or fails with an error that says what is wrong — a parameter
+// that is not a BIGINT, a label table that declares no run order — and the
+// general executor is never asked for a second opinion. The same statement on
+// a reference handle never fuses.
+func TestFusedPlanAnswersOrErrors(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for _, def := range []TableDef{labelDef("lout", "hubs", "tds", "tas"), labelDef("lin", "hubs", "tds", "tas"), labelDef("lin_old")} {
+		tbl, err := db.CreateTable(def)
+		if err != nil {
+			t.Fatal(err)
+		}
+		load(t, tbl, labelRow(1, []int64{7}, []int64{10}, []int64{10})) // the hub's dummy tuple
+	}
+	one := sqltypes.NewInt(1)
+	st, err := db.Prepare(fmt.Sprintf(exec.SQLV2VEA, "lout", "lin"))
+	if err != nil || !st.Fused() {
+		t.Fatalf("v2v-ea: fused %v, %v", st.Fused(), err)
+	}
+	rel, info, err := st.QueryInfo(one, one, sqltypes.NewInt(0))
+	if err != nil || !info.Fused || rel.Rows[0][0].I != 10 {
+		t.Fatalf("EA = %v, %+v, %v; want 10 from the fused plan", rel, info, err)
+	}
+	old, err := db.Prepare(fmt.Sprintf(exec.SQLV2VEA, "lout", "lin_old"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		what   string
+		st     *Stmt
+		params []sqltypes.Value
+		want   []string
+	}{
+		{"a float parameter", st, []sqltypes.Value{one, sqltypes.NewFloat(1.5), one}, []string{"v2v-ea", "$2", "BIGINT"}},
+		{"a NULL parameter", st, []sqltypes.Value{one, one, {}}, []string{"v2v-ea", "$3", "BIGINT"}},
+		{"a missing parameter", st, []sqltypes.Value{one, one}, []string{"v2v-ea", "$3", "missing"}},
+		{"an undeclared label table", old, []sqltypes.Value{one, one, one}, []string{`"lin_old"`, "run order", "rebuild"}},
+	} {
+		_, info, err := tc.st.QueryInfo(tc.params...)
+		if err == nil || !info.Fused {
+			t.Errorf("%s: err = %v, info = %+v; want an error from the fused plan", tc.what, err, info)
+			continue
+		}
+		for _, frag := range tc.want {
+			if !strings.Contains(err.Error(), frag) {
+				t.Errorf("%s: error %q lacks %q", tc.what, err, frag)
+			}
+		}
+	}
+	if fused, general := db.FusedStats(); fused != 5 || general != 0 {
+		t.Errorf("%d fused runs, %d general runs; want 5 and 0", fused, general)
+	}
+
+	ref, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256, ReferenceExec: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	rst, err := ref.Prepare(fmt.Sprintf(exec.SQLV2VEA, "lout", "lin"))
+	if err != nil || rst.Fused() {
+		t.Fatalf("reference handle: fused %v, %v", rst.Fused(), err)
+	}
+	if _, err := rst.Explain(); err == nil {
+		t.Error("reference handle explained a fused plan it does not have")
+	}
+	rel, info, err = rst.QueryInfo(one, one, sqltypes.NewInt(0))
+	if err != nil || info.Fused || rel.Rows[0][0].I != 10 {
+		t.Fatalf("reference EA = %v, %+v, %v; want 10 from the general executor", rel, info, err)
+	}
+	if fused, general := ref.FusedStats(); fused != 0 || general != 1 {
+		t.Errorf("reference handle: %d fused runs, %d general runs; want 0 and 1", fused, general)
 	}
 }

@@ -97,7 +97,7 @@ func TestFacadeObservability(t *testing.T) {
 	if !strings.HasPrefix(plan, "FusedPlan v2v-ea") {
 		t.Errorf("plan = %q", plan)
 	}
-	if names := db.ExplainNames(); len(names) != 3 {
-		t.Errorf("names = %v (no target sets registered, want the three v2v kinds)", names)
+	if names := db.ExplainNames(); len(names) != 4 {
+		t.Errorf("names = %v (no target sets registered, want the four v2v kinds)", names)
 	}
 }

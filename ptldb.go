@@ -116,11 +116,6 @@ type Config struct {
 	Ordering string
 	// Seed feeds the "random" ordering.
 	Seed int64
-	// DisableFusedExec turns off the fused execution path for the label
-	// queries (Codes 1–4), forcing every statement through the general SQL
-	// executor. The ptldb-bench -fused=off ablation and the differential
-	// tests use this; it has no effect on query answers.
-	DisableFusedExec bool
 	// VectorCacheBytes sets the resident vector cache's byte budget: label
 	// segments are decoded once into in-memory column vectors and served to
 	// the fused executor as direct slice views until evicted. 0 selects
@@ -278,8 +273,7 @@ func CreateWithStats(dir string, tt *Network, cfg Config) (*DB, PreprocessStats,
 
 	start = time.Now()
 	sdb, err := sqldb.Open(dir, sqldb.Options{
-		Device: dev, PoolPages: cfg.PoolPages, DisableFusedExec: cfg.DisableFusedExec,
-		VectorCacheBytes: cfg.vcacheBytes(),
+		Device: dev, PoolPages: cfg.PoolPages, VectorCacheBytes: cfg.vcacheBytes(),
 	})
 	if err != nil {
 		return nil, stats, err
@@ -307,14 +301,18 @@ func CreateWithStats(dir string, tt *Network, cfg Config) (*DB, PreprocessStats,
 // Open attaches to a database directory previously built with Create,
 // selecting the (possibly different) simulated device for this session —
 // the paper benchmarks the same data on an HDD and an SSD.
-func Open(dir string, cfg Config) (*DB, error) {
+func Open(dir string, cfg Config) (*DB, error) { return open(dir, cfg, false) }
+
+// open is Open; reference selects the general executor for every statement
+// (sqldb.Options.ReferenceExec) — the handle the tests compare answers with.
+func open(dir string, cfg Config, reference bool) (*DB, error) {
 	dev, err := cfg.device()
 	if err != nil {
 		return nil, err
 	}
 	sdb, err := sqldb.Open(dir, sqldb.Options{
-		Device: dev, PoolPages: cfg.PoolPages, DisableFusedExec: cfg.DisableFusedExec,
-		VectorCacheBytes: cfg.vcacheBytes(),
+		Device: dev, PoolPages: cfg.PoolPages, VectorCacheBytes: cfg.vcacheBytes(),
+		ReferenceExec: reference,
 	})
 	if err != nil {
 		return nil, err
