@@ -11,8 +11,8 @@
 //	ptldb-query -db DIR ldknn SET SRC TIME K
 //	ptldb-query -db DIR eaotm SET SRC TIME
 //	ptldb-query -db DIR ldotm SET SRC TIME
-//	ptldb-query -db DIR sql 'SELECT ...'
-//	ptldb-query -db DIR explain 'SELECT ...'
+//	ptldb-query -db DIR sql 'SELECT ... $1 ...' [BIGINT ...]
+//	ptldb-query -db DIR explain 'SELECT ... $1 ...' [BIGINT ...]
 //	ptldb-query -db DIR plan NAME     (NAME from 'ptldb-query -db DIR plan')
 //	ptldb-query -db DIR sets
 //
@@ -22,7 +22,11 @@
 // Against a multi-tenant server (ptldb-serve -tenants), add -tenant CITY to
 // pick the city; paths gain the /t/{city} prefix.
 //
-// TIME accepts either seconds after midnight or HH:MM:SS.
+// TIME accepts either seconds after midnight or HH:MM:SS. sql and explain take
+// a statement of the dialect of Codes 1–4 (DESIGN.md §3.4) and, after it, the
+// values of its parameters $1, $2, … as integers:
+//
+//	ptldb-query -db DIR sql 'SELECT hubs FROM lout WHERE v=$1' 4
 //
 // -slow DURATION logs every query slower than the threshold to stderr;
 // -obs prints the observability snapshot (JSON) to stderr on exit.
@@ -38,6 +42,7 @@ import (
 	"ptldb"
 	"ptldb/internal/gtfs"
 	"ptldb/internal/serve"
+	"ptldb/internal/sqldb/sqltypes"
 	"ptldb/internal/timetable"
 )
 
@@ -120,8 +125,8 @@ func main() {
 
 	switch args[0] {
 	case "sql":
-		need(args, 2)
-		rel, err := db.Store().Raw(args[1])
+		q, params := sqlArgs(args)
+		rel, err := db.Store().Raw(q, params...)
 		check(err)
 		for _, c := range rel.Columns() {
 			fmt.Printf("%s\t", c)
@@ -135,8 +140,8 @@ func main() {
 		}
 		fmt.Printf("(%d rows)\n", len(rel.Rows))
 	case "explain":
-		need(args, 2)
-		rel, trace, err := db.Store().RawTraced(args[1])
+		q, params := sqlArgs(args)
+		rel, trace, err := db.Store().RawTraced(q, params...)
 		check(err)
 		for _, line := range trace {
 			fmt.Println("  ->", line)
@@ -235,6 +240,23 @@ func need(args []string, n int) {
 	if len(args) != n {
 		fatal(fmt.Errorf("%s takes %d arguments", args[0], n-1))
 	}
+}
+
+// sqlArgs splits the arguments of sql and explain into the statement and the
+// BIGINT values of its parameters $1, $2, ….
+func sqlArgs(args []string) (string, []sqltypes.Value) {
+	if len(args) < 2 {
+		fatal(fmt.Errorf("usage: %s 'SELECT ... $1 ...' [BIGINT ...]", args[0]))
+	}
+	params := make([]sqltypes.Value, len(args)-2)
+	for i, a := range args[2:] {
+		v, err := strconv.ParseInt(a, 10, 64)
+		if err != nil {
+			fatal(fmt.Errorf("usage: %s 'SELECT ... $1 ...' [BIGINT ...]: parameter $%d is %q, not an integer", args[0], i+1, a))
+		}
+		params[i] = sqltypes.NewInt(v)
+	}
+	return args[1], params
 }
 
 func stop(s string) ptldb.StopID {

@@ -214,16 +214,17 @@ func (s *Server) do(ctx context.Context, key string, run func() (any, error)) (a
 	}
 }
 
-// runFlight executes one admitted flight on its own goroutine, publishes the
-// result and returns the admission slot. Running detached from the handler
-// keeps the result available to joiners even when the originating request
-// times out first.
+// runFlight executes one admitted flight on its own goroutine, returns the
+// admission slot and publishes the result — in that order: a client that has
+// its answer must find the slot free, or its next request is a 503 the server
+// had no reason to send. Running detached from the handler keeps the result
+// available to joiners even when the originating request times out first.
 func (s *Server) runFlight(key string, f *flight, run func() (any, error)) {
 	defer s.runs.Done()
 	v, err := run()
-	s.co.finish(key, f, v, err)
 	s.metrics.InFlight.Add(-1)
 	s.admit.release()
+	s.co.finish(key, f, v, err)
 }
 
 // doSystem runs a system endpoint (/plan, /obs, /tenants) through the

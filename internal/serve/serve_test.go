@@ -17,6 +17,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -236,6 +237,22 @@ func TestSaturatedServerAnswers503(t *testing.T) {
 		if code := <-results; code != http.StatusOK {
 			t.Errorf("parked request finished with %d, want 200", code)
 		}
+	}
+}
+
+// TestAnsweredRequestFreesItsSlot: the admission slot is back before the
+// answer is out, so one client issuing requests back to back on distinct keys
+// never meets its own previous request at the cap.
+func TestAnsweredRequestFreesItsSlot(t *testing.T) {
+	srv := New(&fakeStore{}, Options{MaxInFlight: 1})
+	for i := 0; i < 200_000; i++ {
+		_, code, err := srv.do(context.Background(), strconv.Itoa(i), func() (any, error) { return i, nil })
+		if code != http.StatusOK || err != nil {
+			t.Fatalf("request %d: status %d, %v", i, code, err)
+		}
+	}
+	if m := srv.Metrics(); m.Rejected.Load() != 0 || m.InFlight.Load() != 0 {
+		t.Errorf("%d rejected, in-flight gauge %d; want 0 and 0", m.Rejected.Load(), m.InFlight.Load())
 	}
 }
 

@@ -82,7 +82,8 @@ func (r *runner) evalSelect(sel *sql.Select, scope *cteScope) (*Relation, error)
 		return r.evalCore(sel.Core, sel.OrderBy, sel.Limit, scope)
 	}
 
-	// Compound select: evaluate arms and combine.
+	// Compound select: evaluate arms and combine. The parser gives a set
+	// operation no ORDER BY or LIMIT of its own.
 	var out *Relation
 	seen := map[string]bool{}
 	for i, arm := range sel.Arms {
@@ -112,33 +113,6 @@ func (r *runner) evalSelect(sel *sql.Select, scope *cteScope) (*Relation, error)
 			}
 			out.Rows = append(out.Rows, row)
 		}
-	}
-
-	var keys []sqltypes.Row
-	if len(sel.OrderBy) > 0 {
-		exprs := make([]sql.Expr, len(sel.OrderBy))
-		for i, oi := range sel.OrderBy {
-			exprs[i] = oi.Expr
-		}
-		comps, err := r.compileAll(exprs, out.Schema, nil)
-		if err != nil {
-			return nil, err
-		}
-		keys = make([]sqltypes.Row, len(out.Rows))
-		for i, row := range out.Rows {
-			key := make(sqltypes.Row, len(comps))
-			for j, c := range comps {
-				v, err := c(row)
-				if err != nil {
-					return nil, err
-				}
-				key[j] = v
-			}
-			keys[i] = key
-		}
-	}
-	if err := r.orderAndLimit(out, keys, sel.OrderBy, sel.Limit); err != nil {
-		return nil, err
 	}
 	return out, nil
 }
@@ -307,7 +281,7 @@ func (r *runner) evalCore(core *sql.SelectCore, orderBy []sql.OrderItem, limit s
 		return nil, err
 	}
 
-	hasAgg := len(core.GroupBy) > 0 || core.Having != nil
+	hasAgg := len(core.GroupBy) > 0
 	for _, it := range items {
 		if containsAggregate(it.Expr) {
 			hasAgg = true
@@ -444,17 +418,17 @@ func sortRows(rows []sqltypes.Row, keys []sqltypes.Row, orderBy []sql.OrderItem)
 	return nil
 }
 
-// expandStars replaces * and tbl.* items with explicit column references.
+// expandStars replaces tbl.* items with explicit column references.
 func expandStars(items []sql.SelectItem, schema Schema) ([]sql.SelectItem, error) {
 	out := make([]sql.SelectItem, 0, len(items))
 	for _, it := range items {
-		if !it.Star {
+		if it.Table == "" {
 			out = append(out, it)
 			continue
 		}
 		matched := false
 		for _, c := range schema {
-			if it.Table != "" && !strings.EqualFold(c.Qual, it.Table) {
+			if !strings.EqualFold(c.Qual, it.Table) {
 				continue
 			}
 			matched = true
@@ -512,10 +486,7 @@ func (r *runner) evalUnnest(items []sql.SelectItem, input *Relation) (*Relation,
 	scalar := make([]compiledExpr, len(items))
 	for i, it := range items {
 		if fc, ok := it.Expr.(*sql.FuncCall); ok && fc.Name == "UNNEST" {
-			if len(fc.Args) != 1 {
-				return nil, fmt.Errorf("exec: UNNEST takes exactly one argument")
-			}
-			c, err := ce.compile(fc.Args[0])
+			c, err := ce.compile(fc.Arg)
 			if err != nil {
 				return nil, err
 			}
@@ -600,7 +571,6 @@ func (r *runner) evalGrouped(core *sql.SelectCore, items []sql.SelectItem, order
 	for _, oi := range orderBy {
 		collectAggregates(oi.Expr, &aggs)
 	}
-	collectAggregates(core.Having, &aggs)
 
 	// Without GROUP BY there is a single group whose representative row may
 	// not exist (empty input), so bare column references are invalid — the
@@ -616,9 +586,6 @@ func (r *runner) evalGrouped(core *sql.SelectCore, items []sql.SelectItem, order
 				return nil, nil, fmt.Errorf("exec: ORDER BY column outside aggregate requires GROUP BY")
 			}
 		}
-		if hasBareColumnRef(core.Having) {
-			return nil, nil, fmt.Errorf("exec: HAVING column outside aggregate requires GROUP BY")
-		}
 	}
 
 	// Compile the aggregate argument expressions and the GROUP BY keys
@@ -626,13 +593,10 @@ func (r *runner) evalGrouped(core *sql.SelectCore, items []sql.SelectItem, order
 	aggArgs := make([]compiledExpr, len(aggs))
 	ce := &compileEnv{schema: input.Schema, params: r.params}
 	for i, a := range aggs {
-		if a.Star {
+		if a.Arg == nil { // COUNT(*)
 			continue
 		}
-		if len(a.Args) != 1 {
-			return nil, nil, fmt.Errorf("exec: %s takes one argument", a.Name)
-		}
-		c, err := ce.compile(a.Args[0])
+		c, err := ce.compile(a.Arg)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -658,14 +622,6 @@ func (r *runner) evalGrouped(core *sql.SelectCore, items []sql.SelectItem, order
 	if err != nil {
 		return nil, nil, err
 	}
-	var havingComp compiledExpr
-	if core.Having != nil {
-		ce2 := &compileEnv{schema: input.Schema, params: r.params, agg: &aggValues}
-		havingComp, err = ce2.compile(core.Having)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
 
 	type group struct {
 		first  sqltypes.Row
@@ -690,7 +646,7 @@ func (r *runner) evalGrouped(core *sql.SelectCore, items []sql.SelectItem, order
 		}
 		g, ok := groups[string(keyBuf)]
 		if !ok {
-			g = &group{first: row, states: newAggStates(aggs)}
+			g = &group{first: row, states: make([]aggState, len(aggs))}
 			groups[string(keyBuf)] = g
 			groupOrder = append(groupOrder, string(keyBuf))
 		}
@@ -703,7 +659,7 @@ func (r *runner) evalGrouped(core *sql.SelectCore, items []sql.SelectItem, order
 	// A query with aggregates but no GROUP BY produces exactly one row, even
 	// over empty input (Code 1 relies on MIN over an empty join being NULL).
 	if len(core.GroupBy) == 0 && len(groups) == 0 {
-		groups[""] = &group{first: nil, states: newAggStates(aggs)}
+		groups[""] = &group{first: nil, states: make([]aggState, len(aggs))}
 		groupOrder = append(groupOrder, "")
 	}
 
@@ -714,15 +670,6 @@ func (r *runner) evalGrouped(core *sql.SelectCore, items []sql.SelectItem, order
 		aggValues = make(map[*sql.FuncCall]sqltypes.Value, len(aggs))
 		for i, a := range aggs {
 			aggValues[a] = g.states[i].result(a)
-		}
-		if havingComp != nil {
-			v, err := havingComp(g.first)
-			if err != nil {
-				return nil, nil, err
-			}
-			if keep, null := truth(v); !keep || null {
-				continue
-			}
 		}
 		orow := make(sqltypes.Row, len(itemComps))
 		for i, c := range itemComps {
@@ -748,26 +695,16 @@ func (r *runner) evalGrouped(core *sql.SelectCore, items []sql.SelectItem, order
 	return out, sortKeys, nil
 }
 
-// aggState accumulates one aggregate over a group.
+// aggState accumulates one aggregate over a group: the row count for
+// COUNT(*), the extreme BIGINT seen for MIN / MAX.
 type aggState struct {
-	count   int64
-	sum     float64
-	sumInt  int64
-	intOnly bool
-	best    sqltypes.Value
-	seen    bool
-}
-
-func newAggStates(aggs []*sql.FuncCall) []aggState {
-	s := make([]aggState, len(aggs))
-	for i := range s {
-		s[i].intOnly = true
-	}
-	return s
+	count int64
+	best  int64
+	seen  bool
 }
 
 func (st *aggState) observe(a *sql.FuncCall, arg compiledExpr, row sqltypes.Row) error {
-	if a.Star { // COUNT(*)
+	if arg == nil { // COUNT(*)
 		st.count++
 		return nil
 	}
@@ -778,64 +715,22 @@ func (st *aggState) observe(a *sql.FuncCall, arg compiledExpr, row sqltypes.Row)
 	if v.IsNull() {
 		return nil
 	}
-	st.count++
-	switch a.Name {
-	case "MIN", "MAX":
-		if !st.seen {
-			st.best, st.seen = v, true
-			return nil
-		}
-		// Fast path for the integer label timestamps.
-		if v.T == sqltypes.Int64 && st.best.T == sqltypes.Int64 {
-			if (a.Name == "MIN" && v.I < st.best.I) || (a.Name == "MAX" && v.I > st.best.I) {
-				st.best = v
-			}
-			return nil
-		}
-		c, err := sqltypes.Compare(v, st.best)
-		if err != nil {
-			return err
-		}
-		if (a.Name == "MIN" && c < 0) || (a.Name == "MAX" && c > 0) {
-			st.best = v
-		}
-	case "SUM", "AVG":
-		f, err := v.AsFloat()
-		if err != nil {
-			return err
-		}
-		st.sum += f
-		if v.T == sqltypes.Int64 {
-			st.sumInt += v.I
-		} else {
-			st.intOnly = false
-		}
+	if v.T != sqltypes.Int64 {
+		return fmt.Errorf("exec: %s of %s: the dialect aggregates BIGINT only", a.Name, v.T)
+	}
+	if !st.seen || (a.Name == "MIN" && v.I < st.best) || (a.Name == "MAX" && v.I > st.best) {
+		st.best, st.seen = v.I, true
 	}
 	return nil
 }
 
+// result is the aggregate's value; MIN / MAX over no non-NULL input is NULL.
 func (st *aggState) result(a *sql.FuncCall) sqltypes.Value {
-	switch a.Name {
-	case "COUNT":
+	switch {
+	case a.Name == "COUNT":
 		return sqltypes.NewInt(st.count)
-	case "MIN", "MAX":
-		if !st.seen {
-			return sqltypes.Null
-		}
-		return st.best
-	case "SUM":
-		if st.count == 0 {
-			return sqltypes.Null
-		}
-		if st.intOnly {
-			return sqltypes.NewInt(st.sumInt)
-		}
-		return sqltypes.NewFloat(st.sum)
-	case "AVG":
-		if st.count == 0 {
-			return sqltypes.Null
-		}
-		return sqltypes.NewFloat(st.sum / float64(st.count))
+	case st.seen:
+		return sqltypes.NewInt(st.best)
 	default:
 		return sqltypes.Null
 	}

@@ -17,10 +17,8 @@ import (
 // compiledExpr evaluates one expression over a row.
 type compiledExpr func(row sqltypes.Row) (sqltypes.Value, error)
 
-// aggregateFuncs lists the supported aggregate function names.
-var aggregateFuncs = map[string]bool{
-	"MIN": true, "MAX": true, "COUNT": true, "SUM": true, "AVG": true,
-}
+// aggregateFuncs lists the dialect's aggregate function names.
+var aggregateFuncs = map[string]bool{"MIN": true, "MAX": true, "COUNT": true}
 
 // compileEnv carries compilation context.
 type compileEnv struct {
@@ -41,11 +39,6 @@ func (ce *compileEnv) compile(e sql.Expr) (compiledExpr, error) {
 	case *sql.FloatLit:
 		v := sqltypes.NewFloat(x.V)
 		return func(sqltypes.Row) (sqltypes.Value, error) { return v, nil }, nil
-	case *sql.StringLit:
-		v := sqltypes.NewText(x.V)
-		return func(sqltypes.Row) (sqltypes.Value, error) { return v, nil }, nil
-	case *sql.NullLit:
-		return func(sqltypes.Row) (sqltypes.Value, error) { return sqltypes.Null, nil }, nil
 	case *sql.Param:
 		if x.N > len(ce.params) {
 			return nil, fmt.Errorf("exec: parameter $%d not supplied (%d given)", x.N, len(ce.params))
@@ -58,44 +51,6 @@ func (ce *compileEnv) compile(e sql.Expr) (compiledExpr, error) {
 			return nil, err
 		}
 		return func(row sqltypes.Row) (sqltypes.Value, error) { return row[i], nil }, nil
-	case *sql.UnaryOp:
-		sub, err := ce.compile(x.E)
-		if err != nil {
-			return nil, err
-		}
-		switch x.Op {
-		case "-":
-			return func(row sqltypes.Row) (sqltypes.Value, error) {
-				v, err := sub(row)
-				if err != nil {
-					return sqltypes.Null, err
-				}
-				switch v.T {
-				case sqltypes.NullType:
-					return sqltypes.Null, nil
-				case sqltypes.Int64:
-					return sqltypes.NewInt(-v.I), nil
-				case sqltypes.Float64:
-					return sqltypes.NewFloat(-v.F), nil
-				default:
-					return sqltypes.Null, fmt.Errorf("exec: cannot negate %s", v.T)
-				}
-			}, nil
-		case "NOT":
-			return func(row sqltypes.Row) (sqltypes.Value, error) {
-				v, err := sub(row)
-				if err != nil {
-					return sqltypes.Null, err
-				}
-				t, null := truth(v)
-				if null {
-					return sqltypes.Null, nil
-				}
-				return boolVal(!t), nil
-			}, nil
-		default:
-			return nil, fmt.Errorf("exec: unknown unary operator %q", x.Op)
-		}
 	case *sql.BinaryOp:
 		return ce.compileBinary(x)
 	case *sql.FuncCall:
@@ -114,40 +69,6 @@ func (ce *compileEnv) compile(e sql.Expr) (compiledExpr, error) {
 			}, nil
 		}
 		return ce.compileFunc(x)
-	case *sql.ArrayIndex:
-		av, err := ce.compile(x.A)
-		if err != nil {
-			return nil, err
-		}
-		iv, err := ce.compile(x.I)
-		if err != nil {
-			return nil, err
-		}
-		return func(row sqltypes.Row) (sqltypes.Value, error) {
-			a, err := av(row)
-			if err != nil {
-				return sqltypes.Null, err
-			}
-			i, err := iv(row)
-			if err != nil {
-				return sqltypes.Null, err
-			}
-			if a.IsNull() || i.IsNull() {
-				return sqltypes.Null, nil
-			}
-			if a.T != sqltypes.IntArray {
-				return sqltypes.Null, fmt.Errorf("exec: subscript of non-array %s", a.T)
-			}
-			n, err := i.AsInt()
-			if err != nil {
-				return sqltypes.Null, err
-			}
-			// PostgreSQL arrays are 1-based; out of range yields NULL.
-			if n < 1 || int(n) > len(a.A) {
-				return sqltypes.Null, nil
-			}
-			return sqltypes.NewInt(a.A[n-1]), nil
-		}, nil
 	case *sql.ArraySlice:
 		av, err := ce.compile(x.A)
 		if err != nil {
@@ -200,44 +121,6 @@ func (ce *compileEnv) compile(e sql.Expr) (compiledExpr, error) {
 			}
 			return sqltypes.NewIntArray(a.A[l-1 : h]), nil
 		}, nil
-	case *sql.CaseExpr:
-		conds := make([]compiledExpr, len(x.Whens))
-		thens := make([]compiledExpr, len(x.Whens))
-		for i, wh := range x.Whens {
-			c, err := ce.compile(wh.Cond)
-			if err != nil {
-				return nil, err
-			}
-			conds[i] = c
-			th, err := ce.compile(wh.Then)
-			if err != nil {
-				return nil, err
-			}
-			thens[i] = th
-		}
-		var els compiledExpr
-		if x.Else != nil {
-			c, err := ce.compile(x.Else)
-			if err != nil {
-				return nil, err
-			}
-			els = c
-		}
-		return func(row sqltypes.Row) (sqltypes.Value, error) {
-			for i, c := range conds {
-				v, err := c(row)
-				if err != nil {
-					return sqltypes.Null, err
-				}
-				if t, null := truth(v); t && !null {
-					return thens[i](row)
-				}
-			}
-			if els != nil {
-				return els(row)
-			}
-			return sqltypes.Null, nil
-		}, nil
 	default:
 		return nil, fmt.Errorf("exec: unsupported expression %T", e)
 	}
@@ -277,31 +160,7 @@ func (ce *compileEnv) compileBinary(x *sql.BinaryOp) (compiledExpr, error) {
 				return boolVal(true), nil
 			}
 		}, nil
-	case "OR":
-		return func(row sqltypes.Row) (sqltypes.Value, error) {
-			lv, err := l(row)
-			if err != nil {
-				return sqltypes.Null, err
-			}
-			lt, lnull := truth(lv)
-			if !lnull && lt {
-				return boolVal(true), nil
-			}
-			rv, err := r(row)
-			if err != nil {
-				return sqltypes.Null, err
-			}
-			rt, rnull := truth(rv)
-			switch {
-			case !rnull && rt:
-				return boolVal(true), nil
-			case lnull || rnull:
-				return sqltypes.Null, nil
-			default:
-				return boolVal(false), nil
-			}
-		}, nil
-	case "=", "<>", "<", "<=", ">", ">=":
+	case "=", "<", "<=", ">", ">=":
 		op := x.Op
 		return func(row sqltypes.Row) (sqltypes.Value, error) {
 			lv, err := l(row)
@@ -324,22 +183,9 @@ func (ce *compileEnv) compileBinary(x *sql.BinaryOp) (compiledExpr, error) {
 			if err != nil {
 				return sqltypes.Null, err
 			}
-			switch op {
-			case "=":
-				return boolVal(c == 0), nil
-			case "<>":
-				return boolVal(c != 0), nil
-			case "<":
-				return boolVal(c < 0), nil
-			case "<=":
-				return boolVal(c <= 0), nil
-			case ">":
-				return boolVal(c > 0), nil
-			default:
-				return boolVal(c >= 0), nil
-			}
+			return boolVal(intCmp(op, int64(c), 0)), nil
 		}, nil
-	case "+", "-", "*", "/", "%":
+	case "-", "/":
 		op := x.Op
 		return func(row sqltypes.Row) (sqltypes.Value, error) {
 			lv, err := l(row)
@@ -364,8 +210,6 @@ func intCmp(op string, a, b int64) bool {
 	switch op {
 	case "=":
 		return a == b
-	case "<>":
-		return a != b
 	case "<":
 		return a < b
 	case "<=":
@@ -377,28 +221,18 @@ func intCmp(op string, a, b int64) bool {
 	}
 }
 
-// arith applies an arithmetic operator with PostgreSQL-style typing:
-// integer op integer stays integral (truncating division), anything
-// involving a double is computed in doubles.
+// arith applies "-" or "/" with PostgreSQL-style typing: integer op integer
+// stays integral (truncating division), anything involving a double is
+// computed in doubles.
 func arith(op string, l, r sqltypes.Value) (sqltypes.Value, error) {
 	if l.T == sqltypes.Int64 && r.T == sqltypes.Int64 {
-		a, b := l.I, r.I
-		switch op {
-		case "+":
-			return sqltypes.NewInt(a + b), nil
-		case "-":
-			return sqltypes.NewInt(a - b), nil
-		case "*":
-			return sqltypes.NewInt(a * b), nil
-		default:
-			if b == 0 {
-				return sqltypes.Null, fmt.Errorf("exec: division by zero")
-			}
-			if op == "/" {
-				return sqltypes.NewInt(a / b), nil
-			}
-			return sqltypes.NewInt(a % b), nil
+		if op == "-" {
+			return sqltypes.NewInt(l.I - r.I), nil
 		}
+		if r.I == 0 {
+			return sqltypes.Null, fmt.Errorf("exec: division by zero")
+		}
+		return sqltypes.NewInt(l.I / r.I), nil
 	}
 	a, err := l.AsFloat()
 	if err != nil {
@@ -408,153 +242,39 @@ func arith(op string, l, r sqltypes.Value) (sqltypes.Value, error) {
 	if err != nil {
 		return sqltypes.Null, fmt.Errorf("exec: %s on %s", op, r.T)
 	}
-	switch op {
-	case "+":
-		return sqltypes.NewFloat(a + b), nil
-	case "-":
+	if op == "-" {
 		return sqltypes.NewFloat(a - b), nil
-	case "*":
-		return sqltypes.NewFloat(a * b), nil
-	case "/":
-		if b == 0 {
-			return sqltypes.Null, fmt.Errorf("exec: division by zero")
-		}
-		return sqltypes.NewFloat(a / b), nil
-	default:
-		return sqltypes.NewFloat(math.Mod(a, b)), nil
 	}
+	if b == 0 {
+		return sqltypes.Null, fmt.Errorf("exec: division by zero")
+	}
+	return sqltypes.NewFloat(a / b), nil
 }
 
-// compileFunc compiles a scalar function call.
+// compileFunc compiles a scalar function call: FLOOR, the dialect's one.
 func (ce *compileEnv) compileFunc(x *sql.FuncCall) (compiledExpr, error) {
-	args := make([]compiledExpr, len(x.Args))
-	for i, a := range x.Args {
-		c, err := ce.compile(a)
+	if x.Name != "FLOOR" {
+		// UNNEST is set-returning; evalUnnest expands it where it may stand.
+		return nil, fmt.Errorf("exec: %s is only allowed as a top-level select item", x.Name)
+	}
+	arg, err := ce.compile(x.Arg)
+	if err != nil {
+		return nil, err
+	}
+	return func(row sqltypes.Row) (sqltypes.Value, error) {
+		v, err := arg(row)
 		if err != nil {
-			return nil, err
+			return sqltypes.Null, err
 		}
-		args[i] = c
-	}
-	evalArgs := func(row sqltypes.Row, out []sqltypes.Value) error {
-		for i, a := range args {
-			v, err := a(row)
-			if err != nil {
-				return err
-			}
-			out[i] = v
+		switch v.T {
+		case sqltypes.NullType, sqltypes.Int64:
+			return v, nil
+		case sqltypes.Float64:
+			return sqltypes.NewFloat(math.Floor(v.F)), nil
+		default:
+			return sqltypes.Null, fmt.Errorf("exec: FLOOR of %s", v.T)
 		}
-		return nil
-	}
-	name := x.Name
-	switch name {
-	case "FLOOR", "CEIL", "CEILING":
-		if len(args) != 1 {
-			return nil, fmt.Errorf("exec: %s takes one argument", name)
-		}
-		ceil := name != "FLOOR"
-		arg := args[0]
-		return func(row sqltypes.Row) (sqltypes.Value, error) {
-			v, err := arg(row)
-			if err != nil {
-				return sqltypes.Null, err
-			}
-			switch v.T {
-			case sqltypes.NullType:
-				return sqltypes.Null, nil
-			case sqltypes.Int64:
-				return v, nil
-			case sqltypes.Float64:
-				if ceil {
-					return sqltypes.NewFloat(math.Ceil(v.F)), nil
-				}
-				return sqltypes.NewFloat(math.Floor(v.F)), nil
-			default:
-				return sqltypes.Null, fmt.Errorf("exec: %s of %s", name, v.T)
-			}
-		}, nil
-	case "ABS":
-		if len(args) != 1 {
-			return nil, fmt.Errorf("exec: ABS takes one argument")
-		}
-		arg := args[0]
-		return func(row sqltypes.Row) (sqltypes.Value, error) {
-			v, err := arg(row)
-			if err != nil {
-				return sqltypes.Null, err
-			}
-			switch v.T {
-			case sqltypes.NullType:
-				return sqltypes.Null, nil
-			case sqltypes.Int64:
-				if v.I < 0 {
-					return sqltypes.NewInt(-v.I), nil
-				}
-				return v, nil
-			case sqltypes.Float64:
-				return sqltypes.NewFloat(math.Abs(v.F)), nil
-			default:
-				return sqltypes.Null, fmt.Errorf("exec: ABS of %s", v.T)
-			}
-		}, nil
-	case "COALESCE":
-		return func(row sqltypes.Row) (sqltypes.Value, error) {
-			for _, a := range args {
-				v, err := a(row)
-				if err != nil {
-					return sqltypes.Null, err
-				}
-				if !v.IsNull() {
-					return v, nil
-				}
-			}
-			return sqltypes.Null, nil
-		}, nil
-	case "LEAST", "GREATEST":
-		greatest := name == "GREATEST"
-		return func(row sqltypes.Row) (sqltypes.Value, error) {
-			vals := make([]sqltypes.Value, len(args))
-			if err := evalArgs(row, vals); err != nil {
-				return sqltypes.Null, err
-			}
-			best := sqltypes.Null
-			for _, v := range vals {
-				if v.IsNull() {
-					continue
-				}
-				if best.IsNull() {
-					best = v
-					continue
-				}
-				c, err := sqltypes.Compare(v, best)
-				if err != nil {
-					return sqltypes.Null, err
-				}
-				if (greatest && c > 0) || (!greatest && c < 0) {
-					best = v
-				}
-			}
-			return best, nil
-		}, nil
-	case "CARDINALITY", "ARRAY_LENGTH":
-		if len(args) == 0 {
-			return nil, fmt.Errorf("exec: %s takes an argument", name)
-		}
-		arg := args[0]
-		return func(row sqltypes.Row) (sqltypes.Value, error) {
-			v, err := arg(row)
-			if err != nil || v.IsNull() {
-				return sqltypes.Null, err
-			}
-			if v.T != sqltypes.IntArray {
-				return sqltypes.Null, fmt.Errorf("exec: %s of %s", name, v.T)
-			}
-			return sqltypes.NewInt(int64(len(v.A))), nil
-		}, nil
-	case "UNNEST":
-		return nil, fmt.Errorf("exec: UNNEST is only allowed as a top-level select item")
-	default:
-		return nil, fmt.Errorf("exec: unknown function %s", name)
-	}
+	}, nil
 }
 
 // --- AST inspection helpers -------------------------------------------------
@@ -594,35 +314,14 @@ func containsUnnest(e sql.Expr) bool {
 // any aggregate call.
 func hasBareColumnRef(e sql.Expr) bool {
 	switch x := e.(type) {
-	case nil:
-		return false
 	case *sql.ColumnRef:
 		return true
 	case *sql.BinaryOp:
 		return hasBareColumnRef(x.L) || hasBareColumnRef(x.R)
-	case *sql.UnaryOp:
-		return hasBareColumnRef(x.E)
 	case *sql.FuncCall:
-		if aggregateFuncs[x.Name] {
-			return false
-		}
-		for _, a := range x.Args {
-			if hasBareColumnRef(a) {
-				return true
-			}
-		}
-		return false
-	case *sql.ArrayIndex:
-		return hasBareColumnRef(x.A) || hasBareColumnRef(x.I)
+		return !aggregateFuncs[x.Name] && hasBareColumnRef(x.Arg)
 	case *sql.ArraySlice:
 		return hasBareColumnRef(x.A) || hasBareColumnRef(x.Lo) || hasBareColumnRef(x.Hi)
-	case *sql.CaseExpr:
-		for _, wh := range x.Whens {
-			if hasBareColumnRef(wh.Cond) || hasBareColumnRef(wh.Then) {
-				return true
-			}
-		}
-		return hasBareColumnRef(x.Else)
 	default:
 		return false
 	}
@@ -638,25 +337,12 @@ func walkExpr(e sql.Expr, fn func(sql.Expr)) {
 	case *sql.BinaryOp:
 		walkExpr(x.L, fn)
 		walkExpr(x.R, fn)
-	case *sql.UnaryOp:
-		walkExpr(x.E, fn)
 	case *sql.FuncCall:
-		for _, a := range x.Args {
-			walkExpr(a, fn)
-		}
-	case *sql.ArrayIndex:
-		walkExpr(x.A, fn)
-		walkExpr(x.I, fn)
+		walkExpr(x.Arg, fn)
 	case *sql.ArraySlice:
 		walkExpr(x.A, fn)
 		walkExpr(x.Lo, fn)
 		walkExpr(x.Hi, fn)
-	case *sql.CaseExpr:
-		for _, wh := range x.Whens {
-			walkExpr(wh.Cond, fn)
-			walkExpr(wh.Then, fn)
-		}
-		walkExpr(x.Else, fn)
 	}
 }
 

@@ -17,15 +17,13 @@ import (
 //     over the already-joined relations becomes an index nested-loop join
 //     (Code 3's join of the n1 CTE with knn_ea);
 //   - everything else is materialized (CTE reference, derived subquery or
-//     full table scan) and combined with hash joins on whatever equality
-//     predicates apply, falling back to a cross product.
+//     full table scan) and combined with a hash join on one integer equality
+//     predicate — every join of Codes 1–4 matches on the hub column. A join
+//     with no such predicate (a cross product, a TEXT key) is an error.
 //
 // All WHERE conjuncts are re-checked by the caller's filter, so access-path
 // choices never change results.
 func (r *runner) buildFrom(core *sql.SelectCore, scope *cteScope) (rel *Relation, filtered bool, err error) {
-	if len(core.From) == 0 {
-		return &Relation{Rows: []sqltypes.Row{{}}}, false, nil
-	}
 	conj := splitConjuncts(core.Where)
 
 	srcs := make([]*source, 0, len(core.From))
@@ -267,8 +265,9 @@ func exprRefsOnly(e sql.Expr, schema Schema) bool {
 	return ok
 }
 
-// evalKey evaluates compiled PK binding expressions to integer key values
-// into dst. null reports that some component was NULL (no row can match).
+// evalKey evaluates compiled key expressions — PK bindings, or the two sides
+// of a hash join — to integer key values into dst. null reports that some
+// component was NULL (no row can match).
 func evalKey(comps []compiledExpr, row sqltypes.Row, dst []int64) (null bool, err error) {
 	for i, c := range comps {
 		v, err := c(row)
@@ -280,7 +279,7 @@ func evalKey(comps []compiledExpr, row sqltypes.Row, dst []int64) (null bool, er
 		}
 		k, err := v.AsInt()
 		if err != nil {
-			return false, fmt.Errorf("exec: non-integer primary-key value: %w", err)
+			return false, fmt.Errorf("exec: non-integer key value (keys and joins match BIGINT columns): %w", err)
 		}
 		dst[i] = k
 	}
@@ -384,167 +383,83 @@ func (r *runner) compilePred(pred sql.Expr, schema Schema) (func(sqltypes.Row) (
 	}, nil
 }
 
-// hashJoin joins two materialized relations on the equality conjuncts whose
-// sides split across them, degenerating to a cross product when none apply.
-// A non-nil pred (the residual WHERE) filters joined rows before they are
-// materialized — the paper's Code 1 joins two unnested labels and keeps
-// only a small fraction of the pairs. Single integer join keys (the common
-// case: every PTLDB join matches on the hub column) skip the generic
-// encoded-key path.
+// hashJoin joins two materialized relations on the first equality conjunct
+// whose sides split across them, hashed as the integer key a lookup would
+// probe with (evalKey: NULLs never match, a TEXT or array key is an error).
+// It is a candidate generator: that conjunct and every other are left to the
+// WHERE clause, which the caller re-checks in full. A non-nil pred (the residual WHERE)
+// filters joined rows before they are materialized — the paper's Code 1 joins
+// two unnested labels and keeps only a small fraction of the pairs.
 func (r *runner) hashJoin(a, b *Relation, conj []sql.Expr, pred sql.Expr) (*Relation, error) {
-	var aExprs, bExprs []sql.Expr
+	var aExpr, bExpr sql.Expr
 	for _, c := range conj {
 		bo, ok := c.(*sql.BinaryOp)
-		if !ok || bo.Op != "=" {
+		if !ok || bo.Op != "=" || isConstant(bo.L) || isConstant(bo.R) {
 			continue
 		}
-		switch {
-		case exprRefsOnly(bo.L, a.Schema) && exprRefsOnly(bo.R, b.Schema) && !isConstant(bo.L) && !isConstant(bo.R):
-			aExprs = append(aExprs, bo.L)
-			bExprs = append(bExprs, bo.R)
-		case exprRefsOnly(bo.R, a.Schema) && exprRefsOnly(bo.L, b.Schema) && !isConstant(bo.L) && !isConstant(bo.R):
-			aExprs = append(aExprs, bo.R)
-			bExprs = append(bExprs, bo.L)
+		if exprRefsOnly(bo.L, a.Schema) && exprRefsOnly(bo.R, b.Schema) {
+			aExpr, bExpr = bo.L, bo.R
+			break
 		}
+		if exprRefsOnly(bo.R, a.Schema) && exprRefsOnly(bo.L, b.Schema) {
+			aExpr, bExpr = bo.R, bo.L
+			break
+		}
+	}
+	if aExpr == nil {
+		return nil, fmt.Errorf("exec: not in the dialect (DESIGN.md §3.4): a join without an equality between its two sides (cross product)")
 	}
 	out := &Relation{Schema: append(append(Schema{}, a.Schema...), b.Schema...)}
 	keep, err := r.compilePred(pred, out.Schema)
 	if err != nil {
 		return nil, err
 	}
+	aKey, err := r.compileAll([]sql.Expr{aExpr}, a.Schema, nil)
+	if err != nil {
+		return nil, err
+	}
+	bKey, err := r.compileAll([]sql.Expr{bExpr}, b.Schema, nil)
+	if err != nil {
+		return nil, err
+	}
+
+	index := make(map[int64][]sqltypes.Row, len(b.Rows))
+	var k [1]int64
+	for _, br := range b.Rows {
+		null, err := evalKey(bKey, br, k[:])
+		if err != nil {
+			return nil, err
+		}
+		if !null {
+			index[k[0]] = append(index[k[0]], br)
+		}
+	}
 	var arena rowArena
 	scratch := make(sqltypes.Row, len(out.Schema))
-	emit := func(ar, br sqltypes.Row) error {
-		if keep != nil {
-			copy(scratch, ar)
-			copy(scratch[len(ar):], br)
-			ok, err := keep(scratch)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
+	for _, ar := range a.Rows {
+		null, err := evalKey(aKey, ar, k[:])
+		if err != nil {
+			return nil, err
 		}
-		out.Rows = append(out.Rows, arena.concat(ar, br))
-		return nil
-	}
-
-	if len(aExprs) == 0 {
-		for _, ar := range a.Rows {
-			for _, br := range b.Rows {
-				if err := emit(ar, br); err != nil {
+		if null {
+			continue
+		}
+		for _, br := range index[k[0]] {
+			if keep != nil {
+				copy(scratch, ar)
+				copy(scratch[len(ar):], br)
+				ok, err := keep(scratch)
+				if err != nil {
 					return nil, err
 				}
+				if !ok {
+					continue
+				}
 			}
-		}
-		return out, nil
-	}
-
-	aComps, err := r.compileAll(aExprs, a.Schema, nil)
-	if err != nil {
-		return nil, err
-	}
-	bComps, err := r.compileAll(bExprs, b.Schema, nil)
-	if err != nil {
-		return nil, err
-	}
-
-	if len(aComps) == 1 {
-		// Fast path: a single key hashed as int64 when every value on both
-		// sides is a BIGINT (NULLs never match). A non-integer key value
-		// falls back to the generic encoded-key join.
-		done, err := r.intHashJoin(a, b, aComps[0], bComps[0], emit)
-		if err != nil {
-			return nil, err
-		}
-		if done {
-			return out, nil
-		}
-		out.Rows = out.Rows[:0]
-	}
-
-	index := make(map[string][]sqltypes.Row, len(b.Rows))
-	key := make(sqltypes.Row, len(bComps))
-	var keyBuf []byte
-	encodeKey := func(comps []compiledExpr, row sqltypes.Row) (string, bool, error) {
-		for i, c := range comps {
-			v, err := c(row)
-			if err != nil {
-				return "", false, err
-			}
-			if v.IsNull() {
-				return "", true, nil // SQL equality never matches NULL
-			}
-			key[i] = v
-		}
-		keyBuf = sqltypes.EncodeRow(keyBuf[:0], key)
-		return string(keyBuf), false, nil
-	}
-	for _, br := range b.Rows {
-		k, null, err := encodeKey(bComps, br)
-		if err != nil {
-			return nil, err
-		}
-		if null {
-			continue
-		}
-		index[k] = append(index[k], br)
-	}
-	for _, ar := range a.Rows {
-		k, null, err := encodeKey(aComps, ar)
-		if err != nil {
-			return nil, err
-		}
-		if null {
-			continue
-		}
-		for _, br := range index[k] {
-			if err := emit(ar, br); err != nil {
-				return nil, err
-			}
+			out.Rows = append(out.Rows, arena.concat(ar, br))
 		}
 	}
 	return out, nil
-}
-
-// intHashJoin is the integer-keyed single-column hash join. It reports
-// done=false (without error) when a key value is not a BIGINT, in which case
-// the caller must fall back to the generic join; rows emitted before the
-// fallback must be discarded by the caller.
-func (r *runner) intHashJoin(a, b *Relation, aKey, bKey compiledExpr, emit func(ar, br sqltypes.Row) error) (bool, error) {
-	index := make(map[int64][]sqltypes.Row, len(b.Rows))
-	for _, br := range b.Rows {
-		v, err := bKey(br)
-		if err != nil {
-			return false, err
-		}
-		if v.IsNull() {
-			continue
-		}
-		if v.T != sqltypes.Int64 {
-			return false, nil
-		}
-		index[v.I] = append(index[v.I], br)
-	}
-	for _, ar := range a.Rows {
-		v, err := aKey(ar)
-		if err != nil {
-			return false, err
-		}
-		if v.IsNull() {
-			continue
-		}
-		if v.T != sqltypes.Int64 {
-			return false, nil
-		}
-		for _, br := range index[v.I] {
-			if err := emit(ar, br); err != nil {
-				return false, err
-			}
-		}
-	}
-	return true, nil
 }
 
 // isConstant reports whether e contains no column references.

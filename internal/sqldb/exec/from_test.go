@@ -2,85 +2,70 @@ package exec
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
+	"ptldb/internal/sqldb/sql"
 	"ptldb/internal/sqldb/sqltypes"
 )
 
-// colKey returns a compiledExpr projecting column i.
-func colKey(i int) compiledExpr {
-	return func(row sqltypes.Row) (sqltypes.Value, error) { return row[i], nil }
-}
-
-func oneColRel(name string, vals ...sqltypes.Value) *Relation {
-	rel := &Relation{Schema: Schema{{Name: name}}}
+// oneColTable is a keyless one-column table, so that a join with it is the
+// hash join.
+func oneColTable(name string, vals ...sqltypes.Value) *memTable {
+	tb := &memTable{cols: []string{name}}
 	for _, v := range vals {
-		rel.Rows = append(rel.Rows, sqltypes.Row{v})
+		tb.rows = append(tb.rows, sqltypes.Row{v})
 	}
-	return rel
+	return tb
 }
 
 func TestIntHashJoinBasic(t *testing.T) {
-	r := &runner{}
-	a := oneColRel("x",
-		sqltypes.NewInt(1), sqltypes.NewInt(2), sqltypes.Value{}, sqltypes.NewInt(2))
-	b := oneColRel("y",
-		sqltypes.NewInt(2), sqltypes.NewInt(2), sqltypes.NewInt(3), sqltypes.Value{})
-
-	var pairs [][2]int64
-	done, err := r.intHashJoin(a, b, colKey(0), colKey(0), func(ar, br sqltypes.Row) error {
-		pairs = append(pairs, [2]int64{ar[0].I, br[0].I})
-		return nil
-	})
-	if err != nil || !done {
-		t.Fatalf("intHashJoin: done=%v err=%v, want done on all-int keys", done, err)
+	cat := memCatalog{
+		"a": oneColTable("x", sqltypes.NewInt(1), sqltypes.NewInt(2), sqltypes.Value{}, sqltypes.NewInt(2)),
+		"b": oneColTable("y", sqltypes.NewInt(2), sqltypes.NewInt(2), sqltypes.NewInt(3), sqltypes.Value{}),
 	}
+	rel := run(t, cat, "SELECT a.x, b.y FROM a, b WHERE a.x = b.y")
 	// Both NULL keys are skipped; each a-row with key 2 matches both b-rows
 	// with key 2, in b insertion order.
+	var pairs [][2]int64
+	for _, r := range rel.Rows {
+		pairs = append(pairs, [2]int64{r[0].I, r[1].I})
+	}
 	want := [][2]int64{{2, 2}, {2, 2}, {2, 2}, {2, 2}}
 	if fmt.Sprint(pairs) != fmt.Sprint(want) {
 		t.Fatalf("pairs = %v, want %v", pairs, want)
 	}
+	// The join hashes the first equality between the two sides; a second one
+	// is left to the WHERE clause and still holds on every row.
+	rel = run(t, cat, "SELECT a.x, b.y FROM a, b WHERE a.x = b.y AND a.x - 1 = b.y - 1 AND b.y - 2 = a.x - a.x")
+	if len(rel.Rows) != 4 {
+		t.Fatalf("two-equality join = %v, want the four (2, 2) pairs", rel.Rows)
+	}
 }
 
+// TestIntHashJoinMixedTypeBailout: the join matches BIGINT keys. A key of
+// another type on either side fails the statement with an error naming the
+// type; there is no second join to bail out to.
 func TestIntHashJoinMixedTypeBailout(t *testing.T) {
-	r := &runner{}
-	ints := oneColRel("x", sqltypes.NewInt(1), sqltypes.NewInt(2))
-
-	// Non-integer key on the build (b) side: bail before emitting anything.
-	bMixed := oneColRel("y", sqltypes.NewInt(1), sqltypes.NewText("oops"))
-	emitted := 0
-	done, err := r.intHashJoin(ints, bMixed, colKey(0), colKey(0), func(ar, br sqltypes.Row) error {
-		emitted++
-		return nil
-	})
-	if err != nil || done {
-		t.Fatalf("build-side bailout: done=%v err=%v, want done=false", done, err)
-	}
-	if emitted != 0 {
-		t.Fatalf("build-side bailout emitted %d rows, want 0", emitted)
-	}
-
-	// Non-integer key on the probe (a) side: the fast path may already have
-	// emitted earlier matches before bailing, so the caller must reset.
-	aMixed := oneColRel("x", sqltypes.NewInt(1), sqltypes.NewText("oops"), sqltypes.NewInt(2))
-	emitted = 0
-	done, err = r.intHashJoin(aMixed, ints, colKey(0), colKey(0), func(ar, br sqltypes.Row) error {
-		emitted++
-		return nil
-	})
-	if err != nil || done {
-		t.Fatalf("probe-side bailout: done=%v err=%v, want done=false", done, err)
-	}
-	if emitted != 1 {
-		t.Fatalf("probe-side bailout emitted %d rows, want the 1 pre-bailout match", emitted)
+	ints := oneColTable("x", sqltypes.NewInt(1), sqltypes.NewInt(2))
+	for side, cat := range map[string]memCatalog{
+		"build": {"a": ints, "b": oneColTable("y", sqltypes.NewInt(1), sqltypes.NewText("oops"))},
+		"probe": {"a": oneColTable("x", sqltypes.NewInt(1), sqltypes.NewText("oops")), "b": oneColTable("y", sqltypes.NewInt(1))},
+	} {
+		sel, err := sql.Parse("SELECT a.x FROM a, b WHERE a.x = b.y")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel, err := Run(sel, cat, nil)
+		if err == nil || rel != nil || !strings.Contains(err.Error(), "TEXT is not numeric") {
+			t.Errorf("%s side: %v, %v; want no rows and an error naming the TEXT key type", side, rel, err)
+		}
 	}
 }
 
-// TestHashJoinMixedKeyNoDuplicates drives the bailout through the SQL layer:
-// when intHashJoin gives up mid-probe, hashJoin must discard the partially
-// emitted rows before the generic encoded-key join re-runs, or matches
-// preceding the bailout would appear twice.
+// TestHashJoinMixedKeyNoDuplicates: a key column holding a TEXT among its
+// BIGINTs fails the join on the probe side after earlier rows matched; the
+// statement returns the error and none of those rows.
 func TestHashJoinMixedKeyNoDuplicates(t *testing.T) {
 	left := &memTable{cols: []string{"k", "v"}, rows: []sqltypes.Row{
 		{sqltypes.NewInt(1), sqltypes.NewInt(10)},
@@ -92,8 +77,16 @@ func TestHashJoinMixedKeyNoDuplicates(t *testing.T) {
 		{sqltypes.NewInt(2), sqltypes.NewInt(200)},
 	}}
 	cat := memCatalog{"lhs": left, "rhs": right}
-	rel := run(t, cat,
-		"SELECT lhs.v, rhs.w FROM lhs, rhs WHERE lhs.k=rhs.k ORDER BY lhs.v")
+	const q = "SELECT lhs.v, rhs.w FROM lhs, rhs WHERE lhs.k=rhs.k ORDER BY lhs.v"
+	sel, err := sql.Parse(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rel, err := Run(sel, cat, nil); err == nil || rel != nil {
+		t.Fatalf("mixed-type key: %v, %v; want an error and no relation", rel, err)
+	}
+	left.rows[1][0] = sqltypes.Null
+	rel := run(t, cat, q)
 	want := [][2]int64{{10, 100}, {30, 200}}
 	if len(rel.Rows) != len(want) {
 		t.Fatalf("got %d rows (%v), want %d", len(rel.Rows), rel.Rows, len(want))

@@ -186,9 +186,9 @@ func Fuse(sel *sql.Select) *FusedPlan {
 			p.reads(m.tables[0], m.tables[1], 1, labelCols...)
 		case c.knn != nil: // %[1]s = naive, %[2]s = lout
 			p.reads(m.tables[1], m.tables[0], 0, "hub", "td", "vs", "tas")
-		default: // %[1]s = condensed, %[3]s = lout
+		default: // %[1]s = condensed, keyed (bucket, hub); %[3]s = lout
 			f := c.cond
-			p.reads(m.tables[2], m.tables[0], 2, "hub", f.bucketCol, f.topV, f.topVal, f.expTd, f.expV, f.expTa)
+			p.reads(m.tables[2], m.tables[0], 2, f.bucketCol, "hub", f.topV, f.topVal, f.expTd, f.expV, f.expTa)
 		}
 		return p
 	}
@@ -244,7 +244,7 @@ func (m *match) core(p, s *sql.SelectCore) bool {
 	}
 	for i, it := range p.Items {
 		o := s.Items[i]
-		if it.Star != o.Star || !strings.EqualFold(it.Alias, o.Alias) ||
+		if !strings.EqualFold(it.Alias, o.Alias) ||
 			!strings.EqualFold(it.Table, o.Table) || !m.expr(it.Expr, o.Expr) {
 			return false
 		}
@@ -260,7 +260,7 @@ func (m *match) core(p, s *sql.SelectCore) bool {
 			return false
 		}
 	}
-	return m.expr(p.Where, s.Where) && m.expr(p.Having, s.Having)
+	return m.expr(p.Where, s.Where)
 }
 
 // table compares a FROM item's table name: a hole binds the statement's name,
@@ -309,15 +309,7 @@ func (m *match) expr(p, s sql.Expr) bool {
 		return ok && x.Op == y.Op && m.expr(x.L, y.L) && m.expr(x.R, y.R)
 	case *sql.FuncCall:
 		y, ok := s.(*sql.FuncCall)
-		if !ok || !strings.EqualFold(x.Name, y.Name) || x.Star != y.Star || len(x.Args) != len(y.Args) {
-			return false
-		}
-		for i := range x.Args {
-			if !m.expr(x.Args[i], y.Args[i]) {
-				return false
-			}
-		}
-		return true
+		return ok && x.Name == y.Name && m.expr(x.Arg, y.Arg)
 	case *sql.ArraySlice:
 		y, ok := s.(*sql.ArraySlice)
 		return ok && m.expr(x.A, y.A) && m.expr(x.Lo, y.Lo) && m.expr(x.Hi, y.Hi)

@@ -76,7 +76,7 @@ func TestFuseRejectsNearMisses(t *testing.T) {
 		{"wrong aggregate",
 			strings.Replace(v2vEA, "MIN(inp.ta)", "MAX(inp.ta)", 1)},
 		{"aggregate inside expression",
-			strings.Replace(v2vEA, "MIN(inp.ta)", "MIN(inp.ta)+0", 1)},
+			strings.Replace(v2vEA, "MIN(inp.ta)", "MIN(inp.ta)-0", 1)},
 		{"extra conjunct",
 			v2vEA + " AND outp.hub>=0"},
 		{"literal instead of parameter bound",
@@ -385,7 +385,7 @@ func TestFusedKNNNaiveDifferential(t *testing.T) {
 func randAuxTable(rng *rand.Rand, bucketCol, top string) *memTable {
 	tbl := &memTable{
 		cols: []string{"hub", bucketCol, "vs", top, "tds_exp", "vs_exp", "tas_exp"},
-		pk:   []int{0, 1},
+		pk:   []int{1, 0}, // (bucket, hub), as every builder keys a condensed table
 	}
 	for hub := int64(0); hub < 4; hub++ {
 		for bucket := int64(0); bucket < 8; bucket++ {
@@ -506,9 +506,12 @@ func TestFusedTypedErrors(t *testing.T) {
 				rows: []sqltypes.Row{{zero, sqltypes.NewInt(30), arr([]int64{1, 2}), arr([]int64{5})}}}),
 			ones, []string{`"naive"`, "vs, tas"}},
 		{"unequal condensed arrays", knnEA,
-			with("aux_ea", &memTable{cols: good["aux_ea"].cols, pk: []int{0, 1},
+			with("aux_ea", &memTable{cols: good["aux_ea"].cols, pk: []int{1, 0},
 				rows: []sqltypes.Row{{zero, zero, arr(nil), arr(nil), arr([]int64{1}), arr(nil), arr(nil)}}}),
 			ones, []string{`"aux_ea"`, "tds_exp"}},
+		{"hub-first condensed table", knnEA,
+			with("aux_ea", &memTable{cols: good["aux_ea"].cols, pk: []int{0, 1}, rows: good["aux_ea"].rows}),
+			ones, []string{`"aux_ea"`, "primary key is not (dephour, hub)"}},
 	}
 	for _, tc := range cases {
 		fp := Fuse(mustParse(t, tc.q))

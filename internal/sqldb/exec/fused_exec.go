@@ -448,17 +448,14 @@ func (p *FusedPlan) runCondensed(cat Catalog, params []sqltypes.Value, st *query
 	} else {
 		st.groupLD(lab, floorDiv(t, p.width))
 	}
-	st.orderGroups(aux.keySwapped)
+	st.orderGroups()
 	var arms condArms
 	for _, gi := range st.order {
 		g := &st.groups[gi]
 		// The label is fully reduced and each row is consumed before the next
 		// fetch, so the arena holds one row at a time.
 		st.scratch.Arena = st.scratch.Arena[:0]
-		st.key = [2]int64{g.hub, g.bucket}
-		if aux.keySwapped {
-			st.key = [2]int64{g.bucket, g.hub}
-		}
+		st.key = [2]int64{g.bucket, g.hub}
 		row, found, err := lookupPKScratch(aux.tb, st.key[:], &st.scratch)
 		if err != nil {
 			return nil, err

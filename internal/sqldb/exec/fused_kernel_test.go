@@ -87,12 +87,11 @@ func TestTopKMatchesSortAndTruncate(t *testing.T) {
 // per direction whose targets are those same stops. Timestamps span
 // [-300, 280) so that, at width 50, buckets run from -6 to 5; dense labels
 // put ~15 tuples on each of four hubs, i.e. several per (hub, bucket), and
-// give stop 6 one departure a billion seconds out (bucket 20 000 000). The
-// condensed tables are keyed (bucket, hub) when bucketFirst, else (hub,
-// bucket).
+// give stop 6 one departure a billion seconds out (bucket 20 000 000), past
+// the span orderGroups counts over.
 const awkwardWidth = 50
 
-func awkwardCatalog(rng *rand.Rand, dense, bucketFirst bool) memCatalog {
+func awkwardCatalog(rng *rand.Rand, dense bool) memCatalog {
 	maxEntries := 8
 	if dense {
 		maxEntries = 60
@@ -117,10 +116,7 @@ func awkwardCatalog(rng *rand.Rand, dense, bucketFirst bool) memCatalog {
 	aux := func(bucketCol, top string) *memTable {
 		tbl := &memTable{
 			cols: []string{"hub", bucketCol, "vs", top, "tds_exp", "vs_exp", "tas_exp"},
-			pk:   []int{0, 1},
-		}
-		if bucketFirst {
-			tbl.pk = []int{1, 0}
+			pk:   []int{1, 0}, // (bucket, hub)
 		}
 		arr := func(n int, gen func() int64) sqltypes.Value {
 			a := make([]int64, n)
@@ -198,7 +194,7 @@ func TestFusedCondensedAwkwardShapes(t *testing.T) {
 		{fmt.Sprintf(SQLOTMLD, "aux_ld", width, "lout"), false, "cond-otm-ld"},
 	}
 	for trial := 0; trial < 32; trial++ {
-		cat := awkwardCatalog(rng, trial%2 == 0, trial%4 < 2)
+		cat := awkwardCatalog(rng, trial%2 == 0)
 		var probed [][2]int64
 		logged := keyLogCatalog{cat, &probed}
 		for _, qq := range queries {
@@ -217,8 +213,8 @@ func TestFusedCondensedAwkwardShapes(t *testing.T) {
 					params = append(params, sqltypes.NewInt(int64(1+rng.Intn(9))))
 				}
 				diffRun(t, cat, qq.q, params)
-				// Keys reach the table in its own key order, so whatever that
-				// order is, a sweep of the table is a strictly ascending list.
+				// Keys reach the table in its key order: a sweep of the table
+				// is a strictly ascending list.
 				probed = probed[:0]
 				if _, err := fp.Run(logged, params); err != nil {
 					t.Fatal(err)
@@ -244,7 +240,7 @@ func TestFusedCondensedAwkwardShapes(t *testing.T) {
 func TestFusedPlanSharedAcrossGoroutines(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	const width, workers, perWorker = awkwardWidth, 8, 60
-	cat := scratchCatalog{awkwardCatalog(rng, true, true)}
+	cat := scratchCatalog{awkwardCatalog(rng, true)}
 	cat.inner["naive"] = randNaiveTable(rng)
 	for _, q := range []string{
 		fmt.Sprintf(SQLKNNEA, "aux_ea", width, "lout"),

@@ -31,12 +31,13 @@ const (
 
 	naiveHub, naiveTd, naiveVs, naiveTas = 0, 1, 2, 3
 
-	auxHub, auxBucket, auxTopV, auxTopVal, auxExpTd, auxExpV, auxExpTa = 0, 1, 2, 3, 4, 5, 6
+	auxBucket, auxHub, auxTopV, auxTopVal, auxExpTd, auxExpV, auxExpTa = 0, 1, 2, 3, 4, 5, 6
 )
 
 // tableRef names one base table a fused plan reads, the columns it needs from
-// it, and how many of the leading ones must be exactly the primary key — a
-// two-column key in either order. A label table must also declare its run
+// it, and how many of the leading ones must be exactly the primary key, in
+// key order — (bucket, hub) for a condensed table, whose rows and so whose
+// pages follow that order. A label table must also declare its run
 // order (RunOrdered) over exactly its hubs, tds and tas: the kernels search
 // the runs and never re-check them. The resolved column positions are cached
 // per table identity, so a query pays one catalog lookup and one pointer
@@ -55,11 +56,6 @@ type tableRef struct {
 type tableLayout struct {
 	tb  Table
 	idx [maxFusedCols]int
-	// keySwapped reports a two-column key declared second tableRef column
-	// first — (bucket, hub) for a condensed table. The table's rows, and so
-	// its pages, follow that order; lookup keys are built and probes issued in
-	// it.
-	keySwapped bool
 }
 
 // resolve returns the table with the positions of r.cols in it, or an error
@@ -97,15 +93,8 @@ func (r *tableRef) resolveSlow(tb Table) (*tableLayout, error) {
 			return nil, fmt.Errorf("exec: table %q has no column %q", r.name, name)
 		}
 	}
-	if r.pk > 0 {
-		pk := tb.PKCols()
-		switch {
-		case slices.Equal(pk, l.idx[:r.pk]):
-		case r.pk == 2 && len(pk) == 2 && pk[0] == l.idx[1] && pk[1] == l.idx[0]:
-			l.keySwapped = true
-		default:
-			return nil, fmt.Errorf("exec: table %q: primary key is not (%s)", r.name, strings.Join(r.cols[:r.pk], ", "))
-		}
+	if r.pk > 0 && !slices.Equal(tb.PKCols(), l.idx[:r.pk]) {
+		return nil, fmt.Errorf("exec: table %q: primary key is not (%s)", r.name, strings.Join(r.cols[:r.pk], ", "))
 	}
 	if ro, ok := tb.(RunOrdered); r.ordered && (!ok || !slices.Equal(ro.RunOrder(), l.idx[labHubs:labTas+1])) {
 		return nil, fmt.Errorf("exec: label table %q does not declare the run order (%s); rebuild the database",
@@ -524,15 +513,15 @@ func (st *queryState) groupLD(lab label, bucket int64) {
 const maxCountedBuckets = 1 << 12
 
 // orderGroups fills st.order with the positions of st.groups ascending in the
-// condensed table's key order — (bucket, hub) when bucketFirst, else (hub,
-// bucket). A segment lays its rows out in key order, so probing in that order
-// sweeps the file front to back: each page is read once and a run of adjacent
-// rows is one sequential read. Groups appear in label order, which is
-// hub-ascending: already key order for a hub-first table, and one stable
-// counting pass over the buckets away from it for a bucket-first one.
+// condensed table's key order, (bucket, hub). A segment lays its rows out in
+// key order, so probing in that order sweeps the file front to back: each page
+// is read once and a run of adjacent rows is one sequential read. Groups
+// appear in label order, which is hub-ascending — a declared, validated
+// property of every label row — so one stable counting pass over the buckets
+// puts them in key order.
 //
 // hotpath — allocheck root: once per condensed query, over its groups.
-func (st *queryState) orderGroups(bucketFirst bool) {
+func (st *queryState) orderGroups() {
 	n := len(st.groups)
 	if cap(st.order) < n {
 		st.order = make([]int32, n)
@@ -543,7 +532,7 @@ func (st *queryState) orderGroups(bucketFirst bool) {
 		return
 	}
 	lo, hi := st.groups[0].bucket, st.groups[0].bucket
-	inOrder, hubAsc := true, true
+	inOrder := true
 	for i := range st.groups {
 		order[i] = int32(i)
 		if i == 0 {
@@ -551,22 +540,20 @@ func (st *queryState) orderGroups(bucketFirst bool) {
 		}
 		a, b := &st.groups[i-1], &st.groups[i]
 		lo, hi = min(lo, b.bucket), max(hi, b.bucket)
-		inOrder = inOrder && a.keyLess(b, bucketFirst)
-		hubAsc = hubAsc && a.hub <= b.hub
+		inOrder = inOrder && a.keyLess(b)
 	}
 	if inOrder {
 		return
 	}
 	span := uint64(hi) - uint64(lo) // exact even where hi-lo overflows int64
-	if !bucketFirst || !hubAsc || span >= maxCountedBuckets {
+	if span >= maxCountedBuckets {
 		// hotpath:cold — timestamps spread over more buckets than are worth
-		// counting (or groups that did not arrive hub-ascending, which a
-		// run-ordered label never produces).
+		// counting.
 		slices.SortFunc(order, func(x, y int32) int {
 			switch a, b := &st.groups[x], &st.groups[y]; {
-			case a.keyLess(b, bucketFirst):
+			case a.keyLess(b):
 				return -1
-			case b.keyLess(a, bucketFirst):
+			case b.keyLess(a):
 				return 1
 			}
 			return 0
@@ -593,15 +580,11 @@ func (st *queryState) orderGroups(bucketFirst bool) {
 	}
 }
 
-// keyLess orders two groups by (bucket, hub) when bucketFirst, else by (hub,
-// bucket).
+// keyLess orders two groups by the condensed key, (bucket, hub).
 //
 // hotpath — allocheck root: per group in orderGroups.
-func (g *hubGroup) keyLess(o *hubGroup, bucketFirst bool) bool {
-	if bucketFirst {
-		return g.bucket < o.bucket || (g.bucket == o.bucket && g.hub < o.hub)
-	}
-	return g.hub < o.hub || (g.hub == o.hub && g.bucket < o.bucket)
+func (g *hubGroup) keyLess(o *hubGroup) bool {
+	return g.bucket < o.bucket || (g.bucket == o.bucket && g.hub < o.hub)
 }
 
 // bestDeparture returns the latest departure among g's tuples arriving at the

@@ -15,38 +15,21 @@ type IntLit struct{ V int64 }
 // FloatLit is a decimal literal.
 type FloatLit struct{ V float64 }
 
-// StringLit is a string literal.
-type StringLit struct{ V string }
-
-// NullLit is the NULL keyword.
-type NullLit struct{}
-
 // Param is a positional parameter $N (1-based).
 type Param struct{ N int }
 
-// BinaryOp applies Op ("=", "<>", "<", "<=", ">", ">=", "+", "-", "*", "/",
-// "%", "AND", "OR") to two operands.
+// BinaryOp applies Op ("=", "<", "<=", ">", ">=", "-", "/", "AND") to two
+// operands.
 type BinaryOp struct {
 	Op   string
 	L, R Expr
 }
 
-// UnaryOp applies Op ("-", "NOT") to one operand.
-type UnaryOp struct {
-	Op string
-	E  Expr
-}
-
-// FuncCall is a function or aggregate application. Star marks COUNT(*).
+// FuncCall is a function or aggregate application: MIN, MAX, FLOOR or UNNEST
+// of Arg, or COUNT(*), whose Arg is nil.
 type FuncCall struct {
 	Name string // upper-cased
-	Args []Expr
-	Star bool
-}
-
-// ArrayIndex is a PostgreSQL-style 1-based array subscript: A[I].
-type ArrayIndex struct {
-	A, I Expr
+	Arg  Expr
 }
 
 // ArraySlice is a 1-based inclusive slice: A[Lo:Hi].
@@ -54,36 +37,19 @@ type ArraySlice struct {
 	A, Lo, Hi Expr
 }
 
-// CaseExpr is CASE WHEN cond THEN value ... [ELSE value] END.
-type CaseExpr struct {
-	Whens []CaseWhen
-	Else  Expr // nil means ELSE NULL
-}
-
-// CaseWhen is one WHEN/THEN arm.
-type CaseWhen struct {
-	Cond, Then Expr
-}
-
-func (*CaseExpr) isExpr()   {}
 func (*ColumnRef) isExpr()  {}
 func (*IntLit) isExpr()     {}
 func (*FloatLit) isExpr()   {}
-func (*StringLit) isExpr()  {}
-func (*NullLit) isExpr()    {}
 func (*Param) isExpr()      {}
 func (*BinaryOp) isExpr()   {}
-func (*UnaryOp) isExpr()    {}
 func (*FuncCall) isExpr()   {}
-func (*ArrayIndex) isExpr() {}
 func (*ArraySlice) isExpr() {}
 
-// SelectItem is one element of the SELECT list. Star by itself is `*`;
-// Star with Table set is `tbl.*`.
+// SelectItem is one element of the SELECT list: an expression with an
+// optional alias, or — Table set, Expr nil — `tbl.*`.
 type SelectItem struct {
 	Expr  Expr
 	Alias string
-	Star  bool
 	Table string
 }
 
@@ -101,20 +67,18 @@ type OrderItem struct {
 	Desc bool
 }
 
-// SelectCore is a single SELECT ... FROM ... WHERE ... GROUP BY ... HAVING
-// block.
+// SelectCore is a single SELECT ... FROM ... WHERE ... GROUP BY block.
 type SelectCore struct {
 	Items   []SelectItem
 	From    []FromItem
 	Where   Expr
 	GroupBy []Expr
-	Having  Expr
 }
 
-// Select is a full select statement: either a simple core or a UNION chain
-// of arms (each arm a full Select, since PostgreSQL allows parenthesized
-// arms with their own ORDER BY / LIMIT — the form the paper's Codes 3 and 4
-// use), plus an optional trailing ORDER BY / LIMIT.
+// Select is a full select statement: either a simple core with an optional
+// trailing ORDER BY / LIMIT, or a UNION chain of arms (each arm a full Select,
+// since PostgreSQL allows parenthesized arms with their own ORDER BY / LIMIT —
+// the form the paper's Codes 3 and 4 use).
 type Select struct {
 	With []CTE
 	// Exactly one of Core / Arms is set.

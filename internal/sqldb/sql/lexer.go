@@ -1,9 +1,10 @@
 // Package sql contains the lexer, AST and recursive-descent parser for the
-// SQL dialect of the embedded PTLDB database engine. The dialect covers the
-// constructs used by the paper's query Codes 1–4 (and the table builders):
-// SELECT with CTEs (WITH), derived tables, comma joins, UNNEST over array
-// columns and array slices, aggregates, GROUP BY, ORDER BY with ASC/DESC,
-// LIMIT, UNION [ALL] and positional parameters ($1, $2, …).
+// SQL dialect of the embedded PTLDB database engine: what the paper's query
+// Codes 1–4 are written in and nothing else — SELECT with CTEs (WITH),
+// derived tables, comma joins, UNNEST over array columns and array slices,
+// MIN / MAX / COUNT(*), FLOOR, GROUP BY, ORDER BY [DESC], LIMIT, UNION [ALL]
+// of parenthesized arms and positional parameters ($1, $2, …). DESIGN.md §3.4
+// has the grammar. Anything else is a parse error that names what it met.
 package sql
 
 import (
@@ -23,8 +24,6 @@ const (
 	TokIdent
 	// TokNumber is an integer or decimal literal.
 	TokNumber
-	// TokString is a single-quoted string literal, unescaped.
-	TokString
 	// TokParam is a positional parameter; Num holds its 1-based index.
 	TokParam
 	// TokOp is an operator or punctuation symbol.
@@ -39,8 +38,8 @@ type Token struct {
 	Pos  int    // byte offset in the input, for error messages
 }
 
-// Lex tokenizes a SQL string. Comments (-- to end of line, /* ... */) are
-// skipped.
+// Lex tokenizes a SQL string. The dialect has no comments and no string
+// literals.
 func Lex(src string) ([]Token, error) {
 	var toks []Token
 	i := 0
@@ -50,16 +49,6 @@ func Lex(src string) ([]Token, error) {
 		switch {
 		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
 			i++
-		case c == '-' && i+1 < n && src[i+1] == '-':
-			for i < n && src[i] != '\n' {
-				i++
-			}
-		case c == '/' && i+1 < n && src[i+1] == '*':
-			end := strings.Index(src[i+2:], "*/")
-			if end < 0 {
-				return nil, fmt.Errorf("sql: unterminated comment at offset %d", i)
-			}
-			i += 2 + end + 2
 		case isIdentStart(rune(c)):
 			start := i
 			for i < n && isIdentPart(rune(src[i])) {
@@ -73,26 +62,7 @@ func Lex(src string) ([]Token, error) {
 			}
 			toks = append(toks, Token{Kind: TokNumber, Text: src[start:i], Pos: start})
 		case c == '\'':
-			start := i
-			i++
-			var sb strings.Builder
-			for {
-				if i >= n {
-					return nil, fmt.Errorf("sql: unterminated string at offset %d", start)
-				}
-				if src[i] == '\'' {
-					if i+1 < n && src[i+1] == '\'' { // escaped quote
-						sb.WriteByte('\'')
-						i += 2
-						continue
-					}
-					i++
-					break
-				}
-				sb.WriteByte(src[i])
-				i++
-			}
-			toks = append(toks, Token{Kind: TokString, Text: sb.String(), Pos: start})
+			return nil, fmt.Errorf("sql: string literal at offset %d: not in the dialect (DESIGN.md §3.4)", i)
 		case c == '$':
 			start := i
 			i++
@@ -104,11 +74,12 @@ func Lex(src string) ([]Token, error) {
 			if i == start+1 {
 				return nil, fmt.Errorf("sql: bare $ at offset %d", start)
 			}
-			toks = append(toks, Token{Kind: TokParam, Num: num, Pos: start})
+			toks = append(toks, Token{Kind: TokParam, Text: src[start:i], Num: num, Pos: start})
 		default:
 			start := i
-			// Multi-byte operators first.
-			for _, op := range []string{"<=", ">=", "<>", "!=", "||"} {
+			// Multi-byte operators first; <> and != are lexed so that the
+			// parser's refusal names them whole.
+			for _, op := range []string{"<=", ">=", "<>", "!="} {
 				if strings.HasPrefix(src[i:], op) {
 					toks = append(toks, Token{Kind: TokOp, Text: op, Pos: start})
 					i += len(op)

@@ -6,20 +6,24 @@ import (
 	"strings"
 )
 
-// Parse parses one SELECT statement (optionally terminated by a semicolon).
+// Parse parses one SELECT statement of the dialect (DESIGN.md §3.4),
+// optionally terminated by a semicolon. The grammar is what the ten
+// statements of exec/codes.go are written in; a construct outside it — OR,
+// NOT, CASE, IN, BETWEEN, HAVING, +, *, <>, a subscript, a comment — has no
+// production, so the statement fails at the token that spells it.
 func Parse(src string) (*Select, error) {
 	toks, err := Lex(src)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, src: src}
+	p := &parser{toks: toks}
 	sel, err := p.parseSelect()
 	if err != nil {
 		return nil, err
 	}
 	p.acceptOp(";")
 	if p.peek().Kind != TokEOF {
-		return nil, p.errf("trailing input")
+		return nil, p.outside("unexpected token")
 	}
 	return sel, nil
 }
@@ -27,11 +31,9 @@ func Parse(src string) (*Select, error) {
 type parser struct {
 	toks []Token
 	pos  int
-	src  string
 }
 
 func (p *parser) peek() Token { return p.toks[p.pos] }
-func (p *parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
 func (p *parser) errf(format string, args ...any) error {
 	t := p.peek()
 	where := t.Text
@@ -39,6 +41,13 @@ func (p *parser) errf(format string, args ...any) error {
 		where = "end of input"
 	}
 	return fmt.Errorf("sql: %s near %q (offset %d)", fmt.Sprintf(format, args...), where, t.Pos)
+}
+
+// outside is the error for a construct the dialect lacks. Most have no
+// production at all and are refused as an unexpected token, by the name they
+// were spelled with.
+func (p *parser) outside(what string) error {
+	return p.errf("not in the dialect (DESIGN.md §3.4): %s", what)
 }
 
 // acceptKw consumes an identifier token matching kw case-insensitively.
@@ -74,7 +83,8 @@ func (p *parser) expectOp(op string) error {
 	return nil
 }
 
-// parseSelect parses [WITH ...] armChain [ORDER BY ...] [LIMIT ...].
+// parseSelect parses [WITH ...] followed by either one bare core with its
+// [ORDER BY ...] [LIMIT ...], or a UNION chain of arms.
 func (p *parser) parseSelect() (*Select, error) {
 	sel := &Select{}
 	if p.acceptKw("WITH") {
@@ -118,16 +128,14 @@ func (p *parser) parseSelect() (*Select, error) {
 		arms = append(arms, arm)
 		all = append(all, isAll)
 	}
-	if len(arms) == 1 && first.With == nil && first.Core != nil &&
-		first.OrderBy == nil && first.Limit == nil {
-		sel.Core = first.Core
-	} else if len(arms) == 1 && sel.With == nil {
-		// A single parenthesized arm: unwrap, hoisting nothing.
-		*sel = *first
-	} else {
-		sel.Arms = arms
-		sel.All = all
+	if len(arms) > 1 || first.With != nil || first.Core == nil || first.OrderBy != nil || first.Limit != nil {
+		// Each arm carries its own ORDER BY / LIMIT inside its parentheses,
+		// as in Codes 3 and 4; the set operation takes none, so one that
+		// follows is the caller's unexpected token.
+		sel.Arms, sel.All = arms, all
+		return sel, nil
 	}
+	sel.Core = first.Core
 
 	if p.acceptKw("ORDER") {
 		if err := p.expectKw("BY"); err != nil {
@@ -138,13 +146,7 @@ func (p *parser) parseSelect() (*Select, error) {
 			if err != nil {
 				return nil, err
 			}
-			item := OrderItem{Expr: e}
-			if p.acceptKw("DESC") {
-				item.Desc = true
-			} else {
-				p.acceptKw("ASC")
-			}
-			sel.OrderBy = append(sel.OrderBy, item)
+			sel.OrderBy = append(sel.OrderBy, OrderItem{Expr: e, Desc: p.acceptKw("DESC")})
 			if !p.acceptOp(",") {
 				break
 			}
@@ -185,7 +187,6 @@ func (p *parser) parseCore() (*SelectCore, error) {
 		return nil, err
 	}
 	core := &SelectCore{}
-	p.acceptKw("DISTINCT") // treated via GROUP BY by callers; accepted for friendliness
 	for {
 		item, err := p.parseSelectItem()
 		if err != nil {
@@ -196,16 +197,17 @@ func (p *parser) parseCore() (*SelectCore, error) {
 			break
 		}
 	}
-	if p.acceptKw("FROM") {
-		for {
-			fi, err := p.parseFromItem()
-			if err != nil {
-				return nil, err
-			}
-			core.From = append(core.From, fi)
-			if !p.acceptOp(",") {
-				break
-			}
+	if !p.acceptKw("FROM") {
+		return nil, p.outside("expected FROM, there is no SELECT without FROM,")
+	}
+	for {
+		fi, err := p.parseFromItem()
+		if err != nil {
+			return nil, err
+		}
+		core.From = append(core.From, fi)
+		if !p.acceptOp(",") {
+			break
 		}
 	}
 	if p.acceptKw("WHERE") {
@@ -230,44 +232,23 @@ func (p *parser) parseCore() (*SelectCore, error) {
 			}
 		}
 	}
-	if p.acceptKw("HAVING") {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		core.Having = e
-	}
 	return core, nil
 }
 
 func (p *parser) parseSelectItem() (SelectItem, error) {
-	if p.acceptOp("*") {
-		return SelectItem{Star: true}, nil
-	}
 	// tbl.* form: identifier '.' '*'.
-	if p.peek().Kind == TokIdent && p.pos+2 < len(p.toks) &&
+	if t := p.peek(); t.Kind == TokIdent && p.pos+2 < len(p.toks) &&
 		p.toks[p.pos+1].Kind == TokOp && p.toks[p.pos+1].Text == "." &&
 		p.toks[p.pos+2].Kind == TokOp && p.toks[p.pos+2].Text == "*" {
-		tbl := p.next().Text
-		p.next()
-		p.next()
-		return SelectItem{Star: true, Table: tbl}, nil
+		p.pos += 3
+		return SelectItem{Table: t.Text}, nil
 	}
 	e, err := p.parseExpr()
 	if err != nil {
 		return SelectItem{}, err
 	}
-	item := SelectItem{Expr: e}
-	if p.acceptKw("AS") {
-		a, err := p.parseIdent()
-		if err != nil {
-			return SelectItem{}, err
-		}
-		item.Alias = a
-	} else if t := p.peek(); t.Kind == TokIdent && !isReserved(t.Text) {
-		item.Alias = p.next().Text
-	}
-	return item, nil
+	alias, err := p.parseAlias()
+	return SelectItem{Expr: e, Alias: alias}, err
 }
 
 func (p *parser) parseFromItem() (FromItem, error) {
@@ -288,19 +269,27 @@ func (p *parser) parseFromItem() (FromItem, error) {
 		}
 		fi.Table = name
 	}
-	if p.acceptKw("AS") {
-		a, err := p.parseIdent()
-		if err != nil {
-			return fi, err
-		}
-		fi.Alias = a
-	} else if t := p.peek(); t.Kind == TokIdent && !isReserved(t.Text) {
-		fi.Alias = p.next().Text
+	alias, err := p.parseAlias()
+	if err != nil {
+		return fi, err
 	}
+	fi.Alias = alias
 	if fi.Subquery != nil && fi.Alias == "" {
 		return fi, p.errf("derived table requires an alias")
 	}
 	return fi, nil
+}
+
+// parseAlias parses the optional [AS] name after a select or FROM item.
+func (p *parser) parseAlias() (string, error) {
+	if p.acceptKw("AS") {
+		return p.parseIdent()
+	}
+	if t := p.peek(); t.Kind == TokIdent && !isReserved(t.Text) {
+		p.pos++
+		return t.Text, nil
+	}
+	return "", nil
 }
 
 func (p *parser) parseIdent() (string, error) {
@@ -313,7 +302,8 @@ func (p *parser) parseIdent() (string, error) {
 }
 
 // isReserved lists keywords that terminate implicit aliases and identifier
-// positions.
+// positions — PostgreSQL's, so that a statement using one the dialect lacks
+// fails at that word and not at what follows it.
 func isReserved(s string) bool {
 	switch strings.ToUpper(s) {
 	case "SELECT", "FROM", "WHERE", "GROUP", "BY", "ORDER", "LIMIT", "UNION",
@@ -327,47 +317,10 @@ func isReserved(s string) bool {
 
 // --- expressions -----------------------------------------------------------
 
-func (p *parser) parseExpr() (Expr, error) { return p.parseOr() }
-
-func (p *parser) parseOr() (Expr, error) {
-	l, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.acceptKw("OR") {
-		r, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinaryOp{Op: "OR", L: l, R: r}
-	}
-	return l, nil
-}
-
-func (p *parser) parseAnd() (Expr, error) {
-	l, err := p.parseNot()
-	if err != nil {
-		return nil, err
-	}
-	for p.acceptKw("AND") {
-		r, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinaryOp{Op: "AND", L: l, R: r}
-	}
-	return l, nil
-}
-
-func (p *parser) parseNot() (Expr, error) {
-	if p.acceptKw("NOT") {
-		e, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		return &UnaryOp{Op: "NOT", E: e}, nil
-	}
-	return p.parseComparison()
+// parseExpr parses the four binary levels of the dialect, loosest first: AND,
+// one comparison, "-", "/".
+func (p *parser) parseExpr() (Expr, error) {
+	return p.parseChain(p.parseComparison, p.acceptKw, "AND")
 }
 
 func (p *parser) parseComparison() (Expr, error) {
@@ -375,142 +328,45 @@ func (p *parser) parseComparison() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for {
-		// expr IN (a, b, ...) desugars to a disjunction of equalities;
-		// expr BETWEEN a AND b to a conjunction of bounds.
-		if p.acceptKw("IN") {
-			if err := p.expectOp("("); err != nil {
-				return nil, err
-			}
-			var alt Expr
-			for {
-				e, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				eq := Expr(&BinaryOp{Op: "=", L: l, R: e})
-				if alt == nil {
-					alt = eq
-				} else {
-					alt = &BinaryOp{Op: "OR", L: alt, R: eq}
-				}
-				if !p.acceptOp(",") {
-					break
-				}
-			}
-			if err := p.expectOp(")"); err != nil {
-				return nil, err
-			}
-			l = alt
-			continue
-		}
-		if p.acceptKw("BETWEEN") {
-			lo, err := p.parseAdditive()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectKw("AND"); err != nil {
-				return nil, err
-			}
-			hi, err := p.parseAdditive()
-			if err != nil {
-				return nil, err
-			}
-			l = &BinaryOp{Op: "AND",
-				L: &BinaryOp{Op: ">=", L: l, R: lo},
-				R: &BinaryOp{Op: "<=", L: l, R: hi}}
-			continue
-		}
-		t := p.peek()
-		if t.Kind != TokOp {
-			return l, nil
-		}
+	if t := p.peek(); t.Kind == TokOp {
 		switch t.Text {
-		case "=", "<", "<=", ">", ">=", "<>", "!=":
-			op := t.Text
-			if op == "!=" {
-				op = "<>"
-			}
+		case "=", "<", "<=", ">", ">=":
 			p.pos++
 			r, err := p.parseAdditive()
 			if err != nil {
 				return nil, err
 			}
-			l = &BinaryOp{Op: op, L: l, R: r}
-		default:
-			return l, nil
+			return &BinaryOp{Op: t.Text, L: l, R: r}, nil
 		}
 	}
+	return l, nil
 }
 
 func (p *parser) parseAdditive() (Expr, error) {
-	l, err := p.parseMultiplicative()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		switch {
-		case p.acceptOp("+"):
-			r, err := p.parseMultiplicative()
-			if err != nil {
-				return nil, err
-			}
-			l = &BinaryOp{Op: "+", L: l, R: r}
-		case p.acceptOp("-"):
-			r, err := p.parseMultiplicative()
-			if err != nil {
-				return nil, err
-			}
-			l = &BinaryOp{Op: "-", L: l, R: r}
-		default:
-			return l, nil
-		}
-	}
+	return p.parseChain(p.parseMultiplicative, p.acceptOp, "-")
 }
 
 func (p *parser) parseMultiplicative() (Expr, error) {
-	l, err := p.parseUnary()
+	return p.parseChain(p.parsePostfix, p.acceptOp, "/")
+}
+
+// parseChain parses operand {op operand}, left-associative.
+func (p *parser) parseChain(operand func() (Expr, error), accept func(string) bool, op string) (Expr, error) {
+	l, err := operand()
 	if err != nil {
 		return nil, err
 	}
-	for {
-		switch {
-		case p.acceptOp("*"):
-			r, err := p.parseUnary()
-			if err != nil {
-				return nil, err
-			}
-			l = &BinaryOp{Op: "*", L: l, R: r}
-		case p.acceptOp("/"):
-			r, err := p.parseUnary()
-			if err != nil {
-				return nil, err
-			}
-			l = &BinaryOp{Op: "/", L: l, R: r}
-		case p.acceptOp("%"):
-			r, err := p.parseUnary()
-			if err != nil {
-				return nil, err
-			}
-			l = &BinaryOp{Op: "%", L: l, R: r}
-		default:
-			return l, nil
-		}
-	}
-}
-
-func (p *parser) parseUnary() (Expr, error) {
-	if p.acceptOp("-") {
-		e, err := p.parseUnary()
+	for accept(op) {
+		r, err := operand()
 		if err != nil {
 			return nil, err
 		}
-		return &UnaryOp{Op: "-", E: e}, nil
+		l = &BinaryOp{Op: op, L: l, R: r}
 	}
-	return p.parsePostfix()
+	return l, nil
 }
 
-// parsePostfix parses a primary followed by array subscripts/slices.
+// parsePostfix parses a primary followed by array slices.
 func (p *parser) parsePostfix() (Expr, error) {
 	e, err := p.parsePrimary()
 	if err != nil {
@@ -521,18 +377,17 @@ func (p *parser) parsePostfix() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		if p.acceptOp(":") {
-			hi, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			e = &ArraySlice{A: e, Lo: lo, Hi: hi}
-		} else {
-			e = &ArrayIndex{A: e, I: lo}
+		if !p.acceptOp(":") {
+			return nil, p.outside("array subscript; only the slice a[lo:hi] is, expected \":\"")
+		}
+		hi, err := p.parseExpr()
+		if err != nil {
+			return nil, err
 		}
 		if err := p.expectOp("]"); err != nil {
 			return nil, err
 		}
+		e = &ArraySlice{A: e, Lo: lo, Hi: hi}
 	}
 	return e, nil
 }
@@ -554,97 +409,20 @@ func (p *parser) parsePrimary() (Expr, error) {
 			return nil, p.errf("bad number %q", t.Text)
 		}
 		return &IntLit{V: v}, nil
-	case TokString:
-		p.pos++
-		return &StringLit{V: t.Text}, nil
 	case TokParam:
 		p.pos++
 		if t.Num < 1 {
 			return nil, p.errf("parameter index must be >= 1")
 		}
 		return &Param{N: t.Num}, nil
-	case TokOp:
-		if t.Text == "(" {
-			p.pos++
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectOp(")"); err != nil {
-				return nil, err
-			}
-			return e, nil
-		}
-		return nil, p.errf("unexpected token")
 	case TokIdent:
-		if strings.EqualFold(t.Text, "NULL") {
-			p.pos++
-			return &NullLit{}, nil
-		}
-		if strings.EqualFold(t.Text, "CASE") {
-			p.pos++
-			ce := &CaseExpr{}
-			for p.acceptKw("WHEN") {
-				cond, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				if err := p.expectKw("THEN"); err != nil {
-					return nil, err
-				}
-				then, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				ce.Whens = append(ce.Whens, CaseWhen{Cond: cond, Then: then})
-			}
-			if len(ce.Whens) == 0 {
-				return nil, p.errf("CASE requires at least one WHEN arm")
-			}
-			if p.acceptKw("ELSE") {
-				e, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				ce.Else = e
-			}
-			if err := p.expectKw("END"); err != nil {
-				return nil, err
-			}
-			return ce, nil
-		}
 		if isReserved(t.Text) {
-			return nil, p.errf("unexpected keyword")
+			return nil, p.outside("unexpected token")
 		}
 		p.pos++
-		// Function call?
 		if p.acceptOp("(") {
-			fc := &FuncCall{Name: strings.ToUpper(t.Text)}
-			if p.acceptOp("*") {
-				fc.Star = true
-				if err := p.expectOp(")"); err != nil {
-					return nil, err
-				}
-				return fc, nil
-			}
-			if !p.acceptOp(")") {
-				for {
-					a, err := p.parseExpr()
-					if err != nil {
-						return nil, err
-					}
-					fc.Args = append(fc.Args, a)
-					if !p.acceptOp(",") {
-						break
-					}
-				}
-				if err := p.expectOp(")"); err != nil {
-					return nil, err
-				}
-			}
-			return fc, nil
+			return p.parseCall(strings.ToUpper(t.Text))
 		}
-		// Qualified column?
 		if p.acceptOp(".") {
 			col, err := p.parseIdent()
 			if err != nil {
@@ -654,6 +432,30 @@ func (p *parser) parsePrimary() (Expr, error) {
 		}
 		return &ColumnRef{Column: t.Text}, nil
 	default:
-		return nil, p.errf("unexpected token")
+		return nil, p.outside("unexpected token")
 	}
+}
+
+// parseCall parses the rest of a call to name, whose "(" is consumed: the
+// dialect has COUNT(*) and four functions of one argument.
+func (p *parser) parseCall(name string) (Expr, error) {
+	fc := &FuncCall{Name: name}
+	switch name {
+	case "COUNT":
+		if err := p.expectOp("*"); err != nil {
+			return nil, err
+		}
+	case "MIN", "MAX", "FLOOR", "UNNEST":
+		arg, err := p.parseExpr()
+		if err != nil {
+			return nil, err
+		}
+		fc.Arg = arg
+	default:
+		return nil, p.outside("function " + name)
+	}
+	if err := p.expectOp(")"); err != nil {
+		return nil, err
+	}
+	return fc, nil
 }

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -14,11 +15,11 @@ func mustParse(t *testing.T, src string) *Select {
 }
 
 func TestLexBasics(t *testing.T) {
-	toks, err := Lex("SELECT a.b, 'it''s', $2 -- comment\n/* multi\nline */ <= 3.5;")
+	toks, err := Lex("SELECT a.b, $2\n\t<= 3.5 <> x;")
 	if err != nil {
 		t.Fatal(err)
 	}
-	kinds := []TokenKind{TokIdent, TokIdent, TokOp, TokIdent, TokOp, TokString, TokOp, TokParam, TokOp, TokNumber, TokOp, TokEOF}
+	kinds := []TokenKind{TokIdent, TokIdent, TokOp, TokIdent, TokOp, TokParam, TokOp, TokNumber, TokOp, TokIdent, TokOp, TokEOF}
 	if len(toks) != len(kinds) {
 		t.Fatalf("got %d tokens, want %d: %+v", len(toks), len(kinds), toks)
 	}
@@ -27,16 +28,16 @@ func TestLexBasics(t *testing.T) {
 			t.Errorf("token %d kind = %d, want %d (%+v)", i, toks[i].Kind, k, toks[i])
 		}
 	}
-	if toks[5].Text != "it's" {
-		t.Errorf("string literal = %q", toks[5].Text)
+	if toks[5].Num != 2 || toks[5].Text != "$2" {
+		t.Errorf("param = %+v", toks[5])
 	}
-	if toks[7].Num != 2 {
-		t.Errorf("param index = %d", toks[7].Num)
+	if toks[6].Text != "<=" || toks[8].Text != "<>" {
+		t.Errorf("two-byte operators = %q, %q", toks[6].Text, toks[8].Text)
 	}
 }
 
 func TestLexErrors(t *testing.T) {
-	for _, src := range []string{"'unterminated", "/* unterminated", "$", "a ~ b"} {
+	for _, src := range []string{"'a string'", "$", "a ~ b", "a || b"} {
 		if _, err := Lex(src); err == nil {
 			t.Errorf("Lex(%q) succeeded", src)
 		}
@@ -75,21 +76,23 @@ func TestParseAliases(t *testing.T) {
 }
 
 func TestParseStars(t *testing.T) {
-	s := mustParse(t, "SELECT *, n1bb.*, n1.ta AS n1_ta FROM n1bb, n1")
-	if !s.Core.Items[0].Star || s.Core.Items[0].Table != "" {
-		t.Errorf("item 0 = %+v", s.Core.Items[0])
+	s := mustParse(t, "SELECT n1bb.*, n1.ta AS n1_ta FROM n1bb, n1")
+	if it := s.Core.Items[0]; it.Table != "n1bb" || it.Expr != nil {
+		t.Errorf("item 0 = %+v", it)
 	}
-	if !s.Core.Items[1].Star || s.Core.Items[1].Table != "n1bb" {
-		t.Errorf("item 1 = %+v", s.Core.Items[1])
+	if it := s.Core.Items[1]; it.Table != "" || it.Alias != "n1_ta" {
+		t.Errorf("item 1 = %+v", it)
 	}
 }
 
+// TestParseArraySliceAndIndex: the slice a[lo:hi] of Codes 2–4 parses; the
+// subscript a[i], which no statement uses, is refused by name.
 func TestParseArraySliceAndIndex(t *testing.T) {
-	s := mustParse(t, "SELECT UNNEST(vs[1:$3]) AS v2, tas[2] FROM t")
+	s := mustParse(t, "SELECT UNNEST(vs[1:$3]) AS v2 FROM t")
 	fc := s.Core.Items[0].Expr.(*FuncCall)
-	sl, ok := fc.Args[0].(*ArraySlice)
+	sl, ok := fc.Arg.(*ArraySlice)
 	if !ok {
-		t.Fatalf("arg = %#v", fc.Args[0])
+		t.Fatalf("arg = %#v", fc.Arg)
 	}
 	if _, ok := sl.Lo.(*IntLit); !ok {
 		t.Errorf("slice lo = %#v", sl.Lo)
@@ -97,35 +100,35 @@ func TestParseArraySliceAndIndex(t *testing.T) {
 	if _, ok := sl.Hi.(*Param); !ok {
 		t.Errorf("slice hi = %#v", sl.Hi)
 	}
-	if _, ok := s.Core.Items[1].Expr.(*ArrayIndex); !ok {
-		t.Errorf("item 1 = %#v", s.Core.Items[1].Expr)
+	if _, err := Parse("SELECT tas[2] FROM t"); err == nil || !strings.Contains(err.Error(), "subscript") {
+		t.Errorf("subscript: %v, want an error naming it", err)
 	}
 }
 
+// TestParsePrecedence: AND binds loosest, then the one comparison, then "-",
+// then "/"; "-" and "/" associate to the left.
 func TestParsePrecedence(t *testing.T) {
-	s := mustParse(t, "SELECT 1 WHERE a = 1 AND b >= 2 OR NOT c < 3 + 4 * 5")
-	or, ok := s.Core.Where.(*BinaryOp)
-	if !ok || or.Op != "OR" {
+	s := mustParse(t, "SELECT a FROM t WHERE a = 1 AND b >= 2 AND c < 9 - 4 - 6 / 2")
+	and, ok := s.Core.Where.(*BinaryOp)
+	if !ok || and.Op != "AND" {
 		t.Fatalf("top = %#v", s.Core.Where)
 	}
-	and := or.L.(*BinaryOp)
-	if and.Op != "AND" {
-		t.Errorf("left = %#v", or.L)
+	if inner := and.L.(*BinaryOp); inner.Op != "AND" || inner.L.(*BinaryOp).Op != "=" || inner.R.(*BinaryOp).Op != ">=" {
+		t.Errorf("left = %#v", and.L)
 	}
-	not := or.R.(*UnaryOp)
-	if not.Op != "NOT" {
-		t.Fatalf("right = %#v", or.R)
-	}
-	lt := not.E.(*BinaryOp)
+	lt := and.R.(*BinaryOp)
 	if lt.Op != "<" {
-		t.Fatalf("not operand = %#v", not.E)
+		t.Fatalf("right = %#v", and.R)
 	}
-	plus := lt.R.(*BinaryOp)
-	if plus.Op != "+" {
+	minus := lt.R.(*BinaryOp) // (9 - 4) - (6 / 2)
+	if minus.Op != "-" {
 		t.Fatalf("rhs = %#v", lt.R)
 	}
-	if mul := plus.R.(*BinaryOp); mul.Op != "*" {
-		t.Fatalf("mul = %#v", plus.R)
+	if l := minus.L.(*BinaryOp); l.Op != "-" || l.L.(*IntLit).V != 9 {
+		t.Errorf("9 - 4 = %#v", minus.L)
+	}
+	if div := minus.R.(*BinaryOp); div.Op != "/" {
+		t.Errorf("6 / 2 = %#v", minus.R)
 	}
 }
 
@@ -169,7 +172,7 @@ GROUP BY v2 ORDER BY MIN(ta), v2 LIMIT $4`)
 }
 
 func TestParseUnionAll(t *testing.T) {
-	s := mustParse(t, "SELECT 1 UNION ALL SELECT 2 UNION SELECT 3")
+	s := mustParse(t, "SELECT a FROM t UNION ALL SELECT a FROM u UNION SELECT a FROM w")
 	if len(s.Arms) != 3 || len(s.All) != 2 {
 		t.Fatalf("arms = %d, all = %v", len(s.Arms), s.All)
 	}
@@ -179,7 +182,7 @@ func TestParseUnionAll(t *testing.T) {
 }
 
 func TestParseOrderDesc(t *testing.T) {
-	s := mustParse(t, "SELECT a FROM t ORDER BY MAX(b) DESC, a ASC")
+	s := mustParse(t, "SELECT a FROM t ORDER BY MAX(b) DESC, a")
 	if len(s.OrderBy) != 2 || !s.OrderBy[0].Desc || s.OrderBy[1].Desc {
 		t.Fatalf("order = %+v", s.OrderBy)
 	}
@@ -190,14 +193,18 @@ func TestParseErrors(t *testing.T) {
 		"",
 		"SELECT",
 		"SELECT a FROM",
-		"SELECT a FROM (SELECT 1)", // derived table without alias
+		"SELECT a FROM (SELECT a FROM t)", // derived table without alias
 		"SELECT a WHERE",
-		"WITH x AS SELECT 1 SELECT 2",      // missing parens
-		"SELECT a FROM t ORDER",            // incomplete
-		"SELECT a FROM t; SELECT b FROM t", // trailing statement
-		"SELECT f(a FROM t",                // unbalanced
-		"SELECT a[1 FROM t",                // unbalanced bracket
-		"SELECT $0",                        // param index 0
+		"WITH x AS SELECT a FROM t SELECT a FROM x", // missing parens
+		"SELECT a FROM t ORDER",                     // incomplete
+		"SELECT a FROM t; SELECT b FROM t",          // trailing statement
+		"SELECT MIN(a FROM t",                       // unbalanced
+		"SELECT a[1:2 FROM t",                       // unbalanced bracket
+		"SELECT MIN(a, b) FROM t",                   // every function takes one argument
+		"SELECT COUNT(a) FROM t",                    // COUNT counts rows
+		"SELECT a FROM t WHERE a = b = c",           // one comparison per conjunct
+		"SELECT $0 FROM t",                          // param index 0
+		"SELECT 1.2.3 FROM t",                       // bad number
 	}
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {
@@ -281,7 +288,7 @@ LIMIT $3;`)
 	if len(s.With) != 2 {
 		t.Fatalf("ctes: %d", len(s.With))
 	}
-	if s.With[1].Query.Core.Items[0].Table != "n1bb" || !s.With[1].Query.Core.Items[0].Star {
+	if s.With[1].Query.Core.Items[0].Table != "n1bb" {
 		t.Errorf("n1bb.* not parsed: %+v", s.With[1].Query.Core.Items[0])
 	}
 	if s.Core.From[0].Subquery == nil || len(s.Core.From[0].Subquery.Arms) != 2 {

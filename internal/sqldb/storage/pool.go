@@ -91,9 +91,6 @@ type Frame struct {
 // while the frame is pinned.
 func (f *Frame) Data() []byte { return f.data[:] }
 
-// Page returns the page id this frame caches.
-func (f *Frame) Page() PageID { return f.key.page }
-
 // NewPool creates a pool with room for capacity frames (minimum 8), split
 // over max(8, GOMAXPROCS) shards. The capacity bounds the resident set;
 // frames pinned concurrently beyond a shard's slice are allowed as a

@@ -112,9 +112,6 @@ func New(budget int64, met *obs.VCacheMetrics) *Cache {
 	return &Cache{budget: budget, met: met}
 }
 
-// Budget returns the configured byte budget.
-func (c *Cache) Budget() int64 { return c.budget }
-
 // Entry is one table's slot in the cache. The mat pointer is published with
 // an atomic store after admission and read with a single atomic load on the
 // hot path; everything else is guarded by the cache mutex.

@@ -1,12 +1,15 @@
 #!/bin/sh
 # Full pre-merge gate: formatting, vet, project lint, build, and the whole
-# test suite under the race detector with shuffled test order, then the
-# benchmark module (benchmark/ is a module of its own, invisible to ./...), a
-# look at what ptldb-build leaves in a database directory, and at what becomes
-# of that directory once its catalog stops declaring the label run order.
-# Also available as `make check`.
+# test suite under the race detector with shuffled test order, the general SQL
+# engine's coverage by its callers alone, then the benchmark module
+# (benchmark/ is a module of its own, invisible to ./...), a look at what
+# ptldb-build leaves in a database directory, the console on it, and what
+# becomes of that directory once its catalog stops declaring the label run
+# order. Also available as `make check`.
 set -eu
 cd "$(dirname "$0")/.."
+img=$(mktemp -d)
+trap 'rm -rf "$img"' EXIT
 
 echo "== gofmt -l"
 unformatted=$(gofmt -l .)
@@ -30,6 +33,23 @@ echo "== go test -race -shuffle on ./... (with statement coverage of internal/sq
 go test -race -shuffle on -coverpkg=./internal/sqldb/... -coverprofile=coverage.out ./...
 echo "sqldb/* statement coverage, all packages merged (reported, not gated):"
 go tool cover -func=coverage.out | tail -n 1
+echo "== the general SQL engine as its callers reach it (every package outside internal/sqldb)"
+# The merged total above counts a construct as covered when the engine's own
+# unit test for it runs. This profile leaves those tests out: what it does not
+# reach, no caller uses — the console and the differential batteries are the
+# engine's two roles. A function nothing reaches is a capability to delete.
+# (isExpr is the AST's marker method: no statements to reach.)
+go test -coverpkg=./internal/sqldb/sql,./internal/sqldb/exec -coverprofile="$img/callers.out" \
+    $(go list ./... | grep -v /internal/sqldb) > /dev/null
+echo "sqldb/sql + sqldb/exec statement coverage, callers only (reported; a function at 0 % fails):"
+go tool cover -func="$img/callers.out" | tail -n 1
+unreached=$(go tool cover -func="$img/callers.out" |
+    awk '$1 ~ /sqldb\/sql\/|sqldb\/exec\/(exec|expr|from)\.go/ && $2 != "isExpr" && $3 == "0.0%"')
+if [ -n "$unreached" ]; then
+    echo "general-engine functions no caller outside internal/sqldb reaches:" >&2
+    echo "$unreached" >&2
+    exit 1
+fi
 echo "== fused allocs/op ratchet (no race detector)"
 go test -run 'TestFusedAllocsBudget' -count=1 .
 echo "== bench smoke (fused executor, 5 iterations)"
@@ -41,13 +61,27 @@ go -C benchmark vet .
 go -C benchmark test .
 go -C benchmark run . -smoke > /dev/null
 echo "== built image holds segments and the catalog only"
-img=$(mktemp -d)
-trap 'rm -rf "$img"' EXIT
 go run ./cmd/ptldb-build -city Austin -scale 0.01 -targets 0.1:4 -db "$img/db" > /dev/null
 stray=$(ls -A "$img/db" | grep -v -e '\.seg$' -e '^catalog\.json$' || true)
 if [ -n "$stray" ] || [ ! -f "$img/db/lout.seg" ]; then
     echo "ptldb-build left something other than <table>.seg and catalog.json:" >&2
     ls -A "$img/db" >&2
+    exit 1
+fi
+echo "== the console runs Code 1 with its parameters and answers what ptldb-query ea answers"
+code1='WITH outp AS (SELECT UNNEST(hubs) AS hub, UNNEST(tds) AS td, UNNEST(tas) AS ta FROM lout WHERE v=$1),
+  inp AS (SELECT UNNEST(hubs) AS hub, UNNEST(tds) AS td, UNNEST(tas) AS ta FROM lin WHERE v=$2)
+  SELECT MIN(inp.ta) FROM outp, inp WHERE outp.hub=inp.hub AND outp.ta<=inp.td AND outp.td>=$3'
+go build -o "$img/ptldb-query" ./cmd/ptldb-query
+want=$("$img/ptldb-query" -db "$img/db" ea 0 1 0 | sed -n 's/.*(\([0-9]*\))$/\1/p')
+got=$("$img/ptldb-query" -db "$img/db" sql "$code1" 0 1 0 | sed -n 2p | tr -d '\t')
+if [ -z "$want" ] || [ "$got" != "$want" ]; then
+    echo "ptldb-query sql '<Code 1>' 0 1 0 answers '$got', ptldb-query ea 0 1 0 answers '$want'" >&2
+    exit 1
+fi
+if out=$("$img/ptldb-query" -db "$img/db" sql "$code1" 0 one 0 2>&1) || ! echo "$out" | grep -q 'usage:.*\$2'; then
+    echo "a non-integer parameter was not a usage error naming \$2:" >&2
+    echo "$out" >&2
     exit 1
 fi
 echo "== an image whose catalog stops declaring the label run order does not open"
