@@ -61,3 +61,25 @@ func TestEncodeFindingsEmpty(t *testing.T) {
 		t.Errorf("empty output = %q, want %q", got, "[]\n")
 	}
 }
+
+// TestSelectCheckers: -checkers picks from the default suite by name, in the
+// order asked for, and a name outside it is an error listing the suite.
+func TestSelectCheckers(t *testing.T) {
+	all, err := selectCheckers("")
+	if err != nil || len(all) != len(analysis.Checkers()) {
+		t.Fatalf("selectCheckers(\"\") = %d checkers, %v; want the default suite", len(all), err)
+	}
+	got, err := selectCheckers("errcheck, arenacheck")
+	if err != nil || len(got) != 2 || got[0].Name() != "errcheck" || got[1].Name() != "arenacheck" {
+		t.Fatalf("selectCheckers(errcheck, arenacheck) = %v, %v", got, err)
+	}
+	_, err = selectCheckers("arenacheck,nope")
+	if err == nil || !strings.Contains(err.Error(), `"nope"`) {
+		t.Fatalf("unknown checker: err = %v", err)
+	}
+	for _, c := range all {
+		if !strings.Contains(err.Error(), c.Name()) {
+			t.Errorf("error does not list %s: %v", c.Name(), err)
+		}
+	}
+}

@@ -68,6 +68,10 @@ func TestStaleWaiver(t *testing.T) {
 	if f.Pos.Line != 20 {
 		t.Errorf("line = %d, want 20 (the stale directive comment)", f.Pos.Line)
 	}
+	// The text form ptldb-analyze prints: a compiler-style diagnostic.
+	if got, want := f.String(), f.Pos.String()+": directive: "+wantMsg; got != want {
+		t.Errorf("String() = %q, want %q", got, want)
+	}
 }
 
 // TestCleanCorpus runs every checker (errcheck unscoped) over the negative

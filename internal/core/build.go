@@ -214,45 +214,7 @@ func bestPerTargetEA(ts []targetTuple, k int) []Result {
 			best[t.v] = t.ta
 		}
 	}
-	out := make([]Result, 0, len(best))
-	for v, ta := range best {
-		out = append(out, Result{Stop: v, When: ta})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].When != out[j].When {
-			return out[i].When < out[j].When
-		}
-		return out[i].Stop < out[j].Stop
-	})
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out
-}
-
-// bestPerTargetLD keeps, for each distinct target, its latest departure,
-// returning the k best ordered by (departure descending, target id).
-func bestPerTargetLD(ts []targetTuple, k int) []Result {
-	best := map[timetable.StopID]timetable.Time{}
-	for _, t := range ts {
-		if b, ok := best[t.v]; !ok || t.td > b {
-			best[t.v] = t.td
-		}
-	}
-	out := make([]Result, 0, len(best))
-	for v, td := range best {
-		out = append(out, Result{Stop: v, When: td})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].When != out[j].When {
-			return out[i].When > out[j].When
-		}
-		return out[i].Stop < out[j].Stop
-	})
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out
+	return topKEA(best, k)
 }
 
 func targetIDs(rs []Result) sqltypes.Value {
@@ -475,50 +437,4 @@ func expColumn(ts []targetTuple, get func(targetTuple) timetable.Time) sqltypes.
 		a[i] = int64(get(t))
 	}
 	return sqltypes.NewIntArray(a)
-}
-
-// ensureLabelOrder establishes the (hub, td, ta) lexicographic order of one
-// stop's label arrays in place. TTL construction already emits tuples sorted
-// by (Hub, Dep), so the verification pass is the common case and the sort
-// runs only for labels from other producers (e.g. hand-built tables in
-// tests). It is the first half of the label tables' declared run order; the
-// second — arrivals ascend with departures inside a hub's run — no sort can
-// establish, and BulkLoad rejects a label without it.
-func ensureLabelOrder(hubs, tds, tas []int64) {
-	sorted := true
-	for i := 1; i < len(hubs); i++ {
-		if hubs[i] < hubs[i-1] ||
-			(hubs[i] == hubs[i-1] && (tds[i] < tds[i-1] ||
-				(tds[i] == tds[i-1] && tas[i] < tas[i-1]))) {
-			sorted = false
-			break
-		}
-	}
-	if sorted {
-		return
-	}
-	idx := make([]int, len(hubs))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		i, j := idx[a], idx[b]
-		if hubs[i] != hubs[j] {
-			return hubs[i] < hubs[j]
-		}
-		if tds[i] != tds[j] {
-			return tds[i] < tds[j]
-		}
-		return tas[i] < tas[j]
-	})
-	apply := func(col []int64) {
-		tmp := make([]int64, len(col))
-		for a, i := range idx {
-			tmp[a] = col[i]
-		}
-		copy(col, tmp)
-	}
-	apply(hubs)
-	apply(tds)
-	apply(tas)
 }

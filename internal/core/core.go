@@ -333,7 +333,8 @@ func loadLabelTables(db *sqldb.DB, suffix string, labels *ttl.Labels, vm *Versio
 
 // loadLabelSide bulk-loads one label side into its table: the rows are
 // already in ascending primary-key (stop id) order, so a rejected row's index
-// is its stop.
+// is its stop. The table declares its run order and BulkLoad alone checks it:
+// a label in any other order is its error, naming the position.
 func loadLabelSide(tbl *sqldb.Table, side [][]ttl.Tuple, r *timeRange) error {
 	r.min, r.max = timetable.Infinity, timetable.NegInfinity
 	rows := make([]sqltypes.Row, len(side))
@@ -350,12 +351,6 @@ func loadLabelSide(tbl *sqldb.Table, side [][]ttl.Tuple, r *timeRange) error {
 				r.max = t.Arr
 			}
 		}
-		// The table declares its run order: validated by BulkLoad, trusted by
-		// the executor. Sorting re-establishes (hub, td, ta) for a producer
-		// that emits another order; a run that is not a Pareto antichain (an
-		// arrival descending as departures ascend) is left for BulkLoad to
-		// reject.
-		ensureLabelOrder(hubs, tds, tas)
 		rows[v] = sqltypes.Row{
 			sqltypes.NewInt(int64(v)),
 			sqltypes.NewIntArray(hubs),

@@ -8,6 +8,7 @@ import (
 	"ptldb/internal/csa"
 	"ptldb/internal/order"
 	"ptldb/internal/sqldb"
+	"ptldb/internal/sqldb/sqltypes"
 	"ptldb/internal/sqldb/storage"
 	"ptldb/internal/timetable"
 	"ptldb/internal/ttl"
@@ -460,6 +461,11 @@ func TestStopsMetadataTable(t *testing.T) {
 	rel, err := st.Raw("SELECT name FROM stops WHERE v = 5")
 	if err != nil || len(rel.Rows) != 1 || rel.Rows[0][0].S != "stop-5" {
 		t.Fatalf("SQL stops lookup: %v %v", rel, err)
+	}
+	// ... and with the access-path trace, as ptldb-query explain runs it.
+	rel, trace, err := st.RawTraced("SELECT name FROM stops WHERE v = $1", sqltypes.NewInt(5))
+	if err != nil || len(rel.Rows) != 1 || rel.Rows[0][0].S != "stop-5" || len(trace) == 0 {
+		t.Fatalf("traced SQL stops lookup: %v, trace %q, %v", rel, trace, err)
 	}
 	// Without the option, Stop reports a missing table.
 	db2, _ := sqldb.Open(t.TempDir(), sqldb.Options{Device: storage.RAM, PoolPages: 1024})

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math/rand"
-	"sort"
 	"strings"
 	"testing"
 
@@ -94,67 +92,4 @@ func TestBuildRejectsUnorderedLabels(t *testing.T) {
 	defer db.Close()
 	_, err = Build(db, bad, BuildOptions{})
 	check("Build", err)
-}
-
-func TestEnsureLabelOrder(t *testing.T) {
-	// Already ordered: left byte-for-byte intact.
-	hubs := []int64{1, 1, 2, 2, 2, 5}
-	tds := []int64{3, 7, 0, 0, 9, 4}
-	tas := []int64{9, 2, 1, 3, 0, 8}
-	wantH := append([]int64(nil), hubs...)
-	wantD := append([]int64(nil), tds...)
-	wantA := append([]int64(nil), tas...)
-	ensureLabelOrder(hubs, tds, tas)
-	for i := range hubs {
-		if hubs[i] != wantH[i] || tds[i] != wantD[i] || tas[i] != wantA[i] {
-			t.Fatalf("sorted input was reordered at %d", i)
-		}
-	}
-
-	// Random input: sorted lexicographically by (hub, td, ta) afterwards,
-	// and the multiset of (hub, td, ta) triples is preserved.
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 20; trial++ {
-		n := rng.Intn(30)
-		h := make([]int64, n)
-		d := make([]int64, n)
-		a := make([]int64, n)
-		type triple struct{ h, d, a int64 }
-		var want []triple
-		for i := 0; i < n; i++ {
-			h[i] = int64(rng.Intn(5))
-			d[i] = int64(rng.Intn(10))
-			a[i] = int64(rng.Intn(10))
-			want = append(want, triple{h[i], d[i], a[i]})
-		}
-		ensureLabelOrder(h, d, a)
-		for i := 1; i < n; i++ {
-			if h[i] < h[i-1] ||
-				(h[i] == h[i-1] && (d[i] < d[i-1] || (d[i] == d[i-1] && a[i] < a[i-1]))) {
-				t.Fatalf("trial %d: not sorted at %d: %v %v %v", trial, i, h, d, a)
-			}
-		}
-		var got []triple
-		for i := 0; i < n; i++ {
-			got = append(got, triple{h[i], d[i], a[i]})
-		}
-		less := func(s []triple) func(i, j int) bool {
-			return func(i, j int) bool {
-				if s[i].h != s[j].h {
-					return s[i].h < s[j].h
-				}
-				if s[i].d != s[j].d {
-					return s[i].d < s[j].d
-				}
-				return s[i].a < s[j].a
-			}
-		}
-		sort.Slice(want, less(want))
-		sort.Slice(got, less(got))
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: triples not preserved: got %v want %v", trial, got, want)
-			}
-		}
-	}
 }

@@ -12,10 +12,12 @@ import (
 	"net"
 	"net/http"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"ptldb"
+	"ptldb/internal/obs"
 )
 
 func TestClientMatchesDirectDB(t *testing.T) {
@@ -137,6 +139,8 @@ func TestClientMatchesDirectDB(t *testing.T) {
 	var httpErr *HTTPError
 	if !errors.As(err, &httpErr) || httpErr.Status != http.StatusBadRequest {
 		t.Errorf("EA with out-of-range stop: err %v, want HTTPError 400", err)
+	} else if msg := httpErr.Error(); !strings.Contains(msg, httpErr.Msg) || !strings.Contains(msg, "HTTP 400") {
+		t.Errorf("HTTPError text %q lacks the server's message or the status", msg)
 	}
 	if _, err := c.EAKNN("no-such-set", 0, t0, 2); !errors.As(err, &httpErr) || httpErr.Status != http.StatusBadRequest {
 		t.Errorf("EAKNN with unknown set: err %v, want HTTPError 400", err)
@@ -153,5 +157,10 @@ func TestClientMatchesDirectDB(t *testing.T) {
 	}
 	if len(snap.Query) == 0 {
 		t.Error("Obs().Query empty after queries ran")
+	}
+	// The untyped escape hatch reads the same endpoint.
+	var raw obs.Snapshot
+	if err := c.Get("/obs", &raw); err != nil || raw.Serve == nil || raw.Serve.Requests <= snap.Serve.Requests {
+		t.Errorf("Get(/obs) = %+v, %v; want the snapshot one request on", raw.Serve, err)
 	}
 }

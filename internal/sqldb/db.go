@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 
@@ -230,22 +231,28 @@ func (db *DB) saveCatalogLocked() error {
 		defs = append(defs, t.def)
 	}
 	// Deterministic order for reproducible catalogs.
-	for i := 0; i < len(defs); i++ {
-		for j := i + 1; j < len(defs); j++ {
-			if defs[j].Name < defs[i].Name {
-				defs[i], defs[j] = defs[j], defs[i]
-			}
-		}
-	}
+	slices.SortFunc(defs, func(a, b TableDef) int { return strings.Compare(a.Name, b.Name) })
 	data, err := json.MarshalIndent(defs, "", "  ")
 	if err != nil {
 		return err
 	}
+	// Like a segment: the bytes are synced under a temporary name before the
+	// rename, so a crash leaves the old catalog or the new one, never an
+	// empty file behind a durable rename.
 	tmp := db.catalogPath() + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	f, err := os.Create(tmp)
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, db.catalogPath())
+	_, err = f.Write(data)
+	err = firstError(err, f.Sync())
+	if err = firstError(err, f.Close()); err == nil {
+		err = os.Rename(tmp, db.catalogPath())
+	}
+	if err != nil {
+		_ = os.Remove(tmp) // best-effort cleanup; the write failure wins
+	}
+	return err
 }
 
 // DropTable removes a table and deletes its file. Concurrent queries must
@@ -296,21 +303,19 @@ func (db *DB) Flush() error {
 	return firstError(d.Sync(), d.Close())
 }
 
-// Close flushes and releases all files.
+// Close flushes and releases all files. Every file is closed even when the
+// flush fails (the directory may be gone); the first error is returned.
 func (db *DB) Close() error {
-	if err := db.Flush(); err != nil {
-		return err
-	}
+	err := db.Flush()
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	var closeErr error
 	for _, t := range db.tables {
 		if t.file != nil {
-			closeErr = firstError(closeErr, t.file.Close())
+			err = firstError(err, t.file.Close())
 		}
 	}
 	db.tables = map[string]*Table{}
-	return closeErr
+	return err
 }
 
 // firstError returns the first non-nil error of errs.

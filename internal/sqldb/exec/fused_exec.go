@@ -276,10 +276,10 @@ func (p *FusedPlan) runKNNNaive(cat Catalog, params []sqltypes.Value, st *queryS
 		return nil, err
 	}
 	tb, ix := lay.tb, &lay.idx
-	// The label is reduced to its per-hub groups before the scan starts, so
-	// the scan may recycle the scratch that decoded it. The callbacks escape
-	// through the ScratchTable interface; they count folds in st.merged, which
-	// is published once after the scan.
+	// The scan decodes into a scratch of its own: it recycles the arena per
+	// row, and on the segment tier the label an LD query searches lives in
+	// st.scratch's. The callbacks escape through the ScratchTable interface;
+	// they count folds in st.merged, which is published once after the scan.
 	if f.ea {
 		// A naive row joins some label tuple iff the label's earliest arrival
 		// at the row's hub (among departures >= t) is <= the row's departure;
@@ -293,18 +293,17 @@ func (p *FusedPlan) runKNNNaive(cat Catalog, params []sqltypes.Value, st *queryS
 	if len(st.groups) == 0 {
 		return &Relation{Schema: p.schema}, nil
 	}
-	err = scanScratch(tb, &st.scratch, func(row sqltypes.Row) error {
+	err = scanScratch(tb, &st.scan, func(row sqltypes.Row) error {
 		hv, dv, vv, av := row[ix[naiveHub]], row[ix[naiveTd]], row[ix[naiveVs]], row[ix[naiveTas]]
 		if hv.T != sqltypes.Int64 || dv.T != sqltypes.Int64 ||
 			vv.T != sqltypes.IntArray || av.T != sqltypes.IntArray ||
 			len(vv.A) != len(av.A) {
 			return p.tables[1].lengthsErr(naiveVs, naiveTas)
 		}
-		gi, ok := st.gidx.find(hv.I, 0)
-		if !ok {
+		g := st.groupByHub(hv.I)
+		if g == nil {
 			return nil
 		}
-		g := &st.groups[gi]
 		kl := min(k, len(vv.A))
 		if f.ea {
 			if dv.I < g.minTa {
@@ -316,13 +315,13 @@ func (p *FusedPlan) runKNNNaive(cat Catalog, params []sqltypes.Value, st *queryS
 			st.merged += uint64(kl)
 			return nil
 		}
-		maxTd, ok := st.bestDeparture(g, dv.I)
+		dep, ok := st.bestDeparture(g, dv.I)
 		if !ok {
 			return nil
 		}
 		for j := 0; j < kl; j++ {
 			if av.A[j] <= t {
-				st.acc.foldMax(vv.A[j], maxTd)
+				st.acc.foldMax(vv.A[j], dep)
 				st.merged++
 			}
 		}
@@ -449,12 +448,14 @@ func (p *FusedPlan) runCondensed(cat Catalog, params []sqltypes.Value, st *query
 		st.groupLD(lab, floorDiv(t, p.width))
 	}
 	st.orderGroups()
+	// On the segment tier the label lives in the arena and an LD query keeps
+	// searching it; each row is consumed before the next fetch, so the arena
+	// holds the label and one row after it.
+	labEnd := len(st.scratch.Arena)
 	var arms condArms
 	for _, gi := range st.order {
 		g := &st.groups[gi]
-		// The label is fully reduced and each row is consumed before the next
-		// fetch, so the arena holds one row at a time.
-		st.scratch.Arena = st.scratch.Arena[:0]
+		st.scratch.Arena = st.scratch.Arena[:labEnd]
 		st.key = [2]int64{g.bucket, g.hub}
 		row, found, err := lookupPKScratch(aux.tb, st.key[:], &st.scratch)
 		if err != nil {

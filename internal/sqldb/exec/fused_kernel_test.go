@@ -4,12 +4,11 @@ package exec
 // real label data rarely produces: many label tuples per (hub, bucket),
 // negative timestamps through floorDiv, a timestamp so far out that its bucket
 // is not worth counting to (the probe order needs a comparison sort), k beyond
-// an arm's length,
-// empty labels and query stops that are themselves targets — against
-// condensed tables keyed (hub, bucket) and (bucket, hub), always compared with
-// the general executor and always probing in ascending key order — plus the
-// flat index and top-k selection on their own, and one plan shared by many
-// goroutines.
+// an arm's length, empty labels and query stops that are themselves targets —
+// against condensed tables keyed (bucket, hub), always compared with the
+// general executor and always probing in ascending key order — plus the flat
+// index, the label grouping and top-k selection on their own, and one plan
+// shared by many goroutines.
 
 import (
 	"fmt"
@@ -31,18 +30,11 @@ func TestFlatIndexMatchesMap(t *testing.T) {
 			x.epoch = math.MaxUint32 - 1 // the next two resets wrap the stamp
 		}
 		x.reset()
-		want := map[[2]int64]int32{}
+		want := map[int64]int32{}
 		keys := 1 + rng.Intn(300) // beyond the minimum table: forces growth
 		for i := 0; i < 4*keys; i++ {
-			k := [2]int64{int64(rng.Intn(keys)) - int64(keys/2), int64(rng.Intn(3)) - 1}
-			if rng.Intn(4) == 0 {
-				id, ok := x.find(k[0], k[1])
-				if w, wok := want[k]; ok != wok || (ok && id != w) {
-					t.Fatalf("epoch %d: find(%v) = %d,%v want %d,%v", epoch, k, id, ok, w, wok)
-				}
-				continue
-			}
-			id, added := x.findOrAdd(k[0], k[1])
+			k := int64(rng.Intn(keys)) - int64(keys/2)
+			id, added := x.findOrAdd(k)
 			w, seen := want[k]
 			if !seen {
 				w = int32(len(want)) // dense ids in first-touch order
@@ -54,6 +46,87 @@ func TestFlatIndexMatchesMap(t *testing.T) {
 		}
 		if int(x.n) != len(want) {
 			t.Fatalf("epoch %d: %d ids, want %d", epoch, x.n, len(want))
+		}
+	}
+}
+
+// TestGroupsAreLabelRuns: on a run-ordered label the grouping needs no lookup —
+// the tuples of one (hub, bucket) key are adjacent, so there is one group per
+// distinct key, in strictly ascending (hub, bucket) order, and an LD group is
+// exactly its hub's run of the label. Labels carry negative times, dummy
+// tuples (td == ta) and many tuples per key; width 1 makes every distinct
+// arrival a bucket of its own.
+func TestGroupsAreLabelRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for trial := 0; trial < 400; trial++ {
+		var lab label
+		for hub, nHubs := int64(-2), int64(rng.Intn(6)); hub < nHubs; hub += 1 + int64(rng.Intn(3)) {
+			td, ta := int64(rng.Intn(200))-300, int64(0)
+			for n := 1 + rng.Intn(40); n > 0; n-- {
+				td += int64(rng.Intn(30)) // repeats: several tuples per departure
+				if ta = max(ta, td); rng.Intn(3) > 0 {
+					ta += int64(rng.Intn(60)) // else a dummy tuple, or one arriving with the last
+				}
+				lab.hubs, lab.tds, lab.tas = append(lab.hubs, hub), append(lab.tds, td), append(lab.tas, ta)
+			}
+		}
+		ascending := func(st *queryState, what string) {
+			t.Helper()
+			for i := 1; i < len(st.groups); i++ {
+				if a, b := &st.groups[i-1], &st.groups[i]; a.hub > b.hub || (a.hub == b.hub && a.bucket >= b.bucket) {
+					t.Fatalf("trial %d %s: groups %d and %d do not ascend in (hub, bucket): %+v, %+v", trial, what, i-1, i, *a, *b)
+				}
+			}
+		}
+		for _, width := range []int64{0, 1, 7, 50} {
+			at := int64(rng.Intn(400)) - 350
+			type key struct{ hub, bucket int64 }
+			minTa := map[key]int64{}
+			for i, td := range lab.tds {
+				if td < at {
+					continue
+				}
+				k := key{hub: lab.hubs[i]}
+				if width > 0 {
+					k.bucket = floorDiv(lab.tas[i], width)
+				}
+				if m, ok := minTa[k]; !ok || lab.tas[i] < m {
+					minTa[k] = lab.tas[i]
+				}
+			}
+			var st queryState
+			st.groupEA(lab, at, width)
+			what := fmt.Sprintf("EA t=%d width=%d", at, width)
+			if len(st.groups) != len(minTa) {
+				t.Fatalf("trial %d %s: %d groups, %d distinct keys", trial, what, len(st.groups), len(minTa))
+			}
+			ascending(&st, what)
+			for _, g := range st.groups {
+				if want, ok := minTa[key{g.hub, g.bucket}]; !ok || g.minTa != want {
+					t.Fatalf("trial %d %s: group %+v, want minTa %d (%v)", trial, what, g, want, ok)
+				}
+			}
+		}
+		var st queryState
+		st.groupLD(lab, 5)
+		ascending(&st, "LD")
+		next := int32(0)
+		for _, g := range st.groups {
+			if g.bucket != 5 || g.lo != next || g.hi <= g.lo {
+				t.Fatalf("trial %d LD: group %+v does not continue the label at %d", trial, g, next)
+			}
+			for i := g.lo; i < g.hi; i++ {
+				if lab.hubs[i] != g.hub {
+					t.Fatalf("trial %d LD: group %+v holds tuple %d of hub %d", trial, g, i, lab.hubs[i])
+				}
+			}
+			if got := st.groupByHub(g.hub); got == nil || *got != g {
+				t.Fatalf("trial %d LD: groupByHub(%d) = %+v, want %+v", trial, g.hub, got, g)
+			}
+			next = g.hi
+		}
+		if int(next) != len(lab.hubs) || st.groupByHub(-3) != nil || st.groupByHub(100) != nil {
+			t.Fatalf("trial %d LD: groups end at %d of %d tuples, or a hub outside the label has a group", trial, next, len(lab.hubs))
 		}
 	}
 }

@@ -4,9 +4,10 @@ package exec
 // resolved layout of the tables a plan reads (cached on the plan) and the
 // pooled per-query state — row scratch, the (hub, bucket) grouping of the
 // query stop's label, and the per-target MIN/MAX accumulator. Nothing here
-// touches a Go map: both lookups are open-addressed probes of one flat,
-// epoch-stamped table, so starting a query costs a counter increment rather
-// than a clear, and a steady-state query allocates only its result.
+// touches a Go map: grouping walks the label's declared runs, and the
+// accumulator probes a flat, epoch-stamped table, so starting a query costs a
+// counter increment rather than a clear, and a steady-state query allocates
+// only its result.
 
 import (
 	"cmp"
@@ -123,8 +124,8 @@ type label struct {
 
 // label point-looks-up the label of stop v in the referenced label table,
 // decoding through st's scratch when the table supports it. The returned
-// arrays stay valid until the scratch arena is next truncated. A missing stop
-// yields an empty label.
+// arrays stay valid until the scratch arena is truncated below them. A
+// missing stop yields an empty label.
 //
 // hotpath — allocheck root: the per-query label fetch shared by every fused
 // code; it must not allocate beyond the scratch it is handed.
@@ -152,9 +153,9 @@ func (r *tableRef) label(cat Catalog, v int64, st *queryState) (label, error) {
 
 // --- flat index ----------------------------------------------------------------
 
-// flatIndex maps a two-word key to a dense id handed out in first-touch
-// order: an open-addressed, linearly probed table whose slots carry the epoch
-// they were written in, so reset is O(1) and a recycled table needs no clear.
+// flatIndex maps a key to a dense id handed out in first-touch order: an
+// open-addressed, linearly probed table whose slots carry the epoch they were
+// written in, so reset is O(1) and a recycled table needs no clear.
 type flatIndex struct {
 	slots []flatSlot // power-of-two length, at most half full
 	shift uint       // 64 - log2(len(slots))
@@ -163,7 +164,7 @@ type flatIndex struct {
 }
 
 type flatSlot struct {
-	a, b  int64
+	key   int64
 	id    int32
 	epoch uint32
 }
@@ -179,47 +180,28 @@ func (x *flatIndex) reset() {
 	}
 }
 
-// hotpath — allocheck root: the probe under every fold and group lookup.
-func (x *flatIndex) home(a, b int64) int {
-	return int((uint64(a)*0x9E3779B97F4A7C15 + uint64(b)*0xC2B2AE3D27D4EB4F) * 0x9E3779B97F4A7C15 >> x.shift)
+// hotpath — allocheck root: the probe under every fold.
+func (x *flatIndex) home(key int64) int {
+	return int(uint64(key) * 0x9E3779B97F4A7C15 >> x.shift)
 }
 
-// find returns the id of key (a, b) if it was added this epoch.
+// findOrAdd returns the id of key, assigning the next dense id when the key
+// is new this epoch.
 //
-// hotpath — allocheck root: per scanned row in the naive kNN.
-func (x *flatIndex) find(a, b int64) (int32, bool) {
-	if x.n == 0 {
-		return 0, false
-	}
-	mask := len(x.slots) - 1
-	for i := x.home(a, b); ; i = (i + 1) & mask {
-		s := &x.slots[i]
-		if s.epoch != x.epoch {
-			return 0, false
-		}
-		if s.a == a && s.b == b {
-			return s.id, true
-		}
-	}
-}
-
-// findOrAdd returns the id of key (a, b), assigning the next dense id when
-// the key is new this epoch.
-//
-// hotpath — allocheck root: per fold and per label tuple.
-func (x *flatIndex) findOrAdd(a, b int64) (id int32, added bool) {
+// hotpath — allocheck root: per fold.
+func (x *flatIndex) findOrAdd(key int64) (id int32, added bool) {
 	if int(x.n)*2 >= len(x.slots) {
 		x.grow()
 	}
 	mask := len(x.slots) - 1
-	for i := x.home(a, b); ; i = (i + 1) & mask {
+	for i := x.home(key); ; i = (i + 1) & mask {
 		s := &x.slots[i]
 		if s.epoch != x.epoch {
-			*s = flatSlot{a: a, b: b, id: x.n, epoch: x.epoch}
+			*s = flatSlot{key: key, id: x.n, epoch: x.epoch}
 			x.n++
 			return s.id, true
 		}
-		if s.a == a && s.b == b {
+		if s.key == key {
 			return s.id, false
 		}
 	}
@@ -244,7 +226,7 @@ func (x *flatIndex) grow() {
 		if s.epoch != x.epoch {
 			continue
 		}
-		i := x.home(s.a, s.b)
+		i := x.home(s.key)
 		for x.slots[i].epoch == x.epoch {
 			i = (i + 1) & mask
 		}
@@ -276,7 +258,7 @@ func (a *targetAcc) reset() {
 //
 // hotpath — allocheck root: per condensed-arm entry in the kNN scans.
 func (a *targetAcc) foldMin(v, val int64) {
-	id, added := a.idx.findOrAdd(v, 0)
+	id, added := a.idx.findOrAdd(v)
 	if added {
 		a.entries = append(a.entries, kEntry{v, val})
 	} else if val < a.entries[id].val {
@@ -288,7 +270,7 @@ func (a *targetAcc) foldMin(v, val int64) {
 //
 // hotpath — allocheck root: per condensed-arm entry in the kNN scans.
 func (a *targetAcc) foldMax(v, val int64) {
-	id, added := a.idx.findOrAdd(v, 0)
+	id, added := a.idx.findOrAdd(v)
 	if added {
 		a.entries = append(a.entries, kEntry{v, val})
 	} else if val > a.entries[id].val {
@@ -379,7 +361,7 @@ type hubGroup struct {
 	// EA: the earliest arrival at hub among the group's tuples departing at
 	// or after t.
 	minTa int64
-	// LD: the group's range in queryState.tas / maxTd.
+	// LD: the hub's run of the label, queryState.lab's [lo, hi).
 	lo, hi int32
 }
 
@@ -387,21 +369,18 @@ type hubGroup struct {
 // taken from the plan's pool per Run and returned on exit; nothing in it is
 // meaningful between queries, and no result aliases it.
 type queryState struct {
-	scratch RowScratch
-	key     [2]int64 // lookup key buffer (escapes through the Table interface)
+	scratch RowScratch // the label, then one looked-up row at a time after it
+	scan    RowScratch // the naive scan's rows: ScanScratch recycles its arena per row
+	key     [2]int64   // lookup key buffer (escapes through the Table interface)
 
-	gidx   flatIndex  // (hub, bucket) -> position in groups
-	groups []hubGroup // first-touch order
-	last   int32      // group of the previous label tuple, -1 before the first
+	// One group per distinct (hub, bucket) key of the label, in label order:
+	// hubs ascend, and buckets ascend within a hub.
+	groups []hubGroup
+	lab    label // LD only: the label the groups' [lo, hi) index
 
 	// Condensed only: positions of groups ascending in the aux table's key
 	// order — the aux lookup order — and the per-bucket counts that build it.
 	order, bucketCnt []int32
-
-	// LD only: per group, the tuples' arrivals ascending and the running
-	// maximum of their departures; tupleGroup is the scatter's first pass.
-	tupleGroup []int32
-	tas, maxTd []int64
 
 	acc    targetAcc
 	merged uint64 // fold calls, published once per query
@@ -414,42 +393,58 @@ func (p *FusedPlan) acquire() *queryState {
 		st = new(queryState)
 	}
 	st.scratch.Arena = st.scratch.Arena[:0]
-	st.gidx.reset()
 	st.groups = st.groups[:0]
-	st.last = -1
 	st.acc.reset()
 	st.merged = 0
 	return st
 }
 
-// release returns st to the pool, dropping the row header's views so a
+// release returns st to the pool, dropping the label and row views so a
 // pooled state never keeps an evicted cache vector alive.
 func (p *FusedPlan) release(st *queryState) {
+	st.lab = label{}
 	clear(st.scratch.Row[:cap(st.scratch.Row)])
+	clear(st.scan.Row[:cap(st.scan.Row)])
 	p.states.Put(st)
 }
 
-// groupOf returns the group of key (hub, bucket), adding it on first touch.
-// Labels are run-ordered, so the previous tuple's group almost always matches
-// and the probe is the fallback.
+// groupOf returns the group of key (hub, bucket): the last one, or a new one.
+// A label is run-ordered, so the tuples of one key are adjacent in it — in a
+// hub's run arrivals ascend, and so do their buckets.
 //
 // hotpath — allocheck root: per label tuple.
 func (st *queryState) groupOf(hub, bucket int64) (g *hubGroup, added bool) {
-	if st.last >= 0 {
-		if g = &st.groups[st.last]; g.hub == hub && g.bucket == bucket {
+	if n := len(st.groups); n > 0 {
+		if g = &st.groups[n-1]; g.hub == hub && g.bucket == bucket {
 			return g, false
 		}
 	}
-	st.last, added = st.gidx.findOrAdd(hub, bucket)
-	if added {
-		st.groups = append(st.groups, hubGroup{hub: hub, bucket: bucket})
+	st.groups = append(st.groups, hubGroup{hub: hub, bucket: bucket})
+	return &st.groups[len(st.groups)-1], true
+}
+
+// groupByHub returns the group of hub in a grouping by hub alone (one bucket),
+// whose groups ascend by hub, or nil.
+//
+// hotpath — allocheck root: per scanned row in the naive kNN.
+func (st *queryState) groupByHub(hub int64) *hubGroup {
+	lo, hi := 0, len(st.groups)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); st.groups[m].hub < hub {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
-	return &st.groups[st.last], added
+	if lo == len(st.groups) || st.groups[lo].hub != hub {
+		return nil
+	}
+	return &st.groups[lo]
 }
 
 // groupEA groups the label tuples departing at or after t by (hub,
 // FLOOR(ta/width)) — by hub alone when width is 0 — keeping the earliest
-// arrival per group.
+// arrival per group: the first, since arrivals ascend within a hub's run.
 //
 // hotpath — allocheck root: the one walk over the label of an EA query.
 func (st *queryState) groupEA(lab label, t, width int64) {
@@ -461,49 +456,26 @@ func (st *queryState) groupEA(lab label, t, width int64) {
 		if width > 0 {
 			bucket = floorDiv(ta, width)
 		}
-		if g, added := st.groupOf(lab.hubs[i], bucket); added || ta < g.minTa {
+		if g, added := st.groupOf(lab.hubs[i], bucket); added {
 			g.minTa = ta
 		}
 	}
 }
 
-// groupLD groups every label tuple by hub (all probe the one given bucket)
-// and lays each group out in tas/maxTd[lo:hi] ordered by arrival, with maxTd
-// the prefix maximum of the departures: bestDeparture answers "the latest
-// departure among tuples reaching the hub by x" with one binary search.
+// groupLD groups every label tuple by hub (all probe the one given bucket),
+// recording each hub's run [lo, hi) of the label, which st retains: inside a
+// run arrivals and departures ascend together, so bestDeparture answers "the
+// latest departure among tuples reaching the hub by x" with one search.
 //
 // hotpath — allocheck root: the one walk over the label of an LD query.
 func (st *queryState) groupLD(lab label, bucket int64) {
-	n := len(lab.hubs)
-	if cap(st.tas) < n {
-		st.tupleGroup = make([]int32, n)
-		st.tas = make([]int64, n)
-		st.maxTd = make([]int64, n)
-	}
-	st.tupleGroup, st.tas, st.maxTd = st.tupleGroup[:n], st.tas[:n], st.maxTd[:n]
+	st.lab = lab
 	for i, hub := range lab.hubs {
-		g, _ := st.groupOf(hub, bucket)
-		g.hi++
-		st.tupleGroup[i] = st.last
-	}
-	off := int32(0)
-	for gi := range st.groups {
-		g := &st.groups[gi]
-		g.lo, g.hi, off = off, off, off+g.hi
-	}
-	for i, gi := range st.tupleGroup {
-		g := &st.groups[gi]
-		st.tas[g.hi], st.maxTd[g.hi] = lab.tas[i], lab.tds[i]
-		g.hi++
-	}
-	for gi := range st.groups {
-		g := &st.groups[gi]
-		maxTd := st.maxTd[g.lo:g.hi]
-		for i := 1; i < len(maxTd); i++ {
-			if maxTd[i-1] > maxTd[i] {
-				maxTd[i] = maxTd[i-1]
-			}
+		g, added := st.groupOf(hub, bucket)
+		if added {
+			g.lo = int32(i)
 		}
+		g.hi = int32(i + 1)
 	}
 }
 
@@ -588,21 +560,14 @@ func (g *hubGroup) keyLess(o *hubGroup) bool {
 }
 
 // bestDeparture returns the latest departure among g's tuples arriving at the
-// hub no later than x, or false when none does.
+// hub no later than x, or false when none does: the last such tuple's, since
+// departures ascend with arrivals inside a run.
 //
 // hotpath — allocheck root: per condensed-arm entry of an LD query.
 func (st *queryState) bestDeparture(g *hubGroup, x int64) (int64, bool) {
-	tas := st.tas[g.lo:g.hi]
-	lo, hi := 0, len(tas)
-	for lo < hi {
-		if m := int(uint(lo+hi) >> 1); tas[m] <= x {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	if lo == 0 {
+	i := firstGT(st.lab.tas, int(g.lo), int(g.hi), x)
+	if i == int(g.lo) {
 		return 0, false
 	}
-	return st.maxTd[int(g.lo)+lo-1], true
+	return st.lab.tds[i-1], true
 }

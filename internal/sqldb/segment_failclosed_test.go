@@ -5,7 +5,8 @@ package sqldb
 // error naming the table and wrapping storage.ErrCorruptSegment, and a missing
 // one fails it with an error naming the table and the remedy (rebuild).
 // Nothing stays open behind the error, nothing is created by it, and a
-// healthy sibling directory is unaffected.
+// healthy sibling directory is unaffected. Close releases every file even
+// when its flush fails.
 
 import (
 	"errors"
@@ -169,6 +170,31 @@ func dirListing(t *testing.T, dir string) string {
 		b.WriteString(e.Name() + ":" + strconv.FormatInt(info.Size(), 10) + "\n")
 	}
 	return b.String()
+}
+
+// TestCloseReleasesFilesWhenFlushFails removes the directory under an open
+// database: the flush cannot sync it and Close must say so — after closing
+// every table's file, not instead.
+func TestCloseReleasesFilesWhenFlushFails(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "db")
+	buildFaultDB(t, dir)
+	before := openFDs(t)
+	db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if held := openFDs(t) - before; held < 3 {
+		t.Fatalf("the open database holds %d descriptors, want one per table", held)
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("Close with the directory gone = %v, want the flush's not-exist error", err)
+	}
+	if after := openFDs(t); after != before {
+		t.Errorf("Close leaked file descriptors: %d before, %d after", before, after)
+	}
 }
 
 // TestOpenFailsClosedOnMissingSegment removes one table's segment from a

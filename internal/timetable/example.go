@@ -12,8 +12,7 @@ package timetable
 //	trip 3: 3 @324 -> 0 @360 -> 4 @396
 //	trip 4: 4 @324 -> 0 @360 -> 3 @396
 //
-// The paper's vertex order ranks stop 0 highest, followed by 1, 2, 3, 4;
-// PaperExampleOrder returns it.
+// The paper's vertex order ranks stop 0 highest, followed by 1, 2, 3, 4.
 func PaperExample() *Timetable {
 	var b Builder
 	b.AddStops(7)
@@ -37,12 +36,4 @@ func PaperExample() *Timetable {
 	add(4, 0, 324, 360, 4)
 	add(0, 3, 360, 396, 4)
 	return b.MustBuild()
-}
-
-// PaperExampleOrder returns the vertex order used in the paper's running
-// example: rank[v] is the importance rank of stop v, 0 being the most
-// important. Stops 5 and 6 are the least important (their relative order is
-// not specified by the paper; we rank 5 above 6).
-func PaperExampleOrder() []int32 {
-	return []int32{0, 1, 2, 3, 4, 5, 6}
 }

@@ -389,18 +389,6 @@ func firstDepAtLeast(p []profEntry, t timetable.Time) int {
 	return lo
 }
 
-func dominatedForward(p []profEntry, e profEntry) bool {
-	// Dominated iff some entry departs >= e.d and arrives <= e.a; with the
-	// sort order it suffices to inspect the last entry arriving <= e.a.
-	i := lastArrAtMost(p, e.a)
-	return i >= 0 && p[i].d >= e.d
-}
-
-func dominatedBackward(p []profEntry, e profEntry) bool {
-	i := firstDepAtLeast(p, e.d)
-	return i >= 0 && p[i].a <= e.a
-}
-
 // insertForward adds e to w's profile, evicting entries e dominates, and
 // opens or rewinds w's outgoing stream to cover departures >= e.a.
 // Connections between a rewound position and the previous one depart later

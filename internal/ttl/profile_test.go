@@ -58,8 +58,9 @@ func TestProfileInsertMatchesBruteForce(t *testing.T) {
 			}
 			ref = ref.insert(e)
 			// The builder only inserts non-dominated entries (dominance is
-			// checked by the caller), so mirror that contract.
-			if !dominatedForward(b.prof[0], e) {
+			// checked by the caller), so mirror that contract: dominated iff
+			// the last entry arriving <= e.a departs >= e.d.
+			if j := lastArrAtMost(b.prof[0], e.a); j < 0 || b.prof[0][j].d < e.d {
 				b.insert(0, e, profMeta{})
 			}
 			got := b.prof[0]

@@ -2,6 +2,8 @@ package ptldb
 
 import (
 	"testing"
+
+	"ptldb/internal/gtfs"
 )
 
 func buildSmallCity(t *testing.T) (*Network, *DB) {
@@ -47,6 +49,16 @@ func TestFacadeEndToEnd(t *testing.T) {
 		if !ok || j.Legs[len(j.Legs)-1].Arr != arr {
 			t.Errorf("journey arrival %v, EA %v", j.Legs[len(j.Legs)-1].Arr, arr)
 		}
+		// ... and its mirror the LD timestamp.
+		j, ok = LatestDepartureJourney(tt, s, g, arr)
+		if !ok || j.Legs[0].Dep != dep || j.Legs[len(j.Legs)-1].Arr > arr {
+			t.Errorf("LD journey %+v, LD %v by %v", j.Legs, dep, arr)
+		}
+	}
+
+	// A stop outside the network is the caller's mistake, typed as one.
+	if _, _, err := db.EarliestArrival(StopID(tt.NumStops()), g, tt.MinTime()); !IsInvalidArgument(err) {
+		t.Errorf("EA from a stop past the last: err %v, want an invalid-argument error", err)
 	}
 
 	// Target sets and kNN.
@@ -189,5 +201,30 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if len(Profiles()) != 11 {
 		t.Errorf("Profiles() returned %d entries", len(Profiles()))
+	}
+}
+
+// TestLoadGTFS: a network written out as a GTFS feed loads back through the
+// facade with the same stops and connections and nothing skipped, and a
+// directory that holds no feed is an error.
+func TestLoadGTFS(t *testing.T) {
+	tt, err := GenerateCity("Austin", 0.01, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := gtfs.FromTimetable(tt).Write(dir); err != nil {
+		t.Fatal(err)
+	}
+	got, skipped, err := LoadGTFS(dir)
+	if err != nil || skipped != 0 {
+		t.Fatalf("LoadGTFS: %d skipped, %v", skipped, err)
+	}
+	if got.NumStops() != tt.NumStops() || got.NumConnections() != tt.NumConnections() {
+		t.Errorf("loaded %d stops / %d connections, wrote %d / %d",
+			got.NumStops(), got.NumConnections(), tt.NumStops(), tt.NumConnections())
+	}
+	if _, _, err := LoadGTFS(t.TempDir()); err == nil {
+		t.Error("LoadGTFS of an empty directory succeeded")
 	}
 }
