@@ -42,10 +42,10 @@ func benchSetup(b *testing.B) (*Network, string) {
 		// benchDatasetFormat versions the cached dataset directory: bump it
 		// whenever the on-disk format changes (the segment header CRC in v2,
 		// segment-only label tables in v3, every table a segment in v4) or a
-		// table gains a declared property (run_order in catalog.json in v5), or
-		// a stale cache would fail to open or carry files the current build no
-		// longer writes.
-		const benchDatasetFormat = 5
+		// table gains a declared property (run_order in catalog.json in v5,
+		// target_ids in v6), or a stale cache would fail to open or carry files
+		// the current build no longer writes.
+		const benchDatasetFormat = 6
 		dir := filepath.Join(os.TempDir(),
 			fmt.Sprintf("ptldb-gobench-%s-%04d-f%d", benchCity, int(benchScale*10000), benchDatasetFormat))
 		if _, err := os.Stat(filepath.Join(dir, "catalog.json")); err != nil {

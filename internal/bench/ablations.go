@@ -286,7 +286,7 @@ func (w *Workspace) AblationLayout() (*Table, error) {
 	}
 
 	arrTime, err := measure(func(v int64) error {
-		i, ok := arrSeg.Find(storage.Key{v, 0})
+		i, ok := storage.FindFrom(arrSeg.Keys(), 0, storage.Key{v, 0})
 		if !ok {
 			return fmt.Errorf("array row for %d missing", v)
 		}
@@ -297,7 +297,7 @@ func (w *Workspace) AblationLayout() (*Table, error) {
 	}
 	flatTime, err := measure(func(v int64) error {
 		// Every stop has a tuple 0 (augmented labels hold its dummies).
-		i, ok := flatSeg.Find(storage.Key{v, 0})
+		i, ok := storage.FindFrom(flatSeg.Keys(), 0, storage.Key{v, 0})
 		if !ok {
 			return fmt.Errorf("first tuple row for %d missing", v)
 		}

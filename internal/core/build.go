@@ -90,40 +90,23 @@ func (s *Store) AddTargetSet(name string, targets []timetable.StopID, kmax int) 
 	// state), then compute and bulk-load each one as an independent job on
 	// the worker pool. The otm tables share the knn layout with the best
 	// entry per target instead of the top-k (paper Section 3.3): kmax = |T|.
-	eaNaive, err := s.DB.CreateTable(naiveDef(s.setTable("ea_knn_naive", name)))
-	if err != nil {
-		return err
-	}
-	ldNaive, err := s.DB.CreateTable(naiveDef(s.setTable("ld_knn_naive", name)))
-	if err != nil {
-		return err
-	}
-	knnEA, err := s.DB.CreateTable(condensedEADef(s.setTable("knn_ea", name)))
-	if err != nil {
-		return err
-	}
-	knnLD, err := s.DB.CreateTable(condensedLDDef(s.setTable("knn_ld", name)))
-	if err != nil {
-		return err
-	}
-	otmEA, err := s.DB.CreateTable(condensedEADef(s.setTable("otm_ea", name)))
-	if err != nil {
-		return err
-	}
-	otmLD, err := s.DB.CreateTable(condensedLDDef(s.setTable("otm_ld", name)))
-	if err != nil {
-		return err
+	var tbls [6]*sqldb.Table
+	for i, def := range s.targetSetDefs(name) {
+		var err error
+		if tbls[i], err = s.DB.CreateTable(def); err != nil {
+			return err
+		}
 	}
 	naive := naiveRows(hubs, byHub, kmax)
 	naiveLD := cloneRows(naive)
 	kmaxOTM := len(targets)
 	jobs := []func() error{
-		func() error { return eaNaive.BulkLoad(naive) },
-		func() error { return ldNaive.BulkLoad(naiveLD) },
-		func() error { return knnEA.BulkLoad(s.condensedEARows(hubs, byHub, kmax)) },
-		func() error { return knnLD.BulkLoad(s.condensedLDRows(hubs, byHub, kmax)) },
-		func() error { return otmEA.BulkLoad(s.condensedEARows(hubs, byHub, kmaxOTM)) },
-		func() error { return otmLD.BulkLoad(s.condensedLDRows(hubs, byHub, kmaxOTM)) },
+		func() error { return tbls[0].BulkLoad(naive) },
+		func() error { return tbls[1].BulkLoad(naiveLD) },
+		func() error { return tbls[2].BulkLoad(s.condensedEARows(hubs, byHub, kmax)) },
+		func() error { return tbls[3].BulkLoad(s.condensedLDRows(hubs, byHub, kmax)) },
+		func() error { return tbls[4].BulkLoad(s.condensedEARows(hubs, byHub, kmaxOTM)) },
+		func() error { return tbls[5].BulkLoad(s.condensedLDRows(hubs, byHub, kmaxOTM)) },
 	}
 	if err := runJobs(s.workers, jobs); err != nil {
 		return err
@@ -144,8 +127,8 @@ func (s *Store) DropTargetSet(name string) error {
 	if _, ok := s.vm().TargetSets[name]; !ok {
 		return fmt.Errorf("core: unknown target set %q", name)
 	}
-	for _, prefix := range []string{"ea_knn_naive", "ld_knn_naive", "knn_ea", "knn_ld", "otm_ea", "otm_ld"} {
-		if err := s.DB.DropTable(s.setTable(prefix, name)); err != nil {
+	for _, def := range s.targetSetDefs(name) {
+		if err := s.DB.DropTable(def.Name); err != nil {
 			return err
 		}
 	}
@@ -153,11 +136,34 @@ func (s *Store) DropTargetSet(name string) error {
 	return s.saveMeta()
 }
 
+// targetSetDefs are the six auxiliary tables of a target set under the bound
+// version: the two naive tables, then the condensed kNN and one-to-many pairs.
+func (s *Store) targetSetDefs(set string) [6]sqldb.TableDef {
+	n := s.meta.Stops
+	return [6]sqldb.TableDef{
+		naiveDef(s.setTable("ea_knn_naive", set), n),
+		naiveDef(s.setTable("ld_knn_naive", set), n),
+		condensedEADef(s.setTable("knn_ea", set), n),
+		condensedLDDef(s.setTable("knn_ld", set), n),
+		condensedEADef(s.setTable("otm_ea", set), n),
+		condensedLDDef(s.setTable("otm_ld", set), n),
+	}
+}
+
+// targetBound is the declaration every target-set table makes of the columns
+// that hold targets: stop ids, so below the number of stops. BulkLoad holds the
+// builders to it, and the kNN / one-to-many kernels size their per-target
+// array by it.
+func targetBound(stops int, cols ...string) *sqldb.TargetIDs {
+	return &sqldb.TargetIDs{Columns: cols, Bound: int64(stops)}
+}
+
 // naiveDef is the schema of ea_knn_naive_<set> / ld_knn_naive_<set>.
-func naiveDef(n string) sqldb.TableDef {
+func naiveDef(n string, stops int) sqldb.TableDef {
 	return sqldb.TableDef{
-		Name: n,
-		PK:   []string{"hub", "td"},
+		Name:      n,
+		PK:        []string{"hub", "td"},
+		TargetIDs: targetBound(stops, "vs"),
 		Columns: []sqldb.ColumnDef{
 			{Name: "hub", Type: sqltypes.Int64},
 			{Name: "td", Type: sqltypes.Int64},
@@ -237,10 +243,11 @@ func arrivalTimes(rs []Result) sqltypes.Value {
 // is bucket-first because a table's rows are stored in key order and one
 // query reads a few adjacent buckets of many hubs: its rows are then one
 // contiguous run of the file (DESIGN.md §10.1).
-func condensedEADef(n string) sqldb.TableDef {
+func condensedEADef(n string, stops int) sqldb.TableDef {
 	return sqldb.TableDef{
-		Name: n,
-		PK:   []string{"dephour", "hub"},
+		Name:      n,
+		PK:        []string{"dephour", "hub"},
+		TargetIDs: targetBound(stops, "vs", "vs_exp"),
 		Columns: []sqldb.ColumnDef{
 			{Name: "hub", Type: sqltypes.Int64},
 			{Name: "dephour", Type: sqltypes.Int64},
@@ -309,10 +316,11 @@ func bucketMajor(rows []sqltypes.Row) []sqltypes.Row {
 // condensedLDDef is the schema of a knn_ld- or otm_ld-layout table, keyed
 // bucket-first like condensedEADef: an LD query reads one bucket of every hub
 // in the label.
-func condensedLDDef(n string) sqldb.TableDef {
+func condensedLDDef(n string, stops int) sqldb.TableDef {
 	return sqldb.TableDef{
-		Name: n,
-		PK:   []string{"arrhour", "hub"},
+		Name:      n,
+		PK:        []string{"arrhour", "hub"},
+		TargetIDs: targetBound(stops, "vs", "vs_exp"),
 		Columns: []sqldb.ColumnDef{
 			{Name: "hub", Type: sqltypes.Int64},
 			{Name: "arrhour", Type: sqltypes.Int64},

@@ -404,11 +404,25 @@ func Open(db *sqldb.DB) (*Store, error) {
 	// The kernels search a label's hub runs without checking their order, so
 	// a label table that does not declare it — an image from before the
 	// declaration existed — is refused here, like every other old image.
+	// They also index an array by the target ids of a target-set table, whose
+	// bound that table must declare, under the same rule.
 	for _, name := range s.Versions() {
-		v := Store{version: name}
+		v := Store{meta: meta, version: name}
 		for _, table := range []string{v.loutTable(), v.linTable()} {
 			if tbl, ok := db.Table(table); !ok || !slices.Equal(tbl.Def().RunOrder, labelRunOrder) {
 				return nil, fmt.Errorf("core: label table %s does not declare the run order %v: the directory was built by an older version; rebuild it", table, labelRunOrder)
+			}
+		}
+		for set := range v.vm().TargetSets {
+			for _, def := range v.targetSetDefs(set) {
+				var ids *sqldb.TargetIDs
+				if tbl, ok := db.Table(def.Name); ok {
+					ids = tbl.Def().TargetIDs
+				}
+				if want := def.TargetIDs; ids == nil || ids.Bound != want.Bound || !slices.Equal(ids.Columns, want.Columns) {
+					return nil, fmt.Errorf("core: table %s does not declare its target ids %v below %d: the directory was built by an older version; rebuild it",
+						def.Name, want.Columns, want.Bound)
+				}
 			}
 		}
 	}

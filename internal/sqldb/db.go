@@ -39,12 +39,23 @@ type ColumnDef struct {
 // integer columns. RunOrder, when set, names three BIGINT[] columns (g, a, b)
 // and declares that in every row the three arrays have equal length, g is
 // non-decreasing, and within a run of equal g both a and b are non-decreasing.
-// BulkLoad rejects a row that breaks it, so readers trust it unchecked.
+// TargetIDs, when set, names BIGINT[] columns and declares that every element
+// of them in every row is an id in [0, Bound). BulkLoad rejects a row that
+// breaks either, so readers trust both unchecked.
 type TableDef struct {
-	Name     string      `json:"name"`
-	Columns  []ColumnDef `json:"columns"`
-	PK       []string    `json:"pk"`
-	RunOrder []string    `json:"run_order,omitempty"`
+	Name      string      `json:"name"`
+	Columns   []ColumnDef `json:"columns"`
+	PK        []string    `json:"pk"`
+	RunOrder  []string    `json:"run_order,omitempty"`
+	TargetIDs *TargetIDs  `json:"target_ids,omitempty"`
+}
+
+// TargetIDs is TableDef's declaration of dense ids: the columns that hold
+// them and their exclusive bound, at most math.MaxInt32 (a reader may index
+// an array by them).
+type TargetIDs struct {
+	Columns []string `json:"columns"`
+	Bound   int64    `json:"bound"`
 }
 
 // Options configures Open.

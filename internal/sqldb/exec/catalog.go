@@ -51,6 +51,15 @@ type RunOrdered interface {
 	RunOrder() []int
 }
 
+// TargetBounded is an optional Table extension. TargetBound returns the
+// positions of the BIGINT[] columns that hold target ids and their exclusive
+// bound, or nil and 0: every element of those columns in every stored row is
+// in [0, bound). The table vouches for it as it does for its run order; the
+// fused executor sizes its per-target array by it.
+type TargetBounded interface {
+	TargetBound() (cols []int, bound int)
+}
+
 // RowScratch holds reusable row-decoding buffers for ScratchTable calls.
 // A scratch belongs to one query execution; it must not be shared across
 // goroutines.
@@ -58,6 +67,12 @@ type RowScratch struct {
 	Buf   []byte       // encoded-row payload buffer
 	Row   sqltypes.Row // decoded value headers
 	Arena []int64      // backing store for decoded BIGINT[] values
+	// Pos is where the last LookupPKScratch through this scratch ended in its
+	// table's key directory — the row found, or the insertion point of a miss.
+	// The next lookup starts its search there. It is a hint the search
+	// validates by comparison: one scratch serves several tables in turn, and
+	// any value, of any table or none, leaves every answer the same.
+	Pos int
 }
 
 // ScratchTable is an optional Table extension the fused executor uses to

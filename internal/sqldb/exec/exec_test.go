@@ -10,18 +10,22 @@ import (
 )
 
 // memTable is an in-memory Table implementation for executor unit tests.
-// runOrder is what it declares as RunOrdered; nothing validates the rows
-// against it, so a test that sets it builds run-ordered rows.
+// runOrder is what it declares as RunOrdered, targetCols and bound as
+// TargetBounded; nothing validates the rows against either, so a test that
+// sets one builds rows that keep it — or break it on purpose.
 type memTable struct {
-	cols     []string
-	pk       []int
-	runOrder []int
-	rows     []sqltypes.Row
+	cols       []string
+	pk         []int
+	runOrder   []int
+	targetCols []int
+	bound      int
+	rows       []sqltypes.Row
 }
 
-func (m *memTable) Columns() []string { return m.cols }
-func (m *memTable) PKCols() []int     { return m.pk }
-func (m *memTable) RunOrder() []int   { return m.runOrder }
+func (m *memTable) Columns() []string         { return m.cols }
+func (m *memTable) PKCols() []int             { return m.pk }
+func (m *memTable) RunOrder() []int           { return m.runOrder }
+func (m *memTable) TargetBound() ([]int, int) { return m.targetCols, m.bound }
 
 func (m *memTable) LookupPK(key []int64) (sqltypes.Row, bool, error) {
 	for _, r := range m.rows {

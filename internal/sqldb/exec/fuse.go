@@ -60,10 +60,11 @@ var labelCols = []string{"v", "hubs", "tds", "tas"}
 
 // reads records the plan's two tables: the query stop's label table, and the
 // second table with the columns read from it, the first pk of which must be
-// exactly its primary key (0 leaves the key unchecked).
-func (p *FusedPlan) reads(labelTable, second string, pk int, cols ...string) {
-	p.tables[0] = tableRef{name: labelTable, cols: labelCols, pk: 1, ordered: true}
-	p.tables[1] = tableRef{name: second, cols: cols, pk: pk, ordered: p.v2v != nil}
+// exactly its primary key (0 leaves the key unchecked) and those in the
+// targets slots hold the target ids it folds (none: a second label table).
+func (p *FusedPlan) reads(labelTable, second string, pk int, targets []int, cols ...string) {
+	p.tables[0] = tableRef{name: labelTable, cols: labelCols, pk: 1}
+	p.tables[1] = tableRef{name: second, cols: cols, pk: pk, targets: targets}
 }
 
 // Kind names the recognized statement ("v2v-ea", "knn-naive-ld",
@@ -183,12 +184,12 @@ func Fuse(sel *sql.Select) *FusedPlan {
 			v2v: c.v2v, knn: c.knn, cond: c.cond}
 		switch {
 		case c.v2v != nil: // %[1]s = lout, %[2]s = lin
-			p.reads(m.tables[0], m.tables[1], 1, labelCols...)
+			p.reads(m.tables[0], m.tables[1], 1, nil, labelCols...)
 		case c.knn != nil: // %[1]s = naive, %[2]s = lout
-			p.reads(m.tables[1], m.tables[0], 0, "hub", "td", "vs", "tas")
+			p.reads(m.tables[1], m.tables[0], 0, []int{naiveVs}, "hub", "td", "vs", "tas")
 		default: // %[1]s = condensed, keyed (bucket, hub); %[3]s = lout
 			f := c.cond
-			p.reads(m.tables[2], m.tables[0], 2, f.bucketCol, "hub", f.topV, f.topVal, f.expTd, f.expV, f.expTa)
+			p.reads(m.tables[2], m.tables[0], 2, []int{auxTopV, auxExpV}, f.bucketCol, "hub", f.topV, f.topVal, f.expTd, f.expV, f.expTa)
 		}
 		return p
 	}

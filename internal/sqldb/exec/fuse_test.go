@@ -331,7 +331,7 @@ func TestFusedV2VDifferential(t *testing.T) {
 // randNaiveTable builds a (hub, td, vs, tas) condensed-naive table with one
 // row per distinct (hub, td).
 func randNaiveTable(rng *rand.Rand) *memTable {
-	tbl := &memTable{cols: []string{"hub", "td", "vs", "tas"}, pk: []int{0, 1}}
+	tbl := &memTable{cols: []string{"hub", "td", "vs", "tas"}, pk: []int{0, 1}, targetCols: []int{2}, bound: 106}
 	for hub := int64(0); hub < 4; hub++ {
 		seen := map[int64]bool{}
 		for i := 0; i < 3; i++ {
@@ -386,6 +386,8 @@ func randAuxTable(rng *rand.Rand, bucketCol, top string) *memTable {
 	tbl := &memTable{
 		cols: []string{"hub", bucketCol, "vs", top, "tds_exp", "vs_exp", "tas_exp"},
 		pk:   []int{1, 0}, // (bucket, hub), as every builder keys a condensed table
+		// Targets are 100..105.
+		targetCols: []int{2, 5}, bound: 106,
 	}
 	for hub := int64(0); hub < 4; hub++ {
 		for bucket := int64(0); bucket < 8; bucket++ {
@@ -454,7 +456,9 @@ func TestFusedCondensedDifferential(t *testing.T) {
 
 // TestFusedTypedErrors: a fused plan answers or says what is wrong. Every
 // precondition it cannot check at prepare time fails with an error naming the
-// plan kind (a parameter) or the table (a layout or a row).
+// plan kind (a parameter) or the table (a layout, a missing declaration or a
+// row that breaks one: a target id outside the declared bound is reported,
+// not answered with and not written anywhere).
 func TestFusedTypedErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	zero, one, arr := sqltypes.NewInt(0), sqltypes.NewInt(1), sqltypes.NewIntArray
@@ -476,6 +480,14 @@ func TestFusedTypedErrors(t *testing.T) {
 	}
 	undeclared := *good["lin"]
 	undeclared.runOrder = nil
+	// Tables that declare no target ids, one column of the two, or a bound
+	// their rows (targets 100..105) exceed.
+	unboundNaive, unboundAux, halfAux, tightNaive, tightAux :=
+		*good["naive"], *good["aux_ea"], *good["aux_ea"], *good["naive"], *good["aux_ea"]
+	unboundNaive.targetCols, unboundAux.targetCols, halfAux.targetCols = nil, nil, []int{2}
+	tightNaive.bound, tightAux.bound = 100, 100
+	tightNaive.rows = []sqltypes.Row{{zero, sqltypes.NewInt(30), arr([]int64{3, 100}), arr([]int64{40, 41})}}
+	tightAux.rows = []sqltypes.Row{{zero, zero, arr([]int64{7}), arr([]int64{60}), arr([]int64{20, 21}), arr([]int64{-1, 104}), arr([]int64{30, 31})}}
 
 	v2vEA := fmt.Sprintf(SQLV2VEA, "lout", "lin")
 	naiveEA := fmt.Sprintf(SQLKNNNaiveEA, "naive", "lout")
@@ -497,16 +509,22 @@ func TestFusedTypedErrors(t *testing.T) {
 		{"missing column", v2vEA,
 			with("lout", &memTable{cols: []string{"v", "hubs", "tds"}, pk: []int{0}}), ones, []string{`"lout"`, `"tas"`}},
 		{"no run order", v2vEA, with("lin", &undeclared), ones, []string{`"lin"`, "run order", "rebuild"}},
+		{"no target bound, naive", naiveEA, with("naive", &unboundNaive), ones, []string{`"naive"`, `"vs"`, "rebuild"}},
+		{"no target bound, condensed", knnEA, with("aux_ea", &unboundAux), ones, []string{`"aux_ea"`, `"vs"`, "rebuild"}},
+		{"no target bound on the expanded arm", knnEA, with("aux_ea", &halfAux), ones, []string{`"aux_ea"`, `"vs_exp"`, "rebuild"}},
+		{"target past the bound, naive", naiveEA, with("naive", &tightNaive), []sqltypes.Value{one, one, sqltypes.NewInt(5)},
+			[]string{`"naive"`, "target id 100", "[0, 100)"}},
+		{"target below zero, condensed", knnEA, with("aux_ea", &tightAux), ones, []string{`"aux_ea"`, "target id -1", "[0, 100)"}},
 		{"unequal label arrays", v2vEA,
 			with("lout", &memTable{cols: labelCols, pk: []int{0}, runOrder: []int{1, 2, 3},
 				rows: []sqltypes.Row{{one, arr([]int64{1, 2}), arr([]int64{5}), arr([]int64{6, 7})}}}),
 			ones, []string{`"lout"`, "one length"}},
 		{"unequal naive arrays", naiveEA,
-			with("naive", &memTable{cols: good["naive"].cols, pk: []int{0, 1},
+			with("naive", &memTable{cols: good["naive"].cols, pk: []int{0, 1}, targetCols: []int{2}, bound: 106,
 				rows: []sqltypes.Row{{zero, sqltypes.NewInt(30), arr([]int64{1, 2}), arr([]int64{5})}}}),
 			ones, []string{`"naive"`, "vs, tas"}},
 		{"unequal condensed arrays", knnEA,
-			with("aux_ea", &memTable{cols: good["aux_ea"].cols, pk: []int{1, 0},
+			with("aux_ea", &memTable{cols: good["aux_ea"].cols, pk: []int{1, 0}, targetCols: []int{2, 5}, bound: 106,
 				rows: []sqltypes.Row{{zero, zero, arr(nil), arr(nil), arr([]int64{1}), arr(nil), arr(nil)}}}),
 			ones, []string{`"aux_ea"`, "tds_exp"}},
 		{"hub-first condensed table", knnEA,
@@ -529,6 +547,47 @@ func TestFusedTypedErrors(t *testing.T) {
 					t.Errorf("%s: error %q lacks %q", tc.name, err, frag)
 				}
 			}
+		}
+	}
+}
+
+// TestPooledStateFollowsTableBound: one plan, and so one pool of query states,
+// runs against catalogs whose condensed tables declare different bounds. The
+// state that served the larger table still refuses, for the smaller one, the
+// ids only the larger admits; and back on the larger table it answers as
+// before.
+func TestPooledStateFollowsTableBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	one, arr := sqltypes.NewInt(1), sqltypes.NewIntArray
+	wide := memCatalog{
+		"lout": &memTable{cols: labelCols, pk: []int{0}, runOrder: []int{1, 2, 3},
+			rows: []sqltypes.Row{{one, arr([]int64{0, 1, 2, 3}), arr([]int64{10, 10, 10, 10}), arr([]int64{20, 20, 20, 20})}}},
+		"aux_ea": randAuxTable(rng, "dephour", "tas"),
+	}
+	tight := *wide["aux_ea"]
+	tight.bound = 103 // the rows hold targets up to 105
+	narrow := memCatalog{"lout": wide["lout"], "aux_ea": &tight}
+	huge := *wide["aux_ea"]
+	huge.bound = 1 << 16
+	roomy := memCatalog{"lout": wide["lout"], "aux_ea": &huge}
+
+	q := fmt.Sprintf(SQLOTMEA, "aux_ea", 50, "lout")
+	fp := Fuse(mustParse(t, q))
+	params := []sqltypes.Value{one, sqltypes.NewInt(0)}
+	want, err := fp.Run(wide, params)
+	if err != nil || !slices.ContainsFunc(want.Rows, func(r sqltypes.Row) bool { return r[0].I >= 103 }) {
+		t.Fatalf("wide table: %v, %v; want an answer holding a target past 102", want, err)
+	}
+	for round := 0; round < 3; round++ {
+		if _, err := fp.Run(narrow, params); err == nil || !strings.Contains(err.Error(), "[0, 103)") {
+			t.Fatalf("round %d: a table bound to 103 answered with targets past it: %v", round, err)
+		}
+		for _, cat := range []memCatalog{roomy, wide} {
+			got, err := fp.Run(cat, params)
+			if err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+			compareRelations(t, got, want, params)
 		}
 	}
 }

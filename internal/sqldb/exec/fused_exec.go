@@ -276,6 +276,7 @@ func (p *FusedPlan) runKNNNaive(cat Catalog, params []sqltypes.Value, st *queryS
 		return nil, err
 	}
 	tb, ix := lay.tb, &lay.idx
+	st.acc.reset(lay.bound)
 	// The scan decodes into a scratch of its own: it recycles the arena per
 	// row, and on the segment tier the label an LD query searches lives in
 	// st.scratch's. The callbacks escape through the ScratchTable interface;
@@ -330,10 +331,21 @@ func (p *FusedPlan) runKNNNaive(cat Catalog, params []sqltypes.Value, st *queryS
 	if err != nil {
 		return nil, err
 	}
+	return p.emit(cat, st, k, true, !f.ea)
+}
+
+// emit ends a grouped query: it publishes the fold count and returns the
+// accumulated targets in topK's order, or the error of a folded target id
+// outside the bound the second table declares (a violated storage invariant:
+// BulkLoad validates every element of a declared column).
+func (p *FusedPlan) emit(cat Catalog, st *queryState, k int, limited, desc bool) (*Relation, error) {
+	if a := &st.acc; a.strayed {
+		return nil, fmt.Errorf("exec: table %q: target id %d is outside the declared [0, %d)", p.tables[1].name, a.stray, len(a.slots))
+	}
 	if em := execMetrics(cat); em != nil {
 		em.TuplesMerged.Add(st.merged)
 	}
-	return entriesToRows(p.schema, st.acc.topK(k, true, !f.ea)), nil
+	return entriesToRows(p.schema, st.acc.topK(k, limited, desc)), nil
 }
 
 // --- Codes 3 and 4: condensed kNN and one-to-many ----------------------------
@@ -435,6 +447,7 @@ func (p *FusedPlan) runCondensed(cat Catalog, params []sqltypes.Value, st *query
 	if err != nil {
 		return nil, err
 	}
+	st.acc.reset(aux.bound)
 
 	// Walk the label once, keeping per (hub, bucket) key only what dominates:
 	// EA probes FLOOR(ta/width) per tuple departing >= t, LD the one bucket
@@ -473,10 +486,7 @@ func (p *FusedPlan) runCondensed(cat Catalog, params []sqltypes.Value, st *query
 			st.foldLD(&arms, g, t)
 		}
 	}
-	if em := execMetrics(cat); em != nil {
-		em.TuplesMerged.Add(st.merged)
-	}
-	return entriesToRows(p.schema, st.acc.topK(k, limited, !f.ea)), nil
+	return p.emit(cat, st, k, limited, !f.ea)
 }
 
 // floorDiv returns floor(a/b) for b > 0, matching FLOOR(a/b.0) in the

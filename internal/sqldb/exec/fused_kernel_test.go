@@ -6,9 +6,9 @@ package exec
 // is not worth counting to (the probe order needs a comparison sort), k beyond
 // an arm's length, empty labels and query stops that are themselves targets —
 // against condensed tables keyed (bucket, hub), always compared with the
-// general executor and always probing in ascending key order — plus the flat
-// index, the label grouping and top-k selection on their own, and one plan
-// shared by many goroutines.
+// general executor and always probing in ascending key order — plus the
+// per-target accumulator, the label grouping and top-k selection on their own,
+// and one plan shared by many goroutines.
 
 import (
 	"fmt"
@@ -22,30 +22,56 @@ import (
 	"ptldb/internal/sqldb/sqltypes"
 )
 
-func TestFlatIndexMatchesMap(t *testing.T) {
+// TestTargetAccMatchesMap: over many epochs of one pooled accumulator — each
+// bound to another table size, so the array grows, shrinks and grows back over
+// stale stamps, and the epoch counter wraps on the way — the entries are what
+// a map keeps, in first-touch order, and an id outside the bound of *this*
+// epoch (negative, the bound itself, one a larger earlier table admitted) is
+// dropped and the first of them reported, never written.
+func TestTargetAccMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	var x flatIndex
-	for epoch := 0; epoch < 200; epoch++ {
+	var acc targetAcc
+	for epoch := 0; epoch < 300; epoch++ {
 		if epoch == 100 {
-			x.epoch = math.MaxUint32 - 1 // the next two resets wrap the stamp
+			acc.epoch = math.MaxUint32 - 1 // the next two resets wrap the stamp
 		}
-		x.reset()
-		want := map[int64]int32{}
-		keys := 1 + rng.Intn(300) // beyond the minimum table: forces growth
-		for i := 0; i < 4*keys; i++ {
-			k := int64(rng.Intn(keys)) - int64(keys/2)
-			id, added := x.findOrAdd(k)
-			w, seen := want[k]
-			if !seen {
-				w = int32(len(want)) // dense ids in first-touch order
-				want[k] = w
+		bound := 1 + rng.Intn(300)
+		if epoch%7 == 0 {
+			bound = 1 + rng.Intn(5) // far below the pooled array
+		}
+		acc.reset(bound)
+		if len(acc.slots) != bound || acc.epoch == 0 {
+			t.Fatalf("epoch %d: %d slots under stamp %d, want %d under a non-zero one", epoch, len(acc.slots), acc.epoch, bound)
+		}
+		minOf, maxOf := epoch%2 == 0, epoch%2 != 0
+		var want []kEntry
+		at := map[int64]int{}
+		stray, strayed := int64(0), false
+		for i := 0; i < 4*bound; i++ {
+			v, val := int64(rng.Intn(bound+8))-4, int64(rng.Intn(50))-25
+			if minOf {
+				acc.foldMin(v, val)
+			} else {
+				acc.foldMax(v, val)
 			}
-			if added == seen || id != w {
-				t.Fatalf("epoch %d: findOrAdd(%v) = %d,%v want %d,%v", epoch, k, id, added, w, !seen)
+			if v < 0 || v >= int64(bound) {
+				if !strayed {
+					stray, strayed = v, true
+				}
+				continue
+			}
+			if j, seen := at[v]; !seen {
+				at[v] = len(want)
+				want = append(want, kEntry{v, val})
+			} else if (minOf && val < want[j].val) || (maxOf && val > want[j].val) {
+				want[j].val = val
 			}
 		}
-		if int(x.n) != len(want) {
-			t.Fatalf("epoch %d: %d ids, want %d", epoch, x.n, len(want))
+		if !slices.Equal(acc.entries, want) {
+			t.Fatalf("epoch %d (bound %d): entries %v, want %v", epoch, bound, acc.entries, want)
+		}
+		if acc.strayed != strayed || (strayed && acc.stray != stray) {
+			t.Fatalf("epoch %d (bound %d): stray %d (%v), want %d (%v)", epoch, bound, acc.stray, acc.strayed, stray, strayed)
 		}
 	}
 }
@@ -135,10 +161,10 @@ func TestTopKMatchesSortAndTruncate(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 300; trial++ {
 		var acc targetAcc
-		acc.reset()
 		n := rng.Intn(40)
+		acc.reset(n + 1)
 		for i := 0; i < 3*n; i++ {
-			acc.foldMin(int64(rng.Intn(n+1))-3, int64(rng.Intn(8))-4) // few values: many ties
+			acc.foldMin(int64(rng.Intn(n+1)), int64(rng.Intn(8))-4) // few values: many ties
 		}
 		desc, limited, k := rng.Intn(2) == 0, rng.Intn(4) != 0, 1+rng.Intn(n+3)
 		want := slices.Clone(acc.entries)
@@ -190,6 +216,8 @@ func awkwardCatalog(rng *rand.Rand, dense bool) memCatalog {
 		tbl := &memTable{
 			cols: []string{"hub", bucketCol, "vs", top, "tds_exp", "vs_exp", "tas_exp"},
 			pk:   []int{1, 0}, // (bucket, hub)
+			// Targets are stops 1..6.
+			targetCols: []int{2, 5}, bound: 7,
 		}
 		arr := func(n int, gen func() int64) sqltypes.Value {
 			a := make([]int64, n)

@@ -4,15 +4,14 @@ package exec
 // resolved layout of the tables a plan reads (cached on the plan) and the
 // pooled per-query state — row scratch, the (hub, bucket) grouping of the
 // query stop's label, and the per-target MIN/MAX accumulator. Nothing here
-// touches a Go map: grouping walks the label's declared runs, and the
-// accumulator probes a flat, epoch-stamped table, so starting a query costs a
-// counter increment rather than a clear, and a steady-state query allocates
-// only its result.
+// touches a Go map or a hash: grouping walks the label's declared runs, and
+// the accumulator is an epoch-stamped array indexed by target id, so starting a
+// query costs a counter increment rather than a clear, and a steady-state
+// query allocates only its result.
 
 import (
 	"cmp"
 	"fmt"
-	"math/bits"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -40,28 +39,33 @@ const (
 // key order — (bucket, hub) for a condensed table, whose rows and so whose
 // pages follow that order. A label table must also declare its run
 // order (RunOrdered) over exactly its hubs, tds and tas: the kernels search
-// the runs and never re-check them. The resolved column positions are cached
-// per table identity, so a query pays one catalog lookup and one pointer
-// compare instead of a name scan per column.
+// the runs and never re-check them. A naive or condensed table must declare
+// the bound of its target ids (TargetBounded) over the columns the plan folds:
+// the accumulator is an array of that size. The resolved column positions are
+// cached per table identity, so a query pays one catalog lookup and one
+// pointer compare instead of a name scan per column.
 type tableRef struct {
 	name    string
 	cols    []string
-	pk      int  // leading cols that must be the table's PK columns; 0 = unchecked
-	ordered bool // a label table: cols are labelCols, and it must declare their run order
+	pk      int   // leading cols that must be the table's PK columns; 0 = unchecked
+	targets []int // slots of cols that hold target ids, whose bound the table must declare; nil for a label table
 	lay     atomic.Pointer[tableLayout]
 }
 
 // tableLayout is the resolved position of each tableRef column in one
-// concrete table. Table values must be comparable (every implementation is a
-// pointer or a struct of pointers).
+// concrete table, and the table's declared target-id bound (0 when it declares
+// none). Table values must be comparable (every implementation is a pointer
+// or a struct of pointers).
 type tableLayout struct {
-	tb  Table
-	idx [maxFusedCols]int
+	tb    Table
+	idx   [maxFusedCols]int
+	bound int
 }
 
 // resolve returns the table with the positions of r.cols in it, or an error
 // naming the table when it is missing, lacks a column, has a different key
-// shape or is a label table that declares no run order.
+// shape, is a label table that declares no run order or folds target ids it
+// declares no bound for.
 //
 // hotpath — allocheck root: runs once per table per fused query.
 func (r *tableRef) resolve(cat Catalog) (*tableLayout, error) {
@@ -97,9 +101,18 @@ func (r *tableRef) resolveSlow(tb Table) (*tableLayout, error) {
 	if r.pk > 0 && !slices.Equal(tb.PKCols(), l.idx[:r.pk]) {
 		return nil, fmt.Errorf("exec: table %q: primary key is not (%s)", r.name, strings.Join(r.cols[:r.pk], ", "))
 	}
-	if ro, ok := tb.(RunOrdered); r.ordered && (!ok || !slices.Equal(ro.RunOrder(), l.idx[labHubs:labTas+1])) {
+	if ro, ok := tb.(RunOrdered); r.targets == nil && (!ok || !slices.Equal(ro.RunOrder(), l.idx[labHubs:labTas+1])) {
 		return nil, fmt.Errorf("exec: label table %q does not declare the run order (%s); rebuild the database",
 			r.name, strings.Join(r.cols[labHubs:], ", "))
+	}
+	var declared []int
+	if tbd, ok := tb.(TargetBounded); ok {
+		declared, l.bound = tbd.TargetBound()
+	}
+	for _, c := range r.targets {
+		if l.bound < 1 || !slices.Contains(declared, l.idx[c]) {
+			return nil, fmt.Errorf("exec: table %q does not declare the bound of its target ids in %q; rebuild the database", r.name, r.cols[c])
+		}
 	}
 	r.lay.Store(l)
 	return l, nil
@@ -151,89 +164,6 @@ func (r *tableRef) label(cat Catalog, v int64, st *queryState) (label, error) {
 	return label{hubs: hv.A, tds: dv.A, tas: av.A}, nil
 }
 
-// --- flat index ----------------------------------------------------------------
-
-// flatIndex maps a key to a dense id handed out in first-touch order: an
-// open-addressed, linearly probed table whose slots carry the epoch they were
-// written in, so reset is O(1) and a recycled table needs no clear.
-type flatIndex struct {
-	slots []flatSlot // power-of-two length, at most half full
-	shift uint       // 64 - log2(len(slots))
-	epoch uint32
-	n     int32 // ids handed out this epoch
-}
-
-type flatSlot struct {
-	key   int64
-	id    int32
-	epoch uint32
-}
-
-const flatIndexMinSlots = 64
-
-func (x *flatIndex) reset() {
-	x.n = 0
-	x.epoch++
-	if x.epoch == 0 { // wrapped: stale stamps could alias, so start over
-		clear(x.slots)
-		x.epoch = 1
-	}
-}
-
-// hotpath — allocheck root: the probe under every fold.
-func (x *flatIndex) home(key int64) int {
-	return int(uint64(key) * 0x9E3779B97F4A7C15 >> x.shift)
-}
-
-// findOrAdd returns the id of key, assigning the next dense id when the key
-// is new this epoch.
-//
-// hotpath — allocheck root: per fold.
-func (x *flatIndex) findOrAdd(key int64) (id int32, added bool) {
-	if int(x.n)*2 >= len(x.slots) {
-		x.grow()
-	}
-	mask := len(x.slots) - 1
-	for i := x.home(key); ; i = (i + 1) & mask {
-		s := &x.slots[i]
-		if s.epoch != x.epoch {
-			*s = flatSlot{key: key, id: x.n, epoch: x.epoch}
-			x.n++
-			return s.id, true
-		}
-		if s.key == key {
-			return s.id, false
-		}
-	}
-}
-
-// grow doubles the table and re-seats this epoch's keys.
-//
-// hotpath:cold — amortized; a pooled table stops growing after warm-up.
-func (x *flatIndex) grow() {
-	old := x.slots
-	n := 2 * len(old)
-	if n < flatIndexMinSlots {
-		n = flatIndexMinSlots
-	}
-	x.slots = make([]flatSlot, n)
-	x.shift = uint(64 - bits.TrailingZeros(uint(n)))
-	if x.epoch == 0 {
-		x.epoch = 1 // a zero index works without a reset: fresh slots are epoch 0
-	}
-	mask := n - 1
-	for _, s := range old {
-		if s.epoch != x.epoch {
-			continue
-		}
-		i := x.home(s.key)
-		for x.slots[i].epoch == x.epoch {
-			i = (i + 1) & mask
-		}
-		x.slots[i] = s
-	}
-}
-
 // --- per-target accumulator ----------------------------------------------------
 
 // kEntry is one (target, aggregate) result of a grouped query.
@@ -241,28 +171,70 @@ type kEntry struct {
 	v, val int64
 }
 
-// targetAcc is the GROUP BY v2 accumulator: a flatIndex from target to its
-// position in entries, which therefore lists the touched targets with their
-// running MIN or MAX in first-touch order.
+// targetAcc is the GROUP BY v2 accumulator: an array indexed by target id —
+// ids are stop ids, dense in [0, len(slots)), the bound the table declares —
+// whose slots carry the epoch they were written in, so reset is a counter
+// increment, and the position of the target in entries, which therefore lists
+// the touched targets with their running MIN or MAX in first-touch order.
 type targetAcc struct {
-	idx     flatIndex
+	slots   []accSlot // one per id of the bound table
+	epoch   uint32
 	entries []kEntry
+	// stray is the first folded id outside the bound, under strayed: the fold
+	// drops it, and the kernel reports it once the scan is over (emit).
+	stray   int64
+	strayed bool
 }
 
-func (a *targetAcc) reset() {
-	a.idx.reset()
-	a.entries = a.entries[:0]
+type accSlot struct {
+	pos, epoch uint32
+}
+
+// reset empties the accumulator and binds it to target ids in [0, bound). A
+// pooled accumulator keeps its largest array; one bound to a smaller table
+// still rejects ids past that table's bound.
+//
+// hotpath — allocheck root: once per kNN / one-to-many query; it allocates
+// only on the first query against a larger table.
+func (a *targetAcc) reset(bound int) {
+	a.entries, a.strayed = a.entries[:0], false
+	if cap(a.slots) < bound {
+		a.slots = make([]accSlot, bound)
+	}
+	a.slots = a.slots[:bound]
+	a.epoch++
+	if a.epoch == 0 { // wrapped: stale stamps could alias, so start over
+		clear(a.slots[:cap(a.slots)])
+		a.epoch = 1
+	}
+}
+
+// slot returns the entry of target v, appended with val when v is new this
+// epoch, or nil — recording v — when v is outside the bound.
+//
+// hotpath — allocheck root: per fold.
+func (a *targetAcc) slot(v, val int64) *kEntry {
+	if uint64(v) >= uint64(len(a.slots)) {
+		if !a.strayed {
+			a.stray, a.strayed = v, true
+		}
+		return nil
+	}
+	s := &a.slots[v]
+	if s.epoch == a.epoch {
+		return &a.entries[s.pos]
+	}
+	*s = accSlot{pos: uint32(len(a.entries)), epoch: a.epoch}
+	a.entries = append(a.entries, kEntry{v, val})
+	return &a.entries[len(a.entries)-1]
 }
 
 // foldMin folds val into the entry of v, keeping the minimum.
 //
 // hotpath — allocheck root: per condensed-arm entry in the kNN scans.
 func (a *targetAcc) foldMin(v, val int64) {
-	id, added := a.idx.findOrAdd(v)
-	if added {
-		a.entries = append(a.entries, kEntry{v, val})
-	} else if val < a.entries[id].val {
-		a.entries[id].val = val
+	if e := a.slot(v, val); e != nil && val < e.val {
+		e.val = val
 	}
 }
 
@@ -270,11 +242,8 @@ func (a *targetAcc) foldMin(v, val int64) {
 //
 // hotpath — allocheck root: per condensed-arm entry in the kNN scans.
 func (a *targetAcc) foldMax(v, val int64) {
-	id, added := a.idx.findOrAdd(v)
-	if added {
-		a.entries = append(a.entries, kEntry{v, val})
-	} else if val > a.entries[id].val {
-		a.entries[id].val = val
+	if e := a.slot(v, val); e != nil && val > e.val {
+		e.val = val
 	}
 }
 
@@ -386,7 +355,8 @@ type queryState struct {
 	merged uint64 // fold calls, published once per query
 }
 
-// acquire hands out a reset query state.
+// acquire hands out a reset query state; the kernel that folds per target
+// resets the accumulator itself, once it knows the table's bound.
 func (p *FusedPlan) acquire() *queryState {
 	st, _ := p.states.Get().(*queryState)
 	if st == nil {
@@ -394,7 +364,6 @@ func (p *FusedPlan) acquire() *queryState {
 	}
 	st.scratch.Arena = st.scratch.Arena[:0]
 	st.groups = st.groups[:0]
-	st.acc.reset()
 	st.merged = 0
 	return st
 }

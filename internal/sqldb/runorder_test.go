@@ -2,9 +2,12 @@ package sqldb
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -98,6 +101,168 @@ func TestBulkLoadValidatesRunOrder(t *testing.T) {
 		t.Fatalf("undeclared table reports run order %v", free.RunOrder())
 	}
 	load(t, free, bad[0].row, good)
+}
+
+// targetDef is a condensed-shaped table declaring ids: vs and vs_exp hold
+// target ids, tas holds times and declares nothing.
+func targetDef(name string, ids *TargetIDs) TableDef {
+	return TableDef{
+		Name: name, PK: []string{"hub"}, TargetIDs: ids,
+		Columns: []ColumnDef{
+			{Name: "hub", Type: sqltypes.Int64},
+			{Name: "vs", Type: sqltypes.IntArray},
+			{Name: "tas", Type: sqltypes.IntArray},
+			{Name: "vs_exp", Type: sqltypes.IntArray},
+		},
+	}
+}
+
+// TestBulkLoadValidatesTargetBound: a declared target-id bound is checked on
+// every element of every declared column of every row of the one write a table
+// has. An id below zero or at the bound — in either column, on the first row or
+// a later one — rejects the whole load naming row, column, position and value,
+// and the table, loaded or not, stays as it was. A column that declares nothing
+// takes any value. A declaration that is not BIGINT[] columns of the table
+// under a bound an array can have is refused at CreateTable and again at Open,
+// and a sound one survives close and reopen.
+func TestBulkLoadValidatesTargetBound(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.CreateTable(targetDef("aux", &TargetIDs{Columns: []string{"vs", "vs_exp"}, Bound: 10}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	declares := func(tbl *Table) bool {
+		cols, bound := tbl.TargetBound()
+		return slices.Equal(cols, []int{1, 3}) && bound == 10
+	}
+	if !declares(tbl) {
+		t.Fatalf("TargetBound() does not report the positions of vs, vs_exp under 10")
+	}
+	row := func(hub int64, vs, vsExp []int64) sqltypes.Row {
+		return sqltypes.Row{sqltypes.NewInt(hub), sqltypes.NewIntArray(vs),
+			sqltypes.NewIntArray([]int64{-5, 10, math.MaxInt64}), sqltypes.NewIntArray(vsExp)}
+	}
+	bad := []struct {
+		name      string
+		vs, vsExp []int64
+		frags     []string
+	}{
+		{"vs below zero", []int64{3, -1}, nil, []string{"aux.vs:", "target id -1", "position 1"}},
+		{"vs at the bound", []int64{10}, []int64{1}, []string{"aux.vs:", "target id 10", "position 0"}},
+		{"vs_exp below zero", []int64{0, 9}, []int64{0, 1, -7}, []string{"aux.vs_exp:", "target id -7", "position 2"}},
+		{"vs_exp at the bound", nil, []int64{9, 10}, []string{"aux.vs_exp:", "target id 10", "position 1"}},
+		{"an absurd id", []int64{math.MaxInt64}, nil, []string{"aux.vs:", "position 0"}},
+	}
+	rejected := func(loaded ...string) {
+		t.Helper()
+		for _, tc := range bad {
+			for at, rows := range [][]sqltypes.Row{
+				{row(0, tc.vs, tc.vsExp), row(1, []int64{0, 9, 9}, []int64{5})},
+				{row(0, []int64{0, 9, 9}, []int64{5}), row(1, tc.vs, tc.vsExp)},
+			} {
+				err := tbl.BulkLoad(rows)
+				if err == nil {
+					t.Errorf("%s on row %d: accepted", tc.name, at)
+					continue
+				}
+				for _, frag := range append(tc.frags, fmt.Sprintf("row %d", at), "[0, 10)") {
+					if !strings.Contains(err.Error(), frag) {
+						t.Errorf("%s on row %d: error lacks %q: %v", tc.name, at, frag, err)
+					}
+				}
+			}
+		}
+		requireOnlySegments(t, dir, loaded...)
+	}
+	rejected()
+	if tbl.RowCount() != 0 {
+		t.Fatalf("rejected loads stored %d rows", tbl.RowCount())
+	}
+	load(t, tbl, row(4, []int64{0, 9, 9}, []int64{5}), row(6, nil, nil))
+	rejected("aux")
+	if got, ok, err := tbl.LookupPK([]int64{4}); err != nil || !ok || !slices.Equal(got[1].A, []int64{0, 9, 9}) || tbl.RowCount() != 2 {
+		t.Fatalf("rejected loads changed a loaded table: %v, %v, %v (%d rows)", got, ok, err, tbl.RowCount())
+	}
+
+	refused := map[string]*TargetIDs{
+		"a missing column":            {Columns: []string{"vs", "nope"}, Bound: 10},
+		"a BIGINT column":             {Columns: []string{"hub"}, Bound: 10},
+		"no column":                   {Bound: 10},
+		"no bound":                    {Columns: []string{"vs"}},
+		"a bound no array can have":   {Columns: []string{"vs"}, Bound: math.MaxInt32 + 1},
+		"a bound below zero":          {Columns: []string{"vs"}, Bound: -3},
+		"a missing column (any case)": {Columns: []string{"VS", "Vs_Exp", "v"}, Bound: 10},
+	}
+	for what, ids := range refused {
+		if _, err := db.CreateTable(targetDef("other", ids)); err == nil || !strings.Contains(err.Error(), `"other"`) {
+			t.Errorf("CreateTable declaring %s: %v, want a rejection naming the table", what, err)
+		}
+	}
+	free, err := db.CreateTable(targetDef("free", nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cols, bound := free.TargetBound(); cols != nil || bound != 0 {
+		t.Fatalf("undeclared table reports target ids %v under %d", cols, bound)
+	}
+	load(t, free, row(0, []int64{-1, 1 << 40}, []int64{-9}))
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	catalog, err := os.ReadFile(filepath.Join(dir, "catalog.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(catalog, []byte(`"target_ids"`)); n != 1 {
+		t.Fatalf("catalog mentions target_ids %d times, want once (the declaring table only):\n%s", n, catalog)
+	}
+	for what, ids := range refused {
+		edited, err := json.Marshal(ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edited = regexp.MustCompile(`(?s)"target_ids": \{.*?\}`).ReplaceAll(catalog, append([]byte(`"target_ids": `), edited...))
+		if bytes.Equal(edited, catalog) {
+			t.Fatalf("the catalog's declaration was not found:\n%s", catalog)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "catalog.json"), edited, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := openFDs(t)
+		db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256, VectorCacheBytes: 1 << 20})
+		if err == nil {
+			db.Close()
+			t.Fatalf("Open accepted a catalog declaring %s", what)
+		}
+		if !strings.Contains(err.Error(), `"aux"`) {
+			t.Errorf("catalog declaring %s: error does not name the table: %v", what, err)
+		}
+		if after := openFDs(t); after != before {
+			t.Errorf("catalog declaring %s: failed open leaked file descriptors: %d before, %d after", what, before, after)
+		}
+	}
+
+	if err := os.WriteFile(filepath.Join(dir, "catalog.json"), catalog, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db, err = Open(dir, Options{Device: storage.RAM, PoolPages: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	tbl, _ = db.Table("aux")
+	free, _ = db.Table("free")
+	if cols, _ := free.TargetBound(); !declares(tbl) || cols != nil {
+		t.Fatalf("after reopen: aux declares %v, free %v", tbl.Def().TargetIDs, free.Def().TargetIDs)
+	}
+	if err := tbl.BulkLoad([]sqltypes.Row{row(0, []int64{10}, nil)}); err == nil {
+		t.Fatal("the reopened table took an id at its bound")
+	}
 }
 
 // TestRunOrderDeclarationFailsClosed: a declaration that is not three

@@ -20,6 +20,43 @@ func (k Key) Less(o Key) bool {
 	return k[1] < o[1]
 }
 
+// FindFrom searches keys — strictly ascending, a table's key directory — for
+// key: its position and true, or the position it would be inserted at and
+// false. start is a hint, typically what the caller's last search returned: a
+// caller that probes in ascending key order finds the next key at or shortly
+// after the last one, so when the key at start is below the probe the search
+// gallops forward from it (doubling steps, then a bisection of the last gap —
+// the logarithm of the distance moved), and otherwise it bisects [0, start).
+// The hint is validated by those comparisons, never trusted: the answer is
+// the same for every start, in range or not.
+//
+// hotpath — allocheck root: the point lookup of both read tiers.
+func FindFrom(keys []Key, start int, key Key) (int, bool) {
+	lo, hi := 0, len(keys)
+	if uint(start) < uint(hi) {
+		if keys[start].Less(key) {
+			lo = start + 1
+			for step := 1; lo+step <= hi; step <<= 1 {
+				if !keys[lo+step-1].Less(key) {
+					hi = lo + step - 1
+					break
+				}
+				lo += step
+			}
+		} else {
+			hi = start
+		}
+	}
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); keys[mid].Less(key) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(keys) && keys[lo] == key
+}
+
 // Segment is the immutable file of one table — the only stored form a table
 // has: the row payloads (opaque to this package — sqldb encodes them with the
 // tag-free segment codec) packed back to back in a page-aligned data region,
@@ -400,27 +437,6 @@ func (s *Segment) LoadData() ([]byte, error) {
 		return nil, corruptSegment("data", "checksum %08x, header says %08x", crc, s.dataCRC)
 	}
 	return out, nil
-}
-
-// Find binary-searches the directory for key, returning the row index. The
-// loop is written out (no sort.Search closure) to stay allocation-free on
-// the query hot path.
-//
-// hotpath — allocheck root: the segment-tier point lookup.
-func (s *Segment) Find(key Key) (int, bool) {
-	lo, hi := 0, len(s.keys)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s.keys[mid].Less(key) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(s.keys) && s.keys[lo] == key {
-		return lo, true
-	}
-	return 0, false
 }
 
 // ReadRow copies row i's payload out of the data region through the buffer

@@ -76,9 +76,9 @@ func TestSegmentRoundTrip(t *testing.T) {
 	var buf []byte
 	off := 0
 	for i, k := range sd.Keys {
-		j, ok := seg.Find(k)
+		j, ok := FindFrom(seg.Keys(), 0, k)
 		if !ok || j != i {
-			t.Fatalf("Find(%v) = %d,%v, want %d,true", k, j, ok, i)
+			t.Fatalf("FindFrom(%v) = %d,%v, want %d,true", k, j, ok, i)
 		}
 		var err error
 		buf, err = seg.ReadRow(j, buf)
@@ -93,8 +93,8 @@ func TestSegmentRoundTrip(t *testing.T) {
 	}
 	// Absent keys miss cleanly on either side and between rows.
 	for _, k := range []Key{{-1, 0}, {1, 0}, {int64(len(sd.Keys) * 3), 0}, {0, 1}} {
-		if _, ok := seg.Find(k); ok {
-			t.Fatalf("Find(%v) hit, want miss", k)
+		if _, ok := FindFrom(seg.Keys(), 0, k); ok {
+			t.Fatalf("FindFrom(%v) hit, want miss", k)
 		}
 	}
 }
@@ -197,7 +197,7 @@ func TestSegmentColdReadPages(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, missesBefore := pool.Stats()
-	i, ok := seg.Find(Key{3, 0})
+	i, ok := FindFrom(seg.Keys(), 0, Key{3, 0})
 	if !ok {
 		t.Fatal("key 3 missing")
 	}

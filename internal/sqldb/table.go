@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -27,8 +28,10 @@ type Table struct {
 	// never walk the TableDef.
 	types []sqltypes.Type
 	// runOrder is the positions of def.RunOrder's columns, nil when the table
-	// declares no run order.
-	runOrder []int
+	// declares no run order; targetCols those of def.TargetIDs' columns under
+	// targetBound, nil and 0 when it declares no target ids.
+	runOrder, targetCols []int
+	targetBound          int64
 
 	// The open segment, replaced as one by BulkLoad. Between CreateTable and
 	// the first BulkLoad there is no file yet and seg is the zero Segment, an
@@ -48,7 +51,9 @@ type Table struct {
 
 // newTable builds the in-memory side of a table from its definition — one
 // being created or one read back from the catalog. A run-order declaration
-// that is not three existing BIGINT[] columns is an error either way.
+// that is not three existing BIGINT[] columns, or a target-id declaration that
+// is not at least one of them under a bound in [1, math.MaxInt32], is an error
+// either way.
 func (db *DB) newTable(def TableDef) (*Table, error) {
 	t := &Table{def: def, db: db, types: make([]sqltypes.Type, len(def.Columns)), seg: new(storage.Segment)}
 	for i, c := range def.Columns {
@@ -66,6 +71,20 @@ func (db *DB) newTable(def TableDef) (*Table, error) {
 			return nil, fmt.Errorf("sqldb: table %q: run-order column %q is not a BIGINT[] column of the table", def.Name, name)
 		}
 		t.runOrder = append(t.runOrder, ci)
+	}
+	if ids := def.TargetIDs; ids != nil {
+		if len(ids.Columns) == 0 || ids.Bound < 1 || ids.Bound > math.MaxInt32 {
+			return nil, fmt.Errorf("sqldb: table %q: target ids declare %d columns under the bound %d, want at least one and a bound in [1, %d]",
+				def.Name, len(ids.Columns), ids.Bound, math.MaxInt32)
+		}
+		for _, name := range ids.Columns {
+			ci := colIndex(def.Columns, name)
+			if ci < 0 || t.types[ci] != sqltypes.IntArray {
+				return nil, fmt.Errorf("sqldb: table %q: target-id column %q is not a BIGINT[] column of the table", def.Name, name)
+			}
+			t.targetCols = append(t.targetCols, ci)
+		}
+		t.targetBound = ids.Bound
 	}
 	return t, nil
 }
@@ -95,6 +114,11 @@ func (t *Table) PKCols() []int { return t.pkCols }
 // run-order columns, nil when the table declares none.
 func (t *Table) RunOrder() []int { return t.runOrder }
 
+// TargetBound implements exec.TargetBounded: the positions of the declared
+// target-id columns and their exclusive bound, nil and 0 when the table
+// declares none.
+func (t *Table) TargetBound() ([]int, int) { return t.targetCols, int(t.targetBound) }
+
 // RowCount returns the number of stored rows.
 func (t *Table) RowCount() uint64 { return uint64(t.seg.NumRows()) }
 
@@ -102,7 +126,8 @@ func (t *Table) RowCount() uint64 { return uint64(t.seg.NumRows()) }
 func (t *Table) segPath() string { return filepath.Join(t.db.dir, t.def.Name+".seg") }
 
 // checkRow validates arity, the absence of NULL, the column types — coercing
-// integer values into DOUBLE columns in place — and the declared run order.
+// integer values into DOUBLE columns in place — and the declared target-id
+// bound and run order.
 func (t *Table) checkRow(row sqltypes.Row) error {
 	if len(row) != len(t.def.Columns) {
 		return fmt.Errorf("sqldb: %s: row has %d values, table has %d columns", t.def.Name, len(row), len(t.def.Columns))
@@ -117,6 +142,14 @@ func (t *Table) checkRow(row sqltypes.Row) error {
 			continue
 		}
 		return fmt.Errorf("sqldb: %s.%s: cannot store %s into %s", t.def.Name, t.def.Columns[i].Name, v.T, want)
+	}
+	for _, ci := range t.targetCols {
+		for i, id := range row[ci].A {
+			if id < 0 || id >= t.targetBound {
+				return fmt.Errorf("sqldb: %s.%s: target id %d at position %d is outside [0, %d)",
+					t.def.Name, t.def.Columns[ci].Name, id, i, t.targetBound)
+			}
+		}
 	}
 	if t.runOrder == nil {
 		return nil
@@ -268,11 +301,13 @@ func (t *Table) LookupPK(keyVals []int64) (sqltypes.Row, bool, error) {
 // alias immutable cached vectors, so they remain valid for the scratch's
 // lifetime.
 //
-// The row is served from the resident vectors when the cache holds the
-// table — binary search of the key directory, slice views of the decoded
-// columns, no pool, payload copy or varint decode — and from the segment
-// otherwise: binary search of the in-memory directory, the payload's own
-// pages through the pool, tag-free decode.
+// Both tiers find the row with the one search of the key directory they
+// share, storage.FindFrom, started where s's last lookup ended (s.Pos): a
+// caller probing in ascending key order pays the distance moved, any other
+// the plain binary search. The row is then served from the resident vectors
+// when the cache holds the table — slice views of the decoded columns, no
+// pool, payload copy or varint decode — and from the segment otherwise: the
+// payload's own pages through the pool, tag-free decode.
 //
 // hotpath — allocheck root: every fused label lookup funnels through here;
 // both tiers must stay allocation-free.
@@ -292,8 +327,8 @@ func (t *Table) LookupPKScratch(keyVals []int64, s *exec.RowScratch) (sqltypes.R
 			return nil, false, err
 		}
 		if m != nil {
-			i, ok := m.Find(key)
-			if !ok {
+			i, ok := storage.FindFrom(m.Keys, s.Pos, key)
+			if s.Pos = i; !ok {
 				return nil, false, nil
 			}
 			row := vcacheRow(m, i, s)
@@ -301,8 +336,8 @@ func (t *Table) LookupPKScratch(keyVals []int64, s *exec.RowScratch) (sqltypes.R
 			return row, true, nil
 		}
 	}
-	i, ok := t.seg.Find(key)
-	if !ok {
+	i, ok := storage.FindFrom(t.seg.Keys(), s.Pos, key)
+	if s.Pos = i; !ok {
 		return nil, false, nil
 	}
 	data, err := t.seg.ReadRow(i, s.Buf)

@@ -69,25 +69,6 @@ func (c *Col) Array(i int) []int64 {
 	return c.Ints[c.Starts[i]:c.Starts[i+1]:c.Starts[i+1]]
 }
 
-// Find binary-searches the key directory for key, returning the row index.
-// Written out (no sort.Search closure) to stay allocation-free on the query
-// hot path, mirroring Segment.Find.
-func (m *Mat) Find(key storage.Key) (int, bool) {
-	lo, hi := 0, len(m.Keys)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if m.Keys[mid].Less(key) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(m.Keys) && m.Keys[lo] == key {
-		return lo, true
-	}
-	return 0, false
-}
-
 // Cache is one byte-budgeted set of materialized tables.
 type Cache struct {
 	budget int64

@@ -48,21 +48,6 @@ func TestAcquireMissThenHit(t *testing.T) {
 	}
 }
 
-func TestMatFind(t *testing.T) {
-	m := &Mat{Keys: []storage.Key{{1, 5}, {3, 0}, {3, 7}, {9, 9}}}
-	for i, k := range m.Keys {
-		got, ok := m.Find(k)
-		if !ok || got != i {
-			t.Fatalf("Find(%v) = %d, %v; want %d, true", k, got, ok, i)
-		}
-	}
-	for _, k := range []storage.Key{{0, 0}, {3, 1}, {10, 0}} {
-		if _, ok := m.Find(k); ok {
-			t.Fatalf("Find(%v) matched a missing key", k)
-		}
-	}
-}
-
 func TestColArray(t *testing.T) {
 	c := Col{Ints: []int64{1, 2, 3, 4, 5}, Starts: []int32{0, 2, 2, 5}}
 	if got := c.Array(0); len(got) != 2 || got[0] != 1 || got[1] != 2 {

@@ -54,7 +54,7 @@ func openCondensedFile(t *testing.T, dir, table string) condensedFile {
 func (cf condensedFile) pages(keys []storage.Key) int {
 	seen := map[int64]bool{}
 	for _, k := range keys {
-		i, ok := cf.seg.Find(k)
+		i, ok := storage.FindFrom(cf.seg.Keys(), 0, k)
 		if !ok || cf.offs[i] == cf.offs[i+1] {
 			continue
 		}

@@ -7,7 +7,7 @@
 # (benchmark/ is a module of its own, invisible to ./...), a look at what
 # ptldb-build leaves in a database directory, the console on it, and what
 # becomes of that directory once its catalog stops declaring the label run
-# order. Also available as `make check`.
+# order or the target-id bound. Also available as `make check`.
 set -eu
 cd "$(dirname "$0")/.."
 img=$(mktemp -d)
@@ -25,9 +25,10 @@ if git grep -nE 'ErrNotFused|DisableFusedExec|FusedOff' -- '*.go' ':!*_test.go' 
     echo "a fused plan answers or errors, and nothing a user can set selects an executor" >&2
     exit 1
 fi
-echo "== no grouping hash, no label re-sort"
-if git grep -nE 'gidx|tupleGroup|ensureLabelOrder' -- '*.go'; then
-    echo "a label's run order is BulkLoad's to check and the kernels' to trust: grouping walks the runs" >&2
+echo "== no grouping hash, no label re-sort, no accumulator hash"
+if git grep -nE 'gidx|tupleGroup|ensureLabelOrder|flatIndex|findOrAdd' -- '*.go'; then
+    echo "a label's run order and a target id's bound are BulkLoad's to check and the kernels' to trust:" >&2
+    echo "grouping walks the runs, and the per-target accumulator is an array indexed by the id" >&2
     exit 1
 fi
 echo "== go vet ./..."
@@ -109,16 +110,24 @@ if out=$("$img/ptldb-query" -db "$img/db" sql "$code1" 0 one 0 2>&1) || ! echo "
     echo "$out" >&2
     exit 1
 fi
-echo "== an image whose catalog stops declaring the label run order does not open"
-# The kernels search a label's runs unchecked, so such an image — any built
-# before the declaration existed — must be refused, not answered from. A key
-# the catalog reader does not know is ignored: renaming it undeclares.
+echo "== an image whose catalog stops declaring the label run order or the target-id bound does not open"
+# The kernels search a label's runs unchecked and index an array by a
+# condensed row's target ids, so an image that does not declare them — any
+# built before the declaration existed — must be refused, not answered from. A
+# key the catalog reader does not know is ignored: renaming it undeclares.
 go run ./cmd/ptldb-query -db "$img/db" ea 0 1 0 > /dev/null
-sed 's/"run_order"/"run_order_of_an_older_build"/' "$img/db/catalog.json" > "$img/catalog.json"
-mv "$img/catalog.json" "$img/db/catalog.json"
-if out=$(go run ./cmd/ptldb-query -db "$img/db" ea 0 1 0 2>&1) || ! echo "$out" | grep -q 'run order.*rebuild'; then
-    echo "ptldb-query on an image without run_order did not fail with the rebuild message:" >&2
-    echo "$out" >&2
-    exit 1
-fi
+cp "$img/db/catalog.json" "$img/catalog.built"
+for decl in 'run_order:run order' 'target_ids:target ids'; do
+    key=${decl%%:*} says=${decl#*:}
+    sed "s/\"$key\"/\"${key}_of_an_older_build\"/" "$img/catalog.built" > "$img/db/catalog.json"
+    if cmp -s "$img/catalog.built" "$img/db/catalog.json"; then
+        echo "the built catalog does not declare $key" >&2
+        exit 1
+    fi
+    if out=$(go run ./cmd/ptldb-query -db "$img/db" ea 0 1 0 2>&1) || ! echo "$out" | grep -q "$says.*rebuild"; then
+        echo "ptldb-query on an image without $key did not fail with the rebuild message:" >&2
+        echo "$out" >&2
+        exit 1
+    fi
+done
 echo "== OK"

@@ -1,9 +1,15 @@
 package ptldb
 
 import (
+	"math"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
+	"ptldb/internal/sqldb"
+	"ptldb/internal/sqldb/exec"
+	"ptldb/internal/sqldb/sqltypes"
 	"ptldb/internal/timetable"
 )
 
@@ -196,5 +202,148 @@ func TestVCacheConcurrentEvictionChurn(t *testing.T) {
 	}
 	if vc.ResidentBytes > working-working/16 {
 		t.Errorf("ResidentBytes %d exceeds the %d budget", vc.ResidentBytes, working-working/16)
+	}
+}
+
+// TestCursorLookupsMatchAcrossTiers: a scratch carries the position of its
+// last lookup from one table into the next, and the search that starts there
+// must answer as if it had started nowhere. One scratch per handle — resident
+// vectors, segments only — alternates between a one-word-key table (lout) and
+// a two-word-key one (a condensed table) over probe sequences that ascend,
+// descend, repeat and jump, hit and miss below, between and above, with the
+// carried position now and then replaced by garbage. Every lookup on either
+// tier returns exactly the row a full scan stored under that key, or nothing.
+func TestCursorLookupsMatchAcrossTiers(t *testing.T) {
+	tt, err := GenerateCity("Austin", 0.01, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	db, err := Create(dir, tt, Config{Device: "ram"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := tt.NumStops()
+	if err := db.AddTargetSet("poi", []StopID{StopID(1 % n), StopID(2 % n), StopID(5 % n), StopID(n - 1)}, 4); err != nil {
+		db.Close()
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	vdb, err := Open(dir, Config{Device: "ram"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer vdb.Close()
+	sdb, err := Open(dir, Config{Device: "ram", VectorCacheBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sdb.Close()
+
+	type stored struct {
+		keys [][]int64
+		rows map[[2]int64]sqltypes.Row
+		tier [2]*sqldb.Table // vectors, segments
+	}
+	word2 := func(key []int64) (k [2]int64) {
+		copy(k[:], key)
+		return k
+	}
+	var tables []*stored
+	for _, name := range []string{"lout", "knn_ea_poi"} {
+		st := &stored{rows: map[[2]int64]sqltypes.Row{}}
+		for i, h := range []*DB{vdb, sdb} {
+			tbl, ok := h.db.Table(name)
+			if !ok {
+				t.Fatalf("no table %s", name)
+			}
+			st.tier[i] = tbl
+		}
+		pk := st.tier[1].PKCols()
+		err := st.tier[1].Scan(func(row sqltypes.Row) error {
+			key := make([]int64, len(pk))
+			for i, ci := range pk {
+				key[i] = row[ci].I
+			}
+			st.keys, st.rows[word2(key)] = append(st.keys, key), row
+			return nil
+		})
+		if err != nil || len(st.keys) < 8 {
+			t.Fatalf("%s: scanned %d rows, %v", name, len(st.keys), err)
+		}
+		tables = append(tables, st)
+	}
+	if len(tables[0].keys[0]) != 1 || len(tables[1].keys[0]) != 2 {
+		t.Fatalf("want a one-word and a two-word key, got %v and %v", tables[0].keys[0], tables[1].keys[0])
+	}
+
+	rng := rand.New(rand.NewSource(47))
+	var scratch [2]exec.RowScratch
+	garbage := []int{-1, math.MinInt, math.MaxInt, 1 << 40, 0}
+	hits, misses := 0, 0
+	for round := 0; round < 300; round++ {
+		stride := []int{1, 2, -1, -3, 0}[round%5]
+		at := [2]int{rng.Intn(len(tables[0].keys)), rng.Intn(len(tables[1].keys))}
+		for step := 0; step < 40; step++ {
+			ti := step % 2
+			if rng.Intn(5) == 0 {
+				ti = rng.Intn(2) // the same table twice in a row, too
+			}
+			st := tables[ti]
+			at[ti] = min(max(at[ti]+stride*rng.Intn(3), 0), len(st.keys)-1)
+			if stride == 0 && rng.Intn(4) == 0 {
+				at[ti] = rng.Intn(len(st.keys))
+			}
+			key := slices.Clone(st.keys[at[ti]])
+			switch rng.Intn(6) { // absent: beside the row, below the first, above the last
+			case 0:
+				key[len(key)-1] += int64(rng.Intn(3)) - 1
+			case 1:
+				key[0] = st.keys[0][0] - 1 - int64(rng.Intn(3))
+			case 2:
+				key[0] = st.keys[len(st.keys)-1][0] + 1 + int64(rng.Intn(3))
+			}
+			want, present := st.rows[word2(key)]
+			if rng.Intn(6) == 0 {
+				g := garbage[rng.Intn(len(garbage))]
+				scratch[0].Pos, scratch[1].Pos = g, g
+			}
+			for tier, tbl := range st.tier {
+				s := &scratch[tier]
+				s.Arena = s.Arena[:0]
+				got, ok, err := tbl.LookupPKScratch(key, s)
+				if err != nil || ok != present {
+					t.Fatalf("round %d step %d tier %d: lookup %v from position %d: found %v (%v), stored %v",
+						round, step, tier, key, s.Pos, ok, err, present)
+				}
+				if !ok {
+					continue
+				}
+				if len(got) != len(want) {
+					t.Fatalf("round %d step %d tier %d: key %v: %d columns, want %d", round, step, tier, key, len(got), len(want))
+				}
+				for ci := range want {
+					if got[ci].T != want[ci].T || got[ci].I != want[ci].I || !slices.Equal(got[ci].A, want[ci].A) {
+						t.Fatalf("round %d step %d tier %d: key %v column %d: got %v, stored %v", round, step, tier, key, ci, got[ci], want[ci])
+					}
+				}
+			}
+			if present {
+				hits++
+			} else {
+				misses++
+			}
+		}
+	}
+	if hits < 1000 || misses < 1000 {
+		t.Fatalf("%d hits and %d misses: the sequences do not exercise both", hits, misses)
+	}
+	if vc := vdb.Snapshot().VCache; vc == nil || vc.Hits == 0 {
+		t.Error("the vcache handle served no row from resident vectors")
+	}
+	if sdb.Snapshot().Segment.Hits == 0 {
+		t.Error("the negative-budget handle served no row from segments")
 	}
 }
