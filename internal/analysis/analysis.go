@@ -13,9 +13,9 @@
 //     buffer-pool shard mutex (a mutex field annotated "lockcheck:shard") is
 //     held, and every Lock has an Unlock on all return paths.
 //   - lockordercheck: a whole-module lock-acquisition graph over all
-//     annotated mutexes ("lockcheck:shard") and latches ("lockcheck:latch"),
-//     built on the CFG engine in cfg.go — cycles, two shard mutexes held at
-//     once, and undocumented or violated "level=N" ordering are findings.
+//     annotated mutexes ("lockcheck:shard") and latches ("lockcheck:latch")
+//     — cycles, two shard mutexes held at once, and undocumented or violated
+//     "level=N" ordering are findings.
 //   - atomiccheck: a field accessed through sync/atomic anywhere must be
 //     accessed atomically everywhere.
 //   - arenacheck: slices carved out of exec.RowScratch's append-only Arena
@@ -27,6 +27,11 @@
 //     callee).
 //   - errcheck: no silently discarded error results in internal/sqldb,
 //     internal/obs, and the cmd/ binaries.
+//
+// The two lock checkers are forward dataflows on one engine — cfg.go's
+// control-flow graph and solver — over one fact base of lock classes and
+// call summaries (newLockFacts). allocheck walks the AST from its roots over
+// modindex.go; the rest inspect statements where they stand.
 //
 // Checkers identify project constructs by convention (method names, the
 // Arena field name, the lockcheck:shard field annotation) rather than by

@@ -1,18 +1,21 @@
 package analysis
 
-// cfg.go is the intraprocedural engine under lockordercheck and allocheck: a
-// basic-block control-flow graph over one function body, plus a generic
-// worklist solver for forward dataflow problems over that graph.
+// cfg.go is the intraprocedural engine under lockcheck and lockordercheck: a
+// basic-block control-flow graph over one function body, a generic worklist
+// solver for forward dataflow problems over that graph, and the driver that
+// hands both checkers every function body of the module. (allocheck is not
+// a client: it walks the AST from its "// hotpath" roots over modindex.go.)
 //
 // The graph is deliberately lightweight. Blocks hold the simple statements
 // and control-condition expressions of the source in evaluation order;
 // structured statements (if/for/range/switch/select) are decomposed into
 // blocks and edges and never appear as nodes themselves, so a client may
 // inspect each node's full subtree without double-counting control flow.
-// Function literals do appear (inside whatever node contains them) — clients
-// decide whether a literal's body runs here or elsewhere. goto is modeled
-// conservatively as leaving the function, and fallthrough as ending the
-// clause; neither occurs in this module.
+// Instead, every block where a structured statement's paths meet records
+// that statement as its Join. Function literals do appear (inside whatever
+// node contains them) — clients decide whether a literal's body runs here
+// or elsewhere. goto is modeled conservatively as leaving the function, and
+// fallthrough as ending the clause; neither occurs in this module.
 
 import (
 	"go/ast"
@@ -25,20 +28,33 @@ type Block struct {
 	Index int
 	Nodes []ast.Node
 	Succs []*Block
+	// Join is the if, switch, select or loop whose paths meet where this
+	// block starts (nil: one way in); LoopHead marks the joins where one
+	// iteration meets the next — a loop's head, and a for loop's post
+	// statement, where continue meets the body's end.
+	Join     ast.Stmt
+	LoopHead bool
+	reached  bool // some path from the entry leads here
 }
 
 // CFG is the control-flow graph of a single function body. Blocks[0] is the
 // entry; blocks unreachable from it (code after return) may be present but
-// carry no edges into them.
+// carry no edges into them. Exit is the reachable block whose end falls off
+// the end of the body, nil when every path returns or panics.
 type CFG struct {
 	Blocks []*Block
+	Exit   *Block
 }
 
 // NewCFG builds the control-flow graph of body.
 func NewCFG(body *ast.BlockStmt) *CFG {
 	b := &cfgBuilder{cfg: &CFG{}}
 	b.cur = b.newBlock()
+	b.cur.reached = true
 	b.stmtList(body.List)
+	if b.cur != nil && b.cur.reached {
+		b.cfg.Exit = b.cur
+	}
 	return b.cfg
 }
 
@@ -80,6 +96,28 @@ func Forward[T any](g *CFG, entry T, merge func(T, T) T, transfer func(*Block, T
 	return in
 }
 
+// forEachBody is the lock checkers' one driver: it calls visit on every
+// function body in pkgs — each declared function's and each function
+// literal's, nested or package-level — and each is analyzed on its own,
+// with nothing held on entry.
+func forEachBody(pkgs []*Package, visit func(*Package, *ast.BlockStmt)) {
+	for _, p := range pkgs {
+		for _, f := range p.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch x := n.(type) {
+				case *ast.FuncDecl:
+					if x.Body != nil {
+						visit(p, x.Body)
+					}
+				case *ast.FuncLit:
+					visit(p, x.Body)
+				}
+				return true
+			})
+		}
+	}
+}
+
 type cfgBuilder struct {
 	cfg *CFG
 	// cur is the block under construction; nil after a terminator (return,
@@ -101,9 +139,19 @@ func (b *cfgBuilder) newBlock() *Block {
 	return blk
 }
 
+// join is newBlock for a block where the paths of s meet.
+func (b *cfgBuilder) join(s ast.Stmt, loopHead bool) *Block {
+	blk := b.newBlock()
+	blk.Join, blk.LoopHead = s, loopHead
+	return blk
+}
+
+// edge links from to to. Every edge leaves a block whose own way in is
+// already built, so reachability settles as the graph grows.
 func (b *cfgBuilder) edge(from, to *Block) {
 	if from != nil && to != nil {
 		from.Succs = append(from.Succs, to)
+		to.reached = to.reached || from.reached
 	}
 }
 
@@ -154,24 +202,33 @@ func (b *cfgBuilder) stmt(s ast.Stmt, label string) {
 	case *ast.SwitchStmt:
 		b.add(x.Init)
 		b.add(x.Tag)
-		b.clauses(x.Body, label)
+		b.clauses(x, x.Body, label)
 	case *ast.TypeSwitchStmt:
 		b.add(x.Init)
 		b.add(x.Assign)
-		b.clauses(x.Body, label)
+		b.clauses(x, x.Body, label)
 	case *ast.SelectStmt:
-		b.clauses(x.Body, label)
+		b.clauses(x, x.Body, label)
 	default:
 		// Assign, Decl, IncDec, Send, Defer, Go, Empty: straight-line.
 		b.add(s)
 	}
 }
 
+// isTerminatorCall reports calls that never return.
+func isTerminatorCall(call *ast.CallExpr) bool {
+	switch calleeName(call) {
+	case "panic", "Fatal", "Fatalf", "Exit", "Goexit":
+		return true
+	}
+	return false
+}
+
 func (b *cfgBuilder) ifStmt(x *ast.IfStmt) {
 	b.add(x.Init)
 	b.add(x.Cond)
 	cond := b.cur
-	after := b.newBlock()
+	after := b.join(x, false)
 	then := b.newBlock()
 	b.edge(cond, then)
 	b.cur = then
@@ -191,14 +248,14 @@ func (b *cfgBuilder) ifStmt(x *ast.IfStmt) {
 
 func (b *cfgBuilder) forStmt(x *ast.ForStmt, label string) {
 	b.add(x.Init)
-	head := b.newBlock()
+	head := b.join(x, true)
 	b.edge(b.cur, head)
 	if x.Cond != nil {
 		head.Nodes = append(head.Nodes, x.Cond)
 	}
 	body := b.newBlock()
-	post := b.newBlock()
-	after := b.newBlock()
+	post := b.join(x, true)
+	after := b.join(x, false)
 	b.edge(head, body)
 	if x.Cond != nil {
 		b.edge(head, after) // a condition-less for exits only via break
@@ -217,10 +274,10 @@ func (b *cfgBuilder) forStmt(x *ast.ForStmt, label string) {
 
 func (b *cfgBuilder) rangeStmt(x *ast.RangeStmt, label string) {
 	b.add(x.X)
-	head := b.newBlock()
+	head := b.join(x, true)
 	b.edge(b.cur, head)
 	body := b.newBlock()
-	after := b.newBlock()
+	after := b.join(x, false)
 	b.edge(head, body)
 	b.edge(head, after)
 	b.frames = append(b.frames, ctrlFrame{label: label, breakTo: after, continueTo: head})
@@ -231,12 +288,12 @@ func (b *cfgBuilder) rangeStmt(x *ast.RangeStmt, label string) {
 	b.cur = after
 }
 
-// clauses lowers a switch, type switch or select body. Case expressions and
-// comm statements evaluate in the dispatching block or at the head of their
-// clause; every clause flows to the common after-block.
-func (b *cfgBuilder) clauses(body *ast.BlockStmt, label string) {
+// clauses lowers the body of s, a switch, type switch or select. Case
+// expressions and comm statements evaluate in the dispatching block or at
+// the head of their clause; every clause flows to the common after-block.
+func (b *cfgBuilder) clauses(s ast.Stmt, body *ast.BlockStmt, label string) {
 	start := b.cur
-	after := b.newBlock()
+	after := b.join(s, false)
 	b.frames = append(b.frames, ctrlFrame{label: label, breakTo: after})
 	hasDefault := false
 	for _, clause := range body.List {

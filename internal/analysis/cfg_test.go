@@ -1,9 +1,11 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -37,14 +39,21 @@ func reachableAssigns(g *CFG) []string {
 			continue
 		}
 		seen[b] = true
-		for _, n := range b.Nodes {
-			if as, ok := n.(*ast.AssignStmt); ok {
-				if id, ok := as.Lhs[0].(*ast.Ident); ok && id.Name != "_" {
-					out = append(out, id.Name)
-				}
+		out = append(out, blockAssigns(b)...)
+		queue = append(queue, b.Succs...)
+	}
+	return out
+}
+
+// blockAssigns returns the left-hand identifiers of b's assignments.
+func blockAssigns(b *Block) []string {
+	var out []string
+	for _, n := range b.Nodes {
+		if as, ok := n.(*ast.AssignStmt); ok {
+			if id, ok := as.Lhs[0].(*ast.Ident); ok && id.Name != "_" {
+				out = append(out, id.Name)
 			}
 		}
-		queue = append(queue, b.Succs...)
 	}
 	return out
 }
@@ -208,5 +217,53 @@ _ = a
 	}
 	if !headFact {
 		t.Error("loop head entry fact = false; the back edge must carry the mark to fixpoint")
+	}
+}
+
+// TestCFGJoinsAndExit pins what lockcheck reads off the graph: the
+// statement whose paths meet at each join block (in block order, "+loop"
+// on a loop-head join), and Exit — the block holding the trailing "end"
+// assignment when the body can fall off its end, nil when it cannot.
+func TestCFGJoinsAndExit(t *testing.T) {
+	tests := []struct {
+		name, body, joins string
+		exit              bool
+	}{
+		{"if", "a := 1\nif a > 0 {\n\ta = 2\n}\nend := 0\n_ = end", "*ast.IfStmt", true},
+		{"switch", "switch a := 1; a {\ncase 1:\n}\nend := 0\n_ = end", "*ast.SwitchStmt", true},
+		{"select", "var c chan int\nselect {\ncase <-c:\n}\nend := 0\n_ = end", "*ast.SelectStmt", true},
+		{"for", "for i := 0; i < 3; i++ {\n}\nend := 0\n_ = end", "*ast.ForStmt+loop *ast.ForStmt+loop *ast.ForStmt", true},
+		{"range", "for range []int{} {\n}\nend := 0\n_ = end", "*ast.RangeStmt+loop *ast.RangeStmt", true},
+		{"straight line", "end := 0\n_ = end", "", true},
+		{"last statement returns", "a := 1\nif a > 0 {\n\tpanic(a)\n}\nreturn", "*ast.IfStmt", false},
+		{"every arm returns", "a := 1\nif a > 0 {\n\treturn\n} else {\n\treturn\n}", "*ast.IfStmt", false},
+		{"loop without break", "for {\n}", "*ast.ForStmt+loop *ast.ForStmt+loop *ast.ForStmt", false},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			g, _ := parseBody(t, tc.body)
+			var joins []string
+			for _, b := range g.Blocks {
+				if b.Join != nil {
+					j := fmt.Sprintf("%T", b.Join)
+					if b.LoopHead {
+						j += "+loop"
+					}
+					joins = append(joins, j)
+				}
+			}
+			if got := strings.Join(joins, " "); got != tc.joins {
+				t.Errorf("joins = %q, want %q", got, tc.joins)
+			}
+			if !tc.exit {
+				if g.Exit != nil {
+					t.Errorf("Exit = block %d, want nil", g.Exit.Index)
+				}
+				return
+			}
+			if g.Exit == nil || !slices.Contains(blockAssigns(g.Exit), "end") {
+				t.Errorf("Exit = %v, want the block holding end := 0", g.Exit)
+			}
+		})
 	}
 }

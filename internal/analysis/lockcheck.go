@@ -5,27 +5,31 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
+	"sort"
 	"strings"
 )
 
 // lockCheck guards the buffer pool's concurrency contract (DESIGN.md §6):
 //
 //  1. While a pool-shard mutex is held, no device I/O and no blocking
-//     channel operation may run. Shard mutexes are declared, not inferred: a
-//     sync.Mutex / sync.RWMutex struct field carrying a "lockcheck:shard"
-//     comment opts into the rule. Device I/O is recognized by the project's
-//     page-transfer method names (ReadPage, WritePage, ...) and propagated
-//     transitively through same-package calls, so hiding a read behind a
-//     helper does not evade the rule.
+//     channel operation may run. Shard mutexes are the shard classes of the
+//     lock fact base (a sync.Mutex / sync.RWMutex field annotated
+//     "lockcheck:shard"). Device I/O is recognized by the project's
+//     page-transfer method names (ReadPage, WritePage, ...) and, through the
+//     fact base's summaries, behind same-package helpers, so hiding a read
+//     behind a helper does not evade the rule.
 //  2. Every Lock/RLock of any mutex is released on every return path of the
-//     function that acquired it (directly or via defer), the lock state is
-//     identical on all branches that merge, and a loop body leaves the lock
-//     state the way it found it.
+//     function that acquired it (directly or via defer), the held set is the
+//     same on every path meeting after an if, switch, select or loop exit,
+//     and a loop iteration leaves it the way it found it.
 //
-// The analysis is intra-procedural over an abstract "held locks" state keyed
-// by the receiver expression text (sh.mu, db.stmtMu, ...), which matches how
-// the codebase writes lock calls. Function literals are analyzed as
-// independent functions with an empty entry state.
+// Each function body and function literal is a forward dataflow over its
+// CFG (cfg.go): the fact is the set of held mutexes keyed by the receiver
+// expression text (sh.mu, db.stmtMu, ...), which matches how the codebase
+// writes lock calls, and the join is intersection. break, continue and
+// return are edges, so a lock carried along one is seen where it meets the
+// other paths.
 type lockCheck struct{}
 
 // NewLockCheck returns the lockcheck checker.
@@ -33,567 +37,234 @@ func NewLockCheck() Checker { return lockCheck{} }
 
 func (lockCheck) Name() string { return "lockcheck" }
 
-// shardDirective is the field-comment annotation that opts a mutex into the
-// no-I/O-under-lock rule.
-const shardDirective = "lockcheck:shard"
-
-// ioPrimitives are the method names that perform (simulated) device I/O.
-var ioPrimitives = map[string]bool{
-	"ReadPage": true, "WritePage": true, "Sync": true, "Allocate": true,
-	"ReadAt": true, "WriteAt": true, "Truncate": true,
+func (lockCheck) CheckModule(pkgs []*Package) []Finding {
+	c := &lockFunc{lockFacts: newLockFacts(pkgs), reporter: newReporter("lockcheck")}
+	forEachBody(pkgs, c.check)
+	return c.findings
 }
-
-func (c lockCheck) Check(p *Package) []Finding {
-	lc := &lockChecker{pkg: p, shardFields: shardMutexFields(p)}
-	lc.blockers = blockingFuncs(p)
-	for _, file := range p.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			lc.checkFunc(fd.Body)
-			// Nested function literals run on their own goroutine or call
-			// stack: analyze each with a fresh state.
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if fl, ok := n.(*ast.FuncLit); ok {
-					lc.checkFunc(fl.Body)
-				}
-				return true
-			})
-		}
-	}
-	return lc.findings
-}
-
-// shardMutexFields collects the struct fields annotated lockcheck:shard.
-func shardMutexFields(p *Package) map[types.Object]bool {
-	out := map[types.Object]bool{}
-	for _, file := range p.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			st, ok := n.(*ast.StructType)
-			if !ok {
-				return true
-			}
-			for _, field := range st.Fields.List {
-				if !fieldHasDirective(field, shardDirective) {
-					continue
-				}
-				for _, name := range field.Names {
-					obj := p.Info.Defs[name]
-					if obj != nil && isMutexType(obj.Type()) {
-						out[obj] = true
-					}
-				}
-			}
-			return true
-		})
-	}
-	return out
-}
-
-func fieldHasDirective(field *ast.Field, directive string) bool {
-	for _, cg := range []*ast.CommentGroup{field.Doc, field.Comment} {
-		if cg != nil && strings.Contains(cg.Text(), directive) {
-			return true
-		}
-	}
-	return false
-}
-
-func isMutexType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" &&
-		(obj.Name() == "Mutex" || obj.Name() == "RWMutex")
-}
-
-// blockingFuncs computes, by fixpoint over same-package calls, the set of
-// package functions that may perform device I/O or block on a channel.
-func blockingFuncs(p *Package) map[*types.Func]bool {
-	direct := map[*types.Func]bool{}
-	calls := map[*types.Func][]*types.Func{}
-	for _, file := range p.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, ok := p.Info.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				switch x := n.(type) {
-				case *ast.CallExpr:
-					if ioPrimitives[calleeName(x)] {
-						direct[fn] = true
-					}
-					if callee := calledFunc(p, x); callee != nil && callee.Pkg() == p.Pkg {
-						calls[fn] = append(calls[fn], callee)
-					}
-				case *ast.SendStmt, *ast.SelectStmt:
-					direct[fn] = true
-				case *ast.UnaryExpr:
-					if x.Op == token.ARROW {
-						direct[fn] = true
-					}
-				}
-				return true
-			})
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for fn, callees := range calls {
-			if direct[fn] {
-				continue
-			}
-			for _, callee := range callees {
-				if direct[callee] {
-					direct[fn] = true
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	return direct
-}
-
-// calledFunc resolves the static callee of a call, if it is a declared
-// function or method.
-func calledFunc(p *Package, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := p.Info.Uses[fun].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := p.Info.Uses[fun.Sel].(*types.Func)
-		return fn
-	}
-	return nil
-}
-
-// --- the intra-function interpreter ------------------------------------------
 
 // heldLock is one acquired mutex in the abstract state.
 type heldLock struct {
-	key      string // receiver expression text, e.g. "sh.mu"
-	shard    bool   // annotated lockcheck:shard
-	write    bool   // Lock (true) vs RLock (false)
-	pos      token.Pos
-	deferred bool // a defer releases it at function exit
+	shard    bool      // a lockcheck:shard class
+	write    bool      // Lock (true) vs RLock (false)
+	pos      token.Pos // the acquiring call
+	deferred bool      // a defer releases it at function exit
 }
 
-type lockState map[string]*heldLock
+// lockState maps each held mutex's receiver text to its acquisition.
+type lockState map[string]heldLock
 
-func (s lockState) clone() lockState {
-	out := make(lockState, len(s))
-	for k, v := range s {
-		c := *v
-		out[k] = &c
-	}
-	return out
-}
-
-// heldKeys returns a canonical signature of the held (non-released) set.
-func (s lockState) heldKeys() string {
+// keys returns the held mutexes in order.
+func (s lockState) keys() []string {
 	keys := make([]string, 0, len(s))
 	for k := range s {
 		keys = append(keys, k)
 	}
-	// Small sets: insertion sort keeps this dependency-free.
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	return strings.Join(keys, ",")
+	sort.Strings(keys)
+	return keys
 }
 
-func (s lockState) anyShard() *heldLock {
-	for _, h := range s {
-		if h.shard {
-			return h
+// shard returns the first held shard mutex in key order, or "".
+func (s lockState) shard() string {
+	key := ""
+	for k, h := range s {
+		if h.shard && (key == "" || k < key) {
+			key = k
 		}
 	}
-	return nil
+	return key
 }
 
-type lockChecker struct {
-	pkg         *Package
-	shardFields map[types.Object]bool
-	blockers    map[*types.Func]bool
-	findings    []Finding
+// meet is the join: the mutexes held on both paths, with a's records. It
+// only ever drops keys of a, so the solver's fixpoint test compares sizes.
+func meet(a, b lockState) lockState {
+	out := lockState{}
+	for k, h := range a {
+		if _, ok := b[k]; ok {
+			out[k] = h
+		}
+	}
+	return out
 }
 
-func (c *lockChecker) report(pos token.Pos, format string, args ...any) {
-	c.findings = append(c.findings, Finding{
-		Pos:     c.pkg.Fset.Position(pos),
-		Checker: "lockcheck",
-		Message: fmt.Sprintf(format, args...),
-	})
+// lockFunc solves one function body at a time over the module's facts.
+type lockFunc struct {
+	*lockFacts
+	*reporter
+	pkg   *Package
+	comms map[ast.Node]*ast.SelectStmt // comm statement → its select
 }
 
-func (c *lockChecker) checkFunc(body *ast.BlockStmt) {
-	state, terminated := c.stmtList(body.List, lockState{})
-	if terminated {
-		return
-	}
-	for _, h := range state {
-		if !h.deferred {
-			c.report(body.Rbrace, "function ends with %s still locked (Lock at line %d)",
-				h.key, c.pkg.Fset.Position(h.pos).Line)
-		}
-	}
+func (c *lockFunc) reportf(pos token.Pos, format string, args ...any) {
+	c.report(c.pkg.Fset.Position(pos), fmt.Sprintf(format, args...))
 }
 
-// mutexOp describes a Lock/Unlock-family call.
-type mutexOp struct {
-	key     string
-	shard   bool
-	acquire bool
-	write   bool
-}
-
-// asMutexOp classifies call as a mutex operation, if its receiver is a
-// sync.Mutex or sync.RWMutex.
-func (c *lockChecker) asMutexOp(call *ast.CallExpr) (mutexOp, bool) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return mutexOp{}, false
-	}
-	var op mutexOp
-	switch sel.Sel.Name {
-	case "Lock":
-		op.acquire, op.write = true, true
-	case "RLock":
-		op.acquire = true
-	case "Unlock":
-		op.write = true
-	case "RUnlock":
-	default:
-		return mutexOp{}, false
-	}
-	recv := ast.Unparen(sel.X)
-	tv, ok := c.pkg.Info.Types[recv]
-	if !ok {
-		return mutexOp{}, false
-	}
-	t := tv.Type
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	if !isMutexType(t) {
-		return mutexOp{}, false
-	}
-	op.key = types.ExprString(recv)
-	if rsel, ok := recv.(*ast.SelectorExpr); ok {
-		if obj := c.pkg.Info.Uses[rsel.Sel]; obj != nil && c.shardFields[obj] {
-			op.shard = true
-		}
-	}
-	return op, true
-}
-
-// stmtList interprets a statement sequence, returning the resulting state
-// and whether every path through the sequence terminates (return/panic).
-func (c *lockChecker) stmtList(stmts []ast.Stmt, state lockState) (lockState, bool) {
-	for _, s := range stmts {
-		var terminated bool
-		state, terminated = c.stmt(s, state)
-		if terminated {
-			return state, true
-		}
-	}
-	return state, false
-}
-
-func (c *lockChecker) stmt(s ast.Stmt, state lockState) (lockState, bool) {
-	switch x := s.(type) {
-	case *ast.ExprStmt:
-		if call, ok := x.X.(*ast.CallExpr); ok {
-			if op, ok := c.asMutexOp(call); ok {
-				return c.applyMutexOp(op, call.Pos(), state), false
-			}
-			if isTerminatorCall(call) {
-				return state, true
-			}
-		}
-		c.scanUnderLock(x, state)
-		return state, false
-	case *ast.DeferStmt:
-		c.applyDefer(x, state)
-		return state, false
-	case *ast.ReturnStmt:
-		c.scanUnderLock(x, state)
-		for _, h := range state {
-			if !h.deferred {
-				c.report(x.Pos(), "return with %s locked (Lock at line %d): missing Unlock on this path",
-					h.key, c.pkg.Fset.Position(h.pos).Line)
-			}
-		}
-		return state, true
-	case *ast.BlockStmt:
-		return c.stmtList(x.List, state)
-	case *ast.IfStmt:
-		c.scanExprUnderLock(x.Cond, x.Pos(), state)
-		if x.Init != nil {
-			c.scanUnderLock(x.Init, state)
-		}
-		thenState, thenTerm := c.stmtList(x.Body.List, state.clone())
-		elseState, elseTerm := state.clone(), false
-		if x.Else != nil {
-			elseState, elseTerm = c.stmt(x.Else, state.clone())
-		}
-		return c.merge(x.Pos(), []branch{{thenState, thenTerm}, {elseState, elseTerm}})
-	case *ast.ForStmt:
-		if x.Init != nil {
-			c.scanUnderLock(x.Init, state)
-		}
-		if x.Cond != nil {
-			c.scanExprUnderLock(x.Cond, x.Pos(), state)
-		}
-		c.loopBody(x.Body, x.Pos(), state)
-		return state, false
-	case *ast.RangeStmt:
-		if tv, ok := c.pkg.Info.Types[x.X]; ok {
-			if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-				if h := state.anyShard(); h != nil {
-					c.report(x.Pos(), "channel receive (range) while shard mutex %s is held", h.key)
+// check solves body to fixpoint, then replays each reachable block once
+// from its entry fact to report: node findings, joins whose incoming
+// states disagree, and locks still held where the body falls off its end.
+func (c *lockFunc) check(p *Package, body *ast.BlockStmt) {
+	c.pkg, c.comms = p, map[ast.Node]*ast.SelectStmt{}
+	acquires := false // a body that takes no lock can hold none: skip it
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.FuncLit:
+			return false // a body of its own
+		case *ast.CallExpr:
+			acquires = acquires || calleeName(x) == "Lock" || calleeName(x) == "RLock"
+		case *ast.SelectStmt:
+			for _, cl := range x.Body.List {
+				if comm := cl.(*ast.CommClause).Comm; comm != nil {
+					c.comms[comm] = x
 				}
 			}
 		}
-		c.scanExprUnderLock(x.X, x.Pos(), state)
-		c.loopBody(x.Body, x.Pos(), state)
-		return state, false
-	case *ast.SwitchStmt:
-		if x.Init != nil {
-			c.scanUnderLock(x.Init, state)
-		}
-		if x.Tag != nil {
-			c.scanExprUnderLock(x.Tag, x.Pos(), state)
-		}
-		return c.caseBodies(x.Pos(), x.Body, state, hasDefaultClause(x.Body))
-	case *ast.TypeSwitchStmt:
-		if x.Init != nil {
-			c.scanUnderLock(x.Init, state)
-		}
-		return c.caseBodies(x.Pos(), x.Body, state, hasDefaultClause(x.Body))
-	case *ast.SelectStmt:
-		if h := state.anyShard(); h != nil {
-			c.report(x.Pos(), "select (blocking channel operation) while shard mutex %s is held", h.key)
-		}
-		// A select with no default blocks until a case fires; treat the
-		// cases like switch branches either way.
-		return c.caseBodies(x.Pos(), x.Body, state, hasDefaultClause(x.Body))
-	case *ast.SendStmt:
-		if h := state.anyShard(); h != nil {
-			c.report(x.Pos(), "channel send while shard mutex %s is held", h.key)
-		}
-		c.scanUnderLock(x, state)
-		return state, false
-	case *ast.LabeledStmt:
-		return c.stmt(x.Stmt, state)
-	case *ast.GoStmt:
-		// The goroutine body runs on its own stack; only scan the call's
-		// argument expressions in this function's context.
-		for _, arg := range x.Call.Args {
-			c.scanExprUnderLock(arg, x.Pos(), state)
-		}
-		return state, false
-	case *ast.BranchStmt:
-		// break/continue/goto: approximated as fall-through; the loop-body
-		// net-change rule catches the common lock-skew mistakes.
-		return state, false
-	default:
-		c.scanUnderLock(s, state)
-		return state, false
+		return true
+	})
+	if !acquires {
+		return
 	}
-}
-
-type branch struct {
-	state      lockState
-	terminated bool
-}
-
-// merge joins branch states: if every branch terminated the statement
-// terminates; otherwise all falling-through branches must agree on the held
-// set.
-func (c *lockChecker) merge(pos token.Pos, branches []branch) (lockState, bool) {
-	var live []lockState
-	for _, b := range branches {
-		if !b.terminated {
-			live = append(live, b.state)
+	g := NewCFG(body)
+	in := Forward(g, lockState{}, meet, func(blk *Block, s lockState) lockState {
+		return c.transfer(blk, s, false)
+	}, func(a, b lockState) bool { return len(a) == len(b) })
+	incoming := map[*Block][]lockState{}
+	for _, blk := range g.Blocks {
+		st, ok := in[blk]
+		if !ok {
+			continue
 		}
-	}
-	if len(live) == 0 {
-		return lockState{}, true
-	}
-	first := live[0]
-	for _, other := range live[1:] {
-		if other.heldKeys() != first.heldKeys() {
-			c.report(pos, "branches disagree on held locks after this statement (%q vs %q)",
-				first.heldKeys(), other.heldKeys())
-			break
-		}
-	}
-	return first, false
-}
-
-// caseBodies interprets switch/select clause bodies as parallel branches.
-func (c *lockChecker) caseBodies(pos token.Pos, body *ast.BlockStmt, state lockState, hasDefault bool) (lockState, bool) {
-	var branches []branch
-	for _, clause := range body.List {
-		var stmts []ast.Stmt
-		switch cl := clause.(type) {
-		case *ast.CaseClause:
-			stmts = cl.Body
-		case *ast.CommClause:
-			stmts = cl.Body
-		}
-		st, term := c.stmtList(stmts, state.clone())
-		branches = append(branches, branch{st, term})
-	}
-	if !hasDefault {
-		// No default: the statement may fall through without entering any
-		// clause.
-		branches = append(branches, branch{state.clone(), false})
-	}
-	if len(branches) == 0 {
-		return state, false
-	}
-	return c.merge(pos, branches)
-}
-
-func hasDefaultClause(body *ast.BlockStmt) bool {
-	for _, clause := range body.List {
-		switch cl := clause.(type) {
-		case *ast.CaseClause:
-			if cl.List == nil {
-				return true
+		out := c.transfer(blk, st, true)
+		for _, s := range blk.Succs {
+			if s.Join != nil {
+				incoming[s] = append(incoming[s], out)
 			}
-		case *ast.CommClause:
-			if cl.Comm == nil {
-				return true
+		}
+		if blk == g.Exit {
+			c.held(body.Rbrace, out, "function ends with %s still locked (Lock at line %d)")
+		}
+	}
+	for _, blk := range g.Blocks {
+		states := incoming[blk]
+		for i := 1; i < len(states); i++ {
+			first, other := strings.Join(states[0].keys(), ","), strings.Join(states[i].keys(), ",")
+			if first != other {
+				format := "branches disagree on held locks after this statement (%q vs %q)"
+				if blk.LoopHead {
+					format = "lock state changes across one loop iteration (%q vs %q)"
+				}
+				c.reportf(blk.Join.Pos(), format, first, other)
+				break
 			}
 		}
 	}
-	return false
 }
 
-// loopBody interprets a loop body and requires the lock state to be
-// unchanged across one iteration.
-func (c *lockChecker) loopBody(body *ast.BlockStmt, pos token.Pos, state lockState) {
-	after, terminated := c.stmtList(body.List, state.clone())
-	if !terminated && after.heldKeys() != state.heldKeys() {
-		c.report(pos, "lock state changes across one loop iteration (%q vs %q)",
-			state.heldKeys(), after.heldKeys())
-	}
-}
-
-func (c *lockChecker) applyMutexOp(op mutexOp, pos token.Pos, state lockState) lockState {
-	if op.acquire {
-		if prev, ok := state[op.key]; ok && prev.write && op.write {
-			c.report(pos, "second Lock of %s while already held (Lock at line %d): deadlock",
-				op.key, c.pkg.Fset.Position(prev.pos).Line)
+// held reports each mutex of st that no defer releases.
+func (c *lockFunc) held(pos token.Pos, st lockState, format string) {
+	for _, key := range st.keys() {
+		if h := st[key]; !h.deferred {
+			c.reportf(pos, format, key, c.pkg.Fset.Position(h.pos).Line)
 		}
-		state[op.key] = &heldLock{key: op.key, shard: op.shard, write: op.write, pos: pos}
-		return state
 	}
-	delete(state, op.key)
-	return state
 }
 
-// applyDefer handles defer statements: a deferred Unlock (directly or
-// inside a deferred function literal) marks the lock as released at exit.
-func (c *lockChecker) applyDefer(d *ast.DeferStmt, state lockState) {
-	markReleased := func(call *ast.CallExpr) {
-		if op, ok := c.asMutexOp(call); ok && !op.acquire {
-			if h, held := state[op.key]; held {
-				h.deferred = true
+// transfer folds one block over a copy of in; with report set it also emits
+// the findings of its nodes.
+func (c *lockFunc) transfer(blk *Block, in lockState, report bool) lockState {
+	st := maps.Clone(in)
+	if r, ok := blk.Join.(*ast.RangeStmt); ok && blk.LoopHead && report && st.shard() != "" {
+		if _, isChan := c.pkg.Info.TypeOf(r.X).Underlying().(*types.Chan); isChan {
+			c.reportf(r.Pos(), "channel receive (range) while shard mutex %s is held", st.shard())
+		}
+	}
+	for _, n := range blk.Nodes {
+		c.node(n, st, report)
+	}
+	return st
+}
+
+func (c *lockFunc) node(n ast.Node, st lockState, report bool) {
+	if sel := c.comms[n]; sel != nil {
+		if report && st.shard() != "" {
+			c.reportf(sel.Pos(), "select (blocking channel operation) while shard mutex %s is held", st.shard())
+		}
+		return
+	}
+	switch x := n.(type) {
+	case *ast.ExprStmt:
+		if call, ok := x.X.(*ast.CallExpr); ok {
+			if op, key, cls := c.mutexCall(c.pkg, call); op != "" {
+				c.mutexOp(call.Pos(), op, key, cls, st, report)
+				return
 			}
 		}
-	}
-	markReleased(d.Call)
-	if fl, ok := ast.Unparen(d.Call.Fun).(*ast.FuncLit); ok {
-		ast.Inspect(fl.Body, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				markReleased(call)
+	case *ast.DeferStmt:
+		// A deferred Unlock, direct or inside a deferred literal, releases
+		// the lock at exit; the deferred call itself runs after the body.
+		ast.Inspect(x.Call, func(m ast.Node) bool {
+			if call, ok := m.(*ast.CallExpr); ok {
+				if op, key, _ := c.mutexCall(c.pkg, call); strings.HasSuffix(op, "Unlock") {
+					if h, held := st[key]; held {
+						h.deferred = true
+						st[key] = h
+					}
+				}
 			}
 			return true
 		})
-	}
-}
-
-// isTerminatorCall reports calls that never return.
-func isTerminatorCall(call *ast.CallExpr) bool {
-	switch name := calleeName(call); name {
-	case "panic", "Fatal", "Fatalf", "Exit", "Goexit":
-		return true
-	}
-	return false
-}
-
-// scanUnderLock flags device I/O and blocking channel operations inside s
-// while a shard mutex is held. Nested function literals are skipped: they
-// execute later, on their own stack.
-func (c *lockChecker) scanUnderLock(s ast.Stmt, state lockState) {
-	h := state.anyShard()
-	if h == nil {
+		return
+	case *ast.GoStmt:
+		// Only the arguments evaluate here; the call runs on its own stack.
+		for _, arg := range x.Call.Args {
+			c.scan(arg, st, report)
+		}
 		return
 	}
-	ast.Inspect(s, func(n ast.Node) bool {
-		switch x := n.(type) {
+	c.scan(n, st, report)
+	if _, ok := n.(*ast.ReturnStmt); ok && report {
+		c.held(n.Pos(), st, "return with %s locked (Lock at line %d): missing Unlock on this path")
+	}
+}
+
+func (c *lockFunc) mutexOp(pos token.Pos, op, key string, cls *lockClass, st lockState, report bool) {
+	if op == "Unlock" || op == "RUnlock" {
+		delete(st, key)
+		return
+	}
+	write := op == "Lock"
+	if prev, ok := st[key]; ok && prev.write && write && report {
+		c.reportf(pos, "second Lock of %s while already held (Lock at line %d): deadlock",
+			key, c.pkg.Fset.Position(prev.pos).Line)
+	}
+	st[key] = heldLock{shard: cls != nil && cls.shard, write: write, pos: pos}
+}
+
+// scan flags device I/O and blocking channel operations inside n while a
+// shard mutex is held. Function literals are skipped: they execute later,
+// on their own stack.
+func (c *lockFunc) scan(n ast.Node, st lockState, report bool) {
+	key := st.shard()
+	if !report || key == "" {
+		return
+	}
+	ast.Inspect(n, func(m ast.Node) bool {
+		switch x := m.(type) {
 		case *ast.FuncLit:
 			return false
-		case *ast.CallExpr:
-			c.checkCallUnderLock(x, h)
+		case *ast.SendStmt:
+			c.reportf(x.Pos(), "channel send while shard mutex %s is held", key)
 		case *ast.UnaryExpr:
 			if x.Op == token.ARROW {
-				c.report(x.Pos(), "channel receive while shard mutex %s is held", h.key)
+				c.reportf(x.Pos(), "channel receive while shard mutex %s is held", key)
+			}
+		case *ast.CallExpr:
+			if name := calleeName(x); ioPrimitives[name] {
+				c.reportf(x.Pos(), "device I/O (%s) while shard mutex %s is held", name, key)
+			} else if _, fn, ok := c.idx.callee(c.pkg, x); ok && fn.Pkg() == c.pkg.Pkg && c.sums[fn].blocks {
+				c.reportf(x.Pos(), "call to %s, which may perform device I/O or block on a channel, while shard mutex %s is held",
+					fn.Name(), key)
 			}
 		}
 		return true
 	})
-}
-
-// scanExprUnderLock is scanUnderLock for a bare expression.
-func (c *lockChecker) scanExprUnderLock(e ast.Expr, pos token.Pos, state lockState) {
-	if e == nil {
-		return
-	}
-	h := state.anyShard()
-	if h == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.CallExpr:
-			c.checkCallUnderLock(x, h)
-		case *ast.UnaryExpr:
-			if x.Op == token.ARROW {
-				c.report(x.Pos(), "channel receive while shard mutex %s is held", h.key)
-			}
-		}
-		return true
-	})
-}
-
-func (c *lockChecker) checkCallUnderLock(call *ast.CallExpr, h *heldLock) {
-	name := calleeName(call)
-	if ioPrimitives[name] {
-		c.report(call.Pos(), "device I/O (%s) while shard mutex %s is held", name, h.key)
-		return
-	}
-	if fn := calledFunc(c.pkg, call); fn != nil && fn.Pkg() == c.pkg.Pkg && c.blockers[fn] {
-		c.report(call.Pos(), "call to %s, which may perform device I/O or block on a channel, while shard mutex %s is held",
-			fn.Name(), h.key)
-	}
 }

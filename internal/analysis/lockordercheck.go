@@ -2,7 +2,8 @@ package analysis
 
 // lockordercheck builds a whole-module lock-acquisition graph over every
 // annotated synchronization primitive and checks it for deadlock shapes that
-// lockcheck's one-function-at-a-time view cannot see.
+// lockcheck's one-function-at-a-time view cannot see. This file also holds
+// the fact base both lock checkers read, built once per run by newLockFacts.
 //
 // Two field annotations define the lock classes:
 //
@@ -18,10 +19,11 @@ package analysis
 // set of held classes. Every blocking acquisition — Lock, RLock, a latch
 // receive, or a call whose summary says it may blocking-acquire — adds one
 // edge held→acquired per held class. Function summaries (may-acquire, opens
-// a latch, closes a latch) are computed to fixpoint over static module-local
-// calls, so the graph spans packages: the pool's frame latch held across the
-// re-lock that detaches a failed load shows up as Frame.ready → poolShard.mu
-// even though the acquisition is a call deep.
+// a latch, closes a latch, may block — lockcheck's fact) are computed to
+// fixpoint over static module-local calls, so the graph spans packages: the
+// pool's frame latch held across the re-lock that detaches a failed load
+// shows up as Frame.ready → poolShard.mu even though the acquisition is a
+// call deep.
 //
 // Findings:
 //   - any cycle among lock classes (classic deadlock potential);
@@ -41,12 +43,22 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-const latchDirective = "lockcheck:latch"
+const (
+	shardDirective = "lockcheck:shard"
+	latchDirective = "lockcheck:latch"
+)
+
+// ioPrimitives are the method names that perform (simulated) device I/O.
+var ioPrimitives = map[string]bool{
+	"ReadPage": true, "WritePage": true, "Sync": true, "Allocate": true,
+	"ReadAt": true, "WriteAt": true, "Truncate": true,
+}
 
 type lockOrderCheck struct{}
 
@@ -57,37 +69,14 @@ func (lockOrderCheck) Name() string { return "lockordercheck" }
 
 func (lockOrderCheck) CheckModule(pkgs []*Package) []Finding {
 	lo := &lockOrder{
-		byField:  map[types.Object]*lockClass{},
-		aliases:  map[types.Object]*lockClass{},
-		idx:      indexModule(pkgs),
-		sums:     map[*types.Func]*lockSummary{},
-		edges:    map[[2]int]*lockEdge{},
-		reported: map[string]bool{},
-	}
-	for _, p := range pkgs {
-		lo.collectClasses(p)
+		lockFacts: newLockFacts(pkgs),
+		reporter:  newReporter("lockordercheck"),
+		edges:     map[[2]int]*lockEdge{},
 	}
 	if len(lo.classes) == 0 {
 		return nil
 	}
-	for _, p := range pkgs {
-		lo.collectAliases(p)
-	}
-	lo.summarize()
-	for fn, fd := range lo.idx.funcs {
-		lo.walkFunc(fd.pkg, fn, fd.decl.Body)
-	}
-	for _, p := range pkgs {
-		for _, f := range p.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				if lit, ok := n.(*ast.FuncLit); ok {
-					lo.walkBody(p, lit.Body, nil)
-					return false
-				}
-				return true
-			})
-		}
-	}
+	forEachBody(pkgs, lo.walkBody)
 	lo.checkGraph()
 	return lo.findings
 }
@@ -112,23 +101,67 @@ type lockSummary struct {
 	acquires map[int]bool // classes it may blocking-acquire
 	opens    map[int]bool // latch classes it may leave held
 	closes   map[int]bool // latch classes it closes
+	blocks   bool         // may do device I/O, send, receive or select
 	callees  []*types.Func
 }
 
+// lockFacts is the one lock fact base: the annotated classes, the latch
+// aliases, and every declared function's summary.
+type lockFacts struct {
+	classes []*lockClass
+	byField map[types.Object]*lockClass
+	aliases map[types.Object]*lockClass // latch-typed locals bound to a field
+	idx     *moduleIndex
+	sums    map[*types.Func]*lockSummary
+}
+
+// newLockFacts builds the fact base of pkgs; lockcheck and lockordercheck
+// both start from it.
+func newLockFacts(pkgs []*Package) *lockFacts {
+	f := &lockFacts{
+		byField: map[types.Object]*lockClass{},
+		aliases: map[types.Object]*lockClass{},
+		idx:     indexModule(pkgs),
+		sums:    map[*types.Func]*lockSummary{},
+	}
+	for _, p := range pkgs {
+		f.collectClasses(p)
+	}
+	for _, p := range pkgs {
+		f.collectAliases(p)
+	}
+	f.summarize()
+	return f
+}
+
 type lockOrder struct {
-	classes  []*lockClass
-	byField  map[types.Object]*lockClass
-	aliases  map[types.Object]*lockClass // latch-typed locals bound to a field
-	idx      *moduleIndex
-	sums     map[*types.Func]*lockSummary
-	edges    map[[2]int]*lockEdge
-	reported map[string]bool
+	*lockFacts
+	*reporter
+	edges map[[2]int]*lockEdge
+}
+
+// reporter collects one checker's findings, each position and message once.
+type reporter struct {
+	checker  string
+	seen     map[Finding]bool
 	findings []Finding
+}
+
+func newReporter(checker string) *reporter {
+	return &reporter{checker: checker, seen: map[Finding]bool{}}
+}
+
+func (r *reporter) report(pos token.Position, msg string) {
+	f := Finding{Pos: pos, Checker: r.checker, Message: msg}
+	if !r.seen[f] {
+		r.seen[f] = true
+		r.findings = append(r.findings, f)
+	}
 }
 
 // --- class collection --------------------------------------------------------
 
-func (lo *lockOrder) collectClasses(p *Package) {
+func (f *lockFacts) collectClasses(p *Package) {
 	for _, file := range p.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			ts, ok := n.(*ast.TypeSpec)
@@ -159,14 +192,14 @@ func (lo *lockOrder) collectClasses(p *Package) {
 						}
 					}
 					cls := &lockClass{
-						id:    len(lo.classes),
+						id:    len(f.classes),
 						name:  fmt.Sprintf("%s.%s.%s", p.Pkg.Name(), ts.Name.Name, name.Name),
 						shard: shard,
 						level: lockLevel(field),
 						pos:   p.Fset.Position(name.Pos()),
 					}
-					lo.classes = append(lo.classes, cls)
-					lo.byField[obj] = cls
+					f.classes = append(f.classes, cls)
+					f.byField[obj] = cls
 				}
 			}
 			return true
@@ -194,7 +227,7 @@ func lockLevel(field *ast.Field) int {
 // collectAliases binds latch-typed locals to their class wherever a file
 // moves a latch between a field and a local: latch := e.building,
 // e.building = latch. Object identity keeps bindings from crossing scopes.
-func (lo *lockOrder) collectAliases(p *Package) {
+func (f *lockFacts) collectAliases(p *Package) {
 	for _, file := range p.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			as, ok := n.(*ast.AssignStmt)
@@ -203,14 +236,14 @@ func (lo *lockOrder) collectAliases(p *Package) {
 			}
 			for i, lhs := range as.Lhs {
 				rhs := ast.Unparen(as.Rhs[i])
-				if cls := lo.fieldClass(p, rhs); cls != nil && !cls.shard {
+				if cls := f.fieldClass(p, rhs); cls != nil && !cls.shard {
 					if obj := identObj(p, lhs); obj != nil {
-						lo.aliases[obj] = cls
+						f.aliases[obj] = cls
 					}
 				}
-				if cls := lo.fieldClass(p, ast.Unparen(lhs)); cls != nil && !cls.shard {
+				if cls := f.fieldClass(p, ast.Unparen(lhs)); cls != nil && !cls.shard {
 					if obj := identObj(p, as.Rhs[i]); obj != nil {
-						lo.aliases[obj] = cls
+						f.aliases[obj] = cls
 					}
 				}
 			}
@@ -231,43 +264,89 @@ func identObj(p *Package, e ast.Expr) types.Object {
 }
 
 // fieldClass resolves x.field to its lock class, if annotated.
-func (lo *lockOrder) fieldClass(p *Package, e ast.Expr) *lockClass {
+func (f *lockFacts) fieldClass(p *Package, e ast.Expr) *lockClass {
 	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
 	if !ok {
 		return nil
 	}
-	return lo.byField[p.Info.Uses[sel.Sel]]
+	return f.byField[p.Info.Uses[sel.Sel]]
 }
 
 // latchClass resolves an expression — field selector or aliased local — to a
 // latch class.
-func (lo *lockOrder) latchClass(p *Package, e ast.Expr) *lockClass {
-	if cls := lo.fieldClass(p, e); cls != nil && !cls.shard {
+func (f *lockFacts) latchClass(p *Package, e ast.Expr) *lockClass {
+	if cls := f.fieldClass(p, e); cls != nil && !cls.shard {
 		return cls
 	}
 	if obj := identObj(p, e); obj != nil {
-		return lo.aliases[obj]
+		return f.aliases[obj]
 	}
 	return nil
 }
 
+// mutexCall matches recv.Lock/RLock/Unlock/RUnlock on a sync.Mutex or
+// sync.RWMutex, returning the method, the receiver's text (the key lockcheck
+// tracks it by) and its class when the field is annotated.
+func (f *lockFacts) mutexCall(p *Package, call *ast.CallExpr) (op, key string, cls *lockClass) {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return "", "", nil
+	}
+	switch sel.Sel.Name {
+	case "Lock", "RLock", "Unlock", "RUnlock":
+	default:
+		return "", "", nil
+	}
+	recv := ast.Unparen(sel.X)
+	t := p.Info.TypeOf(recv)
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	if !isMutexType(t) {
+		return "", "", nil
+	}
+	return sel.Sel.Name, types.ExprString(recv), f.fieldClass(p, recv)
+}
+
+func isMutexType(t types.Type) bool {
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" &&
+		(obj.Name() == "Mutex" || obj.Name() == "RWMutex")
+}
+
+func fieldHasDirective(field *ast.Field, directive string) bool {
+	for _, cg := range []*ast.CommentGroup{field.Doc, field.Comment} {
+		if cg != nil && strings.Contains(cg.Text(), directive) {
+			return true
+		}
+	}
+	return false
+}
+
 // --- function summaries ------------------------------------------------------
 
-func (lo *lockOrder) summarize() {
-	for fn, fd := range lo.idx.funcs {
-		lo.sums[fn] = lo.directSummary(fd.pkg, fd.decl)
+func (f *lockFacts) summarize() {
+	for fn, fd := range f.idx.funcs {
+		f.sums[fn] = f.directSummary(fd.pkg, fd.decl)
 	}
 	for changed := true; changed; {
 		changed = false
-		for _, sum := range lo.sums {
+		for _, sum := range f.sums {
 			for _, callee := range sum.callees {
-				cs := lo.sums[callee]
+				cs := f.sums[callee]
 				if cs == nil {
 					continue
 				}
 				changed = union(sum.acquires, cs.acquires) || changed
 				changed = union(sum.opens, cs.opens) || changed
 				changed = union(sum.closes, cs.closes) || changed
+				if cs.blocks && !sum.blocks {
+					sum.blocks, changed = true, true
+				}
 			}
 		}
 	}
@@ -284,10 +363,10 @@ func union(dst, src map[int]bool) bool {
 	return changed
 }
 
-// directSummary collects a function's own acquisition facts, excluding
-// nested function literals and goroutine bodies (they run on other stacks)
-// but including deferred statements (their closes happen before return).
-func (lo *lockOrder) directSummary(p *Package, fd *ast.FuncDecl) *lockSummary {
+// directSummary collects a function's own facts, excluding nested function
+// literals and goroutine bodies (they run on other stacks) but including
+// deferred statements (their closes happen before return).
+func (f *lockFacts) directSummary(p *Package, fd *ast.FuncDecl) *lockSummary {
 	sum := &lockSummary{
 		acquires: map[int]bool{},
 		opens:    map[int]bool{},
@@ -297,15 +376,18 @@ func (lo *lockOrder) directSummary(p *Package, fd *ast.FuncDecl) *lockSummary {
 		switch x := n.(type) {
 		case *ast.FuncLit, *ast.GoStmt:
 			return false
+		case *ast.SendStmt, *ast.SelectStmt:
+			sum.blocks = true
 		case *ast.UnaryExpr:
 			if x.Op == token.ARROW {
-				if cls := lo.latchClass(p, x.X); cls != nil {
+				sum.blocks = true
+				if cls := f.latchClass(p, x.X); cls != nil {
 					sum.acquires[cls.id] = true
 				}
 			}
 		case *ast.AssignStmt:
 			for i, lhs := range x.Lhs {
-				cls := lo.fieldClass(p, lhs)
+				cls := f.fieldClass(p, lhs)
 				if cls == nil || cls.shard || i >= len(x.Rhs) {
 					continue
 				}
@@ -316,38 +398,39 @@ func (lo *lockOrder) directSummary(p *Package, fd *ast.FuncDecl) *lockSummary {
 				}
 			}
 		case *ast.KeyValueExpr:
-			if cls := lo.structKeyClass(p, x); cls != nil && !isNilIdent(x.Value) {
+			if cls := f.structKeyClass(p, x); cls != nil && !isNilIdent(x.Value) {
 				sum.opens[cls.id] = true
 			}
 		case *ast.CallExpr:
-			lo.summarizeCall(p, x, sum)
+			f.summarizeCall(p, x, sum)
 		}
 		return true
 	})
 	return sum
 }
 
-func (lo *lockOrder) summarizeCall(p *Package, call *ast.CallExpr, sum *lockSummary) {
-	if op, cls := lo.mutexOp(p, call); cls != nil {
-		if op == "Lock" || op == "RLock" {
+func (f *lockFacts) summarizeCall(p *Package, call *ast.CallExpr, sum *lockSummary) {
+	if op, _, cls := f.mutexCall(p, call); op != "" {
+		if cls != nil && (op == "Lock" || op == "RLock") {
 			sum.acquires[cls.id] = true
 		}
 		return
 	}
 	if calleeName(call) == "close" && len(call.Args) == 1 {
-		if cls := lo.latchClass(p, call.Args[0]); cls != nil {
+		if cls := f.latchClass(p, call.Args[0]); cls != nil {
 			sum.closes[cls.id] = true
 		}
 		return
 	}
-	if _, fn, ok := lo.idx.callee(p, call); ok {
+	sum.blocks = sum.blocks || ioPrimitives[calleeName(call)]
+	if _, fn, ok := f.idx.callee(p, call); ok {
 		sum.callees = append(sum.callees, fn)
 	}
 }
 
 // structKeyClass resolves a composite-literal key to an annotated latch
 // field: &Frame{ready: make(chan struct{})} opens Frame.ready.
-func (lo *lockOrder) structKeyClass(p *Package, kv *ast.KeyValueExpr) *lockClass {
+func (f *lockFacts) structKeyClass(p *Package, kv *ast.KeyValueExpr) *lockClass {
 	id, ok := kv.Key.(*ast.Ident)
 	if !ok {
 		return nil
@@ -356,30 +439,11 @@ func (lo *lockOrder) structKeyClass(p *Package, kv *ast.KeyValueExpr) *lockClass
 	if !ok || !v.IsField() {
 		return nil
 	}
-	cls := lo.byField[v]
+	cls := f.byField[v]
 	if cls == nil || cls.shard {
 		return nil
 	}
 	return cls
-}
-
-// mutexOp matches x.field.Lock/RLock/Unlock/RUnlock on an annotated shard
-// mutex, returning the operation name and class.
-func (lo *lockOrder) mutexOp(p *Package, call *ast.CallExpr) (string, *lockClass) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return "", nil
-	}
-	switch sel.Sel.Name {
-	case "Lock", "RLock", "Unlock", "RUnlock":
-	default:
-		return "", nil
-	}
-	cls := lo.fieldClass(p, sel.X)
-	if cls == nil || !cls.shard {
-		return "", nil
-	}
-	return sel.Sel.Name, cls
 }
 
 func isNilIdent(e ast.Expr) bool {
@@ -392,28 +456,13 @@ func isNilIdent(e ast.Expr) bool {
 // heldSet maps held class ids to their acquisition position.
 type heldSet map[int]token.Pos
 
-func (h heldSet) clone() heldSet {
-	out := make(heldSet, len(h))
-	for k, v := range h {
-		out[k] = v
-	}
-	return out
-}
-
-func (lo *lockOrder) walkFunc(p *Package, fn *types.Func, body *ast.BlockStmt) {
-	lo.walkBody(p, body, nil)
-}
-
 // walkBody solves the may-hold dataflow over the body's CFG, then replays
 // each reachable block against its fixpoint entry state to report edges and
 // violations exactly once.
-func (lo *lockOrder) walkBody(p *Package, body *ast.BlockStmt, entry heldSet) {
+func (lo *lockOrder) walkBody(p *Package, body *ast.BlockStmt) {
 	g := NewCFG(body)
-	if entry == nil {
-		entry = heldSet{}
-	}
 	merge := func(a, b heldSet) heldSet {
-		out := a.clone()
+		out := maps.Clone(a)
 		for k, v := range b {
 			if ex, ok := out[k]; !ok || v < ex {
 				out[k] = v
@@ -422,30 +471,19 @@ func (lo *lockOrder) walkBody(p *Package, body *ast.BlockStmt, entry heldSet) {
 		return out
 	}
 	transfer := func(blk *Block, in heldSet) heldSet {
-		out := in.clone()
+		out := maps.Clone(in)
 		for _, n := range blk.Nodes {
 			lo.apply(p, n, out, false)
 		}
 		return out
 	}
-	equal := func(a, b heldSet) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for k, v := range a {
-			if bv, ok := b[k]; !ok || bv != v {
-				return false
-			}
-		}
-		return true
-	}
-	in := Forward(g, entry, merge, transfer, equal)
+	in := Forward(g, heldSet{}, merge, transfer, maps.Equal[heldSet, heldSet])
 	for _, blk := range g.Blocks {
 		state, ok := in[blk]
 		if !ok {
 			continue
 		}
-		state = state.clone()
+		state = maps.Clone(state)
 		for _, n := range blk.Nodes {
 			lo.apply(p, n, state, true)
 		}
@@ -489,11 +527,12 @@ func (lo *lockOrder) apply(p *Package, n ast.Node, held heldSet, report bool) {
 }
 
 func (lo *lockOrder) applyCall(p *Package, call *ast.CallExpr, held heldSet, report bool) {
-	if op, cls := lo.mutexOp(p, call); cls != nil {
-		switch op {
-		case "Lock", "RLock":
+	if op, _, cls := lo.mutexCall(p, call); op != "" {
+		switch {
+		case cls == nil: // an unannotated mutex is no lock class
+		case op == "Lock" || op == "RLock":
 			lo.acquire(p, cls, call.Pos(), held, true, report)
-		case "Unlock", "RUnlock":
+		default:
 			delete(held, cls.id)
 		}
 		return
@@ -506,9 +545,6 @@ func (lo *lockOrder) applyCall(p *Package, call *ast.CallExpr, held heldSet, rep
 	}
 	if _, fn, ok := lo.idx.callee(p, call); ok {
 		sum := lo.sums[fn]
-		if sum == nil {
-			return
-		}
 		for _, id := range sortedIDs(sum.acquires) {
 			lo.acquire(p, lo.classes[id], call.Pos(), held, false, report)
 		}
@@ -530,7 +566,7 @@ func (lo *lockOrder) acquire(p *Package, cls *lockClass, pos token.Pos, held hel
 				lo.addEdge(lo.classes[id], cls, p.Fset.Position(pos))
 			}
 			if cls.shard && lo.classes[id].shard {
-				lo.reportOnce(p.Fset.Position(pos), fmt.Sprintf(
+				lo.report(p.Fset.Position(pos), fmt.Sprintf(
 					"two shard mutexes held at once: acquiring %s while %s is held (shard critical sections must not nest)",
 					cls.name, lo.classes[id].name))
 			}
@@ -567,15 +603,6 @@ func posLess(a, b token.Position) bool {
 	return a.Column < b.Column
 }
 
-func (lo *lockOrder) reportOnce(pos token.Position, msg string) {
-	key := fmt.Sprintf("%s:%d:%d:%s", pos.Filename, pos.Line, pos.Column, msg)
-	if lo.reported[key] {
-		return
-	}
-	lo.reported[key] = true
-	lo.findings = append(lo.findings, Finding{Pos: pos, Checker: "lockordercheck", Message: msg})
-}
-
 // --- whole-graph rules -------------------------------------------------------
 
 func (lo *lockOrder) checkGraph() {
@@ -596,7 +623,7 @@ func (lo *lockOrder) checkGraph() {
 		for _, cls := range []*lockClass{e.from, e.to} {
 			if cls.level == 0 && !gap[cls.id] {
 				gap[cls.id] = true
-				lo.reportOnce(cls.pos, fmt.Sprintf(
+				lo.report(cls.pos, fmt.Sprintf(
 					"lock-order documentation gap: %s participates in the acquisition order but declares no level; annotate the field comment with level=N",
 					cls.name))
 			}
@@ -606,7 +633,7 @@ func (lo *lockOrder) checkGraph() {
 	// Every documented edge must go strictly upward.
 	for _, e := range edges {
 		if e.from.level > 0 && e.to.level > 0 && e.from.level >= e.to.level {
-			lo.reportOnce(e.pos, fmt.Sprintf(
+			lo.report(e.pos, fmt.Sprintf(
 				"lock-order violation: %s (level %d) acquired while %s (level %d) is held; acquisition levels must strictly increase",
 				e.to.name, e.to.level, e.from.name, e.from.level))
 		}
@@ -631,7 +658,7 @@ func (lo *lockOrder) checkGraph() {
 				}
 			}
 		}
-		lo.reportOnce(pos, fmt.Sprintf(
+		lo.report(pos, fmt.Sprintf(
 			"lock-order cycle among %s: opposite acquisition orders can deadlock",
 			strings.Join(names, " ↔ ")))
 	}

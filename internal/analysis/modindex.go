@@ -1,10 +1,11 @@
 package analysis
 
 // modindex.go maps every function and method declared in the analyzed
-// packages to its declaration, so the module-level checkers (lockordercheck,
-// allocheck) can walk static call chains across package boundaries. Anything
-// outside the index — stdlib, interface methods, function values — is a
-// traversal boundary.
+// packages to its declaration, so static call chains can be followed across
+// package boundaries: by the lock fact base's summary fixpoint (newLockFacts,
+// read by lockcheck and lockordercheck) and by allocheck's walk from its
+// "// hotpath" roots. Anything outside the index — stdlib, interface methods,
+// function values — is a traversal boundary.
 
 import (
 	"go/ast"
@@ -36,6 +37,20 @@ func indexModule(pkgs []*Package) *moduleIndex {
 		}
 	}
 	return idx
+}
+
+// calledFunc resolves the static callee of a call, if it is a declared
+// function or method.
+func calledFunc(p *Package, call *ast.CallExpr) *types.Func {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		fn, _ := p.Info.Uses[fun].(*types.Func)
+		return fn
+	case *ast.SelectorExpr:
+		fn, _ := p.Info.Uses[fun.Sel].(*types.Func)
+		return fn
+	}
+	return nil
 }
 
 // callee resolves call to a function declared in the module, or ok=false at

@@ -307,3 +307,93 @@ func materializeUnderLock(c *vcCache, page int) error {
 	defer c.mu.Unlock()
 	return c.file.ReadPage(page, nil) // want `device I/O \(ReadPage\) while shard mutex c\.mu is held`
 }
+
+// --- paths the CFG sees: break, continue, package-level literals ---
+
+// continue skips the Unlock, so the next iteration starts with the mutex
+// held: the paths meeting at the post statement disagree.
+func continueHoldingLock(r *registry, keys []string) {
+	for i := 0; i < len(keys); i++ { // want `lock state changes across one loop iteration`
+		r.mu.Lock()
+		if keys[i] == "" {
+			continue
+		}
+		r.mu.Unlock()
+	}
+}
+
+// break leaves the loop with the mutex held, and the function returns
+// holding it on that path: the loop's exit is where the paths disagree.
+func breakHoldingLock(r *registry, keys []string) {
+	for _, k := range keys { // want `branches disagree on held locks`
+		r.mu.Lock()
+		if k == "" {
+			break
+		}
+		r.mu.Unlock()
+	}
+}
+
+// A package-level function literal is a function like any other.
+var lockAndForget = func(r *registry) {
+	r.mu.Lock()
+} // want `function ends with r\.mu still locked \(Lock at line \d+\)`
+
+// Ranging over a channel receives on every iteration.
+func drainUnderLock(sh *shard, ch chan int) {
+	sh.mu.Lock()
+	for range ch { // want `channel receive \(range\) while shard mutex sh\.mu is held`
+	}
+	sh.mu.Unlock()
+}
+
+func unbalancedSwitch(r *registry, mode int) {
+	r.mu.Lock()
+	switch mode { // want `branches disagree on held locks`
+	case 0:
+		r.mu.Unlock()
+	case 1:
+		r.items["kept"] = 1
+	default:
+		r.mu.Unlock()
+	}
+}
+
+// A select whose comms are sends blocks like one that receives; it is
+// reported once, at the select.
+func selectSendUnderLock(sh *shard, ch chan int) {
+	sh.mu.Lock()
+	select { // want `select \(blocking channel operation\) while shard mutex sh\.mu is held`
+	case ch <- 1:
+	case ch <- 2:
+	}
+	sh.mu.Unlock()
+}
+
+type readTable struct {
+	mu   sync.RWMutex
+	rows map[int]int
+}
+
+func cleanReadLock(t *readTable, k int) int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.rows[k]
+}
+
+// Unlocking before every way out of an iteration is the disciplined shape.
+func cleanLoopExits(r *registry, keys []string) {
+	for _, k := range keys {
+		r.mu.Lock()
+		if k == "" {
+			r.mu.Unlock()
+			break
+		}
+		if k == "skip" {
+			r.mu.Unlock()
+			continue
+		}
+		r.items[k] = 1
+		r.mu.Unlock()
+	}
+}

@@ -119,7 +119,7 @@ func (s *Store) observeRaw(run func() (*exec.Relation, error)) (*exec.Relation, 
 func (s *Store) ExplainNames() []string {
 	out := []string{"v2v-ea", "v2v-ld", "v2v-sd", "v2v-ea-witness"}
 	for _, set := range s.targetSetNames() {
-		for _, kind := range []string{"knn-naive-ea", "knn-naive-ld", "knn-ea", "knn-ld", "otm-ea", "otm-ld"} {
+		for _, kind := range setKinds {
 			out = append(out, kind+":"+set)
 		}
 	}
@@ -129,8 +129,7 @@ func (s *Store) ExplainNames() []string {
 // ExplainPrepared renders the plan of one of the paper's prepared queries,
 // named "<kind>" for the v2v Codes ("v2v-ea", "v2v-ld", "v2v-sd",
 // "v2v-ea-witness") or "<kind>:<set>" for the per-target-set Codes
-// ("knn-naive-ea", "knn-naive-ld", "knn-ea", "knn-ld", "otm-ea", "otm-ld").
-// The statement is built exactly as the corresponding query method builds it,
+// (setKinds). The statement comes from setStmt, as the query method's does,
 // so the rendered tree is the tree that method executes.
 func (s *Store) ExplainPrepared(name string) (string, error) {
 	kind, set := name, ""
@@ -153,24 +152,7 @@ func (s *Store) ExplainPrepared(name string) (string, error) {
 	if _, ok := s.vm().TargetSets[set]; !ok {
 		return "", invalidf("explain %q: unknown target set %q", name, set)
 	}
-	var st *sqldb.Stmt
-	var err error
-	switch kind {
-	case "knn-naive-ea":
-		st, err = s.prepared(exec.SQLKNNNaiveEA, s.setTable("ea_knn_naive", set), s.loutTable())
-	case "knn-naive-ld":
-		st, err = s.prepared(exec.SQLKNNNaiveLD, s.setTable("ld_knn_naive", set), s.loutTable())
-	case "knn-ea":
-		st, err = s.prepared(exec.SQLKNNEA, s.setTable("knn_ea", set), s.meta.BucketSeconds, s.loutTable())
-	case "knn-ld":
-		st, err = s.prepared(exec.SQLKNNLD, s.setTable("knn_ld", set), s.meta.BucketSeconds, s.loutTable())
-	case "otm-ea":
-		st, err = s.prepared(exec.SQLOTMEA, s.setTable("otm_ea", set), s.meta.BucketSeconds, s.loutTable())
-	case "otm-ld":
-		st, err = s.prepared(exec.SQLOTMLD, s.setTable("otm_ld", set), s.meta.BucketSeconds, s.loutTable())
-	default:
-		return "", invalidf("explain %q: unknown query kind %q", name, kind)
-	}
+	st, err := s.setStmt(kind, set)
 	if err != nil {
 		return "", err
 	}

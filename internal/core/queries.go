@@ -16,6 +16,32 @@ func (s *Store) prepared(format string, a ...any) (*sqldb.Stmt, error) {
 	return s.DB.CachedPrepare(fmt.Sprintf(format, a...))
 }
 
+// setKinds are the per-target-set statement kinds setStmt builds, in the
+// order ExplainNames lists them.
+var setKinds = []string{"knn-naive-ea", "knn-naive-ld", "knn-ea", "knn-ld", "otm-ea", "otm-ld"}
+
+// setStmt returns the prepared statement of one per-target-set kind over set.
+// It is the one place those statements are built: the query methods execute
+// what it returns and ExplainPrepared renders it, so the two trees cannot
+// drift. Each arm keeps its format constant, which sqlcheck proves fuses.
+func (s *Store) setStmt(kind, set string) (*sqldb.Stmt, error) {
+	switch kind {
+	case "knn-naive-ea":
+		return s.prepared(exec.SQLKNNNaiveEA, s.setTable("ea_knn_naive", set), s.loutTable())
+	case "knn-naive-ld":
+		return s.prepared(exec.SQLKNNNaiveLD, s.setTable("ld_knn_naive", set), s.loutTable())
+	case "knn-ea":
+		return s.prepared(exec.SQLKNNEA, s.setTable("knn_ea", set), s.meta.BucketSeconds, s.loutTable())
+	case "knn-ld":
+		return s.prepared(exec.SQLKNNLD, s.setTable("knn_ld", set), s.meta.BucketSeconds, s.loutTable())
+	case "otm-ea":
+		return s.prepared(exec.SQLOTMEA, s.setTable("otm_ea", set), s.meta.BucketSeconds, s.loutTable())
+	case "otm-ld":
+		return s.prepared(exec.SQLOTMLD, s.setTable("otm_ld", set), s.meta.BucketSeconds, s.loutTable())
+	}
+	return nil, invalidf("unknown query kind %q", kind)
+}
+
 // prepareStatements parses the bound version's Code 1 statements once;
 // after this, steady-state v2v queries execute with zero SQL parses.
 func (s *Store) prepareStatements() error {
@@ -128,7 +154,7 @@ func (s *Store) EAKNNNaive(set string, q timetable.StopID, t timetable.Time, k i
 	if err := s.checkK(set, q, k); err != nil {
 		return nil, err
 	}
-	st, err := s.prepared(exec.SQLKNNNaiveEA, s.setTable("ea_knn_naive", set), s.loutTable())
+	st, err := s.setStmt("knn-naive-ea", set)
 	if err != nil {
 		return nil, err
 	}
@@ -142,7 +168,7 @@ func (s *Store) LDKNNNaive(set string, q timetable.StopID, t timetable.Time, k i
 	if err := s.checkK(set, q, k); err != nil {
 		return nil, err
 	}
-	st, err := s.prepared(exec.SQLKNNNaiveLD, s.setTable("ld_knn_naive", set), s.loutTable())
+	st, err := s.setStmt("knn-naive-ld", set)
 	if err != nil {
 		return nil, err
 	}
@@ -155,7 +181,7 @@ func (s *Store) EAKNN(set string, q timetable.StopID, t timetable.Time, k int) (
 	if err := s.checkK(set, q, k); err != nil {
 		return nil, err
 	}
-	st, err := s.prepared(exec.SQLKNNEA, s.setTable("knn_ea", set), s.meta.BucketSeconds, s.loutTable())
+	st, err := s.setStmt("knn-ea", set)
 	if err != nil {
 		return nil, err
 	}
@@ -182,7 +208,7 @@ func (s *Store) LDKNN(set string, q timetable.StopID, t timetable.Time, k int) (
 	if err := s.checkK(set, q, k); err != nil {
 		return nil, err
 	}
-	st, err := s.prepared(exec.SQLKNNLD, s.setTable("knn_ld", set), s.meta.BucketSeconds, s.loutTable())
+	st, err := s.setStmt("knn-ld", set)
 	if err != nil {
 		return nil, err
 	}
@@ -196,7 +222,7 @@ func (s *Store) EAOTM(set string, q timetable.StopID, t timetable.Time) ([]Resul
 	if err := s.checkSet(set, q); err != nil {
 		return nil, err
 	}
-	st, err := s.prepared(exec.SQLOTMEA, s.setTable("otm_ea", set), s.meta.BucketSeconds, s.loutTable())
+	st, err := s.setStmt("otm-ea", set)
 	if err != nil {
 		return nil, err
 	}
@@ -209,7 +235,7 @@ func (s *Store) LDOTM(set string, q timetable.StopID, t timetable.Time) ([]Resul
 	if err := s.checkSet(set, q); err != nil {
 		return nil, err
 	}
-	st, err := s.prepared(exec.SQLOTMLD, s.setTable("otm_ld", set), s.meta.BucketSeconds, s.loutTable())
+	st, err := s.setStmt("otm-ld", set)
 	if err != nil {
 		return nil, err
 	}

@@ -14,7 +14,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -575,17 +574,5 @@ func (a *Aggregator) Totals() map[string]TraceTotals {
 	for k, v := range a.byCode {
 		out[k] = *v
 	}
-	return out
-}
-
-// Codes returns the observed code names sorted, for deterministic reports.
-func (a *Aggregator) Codes() []string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]string, 0, len(a.byCode))
-	for k := range a.byCode {
-		out = append(out, k)
-	}
-	sort.Strings(out)
 	return out
 }

@@ -31,6 +31,12 @@ if git grep -nE 'gidx|tupleGroup|ensureLabelOrder|flatIndex|findOrAdd' -- '*.go'
     echo "grouping walks the runs, and the per-target accumulator is an array indexed by the id" >&2
     exit 1
 fi
+echo "== one lock analysis on one engine (internal/analysis)"
+if git grep -nE 'caseBodies|loopBody|blockingFuncs|shardMutexFields|hasDefaultClause' -- 'internal/analysis/*.go'; then
+    echo "lockcheck is transfer functions over cfg.go's solver and reads lockordercheck's facts:" >&2
+    echo "no statement interpreter, no second call-summary fixpoint, no second annotation reader" >&2
+    exit 1
+fi
 echo "== go vet ./..."
 go vet ./...
 echo "== ptldb-analyze ./... (project lint)"
