@@ -139,13 +139,13 @@ func (s *Store) DropTargetSet(name string) error {
 // targetSetDefs are the six auxiliary tables of a target set under the bound
 // version: the two naive tables, then the condensed kNN and one-to-many pairs.
 func (s *Store) targetSetDefs(set string) [6]sqldb.TableDef {
-	n := s.meta.Stops
+	n, w := s.meta.Stops, int64(s.meta.BucketSeconds)
 	return [6]sqldb.TableDef{
 		naiveDef(s.setTable("ea_knn_naive", set), n),
 		naiveDef(s.setTable("ld_knn_naive", set), n),
-		condensedEADef(s.setTable("knn_ea", set), n),
+		condensedEADef(s.setTable("knn_ea", set), n, w),
 		condensedLDDef(s.setTable("knn_ld", set), n),
-		condensedEADef(s.setTable("otm_ea", set), n),
+		condensedEADef(s.setTable("otm_ea", set), n, w),
 		condensedLDDef(s.setTable("otm_ld", set), n),
 	}
 }
@@ -242,12 +242,17 @@ func arrivalTimes(rs []Result) sqltypes.Value {
 // condensedEADef is the schema of a knn_ea- or otm_ea-layout table. The key
 // is bucket-first because a table's rows are stored in key order and one
 // query reads a few adjacent buckets of many hubs: its rows are then one
-// contiguous run of the file (DESIGN.md §10.1).
-func condensedEADef(n string, stops int) sqldb.TableDef {
+// contiguous run of the file (DESIGN.md §10.1). Every arrival a row holds is
+// no earlier than the start of its bucket — the expanded arm departs inside
+// it, the top-k arm in later ones, and no tuple arrives before it departs —
+// and the table declares so: BulkLoad holds the builder to it, and the kNN
+// kernel stops its sweep by it (DESIGN.md §7.4).
+func condensedEADef(n string, stops int, width int64) sqldb.TableDef {
 	return sqldb.TableDef{
 		Name:      n,
 		PK:        []string{"dephour", "hub"},
 		TargetIDs: targetBound(stops, "vs", "vs_exp"),
+		Floor:     &sqldb.Floor{Key: "dephour", Width: width, Columns: []string{"tas", "tas_exp"}},
 		Columns: []sqldb.ColumnDef{
 			{Name: "hub", Type: sqltypes.Int64},
 			{Name: "dephour", Type: sqltypes.Int64},

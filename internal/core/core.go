@@ -405,7 +405,8 @@ func Open(db *sqldb.DB) (*Store, error) {
 	// a label table that does not declare it — an image from before the
 	// declaration existed — is refused here, like every other old image.
 	// They also index an array by the target ids of a target-set table, whose
-	// bound that table must declare, under the same rule.
+	// bound that table must declare, and stop an EA kNN sweep by the floor an
+	// EA condensed table must declare, under the same rule.
 	for _, name := range s.Versions() {
 		v := Store{meta: meta, version: name}
 		for _, table := range []string{v.loutTable(), v.linTable()} {
@@ -415,13 +416,17 @@ func Open(db *sqldb.DB) (*Store, error) {
 		}
 		for set := range v.vm().TargetSets {
 			for _, def := range v.targetSetDefs(set) {
-				var ids *sqldb.TargetIDs
+				var got sqldb.TableDef
 				if tbl, ok := db.Table(def.Name); ok {
-					ids = tbl.Def().TargetIDs
+					got = tbl.Def()
 				}
-				if want := def.TargetIDs; ids == nil || ids.Bound != want.Bound || !slices.Equal(ids.Columns, want.Columns) {
+				if ids, want := got.TargetIDs, def.TargetIDs; ids == nil || ids.Bound != want.Bound || !slices.Equal(ids.Columns, want.Columns) {
 					return nil, fmt.Errorf("core: table %s does not declare its target ids %v below %d: the directory was built by an older version; rebuild it",
 						def.Name, want.Columns, want.Bound)
+				}
+				if fl, want := got.Floor, def.Floor; want != nil && (fl == nil || fl.Key != want.Key || fl.Width != want.Width || !slices.Equal(fl.Columns, want.Columns)) {
+					return nil, fmt.Errorf("core: table %s does not declare the floor %s × %d of %v: the directory was built by an older version; rebuild it",
+						def.Name, want.Key, want.Width, want.Columns)
 				}
 			}
 		}

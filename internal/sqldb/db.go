@@ -40,14 +40,17 @@ type ColumnDef struct {
 // and declares that in every row the three arrays have equal length, g is
 // non-decreasing, and within a run of equal g both a and b are non-decreasing.
 // TargetIDs, when set, names BIGINT[] columns and declares that every element
-// of them in every row is an id in [0, Bound). BulkLoad rejects a row that
-// breaks either, so readers trust both unchecked.
+// of them in every row is an id in [0, Bound). Floor, when set, declares that
+// every element of its columns in every row is at least the row's Key value
+// times Width. BulkLoad rejects a row that breaks any of them, so readers
+// trust all three unchecked.
 type TableDef struct {
 	Name      string      `json:"name"`
 	Columns   []ColumnDef `json:"columns"`
 	PK        []string    `json:"pk"`
 	RunOrder  []string    `json:"run_order,omitempty"`
 	TargetIDs *TargetIDs  `json:"target_ids,omitempty"`
+	Floor     *Floor      `json:"floor,omitempty"`
 }
 
 // TargetIDs is TableDef's declaration of dense ids: the columns that hold
@@ -56,6 +59,16 @@ type TableDef struct {
 type TargetIDs struct {
 	Columns []string `json:"columns"`
 	Bound   int64    `json:"bound"`
+}
+
+// Floor is TableDef's declaration of a lower bound that moves with a key: Key
+// is a BIGINT column, Width is at least 1, and every element of the BIGINT[]
+// Columns is >= Key × Width in its row (a condensed EA table: no arrival of a
+// row's arms is earlier than the start of its departure bucket).
+type Floor struct {
+	Key     string   `json:"key"`
+	Width   int64    `json:"width"`
+	Columns []string `json:"columns"`
 }
 
 // Options configures Open.

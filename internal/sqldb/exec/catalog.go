@@ -60,6 +60,15 @@ type TargetBounded interface {
 	TargetBound() (cols []int, bound int)
 }
 
+// Floored is an optional Table extension. Floor returns the position of a
+// BIGINT key column, a width >= 1 and the positions of BIGINT[] columns, or -1,
+// 0 and nil: every element of those columns in every stored row is at least
+// the row's key times the width. The table vouches for it as it does for its
+// run order; the EA kNN kernel stops its sweep by it.
+type Floored interface {
+	Floor() (key int, width int64, cols []int)
+}
+
 // RowScratch holds reusable row-decoding buffers for ScratchTable calls.
 // A scratch belongs to one query execution; it must not be shared across
 // goroutines.

@@ -19,6 +19,11 @@ type memTable struct {
 	runOrder   []int
 	targetCols []int
 	bound      int
+	// floor declares, when floorCols is set, that every element of those
+	// columns is >= the floorKey column times floorWidth.
+	floorKey   int
+	floorWidth int64
+	floorCols  []int
 	rows       []sqltypes.Row
 }
 
@@ -26,6 +31,12 @@ func (m *memTable) Columns() []string         { return m.cols }
 func (m *memTable) PKCols() []int             { return m.pk }
 func (m *memTable) RunOrder() []int           { return m.runOrder }
 func (m *memTable) TargetBound() ([]int, int) { return m.targetCols, m.bound }
+func (m *memTable) Floor() (int, int64, []int) {
+	if m.floorCols == nil {
+		return -1, 0, nil
+	}
+	return m.floorKey, m.floorWidth, m.floorCols
+}
 
 func (m *memTable) LookupPK(key []int64) (sqltypes.Row, bool, error) {
 	for _, r := range m.rows {

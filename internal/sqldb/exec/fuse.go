@@ -11,7 +11,8 @@ package exec
 //
 // A fused plan answers or returns an error that says what is wrong: a
 // parameter that is not a BIGINT, a negative LIMIT, a table that is missing,
-// lacks a column, has another key or does not declare its labels' run order.
+// lacks a column, has another key or does not declare what the kernel trusts
+// (a label's run order, a target-id bound, an EA condensed table's floor).
 // Each is a caller bug or a violated storage invariant; there is no fallback.
 
 import (
@@ -190,6 +191,10 @@ func Fuse(sel *sql.Select) *FusedPlan {
 		default: // %[1]s = condensed, keyed (bucket, hub); %[3]s = lout
 			f := c.cond
 			p.reads(m.tables[2], m.tables[0], 2, []int{auxTopV, auxExpV}, f.bucketCol, "hub", f.topV, f.topVal, f.expTd, f.expV, f.expTa)
+			if f.ea {
+				// Every arrival an EA row folds is no earlier than its bucket.
+				p.tables[1].floor, p.tables[1].width = []int{auxTopVal, auxExpTa}, m.width
+			}
 		}
 		return p
 	}

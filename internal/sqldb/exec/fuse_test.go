@@ -66,7 +66,7 @@ func TestFuseRecognizesCodes(t *testing.T) {
 // answers them exactly as it answers the canonical text.
 func TestFuseRejectsNearMisses(t *testing.T) {
 	v2vEA := fmt.Sprintf(SQLV2VEA, "lout", "lin")
-	knnEA := fmt.Sprintf(SQLKNNEA, "aux_ea", 50, "lout")
+	knnEA := fmt.Sprintf(SQLKNNEA, "aux_ea", auxWidth, "lout")
 	cases := []struct {
 		name string
 		q    string
@@ -378,10 +378,17 @@ func TestFusedKNNNaiveDifferential(t *testing.T) {
 	}
 }
 
+// auxWidth is the bucket width randAuxTable's EA tables declare their floor
+// at, and so the width of every EA statement run against them.
+const auxWidth = 50
+
 // randAuxTable builds a condensed label table keyed (hub, bucket) with the
 // top-k arrays (vs + top) and the expansion triple (tds_exp, vs_exp,
 // tas_exp). bucketCol is "dephour" with top="tas" for EA, "arrhour" with
-// top="tds" for LD.
+// top="tds" for LD. An EA table is shaped as the builder's are and declares
+// their floor: a row's expanded connections depart inside its bucket, and no
+// arrival in the row — on either arm, now and then exactly at the bucket's
+// start — is earlier than that start at width auxWidth.
 func randAuxTable(rng *rand.Rand, bucketCol, top string) *memTable {
 	tbl := &memTable{
 		cols: []string{"hub", bucketCol, "vs", top, "tds_exp", "vs_exp", "tas_exp"},
@@ -389,10 +396,21 @@ func randAuxTable(rng *rand.Rand, bucketCol, top string) *memTable {
 		// Targets are 100..105.
 		targetCols: []int{2, 5}, bound: 106,
 	}
+	ea := bucketCol == "dephour"
+	if ea {
+		tbl.floorKey, tbl.floorWidth, tbl.floorCols = 1, auxWidth, []int{3, 6}
+	}
 	for hub := int64(0); hub < 4; hub++ {
 		for bucket := int64(0); bucket < 8; bucket++ {
 			if rng.Intn(4) == 0 {
 				continue // leave some (hub, bucket) cells missing
+			}
+			start := bucket * auxWidth
+			atOrAfter := func(lo int64) int64 {
+				if rng.Intn(4) == 0 {
+					return lo
+				}
+				return lo + int64(rng.Intn(120))
 			}
 			n := rng.Intn(4)
 			vs := make([]int64, n)
@@ -400,6 +418,9 @@ func randAuxTable(rng *rand.Rand, bucketCol, top string) *memTable {
 			for j := 0; j < n; j++ {
 				vs[j] = int64(100 + rng.Intn(6))
 				tops[j] = int64(rng.Intn(400))
+				if ea {
+					tops[j] = atOrAfter(start)
+				}
 			}
 			m := rng.Intn(4)
 			tdsExp := make([]int64, m)
@@ -407,8 +428,11 @@ func randAuxTable(rng *rand.Rand, bucketCol, top string) *memTable {
 			tasExp := make([]int64, m)
 			for j := 0; j < m; j++ {
 				tdsExp[j] = int64(rng.Intn(400))
+				if ea {
+					tdsExp[j] = start + int64(rng.Intn(auxWidth))
+				}
 				vsExp[j] = int64(100 + rng.Intn(6))
-				tasExp[j] = tdsExp[j] + int64(rng.Intn(120))
+				tasExp[j] = atOrAfter(tdsExp[j])
 			}
 			tbl.rows = append(tbl.rows, sqltypes.Row{
 				sqltypes.NewInt(hub), sqltypes.NewInt(bucket),
@@ -423,7 +447,7 @@ func randAuxTable(rng *rand.Rand, bucketCol, top string) *memTable {
 
 func TestFusedCondensedDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	const width = 50
+	const width = auxWidth
 	queries := []struct {
 		q       string
 		nParams int
@@ -488,10 +512,14 @@ func TestFusedTypedErrors(t *testing.T) {
 	tightNaive.bound, tightAux.bound = 100, 100
 	tightNaive.rows = []sqltypes.Row{{zero, sqltypes.NewInt(30), arr([]int64{3, 100}), arr([]int64{40, 41})}}
 	tightAux.rows = []sqltypes.Row{{zero, zero, arr([]int64{7}), arr([]int64{60}), arr([]int64{20, 21}), arr([]int64{-1, 104}), arr([]int64{30, 31})}}
+	// EA tables that declare no floor, one at another width than the
+	// statement's, or one over the top-k arm alone.
+	unflooredAux, widerFloorAux, halfFlooredAux := *good["aux_ea"], *good["aux_ea"], *good["aux_ea"]
+	unflooredAux.floorCols, widerFloorAux.floorWidth, halfFlooredAux.floorCols = nil, 2*auxWidth, []int{3}
 
 	v2vEA := fmt.Sprintf(SQLV2VEA, "lout", "lin")
 	naiveEA := fmt.Sprintf(SQLKNNNaiveEA, "naive", "lout")
-	knnEA := fmt.Sprintf(SQLKNNEA, "aux_ea", 50, "lout")
+	knnEA := fmt.Sprintf(SQLKNNEA, "aux_ea", auxWidth, "lout")
 	cases := []struct {
 		name, q string
 		cat     memCatalog
@@ -515,6 +543,9 @@ func TestFusedTypedErrors(t *testing.T) {
 		{"target past the bound, naive", naiveEA, with("naive", &tightNaive), []sqltypes.Value{one, one, sqltypes.NewInt(5)},
 			[]string{`"naive"`, "target id 100", "[0, 100)"}},
 		{"target below zero, condensed", knnEA, with("aux_ea", &tightAux), ones, []string{`"aux_ea"`, "target id -1", "[0, 100)"}},
+		{"no floor, EA condensed", knnEA, with("aux_ea", &unflooredAux), ones, []string{`"aux_ea"`, "floor dephour × 50", "rebuild"}},
+		{"a floor at another width", knnEA, with("aux_ea", &widerFloorAux), ones, []string{`"aux_ea"`, "floor dephour × 50", "rebuild"}},
+		{"no floor on the expanded arm", knnEA, with("aux_ea", &halfFlooredAux), ones, []string{`"aux_ea"`, `"tas_exp"`, "rebuild"}},
 		{"unequal label arrays", v2vEA,
 			with("lout", &memTable{cols: labelCols, pk: []int{0}, runOrder: []int{1, 2, 3},
 				rows: []sqltypes.Row{{one, arr([]int64{1, 2}), arr([]int64{5}), arr([]int64{6, 7})}}}),
@@ -525,6 +556,7 @@ func TestFusedTypedErrors(t *testing.T) {
 			ones, []string{`"naive"`, "vs, tas"}},
 		{"unequal condensed arrays", knnEA,
 			with("aux_ea", &memTable{cols: good["aux_ea"].cols, pk: []int{1, 0}, targetCols: []int{2, 5}, bound: 106,
+				floorKey: 1, floorWidth: auxWidth, floorCols: []int{3, 6},
 				rows: []sqltypes.Row{{zero, zero, arr(nil), arr(nil), arr([]int64{1}), arr(nil), arr(nil)}}}),
 			ones, []string{`"aux_ea"`, "tds_exp"}},
 		{"hub-first condensed table", knnEA,
@@ -571,7 +603,7 @@ func TestPooledStateFollowsTableBound(t *testing.T) {
 	huge.bound = 1 << 16
 	roomy := memCatalog{"lout": wide["lout"], "aux_ea": &huge}
 
-	q := fmt.Sprintf(SQLOTMEA, "aux_ea", 50, "lout")
+	q := fmt.Sprintf(SQLOTMEA, "aux_ea", auxWidth, "lout")
 	fp := Fuse(mustParse(t, q))
 	params := []sqltypes.Value{one, sqltypes.NewInt(0)}
 	want, err := fp.Run(wide, params)

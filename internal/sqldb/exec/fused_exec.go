@@ -11,6 +11,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 
 	"ptldb/internal/sqldb/sqltypes"
 )
@@ -466,8 +467,19 @@ func (p *FusedPlan) runCondensed(cat Catalog, params []sqltypes.Value, st *query
 	// holds the label and one row after it.
 	labEnd := len(st.scratch.Arena)
 	var arms condArms
+	// The EA kNN stop rule (DESIGN.md §7.4): the table declares every value a
+	// row of bucket b folds to be >= b × width, and the probes ascend by
+	// bucket. Once b × width exceeds the k-th best value so far, no row left
+	// can lower a kept value or displace one, so the sweep ends there.
+	stops, bucket := f.ea && limited, int64(math.MinInt64)
 	for _, gi := range st.order {
 		g := &st.groups[gi]
+		if stops && g.bucket != bucket {
+			bucket = g.bucket
+			if tau, ok := st.kthVal(k); ok && bucket > floorDiv(tau, p.width) {
+				break
+			}
+		}
 		st.scratch.Arena = st.scratch.Arena[:labEnd]
 		st.key = [2]int64{g.bucket, g.hub}
 		row, found, err := lookupPKScratch(aux.tb, st.key[:], &st.scratch)

@@ -19,6 +19,7 @@ import (
 	"sync"
 	"testing"
 
+	"ptldb/internal/sqldb/sql"
 	"ptldb/internal/sqldb/sqltypes"
 )
 
@@ -183,7 +184,8 @@ func TestTopKMatchesSortAndTruncate(t *testing.T) {
 }
 
 // awkwardCatalog builds a label table for stops 1..6 and one condensed table
-// per direction whose targets are those same stops. Timestamps span
+// per direction whose targets are those same stops; the EA table's arrivals
+// respect the floor it declares, as the builder's do. Timestamps span
 // [-300, 280) so that, at width 50, buckets run from -6 to 5; dense labels
 // put ~15 tuples on each of four hubs, i.e. several per (hub, bucket), and
 // give stop 6 one departure a billion seconds out (bucket 20 000 000), past
@@ -219,6 +221,10 @@ func awkwardCatalog(rng *rand.Rand, dense bool) memCatalog {
 			// Targets are stops 1..6.
 			targetCols: []int{2, 5}, bound: 7,
 		}
+		ea := bucketCol == "dephour"
+		if ea { // the builder's floor: no arrival before the bucket starts
+			tbl.floorKey, tbl.floorWidth, tbl.floorCols = 1, awkwardWidth, []int{3, 6}
+		}
 		arr := func(n int, gen func() int64) sqltypes.Value {
 			a := make([]int64, n)
 			for i := range a {
@@ -237,11 +243,15 @@ func awkwardCatalog(rng *rand.Rand, dense bool) memCatalog {
 				// within the row's bucket, so which label tuple of the bucket
 				// dominates decides what the arm contributes.
 				inBucket := func() int64 { return bucket*awkwardWidth + int64(rng.Intn(awkwardWidth)) }
+				arrival := when
+				if ea {
+					arrival = func() int64 { return bucket*awkwardWidth + int64(rng.Intn(3*awkwardWidth)) }
+				}
 				n, m := rng.Intn(7), rng.Intn(7) // arms of 0..6 entries
 				tbl.rows = append(tbl.rows, sqltypes.Row{
 					sqltypes.NewInt(hub), sqltypes.NewInt(bucket),
-					arr(n, target), arr(n, when),
-					arr(m, inBucket), arr(m, target), arr(m, when),
+					arr(n, target), arr(n, arrival),
+					arr(m, inBucket), arr(m, target), arr(m, arrival),
 				})
 			}
 		}
@@ -331,6 +341,139 @@ func TestFusedCondensedAwkwardShapes(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFusedKNNStopRule pins where an EA kNN sweep stops, on hand-made tables
+// at width 10: not at a bucket that starts exactly at the k-th best value (a
+// target there may tie it and win on its id), not while fewer than k targets
+// are accumulated, and at the first bucket that starts after the k-th best
+// value, negative buckets included. Every answer is the general executor's,
+// and the number of rows looked up is exact: one per label group until the
+// stop.
+func TestFusedKNNStopRule(t *testing.T) {
+	const w = 10
+	type cond struct {
+		bucket, hub                    int64
+		vs, tas, tdsExp, vsExp, tasExp []int64
+	}
+	cases := []struct {
+		name           string
+		hubs, tds, tas []int64 // stop 1's label
+		rows           []cond
+		t, k           int64
+		probes         int
+	}{
+		{name: "a value at the bucket start ties the k-th value",
+			hubs: []int64{0, 1}, tds: []int64{0, 0}, tas: []int64{5, 12}, // groups (0, 0), (1, 1)
+			rows: []cond{
+				{bucket: 0, hub: 0, tdsExp: []int64{5}, vsExp: []int64{5}, tasExp: []int64{10}},
+				{bucket: 1, hub: 1, vs: []int64{3}, tas: []int64{10}}, // (3, 10) displaces (5, 10)
+			},
+			k: 1, probes: 2},
+		{name: "k = 1 stops at the first bucket after the best value",
+			hubs: []int64{0, 1, 2}, tds: []int64{0, 0, 0}, tas: []int64{5, 25, 31}, // groups (0, 0), (2, 1), (3, 2)
+			rows: []cond{
+				{bucket: 0, hub: 0, tdsExp: []int64{5}, vsExp: []int64{5}, tasExp: []int64{10}},
+				{bucket: 2, hub: 1, vs: []int64{3}, tas: []int64{20}},
+				{bucket: 3, hub: 2, vs: []int64{4}, tas: []int64{30}},
+			},
+			k: 1, probes: 1},
+		{name: "fewer than k targets never stop",
+			hubs: []int64{0, 1, 2}, tds: []int64{0, 0, 0}, tas: []int64{5, 25, 45}, // groups (0, 0), (2, 1), (4, 2)
+			rows: []cond{
+				{bucket: 0, hub: 0, vs: []int64{5}, tas: []int64{10}},
+				{bucket: 2, hub: 1, vs: []int64{3}, tas: []int64{20}},
+				{bucket: 4, hub: 2, vs: []int64{5}, tas: []int64{40}},
+			},
+			k: 3, probes: 3},
+		{name: "a negative bucket starting at the k-th value",
+			hubs: []int64{0, 1}, tds: []int64{-50, -40}, tas: []int64{-35, -25}, // groups (-4, 0), (-3, 1)
+			rows: []cond{
+				{bucket: -4, hub: 0, vs: []int64{1, 2}, tas: []int64{-40, -30}},
+				{bucket: -3, hub: 1, vs: []int64{0}, tas: []int64{-30}}, // (0, -30) displaces (2, -30)
+			},
+			t: -100, k: 2, probes: 2},
+		{name: "a negative bucket starting after the k-th value",
+			hubs: []int64{0, 1}, tds: []int64{-50, -40}, tas: []int64{-35, -25},
+			rows: []cond{
+				{bucket: -4, hub: 0, vs: []int64{1, 2}, tas: []int64{-40, -31}},
+				{bucket: -3, hub: 1, vs: []int64{0}, tas: []int64{-30}},
+			},
+			t: -100, k: 2, probes: 1},
+	}
+	arr := sqltypes.NewIntArray
+	for _, tc := range cases {
+		aux := &memTable{
+			cols: []string{"hub", "dephour", "vs", "tas", "tds_exp", "vs_exp", "tas_exp"}, pk: []int{1, 0},
+			targetCols: []int{2, 5}, bound: 10, floorKey: 1, floorWidth: w, floorCols: []int{3, 6},
+		}
+		for _, r := range tc.rows {
+			aux.rows = append(aux.rows, sqltypes.Row{sqltypes.NewInt(r.hub), sqltypes.NewInt(r.bucket),
+				arr(r.vs), arr(r.tas), arr(r.tdsExp), arr(r.vsExp), arr(r.tasExp)})
+		}
+		cat := memCatalog{
+			"lout": &memTable{cols: labelCols, pk: []int{0}, runOrder: []int{1, 2, 3},
+				rows: []sqltypes.Row{{sqltypes.NewInt(1), arr(tc.hubs), arr(tc.tds), arr(tc.tas)}}},
+			"aux_ea": aux,
+		}
+		q := fmt.Sprintf(SQLKNNEA, "aux_ea", w, "lout")
+		params := []sqltypes.Value{sqltypes.NewInt(1), sqltypes.NewInt(tc.t), sqltypes.NewInt(tc.k)}
+		diffRun(t, cat, q, params)
+		var probed [][2]int64
+		if _, err := Fuse(mustParse(t, q)).Run(keyLogCatalog{cat, &probed}, params); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(probed) != tc.probes {
+			t.Errorf("%s: looked up %v, want the first %d of the label's groups", tc.name, probed, tc.probes)
+		}
+	}
+}
+
+// FuzzCondensedKNNStop: over a run-ordered label and an EA condensed table
+// inside its declared floor — both drawn from seed and moved by a drawn
+// number of buckets, often below zero — and any t and k, with stops -7..7 as
+// q (1..5 have labels), the fused kNN, which stops its sweep early, answers
+// what the general executor answers, or fails where it fails.
+func FuzzCondensedKNNStop(f *testing.F) {
+	for _, s := range [][4]int64{{1, 1, 0, 1}, {2, 3, 120, 2}, {3, 5, -400, 4}, {4, 2, 90, 1 << 40}, {5, 4, math.MinInt64, 3}, {6, 1, 50, -1}} {
+		f.Add(s[0], s[1], s[2], s[3])
+	}
+	sel, err := sql.Parse(fmt.Sprintf(SQLKNNEA, "aux_ea", auxWidth, "lout"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	fp := Fuse(sel)
+	f.Fuzz(func(t *testing.T, seed, q, at, k int64) {
+		rng := rand.New(rand.NewSource(seed))
+		cat := memCatalog{"lout": randLabelTable(rng, 5, 8), "aux_ea": randAuxTable(rng, "dephour", "tas")}
+		d := (int64(rng.Intn(21)) - 10) * auxWidth
+		for _, row := range cat["lout"].rows {
+			for _, c := range row[2:4] { // tds, tas
+				for i := range c.A {
+					c.A[i] += d
+				}
+			}
+		}
+		for _, row := range cat["aux_ea"].rows {
+			row[1].I += d / auxWidth
+			for _, c := range []int{3, 4, 6} { // tas, tds_exp, tas_exp
+				for i := range row[c].A {
+					row[c].A[i] += d
+				}
+			}
+		}
+		params := []sqltypes.Value{sqltypes.NewInt(q % 8), sqltypes.NewInt(at), sqltypes.NewInt(k)}
+		want, wantErr := Run(sel, cat, params)
+		for _, c := range []Catalog{cat, scratchCatalog{cat}} {
+			got, err := fp.Run(c, params)
+			if (err != nil) != (wantErr != nil) {
+				t.Fatalf("params %v: fused error %v, general error %v", params, err, wantErr)
+			}
+			if err == nil {
+				compareRelations(t, got, want, params)
+			}
+		}
+	})
 }
 
 // TestFusedPlanSharedAcrossGoroutines runs one prepared plan per condensed

@@ -41,7 +41,9 @@ const (
 // order (RunOrdered) over exactly its hubs, tds and tas: the kernels search
 // the runs and never re-check them. A naive or condensed table must declare
 // the bound of its target ids (TargetBounded) over the columns the plan folds:
-// the accumulator is an array of that size. The resolved column positions are
+// the accumulator is an array of that size. An EA condensed table must declare
+// the floor of the values the plan folds (Floored) by its bucket column at the
+// plan's width: the kNN sweep stops by it. The resolved column positions are
 // cached per table identity, so a query pays one catalog lookup and one
 // pointer compare instead of a name scan per column.
 type tableRef struct {
@@ -49,7 +51,11 @@ type tableRef struct {
 	cols    []string
 	pk      int   // leading cols that must be the table's PK columns; 0 = unchecked
 	targets []int // slots of cols that hold target ids, whose bound the table must declare; nil for a label table
-	lay     atomic.Pointer[tableLayout]
+	// floor holds the slots of cols whose elements the table must declare to be
+	// at least cols[0] × width; nil when the plan needs no floor.
+	floor []int
+	width int64
+	lay   atomic.Pointer[tableLayout]
 }
 
 // tableLayout is the resolved position of each tableRef column in one
@@ -64,8 +70,8 @@ type tableLayout struct {
 
 // resolve returns the table with the positions of r.cols in it, or an error
 // naming the table when it is missing, lacks a column, has a different key
-// shape, is a label table that declares no run order or folds target ids it
-// declares no bound for.
+// shape, is a label table that declares no run order, folds target ids it
+// declares no bound for or values it declares no floor for.
 //
 // hotpath — allocheck root: runs once per table per fused query.
 func (r *tableRef) resolve(cat Catalog) (*tableLayout, error) {
@@ -112,6 +118,18 @@ func (r *tableRef) resolveSlow(tb Table) (*tableLayout, error) {
 	for _, c := range r.targets {
 		if l.bound < 1 || !slices.Contains(declared, l.idx[c]) {
 			return nil, fmt.Errorf("exec: table %q does not declare the bound of its target ids in %q; rebuild the database", r.name, r.cols[c])
+		}
+	}
+	if r.floor != nil {
+		key, width, declared := -1, int64(0), []int(nil)
+		if fl, ok := tb.(Floored); ok {
+			key, width, declared = fl.Floor()
+		}
+		for _, c := range r.floor {
+			if key != l.idx[0] || width != r.width || !slices.Contains(declared, l.idx[c]) {
+				return nil, fmt.Errorf("exec: table %q does not declare the floor %s × %d of its values in %q; rebuild the database",
+					r.name, r.cols[0], r.width, r.cols[c])
+			}
 		}
 	}
 	r.lay.Store(l)
@@ -307,6 +325,57 @@ func (a *targetAcc) topK(k int, limited, desc bool) []kEntry {
 	return e
 }
 
+// kthVal returns the k-th smallest value among the accumulated entries — the
+// value of the k-th row topK(k, true, false) would return — or false when
+// fewer than k targets are accumulated. It selects with a max-heap of the k
+// smallest values in st.kth, so the entries, whose positions the
+// accumulator's slots record, stay where they are.
+//
+// hotpath — allocheck root: at each new bucket of an EA kNN sweep.
+func (st *queryState) kthVal(k int) (int64, bool) {
+	e := st.acc.entries
+	if len(e) < k {
+		return 0, false
+	}
+	if cap(st.kth) < k {
+		st.kth = make([]int64, k)
+	}
+	h := st.kth[:k]
+	for i := range h {
+		h[i] = e[i].val
+	}
+	for i := k/2 - 1; i >= 0; i-- {
+		siftDownMax(h, i)
+	}
+	for _, x := range e[k:] {
+		if x.val < h[0] {
+			h[0] = x.val
+			siftDownMax(h, 0)
+		}
+	}
+	return h[0], true
+}
+
+// siftDownMax restores the max-heap order of h below position i.
+//
+// hotpath — allocheck root: kthVal's heap.
+func siftDownMax(h []int64, i int) {
+	for {
+		m := i
+		if l := 2*i + 1; l < len(h) && h[l] > h[m] {
+			m = l
+		}
+		if r := 2*i + 2; r < len(h) && h[r] > h[m] {
+			m = r
+		}
+		if m == i {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+}
+
 // entriesToRows copies the entries into a fresh result; all rows share one
 // backing array.
 func entriesToRows(schema Schema, entries []kEntry) *Relation {
@@ -352,7 +421,8 @@ type queryState struct {
 	order, bucketCnt []int32
 
 	acc    targetAcc
-	merged uint64 // fold calls, published once per query
+	kth    []int64 // EA kNN only: kthVal's heap
+	merged uint64  // fold calls, published once per query
 }
 
 // acquire hands out a reset query state; the kernel that folds per target

@@ -265,6 +265,160 @@ func TestBulkLoadValidatesTargetBound(t *testing.T) {
 	}
 }
 
+// floorDef is a condensed-EA-shaped table declaring fl: tas and tas_exp hold
+// arrivals, tds_exp departures that declare nothing.
+func floorDef(name string, fl *Floor) TableDef {
+	return TableDef{
+		Name: name, PK: []string{"dephour", "hub"}, Floor: fl,
+		Columns: []ColumnDef{
+			{Name: "hub", Type: sqltypes.Int64},
+			{Name: "dephour", Type: sqltypes.Int64},
+			{Name: "tas", Type: sqltypes.IntArray},
+			{Name: "tds_exp", Type: sqltypes.IntArray},
+			{Name: "tas_exp", Type: sqltypes.IntArray},
+		},
+	}
+}
+
+// TestBulkLoadValidatesFloor: a declared floor is checked on every element of
+// every declared column of every row of the one write a table has, against
+// the row's own key times the width, exactly at both ends of int64 — where the
+// product itself would overflow. An element below it rejects the whole load
+// naming table, column, row, position, value and floor, before a byte is
+// written, and a loaded table stays as it was. A column that declares nothing
+// takes any value. A declaration that is not BIGINT[] columns over a BIGINT key
+// at a width of at least 1 is refused at CreateTable and again at Open, and a
+// sound one survives close and reopen.
+func TestBulkLoadValidatesFloor(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := &Floor{Key: "dephour", Width: 10, Columns: []string{"tas", "tas_exp"}}
+	tbl, err := db.CreateTable(floorDef("aux", declared))
+	if err != nil {
+		t.Fatal(err)
+	}
+	declares := func(tbl *Table) bool {
+		key, width, cols := tbl.Floor()
+		return key == 1 && width == 10 && slices.Equal(cols, []int{2, 4})
+	}
+	if !declares(tbl) {
+		t.Fatalf("Floor() does not report dephour × 10 over the positions of tas, tas_exp")
+	}
+	row := func(bucket int64, tas, tasExp []int64) sqltypes.Row {
+		return sqltypes.Row{sqltypes.NewInt(0), sqltypes.NewInt(bucket), sqltypes.NewIntArray(tas),
+			sqltypes.NewIntArray([]int64{math.MinInt64, -1}), sqltypes.NewIntArray(tasExp)}
+	}
+	// The lowest bucket's floor lies below int64: every value clears it.
+	lowest := row(math.MinInt64, []int64{math.MinInt64}, []int64{math.MinInt64, 0})
+	bad := []struct {
+		name  string
+		row   sqltypes.Row
+		frags []string
+	}{
+		{"tas one below", row(3, []int64{30, 29}, nil), []string{"aux.tas:", "value 29", "position 1", "floor dephour × 10 = 3 × 10"}},
+		{"tas_exp below a negative bucket", row(-2, []int64{-20}, []int64{-15, -21}), []string{"aux.tas_exp:", "value -21", "position 1", "-2 × 10"}},
+		{"the least int64 near the least bucket", row(math.MinInt64/10, nil, []int64{math.MinInt64}),
+			[]string{"aux.tas_exp:", "value -9223372036854775808", "position 0", "-922337203685477580 × 10"}},
+		{"a bucket whose floor lies above int64", row(math.MaxInt64, []int64{math.MaxInt64}, nil), []string{"aux.tas:", "value 9223372036854775807", "position 0"}},
+	}
+	rejected := func(loaded ...string) {
+		t.Helper()
+		for _, tc := range bad {
+			for at, rows := range [][]sqltypes.Row{{tc.row}, {lowest, tc.row}} {
+				err := tbl.BulkLoad(rows)
+				if err == nil {
+					t.Errorf("%s on row %d: accepted", tc.name, at)
+					continue
+				}
+				for _, frag := range append(tc.frags, fmt.Sprintf("row %d", at)) {
+					if !strings.Contains(err.Error(), frag) {
+						t.Errorf("%s on row %d: error lacks %q: %v", tc.name, at, frag, err)
+					}
+				}
+			}
+		}
+		requireOnlySegments(t, dir, loaded...)
+	}
+	rejected()
+	if tbl.RowCount() != 0 {
+		t.Fatalf("rejected loads stored %d rows", tbl.RowCount())
+	}
+	// Values at the floor, above it, below zero, and an undeclared column
+	// far below it all load.
+	load(t, tbl, lowest, row(-2, []int64{-20, -11}, []int64{-20}), row(3, []int64{30}, []int64{30, 35}))
+	rejected("aux")
+	if got, ok, err := tbl.LookupPK([]int64{3, 0}); err != nil || !ok || !slices.Equal(got[4].A, []int64{30, 35}) || tbl.RowCount() != 3 {
+		t.Fatalf("rejected loads changed a loaded table: %v, %v, %v (%d rows)", got, ok, err, tbl.RowCount())
+	}
+
+	refused := map[string]*Floor{
+		"a missing key":    {Key: "nope", Width: 10, Columns: []string{"tas"}},
+		"a BIGINT[] key":   {Key: "tas", Width: 10, Columns: []string{"tas"}},
+		"a zero width":     {Key: "dephour", Columns: []string{"tas"}},
+		"a negative width": {Key: "dephour", Width: -10, Columns: []string{"tas"}},
+		"no column":        {Key: "dephour", Width: 10},
+		"a BIGINT column":  {Key: "dephour", Width: 10, Columns: []string{"tas", "hub"}},
+		"a missing column": {Key: "dephour", Width: 10, Columns: []string{"tas_exp", "nope"}},
+	}
+	for what, fl := range refused {
+		if _, err := db.CreateTable(floorDef("other", fl)); err == nil || !strings.Contains(err.Error(), `"other"`) {
+			t.Errorf("CreateTable declaring %s: %v, want a rejection naming the table", what, err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	catalog, err := os.ReadFile(filepath.Join(dir, "catalog.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for what, fl := range refused {
+		edited, err := json.Marshal(fl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edited = regexp.MustCompile(`(?s)"floor": \{.*?\}`).ReplaceAll(catalog, append([]byte(`"floor": `), edited...))
+		if bytes.Equal(edited, catalog) {
+			t.Fatalf("the catalog's declaration was not found:\n%s", catalog)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "catalog.json"), edited, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := openFDs(t)
+		db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256, VectorCacheBytes: 1 << 20})
+		if err == nil {
+			db.Close()
+			t.Fatalf("Open accepted a catalog declaring %s", what)
+		}
+		if !strings.Contains(err.Error(), `"aux"`) {
+			t.Errorf("catalog declaring %s: error does not name the table: %v", what, err)
+		}
+		if after := openFDs(t); after != before {
+			t.Errorf("catalog declaring %s: failed open leaked file descriptors: %d before, %d after", what, before, after)
+		}
+	}
+
+	if err := os.WriteFile(filepath.Join(dir, "catalog.json"), catalog, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db, err = Open(dir, Options{Device: storage.RAM, PoolPages: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	tbl, _ = db.Table("aux")
+	if !declares(tbl) {
+		t.Fatalf("after reopen: aux declares %+v", tbl.Def().Floor)
+	}
+	if err := tbl.BulkLoad([]sqltypes.Row{row(1, []int64{9}, nil)}); err == nil {
+		t.Fatal("the reopened table took a value below its floor")
+	}
+}
+
 // TestRunOrderDeclarationFailsClosed: a declaration that is not three
 // BIGINT[] columns of the table is refused where the table is declared, and
 // refused again — naming the table, opening nothing — when the same text

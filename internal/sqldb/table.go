@@ -29,9 +29,12 @@ type Table struct {
 	types []sqltypes.Type
 	// runOrder is the positions of def.RunOrder's columns, nil when the table
 	// declares no run order; targetCols those of def.TargetIDs' columns under
-	// targetBound, nil and 0 when it declares no target ids.
-	runOrder, targetCols []int
-	targetBound          int64
+	// targetBound, nil and 0 when it declares no target ids; floorCols those
+	// of def.Floor's columns over the key column floorKey, unset when it
+	// declares no floor.
+	runOrder, targetCols, floorCols []int
+	targetBound                     int64
+	floorKey                        int
 
 	// The open segment, replaced as one by BulkLoad. Between CreateTable and
 	// the first BulkLoad there is no file yet and seg is the zero Segment, an
@@ -51,9 +54,10 @@ type Table struct {
 
 // newTable builds the in-memory side of a table from its definition — one
 // being created or one read back from the catalog. A run-order declaration
-// that is not three existing BIGINT[] columns, or a target-id declaration that
-// is not at least one of them under a bound in [1, math.MaxInt32], is an error
-// either way.
+// that is not three existing BIGINT[] columns, a target-id declaration that is
+// not at least one of them under a bound in [1, math.MaxInt32], or a floor that
+// is not at least one of them over a BIGINT key column and a width >= 1, is an
+// error either way.
 func (db *DB) newTable(def TableDef) (*Table, error) {
 	t := &Table{def: def, db: db, types: make([]sqltypes.Type, len(def.Columns)), seg: new(storage.Segment)}
 	for i, c := range def.Columns {
@@ -85,6 +89,21 @@ func (db *DB) newTable(def TableDef) (*Table, error) {
 			t.targetCols = append(t.targetCols, ci)
 		}
 		t.targetBound = ids.Bound
+	}
+	if fl := def.Floor; fl != nil {
+		key := colIndex(def.Columns, fl.Key)
+		if key < 0 || t.types[key] != sqltypes.Int64 || fl.Width < 1 || len(fl.Columns) == 0 {
+			return nil, fmt.Errorf("sqldb: table %q: floor declares key %q, width %d and %d columns, want a BIGINT column of the table, a width of at least 1 and at least one column",
+				def.Name, fl.Key, fl.Width, len(fl.Columns))
+		}
+		for _, name := range fl.Columns {
+			ci := colIndex(def.Columns, name)
+			if ci < 0 || t.types[ci] != sqltypes.IntArray {
+				return nil, fmt.Errorf("sqldb: table %q: floor column %q is not a BIGINT[] column of the table", def.Name, name)
+			}
+			t.floorCols = append(t.floorCols, ci)
+		}
+		t.floorKey = key
 	}
 	return t, nil
 }
@@ -119,6 +138,15 @@ func (t *Table) RunOrder() []int { return t.runOrder }
 // declares none.
 func (t *Table) TargetBound() ([]int, int) { return t.targetCols, int(t.targetBound) }
 
+// Floor implements exec.Floored: the positions of the declared floor's key
+// and columns and its width, -1, 0 and nil when the table declares none.
+func (t *Table) Floor() (key int, width int64, cols []int) {
+	if t.def.Floor == nil {
+		return -1, 0, nil
+	}
+	return t.floorKey, t.def.Floor.Width, t.floorCols
+}
+
 // RowCount returns the number of stored rows.
 func (t *Table) RowCount() uint64 { return uint64(t.seg.NumRows()) }
 
@@ -127,7 +155,7 @@ func (t *Table) segPath() string { return filepath.Join(t.db.dir, t.def.Name+".s
 
 // checkRow validates arity, the absence of NULL, the column types — coercing
 // integer values into DOUBLE columns in place — and the declared target-id
-// bound and run order.
+// bound, floor and run order.
 func (t *Table) checkRow(row sqltypes.Row) error {
 	if len(row) != len(t.def.Columns) {
 		return fmt.Errorf("sqldb: %s: row has %d values, table has %d columns", t.def.Name, len(row), len(t.def.Columns))
@@ -148,6 +176,23 @@ func (t *Table) checkRow(row sqltypes.Row) error {
 			if id < 0 || id >= t.targetBound {
 				return fmt.Errorf("sqldb: %s.%s: target id %d at position %d is outside [0, %d)",
 					t.def.Name, t.def.Columns[ci].Name, id, i, t.targetBound)
+			}
+		}
+	}
+	if fl := t.def.Floor; fl != nil {
+		key := row[t.floorKey].I
+		for _, ci := range t.floorCols {
+			for i, x := range row[ci].A {
+				// x >= key × width exactly when FLOOR(x / width) >= key, which
+				// no key near either end of int64 can overflow.
+				q := x / fl.Width
+				if x%fl.Width != 0 && x < 0 {
+					q--
+				}
+				if q < key {
+					return fmt.Errorf("sqldb: %s.%s: value %d at position %d is below the floor %s × %d = %d × %d",
+						t.def.Name, t.def.Columns[ci].Name, x, i, fl.Key, fl.Width, key, fl.Width)
+				}
 			}
 		}
 	}

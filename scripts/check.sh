@@ -7,7 +7,8 @@
 # (benchmark/ is a module of its own, invisible to ./...), a look at what
 # ptldb-build leaves in a database directory, the console on it, and what
 # becomes of that directory once its catalog stops declaring the label run
-# order or the target-id bound. Also available as `make check`.
+# order, the target-id bound or the EA condensed floor. Also available as
+# `make check`.
 set -eu
 cd "$(dirname "$0")/.."
 img=$(mktemp -d)
@@ -116,14 +117,15 @@ if out=$("$img/ptldb-query" -db "$img/db" sql "$code1" 0 one 0 2>&1) || ! echo "
     echo "$out" >&2
     exit 1
 fi
-echo "== an image whose catalog stops declaring the label run order or the target-id bound does not open"
-# The kernels search a label's runs unchecked and index an array by a
-# condensed row's target ids, so an image that does not declare them — any
-# built before the declaration existed — must be refused, not answered from. A
-# key the catalog reader does not know is ignored: renaming it undeclares.
+echo "== an image whose catalog stops declaring the label run order, the target-id bound or the EA floor does not open"
+# The kernels search a label's runs unchecked, index an array by a condensed
+# row's target ids and stop an EA kNN sweep by the floor of its arrivals, so an
+# image that does not declare them — any built before the declaration existed
+# — must be refused, not answered from. A key the catalog reader does not know
+# is ignored: renaming it undeclares.
 go run ./cmd/ptldb-query -db "$img/db" ea 0 1 0 > /dev/null
 cp "$img/db/catalog.json" "$img/catalog.built"
-for decl in 'run_order:run order' 'target_ids:target ids'; do
+for decl in 'run_order:run order' 'target_ids:target ids' 'floor:floor'; do
     key=${decl%%:*} says=${decl#*:}
     sed "s/\"$key\"/\"${key}_of_an_older_build\"/" "$img/catalog.built" > "$img/db/catalog.json"
     if cmp -s "$img/catalog.built" "$img/db/catalog.json"; then
