@@ -9,8 +9,8 @@ GO ?= go
 check:
 	sh scripts/check.sh
 
-# Project-specific static analysis (sqlcheck, lockcheck, lockordercheck,
-# atomiccheck, arenacheck, allocheck, errcheck, plus stale-waiver hygiene) —
+# Project-specific static analysis (lockcheck, lockordercheck, atomiccheck,
+# arenacheck, allocheck, errcheck, plus stale- and unknown-waiver hygiene) —
 # see internal/analysis and DESIGN.md §8 and §12.
 lint:
 	$(GO) run ./cmd/ptldb-analyze ./...

@@ -3,12 +3,6 @@
 // (go/parser + go/types + the source importer) and runs checkers that lock in
 // the invariants the hot paths depend on but the type system cannot see:
 //
-//   - sqlcheck: every string constant reaching Prepare/CachedPrepare/Query/
-//     Exec is parsed at lint time with internal/sqldb/sql, and statements
-//     reaching core's prepared() helper must additionally compile with
-//     exec.Fuse, i.e. be one of the ten texts of exec/codes.go — a statement
-//     that drifted from them becomes a lint failure instead of a production
-//     query on the general executor.
 //   - lockcheck: no device I/O or blocking channel operations while a
 //     buffer-pool shard mutex (a mutex field annotated "lockcheck:shard") is
 //     held, and every Lock has an Unlock on all return paths.
@@ -45,7 +39,8 @@
 //
 // The reason is mandatory: a waiver without a written justification is
 // itself reported, and so is a stale waiver — one that no longer suppresses
-// any finding of a checker that ran.
+// any finding of a checker that ran — and one naming no checker of the
+// suite.
 package analysis
 
 import (
@@ -108,7 +103,6 @@ type ModuleChecker interface {
 // other checker runs module-wide.
 func Checkers() []Checker {
 	return []Checker{
-		NewSQLCheck(),
 		NewLockCheck(),
 		NewLockOrderCheck(),
 		NewAtomicCheck(),
@@ -127,11 +121,13 @@ func CheckerNames() []string {
 	return names
 }
 
-// Run executes the checkers over the packages, drops findings waived by
-// lint:ignore directives, and returns the rest sorted by position. Malformed
+// Run executes the checkers over the packages, drops the findings a waiver
+// directive covers, and returns the rest sorted by position. Malformed
 // directives (no checker name or no reason) are themselves findings, and so
-// are stale ones: a waiver naming a checker that ran but suppressed nothing
-// has outlived its bug and must be deleted.
+// are stale ones — a waiver naming a checker that ran but suppressed nothing
+// has outlived its bug and must be deleted — and ones naming a checker that
+// is not in the suite (CheckerNames), which would otherwise wait forever for
+// a run to judge them.
 func Run(pkgs []*Package, checkers []Checker) []Finding {
 	dirs, out := collectDirectives(pkgs)
 	ran := map[string]bool{}
@@ -200,18 +196,26 @@ func (d directiveSet) waive(f Finding) bool {
 }
 
 // stale reports every directive that suppressed nothing, scoped to checkers
-// that actually ran — a waiver for a skipped checker can't prove itself.
+// that actually ran — a waiver for a skipped checker can't prove itself — and
+// every directive naming a checker the suite does not have, which no run could
+// ever judge.
 func (d directiveSet) stale(ran map[string]bool) []Finding {
+	known := map[string]bool{}
+	for _, name := range CheckerNames() {
+		known[name] = true
+	}
 	var out []Finding
 	for key, st := range d {
-		if st.used || !ran[key.checker] {
+		var msg string
+		switch {
+		case !known[key.checker] && !ran[key.checker]:
+			msg = fmt.Sprintf("unknown checker %q in lint:ignore", key.checker)
+		case st.used || !ran[key.checker]:
 			continue
+		default:
+			msg = fmt.Sprintf("stale lint:ignore: no %s finding on this or the next line; delete the waiver", key.checker)
 		}
-		out = append(out, Finding{
-			Pos:     st.pos,
-			Checker: "directive",
-			Message: fmt.Sprintf("stale lint:ignore: no %s finding on this or the next line; delete the waiver", key.checker),
-		})
+		out = append(out, Finding{Pos: st.pos, Checker: "directive", Message: msg})
 	}
 	return out
 }

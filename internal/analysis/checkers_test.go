@@ -10,10 +10,6 @@ import (
 
 func corpus(name string) string { return filepath.Join("testdata", "src", name) }
 
-func TestSQLCheck(t *testing.T) {
-	analysistest.Run(t, corpus("sqlcheck"), analysis.NewSQLCheck())
-}
-
 func TestLockCheck(t *testing.T) {
 	analysistest.Run(t, corpus("lockcheck"), analysis.NewLockCheck())
 }
@@ -39,10 +35,11 @@ func TestAllocCheck(t *testing.T) {
 }
 
 // TestStaleWaiver drives the directive corpus straight through Run: the used
-// waiver suppresses its errcheck finding, the waiver naming a checker that
-// did not run stays unjudged, and the stale waiver is the run's only
-// finding. The stale report lands on the directive's own comment line, which
-// cannot also carry a want comment — hence no analysistest here.
+// waivers suppress their errcheck findings, the waiver naming a checker that
+// did not run stays unjudged, and the run's findings are exactly the stale
+// waiver, the malformed one and the one naming a checker the suite does not
+// have. Each report lands on the directive's own comment line, which cannot
+// also carry a want comment — hence no analysistest here.
 func TestStaleWaiver(t *testing.T) {
 	dir := corpus("directive")
 	loader, err := analysis.NewLoader(dir)
@@ -54,23 +51,25 @@ func TestStaleWaiver(t *testing.T) {
 		t.Fatal(err)
 	}
 	findings := analysis.Run(pkgs, []analysis.Checker{analysis.NewErrCheck()})
-	if len(findings) != 1 {
-		t.Fatalf("findings = %v, want exactly the stale waiver", findings)
+	want := []struct {
+		line int
+		msg  string
+	}{
+		{23, "stale lint:ignore: no errcheck finding on this or the next line; delete the waiver"},
+		{37, `malformed lint:ignore: want "lint:ignore <checker> <reason>"`},
+		{42, `unknown checker "sqlcheck" in lint:ignore`},
 	}
-	f := findings[0]
-	if f.Checker != "directive" {
-		t.Errorf("checker = %q, want %q", f.Checker, "directive")
+	if len(findings) != len(want) {
+		t.Fatalf("findings = %v, want the stale, the malformed and the unknown waiver", findings)
 	}
-	const wantMsg = "stale lint:ignore: no errcheck finding on this or the next line; delete the waiver"
-	if f.Message != wantMsg {
-		t.Errorf("message = %q, want %q", f.Message, wantMsg)
-	}
-	if f.Pos.Line != 20 {
-		t.Errorf("line = %d, want 20 (the stale directive comment)", f.Pos.Line)
-	}
-	// The text form ptldb-analyze prints: a compiler-style diagnostic.
-	if got, want := f.String(), f.Pos.String()+": directive: "+wantMsg; got != want {
-		t.Errorf("String() = %q, want %q", got, want)
+	for i, f := range findings {
+		if f.Checker != "directive" || f.Pos.Line != want[i].line || f.Message != want[i].msg {
+			t.Errorf("finding %d = %s, want directive: %q on line %d", i, f, want[i].msg, want[i].line)
+		}
+		// The text form ptldb-analyze prints: a compiler-style diagnostic.
+		if got, want := f.String(), f.Pos.String()+": directive: "+want[i].msg; got != want {
+			t.Errorf("String() = %q, want %q", got, want)
+		}
 	}
 }
 
@@ -78,7 +77,6 @@ func TestStaleWaiver(t *testing.T) {
 // corpus, which must come out without a single finding.
 func TestCleanCorpus(t *testing.T) {
 	analysistest.Run(t, corpus("clean"),
-		analysis.NewSQLCheck(),
 		analysis.NewLockCheck(),
 		analysis.NewLockOrderCheck(),
 		analysis.NewAtomicCheck(),

@@ -1,5 +1,5 @@
 // Package clean is the negative corpus: a miniature, disciplined version of
-// the pool/metrics/SQL plumbing that every checker runs over and must leave
+// the pool/metrics plumbing that every checker runs over and must leave
 // without a single finding.
 package clean
 
@@ -8,10 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-type db struct{}
-
-func (db) CachedPrepare(q string) error { return nil }
 
 type pagedFile struct{}
 
@@ -46,12 +42,6 @@ func get(sh *shard, f pagedFile, page int) ([]byte, error) {
 }
 
 func ops(sh *shard) int64 { return atomic.LoadInt64(&sh.ops) }
-
-// prepare interpolates a table name exactly the way core does; the constant
-// format parses after verb substitution.
-func prepare(d db, table string) error {
-	return d.CachedPrepare(fmt.Sprintf("SELECT a FROM %s", table))
-}
 
 type rowScratch struct {
 	Arena []int64

@@ -90,7 +90,7 @@ func (s *Store) AddTargetSet(name string, targets []timetable.StopID, kmax int) 
 	// state), then compute and bulk-load each one as an independent job on
 	// the worker pool. The otm tables share the knn layout with the best
 	// entry per target instead of the top-k (paper Section 3.3): kmax = |T|.
-	var tbls [6]*sqldb.Table
+	var tbls [numSetKinds]*sqldb.Table
 	for i, def := range s.targetSetDefs(name) {
 		var err error
 		if tbls[i], err = s.DB.CreateTable(def); err != nil {
@@ -101,14 +101,17 @@ func (s *Store) AddTargetSet(name string, targets []timetable.StopID, kmax int) 
 	naiveLD := cloneRows(naive)
 	kmaxOTM := len(targets)
 	jobs := []func() error{
-		func() error { return tbls[0].BulkLoad(naive) },
-		func() error { return tbls[1].BulkLoad(naiveLD) },
-		func() error { return tbls[2].BulkLoad(s.condensedEARows(hubs, byHub, kmax)) },
-		func() error { return tbls[3].BulkLoad(s.condensedLDRows(hubs, byHub, kmax)) },
-		func() error { return tbls[4].BulkLoad(s.condensedEARows(hubs, byHub, kmaxOTM)) },
-		func() error { return tbls[5].BulkLoad(s.condensedLDRows(hubs, byHub, kmaxOTM)) },
+		func() error { return tbls[knnNaiveEA].BulkLoad(naive) },
+		func() error { return tbls[knnNaiveLD].BulkLoad(naiveLD) },
+		func() error { return tbls[knnEA].BulkLoad(s.condensedEARows(hubs, byHub, kmax)) },
+		func() error { return tbls[knnLD].BulkLoad(s.condensedLDRows(hubs, byHub, kmax)) },
+		func() error { return tbls[otmEA].BulkLoad(s.condensedEARows(hubs, byHub, kmaxOTM)) },
+		func() error { return tbls[otmLD].BulkLoad(s.condensedLDRows(hubs, byHub, kmaxOTM)) },
 	}
 	if err := runJobs(s.workers, jobs); err != nil {
+		return err
+	}
+	if err := s.prepareSet(name, kmax); err != nil {
 		return err
 	}
 
@@ -120,9 +123,9 @@ func (s *Store) AddTargetSet(name string, targets []timetable.StopID, kmax int) 
 	return s.saveMeta()
 }
 
-// DropTargetSet removes a target set's six auxiliary tables, e.g. to
-// rebuild them with a different kmax (the paper builds separate tables per
-// density and kmax).
+// DropTargetSet removes a target set's six auxiliary tables and its
+// statements, e.g. to rebuild them with a different kmax (the paper builds
+// separate tables per density and kmax).
 func (s *Store) DropTargetSet(name string) error {
 	if _, ok := s.vm().TargetSets[name]; !ok {
 		return fmt.Errorf("core: unknown target set %q", name)
@@ -132,21 +135,23 @@ func (s *Store) DropTargetSet(name string) error {
 			return err
 		}
 	}
+	delete(s.ver.sets, name)
 	delete(s.vm().TargetSets, name)
 	return s.saveMeta()
 }
 
 // targetSetDefs are the six auxiliary tables of a target set under the bound
-// version: the two naive tables, then the condensed kNN and one-to-many pairs.
-func (s *Store) targetSetDefs(set string) [6]sqldb.TableDef {
+// version, indexed by the kind of statement that reads each: the two naive
+// tables, then the condensed kNN and one-to-many pairs.
+func (s *Store) targetSetDefs(set string) [numSetKinds]sqldb.TableDef {
 	n, w := s.meta.Stops, int64(s.meta.BucketSeconds)
-	return [6]sqldb.TableDef{
-		naiveDef(s.setTable("ea_knn_naive", set), n),
-		naiveDef(s.setTable("ld_knn_naive", set), n),
-		condensedEADef(s.setTable("knn_ea", set), n, w),
-		condensedLDDef(s.setTable("knn_ld", set), n),
-		condensedEADef(s.setTable("otm_ea", set), n, w),
-		condensedLDDef(s.setTable("otm_ld", set), n),
+	return [numSetKinds]sqldb.TableDef{
+		knnNaiveEA: naiveDef(s.setTable("ea_knn_naive", set), n),
+		knnNaiveLD: naiveDef(s.setTable("ld_knn_naive", set), n),
+		knnEA:      condensedEADef(s.setTable("knn_ea", set), n, w),
+		knnLD:      condensedLDDef(s.setTable("knn_ld", set), n),
+		otmEA:      condensedEADef(s.setTable("otm_ea", set), n, w),
+		otmLD:      condensedLDDef(s.setTable("otm_ld", set), n),
 	}
 }
 

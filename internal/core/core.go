@@ -82,9 +82,11 @@ type Store struct {
 	// (0 = GOMAXPROCS).
 	workers int
 
-	// Code 1 statements of the bound version, parsed once at Build/Open/
-	// Version so steady-state v2v queries never touch the SQL parser.
-	v2vEA, v2vLD, v2vSD, v2vWitness *sqldb.Stmt
+	// stmts is the statement table (stmts.go), one entry per version; every
+	// Version view of the store shares it, as they share meta.Versions. ver
+	// is the bound version's entry.
+	stmts map[string]*versionStmts
+	ver   *versionStmts
 
 	// traceHook, when non-nil, receives one obs.Trace per successful query
 	// method call (see SetTraceHook). Version copies the struct, so views
@@ -118,15 +120,14 @@ func (s *Store) linTable() string  { return "lin" + s.tableSuffix() }
 func (s *Store) setTable(prefix, set string) string { return prefix + "_" + set + s.tableSuffix() }
 
 // Version returns a view of the store bound to the named timetable version.
+// It prepares nothing: the view binds the version's entry in the statement
+// table every view shares.
 func (s *Store) Version(name string) (*Store, error) {
 	if _, ok := s.meta.Versions[name]; !ok {
 		return nil, invalidf("unknown version %q", name)
 	}
 	v := *s
-	v.version = name
-	if err := v.prepareStatements(); err != nil {
-		return nil, err
-	}
+	v.version, v.ver = name, s.stmts[name]
 	return &v, nil
 }
 
@@ -164,6 +165,11 @@ func (s *Store) AddVersion(name string, labels *ttl.Labels) error {
 	}
 	if vm.MinTime == timetable.Infinity {
 		vm.MinTime, vm.MaxTime = 0, 0
+	}
+	v := *s
+	v.version = name
+	if err := v.prepareVersion(); err != nil {
+		return err
 	}
 	s.meta.Versions[name] = vm
 	return s.saveMeta()
@@ -209,6 +215,7 @@ func Build(db *sqldb.DB, labels *ttl.Labels, opts BuildOptions) (*Store, error) 
 		},
 		version: BaseVersion,
 		workers: opts.Workers,
+		stmts:   map[string]*versionStmts{},
 	}
 	// Tables are created serially (the catalog is shared state), then filled
 	// on the worker pool: each load touches only its own table's files, so
@@ -256,9 +263,10 @@ func Build(db *sqldb.DB, labels *ttl.Labels, opts BuildOptions) (*Store, error) 
 	if err := s.saveMeta(); err != nil {
 		return nil, err
 	}
-	if err := s.prepareStatements(); err != nil {
+	if err := s.prepareVersion(); err != nil {
 		return nil, err
 	}
+	s.ver = s.stmts[BaseVersion]
 	return s, nil
 }
 
@@ -400,21 +408,26 @@ func Open(db *sqldb.DB) (*Store, error) {
 	if meta.Versions[BaseVersion] == nil {
 		return nil, fmt.Errorf("core: corrupt meta: no %q version", BaseVersion)
 	}
-	s := &Store{DB: db, meta: meta, version: BaseVersion}
+	s := &Store{DB: db, meta: meta, version: BaseVersion, stmts: map[string]*versionStmts{}}
 	// The kernels search a label's hub runs without checking their order, so
 	// a label table that does not declare it — an image from before the
 	// declaration existed — is refused here, like every other old image.
 	// They also index an array by the target ids of a target-set table, whose
 	// bound that table must declare, and stop an EA kNN sweep by the floor an
-	// EA condensed table must declare, under the same rule.
+	// EA condensed table must declare, under the same rule. A version whose
+	// tables pass enters the statement table with every set it has.
 	for _, name := range s.Versions() {
-		v := Store{meta: meta, version: name}
+		v := *s
+		v.version = name
 		for _, table := range []string{v.loutTable(), v.linTable()} {
 			if tbl, ok := db.Table(table); !ok || !slices.Equal(tbl.Def().RunOrder, labelRunOrder) {
 				return nil, fmt.Errorf("core: label table %s does not declare the run order %v: the directory was built by an older version; rebuild it", table, labelRunOrder)
 			}
 		}
-		for set := range v.vm().TargetSets {
+		if err := v.prepareVersion(); err != nil {
+			return nil, err
+		}
+		for set, ts := range v.vm().TargetSets {
 			for _, def := range v.targetSetDefs(set) {
 				var got sqldb.TableDef
 				if tbl, ok := db.Table(def.Name); ok {
@@ -429,11 +442,12 @@ func Open(db *sqldb.DB) (*Store, error) {
 						def.Name, want.Key, want.Width, want.Columns)
 				}
 			}
+			if err := v.prepareSet(set, ts.KMax); err != nil {
+				return nil, err
+			}
 		}
 	}
-	if err := s.prepareStatements(); err != nil {
-		return nil, err
-	}
+	s.ver = s.stmts[BaseVersion]
 	return s, nil
 }
 

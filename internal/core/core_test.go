@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"ptldb/internal/csa"
@@ -466,6 +467,11 @@ func TestStopsMetadataTable(t *testing.T) {
 	rel, trace, err := st.RawTraced("SELECT name FROM stops WHERE v = $1", sqltypes.NewInt(5))
 	if err != nil || len(rel.Rows) != 1 || rel.Rows[0][0].S != "stop-5" || len(trace) == 0 {
 		t.Fatalf("traced SQL stops lookup: %v, trace %q, %v", rel, trace, err)
+	}
+	// A statement outside the dialect is the console's parse error, naming
+	// the token it stopped at.
+	if _, err := st.Raw("SELECT * FROM stops"); err == nil || !strings.Contains(err.Error(), `not in the dialect`) || !strings.Contains(err.Error(), `"*"`) {
+		t.Errorf(`Raw("SELECT * FROM stops") = %v; want a parse error naming "*"`, err)
 	}
 	// Without the option, Stop reports a missing table.
 	db2, _ := sqldb.Open(t.TempDir(), sqldb.Options{Device: storage.RAM, PoolPages: 1024})

@@ -43,15 +43,17 @@ func (s *Store) checkStop(v timetable.StopID) error {
 	return nil
 }
 
-// checkSet validates an OTM query's target set and query stop.
-func (s *Store) checkSet(set string, q timetable.StopID) error {
+// checkSet validates a kNN or one-to-many query's stop and target set, and
+// returns the set's entry in the statement table.
+func (s *Store) checkSet(set string, q timetable.StopID) (*setStmts, error) {
 	if err := s.checkStop(q); err != nil {
-		return err
+		return nil, err
 	}
-	if _, ok := s.vm().TargetSets[set]; !ok {
-		return invalidf("unknown target set %q", set)
+	e, ok := s.ver.sets[set]
+	if !ok {
+		return nil, invalidf("unknown target set %q", set)
 	}
-	return nil
+	return e, nil
 }
 
 // checkStops validates every stop id of a v2v query.

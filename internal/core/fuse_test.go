@@ -5,49 +5,71 @@ import (
 	"testing"
 
 	"ptldb/internal/sqldb"
-	"ptldb/internal/sqldb/exec"
 	"ptldb/internal/sqldb/storage"
 	"ptldb/internal/timetable"
 	"ptldb/internal/ttl"
 )
 
-// TestPreparedStatementsFuse asserts that every statement the store issues
-// compiles to a fused plan, and that the full query battery never reaches the
-// general executor.
+// fusedV2VKinds and fusedSetKinds are the fused plans (exec.FusedPlan.Kind)
+// the entries of the statement table must compile to, by kind.
+var (
+	fusedV2VKinds = [numV2VKinds]string{"v2v-ea", "v2v-ld", "v2v-sd", "v2v-ea-witness"}
+	fusedSetKinds = [numSetKinds]string{"knn-naive-ea", "knn-naive-ld", "cond-knn-ea", "cond-knn-ld", "cond-otm-ea", "cond-otm-ld"}
+)
+
+// TestPreparedStatementsFuse walks the whole statement table — the base
+// version, a version added with AddVersion, and a target set on each — and
+// requires every entry to compile to its fused plan over its own version's
+// tables. Then the query battery never reaches the general executor.
 func TestPreparedStatementsFuse(t *testing.T) {
-	st, _ := paperStore(t)
+	st, labels := paperStore(t)
+	if err := st.AddVersion("weekend", labels); err != nil {
+		t.Fatal(err)
+	}
+	we, err := st.Version("weekend")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := st.AddTargetSet("poi", []timetable.StopID{4, 6}, 4); err != nil {
 		t.Fatal(err)
 	}
-
-	if !st.v2vEA.Fused() || !st.v2vLD.Fused() || !st.v2vSD.Fused() || !st.v2vWitness.Fused() {
-		t.Errorf("v2v statements fused = %v, %v, %v, %v; want all true",
-			st.v2vEA.Fused(), st.v2vLD.Fused(), st.v2vSD.Fused(), st.v2vWitness.Fused())
+	if err := we.AddTargetSet("poi", []timetable.StopID{2, 5}, 2); err != nil {
+		t.Fatal(err)
 	}
 
-	knn := []struct {
-		name   string
-		format string
-		args   []any
-	}{
-		{"knn-naive-ea", exec.SQLKNNNaiveEA, []any{st.setTable("ea_knn_naive", "poi"), st.loutTable()}},
-		{"knn-naive-ld", exec.SQLKNNNaiveLD, []any{st.setTable("ld_knn_naive", "poi"), st.loutTable()}},
-		{"knn-ea", exec.SQLKNNEA, []any{st.setTable("knn_ea", "poi"), st.meta.BucketSeconds, st.loutTable()}},
-		{"knn-ld", exec.SQLKNNLD, []any{st.setTable("knn_ld", "poi"), st.meta.BucketSeconds, st.loutTable()}},
-		{"otm-ea", exec.SQLOTMEA, []any{st.setTable("otm_ea", "poi"), st.meta.BucketSeconds, st.loutTable()}},
-		{"otm-ld", exec.SQLOTMLD, []any{st.setTable("otm_ld", "poi"), st.meta.BucketSeconds, st.loutTable()}},
+	if len(st.stmts) != 2 {
+		t.Fatalf("statement table has %d versions, want 2", len(st.stmts))
 	}
-	for _, q := range knn {
-		stmt, err := st.prepared(q.format, q.args...)
-		if err != nil {
-			t.Fatalf("%s: prepare: %v", q.name, err)
+	for version, e := range st.stmts {
+		lout := "lout"
+		if version != BaseVersion {
+			lout += "__" + version
 		}
-		if !stmt.Fused() {
-			t.Errorf("%s: statement did not fuse", q.name)
+		check := func(name string, stmt *sqldb.Stmt, kind string) {
+			t.Helper()
+			if !stmt.Fused() || stmt.Kind() != kind {
+				t.Errorf("%s %s: fused %v as %q, want %q", version, name, stmt.Fused(), stmt.Kind(), kind)
+				return
+			}
+			if plan, _ := stmt.Explain(); !strings.Contains(plan, " "+lout+" ") {
+				t.Errorf("%s %s does not read %s:\n%s", version, name, lout, plan)
+			}
+		}
+		for k, stmt := range e.v2v {
+			check(v2vKindNames[k], stmt, fusedV2VKinds[k])
+		}
+		if len(e.sets) != 1 {
+			t.Errorf("%s: %d target sets in the statement table, want 1", version, len(e.sets))
+		}
+		for set, ss := range e.sets {
+			for k, stmt := range ss.stmts {
+				check(setKindNames[k]+":"+set, stmt, fusedSetKinds[k])
+			}
 		}
 	}
 
 	queryBattery(t, st)
+	queryBattery(t, we)
 	fused, general := st.DB.FusedStats()
 	if fused == 0 {
 		t.Error("query battery recorded no fused executions")

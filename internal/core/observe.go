@@ -7,6 +7,7 @@ package core
 // renders the operator tree a prepared paper query will execute with.
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -115,11 +116,16 @@ func (s *Store) observeRaw(run func() (*exec.Relation, error)) (*exec.Relation, 
 
 // ExplainNames lists the query names ExplainPrepared accepts under the bound
 // version: the four v2v kinds plus "<kind>:<set>" for every registered
-// target set.
+// target set, sets sorted.
 func (s *Store) ExplainNames() []string {
-	out := []string{"v2v-ea", "v2v-ld", "v2v-sd", "v2v-ea-witness"}
-	for _, set := range s.targetSetNames() {
-		for _, kind := range setKinds {
+	sets := make([]string, 0, len(s.ver.sets))
+	for set := range s.ver.sets {
+		sets = append(sets, set)
+	}
+	sort.Strings(sets)
+	out := append([]string(nil), v2vKindNames[:]...)
+	for _, set := range sets {
+		for _, kind := range setKindNames {
 			out = append(out, kind+":"+set)
 		}
 	}
@@ -127,45 +133,25 @@ func (s *Store) ExplainNames() []string {
 }
 
 // ExplainPrepared renders the plan of one of the paper's prepared queries,
-// named "<kind>" for the v2v Codes ("v2v-ea", "v2v-ld", "v2v-sd",
-// "v2v-ea-witness") or "<kind>:<set>" for the per-target-set Codes
-// (setKinds). The statement comes from setStmt, as the query method's does,
-// so the rendered tree is the tree that method executes.
+// named "<kind>" for the v2v Codes (v2vKindNames) or "<kind>:<set>" for the
+// per-target-set Codes (setKindNames). The statement is the query method's
+// own entry in the statement table, so the rendered tree is the tree that
+// method executes.
 func (s *Store) ExplainPrepared(name string) (string, error) {
-	kind, set := name, ""
-	if i := strings.IndexByte(name, ':'); i >= 0 {
-		kind, set = name[:i], name[i+1:]
-	}
-	switch kind {
-	case "v2v-ea":
-		return s.v2vEA.Explain()
-	case "v2v-ld":
-		return s.v2vLD.Explain()
-	case "v2v-sd":
-		return s.v2vSD.Explain()
-	case "v2v-ea-witness":
-		return s.v2vWitness.Explain()
+	kind, set, _ := strings.Cut(name, ":")
+	if k := slices.Index(v2vKindNames[:], kind); k >= 0 {
+		return s.ver.v2v[k].Explain()
 	}
 	if set == "" {
 		return "", invalidf("explain %q: kind %q needs a target set (\"%s:<set>\")", name, kind, kind)
 	}
-	if _, ok := s.vm().TargetSets[set]; !ok {
+	e, ok := s.ver.sets[set]
+	if !ok {
 		return "", invalidf("explain %q: unknown target set %q", name, set)
 	}
-	st, err := s.setStmt(kind, set)
-	if err != nil {
-		return "", err
+	k := slices.Index(setKindNames[:], kind)
+	if k < 0 {
+		return "", invalidf("unknown query kind %q", kind)
 	}
-	return st.Explain()
-}
-
-// targetSetNames returns the bound version's target-set names, sorted.
-func (s *Store) targetSetNames() []string {
-	sets := s.vm().TargetSets
-	out := make([]string, 0, len(sets))
-	for name := range sets {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
+	return e.stmts[k].Explain()
 }

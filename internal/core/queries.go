@@ -10,55 +10,6 @@ import (
 	"ptldb/internal/timetable"
 )
 
-// prepared returns the shared prepared statement for the formatted SQL,
-// parsing it at most once per database via the plan cache.
-func (s *Store) prepared(format string, a ...any) (*sqldb.Stmt, error) {
-	return s.DB.CachedPrepare(fmt.Sprintf(format, a...))
-}
-
-// setKinds are the per-target-set statement kinds setStmt builds, in the
-// order ExplainNames lists them.
-var setKinds = []string{"knn-naive-ea", "knn-naive-ld", "knn-ea", "knn-ld", "otm-ea", "otm-ld"}
-
-// setStmt returns the prepared statement of one per-target-set kind over set.
-// It is the one place those statements are built: the query methods execute
-// what it returns and ExplainPrepared renders it, so the two trees cannot
-// drift. Each arm keeps its format constant, which sqlcheck proves fuses.
-func (s *Store) setStmt(kind, set string) (*sqldb.Stmt, error) {
-	switch kind {
-	case "knn-naive-ea":
-		return s.prepared(exec.SQLKNNNaiveEA, s.setTable("ea_knn_naive", set), s.loutTable())
-	case "knn-naive-ld":
-		return s.prepared(exec.SQLKNNNaiveLD, s.setTable("ld_knn_naive", set), s.loutTable())
-	case "knn-ea":
-		return s.prepared(exec.SQLKNNEA, s.setTable("knn_ea", set), s.meta.BucketSeconds, s.loutTable())
-	case "knn-ld":
-		return s.prepared(exec.SQLKNNLD, s.setTable("knn_ld", set), s.meta.BucketSeconds, s.loutTable())
-	case "otm-ea":
-		return s.prepared(exec.SQLOTMEA, s.setTable("otm_ea", set), s.meta.BucketSeconds, s.loutTable())
-	case "otm-ld":
-		return s.prepared(exec.SQLOTMLD, s.setTable("otm_ld", set), s.meta.BucketSeconds, s.loutTable())
-	}
-	return nil, invalidf("unknown query kind %q", kind)
-}
-
-// prepareStatements parses the bound version's Code 1 statements once;
-// after this, steady-state v2v queries execute with zero SQL parses.
-func (s *Store) prepareStatements() error {
-	var err error
-	if s.v2vEA, err = s.prepared(exec.SQLV2VEA, s.loutTable(), s.linTable()); err != nil {
-		return err
-	}
-	if s.v2vLD, err = s.prepared(exec.SQLV2VLD, s.loutTable(), s.linTable()); err != nil {
-		return err
-	}
-	if s.v2vSD, err = s.prepared(exec.SQLV2VSD, s.loutTable(), s.linTable()); err != nil {
-		return err
-	}
-	s.v2vWitness, err = s.prepared(exec.SQLV2VEAWitness, s.loutTable(), s.linTable())
-	return err
-}
-
 // queryScalar runs a statement whose result is a single one-column row,
 // observed under code.
 func (s *Store) queryScalar(code obs.Code, st *sqldb.Stmt, params ...sqltypes.Value) (timetable.Time, bool, error) {
@@ -86,7 +37,7 @@ func (s *Store) EarliestArrival(src, dst timetable.StopID, t timetable.Time) (ar
 	if err := s.checkStops(src, dst); err != nil {
 		return 0, false, err
 	}
-	return s.queryScalar(obs.CodeV2VEA, s.v2vEA,
+	return s.queryScalar(obs.CodeV2VEA, s.ver.v2v[v2vEA],
 		sqltypes.NewInt(int64(src)), sqltypes.NewInt(int64(dst)), sqltypes.NewInt(int64(t)))
 }
 
@@ -95,7 +46,7 @@ func (s *Store) LatestDeparture(src, dst timetable.StopID, t timetable.Time) (de
 	if err := s.checkStops(src, dst); err != nil {
 		return 0, false, err
 	}
-	return s.queryScalar(obs.CodeV2VLD, s.v2vLD,
+	return s.queryScalar(obs.CodeV2VLD, s.ver.v2v[v2vLD],
 		sqltypes.NewInt(int64(src)), sqltypes.NewInt(int64(dst)), sqltypes.NewInt(int64(t)))
 }
 
@@ -104,7 +55,7 @@ func (s *Store) ShortestDuration(src, dst timetable.StopID, t, tEnd timetable.Ti
 	if err := s.checkStops(src, dst); err != nil {
 		return 0, false, err
 	}
-	return s.queryScalar(obs.CodeV2VSD, s.v2vSD,
+	return s.queryScalar(obs.CodeV2VSD, s.ver.v2v[v2vSD],
 		sqltypes.NewInt(int64(src)), sqltypes.NewInt(int64(dst)),
 		sqltypes.NewInt(int64(t)), sqltypes.NewInt(int64(tEnd)))
 }
@@ -134,58 +85,47 @@ func (s *Store) queryResults(code obs.Code, st *sqldb.Stmt, params ...sqltypes.V
 	return out, nil
 }
 
-// checkK validates k and the query stop against a registered target set.
-func (s *Store) checkK(set string, q timetable.StopID, k int) error {
-	if err := s.checkStop(q); err != nil {
-		return err
+// checkK is checkSet for a kNN query, which also validates k against the
+// set's kmax.
+func (s *Store) checkK(set string, q timetable.StopID, k int) (*setStmts, error) {
+	e, err := s.checkSet(set, q)
+	if err != nil {
+		return nil, err
 	}
-	ts, ok := s.vm().TargetSets[set]
-	if !ok {
-		return invalidf("unknown target set %q", set)
+	if k < 1 || k > e.kmax {
+		return nil, invalidf("k=%d outside [1, kmax=%d] of target set %q", k, e.kmax, set)
 	}
-	if k < 1 || k > ts.KMax {
-		return invalidf("k=%d outside [1, kmax=%d] of target set %q", k, ts.KMax, set)
-	}
-	return nil
+	return e, nil
 }
 
 // EAKNNNaive answers EA-kNN(q, T, t, k) with the naive Code 2 query.
 func (s *Store) EAKNNNaive(set string, q timetable.StopID, t timetable.Time, k int) ([]Result, error) {
-	if err := s.checkK(set, q, k); err != nil {
-		return nil, err
-	}
-	st, err := s.setStmt("knn-naive-ea", set)
+	e, err := s.checkK(set, q, k)
 	if err != nil {
 		return nil, err
 	}
-	return s.queryResults(obs.CodeKNNNaiveEA, st,
+	return s.queryResults(obs.CodeKNNNaiveEA, e.stmts[knnNaiveEA],
 		sqltypes.NewInt(int64(q)), sqltypes.NewInt(int64(t)), sqltypes.NewInt(int64(k)))
 }
 
 // LDKNNNaive answers LD-kNN(q, T, t, k) with the naive LD analogue of
 // Code 2.
 func (s *Store) LDKNNNaive(set string, q timetable.StopID, t timetable.Time, k int) ([]Result, error) {
-	if err := s.checkK(set, q, k); err != nil {
-		return nil, err
-	}
-	st, err := s.setStmt("knn-naive-ld", set)
+	e, err := s.checkK(set, q, k)
 	if err != nil {
 		return nil, err
 	}
-	return s.queryResults(obs.CodeKNNNaiveLD, st,
+	return s.queryResults(obs.CodeKNNNaiveLD, e.stmts[knnNaiveLD],
 		sqltypes.NewInt(int64(q)), sqltypes.NewInt(int64(t)), sqltypes.NewInt(int64(k)))
 }
 
 // EAKNN answers EA-kNN(q, T, t, k) with the optimized Code 3 query.
 func (s *Store) EAKNN(set string, q timetable.StopID, t timetable.Time, k int) ([]Result, error) {
-	if err := s.checkK(set, q, k); err != nil {
-		return nil, err
-	}
-	st, err := s.setStmt("knn-ea", set)
+	e, err := s.checkK(set, q, k)
 	if err != nil {
 		return nil, err
 	}
-	return s.queryResults(obs.CodeKNNEA, st,
+	return s.queryResults(obs.CodeKNNEA, e.stmts[knnEA],
 		sqltypes.NewInt(int64(q)), sqltypes.NewInt(int64(t)), sqltypes.NewInt(int64(k)))
 }
 
@@ -205,41 +145,32 @@ func (s *Store) clampLD(t timetable.Time) int64 {
 
 // LDKNN answers LD-kNN(q, T, t, k) with the optimized Code 4 query.
 func (s *Store) LDKNN(set string, q timetable.StopID, t timetable.Time, k int) ([]Result, error) {
-	if err := s.checkK(set, q, k); err != nil {
-		return nil, err
-	}
-	st, err := s.setStmt("knn-ld", set)
+	e, err := s.checkK(set, q, k)
 	if err != nil {
 		return nil, err
 	}
-	return s.queryResults(obs.CodeKNNLD, st,
+	return s.queryResults(obs.CodeKNNLD, e.stmts[knnLD],
 		sqltypes.NewInt(int64(q)), sqltypes.NewInt(s.clampLD(t)), sqltypes.NewInt(int64(k)))
 }
 
 // EAOTM answers EA-OTM(q, T, t) with the one-to-many variant of Code 3,
 // returning the earliest arrival for every reachable target.
 func (s *Store) EAOTM(set string, q timetable.StopID, t timetable.Time) ([]Result, error) {
-	if err := s.checkSet(set, q); err != nil {
-		return nil, err
-	}
-	st, err := s.setStmt("otm-ea", set)
+	e, err := s.checkSet(set, q)
 	if err != nil {
 		return nil, err
 	}
-	return s.queryResults(obs.CodeOTMEA, st,
+	return s.queryResults(obs.CodeOTMEA, e.stmts[otmEA],
 		sqltypes.NewInt(int64(q)), sqltypes.NewInt(int64(t)))
 }
 
 // LDOTM answers LD-OTM(q, T, t) with the one-to-many variant of Code 4.
 func (s *Store) LDOTM(set string, q timetable.StopID, t timetable.Time) ([]Result, error) {
-	if err := s.checkSet(set, q); err != nil {
-		return nil, err
-	}
-	st, err := s.setStmt("otm-ld", set)
+	e, err := s.checkSet(set, q)
 	if err != nil {
 		return nil, err
 	}
-	return s.queryResults(obs.CodeOTMLD, st,
+	return s.queryResults(obs.CodeOTMLD, e.stmts[otmLD],
 		sqltypes.NewInt(int64(q)), sqltypes.NewInt(s.clampLD(t)))
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"os"
+	"strings"
 	"testing"
 
 	"ptldb/internal/csa"
@@ -149,8 +150,23 @@ func TestDropTargetSet(t *testing.T) {
 	if _, ok := st.TargetSets()["poi"]; ok {
 		t.Error("dropped set still registered")
 	}
-	if _, err := st.EAKNN("poi", 0, 36000, 1); err == nil {
-		t.Error("query against dropped set succeeded")
+	// The set's statements went with it: every set query and its plan are
+	// the caller's mistake of naming an unknown set.
+	for name, q := range map[string]func() error{
+		"EAKNNNaive": func() error { _, err := st.EAKNNNaive("poi", 0, 36000, 1); return err },
+		"LDKNNNaive": func() error { _, err := st.LDKNNNaive("poi", 0, 36000, 1); return err },
+		"EAKNN":      func() error { _, err := st.EAKNN("poi", 0, 36000, 1); return err },
+		"LDKNN":      func() error { _, err := st.LDKNN("poi", 0, 36000, 1); return err },
+		"EAOTM":      func() error { _, err := st.EAOTM("poi", 0, 36000); return err },
+		"LDOTM":      func() error { _, err := st.LDOTM("poi", 0, 36000); return err },
+		"explain":    func() error { _, err := st.ExplainPrepared("knn-ea:poi"); return err },
+	} {
+		if err := q(); !IsInvalidArgument(err) || !strings.Contains(err.Error(), `unknown target set "poi"`) {
+			t.Errorf("%s against the dropped set: %v, want the unknown-set error", name, err)
+		}
+	}
+	if len(st.ver.sets) != 0 {
+		t.Errorf("statement table still holds sets %v", st.ver.sets)
 	}
 	// Rebuild with a different kmax.
 	if err := st.AddTargetSet("poi", []timetable.StopID{4, 6}, 4); err != nil {
@@ -159,6 +175,17 @@ func TestDropTargetSet(t *testing.T) {
 	got, err := st.EAKNN("poi", 0, 36000, 4)
 	if err != nil || len(got) != 2 {
 		t.Fatalf("rebuilt set: %v %v", got, err)
+	}
+	// A refused AddTargetSet prepares and registers nothing.
+	_, parsed := st.DB.StmtCacheStats()
+	if err := st.AddTargetSet("poi", []timetable.StopID{4}, 1); err == nil {
+		t.Error("duplicate set name accepted")
+	}
+	if err := st.AddTargetSet("other", []timetable.StopID{4}, 0); err == nil {
+		t.Error("kmax 0 accepted")
+	}
+	if _, now := st.DB.StmtCacheStats(); now != parsed || len(st.ver.sets) != 1 || st.ver.sets["poi"].kmax != 4 {
+		t.Errorf("refused AddTargetSet: %d parses, sets %v", now-parsed, st.ver.sets)
 	}
 }
 

@@ -38,6 +38,20 @@ if git grep -nE 'caseBodies|loopBody|blockingFuncs|shardMutexFields|hasDefaultCl
     echo "no statement interpreter, no second call-summary fixpoint, no second annotation reader" >&2
     exit 1
 fi
+echo "== statements are values: no plan cache, no lint-time SQL, one statement builder in core"
+if git grep -nE 'CachedPrepare|NewSQLCheck|substFormatVerbs' -- '*.go'; then
+    echo "core prepares each statement once, when its tables appear, and keeps it (internal/core/stmts.go):" >&2
+    echo "no text-keyed plan cache, and no lint checker re-parsing statements" >&2
+    exit 1
+fi
+if git grep -nE 'exec\.SQL|\.Prepare\(' -- 'internal/core/*.go' ':!internal/core/*_test.go' ':!internal/core/stmts.go'; then
+    echo "only internal/core/stmts.go formats a statement of exec/codes.go or calls Prepare" >&2
+    exit 1
+fi
+if go list -deps ./cmd/ptldb-analyze | grep ptldb/internal/sqldb; then
+    echo "ptldb-analyze links no part of the SQL engine" >&2
+    exit 1
+fi
 echo "== go vet ./..."
 go vet ./...
 echo "== ptldb-analyze ./... (project lint)"
