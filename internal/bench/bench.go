@@ -95,9 +95,10 @@ func (c Config) Defaults() Config {
 // every table is a segment — a v4 image has stops.heap and no stops.seg; v6:
 // the label tables declare run_order in catalog.json — a v5 image built before
 // they did has none; v7: the naive and condensed tables declare target_ids
-// there; v8: the EA condensed tables declare their floor there): a stale cache
-// would otherwise fail to open.
-const datasetFormat = 8
+// there; v8: the EA condensed tables declare their floor there; v9: the EA
+// one-to-many table declares its target count there): a stale cache would
+// otherwise fail to open.
+const datasetFormat = 9
 
 // Densities are the paper's target-density values D = |T| / |V|.
 var Densities = []float64{0.001, 0.005, 0.01, 0.05, 0.1}

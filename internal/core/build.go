@@ -91,7 +91,7 @@ func (s *Store) AddTargetSet(name string, targets []timetable.StopID, kmax int) 
 	// the worker pool. The otm tables share the knn layout with the best
 	// entry per target instead of the top-k (paper Section 3.3): kmax = |T|.
 	var tbls [numSetKinds]*sqldb.Table
-	for i, def := range s.targetSetDefs(name) {
+	for i, def := range s.targetSetDefs(name, len(targets)) {
 		var err error
 		if tbls[i], err = s.DB.CreateTable(def); err != nil {
 			return err
@@ -130,7 +130,7 @@ func (s *Store) DropTargetSet(name string) error {
 	if _, ok := s.vm().TargetSets[name]; !ok {
 		return fmt.Errorf("core: unknown target set %q", name)
 	}
-	for _, def := range s.targetSetDefs(name) {
+	for _, def := range s.targetSetDefs(name, 0) {
 		if err := s.DB.DropTable(def.Name); err != nil {
 			return err
 		}
@@ -140,27 +140,29 @@ func (s *Store) DropTargetSet(name string) error {
 	return s.saveMeta()
 }
 
-// targetSetDefs are the six auxiliary tables of a target set under the bound
-// version, indexed by the kind of statement that reads each: the two naive
-// tables, then the condensed kNN and one-to-many pairs.
-func (s *Store) targetSetDefs(set string) [numSetKinds]sqldb.TableDef {
+// targetSetDefs are the six auxiliary tables of a target set of size targets
+// under the bound version, indexed by the kind of statement that reads each:
+// the two naive tables, then the condensed kNN and one-to-many pairs. A caller
+// after the names alone may pass any size.
+func (s *Store) targetSetDefs(set string, targets int) [numSetKinds]sqldb.TableDef {
 	n, w := s.meta.Stops, int64(s.meta.BucketSeconds)
 	return [numSetKinds]sqldb.TableDef{
 		knnNaiveEA: naiveDef(s.setTable("ea_knn_naive", set), n),
 		knnNaiveLD: naiveDef(s.setTable("ld_knn_naive", set), n),
-		knnEA:      condensedEADef(s.setTable("knn_ea", set), n, w),
+		knnEA:      condensedEADef(s.setTable("knn_ea", set), n, 0, w),
 		knnLD:      condensedLDDef(s.setTable("knn_ld", set), n),
-		otmEA:      condensedEADef(s.setTable("otm_ea", set), n, w),
+		otmEA:      condensedEADef(s.setTable("otm_ea", set), n, targets, w),
 		otmLD:      condensedLDDef(s.setTable("otm_ld", set), n),
 	}
 }
 
 // targetBound is the declaration every target-set table makes of the columns
-// that hold targets: stop ids, so below the number of stops. BulkLoad holds the
-// builders to it, and the kNN / one-to-many kernels size their per-target
-// array by it.
-func targetBound(stops int, cols ...string) *sqldb.TargetIDs {
-	return &sqldb.TargetIDs{Columns: cols, Bound: int64(stops)}
+// that hold targets: stop ids, so below the number of stops — and, when count
+// is positive, at most count distinct ones. BulkLoad holds the builders to it,
+// the kNN / one-to-many kernels size their per-target array by the bound, and
+// the EA one-to-many kernel stops its sweep by the count.
+func targetBound(stops, count int, cols ...string) *sqldb.TargetIDs {
+	return &sqldb.TargetIDs{Columns: cols, Bound: int64(stops), Count: int64(count)}
 }
 
 // naiveDef is the schema of ea_knn_naive_<set> / ld_knn_naive_<set>.
@@ -168,7 +170,7 @@ func naiveDef(n string, stops int) sqldb.TableDef {
 	return sqldb.TableDef{
 		Name:      n,
 		PK:        []string{"hub", "td"},
-		TargetIDs: targetBound(stops, "vs"),
+		TargetIDs: targetBound(stops, 0, "vs"),
 		Columns: []sqldb.ColumnDef{
 			{Name: "hub", Type: sqltypes.Int64},
 			{Name: "td", Type: sqltypes.Int64},
@@ -250,13 +252,15 @@ func arrivalTimes(rs []Result) sqltypes.Value {
 // contiguous run of the file (DESIGN.md §10.1). Every arrival a row holds is
 // no earlier than the start of its bucket — the expanded arm departs inside
 // it, the top-k arm in later ones, and no tuple arrives before it departs —
-// and the table declares so: BulkLoad holds the builder to it, and the kNN
-// kernel stops its sweep by it (DESIGN.md §7.4).
-func condensedEADef(n string, stops int, width int64) sqldb.TableDef {
+// and the table declares so: BulkLoad holds the builder to it, and the kNN and
+// one-to-many kernels stop their sweep by it (DESIGN.md §7.4). The one-to-many
+// table also declares its count of targets — the set's size, every id its rows
+// can hold — by which that sweep stops; the kNN table passes 0, no count.
+func condensedEADef(n string, stops, count int, width int64) sqldb.TableDef {
 	return sqldb.TableDef{
 		Name:      n,
 		PK:        []string{"dephour", "hub"},
-		TargetIDs: targetBound(stops, "vs", "vs_exp"),
+		TargetIDs: targetBound(stops, count, "vs", "vs_exp"),
 		Floor:     &sqldb.Floor{Key: "dephour", Width: width, Columns: []string{"tas", "tas_exp"}},
 		Columns: []sqldb.ColumnDef{
 			{Name: "hub", Type: sqltypes.Int64},
@@ -330,7 +334,7 @@ func condensedLDDef(n string, stops int) sqldb.TableDef {
 	return sqldb.TableDef{
 		Name:      n,
 		PK:        []string{"arrhour", "hub"},
-		TargetIDs: targetBound(stops, "vs", "vs_exp"),
+		TargetIDs: targetBound(stops, 0, "vs", "vs_exp"),
 		Columns: []sqldb.ColumnDef{
 			{Name: "hub", Type: sqltypes.Int64},
 			{Name: "arrhour", Type: sqltypes.Int64},

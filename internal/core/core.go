@@ -413,8 +413,9 @@ func Open(db *sqldb.DB) (*Store, error) {
 	// a label table that does not declare it — an image from before the
 	// declaration existed — is refused here, like every other old image.
 	// They also index an array by the target ids of a target-set table, whose
-	// bound that table must declare, and stop an EA kNN sweep by the floor an
-	// EA condensed table must declare, under the same rule. A version whose
+	// bound that table must declare, and stop an EA kNN or one-to-many sweep by
+	// the floor an EA condensed table must declare and the target count the EA
+	// one-to-many table must declare, under the same rule. A version whose
 	// tables pass enters the statement table with every set it has.
 	for _, name := range s.Versions() {
 		v := *s
@@ -428,7 +429,7 @@ func Open(db *sqldb.DB) (*Store, error) {
 			return nil, err
 		}
 		for set, ts := range v.vm().TargetSets {
-			for _, def := range v.targetSetDefs(set) {
+			for _, def := range v.targetSetDefs(set, len(ts.Targets)) {
 				var got sqldb.TableDef
 				if tbl, ok := db.Table(def.Name); ok {
 					got = tbl.Def()
@@ -436,6 +437,10 @@ func Open(db *sqldb.DB) (*Store, error) {
 				if ids, want := got.TargetIDs, def.TargetIDs; ids == nil || ids.Bound != want.Bound || !slices.Equal(ids.Columns, want.Columns) {
 					return nil, fmt.Errorf("core: table %s does not declare its target ids %v below %d: the directory was built by an older version; rebuild it",
 						def.Name, want.Columns, want.Bound)
+				}
+				if n, want := got.TargetIDs.Count, def.TargetIDs.Count; want > 0 && n != want {
+					return nil, fmt.Errorf("core: table %s does not declare its target count %d: the directory was built by an older version; rebuild it",
+						def.Name, want)
 				}
 				if fl, want := got.Floor, def.Floor; want != nil && (fl == nil || fl.Key != want.Key || fl.Width != want.Width || !slices.Equal(fl.Columns, want.Columns)) {
 					return nil, fmt.Errorf("core: table %s does not declare the floor %s × %d of %v: the directory was built by an older version; rebuild it",

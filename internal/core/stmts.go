@@ -98,7 +98,7 @@ func (s *Store) prepare(set string, into []*sqldb.Stmt) error {
 			v2vWitness: fmt.Sprintf(exec.SQLV2VEAWitness, lout, lin),
 		}
 	} else {
-		t := s.targetSetDefs(set)
+		t := s.targetSetDefs(set, 0)
 		texts = []string{
 			knnNaiveEA: fmt.Sprintf(exec.SQLKNNNaiveEA, t[knnNaiveEA].Name, lout),
 			knnNaiveLD: fmt.Sprintf(exec.SQLKNNNaiveLD, t[knnNaiveLD].Name, lout),

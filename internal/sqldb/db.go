@@ -41,9 +41,10 @@ type ColumnDef struct {
 // and declares that in every row the three arrays have equal length, g is
 // non-decreasing, and within a run of equal g both a and b are non-decreasing.
 // TargetIDs, when set, names BIGINT[] columns and declares that every element
-// of them in every row is an id in [0, Bound). Floor, when set, declares that
+// of them in every row is an id in [0, Bound) and, when Count is positive, that
+// the rows hold at most Count distinct ids. Floor, when set, declares that
 // every element of its columns in every row is at least the row's Key value
-// times Width. BulkLoad rejects a row that breaks any of them, so readers
+// times Width. BulkLoad rejects a load that breaks any of them, so readers
 // trust all three unchecked.
 type TableDef struct {
 	Name      string      `json:"name"`
@@ -56,10 +57,13 @@ type TableDef struct {
 
 // TargetIDs is TableDef's declaration of dense ids: the columns that hold
 // them and their exclusive bound, at most math.MaxInt32 (a reader may index
-// an array by them).
+// an array by them), and optionally Count: the most distinct ids all rows hold
+// together, in [1, Bound], or 0 for no count. A one-to-many table declares the
+// size of its target set, so a reader knows when it has seen every id.
 type TargetIDs struct {
 	Columns []string `json:"columns"`
 	Bound   int64    `json:"bound"`
+	Count   int64    `json:"count,omitempty"`
 }
 
 // Floor is TableDef's declaration of a lower bound that moves with a key: Key

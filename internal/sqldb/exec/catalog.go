@@ -52,19 +52,21 @@ type RunOrdered interface {
 }
 
 // TargetBounded is an optional Table extension. TargetBound returns the
-// positions of the BIGINT[] columns that hold target ids and their exclusive
-// bound, or nil and 0: every element of those columns in every stored row is
-// in [0, bound). The table vouches for it as it does for its run order; the
-// fused executor sizes its per-target array by it.
+// positions of the BIGINT[] columns that hold target ids, their exclusive
+// bound and a count, or nil, 0 and 0: every element of those columns in every
+// stored row is in [0, bound), and when count is positive the stored rows hold
+// at most count distinct ids. The table vouches for it as it does for its run
+// order; the fused executor sizes its per-target array by the bound, and the
+// EA one-to-many kernel stops its sweep by the count.
 type TargetBounded interface {
-	TargetBound() (cols []int, bound int)
+	TargetBound() (cols []int, bound, count int)
 }
 
 // Floored is an optional Table extension. Floor returns the position of a
 // BIGINT key column, a width >= 1 and the positions of BIGINT[] columns, or -1,
 // 0 and nil: every element of those columns in every stored row is at least
 // the row's key times the width. The table vouches for it as it does for its
-// run order; the EA kNN kernel stops its sweep by it.
+// run order; the EA kNN and one-to-many kernels stop their sweep by it.
 type Floored interface {
 	Floor() (key int, width int64, cols []int)
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // memTable is an in-memory Table implementation for executor unit tests.
-// runOrder is what it declares as RunOrdered, targetCols and bound as
+// runOrder is what it declares as RunOrdered, targetCols, bound and count as
 // TargetBounded; nothing validates the rows against either, so a test that
 // sets one builds rows that keep it — or break it on purpose.
 type memTable struct {
@@ -19,6 +19,7 @@ type memTable struct {
 	runOrder   []int
 	targetCols []int
 	bound      int
+	count      int // at most this many distinct target ids; 0 declares none
 	// floor declares, when floorCols is set, that every element of those
 	// columns is >= the floorKey column times floorWidth.
 	floorKey   int
@@ -27,10 +28,10 @@ type memTable struct {
 	rows       []sqltypes.Row
 }
 
-func (m *memTable) Columns() []string         { return m.cols }
-func (m *memTable) PKCols() []int             { return m.pk }
-func (m *memTable) RunOrder() []int           { return m.runOrder }
-func (m *memTable) TargetBound() ([]int, int) { return m.targetCols, m.bound }
+func (m *memTable) Columns() []string              { return m.cols }
+func (m *memTable) PKCols() []int                  { return m.pk }
+func (m *memTable) RunOrder() []int                { return m.runOrder }
+func (m *memTable) TargetBound() ([]int, int, int) { return m.targetCols, m.bound, m.count }
 func (m *memTable) Floor() (int, int64, []int) {
 	if m.floorCols == nil {
 		return -1, 0, nil

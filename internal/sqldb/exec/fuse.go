@@ -12,7 +12,8 @@ package exec
 // A fused plan answers or returns an error that says what is wrong: a
 // parameter that is not a BIGINT, a negative LIMIT, a table that is missing,
 // lacks a column, has another key or does not declare what the kernel trusts
-// (a label's run order, a target-id bound, an EA condensed table's floor).
+// (a label's run order, a target-id bound, an EA condensed table's floor, an
+// EA one-to-many table's target count).
 // Each is a caller bug or a violated storage invariant; there is no fallback.
 
 import (
@@ -192,8 +193,10 @@ func Fuse(sel *sql.Select) *FusedPlan {
 			f := c.cond
 			p.reads(m.tables[2], m.tables[0], 2, []int{auxTopV, auxExpV}, f.bucketCol, "hub", f.topV, f.topVal, f.expTd, f.expV, f.expTa)
 			if f.ea {
-				// Every arrival an EA row folds is no earlier than its bucket.
+				// Every arrival an EA row folds is no earlier than its bucket,
+				// and a one-to-many is settled once every target is in.
 				p.tables[1].floor, p.tables[1].width = []int{auxTopVal, auxExpTa}, m.width
+				p.tables[1].counted = f.kParam == 0
 			}
 		}
 		return p

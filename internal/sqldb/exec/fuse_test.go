@@ -388,7 +388,8 @@ const auxWidth = 50
 // top="tds" for LD. An EA table is shaped as the builder's are and declares
 // their floor: a row's expanded connections depart inside its bucket, and no
 // arrival in the row — on either arm, now and then exactly at the bucket's
-// start — is earlier than that start at width auxWidth.
+// start — is earlier than that start at width auxWidth. Either declares the
+// exact count of its distinct target ids.
 func randAuxTable(rng *rand.Rand, bucketCol, top string) *memTable {
 	tbl := &memTable{
 		cols: []string{"hub", bucketCol, "vs", top, "tds_exp", "vs_exp", "tas_exp"},
@@ -442,7 +443,22 @@ func randAuxTable(rng *rand.Rand, bucketCol, top string) *memTable {
 			})
 		}
 	}
+	declareCount(tbl)
 	return tbl
+}
+
+// declareCount makes tbl declare exactly the number of distinct target ids its
+// rows hold — 1 when they hold none, the least a declaration says.
+func declareCount(tbl *memTable) {
+	ids := map[int64]bool{}
+	for _, row := range tbl.rows {
+		for _, c := range tbl.targetCols {
+			for _, v := range row[c].A {
+				ids[v] = true
+			}
+		}
+	}
+	tbl.count = max(len(ids), 1)
 }
 
 func TestFusedCondensedDifferential(t *testing.T) {
@@ -516,10 +532,14 @@ func TestFusedTypedErrors(t *testing.T) {
 	// statement's, or one over the top-k arm alone.
 	unflooredAux, widerFloorAux, halfFlooredAux := *good["aux_ea"], *good["aux_ea"], *good["aux_ea"]
 	unflooredAux.floorCols, widerFloorAux.floorWidth, halfFlooredAux.floorCols = nil, 2*auxWidth, []int{3}
+	// An EA table that declares no count of its target ids.
+	uncountedAux := *good["aux_ea"]
+	uncountedAux.count = 0
 
 	v2vEA := fmt.Sprintf(SQLV2VEA, "lout", "lin")
 	naiveEA := fmt.Sprintf(SQLKNNNaiveEA, "naive", "lout")
 	knnEA := fmt.Sprintf(SQLKNNEA, "aux_ea", auxWidth, "lout")
+	otmEA := fmt.Sprintf(SQLOTMEA, "aux_ea", auxWidth, "lout")
 	cases := []struct {
 		name, q string
 		cat     memCatalog
@@ -546,6 +566,7 @@ func TestFusedTypedErrors(t *testing.T) {
 		{"no floor, EA condensed", knnEA, with("aux_ea", &unflooredAux), ones, []string{`"aux_ea"`, "floor dephour × 50", "rebuild"}},
 		{"a floor at another width", knnEA, with("aux_ea", &widerFloorAux), ones, []string{`"aux_ea"`, "floor dephour × 50", "rebuild"}},
 		{"no floor on the expanded arm", knnEA, with("aux_ea", &halfFlooredAux), ones, []string{`"aux_ea"`, `"tas_exp"`, "rebuild"}},
+		{"no target count, EA one-to-many", otmEA, with("aux_ea", &uncountedAux), ones[:2], []string{`"aux_ea"`, "target count", "rebuild"}},
 		{"unequal label arrays", v2vEA,
 			with("lout", &memTable{cols: labelCols, pk: []int{0}, runOrder: []int{1, 2, 3},
 				rows: []sqltypes.Row{{one, arr([]int64{1, 2}), arr([]int64{5}), arr([]int64{6, 7})}}}),

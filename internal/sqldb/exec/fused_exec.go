@@ -467,16 +467,23 @@ func (p *FusedPlan) runCondensed(cat Catalog, params []sqltypes.Value, st *query
 	// holds the label and one row after it.
 	labEnd := len(st.scratch.Arena)
 	var arms condArms
-	// The EA kNN stop rule (DESIGN.md §7.4): the table declares every value a
-	// row of bucket b folds to be >= b × width, and the probes ascend by
-	// bucket. Once b × width exceeds the k-th best value so far, no row left
-	// can lower a kept value or displace one, so the sweep ends there.
-	stops, bucket := f.ea && limited, int64(math.MinInt64)
+	// The EA stop rule (DESIGN.md §7.4): the table declares every value a row
+	// of bucket b folds to be >= b × width, and the probes ascend by bucket.
+	// The answer is settled by its best settle targets: a kNN's k, and all of
+	// a one-to-many's, which the table declares it holds at most settle of.
+	// Once b × width exceeds the settle-th best value so far, no row left can
+	// add a target, lower a kept value or displace one, so the sweep ends
+	// there.
+	settle := k
+	if !limited {
+		settle = aux.count
+	}
+	bucket := int64(math.MinInt64)
 	for _, gi := range st.order {
 		g := &st.groups[gi]
-		if stops && g.bucket != bucket {
+		if f.ea && g.bucket != bucket {
 			bucket = g.bucket
-			if tau, ok := st.kthVal(k); ok && bucket > floorDiv(tau, p.width) {
+			if tau, ok := st.kthVal(settle); ok && bucket > floorDiv(tau, p.width) {
 				break
 			}
 		}

@@ -184,8 +184,9 @@ func TestTopKMatchesSortAndTruncate(t *testing.T) {
 }
 
 // awkwardCatalog builds a label table for stops 1..6 and one condensed table
-// per direction whose targets are those same stops; the EA table's arrivals
-// respect the floor it declares, as the builder's do. Timestamps span
+// per direction whose targets are those same stops, each declaring how many of
+// them it holds; the EA table's arrivals respect the floor it declares, as the
+// builder's do. Timestamps span
 // [-300, 280) so that, at width 50, buckets run from -6 to 5; dense labels
 // put ~15 tuples on each of four hubs, i.e. several per (hub, bucket), and
 // give stop 6 one departure a billion seconds out (bucket 20 000 000), past
@@ -255,6 +256,7 @@ func awkwardCatalog(rng *rand.Rand, dense bool) memCatalog {
 				})
 			}
 		}
+		declareCount(tbl)
 		return tbl
 	}
 	return memCatalog{
@@ -343,13 +345,15 @@ func TestFusedCondensedAwkwardShapes(t *testing.T) {
 	}
 }
 
-// TestFusedKNNStopRule pins where an EA kNN sweep stops, on hand-made tables
-// at width 10: not at a bucket that starts exactly at the k-th best value (a
-// target there may tie it and win on its id), not while fewer than k targets
-// are accumulated, and at the first bucket that starts after the k-th best
-// value, negative buckets included. Every answer is the general executor's,
-// and the number of rows looked up is exact: one per label group until the
-// stop.
+// TestFusedKNNStopRule pins where an EA kNN or one-to-many sweep stops, on
+// hand-made tables at width 10: not at a bucket that starts exactly at the
+// k-th best value (a target there may tie it and win on its id) or, for a
+// one-to-many, at the largest value; not while fewer than k targets — or, for
+// a one-to-many, than the table's declared count — are accumulated, so never
+// when the count overstates the ids the table holds; and at the first bucket
+// that starts after that value, negative buckets included. Every answer is the
+// general executor's, and the number of rows looked up is exact: one per label
+// group until the stop.
 func TestFusedKNNStopRule(t *testing.T) {
 	const w = 10
 	type cond struct {
@@ -361,6 +365,7 @@ func TestFusedKNNStopRule(t *testing.T) {
 		hubs, tds, tas []int64 // stop 1's label
 		rows           []cond
 		t, k           int64
+		count          int // > 0: the one-to-many, over a table declaring this count
 		probes         int
 	}{
 		{name: "a value at the bucket start ties the k-th value",
@@ -400,12 +405,58 @@ func TestFusedKNNStopRule(t *testing.T) {
 				{bucket: -3, hub: 1, vs: []int64{0}, tas: []int64{-30}},
 			},
 			t: -100, k: 2, probes: 1},
+		{name: "one-to-many stops at the first bucket after the largest value once every target is in",
+			hubs: []int64{0, 1, 2}, tds: []int64{0, 0, 0}, tas: []int64{5, 25, 41}, // groups (0, 0), (2, 1), (4, 2)
+			rows: []cond{
+				{bucket: 0, hub: 0, vs: []int64{3}, tas: []int64{12}, tdsExp: []int64{5}, vsExp: []int64{5}, tasExp: []int64{18}},
+				{bucket: 2, hub: 1, vs: []int64{3}, tas: []int64{20}},
+				{bucket: 4, hub: 2, vs: []int64{5}, tas: []int64{40}},
+			},
+			count: 2, probes: 1},
+		{name: "one-to-many: a bucket that starts at the largest value",
+			hubs: []int64{0, 1, 2}, tds: []int64{0, 0, 0}, tas: []int64{5, 25, 35}, // groups (0, 0), (2, 1), (3, 2)
+			rows: []cond{
+				{bucket: 0, hub: 0, vs: []int64{3, 5}, tas: []int64{12, 20}},
+				{bucket: 2, hub: 1, vs: []int64{5}, tas: []int64{20}}, // ties (5, 20)
+				{bucket: 3, hub: 2, vs: []int64{3}, tas: []int64{30}},
+			},
+			count: 2, probes: 2},
+		{name: "one-to-many: fewer than count targets never stop",
+			hubs: []int64{0, 1, 2}, tds: []int64{0, 0, 0}, tas: []int64{5, 25, 45}, // groups (0, 0), (2, 1), (4, 2)
+			rows: []cond{
+				{bucket: 0, hub: 0, vs: []int64{3}, tas: []int64{10}},
+				{bucket: 2, hub: 1, vs: []int64{5}, tas: []int64{20}},
+				{bucket: 4, hub: 2, vs: []int64{7}, tas: []int64{40}},
+			},
+			count: 3, probes: 3},
+		{name: "one-to-many: a count that overstates the table's ids never stops",
+			hubs: []int64{0, 1, 2}, tds: []int64{0, 0, 0}, tas: []int64{5, 25, 41},
+			rows: []cond{
+				{bucket: 0, hub: 0, vs: []int64{3}, tas: []int64{12}, tdsExp: []int64{5}, vsExp: []int64{5}, tasExp: []int64{18}},
+				{bucket: 2, hub: 1, vs: []int64{3}, tas: []int64{20}},
+				{bucket: 4, hub: 2, vs: []int64{5}, tas: []int64{40}},
+			},
+			count: 3, probes: 3},
+		{name: "one-to-many: a negative bucket starting at the largest value",
+			hubs: []int64{0, 1}, tds: []int64{-50, -40}, tas: []int64{-35, -25}, // groups (-4, 0), (-3, 1)
+			rows: []cond{
+				{bucket: -4, hub: 0, vs: []int64{1, 2}, tas: []int64{-40, -30}},
+				{bucket: -3, hub: 1, vs: []int64{2}, tas: []int64{-30}},
+			},
+			t: -100, count: 2, probes: 2},
+		{name: "one-to-many: a negative bucket starting after the largest value",
+			hubs: []int64{0, 1}, tds: []int64{-50, -40}, tas: []int64{-35, -25},
+			rows: []cond{
+				{bucket: -4, hub: 0, vs: []int64{1, 2}, tas: []int64{-40, -31}},
+				{bucket: -3, hub: 1, vs: []int64{1}, tas: []int64{-30}},
+			},
+			t: -100, count: 2, probes: 1},
 	}
 	arr := sqltypes.NewIntArray
 	for _, tc := range cases {
 		aux := &memTable{
 			cols: []string{"hub", "dephour", "vs", "tas", "tds_exp", "vs_exp", "tas_exp"}, pk: []int{1, 0},
-			targetCols: []int{2, 5}, bound: 10, floorKey: 1, floorWidth: w, floorCols: []int{3, 6},
+			targetCols: []int{2, 5}, bound: 10, count: tc.count, floorKey: 1, floorWidth: w, floorCols: []int{3, 6},
 		}
 		for _, r := range tc.rows {
 			aux.rows = append(aux.rows, sqltypes.Row{sqltypes.NewInt(r.hub), sqltypes.NewInt(r.bucket),
@@ -418,6 +469,9 @@ func TestFusedKNNStopRule(t *testing.T) {
 		}
 		q := fmt.Sprintf(SQLKNNEA, "aux_ea", w, "lout")
 		params := []sqltypes.Value{sqltypes.NewInt(1), sqltypes.NewInt(tc.t), sqltypes.NewInt(tc.k)}
+		if tc.count > 0 {
+			q, params = fmt.Sprintf(SQLOTMEA, "aux_ea", w, "lout"), params[:2]
+		}
 		diffRun(t, cat, q, params)
 		var probed [][2]int64
 		if _, err := Fuse(mustParse(t, q)).Run(keyLogCatalog{cat, &probed}, params); err != nil {
@@ -432,20 +486,31 @@ func TestFusedKNNStopRule(t *testing.T) {
 // FuzzCondensedKNNStop: over a run-ordered label and an EA condensed table
 // inside its declared floor — both drawn from seed and moved by a drawn
 // number of buckets, often below zero — and any t and k, with stops -7..7 as
-// q (1..5 have labels), the fused kNN, which stops its sweep early, answers
-// what the general executor answers, or fails where it fails.
+// q (1..5 have labels), the fused kNN and one-to-many (drawn from seed), which
+// stop their sweep early, answer what the general executor answers, or fail
+// where it fails. The table declares the count of its distinct target ids,
+// one time in three overstated.
 func FuzzCondensedKNNStop(f *testing.F) {
 	for _, s := range [][4]int64{{1, 1, 0, 1}, {2, 3, 120, 2}, {3, 5, -400, 4}, {4, 2, 90, 1 << 40}, {5, 4, math.MinInt64, 3}, {6, 1, 50, -1}} {
 		f.Add(s[0], s[1], s[2], s[3])
 	}
-	sel, err := sql.Parse(fmt.Sprintf(SQLKNNEA, "aux_ea", auxWidth, "lout"))
-	if err != nil {
-		f.Fatal(err)
+	var plans [2]*FusedPlan
+	var sels [2]*sql.Select
+	for i, text := range []string{SQLKNNEA, SQLOTMEA} {
+		sel, err := sql.Parse(fmt.Sprintf(text, "aux_ea", auxWidth, "lout"))
+		if err != nil {
+			f.Fatal(err)
+		}
+		sels[i], plans[i] = sel, Fuse(sel)
 	}
-	fp := Fuse(sel)
 	f.Fuzz(func(t *testing.T, seed, q, at, k int64) {
 		rng := rand.New(rand.NewSource(seed))
 		cat := memCatalog{"lout": randLabelTable(rng, 5, 8), "aux_ea": randAuxTable(rng, "dephour", "tas")}
+		if rng.Intn(3) == 0 {
+			cat["aux_ea"].count += 1 + rng.Intn(3)
+		}
+		otm := rng.Intn(2) // 0: the kNN, 1: the one-to-many
+		sel, fp := sels[otm], plans[otm]
 		d := (int64(rng.Intn(21)) - 10) * auxWidth
 		for _, row := range cat["lout"].rows {
 			for _, c := range row[2:4] { // tds, tas
@@ -463,6 +528,9 @@ func FuzzCondensedKNNStop(f *testing.F) {
 			}
 		}
 		params := []sqltypes.Value{sqltypes.NewInt(q % 8), sqltypes.NewInt(at), sqltypes.NewInt(k)}
+		if otm == 1 {
+			params = params[:2] // no LIMIT
+		}
 		want, wantErr := Run(sel, cat, params)
 		for _, c := range []Catalog{cat, scratchCatalog{cat}} {
 			got, err := fp.Run(c, params)

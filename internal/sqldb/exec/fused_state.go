@@ -43,14 +43,16 @@ const (
 // the bound of its target ids (TargetBounded) over the columns the plan folds:
 // the accumulator is an array of that size. An EA condensed table must declare
 // the floor of the values the plan folds (Floored) by its bucket column at the
-// plan's width: the kNN sweep stops by it. The resolved column positions are
-// cached per table identity, so a query pays one catalog lookup and one
-// pointer compare instead of a name scan per column.
+// plan's width, and an EA one-to-many table the count of its distinct target
+// ids: the sweep stops by them. The resolved column positions are cached per
+// table identity, so a query pays one catalog lookup and one pointer compare
+// instead of a name scan per column.
 type tableRef struct {
 	name    string
 	cols    []string
 	pk      int   // leading cols that must be the table's PK columns; 0 = unchecked
 	targets []int // slots of cols that hold target ids, whose bound the table must declare; nil for a label table
+	counted bool  // the table must also declare the count of its distinct target ids
 	// floor holds the slots of cols whose elements the table must declare to be
 	// at least cols[0] × width; nil when the plan needs no floor.
 	floor []int
@@ -59,19 +61,19 @@ type tableRef struct {
 }
 
 // tableLayout is the resolved position of each tableRef column in one
-// concrete table, and the table's declared target-id bound (0 when it declares
-// none). Table values must be comparable (every implementation is a pointer
-// or a struct of pointers).
+// concrete table, and the table's declared target-id bound and count of
+// distinct ids (0 when it declares none). Table values must be comparable
+// (every implementation is a pointer or a struct of pointers).
 type tableLayout struct {
-	tb    Table
-	idx   [maxFusedCols]int
-	bound int
+	tb           Table
+	idx          [maxFusedCols]int
+	bound, count int
 }
 
 // resolve returns the table with the positions of r.cols in it, or an error
 // naming the table when it is missing, lacks a column, has a different key
 // shape, is a label table that declares no run order, folds target ids it
-// declares no bound for or values it declares no floor for.
+// declares no bound or count for or values it declares no floor for.
 //
 // hotpath — allocheck root: runs once per table per fused query.
 func (r *tableRef) resolve(cat Catalog) (*tableLayout, error) {
@@ -113,12 +115,15 @@ func (r *tableRef) resolveSlow(tb Table) (*tableLayout, error) {
 	}
 	var declared []int
 	if tbd, ok := tb.(TargetBounded); ok {
-		declared, l.bound = tbd.TargetBound()
+		declared, l.bound, l.count = tbd.TargetBound()
 	}
 	for _, c := range r.targets {
 		if l.bound < 1 || !slices.Contains(declared, l.idx[c]) {
 			return nil, fmt.Errorf("exec: table %q does not declare the bound of its target ids in %q; rebuild the database", r.name, r.cols[c])
 		}
+	}
+	if r.counted && l.count < 1 {
+		return nil, fmt.Errorf("exec: table %q does not declare its target count; rebuild the database", r.name)
 	}
 	if r.floor != nil {
 		key, width, declared := -1, int64(0), []int(nil)
@@ -331,7 +336,8 @@ func (a *targetAcc) topK(k int, limited, desc bool) []kEntry {
 // smallest values in st.kth, so the entries, whose positions the
 // accumulator's slots record, stay where they are.
 //
-// hotpath — allocheck root: at each new bucket of an EA kNN sweep.
+// hotpath — allocheck root: at each new bucket of an EA kNN or one-to-many
+// sweep.
 func (st *queryState) kthVal(k int) (int64, bool) {
 	e := st.acc.entries
 	if len(e) < k {
@@ -421,7 +427,7 @@ type queryState struct {
 	order, bucketCnt []int32
 
 	acc    targetAcc
-	kth    []int64 // EA kNN only: kthVal's heap
+	kth    []int64 // EA condensed only: kthVal's heap
 	merged uint64  // fold calls, published once per query
 }
 

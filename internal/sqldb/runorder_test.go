@@ -136,8 +136,8 @@ func TestBulkLoadValidatesTargetBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	declares := func(tbl *Table) bool {
-		cols, bound := tbl.TargetBound()
-		return slices.Equal(cols, []int{1, 3}) && bound == 10
+		cols, bound, count := tbl.TargetBound()
+		return slices.Equal(cols, []int{1, 3}) && bound == 10 && count == 0
 	}
 	if !declares(tbl) {
 		t.Fatalf("TargetBound() does not report the positions of vs, vs_exp under 10")
@@ -206,7 +206,7 @@ func TestBulkLoadValidatesTargetBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cols, bound := free.TargetBound(); cols != nil || bound != 0 {
+	if cols, bound, _ := free.TargetBound(); cols != nil || bound != 0 {
 		t.Fatalf("undeclared table reports target ids %v under %d", cols, bound)
 	}
 	load(t, free, row(0, []int64{-1, 1 << 40}, []int64{-9}))
@@ -257,11 +257,125 @@ func TestBulkLoadValidatesTargetBound(t *testing.T) {
 	defer db.Close()
 	tbl, _ = db.Table("aux")
 	free, _ = db.Table("free")
-	if cols, _ := free.TargetBound(); !declares(tbl) || cols != nil {
+	if cols, _, _ := free.TargetBound(); !declares(tbl) || cols != nil {
 		t.Fatalf("after reopen: aux declares %v, free %v", tbl.Def().TargetIDs, free.Def().TargetIDs)
 	}
 	if err := tbl.BulkLoad([]sqltypes.Row{row(0, []int64{10}, nil)}); err == nil {
 		t.Fatal("the reopened table took an id at its bound")
+	}
+}
+
+// TestBulkLoadValidatesTargetCount: a declared count of distinct target ids
+// holds over every declared column of every row of the one write together. An
+// id seen again — in its row, in the other column, on a later row — counts
+// once, and rows holding exactly the count load. One distinct id more rejects
+// the whole load naming the table, row, column, position, id and count, and a
+// loaded table keeps serving the segment it had. A count outside [0, bound] is
+// refused at CreateTable and again at Open, and a sound one survives close and
+// reopen.
+func TestBulkLoadValidatesTargetCount(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.CreateTable(targetDef("aux", &TargetIDs{Columns: []string{"vs", "vs_exp"}, Bound: 10, Count: 3}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	declares := func(tbl *Table) bool {
+		cols, bound, count := tbl.TargetBound()
+		return slices.Equal(cols, []int{1, 3}) && bound == 10 && count == 3
+	}
+	if !declares(tbl) {
+		t.Fatalf("TargetBound() does not report vs, vs_exp under 10 with the count 3")
+	}
+	row := func(hub int64, vs, vsExp []int64) sqltypes.Row {
+		// tas declares nothing: its values are neither ids nor counted.
+		return sqltypes.Row{sqltypes.NewInt(hub), sqltypes.NewIntArray(vs),
+			sqltypes.NewIntArray([]int64{1, 4, 5, 6}), sqltypes.NewIntArray(vsExp)}
+	}
+	// Three distinct ids, each more than once, in both columns and on both rows.
+	load(t, tbl, row(0, []int64{2, 9, 2}, []int64{9}), row(1, []int64{0}, []int64{0, 2, 9}))
+	bad := []struct {
+		name  string
+		rows  []sqltypes.Row
+		frags []string
+	}{
+		{"a fourth id on the first row", []sqltypes.Row{row(0, []int64{2, 9, 0, 5}, nil)},
+			[]string{"row 0", "aux.vs:", "target id 5", "position 3", "count 3"}},
+		{"a fourth id in vs_exp of a later row", []sqltypes.Row{row(0, []int64{2, 9}, []int64{9, 2}), row(1, []int64{9}, []int64{2, 0, 1})},
+			[]string{"row 1", "aux.vs_exp:", "target id 1", "position 2", "count 3"}},
+	}
+	for _, tc := range bad {
+		err := tbl.BulkLoad(tc.rows)
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+			continue
+		}
+		for _, frag := range tc.frags {
+			if !strings.Contains(err.Error(), frag) {
+				t.Errorf("%s: error lacks %q: %v", tc.name, frag, err)
+			}
+		}
+	}
+	requireOnlySegments(t, dir, "aux")
+	if got, ok, err := tbl.LookupPK([]int64{1}); err != nil || !ok || !slices.Equal(got[3].A, []int64{0, 2, 9}) || tbl.RowCount() != 2 {
+		t.Fatalf("rejected loads changed a loaded table: %v, %v, %v (%d rows)", got, ok, err, tbl.RowCount())
+	}
+
+	refused := map[string]int64{"a count below zero": -1, "a count past the bound": 11}
+	for what, count := range refused {
+		ids := &TargetIDs{Columns: []string{"vs"}, Bound: 10, Count: count}
+		if _, err := db.CreateTable(targetDef("other", ids)); err == nil || !strings.Contains(err.Error(), `"other"`) {
+			t.Errorf("CreateTable declaring %s: %v, want a rejection naming the table", what, err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	catalog, err := os.ReadFile(filepath.Join(dir, "catalog.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := []byte(`"count": 3`)
+	if n := bytes.Count(catalog, []byte(`"count"`)); n != 1 || !bytes.Contains(catalog, declared) {
+		t.Fatalf("catalog does not hold the one declaration as expected:\n%s", catalog)
+	}
+	for what, count := range refused {
+		edited := bytes.Replace(catalog, declared, []byte(fmt.Sprintf(`"count": %d`, count)), 1)
+		if err := os.WriteFile(filepath.Join(dir, "catalog.json"), edited, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := openFDs(t)
+		db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256, VectorCacheBytes: 1 << 20})
+		if err == nil {
+			db.Close()
+			t.Fatalf("Open accepted a catalog declaring %s", what)
+		}
+		if !strings.Contains(err.Error(), `"aux"`) {
+			t.Errorf("catalog declaring %s: error does not name the table: %v", what, err)
+		}
+		if after := openFDs(t); after != before {
+			t.Errorf("catalog declaring %s: failed open leaked file descriptors: %d before, %d after", what, before, after)
+		}
+	}
+
+	if err := os.WriteFile(filepath.Join(dir, "catalog.json"), catalog, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db, err = Open(dir, Options{Device: storage.RAM, PoolPages: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	tbl, _ = db.Table("aux")
+	if !declares(tbl) {
+		t.Fatalf("after reopen: aux declares %+v", tbl.Def().TargetIDs)
+	}
+	if err := tbl.BulkLoad(bad[0].rows); err == nil {
+		t.Fatal("the reopened table took a fourth distinct id")
 	}
 }
 

@@ -29,11 +29,11 @@ type Table struct {
 	types []sqltypes.Type
 	// runOrder is the positions of def.RunOrder's columns, nil when the table
 	// declares no run order; targetCols those of def.TargetIDs' columns under
-	// targetBound, nil and 0 when it declares no target ids; floorCols those
-	// of def.Floor's columns over the key column floorKey, unset when it
-	// declares no floor.
+	// targetBound, at most targetCount distinct, nil, 0 and 0 when it declares
+	// no target ids; floorCols those of def.Floor's columns over the key column
+	// floorKey, unset when it declares no floor.
 	runOrder, targetCols, floorCols []int
-	targetBound                     int64
+	targetBound, targetCount        int64
 	floorKey                        int
 
 	// The open segment, replaced as one by BulkLoad. Between CreateTable and
@@ -55,9 +55,9 @@ type Table struct {
 // newTable builds the in-memory side of a table from its definition — one
 // being created or one read back from the catalog. A run-order declaration
 // that is not three existing BIGINT[] columns, a target-id declaration that is
-// not at least one of them under a bound in [1, math.MaxInt32], or a floor that
-// is not at least one of them over a BIGINT key column and a width >= 1, is an
-// error either way.
+// not at least one of them under a bound in [1, math.MaxInt32] with a count in
+// [0, bound], or a floor that is not at least one of them over a BIGINT key
+// column and a width >= 1, is an error either way.
 func (db *DB) newTable(def TableDef) (*Table, error) {
 	t := &Table{def: def, db: db, types: make([]sqltypes.Type, len(def.Columns)), seg: new(storage.Segment)}
 	for i, c := range def.Columns {
@@ -77,9 +77,9 @@ func (db *DB) newTable(def TableDef) (*Table, error) {
 		t.runOrder = append(t.runOrder, ci)
 	}
 	if ids := def.TargetIDs; ids != nil {
-		if len(ids.Columns) == 0 || ids.Bound < 1 || ids.Bound > math.MaxInt32 {
-			return nil, fmt.Errorf("sqldb: table %q: target ids declare %d columns under the bound %d, want at least one and a bound in [1, %d]",
-				def.Name, len(ids.Columns), ids.Bound, math.MaxInt32)
+		if len(ids.Columns) == 0 || ids.Bound < 1 || ids.Bound > math.MaxInt32 || ids.Count < 0 || ids.Count > ids.Bound {
+			return nil, fmt.Errorf("sqldb: table %q: target ids declare %d columns under the bound %d with the count %d, want at least one, a bound in [1, %d] and a count in [0, bound]",
+				def.Name, len(ids.Columns), ids.Bound, ids.Count, math.MaxInt32)
 		}
 		for _, name := range ids.Columns {
 			ci := colIndex(def.Columns, name)
@@ -88,7 +88,7 @@ func (db *DB) newTable(def TableDef) (*Table, error) {
 			}
 			t.targetCols = append(t.targetCols, ci)
 		}
-		t.targetBound = ids.Bound
+		t.targetBound, t.targetCount = ids.Bound, ids.Count
 	}
 	if fl := def.Floor; fl != nil {
 		key := colIndex(def.Columns, fl.Key)
@@ -134,9 +134,11 @@ func (t *Table) PKCols() []int { return t.pkCols }
 func (t *Table) RunOrder() []int { return t.runOrder }
 
 // TargetBound implements exec.TargetBounded: the positions of the declared
-// target-id columns and their exclusive bound, nil and 0 when the table
-// declares none.
-func (t *Table) TargetBound() ([]int, int) { return t.targetCols, int(t.targetBound) }
+// target-id columns, their exclusive bound and their declared count of
+// distinct ids (0: none), nil, 0 and 0 when the table declares no target ids.
+func (t *Table) TargetBound() ([]int, int, int) {
+	return t.targetCols, int(t.targetBound), int(t.targetCount)
+}
 
 // Floor implements exec.Floored: the positions of the declared floor's key
 // and columns and its width, -1, 0 and nil when the table declares none.
@@ -212,6 +214,26 @@ func (t *Table) checkRow(row sqltypes.Row) error {
 	return nil
 }
 
+// countTargets marks the target ids of a checked row in seen, one bit per id
+// of the bound, and returns the number of distinct ids marked so far, or an
+// error at the first id past the declared count.
+func (t *Table) countTargets(row sqltypes.Row, seen []uint64, distinct int64) (int64, error) {
+	for _, ci := range t.targetCols {
+		for i, id := range row[ci].A {
+			w, bit := id>>6, uint64(1)<<(id&63)
+			if seen[w]&bit != 0 {
+				continue
+			}
+			seen[w] |= bit
+			if distinct++; distinct > t.targetCount {
+				return distinct, fmt.Errorf("sqldb: %s.%s: target id %d at position %d is the table's distinct id number %d, past the declared count %d",
+					t.def.Name, t.def.Columns[ci].Name, id, i, distinct, t.targetCount)
+			}
+		}
+	}
+	return distinct, nil
+}
+
 // BulkLoad makes rows the table's content — the one write a table has. The
 // rows must be sorted by strictly ascending primary key and hold no NULL;
 // all of them are validated before a byte is written, so a rejected load
@@ -230,10 +252,21 @@ func (t *Table) BulkLoad(rows []sqltypes.Row) error {
 	for i, typ := range t.types {
 		sd.Cols[i] = byte(typ)
 	}
+	// A declared count of distinct target ids holds over all rows together:
+	// seen has one bit per id of the bound.
+	var seen []uint64
+	if t.targetCount > 0 {
+		seen = make([]uint64, (t.targetBound+63)/64)
+	}
+	distinct := int64(0)
 	// The rows are validated and encoded in memory; the file is not touched
 	// until every one of them has passed.
 	for i, r := range rows {
-		if err := t.checkRow(r); err != nil {
+		err := t.checkRow(r)
+		if err == nil && seen != nil {
+			distinct, err = t.countTargets(r, seen, distinct)
+		}
+		if err != nil {
 			return fmt.Errorf("row %d: %w", i, err)
 		}
 		for k, ci := range t.pkCols {

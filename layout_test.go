@@ -7,7 +7,7 @@ package ptldb
 // every hub in the label — no more pages than that bucket's run of rows
 // covers. The page set each query should read is worked out here from the
 // label and the segment directory, independently of the executor; an EA kNN
-// stops its sweep early and reads a prefix of that set.
+// or one-to-many stops its sweep early and reads a prefix of that set.
 
 import (
 	"fmt"
@@ -186,12 +186,12 @@ func TestCondensedLayoutColdReads(t *testing.T) {
 			if reads := seeks + after.SeqReads - before.SeqReads; reads != pages {
 				t.Fatalf("%s: %d device reads for %d pool misses", desc, reads, pages)
 			}
-			// Exactly the pages its rows lie on, each once — for an EA kNN,
-			// which stops its sweep once its top k are settled, at most those.
+			// Exactly the pages its rows lie on, each once — for an EA query,
+			// which stops its sweep once its answer is settled, at most those.
 			switch want := cf.pages(probes); {
-			case kind.ea && kind.knn && int(pages) > want:
+			case kind.ea && int(pages) > want:
 				t.Errorf("%s: read %d pages of the condensed file, its full probe set lies on %d", desc, pages, want)
-			case !(kind.ea && kind.knn) && int(pages) != want:
+			case !kind.ea && int(pages) != want:
 				t.Errorf("%s: read %d pages of the condensed file, its rows lie on %d", desc, pages, want)
 			}
 			if seeks <= 1 {

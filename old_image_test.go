@@ -2,12 +2,13 @@ package ptldb
 
 // old_image_test.go: a directory built before the label tables declared
 // their run order, before the target-set tables declared the bound of their
-// target ids, or before the EA condensed tables declared the floor of their
-// arrivals, differs from one built now only in catalog.json. The kernels
-// search the runs without checking them, index an array by the ids and stop
-// an EA kNN sweep by the floor, so such a directory is refused at Open —
-// naming the table and the remedy, every time, with nothing left open behind
-// the error — like every other old image.
+// target ids, before the EA condensed tables declared the floor of their
+// arrivals, or before the EA one-to-many table declared its target count,
+// differs from one built now only in catalog.json. The kernels search the runs
+// without checking them, index an array by the ids and stop an EA sweep by the
+// floor and the count, so such a directory is refused at Open — naming the
+// table and the remedy, every time, with nothing left open behind the error —
+// like every other old image.
 
 import (
 	"encoding/json"
@@ -55,6 +56,11 @@ func TestUndeclaredImageFailsClosed(t *testing.T) {
 		{"run_order", func(d *sqldb.TableDef) { d.RunOrder = nil }, []string{"lout", "run order", "rebuild"}},
 		{"target_ids", func(d *sqldb.TableDef) { d.TargetIDs = nil }, []string{"_poi", "target ids", "rebuild"}},
 		{"floor", func(d *sqldb.TableDef) { d.Floor = nil }, []string{"_ea_poi", "floor", "rebuild"}},
+		{"count", func(d *sqldb.TableDef) {
+			if d.TargetIDs != nil {
+				d.TargetIDs.Count = 0
+			}
+		}, []string{"otm_ea_poi", "target count", "rebuild"}},
 	} {
 		if !strings.Contains(string(built), tc.key) {
 			t.Fatalf("the built catalog does not declare %s:\n%s", tc.key, built)

@@ -7,8 +7,8 @@
 # (benchmark/ is a module of its own, invisible to ./...), a look at what
 # ptldb-build leaves in a database directory, the console on it, and what
 # becomes of that directory once its catalog stops declaring the label run
-# order, the target-id bound or the EA condensed floor. Also available as
-# `make check`.
+# order, the target-id bound, the EA condensed floor or the EA one-to-many
+# target count. Also available as `make check`.
 set -eu
 cd "$(dirname "$0")/.."
 img=$(mktemp -d)
@@ -131,15 +131,16 @@ if out=$("$img/ptldb-query" -db "$img/db" sql "$code1" 0 one 0 2>&1) || ! echo "
     echo "$out" >&2
     exit 1
 fi
-echo "== an image whose catalog stops declaring the label run order, the target-id bound or the EA floor does not open"
+echo "== an image whose catalog stops declaring the label run order, the target-id bound, the EA floor or the target count does not open"
 # The kernels search a label's runs unchecked, index an array by a condensed
-# row's target ids and stop an EA kNN sweep by the floor of its arrivals, so an
-# image that does not declare them — any built before the declaration existed
-# — must be refused, not answered from. A key the catalog reader does not know
-# is ignored: renaming it undeclares.
+# row's target ids and stop an EA sweep by the floor of its arrivals and, for a
+# one-to-many, by the count of its targets, so an image that does not declare
+# them — any built before the declaration existed — must be refused, not
+# answered from. A key the catalog reader does not know is ignored: renaming
+# it undeclares. "count" names no other key of the catalog.
 go run ./cmd/ptldb-query -db "$img/db" ea 0 1 0 > /dev/null
 cp "$img/db/catalog.json" "$img/catalog.built"
-for decl in 'run_order:run order' 'target_ids:target ids' 'floor:floor'; do
+for decl in 'run_order:run order' 'target_ids:target ids' 'floor:floor' 'count:target count'; do
     key=${decl%%:*} says=${decl#*:}
     sed "s/\"$key\"/\"${key}_of_an_older_build\"/" "$img/catalog.built" > "$img/db/catalog.json"
     if cmp -s "$img/catalog.built" "$img/db/catalog.json"; then
