@@ -1,7 +1,7 @@
 // Command ptldb-serve exposes built PTLDB databases over HTTP: the seven
 // query types of the paper plus the prepared-plan and observability
-// endpoints, with per-request timeouts, bounded in-flight admission control
-// and query-level request coalescing (see internal/serve and DESIGN.md §13).
+// endpoints, with per-request timeouts and bounded in-flight admission
+// control (see internal/serve and DESIGN.md §13).
 //
 // Usage:
 //
@@ -143,8 +143,8 @@ func main() {
 			os.Exit(1)
 		}
 		m := srv.Metrics()
-		fmt.Fprintf(os.Stderr, "ptldb-serve: drained clean (%d requests, %d executions, %d coalesced, %d rejected)\n",
-			m.Requests.Load(), m.Executions.Load(), m.Coalesced.Load(), m.Rejected.Load())
+		fmt.Fprintf(os.Stderr, "ptldb-serve: drained clean (%d requests, %d executions, %d rejected)\n",
+			m.Requests.Load(), m.Executions.Load(), m.Rejected.Load())
 	case err := <-errc:
 		// The listener died without a signal (port stolen, fd pressure).
 		_ = closeDB()

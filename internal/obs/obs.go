@@ -304,18 +304,17 @@ func (m *VCacheMetrics) Snapshot() VCacheSnapshot {
 // ServeMetrics are the network serving layer's counters (internal/serve).
 // Requests counts requests that entered the request pipeline (parse failures
 // are rejected before admission and counted as BadRequests only); Executions
-// counts store executions actually launched; Coalesced counts requests that
-// attached to an identical execution already in flight instead of starting
-// their own — the query-level singleflight; Rejected counts 503s at the
-// admission cap; Timeouts counts requests whose deadline expired while the
-// shared execution was still running; BadRequests and Errors count 400 and
-// 500 responses. InFlight is the number of executions currently holding an
-// admission slot. Latency is the whole-request wall time of served requests
-// (coalesced joins included) excluding admission rejections: a 503 returns
-// in microseconds by design, and folding those into the same histogram would
-// drag the percentiles down exactly when the server is overloaded. Rejected
-// requests record into RejectedLatency instead, so both populations stay
-// visible.
+// counts store executions launched, one per admitted query; Coalesced is
+// always 0, since no two requests share an execution, and stays only because
+// the benchmark harness reads it; Rejected counts 503s at the admission cap;
+// Timeouts counts requests whose deadline expired while their execution was
+// still running; BadRequests and Errors count 400 and 500 responses.
+// InFlight is the number of executions currently holding an admission slot.
+// Latency is the whole-request wall time of served requests excluding
+// admission rejections: a 503 returns in microseconds by design, and folding
+// those into the same histogram would drag the percentiles down exactly when
+// the server is overloaded. Rejected requests record into RejectedLatency
+// instead, so both populations stay visible.
 type ServeMetrics struct {
 	Requests        Counter
 	Executions      Counter

@@ -5,7 +5,6 @@ package serve
 // server answers 503 with Retry-After immediately instead of queueing
 // requests unboundedly (under open-loop overload an unbounded queue turns
 // every latency percentile into the test duration).
-// Coalesced joins ride an existing slot for free; only executions count.
 
 type semaphore struct {
 	slots chan struct{}

@@ -20,12 +20,12 @@ package serve
 // 404 before admission.
 //
 // Time parameters accept seconds after midnight or HH:MM:SS; either spelling
-// canonicalizes to the same coalescing key. Malformed parameters are 400
+// reaches the store as the same time. Malformed parameters are 400
 // before admission; store errors map through statusFor (400 caller mistakes,
 // 500 internal); 503 carries Retry-After; an expired deadline is 504. The
 // /plan and /obs families run through the same deadline and
 // Requests/Latency accounting as /query/* (without admission — see
-// Server.doSystem).
+// Server.await).
 
 import (
 	"context"
@@ -121,11 +121,11 @@ type MultiObsResponse struct {
 	Totals  TenantTotals                  `json:"totals"`
 }
 
-// parseFunc validates one endpoint's parameters, returning the canonical
-// coalescing key and the execution closure. The closure receives the store
-// at execution time, so the same parsers serve the single-database mux and
-// the per-tenant mux (where the store is acquired inside the flight).
-type parseFunc func(q url.Values) (key string, run func(Store) (any, error), err error)
+// parseFunc validates one endpoint's parameters, returning the execution
+// closure. The closure receives the store at execution time, so the same
+// parsers serve the single-database mux and the per-tenant mux (where the
+// store is acquired inside the execution).
+type parseFunc func(q url.Values) (run func(Store) (any, error), err error)
 
 func (s *Server) routes() {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -184,14 +184,13 @@ func (s *Server) unknownTenant(w http.ResponseWriter, city string) {
 	writeJSON(w, http.StatusNotFound, ErrorResponse{Error: fmt.Sprintf("serve: unknown tenant %q", city)})
 }
 
-// serveQuery is the shared request pipeline: parse, admit, coalesce, await,
-// map errors, record latency. In tenant mode (tm non-nil) the coalescing key
-// carries the city so identical queries to different cities never share a
-// flight, and the execution acquires the tenant inside the flight — pinning
-// the database against LRU close for exactly the execution, and folding a
-// cold open into the admission/deadline envelope.
+// serveQuery is the shared request pipeline: parse, admit, run detached
+// under the deadline, map errors, record latency. In tenant mode (tm
+// non-nil) the execution acquires the tenant itself — pinning the database
+// against LRU close for exactly the execution, and folding a cold open into
+// the admission/deadline envelope.
 func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, parse parseFunc, city string, tm *obs.TenantMetrics) {
-	key, run, err := parse(r.URL.Query())
+	run, err := parse(r.URL.Query())
 	if err != nil {
 		s.metrics.BadRequests.Add(1)
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
@@ -199,7 +198,6 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, parse parseF
 	}
 	exec := func() (any, error) { return run(s.store) }
 	if tm != nil {
-		key = "t/" + city + "|" + key
 		exec = func() (any, error) {
 			t, err := s.tenants.Acquire(city)
 			if err != nil {
@@ -213,7 +211,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, parse parseF
 	start := time.Now()
 	ctx, cancel := context.WithTimeout(r.Context(), s.opts.Timeout)
 	defer cancel()
-	v, status, err := s.do(ctx, key, exec)
+	v, status, err := s.do(ctx, exec)
 	elapsed := time.Since(start)
 	if status == http.StatusServiceUnavailable {
 		// An admission reject answers in microseconds by design; keeping it
@@ -233,7 +231,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, parse parseF
 		case http.StatusInternalServerError:
 			s.metrics.Errors.Add(1)
 		case http.StatusServiceUnavailable:
-			w.Header().Set("Retry-After", retryAfterSeconds(s.opts.RetryAfter))
+			w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter/time.Second)))
 		}
 		writeJSON(w, status, ErrorResponse{Error: err.Error()})
 		return
@@ -241,28 +239,21 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, parse parseF
 	writeJSON(w, http.StatusOK, v)
 }
 
-// retryAfterSeconds renders a duration as the whole-second Retry-After
-// header value, rounding up so the hint never undershoots.
-func retryAfterSeconds(d time.Duration) string {
-	return strconv.FormatInt(int64((d+time.Second-1)/time.Second), 10)
-}
-
 func parseV2V(kind string) parseFunc {
-	return func(q url.Values) (string, func(Store) (any, error), error) {
+	return func(q url.Values) (func(Store) (any, error), error) {
 		from, err := stopParam(q, "from")
 		if err != nil {
-			return "", nil, err
+			return nil, err
 		}
 		to, err := stopParam(q, "to")
 		if err != nil {
-			return "", nil, err
+			return nil, err
 		}
 		t, err := timeParam(q, "t")
 		if err != nil {
-			return "", nil, err
+			return nil, err
 		}
-		key := fmt.Sprintf("%s|%d|%d|%d", kind, from, to, t)
-		run := func(st Store) (any, error) {
+		return func(st Store) (any, error) {
 			var v timetable.Time
 			var ok bool
 			var err error
@@ -272,48 +263,44 @@ func parseV2V(kind string) parseFunc {
 				v, ok, err = st.LatestDeparture(from, to, t)
 			}
 			return pointResponse(v, ok), err
-		}
-		return key, run, nil
+		}, nil
 	}
 }
 
-func parseSD(q url.Values) (string, func(Store) (any, error), error) {
+func parseSD(q url.Values) (func(Store) (any, error), error) {
 	from, err := stopParam(q, "from")
 	if err != nil {
-		return "", nil, err
+		return nil, err
 	}
 	to, err := stopParam(q, "to")
 	if err != nil {
-		return "", nil, err
+		return nil, err
 	}
 	start, err := timeParam(q, "start")
 	if err != nil {
-		return "", nil, err
+		return nil, err
 	}
 	end, err := timeParam(q, "end")
 	if err != nil {
-		return "", nil, err
+		return nil, err
 	}
-	key := fmt.Sprintf("sd|%d|%d|%d|%d", from, to, start, end)
-	run := func(st Store) (any, error) {
+	return func(st Store) (any, error) {
 		v, ok, err := st.ShortestDuration(from, to, start, end)
 		return pointResponse(v, ok), err
-	}
-	return key, run, nil
+	}, nil
 }
 
 func parseKNN(kind string) parseFunc {
-	return func(q url.Values) (string, func(Store) (any, error), error) {
+	return func(q url.Values) (func(Store) (any, error), error) {
 		set, from, t, err := setParams(q)
 		if err != nil {
-			return "", nil, err
+			return nil, err
 		}
 		k, err := intParam(q, "k")
 		if err != nil {
-			return "", nil, err
+			return nil, err
 		}
-		key := fmt.Sprintf("%s|%s|%d|%d|%d", kind, set, from, t, k)
-		run := func(st Store) (any, error) {
+		return func(st Store) (any, error) {
 			var rs []core.Result
 			var err error
 			if kind == "eaknn" {
@@ -322,19 +309,17 @@ func parseKNN(kind string) parseFunc {
 				rs, err = st.LDKNN(set, from, t, int(k))
 			}
 			return resultsResponse(rs), err
-		}
-		return key, run, nil
+		}, nil
 	}
 }
 
 func parseOTM(kind string) parseFunc {
-	return func(q url.Values) (string, func(Store) (any, error), error) {
+	return func(q url.Values) (func(Store) (any, error), error) {
 		set, from, t, err := setParams(q)
 		if err != nil {
-			return "", nil, err
+			return nil, err
 		}
-		key := fmt.Sprintf("%s|%s|%d|%d", kind, set, from, t)
-		run := func(st Store) (any, error) {
+		return func(st Store) (any, error) {
 			var rs []core.Result
 			var err error
 			if kind == "eaotm" {
@@ -343,21 +328,20 @@ func parseOTM(kind string) parseFunc {
 				rs, err = st.LDOTM(set, from, t)
 			}
 			return resultsResponse(rs), err
-		}
-		return key, run, nil
+		}, nil
 	}
 }
 
 // system wraps a run closure with the system-endpoint half of the pipeline:
 // the same deadline and Requests/Latency accounting as /query/*, without
-// admission or coalescing (doSystem). Metering lands after the run completes
+// admission (Server.await). Metering lands after the run completes
 // so an /obs snapshot taken inside run never counts the request carrying it
 // — which keeps the zero-traffic /obs golden byte-stable.
 func (s *Server) system(w http.ResponseWriter, r *http.Request, run func() (any, error)) {
 	start := time.Now()
 	ctx, cancel := context.WithTimeout(r.Context(), s.opts.Timeout)
 	defer cancel()
-	v, status, err := s.doSystem(ctx, run)
+	v, status, err := s.await(ctx, run)
 	s.metrics.Requests.Add(1)
 	s.metrics.Latency.Observe(time.Since(start))
 	if err != nil {

@@ -1,10 +1,10 @@
 package serve
 
 // multi_test.go exercises the multi-tenant server against fake tenant
-// databases: per-city coalescing keys never share flights across cities,
-// lazy open and LRU close flow through the serving layer, unknown cities are
-// 404 before admission, and the /tenants and rollup /obs shapes are pinned
-// byte-for-byte like the single-database goldens.
+// databases: a query reaches its own city's store, lazy open and LRU close
+// flow through the serving layer, unknown cities are 404 before admission,
+// and the /tenants and rollup /obs shapes are pinned byte-for-byte like the
+// single-database goldens.
 
 import (
 	"net/http"
@@ -61,10 +61,10 @@ func fakeRouter(t *testing.T, ff *fakeFleet, maxOpen int, cities ...string) *ten
 	return r
 }
 
-// TestTenantCoalescingKeysAreCityScoped drives the identical query into two
-// cities and twice into one: same-city requests share a flight, cross-city
-// requests never do.
-func TestTenantCoalescingKeysAreCityScoped(t *testing.T) {
+// TestTenantQueriesAreCityScoped drives the identical query into two cities
+// and twice into one, all parked in the store at once: each is its own
+// execution on its own city's store, and per-tenant counters attribute it.
+func TestTenantQueriesAreCityScoped(t *testing.T) {
 	block := make(chan struct{})
 	ff := newFakeFleet(block)
 	router := fakeRouter(t, ff, 2, "austin", "berlin")
@@ -84,30 +84,26 @@ func TestTenantCoalescingKeysAreCityScoped(t *testing.T) {
 		}(path)
 	}
 	m := srv.Metrics()
-	// Executions ticks before the tenant open inside the flight finishes, so
-	// wait for the fakes themselves: each city must reach its own store
-	// exactly once while the third request joins austin's flight.
-	waitFor(t, "one blocked execution per city, one coalesced join", func() bool {
+	waitFor(t, "three executions parked, two on austin's store, one on berlin's", func() bool {
 		a, b := ff.latest("austin"), ff.latest("berlin")
-		return a != nil && a.calls.Load() == 1 && b != nil && b.calls.Load() == 1 &&
-			m.Coalesced.Load() == 1
+		return a != nil && a.calls.Load() == 2 && b != nil && b.calls.Load() == 1
 	})
-	if got := m.Executions.Load(); got != 2 {
-		t.Errorf("executions = %d, want 2 (one per city)", got)
+	if got := m.Executions.Load(); got != 3 {
+		t.Errorf("executions = %d, want 3 (one per request)", got)
 	}
 	close(block)
 	wg.Wait()
-	if router.Metrics("austin").Requests.Load() != 2 || router.Metrics("berlin").Requests.Load() != 1 {
-		t.Errorf("per-tenant requests = %d/%d, want 2/1",
-			router.Metrics("austin").Requests.Load(), router.Metrics("berlin").Requests.Load())
+	if a, b := router.Metrics("austin").Requests.Load(), router.Metrics("berlin").Requests.Load(); a != 2 || b != 1 {
+		t.Errorf("per-tenant requests = %d/%d, want 2/1", a, b)
 	}
 	if err := router.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestTenantLifecycleOverHTTP walks lazy open and LRU close through the
-// serving layer with a cap of one open tenant.
+// TestTenantLifecycleOverHTTP sends one query to austin, berlin and austin
+// again with a cap of one open tenant: each request reaches its own city's
+// store, and lazy open and LRU close flow through the serving layer.
 func TestTenantLifecycleOverHTTP(t *testing.T) {
 	ff := newFakeFleet(nil)
 	router := fakeRouter(t, ff, 1, "austin", "berlin")
@@ -115,29 +111,42 @@ func TestTenantLifecycleOverHTTP(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	if code, body := get(t, ts.URL+"/t/austin/query/ea?from=1&to=2&t=28800"); code != http.StatusOK {
+	const q = "/query/ea?from=1&to=2&t=28800"
+	if code, body := get(t, ts.URL+"/t/austin"+q); code != http.StatusOK {
 		t.Fatalf("austin query: status %d, body %s", code, body)
 	}
 	if router.OpenCount() != 1 || ff.latest("berlin") != nil {
 		t.Fatalf("after one austin query: %d open, berlin opened %v", router.OpenCount(), ff.latest("berlin"))
 	}
-	if code, _ := get(t, ts.URL+"/t/berlin/query/ea?from=1&to=2&t=28800"); code != http.StatusOK {
+	austin := ff.latest("austin")
+	if code, _ := get(t, ts.URL+"/t/berlin"+q); code != http.StatusOK {
 		t.Fatalf("berlin query failed")
 	}
+	// The identical query went to each city's own store once.
+	if a, b := austin.calls.Load(), ff.latest("berlin").calls.Load(); a != 1 || b != 1 {
+		t.Errorf("store calls austin/berlin = %d/%d, want 1/1", a, b)
+	}
 	// The cap is 1: opening berlin closed idle austin.
-	if got := ff.latest("austin").closeCalls.Load(); got != 1 {
+	if got := austin.closeCalls.Load(); got != 1 {
 		t.Errorf("austin close calls = %d, want 1 (LRU close under cap)", got)
 	}
 	if router.OpenCount() != 1 {
 		t.Errorf("open count = %d, want 1", router.OpenCount())
 	}
 	// A later austin query reopens it transparently.
-	if code, _ := get(t, ts.URL+"/t/austin/query/ea?from=1&to=2&t=28800"); code != http.StatusOK {
+	if code, _ := get(t, ts.URL+"/t/austin"+q); code != http.StatusOK {
 		t.Fatalf("austin reopen query failed")
+	}
+	if reopened := ff.latest("austin"); reopened == austin || reopened.calls.Load() != 1 {
+		t.Errorf("austin reopen: same handle %v, store calls %d, want a new handle with 1 call",
+			reopened == austin, reopened.calls.Load())
 	}
 	m := router.Metrics("austin")
 	if m.Opens.Load() != 2 || m.Closes.Load() != 1 {
 		t.Errorf("austin opens/closes = %d/%d, want 2/1", m.Opens.Load(), m.Closes.Load())
+	}
+	if a, b := m.Requests.Load(), router.Metrics("berlin").Requests.Load(); a != 2 || b != 1 {
+		t.Errorf("per-tenant requests = %d/%d, want 2/1", a, b)
 	}
 	// The rollup /obs sums the per-tenant counters into totals.
 	code, body := get(t, ts.URL+"/obs")

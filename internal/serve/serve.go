@@ -2,20 +2,20 @@
 // over an open database exposing the paper's seven query types plus the
 // prepared-plan and observability endpoints. It is the repo's answer to the
 // deployment the paper argues for — interactive transit queries served
-// straight from the database — hardened with the three controls a public
+// straight from the database — hardened with the two controls a public
 // front door needs:
 //
 //   - per-request deadlines: a request that cannot be answered inside
-//     Options.Timeout gets 504 and its handler returns; the shared execution
-//     keeps running and its result still serves any later joiners;
+//     Options.Timeout gets 504 and its handler returns; the execution keeps
+//     running detached, holding its admission slot until the store returns,
+//     and its result is dropped;
 //   - bounded admission: at most Options.MaxInFlight store executions run
 //     concurrently; a saturated server answers 503 with Retry-After instead
-//     of queueing unboundedly;
-//   - request coalescing: identical (endpoint, args) requests in flight
-//     share one execution — the buffer pool's singleflight pattern lifted to
-//     the query layer, which on skewed workloads collapses the hot keys into
-//     a handful of executions (benchmark/ reports serve.coalesced_ratio and
-//     serve.executions_per_request on its http_tenants_open workload).
+//     of queueing unboundedly.
+//
+// Every admitted query is its own execution: identical requests in flight
+// are not merged (on the benchmark's skewed http_tenants_open workload no two
+// identical requests were ever in flight together — DESIGN.md §13.1).
 //
 // Lifecycle: Serve accepts until Shutdown, which stops accepting, lets
 // in-flight handlers and the executions they started finish, and returns —
@@ -27,9 +27,9 @@
 // the query and system endpoints move under /t/{city}/..., /tenants lists
 // the cities, and /obs becomes the cross-tenant rollup. The pipeline is
 // identical — the tenant acquisition (pinning the database open, and opening
-// it cold if needed) simply happens inside the flight, so the admission cap
-// also bounds concurrent cold opens and a slow open answers 504 like any
-// slow execution.
+// it cold if needed) simply happens inside the detached execution, so the
+// admission cap also bounds concurrent cold opens and a slow open answers 504
+// like any slow execution.
 package serve
 
 import (
@@ -44,35 +44,21 @@ import (
 	"ptldb/internal/core"
 	"ptldb/internal/obs"
 	"ptldb/internal/tenant"
-	"ptldb/internal/timetable"
 )
 
-// Store is the query surface the server fronts. *ptldb.DB satisfies it; the
-// lifecycle tests substitute a controllable fake.
-type Store interface {
-	EarliestArrival(s, g timetable.StopID, t timetable.Time) (timetable.Time, bool, error)
-	LatestDeparture(s, g timetable.StopID, t timetable.Time) (timetable.Time, bool, error)
-	ShortestDuration(s, g timetable.StopID, t, tEnd timetable.Time) (timetable.Time, bool, error)
-	EAKNN(set string, q timetable.StopID, t timetable.Time, k int) ([]core.Result, error)
-	LDKNN(set string, q timetable.StopID, t timetable.Time, k int) ([]core.Result, error)
-	EAOTM(set string, q timetable.StopID, t timetable.Time) ([]core.Result, error)
-	LDOTM(set string, q timetable.StopID, t timetable.Time) ([]core.Result, error)
-	ExplainPrepared(name string) (string, error)
-	ExplainNames() []string
-	Snapshot() obs.Snapshot
-}
+// Store is the query surface the server fronts, declared once as
+// tenant.Store. *ptldb.DB satisfies it; the lifecycle tests substitute a
+// controllable fake.
+type Store = tenant.Store
 
 // Options tunes the server. The zero value serves with the defaults below.
 type Options struct {
-	// MaxInFlight bounds concurrent store executions (default 64). Requests
-	// that join an in-flight identical execution do not count against it.
+	// MaxInFlight bounds concurrent store executions (default 64).
 	MaxInFlight int
 	// Timeout is the per-request deadline (default 5s). A request whose
 	// deadline expires gets 504; the underlying execution is left to finish
-	// and publish for any joiners still inside their own deadlines.
+	// and keeps its admission slot until it does.
 	Timeout time.Duration
-	// RetryAfter is the hint attached to 503 responses (default 1s).
-	RetryAfter time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -81,9 +67,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Timeout <= 0 {
 		o.Timeout = 5 * time.Second
-	}
-	if o.RetryAfter <= 0 {
-		o.RetryAfter = time.Second
 	}
 	return o
 }
@@ -98,12 +81,11 @@ type Server struct {
 	opts    Options
 	metrics *obs.ServeMetrics
 	admit   *semaphore
-	co      *coalescer
 	mux     *http.ServeMux
 	httpSrv *http.Server
 	// runs counts the executions running detached from their handlers
-	// (flights and system-endpoint runs): they outlive a request that
-	// answered 504, so Shutdown waits for them after the HTTP drain.
+	// (queries and system-endpoint runs, see await): they outlive a request
+	// that answered 504, so Shutdown waits for them after the HTTP drain.
 	runs sync.WaitGroup
 }
 
@@ -127,7 +109,6 @@ func NewMulti(router *tenant.Router, opts Options) *Server {
 func (s *Server) init(opts Options) {
 	s.opts = opts.withDefaults()
 	s.metrics = &obs.ServeMetrics{}
-	s.co = newCoalescer()
 	s.admit = newSemaphore(s.opts.MaxInFlight)
 	s.mux = http.NewServeMux()
 	s.routes()
@@ -176,64 +157,39 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // errSaturated is the 503 body text at the admission cap.
 var errSaturated = errors.New("serve: server saturated, retry later")
 
-// do admits, coalesces, runs and awaits one query execution. It returns the
-// flight's value, or an error paired with the HTTP status it maps to.
-func (s *Server) do(ctx context.Context, key string, run func() (any, error)) (any, int, error) {
+// retryAfter is the hint a 503 carries in its Retry-After header.
+const retryAfter = time.Second
+
+// do admits and awaits one query execution: a free admission slot or 503,
+// then the run under the deadline (await). It returns the run's value, or an
+// error paired with the HTTP status it maps to.
+func (s *Server) do(ctx context.Context, run func() (any, error)) (any, int, error) {
 	s.metrics.Requests.Add(1)
-	f := s.co.lookup(key)
-	if f != nil {
-		s.metrics.Coalesced.Add(1)
-	} else {
-		if !s.admit.tryAcquire() {
-			s.metrics.Rejected.Add(1)
-			return nil, http.StatusServiceUnavailable, errSaturated
-		}
-		var created bool
-		f, created = s.co.begin(key)
-		if created {
-			s.metrics.Executions.Add(1)
-			s.metrics.InFlight.Add(1)
-			s.runs.Add(1)
-			go s.runFlight(key, f, run)
-		} else {
-			// Another request created the flight between lookup and begin;
-			// join it and return the slot.
-			s.admit.release()
-			s.metrics.Coalesced.Add(1)
-		}
+	if !s.admit.tryAcquire() {
+		s.metrics.Rejected.Add(1)
+		return nil, http.StatusServiceUnavailable, errSaturated
 	}
-	select {
-	case <-f.done:
-		if f.err != nil {
-			return nil, statusFor(f.err), f.err
-		}
-		return f.val, http.StatusOK, nil
-	case <-ctx.Done():
-		s.metrics.Timeouts.Add(1)
-		return nil, http.StatusGatewayTimeout, fmt.Errorf("serve: deadline exceeded after %v", s.opts.Timeout)
-	}
+	s.metrics.Executions.Add(1)
+	s.metrics.InFlight.Add(1)
+	return s.await(ctx, func() (any, error) {
+		v, err := run()
+		// The slot is back before the result is published: a client that has
+		// its answer must find the slot free, or its next request is a 503
+		// the server had no reason to send. The gauge drops after the slot,
+		// so a gauge of 0 means every slot is free.
+		s.admit.release()
+		s.metrics.InFlight.Add(-1)
+		return v, err
+	})
 }
 
-// runFlight executes one admitted flight on its own goroutine, returns the
-// admission slot and publishes the result — in that order: a client that has
-// its answer must find the slot free, or its next request is a 503 the server
-// had no reason to send. Running detached from the handler keeps the result
-// available to joiners even when the originating request times out first.
-func (s *Server) runFlight(key string, f *flight, run func() (any, error)) {
-	defer s.runs.Done()
-	v, err := run()
-	s.metrics.InFlight.Add(-1)
-	s.admit.release()
-	s.co.finish(key, f, v, err)
-}
-
-// doSystem runs a system endpoint (/plan, /obs, /tenants) through the
-// deadline half of the pipeline: the same Timeout → 504 mapping as /query/*,
-// but no admission or coalescing — these endpoints read catalogs and
-// counters, not store executions, so they must stay answerable on a
-// saturated server. Like a flight, the run keeps going detached after a
-// timeout (Shutdown waits for it); its result is dropped.
-func (s *Server) doSystem(ctx context.Context, run func() (any, error)) (any, int, error) {
+// await runs one execution detached from its handler and waits for the
+// result or the deadline. The store cannot be interrupted, so a run whose
+// request answered 504 keeps going and its result is dropped; s.runs counts
+// it so Shutdown waits for it. The system endpoints (/plan, /obs, /tenants)
+// call await directly, without admission: they read catalogs and counters,
+// not store executions, so they must stay answerable on a saturated server.
+func (s *Server) await(ctx context.Context, run func() (any, error)) (any, int, error) {
 	type outcome struct {
 		v   any
 		err error

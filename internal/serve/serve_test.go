@@ -1,11 +1,12 @@
 package serve
 
 // serve_test.go exercises the serving layer's lifecycle contracts against a
-// controllable fake store: coalescing shares exactly one execution, the
+// controllable fake store: identical requests are separate executions, the
 // admission cap answers 503 without deadlocking, an expired deadline answers
-// 504 while the execution survives for later joiners, graceful drain waits
-// for in-flight requests, and the whole pipeline is race-clean under
-// concurrent clients (scripts/check.sh runs this package with -race).
+// 504 while the abandoned execution keeps its slot until the store returns,
+// graceful drain waits for in-flight requests, and the whole pipeline is
+// race-clean under concurrent clients (scripts/check.sh runs this package
+// with -race).
 
 import (
 	"context"
@@ -17,7 +18,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -147,61 +147,51 @@ func get(t *testing.T, url string) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
-// TestCoalescingSharesOneExecution pins both halves of the coalescing
-// contract: concurrent requests for one key share a single execution, and
-// requests for distinct keys never share.
-func TestCoalescingSharesOneExecution(t *testing.T) {
+// TestIdenticalRequestsAreSeparateExecutions: N concurrent identical
+// requests are N store executions, each holding its own admission slot, and
+// all N get the same answer.
+func TestIdenticalRequestsAreSeparateExecutions(t *testing.T) {
 	const n = 8
-	for _, c := range []struct {
-		name string
-		keys int // distinct request keys among the n requests = executions wanted
-	}{
-		{"identical keys", 1},
-		{"distinct keys", n},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			fs := &fakeStore{block: make(chan struct{})}
-			srv := New(fs, Options{})
-			ts := httptest.NewServer(srv)
-			defer ts.Close()
+	fs := &fakeStore{block: make(chan struct{})}
+	srv := New(fs, Options{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
 
-			var wg sync.WaitGroup
-			bodies := make([]string, n)
-			codes := make([]int, n)
-			for i := 0; i < n; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					codes[i], bodies[i] = get(t, fmt.Sprintf("%s/query/ea?from=%d&to=99&t=28800", ts.URL, i%c.keys))
-				}(i)
-			}
-			// One execution per key starts (and parks in the fake store); every
-			// other request joins the flight of its key.
-			m := srv.Metrics()
-			waitFor(t, "every request parked in the store or joined", func() bool {
-				return fs.calls.Load() == int64(c.keys) &&
-					m.Executions.Load() == uint64(c.keys) && m.Coalesced.Load() == uint64(n-c.keys)
-			})
-			close(fs.block)
-			wg.Wait()
-			for i := 0; i < n; i++ {
-				if codes[i] != http.StatusOK {
-					t.Errorf("request %d: status %d, body %s", i, codes[i], bodies[i])
-				}
-				if bodies[i] != bodies[i%c.keys] {
-					t.Errorf("request %d body %q differs from %q", i, bodies[i], bodies[i%c.keys])
-				}
-			}
-			if got := fs.calls.Load(); got != int64(c.keys) {
-				t.Errorf("store saw %d calls total, want %d", got, c.keys)
-			}
-		})
+	var wg sync.WaitGroup
+	bodies := make([]string, n)
+	codes := make([]int, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			codes[i], bodies[i] = get(t, ts.URL+"/query/ea?from=1&to=99&t=28800")
+		}(i)
+	}
+	m := srv.Metrics()
+	waitFor(t, "every request parked in the store", func() bool {
+		return fs.calls.Load() == n && m.Executions.Load() == n && m.InFlight.Load() == n
+	})
+	close(fs.block)
+	wg.Wait()
+	for i := 0; i < n; i++ {
+		if codes[i] != http.StatusOK {
+			t.Errorf("request %d: status %d, body %s", i, codes[i], bodies[i])
+		}
+		if bodies[i] != bodies[0] {
+			t.Errorf("request %d body %q differs from %q", i, bodies[i], bodies[0])
+		}
+	}
+	if got := fs.calls.Load(); got != n {
+		t.Errorf("store saw %d calls total, want %d", got, n)
+	}
+	if got := m.Coalesced.Load(); got != 0 {
+		t.Errorf("coalesced counter %d, want 0", got)
 	}
 }
 
 func TestSaturatedServerAnswers503(t *testing.T) {
 	fs := &fakeStore{block: make(chan struct{})}
-	srv := New(fs, Options{MaxInFlight: 2, RetryAfter: 3 * time.Second})
+	srv := New(fs, Options{MaxInFlight: 2})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -225,8 +215,8 @@ func TestSaturatedServerAnswers503(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d at cap, want 503", resp.StatusCode)
 	}
-	if got := resp.Header.Get("Retry-After"); got != "3" {
-		t.Errorf("Retry-After %q, want %q", got, "3")
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Errorf("Retry-After %q, want %q", got, "1")
 	}
 	if srv.Metrics().Rejected.Load() != 1 {
 		t.Errorf("rejected counter %d, want 1", srv.Metrics().Rejected.Load())
@@ -241,12 +231,12 @@ func TestSaturatedServerAnswers503(t *testing.T) {
 }
 
 // TestAnsweredRequestFreesItsSlot: the admission slot is back before the
-// answer is out, so one client issuing requests back to back on distinct keys
-// never meets its own previous request at the cap.
+// answer is out, so one client issuing requests back to back never meets its
+// own previous request at the cap.
 func TestAnsweredRequestFreesItsSlot(t *testing.T) {
 	srv := New(&fakeStore{}, Options{MaxInFlight: 1})
 	for i := 0; i < 200_000; i++ {
-		_, code, err := srv.do(context.Background(), strconv.Itoa(i), func() (any, error) { return i, nil })
+		_, code, err := srv.do(context.Background(), func() (any, error) { return i, nil })
 		if code != http.StatusOK || err != nil {
 			t.Fatalf("request %d: status %d, %v", i, code, err)
 		}
@@ -256,13 +246,18 @@ func TestAnsweredRequestFreesItsSlot(t *testing.T) {
 	}
 }
 
+// TestDeadlineExpiryAnswers504: an expired deadline answers 504 while the
+// abandoned execution keeps its admission slot until the store returns, so a
+// retry against a parked store meets the cap (503) instead of piling up a
+// second execution; once the store returns, a retry is a fresh execution.
 func TestDeadlineExpiryAnswers504(t *testing.T) {
 	fs := &fakeStore{block: make(chan struct{})}
-	srv := New(fs, Options{Timeout: 30 * time.Millisecond})
+	srv := New(fs, Options{MaxInFlight: 1, Timeout: 30 * time.Millisecond})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	code, body := get(t, ts.URL+"/query/ea?from=1&to=2&t=28800")
+	const path = "/query/ea?from=1&to=2&t=28800"
+	code, body := get(t, ts.URL+path)
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d after deadline, want 504 (body %s)", code, body)
 	}
@@ -270,23 +265,19 @@ func TestDeadlineExpiryAnswers504(t *testing.T) {
 	if m.Timeouts.Load() != 1 {
 		t.Errorf("timeouts counter %d, want 1", m.Timeouts.Load())
 	}
-	// The execution outlives the timed-out request; release it and verify a
-	// joiner arriving before completion still gets the answer.
 	if m.InFlight.Load() != 1 {
 		t.Errorf("in-flight gauge %d with abandoned execution running, want 1", m.InFlight.Load())
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if code, body := get(t, ts.URL+"/query/ea?from=1&to=2&t=28800"); code != http.StatusOK {
-			t.Errorf("joiner after timeout: status %d, body %s", code, body)
-		}
-	}()
-	waitFor(t, "joiner attached", func() bool { return m.Coalesced.Load() == 1 })
+	if code, body := get(t, ts.URL+path); code != http.StatusServiceUnavailable {
+		t.Errorf("retry with the abandoned execution parked: status %d, body %s, want 503", code, body)
+	}
 	close(fs.block)
-	<-done
-	if got := fs.calls.Load(); got != 1 {
-		t.Errorf("store saw %d calls, want 1 (joiner must reuse the abandoned execution)", got)
+	waitFor(t, "abandoned execution returned its slot", func() bool { return m.InFlight.Load() == 0 })
+	if code, body := get(t, ts.URL+path); code != http.StatusOK {
+		t.Errorf("retry after release: status %d, body %s, want 200", code, body)
+	}
+	if got := fs.calls.Load(); got != 2 {
+		t.Errorf("store saw %d calls, want 2 (the abandoned execution and the retry)", got)
 	}
 }
 

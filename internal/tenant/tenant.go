@@ -38,10 +38,10 @@ import (
 	"ptldb/internal/timetable"
 )
 
-// DB is the per-tenant database surface the router manages: the serving
-// layer's Store method set plus Close. *ptldb.DB satisfies it; the lifecycle
-// tests substitute fakes.
-type DB interface {
+// Store is the query surface of one open database: what a tenant's queries
+// call, and what the serving layer fronts (serve.Store is this type).
+// *ptldb.DB satisfies it; the lifecycle tests substitute fakes.
+type Store interface {
 	EarliestArrival(s, g timetable.StopID, t timetable.Time) (timetable.Time, bool, error)
 	LatestDeparture(s, g timetable.StopID, t timetable.Time) (timetable.Time, bool, error)
 	ShortestDuration(s, g timetable.StopID, t, tEnd timetable.Time) (timetable.Time, bool, error)
@@ -52,6 +52,12 @@ type DB interface {
 	ExplainPrepared(name string) (string, error)
 	ExplainNames() []string
 	Snapshot() obs.Snapshot
+}
+
+// DB is the per-tenant database the router manages: the query surface plus
+// Close, which the router calls on LRU eviction and on Router.Close.
+type DB interface {
+	Store
 	Close() error
 }
 

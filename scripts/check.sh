@@ -52,6 +52,12 @@ if go list -deps ./cmd/ptldb-analyze | grep ptldb/internal/sqldb; then
     echo "ptldb-analyze links no part of the SQL engine" >&2
     exit 1
 fi
+echo "== identical requests are separate executions (internal/serve)"
+if git grep -nE 'coalescer|newCoalescer|runFlight' -- 'internal/serve/*.go'; then
+    echo "every admitted query is its own execution: admit, then await (internal/serve/serve.go);" >&2
+    echo "no request coalescer, no shared flight" >&2
+    exit 1
+fi
 echo "== go vet ./..."
 go vet ./...
 echo "== ptldb-analyze ./... (project lint)"
