@@ -105,6 +105,21 @@ func firstGT(a []int64, lo, hi int, v int64) int {
 	return lo
 }
 
+// firstGTFrom is firstGT searching from hint rather than lo when the value
+// before hint is <= v, so a caller searching for ascending values keeps a
+// forward cursor: each search costs the logarithm of the distance from the
+// last answer, not from lo. Like storage.FindFrom it validates the hint and
+// never trusts it: the answer is firstGT(a, lo, hi, v) for every hint, in
+// [lo, hi] or not, and a wrong one costs a search from lo.
+//
+// hotpath — allocheck root: the LD condensed fold's cursor over a hub's run.
+func firstGTFrom(a []int64, lo, hi, hint int, v int64) int {
+	if lo < hint && hint <= hi && a[hint-1] <= v {
+		lo = hint
+	}
+	return firstGT(a, lo, hi, v)
+}
+
 // --- Code 1: vertex-to-vertex ------------------------------------------------
 
 func (p *FusedPlan) runV2V(cat Catalog, params []sqltypes.Value, st *queryState) (*Relation, error) {
@@ -317,7 +332,7 @@ func (p *FusedPlan) runKNNNaive(cat Catalog, params []sqltypes.Value, st *queryS
 			st.merged += uint64(kl)
 			return nil
 		}
-		dep, ok := st.bestDeparture(g, dv.I)
+		dep, _, ok := st.bestDeparture(g, dv.I, int(g.lo))
 		if !ok {
 			return nil
 		}
@@ -400,21 +415,32 @@ func (st *queryState) foldEA(c *condArms, g *hubGroup) {
 // foldLD folds one condensed row for all label tuples of g's hub: the top-k
 // arm qualifies connections departing no earlier than a tuple's arrival, the
 // expanded arm additionally bounds the connection's arrival by t; both fold
-// the best departure among the tuples that qualify.
+// the best departure among the tuples that qualify. Each arm threads one
+// cursor through its searches of the hub's run, walking its thresholds in the
+// order the builders store them ascending: the top-k arm's tds descend, so it
+// is walked last to first, and the expanded arm's tds_exp ascend. Nothing
+// trusts that order — bestDeparture validates the cursor — and the fold order
+// is free: MAX is idempotent and commutative.
 //
 // hotpath — allocheck root: the LD inner loops.
 func (st *queryState) foldLD(c *condArms, g *hubGroup, t int64) {
-	for x, v := range c.topV {
-		if td, ok := st.bestDeparture(g, c.topVal[x]); ok {
-			st.acc.foldMax(v, td)
+	pos := int(g.lo)
+	for x := len(c.topV) - 1; x >= 0; x-- {
+		td, end, ok := st.bestDeparture(g, c.topVal[x], pos)
+		pos = end
+		if ok {
+			st.acc.foldMax(c.topV[x], td)
 			st.merged++
 		}
 	}
+	pos = int(g.lo)
 	for x, v := range c.expV {
 		if c.expTa[x] > t {
 			continue
 		}
-		if td, ok := st.bestDeparture(g, c.expTd[x]); ok {
+		td, end, ok := st.bestDeparture(g, c.expTd[x], pos)
+		pos = end
+		if ok {
 			st.acc.foldMax(v, td)
 			st.merged++
 		}
@@ -453,7 +479,7 @@ func (p *FusedPlan) runCondensed(cat Catalog, params []sqltypes.Value, st *query
 	// Walk the label once, keeping per (hub, bucket) key only what dominates:
 	// EA probes FLOOR(ta/width) per tuple departing >= t, LD the one bucket
 	// FLOOR(t/width) per hub. Every condensed row is then fetched and folded
-	// exactly once, in the table's key order — the order its rows are stored
+	// at most once, in the table's key order — the order its rows are stored
 	// in. The fold order is free: the accumulator keeps a MIN or MAX per
 	// target and topK is a total order.
 	if f.ea {
@@ -479,13 +505,24 @@ func (p *FusedPlan) runCondensed(cat Catalog, params []sqltypes.Value, st *query
 		settle = aux.count
 	}
 	bucket := int64(math.MinInt64)
+	// The LD kNN skip (DESIGN.md §7.4): every value foldLD folds for a group
+	// is a departure of its hub's run, so at most the run's last. Once k
+	// targets are in and that bound is strictly below tau, the k-th largest
+	// value so far, the group can neither enter the top k nor raise a kept
+	// value, so its row is not fetched. Groups come in hub order, not in bound
+	// order: a later group may still count, so this skips and never stops. An
+	// LD one-to-many has no k and fetches every group.
+	tau, skip := int64(0), false
 	for _, gi := range st.order {
 		g := &st.groups[gi]
 		if f.ea && g.bucket != bucket {
 			bucket = g.bucket
-			if tau, ok := st.kthVal(settle); ok && bucket > floorDiv(tau, p.width) {
+			if kth, ok := st.kthVal(settle, false); ok && bucket > floorDiv(kth, p.width) {
 				break
 			}
+		}
+		if skip && st.lab.tds[g.hi-1] < tau {
+			continue
 		}
 		st.scratch.Arena = st.scratch.Arena[:labEnd]
 		st.key = [2]int64{g.bucket, g.hub}
@@ -501,8 +538,11 @@ func (p *FusedPlan) runCondensed(cat Catalog, params []sqltypes.Value, st *query
 		}
 		if f.ea {
 			st.foldEA(&arms, g)
-		} else {
-			st.foldLD(&arms, g, t)
+			continue
+		}
+		st.foldLD(&arms, g, t)
+		if limited {
+			tau, skip = st.kthVal(k, true)
 		}
 	}
 	return p.emit(cat, st, k, limited, !f.ea)

@@ -11,6 +11,7 @@ package exec
 // and one plan shared by many goroutines.
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -483,21 +484,145 @@ func TestFusedKNNStopRule(t *testing.T) {
 	}
 }
 
-// FuzzCondensedKNNStop: over a run-ordered label and an EA condensed table
-// inside its declared floor — both drawn from seed and moved by a drawn
-// number of buckets, often below zero — and any t and k, with stops -7..7 as
-// q (1..5 have labels), the fused kNN and one-to-many (drawn from seed), which
-// stop their sweep early, answer what the general executor answers, or fail
-// where it fails. The table declares the count of its distinct target ids,
-// one time in three overstated.
+// TestFusedLDKNNSkip pins which rows an LD kNN looks up, on hand-made tables
+// at width 10 whose probes all fall in one bucket: a hub whose run's latest
+// departure ties the k-th best value so far is fetched (a target there may tie
+// it and win on its id); one strictly below it is skipped, and a later hub
+// above it is fetched again, so the rule skips and never stops; the bound is
+// the run's last departure, not its first; nothing is skipped while fewer than
+// k targets are in, and a one-to-many never skips. Every answer is the general
+// executor's, and the probe list is exact.
+func TestFusedLDKNNSkip(t *testing.T) {
+	const w, at = 10, 100
+	type cond struct {
+		hub                            int64
+		vs, tds, tdsExp, vsExp, tasExp []int64
+	}
+	// Stop 1's label puts hubs 0, 1 and 2 at latest departures 8, 5 and 9,
+	// and each hub's row folds one target at that departure.
+	skipLabel := [3][]int64{{0, 1, 2}, {8, 5, 9}, {9, 6, 10}}
+	skipRows := []cond{
+		{hub: 0, vs: []int64{5}, tds: []int64{50}},
+		{hub: 1, vs: []int64{3}, tds: []int64{50}},
+		{hub: 2, vs: []int64{4}, tds: []int64{50}},
+	}
+	cases := []struct {
+		name   string
+		label  [3][]int64 // hubs, tds, tas
+		rows   []cond
+		k      int64   // 0: the one-to-many
+		probes []int64 // the hubs looked up, in order
+	}{
+		{name: "a run whose latest departure ties the k-th value",
+			label: [3][]int64{{0, 1}, {5, 5}, {6, 7}},
+			rows: []cond{
+				{hub: 0, vs: []int64{5}, tds: []int64{50}},
+				{hub: 1, vs: []int64{3}, tds: []int64{50}}, // (3, 5) displaces (5, 5)
+			},
+			k: 1, probes: []int64{0, 1}},
+		{name: "a run below the k-th value is skipped, a later one above it is not",
+			label: skipLabel, rows: skipRows, k: 1, probes: []int64{0, 2}},
+		{name: "the bound is the run's last departure",
+			label: [3][]int64{{0, 1, 1}, {8, 2, 9}, {9, 3, 60}},
+			rows: []cond{
+				{hub: 0, vs: []int64{5}, tds: []int64{50}},
+				{hub: 1, vs: []int64{3}, tds: []int64{70}, tdsExp: []int64{4}, vsExp: []int64{6}, tasExp: []int64{90}},
+			},
+			k: 1, probes: []int64{0, 1}},
+		{name: "fewer than k targets never skip",
+			label: skipLabel, rows: skipRows, k: 2, probes: []int64{0, 1, 2}},
+		{name: "a one-to-many never skips",
+			label: skipLabel, rows: skipRows, probes: []int64{0, 1, 2}},
+	}
+	arr := sqltypes.NewIntArray
+	for _, tc := range cases {
+		aux := &memTable{
+			cols: []string{"hub", "arrhour", "vs", "tds", "tds_exp", "vs_exp", "tas_exp"}, pk: []int{1, 0},
+			targetCols: []int{2, 5}, bound: 10,
+		}
+		for _, r := range tc.rows {
+			aux.rows = append(aux.rows, sqltypes.Row{sqltypes.NewInt(r.hub), sqltypes.NewInt(at / w),
+				arr(r.vs), arr(r.tds), arr(r.tdsExp), arr(r.vsExp), arr(r.tasExp)})
+		}
+		cat := memCatalog{
+			"lout": &memTable{cols: labelCols, pk: []int{0}, runOrder: []int{1, 2, 3},
+				rows: []sqltypes.Row{{sqltypes.NewInt(1), arr(tc.label[0]), arr(tc.label[1]), arr(tc.label[2])}}},
+			"aux_ld": aux,
+		}
+		q := fmt.Sprintf(SQLKNNLD, "aux_ld", w, "lout")
+		params := []sqltypes.Value{sqltypes.NewInt(1), sqltypes.NewInt(at), sqltypes.NewInt(tc.k)}
+		if tc.k == 0 {
+			q, params = fmt.Sprintf(SQLOTMLD, "aux_ld", w, "lout"), params[:2]
+		}
+		diffRun(t, cat, q, params)
+		var probed, want [][2]int64
+		if _, err := Fuse(mustParse(t, q)).Run(keyLogCatalog{cat, &probed}, params); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for _, hub := range tc.probes {
+			want = append(want, [2]int64{at / w, hub})
+		}
+		if !slices.Equal(probed, want) {
+			t.Errorf("%s: looked up %v, want %v", tc.name, probed, want)
+		}
+	}
+}
+
+// orderLDArms reorders both arms of every row of an LD condensed table, each
+// arm's parallel columns together: as the builder stores them — the top-k arm
+// by tds descending, the expanded arm by tds_exp ascending, so the fold walks
+// both with thresholds ascending — or, when shuffle, in a random order, in
+// which the fold's cursor is often wrong.
+func orderLDArms(rng *rand.Rand, tbl *memTable, shuffle bool) {
+	for _, row := range tbl.rows {
+		for _, arm := range [][]int{{3, 2}, {4, 5, 6}} { // the threshold column first
+			th := row[arm[0]].A
+			perm := make([]int, len(th))
+			for i := range perm {
+				perm[i] = i
+			}
+			sign := 1
+			if arm[0] == 3 { // the top-k arm descends
+				sign = -1
+			}
+			if shuffle {
+				rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+			} else {
+				slices.SortStableFunc(perm, func(a, b int) int { return sign * cmp.Compare(th[a], th[b]) })
+			}
+			for _, c := range arm {
+				col := make([]int64, len(perm))
+				for i, p := range perm {
+					col[i] = row[c].A[p]
+				}
+				row[c] = sqltypes.NewIntArray(col)
+			}
+		}
+	}
+}
+
+// FuzzCondensedKNNStop: over a run-ordered label and an EA and an LD condensed
+// table — the EA one inside its declared floor, all drawn from seed and moved
+// by a drawn number of buckets, often below zero — and any t and k, with stops
+// -7..7 as q (1..5 have labels), the four condensed statements (drawn from
+// seed) answer what the general executor answers, or fail where it fails: the
+// EA kNN and one-to-many, which stop their sweep early, and the LD kNN, which
+// skips hubs, all over a fold that keeps a cursor per arm. The EA table
+// declares the count of its distinct target ids, one time in three
+// overstated; the LD table's arms are in the builder's order, one time in
+// three shuffled, which leaves the cursor wrong.
 func FuzzCondensedKNNStop(f *testing.F) {
 	for _, s := range [][4]int64{{1, 1, 0, 1}, {2, 3, 120, 2}, {3, 5, -400, 4}, {4, 2, 90, 1 << 40}, {5, 4, math.MinInt64, 3}, {6, 1, 50, -1}} {
 		f.Add(s[0], s[1], s[2], s[3])
 	}
-	var plans [2]*FusedPlan
-	var sels [2]*sql.Select
-	for i, text := range []string{SQLKNNEA, SQLOTMEA} {
-		sel, err := sql.Parse(fmt.Sprintf(text, "aux_ea", auxWidth, "lout"))
+	var plans [4]*FusedPlan
+	var sels [4]*sql.Select
+	for i, text := range []string{SQLKNNEA, SQLOTMEA, SQLKNNLD, SQLOTMLD} {
+		aux := "aux_ea"
+		if i >= 2 {
+			aux = "aux_ld"
+		}
+		sel, err := sql.Parse(fmt.Sprintf(text, aux, auxWidth, "lout"))
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -505,12 +630,17 @@ func FuzzCondensedKNNStop(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed, q, at, k int64) {
 		rng := rand.New(rand.NewSource(seed))
-		cat := memCatalog{"lout": randLabelTable(rng, 5, 8), "aux_ea": randAuxTable(rng, "dephour", "tas")}
+		cat := memCatalog{
+			"lout":   randLabelTable(rng, 5, 8),
+			"aux_ea": randAuxTable(rng, "dephour", "tas"),
+			"aux_ld": randAuxTable(rng, "arrhour", "tds"),
+		}
 		if rng.Intn(3) == 0 {
 			cat["aux_ea"].count += 1 + rng.Intn(3)
 		}
-		otm := rng.Intn(2) // 0: the kNN, 1: the one-to-many
-		sel, fp := sels[otm], plans[otm]
+		orderLDArms(rng, cat["aux_ld"], rng.Intn(3) == 0)
+		kind := rng.Intn(4) // the EA kNN, the EA one-to-many, the LD kNN, the LD one-to-many
+		sel, fp := sels[kind], plans[kind]
 		d := (int64(rng.Intn(21)) - 10) * auxWidth
 		for _, row := range cat["lout"].rows {
 			for _, c := range row[2:4] { // tds, tas
@@ -519,16 +649,18 @@ func FuzzCondensedKNNStop(f *testing.F) {
 				}
 			}
 		}
-		for _, row := range cat["aux_ea"].rows {
-			row[1].I += d / auxWidth
-			for _, c := range []int{3, 4, 6} { // tas, tds_exp, tas_exp
-				for i := range row[c].A {
-					row[c].A[i] += d
+		for _, aux := range []string{"aux_ea", "aux_ld"} {
+			for _, row := range cat[aux].rows {
+				row[1].I += d / auxWidth
+				for _, c := range []int{3, 4, 6} { // tas or tds, tds_exp, tas_exp
+					for i := range row[c].A {
+						row[c].A[i] += d
+					}
 				}
 			}
 		}
 		params := []sqltypes.Value{sqltypes.NewInt(q % 8), sqltypes.NewInt(at), sqltypes.NewInt(k)}
-		if otm == 1 {
+		if kind%2 == 1 {
 			params = params[:2] // no LIMIT
 		}
 		want, wantErr := Run(sel, cat, params)

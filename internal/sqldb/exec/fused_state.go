@@ -3,11 +3,13 @@ package exec
 // fused_state.go holds what a fused query needs besides its inputs: the
 // resolved layout of the tables a plan reads (cached on the plan) and the
 // pooled per-query state — row scratch, the (hub, bucket) grouping of the
-// query stop's label, and the per-target MIN/MAX accumulator. Nothing here
-// touches a Go map or a hash: grouping walks the label's declared runs, and
-// the accumulator is an epoch-stamped array indexed by target id, so starting a
-// query costs a counter increment rather than a clear, and a steady-state
-// query allocates only its result.
+// query stop's label and, for LD, the label itself with the cursor search of
+// its hub runs, the per-target MIN/MAX accumulator, and the selection of its
+// k-th best value, which stops an EA sweep and skips LD kNN groups. Nothing
+// here touches a Go map or a hash: grouping walks the label's declared runs,
+// and the accumulator is an epoch-stamped array indexed by target id, so
+// starting a query costs a counter increment rather than a clear, and a
+// steady-state query allocates only its result.
 
 import (
 	"cmp"
@@ -331,35 +333,41 @@ func (a *targetAcc) topK(k int, limited, desc bool) []kEntry {
 }
 
 // kthVal returns the k-th smallest value among the accumulated entries — the
-// value of the k-th row topK(k, true, false) would return — or false when
-// fewer than k targets are accumulated. It selects with a max-heap of the k
-// smallest values in st.kth, so the entries, whose positions the
-// accumulator's slots record, stay where they are.
+// k-th largest when desc — which is the value of the k-th row topK(k, true,
+// desc) would return, or false when fewer than k targets are accumulated. It
+// selects with a max-heap of the k best values in st.kth, so the entries,
+// whose positions the accumulator's slots record, stay where they are. For
+// desc the heap holds each value's bitwise complement, an order-reversing
+// bijection of int64 that, unlike negation, cannot overflow.
 //
 // hotpath — allocheck root: at each new bucket of an EA kNN or one-to-many
-// sweep.
-func (st *queryState) kthVal(k int) (int64, bool) {
+// sweep, and after each folded row of an LD kNN.
+func (st *queryState) kthVal(k int, desc bool) (int64, bool) {
 	e := st.acc.entries
 	if len(e) < k {
 		return 0, false
+	}
+	flip := int64(0) // x ^ flip is x, or ^x when desc
+	if desc {
+		flip = -1
 	}
 	if cap(st.kth) < k {
 		st.kth = make([]int64, k)
 	}
 	h := st.kth[:k]
 	for i := range h {
-		h[i] = e[i].val
+		h[i] = e[i].val ^ flip
 	}
 	for i := k/2 - 1; i >= 0; i-- {
 		siftDownMax(h, i)
 	}
 	for _, x := range e[k:] {
-		if x.val < h[0] {
-			h[0] = x.val
+		if v := x.val ^ flip; v < h[0] {
+			h[0] = v
 			siftDownMax(h, 0)
 		}
 	}
-	return h[0], true
+	return h[0] ^ flip, true
 }
 
 // siftDownMax restores the max-heap order of h below position i.
@@ -427,7 +435,7 @@ type queryState struct {
 	order, bucketCnt []int32
 
 	acc    targetAcc
-	kth    []int64 // EA condensed only: kthVal's heap
+	kth    []int64 // condensed only: kthVal's heap (EA stop rule, LD kNN skip)
 	merged uint64  // fold calls, published once per query
 }
 
@@ -510,7 +518,8 @@ func (st *queryState) groupEA(lab label, t, width int64) {
 // groupLD groups every label tuple by hub (all probe the one given bucket),
 // recording each hub's run [lo, hi) of the label, which st retains: inside a
 // run arrivals and departures ascend together, so bestDeparture answers "the
-// latest departure among tuples reaching the hub by x" with one search.
+// latest departure among tuples reaching the hub by x" with one search, and
+// the run's last departure bounds every answer for the hub.
 //
 // hotpath — allocheck root: the one walk over the label of an LD query.
 func (st *queryState) groupLD(lab label, bucket int64) {
@@ -606,13 +615,16 @@ func (g *hubGroup) keyLess(o *hubGroup) bool {
 
 // bestDeparture returns the latest departure among g's tuples arriving at the
 // hub no later than x, or false when none does: the last such tuple's, since
-// departures ascend with arrivals inside a run.
+// departures ascend with arrivals inside a run. It searches from pos when the
+// tuple before pos arrives no later than x, else from the run's start
+// (firstGTFrom), and returns where it stopped — the cursor for a next search
+// with an x at least as large. Any pos gives the same answer.
 //
 // hotpath — allocheck root: per condensed-arm entry of an LD query.
-func (st *queryState) bestDeparture(g *hubGroup, x int64) (int64, bool) {
-	i := firstGT(st.lab.tas, int(g.lo), int(g.hi), x)
+func (st *queryState) bestDeparture(g *hubGroup, x int64, pos int) (int64, int, bool) {
+	i := firstGTFrom(st.lab.tas, int(g.lo), int(g.hi), pos, x)
 	if i == int(g.lo) {
-		return 0, false
+		return 0, i, false
 	}
-	return st.lab.tds[i-1], true
+	return st.lab.tds[i-1], i, true
 }

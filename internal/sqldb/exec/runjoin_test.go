@@ -44,6 +44,12 @@ func TestGallopSearches(t *testing.T) {
 			if got := firstGT(a, lo, hi, v); got != lo+gt {
 				t.Fatalf("firstGT(%v, %d, %d, %d) = %d, want %d", a, lo, hi, v, got, lo+gt)
 			}
+			// Every hint, right or wrong, and some outside [lo, hi].
+			for hint := lo - 2; hint <= hi+2; hint++ {
+				if got := firstGTFrom(a, lo, hi, hint, v); got != lo+gt {
+					t.Fatalf("firstGTFrom(%v, %d, %d, %d, %d) = %d, want %d", a, lo, hi, hint, v, got, lo+gt)
+				}
+			}
 		}
 	}
 }
