@@ -41,10 +41,13 @@ func (s *half) add(v timetable.StopID, t Tuple) {
 }
 
 // construction is a label set being built: the labels and the two
-// directories over them.
+// directories over them, and the timetable's connections in decreasing
+// arrival order, the scan order of every backward search (byArr is written
+// once, by newConstruction, and only read afterwards).
 type construction struct {
 	l       *Labels
 	in, out half
+	byArr   []timetable.Connection
 }
 
 func newConstruction(tt *timetable.Timetable, ord order.Order) *construction {
@@ -54,10 +57,21 @@ func newConstruction(tt *timetable.Timetable, ord order.Order) *construction {
 		Out:   make([][]Tuple, n),
 		Ranks: ord.Ranks(),
 	}
+	byArr := slices.Clone(tt.Connections())
+	// A total order, so no stable sort is needed: arrival descending, then the
+	// keys of the departure order.
+	slices.SortFunc(byArr, func(x, y timetable.Connection) int {
+		if x.Arr != y.Arr {
+			return cmp.Compare(y.Arr, x.Arr)
+		}
+		return cmp.Or(cmp.Compare(x.Dep, y.Dep), cmp.Compare(x.From, y.From),
+			cmp.Compare(x.To, y.To), cmp.Compare(x.Trip, y.Trip))
+	})
 	return &construction{
-		l:   l,
-		in:  half{tuples: l.In, runs: make([][]hubRun, n)},
-		out: half{tuples: l.Out, runs: make([][]hubRun, n)},
+		l:     l,
+		in:    half{tuples: l.In, runs: make([][]hubRun, n)},
+		out:   half{tuples: l.Out, runs: make([][]hubRun, n)},
+		byArr: byArr,
 	}
 }
 
@@ -84,26 +98,15 @@ func (c *construction) finish() *Labels {
 // share the construction read-only during searches; tuples are committed to
 // it by the orchestration in parallel.go, never by the searches themselves.
 func newBuilder(tt *timetable.Timetable, c *construction) *builder {
-	b := &builder{
+	return &builder{
 		tt:     tt,
 		c:      c,
 		ranks:  c.l.Ranks,
 		prof:   make([][]profEntry, tt.NumStops()),
 		meta:   make([][]profMeta, tt.NumStops()),
-		pos:    make([]int32, tt.NumStops()),
 		ownRun: make([]hubRun, tt.NumStops()),
 	}
-	for i := range b.pos {
-		b.pos[i] = unreached
-	}
-	return b
 }
-
-// Stream position sentinels (regular positions are >= 0).
-const (
-	unreached int32 = -1 // stop has no profile entry yet
-	exhausted int32 = -2 // stream consumed its whole connection list
-)
 
 // profEntry is one Pareto profile point: a journey between the current hub
 // and a stop, departing at d and arriving at a. Profiles are kept sorted by
@@ -123,11 +126,9 @@ type profMeta struct {
 
 // metaLess orders profile metadata lexicographically. When several distinct
 // journeys realize the same (departure, arrival) pair the profile keeps the
-// smallest metadata, so the recorded witness does not depend on the order
-// candidates were generated in — wave searches prune against fewer labels
-// than the serial build and therefore explore extra (covered) paths, and
-// without the canonical choice the surviving tuples' pivot/trip columns could
-// differ between worker counts.
+// smallest metadata, so the recorded witness is a property of the journeys,
+// not of the order a search meets equal-time connections in (which the
+// labels' digest pinned in TestBuildLabelsPinned would otherwise depend on).
 func metaLess(a, b profMeta) bool {
 	if a.first != b.first {
 		return a.first < b.first
@@ -146,18 +147,18 @@ type pendingTuple struct {
 	t Tuple
 }
 
-// builder carries the scratch state shared by the per-hub searches.
+// builder carries one worker's scratch state for the per-hub searches, each
+// a single scan over the time-sorted connections.
 type builder struct {
 	tt    *timetable.Timetable
 	c     *construction
 	ranks []int32
 
 	// prof[w] is the Pareto profile of the current search at stop w, with
-	// meta[w] parallel; pos[w] is the stream position into the stop's
-	// connection list. touched lists stops to reset after the search.
+	// meta[w] parallel; a stop is reached when its profile is non-empty.
+	// touched lists stops to reset after the search.
 	prof    [][]profEntry
 	meta    [][]profMeta
-	pos     []int32
 	touched []timetable.StopID
 
 	// own is the current hub's own label (L_out(h) in a forward search,
@@ -172,55 +173,44 @@ type builder struct {
 	pend []pendingTuple
 
 	stats BuildStats
-
-	pq streamHeap
 }
 
 // forward runs the pruned forward profile search from hub h, collecting a
 // tentative tuple ⟨h, d, a⟩ for L_in(w) in b.pend for every Pareto journey
-// h -> w not covered by the labels committed so far. Connections are
-// processed in increasing departure order; strictly positive durations
-// guarantee that when a connection departing at time t is processed, every
-// journey arriving at its departure stop by t is already in the profile.
+// h -> w not covered by the labels committed so far.
+//
+// The search is one scan over the timetable's connections in departure
+// order, from h's first departure on. Strictly positive durations guarantee
+// that when a connection departing at time t is scanned, every journey
+// arriving at its departure stop by t is already in the profile, and that no
+// connection scanned at t writes an entry another connection departing at t
+// reads, so the order among equal departures does not matter (and metaLess
+// keeps even the recorded metadata independent of it). A connection from a
+// stop no journey has reached by its departure is skipped.
 func (b *builder) forward(h timetable.StopID) {
 	tt, rankH := b.tt, b.ranks[h]
 	b.indexOwn(&b.c.out, h, 0)
-	b.pq = b.pq[:0]
 	b.pend = b.pend[:0]
+	var conns []timetable.Connection
+	if out := tt.Outgoing(h); len(out) > 0 {
+		conns = tt.Connections()[out[0]:]
+	}
 
-	// The hub's own stream covers the whole day: one may start from h at any
-	// time.
-	b.openForwardStream(h, 0)
-
-	for len(b.pq) > 0 {
-		it := b.pop()
-		u := it.stop
-		if it.pos != b.pos[u] {
-			continue // stale: the stream was rewound or advanced
-		}
-		out := tt.Outgoing(u)
-		c := tt.Connection(out[it.pos])
-		// Advance the stream before relaxing so that a rewind triggered by
-		// the relaxation itself is not clobbered.
-		if int(it.pos)+1 < len(out) {
-			b.pos[u] = it.pos + 1
-			b.push(streamItem{key: int64(tt.Connection(out[it.pos+1]).Dep), stop: u, pos: it.pos + 1})
-		} else {
-			b.pos[u] = exhausted
-		}
-
+	for k := range conns {
+		c := &conns[k]
 		// Best (latest) departure from h that reaches u by c.Dep.
 		var cand profEntry
 		var m profMeta
-		if u == h {
+		if u := c.From; u == h {
 			cand = profEntry{d: c.Dep, a: c.Arr}
 			m = profMeta{pivot: timetable.NoStop, first: c.Trip, last: c.Trip}
 		} else {
-			i := lastArrAtMost(b.prof[u], c.Dep)
-			if i < 0 {
+			p := b.prof[u]
+			if len(p) == 0 || p[0].a > c.Dep {
 				continue
 			}
-			cand = profEntry{d: b.prof[u][i].d, a: c.Arr}
+			i := lastArrAtMost(p, c.Dep)
+			cand = profEntry{d: p[i].d, a: c.Arr}
 			m = b.meta[u][i]
 			if c.Trip != m.last && m.pivot == timetable.NoStop {
 				m.pivot = u
@@ -245,52 +235,44 @@ func (b *builder) forward(h timetable.StopID) {
 		if b.coveredForward(w, cand.d, cand.a, 0) {
 			continue
 		}
-		b.insertForward(w, cand, m)
+		b.insert(w, cand, m)
 	}
 	b.collect(h)
 }
 
 // backward runs the pruned backward profile search toward hub h, collecting
 // tentative tuples ⟨h, d, a⟩ for L_out(w) in b.pend for every Pareto journey
-// w -> h not covered by the labels committed so far. Connections are
-// processed in decreasing arrival order over the incoming lists of reached
-// stops.
+// w -> h not covered by the labels committed so far. It is forward mirrored
+// in time: one scan over the connections in decreasing arrival order
+// (construction.byArr), from h's last arrival on, skipping a connection into
+// a stop no journey to h leaves at or after its arrival.
 func (b *builder) backward(h timetable.StopID) {
-	tt, rankH := b.tt, b.ranks[h]
+	rankH := b.ranks[h]
 	b.indexOwn(&b.c.in, h, 0)
-	b.pq = b.pq[:0]
 	b.pend = b.pend[:0]
+	var conns []timetable.Connection
+	if in := b.tt.Incoming(h); len(in) > 0 {
+		last := b.tt.Connection(in[len(in)-1]).Arr
+		byArr := b.c.byArr
+		conns = byArr[sort.Search(len(byArr), func(i int) bool { return byArr[i].Arr <= last }):]
+	}
 
-	b.openBackwardStream(h, int32(len(tt.Incoming(h)))-1)
-
-	for len(b.pq) > 0 {
-		it := b.pop()
-		v := it.stop
-		if it.pos != b.pos[v] {
-			continue
-		}
-		in := tt.Incoming(v)
-		c := tt.Connection(in[it.pos])
-		if it.pos > 0 {
-			b.pos[v] = it.pos - 1
-			b.push(streamItem{key: -int64(tt.Connection(in[it.pos-1]).Arr), stop: v, pos: it.pos - 1})
-		} else {
-			b.pos[v] = exhausted
-		}
-
+	for k := range conns {
+		c := &conns[k]
 		// Best (earliest) arrival at h for journeys leaving v at or after
 		// c.Arr.
 		var cand profEntry
 		var m profMeta
-		if v == h {
+		if v := c.To; v == h {
 			cand = profEntry{d: c.Dep, a: c.Arr}
 			m = profMeta{pivot: timetable.NoStop, first: c.Trip, last: c.Trip}
 		} else {
-			i := firstDepAtLeast(b.prof[v], c.Arr)
-			if i < 0 {
+			p := b.prof[v]
+			if len(p) == 0 || p[len(p)-1].d < c.Arr {
 				continue
 			}
-			cand = profEntry{d: c.Dep, a: b.prof[v][i].a}
+			i := firstDepAtLeast(p, c.Arr)
+			cand = profEntry{d: c.Dep, a: p[i].a}
 			m = b.meta[v][i]
 			if c.Trip != m.first && m.pivot == timetable.NoStop {
 				m.pivot = v
@@ -310,14 +292,14 @@ func (b *builder) backward(h timetable.StopID) {
 		if b.coveredBackward(w, cand.d, cand.a, 0) {
 			continue
 		}
-		b.insertBackward(w, cand, m)
+		b.insert(w, cand, m)
 	}
 	b.collect(h)
 }
 
 // collect drains the surviving profile entries of hub h's search into b.pend
-// (in touch order, each stop's entries sorted by departure) and resets the
-// per-search scratch state.
+// (in touch order, each stop's entries sorted by departure) and empties the
+// touched profiles, which leaves every stop unreached for the next search.
 func (b *builder) collect(h timetable.StopID) {
 	for _, w := range b.touched {
 		for i, e := range b.prof[w] {
@@ -326,33 +308,11 @@ func (b *builder) collect(h timetable.StopID) {
 		}
 		b.prof[w] = b.prof[w][:0]
 		b.meta[w] = b.meta[w][:0]
-		b.pos[w] = unreached
 	}
 	b.touched = b.touched[:0]
-	b.pos[h] = unreached
 	b.releaseOwn()
 	b.stats.Searches++
 	b.stats.TentativeTuples += int64(len(b.pend))
-}
-
-func (b *builder) openForwardStream(u timetable.StopID, pos int32) {
-	out := b.tt.Outgoing(u)
-	if int(pos) >= len(out) {
-		b.pos[u] = exhausted
-		return
-	}
-	b.pos[u] = pos
-	b.push(streamItem{key: int64(b.tt.Connection(out[pos]).Dep), stop: u, pos: pos})
-}
-
-func (b *builder) openBackwardStream(u timetable.StopID, pos int32) {
-	if pos < 0 {
-		b.pos[u] = exhausted
-		return
-	}
-	in := b.tt.Incoming(u)
-	b.pos[u] = pos
-	b.push(streamItem{key: -int64(b.tt.Connection(in[pos]).Arr), stop: u, pos: pos})
 }
 
 // lastArrAtMost returns the index of the profile entry with the largest
@@ -389,47 +349,9 @@ func firstDepAtLeast(p []profEntry, t timetable.Time) int {
 	return lo
 }
 
-// insertForward adds e to w's profile, evicting entries e dominates, and
-// opens or rewinds w's outgoing stream to cover departures >= e.a.
-// Connections between a rewound position and the previous one depart later
-// than the current scan clock, so none is processed twice.
-func (b *builder) insertForward(w timetable.StopID, e profEntry, m profMeta) {
-	b.insert(w, e, m)
-	out := b.tt.Outgoing(w)
-	start := int32(sort.Search(len(out), func(i int) bool { return b.tt.Connection(out[i]).Dep >= e.a }))
-	if int(start) >= len(out) {
-		if b.pos[w] == unreached {
-			b.pos[w] = exhausted
-		}
-		return
-	}
-	if b.pos[w] == unreached || b.pos[w] == exhausted || start < b.pos[w] {
-		b.pos[w] = start
-		b.push(streamItem{key: int64(b.tt.Connection(out[start]).Dep), stop: w, pos: start})
-	}
-}
-
-// insertBackward adds e and opens or rewinds w's incoming stream to cover
-// arrivals <= e.d (streams run backward in time).
-func (b *builder) insertBackward(w timetable.StopID, e profEntry, m profMeta) {
-	b.insert(w, e, m)
-	in := b.tt.Incoming(w)
-	// Last index with arr <= e.d.
-	start := int32(sort.Search(len(in), func(i int) bool { return b.tt.Connection(in[i]).Arr > e.d })) - 1
-	if start < 0 {
-		if b.pos[w] == unreached {
-			b.pos[w] = exhausted
-		}
-		return
-	}
-	if b.pos[w] == unreached || b.pos[w] == exhausted || start > b.pos[w] {
-		b.pos[w] = start
-		b.push(streamItem{key: -int64(b.tt.Connection(in[start]).Arr), stop: w, pos: start})
-	}
-}
-
-// insert performs the Pareto insertion shared by both directions: e replaces
-// every entry it dominates (a contiguous run around its departure position).
+// insert performs the Pareto insertion shared by both directions: e, which no
+// entry dominates, replaces every entry it dominates (a contiguous run around
+// its departure position).
 func (b *builder) insert(w timetable.StopID, e profEntry, m profMeta) {
 	p, ms := b.prof[w], b.meta[w]
 	if len(p) == 0 {
@@ -563,57 +485,4 @@ func (b *builder) coveredBackward(w timetable.StopID, d, a timetable.Time, from 
 		}
 	}
 	return false
-}
-
-// streamItem is a pending connection-stream head: the connection at index pos
-// of stop's outgoing (forward) or incoming (backward) list.
-type streamItem struct {
-	key  int64 // departure (forward) or negated arrival (backward)
-	stop timetable.StopID
-	pos  int32
-}
-
-// streamHeap is a binary min-heap of stream heads, specialized to avoid
-// container/heap interface overhead in the innermost preprocessing loop.
-type streamHeap []streamItem
-
-func (b *builder) push(e streamItem) {
-	h := b.pq
-	h = append(h, e)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h[p].key <= h[i].key {
-			break
-		}
-		h[p], h[i] = h[i], h[p]
-		i = p
-	}
-	b.pq = h
-}
-
-func (b *builder) pop() streamItem {
-	h := b.pq
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		s := i
-		if l < len(h) && h[l].key < h[s].key {
-			s = l
-		}
-		if r < len(h) && h[r].key < h[s].key {
-			s = r
-		}
-		if s == i {
-			break
-		}
-		h[i], h[s] = h[s], h[i]
-		i = s
-	}
-	b.pq = h
-	return top
 }

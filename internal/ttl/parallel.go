@@ -18,11 +18,13 @@ import (
 // property (every Pareto-optimal journey is witnessed by its most important
 // stop) and contain no tuple whose journey is covered by more important hubs.
 //
-// Each per-hub search is a connection scan restricted to reached stops: a
-// priority queue merges the time-sorted connection lists of the stops that
-// already carry a Pareto profile entry, so unreachable parts of the timetable
-// cost nothing — essential once pruning shrinks the searches of unimportant
-// hubs to a handful of stops.
+// Each per-hub search is one pass of the Connection Scan Algorithm over the
+// time-sorted connections from the hub's first departure (last arrival,
+// backward) on. The pass also visits the connections of stops the search
+// never reaches, but passing one over is a load and a compare: cheaper than
+// merging the connection lists of the reached stops in a priority queue,
+// which on a generated city held about half the stops at a typical step, so
+// that pruning rarely spared it any work.
 //
 // Build is BuildParallel with one worker.
 func Build(tt *timetable.Timetable, ord order.Order) *Labels {

@@ -48,7 +48,6 @@ func TestProfileInsertMatchesBruteForce(t *testing.T) {
 		b := &builder{
 			prof: make([][]profEntry, 1),
 			meta: make([][]profMeta, 1),
-			pos:  []int32{unreached},
 		}
 		var ref refProfile
 		for i := 0; i < 60; i++ {

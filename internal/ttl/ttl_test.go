@@ -116,17 +116,37 @@ func TestPaperEAQuery(t *testing.T) {
 	}
 }
 
-func randomTimetable(rng *rand.Rand, stops, conns int) *timetable.Timetable {
+// randomTimetable draws conns connections between random stops on 60 trips,
+// departing in [0, span) and riding 1 to max(span/16, 3) seconds. Over a day
+// (span 86400) equal times are rare.
+func randomTimetable(rng *rand.Rand, stops, conns int, span timetable.Time) *timetable.Timetable {
 	var b timetable.Builder
 	b.AddStops(stops)
+	maxDur := max(int(span)/16, 3)
 	for i := 0; i < conns; i++ {
 		from := timetable.StopID(rng.Intn(stops))
 		to := timetable.StopID(rng.Intn(stops))
 		if from == to {
 			to = (to + 1) % timetable.StopID(stops)
 		}
-		dep := timetable.Time(rng.Intn(86400))
-		b.AddConnection(from, to, dep, dep+1+timetable.Time(rng.Intn(5400)), timetable.TripID(rng.Intn(60)))
+		dep := timetable.Time(rng.Intn(int(span)))
+		b.AddConnection(from, to, dep, dep+1+timetable.Time(rng.Intn(maxDur)), timetable.TripID(rng.Intn(60)))
+	}
+	return b.MustBuild()
+}
+
+// tieTimetable is a tie-heavy randomTimetable: departures within 20 s, rides
+// of 1 to 3 s, and about a quarter of the connections repeated on another
+// trip. Equal-time connections abound, and equal journeys with different
+// metadata meet, so the build's tie rule (metaLess) decides.
+func tieTimetable(rng *rand.Rand, stops, conns int) *timetable.Timetable {
+	var b timetable.Builder
+	b.AddStops(stops)
+	for _, c := range randomTimetable(rng, stops, conns, 20).Connections() {
+		b.AddConnection(c.From, c.To, c.Dep, c.Arr, c.Trip)
+		if rng.Intn(4) == 0 {
+			b.AddConnection(c.From, c.To, c.Dep, c.Arr, (c.Trip+1+timetable.TripID(rng.Intn(59)))%60)
+		}
 	}
 	return b.MustBuild()
 }
@@ -156,11 +176,17 @@ func thresholds(tt *timetable.Timetable, s timetable.StopID) []timetable.Time {
 // TestLabelsMatchCSA is the main correctness property: on random timetables
 // and orders, every EA/LD/SD label query matches the Connection Scan oracle
 // for every stop pair and profile breakpoint. This machine-checks the cover
-// property of Build and (via the unified variants) Theorem 3.1.1.
+// property of Build and (via the unified variants) Theorem 3.1.1. The last
+// six timetables are tie-heavy.
 func TestLabelsMatchCSA(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for iter := 0; iter < 12; iter++ {
-		tt := randomTimetable(rng, 2+rng.Intn(14), rng.Intn(130))
+	for iter := 0; iter < 18; iter++ {
+		var tt *timetable.Timetable
+		if iter < 12 {
+			tt = randomTimetable(rng, 2+rng.Intn(14), rng.Intn(130), 86400)
+		} else {
+			tt = tieTimetable(rng, 2+rng.Intn(8), rng.Intn(130))
+		}
 		ord := randomOrder(rng, tt, iter)
 		l := Build(tt, ord)
 		if err := l.Validate(); err != nil {
@@ -216,7 +242,7 @@ func TestLabelsMatchCSA(t *testing.T) {
 // fraction of all tuples on a realistic (non-degenerate) instance.
 func TestDummyFraction(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	tt := randomTimetable(rng, 40, 2000)
+	tt := randomTimetable(rng, 40, 2000, 86400)
 	l := Build(tt, order.ByDegree(tt)).Augment()
 	frac := float64(l.NumDummies()) / float64(l.NumTuples())
 	if frac <= 0 || frac >= 0.5 {
@@ -287,7 +313,7 @@ func TestPivotAndTrip(t *testing.T) {
 // TestBuildDeterminism ensures Build is reproducible for a fixed order.
 func TestBuildDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	tt := randomTimetable(rng, 20, 300)
+	tt := randomTimetable(rng, 20, 300, 86400)
 	ord := order.ByDegree(tt)
 	a, b := Build(tt, ord), Build(tt, ord)
 	if !reflect.DeepEqual(a.In, b.In) || !reflect.DeepEqual(a.Out, b.Out) {

@@ -58,6 +58,11 @@ if git grep -nE 'coalescer|newCoalescer|runFlight' -- 'internal/serve/*.go'; the
     echo "no request coalescer, no shared flight" >&2
     exit 1
 fi
+echo "== a label-build search is one scan (internal/ttl)"
+if git grep -nE 'streamHeap|openForwardStream|insertForward|insertBackward' -- 'internal/ttl'; then
+    echo "each profile search is one scan over the time-sorted connections: no per-stop stream heap" >&2
+    exit 1
+fi
 echo "== go vet ./..."
 go vet ./...
 echo "== ptldb-analyze ./... (project lint)"
