@@ -9,9 +9,9 @@ GO ?= go
 check:
 	sh scripts/check.sh
 
-# Project-specific static analysis (lockcheck, lockordercheck, atomiccheck,
-# arenacheck, allocheck, errcheck, plus stale- and unknown-waiver hygiene) —
-# see internal/analysis and DESIGN.md §8 and §12.
+# Project-specific static analysis (lockcheck, lockordercheck, allocheck,
+# errcheck, plus stale- and unknown-waiver hygiene) — see internal/analysis
+# and DESIGN.md §8 and §12.
 lint:
 	$(GO) run ./cmd/ptldb-analyze ./...
 

@@ -43,10 +43,10 @@ func benchSetup(b *testing.B) (*Network, string) {
 		// whenever the on-disk format changes (the segment header CRC in v2,
 		// segment-only label tables in v3, every table a segment in v4) or a
 		// table gains a declared property (run_order in catalog.json in v5,
-		// target_ids in v6, floor in v7, the target count in v8), or a stale
-		// cache would fail to open or carry files the current build no longer
-		// writes.
-		const benchDatasetFormat = 8
+		// target_ids in v6, floor in v7, the target count in v8) or a table is
+		// renamed (one knn_naive table per target set in v9), or a stale cache
+		// would fail to open or carry files the current build no longer writes.
+		const benchDatasetFormat = 9
 		dir := filepath.Join(os.TempDir(),
 			fmt.Sprintf("ptldb-gobench-%s-%04d-f%d", benchCity, int(benchScale*10000), benchDatasetFormat))
 		if _, err := os.Stat(filepath.Join(dir, "catalog.json")); err != nil {

@@ -69,14 +69,17 @@ func TestSelectCheckers(t *testing.T) {
 	if err != nil || len(all) != len(analysis.Checkers()) {
 		t.Fatalf("selectCheckers(\"\") = %d checkers, %v; want the default suite", len(all), err)
 	}
-	got, err := selectCheckers("errcheck, arenacheck")
-	if err != nil || len(got) != 2 || got[0].Name() != "errcheck" || got[1].Name() != "arenacheck" {
-		t.Fatalf("selectCheckers(errcheck, arenacheck) = %v, %v", got, err)
+	got, err := selectCheckers("errcheck, lockcheck")
+	if err != nil || len(got) != 2 || got[0].Name() != "errcheck" || got[1].Name() != "lockcheck" {
+		t.Fatalf("selectCheckers(errcheck, lockcheck) = %v, %v", got, err)
 	}
-	_, err = selectCheckers("arenacheck,nope")
-	if err == nil || !strings.Contains(err.Error(), `"nope"`) {
-		t.Fatalf("unknown checker: err = %v", err)
+	// arenacheck was deleted: its name is as unknown as any other.
+	for _, name := range []string{"arenacheck", "nope"} {
+		if _, err := selectCheckers("allocheck," + name); err == nil || !strings.Contains(err.Error(), `"`+name+`"`) {
+			t.Fatalf("unknown checker %s: err = %v", name, err)
+		}
 	}
+	_, err = selectCheckers("nope")
 	for _, c := range all {
 		if !strings.Contains(err.Error(), c.Name()) {
 			t.Errorf("error does not list %s: %v", c.Name(), err)

@@ -32,20 +32,19 @@ import (
 
 func main() {
 	var (
-		scale    = flag.Float64("scale", 0.05, "dataset scale relative to the paper (0 < scale <= 1)")
-		queries  = flag.Int("queries", 200, "queries per experiment (paper: 1000)")
-		cities   = flag.String("cities", "", "comma-separated dataset names (default: all 11)")
-		exps     = flag.String("exp", "all", "comma-separated experiment ids or 'all' (paper Section 4 + four ablations; system performance: benchmark/): "+strings.Join(bench.ExperimentIDs, ","))
-		cache    = flag.String("cache", "", "database cache directory (default: $TMPDIR/ptldb-bench-cache)")
-		seed     = flag.Int64("seed", 1, "workload and generator seed")
-		parallel = flag.Int("parallel", 1, "goroutines issuing queries concurrently (sim device time is divided by N)")
-		workers  = flag.Int("build-workers", 0, "preprocessing parallelism for database builds (0 = GOMAXPROCS)")
-		vcBytes  = flag.Int64("vcache-bytes", 0, "vector-cache budget in bytes (0 = default, negative = no cache)")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		out      = flag.String("o", "", "write the report to a file instead of stdout")
-		obsOut   = flag.String("obs-out", "", "write per-code query observability totals (JSON) to this file")
-		quiet    = flag.Bool("q", false, "suppress progress output")
+		scale   = flag.Float64("scale", 0.05, "dataset scale relative to the paper (0 < scale <= 1)")
+		queries = flag.Int("queries", 200, "queries per experiment (paper: 1000)")
+		cities  = flag.String("cities", "", "comma-separated dataset names (default: all 11)")
+		exps    = flag.String("exp", "all", "comma-separated experiment ids or 'all' (paper Section 4 + four ablations; system performance: benchmark/): "+strings.Join(bench.ExperimentIDs, ","))
+		cache   = flag.String("cache", "", "database cache directory (default: $TMPDIR/ptldb-bench-cache)")
+		seed    = flag.Int64("seed", 1, "workload and generator seed")
+		workers = flag.Int("build-workers", 0, "preprocessing parallelism for database builds (0 = GOMAXPROCS)")
+		vcBytes = flag.Int64("vcache-bytes", 0, "vector-cache budget in bytes (0 = default, negative = no cache)")
+		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf = flag.String("memprofile", "", "write a heap profile to this file at exit")
+		out     = flag.String("o", "", "write the report to a file instead of stdout")
+		obsOut  = flag.String("obs-out", "", "write per-code query observability totals (JSON) to this file")
+		quiet   = flag.Bool("q", false, "suppress progress output")
 	)
 	flag.Parse()
 
@@ -79,7 +78,6 @@ func main() {
 		Queries:      *queries,
 		Seed:         *seed,
 		CacheDir:     *cache,
-		Parallel:     *parallel,
 		BuildWorkers: *workers,
 	}
 	cfg.VCacheBytes = *vcBytes

@@ -33,7 +33,6 @@ func main() {
 		bucket  = flag.Int("bucket", 3600, "knn/otm bucket width in seconds")
 		ordFlag = flag.String("order", "neighbor-degree", "vertex ordering: neighbor-degree, degree, random")
 		workers = flag.Int("workers", 0, "preprocessing parallelism (0 = GOMAXPROCS); output is identical for every value")
-		vcBytes = flag.Int64("vcache-bytes", 0, "vector-cache budget in bytes (0 = default, negative = no cache)")
 		obsOut  = flag.String("obs-out", "", "write the build's observability snapshot (JSON) to this file")
 		list    = flag.Bool("list", false, "list synthetic city profiles and exit")
 	)
@@ -74,12 +73,11 @@ func main() {
 		tt.NumStops(), tt.NumConnections(), tt.NumTrips(), tt.MinTime(), tt.MaxTime())
 
 	db, stats, err := ptldb.CreateWithStats(*dbDir, tt, ptldb.Config{
-		Device:           "ram",
-		BucketSeconds:    int32(*bucket),
-		Ordering:         *ordFlag,
-		Seed:             *seed,
-		BuildWorkers:     *workers,
-		VectorCacheBytes: *vcBytes,
+		Device:        "ram",
+		BucketSeconds: int32(*bucket),
+		Ordering:      *ordFlag,
+		Seed:          *seed,
+		BuildWorkers:  *workers,
 	})
 	if err != nil {
 		fatal(err)

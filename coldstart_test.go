@@ -48,7 +48,7 @@ func TestColdStartReads(t *testing.T) {
 	}
 
 	// Every file but the catalog is a segment — lout, lin, stops, ptldb_meta
-	// and the six tables of the target set — and a segment is read whole.
+	// and the five tables of the target set — and a segment is read whole.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -69,8 +69,8 @@ func TestColdStartReads(t *testing.T) {
 		files++
 		segPages += uint64(st.Size() / storage.PageSize)
 	}
-	if files != 10 {
-		t.Errorf("the image holds %d segments, want 10", files)
+	if files != 9 {
+		t.Errorf("the image holds %d segments, want 9", files)
 	}
 
 	db, err = Open(dir, Config{Device: "hdd", VectorCacheBytes: 64 << 10, PoolPages: 4096})
@@ -187,8 +187,8 @@ func TestVectorSizeMatchesPrediction(t *testing.T) {
 			}
 			checked++
 		}
-		if checked < 8 || db.Snapshot().VCache.Declined != 0 {
-			t.Errorf("%s: checked %d segment tables, %d declined; want the two labels and six condensed tables, none declined",
+		if checked < 7 || db.Snapshot().VCache.Declined != 0 {
+			t.Errorf("%s: checked %d segment tables, %d declined; want the two labels and five target-set tables, none declined",
 				city.name, checked, db.Snapshot().VCache.Declined)
 		}
 	}

@@ -10,10 +10,6 @@
 //     annotated mutexes ("lockcheck:shard") and latches ("lockcheck:latch")
 //     — cycles, two shard mutexes held at once, and undocumented or violated
 //     "level=N" ordering are findings.
-//   - atomiccheck: a field accessed through sync/atomic anywhere must be
-//     accessed atomically everywhere.
-//   - arenacheck: slices carved out of exec.RowScratch's append-only Arena
-//     must not be stored in struct fields, returned, or sent on channels.
 //   - allocheck: functions reachable from "// hotpath" roots must be
 //     statically allocation-free — no heap literals, closures, fmt, string
 //     building or interface boxing; append and make only through the arena
@@ -25,10 +21,14 @@
 // The two lock checkers are forward dataflows on one engine — cfg.go's
 // control-flow graph and solver — over one fact base of lock classes and
 // call summaries (newLockFacts). allocheck walks the AST from its roots over
-// modindex.go; the rest inspect statements where they stand.
+// modindex.go; errcheck inspects statements where they stand.
+//
+// Each checker keeps its place by a violation only it catches: DESIGN.md §8
+// tables the violations seeded into the module and the gates that caught
+// each.
 //
 // Checkers identify project constructs by convention (method names, the
-// Arena field name, the lockcheck:shard field annotation) rather than by
+// lockcheck:shard field annotation, the hotpath comment) rather than by
 // type identity, so each checker is exercised by a small self-contained
 // golden-file corpus under testdata/ (see the analysistest package).
 //
@@ -105,8 +105,6 @@ func Checkers() []Checker {
 	return []Checker{
 		NewLockCheck(),
 		NewLockOrderCheck(),
-		NewAtomicCheck(),
-		NewArenaCheck(),
 		NewAllocCheck(),
 		NewErrCheck("ptldb/internal/sqldb", "ptldb/internal/obs", "ptldb/internal/serve", "ptldb/internal/tenant", "ptldb/cmd"),
 	}

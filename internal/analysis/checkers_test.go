@@ -14,14 +14,6 @@ func TestLockCheck(t *testing.T) {
 	analysistest.Run(t, corpus("lockcheck"), analysis.NewLockCheck())
 }
 
-func TestAtomicCheck(t *testing.T) {
-	analysistest.Run(t, corpus("atomiccheck"), analysis.NewAtomicCheck())
-}
-
-func TestArenaCheck(t *testing.T) {
-	analysistest.Run(t, corpus("arenacheck"), analysis.NewArenaCheck())
-}
-
 func TestErrCheck(t *testing.T) {
 	analysistest.Run(t, corpus("errcheck"), analysis.NewErrCheck())
 }
@@ -37,9 +29,10 @@ func TestAllocCheck(t *testing.T) {
 // TestStaleWaiver drives the directive corpus straight through Run: the used
 // waivers suppress their errcheck findings, the waiver naming a checker that
 // did not run stays unjudged, and the run's findings are exactly the stale
-// waiver, the malformed one and the one naming a checker the suite does not
-// have. Each report lands on the directive's own comment line, which cannot
-// also carry a want comment — hence no analysistest here.
+// waiver, the malformed one and the two naming a checker the suite does not
+// have (one of them a checker it once had). Each report lands on the
+// directive's own comment line, which cannot also carry a want comment —
+// hence no analysistest here.
 func TestStaleWaiver(t *testing.T) {
 	dir := corpus("directive")
 	loader, err := analysis.NewLoader(dir)
@@ -58,9 +51,10 @@ func TestStaleWaiver(t *testing.T) {
 		{23, "stale lint:ignore: no errcheck finding on this or the next line; delete the waiver"},
 		{37, `malformed lint:ignore: want "lint:ignore <checker> <reason>"`},
 		{42, `unknown checker "sqlcheck" in lint:ignore`},
+		{47, `unknown checker "arenacheck" in lint:ignore`},
 	}
 	if len(findings) != len(want) {
-		t.Fatalf("findings = %v, want the stale, the malformed and the unknown waiver", findings)
+		t.Fatalf("findings = %v, want the stale, the malformed and the two unknown waivers", findings)
 	}
 	for i, f := range findings {
 		if f.Checker != "directive" || f.Pos.Line != want[i].line || f.Message != want[i].msg {
@@ -79,8 +73,6 @@ func TestCleanCorpus(t *testing.T) {
 	analysistest.Run(t, corpus("clean"),
 		analysis.NewLockCheck(),
 		analysis.NewLockOrderCheck(),
-		analysis.NewAtomicCheck(),
-		analysis.NewArenaCheck(),
 		analysis.NewAllocCheck(),
 		analysis.NewErrCheck(),
 	)

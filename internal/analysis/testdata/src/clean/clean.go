@@ -6,7 +6,6 @@ package clean
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 )
 
 type pagedFile struct{}
@@ -16,18 +15,15 @@ func (pagedFile) WritePage(page int, data []byte) error { return nil }
 type shard struct {
 	mu     sync.Mutex // lockcheck:shard
 	frames map[int][]byte
-	ops    int64
 }
 
-// get follows the pool discipline: critical sections touch only memory, the
-// device write happens between them, and the op counter is atomic
-// everywhere.
+// get follows the pool discipline: critical sections touch only memory, and
+// the device write happens between them.
 func get(sh *shard, f pagedFile, page int) ([]byte, error) {
 	sh.mu.Lock()
 	data, ok := sh.frames[page]
 	sh.mu.Unlock()
 	if ok {
-		atomic.AddInt64(&sh.ops, 1)
 		return data, nil
 	}
 	buf := make([]byte, 8)
@@ -37,23 +33,11 @@ func get(sh *shard, f pagedFile, page int) ([]byte, error) {
 	sh.mu.Lock()
 	sh.frames[page] = buf
 	sh.mu.Unlock()
-	atomic.AddInt64(&sh.ops, 1)
 	return buf, nil
 }
 
-func ops(sh *shard) int64 { return atomic.LoadInt64(&sh.ops) }
-
 type rowScratch struct {
 	Arena []int64
-}
-
-// materialize grows the arena and copies the view out before returning it.
-func materialize(s *rowScratch, vals []int64) []int64 {
-	start := len(s.Arena)
-	s.Arena = append(s.Arena, vals...)
-	out := make([]int64, len(vals))
-	copy(out, s.Arena[start:])
-	return out
 }
 
 // latched pairs a publication latch with the admission mutex at the levels

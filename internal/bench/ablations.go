@@ -47,7 +47,7 @@ func (w *Workspace) AblationBucket() (*Table, error) {
 			db.Close()
 		}
 		db, err := ptldb.Open(dir, ptldb.Config{
-			Device: "hdd", PoolPages: w.cfg.PoolPages,
+			Device:    "hdd",
 			TraceHook: w.cfg.TraceHook,
 		})
 		if err != nil {
@@ -60,7 +60,7 @@ func (w *Workspace) AblationBucket() (*Table, error) {
 			return nil, err
 		}
 		wl := w.NewWorkload(ds, w.cfg.Queries)
-		ea, err := w.measure(db, w.cfg.Queries, func(i int) error {
+		ea, err := MeasureQueries(db, w.cfg.Queries, func(i int) error {
 			_, err := db.EAKNN(set, wl.Sources[i], wl.Starts[i], 4)
 			return err
 		})
@@ -68,7 +68,7 @@ func (w *Workspace) AblationBucket() (*Table, error) {
 			db.Close()
 			return nil, err
 		}
-		ld, err := w.measure(db, w.cfg.Queries, func(i int) error {
+		ld, err := MeasureQueries(db, w.cfg.Queries, func(i int) error {
 			_, err := db.LDKNN(set, wl.Sources[i], wl.Ends[i], 4)
 			return err
 		})
@@ -97,7 +97,7 @@ func (w *Workspace) AblationBucket() (*Table, error) {
 // cold EA-kNN query and per cold LD-kNN query of the workload.
 func (w *Workspace) coldKNNReads(dir, set string, wl Workload) (cells [4]string, err error) {
 	db, err := ptldb.Open(dir, ptldb.Config{
-		Device: "hdd", PoolPages: w.cfg.PoolPages, VectorCacheBytes: -1,
+		Device: "hdd", VectorCacheBytes: -1,
 	})
 	if err != nil {
 		return cells, err
@@ -361,7 +361,7 @@ func (w *Workspace) AblationEngine() (*Table, error) {
 	ttlEA := measure(func(i int) {
 		labels.EarliestArrival(wl.Sources[i], wl.Goals[i], wl.Starts[i])
 	})
-	dbEA, err := w.measure(db, n, func(i int) error {
+	dbEA, err := MeasureQueries(db, n, func(i int) error {
 		_, _, err := db.EarliestArrival(wl.Sources[i], wl.Goals[i], wl.Starts[i])
 		return err
 	})

@@ -23,8 +23,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"ptldb"
@@ -44,13 +42,6 @@ type Config struct {
 	// CacheDir holds the built databases; databases found there are reused
 	// (preprocessing is deterministic).
 	CacheDir string
-	// PoolPages overrides the buffer-pool size.
-	PoolPages int
-	// Parallel is the number of goroutines issuing queries concurrently
-	// (default 1, the paper's sequential protocol). With N > 1 the simulated
-	// device time is divided by N, modelling N independent device channels —
-	// concurrent queries overlap their I/O in the sharded buffer pool.
-	Parallel int
 	// VCacheBytes overrides the vector-cache budget (0 = ptldb's default,
 	// negative = no cache: label reads served from the segments).
 	VCacheBytes int64
@@ -83,9 +74,6 @@ func (c Config) Defaults() Config {
 	if c.CacheDir == "" {
 		c.CacheDir = filepath.Join(os.TempDir(), "ptldb-bench-cache")
 	}
-	if c.Parallel == 0 {
-		c.Parallel = 1
-	}
 	return c
 }
 
@@ -96,9 +84,10 @@ func (c Config) Defaults() Config {
 // the label tables declare run_order in catalog.json — a v5 image built before
 // they did has none; v7: the naive and condensed tables declare target_ids
 // there; v8: the EA condensed tables declare their floor there; v9: the EA
-// one-to-many table declares its target count there): a stale cache would
-// otherwise fail to open.
-const datasetFormat = 9
+// one-to-many table declares its target count there; v10: a target set has one
+// knn_naive table where it had ea_knn_naive and ld_knn_naive): a stale cache
+// would otherwise fail to open.
+const datasetFormat = 10
 
 // Densities are the paper's target-density values D = |T| / |V|.
 var Densities = []float64{0.001, 0.005, 0.01, 0.05, 0.1}
@@ -183,8 +172,7 @@ func (w *Workspace) Dataset(city string) (*Dataset, error) {
 	}
 	w.logf("preprocessing %s: %d stops, %d connections", city, tt.NumStops(), tt.NumConnections())
 	db, stats, err := ptldb.CreateWithStats(dir, tt, ptldb.Config{
-		Device: "ram", PoolPages: w.cfg.PoolPages,
-		VectorCacheBytes: w.cfg.VCacheBytes, BuildWorkers: w.cfg.BuildWorkers,
+		Device: "ram", VectorCacheBytes: w.cfg.VCacheBytes, BuildWorkers: w.cfg.BuildWorkers,
 	})
 	if err != nil {
 		return nil, err
@@ -225,8 +213,7 @@ func sanitize(s string) string {
 // Open opens a dataset's database on the given simulated device.
 func (w *Workspace) Open(ds *Dataset, device string) (*ptldb.DB, error) {
 	return ptldb.Open(ds.Dir, ptldb.Config{
-		Device: device, PoolPages: w.cfg.PoolPages,
-		VectorCacheBytes: w.cfg.VCacheBytes, TraceHook: w.cfg.TraceHook,
+		Device: device, VectorCacheBytes: w.cfg.VCacheBytes, TraceHook: w.cfg.TraceHook,
 	})
 }
 
@@ -291,21 +278,10 @@ func (w *Workspace) NewWorkload(ds *Dataset, n int) Workload {
 	return wl
 }
 
-// MeasureQueries runs fn once per workload entry after a cold start and
-// returns the average time per query: wall clock plus simulated device time.
+// MeasureQueries runs fn once per workload entry, one query after another
+// (the paper's protocol), after a cold start and returns the average time per
+// query: wall clock plus simulated device time.
 func MeasureQueries(db *ptldb.DB, n int, fn func(i int) error) (time.Duration, error) {
-	return MeasureQueriesParallel(db, n, 1, fn)
-}
-
-// MeasureQueriesParallel is MeasureQueries with the n queries spread over
-// `parallel` goroutines. The simulated device time is divided by the
-// parallelism: the sharded buffer pool performs device reads outside its
-// locks, so concurrent queries overlap their I/O as if each goroutine had
-// its own device channel.
-func MeasureQueriesParallel(db *ptldb.DB, n, parallel int, fn func(i int) error) (time.Duration, error) {
-	if parallel < 1 {
-		parallel = 1
-	}
 	if err := db.DropCaches(); err != nil {
 		return 0, err
 	}
@@ -315,38 +291,9 @@ func MeasureQueriesParallel(db *ptldb.DB, n, parallel int, fn func(i int) error)
 		return 0, err
 	}
 	start := time.Now()
-	if parallel == 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return 0, err
-			}
-		}
-	} else {
-		var (
-			next atomic.Int64
-			wg   sync.WaitGroup
-			once sync.Once
-			ferr error
-		)
-		wg.Add(parallel)
-		for g := 0; g < parallel; g++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= n {
-						return
-					}
-					if err := fn(i); err != nil {
-						once.Do(func() { ferr = err })
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		if ferr != nil {
-			return 0, ferr
+	for i := 0; i < n; i++ {
+		if err := fn(i); err != nil {
+			return 0, err
 		}
 	}
 	wall := time.Since(start)
@@ -354,11 +301,5 @@ func MeasureQueriesParallel(db *ptldb.DB, n, parallel int, fn func(i int) error)
 	if err != nil {
 		return 0, err
 	}
-	total := wall + (st1.SimulatedIO-st0.SimulatedIO)/time.Duration(parallel)
-	return total / time.Duration(n), nil
-}
-
-// measure runs fn through the workspace's configured parallelism.
-func (w *Workspace) measure(db *ptldb.DB, n int, fn func(i int) error) (time.Duration, error) {
-	return MeasureQueriesParallel(db, n, w.cfg.Parallel, fn)
+	return (wall + st1.SimulatedIO - st0.SimulatedIO) / time.Duration(n), nil
 }

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -138,69 +137,6 @@ func TestMeasureQueriesChargesIO(t *testing.T) {
 	// A cold HDD query must cost at least one simulated random read (12ms).
 	if avg < 4*time.Millisecond {
 		t.Errorf("avg cold HDD v2v query %v implausibly fast", avg)
-	}
-}
-
-// TestMeasureQueriesParallel checks that the parallel path visits every
-// workload entry exactly once, propagates errors, and divides the simulated
-// device time by the parallelism.
-func TestMeasureQueriesParallel(t *testing.T) {
-	w := tinyWorkspace(t)
-	ds, err := w.Dataset("Austin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := w.Open(ds, "hdd")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	const n = 12
-	wl := w.NewWorkload(ds, n)
-
-	var mu sync.Mutex
-	seen := map[int]int{}
-	query := func(i int) error {
-		mu.Lock()
-		seen[i]++
-		mu.Unlock()
-		_, _, err := db.EarliestArrival(wl.Sources[i], wl.Goals[i], wl.Starts[i])
-		return err
-	}
-	seq, err := MeasureQueries(db, n, query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		if seen[i] != 1 {
-			t.Fatalf("sequential pass ran query %d %d times", i, seen[i])
-		}
-	}
-
-	seen = map[int]int{}
-	par, err := MeasureQueriesParallel(db, n, 4, query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		if seen[i] != 1 {
-			t.Fatalf("parallel pass ran query %d %d times", i, seen[i])
-		}
-	}
-	// Same cold workload, same simulated I/O — but attributed to 4 channels.
-	// Allow slack for wall-clock noise; the sim term dominates on "hdd".
-	if par > seq {
-		t.Errorf("parallel avg %v not below sequential avg %v", par, seq)
-	}
-
-	boom := fmt.Errorf("boom")
-	if _, err := MeasureQueriesParallel(db, n, 3, func(i int) error {
-		if i == 5 {
-			return boom
-		}
-		return query(i)
-	}); err != boom {
-		t.Errorf("parallel error not propagated: %v", err)
 	}
 }
 

@@ -119,21 +119,21 @@ func (w *Workspace) v2vTimes(ds *Dataset, device string) (ea, ld, sd time.Durati
 	}
 	defer db.Close()
 	wl := w.NewWorkload(ds, w.cfg.Queries)
-	ea, err = w.measure(db, w.cfg.Queries, func(i int) error {
+	ea, err = MeasureQueries(db, w.cfg.Queries, func(i int) error {
 		_, _, err := db.EarliestArrival(wl.Sources[i], wl.Goals[i], wl.Starts[i])
 		return err
 	})
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	ld, err = w.measure(db, w.cfg.Queries, func(i int) error {
+	ld, err = MeasureQueries(db, w.cfg.Queries, func(i int) error {
 		_, _, err := db.LatestDeparture(wl.Sources[i], wl.Goals[i], wl.Ends[i])
 		return err
 	})
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	sd, err = w.measure(db, w.cfg.Queries, func(i int) error {
+	sd, err = MeasureQueries(db, w.cfg.Queries, func(i int) error {
 		_, _, err := db.ShortestDuration(wl.Sources[i], wl.Goals[i], wl.Starts[i], wl.Ends[i])
 		return err
 	})
@@ -179,7 +179,7 @@ func (w *Workspace) Fig3() (*Table, error) {
 			if nq > 30 {
 				nq = 30
 			}
-			naiveEA, err := w.measure(db, nq, func(i int) error {
+			naiveEA, err := MeasureQueries(db, nq, func(i int) error {
 				_, err := db.EAKNNNaive(set, wl.Sources[i], wl.Starts[i], k)
 				return err
 			})
@@ -187,7 +187,7 @@ func (w *Workspace) Fig3() (*Table, error) {
 				db.Close()
 				return nil, err
 			}
-			optEA, err := w.measure(db, w.cfg.Queries, func(i int) error {
+			optEA, err := MeasureQueries(db, w.cfg.Queries, func(i int) error {
 				_, err := db.EAKNN(set, wl.Sources[i], wl.Starts[i], k)
 				return err
 			})
@@ -195,7 +195,7 @@ func (w *Workspace) Fig3() (*Table, error) {
 				db.Close()
 				return nil, err
 			}
-			naiveLD, err := w.measure(db, nq, func(i int) error {
+			naiveLD, err := MeasureQueries(db, nq, func(i int) error {
 				_, err := db.LDKNNNaive(set, wl.Sources[i], wl.Ends[i], k)
 				return err
 			})
@@ -203,7 +203,7 @@ func (w *Workspace) Fig3() (*Table, error) {
 				db.Close()
 				return nil, err
 			}
-			optLD, err := w.measure(db, w.cfg.Queries, func(i int) error {
+			optLD, err := MeasureQueries(db, w.cfg.Queries, func(i int) error {
 				_, err := db.LDKNN(set, wl.Sources[i], wl.Ends[i], k)
 				return err
 			})
@@ -252,7 +252,7 @@ func (w *Workspace) FigKNN(device, id, title string) (*Table, error) {
 				db.Close()
 				return nil, err
 			}
-			ea, err := w.measure(db, w.cfg.Queries, func(i int) error {
+			ea, err := MeasureQueries(db, w.cfg.Queries, func(i int) error {
 				_, err := db.EAKNN(set, wl.Sources[i], wl.Starts[i], k)
 				return err
 			})
@@ -260,7 +260,7 @@ func (w *Workspace) FigKNN(device, id, title string) (*Table, error) {
 				db.Close()
 				return nil, err
 			}
-			ld, err := w.measure(db, w.cfg.Queries, func(i int) error {
+			ld, err := MeasureQueries(db, w.cfg.Queries, func(i int) error {
 				_, err := db.LDKNN(set, wl.Sources[i], wl.Ends[i], k)
 				return err
 			})
@@ -327,14 +327,14 @@ func (w *Workspace) densitySweep(id, title string, query func(db *ptldb.DB, set 
 				db.Close()
 				return nil, err
 			}
-			ea, err := w.measure(db, w.cfg.Queries, func(i int) error {
+			ea, err := MeasureQueries(db, w.cfg.Queries, func(i int) error {
 				return query(db, set, wl, i, true)
 			})
 			if err != nil {
 				db.Close()
 				return nil, err
 			}
-			ld, err := w.measure(db, w.cfg.Queries, func(i int) error {
+			ld, err := MeasureQueries(db, w.cfg.Queries, func(i int) error {
 				return query(db, set, wl, i, false)
 			})
 			if err != nil {

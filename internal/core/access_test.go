@@ -84,13 +84,16 @@ func TestKNNAccessPattern(t *testing.T) {
 		}
 	}
 
-	// The naive query, by contrast, must scan its table (that is its cost).
-	_, naiveS0 := tableAccess(t, st, "ea_knn_naive_poi")
-	if _, err := st.EAKNNNaive("poi", 5, 30000, 4); err != nil {
-		t.Fatal(err)
-	}
-	if _, naiveS1 := tableAccess(t, st, "ea_knn_naive_poi"); naiveS1 != naiveS0+1 {
-		t.Errorf("naive kNN scans = %d, want exactly 1 per query", naiveS1-naiveS0)
+	// The naive query, by contrast, must scan its table (that is its cost),
+	// and the EA and the LD naive query scan the same one.
+	for _, naive := range []func(string, timetable.StopID, timetable.Time, int) ([]Result, error){st.EAKNNNaive, st.LDKNNNaive} {
+		_, naiveS0 := tableAccess(t, st, "knn_naive_poi")
+		if _, err := naive("poi", 5, 30000, 4); err != nil {
+			t.Fatal(err)
+		}
+		if _, naiveS1 := tableAccess(t, st, "knn_naive_poi"); naiveS1 != naiveS0+1 {
+			t.Errorf("naive kNN scans = %d, want exactly 1 per query", naiveS1-naiveS0)
+		}
 	}
 }
 
@@ -130,11 +133,11 @@ SELECT COUNT(*) FROM n1b`
 	}
 	assertTrace(t, trace, "point lookup lout", "index nested-loop join n1bb")
 
-	_, trace, err = st.DB.QueryTraced("SELECT COUNT(*) FROM ea_knn_naive_poi")
+	_, trace, err = st.DB.QueryTraced("SELECT COUNT(*) FROM knn_naive_poi")
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertTrace(t, trace, "full scan ea_knn_naive_poi")
+	assertTrace(t, trace, "full scan knn_naive_poi")
 }
 
 func intv(v int64) sqltypes.Value { return sqltypes.NewInt(v) }

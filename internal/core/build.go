@@ -10,16 +10,17 @@ import (
 )
 
 // targetTuple is one L_in tuple of a target stop, reorganized around its hub
-// (the paper builds all six auxiliary tables from exactly this projection).
+// (the paper builds all its auxiliary tables from exactly this projection).
 type targetTuple struct {
 	td, ta timetable.Time
 	v      timetable.StopID
 }
 
-// AddTargetSet registers a target set and builds its six auxiliary tables:
-// the naive per-(hub, t_d) tables of Section 3.2.1, the hour-condensed
-// knn_ea/knn_ld tables of Table 5 and the one-to-many otm_ea/otm_ld tables
-// of Table 6. kmax bounds the k serviceable by the kNN tables.
+// AddTargetSet registers a target set and builds its five auxiliary tables:
+// the naive per-(hub, t_d) table of Section 3.2.1, which the EA and the LD
+// naive statements both read, the hour-condensed knn_ea/knn_ld tables of
+// Table 5 and the one-to-many otm_ea/otm_ld tables of Table 6. kmax bounds
+// the k serviceable by the kNN tables.
 //
 // The tables are derived purely from the targets' rows of the lin table —
 // the paper notes they can equivalently be created by plain SQL over lin
@@ -86,27 +87,24 @@ func (s *Store) AddTargetSet(name string, targets []timetable.StopID, kmax int) 
 	}
 	sort.Slice(hubs, func(i, j int) bool { return hubs[i] < hubs[j] })
 
-	// Create the six auxiliary tables serially (the catalog is shared
+	// Create the five auxiliary tables serially (the catalog is shared
 	// state), then compute and bulk-load each one as an independent job on
 	// the worker pool. The otm tables share the knn layout with the best
 	// entry per target instead of the top-k (paper Section 3.3): kmax = |T|.
-	var tbls [numSetKinds]*sqldb.Table
+	var tbls [numSetTables]*sqldb.Table
 	for i, def := range s.targetSetDefs(name, len(targets)) {
 		var err error
 		if tbls[i], err = s.DB.CreateTable(def); err != nil {
 			return err
 		}
 	}
-	naive := naiveRows(hubs, byHub, kmax)
-	naiveLD := cloneRows(naive)
 	kmaxOTM := len(targets)
 	jobs := []func() error{
-		func() error { return tbls[knnNaiveEA].BulkLoad(naive) },
-		func() error { return tbls[knnNaiveLD].BulkLoad(naiveLD) },
-		func() error { return tbls[knnEA].BulkLoad(s.condensedEARows(hubs, byHub, kmax)) },
-		func() error { return tbls[knnLD].BulkLoad(s.condensedLDRows(hubs, byHub, kmax)) },
-		func() error { return tbls[otmEA].BulkLoad(s.condensedEARows(hubs, byHub, kmaxOTM)) },
-		func() error { return tbls[otmLD].BulkLoad(s.condensedLDRows(hubs, byHub, kmaxOTM)) },
+		func() error { return tbls[naiveTable].BulkLoad(naiveRows(hubs, byHub, kmax)) },
+		func() error { return tbls[knnEATable].BulkLoad(s.condensedEARows(hubs, byHub, kmax)) },
+		func() error { return tbls[knnLDTable].BulkLoad(s.condensedLDRows(hubs, byHub, kmax)) },
+		func() error { return tbls[otmEATable].BulkLoad(s.condensedEARows(hubs, byHub, kmaxOTM)) },
+		func() error { return tbls[otmLDTable].BulkLoad(s.condensedLDRows(hubs, byHub, kmaxOTM)) },
 	}
 	if err := runJobs(s.workers, jobs); err != nil {
 		return err
@@ -123,7 +121,7 @@ func (s *Store) AddTargetSet(name string, targets []timetable.StopID, kmax int) 
 	return s.saveMeta()
 }
 
-// DropTargetSet removes a target set's six auxiliary tables and its
+// DropTargetSet removes a target set's five auxiliary tables and its
 // statements, e.g. to rebuild them with a different kmax (the paper builds
 // separate tables per density and kmax).
 func (s *Store) DropTargetSet(name string) error {
@@ -140,19 +138,29 @@ func (s *Store) DropTargetSet(name string) error {
 	return s.saveMeta()
 }
 
-// targetSetDefs are the six auxiliary tables of a target set of size targets
-// under the bound version, indexed by the kind of statement that reads each:
-// the two naive tables, then the condensed kNN and one-to-many pairs. A caller
-// after the names alone may pass any size.
-func (s *Store) targetSetDefs(set string, targets int) [numSetKinds]sqldb.TableDef {
+// setTableKind indexes a target set's five tables: the naive table both naive
+// statements read, then the condensed kNN and one-to-many pairs.
+type setTableKind int
+
+const (
+	naiveTable setTableKind = iota
+	knnEATable
+	knnLDTable
+	otmEATable
+	otmLDTable
+	numSetTables
+)
+
+// targetSetDefs are the five auxiliary tables of a target set of size targets
+// under the bound version. A caller after the names alone may pass any size.
+func (s *Store) targetSetDefs(set string, targets int) [numSetTables]sqldb.TableDef {
 	n, w := s.meta.Stops, int64(s.meta.BucketSeconds)
-	return [numSetKinds]sqldb.TableDef{
-		knnNaiveEA: naiveDef(s.setTable("ea_knn_naive", set), n),
-		knnNaiveLD: naiveDef(s.setTable("ld_knn_naive", set), n),
-		knnEA:      condensedEADef(s.setTable("knn_ea", set), n, 0, w),
-		knnLD:      condensedLDDef(s.setTable("knn_ld", set), n),
-		otmEA:      condensedEADef(s.setTable("otm_ea", set), n, targets, w),
-		otmLD:      condensedLDDef(s.setTable("otm_ld", set), n),
+	return [numSetTables]sqldb.TableDef{
+		naiveTable: naiveDef(s.setTable("knn_naive", set), n),
+		knnEATable: condensedEADef(s.setTable("knn_ea", set), n, 0, w),
+		knnLDTable: condensedLDDef(s.setTable("knn_ld", set), n),
+		otmEATable: condensedEADef(s.setTable("otm_ea", set), n, targets, w),
+		otmLDTable: condensedLDDef(s.setTable("otm_ld", set), n),
 	}
 }
 
@@ -165,7 +173,7 @@ func targetBound(stops, count int, cols ...string) *sqldb.TargetIDs {
 	return &sqldb.TargetIDs{Columns: cols, Bound: int64(stops), Count: int64(count)}
 }
 
-// naiveDef is the schema of ea_knn_naive_<set> / ld_knn_naive_<set>.
+// naiveDef is the schema of knn_naive_<set>.
 func naiveDef(n string, stops int) sqldb.TableDef {
 	return sqldb.TableDef{
 		Name:      n,
@@ -180,12 +188,12 @@ func naiveDef(n string, stops int) sqldb.TableDef {
 	}
 }
 
-// naiveRows builds the ea_knn_naive / ld_knn_naive rows: one per (hub, t_d)
-// with the top-kmax distinct targets by earliest arrival (Section 3.2.1,
-// Table 4), in ascending (hub, td) order. Both directions keep earliest
-// arrivals: for a fixed (hub, t_d) every candidate offers the same transfer
-// window, and the smallest arrivals are the most likely to satisfy the LD
-// bound t_a <= t.
+// naiveRows builds the knn_naive rows: one per (hub, t_d) with the top-kmax
+// distinct targets by earliest arrival (Section 3.2.1, Table 4), in ascending
+// (hub, td) order. One table serves both directions, because both keep
+// earliest arrivals: for a fixed (hub, t_d) every candidate offers the same
+// transfer window, and the smallest arrivals are the most likely to satisfy
+// the LD bound t_a <= t.
 func naiveRows(hubs []timetable.StopID, byHub map[timetable.StopID][]targetTuple, kmax int) []sqltypes.Row {
 	var rows []sqltypes.Row
 	for _, h := range hubs {
@@ -206,16 +214,6 @@ func naiveRows(hubs []timetable.StopID, byHub map[timetable.StopID][]targetTuple
 		}
 	}
 	return rows
-}
-
-// cloneRows deep-copies rows so two tables can load the same content
-// concurrently without sharing array values.
-func cloneRows(rows []sqltypes.Row) []sqltypes.Row {
-	out := make([]sqltypes.Row, len(rows))
-	for i, r := range rows {
-		out[i] = r.Clone()
-	}
-	return out
 }
 
 // bestPerTargetEA keeps, for each distinct target in ts, its earliest

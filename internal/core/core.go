@@ -8,9 +8,9 @@
 //
 //   - lout, lin — one row per stop with the augmented label arrays (hubs,
 //     tds, tas) sorted by (hub, t_d); primary key v (paper Section 3.1);
-//   - per registered target set S: ea_knn_naive_S / ld_knn_naive_S (paper
-//     Section 3.2.1, Table 4), knn_ea_S / knn_ld_S (Table 5) and otm_ea_S /
-//     otm_ld_S (Table 6);
+//   - per registered target set S: knn_naive_S (paper Section 3.2.1, Table 4;
+//     read by the EA and the LD naive query alike), knn_ea_S / knn_ld_S
+//     (Table 5) and otm_ea_S / otm_ld_S (Table 6);
 //   - optionally stops (stop metadata) and paths_out / paths_in (expanded
 //     journeys, paper Section 3.1's deployment suggestion);
 //   - ptldb_meta — a single-row JSON blob with network metadata, versions

@@ -49,14 +49,14 @@ var explainGoldens = map[string]string{
    └─ GroupFold MIN(n2.ta) per target
       └─ HashJoin n1.hub = n2.hub, reach n1.ta <= n2.td
          ├─ SegmentLookup lout [v = $1, td >= $2]
-         └─ SegmentScan ea_knn_naive_poi [vs[1:$3], tas[1:$3]]
+         └─ SegmentScan knn_naive_poi [vs[1:$3], tas[1:$3]]
 `,
 	"knn-naive-ld:poi": `FusedPlan knn-naive-ld
 └─ TopK k = $3 by MAX(n1.td) desc, v2
    └─ GroupFold MAX(n1.td) per target
       └─ HashJoin n1.hub = n2.hub, reach n1.ta <= n2.td
          ├─ SegmentLookup lout [v = $1]
-         └─ SegmentScan ld_knn_naive_poi [vs[1:$3], tas[1:$3], ta <= $2]
+         └─ SegmentScan knn_naive_poi [vs[1:$3], tas[1:$3], ta <= $2]
 `,
 	"knn-ea:poi": `FusedPlan cond-knn-ea
 └─ TopK k = $3 by MIN(ta) asc, v2

@@ -29,9 +29,8 @@ const (
 
 var v2vKindNames = [numV2VKinds]string{"v2v-ea", "v2v-ld", "v2v-sd", "v2v-ea-witness"}
 
-// setKind indexes a target set's kNN and one-to-many statements (Codes 2–4)
-// and, in the same order, its six tables (targetSetDefs). setKindNames is its
-// one name table, in the order ExplainNames lists them.
+// setKind indexes a target set's kNN and one-to-many statements (Codes 2–4).
+// setKindNames is its one name table, in the order ExplainNames lists them.
 type setKind int
 
 const (
@@ -100,12 +99,12 @@ func (s *Store) prepare(set string, into []*sqldb.Stmt) error {
 	} else {
 		t := s.targetSetDefs(set, 0)
 		texts = []string{
-			knnNaiveEA: fmt.Sprintf(exec.SQLKNNNaiveEA, t[knnNaiveEA].Name, lout),
-			knnNaiveLD: fmt.Sprintf(exec.SQLKNNNaiveLD, t[knnNaiveLD].Name, lout),
-			knnEA:      fmt.Sprintf(exec.SQLKNNEA, t[knnEA].Name, w, lout),
-			knnLD:      fmt.Sprintf(exec.SQLKNNLD, t[knnLD].Name, w, lout),
-			otmEA:      fmt.Sprintf(exec.SQLOTMEA, t[otmEA].Name, w, lout),
-			otmLD:      fmt.Sprintf(exec.SQLOTMLD, t[otmLD].Name, w, lout),
+			knnNaiveEA: fmt.Sprintf(exec.SQLKNNNaiveEA, t[naiveTable].Name, lout),
+			knnNaiveLD: fmt.Sprintf(exec.SQLKNNNaiveLD, t[naiveTable].Name, lout),
+			knnEA:      fmt.Sprintf(exec.SQLKNNEA, t[knnEATable].Name, w, lout),
+			knnLD:      fmt.Sprintf(exec.SQLKNNLD, t[knnLDTable].Name, w, lout),
+			otmEA:      fmt.Sprintf(exec.SQLOTMEA, t[otmEATable].Name, w, lout),
+			otmLD:      fmt.Sprintf(exec.SQLOTMLD, t[otmLDTable].Name, w, lout),
 		}
 	}
 	for i, text := range texts {

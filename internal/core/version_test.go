@@ -298,7 +298,7 @@ func TestOneFormPerTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	onlySegments("after a reopen")
-	for _, name := range []string{"lout", "lin", "lout__weekend", "ea_knn_naive_poi", "knn_ld_poi", "otm_ea_poi", "stops", "ptldb_meta", "paths_out", "paths_in"} {
+	for _, name := range []string{"lout", "lin", "lout__weekend", "knn_naive_poi", "knn_ld_poi", "otm_ea_poi", "stops", "ptldb_meta", "paths_out", "paths_in"} {
 		if _, ok := db.Table(name); !ok {
 			t.Errorf("expected table %s, have %v", name, db.Tables())
 		}

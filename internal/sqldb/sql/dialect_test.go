@@ -29,8 +29,8 @@ func theTen() []string {
 		fmt.Sprintf(exec.SQLV2VLD, "lout", "lin"),
 		fmt.Sprintf(exec.SQLV2VSD, "lout", "lin"),
 		fmt.Sprintf(exec.SQLV2VEAWitness, "lout", "lin"),
-		fmt.Sprintf(exec.SQLKNNNaiveEA, "ea_knn_naive_poi", "lout"),
-		fmt.Sprintf(exec.SQLKNNNaiveLD, "ld_knn_naive_poi", "lout"),
+		fmt.Sprintf(exec.SQLKNNNaiveEA, "knn_naive_poi", "lout"),
+		fmt.Sprintf(exec.SQLKNNNaiveLD, "knn_naive_poi", "lout"),
 		fmt.Sprintf(exec.SQLKNNEA, "knn_ea_poi", 3600, "lout"),
 		fmt.Sprintf(exec.SQLOTMEA, "otm_ea_poi", 3600, "lout"),
 		fmt.Sprintf(exec.SQLKNNLD, "knn_ld_poi", 3600, "lout"),

@@ -4,11 +4,13 @@ package ptldb
 // their run order, before the target-set tables declared the bound of their
 // target ids, before the EA condensed tables declared the floor of their
 // arrivals, or before the EA one-to-many table declared its target count,
-// differs from one built now only in catalog.json. The kernels search the runs
-// without checking them, index an array by the ids and stop an EA sweep by the
-// floor and the count, so such a directory is refused at Open — naming the
-// table and the remedy, every time, with nothing left open behind the error —
-// like every other old image.
+// differs from one built now only in catalog.json; one built before the EA
+// and the LD naive query shared one table holds ea_knn_naive_<set> and
+// ld_knn_naive_<set>, two copies of knn_naive_<set>. The kernels search the
+// runs without checking them, index an array by the ids and stop an EA sweep
+// by the floor and the count, so such a directory is refused at Open — naming
+// the table and the remedy, every time, with nothing left open behind the
+// error — like every other old image.
 
 import (
 	"encoding/json"
@@ -45,22 +47,54 @@ func TestUndeclaredImageFailsClosed(t *testing.T) {
 		}
 		return len(entries)
 	}
+	// each takes one declaration out of every table of the catalog.
+	each := func(remove func(*sqldb.TableDef)) func([]sqldb.TableDef) []sqldb.TableDef {
+		return func(defs []sqldb.TableDef) []sqldb.TableDef {
+			for i := range defs {
+				remove(&defs[i])
+			}
+			return defs
+		}
+	}
+	// twoNaive turns knn_naive_poi back into the two identical tables an older
+	// build wrote, ea_knn_naive_poi and ld_knn_naive_poi, segments included.
+	twoNaive := func(defs []sqldb.TableDef) []sqldb.TableDef {
+		seg, err := os.ReadFile(filepath.Join(dir, "knn_naive_poi.seg"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range defs {
+			if defs[i].Name == "knn_naive_poi" {
+				ld := defs[i]
+				defs[i].Name, ld.Name = "ea_knn_naive_poi", "ld_knn_naive_poi"
+				defs = append(defs, ld)
+				break
+			}
+		}
+		for _, name := range []string{"ea_knn_naive_poi", "ld_knn_naive_poi"} {
+			if err := os.WriteFile(filepath.Join(dir, name+".seg"), seg, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return defs
+	}
 
-	// Take one declaration out of the catalog: what is left is, byte for
-	// byte, the catalog a build from before it wrote.
+	// Edit the catalog as built into what a build from before one change
+	// wrote, byte for byte, and take away the key that change introduced.
 	for _, tc := range []struct {
-		key    string
-		remove func(*sqldb.TableDef)
-		want   []string
+		key  string
+		edit func([]sqldb.TableDef) []sqldb.TableDef
+		want []string
 	}{
-		{"run_order", func(d *sqldb.TableDef) { d.RunOrder = nil }, []string{"lout", "run order", "rebuild"}},
-		{"target_ids", func(d *sqldb.TableDef) { d.TargetIDs = nil }, []string{"_poi", "target ids", "rebuild"}},
-		{"floor", func(d *sqldb.TableDef) { d.Floor = nil }, []string{"_ea_poi", "floor", "rebuild"}},
-		{"count", func(d *sqldb.TableDef) {
+		{"run_order", each(func(d *sqldb.TableDef) { d.RunOrder = nil }), []string{"lout", "run order", "rebuild"}},
+		{"target_ids", each(func(d *sqldb.TableDef) { d.TargetIDs = nil }), []string{"_poi", "target ids", "rebuild"}},
+		{"floor", each(func(d *sqldb.TableDef) { d.Floor = nil }), []string{"_ea_poi", "floor", "rebuild"}},
+		{"count", each(func(d *sqldb.TableDef) {
 			if d.TargetIDs != nil {
 				d.TargetIDs.Count = 0
 			}
-		}, []string{"otm_ea_poi", "target count", "rebuild"}},
+		}), []string{"otm_ea_poi", "target count", "rebuild"}},
+		{`"knn_naive_poi"`, twoNaive, []string{"table knn_naive_poi", "target ids", "rebuild"}},
 	} {
 		if !strings.Contains(string(built), tc.key) {
 			t.Fatalf("the built catalog does not declare %s:\n%s", tc.key, built)
@@ -69,15 +103,12 @@ func TestUndeclaredImageFailsClosed(t *testing.T) {
 		if err := json.Unmarshal(built, &defs); err != nil {
 			t.Fatal(err)
 		}
-		for i := range defs {
-			tc.remove(&defs[i])
-		}
-		data, err := json.MarshalIndent(defs, "", "  ")
+		data, err := json.MarshalIndent(tc.edit(defs), "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
 		if strings.Contains(string(data), tc.key) {
-			t.Fatalf("an undeclared table still writes the catalog field %s", tc.key)
+			t.Fatalf("an older catalog still writes %s", tc.key)
 		}
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)

@@ -38,6 +38,20 @@ if git grep -nE 'caseBodies|loopBody|blockingFuncs|shardMutexFields|hasDefaultCl
     echo "no statement interpreter, no second call-summary fixpoint, no second annotation reader" >&2
     exit 1
 fi
+echo "== atomics are typed: no sync/atomic function calls (outside testdata)"
+# A typed atomic (atomic.Uint64, atomic.Pointer, ...) cannot be read without
+# its methods, and go vet's copylocks check rejects copying one; a plain field
+# handed to atomic.AddUint64 and the like can be read plainly and race.
+if git grep -nE 'atomic\.(Add|Load|Store|Swap|CompareAndSwap|And|Or)(Int32|Int64|Uint32|Uint64|Uintptr|Pointer)\(' -- '*.go' ':!**/testdata/**'; then
+    echo "use a typed atomic (sync/atomic's Int64, Uint64, Bool, Pointer, ...), not a sync/atomic function on a plain field" >&2
+    exit 1
+fi
+echo "== the lint suite keeps only checkers that can fire; no error collector, no row clone, no parallel measure"
+if git grep -nE 'NewAtomicCheck|NewArenaCheck|errCollector|cloneRows|MeasureQueriesParallel' -- '*.go'; then
+    echo "atomiccheck and arenacheck are deleted (DESIGN.md §8 tables what catches their violations);" >&2
+    echo "runJobs reports into one error slot per job, a target set has one naive table, ptldb-bench measures sequentially" >&2
+    exit 1
+fi
 echo "== statements are values: no plan cache, no lint-time SQL, one statement builder in core"
 if git grep -nE 'CachedPrepare|NewSQLCheck|substFormatVerbs' -- '*.go'; then
     echo "core prepares each statement once, when its tables appear, and keeps it (internal/core/stmts.go):" >&2
