@@ -259,18 +259,24 @@ func sqlArgs(args []string) (string, []sqltypes.Value) {
 	return args[1], params
 }
 
+// stop parses a stop id: an integer that fits ptldb.StopID's 32 bits.
 func stop(s string) ptldb.StopID {
-	v, err := strconv.Atoi(s)
-	check(err)
+	v, err := strconv.ParseInt(s, 10, 32)
+	if err != nil {
+		fatal(fmt.Errorf("usage: stop %q is not a 32-bit integer", s))
+	}
 	return ptldb.StopID(v)
 }
 
+// when parses a TIME: HH:MM:SS, or seconds that fit ptldb.Time's 32 bits.
 func when(s string) ptldb.Time {
 	if t, err := gtfs.ParseTime(s); err == nil {
 		return t
 	}
-	v, err := strconv.Atoi(s)
-	check(err)
+	v, err := strconv.ParseInt(s, 10, 32)
+	if err != nil {
+		fatal(fmt.Errorf("usage: time %q is neither 32-bit seconds nor HH:MM:SS", s))
+	}
 	return timetable.Time(v)
 }
 

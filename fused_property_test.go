@@ -8,26 +8,32 @@ package ptldb
 // EA and LD. Which of several tied stops a kNN returns is implementation-
 // defined, in PTLDB as in the paper, so the relations are checked on values.
 // Query stops are drawn inside and outside the target set, timestamps before,
-// within and after the service day (negative ones included).
+// within and after the service day (negative ones included). It checks the
+// vertex-to-vertex answers on the same cities by the relations between EA, LD
+// and SD alone.
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ptldb/internal/csa"
 )
 
+// propertyCities are the random synthetic cities both tests draw from.
+var propertyCities = []struct {
+	name  string
+	scale float64
+}{
+	{"Austin", 0.01},
+	{"Salt Lake City", 0.006},
+	{"Budapest", 0.005},
+}
+
 func TestCondensedKernelProperties(t *testing.T) {
 	const kmax = 4
-	for ci, city := range []struct {
-		name  string
-		scale float64
-	}{
-		{"Austin", 0.01},
-		{"Salt Lake City", 0.006},
-		{"Budapest", 0.005},
-	} {
+	for ci, city := range propertyCities {
 		seed := int64(101 + ci)
 		tt, err := GenerateCity(city.name, city.scale, seed)
 		if err != nil {
@@ -139,6 +145,77 @@ func TestCondensedKernelProperties(t *testing.T) {
 		}
 		if fused, general := gdb.Store().DB.FusedStats(); fused != 0 || general == 0 {
 			t.Errorf("%s: reference handle ran %d fused, %d general; want 0 and > 0", city.name, fused, general)
+		}
+	}
+}
+
+// TestV2VRelations checks the vertex-to-vertex answers against one another,
+// for s != g at times before, within and after the service day: EA(s, g, t)
+// and LD(s, g, t) are non-decreasing in t — and once there is no journey by
+// EA there is none later, while once there is one by LD there is one later;
+// SD(s, g, t, tEnd) <= EA(s, g, t) - t whenever EA(s, g, t) <= tEnd; and
+// LD(s, g, EA(s, g, t)) >= t whenever EA(s, g, t) exists.
+func TestV2VRelations(t *testing.T) {
+	for ci, city := range propertyCities {
+		seed := int64(101 + ci)
+		tt, err := GenerateCity(city.name, city.scale, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, err := Create(t.TempDir(), tt, Config{Device: "ram"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		rng := rand.New(rand.NewSource(seed))
+		n, span := tt.NumStops(), int64(tt.MaxTime()-tt.MinTime())
+		journeys := 0
+		for pair := 0; pair < 30; pair++ {
+			s, g := StopID(rng.Intn(n)), StopID(rng.Intn(n-1))
+			if g >= s {
+				g++
+			}
+			times := []Time{-Time(rng.Intn(7200)) - 1}
+			for i := 0; i < 8; i++ {
+				times = append(times, tt.MinTime()+Time(rng.Int63n(span+7200)-3600))
+			}
+			slices.Sort(times)
+			desc := fmt.Sprintf("%s s=%d g=%d", city.name, s, g)
+			var prevEA, prevLD Time
+			var prevEAOK, prevLDOK bool
+			for i, when := range times {
+				ea, eaOK, err := db.EarliestArrival(s, g, when)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ld, ldOK, err := db.LatestDeparture(s, g, when)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i > 0 && ((eaOK && (!prevEAOK || ea < prevEA)) || (prevLDOK && (!ldOK || ld < prevLD))) {
+					t.Fatalf("%s: from t=%d to t=%d, EA went %d (%v) -> %d (%v) and LD %d (%v) -> %d (%v)",
+						desc, times[i-1], when, prevEA, prevEAOK, ea, eaOK, prevLD, prevLDOK, ld, ldOK)
+				}
+				prevEA, prevEAOK, prevLD, prevLDOK = ea, eaOK, ld, ldOK
+				if !eaOK {
+					continue
+				}
+				journeys++
+				tEnd := ea + Time(rng.Intn(3600))
+				sd, sdOK, err := db.ShortestDuration(s, g, when, tEnd)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sdOK || sd > ea-when {
+					t.Fatalf("%s t=%d tEnd=%d: SD = %d (%v), EA(t) - t = %d", desc, when, tEnd, sd, sdOK, ea-when)
+				}
+				if back, ok, err := db.LatestDeparture(s, g, ea); err != nil || !ok || back < when {
+					t.Fatalf("%s t=%d: EA = %d, but LD(EA) = %d (%v, %v)", desc, when, ea, back, ok, err)
+				}
+			}
+		}
+		if journeys < 30 {
+			t.Errorf("%s: %d of 270 queries found a journey; the relations were barely exercised", city.name, journeys)
 		}
 	}
 }

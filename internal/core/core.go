@@ -24,7 +24,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"regexp"
-	"slices"
 	"sort"
 
 	"ptldb/internal/obs"
@@ -409,44 +408,17 @@ func Open(db *sqldb.DB) (*Store, error) {
 		return nil, fmt.Errorf("core: corrupt meta: no %q version", BaseVersion)
 	}
 	s := &Store{DB: db, meta: meta, version: BaseVersion, stmts: map[string]*versionStmts{}}
-	// The kernels search a label's hub runs without checking their order, so
-	// a label table that does not declare it — an image from before the
-	// declaration existed — is refused here, like every other old image.
-	// They also index an array by the target ids of a target-set table, whose
-	// bound that table must declare, and stop an EA kNN or one-to-many sweep by
-	// the floor an EA condensed table must declare and the target count the EA
-	// one-to-many table must declare, under the same rule. A version whose
-	// tables pass enters the statement table with every set it has.
+	// Every version enters the statement table with every set it has.
+	// Preparing a statement binds it to its tables and checks they declare
+	// what its kernel trusts, so a directory built before a declaration
+	// existed is refused here, naming the table, like every other old image.
 	for _, name := range s.Versions() {
 		v := *s
 		v.version = name
-		for _, table := range []string{v.loutTable(), v.linTable()} {
-			if tbl, ok := db.Table(table); !ok || !slices.Equal(tbl.Def().RunOrder, labelRunOrder) {
-				return nil, fmt.Errorf("core: label table %s does not declare the run order %v: the directory was built by an older version; rebuild it", table, labelRunOrder)
-			}
-		}
 		if err := v.prepareVersion(); err != nil {
 			return nil, err
 		}
 		for set, ts := range v.vm().TargetSets {
-			for _, def := range v.targetSetDefs(set, len(ts.Targets)) {
-				var got sqldb.TableDef
-				if tbl, ok := db.Table(def.Name); ok {
-					got = tbl.Def()
-				}
-				if ids, want := got.TargetIDs, def.TargetIDs; ids == nil || ids.Bound != want.Bound || !slices.Equal(ids.Columns, want.Columns) {
-					return nil, fmt.Errorf("core: table %s does not declare its target ids %v below %d: the directory was built by an older version; rebuild it",
-						def.Name, want.Columns, want.Bound)
-				}
-				if n, want := got.TargetIDs.Count, def.TargetIDs.Count; want > 0 && n != want {
-					return nil, fmt.Errorf("core: table %s does not declare its target count %d: the directory was built by an older version; rebuild it",
-						def.Name, want)
-				}
-				if fl, want := got.Floor, def.Floor; want != nil && (fl == nil || fl.Key != want.Key || fl.Width != want.Width || !slices.Equal(fl.Columns, want.Columns)) {
-					return nil, fmt.Errorf("core: table %s does not declare the floor %s × %d of %v: the directory was built by an older version; rebuild it",
-						def.Name, want.Key, want.Width, want.Columns)
-				}
-			}
 			if err := v.prepareSet(set, ts.KMax); err != nil {
 				return nil, err
 			}

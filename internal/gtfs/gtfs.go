@@ -10,6 +10,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -70,7 +71,8 @@ type StopTime struct {
 	Seq       int
 }
 
-// ParseTime parses a GTFS HH:MM:SS timestamp (hours may exceed 23).
+// ParseTime parses a GTFS HH:MM:SS timestamp (hours may exceed 23). A time
+// past timetable.Time's 32 bits is an error, never a wrapped value.
 func ParseTime(s string) (timetable.Time, error) {
 	parts := strings.Split(strings.TrimSpace(s), ":")
 	if len(parts) != 3 {
@@ -81,6 +83,9 @@ func ParseTime(s string) (timetable.Time, error) {
 	sec, err3 := strconv.Atoi(parts[2])
 	if err1 != nil || err2 != nil || err3 != nil || h < 0 || m < 0 || m > 59 || sec < 0 || sec > 59 {
 		return 0, fmt.Errorf("gtfs: bad time %q", s)
+	}
+	if h > (math.MaxInt32-m*60-sec)/3600 {
+		return 0, fmt.Errorf("gtfs: time %q is past the 32-bit range", s)
 	}
 	return timetable.Time(h*3600 + m*60 + sec), nil
 }

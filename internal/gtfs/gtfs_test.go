@@ -24,6 +24,12 @@ func TestParseTime(t *testing.T) {
 		{"10:00", 0, false},
 		{"abc", 0, false},
 		{"-1:00:00", 0, false},
+		// timetable.Time is 32 bits: the last second it holds parses, the next
+		// one and any later hour do not.
+		{"596523:14:07", 2147483647, true},
+		{"596523:14:08", 0, false},
+		{"600000:00:00", 0, false},
+		{"9223372036854775807:00:00", 0, false},
 	}
 	for _, c := range cases {
 		got, err := ParseTime(c.in)

@@ -491,8 +491,13 @@ func resultsResponse(rs []core.Result) ResultsResponse {
 	return out
 }
 
+// stopParam accepts a stop id: an integer that fits timetable.StopID's 32
+// bits. One that does not is refused, never wrapped onto another stop.
 func stopParam(q url.Values, name string) (timetable.StopID, error) {
 	v, err := intParam(q, name)
+	if err == nil && v != int64(timetable.StopID(v)) {
+		return 0, fmt.Errorf("serve: parameter %s=%d is not a 32-bit stop id", name, v)
+	}
 	return timetable.StopID(v), err
 }
 
@@ -508,10 +513,11 @@ func intParam(q url.Values, name string) (int64, error) {
 	return v, nil
 }
 
-// timeParam accepts seconds after midnight or HH:MM:SS, like the query CLI.
-// The two spellings are disjoint — only a clock time holds a colon — so each
-// value goes to one parser; plain seconds, the spelling every URL the client
-// builds uses, never pay for a failed clock parse.
+// timeParam accepts seconds after midnight or HH:MM:SS, like the query CLI,
+// either one within timetable.Time's 32 bits. The two spellings are disjoint —
+// only a clock time holds a colon — so each value goes to one parser; plain
+// seconds, the spelling every URL the client builds uses, never pay for a
+// failed clock parse.
 func timeParam(q url.Values, name string) (timetable.Time, error) {
 	raw := q.Get(name)
 	if raw == "" {
@@ -521,7 +527,7 @@ func timeParam(q url.Values, name string) (timetable.Time, error) {
 		if t, err := gtfs.ParseTime(raw); err == nil {
 			return t, nil
 		}
-	} else if v, err := strconv.ParseInt(raw, 10, 64); err == nil {
+	} else if v, err := strconv.ParseInt(raw, 10, 32); err == nil {
 		return timetable.Time(v), nil
 	}
 	return 0, fmt.Errorf("serve: parameter %s=%q is neither seconds nor HH:MM:SS", name, raw)

@@ -448,6 +448,12 @@ func TestErrorStatusMapping(t *testing.T) {
 		"/query/ea?from=one&to=2&t=28800",  // non-integer stop
 		"/query/ea?from=1&to=2&t=morning",  // unparseable time
 		"/query/eaknn?set=poi&from=1&t=60", // missing k
+		// Past 32 bits: never wrapped onto stop 1 or a time of day.
+		"/query/ea?from=4294967297&to=2&t=28800",
+		"/query/sd?from=1&to=-2147483649&start=0&end=60",
+		"/query/ea?from=1&to=2&t=4294996096",
+		"/query/ea?from=1&to=2&t=600000:00:00",
+		"/query/eaotm?set=poi&from=4294967297&t=60",
 	} {
 		if code, body := get(t, ts.URL+path); code != http.StatusBadRequest {
 			t.Errorf("GET %s: status %d, body %s, want 400", path, code, body)

@@ -398,8 +398,12 @@ type Stmt struct {
 }
 
 // Prepare parses a SELECT for repeated execution. A statement of the workload
-// (exec.Fuse: the ten texts of exec/codes.go) compiles to its fused plan; any
-// other runs on the general executor.
+// (exec.Fuse: the ten texts of exec/codes.go) compiles to its fused plan,
+// bound to the tables the handle has now — one that lacks a table, a column
+// or a declaration its kernel trusts fails here, naming the table; any other
+// statement runs on the general executor. A fused statement keeps its tables:
+// BulkLoad replaces a table's contents under it, and a statement must not
+// outlive DropTable of one of its tables.
 func (db *DB) Prepare(query string) (*Stmt, error) {
 	db.prepares.Add(1)
 	sel, err := sql.Parse(query)
@@ -408,9 +412,8 @@ func (db *DB) Prepare(query string) (*Stmt, error) {
 	}
 	st := &Stmt{db: db, sel: sel}
 	if !db.referenceExec {
-		st.fused = exec.Fuse(sel)
-		if st.fused != nil {
-			st.fused.SetVectorCache(db.vcache != nil)
+		if st.fused, err = exec.Fuse(sel, catalogAdapter{db}, db.vcache != nil); err != nil {
+			return nil, err
 		}
 	}
 	return st, nil
@@ -450,7 +453,7 @@ func (s *Stmt) Query(params ...sqltypes.Value) (*exec.Relation, error) {
 func (s *Stmt) QueryInfo(params ...sqltypes.Value) (*exec.Relation, ExecInfo, error) {
 	if s.fused != nil {
 		s.db.reg.Exec.FusedRuns.Add(1)
-		rel, err := s.fused.Run(catalogAdapter{s.db}, params)
+		rel, err := s.fused.Run(params)
 		return rel, ExecInfo{Fused: true}, err
 	}
 	s.db.reg.Exec.GeneralRuns.Add(1)
@@ -498,8 +501,8 @@ func (c catalogAdapter) Table(name string) (exec.Table, bool) {
 	return t, true
 }
 
-// ExecMetrics implements exec.MetricsSource: the executor feeds the tuples-
-// merged counter through it.
+// ExecMetrics returns the handle's executor counters, which both executors
+// feed.
 func (c catalogAdapter) ExecMetrics() *obs.ExecMetrics { return &c.db.reg.Exec }
 
 func colIndex(cols []ColumnDef, name string) int {

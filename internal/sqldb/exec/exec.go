@@ -554,9 +554,7 @@ func (r *runner) evalUnnest(items []sql.SelectItem, input *Relation) (*Relation,
 		}
 		merged += uint64(maxLen)
 	}
-	if em := execMetrics(r.cat); em != nil {
-		em.TuplesMerged.Add(merged)
-	}
+	r.cat.ExecMetrics().TuplesMerged.Add(merged)
 	return out, nil
 }
 

@@ -5,14 +5,18 @@ import (
 	"strings"
 	"testing"
 
+	"ptldb/internal/obs"
 	"ptldb/internal/sqldb/sql"
 	"ptldb/internal/sqldb/sqltypes"
 )
 
 // memTable is an in-memory Table implementation for executor unit tests.
-// runOrder is what it declares as RunOrdered, targetCols, bound and count as
-// TargetBounded; nothing validates the rows against either, so a test that
-// sets one builds rows that keep it — or break it on purpose.
+// runOrder is what it declares as its run order, targetCols, bound and count
+// as its target ids; nothing validates the rows against either, so a test that
+// sets one builds rows that keep it — or break it on purpose. Its scratch
+// reads recycle buffers with maximal hostility — rows and the arena are reused
+// exactly as the Table contracts allow — to surface aliasing bugs in the fused
+// operators.
 type memTable struct {
 	cols       []string
 	pk         []int
@@ -64,12 +68,49 @@ func (m *memTable) Scan(fn func(sqltypes.Row) error) error {
 	return nil
 }
 
+func (m *memTable) LookupPKScratch(key []int64, s *RowScratch) (sqltypes.Row, bool, error) {
+	row, ok, err := m.LookupPK(key)
+	if err != nil || !ok {
+		return nil, ok, err
+	}
+	return copyRow(row, s), true, nil
+}
+
+func (m *memTable) ScanScratch(s *RowScratch, fn func(sqltypes.Row) error) error {
+	return m.Scan(func(row sqltypes.Row) error {
+		s.Arena = s.Arena[:0] // recycle: clobbers the previous row's arrays
+		return fn(copyRow(row, s))
+	})
+}
+
+// copyRow materializes row into s per the scratch contracts: the Row header is
+// recycled, arrays are carved out of s.Arena by appending.
+func copyRow(row sqltypes.Row, s *RowScratch) sqltypes.Row {
+	if cap(s.Row) >= len(row) {
+		s.Row = s.Row[:len(row)]
+	} else {
+		s.Row = make(sqltypes.Row, len(row))
+	}
+	for i, v := range row {
+		if v.T == sqltypes.IntArray {
+			start := len(s.Arena)
+			s.Arena = append(s.Arena, v.A...)
+			v = sqltypes.NewIntArray(s.Arena[start:len(s.Arena):len(s.Arena)])
+		}
+		s.Row[i] = v
+	}
+	return s.Row
+}
+
 type memCatalog map[string]*memTable
 
 func (c memCatalog) Table(name string) (Table, bool) {
 	t, ok := c[strings.ToLower(name)]
 	return t, ok
 }
+
+// ExecMetrics hands out counters no test reads.
+func (c memCatalog) ExecMetrics() *obs.ExecMetrics { return new(obs.ExecMetrics) }
 
 func run(t *testing.T, cat Catalog, q string, params ...sqltypes.Value) *Relation {
 	t.Helper()

@@ -4,17 +4,20 @@ package exec
 // ten statements of codes.go; a statement fuses when it is one of them — the
 // same syntax tree, identifiers compared case-insensitively, with a table
 // name in each table hole and a positive integral width in the bucket hole —
-// and compiles into a FusedPlan that fused_exec.go evaluates directly over
-// the typed int64 column vectors, with no per-element boxing and no
-// intermediate Relation materialization. Any other statement, including
-// another spelling of the same query, runs on the general executor (Run).
+// and compiles into a FusedPlan bound to the statement's two tables, which
+// fused_exec.go evaluates directly over the typed int64 column vectors, with
+// no per-element boxing and no intermediate Relation materialization. Any
+// other statement, including another spelling of the same query, runs on the
+// general executor (Run).
 //
-// A fused plan answers or returns an error that says what is wrong: a
-// parameter that is not a BIGINT, a negative LIMIT, a table that is missing,
-// lacks a column, has another key or does not declare what the kernel trusts
-// (a label's run order, a target-id bound, an EA condensed table's floor, an
-// EA one-to-many table's target count).
-// Each is a caller bug or a violated storage invariant; there is no fallback.
+// Fusing binds the plan: it looks its two tables up once and checks that each
+// has the columns and key the kernel reads and declares what the kernel
+// trusts (a label's run order, a target-id bound, an EA condensed table's
+// floor, an EA one-to-many table's target count). A table that does not is
+// Fuse's error, naming it. A bound plan answers or returns an error that says
+// what is wrong: a parameter that is not a BIGINT, a negative LIMIT, a row
+// that breaks what its table declares. Each is a caller bug or a violated
+// storage invariant; there is no fallback.
 
 import (
 	"fmt"
@@ -22,14 +25,13 @@ import (
 	"strings"
 	"sync"
 
+	"ptldb/internal/obs"
 	"ptldb/internal/sqldb/sql"
 )
 
-// FusedPlan is a compiled fast path for one recognized statement.
-// Plans are immutable after Fuse (SetVectorCache is called once by Prepare
-// before the plan is published) apart from two caches — the resolved table
-// layouts and the pool of query states — and safe for concurrent Run calls.
-// A plan must not be copied.
+// FusedPlan is a compiled fast path for one recognized statement, bound to
+// its tables. Plans are immutable after Fuse apart from the pool of query
+// states, and safe for concurrent Run calls. A plan must not be copied.
 type FusedPlan struct {
 	kind   string
 	schema Schema
@@ -40,13 +42,15 @@ type FusedPlan struct {
 	// first, then the in-side label (v2v), the naive table or the condensed
 	// table.
 	tables [2]tableRef
+	// metrics are the catalog's executor counters, fed once per query.
+	metrics *obs.ExecMetrics
 	// states recycles *queryState between Run calls.
 	states sync.Pool
 
-	// vectors records whether the owning handle fronts its label segments
-	// with the resident vector cache. It only affects Explain — the runtime
-	// dispatch lives inside the storage layer's ScratchTable implementation,
-	// which this package reaches through the same interface either way.
+	// vectors records whether the catalog fronts its tables with the resident
+	// vector cache. It only affects Explain — the runtime dispatch lives
+	// inside the storage layer's scratch reads, which this package reaches
+	// through the same interface either way.
 	vectors bool
 
 	// Exactly one is set; the values are the code's, shared by every plan of
@@ -72,11 +76,6 @@ func (p *FusedPlan) reads(labelTable, second string, pk int, targets []int, cols
 // Kind names the recognized statement ("v2v-ea", "knn-naive-ld",
 // "cond-otm-ea", ...) for tests and diagnostics.
 func (p *FusedPlan) Kind() string { return p.kind }
-
-// SetVectorCache records whether the resident vector cache fronts the
-// segments, so Explain renders the Vector* access-path operators. Called once
-// at prepare time, before the plan is shared.
-func (p *FusedPlan) SetVectorCache(on bool) { p.vectors = on }
 
 // fusedV2V is Code 1: join of one lout and one lin label, MIN/MAX scalar or
 // the witness row.
@@ -172,9 +171,28 @@ var codes = sync.OnceValue(func() []code {
 	return cs
 })
 
-// Fuse compiles sel into a FusedPlan, or returns nil when the statement is
-// not one of the workload's.
-func Fuse(sel *sql.Select) *FusedPlan {
+// Fuse compiles sel into a FusedPlan bound to cat's tables, or returns nil
+// and no error when the statement is not one of the workload's. A statement
+// of the workload whose tables do not have what its kernel reads and trusts
+// is an error naming the table. vectors says whether the resident vector
+// cache fronts cat's tables, which only Explain's operator names show.
+func Fuse(sel *sql.Select, cat Catalog, vectors bool) (*FusedPlan, error) {
+	p := recognize(sel)
+	if p == nil {
+		return nil, nil
+	}
+	for i := range p.tables {
+		if err := p.tables[i].bind(cat); err != nil {
+			return nil, err
+		}
+	}
+	p.metrics, p.vectors = cat.ExecMetrics(), vectors
+	return p, nil
+}
+
+// recognize compiles sel into an unbound FusedPlan, or returns nil when the
+// statement is not one of the workload's.
+func recognize(sel *sql.Select) *FusedPlan {
 	cs := codes()
 	for i := range cs {
 		c := &cs[i]

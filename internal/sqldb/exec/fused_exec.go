@@ -2,12 +2,13 @@ package exec
 
 // fused_exec.go evaluates a FusedPlan directly over the label tables' typed
 // int64 column vectors. Each Run works in a queryState of its own, taken from
-// the plan's pool (fused_state.go), so a plan is safe for concurrent use.
-// What the recognizer cannot know at prepare time — integer parameters, the
-// expected table layout, arrays of matching lengths — is checked here, and a
-// violation is an error naming the plan kind or the table. The order of a
-// label's arrays is not among them: a table declares it (RunOrdered), BulkLoad
-// validated it where the row was written, and the kernels trust it.
+// the plan's pool (fused_state.go), so a plan is safe for concurrent use. The
+// tables and their layout were bound and checked once, by Fuse; what Fuse
+// cannot know — integer parameters, arrays of matching lengths, target ids
+// inside the declared bound — is checked here, and a violation is an error
+// naming the plan kind or the table. The order of a label's arrays is not
+// among them: a table declares it (Table.RunOrder), BulkLoad validated it
+// where the row was written, and the kernels trust it.
 
 import (
 	"fmt"
@@ -16,17 +17,17 @@ import (
 	"ptldb/internal/sqldb/sqltypes"
 )
 
-// Run evaluates the fused plan against cat with the given parameters.
-func (p *FusedPlan) Run(cat Catalog, params []sqltypes.Value) (*Relation, error) {
+// Run evaluates the fused plan over its tables with the given parameters.
+func (p *FusedPlan) Run(params []sqltypes.Value) (*Relation, error) {
 	st := p.acquire()
 	defer p.release(st)
 	switch {
 	case p.v2v != nil:
-		return p.runV2V(cat, params, st)
+		return p.runV2V(params, st)
 	case p.knn != nil:
-		return p.runKNNNaive(cat, params, st)
+		return p.runKNNNaive(params, st)
 	default:
-		return p.runCondensed(cat, params, st)
+		return p.runCondensed(params, st)
 	}
 }
 
@@ -122,7 +123,7 @@ func firstGTFrom(a []int64, lo, hi, hint int, v int64) int {
 
 // --- Code 1: vertex-to-vertex ------------------------------------------------
 
-func (p *FusedPlan) runV2V(cat Catalog, params []sqltypes.Value, st *queryState) (*Relation, error) {
+func (p *FusedPlan) runV2V(params []sqltypes.Value, st *queryState) (*Relation, error) {
 	f := p.v2v
 	outV, err := p.intParam(params, f.outVParam)
 	if err != nil {
@@ -144,11 +145,11 @@ func (p *FusedPlan) runV2V(cat Catalog, params []sqltypes.Value, st *queryState)
 		}
 	}
 	// One scratch serves both labels: the arena only grows within a query.
-	out, err := p.tables[0].label(cat, outV, st)
+	out, err := p.tables[0].label(outV, st)
 	if err != nil {
 		return nil, err
 	}
-	in, err := p.tables[1].label(cat, inV, st)
+	in, err := p.tables[1].label(inV, st)
 	if err != nil {
 		return nil, err
 	}
@@ -243,9 +244,7 @@ func (p *FusedPlan) runV2V(cat Catalog, params []sqltypes.Value, st *queryState)
 		i, j = ie, je
 	}
 
-	if em := execMetrics(cat); em != nil {
-		em.TuplesMerged.Add(merged)
-	}
+	p.metrics.TuplesMerged.Add(merged)
 	if f.op == 'W' {
 		if !hasBest {
 			return &Relation{Schema: p.schema}, nil
@@ -266,7 +265,7 @@ func (p *FusedPlan) runV2V(cat Catalog, params []sqltypes.Value, st *queryState)
 
 // --- Code 2: naive kNN -------------------------------------------------------
 
-func (p *FusedPlan) runKNNNaive(cat Catalog, params []sqltypes.Value, st *queryState) (*Relation, error) {
+func (p *FusedPlan) runKNNNaive(params []sqltypes.Value, st *queryState) (*Relation, error) {
 	f := p.knn
 	q, err := p.intParam(params, f.qParam)
 	if err != nil {
@@ -283,20 +282,17 @@ func (p *FusedPlan) runKNNNaive(cat Catalog, params []sqltypes.Value, st *queryS
 	if k == 0 {
 		return &Relation{Schema: p.schema}, nil
 	}
-	lab, err := p.tables[0].label(cat, q, st)
+	lab, err := p.tables[0].label(q, st)
 	if err != nil {
 		return nil, err
 	}
-	lay, err := p.tables[1].resolve(cat)
-	if err != nil {
-		return nil, err
-	}
-	tb, ix := lay.tb, &lay.idx
-	st.acc.reset(lay.bound)
+	naive := &p.tables[1]
+	ix := &naive.idx
+	st.acc.reset(naive.bound)
 	// The scan decodes into a scratch of its own: it recycles the arena per
 	// row, and on the segment tier the label an LD query searches lives in
-	// st.scratch's. The callbacks escape through the ScratchTable interface;
-	// they count folds in st.merged, which is published once after the scan.
+	// st.scratch's. The callbacks escape through the Table interface; they
+	// count folds in st.merged, which is published once after the scan.
 	if f.ea {
 		// A naive row joins some label tuple iff the label's earliest arrival
 		// at the row's hub (among departures >= t) is <= the row's departure;
@@ -310,12 +306,12 @@ func (p *FusedPlan) runKNNNaive(cat Catalog, params []sqltypes.Value, st *queryS
 	if len(st.groups) == 0 {
 		return &Relation{Schema: p.schema}, nil
 	}
-	err = scanScratch(tb, &st.scan, func(row sqltypes.Row) error {
+	err = naive.tb.ScanScratch(&st.scan, func(row sqltypes.Row) error {
 		hv, dv, vv, av := row[ix[naiveHub]], row[ix[naiveTd]], row[ix[naiveVs]], row[ix[naiveTas]]
 		if hv.T != sqltypes.Int64 || dv.T != sqltypes.Int64 ||
 			vv.T != sqltypes.IntArray || av.T != sqltypes.IntArray ||
 			len(vv.A) != len(av.A) {
-			return p.tables[1].lengthsErr(naiveVs, naiveTas)
+			return naive.lengthsErr(naiveVs, naiveTas)
 		}
 		g := st.groupByHub(hv.I)
 		if g == nil {
@@ -347,20 +343,18 @@ func (p *FusedPlan) runKNNNaive(cat Catalog, params []sqltypes.Value, st *queryS
 	if err != nil {
 		return nil, err
 	}
-	return p.emit(cat, st, k, true, !f.ea)
+	return p.emit(st, k, true, !f.ea)
 }
 
 // emit ends a grouped query: it publishes the fold count and returns the
 // accumulated targets in topK's order, or the error of a folded target id
 // outside the bound the second table declares (a violated storage invariant:
 // BulkLoad validates every element of a declared column).
-func (p *FusedPlan) emit(cat Catalog, st *queryState, k int, limited, desc bool) (*Relation, error) {
+func (p *FusedPlan) emit(st *queryState, k int, limited, desc bool) (*Relation, error) {
 	if a := &st.acc; a.strayed {
 		return nil, fmt.Errorf("exec: table %q: target id %d is outside the declared [0, %d)", p.tables[1].name, a.stray, len(a.slots))
 	}
-	if em := execMetrics(cat); em != nil {
-		em.TuplesMerged.Add(st.merged)
-	}
+	p.metrics.TuplesMerged.Add(st.merged)
 	return entriesToRows(p.schema, st.acc.topK(k, limited, desc)), nil
 }
 
@@ -447,7 +441,7 @@ func (st *queryState) foldLD(c *condArms, g *hubGroup, t int64) {
 	}
 }
 
-func (p *FusedPlan) runCondensed(cat Catalog, params []sqltypes.Value, st *queryState) (*Relation, error) {
+func (p *FusedPlan) runCondensed(params []sqltypes.Value, st *queryState) (*Relation, error) {
 	f := p.cond
 	q, err := p.intParam(params, f.qParam)
 	if err != nil {
@@ -466,14 +460,11 @@ func (p *FusedPlan) runCondensed(cat Catalog, params []sqltypes.Value, st *query
 			return &Relation{Schema: p.schema}, nil
 		}
 	}
-	lab, err := p.tables[0].label(cat, q, st)
+	lab, err := p.tables[0].label(q, st)
 	if err != nil {
 		return nil, err
 	}
-	aux, err := p.tables[1].resolve(cat)
-	if err != nil {
-		return nil, err
-	}
+	aux := &p.tables[1]
 	st.acc.reset(aux.bound)
 
 	// Walk the label once, keeping per (hub, bucket) key only what dominates:
@@ -526,7 +517,7 @@ func (p *FusedPlan) runCondensed(cat Catalog, params []sqltypes.Value, st *query
 		}
 		st.scratch.Arena = st.scratch.Arena[:labEnd]
 		st.key = [2]int64{g.bucket, g.hub}
-		row, found, err := lookupPKScratch(aux.tb, st.key[:], &st.scratch)
+		row, found, err := aux.tb.LookupPKScratch(st.key[:], &st.scratch)
 		if err != nil {
 			return nil, err
 		}
@@ -534,7 +525,7 @@ func (p *FusedPlan) runCondensed(cat Catalog, params []sqltypes.Value, st *query
 			continue
 		}
 		if !arms.load(row, &aux.idx, k, limited) {
-			return nil, p.tables[1].lengthsErr(auxTopV, auxTopVal, auxExpTd, auxExpV, auxExpTa)
+			return nil, aux.lengthsErr(auxTopV, auxTopVal, auxExpTd, auxExpV, auxExpTa)
 		}
 		if f.ea {
 			st.foldEA(&arms, g)
@@ -545,7 +536,7 @@ func (p *FusedPlan) runCondensed(cat Catalog, params []sqltypes.Value, st *query
 			tau, skip = st.kthVal(k, true)
 		}
 	}
-	return p.emit(cat, st, k, limited, !f.ea)
+	return p.emit(st, k, limited, !f.ea)
 }
 
 // floorDiv returns floor(a/b) for b > 0, matching FLOOR(a/b.0) in the

@@ -287,11 +287,11 @@ type keyLogTable struct {
 	keys *[][2]int64
 }
 
-func (t keyLogTable) LookupPK(key []int64) (sqltypes.Row, bool, error) {
+func (t keyLogTable) LookupPKScratch(key []int64, s *RowScratch) (sqltypes.Row, bool, error) {
 	if len(key) == 2 {
 		*t.keys = append(*t.keys, [2]int64{key[0], key[1]})
 	}
-	return t.memTable.LookupPK(key)
+	return t.memTable.LookupPKScratch(key, s)
 }
 
 func TestFusedCondensedAwkwardShapes(t *testing.T) {
@@ -312,9 +312,9 @@ func TestFusedCondensedAwkwardShapes(t *testing.T) {
 		var probed [][2]int64
 		logged := keyLogCatalog{cat, &probed}
 		for _, qq := range queries {
-			fp := Fuse(mustParse(t, qq.q))
-			if fp == nil || fp.Kind() != qq.kind {
-				t.Fatalf("%s did not fuse", qq.kind)
+			fp := mustFuse(t, logged, qq.q)
+			if fp.Kind() != qq.kind {
+				t.Fatalf("%s fused as %s", qq.kind, fp.Kind())
 			}
 			for rep := 0; rep < 6; rep++ {
 				params := []sqltypes.Value{
@@ -330,7 +330,7 @@ func TestFusedCondensedAwkwardShapes(t *testing.T) {
 				// Keys reach the table in its key order: a sweep of the table
 				// is a strictly ascending list.
 				probed = probed[:0]
-				if _, err := fp.Run(logged, params); err != nil {
+				if _, err := fp.Run(params); err != nil {
 					t.Fatal(err)
 				}
 				if !slices.IsSortedFunc(probed, func(a, b [2]int64) int {
@@ -475,7 +475,7 @@ func TestFusedKNNStopRule(t *testing.T) {
 		}
 		diffRun(t, cat, q, params)
 		var probed [][2]int64
-		if _, err := Fuse(mustParse(t, q)).Run(keyLogCatalog{cat, &probed}, params); err != nil {
+		if _, err := mustFuse(t, keyLogCatalog{cat, &probed}, q).Run(params); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if len(probed) != tc.probes {
@@ -556,7 +556,7 @@ func TestFusedLDKNNSkip(t *testing.T) {
 		}
 		diffRun(t, cat, q, params)
 		var probed, want [][2]int64
-		if _, err := Fuse(mustParse(t, q)).Run(keyLogCatalog{cat, &probed}, params); err != nil {
+		if _, err := mustFuse(t, keyLogCatalog{cat, &probed}, q).Run(params); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		for _, hub := range tc.probes {
@@ -615,7 +615,6 @@ func FuzzCondensedKNNStop(f *testing.F) {
 	for _, s := range [][4]int64{{1, 1, 0, 1}, {2, 3, 120, 2}, {3, 5, -400, 4}, {4, 2, 90, 1 << 40}, {5, 4, math.MinInt64, 3}, {6, 1, 50, -1}} {
 		f.Add(s[0], s[1], s[2], s[3])
 	}
-	var plans [4]*FusedPlan
 	var sels [4]*sql.Select
 	for i, text := range []string{SQLKNNEA, SQLOTMEA, SQLKNNLD, SQLOTMLD} {
 		aux := "aux_ea"
@@ -626,7 +625,7 @@ func FuzzCondensedKNNStop(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		sels[i], plans[i] = sel, Fuse(sel)
+		sels[i] = sel
 	}
 	f.Fuzz(func(t *testing.T, seed, q, at, k int64) {
 		rng := rand.New(rand.NewSource(seed))
@@ -640,7 +639,11 @@ func FuzzCondensedKNNStop(f *testing.F) {
 		}
 		orderLDArms(rng, cat["aux_ld"], rng.Intn(3) == 0)
 		kind := rng.Intn(4) // the EA kNN, the EA one-to-many, the LD kNN, the LD one-to-many
-		sel, fp := sels[kind], plans[kind]
+		sel := sels[kind]
+		fp, err := Fuse(sel, cat, false)
+		if err != nil {
+			t.Fatal(err)
+		}
 		d := (int64(rng.Intn(21)) - 10) * auxWidth
 		for _, row := range cat["lout"].rows {
 			for _, c := range row[2:4] { // tds, tas
@@ -664,28 +667,26 @@ func FuzzCondensedKNNStop(f *testing.F) {
 			params = params[:2] // no LIMIT
 		}
 		want, wantErr := Run(sel, cat, params)
-		for _, c := range []Catalog{cat, scratchCatalog{cat}} {
-			got, err := fp.Run(c, params)
-			if (err != nil) != (wantErr != nil) {
-				t.Fatalf("params %v: fused error %v, general error %v", params, err, wantErr)
-			}
-			if err == nil {
-				compareRelations(t, got, want, params)
-			}
+		got, err := fp.Run(params)
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("params %v: fused error %v, general error %v", params, err, wantErr)
+		}
+		if err == nil {
+			compareRelations(t, got, want, params)
 		}
 	})
 }
 
 // TestFusedPlanSharedAcrossGoroutines runs one prepared plan per condensed
 // kind from 8 goroutines at once, each over its own parameter list, through
-// the scratch catalog's hostile buffer reuse. Every answer must equal the one
+// the test tables' hostile buffer reuse. Every answer must equal the one
 // computed single-threaded beforehand: pooled query state that leaked between
 // queries would show as a wrong or torn result (and as a race under -race).
 func TestFusedPlanSharedAcrossGoroutines(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	const width, workers, perWorker = awkwardWidth, 8, 60
-	cat := scratchCatalog{awkwardCatalog(rng, true)}
-	cat.inner["naive"] = randNaiveTable(rng)
+	cat := awkwardCatalog(rng, true)
+	cat["naive"] = randNaiveTable(rng)
 	for _, q := range []string{
 		fmt.Sprintf(SQLKNNEA, "aux_ea", width, "lout"),
 		fmt.Sprintf(SQLKNNLD, "aux_ld", width, "lout"),
@@ -695,10 +696,7 @@ func TestFusedPlanSharedAcrossGoroutines(t *testing.T) {
 		fmt.Sprintf(SQLKNNNaiveLD, "naive", "lout"),
 		fmt.Sprintf(SQLV2VEA, "lout", "lout"),
 	} {
-		fp := Fuse(mustParse(t, q))
-		if fp == nil {
-			t.Fatalf("query did not fuse:\n%s", q)
-		}
+		fp := mustFuse(t, cat, q)
 		params := make([][][]sqltypes.Value, workers)
 		want := make([][]*Relation, workers)
 		for w := range params {
@@ -708,7 +706,7 @@ func TestFusedPlanSharedAcrossGoroutines(t *testing.T) {
 				if fp.v2v != nil {
 					p = []sqltypes.Value{stop, sqltypes.NewInt(int64(rng.Intn(8))), when}
 				}
-				rel, err := fp.Run(cat, p)
+				rel, err := fp.Run(p)
 				if err != nil {
 					t.Fatalf("%s %v: %v", fp.Kind(), p, err)
 				}
@@ -722,7 +720,7 @@ func TestFusedPlanSharedAcrossGoroutines(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				for i, p := range params[w] {
-					got, err := fp.Run(cat, p)
+					got, err := fp.Run(p)
 					if err != nil {
 						errs <- fmt.Errorf("%s %v: %v", fp.Kind(), p, err)
 						return

@@ -1,7 +1,7 @@
 package exec
 
 // fused_state.go holds what a fused query needs besides its inputs: the
-// resolved layout of the tables a plan reads (cached on the plan) and the
+// tables a plan reads, bound with their column positions once by Fuse, and the
 // pooled per-query state — row scratch, the (hub, bucket) grouping of the
 // query stop's label and, for LD, the label itself with the cursor search of
 // its hub runs, the per-target MIN/MAX accumulator, and the selection of its
@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync/atomic"
 
 	"ptldb/internal/sqldb/sqltypes"
 )
@@ -36,19 +35,18 @@ const (
 	auxBucket, auxHub, auxTopV, auxTopVal, auxExpTd, auxExpV, auxExpTa = 0, 1, 2, 3, 4, 5, 6
 )
 
-// tableRef names one base table a fused plan reads, the columns it needs from
-// it, and how many of the leading ones must be exactly the primary key, in
-// key order — (bucket, hub) for a condensed table, whose rows and so whose
-// pages follow that order. A label table must also declare its run
-// order (RunOrdered) over exactly its hubs, tds and tas: the kernels search
-// the runs and never re-check them. A naive or condensed table must declare
-// the bound of its target ids (TargetBounded) over the columns the plan folds:
-// the accumulator is an array of that size. An EA condensed table must declare
-// the floor of the values the plan folds (Floored) by its bucket column at the
-// plan's width, and an EA one-to-many table the count of its distinct target
-// ids: the sweep stops by them. The resolved column positions are cached per
-// table identity, so a query pays one catalog lookup and one pointer compare
-// instead of a name scan per column.
+// tableRef is one base table a fused plan reads: the columns it needs from
+// it, and how many of the leading ones must be exactly the primary key, in key
+// order — (bucket, hub) for a condensed table, whose rows and so whose pages
+// follow that order. A label table must also declare its run order over
+// exactly its hubs, tds and tas: the kernels search the runs and never
+// re-check them. A naive or condensed table must declare the bound of its
+// target ids over the columns the plan folds: the accumulator is an array of
+// that size. An EA condensed table must declare the floor of the values the
+// plan folds by its bucket column at the plan's width, and an EA one-to-many
+// table the count of its distinct target ids: the sweep stops by them. Fuse
+// checks all of it once, in bind, and keeps the table, the position of each
+// column in it and its declared bound and count.
 type tableRef struct {
 	name    string
 	cols    []string
@@ -59,88 +57,62 @@ type tableRef struct {
 	// at least cols[0] × width; nil when the plan needs no floor.
 	floor []int
 	width int64
-	lay   atomic.Pointer[tableLayout]
-}
 
-// tableLayout is the resolved position of each tableRef column in one
-// concrete table, and the table's declared target-id bound and count of
-// distinct ids (0 when it declares none). Table values must be comparable
-// (every implementation is a pointer or a struct of pointers).
-type tableLayout struct {
+	// What bind finds: the table, the position of each of cols in it, and its
+	// declared target-id bound and count of distinct ids (0 when it declares
+	// none).
 	tb           Table
 	idx          [maxFusedCols]int
 	bound, count int
 }
 
-// resolve returns the table with the positions of r.cols in it, or an error
-// naming the table when it is missing, lacks a column, has a different key
-// shape, is a label table that declares no run order, folds target ids it
-// declares no bound or count for or values it declares no floor for.
-//
-// hotpath — allocheck root: runs once per table per fused query.
-func (r *tableRef) resolve(cat Catalog) (*tableLayout, error) {
+// bind looks the table up in cat and checks it has what r needs: an error
+// names the table when it is missing, lacks a column, has a different key
+// shape, is a label table that declares no run order, or folds target ids it
+// declares no bound or count for or values it declares no floor for. Each is
+// a table the current build does not write, so the remedy is a rebuild.
+func (r *tableRef) bind(cat Catalog) error {
 	tb, ok := cat.Table(r.name)
 	if !ok {
-		return nil, fmt.Errorf("exec: no table %q", r.name)
+		return r.bindErr("not in the catalog")
 	}
-	if l := r.lay.Load(); l != nil && l.tb == tb {
-		return l, nil
-	}
-	return r.resolveSlow(tb)
-}
-
-// resolveSlow scans the column names once and publishes the layout. A
-// mismatch is not cached: it fails every time.
-//
-// hotpath:cold — first query of a plan against a table.
-func (r *tableRef) resolveSlow(tb Table) (*tableLayout, error) {
-	l := &tableLayout{tb: tb}
 	cols := tb.Columns()
 	for i, name := range r.cols {
-		l.idx[i] = -1
-		for ci, c := range cols {
-			if strings.EqualFold(c, name) {
-				l.idx[i] = ci
-				break
-			}
-		}
-		if l.idx[i] < 0 {
-			return nil, fmt.Errorf("exec: table %q has no column %q", r.name, name)
+		r.idx[i] = slices.IndexFunc(cols, func(c string) bool { return strings.EqualFold(c, name) })
+		if r.idx[i] < 0 {
+			return r.bindErr("no column %q", name)
 		}
 	}
-	if r.pk > 0 && !slices.Equal(tb.PKCols(), l.idx[:r.pk]) {
-		return nil, fmt.Errorf("exec: table %q: primary key is not (%s)", r.name, strings.Join(r.cols[:r.pk], ", "))
+	if r.pk > 0 && !slices.Equal(tb.PKCols(), r.idx[:r.pk]) {
+		return r.bindErr("primary key is not (%s)", strings.Join(r.cols[:r.pk], ", "))
 	}
-	if ro, ok := tb.(RunOrdered); r.targets == nil && (!ok || !slices.Equal(ro.RunOrder(), l.idx[labHubs:labTas+1])) {
-		return nil, fmt.Errorf("exec: label table %q does not declare the run order (%s); rebuild the database",
-			r.name, strings.Join(r.cols[labHubs:], ", "))
+	if r.targets == nil && !slices.Equal(tb.RunOrder(), r.idx[labHubs:labTas+1]) {
+		return r.bindErr("does not declare the run order (%s)", strings.Join(r.cols[labHubs:], ", "))
 	}
-	var declared []int
-	if tbd, ok := tb.(TargetBounded); ok {
-		declared, l.bound, l.count = tbd.TargetBound()
-	}
+	declared, bound, count := tb.TargetBound()
 	for _, c := range r.targets {
-		if l.bound < 1 || !slices.Contains(declared, l.idx[c]) {
-			return nil, fmt.Errorf("exec: table %q does not declare the bound of its target ids in %q; rebuild the database", r.name, r.cols[c])
+		if bound < 1 || !slices.Contains(declared, r.idx[c]) {
+			return r.bindErr("does not declare the bound of its target ids in %q", r.cols[c])
 		}
 	}
-	if r.counted && l.count < 1 {
-		return nil, fmt.Errorf("exec: table %q does not declare its target count; rebuild the database", r.name)
+	if r.counted && count < 1 {
+		return r.bindErr("does not declare its target count")
 	}
 	if r.floor != nil {
-		key, width, declared := -1, int64(0), []int(nil)
-		if fl, ok := tb.(Floored); ok {
-			key, width, declared = fl.Floor()
-		}
+		key, width, declared := tb.Floor()
 		for _, c := range r.floor {
-			if key != l.idx[0] || width != r.width || !slices.Contains(declared, l.idx[c]) {
-				return nil, fmt.Errorf("exec: table %q does not declare the floor %s × %d of its values in %q; rebuild the database",
-					r.name, r.cols[0], r.width, r.cols[c])
+			if key != r.idx[0] || width != r.width || !slices.Contains(declared, r.idx[c]) {
+				return r.bindErr("does not declare the floor %s × %d of its values in %q", r.cols[0], r.width, r.cols[c])
 			}
 		}
 	}
-	r.lay.Store(l)
-	return l, nil
+	r.tb, r.bound, r.count = tb, bound, count
+	return nil
+}
+
+// bindErr is bind's error: what is wrong with the table, and the remedy.
+func (r *tableRef) bindErr(format string, a ...any) error {
+	return fmt.Errorf("exec: table %q: %s; rebuild the database", r.name, fmt.Sprintf(format, a...))
 }
 
 // lengthsErr reports a row whose parallel arrays are not all BIGINT[] of one
@@ -161,27 +133,21 @@ type label struct {
 }
 
 // label point-looks-up the label of stop v in the referenced label table,
-// decoding through st's scratch when the table supports it. The returned
-// arrays stay valid until the scratch arena is truncated below them. A
-// missing stop yields an empty label.
+// decoding through st's scratch. The returned arrays stay valid until the
+// scratch arena is truncated below them. A missing stop yields an empty label.
 //
 // hotpath — allocheck root: the per-query label fetch shared by every fused
 // code; it must not allocate beyond the scratch it is handed.
-func (r *tableRef) label(cat Catalog, v int64, st *queryState) (label, error) {
-	lay, err := r.resolve(cat)
-	if err != nil {
-		return label{}, err
-	}
-	ix := &lay.idx
+func (r *tableRef) label(v int64, st *queryState) (label, error) {
 	st.key[0] = v
-	row, found, err := lookupPKScratch(lay.tb, st.key[:1], &st.scratch)
+	row, found, err := r.tb.LookupPKScratch(st.key[:1], &st.scratch)
 	if err != nil {
 		return label{}, err
 	}
 	if !found {
 		return label{}, nil
 	}
-	hv, dv, av := row[ix[labHubs]], row[ix[labTds]], row[ix[labTas]]
+	hv, dv, av := row[r.idx[labHubs]], row[r.idx[labTds]], row[r.idx[labTas]]
 	if hv.T != sqltypes.IntArray || dv.T != sqltypes.IntArray || av.T != sqltypes.IntArray ||
 		len(hv.A) != len(dv.A) || len(hv.A) != len(av.A) {
 		return label{}, r.lengthsErr(labHubs, labTds, labTas)

@@ -3,7 +3,7 @@ package exec
 // runjoin_test.go tests the run-order join of runV2V against a brute-force
 // double loop over the same labels — the three aggregates and the witness row
 // — and the galloping searches on their own. The test tables declare the order
-// through RunOrdered; nothing validates it for them, so every label here is
+// through Table.RunOrder; nothing validates it for them, so every label here is
 // built run-ordered.
 
 import (
@@ -143,13 +143,8 @@ func TestRunJoinMatchesBruteForce(t *testing.T) {
 		}
 		return sqltypes.Row{sqltypes.NewInt(v), sqltypes.NewIntArray(hubs), sqltypes.NewIntArray(tds), sqltypes.NewIntArray(tas)}
 	}
-	plans := map[byte]*FusedPlan{}
 	witnessSel := mustParse(t, fmt.Sprintf(SQLV2VEAWitness, "lout", "lin"))
-	for op, tmpl := range map[byte]string{'E': SQLV2VEA, 'L': SQLV2VLD, 'S': SQLV2VSD, 'W': SQLV2VEAWitness} {
-		if plans[op] = Fuse(mustParse(t, fmt.Sprintf(tmpl, "lout", "lin"))); plans[op] == nil {
-			t.Fatalf("v2v %c did not fuse", op)
-		}
-	}
+	statements := map[byte]string{'E': SQLV2VEA, 'L': SQLV2VLD, 'S': SQLV2VSD, 'W': SQLV2VEAWitness}
 	all := 1<<len(hubPool) - 1
 	for trial := 0; trial < 300; trial++ {
 		outMask, inMask := rng.Intn(all+1), rng.Intn(all+1)
@@ -177,7 +172,8 @@ func TestRunJoinMatchesBruteForce(t *testing.T) {
 		}
 		slices.Sort(times)
 		times = slices.Compact(times)
-		for op, fp := range plans {
+		for op, tmpl := range statements {
+			fp := mustFuse(t, cat, fmt.Sprintf(tmpl, "lout", "lin"))
 			for _, tv := range times {
 				ends := []int64{0}
 				if op == 'S' {
@@ -188,7 +184,7 @@ func TestRunJoinMatchesBruteForce(t *testing.T) {
 					if op == 'S' {
 						params = append(params, sqltypes.NewInt(tEnd))
 					}
-					rel, err := fp.Run(cat, params)
+					rel, err := fp.Run(params)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -622,11 +622,12 @@ func TestRunOrderDeclarationFailsClosed(t *testing.T) {
 	}
 }
 
-// TestFusedPlanAnswersOrErrors: a prepared statement of the workload runs on
-// its fused plan or fails with an error that says what is wrong — a parameter
-// that is not a BIGINT, a label table that declares no run order — and the
-// general executor is never asked for a second opinion. The same statement on
-// a reference handle never fuses.
+// TestFusedPlanAnswersOrErrors: a statement of the workload over a label
+// table that declares no run order fails Prepare, naming the table; a
+// prepared one runs on its fused plan or fails with an error that says what
+// is wrong — a parameter that is not a BIGINT — and the general executor is
+// never asked for a second opinion. The same statements on a reference handle
+// never fuse, so both prepare.
 func TestFusedPlanAnswersOrErrors(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256})
@@ -650,9 +651,14 @@ func TestFusedPlanAnswersOrErrors(t *testing.T) {
 	if err != nil || !info.Fused || rel.Rows[0][0].I != 10 {
 		t.Fatalf("EA = %v, %+v, %v; want 10 from the fused plan", rel, info, err)
 	}
-	old, err := db.Prepare(fmt.Sprintf(exec.SQLV2VEA, "lout", "lin_old"))
-	if err != nil {
-		t.Fatal(err)
+	if old, err := db.Prepare(fmt.Sprintf(exec.SQLV2VEA, "lout", "lin_old")); err == nil {
+		t.Errorf("an undeclared label table prepared: fused %v", old.Fused())
+	} else {
+		for _, frag := range []string{`"lin_old"`, "run order", "rebuild"} {
+			if !strings.Contains(err.Error(), frag) {
+				t.Errorf("an undeclared label table: error %q lacks %q", err, frag)
+			}
+		}
 	}
 	for _, tc := range []struct {
 		what   string
@@ -663,7 +669,6 @@ func TestFusedPlanAnswersOrErrors(t *testing.T) {
 		{"a float parameter", st, []sqltypes.Value{one, sqltypes.NewFloat(1.5), one}, []string{"v2v-ea", "$2", "BIGINT"}},
 		{"a NULL parameter", st, []sqltypes.Value{one, one, {}}, []string{"v2v-ea", "$3", "BIGINT"}},
 		{"a missing parameter", st, []sqltypes.Value{one, one}, []string{"v2v-ea", "$3", "missing"}},
-		{"an undeclared label table", old, []sqltypes.Value{one, one, one}, []string{`"lin_old"`, "run order", "rebuild"}},
 	} {
 		_, info, err := tc.st.QueryInfo(tc.params...)
 		if err == nil || !info.Fused {
@@ -676,8 +681,8 @@ func TestFusedPlanAnswersOrErrors(t *testing.T) {
 			}
 		}
 	}
-	if fused, general := db.FusedStats(); fused != 5 || general != 0 {
-		t.Errorf("%d fused runs, %d general runs; want 5 and 0", fused, general)
+	if fused, general := db.FusedStats(); fused != 4 || general != 0 {
+		t.Errorf("%d fused runs, %d general runs; want 4 and 0", fused, general)
 	}
 
 	ref, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256, ReferenceExec: true})
@@ -688,6 +693,9 @@ func TestFusedPlanAnswersOrErrors(t *testing.T) {
 	rst, err := ref.Prepare(fmt.Sprintf(exec.SQLV2VEA, "lout", "lin"))
 	if err != nil || rst.Fused() {
 		t.Fatalf("reference handle: fused %v, %v", rst.Fused(), err)
+	}
+	if _, err := ref.Prepare(fmt.Sprintf(exec.SQLV2VEA, "lout", "lin_old")); err != nil {
+		t.Errorf("reference handle: an undeclared label table: %v", err)
 	}
 	if _, err := rst.Explain(); err == nil {
 		t.Error("reference handle explained a fused plan it does not have")

@@ -129,19 +129,19 @@ func (t *Table) Columns() []string {
 // PKCols returns the indices of the primary-key columns.
 func (t *Table) PKCols() []int { return t.pkCols }
 
-// RunOrder implements exec.RunOrdered: the positions of the declared
-// run-order columns, nil when the table declares none.
+// RunOrder returns the positions of the declared run-order columns, nil when
+// the table declares none.
 func (t *Table) RunOrder() []int { return t.runOrder }
 
-// TargetBound implements exec.TargetBounded: the positions of the declared
-// target-id columns, their exclusive bound and their declared count of
-// distinct ids (0: none), nil, 0 and 0 when the table declares no target ids.
+// TargetBound returns the positions of the declared target-id columns, their
+// exclusive bound and their declared count of distinct ids (0: none), nil, 0
+// and 0 when the table declares no target ids.
 func (t *Table) TargetBound() ([]int, int, int) {
 	return t.targetCols, int(t.targetBound), int(t.targetCount)
 }
 
-// Floor implements exec.Floored: the positions of the declared floor's key
-// and columns and its width, -1, 0 and nil when the table declares none.
+// Floor returns the positions of the declared floor's key and columns and its
+// width, -1, 0 and nil when the table declares none.
 func (t *Table) Floor() (key int, width int64, cols []int) {
 	if t.def.Floor == nil {
 		return -1, 0, nil
@@ -373,11 +373,10 @@ func (t *Table) LookupPK(keyVals []int64) (sqltypes.Row, bool, error) {
 	return t.LookupPKScratch(keyVals, &s)
 }
 
-// LookupPKScratch implements exec.ScratchTable: LookupPK decoding into s's
-// reusable buffers. The returned row is valid until the next call with the
-// same scratch; its array values live in s.Arena (which only ever grows) or
-// alias immutable cached vectors, so they remain valid for the scratch's
-// lifetime.
+// LookupPKScratch is LookupPK decoding into s's reusable buffers. The
+// returned row is valid until the next call with the same scratch; its array
+// values live in s.Arena (which only ever grows) or alias immutable cached
+// vectors, so they remain valid for the scratch's lifetime.
 //
 // Both tiers find the row with the one search of the key directory they
 // share, storage.FindFrom, started where s's last lookup ended (s.Pos): a
@@ -445,12 +444,11 @@ func (t *Table) Scan(fn func(sqltypes.Row) error) error {
 	})
 }
 
-// ScanScratch implements exec.ScratchTable: Scan reusing s's buffers —
-// including the arena — for every row, so the callback must not retain the
-// row or any of its array values. It iterates the resident vectors, or else
-// the segment directory, in key order. Counters accumulate locally and
-// publish once at the end; a scan abandoned by an error drops its partial
-// count.
+// ScanScratch is Scan reusing s's buffers — including the arena — for every
+// row, so the callback must not retain the row or any of its array values. It
+// iterates the resident vectors, or else the segment directory, in key order.
+// Counters accumulate locally and publish once at the end; a scan abandoned
+// by an error drops its partial count.
 //
 // hotpath — allocheck root: fused full-table scans (target sets, condensed
 // probes) iterate here; the per-row loop must stay allocation-free.

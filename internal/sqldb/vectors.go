@@ -119,7 +119,7 @@ func (t *Table) materialize() (*vcache.Mat, error) {
 
 // vcacheRow assembles row i of m into s.Row. The value headers are written
 // into the scratch, but the array payloads alias the cached vectors — no
-// copy, no arena traffic. The views satisfy the ScratchTable retention
+// copy, no arena traffic. The views satisfy LookupPKScratch's retention
 // contract trivially: the vectors are immutable and the garbage collector
 // keeps them alive as long as any view exists, even across eviction.
 func vcacheRow(m *vcache.Mat, i int, s *exec.RowScratch) sqltypes.Row {

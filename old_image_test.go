@@ -94,7 +94,7 @@ func TestUndeclaredImageFailsClosed(t *testing.T) {
 				d.TargetIDs.Count = 0
 			}
 		}), []string{"otm_ea_poi", "target count", "rebuild"}},
-		{`"knn_naive_poi"`, twoNaive, []string{"table knn_naive_poi", "target ids", "rebuild"}},
+		{`"knn_naive_poi"`, twoNaive, []string{`"knn_naive_poi"`, "rebuild"}},
 	} {
 		if !strings.Contains(string(built), tc.key) {
 			t.Fatalf("the built catalog does not declare %s:\n%s", tc.key, built)

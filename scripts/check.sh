@@ -2,8 +2,8 @@
 # Full pre-merge gate: formatting, vet, project lint, build, and the whole
 # test suite under the race detector with shuffled test order, then once more
 # with module-wide coverage, which must reach every function outside cmd/ and
-# examples/, the general SQL engine's coverage by its callers alone, then the
-# benchmark module
+# examples/, the general SQL engine's coverage by its callers alone, a
+# 10-second fuzz of the HTTP time parameter, then the benchmark module
 # (benchmark/ is a module of its own, invisible to ./...), a look at what
 # ptldb-build leaves in a database directory, the console on it, and what
 # becomes of that directory once its catalog stops declaring the label run
@@ -77,6 +77,12 @@ if git grep -nE 'streamHeap|openForwardStream|insertForward|insertBackward' -- '
     echo "each profile search is one scan over the time-sorted connections: no per-stop stream heap" >&2
     exit 1
 fi
+echo "== a fused statement binds its tables at Prepare (internal/sqldb/exec)"
+if git grep -nE 'RunOrdered|TargetBounded|Floored|ScratchTable|MetricsSource|lookupPKScratch|scanScratch|execMetrics|resolveSlow|SetVectorCache' -- '*.go' ':!*_test.go'; then
+    echo "exec.Fuse looks a plan's tables up and checks their declarations once; every exec.Table and" >&2
+    echo "exec.Catalog method is required: no optional table interface, no fallback, no per-query lookup" >&2
+    exit 1
+fi
 echo "== go vet ./..."
 go vet ./...
 echo "== ptldb-analyze ./... (project lint)"
@@ -122,6 +128,8 @@ if [ -n "$unreached" ]; then
     echo "$unreached" >&2
     exit 1
 fi
+echo "== fuzz smoke: an accepted time parameter is the 32-bit time it spells (internal/serve)"
+go test -run '^$' -fuzz '^FuzzTimeParam$' -fuzztime 10s ./internal/serve
 echo "== fused allocs/op ratchet (no race detector)"
 go test -run 'TestFusedAllocsBudget' -count=1 .
 echo "== bench smoke (fused executor, 5 iterations)"
