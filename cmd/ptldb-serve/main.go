@@ -87,12 +87,7 @@ func main() {
 		what    string
 	)
 	if *tenantDir != "" {
-		router, err := tenant.New(*tenantDir, tenant.Config{
-			MaxOpenTenants:   *maxOpen,
-			VectorCacheBytes: *vcBytes,
-			PoolPages:        *poolPages,
-			Base:             cfg,
-		})
+		router, err := tenant.New(*tenantDir, tenant.Config{MaxOpenTenants: *maxOpen, Base: cfg})
 		if err != nil {
 			fatal(err)
 		}

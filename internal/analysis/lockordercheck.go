@@ -22,13 +22,14 @@ package analysis
 // a latch, closes a latch, may block — lockcheck's fact) are computed to
 // fixpoint over static module-local calls, so the graph spans packages: the
 // pool's frame latch held across the re-lock that detaches a failed load
-// shows up as Frame.ready → poolShard.mu even though the acquisition is a
+// shows up as Frame.ready → Pool.mu even though the acquisition is a
 // call deep.
 //
 // Findings:
 //   - any cycle among lock classes (classic deadlock potential);
-//   - a shard-class mutex acquired while any shard class is held (the pool's
-//     sharding contract: shard critical sections never nest);
+//   - a shard-class mutex acquired while any shard class is held (each one
+//     guards one structure's bookkeeping: shard critical sections never
+//     nest);
 //   - a class that participates in the graph but declares no "level=N" in
 //     its annotation (an ordering documentation gap);
 //   - an edge that does not go strictly upward in declared levels.
@@ -81,8 +82,8 @@ func (lockOrderCheck) CheckModule(pkgs []*Package) []Finding {
 	return lo.findings
 }
 
-// lockClass is one annotated field: all instances of pool shard N share the
-// class of the poolShard.mu field.
+// lockClass is one annotated field: every instance of the annotated struct
+// (every Pool, say) shares the class of its field (Pool.mu).
 type lockClass struct {
 	id    int
 	name  string // pkg.Type.field

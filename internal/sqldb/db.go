@@ -76,13 +76,18 @@ type Floor struct {
 	Columns []string `json:"columns"`
 }
 
+// DefaultPoolPages is the buffer-pool capacity when Options leaves PoolPages
+// zero: 131072 pages = 1 GiB, a laptop-scale stand-in for the paper's 8 GiB
+// shared_buffers. The tenant router divides the same total among its
+// tenants.
+const DefaultPoolPages = 131072
+
 // Options configures Open.
 type Options struct {
 	// Device is the simulated storage device (default storage.SSD).
 	Device storage.DeviceModel
-	// PoolPages is the buffer-pool capacity in pages (default 131072 pages
-	// = 1 GiB, a laptop-scale stand-in for the paper's 8 GiB
-	// shared_buffers).
+	// PoolPages is the buffer-pool capacity in pages (default
+	// DefaultPoolPages).
 	PoolPages int
 	// ReferenceExec is the tests' reference switch: Prepare never fuses, so
 	// every statement runs on the general executor the differential batteries
@@ -132,7 +137,7 @@ func Open(dir string, opts Options) (*DB, error) {
 		opts.Device = storage.SSD
 	}
 	if opts.PoolPages == 0 {
-		opts.PoolPages = 131072
+		opts.PoolPages = DefaultPoolPages
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("sqldb: %w", err)

@@ -443,9 +443,9 @@ func TestDropCachesForcesMisses(t *testing.T) {
 	if err := db.DropCaches(); err != nil {
 		t.Fatal(err)
 	}
-	_, m0 := db.Pool().Stats()
+	m0 := db.Pool().Metrics().Misses.Load()
 	queryInts(t, db, "SELECT b FROM t WHERE a=50")
-	if _, m1 := db.Pool().Stats(); m1 == m0 {
+	if m1 := db.Pool().Metrics().Misses.Load(); m1 == m0 {
 		t.Error("query after DropCaches hit only cached pages")
 	}
 }

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -17,21 +16,27 @@ import (
 // the paper's "restart the server and clear the operating system's cache"
 // step.
 //
-// The pool is sharded by frame-key hash — max(8, GOMAXPROCS) shards, each
-// with its own mutex, frame table and LRU list — so unrelated page accesses
-// never contend on a shared lock. Device reads happen outside the shard
-// lock under a per-frame load latch: on a miss the frame is installed in a
-// "loading" state, the shard lock is dropped, the page is read from the
-// device, and the result (bytes or error) is published to every goroutine
-// that coalesced on the frame in the meantime. Concurrent misses on
-// different pages therefore overlap their I/O; concurrent misses on the
+// The pool is one frame table and one LRU list under one mutex. Warm label
+// reads are served by the resident vector cache above it, so the pool sees
+// the cold path and the tables the vector cache declines. Device reads
+// happen outside the mutex under a per-frame load latch: on a miss the frame
+// is installed in a "loading" state, the mutex is dropped, the page is read
+// from the device, and the result (bytes or error) is published to every
+// goroutine that coalesced on the frame in the meantime. Concurrent misses
+// on different pages therefore overlap their I/O; concurrent misses on the
 // same page trigger exactly one device read.
 //
 // The bytes of a pinned frame may be read concurrently and are never
-// modified. The one rule lockcheck enforces on the shard mutexes (DESIGN.md
-// §8) is that no page is read while one is held.
+// modified. The one rule lockcheck enforces on the pool mutex (DESIGN.md §8)
+// is that no page is read while it is held.
 type Pool struct {
-	shards []poolShard
+	// mu is acquisition level 20: taken after a frame latch (level 10) when a
+	// failed load is published (lockordercheck).
+	mu       sync.Mutex // lockcheck:shard level=20
+	capacity int
+	frames   map[frameKey]*Frame
+	// LRU list of unpinned resident frames; head is least recently used.
+	lruHead, lruTail *Frame
 
 	nextFileID atomic.Int64
 
@@ -45,19 +50,6 @@ type Pool struct {
 	loadHook func(key frameKey)
 }
 
-// poolShard is one independently locked slice of the pool.
-type poolShard struct {
-	// mu is acquisition level 20: taken after a frame latch (level 10) when a
-	// failed load is published, never while another shard-class mutex is held
-	// (lockordercheck).
-	mu       sync.Mutex // lockcheck:shard level=20
-	capacity int
-	metrics  *obs.PoolMetrics // points at the owning pool's counters
-	frames   map[frameKey]*Frame
-	// LRU list of unpinned resident frames; head is least recently used.
-	lruHead, lruTail *Frame
-}
-
 type frameKey struct {
 	file int
 	page PageID
@@ -66,18 +58,17 @@ type frameKey struct {
 // Frame is one pinned buffer-pool page. Callers must Unpin it when done.
 //
 // Lifecycle: loading (installed pinned, ready open) → resident (ready
-// closed, loadErr nil) → evicted (removed from the shard table once
+// closed, loadErr nil) → evicted (removed from the frame table once
 // unpinned). A failed load is published by closing ready with loadErr set
 // and detaching the frame, so every coalesced waiter observes the error and
 // a later Get retries the read from scratch.
 type Frame struct {
-	key   frameKey
-	shard *poolShard
+	key frameKey
 
 	// ready is closed once data is valid or loadErr is set; loadErr must
 	// only be read after ready is closed. The latch is acquisition level 10:
-	// the loader holds it open while re-taking its shard mutex (level 20) to
-	// detach a failed load, so it orders strictly below them.
+	// the loader holds it open while re-taking the pool mutex (level 20) to
+	// detach a failed load, so it orders strictly below it.
 	ready   chan struct{} // lockcheck:latch level=10
 	loadErr error
 
@@ -91,40 +82,12 @@ type Frame struct {
 // while the frame is pinned.
 func (f *Frame) Data() []byte { return f.data[:] }
 
-// NewPool creates a pool with room for capacity frames (minimum 8), split
-// over max(8, GOMAXPROCS) shards. The capacity bounds the resident set;
-// frames pinned concurrently beyond a shard's slice are allowed as a
-// temporary overflow and trimmed back by later allocations.
+// NewPool creates a pool with room for capacity frames (minimum 8). The
+// capacity bounds the resident set; frames pinned concurrently beyond it are
+// allowed as a temporary overflow and trimmed back by later allocations. The
+// frame table grows with the frames the pool holds.
 func NewPool(capacity int) *Pool {
-	if capacity < 8 {
-		capacity = 8
-	}
-	nShards := runtime.GOMAXPROCS(0)
-	if nShards < 8 {
-		nShards = 8
-	}
-	perShard := (capacity + nShards - 1) / nShards
-	if perShard < 2 {
-		perShard = 2
-	}
-	p := &Pool{shards: make([]poolShard, nShards)}
-	for i := range p.shards {
-		p.shards[i] = poolShard{
-			capacity: perShard,
-			metrics:  &p.metrics,
-			frames:   make(map[frameKey]*Frame, perShard),
-		}
-	}
-	return p
-}
-
-// shard maps a frame key to its home shard by hash.
-func (p *Pool) shard(key frameKey) *poolShard {
-	h := uint64(key.file)*0x9E3779B97F4A7C15 + uint64(key.page)
-	h ^= h >> 33
-	h *= 0xBF58476D1CE4E5B9
-	h ^= h >> 29
-	return &p.shards[h%uint64(len(p.shards))]
+	return &Pool{capacity: max(capacity, 8), frames: make(map[frameKey]*Frame)}
 }
 
 // Register assigns the pool-local id of a file. It must be called once per
@@ -142,14 +105,13 @@ func (p *Pool) Register(f *PagedFile) {
 // inside installLocked, which is marked cold.
 func (p *Pool) Get(f *PagedFile, id PageID) (*Frame, error) {
 	key := frameKey{file: f.id, page: id}
-	sh := p.shard(key)
-	sh.mu.Lock()
-	if fr, ok := sh.frames[key]; ok {
+	p.mu.Lock()
+	if fr, ok := p.frames[key]; ok {
 		if fr.pins == 0 {
-			sh.lruRemove(fr)
+			p.lruRemove(fr)
 		}
 		fr.pins++
-		sh.mu.Unlock()
+		p.mu.Unlock()
 		<-fr.ready // immediate for resident frames
 		if fr.loadErr != nil {
 			// The loader detached the frame; our pin dies with it. The
@@ -161,11 +123,11 @@ func (p *Pool) Get(f *PagedFile, id PageID) (*Frame, error) {
 		return fr, nil
 	}
 	// Miss: install a loading frame (the latch), then read the page with the
-	// shard lock dropped so misses on other pages proceed in parallel. The
-	// miss is counted up front, exactly once per load attempt, whether or not
-	// the read below fails.
-	fr := sh.installLocked(key)
-	sh.mu.Unlock()
+	// mutex dropped so misses on other pages proceed in parallel. The miss is
+	// counted up front, exactly once per load attempt, whether or not the
+	// read below fails.
+	fr := p.installLocked(key)
+	p.mu.Unlock()
 	p.metrics.Misses.Add(1)
 	if p.loadHook != nil {
 		p.loadHook(key)
@@ -180,73 +142,67 @@ func (p *Pool) Get(f *PagedFile, id PageID) (*Frame, error) {
 // failLoad publishes a load failure to every waiter coalesced on fr and
 // detaches the frame so subsequent Gets retry from scratch.
 func (p *Pool) failLoad(fr *Frame, err error) error {
-	sh := fr.shard
-	sh.mu.Lock()
-	delete(sh.frames, fr.key)
-	sh.mu.Unlock()
+	p.mu.Lock()
+	delete(p.frames, fr.key)
+	p.mu.Unlock()
 	fr.loadErr = err
 	close(fr.ready)
 	return err
 }
 
-// installLocked finds room in the shard (evicting unpinned frames while at
+// installLocked finds room in the pool (evicting unpinned frames while at
 // capacity) and installs a new loading frame pinned once. When every resident
-// frame is pinned the shard overflows temporarily instead of failing: pinned
-// frames must live somewhere, and later allocations and unpins trim the shard
-// back to capacity. Caller holds sh.mu.
+// frame is pinned the pool overflows temporarily instead of failing: pinned
+// frames must live somewhere, and later allocations and unpins trim the pool
+// back to capacity. Caller holds p.mu.
 //
 // hotpath:cold — the pool miss path: the one place a frame and its latch are
 // allocated; the runtime ratchet bounds how often it runs.
-func (sh *poolShard) installLocked(key frameKey) *Frame {
-	for len(sh.frames) >= sh.capacity && sh.lruHead != nil {
-		sh.evictLocked(sh.lruHead)
+func (p *Pool) installLocked(key frameKey) *Frame {
+	for len(p.frames) >= p.capacity && p.lruHead != nil {
+		p.evictLocked(p.lruHead)
 	}
-	fr := &Frame{key: key, shard: sh, pins: 1, ready: make(chan struct{})}
-	sh.frames[key] = fr
+	fr := &Frame{key: key, pins: 1, ready: make(chan struct{})}
+	p.frames[key] = fr
 	return fr
 }
 
-// evictLocked drops an unpinned resident frame. Caller holds sh.mu.
-func (sh *poolShard) evictLocked(victim *Frame) {
-	sh.lruRemove(victim)
-	delete(sh.frames, victim.key)
-	sh.metrics.Evictions.Add(1)
+// evictLocked drops an unpinned resident frame. Caller holds p.mu.
+func (p *Pool) evictLocked(victim *Frame) {
+	p.lruRemove(victim)
+	delete(p.frames, victim.key)
+	p.metrics.Evictions.Add(1)
 }
 
 // Unpin releases one pin. Unpinned frames become eviction candidates.
 func (p *Pool) Unpin(fr *Frame) {
-	sh := fr.shard
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	if fr.pins <= 0 {
 		panic("storage: Unpin of unpinned frame")
 	}
 	fr.pins--
-	if fr.pins == 0 && sh.frames[fr.key] == fr {
-		sh.lruAppend(fr)
+	if fr.pins == 0 && p.frames[fr.key] == fr {
+		p.lruAppend(fr)
 		// Trim pinned-overflow back toward capacity.
-		for len(sh.frames) > sh.capacity && sh.lruHead != nil {
-			sh.evictLocked(sh.lruHead)
+		for len(p.frames) > p.capacity && p.lruHead != nil {
+			p.evictLocked(p.lruHead)
 		}
 	}
 }
 
-// DropCaches evicts every frame, emulating a cold server start. It fails if
-// any frame is still pinned.
+// DropCaches evicts every frame, emulating a cold server start. It fails,
+// evicting nothing, if any frame is still pinned.
 func (p *Pool) DropCaches() error {
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		for _, fr := range sh.frames {
-			if fr.pins > 0 {
-				sh.mu.Unlock()
-				return fmt.Errorf("storage: DropCaches with pinned page %d", fr.key.page)
-			}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, fr := range p.frames {
+		if fr.pins > 0 {
+			return fmt.Errorf("storage: DropCaches with pinned page %d", fr.key.page)
 		}
-		sh.frames = make(map[frameKey]*Frame, sh.capacity)
-		sh.lruHead, sh.lruTail = nil, nil
-		sh.mu.Unlock()
 	}
+	clear(p.frames)
+	p.lruHead, p.lruTail = nil, nil
 	return nil
 }
 
@@ -256,79 +212,60 @@ func (p *Pool) DropCaches() error {
 // still pinned is left behind — a pin on a file being deleted is a caller
 // bug — and is never served again, since no later file gets f's id.
 func (p *Pool) Forget(f *PagedFile) {
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		for key, fr := range sh.frames {
-			if key.file == f.id && fr.pins == 0 {
-				sh.lruRemove(fr)
-				delete(sh.frames, key)
-			}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for key, fr := range p.frames {
+		if key.file == f.id && fr.pins == 0 {
+			p.lruRemove(fr)
+			delete(p.frames, key)
 		}
-		sh.mu.Unlock()
 	}
 }
 
-// Stats reports hit/miss counters since creation. A Get that coalesces on
-// an in-flight load counts as a hit only once the load succeeds; the loader
-// counts exactly one miss per load attempt (successful or not), so misses
-// equals the number of device reads issued through the pool and a failed
-// coalesced read contributes one miss and zero hits no matter how many
-// goroutines were waiting on it.
-func (p *Pool) Stats() (hits, misses uint64) {
-	return p.metrics.Hits.Load(), p.metrics.Misses.Load()
-}
-
-// Metrics exposes the pool's full counter set — hits, misses and evictions —
-// for grafting into an obs.Registry. The returned pointer is live: counters
-// keep advancing as the pool runs. Evictions count frames displaced for
-// capacity (by allocation or overflow trimming); DropCaches is a bulk reset
-// and is deliberately not counted.
+// Metrics exposes the pool's counters for grafting into an obs.Registry. The
+// returned pointer is live: counters keep advancing as the pool runs.
+//
+// A Get that coalesces on an in-flight load counts as a hit only once the
+// load succeeds; the loader counts exactly one miss per load attempt
+// (successful or not), so misses equals the number of device reads issued
+// through the pool, and a failed coalesced read contributes one miss and
+// zero hits no matter how many goroutines were waiting on it. Evictions
+// count frames displaced for capacity (by allocation or overflow trimming);
+// DropCaches is a bulk reset and is deliberately not counted.
 func (p *Pool) Metrics() *obs.PoolMetrics {
 	return &p.metrics
 }
 
-// NumFrames returns the number of resident frames across all shards.
+// NumFrames returns the number of resident frames.
 func (p *Pool) NumFrames() int {
-	n := 0
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		n += len(sh.frames)
-		sh.mu.Unlock()
-	}
-	return n
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.frames)
 }
 
-// Capacity returns the total frame capacity across all shards.
-func (p *Pool) Capacity() int {
-	n := 0
-	for i := range p.shards {
-		n += p.shards[i].capacity
-	}
-	return n
-}
+// Capacity returns the pool's frame capacity.
+func (p *Pool) Capacity() int { return p.capacity }
 
-func (sh *poolShard) lruAppend(fr *Frame) {
-	fr.prev, fr.next = sh.lruTail, nil
-	if sh.lruTail != nil {
-		sh.lruTail.next = fr
+func (p *Pool) lruAppend(fr *Frame) {
+	fr.prev, fr.next = p.lruTail, nil
+	if p.lruTail != nil {
+		p.lruTail.next = fr
 	} else {
-		sh.lruHead = fr
+		p.lruHead = fr
 	}
-	sh.lruTail = fr
+	p.lruTail = fr
 }
 
-func (sh *poolShard) lruRemove(fr *Frame) {
+func (p *Pool) lruRemove(fr *Frame) {
 	if fr.prev != nil {
 		fr.prev.next = fr.next
 	} else {
-		sh.lruHead = fr.next
+		p.lruHead = fr.next
 	}
 	if fr.next != nil {
 		fr.next.prev = fr.prev
 	} else {
-		sh.lruTail = fr.prev
+		p.lruTail = fr.prev
 	}
 	fr.prev, fr.next = nil, nil
 }

@@ -27,6 +27,12 @@ func stampedFile(t *testing.T, n int, capacity int) (*PagedFile, *Pool) {
 	return f, pool
 }
 
+// stats reads the pool's hit and miss counters.
+func stats(pool *Pool) (hits, misses uint64) {
+	m := pool.Metrics()
+	return m.Hits.Load(), m.Misses.Load()
+}
+
 // TestPoolConcurrentStress hammers a tiny pool (16 pages over a 256-page
 // file) with many concurrent readers so every access fights for frames and
 // eviction churns continuously. Run under -race; page stamps verify that no
@@ -71,7 +77,7 @@ func TestPoolConcurrentStress(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	hits, misses := pool.Stats()
+	hits, misses := stats(pool)
 	if hits+misses != workers*iters {
 		t.Errorf("hits %d + misses %d != %d accesses", hits, misses, workers*iters)
 	}
@@ -87,11 +93,9 @@ func TestPoolConcurrentStress(t *testing.T) {
 // no frame is installed. Tests poll it to detect that a Get has coalesced
 // on an in-flight load (loader holds one pin, each waiter adds one).
 func pinsOf(pool *Pool, f *PagedFile, id PageID) int {
-	key := frameKey{file: f.id, page: id}
-	sh := pool.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if fr, ok := sh.frames[key]; ok {
+	pool.mu.Lock()
+	defer pool.mu.Unlock()
+	if fr, ok := pool.frames[frameKey{file: f.id, page: id}]; ok {
 		return fr.pins
 	}
 	return 0
@@ -114,7 +118,7 @@ func waitPins(t *testing.T, pool *Pool, f *PagedFile, id PageID, n int) {
 // blocks the first loader until the second Get has coalesced on its frame.
 func TestPoolSingleflightMiss(t *testing.T) {
 	f, pool := stampedFile(t, 4, 64)
-	hits0, misses0 := pool.Stats()
+	hits0, misses0 := stats(pool)
 	reads0 := f.Reads()
 
 	release := make(chan struct{})
@@ -159,10 +163,10 @@ func TestPoolSingleflightMiss(t *testing.T) {
 	if got := f.Reads() - reads0; got != 1 {
 		t.Errorf("two concurrent misses issued %d device reads, want 1", got)
 	}
-	if _, m := pool.Stats(); m != misses0+1 {
+	if _, m := stats(pool); m != misses0+1 {
 		t.Errorf("miss counter advanced by %d, want 1", m-misses0)
 	}
-	if h, _ := pool.Stats(); h != hits0+1 {
+	if h, _ := stats(pool); h != hits0+1 {
 		t.Errorf("hit counter advanced by %d, want 1 (the coalesced waiter)", h-hits0)
 	}
 }
@@ -180,7 +184,7 @@ func TestPoolLoadErrorCoalesced(t *testing.T) {
 	entered := make(chan struct{}, 1)
 	pool.loadHook = func(frameKey) { entered <- struct{}{}; <-release }
 
-	hits0, misses0 := pool.Stats()
+	hits0, misses0 := stats(pool)
 	const badPage = PageID(99) // past EOF: ReadPage fails after the latch is installed
 	const waiters = 3
 	errc := make(chan error, 1+waiters)
@@ -205,7 +209,7 @@ func TestPoolLoadErrorCoalesced(t *testing.T) {
 
 	// One failed singleflight read published to N waiters is one miss (the
 	// load attempt) and zero hits.
-	if h, m := pool.Stats(); h != hits0 || m != misses0+1 {
+	if h, m := stats(pool); h != hits0 || m != misses0+1 {
 		t.Errorf("failed coalesced load moved counters by %d hits, %d misses; want 0 hits, 1 miss",
 			h-hits0, m-misses0)
 	}

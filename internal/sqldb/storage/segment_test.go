@@ -196,7 +196,7 @@ func TestSegmentColdReadPages(t *testing.T) {
 	if err := pool.DropCaches(); err != nil {
 		t.Fatal(err)
 	}
-	_, missesBefore := pool.Stats()
+	missesBefore := pool.Metrics().Misses.Load()
 	i, ok := FindFrom(seg.Keys(), 0, Key{3, 0})
 	if !ok {
 		t.Fatal("key 3 missing")
@@ -204,7 +204,7 @@ func TestSegmentColdReadPages(t *testing.T) {
 	if _, err := seg.ReadRow(i, nil); err != nil {
 		t.Fatal(err)
 	}
-	_, missesAfter := pool.Stats()
+	missesAfter := pool.Metrics().Misses.Load()
 	if got := missesAfter - missesBefore; got != 1 {
 		t.Fatalf("cold lookup read %d pages, want 1", got)
 	}

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -145,6 +148,9 @@ func TestPoolHitMissAndEviction(t *testing.T) {
 	f, _ := newTestFile(t, RAM, &clock)
 	pool := NewPool(8)
 	pool.Register(f)
+	if c := pool.Capacity(); c != 8 {
+		t.Errorf("NewPool(8).Capacity() = %d, want 8", c)
+	}
 
 	// 20 pages, each with a distinct first byte; reading them all forces
 	// evictions (pool of 8 < 20 pages).
@@ -159,34 +165,76 @@ func TestPoolHitMissAndEviction(t *testing.T) {
 		}
 		pool.Unpin(fr)
 	}
-	if _, misses := pool.Stats(); misses != 20 {
+	if _, misses := stats(pool); misses != 20 {
 		t.Errorf("reading 20 pages through a cold pool missed %d times", misses)
 	}
 	if ev, resident := pool.Metrics().Evictions.Load(), pool.NumFrames(); ev == 0 || int(ev)+resident != 20 {
 		t.Errorf("%d evictions + %d resident frames, want 20 pages accounted for", ev, resident)
 	}
+	// One LRU over the whole pool: the eight most recently read pages stay.
+	if got, want := fmt.Sprint(residentPages(pool)), "[12 13 14 15 16 17 18 19]"; got != want {
+		t.Errorf("resident pages after reading 0..19 = %s, want %s", got, want)
+	}
 	// Re-reading the page just touched must hit.
-	h0, _ := pool.Stats()
+	h0, _ := stats(pool)
 	fr, err := pool.Get(f, 19)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pool.Unpin(fr)
-	if h1, _ := pool.Stats(); h1 != h0+1 {
+	if h1, _ := stats(pool); h1 != h0+1 {
 		t.Errorf("re-read of cached page did not hit (hits %d -> %d)", h0, h1)
 	}
 }
 
+// residentPages lists the pages the pool holds, in ascending order.
+func residentPages(pool *Pool) []PageID {
+	pool.mu.Lock()
+	defer pool.mu.Unlock()
+	var ids []PageID
+	for key := range pool.frames {
+		ids = append(ids, key.page)
+	}
+	slices.Sort(ids)
+	return ids
+}
+
+// TestPoolPresize checks that a pool allocates for the frames it holds, not
+// for its capacity: an empty default-sized pool is a few hundred bytes.
+func TestPoolPresize(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pool := NewPool(131072)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(pool)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Errorf("NewPool(131072) allocated %d bytes, want < 64 KiB", got)
+	}
+}
+
+// TestPoolDropCaches checks that DropCaches empties the pool, and that a
+// call failing on a pinned frame evicts nothing.
 func TestPoolDropCaches(t *testing.T) {
 	var clock Clock
 	f, pool := newTestFile(t, RAM, &clock)
 	stampPages(t, f, 43)
+	for i := 0; i < 42; i++ {
+		fr, err := pool.Get(f, PageID(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool.Unpin(fr)
+	}
 	fr, err := pool.Get(f, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
+	n0 := pool.NumFrames()
 	if err := pool.DropCaches(); err == nil {
 		t.Error("DropCaches with pinned frame succeeded")
+	}
+	if n := pool.NumFrames(); n != n0 {
+		t.Errorf("failed DropCaches left %d of %d frames", n, n0)
 	}
 	pool.Unpin(fr)
 	if err := pool.DropCaches(); err != nil {
@@ -195,7 +243,7 @@ func TestPoolDropCaches(t *testing.T) {
 	if n := pool.NumFrames(); n != 0 {
 		t.Errorf("%d frames resident after DropCaches", n)
 	}
-	_, m0 := pool.Stats()
+	_, m0 := stats(pool)
 	fr, err = pool.Get(f, 42)
 	if err != nil {
 		t.Fatal(err)
@@ -204,13 +252,13 @@ func TestPoolDropCaches(t *testing.T) {
 		t.Errorf("page 42 read back as %d after DropCaches", fr.Data()[0])
 	}
 	pool.Unpin(fr)
-	if _, m := pool.Stats(); m != m0+1 {
+	if _, m := stats(pool); m != m0+1 {
 		t.Error("Get after DropCaches did not miss")
 	}
 }
 
 // TestPoolPinnedOverflow pins more frames than the pool's capacity: the
-// sharded pool admits them as a temporary overflow (pinned frames must live
+// pool admits them as a temporary overflow (pinned frames must live
 // somewhere) and trims the resident set back toward capacity once they are
 // unpinned and fresh loads force eviction.
 func TestPoolPinnedOverflow(t *testing.T) {

@@ -14,11 +14,12 @@
 //     pin their tenant for the duration of the execution, so a database is
 //     never closed under a running query — when every open tenant is pinned
 //     the cap is temporarily exceeded rather than blocking admission.
-//   - Budget division: Config.VectorCacheBytes and Config.PoolPages are
-//     global budgets divided evenly across the MaxOpenTenants slots. Every
-//     tenant database gets its own share, so one tenant's cold scan can
-//     evict only its own pages and vectors, never a warm neighbour's (the
-//     benchmark's http_tenants_open workload serves two cities this way).
+//   - Budget division: Config.Base's VectorCacheBytes and PoolPages are
+//     process-wide budgets divided evenly across the MaxOpenTenants slots.
+//     Every tenant database gets its own share, so one tenant's cold scan
+//     can evict only its own pages and vectors, never a warm neighbour's
+//     (the benchmark's http_tenants_open workload serves two cities this
+//     way).
 //
 // Per-tenant accounting (request counts, latency, open/close events,
 // resident bytes) lives in obs.TenantMetrics structs that outlive the
@@ -35,6 +36,7 @@ import (
 	"ptldb"
 	"ptldb/internal/core"
 	"ptldb/internal/obs"
+	"ptldb/internal/sqldb"
 	"ptldb/internal/timetable"
 )
 
@@ -68,36 +70,28 @@ type Config struct {
 	// query in flight, one more opens rather than blocking or closing a
 	// database under a running query.
 	MaxOpenTenants int
-	// VectorCacheBytes is the process-global resident-vector-cache budget
-	// (default ptldb.DefaultVectorCacheBytes), divided evenly across the
-	// MaxOpenTenants slots so tenants cannot evict each other's vectors.
-	// A negative budget means no cache for any tenant.
-	VectorCacheBytes int64
-	// PoolPages is the process-global buffer-pool budget in 8 KiB pages
-	// (default 131072), divided evenly like VectorCacheBytes.
-	PoolPages int
-	// Base is the per-tenant open configuration (device, fused toggle, trace
-	// hooks). Its PoolPages and VectorCacheBytes are ignored:
-	// the router overwrites both with the per-tenant shares.
+	// Base is the open configuration of every tenant (device, trace hooks),
+	// except that its VectorCacheBytes and PoolPages are process-wide
+	// budgets: each tenant opens with 1/MaxOpenTenants of each, so tenants
+	// cannot evict each other's vectors or pages. Zero selects the default
+	// of a single database (ptldb.DefaultVectorCacheBytes,
+	// sqldb.DefaultPoolPages); a negative vector-cache budget means no cache
+	// for any tenant.
 	Base ptldb.Config
 	// Open opens one tenant database (default ptldb.Open). The lifecycle
 	// tests substitute controllable fakes through it.
 	Open func(dir string, cfg ptldb.Config) (DB, error)
 }
 
-// defaultPoolPages mirrors sqldb's default so dividing an unset budget gives
-// each tenant a share of the same total a single-DB server would get.
-const defaultPoolPages = 131072
-
 func (c Config) withDefaults() Config {
 	if c.MaxOpenTenants <= 0 {
 		c.MaxOpenTenants = 4
 	}
-	if c.VectorCacheBytes == 0 {
-		c.VectorCacheBytes = ptldb.DefaultVectorCacheBytes
+	if c.Base.VectorCacheBytes == 0 {
+		c.Base.VectorCacheBytes = ptldb.DefaultVectorCacheBytes
 	}
-	if c.PoolPages <= 0 {
-		c.PoolPages = defaultPoolPages
+	if c.Base.PoolPages == 0 {
+		c.Base.PoolPages = sqldb.DefaultPoolPages
 	}
 	if c.Open == nil {
 		c.Open = func(dir string, cfg ptldb.Config) (DB, error) { return ptldb.Open(dir, cfg) }
@@ -110,11 +104,8 @@ func (c Config) withDefaults() Config {
 // each global budget go unused.
 func (c Config) share() ptldb.Config {
 	cfg := c.Base
-	cfg.PoolPages = c.PoolPages / c.MaxOpenTenants
-	if cfg.PoolPages < 1 {
-		cfg.PoolPages = 1
-	}
-	cfg.VectorCacheBytes = c.VectorCacheBytes / int64(c.MaxOpenTenants)
+	cfg.PoolPages = max(cfg.PoolPages/c.MaxOpenTenants, 1)
+	cfg.VectorCacheBytes /= int64(c.MaxOpenTenants)
 	if cfg.VectorCacheBytes == 0 {
 		// ptldb treats 0 as "use the default"; a budget too small (or too
 		// negative) to divide means no cache instead.

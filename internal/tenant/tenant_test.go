@@ -255,39 +255,45 @@ func TestLRUEvictionOrder(t *testing.T) {
 	}
 }
 
-// TestBudgetShares checks the global budgets divide evenly into every
-// tenant's open config, regardless of what Base carries.
+// TestBudgetShares checks Base's process-wide budgets divide evenly into
+// every tenant's open config, and that zero budgets divide the
+// single-database defaults.
 func TestBudgetShares(t *testing.T) {
-	op := newOpener(0)
-	r, err := NewFromDirs(dirs("a", "b"), Config{
-		MaxOpenTenants:   4,
-		VectorCacheBytes: 64 << 20,
-		PoolPages:        4096,
-		Base:             ptldb.Config{Device: "ram", PoolPages: 999, VectorCacheBytes: 999},
-		Open:             op.open,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := r.Acquire("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Release()
-	op.mu.Lock()
-	cfg := op.cfgs[0]
-	op.mu.Unlock()
-	if cfg.PoolPages != 1024 {
-		t.Errorf("pool share = %d pages, want 4096/4 = 1024", cfg.PoolPages)
-	}
-	if cfg.VectorCacheBytes != 16<<20 {
-		t.Errorf("vcache share = %d bytes, want 64MiB/4 = 16MiB", cfg.VectorCacheBytes)
-	}
-	if cfg.Device != "ram" {
-		t.Errorf("Base.Device %q not forwarded", cfg.Device)
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name      string
+		maxOpen   int
+		base      ptldb.Config
+		wantPages int
+		wantBytes int64
+	}{
+		{"set", 4, ptldb.Config{Device: "ram", PoolPages: 4096, VectorCacheBytes: 64 << 20}, 1024, 16 << 20},
+		{"defaults", 2, ptldb.Config{Device: "ram"}, 65536, 128 << 20},
+	} {
+		op := newOpener(0)
+		r, err := NewFromDirs(dirs("a", "b"), Config{MaxOpenTenants: tc.maxOpen, Base: tc.base, Open: op.open})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := r.Acquire("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Release()
+		op.mu.Lock()
+		cfg := op.cfgs[0]
+		op.mu.Unlock()
+		if cfg.PoolPages != tc.wantPages {
+			t.Errorf("%s: pool share = %d pages, want %d", tc.name, cfg.PoolPages, tc.wantPages)
+		}
+		if cfg.VectorCacheBytes != tc.wantBytes {
+			t.Errorf("%s: vcache share = %d bytes, want %d", tc.name, cfg.VectorCacheBytes, tc.wantBytes)
+		}
+		if cfg.Device != "ram" {
+			t.Errorf("%s: Base.Device %q not forwarded", tc.name, cfg.Device)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

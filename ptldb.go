@@ -462,15 +462,15 @@ type Stats struct {
 
 // Stats returns the session's I/O statistics.
 func (d *DB) Stats() (Stats, error) {
-	h, m := d.db.Pool().Stats()
+	pm := d.db.Pool().Metrics()
 	size, err := d.db.SizeOnDisk()
 	if err != nil {
 		return Stats{}, err
 	}
 	return Stats{
 		SimulatedIO: d.db.Clock().Elapsed(),
-		CacheHits:   h,
-		CacheMisses: m,
+		CacheHits:   pm.Hits.Load(),
+		CacheMisses: pm.Misses.Load(),
 		SizeOnDisk:  size,
 	}, nil
 }

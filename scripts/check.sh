@@ -83,6 +83,12 @@ if git grep -nE 'RunOrdered|TargetBounded|Floored|ScratchTable|MetricsSource|loo
     echo "exec.Catalog method is required: no optional table interface, no fallback, no per-query lookup" >&2
     exit 1
 fi
+echo "== the buffer pool is one LRU under one mutex (internal/sqldb/storage, internal/tenant)"
+if git grep -nE 'poolShard|perShard|\.shards\b|defaultPoolPages' -- 'internal/sqldb/storage/*.go' 'internal/tenant/*.go' ':!*_test.go'; then
+    echo "storage.Pool is one frame table, one LRU list and one mutex, and sqldb.DefaultPoolPages is the" >&2
+    echo "one pool default: no shards, no per-shard capacity, no mirrored default" >&2
+    exit 1
+fi
 echo "== go vet ./..."
 go vet ./...
 echo "== ptldb-analyze ./... (project lint)"
