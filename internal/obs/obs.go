@@ -261,15 +261,18 @@ func (m *SegmentMetrics) Snapshot() SegmentSnapshot {
 
 // VCacheMetrics are the resident vector cache's counters: lookups served
 // from materialized column vectors (hits), lookups that found the table not
-// resident (misses), whole-table evictions under budget pressure,
-// materializations performed (singleflight — concurrent first-touch queries
-// share one), tables declined at registration because their vectors exceed
-// the whole budget (their lookups bypass the cache and count as neither hit
-// nor miss), the current resident bytes, and the latency of each
-// materialization (segment read + decode).
+// resident (misses), materializations performed (singleflight — concurrent
+// first-touch queries share one), tables declined at registration because
+// their vectors do not fit what the tables admitted before them left of the
+// budget (their lookups bypass the cache and count as neither hit nor miss),
+// the current resident bytes, and the latency of each materialization
+// (segment read + decode).
 type VCacheMetrics struct {
-	Hits             Counter
-	Misses           Counter
+	Hits   Counter
+	Misses Counter
+	// Evictions is never incremented: an admitted table keeps its share until
+	// it is dropped. It and its snapshot field leave with the next
+	// [benchmark] PR (benchmark/layers.go and the serve goldens read them).
 	Evictions        Counter
 	Materializations Counter
 	Declined         Counter

@@ -155,7 +155,9 @@ func requireOnlySegments(t *testing.T, dir string, tables ...string) {
 // TestBulkLoadReplacesTable: BulkLoad is the table's one write, so loading a
 // table that has rows replaces them — atomically, by rename, leaving only
 // <name>.seg on disk — and under a populated vector cache no reader sees the
-// old vectors afterwards. DropTable + CreateTable + BulkLoad starts over.
+// old vectors afterwards. DropTable + CreateTable + BulkLoad starts over. The
+// old vectors return their share before the new segment registers, so under a
+// budget of exactly the table's vectors the replaced table stays admitted.
 func TestBulkLoadReplacesTable(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256, VectorCacheBytes: 1 << 20})
@@ -177,6 +179,7 @@ func TestBulkLoadReplacesTable(t *testing.T) {
 		t.Fatalf("first lookup left %d materializations, %d resident bytes; want the table resident",
 			vc.Materializations.Load(), vc.ResidentBytes.Load())
 	}
+	size := vc.ResidentBytes.Load()
 
 	load(t, tbl, row(2, 20), row(9, 9))
 	requireOnlySegments(t, dir, "lab")
@@ -211,6 +214,23 @@ func TestBulkLoadReplacesTable(t *testing.T) {
 	load(t, tbl, row(4, 4), row(5, 5))
 	if got, ok, err := tbl.LookupPK([]int64{5}); err != nil || !ok || got[1].A[0] != 5 || tbl.RowCount() != 2 {
 		t.Fatalf("recreated table: LookupPK(5) = %v, %v, %v; RowCount %d", got, ok, err, tbl.RowCount())
+	}
+
+	exact, err := Open(t.TempDir(), Options{Device: storage.RAM, PoolPages: 256, VectorCacheBytes: size})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer exact.Close()
+	tbl = mkTable(t, exact, "lab", []string{"k"}, "k", "xs:arr")
+	vc = exact.Registry().VCache
+	for _, x := range []int64{1, 10} {
+		load(t, tbl, row(1, x), row(2, x+1), row(3, x+2))
+		if got, ok, err := tbl.LookupPK([]int64{2}); err != nil || !ok || got[1].A[0] != x+1 {
+			t.Fatalf("budget of exactly the table: LookupPK(2) = %v, %v, %v; want %d", got, ok, err, x+1)
+		}
+	}
+	if d, m, r := vc.Declined.Load(), vc.Materializations.Load(), vc.ResidentBytes.Load(); d != 0 || m != 2 || r != size {
+		t.Errorf("budget of exactly the table: %d declined, %d materializations, %d resident bytes; want 0, 2, %d", d, m, r, size)
 	}
 }
 

@@ -340,3 +340,47 @@ func TestDropCachesForgetsReadPosition(t *testing.T) {
 		}
 	}
 }
+
+// TestFailedDropCachesDropsNothing: DropCaches empties the pool first, and
+// that is all or nothing, so when a page is still pinned the call fails
+// before it unloads a vector or forgets a read position. Once the pin is
+// released the same call empties both tiers.
+func TestFailedDropCachesDropsNothing(t *testing.T) {
+	db, err := Open(t.TempDir(), Options{Device: storage.RAM, PoolPages: 256, VectorCacheBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	tbl := mkTable(t, db, "lab", []string{"k"}, "k", "xs:arr")
+	load(t, tbl, sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewIntArray([]int64{1, 2})},
+		sqltypes.Row{sqltypes.NewInt(2), sqltypes.NewIntArray([]int64{3})})
+	if _, ok, err := tbl.LookupPK([]int64{2}); err != nil || !ok {
+		t.Fatalf("LookupPK(2) = %v, %v", ok, err)
+	}
+	vc := db.Registry().VCache
+	resident := vc.ResidentBytes.Load()
+	if resident == 0 || vc.Materializations.Load() != 1 {
+		t.Fatalf("%d resident bytes after %d materializations; want the table resident", resident, vc.Materializations.Load())
+	}
+	fr, err := db.Pool().Get(tbl.file, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := db.Pool().NumFrames()
+	if err := db.DropCaches(); err == nil {
+		t.Fatal("DropCaches succeeded with a page pinned")
+	}
+	if got, n := vc.ResidentBytes.Load(), db.Pool().NumFrames(); got != resident || n != frames {
+		t.Fatalf("the failed DropCaches left %d resident bytes and %d frames; want %d and %d untouched", got, n, resident, frames)
+	}
+	if _, ok, err := tbl.LookupPK([]int64{1}); err != nil || !ok || vc.Materializations.Load() != 1 {
+		t.Fatalf("LookupPK(1) = %v, %v after %d materializations; want a hit on the resident vectors", ok, err, vc.Materializations.Load())
+	}
+	db.Pool().Unpin(fr)
+	if err := db.DropCaches(); err != nil {
+		t.Fatal(err)
+	}
+	if got, n := vc.ResidentBytes.Load(), db.Pool().NumFrames(); got != 0 || n != 0 {
+		t.Fatalf("DropCaches left %d resident bytes and %d frames", got, n)
+	}
+}

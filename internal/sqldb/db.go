@@ -94,10 +94,10 @@ type Options struct {
 	// compare the fused one against. No public type, flag or environment
 	// variable reaches it; production handles leave it false.
 	ReferenceExec bool
-	// VectorCacheBytes is the resident vector cache's byte budget: segment
-	// tables are decoded once into flat column vectors and served as slice
-	// views until evicted. Zero or negative means no cache (the default at
-	// this layer; the ptldb facade supplies its own default budget).
+	// VectorCacheBytes is the resident vector cache's byte budget, which
+	// admits tables once, in the order the handle opens them (vcache). Zero
+	// or negative means no cache (the default at this layer; the ptldb
+	// facade supplies its own default budget).
 	VectorCacheBytes int64
 }
 
@@ -194,22 +194,23 @@ func (db *DB) Pool() *storage.Pool { return db.pool }
 // Device returns the device model the database was opened with.
 func (db *DB) Device() storage.DeviceModel { return db.dev }
 
-// DropCaches empties the buffer pool, evicts the resident vector cache and
-// forgets where every table file was last read — emulating the paper's server
-// restart + OS cache drop before each experiment (a restart would lose both
-// in-memory tiers, and the first read of any file after it is a seek).
+// DropCaches empties the buffer pool — all or nothing: a pinned page fails the
+// call before anything is dropped — then unloads every table's resident
+// vectors and forgets where its file was last read, emulating the paper's
+// server restart + OS cache drop (the first read of any file is a seek).
 func (db *DB) DropCaches() error {
-	if db.vcache != nil {
-		db.vcache.DropAll()
+	if err := db.pool.DropCaches(); err != nil {
+		return err
 	}
 	db.mu.RLock()
+	defer db.mu.RUnlock()
 	for _, t := range db.tables {
+		t.vcE.Unload()
 		if t.file != nil {
 			t.file.ForgetLastRead()
 		}
 	}
-	db.mu.RUnlock()
-	return db.pool.DropCaches()
+	return nil
 }
 
 // CreateTable declares a new table: its catalog entry. The table reads as

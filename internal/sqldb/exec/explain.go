@@ -31,8 +31,9 @@ func (p *FusedPlan) Explain() string {
 // binary search + payload pages), served from resident decoded column
 // vectors on handles with a vector cache. The operator semantics are
 // identical; the name records which tier serves the rows (the Vector* names
-// describe the warm steady state — a cold or evicted table still falls
-// through to the segment at runtime).
+// describe the warm steady state — a table not yet materialized, unloaded
+// by DropCaches or declined by the cache still reads its segment at
+// runtime).
 func (p *FusedPlan) tier() string {
 	if p.vectors {
 		return "Vector"

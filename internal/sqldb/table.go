@@ -40,8 +40,8 @@ type Table struct {
 	// the first BulkLoad there is no file yet and seg is the zero Segment, an
 	// empty one. vcE is the table's slot in the handle's resident vector
 	// cache — nil when the handle has no cache, the table has a DOUBLE or
-	// TEXT column, or the cache declined it (its vectors exceed the whole
-	// budget) — and then every read goes straight to the segment.
+	// TEXT column, or the cache declined it (vcache.Cache.Register) — and
+	// then every read goes straight to the segment.
 	file *storage.PagedFile
 	seg  *storage.Segment
 	vcE  *vcache.Entry
@@ -287,11 +287,13 @@ func (t *Table) BulkLoad(rows []sqltypes.Row) error {
 	if err := storage.WriteSegmentFile(t.segPath(), t.db.dev, &t.db.clock, sd); err != nil {
 		return err
 	}
-	oldFile, oldVectors := t.file, t.vcE
+	// Drop the old vectors first, so a table the budget held stays admitted.
+	oldFile := t.file
+	t.vcE.Drop()
 	if err := t.open(); err != nil {
 		return err
 	}
-	return t.db.release(oldFile, oldVectors)
+	return t.db.release(oldFile)
 }
 
 // open opens and validates the table's segment file — checksums and layout
@@ -344,15 +346,10 @@ func (t *Table) open() error {
 	return nil
 }
 
-// release lets go of an open segment that is being replaced or dropped: its
-// vectors, its cached pages and its file handle. A table never loaded has
-// none of them.
-func (db *DB) release(f *storage.PagedFile, vectors *vcache.Entry) error {
+// release forgets a replaced or dropped segment file's pages and closes it.
+func (db *DB) release(f *storage.PagedFile) error {
 	if f == nil {
 		return nil
-	}
-	if vectors != nil {
-		vectors.Drop()
 	}
 	db.pool.Forget(f)
 	return f.Close()
@@ -363,7 +360,8 @@ func (t *Table) remove() error {
 	if t.file == nil {
 		return nil
 	}
-	return firstError(t.db.release(t.file, t.vcE), os.Remove(t.segPath()))
+	t.vcE.Drop()
+	return firstError(t.db.release(t.file), os.Remove(t.segPath()))
 }
 
 // LookupPK fetches the row with the given primary-key values (one per PK

@@ -8,30 +8,34 @@
 // The design follows the buffer pool one level up the memory hierarchy
 // (vcache → segment → device):
 //
+//   - Admission is the only policy, decided once per table when it
+//     registers: a table whose exact vector size fits what the tables
+//     admitted before it left of the budget gets a share it keeps until it
+//     is dropped; any other is declined there and then. Labels are read-only
+//     and never go stale, so nothing is ever evicted to make room — a budget
+//     just under the working set declines the last tables to register
+//     instead of decoding tables over and over.
 //   - Materialization is singleflight, the same latch protocol as the pool's
 //     coalesced page loads: the first miss builds the table's vectors while
 //     concurrent missers wait on a ready channel, so one decode serves all.
-//   - Eviction is clock/second-chance over whole tables: every hit sets the
-//     entry's reference bit; the clock hand clears bits until it finds an
-//     unreferenced resident table and unpublishes it. Evicted vectors are
-//     not freed eagerly — in-flight queries may still hold views into them;
-//     the garbage collector reclaims the arrays when the last view dies,
-//     which is what makes serving uncopied slices safe.
-//   - The mutex guards only the admission bookkeeping (ring, budget,
-//     building latches). Decode and device I/O always happen outside it.
+//   - Unpublished vectors (a dropped table, a cold-start Unload) are not
+//     freed eagerly — in-flight queries may still hold views into them; the
+//     garbage collector reclaims the arrays when the last view dies, which
+//     is what makes serving uncopied slices safe.
+//   - The mutex guards only the admission bookkeeping (the reserved bytes,
+//     the building latches). Decode and device I/O always happen outside it.
 //
 // The cache is sized in bytes (Config.VectorCacheBytes). A table registers
-// with the exact size of its vectors, known before any of them is built, and
-// one whose vectors alone exceed the whole budget is declined there and then:
-// it gets no slot, so its lookups never reach the cache and its bytes are
-// never read to be thrown away. Tables are registered per database handle
-// today, but nothing in the accounting assumes one database — a shared
-// multi-city cache only needs entries registered from several handles.
+// with the exact size of its vectors, known before any of them is built, so
+// a declined table gets no slot: its lookups never reach the cache and its
+// bytes are never read to be thrown away. Tables are registered per
+// database handle today, but nothing in the accounting assumes one database
+// — a shared multi-city cache only needs entries registered from several
+// handles.
 package vcache
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,7 +46,7 @@ import (
 
 // Mat is one table's materialized segment: the key directory plus fully
 // decoded column vectors. A Mat is immutable after construction; readers
-// alias its slices freely, and eviction merely unpublishes the pointer.
+// alias its slices freely, and Unload or Drop merely unpublishes the pointer.
 type Mat struct {
 	// Keys is the ascending key directory (shared with the segment's own
 	// in-memory directory; both are immutable).
@@ -64,7 +68,8 @@ type Col struct {
 
 // Array returns row i's elements of an array column. The view aliases the
 // cached vector: immutable, and kept alive by the garbage collector even
-// across eviction, so callers may retain it as long as they need.
+// after the vectors are unpublished, so callers may retain it as long as
+// they need.
 func (c *Col) Array(i int) []int64 {
 	return c.Ints[c.Starts[i]:c.Starts[i+1]:c.Starts[i+1]]
 }
@@ -74,16 +79,15 @@ type Cache struct {
 	budget int64
 	met    *obs.VCacheMetrics
 
-	// mu guards the entry ring, the resident-byte account and the building
-	// latches. It is never held across a decode, a device read or a blocking
-	// channel operation — materialization happens between critical sections,
-	// exactly like the pool's coalesced loads. Acquisition level 20: taken
-	// after a latch (level 10), never while another shard-class mutex is held
+	// mu guards the reserved-byte account, the entries' dropped flags and
+	// building latches, and the publication of their vectors. It is never
+	// held across a decode, a device read or a blocking channel operation —
+	// materialization happens between critical sections, exactly like the
+	// pool's coalesced loads. Acquisition level 20: taken after a latch
+	// (level 10), never while another shard-class mutex is held
 	// (lockordercheck).
 	mu       sync.Mutex // lockcheck:shard level=20
-	entries  []*Entry
-	hand     int
-	resident int64
+	reserved int64      // the shares of every admitted, undropped table
 }
 
 // New returns a cache with the given byte budget. The budget must be
@@ -93,13 +97,12 @@ func New(budget int64, met *obs.VCacheMetrics) *Cache {
 	return &Cache{budget: budget, met: met}
 }
 
-// Entry is one table's slot in the cache. The mat pointer is published with
-// an atomic store after admission and read with a single atomic load on the
+// Entry is one admitted table's slot in the cache. The mat pointer is
+// published with an atomic store and read with a single atomic load on the
 // hot path; everything else is guarded by the cache mutex.
 type Entry struct {
 	cache *Cache
 	mat   atomic.Pointer[Mat]
-	ref   atomic.Bool // second-chance bit, set on every hit
 
 	// Guarded by cache.mu. The latch is acquisition level 10: a builder holds
 	// it while re-taking cache.mu (level 20) to publish, so the latch must
@@ -107,33 +110,36 @@ type Entry struct {
 	building chan struct{} // lockcheck:latch level=10 — non-nil while a materialization is in flight
 	dropped  bool          // table dropped; never materialize
 
-	size int64 // bytes of the table's vectors, charged while resident; fixed at Register
+	size int64 // bytes of the table's vectors: its share of the budget, fixed at Register
 }
 
-// Register adds a slot for a table whose vectors take exactly size bytes to
-// the cache's clock ring. A table that cannot fit even an empty cache is
-// declined: Register counts it and returns nil, and the caller serves the
-// table from its segment without ever asking the cache again.
+// Register decides a table's admission on the exact size of its vectors. A
+// table that fits what the tables admitted before it left of the budget is
+// admitted: its share is reserved now, whether or not it ever materializes,
+// and kept until Drop. Any other is declined: Register counts it and returns
+// nil, and the caller serves the table from its segment without ever asking
+// the cache again.
 func (c *Cache) Register(size int64) *Entry {
-	if size > c.budget {
+	c.mu.Lock()
+	admit := size <= c.budget-c.reserved
+	if admit {
+		c.reserved += size
+	}
+	c.mu.Unlock()
+	if !admit {
 		c.met.Declined.Add(1)
 		return nil
 	}
-	e := &Entry{cache: c, size: size}
-	c.mu.Lock()
-	c.entries = append(c.entries, e)
-	c.mu.Unlock()
-	return e
+	return &Entry{cache: c, size: size}
 }
 
 // Acquire returns the entry's materialized vectors, or nil when the table is
-// not resident. It is the hot-path gate: one atomic load, the reference bit,
-// and a hit/miss counter — no locks, no allocation.
+// not resident. It is the hot-path gate: one atomic load and a hit/miss
+// counter — no locks, no allocation.
 //
 // hotpath — allocheck root: the warm-hit gate must stay allocation-free.
 func (e *Entry) Acquire() *Mat {
 	if m := e.mat.Load(); m != nil {
-		e.ref.Store(true)
 		e.cache.met.Hits.Add(1)
 		return m
 	}
@@ -146,7 +152,7 @@ func (e *Entry) Acquire() *Mat {
 // lock — build reads the device and decodes every row), the rest wait on the
 // latch and share the result. A nil, nil return means the table was dropped
 // and the caller should fall back to the segment path. build must produce
-// vectors of exactly the registered size — the budget was checked against it.
+// vectors of exactly the registered size — the share was reserved for it.
 func (e *Entry) Materialize(build func() (*Mat, error)) (*Mat, error) {
 	c := e.cache
 	for {
@@ -195,92 +201,56 @@ func (e *Entry) Materialize(build func() (*Mat, error)) (*Mat, error) {
 			c.mu.Unlock()
 			return nil, fmt.Errorf("vcache: built %d bytes of vectors for a table registered at %d", m.Bytes, e.size)
 		}
-		c.evictLocked(e.size)
-		c.resident += e.size
 		e.mat.Store(m)
-		e.ref.Store(true)
+		c.met.ResidentBytes.Add(m.Bytes)
 		c.mu.Unlock()
 
 		c.met.Materializations.Add(1)
-		c.met.ResidentBytes.Add(m.Bytes)
 		c.met.Materialize.Observe(time.Since(start))
 		return m, nil
 	}
 }
 
-// evictLocked runs the clock hand until need bytes fit under the budget:
-// resident entries with the reference bit set get a second chance (the bit
-// is cleared), unreferenced ones are unpublished. Terminates because every
-// full sweep either evicts a table or clears every reference bit, and
-// Register already guaranteed need fits an empty cache.
-func (c *Cache) evictLocked(need int64) {
-	for c.resident+need > c.budget {
-		if c.resident == 0 || len(c.entries) == 0 {
-			return
-		}
-		e := c.entries[c.hand]
-		c.hand = (c.hand + 1) % len(c.entries)
-		if e.mat.Load() == nil {
-			continue
-		}
-		if e.ref.Swap(false) {
-			continue // second chance
-		}
-		c.evictEntryLocked(e)
-		c.met.Evictions.Add(1)
+// Unload unpublishes the entry's vectors and keeps its share: the next miss
+// rebuilds them. It is the cold-start emulation behind DB.DropCaches
+// ("restart the server and clear the OS cache") — a restart would lose an
+// in-memory cache, so cold measurements must too. Like Drop, it does nothing
+// on a nil entry (no cache, or a declined table).
+func (e *Entry) Unload() {
+	if e == nil {
+		return
 	}
-}
-
-// evictEntryLocked unpublishes e's vectors and returns their bytes to the
-// budget. In-flight readers holding views stay correct: the arrays are
-// immutable and live until the garbage collector sees the last view die.
-func (c *Cache) evictEntryLocked(e *Entry) {
-	e.mat.Store(nil)
-	c.resident -= e.size
-	c.met.ResidentBytes.Add(-e.size)
-}
-
-// Drop releases an entry when its table is dropped: the vectors are
-// unpublished, their bytes return to the budget, the slot leaves the clock
-// ring, and a materialization still in flight is discarded on completion.
-func (e *Entry) Drop() {
 	c := e.cache
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	e.unpublishLocked()
+}
+
+// Drop releases an entry when its table is dropped or replaced: the vectors
+// are unpublished, the share returns to the budget, and a materialization
+// still in flight is discarded on completion. Dropping an entry twice
+// returns its share once; dropping a nil entry does nothing.
+func (e *Entry) Drop() {
+	if e == nil {
+		return
+	}
+	c := e.cache
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e.dropped {
+		return
+	}
 	e.dropped = true
-	if e.mat.Load() != nil {
-		c.evictEntryLocked(e)
-	}
-	if i := slices.Index(c.entries, e); i >= 0 {
-		c.entries = slices.Delete(c.entries, i, i+1)
-		// Keep the hand on the entry it was about to inspect.
-		if c.hand > i {
-			c.hand--
-		}
-		if c.hand >= len(c.entries) {
-			c.hand = 0
-		}
-	}
+	c.reserved -= e.size
+	e.unpublishLocked()
 }
 
-// DropAll evicts every resident table — the cold-start emulation behind
-// DB.DropCaches ("restart the server and clear the OS cache"): a restart
-// would lose an in-memory cache, so cold measurements must too. Entries stay
-// registered and re-materialize on their next miss.
-func (c *Cache) DropAll() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, e := range c.entries {
-		if e.mat.Load() != nil {
-			c.evictEntryLocked(e)
-		}
-		e.ref.Store(false)
+// unpublishLocked takes the entry's vectors off the hot path. In-flight
+// readers holding views stay correct: the arrays are immutable and live
+// until the garbage collector sees the last view die. Caller holds
+// cache.mu.
+func (e *Entry) unpublishLocked() {
+	if e.mat.Swap(nil) != nil {
+		e.cache.met.ResidentBytes.Add(-e.size)
 	}
-}
-
-// Resident reports the bytes currently held across all tables.
-func (c *Cache) Resident() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.resident
 }

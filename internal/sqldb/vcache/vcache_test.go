@@ -2,6 +2,7 @@ package vcache
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -39,9 +40,6 @@ func TestAcquireMissThenHit(t *testing.T) {
 	}
 	if h, ms := met.Hits.Load(), met.Misses.Load(); h != 1 || ms != 1 {
 		t.Errorf("hits/misses = %d/%d, want 1/1", h, ms)
-	}
-	if got := c.Resident(); got != 100 {
-		t.Errorf("Resident = %d, want 100", got)
 	}
 	if got := met.ResidentBytes.Load(); got != 100 {
 		t.Errorf("ResidentBytes = %d, want 100", got)
@@ -119,44 +117,6 @@ func TestMaterializeErrorRetries(t *testing.T) {
 	}
 }
 
-// TestEvictionSecondChance fills the cache, touches one table, and admits a
-// new one: the clock must skip the recently-referenced table (clearing its
-// bit) and evict the untouched one.
-func TestEvictionSecondChance(t *testing.T) {
-	c, met := newCache(250)
-	a, b := c.Register(100), c.Register(100)
-	if _, err := a.Materialize(func() (*Mat, error) { return mat(100), nil }); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Materialize(func() (*Mat, error) { return mat(100), nil }); err != nil {
-		t.Fatal(err)
-	}
-	// Touch a so its reference bit is set; b's bit was set at admission, so
-	// age both by forcing one full clock sweep: clear via a tiny admission
-	// that evicts nothing... instead, emulate steady state directly.
-	a.ref.Store(true)
-	b.ref.Store(false)
-	d := c.Register(100)
-	if _, err := d.Materialize(func() (*Mat, error) { return mat(100), nil }); err != nil {
-		t.Fatal(err)
-	}
-	if a.Acquire() == nil {
-		t.Error("recently-referenced table was evicted")
-	}
-	if b.mat.Load() != nil {
-		t.Error("unreferenced table survived under budget pressure")
-	}
-	if d.Acquire() == nil {
-		t.Error("newly admitted table not resident")
-	}
-	if got := met.Evictions.Load(); got != 1 {
-		t.Errorf("Evictions = %d, want 1", got)
-	}
-	if got := c.Resident(); got != 200 {
-		t.Errorf("Resident = %d, want 200", got)
-	}
-}
-
 // TestRegisterDeclinesTooBig: a table whose vectors exceed the whole budget
 // gets no slot — the decision takes no build and no device read — while one
 // that exactly fills the budget is admitted.
@@ -168,8 +128,8 @@ func TestRegisterDeclinesTooBig(t *testing.T) {
 	if got := met.Declined.Load(); got != 1 {
 		t.Errorf("Declined = %d, want 1", got)
 	}
-	if len(c.entries) != 0 {
-		t.Errorf("a declined table occupies %d ring slots", len(c.entries))
+	if got := reserved(c); got != 0 {
+		t.Errorf("a declined table reserved %d bytes", got)
 	}
 	e := c.Register(50)
 	if e == nil {
@@ -178,7 +138,7 @@ func TestRegisterDeclinesTooBig(t *testing.T) {
 	if m, err := e.Materialize(func() (*Mat, error) { return mat(50), nil }); err != nil || m == nil {
 		t.Fatalf("Materialize = %v, %v", m, err)
 	}
-	if got, d := c.Resident(), met.Declined.Load(); got != 50 || d != 1 {
+	if got, d := met.ResidentBytes.Load(), met.Declined.Load(); got != 50 || d != 1 {
 		t.Errorf("Resident = %d, Declined = %d; want 50, 1", got, d)
 	}
 }
@@ -186,14 +146,14 @@ func TestRegisterDeclinesTooBig(t *testing.T) {
 // TestMaterializeRejectsWrongSize: the budget was checked against the
 // registered size, so vectors of any other size are refused, not charged.
 func TestMaterializeRejectsWrongSize(t *testing.T) {
-	c, _ := newCache(1000)
+	c, met := newCache(1000)
 	e := c.Register(100)
 	for _, built := range []int64{99, 101, 2000} {
 		if m, err := e.Materialize(func() (*Mat, error) { return mat(built), nil }); err == nil || m != nil {
 			t.Fatalf("Materialize of %d bytes on a 100-byte slot = %v, %v; want an error", built, m, err)
 		}
 	}
-	if got := c.Resident(); got != 0 || e.Acquire() != nil {
+	if got := met.ResidentBytes.Load(); got != 0 || e.Acquire() != nil {
 		t.Errorf("a refused build left %d bytes resident", got)
 	}
 }
@@ -201,7 +161,7 @@ func TestMaterializeRejectsWrongSize(t *testing.T) {
 // TestDropIsPermanent: an invalidated entry serves nothing and never
 // rebuilds, even when Drop races an in-flight materialization.
 func TestDropIsPermanent(t *testing.T) {
-	c, _ := newCache(1000)
+	c, met := newCache(1000)
 	e := c.Register(100)
 	if _, err := e.Materialize(func() (*Mat, error) { return mat(100), nil }); err != nil {
 		t.Fatal(err)
@@ -210,8 +170,8 @@ func TestDropIsPermanent(t *testing.T) {
 	if e.Acquire() != nil {
 		t.Fatal("Acquire served a dropped entry")
 	}
-	if got := c.Resident(); got != 0 {
-		t.Errorf("Resident after Drop = %d, want 0", got)
+	if got := met.ResidentBytes.Load(); got != 0 {
+		t.Errorf("ResidentBytes after Drop = %d, want 0", got)
 	}
 	m, err := e.Materialize(func() (*Mat, error) {
 		t.Error("build ran on a dropped entry")
@@ -245,113 +205,181 @@ func TestDropIsPermanent(t *testing.T) {
 	if e2.mat.Load() != nil {
 		t.Fatal("stale vectors installed after Drop")
 	}
-	if got := c.Resident(); got != 0 {
-		t.Errorf("Resident = %d, want 0", got)
+	if got := met.ResidentBytes.Load(); got != 0 {
+		t.Errorf("ResidentBytes = %d, want 0", got)
 	}
 }
 
-// TestDropLeavesTheRing: a dropped entry gives its bytes back and leaves the
-// clock ring, wherever the hand stands, and eviction keeps working over the
-// survivors — registering and dropping tables forever must not grow the
-// cache.
-func TestDropLeavesTheRing(t *testing.T) {
-	c, met := newCache(300)
-	build := func() (*Mat, error) { return mat(100), nil }
-	keep := c.Register(100)
-	if _, err := keep.Materialize(build); err != nil {
-		t.Fatal(err)
+// reserved reads the cache's account of admitted shares.
+func reserved(c *Cache) int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.reserved
+}
+
+// TestRegisterReservesShares: admission is decided at Register, in the order
+// tables register. A share is reserved whether or not its table ever
+// materializes; the first table that does not fit what is left is declined,
+// and a later, smaller one that does fit is still admitted.
+func TestRegisterReservesShares(t *testing.T) {
+	c, met := newCache(250)
+	a, b := c.Register(100), c.Register(100)
+	if a == nil || b == nil {
+		t.Fatal("a table that fits what is left of the budget was declined")
 	}
-	for round := 0; round < 20; round++ {
-		var es []*Entry
-		for i := 0; i < 3; i++ {
-			e := c.Register(100)
-			if _, err := e.Materialize(build); err != nil {
-				t.Fatal(err)
-			}
-			es = append(es, e)
-		}
-		// Four 100-byte tables against a 300-byte budget: the hand moved.
-		for _, i := range []int{1, 0, 2} {
-			es[i].Drop()
-		}
-		if len(c.entries) != 1 || c.entries[0] != keep || c.hand != 0 {
-			t.Fatalf("round %d: ring = %d entries, hand %d; want the one kept entry, hand 0", round, len(c.entries), c.hand)
-		}
-		if _, err := keep.Materialize(build); err != nil {
+	if got, res := reserved(c), met.ResidentBytes.Load(); got != 200 || res != 0 {
+		t.Fatalf("reserved %d, resident %d before any materialization; want 200, 0", got, res)
+	}
+	if e := c.Register(100); e != nil {
+		t.Fatal("admitted a table past the budget the earlier tables reserved")
+	}
+	if got := met.Declined.Load(); got != 1 {
+		t.Errorf("Declined = %d, want 1", got)
+	}
+	d := c.Register(50)
+	if d == nil {
+		t.Fatal("declined a table that fits the 50 bytes left")
+	}
+	for _, e := range []*Entry{a, b, d} {
+		if _, err := e.Materialize(func() (*Mat, error) { return mat(e.size), nil }); err != nil {
 			t.Fatal(err)
 		}
-		if got, gauge := c.Resident(), met.ResidentBytes.Load(); got != 100 || gauge != 100 {
-			t.Fatalf("round %d: resident = %d (gauge %d), want 100", round, got, gauge)
+	}
+	for i, e := range []*Entry{a, b, d} {
+		if e.Acquire() == nil {
+			t.Errorf("admitted table %d is not resident", i)
 		}
 	}
-	keep.Drop()
-	if len(c.entries) != 0 || c.Resident() != 0 {
-		t.Fatalf("empty cache holds %d entries, %d bytes", len(c.entries), c.Resident())
-	}
-	e := c.Register(100)
-	if m, err := e.Materialize(build); err != nil || m == nil {
-		t.Fatalf("Materialize after the ring emptied = %v, %v", m, err)
+	if got, res, ev := reserved(c), met.ResidentBytes.Load(), met.Evictions.Load(); got != 250 || res != 250 || ev != 0 {
+		t.Errorf("reserved %d, resident %d, %d evictions; want 250, 250, 0", got, res, ev)
 	}
 }
 
-// TestDropAllReMaterializes: DropAll (cold-start emulation) evicts every
-// table but leaves the entries registered; the next miss rebuilds.
-func TestDropAllReMaterializes(t *testing.T) {
-	c, met := newCache(1000)
+// TestDropReturnsShareOnce: a dropped table's share returns to the budget, so
+// the next table to register may take it, and dropping the entry again — a
+// BulkLoad whose open failed, then DropTable — returns nothing more.
+func TestDropReturnsShareOnce(t *testing.T) {
+	c, met := newCache(200)
+	a, b := c.Register(100), c.Register(100)
+	if _, err := a.Materialize(func() (*Mat, error) { return mat(100), nil }); err != nil {
+		t.Fatal(err)
+	}
+	a.Drop()
+	a.Drop()
+	if got, res := reserved(c), met.ResidentBytes.Load(); got != 100 || res != 0 {
+		t.Fatalf("after two Drops: reserved %d, resident %d; want 100, 0", got, res)
+	}
+	if e := c.Register(100); e == nil {
+		t.Fatal("the dropped table's share was not returned")
+	}
+	if e := c.Register(1); e != nil {
+		t.Fatal("a second Drop returned the share again")
+	}
+	b.Drop()
+	if got := reserved(c); got != 100 {
+		t.Fatalf("reserved %d, want 100", got)
+	}
+}
+
+// TestUnloadKeepsShare: Unload (cold-start emulation) unpublishes a table's
+// vectors and keeps its share — no other table can take it meanwhile — and
+// the next miss rebuilds them.
+func TestUnloadKeepsShare(t *testing.T) {
+	c, met := newCache(200)
 	a, b := c.Register(100), c.Register(100)
 	for _, e := range []*Entry{a, b} {
 		if _, err := e.Materialize(func() (*Mat, error) { return mat(100), nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
-	c.DropAll()
-	if got := c.Resident(); got != 0 {
-		t.Fatalf("Resident after DropAll = %d, want 0", got)
-	}
-	if got := met.ResidentBytes.Load(); got != 0 {
-		t.Fatalf("ResidentBytes after DropAll = %d, want 0", got)
+	a.Unload()
+	b.Unload()
+	b.Unload()
+	if got, res := reserved(c), met.ResidentBytes.Load(); got != 200 || res != 0 {
+		t.Fatalf("after Unload: reserved %d, resident %d; want 200, 0", got, res)
 	}
 	if a.Acquire() != nil || b.Acquire() != nil {
-		t.Fatal("Acquire served an evicted table after DropAll")
+		t.Fatal("Acquire served an unloaded table")
+	}
+	if e := c.Register(1); e != nil {
+		t.Fatal("an unloaded table's share was handed to another table")
 	}
 	m, err := a.Materialize(func() (*Mat, error) { return mat(100), nil })
 	if err != nil || m == nil {
-		t.Fatalf("re-materialize after DropAll = %v, %v", m, err)
+		t.Fatalf("re-materialize after Unload = %v, %v", m, err)
 	}
-	if got := c.Resident(); got != 100 {
-		t.Errorf("Resident = %d, want 100", got)
+	if got, n := met.ResidentBytes.Load(), met.Materializations.Load(); got != 100 || n != 3 {
+		t.Errorf("ResidentBytes = %d, Materializations = %d; want 100, 3", got, n)
 	}
 }
 
-// TestBudgetAccountingAcrossEvictions drives admissions past the budget many
-// times and checks the byte account never leaks.
-func TestBudgetAccountingAcrossEvictions(t *testing.T) {
-	c, met := newCache(300)
-	entries := make([]*Entry, 8)
-	for i := range entries {
-		entries[i] = c.Register(100)
-	}
-	for round := 0; round < 5; round++ {
-		for _, e := range entries {
-			if _, err := e.Materialize(func() (*Mat, error) { return mat(100), nil }); err != nil {
-				t.Fatal(err)
+// TestConcurrentAdmissionWithinBudget registers, materializes, unloads and
+// drops tables from many goroutines against a budget that holds only some of
+// them. Run under -race: the shares reserved and the bytes resident never
+// exceed the budget at any observed instant, and the accounts return to zero
+// once every table is dropped.
+func TestConcurrentAdmissionWithinBudget(t *testing.T) {
+	const budget = 800
+	c, met := newCache(budget)
+	stop := make(chan struct{})
+	watched := make(chan error, 1)
+	go func() {
+		defer close(watched)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if res, got := met.ResidentBytes.Load(), reserved(c); res < 0 || res > budget || got > budget {
+				watched <- fmt.Errorf("resident %d, reserved %d against a %d budget", res, got, budget)
+				return
 			}
 		}
+	}()
+	// Each worker registers its next table before it drops the last one, so
+	// one worker alone overruns the budget with its largest pair.
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var prev *Entry
+			for round := 0; round < 200; round++ {
+				size := int64(100 * (1 + (w+round)%5))
+				e := c.Register(size)
+				if prev != nil {
+					prev.Drop()
+				}
+				if prev = e; e == nil {
+					continue
+				}
+				for i := 0; i < 1+round%3; i++ {
+					m, err := e.Materialize(func() (*Mat, error) { return mat(size), nil })
+					if err != nil || m == nil {
+						t.Errorf("Materialize = %v, %v", m, err)
+						return
+					}
+					if round%4 == 0 {
+						e.Unload()
+					}
+				}
+			}
+			if prev != nil {
+				prev.Drop()
+			}
+		}(w)
 	}
-	resident := c.Resident()
-	if resident > 300 {
-		t.Fatalf("Resident = %d exceeds budget 300", resident)
+	wg.Wait()
+	close(stop)
+	if err := <-watched; err != nil {
+		t.Fatal(err)
 	}
-	if got := met.ResidentBytes.Load(); got != resident {
-		t.Fatalf("gauge %d disagrees with account %d", got, resident)
+	if res, got := met.ResidentBytes.Load(), reserved(c); res != 0 || got != 0 {
+		t.Fatalf("every table dropped, yet resident %d, reserved %d", res, got)
 	}
-	var sum int64
-	for _, e := range entries {
-		if e.mat.Load() != nil {
-			sum += e.size
-		}
-	}
-	if sum != resident {
-		t.Fatalf("per-entry sizes total %d, account says %d", sum, resident)
+	if met.Declined.Load() == 0 || met.Materializations.Load() == 0 {
+		t.Fatalf("declined %d, materialized %d: the churn did not exercise both outcomes",
+			met.Declined.Load(), met.Materializations.Load())
 	}
 }

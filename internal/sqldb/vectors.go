@@ -121,7 +121,7 @@ func (t *Table) materialize() (*vcache.Mat, error) {
 // into the scratch, but the array payloads alias the cached vectors — no
 // copy, no arena traffic. The views satisfy LookupPKScratch's retention
 // contract trivially: the vectors are immutable and the garbage collector
-// keeps them alive as long as any view exists, even across eviction.
+// keeps them alive as long as any view exists, even once they are unpublished.
 func vcacheRow(m *vcache.Mat, i int, s *exec.RowScratch) sqltypes.Row {
 	var r sqltypes.Row
 	if cap(s.Row) >= len(m.Cols) {

@@ -17,9 +17,9 @@
 //   - Budget division: Config.Base's VectorCacheBytes and PoolPages are
 //     process-wide budgets divided evenly across the MaxOpenTenants slots.
 //     Every tenant database gets its own share, so one tenant's cold scan
-//     can evict only its own pages and vectors, never a warm neighbour's
-//     (the benchmark's http_tenants_open workload serves two cities this
-//     way).
+//     can evict only its own pages, and its tables are admitted to its own
+//     vector budget, never a warm neighbour's (the benchmark's
+//     http_tenants_open workload serves two cities this way).
 //
 // Per-tenant accounting (request counts, latency, open/close events,
 // resident bytes) lives in obs.TenantMetrics structs that outlive the
@@ -73,7 +73,7 @@ type Config struct {
 	// Base is the open configuration of every tenant (device, trace hooks),
 	// except that its VectorCacheBytes and PoolPages are process-wide
 	// budgets: each tenant opens with 1/MaxOpenTenants of each, so tenants
-	// cannot evict each other's vectors or pages. Zero selects the default
+	// cannot evict each other's pages or take each other's vector shares. Zero selects the default
 	// of a single database (ptldb.DefaultVectorCacheBytes,
 	// sqldb.DefaultPoolPages); a negative vector-cache budget means no cache
 	// for any tenant.

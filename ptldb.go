@@ -118,12 +118,14 @@ type Config struct {
 	Seed int64
 	// VectorCacheBytes sets the resident vector cache's byte budget: label
 	// segments are decoded once into in-memory column vectors and served to
-	// the fused executor as direct slice views until evicted. 0 selects
+	// the fused executor as direct slice views. 0 selects
 	// DefaultVectorCacheBytes; a negative value means no cache, every read
-	// served from the segments. Sizing guidance: budget one city's label
-	// tables (roughly the .seg bytes on disk) to keep the whole working set
-	// resident; smaller budgets evict whole tables clock-wise. It has no
-	// effect on query answers.
+	// served from the segments. Admission is decided once per table, at open,
+	// in catalog order: a table is admitted while its vectors fit what the
+	// tables before it left of the budget, and keeps its share; the rest are
+	// declined and read from their segments. Sizing guidance: the sum of
+	// every all-integer table's vectors (roughly the .seg bytes on disk)
+	// keeps every table resident. It has no effect on query answers.
 	VectorCacheBytes int64
 	// BuildWorkers bounds the preprocessing parallelism (default GOMAXPROCS):
 	// TTL label construction runs rank-batched waves of this width, and the
@@ -446,8 +448,10 @@ func (d *DB) LDOTM(set string, q StopID, t Time) ([]Result, error) {
 	return d.store.LDOTM(set, q, t)
 }
 
-// DropCaches empties the buffer pool, emulating the paper's cold-start
-// protocol before each experiment.
+// DropCaches empties the buffer pool, unloads the resident vectors and
+// forgets where every table file was last read, emulating the paper's
+// cold-start protocol (server restart + OS cache drop) before each
+// experiment. It fails, dropping nothing, while a pool page is pinned.
 func (d *DB) DropCaches() error { return d.db.DropCaches() }
 
 // Stats reports I/O statistics of the session.
@@ -488,8 +492,8 @@ func (d *DB) Snapshot() Snapshot { return d.db.Registry().Snapshot() }
 // ExplainPrepared renders the operator tree one of the paper's prepared
 // queries executes with: "v2v-ea", "v2v-ld", "v2v-sd", or
 // "<kind>:<set>" with kind one of knn-naive-ea, knn-naive-ld, knn-ea,
-// knn-ld, otm-ea, otm-ld. Fused statements render the fused operator tree;
-// statements the fuser does not recognize render the general plan shape.
+// knn-ld, otm-ea, otm-ld. Every one of them runs fused, so the tree is the
+// fused operator tree; a statement without a fused plan is an error.
 func (d *DB) ExplainPrepared(name string) (string, error) {
 	return d.store.ExplainPrepared(name)
 }

@@ -89,6 +89,12 @@ if git grep -nE 'poolShard|perShard|\.shards\b|defaultPoolPages' -- 'internal/sq
     echo "one pool default: no shards, no per-shard capacity, no mirrored default" >&2
     exit 1
 fi
+echo "== the vector cache admits a table once and never evicts (internal/sqldb; the pool's LRU is storage's)"
+if git grep -nE 'evictLocked|evictEntryLocked|DropAll|second-chance|\.hand\b' -- 'internal/sqldb/*.go' ':!internal/sqldb/storage/*' ':!*_test.go'; then
+    echo "vcache.Cache decides admission once, at Register; an admitted table keeps its share until Drop:" >&2
+    echo "no clock ring, no hand, no eviction, no DropAll (DB.DropCaches unloads each entry)" >&2
+    exit 1
+fi
 echo "== go vet ./..."
 go vet ./...
 echo "== ptldb-analyze ./... (project lint)"
