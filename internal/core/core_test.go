@@ -94,6 +94,47 @@ func TestV2VPaperExample(t *testing.T) {
 	}
 }
 
+// TestSelfQueriesMatchStore pins the s == g convention of the single join:
+// the in-memory label queries answer what the store answers, EA(s, s, t)
+// being the earliest dummy time >= t at s (the paper's EA(1, 1, 324) = 324).
+// Every stop of the paper example and of three random timetables is queried
+// at each of its dummy times ± 1 and at both ends of the timetable; SD at
+// three window ends.
+func TestSelfQueriesMatchStore(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	tts := []*timetable.Timetable{timetable.PaperExample()}
+	for i := 0; i < 3; i++ {
+		tts = append(tts, randomTimetable(rng, 6+rng.Intn(6), 60+rng.Intn(60)))
+	}
+	for i, tt := range tts {
+		st, labels := newStore(t, tt, order.ByDegree(tt), BuildOptions{})
+		for s := timetable.StopID(0); s < timetable.StopID(tt.NumStops()); s++ {
+			ths := []timetable.Time{tt.MinTime(), tt.MaxTime()}
+			for _, x := range labels.Out[s] {
+				if x.IsDummy() {
+					ths = append(ths, x.Dep-1, x.Dep, x.Dep+1)
+				}
+			}
+			for _, th := range ths {
+				got, ok, err := st.EarliestArrival(s, s, th)
+				if want := labels.EarliestArrival(s, s, th); err != nil || ok != (want < timetable.Infinity) || (ok && got != want) {
+					t.Fatalf("timetable %d: EA(%d,%d,%v) = %v,%v,%v; labels %v", i, s, s, th, got, ok, err, want)
+				}
+				got, ok, err = st.LatestDeparture(s, s, th)
+				if want := labels.LatestDeparture(s, s, th); err != nil || ok != (want > timetable.NegInfinity) || (ok && got != want) {
+					t.Fatalf("timetable %d: LD(%d,%d,%v) = %v,%v,%v; labels %v", i, s, s, th, got, ok, err, want)
+				}
+				for _, end := range []timetable.Time{th, th + 3600, tt.MaxTime() + 1} {
+					got, ok, err = st.ShortestDuration(s, s, th, end)
+					if want := labels.ShortestDuration(s, s, th, end); err != nil || ok != (want < timetable.Infinity) || (ok && got != want) {
+						t.Fatalf("timetable %d: SD(%d,%d,%v,%v) = %v,%v,%v; labels %v", i, s, s, th, end, got, ok, err, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestV2VRandom is the main end-to-end property: the SQL answers equal the
 // CSA oracle on random timetables.
 func TestV2VRandom(t *testing.T) {
@@ -138,12 +179,12 @@ func TestV2VRandom(t *testing.T) {
 	}
 }
 
-// oracleKNNEA ranks targets by the label-unified EA value (which matches
-// PTLDB semantics for target == q as well) and returns the top k.
+// oracleKNNEA ranks targets by the labels' single-join EA value (which
+// matches PTLDB semantics for target == q as well) and returns the top k.
 func oracleKNNEA(labels *ttl.Labels, q timetable.StopID, targets []timetable.StopID, tq timetable.Time, k int) []Result {
 	var out []Result
 	for _, w := range targets {
-		if a := labels.EarliestArrivalUnified(q, w, tq); a < timetable.Infinity {
+		if a := labels.EarliestArrival(q, w, tq); a < timetable.Infinity {
 			out = append(out, Result{Stop: w, When: a})
 		}
 	}
@@ -162,7 +203,7 @@ func oracleKNNEA(labels *ttl.Labels, q timetable.StopID, targets []timetable.Sto
 func oracleKNNLD(labels *ttl.Labels, q timetable.StopID, targets []timetable.StopID, tq timetable.Time, k int) []Result {
 	var out []Result
 	for _, w := range targets {
-		if d := labels.LatestDepartureUnified(q, w, tq); d > timetable.NegInfinity {
+		if d := labels.LatestDeparture(q, w, tq); d > timetable.NegInfinity {
 			out = append(out, Result{Stop: w, When: d})
 		}
 	}
@@ -237,8 +278,8 @@ func TestKNNAndOTMRandom(t *testing.T) {
 			perEA := map[timetable.StopID]timetable.Time{}
 			perLD := map[timetable.StopID]timetable.Time{}
 			for _, w := range targets {
-				perEA[w] = labels.EarliestArrivalUnified(q, w, tq)
-				perLD[w] = labels.LatestDepartureUnified(q, w, tq)
+				perEA[w] = labels.EarliestArrival(q, w, tq)
+				perLD[w] = labels.LatestDeparture(q, w, tq)
 			}
 
 			wantEA := oracleKNNEA(labels, q, targets, tq, k)
@@ -321,8 +362,8 @@ func TestBucketWidthAblationCorrectness(t *testing.T) {
 			perEA := map[timetable.StopID]timetable.Time{}
 			perLD := map[timetable.StopID]timetable.Time{}
 			for _, w := range targets {
-				perEA[w] = labels.EarliestArrivalUnified(q, w, tq)
-				perLD[w] = labels.LatestDepartureUnified(q, w, tq)
+				perEA[w] = labels.EarliestArrival(q, w, tq)
+				perLD[w] = labels.LatestDeparture(q, w, tq)
 			}
 			got, err := st.EAKNN("poi", q, tq, 4)
 			if err != nil {

@@ -115,7 +115,7 @@ func TestNegativeTimeSweep(t *testing.T) {
 			st, labels := negativeStore(t, mode.reference)
 			for _, tq := range sweep {
 				// Vertex-to-vertex EA and LD.
-				wantEA := labels.EarliestArrivalUnified(1, 2, tq)
+				wantEA := labels.EarliestArrival(1, 2, tq)
 				gotEA, okEA, err := st.EarliestArrival(1, 2, tq)
 				if err != nil {
 					t.Fatal(err)
@@ -123,7 +123,7 @@ func TestNegativeTimeSweep(t *testing.T) {
 				if okEA != (wantEA < timetable.Infinity) || (okEA && gotEA != wantEA) {
 					t.Errorf("EA(1,2,%v) = %v,%v want %v", tq, gotEA, okEA, wantEA)
 				}
-				wantLD := labels.LatestDepartureUnified(1, 2, tq)
+				wantLD := labels.LatestDeparture(1, 2, tq)
 				gotLD, okLD, err := st.LatestDeparture(1, 2, tq)
 				if err != nil {
 					t.Fatal(err)

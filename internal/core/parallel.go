@@ -8,7 +8,7 @@ import (
 
 // runJobs runs the jobs on up to workers goroutines and returns the first
 // error in job order. Jobs touch disjoint tables (each table owns its files;
-// the buffer pool underneath is sharded and safe for concurrent use), so they
+// the buffer pool underneath is one LRU under one mutex), so they
 // need no coordination: job j reports into errs[j], which only the worker that
 // ran it writes. A failed job does not stop the others — table loads have no
 // side effects outside their own table, and the first error aborts the whole

@@ -86,8 +86,8 @@ func TestVersions(t *testing.T) {
 		perBase := map[timetable.StopID]timetable.Time{}
 		perWE := map[timetable.StopID]timetable.Time{}
 		for _, w := range targets {
-			perBase[w] = weekdayLabels.EarliestArrivalUnified(q, w, tq)
-			perWE[w] = weekendLabels.EarliestArrivalUnified(q, w, tq)
+			perBase[w] = weekdayLabels.EarliestArrival(q, w, tq)
+			perWE[w] = weekendLabels.EarliestArrival(q, w, tq)
 		}
 		gotBase, err := st.EAKNN("poi", q, tq, 2)
 		if err != nil {

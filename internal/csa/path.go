@@ -1,6 +1,7 @@
 package csa
 
 import (
+	"slices"
 	"sort"
 
 	"ptldb/internal/timetable"
@@ -19,37 +20,57 @@ func EarliestArrivalJourney(tt *timetable.Timetable, s, g timetable.StopID, t ti
 	if s == g {
 		return nil, true
 	}
-	n := tt.NumStops()
-	arr := make([]timetable.Time, n)
-	parent := make([]int32, n)
-	for i := range arr {
-		arr[i] = timetable.Infinity
-		parent[i] = -1
+	tree := EarliestArrivalTree(tt, s, t)
+	if tree.Arr[g] == timetable.Infinity {
+		return nil, false
 	}
-	arr[s] = t
+	return tree.Journey(tt, g), true
+}
+
+// Tree is the earliest-arrival tree of one source and departure time: Arr[v]
+// is EA(src, v, t), and Journey walks the parent pointers to v.
+type Tree struct {
+	Arr []timetable.Time
+	// parent[v] is the index of the connection that reaches v at Arr[v] (-1
+	// for the source and for unreachable stops).
+	parent []int32
+	src    timetable.StopID
+}
+
+// EarliestArrivalTree runs the Connection Scan from s at time t with parent
+// pointers: one scan answers EA(s, v, t), and a journey achieving it, for
+// every stop v.
+func EarliestArrivalTree(tt *timetable.Timetable, s timetable.StopID, t timetable.Time) Tree {
+	n := tt.NumStops()
+	tree := Tree{Arr: make([]timetable.Time, n), parent: make([]int32, n), src: s}
+	for i := range tree.Arr {
+		tree.Arr[i] = timetable.Infinity
+		tree.parent[i] = -1
+	}
+	tree.Arr[s] = t
 	conns := tt.Connections()
 	i := sort.Search(len(conns), func(i int) bool { return conns[i].Dep >= t })
 	for ; i < len(conns); i++ {
 		c := conns[i]
-		if c.Dep >= arr[c.From] && c.Arr < arr[c.To] {
-			arr[c.To] = c.Arr
-			parent[c.To] = int32(i)
+		if c.Dep >= tree.Arr[c.From] && c.Arr < tree.Arr[c.To] {
+			tree.Arr[c.To] = c.Arr
+			tree.parent[c.To] = int32(i)
 		}
 	}
-	if arr[g] == timetable.Infinity {
-		return nil, false
-	}
-	var rev []timetable.Connection
-	for at := g; at != s; {
-		c := tt.Connection(parent[at])
-		rev = append(rev, c)
+	return tree
+}
+
+// Journey returns the tree's connections from its source to g in riding
+// order, empty when g is the source. g must be reachable.
+func (tree Tree) Journey(tt *timetable.Timetable, g timetable.StopID) []timetable.Connection {
+	var legs []timetable.Connection
+	for at := g; at != tree.src; {
+		c := tt.Connection(tree.parent[at])
+		legs = append(legs, c)
 		at = c.From
 	}
-	out := make([]timetable.Connection, len(rev))
-	for i, c := range rev {
-		out[len(rev)-1-i] = c
-	}
-	return out, true
+	slices.Reverse(legs)
+	return legs
 }
 
 // LatestDepartureJourney returns the connection sequence of a journey from s

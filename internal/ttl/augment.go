@@ -61,72 +61,6 @@ func (l *Labels) Augment() *Labels {
 	return l
 }
 
-// EarliestArrivalUnified answers EA(s, g, t) using only the single-join form
-// of the paper's Code 1, which is what the database executes. It requires
-// augmented labels; for s == g it returns the earliest dummy timestamp >= t
-// at s (the paper's EA(1, 1, 324) = 324 convention), which may exceed t.
-func (l *Labels) EarliestArrivalUnified(s, g timetable.StopID, t timetable.Time) timetable.Time {
-	best := timetable.Infinity
-	joinLabels(l.Out[s], l.In[g], func(xs, ys []Tuple) {
-		minArr := timetable.Infinity
-		for _, x := range xs {
-			if x.Dep >= t && x.Arr < minArr {
-				minArr = x.Arr
-			}
-		}
-		if minArr == timetable.Infinity {
-			return
-		}
-		for _, y := range ys {
-			if y.Dep >= minArr && y.Arr < best {
-				best = y.Arr
-			}
-		}
-	})
-	return best
-}
-
-// LatestDepartureUnified answers LD(s, g, t) using only the single-join form.
-func (l *Labels) LatestDepartureUnified(s, g timetable.StopID, t timetable.Time) timetable.Time {
-	best := timetable.NegInfinity
-	joinLabels(l.Out[s], l.In[g], func(xs, ys []Tuple) {
-		maxDep := timetable.NegInfinity
-		for _, y := range ys {
-			if y.Arr <= t && y.Dep > maxDep {
-				maxDep = y.Dep
-			}
-		}
-		if maxDep == timetable.NegInfinity {
-			return
-		}
-		for _, x := range xs {
-			if x.Arr <= maxDep && x.Dep > best {
-				best = x.Dep
-			}
-		}
-	})
-	return best
-}
-
-// ShortestDurationUnified answers SD(s, g, t, tEnd) using only the
-// single-join form.
-func (l *Labels) ShortestDurationUnified(s, g timetable.StopID, t, tEnd timetable.Time) timetable.Time {
-	best := timetable.Infinity
-	joinLabels(l.Out[s], l.In[g], func(xs, ys []Tuple) {
-		for _, x := range xs {
-			if x.Dep < t {
-				continue
-			}
-			for _, y := range ys {
-				if x.Arr <= y.Dep && y.Arr <= tEnd && y.Arr-x.Dep < best {
-					best = y.Arr - x.Dep
-				}
-			}
-		}
-	})
-	return best
-}
-
 // Clone returns a deep copy of the labels.
 func (l *Labels) Clone() *Labels {
 	c := &Labels{

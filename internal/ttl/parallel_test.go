@@ -86,12 +86,13 @@ func TestBuildParallelMatchesCSA(t *testing.T) {
 		if err := l.Validate(); err != nil {
 			t.Fatalf("iter %d: Validate: %v", iter, err)
 		}
-		checkEALDMatchCSA(t, fmt.Sprintf("iter %d", iter), tt, l)
+		checkEALDMatchCSA(t, fmt.Sprintf("iter %d", iter), tt, l.Augment())
 	}
 }
 
-// checkEALDMatchCSA requires l's EA and LD answers to equal the Connection
-// Scan oracle's for every stop pair and every threshold of thresholds.
+// checkEALDMatchCSA requires the EA and LD answers of the augmented labels l
+// to equal the Connection Scan oracle's for every stop pair and every
+// threshold of thresholds.
 func checkEALDMatchCSA(t *testing.T, name string, tt *timetable.Timetable, l *Labels) {
 	t.Helper()
 	n := timetable.StopID(tt.NumStops())
@@ -160,7 +161,7 @@ func FuzzBuildMatchesCSA(f *testing.F) {
 		if l3 := BuildParallel(tt, ord, 3); !reflect.DeepEqual(l3, l) {
 			t.Fatal("labels differ between 1 and 3 workers")
 		}
-		checkEALDMatchCSA(t, "fuzz", tt, l)
+		checkEALDMatchCSA(t, "fuzz", tt, l.Augment())
 	})
 }
 

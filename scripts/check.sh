@@ -77,6 +77,12 @@ if git grep -nE 'streamHeap|openForwardStream|insertForward|insertBackward' -- '
     echo "each profile search is one scan over the time-sorted connections: no per-stop stream heap" >&2
     exit 1
 fi
+echo "== one in-memory label query, one earliest-arrival tree (internal/, cmd/)"
+if git grep -nE 'EarliestArrivalUnified|LatestDepartureUnified|ShortestDurationUnified|scanWithParents' -- 'internal/*.go' 'cmd/*.go'; then
+    echo "ttl.Labels answers EA / LD / SD in memory through the single join the database runs, on augmented" >&2
+    echo "labels; path expansion walks csa.EarliestArrivalTree, the scan csa.EarliestArrivalJourney walks" >&2
+    exit 1
+fi
 echo "== a fused statement binds its tables at Prepare (internal/sqldb/exec)"
 if git grep -nE 'RunOrdered|TargetBounded|Floored|ScratchTable|MetricsSource|lookupPKScratch|scanScratch|execMetrics|resolveSlow|SetVectorCache' -- '*.go' ':!*_test.go'; then
     echo "exec.Fuse looks a plan's tables up and checks their declarations once; every exec.Table and" >&2
