@@ -161,25 +161,28 @@ func TestVectorSizeMatchesPrediction(t *testing.T) {
 				continue // a table with a DOUBLE or TEXT column has no vectors
 			}
 			before := db.Snapshot().VCache
-			rows, want := int64(0), int64(0)
+			// 16·rows + 8·(scalar values + elements) + 4·(rows·arrays + 1).
+			rows, values, arrays := int64(0), int64(0), int64(0)
 			err := tbl.Scan(func(r sqltypes.Row) error {
 				rows++
 				for _, v := range r {
-					want += 8 * int64(len(v.A))
+					if v.T == sqltypes.Int64 {
+						values++
+					} else {
+						values += int64(len(v.A))
+					}
 				}
 				return nil
 			})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", city.name, name, err)
 			}
-			want += 16 * rows
 			for _, c := range tbl.Def().Columns {
-				if c.Type == sqltypes.Int64 {
-					want += 8 * rows
-				} else {
-					want += 4 * (rows + 1)
+				if c.Type == sqltypes.IntArray {
+					arrays++
 				}
 			}
+			want := 16*rows + 8*values + 4*(rows*arrays+1)
 			after := db.Snapshot().VCache
 			if got := after.ResidentBytes - before.ResidentBytes; got != want || after.Materializations != before.Materializations+1 {
 				t.Errorf("%s/%s: %d rows materialized into %d bytes (%d materializations), its rows need %d",

@@ -9,6 +9,7 @@ package sqldb
 // when its flush fails.
 
 import (
+	"encoding/binary"
 	"errors"
 	"io/fs"
 	"os"
@@ -321,5 +322,84 @@ func TestMaterializeRechecksDataCRC(t *testing.T) {
 		if _, ok, err := good.LookupPKScratch([]int64{123}, &s); err != nil || !ok {
 			t.Errorf("intact table: %v, %v", ok, err)
 		}
+	}
+}
+
+// TestMalformedRowFailsMaterialize: a segment whose checksums hold but one of
+// whose rows is malformed opens — open checks the regions, not the rows — and
+// its table's first lookup then fails with an error naming the table: the
+// one-pass decode of the vector cache keeps every check on a row. Nothing is
+// published, the next lookup fails the same way, and the well-formed sibling
+// still serves.
+func TestMalformedRowFailsMaterialize(t *testing.T) {
+	const rows = 3000
+	// bad.seg's rows are (k, 3k, [k, k+1, k+2]), as buildFaultDB writes them.
+	encode := func(k int64) []byte {
+		b, err := sqltypes.EncodeSegRow(nil, sqltypes.Row{sqltypes.NewInt(k), sqltypes.NewInt(3 * k),
+			sqltypes.NewIntArray([]int64{k, k + 1, k + 2})})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	head := func(k int64) []byte { return binary.AppendVarint(binary.AppendVarint(nil, k), 3*k) }
+	// The last delta, 1, is 0x02; with the continuation bit set the varint
+	// runs on into the next row.
+	midVarint := func(b []byte) []byte { b[len(b)-1] |= 0x80; return b }
+	for _, c := range []struct {
+		name string
+		row  int64
+		enc  []byte
+	}{
+		{"array length past the row's end", 1500, append(head(1500), 0x7f, 0x02)},
+		{"trailing byte", 1500, append(encode(1500), 0x00)},
+		{"row ends mid-varint", 1500, midVarint(encode(1500))},
+		// Four elements claimed, three present: open counts three for the
+		// row, and it is the last, so the vector has no room for a fourth.
+		{"one element more than counted", rows - 1, binary.AppendVarint(binary.AppendVarint(binary.AppendVarint(
+			binary.AppendUvarint(head(rows-1), 4), rows-1), 1), 1)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			buildFaultDB(t, dir)
+			sd := storage.SegmentData{
+				Cols:  []byte{byte(sqltypes.Int64), byte(sqltypes.Int64), byte(sqltypes.IntArray)},
+				PKLen: 1,
+			}
+			for k := int64(0); k < rows; k++ {
+				enc := encode(k)
+				if k == c.row {
+					enc = c.enc
+				}
+				sd.Keys = append(sd.Keys, storage.Key{k})
+				sd.Lens = append(sd.Lens, uint32(len(enc)))
+				sd.Data = append(sd.Data, enc...)
+			}
+			if err := storage.WriteSegmentFile(filepath.Join(dir, "bad.seg"), storage.RAM, new(storage.Clock), sd); err != nil {
+				t.Fatal(err)
+			}
+			db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256, VectorCacheBytes: 64 << 20})
+			if err != nil {
+				t.Fatalf("open of a checksum-valid segment: %v", err)
+			}
+			defer db.Close()
+			bad, _ := db.Table("bad")
+			var s exec.RowScratch
+			for range 2 {
+				if _, _, err := bad.LookupPKScratch([]int64{123}, &s); err == nil || !strings.Contains(err.Error(), "sqldb: bad:") {
+					t.Errorf("lookup in a table with a malformed row = %v, want an error naming the table", err)
+				}
+			}
+			if vc := db.Registry().Snapshot().VCache; vc.Materializations != 0 || vc.ResidentBytes != 0 {
+				t.Errorf("after the failed lookups: vcache = %+v, want nothing published", *vc)
+			}
+			good, _ := db.Table("good")
+			if row, ok, err := good.LookupPKScratch([]int64{123}, &s); err != nil || !ok || row[1].I != 369 {
+				t.Errorf("well-formed sibling: LookupPKScratch(123) = %v, %v, %v", row, ok, err)
+			}
+			if vc := db.Registry().Snapshot().VCache; vc.Materializations != 1 {
+				t.Errorf("well-formed sibling: vcache = %+v, want one materialization", *vc)
+			}
+		})
 	}
 }

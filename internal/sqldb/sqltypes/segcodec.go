@@ -154,75 +154,60 @@ func CountSegVarints(b []byte) int {
 	return n
 }
 
-// CountSegRow adds the length of each BIGINT[] value of one encoded row to
-// elems[i], i the value's column; BIGINT columns are left alone. It walks the
-// varints without decoding them, so it accepts every row DecodeSegRowColumns
-// accepts and sizes that function's vectors exactly.
-func CountSegRow(buf []byte, types []Type, elems []int) error {
-	for i, t := range types {
-		skip := uint64(1)
-		if t == IntArray {
-			ln, k := binary.Uvarint(buf)
-			if k <= 0 || ln > uint64(len(buf)-k) {
-				return fmt.Errorf("sqltypes: corrupt segment array at value %d", i)
-			}
-			buf = buf[k:]
-			elems[i] += int(ln)
-			skip = ln
-		}
-		for ; skip > 0; skip-- {
-			k := 0
-			for k < len(buf) && buf[k] >= 0x80 {
-				k++
-			}
-			if k == len(buf) {
-				return fmt.Errorf("sqltypes: corrupt segment row at value %d", i)
-			}
-			buf = buf[k+1:]
-		}
-	}
-	if len(buf) != 0 {
-		return fmt.Errorf("sqltypes: %d trailing bytes after segment row", len(buf))
-	}
-	return nil
-}
-
-// DecodeSegRowColumns decodes one encoded row onto the ends of per-column
-// vectors: a BIGINT extends cols[i] by its value, a BIGINT[] by its elements
-// (the caller records the row boundary). The vectors grow only within their
-// capacity — the caller allocated them once, at the sizes CountSegRow found —
-// so a row that does not fit is an error, never a reallocation.
-func DecodeSegRowColumns(buf []byte, types []Type, cols [][]int64) error {
+// DecodeSegRowVectors decodes one encoded row of BIGINT / BIGINT[] columns:
+// the k-th BIGINT of the row goes to scalars[k], and the elements of its
+// BIGINT[] values onto the end of elems, in column order, with the length of
+// elems after the a-th array recorded at ends[a]. It accepts exactly the rows
+// DecodeSegRowInto accepts and decodes the same values, but elems grows only
+// within its capacity — the caller sized it once, for the whole table, from
+// the varint count — so an array that does not fit is an error, never a
+// reallocation. The one-, two- and three-byte varints that make up nearly
+// every label are decoded inline; longer ones go to binary.Uvarint.
+func DecodeSegRowVectors(buf []byte, types []Type, scalars, elems []int64, ends []int32) ([]int64, error) {
+	s, a := 0, 0
 	for i, t := range types {
 		// A BIGINT decodes like a one-element array without the length
 		// prefix: its single delta from zero is the value itself.
-		ln := uint64(1)
-		if t == IntArray {
-			var k int
-			if ln, k = binary.Uvarint(buf); k <= 0 {
-				return fmt.Errorf("sqltypes: corrupt segment array at value %d", i)
+		var out []int64
+		if t == Int64 {
+			out = scalars[s : s+1]
+			s++
+		} else {
+			ln, k := binary.Uvarint(buf)
+			if k <= 0 || t != IntArray {
+				return elems, fmt.Errorf("sqltypes: corrupt segment array at value %d", i)
+			}
+			if ln > uint64(cap(elems)-len(elems)) {
+				return elems, fmt.Errorf("sqltypes: segment value %d overflows its vector", i)
 			}
 			buf = buf[k:]
+			out, elems = elems[len(elems):len(elems)+int(ln)], elems[:len(elems)+int(ln)]
+			ends[a] = int32(len(elems))
+			a++
 		}
-		col := cols[i]
-		if ln > uint64(cap(col)-len(col)) {
-			return fmt.Errorf("sqltypes: segment value %d overflows its column vector", i)
-		}
-		out := col[len(col) : len(col)+int(ln)]
 		prev := int64(0)
 		for j := range out {
-			d, k := binary.Varint(buf)
-			if k <= 0 {
-				return fmt.Errorf("sqltypes: corrupt segment element %d of value %d", j, i)
+			var u uint64
+			var k int
+			switch {
+			case len(buf) > 0 && buf[0] < 0x80:
+				u, k = uint64(buf[0]), 1
+			case len(buf) > 1 && buf[1] < 0x80:
+				u, k = uint64(buf[0]&0x7f)|uint64(buf[1])<<7, 2
+			case len(buf) > 2 && buf[2] < 0x80:
+				u, k = uint64(buf[0]&0x7f)|uint64(buf[1]&0x7f)<<7|uint64(buf[2])<<14, 3
+			default:
+				if u, k = binary.Uvarint(buf); k <= 0 {
+					return elems, fmt.Errorf("sqltypes: corrupt segment element %d of value %d", j, i)
+				}
 			}
 			buf = buf[k:]
-			prev += d
+			prev += int64(u>>1) ^ -int64(u&1)
 			out[j] = prev
 		}
-		cols[i] = col[:len(col)+int(ln)]
 	}
 	if len(buf) != 0 {
-		return fmt.Errorf("sqltypes: %d trailing bytes after segment row", len(buf))
+		return elems, fmt.Errorf("sqltypes: %d trailing bytes after segment row", len(buf))
 	}
-	return nil
+	return elems, nil
 }

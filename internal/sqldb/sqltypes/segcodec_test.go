@@ -238,7 +238,9 @@ func TestSegDecodeArenaAliasing(t *testing.T) {
 // decoder accepts must re-encode and decode back to the same row. The
 // comparison is semantic, not byte-for-byte — non-canonical varints in the
 // input decode fine but re-encode shorter — so the canonical re-encoding is
-// additionally required to be a fixed point of the codec.
+// additionally required to be a fixed point of the codec. Under an
+// all-integer schema the vector decoder must agree with it on every input
+// (checkSegVectors).
 func FuzzSegCodecRoundTrip(f *testing.F) {
 	// The schema is 1..7 columns (ncols' low three bits) whose kinds are read
 	// two bits at a time from kinds, lowest column first.
@@ -261,6 +263,18 @@ func FuzzSegCodecRoundTrip(f *testing.F) {
 	seed(Row{NewInt(42)})
 	seed(Row{NewInt(7), NewIntArray([]int64{1, 5, 5, 9})})
 	seed(Row{NewIntArray(nil)})
+	// Varints of 1, 2, 3, 4 and 10 bytes, as scalars and as deltas.
+	seed(Row{NewInt(5), NewInt(1000), NewInt(100000), NewInt(10000000), NewInt(math.MinInt64)})
+	seed(Row{NewIntArray([]int64{5, 1005, 101005, 10101005, math.MaxInt64})})
+	// Deltas that wrap: MaxInt64 and MinInt64 alternating.
+	seed(Row{NewInt(math.MaxInt64), NewIntArray([]int64{math.MaxInt64, math.MinInt64, math.MaxInt64, 0})})
+	// Empty arrays, and two arrays of different lengths in one row.
+	seed(Row{NewInt(1), NewIntArray([]int64{}), NewIntArray([]int64{})})
+	seed(Row{NewInt(7), NewIntArray([]int64{1, 2, 3}), NewIntArray([]int64{9})})
+	// Non-canonical 0x80 0x00 (zero in two bytes) as a scalar, a length and an
+	// element.
+	f.Add(byte(0), uint16(0), []byte{0x80, 0x00})
+	f.Add(byte(0), uint16(1), []byte{0x81, 0x00, 0x80, 0x00})
 	f.Add(byte(6), uint16(0x1555), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
 	f.Add(byte(0), uint16(1), []byte{0xfe})
 	seed(Row{NewInt(3), NewText("Congress Ave / 6th"), NewFloat(30.2672), NewFloat(-97.7431)})
@@ -275,7 +289,10 @@ func FuzzSegCodecRoundTrip(f *testing.F) {
 			types[i] = fuzzKinds[kinds>>(2*i)&3]
 			intsOnly = intsOnly && (types[i] == Int64 || types[i] == IntArray)
 		}
-		row, arena, err := DecodeSegRowInto(data, types, nil, nil)
+		row, _, err := DecodeSegRowInto(data, types, nil, nil)
+		if intsOnly {
+			checkSegVectors(t, data, types, row, err)
+		}
 		if err != nil {
 			return // rejected input: fine, as long as it didn't panic
 		}
@@ -297,31 +314,36 @@ func FuzzSegCodecRoundTrip(f *testing.F) {
 		if string(enc2) != string(enc) {
 			t.Fatalf("canonical encoding not a fixed point:\n first %x\nsecond %x", enc, enc2)
 		}
-		_ = arena
-		// The invariant the vector-size prediction rests on, for the tables it
-		// is applied to: every byte of an accepted all-integer row belongs to
-		// one varint, so its terminators number the scalars + array length
-		// prefixes + elements — canonical or not — and the column decoder sees
-		// the same values as the row decoder.
 		if intsOnly {
-			checkSegVectors(t, data, types, row)
-			checkSegVectors(t, enc, types, row)
+			checkSegVectors(t, enc, types, row, nil)
 		}
 	})
 }
 
-// checkSegVectors runs the whole-table helpers over one encoded row known to
-// decode to want.
-func checkSegVectors(t *testing.T, enc []byte, types []Type, want Row) {
+// checkSegVectors holds DecodeSegRowVectors to DecodeSegRowInto on one
+// encoded all-integer row, which the row decoder decoded to want or rejected
+// with rowErr. A rejected row must be rejected again, whatever room the
+// vector has. An accepted one rests the vector-size prediction on its one
+// property — every byte belongs to one varint, so the terminators number the
+// scalars + array length prefixes + elements, canonical or not — and must
+// fill exactly CountSegVarints − columns elements with want's values, and be
+// refused with one slot fewer.
+func checkSegVectors(t *testing.T, enc []byte, types []Type, want Row, rowErr error) {
 	t.Helper()
-	varints := 0
-	elems := make([]int, len(types))
-	for i, v := range want {
-		varints++
-		if v.T == IntArray {
-			varints += len(v.A)
-			elems[i] = len(v.A)
+	decode := func(capacity int) ([]int64, []int64, []int32, error) {
+		scalars, ends := make([]int64, len(types)), make([]int32, len(types))
+		elems, err := DecodeSegRowVectors(enc, types, scalars, make([]int64, 0, capacity), ends)
+		return scalars, elems, ends, err
+	}
+	if rowErr != nil {
+		if _, _, _, err := decode(len(enc)); err == nil {
+			t.Fatalf("DecodeSegRowVectors accepts %x, which DecodeSegRowInto rejects: %v", enc, rowErr)
 		}
+		return
+	}
+	varints := 0
+	for _, v := range want {
+		varints += 1 + len(v.A)
 	}
 	if got := CountSegVarints(enc); got != varints {
 		t.Fatalf("CountSegVarints(%x) = %d, row %v holds %d varints", enc, got, want, varints)
@@ -332,44 +354,33 @@ func checkSegVectors(t *testing.T, enc []byte, types []Type, want Row) {
 			t.Fatalf("CountSegVarints(%x) cut at %d = %d, want %d", enc, cut, got, varints)
 		}
 	}
-	counted := make([]int, len(types))
-	if err := CountSegRow(enc, types, counted); err != nil {
-		t.Fatalf("CountSegRow rejects a row the decoder accepts: %v (%x)", err, enc)
+	n := varints - len(types)
+	scalars, elems, ends, err := decode(n)
+	if err != nil {
+		t.Fatalf("DecodeSegRowVectors rejects a row the decoder accepts: %v (%x)", err, enc)
 	}
-	cols := make([][]int64, len(types))
-	for i, typ := range types {
-		if counted[i] != elems[i] {
-			t.Fatalf("CountSegRow(%x): column %d has %d elements, want %d", enc, i, counted[i], elems[i])
-		}
-		if typ == Int64 {
-			counted[i] = 1
-		}
-		cols[i] = make([]int64, 0, counted[i])
+	if len(elems) != n {
+		t.Fatalf("DecodeSegRowVectors(%x) filled %d elements, want %d", enc, len(elems), n)
 	}
-	if err := DecodeSegRowColumns(enc, types, cols); err != nil {
-		t.Fatalf("DecodeSegRowColumns rejects a row the decoder accepts: %v (%x)", err, enc)
-	}
+	s, a, start := 0, 0, int32(0)
 	for i, v := range want {
-		got := NewIntArray(cols[i])
+		var got Value
 		if v.T == Int64 {
-			got = NewInt(cols[i][0])
+			got = NewInt(scalars[s])
+			s++
+		} else {
+			got = NewIntArray(elems[start:ends[a]])
+			start = ends[a]
+			a++
 		}
-		if len(cols[i]) != cap(cols[i]) || !Equal(got, v) {
-			t.Fatalf("DecodeSegRowColumns(%x): column %d = %v, want %v", enc, i, cols[i], v)
+		if !Equal(got, v) {
+			t.Fatalf("DecodeSegRowVectors(%x): value %d = %v, want %v", enc, i, got, v)
 		}
 	}
-	// One slot short anywhere and the row must be refused, not grown into.
-	for i := range cols {
-		if cap(cols[i]) == 0 {
-			continue
-		}
-		short := make([][]int64, len(cols))
-		for j := range cols {
-			short[j] = make([]int64, 0, cap(cols[j]))
-		}
-		short[i] = make([]int64, 0, cap(cols[i])-1)
-		if err := DecodeSegRowColumns(enc, types, short); err == nil {
-			t.Fatalf("DecodeSegRowColumns(%x) fit column %d into %d slots", enc, i, cap(short[i]))
+	// One slot short and the row must be refused, not grown into.
+	if n > 0 {
+		if _, _, _, err := decode(n - 1); err == nil {
+			t.Fatalf("DecodeSegRowVectors(%x) fit %d elements into %d slots", enc, n, n-1)
 		}
 	}
 }

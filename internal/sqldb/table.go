@@ -41,10 +41,13 @@ type Table struct {
 	// empty one. vcE is the table's slot in the handle's resident vector
 	// cache — nil when the handle has no cache, the table has a DOUBLE or
 	// TEXT column, or the cache declined it (vcache.Cache.Register) — and
-	// then every read goes straight to the segment.
-	file *storage.PagedFile
-	seg  *storage.Segment
-	vcE  *vcache.Entry
+	// then every read goes straight to the segment. varints is the number of
+	// varints in the data region, counted at open for a table with a slot:
+	// what sizes its vectors (vectorBytes, materialize).
+	file    *storage.PagedFile
+	seg     *storage.Segment
+	vcE     *vcache.Entry
+	varints int
 
 	// Access counters: primary-key lookups answered (hit or miss) and full
 	// scans started. They let tests verify the paper's secondary-storage
@@ -339,7 +342,7 @@ func (t *Table) open() error {
 		return fmt.Errorf("sqldb: table %q: %w: header: columns %v (pk %d) do not match the schema",
 			t.def.Name, storage.ErrCorruptSegment, cols, seg.PKLen())
 	}
-	t.file, t.seg, t.vcE = f, seg, nil
+	t.file, t.seg, t.vcE, t.varints = f, seg, nil, varints
 	if vectors {
 		t.vcE = db.vcache.Register(vectorBytes(t.types, seg.NumRows(), varints))
 	}

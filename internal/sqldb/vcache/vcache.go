@@ -1,6 +1,7 @@
 // Package vcache is the resident vector cache: a byte-budgeted cache of
-// materialized segments — per-table decoded []int64 column vectors plus the
-// key directory — served to the scratch read paths as direct slice views.
+// materialized segments — per-table decoded []int64 vectors (one per scalar
+// column, one shared by every array column) plus the key directory — served
+// to the scratch read paths as direct slice views.
 // A hit skips the buffer pool, the payload copy and the varint decode
 // entirely; the only per-lookup work left is a binary search over the key
 // directory and writing value headers that alias the cached columns.
@@ -51,19 +52,29 @@ type Mat struct {
 	// Keys is the ascending key directory (shared with the segment's own
 	// in-memory directory; both are immutable).
 	Keys []storage.Key
-	// Cols holds one decoded vector per table column, in storage order.
+	// Cols holds one decoded column per table column, in storage order.
 	Cols []Col
-	// Bytes is the Mat's budget charge: the backing arrays of the keys and
-	// every column vector.
+	// Elems is every array element of the table, row by row and, within a
+	// row, column by column; Starts is where each of them begins: the a-th
+	// array column of row i spans Elems[Starts[i·A+a]:Starts[i·A+a+1]], A
+	// the number of array columns, so Starts has len(Keys)·A + 1 entries.
+	// The array columns of Cols are views of the two.
+	Elems  []int64
+	Starts []int32
+	// Bytes is the Mat's budget charge: the backing arrays of the keys, the
+	// scalar columns, Elems and Starts.
 	Bytes int64
 }
 
-// Col is one decoded column. Scalar (BIGINT) columns store row i's value at
-// Ints[i] and leave Starts nil; array (BIGINT[]) columns flatten every row
-// into Ints with Starts[i]:Starts[i+1] delimiting row i's elements.
+// Col is one decoded column. A scalar (BIGINT) column stores row i's value at
+// Ints[i] and leaves Starts nil. An array (BIGINT[]) column is a view of its
+// Mat's shared vectors: Ints is Mat.Elems, Starts is Mat.Starts from the
+// column's own first entry, and Stride is the number of array columns, so
+// Starts[i·Stride]:Starts[i·Stride+1] delimits row i's elements.
 type Col struct {
 	Ints   []int64
-	Starts []int32 // nil for scalar columns; len(Keys)+1 otherwise
+	Starts []int32 // nil for scalar columns
+	Stride int
 }
 
 // Array returns row i's elements of an array column. The view aliases the
@@ -71,7 +82,8 @@ type Col struct {
 // after the vectors are unpublished, so callers may retain it as long as
 // they need.
 func (c *Col) Array(i int) []int64 {
-	return c.Ints[c.Starts[i]:c.Starts[i+1]:c.Starts[i+1]]
+	j := i * c.Stride
+	return c.Ints[c.Starts[j]:c.Starts[j+1]:c.Starts[j+1]]
 }
 
 // Cache is one byte-budgeted set of materialized tables.

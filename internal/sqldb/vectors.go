@@ -16,21 +16,20 @@ import (
 
 // vectorBytes is the exact size of a segment table's materialized vectors —
 // vcache.Mat.Bytes before the Mat exists — from what open already knows: the
-// shared key directory, one int64 per row and BIGINT column, rows+1 starts
-// per BIGINT[] column, and one int64 per array element. Every varint of an
-// all-integer data region is a BIGINT, an array's length prefix or an array
-// element, so the elements are the varints minus one per row and column.
+// shared key directory, one int64 per row and BIGINT column, one int64 per
+// array element, and one int32 start per row and BIGINT[] column plus the
+// final end. Every varint of an all-integer data region is a BIGINT, an
+// array's length prefix or an array element, so the elements are the varints
+// minus one per row and column.
 func vectorBytes(types []sqltypes.Type, rows, varints int) int64 {
-	n := int64(rows)
-	size := 16*n + 8*(int64(varints)-n*int64(len(types)))
+	n, arrays := int64(rows), int64(0)
 	for _, typ := range types {
-		if typ == sqltypes.Int64 {
-			size += 8 * n
-		} else {
-			size += 4 * (n + 1)
+		if typ == sqltypes.IntArray {
+			arrays++
 		}
 	}
-	return size
+	elems := int64(varints) - n*int64(len(types))
+	return 16*n + 8*(n*(int64(len(types))-arrays)+elems) + 4*(n*arrays+1)
 }
 
 // vcacheMat returns the table's materialized vectors, building them on first
@@ -46,15 +45,15 @@ func (t *Table) vcacheMat() (*vcache.Mat, error) {
 	return t.vcE.Materialize(t.materialize)
 }
 
-// materialize decodes the table's whole segment into column vectors for the
-// resident vector cache: the key directory is shared with the segment (both
-// immutable), scalar columns become one int64 per row, and array columns are
-// flattened with a starts index. The data region is read directly from the
-// device — one bulk pass that must not displace label pages from the buffer
-// pool. A counting pass over the bytes in memory sizes every column, the
-// vectors are carved out of two allocations of exactly that size (so
-// Mat.Bytes is vectorBytes, which the cache admitted the table on), and the
-// rows are decoded straight into them with the segment codec.
+// materialize decodes the table's whole segment into vectors for the resident
+// vector cache: the key directory is shared with the segment (both
+// immutable), each scalar column becomes one int64 per row, and the elements
+// of every array, row by row, one shared vector indexed by one shared vector
+// of starts. The data region is read directly from the device — one bulk pass
+// that must not displace label pages from the buffer pool — and decoded in
+// one pass: the varints open counted size every vector, so they are allocated
+// once, at exactly vectorBytes (the size the cache admitted the table on),
+// and every row is decoded straight into them.
 //
 // hotpath:cold — runs once per residency, off the lookup path.
 func (t *Table) materialize() (*vcache.Mat, error) {
@@ -62,57 +61,49 @@ func (t *Table) materialize() (*vcache.Mat, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sqldb: table %q: %w", t.def.Name, err)
 	}
-	n := t.seg.NumRows()
-	elems := make([]int, len(t.types))
-	nInts, nArrays := 0, 0
-	for i, off := 0, 0; i < n; i++ {
-		end := off + int(t.seg.RowLen(i))
-		if err := sqltypes.CountSegRow(data[off:end], t.types, elems); err != nil {
-			return nil, fmt.Errorf("sqldb: %s: %w", t.def.Name, err)
-		}
-		off = end
-	}
-	for ci, typ := range t.types {
-		switch {
-		case typ == sqltypes.Int64:
-			elems[ci] = n
-		case elems[ci] > math.MaxInt32:
-			return nil, fmt.Errorf("sqldb: %s: column %d overflows the vector index", t.def.Name, ci)
-		default:
-			nArrays++
-		}
-		nInts += elems[ci]
-	}
-	ints := make([]int64, nInts)
-	starts := make([]int32, nArrays*(n+1))
-	m := &vcache.Mat{
-		Keys:  t.seg.Keys(),
-		Cols:  make([]vcache.Col, len(t.types)),
-		Bytes: int64(n)*16 + int64(len(ints))*8 + int64(len(starts))*4,
-	}
-	// vecs[ci] is column ci's vector while it fills: empty, its capacity the
-	// column's share of ints.
-	vecs := make([][]int64, len(t.types))
-	for ci, typ := range t.types {
-		vecs[ci], ints = ints[:0:elems[ci]], ints[elems[ci]:]
+	n, arrays := t.seg.NumRows(), 0
+	for _, typ := range t.types {
 		if typ == sqltypes.IntArray {
-			m.Cols[ci].Starts, starts = starts[:n+1:n+1], starts[n+1:]
+			arrays++
 		}
 	}
+	scalars := len(t.types) - arrays
+	nElems := t.varints - n*len(t.types)
+	if nElems < 0 || nElems > math.MaxInt32 {
+		return nil, fmt.Errorf("sqldb: %s: %d array elements do not fit the vector index", t.def.Name, nElems)
+	}
+	ints := make([]int64, n*scalars+nElems)
+	starts := make([]int32, n*arrays+1)
+	elems, row := ints[n*scalars:n*scalars], make([]int64, scalars)
 	for i, off := 0, 0; i < n; i++ {
 		end := off + int(t.seg.RowLen(i))
-		if err := sqltypes.DecodeSegRowColumns(data[off:end], t.types, vecs); err != nil {
+		elems, err = sqltypes.DecodeSegRowVectors(data[off:end], t.types, row, elems, starts[i*arrays+1:])
+		if err != nil {
 			return nil, fmt.Errorf("sqldb: %s: %w", t.def.Name, err)
 		}
-		off = end
-		for ci := range m.Cols {
-			if st := m.Cols[ci].Starts; st != nil {
-				st[i+1] = int32(len(vecs[ci]))
-			}
+		for k, v := range row {
+			ints[k*n+i] = v
 		}
+		off = end
 	}
-	for ci := range m.Cols {
-		m.Cols[ci].Ints = vecs[ci]
+	if len(elems) != nElems {
+		return nil, fmt.Errorf("sqldb: %s: decoded %d array elements, open counted %d", t.def.Name, len(elems), nElems)
+	}
+	m := &vcache.Mat{
+		Keys:   t.seg.Keys(),
+		Cols:   make([]vcache.Col, len(t.types)),
+		Elems:  elems,
+		Starts: starts,
+		Bytes:  int64(n)*16 + int64(len(ints))*8 + int64(len(starts))*4,
+	}
+	for ci, k, a := 0, 0, 0; ci < len(t.types); ci++ {
+		if t.types[ci] == sqltypes.Int64 {
+			m.Cols[ci].Ints = ints[k*n : (k+1)*n : (k+1)*n]
+			k++
+		} else {
+			m.Cols[ci] = vcache.Col{Ints: elems, Starts: starts[a:], Stride: arrays}
+			a++
+		}
 	}
 	return m, nil
 }

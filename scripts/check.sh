@@ -2,8 +2,9 @@
 # Full pre-merge gate: formatting, vet, project lint, build, and the whole
 # test suite under the race detector with shuffled test order, then once more
 # with module-wide coverage, which must reach every function outside cmd/ and
-# examples/, the general SQL engine's coverage by its callers alone, a
-# 10-second fuzz of the HTTP time parameter, then the benchmark module
+# examples/, the general SQL engine's coverage by its callers alone,
+# 10-second fuzzes of the HTTP time parameter and of the segment codec's two
+# row decoders, then the benchmark module
 # (benchmark/ is a module of its own, invisible to ./...), a look at what
 # ptldb-build leaves in a database directory, the console on it, and what
 # becomes of that directory once its catalog stops declaring the label run
@@ -101,6 +102,12 @@ if git grep -nE 'evictLocked|evictEntryLocked|DropAll|second-chance|\.hand\b' --
     echo "no clock ring, no hand, no eviction, no DropAll (DB.DropCaches unloads each entry)" >&2
     exit 1
 fi
+echo "== a vector-cache table is decoded in one pass (internal/sqldb)"
+if git grep -nE 'CountSegRow|DecodeSegRowColumns' -- '*.go'; then
+    echo "Table.materialize sizes a table's vectors from the varints open counted and decodes each row once," >&2
+    echo "with sqltypes.DecodeSegRowVectors, into row-major array vectors: no counting pass, no per-column vectors" >&2
+    exit 1
+fi
 echo "== go vet ./..."
 go vet ./...
 echo "== ptldb-analyze ./... (project lint)"
@@ -148,6 +155,8 @@ if [ -n "$unreached" ]; then
 fi
 echo "== fuzz smoke: an accepted time parameter is the 32-bit time it spells (internal/serve)"
 go test -run '^$' -fuzz '^FuzzTimeParam$' -fuzztime 10s ./internal/serve
+echo "== fuzz smoke: the vector decoder agrees with the row decoder (internal/sqldb/sqltypes)"
+go test -run '^$' -fuzz '^FuzzSegCodecRoundTrip$' -fuzztime 10s ./internal/sqldb/sqltypes
 echo "== fused allocs/op ratchet (no race detector)"
 go test -run 'TestFusedAllocsBudget' -count=1 .
 echo "== bench smoke (fused executor, 5 iterations)"
