@@ -6,13 +6,14 @@ package ptldb
 // one seek per file, and one more for the metadata row — and a table the
 // cache cannot hold is decided on at open from its exact vector size, so the
 // first query reads its rows' own pages and no table is bulk-read to be
-// thrown away. It also checks that size against the vectors actually built,
+// thrown away. It also checks that size against the vectors Open builds,
 // table by table, on the paper's Figure 1 store and a synthetic city.
 
 import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -123,11 +124,13 @@ func TestColdStartReads(t *testing.T) {
 	}
 }
 
-// TestVectorSizeMatchesPrediction touches the tables of a store one at a
-// time under an ample budget. The cache admits a table on the size predicted
-// at open and refuses vectors of any other size, so each touch succeeding
-// proves prediction == Mat.Bytes; the resident bytes growing by exactly the
-// size worked out here from the rows proves both are right.
+// TestVectorSizeMatchesPrediction reopens a store under budgets that grow
+// by one table at a time, in catalog order: the sum of the vector sizes
+// worked out here from the rows of the first k all-integer tables. Open
+// admits a table on the size predicted from its varints and refuses vectors
+// of any other size, so the open succeeding proves prediction == Mat.Bytes;
+// exactly the first k tables resident, in exactly that many bytes, proves
+// both are right, table by table.
 func TestVectorSizeMatchesPrediction(t *testing.T) {
 	austin, err := GenerateCity("Austin", 0.01, 7)
 	if err != nil {
@@ -146,21 +149,19 @@ func TestVectorSizeMatchesPrediction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer db.Close()
 		if err := db.AddTargetSet("poi", city.targets, 4); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.DropCaches(); err != nil {
+			db.Close()
 			t.Fatal(err)
 		}
 		sdb := db.Store().DB
-		checked := 0
-		for _, name := range sdb.Tables() {
-			tbl, _ := sdb.Table(name)
+		names := sdb.Tables()
+		slices.Sort(names) // catalog order
+		var sizes []int64
+		for _, name := range names {
 			if name == "stops" || name == "ptldb_meta" {
 				continue // a table with a DOUBLE or TEXT column has no vectors
 			}
-			before := db.Snapshot().VCache
+			tbl, _ := sdb.Table(name)
 			// 16·rows + 8·(scalar values + elements) + 4·(rows·arrays + 1).
 			rows, values, arrays := int64(0), int64(0), int64(0)
 			err := tbl.Scan(func(r sqltypes.Row) error {
@@ -182,17 +183,29 @@ func TestVectorSizeMatchesPrediction(t *testing.T) {
 					arrays++
 				}
 			}
-			want := 16*rows + 8*values + 4*(rows*arrays+1)
-			after := db.Snapshot().VCache
-			if got := after.ResidentBytes - before.ResidentBytes; got != want || after.Materializations != before.Materializations+1 {
-				t.Errorf("%s/%s: %d rows materialized into %d bytes (%d materializations), its rows need %d",
-					city.name, name, rows, got, after.Materializations-before.Materializations, want)
-			}
-			checked++
+			sizes = append(sizes, 16*rows+8*values+4*(rows*arrays+1))
 		}
-		if checked < 7 || db.Snapshot().VCache.Declined != 0 {
-			t.Errorf("%s: checked %d segment tables, %d declined; want the two labels and five target-set tables, none declined",
-				city.name, checked, db.Snapshot().VCache.Declined)
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if len(sizes) != 7 {
+			t.Fatalf("%s: %d segment tables with vectors; want the two labels and five target-set tables", city.name, len(sizes))
+		}
+		budget := int64(0)
+		for k, size := range sizes {
+			budget += size
+			db, err := Open(dir, Config{Device: "ram", VectorCacheBytes: budget})
+			if err != nil {
+				t.Fatalf("%s: budget of the first %d tables: %v", city.name, k+1, err)
+			}
+			vc := db.Snapshot().VCache
+			if vc.ResidentBytes != budget || vc.Materializations != uint64(k+1) || vc.Declined != uint64(len(sizes)-k-1) {
+				t.Errorf("%s: a budget of %d bytes, the first %d tables' vectors: vcache = %+v; want exactly those tables resident",
+					city.name, budget, k+1, *vc)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

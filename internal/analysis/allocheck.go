@@ -17,7 +17,7 @@ package analysis
 // A "hotpath:cold" marker anywhere in the comment block directly above a
 // statement (or trailing on its first line) inside a hot function exempts
 // just that statement's subtree — the escape hatch for deliberate slow
-// paths like a miss that falls back to materialization.
+// paths like a text column the integer-only kernels never decode.
 //
 // Flagged inside hot functions: map and slice composite literals, &T{}
 // literals, new, make and append outside the arena capacity-growth protocol

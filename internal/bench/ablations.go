@@ -126,8 +126,8 @@ type coldCost struct {
 
 // coldReads runs fn for queries 0..n-1, dropping db's caches before each, and
 // returns their cost per query; dropping the caches is not timed. The handle
-// must have no vector cache: rebuilding it after every drop would be counted
-// too.
+// must have no vector cache: DropCaches keeps the vectors Open decoded, so a
+// table the cache admitted would read nothing and count nothing.
 func coldReads(db *ptldb.DB, n int, fn func(i int) error) (coldCost, error) {
 	var totalPages, totalSeeks uint64
 	var wall time.Duration
@@ -258,7 +258,7 @@ func (w *Workspace) AblationLayout() (*Table, error) {
 			return nil, nil, err
 		}
 		pool.Register(f)
-		seg, err := storage.OpenSegment(f, pool)
+		seg, _, err := storage.OpenSegment(f, pool, nil)
 		if err != nil {
 			f.Close()
 			return nil, nil, err

@@ -280,7 +280,11 @@ func (w *Workspace) NewWorkload(ds *Dataset, n int) Workload {
 
 // MeasureQueries runs fn once per workload entry, one query after another
 // (the paper's protocol), after a cold start and returns the average time per
-// query: wall clock plus simulated device time.
+// query: wall clock plus simulated device time. The cold start is
+// DB.DropCaches: the buffer pool emptied and every read position forgotten.
+// It keeps the resident vectors, which Open decoded, so on a handle with a
+// vector cache the tables it admitted read nothing from the device and the
+// first query pays no re-read or decode.
 func MeasureQueries(db *ptldb.DB, n int, fn func(i int) error) (time.Duration, error) {
 	if err := db.DropCaches(); err != nil {
 		return 0, err

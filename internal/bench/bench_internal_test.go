@@ -115,28 +115,40 @@ func TestAllExperimentsRun(t *testing.T) {
 	}
 }
 
+// TestMeasureQueriesChargesIO: without a vector cache a cold HDD query costs
+// at least one simulated random read (12ms); with the default budget Open
+// decoded every label table, and the measured queries read nothing.
 func TestMeasureQueriesChargesIO(t *testing.T) {
 	w := tinyWorkspace(t)
 	ds, err := w.Dataset("Austin")
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := w.Open(ds, "hdd")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	wl := w.NewWorkload(ds, 3)
-	avg, err := MeasureQueries(db, 3, func(i int) error {
-		_, _, err := db.EarliestArrival(wl.Sources[i], wl.Goals[i], wl.Starts[i])
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A cold HDD query must cost at least one simulated random read (12ms).
-	if avg < 4*time.Millisecond {
-		t.Errorf("avg cold HDD v2v query %v implausibly fast", avg)
+	for _, budget := range []int64{-1, 0} {
+		w.cfg.VCacheBytes = budget
+		db, err := w.Open(ds, "hdd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		wl := w.NewWorkload(ds, 3)
+		avg, err := MeasureQueries(db, 3, func(i int) error {
+			_, _, err := db.EarliestArrival(wl.Sources[i], wl.Goals[i], wl.Starts[i])
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := db.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if budget < 0 && avg < 4*time.Millisecond {
+			t.Errorf("avg cold HDD v2v query %v implausibly fast", avg)
+		}
+		if budget == 0 && st.SimulatedIO != 0 {
+			t.Errorf("the default vector cache: the measured queries charged %v of simulated I/O; want none", st.SimulatedIO)
+		}
+		db.Close()
 	}
 }
 

@@ -106,7 +106,7 @@ func (s *Store) AddTargetSet(name string, targets []timetable.StopID, kmax int) 
 		func() error { return tbls[otmEATable].BulkLoad(s.condensedEARows(hubs, byHub, kmaxOTM)) },
 		func() error { return tbls[otmLDTable].BulkLoad(s.condensedLDRows(hubs, byHub, kmaxOTM)) },
 	}
-	if err := runJobs(s.workers, jobs); err != nil {
+	if err := sqldb.RunJobs(s.workers, jobs); err != nil {
 		return err
 	}
 	if err := s.prepareSet(name, kmax); err != nil {

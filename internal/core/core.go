@@ -240,7 +240,7 @@ func Build(db *sqldb.DB, labels *ttl.Labels, opts BuildOptions) (*Store, error) 
 		stops := opts.Stops
 		jobs = append(jobs, func() error { return loadStops(stopsTbl, stops) })
 	}
-	if err := runJobs(opts.Workers, jobs); err != nil {
+	if err := sqldb.RunJobs(opts.Workers, jobs); err != nil {
 		return nil, err
 	}
 	base.fold(*outRange)
@@ -330,7 +330,7 @@ func loadLabelTables(db *sqldb.DB, suffix string, labels *ttl.Labels, vm *Versio
 	if err != nil {
 		return err
 	}
-	if err := runJobs(workers, jobs); err != nil {
+	if err := sqldb.RunJobs(workers, jobs); err != nil {
 		return err
 	}
 	vm.fold(*out)

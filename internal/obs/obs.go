@@ -168,7 +168,8 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 // every device page read of the handle's files by how the device model
 // charged it — a seek, or a transfer following the previously read page of
 // the same file — so RandReads is the exact seek count. Their sum is at least
-// Misses: segment opens and vector materialization read past the pool.
+// Misses: segment opens, which also keep what the vector cache decodes, read
+// past the pool.
 type PoolMetrics struct {
 	Hits      Counter
 	Misses    Counter
@@ -260,15 +261,18 @@ func (m *SegmentMetrics) Snapshot() SegmentSnapshot {
 }
 
 // VCacheMetrics are the resident vector cache's counters: lookups served
-// from materialized column vectors (hits), lookups that found the table not
-// resident (misses), materializations performed (singleflight — concurrent
-// first-touch queries share one), tables declined at registration because
-// their vectors do not fit what the tables admitted before them left of the
-// budget (their lookups bypass the cache and count as neither hit nor miss),
-// the current resident bytes, and the latency of each materialization
-// (segment read + decode).
+// from decoded column vectors (hits), tables decoded and published
+// (materializations: every admitted table, once, at open), tables declined at
+// registration because their vectors do not fit what the tables admitted
+// before them left of the budget (their lookups bypass the cache and count as
+// neither hit nor miss), the current resident bytes, and the latency of each
+// decode.
 type VCacheMetrics struct {
-	Hits   Counter
+	Hits Counter
+	// Misses is never incremented: an admitted table is resident before a
+	// lookup can reach it. It and its snapshot field stay while the benchmark
+	// harness reads them (vcache.hit_ratio, which reads 1 wherever a table
+	// is admitted).
 	Misses Counter
 	// Evictions is never incremented: an admitted table keeps its share until
 	// it is dropped. It and its snapshot field leave with the next

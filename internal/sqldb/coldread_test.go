@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -110,8 +111,8 @@ func rowVectorBytes(types []sqltypes.Type, rows []sqltypes.Row) int64 {
 
 // TestVectorSizePrediction: for every awkward table the size predicted from
 // the varint count, the size worked out from the rows, Mat.Bytes and the
-// bytes actually allocated all agree, and materialize allocates per column,
-// not per row. The prediction holds for all-BIGINT/BIGINT[] tables only, so a
+// bytes actually allocated all agree, and decode allocates per column, not
+// per row. The prediction holds for all-BIGINT/BIGINT[] tables only, so a
 // table with a DOUBLE or TEXT column is never registered with the cache.
 func TestVectorSizePrediction(t *testing.T) {
 	dir := t.TempDir()
@@ -146,18 +147,12 @@ func TestVectorSizePrediction(t *testing.T) {
 		rows := spec.rows()
 		want := rowVectorBytes(sf.types, rows)
 
-		data, err := sf.seg.LoadData()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := vectorBytes(sf.types, sf.seg.NumRows(), sqltypes.CountSegVarints(data)); got != want {
+		data, varints := dataRegion(t, sf)
+		if got := vectorBytes(sf.types, sf.seg.NumRows(), varints); got != want {
 			t.Errorf("%s: predicted %d bytes of vectors, its rows need %d", spec.name, got, want)
 		}
 
-		m, err := sf.materialize()
-		if err != nil {
-			t.Fatalf("%s: %v", spec.name, err)
-		}
+		m := sf.vcE.Acquire() // what Open decoded
 		// The scalar columns own a vector each; the array columns share
 		// Elems and Starts, counted once.
 		allocated := int64(cap(m.Keys))*16 + 8*int64(cap(m.Elems)) + 4*int64(cap(m.Starts))
@@ -188,18 +183,33 @@ func TestVectorSizePrediction(t *testing.T) {
 			}
 		}
 
-		// Six allocations whatever the row count — the data region, the
-		// int64 and starts vectors, one row's scalars, the Mat and its column
-		// headers — and one more under the race detector.
+		// Five allocations whatever the row count — the int64 and starts
+		// vectors, one row's scalars, the Mat and its column headers — and
+		// one more under the race detector.
 		allocs := testing.AllocsPerRun(5, func() {
-			if _, err := sf.materialize(); err != nil {
+			if _, err := sf.decode(data, varints); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if allocs > 7 {
-			t.Errorf("%s: materialize made %.0f allocations for %d rows, want <= 7", spec.name, allocs, len(rows))
+		if allocs > 6 {
+			t.Errorf("%s: decode made %.0f allocations for %d rows, want <= 6", spec.name, allocs, len(rows))
 		}
 	}
+}
+
+// dataRegion reads tbl's data region again and counts its varints, as open
+// does.
+func dataRegion(t *testing.T, tbl *Table) ([]byte, int) {
+	t.Helper()
+	varints := 0
+	_, data, err := storage.OpenSegment(tbl.file, tbl.db.pool, func(_, _ int, chunk []byte) bool {
+		varints += sqltypes.CountSegVarints(chunk)
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data, varints
 }
 
 // TestOpenReadsEachFileOnce: opening an N-segment database costs N seeks —
@@ -235,7 +245,7 @@ func TestOpenReadsEachFileOnce(t *testing.T) {
 // TestDeclinedTableIsNeverBulkRead: under a budget one byte short of a
 // table's vectors the table is declined at open and its first lookup reads
 // the row's own pages and nothing else; at exactly its size the table is
-// admitted and the first lookup is the one bulk read.
+// admitted, open reads each of its pages exactly once, and lookups read none.
 func TestDeclinedTableIsNeverBulkRead(t *testing.T) {
 	spec := awkwardTables[0]
 	rows := spec.rows()
@@ -300,20 +310,72 @@ func TestDeclinedTableIsNeverBulkRead(t *testing.T) {
 
 	db, sf = open(size)
 	defer db.Close()
+	if got, pages := sf.file.Reads(), uint64(sf.file.NumPages()); got != pages {
+		t.Errorf("admitted table: open made %d device reads of its %d pages; want each page once", got, pages)
+	}
 	reads = sf.file.Reads()
 	lookup(db)
 	lookup(db)
 	after = db.Registry().Snapshot()
-	if vc := after.VCache; vc.Declined != 0 || vc.Materializations != 1 || vc.ResidentBytes != size || vc.Hits != 1 {
-		t.Errorf("table that fits exactly: vcache = %+v; want one materialization of %d bytes", *vc, size)
+	if vc := after.VCache; vc.Declined != 0 || vc.Materializations != 1 || vc.ResidentBytes != size || vc.Hits != 2 || vc.Misses != 0 {
+		t.Errorf("table that fits exactly: vcache = %+v; want one materialization of %d bytes and two hits", *vc, size)
 	}
-	var dataBytes uint64
-	for i := 0; i < sf.seg.NumRows(); i++ {
-		dataBytes += uint64(sf.seg.RowLen(i))
+	if got := sf.file.Reads() - reads; got != 0 || after.Pool.Misses != 0 {
+		t.Errorf("admitted table: lookups made %d device reads and %d pool misses; want none", got, after.Pool.Misses)
 	}
-	if got, want := sf.file.Reads()-reads, (dataBytes+storage.PageSize-1)/storage.PageSize; got != want || after.Pool.Misses != 0 {
-		t.Errorf("admitted table: %d device reads and %d pool misses; want its %d data pages once, past the pool",
-			got, after.Pool.Misses, want)
+}
+
+// TestDeclinedTableKeepsNoRegion: a table too large for the cache is let go
+// at the first chunk of its open pass, before its data region is allocated,
+// even when the varints of that chunk alone would fit: the region's size
+// bounds its varints from below too. The open allocates what an open without
+// a cache does, give or take a few closures, not the region's kilobytes.
+func TestDeclinedTableKeepsNoRegion(t *testing.T) {
+	spec := awkwardTables[0]
+	rows := spec.rows()
+	dir := t.TempDir()
+	db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := mkTable(t, db, spec.name, spec.pk, spec.cols...)
+	if err := tbl.BulkLoad(rows); err != nil {
+		t.Fatal(err)
+	}
+	types, size := tbl.types, rowVectorBytes(tbl.types, rows)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	image, err := os.ReadFile(filepath.Join(dir, spec.name+".seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := sqltypes.CountSegVarints(image[storage.PageSize : 2*storage.PageSize])
+	budget := vectorBytes(types, len(rows), first) + 1
+	if budget >= size {
+		t.Fatalf("a budget of %d bytes holds the table's %d; the test wants it declined", budget, size)
+	}
+	allocated := func(budget int64) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256, VectorCacheBytes: budget})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if vc := db.Registry().Snapshot().VCache; vc != nil && vc.Declined != 1 {
+			t.Errorf("budget %d: vcache = %+v; want the table declined", budget, *vc)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	allocated(0) // whatever an open allocates once per process
+	without, declined := allocated(0), allocated(budget)
+	if declined > without+uint64(len(image))/8 {
+		t.Errorf("an open declining the table allocated %d bytes, one without a cache %d; its file is %d bytes",
+			declined, without, len(image))
 	}
 }
 
@@ -351,8 +413,9 @@ func TestDropCachesForgetsReadPosition(t *testing.T) {
 
 // TestFailedDropCachesDropsNothing: DropCaches empties the pool first, and
 // that is all or nothing, so when a page is still pinned the call fails
-// before it unloads a vector or forgets a read position. Once the pin is
-// released the same call empties both tiers.
+// before it forgets a read position. Once the pin is released the same call
+// empties the pool and leaves the resident vectors: they are what the table's
+// open decoded, like its key directory.
 func TestFailedDropCachesDropsNothing(t *testing.T) {
 	db, err := Open(t.TempDir(), Options{Device: storage.RAM, PoolPages: 256, VectorCacheBytes: 1 << 20})
 	if err != nil {
@@ -362,9 +425,6 @@ func TestFailedDropCachesDropsNothing(t *testing.T) {
 	tbl := mkTable(t, db, "lab", []string{"k"}, "k", "xs:arr")
 	load(t, tbl, sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewIntArray([]int64{1, 2})},
 		sqltypes.Row{sqltypes.NewInt(2), sqltypes.NewIntArray([]int64{3})})
-	if _, ok, err := tbl.LookupPK([]int64{2}); err != nil || !ok {
-		t.Fatalf("LookupPK(2) = %v, %v", ok, err)
-	}
 	vc := db.Registry().VCache
 	resident := vc.ResidentBytes.Load()
 	if resident == 0 || vc.Materializations.Load() != 1 {
@@ -381,14 +441,14 @@ func TestFailedDropCachesDropsNothing(t *testing.T) {
 	if got, n := vc.ResidentBytes.Load(), db.Pool().NumFrames(); got != resident || n != frames {
 		t.Fatalf("the failed DropCaches left %d resident bytes and %d frames; want %d and %d untouched", got, n, resident, frames)
 	}
-	if _, ok, err := tbl.LookupPK([]int64{1}); err != nil || !ok || vc.Materializations.Load() != 1 {
-		t.Fatalf("LookupPK(1) = %v, %v after %d materializations; want a hit on the resident vectors", ok, err, vc.Materializations.Load())
-	}
 	db.Pool().Unpin(fr)
 	if err := db.DropCaches(); err != nil {
 		t.Fatal(err)
 	}
-	if got, n := vc.ResidentBytes.Load(), db.Pool().NumFrames(); got != 0 || n != 0 {
-		t.Fatalf("DropCaches left %d resident bytes and %d frames", got, n)
+	if got, n := vc.ResidentBytes.Load(), db.Pool().NumFrames(); got != resident || n != 0 {
+		t.Fatalf("DropCaches left %d resident bytes and %d frames; want %d and 0", got, n, resident)
+	}
+	if row, ok, err := tbl.LookupPK([]int64{1}); err != nil || !ok || len(row[1].A) != 2 || vc.Materializations.Load() != 1 {
+		t.Fatalf("LookupPK(1) = %v, %v, %v after %d materializations; want a hit on the resident vectors", row, ok, err, vc.Materializations.Load())
 	}
 }

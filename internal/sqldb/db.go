@@ -127,11 +127,12 @@ type DB struct {
 }
 
 // Open opens the database in dir, an empty one when dir has no catalog yet
-// (the directory is created if needed; no other file ever is). Every
-// catalogued table must have its segment: one that is missing, or fails
-// validation (wrapping storage.ErrCorruptSegment), fails the whole open with
-// an error naming the table, and nothing stays open behind the error. The
-// recovery is a rebuild.
+// (the directory is created if needed; no other file ever is), and returns
+// once every table the vector cache admits is decoded and resident. Every
+// catalogued table must have its segment: one that is missing, fails
+// validation (wrapping storage.ErrCorruptSegment) or holds a row an admitted
+// table's decode rejects fails the whole open with an error naming the
+// table, and nothing stays open behind the error. The recovery is a rebuild.
 func Open(dir string, opts Options) (*DB, error) {
 	if opts.Device.Name == "" {
 		opts.Device = storage.SSD
@@ -165,19 +166,28 @@ func Open(dir string, opts Options) (*DB, error) {
 	if err := json.Unmarshal(cat, &defs); err != nil {
 		return nil, fmt.Errorf("sqldb: parse catalog: %w", err)
 	}
+	// Tables open one after another, in catalog order, so the cache admits
+	// them in that order; the admitted ones then decode on every core.
+	var jobs []func() error
 	for _, def := range defs {
 		def.Name = strings.ToLower(def.Name)
-		t, err := db.newTable(def)
-		if err == nil {
-			err = t.open()
+		var t *Table
+		if t, err = db.newTable(def); err == nil {
+			jobs, err = t.open(jobs)
 		}
 		if err != nil {
-			for _, t := range db.tables {
-				_ = t.file.Close() // best-effort cleanup; the open failure wins
-			}
-			return nil, err
+			break
 		}
 		db.tables[def.Name] = t
+	}
+	if err == nil {
+		err = RunJobs(0, jobs)
+	}
+	if err != nil {
+		for _, t := range db.tables {
+			_ = t.file.Close() // best-effort cleanup; the open failure wins
+		}
+		return nil, err
 	}
 	return db, nil
 }
@@ -195,9 +205,10 @@ func (db *DB) Pool() *storage.Pool { return db.pool }
 func (db *DB) Device() storage.DeviceModel { return db.dev }
 
 // DropCaches empties the buffer pool — all or nothing: a pinned page fails the
-// call before anything is dropped — then unloads every table's resident
-// vectors and forgets where its file was last read, emulating the paper's
-// server restart + OS cache drop (the first read of any file is a seek).
+// call before anything is dropped — then forgets where every table file was
+// last read, emulating the paper's OS cache drop (the first read of any file
+// is a seek). The resident vectors stay, as the key directories do: both are
+// what Open decoded, and a server restart is Close and Open again.
 func (db *DB) DropCaches() error {
 	if err := db.pool.DropCaches(); err != nil {
 		return err
@@ -205,7 +216,6 @@ func (db *DB) DropCaches() error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	for _, t := range db.tables {
-		t.vcE.Unload()
 		if t.file != nil {
 			t.file.ForgetLastRead()
 		}

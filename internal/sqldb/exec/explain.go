@@ -31,9 +31,8 @@ func (p *FusedPlan) Explain() string {
 // binary search + payload pages), served from resident decoded column
 // vectors on handles with a vector cache. The operator semantics are
 // identical; the name records which tier serves the rows (the Vector* names
-// describe the warm steady state — a table not yet materialized, unloaded
-// by DropCaches or declined by the cache still reads its segment at
-// runtime).
+// describe a handle whose cache admitted the table, which Open decoded; a
+// table the cache declined still reads its segment at runtime).
 func (p *FusedPlan) tier() string {
 	if p.vectors {
 		return "Vector"

@@ -419,7 +419,7 @@ func (p *FusedPlan) acquire() *queryState {
 }
 
 // release returns st to the pool, dropping the label and row views so a
-// pooled state never keeps an unpublished cache vector alive.
+// pooled state never keeps a dropped table's cache vectors alive.
 func (p *FusedPlan) release(st *queryState) {
 	st.lab = label{}
 	clear(st.scratch.Row[:cap(st.scratch.Row)])

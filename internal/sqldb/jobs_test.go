@@ -1,4 +1,4 @@
-package core
+package sqldb
 
 import (
 	"errors"
@@ -7,7 +7,7 @@ import (
 
 // TestRunJobsFirstErrorInJobOrder: jobs 2 and 5 fail, and with more than one
 // worker job 5 fails first in time — job 2 does not report until job 5 has.
-// runJobs still returns job 2's error, the first in job order, at every
+// RunJobs still returns job 2's error, the first in job order, at every
 // worker count, and every job runs.
 func TestRunJobsFirstErrorInJobOrder(t *testing.T) {
 	for _, workers := range []int{1, 2, 7} {
@@ -28,8 +28,8 @@ func TestRunJobsFirstErrorInJobOrder(t *testing.T) {
 				return errs[j]
 			}
 		}
-		if err := runJobs(workers, jobs); err != errs[2] {
-			t.Errorf("workers %d: runJobs = %v, want %v", workers, err, errs[2])
+		if err := RunJobs(workers, jobs); err != errs[2] {
+			t.Errorf("workers %d: RunJobs = %v, want %v", workers, err, errs[2])
 		}
 		for j, ok := range ran {
 			if !ok {

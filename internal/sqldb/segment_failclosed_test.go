@@ -290,11 +290,13 @@ func TestOpenFailsClosedOnMissingSegment(t *testing.T) {
 	}
 }
 
-// TestMaterializeRechecksDataCRC: damage that lands after Open (the file is
-// rewritten under a live handle) is caught by LoadData's checksum when the
-// vector cache first materializes the table — the query fails with the same
-// sentinel instead of serving corrupt vectors.
-func TestMaterializeRechecksDataCRC(t *testing.T) {
+// TestDamageAfterOpenNeverReachesVectors: damage that lands after Open (the
+// file is rewritten under a live handle) never reaches an admitted table's
+// answers. Open decoded the table from the bytes it verified, and no second
+// read of the file exists: the lookups keep answering the rows that were
+// loaded and read nothing from the device. The next open of the directory
+// sees the damage and fails closed.
+func TestDamageAfterOpenNeverReachesVectors(t *testing.T) {
 	dir := t.TempDir()
 	buildFaultDB(t, dir)
 	db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256, VectorCacheBytes: 64 << 20})
@@ -312,25 +314,33 @@ func TestMaterializeRechecksDataCRC(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	tbl, _ := db.Table("bad")
+	bad, _ := db.Table("bad")
+	reads := bad.file.Reads()
 	var s exec.RowScratch
-	_, _, err = tbl.LookupPKScratch([]int64{123}, &s)
-	if !errors.Is(err, storage.ErrCorruptSegment) || !strings.Contains(err.Error(), `table "bad"`) {
-		t.Errorf("lookup over a segment damaged after open = %v, want ErrCorruptSegment naming the table", err)
-	}
-	if good, _ := db.Table("good"); good != nil {
-		if _, ok, err := good.LookupPKScratch([]int64{123}, &s); err != nil || !ok {
-			t.Errorf("intact table: %v, %v", ok, err)
+	for k := int64(0); k < 3000; k += 7 {
+		row, ok, err := bad.LookupPKScratch([]int64{k}, &s)
+		if err != nil || !ok || row[1].I != 3*k || len(row[2].A) != 3 || row[2].A[2] != k+2 {
+			t.Fatalf("lookup(%d) over a segment damaged after open = %v, %v, %v; want the row loaded", k, row, ok, err)
 		}
+	}
+	if got := bad.file.Reads() - reads; got != 0 {
+		t.Errorf("lookups of an admitted table made %d device reads; want none", got)
+	}
+	if db2, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256}); err == nil {
+		db2.Close()
+		t.Error("the next Open accepted the damaged segment")
+	} else if !errors.Is(err, storage.ErrCorruptSegment) || !strings.Contains(err.Error(), `table "bad"`) {
+		t.Errorf("the next Open = %v, want ErrCorruptSegment naming the table", err)
 	}
 }
 
 // TestMalformedRowFailsMaterialize: a segment whose checksums hold but one of
-// whose rows is malformed opens — open checks the regions, not the rows — and
-// its table's first lookup then fails with an error naming the table: the
-// one-pass decode of the vector cache keeps every check on a row. Nothing is
-// published, the next lookup fails the same way, and the well-formed sibling
-// still serves.
+// whose rows is malformed fails the open of a handle whose vector cache
+// admits the table — open checks the regions, then decodes the rows, and the
+// one-pass decode keeps every check on a row — with an error naming the
+// table, every file closed and the directory as it was, on every retry. The
+// checks are the decode's: a handle without a cache opens the same directory
+// and its well-formed sibling serves.
 func TestMalformedRowFailsMaterialize(t *testing.T) {
 	const rows = 3000
 	// bad.seg's rows are (k, 3k, [k, k+1, k+2]), as buildFaultDB writes them.
@@ -361,45 +371,60 @@ func TestMalformedRowFailsMaterialize(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
-			buildFaultDB(t, dir)
-			sd := storage.SegmentData{
-				Cols:  []byte{byte(sqltypes.Int64), byte(sqltypes.Int64), byte(sqltypes.IntArray)},
-				PKLen: 1,
-			}
-			for k := int64(0); k < rows; k++ {
-				enc := encode(k)
+			writeMalformedBad(t, dir, rows, func(k int64) []byte {
 				if k == c.row {
-					enc = c.enc
+					return c.enc
 				}
-				sd.Keys = append(sd.Keys, storage.Key{k})
-				sd.Lens = append(sd.Lens, uint32(len(enc)))
-				sd.Data = append(sd.Data, enc...)
+				return encode(k)
+			})
+			listing, before := dirListing(t, dir), openFDs(t)
+			for range 2 {
+				db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256, VectorCacheBytes: 64 << 20})
+				if err == nil {
+					db.Close()
+					t.Fatal("Open admitted a table with a malformed row")
+				}
+				if !strings.Contains(err.Error(), `sqldb: table "bad": `) {
+					t.Errorf("open of a table with a malformed row = %v, want an error naming the table", err)
+				}
 			}
-			if err := storage.WriteSegmentFile(filepath.Join(dir, "bad.seg"), storage.RAM, new(storage.Clock), sd); err != nil {
-				t.Fatal(err)
+			if after := openFDs(t); after != before {
+				t.Errorf("failed opens leaked file descriptors: %d before, %d after", before, after)
 			}
-			db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256, VectorCacheBytes: 64 << 20})
+			if got := dirListing(t, dir); got != listing {
+				t.Errorf("the failed opens changed the directory:\n%s\nwas:\n%s", got, listing)
+			}
+			db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256})
 			if err != nil {
-				t.Fatalf("open of a checksum-valid segment: %v", err)
+				t.Fatalf("open without a cache of a checksum-valid segment: %v", err)
 			}
 			defer db.Close()
-			bad, _ := db.Table("bad")
-			var s exec.RowScratch
-			for range 2 {
-				if _, _, err := bad.LookupPKScratch([]int64{123}, &s); err == nil || !strings.Contains(err.Error(), "sqldb: bad:") {
-					t.Errorf("lookup in a table with a malformed row = %v, want an error naming the table", err)
-				}
-			}
-			if vc := db.Registry().Snapshot().VCache; vc.Materializations != 0 || vc.ResidentBytes != 0 {
-				t.Errorf("after the failed lookups: vcache = %+v, want nothing published", *vc)
-			}
 			good, _ := db.Table("good")
+			var s exec.RowScratch
 			if row, ok, err := good.LookupPKScratch([]int64{123}, &s); err != nil || !ok || row[1].I != 369 {
 				t.Errorf("well-formed sibling: LookupPKScratch(123) = %v, %v, %v", row, ok, err)
 			}
-			if vc := db.Registry().Snapshot().VCache; vc.Materializations != 1 {
-				t.Errorf("well-formed sibling: vcache = %+v, want one materialization", *vc)
-			}
 		})
+	}
+}
+
+// writeMalformedBad builds the fault database in dir and writes bad.seg anew
+// with rows rows, row k encoded as enc(k); the checksums hold whatever the
+// bytes.
+func writeMalformedBad(t *testing.T, dir string, rows int64, enc func(k int64) []byte) {
+	t.Helper()
+	buildFaultDB(t, dir)
+	sd := storage.SegmentData{
+		Cols:  []byte{byte(sqltypes.Int64), byte(sqltypes.Int64), byte(sqltypes.IntArray)},
+		PKLen: 1,
+	}
+	for k := int64(0); k < rows; k++ {
+		b := enc(k)
+		sd.Keys = append(sd.Keys, storage.Key{k})
+		sd.Lens = append(sd.Lens, uint32(len(b)))
+		sd.Data = append(sd.Data, b...)
+	}
+	if err := storage.WriteSegmentFile(filepath.Join(dir, "bad.seg"), storage.RAM, new(storage.Clock), sd); err != nil {
+		t.Fatal(err)
 	}
 }

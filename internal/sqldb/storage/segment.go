@@ -91,11 +91,9 @@ type Segment struct {
 	cols  []byte // column kind tags, opaque to storage
 	pkLen int
 
-	keys      []Key    // ascending, one per row
-	offs      []int64  // payload start offsets within the data region
-	lens      []uint32 // payload lengths
-	dataBytes uint64   // logical data-region size (sum of lens)
-	dataCRC   uint32   // CRC-32C of the logical data region
+	keys []Key    // ascending, one per row
+	offs []int64  // payload start offsets within the data region
+	lens []uint32 // payload lengths
 }
 
 // SegmentData is the input to WriteSegmentFile: one table's rows in key
@@ -115,8 +113,8 @@ const (
 	segHeaderBytes = 56         // fixed fields + header CRC; column tags follow
 )
 
-// ErrCorruptSegment is wrapped by every validation failure of OpenSegment and
-// LoadData: the file's bytes are not a segment WriteSegmentFile produced.
+// ErrCorruptSegment is wrapped by every validation failure of OpenSegment: the
+// file's bytes are not a segment WriteSegmentFile produced.
 var ErrCorruptSegment = errors.New("corrupt segment")
 
 // corruptSegment builds a validation failure naming the damaged region
@@ -262,31 +260,31 @@ func writeSegRegion(f *PagedFile, b []byte) error {
 // data region comes first in the file its checksum is the one reported when
 // both regions are damaged. (Flips in the zero padding of a region's last
 // page are outside the checksums and harmless: no decode ever reads them.)
-func OpenSegment(file *PagedFile, pool *Pool) (*Segment, error) {
-	return OpenSegmentObserved(file, pool, nil)
-}
-
-// OpenSegmentObserved is OpenSegment with a tap on the pass that checksums
-// the data region: observe, when non-nil, is handed the region's logical
-// bytes chunk by chunk in file order (each chunk is valid only during the
-// call). The payloads stay opaque to storage; the caller that encoded them
-// can derive whatever it needs about them — sqldb sizes the table's decoded
-// vectors — without reading the file a second time. What observe saw is only
-// meaningful when the open succeeds.
-func OpenSegmentObserved(file *PagedFile, pool *Pool, observe func(chunk []byte)) (*Segment, error) {
+//
+// keep, when non-nil, decides whether the open also returns the data region
+// it checksums: it is handed the header's row count and region size, and the
+// region chunk by chunk in file order (each chunk valid only during the
+// call), and the region — a fresh slice of exactly its size, filled page by
+// page, returned only once its checksum matched — is kept for as long as
+// keep returns true. Once keep returns false the open stops copying and
+// calling it, and returns a nil region. The payloads stay opaque to storage:
+// the caller that encoded them decides from them whether it will decode the
+// region, and then does so without reading the file a second time. With a
+// nil keep the region is nil.
+func OpenSegment(file *PagedFile, pool *Pool, keep func(rows, size int, chunk []byte) bool) (*Segment, []byte, error) {
 	var page [PageSize]byte
 	totalPages := uint64(file.NumPages())
 	if totalPages == 0 {
-		return nil, corruptSegment("header", "empty file")
+		return nil, nil, corruptSegment("header", "empty file")
 	}
 	if err := file.ReadPage(0, page[:]); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if binary.LittleEndian.Uint32(page[0:]) != segmentMagic {
-		return nil, corruptSegment("header", "bad magic")
+		return nil, nil, corruptSegment("header", "bad magic")
 	}
 	if v := binary.LittleEndian.Uint32(page[4:]); v != segmentVersion {
-		return nil, corruptSegment("header", "version %d not supported", v)
+		return nil, nil, corruptSegment("header", "version %d not supported", v)
 	}
 	nRows := binary.LittleEndian.Uint64(page[8:])
 	nCols := binary.LittleEndian.Uint32(page[16:])
@@ -297,47 +295,57 @@ func OpenSegmentObserved(file *PagedFile, pool *Pool, observe func(chunk []byte)
 	dataCRC := binary.LittleEndian.Uint32(page[44:])
 	dirCRC := binary.LittleEndian.Uint32(page[48:])
 	if got := binary.LittleEndian.Uint32(page[segHeaderCRCAt:]); got != headerCRC(page[:]) {
-		return nil, corruptSegment("header", "checksum %08x does not match", got)
+		return nil, nil, corruptSegment("header", "checksum %08x does not match", got)
 	}
 	if segHeaderBytes+int(nCols) > PageSize || pkLen < 1 || pkLen > 2 {
-		return nil, corruptSegment("header", "column count or key width out of range")
+		return nil, nil, corruptSegment("header", "column count or key width out of range")
 	}
 	// The page layout is fully determined by the header sizes; requiring an
 	// exact match against the file's real page count catches truncation (and
 	// trailing garbage) before any region is read. Bounding both sizes by the
 	// file itself first keeps the ceiling divisions overflow-free.
 	if dataBytes > totalPages*PageSize || dirBytes > totalPages*PageSize {
-		return nil, corruptSegment("layout", "region sizes exceed the file")
+		return nil, nil, corruptSegment("layout", "region sizes exceed the file")
 	}
 	dataPages := (dataBytes + PageSize - 1) / PageSize
 	dirPages := (dirBytes + PageSize - 1) / PageSize
 	if uint64(dirPage) != 1+dataPages || totalPages != 1+dataPages+dirPages {
-		return nil, corruptSegment("layout", "%d pages, header implies %d data + %d directory",
+		return nil, nil, corruptSegment("layout", "%d pages, header implies %d data + %d directory",
 			totalPages, dataPages, dirPages)
 	}
 	// Every directory entry is at least three bytes, so nRows is bounded by
 	// the (already page-count-checked) directory size — a forged row count
 	// cannot provoke a huge allocation.
 	if nRows > dirBytes/3 {
-		return nil, corruptSegment("directory", "%d rows claimed in %d bytes", nRows, dirBytes)
+		return nil, nil, corruptSegment("directory", "%d rows claimed in %d bytes", nRows, dirBytes)
 	}
 	cols := append([]byte(nil), page[segHeaderBytes:segHeaderBytes+int(nCols)]...)
 
-	// Verify the data region, streaming page by page so the open allocates
-	// nothing proportional to the data size.
-	crc := uint32(0)
+	// Verify the data region page by page. The region is allocated only at
+	// the first chunk keep wants, so a region it turns down at once costs no
+	// allocation proportional to the data size.
+	crc, kept := uint32(0), keep != nil
+	var data []byte
 	for off := uint64(0); off < dataBytes; off += PageSize {
 		if err := file.ReadPage(PageID(1+off/PageSize), page[:]); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		chunk := page[:min(dataBytes-off, PageSize)]
 		crc = crc32.Update(crc, segCRCTable, chunk)
-		if observe != nil {
-			observe(chunk)
+		if kept = kept && keep(int(nRows), int(dataBytes), chunk); kept {
+			if data == nil {
+				data = make([]byte, dataBytes)
+			}
+			copy(data[off:], chunk)
 		}
 	}
 	if crc != dataCRC {
-		return nil, corruptSegment("data", "checksum %08x, header says %08x", crc, dataCRC)
+		return nil, nil, corruptSegment("data", "checksum %08x, header says %08x", crc, dataCRC)
+	}
+	if !kept {
+		data = nil
+	} else if data == nil {
+		data = []byte{} // an empty region, kept
 	}
 
 	// Read and checksum the directory, then decode it.
@@ -345,44 +353,42 @@ func OpenSegmentObserved(file *PagedFile, pool *Pool, observe func(chunk []byte)
 	for off := uint64(0); off < dirBytes; off += PageSize {
 		id := PageID(uint64(dirPage) + off/PageSize)
 		if err := file.ReadPage(id, page[:]); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		copy(dir[off:], page[:])
 	}
 	if got := crc32.Checksum(dir, segCRCTable); got != dirCRC {
-		return nil, corruptSegment("directory", "checksum %08x, header says %08x", got, dirCRC)
+		return nil, nil, corruptSegment("directory", "checksum %08x, header says %08x", got, dirCRC)
 	}
 	s := &Segment{
-		file:      file,
-		pool:      pool,
-		cols:      cols,
-		pkLen:     int(pkLen),
-		keys:      make([]Key, 0, nRows),
-		offs:      make([]int64, 0, nRows),
-		lens:      make([]uint32, 0, nRows),
-		dataBytes: dataBytes,
-		dataCRC:   dataCRC,
+		file:  file,
+		pool:  pool,
+		cols:  cols,
+		pkLen: int(pkLen),
+		keys:  make([]Key, 0, nRows),
+		offs:  make([]int64, 0, nRows),
+		lens:  make([]uint32, 0, nRows),
 	}
 	var dataOff int64
 	for i := uint64(0); i < nRows; i++ {
 		var k Key
 		v, n := binary.Varint(dir)
 		if n <= 0 {
-			return nil, corruptSegment("directory", "bad entry at row %d", i)
+			return nil, nil, corruptSegment("directory", "bad entry at row %d", i)
 		}
 		k[0], dir = v, dir[n:]
 		v, n = binary.Varint(dir)
 		if n <= 0 {
-			return nil, corruptSegment("directory", "bad entry at row %d", i)
+			return nil, nil, corruptSegment("directory", "bad entry at row %d", i)
 		}
 		k[1], dir = v, dir[n:]
 		ln, n := binary.Uvarint(dir)
 		if n <= 0 || ln > dataBytes {
-			return nil, corruptSegment("directory", "bad entry at row %d", i)
+			return nil, nil, corruptSegment("directory", "bad entry at row %d", i)
 		}
 		dir = dir[n:]
 		if i > 0 && !s.keys[i-1].Less(k) {
-			return nil, corruptSegment("directory", "keys not ascending at row %d", i)
+			return nil, nil, corruptSegment("directory", "keys not ascending at row %d", i)
 		}
 		s.keys = append(s.keys, k)
 		s.offs = append(s.offs, dataOff)
@@ -390,12 +396,12 @@ func OpenSegmentObserved(file *PagedFile, pool *Pool, observe func(chunk []byte)
 		dataOff += int64(ln)
 	}
 	if len(dir) != 0 {
-		return nil, corruptSegment("directory", "%d trailing bytes", len(dir))
+		return nil, nil, corruptSegment("directory", "%d trailing bytes", len(dir))
 	}
 	if uint64(dataOff) != dataBytes {
-		return nil, corruptSegment("directory", "payloads sum to %d bytes, header says %d", dataOff, dataBytes)
+		return nil, nil, corruptSegment("directory", "payloads sum to %d bytes, header says %d", dataOff, dataBytes)
 	}
-	return s, nil
+	return s, data, nil
 }
 
 // NumRows returns the row count.
@@ -418,26 +424,6 @@ func (s *Segment) RowLen(i int) uint32 { return s.lens[i] }
 // valid (the memory is immutable) even after the segment is dropped, so the
 // vector cache aliases it instead of copying.
 func (s *Segment) Keys() []Key { return s.keys }
-
-// LoadData reads the segment's whole logical data region directly from the
-// device — deliberately bypassing the buffer pool, so a one-shot bulk read
-// (vector materialization) cannot displace label pages — and verifies the
-// data checksum again before returning it. The result is freshly allocated
-// and owned by the caller.
-func (s *Segment) LoadData() ([]byte, error) {
-	var page [PageSize]byte
-	out := make([]byte, s.dataBytes)
-	for off := uint64(0); off < s.dataBytes; off += PageSize {
-		if err := s.file.ReadPage(PageID(1+off/PageSize), page[:]); err != nil {
-			return nil, err
-		}
-		copy(out[off:], page[:])
-	}
-	if crc := crc32.Checksum(out, segCRCTable); crc != s.dataCRC {
-		return nil, corruptSegment("data", "checksum %08x, header says %08x", crc, s.dataCRC)
-	}
-	return out, nil
-}
 
 // ReadRow copies row i's payload out of the data region through the buffer
 // pool, reusing buf's capacity when it suffices. Payload pages are the only

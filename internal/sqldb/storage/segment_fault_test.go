@@ -34,22 +34,25 @@ func writeFaultSegment(t *testing.T, dir string) (string, SegmentData) {
 // tryOpen opens path as a segment, returning the error (nil if accepted).
 // An OpenPagedFile rejection (unaligned truncation) counts as a rejected
 // segment too. The pool and file are scoped to the call.
-func tryOpen(t *testing.T, path string) (*Segment, *PagedFile, error) {
+func tryOpen(t *testing.T, path string) (*Segment, []byte, *PagedFile, error) {
 	t.Helper()
 	var clock Clock
 	f, err := OpenPagedFile(path, RAM, &clock)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	pool := NewPool(64)
 	pool.Register(f)
-	seg, err := OpenSegment(f, pool)
+	seg, data, err := OpenSegment(f, pool, keepAll)
 	if err != nil {
 		f.Close()
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	return seg, f, nil
+	return seg, data, f, nil
 }
+
+// keepAll keeps every data region it is shown.
+func keepAll(int, int, []byte) bool { return true }
 
 // corrupt copies the pristine image to a fresh file with fn applied.
 func corrupt(t *testing.T, dir, name string, image []byte, fn func(b []byte) []byte) string {
@@ -116,7 +119,7 @@ func TestSegmentFaultRegions(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := corrupt(t, dir, tc.name+".seg", image, tc.fn)
-			seg, f, err := tryOpen(t, p)
+			seg, _, f, err := tryOpen(t, p)
 			if err == nil {
 				f.Close()
 				t.Fatalf("OpenSegment accepted a segment with fault %q (%d rows)", tc.name, seg.NumRows())
@@ -157,7 +160,7 @@ func TestSegmentOpenRandomMutations(t *testing.T) {
 			return b
 		}
 		p := corrupt(t, dir, "mut.seg", image, mutate)
-		seg, f, err := tryOpen(t, p)
+		seg, data, f, err := tryOpen(t, p)
 		if err != nil {
 			continue
 		}
@@ -182,12 +185,8 @@ func TestSegmentOpenRandomMutations(t *testing.T) {
 			}
 			off += int(sd.Lens[i])
 		}
-		data, err := seg.LoadData()
-		if err != nil {
-			t.Fatalf("iter %d: LoadData on accepted segment: %v", iter, err)
-		}
 		if !bytes.Equal(data, sd.Data) {
-			t.Fatalf("iter %d: LoadData mismatch after padding-only mutation", iter)
+			t.Fatalf("iter %d: kept data region mismatch after padding-only mutation", iter)
 		}
 		f.Close()
 	}
@@ -225,7 +224,7 @@ func FuzzOpenSegment(f *testing.F) {
 		defer pf.Close()
 		pool := NewPool(64)
 		pool.Register(pf)
-		seg, err := OpenSegment(pf, pool)
+		seg, data, err := OpenSegment(pf, pool, keepAll)
 		if err != nil {
 			return
 		}
@@ -238,8 +237,12 @@ func FuzzOpenSegment(f *testing.F) {
 				t.Fatalf("row %d: ReadRow returned %d bytes, directory says %d", i, len(buf), seg.RowLen(i))
 			}
 		}
-		if _, err := seg.LoadData(); err != nil {
-			return
+		off := 0
+		for i := 0; i < seg.NumRows(); i++ {
+			off += int(seg.RowLen(i))
+		}
+		if off != len(data) {
+			t.Fatalf("the directory's payloads sum to %d bytes, the kept region holds %d", off, len(data))
 		}
 	})
 }

@@ -19,8 +19,8 @@ import (
 )
 
 // openCounted opens path as a segment on the HDD model with the device
-// counters attached, handing the data region to observe.
-func openCounted(t *testing.T, path string, observe func([]byte)) (f *PagedFile, clock *Clock, seeks, seq *obs.Counter, err error) {
+// counters attached, handing the data region to keep.
+func openCounted(t *testing.T, path string, keep func(int, int, []byte) bool) (f *PagedFile, data []byte, clock *Clock, seeks, seq *obs.Counter, err error) {
 	t.Helper()
 	clock, seeks, seq = &Clock{}, &obs.Counter{}, &obs.Counter{}
 	f, err = OpenPagedFile(path, HDD, clock)
@@ -31,8 +31,8 @@ func openCounted(t *testing.T, path string, observe func([]byte)) (f *PagedFile,
 	f.CountReads(seeks, seq)
 	pool := NewPool(8)
 	pool.Register(f)
-	_, err = OpenSegmentObserved(f, pool, observe)
-	return f, clock, seeks, seq, err
+	_, data, err = OpenSegment(f, pool, keep)
+	return f, data, clock, seeks, seq, err
 }
 
 func TestOpenSegmentReadsFileOnceInOrder(t *testing.T) {
@@ -43,11 +43,13 @@ func TestOpenSegmentReadsFileOnceInOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		var seen []byte
-		f, clock, seeks, seq, err := openCounted(t, path, func(chunk []byte) {
-			if len(chunk) == 0 || len(chunk) > PageSize {
-				t.Errorf("observer got a %d-byte chunk", len(chunk))
+		f, data, clock, seeks, seq, err := openCounted(t, path, func(n, size int, chunk []byte) bool {
+			if len(chunk) == 0 || len(chunk) > PageSize || n != rows || size != len(sd.Data) {
+				t.Errorf("keep got a %d-byte chunk of a %d-row, %d-byte region, want at most a page of %d rows and %d bytes",
+					len(chunk), n, size, rows, len(sd.Data))
 			}
 			seen = append(seen, chunk...)
+			return true
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -63,9 +65,37 @@ func TestOpenSegmentReadsFileOnceInOrder(t *testing.T) {
 		if want := HDD.RandRead + HDD.SeqRead*time.Duration(pages-1); clock.Elapsed() != want {
 			t.Errorf("%d rows: open charged %v, want %v", rows, clock.Elapsed(), want)
 		}
-		if !bytes.Equal(seen, sd.Data) {
-			t.Errorf("%d rows: the observer saw %d bytes, not the %d-byte data region", rows, len(seen), len(sd.Data))
+		if !bytes.Equal(seen, sd.Data) || !bytes.Equal(data, sd.Data) || data == nil || len(data) != cap(data) {
+			t.Errorf("%d rows: keep saw %d bytes and the open kept %d (cap %d), not the %d-byte data region",
+				rows, len(seen), len(data), cap(data), len(sd.Data))
 		}
+	}
+}
+
+// TestOpenSegmentStopsKeeping: once keep turns a region down it is not asked
+// again and no region is returned, but every page is still read and checked —
+// a region turned down at its first chunk and a damaged region alike.
+func TestOpenSegmentStopsKeeping(t *testing.T) {
+	path, sd := writeFaultSegment(t, t.TempDir())
+	dataPages := (len(sd.Data) + PageSize - 1) / PageSize
+	if dataPages < 3 {
+		t.Fatalf("fixture has %d data pages; the test wants at least three", dataPages)
+	}
+	for _, upTo := range []int{0, 1, dataPages - 1} {
+		calls := 0
+		f, data, _, _, _, err := openCounted(t, path, func(int, int, []byte) bool { calls++; return calls <= upTo })
+		if err != nil || data != nil || calls != upTo+1 || f.Reads() != uint64(f.NumPages()) {
+			t.Errorf("keep true for %d chunks: open = %v, region of %d bytes, keep asked %d times, %d of %d pages read; want a nil region after %d calls, every page read",
+				upTo, err, len(data), calls, f.Reads(), f.NumPages(), upTo+1)
+		}
+	}
+	image, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := corrupt(t, t.TempDir(), "data.seg", image, func(b []byte) []byte { b[PageSize+len(sd.Data)/2] ^= 0x40; return b })
+	if _, data, _, _, _, err := openCounted(t, p, keepAll); !errors.Is(err, ErrCorruptSegment) || data != nil {
+		t.Errorf("a damaged region kept: open = %v with %d bytes; want ErrCorruptSegment and no region", err, len(data))
 	}
 }
 
@@ -94,7 +124,7 @@ func TestOpenSegmentCRCPrecedence(t *testing.T) {
 			}
 			return b
 		})
-		_, _, _, _, err := openCounted(t, p, nil)
+		_, _, _, _, _, err := openCounted(t, p, nil)
 		if !errors.Is(err, ErrCorruptSegment) || !strings.Contains(err.Error(), tc.region) {
 			t.Errorf("%s damaged: open = %v, want ErrCorruptSegment naming %q", tc.name, err, tc.region)
 		}
@@ -116,7 +146,7 @@ func TestOpenSegmentTruncatedInsideDataReadsOnlyHeader(t *testing.T) {
 	}
 	p := corrupt(t, t.TempDir(), "cut.seg", image, func(b []byte) []byte { return b[:PageSize*(1+dataPages/2)] })
 	observed := 0
-	f, _, seeks, seq, err := openCounted(t, p, func(chunk []byte) { observed += len(chunk) })
+	f, _, _, seeks, seq, err := openCounted(t, p, func(_, _ int, chunk []byte) bool { observed += len(chunk); return true })
 	if !errors.Is(err, ErrCorruptSegment) || !strings.Contains(err.Error(), "layout") {
 		t.Fatalf("open = %v, want ErrCorruptSegment naming the layout", err)
 	}

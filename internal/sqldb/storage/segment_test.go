@@ -36,7 +36,7 @@ func openSegmentAt(t *testing.T, path string, pool *Pool) (*Segment, *PagedFile)
 		t.Fatal(err)
 	}
 	pool.Register(f)
-	seg, err := OpenSegment(f, pool)
+	seg, _, err := OpenSegment(f, pool, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestSegmentRejectsBadInput(t *testing.T) {
 	defer f.Close()
 	pool := NewPool(8)
 	pool.Register(f)
-	if _, err := OpenSegment(f, pool); err == nil {
+	if _, _, err := OpenSegment(f, pool, nil); err == nil {
 		t.Fatal("OpenSegment accepted a zeroed file")
 	}
 }

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -41,13 +42,12 @@ type Table struct {
 	// empty one. vcE is the table's slot in the handle's resident vector
 	// cache — nil when the handle has no cache, the table has a DOUBLE or
 	// TEXT column, or the cache declined it (vcache.Cache.Register) — and
-	// then every read goes straight to the segment. varints is the number of
-	// varints in the data region, counted at open for a table with a slot:
-	// what sizes its vectors (vectorBytes, materialize).
-	file    *storage.PagedFile
-	seg     *storage.Segment
-	vcE     *vcache.Entry
-	varints int
+	// then every read goes straight to the segment. A non-nil vcE holds the
+	// table's vectors: open's decode published them before a read could
+	// reach the table.
+	file *storage.PagedFile
+	seg  *storage.Segment
+	vcE  *vcache.Entry
 
 	// Access counters: primary-key lookups answered (hit or miss) and full
 	// scans started. They let tests verify the paper's secondary-storage
@@ -290,30 +290,41 @@ func (t *Table) BulkLoad(rows []sqltypes.Row) error {
 	if err := storage.WriteSegmentFile(t.segPath(), t.db.dev, &t.db.clock, sd); err != nil {
 		return err
 	}
-	// Drop the old vectors first, so a table the budget held stays admitted.
+	// Drop the old vectors first, so a table the budget held stays admitted;
+	// should the open fail, the old segment serves on from its pages.
 	oldFile := t.file
 	t.vcE.Drop()
-	if err := t.open(); err != nil {
+	t.vcE = nil
+	jobs, err := t.open(nil)
+	if err != nil {
 		return err
 	}
-	return t.db.release(oldFile)
+	return firstError(RunJobs(1, jobs), t.db.release(oldFile))
 }
 
 // open opens and validates the table's segment file — checksums and layout
-// in storage, column layout against the schema here — and registers an
-// all-integer table with the vector cache. For those, the pass that checksums
-// the data region also counts its varints, which is all it takes to know the
-// size of the table's vectors (vectorBytes) before the cache is asked to hold
-// them. Open never creates the file: a missing one is an error.
-func (t *Table) open() error {
+// in storage, column layout against the schema here — registers an
+// all-integer table with the vector cache, and appends to jobs the decode of
+// a table the cache admits. For those, the pass that checksums the data
+// region also counts its varints, which is all it takes to know the size of
+// the table's vectors (vectorBytes) before the cache is asked to hold them,
+// and keeps the region it read, for the decode to start from once the
+// checksum has matched. The region is kept only while a lower bound on the
+// table's vectors fits what the cache has left: the size for the varints
+// counted so far, or for one varint per ten bytes of the region if that is
+// more. The bound only grows, so a table whose region is let go would have
+// been declined (or failed its decode), and a table too large for the cache
+// is let go at its first chunk, before any copy. Open never creates the
+// file: a missing one is an error.
+func (t *Table) open(jobs []func() error) ([]func() error, error) {
 	db := t.db
 	f, err := storage.OpenPagedFile(t.segPath(), db.dev, &db.clock)
 	if errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("sqldb: table %q: segment file %s.seg is missing — the directory is damaged or was built by an older version; rebuild it: %w",
+		return jobs, fmt.Errorf("sqldb: table %q: segment file %s.seg is missing — the directory is damaged or was built by an older version; rebuild it: %w",
 			t.def.Name, t.def.Name, err)
 	}
 	if err != nil {
-		return fmt.Errorf("sqldb: table %q: %w", t.def.Name, err)
+		return jobs, fmt.Errorf("sqldb: table %q: %w", t.def.Name, err)
 	}
 	db.pool.Register(f)
 	f.CountReads(&db.reg.Pool.RandReads, &db.reg.Pool.SeqReads)
@@ -323,14 +334,20 @@ func (t *Table) open() error {
 		vectors = vectors && (typ == sqltypes.Int64 || typ == sqltypes.IntArray)
 	}
 	varints := 0
-	var observe func([]byte)
+	var keep func(int, int, []byte) bool
 	if vectors {
-		observe = func(chunk []byte) { varints += sqltypes.CountSegVarints(chunk) }
+		free := db.vcache.Free()
+		keep = func(rows, size int, chunk []byte) bool {
+			varints += sqltypes.CountSegVarints(chunk)
+			// No varint a decode accepts is longer than ten bytes, so a
+			// region holds at least one per ten of its bytes.
+			return vectorBytes(t.types, rows, max(varints, size/binary.MaxVarintLen64)) <= free
+		}
 	}
-	seg, err := storage.OpenSegmentObserved(f, db.pool, observe)
+	seg, data, err := storage.OpenSegment(f, db.pool, keep)
 	if err != nil {
 		_ = f.Close() // best-effort cleanup; the open failure wins
-		return fmt.Errorf("sqldb: table %q: %w", t.def.Name, err)
+		return jobs, fmt.Errorf("sqldb: table %q: %w", t.def.Name, err)
 	}
 	cols := seg.Cols()
 	match := len(cols) == len(t.types) && seg.PKLen() == len(t.pkCols)
@@ -339,14 +356,29 @@ func (t *Table) open() error {
 	}
 	if !match {
 		_ = f.Close()
-		return fmt.Errorf("sqldb: table %q: %w: header: columns %v (pk %d) do not match the schema",
+		return jobs, fmt.Errorf("sqldb: table %q: %w: header: columns %v (pk %d) do not match the schema",
 			t.def.Name, storage.ErrCorruptSegment, cols, seg.PKLen())
 	}
-	t.file, t.seg, t.vcE, t.varints = f, seg, nil, varints
-	if vectors {
-		t.vcE = db.vcache.Register(vectorBytes(t.types, seg.NumRows(), varints))
+	t.file, t.seg, t.vcE = f, seg, nil
+	if data == nil {
+		if vectors {
+			db.reg.VCache.Declined.Add(1) // its vectors outgrew what the cache had left
+		}
+		return jobs, nil
 	}
-	return nil
+	e := db.vcache.Register(vectorBytes(t.types, seg.NumRows(), varints))
+	if e == nil {
+		return jobs, nil
+	}
+	t.vcE = e
+	return append(jobs, func() error {
+		if err := e.Publish(func() (*vcache.Mat, error) { return t.decode(data, varints) }); err != nil {
+			e.Drop()
+			t.vcE = nil
+			return fmt.Errorf("sqldb: table %q: %w", t.def.Name, err)
+		}
+		return nil
+	}), nil
 }
 
 // release forgets a replaced or dropped segment file's pages and closes it.
@@ -400,19 +432,14 @@ func (t *Table) LookupPKScratch(keyVals []int64, s *exec.RowScratch) (sqltypes.R
 	copy(key[:], keyVals)
 	reg := &t.db.reg
 	if t.vcE != nil {
-		m, err := t.vcacheMat()
-		if err != nil {
-			return nil, false, err
+		m := t.vcE.Acquire()
+		i, ok := storage.FindFrom(m.Keys, s.Pos, key)
+		if s.Pos = i; !ok {
+			return nil, false, nil
 		}
-		if m != nil {
-			i, ok := storage.FindFrom(m.Keys, s.Pos, key)
-			if s.Pos = i; !ok {
-				return nil, false, nil
-			}
-			row := vcacheRow(m, i, s)
-			reg.Exec.RowsScanned.Add(1)
-			return row, true, nil
-		}
+		row := vcacheRow(m, i, s)
+		reg.Exec.RowsScanned.Add(1)
+		return row, true, nil
 	}
 	i, ok := storage.FindFrom(t.seg.Keys(), s.Pos, key)
 	if s.Pos = i; !ok {
@@ -457,20 +484,15 @@ func (t *Table) ScanScratch(s *exec.RowScratch, fn func(sqltypes.Row) error) err
 	t.scans.Add(1)
 	reg := &t.db.reg
 	if t.vcE != nil {
-		m, err := t.vcacheMat()
-		if err != nil {
-			return err
-		}
-		if m != nil {
-			n := len(m.Keys)
-			for i := 0; i < n; i++ {
-				if err := fn(vcacheRow(m, i, s)); err != nil {
-					return err
-				}
+		m := t.vcE.Acquire()
+		n := len(m.Keys)
+		for i := 0; i < n; i++ {
+			if err := fn(vcacheRow(m, i, s)); err != nil {
+				return err
 			}
-			reg.Exec.RowsScanned.Add(uint64(n))
-			return nil
 		}
+		reg.Exec.RowsScanned.Add(uint64(n))
+		return nil
 	}
 	rows, bytesRead := uint64(0), uint64(0)
 	n := t.seg.NumRows()

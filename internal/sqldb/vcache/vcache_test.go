@@ -25,24 +25,31 @@ func newCache(budget int64) (*Cache, *obs.VCacheMetrics) {
 	return New(budget, met), met
 }
 
-func TestAcquireMissThenHit(t *testing.T) {
+// publish publishes m on e, failing the test on an error.
+func publish(t *testing.T, e *Entry, m *Mat) {
+	t.Helper()
+	if err := e.Publish(func() (*Mat, error) { return m, nil }); err != nil {
+		t.Fatalf("Publish: %v", err)
+	}
+}
+
+// TestAcquireAfterPublish: what Publish built is what every Acquire returns,
+// each one a hit; there is no miss to count.
+func TestAcquireAfterPublish(t *testing.T) {
 	c, met := newCache(1000)
 	e := c.Register(100)
-	if m := e.Acquire(); m != nil {
-		t.Fatal("Acquire on empty entry returned a Mat")
+	built := mat(100)
+	publish(t, e, built)
+	for range 2 {
+		if m := e.Acquire(); m != built {
+			t.Fatalf("Acquire = %p, want %p", m, built)
+		}
 	}
-	built, err := e.Materialize(func() (*Mat, error) { return mat(100), nil })
-	if err != nil || built == nil {
-		t.Fatalf("Materialize = %v, %v", built, err)
+	if h, ms := met.Hits.Load(), met.Misses.Load(); h != 2 || ms != 0 {
+		t.Errorf("hits/misses = %d/%d, want 2/0", h, ms)
 	}
-	if m := e.Acquire(); m != built {
-		t.Fatalf("Acquire = %p, want %p", m, built)
-	}
-	if h, ms := met.Hits.Load(), met.Misses.Load(); h != 1 || ms != 1 {
-		t.Errorf("hits/misses = %d/%d, want 1/1", h, ms)
-	}
-	if got := met.ResidentBytes.Load(); got != 100 {
-		t.Errorf("ResidentBytes = %d, want 100", got)
+	if got, n, timed := met.ResidentBytes.Load(), met.Materializations.Load(), met.Materialize.Snapshot().Count; got != 100 || n != 1 || timed != 1 {
+		t.Errorf("ResidentBytes = %d, Materializations = %d, timed builds = %d; want 100, 1, 1", got, n, timed)
 	}
 }
 
@@ -68,58 +75,56 @@ func TestColArray(t *testing.T) {
 	}
 }
 
-// TestMaterializeSingleflight launches many concurrent missers: exactly one
-// build must run and every caller must get the same Mat.
-func TestMaterializeSingleflight(t *testing.T) {
+// TestPublishOnce: an entry is published once. Sixteen goroutines publish at
+// once; exactly one succeeds, every other gets an error, and the winner's
+// vectors are the ones resident and served.
+func TestPublishOnce(t *testing.T) {
 	c, met := newCache(1000)
 	e := c.Register(100)
-	var builds atomic.Int64
 	gate := make(chan struct{})
 	var wg sync.WaitGroup
-	results := make([]*Mat, 16)
-	for i := range results {
+	var won atomic.Int64
+	mats := make([]*Mat, 16)
+	errs := make([]error, len(mats))
+	for i := range mats {
+		mats[i] = mat(100)
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			<-gate
-			m, err := e.Materialize(func() (*Mat, error) {
-				builds.Add(1)
-				return mat(100), nil
-			})
-			if err != nil {
-				t.Errorf("Materialize: %v", err)
+			if errs[i] = e.Publish(func() (*Mat, error) { return mats[i], nil }); errs[i] == nil {
+				won.Add(1)
 			}
-			results[i] = m
 		}(i)
 	}
 	close(gate)
 	wg.Wait()
-	if got := builds.Load(); got != 1 {
-		t.Errorf("build ran %d times, want 1", got)
+	if won.Load() != 1 {
+		t.Fatalf("%d publishes succeeded, want exactly 1: %v", won.Load(), errs)
 	}
-	for i, m := range results {
-		if m == nil || m != results[0] {
-			t.Fatalf("caller %d got %p, caller 0 got %p", i, m, results[0])
+	for i, err := range errs {
+		if err == nil && e.Acquire() != mats[i] {
+			t.Errorf("publisher %d succeeded, but Acquire serves another Mat", i)
 		}
 	}
-	if got := met.Materializations.Load(); got != 1 {
-		t.Errorf("Materializations = %d, want 1", got)
+	if got, n := met.ResidentBytes.Load(), met.Materializations.Load(); got != 100 || n != 1 {
+		t.Errorf("ResidentBytes = %d, Materializations = %d; want 100, 1", got, n)
 	}
 }
 
-// TestMaterializeErrorRetries: a failed build must not latch permanently —
-// the next caller retries.
+// TestMaterializeErrorRetries: a failed build publishes nothing and counts
+// nothing — the entry stays unpublished — and a later build may publish.
 func TestMaterializeErrorRetries(t *testing.T) {
-	c, _ := newCache(1000)
+	c, met := newCache(1000)
 	e := c.Register(100)
-	boom := errors.New("device gone")
-	if _, err := e.Materialize(func() (*Mat, error) { return nil, boom }); !errors.Is(err, boom) {
+	boom := errors.New("malformed row")
+	if err := e.Publish(func() (*Mat, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
-	m, err := e.Materialize(func() (*Mat, error) { return mat(100), nil })
-	if err != nil || m == nil {
-		t.Fatalf("retry after error = %v, %v", m, err)
+	if e.mat.Load() != nil || met.ResidentBytes.Load() != 0 || met.Materializations.Load() != 0 {
+		t.Fatalf("a failed build published: resident %d, %d materializations", met.ResidentBytes.Load(), met.Materializations.Load())
 	}
+	publish(t, e, mat(100))
 }
 
 // TestRegisterDeclinesTooBig: a table whose vectors exceed the whole budget
@@ -140,9 +145,7 @@ func TestRegisterDeclinesTooBig(t *testing.T) {
 	if e == nil {
 		t.Fatal("Register declined a table that fits the budget exactly")
 	}
-	if m, err := e.Materialize(func() (*Mat, error) { return mat(50), nil }); err != nil || m == nil {
-		t.Fatalf("Materialize = %v, %v", m, err)
-	}
+	publish(t, e, mat(50))
 	if got, d := met.ResidentBytes.Load(), met.Declined.Load(); got != 50 || d != 1 {
 		t.Errorf("Resident = %d, Declined = %d; want 50, 1", got, d)
 	}
@@ -154,8 +157,8 @@ func TestMaterializeRejectsWrongSize(t *testing.T) {
 	c, met := newCache(1000)
 	e := c.Register(100)
 	for _, built := range []int64{99, 101, 2000} {
-		if m, err := e.Materialize(func() (*Mat, error) { return mat(built), nil }); err == nil || m != nil {
-			t.Fatalf("Materialize of %d bytes on a 100-byte slot = %v, %v; want an error", built, m, err)
+		if err := e.Publish(func() (*Mat, error) { return mat(built), nil }); err == nil {
+			t.Fatalf("Publish of %d bytes on a 100-byte slot succeeded; want an error", built)
 		}
 	}
 	if got := met.ResidentBytes.Load(); got != 0 || e.Acquire() != nil {
@@ -163,55 +166,18 @@ func TestMaterializeRejectsWrongSize(t *testing.T) {
 	}
 }
 
-// TestDropIsPermanent: an invalidated entry serves nothing and never
-// rebuilds, even when Drop races an in-flight materialization.
+// TestDropIsPermanent: a dropped entry serves nothing and leaves the
+// resident bytes.
 func TestDropIsPermanent(t *testing.T) {
 	c, met := newCache(1000)
 	e := c.Register(100)
-	if _, err := e.Materialize(func() (*Mat, error) { return mat(100), nil }); err != nil {
-		t.Fatal(err)
-	}
+	publish(t, e, mat(100))
 	e.Drop()
-	if e.Acquire() != nil {
-		t.Fatal("Acquire served a dropped entry")
+	if e.mat.Load() != nil {
+		t.Fatal("a dropped entry still holds its vectors")
 	}
 	if got := met.ResidentBytes.Load(); got != 0 {
 		t.Errorf("ResidentBytes after Drop = %d, want 0", got)
-	}
-	m, err := e.Materialize(func() (*Mat, error) {
-		t.Error("build ran on a dropped entry")
-		return mat(100), nil
-	})
-	if err != nil || m != nil {
-		t.Fatalf("Materialize on dropped entry = %v, %v; want nil, nil", m, err)
-	}
-
-	// Race: the drop lands while a build is in flight; the stale vectors
-	// must be discarded, not installed.
-	e2 := c.Register(100)
-	started := make(chan struct{})
-	proceed := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		m, err := e2.Materialize(func() (*Mat, error) {
-			close(started)
-			<-proceed
-			return mat(100), nil
-		})
-		if err != nil || m != nil {
-			t.Errorf("racing Materialize = %v, %v; want nil, nil", m, err)
-		}
-	}()
-	<-started
-	e2.Drop()
-	close(proceed)
-	<-done
-	if e2.mat.Load() != nil {
-		t.Fatal("stale vectors installed after Drop")
-	}
-	if got := met.ResidentBytes.Load(); got != 0 {
-		t.Errorf("ResidentBytes = %d, want 0", got)
 	}
 }
 
@@ -223,8 +189,8 @@ func reserved(c *Cache) int64 {
 }
 
 // TestRegisterReservesShares: admission is decided at Register, in the order
-// tables register. A share is reserved whether or not its table ever
-// materializes; the first table that does not fit what is left is declined,
+// tables register. A share is reserved before its table is published; the
+// first table that does not fit what is left is declined,
 // and a later, smaller one that does fit is still admitted.
 func TestRegisterReservesShares(t *testing.T) {
 	c, met := newCache(250)
@@ -246,9 +212,7 @@ func TestRegisterReservesShares(t *testing.T) {
 		t.Fatal("declined a table that fits the 50 bytes left")
 	}
 	for _, e := range []*Entry{a, b, d} {
-		if _, err := e.Materialize(func() (*Mat, error) { return mat(e.size), nil }); err != nil {
-			t.Fatal(err)
-		}
+		publish(t, e, mat(e.size))
 	}
 	for i, e := range []*Entry{a, b, d} {
 		if e.Acquire() == nil {
@@ -266,9 +230,7 @@ func TestRegisterReservesShares(t *testing.T) {
 func TestDropReturnsShareOnce(t *testing.T) {
 	c, met := newCache(200)
 	a, b := c.Register(100), c.Register(100)
-	if _, err := a.Materialize(func() (*Mat, error) { return mat(100), nil }); err != nil {
-		t.Fatal(err)
-	}
+	publish(t, a, mat(100))
 	a.Drop()
 	a.Drop()
 	if got, res := reserved(c), met.ResidentBytes.Load(); got != 100 || res != 0 {
@@ -286,40 +248,7 @@ func TestDropReturnsShareOnce(t *testing.T) {
 	}
 }
 
-// TestUnloadKeepsShare: Unload (cold-start emulation) unpublishes a table's
-// vectors and keeps its share — no other table can take it meanwhile — and
-// the next miss rebuilds them.
-func TestUnloadKeepsShare(t *testing.T) {
-	c, met := newCache(200)
-	a, b := c.Register(100), c.Register(100)
-	for _, e := range []*Entry{a, b} {
-		if _, err := e.Materialize(func() (*Mat, error) { return mat(100), nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	a.Unload()
-	b.Unload()
-	b.Unload()
-	if got, res := reserved(c), met.ResidentBytes.Load(); got != 200 || res != 0 {
-		t.Fatalf("after Unload: reserved %d, resident %d; want 200, 0", got, res)
-	}
-	if a.Acquire() != nil || b.Acquire() != nil {
-		t.Fatal("Acquire served an unloaded table")
-	}
-	if e := c.Register(1); e != nil {
-		t.Fatal("an unloaded table's share was handed to another table")
-	}
-	m, err := a.Materialize(func() (*Mat, error) { return mat(100), nil })
-	if err != nil || m == nil {
-		t.Fatalf("re-materialize after Unload = %v, %v", m, err)
-	}
-	if got, n := met.ResidentBytes.Load(), met.Materializations.Load(); got != 100 || n != 3 {
-		t.Errorf("ResidentBytes = %d, Materializations = %d; want 100, 3", got, n)
-	}
-}
-
-// TestConcurrentAdmissionWithinBudget registers, materializes, unloads and
-// drops tables from many goroutines against a budget that holds only some of
+// TestConcurrentAdmissionWithinBudget registers, publishes and drops tables from many goroutines against a budget that holds only some of
 // them. Run under -race: the shares reserved and the bytes resident never
 // exceed the budget at any observed instant, and the accounts return to zero
 // once every table is dropped.
@@ -359,14 +288,10 @@ func TestConcurrentAdmissionWithinBudget(t *testing.T) {
 				if prev = e; e == nil {
 					continue
 				}
-				for i := 0; i < 1+round%3; i++ {
-					m, err := e.Materialize(func() (*Mat, error) { return mat(size), nil })
-					if err != nil || m == nil {
-						t.Errorf("Materialize = %v, %v", m, err)
+				if round%4 != 0 { // some tables are dropped unpublished
+					if err := e.Publish(func() (*Mat, error) { return mat(size), nil }); err != nil {
+						t.Errorf("Publish: %v", err)
 						return
-					}
-					if round%4 == 0 {
-						e.Unload()
 					}
 				}
 			}

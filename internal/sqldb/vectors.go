@@ -32,35 +32,15 @@ func vectorBytes(types []sqltypes.Type, rows, varints int) int64 {
 	return 16*n + 8*(n*(int64(len(types))-arrays)+elems) + 4*(n*arrays+1)
 }
 
-// vcacheMat returns the table's materialized vectors, building them on first
-// touch, or nil when the table was dropped meanwhile and the segment should
-// serve instead.
-func (t *Table) vcacheMat() (*vcache.Mat, error) {
-	if m := t.vcE.Acquire(); m != nil {
-		return m, nil
-	}
-	// hotpath:cold — first-touch materialization: the bound-method closure
-	// and the decode it drives are the cache-miss cost, paid once per
-	// residency.
-	return t.vcE.Materialize(t.materialize)
-}
-
-// materialize decodes the table's whole segment into vectors for the resident
-// vector cache: the key directory is shared with the segment (both
-// immutable), each scalar column becomes one int64 per row, and the elements
-// of every array, row by row, one shared vector indexed by one shared vector
-// of starts. The data region is read directly from the device — one bulk pass
-// that must not displace label pages from the buffer pool — and decoded in
-// one pass: the varints open counted size every vector, so they are allocated
-// once, at exactly vectorBytes (the size the cache admitted the table on),
-// and every row is decoded straight into them.
-//
-// hotpath:cold — runs once per residency, off the lookup path.
-func (t *Table) materialize() (*vcache.Mat, error) {
-	data, err := t.seg.LoadData()
-	if err != nil {
-		return nil, fmt.Errorf("sqldb: table %q: %w", t.def.Name, err)
-	}
+// decode turns the table's data region — the bytes open read and verified —
+// into vectors for the resident vector cache: the key directory is shared
+// with the segment (both immutable), each scalar column becomes one int64
+// per row, and the elements of every array, row by row, one shared vector
+// indexed by one shared vector of starts. The region is decoded in one pass:
+// the varints open counted size every vector, so they are allocated once,
+// at exactly vectorBytes (the size the cache admitted the table on), and
+// every row is decoded straight into them.
+func (t *Table) decode(data []byte, varints int) (*vcache.Mat, error) {
 	n, arrays := t.seg.NumRows(), 0
 	for _, typ := range t.types {
 		if typ == sqltypes.IntArray {
@@ -68,18 +48,19 @@ func (t *Table) materialize() (*vcache.Mat, error) {
 		}
 	}
 	scalars := len(t.types) - arrays
-	nElems := t.varints - n*len(t.types)
+	nElems := varints - n*len(t.types)
 	if nElems < 0 || nElems > math.MaxInt32 {
-		return nil, fmt.Errorf("sqldb: %s: %d array elements do not fit the vector index", t.def.Name, nElems)
+		return nil, fmt.Errorf("%d array elements do not fit the vector index", nElems)
 	}
 	ints := make([]int64, n*scalars+nElems)
 	starts := make([]int32, n*arrays+1)
 	elems, row := ints[n*scalars:n*scalars], make([]int64, scalars)
 	for i, off := 0, 0; i < n; i++ {
 		end := off + int(t.seg.RowLen(i))
+		var err error
 		elems, err = sqltypes.DecodeSegRowVectors(data[off:end], t.types, row, elems, starts[i*arrays+1:])
 		if err != nil {
-			return nil, fmt.Errorf("sqldb: %s: %w", t.def.Name, err)
+			return nil, err
 		}
 		for k, v := range row {
 			ints[k*n+i] = v
@@ -87,7 +68,7 @@ func (t *Table) materialize() (*vcache.Mat, error) {
 		off = end
 	}
 	if len(elems) != nElems {
-		return nil, fmt.Errorf("sqldb: %s: decoded %d array elements, open counted %d", t.def.Name, len(elems), nElems)
+		return nil, fmt.Errorf("decoded %d array elements, open counted %d", len(elems), nElems)
 	}
 	m := &vcache.Mat{
 		Keys:   t.seg.Keys(),
@@ -112,7 +93,7 @@ func (t *Table) materialize() (*vcache.Mat, error) {
 // into the scratch, but the array payloads alias the cached vectors — no
 // copy, no arena traffic. The views satisfy LookupPKScratch's retention
 // contract trivially: the vectors are immutable and the garbage collector
-// keeps them alive as long as any view exists, even once they are unpublished.
+// keeps them alive as long as any view exists, even once the table is dropped.
 func vcacheRow(m *vcache.Mat, i int, s *exec.RowScratch) sqltypes.Row {
 	var r sqltypes.Row
 	if cap(s.Row) >= len(m.Cols) {

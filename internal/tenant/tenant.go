@@ -6,9 +6,10 @@
 // isolation and eviction:
 //
 //   - Lazy open: a tenant's database opens on its first request. Concurrent
-//     first requests coalesce behind a singleflight latch — the vector
-//     cache's materialization protocol lifted to whole databases — so N cold
-//     requests cost one Open.
+//     first requests coalesce behind a singleflight latch — the buffer
+//     pool's frame-load protocol lifted to whole databases — so N cold
+//     requests cost one Open, which decodes every table its vector cache
+//     admits before the first of them is answered.
 //   - LRU close: at most Config.MaxOpenTenants databases are open at once;
 //     opening one more closes the least-recently-used idle tenant. Requests
 //     pin their tenant for the duration of the execution, so a database is
@@ -123,7 +124,7 @@ type slot struct {
 
 	// Guarded by Router.mu. The latch is acquisition level 10: the opener
 	// holds it while re-taking the router mutex (level 20) to publish, so the
-	// latch must order strictly below the mutex — the vcache Materialize
+	// latch must order strictly below the mutex — the pool's frame-load
 	// protocol applied to database opens.
 	opening chan struct{} // lockcheck:latch level=10 — non-nil while an Open is in flight
 	db      DB            // nil while closed
@@ -137,8 +138,8 @@ type Router struct {
 
 	// mu guards every slot's lifecycle fields and the LRU sequence. It is
 	// never held across an Open, a Close or a blocking channel operation —
-	// those happen between critical sections, exactly like the vector cache's
-	// materialization. Acquisition level 20: taken after an opening latch
+	// those happen between critical sections, exactly like the pool's frame
+	// loads. Acquisition level 20: taken after an opening latch
 	// (level 10), never while another shard-class mutex is held
 	// (lockordercheck).
 	mu    sync.Mutex // lockcheck:shard level=20

@@ -39,7 +39,7 @@ func openCondensedFile(t *testing.T, dir, table string) condensedFile {
 	defer f.Close()
 	pool := storage.NewPool(8)
 	pool.Register(f)
-	seg, err := storage.OpenSegment(f, pool)
+	seg, _, err := storage.OpenSegment(f, pool, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -448,10 +448,10 @@ func (d *DB) LDOTM(set string, q StopID, t Time) ([]Result, error) {
 	return d.store.LDOTM(set, q, t)
 }
 
-// DropCaches empties the buffer pool, unloads the resident vectors and
-// forgets where every table file was last read, emulating the paper's
-// cold-start protocol (server restart + OS cache drop) before each
-// experiment. It fails, dropping nothing, while a pool page is pinned.
+// DropCaches empties the buffer pool and forgets where every table file was
+// last read, emulating the paper's OS cache drop before each experiment. The
+// resident vectors stay: Open decoded them, and a server restart is Close
+// and Open again. It fails, dropping nothing, while a pool page is pinned.
 func (d *DB) DropCaches() error { return d.db.DropCaches() }
 
 // Stats reports I/O statistics of the session.

@@ -50,7 +50,7 @@ fi
 echo "== the lint suite keeps only checkers that can fire; no error collector, no row clone, no parallel measure"
 if git grep -nE 'NewAtomicCheck|NewArenaCheck|errCollector|cloneRows|MeasureQueriesParallel' -- '*.go'; then
     echo "atomiccheck and arenacheck are deleted (DESIGN.md §8 tables what catches their violations);" >&2
-    echo "runJobs reports into one error slot per job, a target set has one naive table, ptldb-bench measures sequentially" >&2
+    echo "sqldb.RunJobs reports into one error slot per job, a target set has one naive table, ptldb-bench measures sequentially" >&2
     exit 1
 fi
 echo "== statements are values: no plan cache, no lint-time SQL, one statement builder in core"
@@ -99,13 +99,19 @@ fi
 echo "== the vector cache admits a table once and never evicts (internal/sqldb; the pool's LRU is storage's)"
 if git grep -nE 'evictLocked|evictEntryLocked|DropAll|second-chance|\.hand\b' -- 'internal/sqldb/*.go' ':!internal/sqldb/storage/*' ':!*_test.go'; then
     echo "vcache.Cache decides admission once, at Register; an admitted table keeps its share until Drop:" >&2
-    echo "no clock ring, no hand, no eviction, no DropAll (DB.DropCaches unloads each entry)" >&2
+    echo "no clock ring, no hand, no eviction, no DropAll (DB.DropCaches leaves the vectors Open decoded)" >&2
     exit 1
 fi
 echo "== a vector-cache table is decoded in one pass (internal/sqldb)"
 if git grep -nE 'CountSegRow|DecodeSegRowColumns' -- '*.go'; then
-    echo "Table.materialize sizes a table's vectors from the varints open counted and decodes each row once," >&2
+    echo "Table.decode sizes a table's vectors from the varints open counted and decodes each row once," >&2
     echo "with sqltypes.DecodeSegRowVectors, into row-major array vectors: no counting pass, no per-column vectors" >&2
+    exit 1
+fi
+echo "== a vector-cache table is decoded at open from the bytes open verified (internal/sqldb)"
+if git grep -nE 'LoadData|OpenSegmentObserved|vcacheMat|\.Unload\(' -- '*.go'; then
+    echo "storage.OpenSegment keeps the data region it checksums for the decode, and sqldb.Open publishes" >&2
+    echo "every admitted table before it returns: no second read of a data region, no lazy build, no unload" >&2
     exit 1
 fi
 echo "== go vet ./..."
