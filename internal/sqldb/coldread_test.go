@@ -243,9 +243,11 @@ func TestOpenReadsEachFileOnce(t *testing.T) {
 }
 
 // TestDeclinedTableIsNeverBulkRead: under a budget one byte short of a
-// table's vectors the table is declined at open and its first lookup reads
-// the row's own pages and nothing else; at exactly its size the table is
-// admitted, open reads each of its pages exactly once, and lookups read none.
+// table's vectors the table is declined at open, a lookup right after open
+// reads nothing (the open pass left the table's pages in the pool), and the
+// first lookup after the caches are dropped reads the row's own pages and
+// nothing else; at exactly its size the table is admitted, open reads each
+// of its pages exactly once, and lookups read none.
 func TestDeclinedTableIsNeverBulkRead(t *testing.T) {
 	spec := awkwardTables[0]
 	rows := spec.rows()
@@ -293,6 +295,14 @@ func TestDeclinedTableIsNeverBulkRead(t *testing.T) {
 		off += int64(sf.seg.RowLen(i))
 	}
 	rowPages := uint64((off+int64(sf.seg.RowLen(probe))-1)/storage.PageSize - off/storage.PageSize + 1)
+	reads := sf.file.Reads()
+	lookup(db)
+	if got, misses := sf.file.Reads()-reads, db.Registry().Snapshot().Pool.Misses; got != 0 || misses != 0 {
+		t.Errorf("lookup of a declined table right after open: %d device reads, %d pool misses; want none", got, misses)
+	}
+	if err := db.DropCaches(); err != nil {
+		t.Fatal(err)
+	}
 	before, reads := db.Registry().Snapshot(), sf.file.Reads()
 	lookup(db)
 	after := db.Registry().Snapshot()
@@ -376,6 +386,118 @@ func TestDeclinedTableKeepsNoRegion(t *testing.T) {
 	if declined > without+uint64(len(image))/8 {
 		t.Errorf("an open declining the table allocated %d bytes, one without a cache %d; its file is %d bytes",
 			declined, without, len(image))
+	}
+}
+
+// dataPages is the number of pages of tbl's data region.
+func dataPages(tbl *Table) int {
+	bytes := 0
+	for i := 0; i < tbl.seg.NumRows(); i++ {
+		bytes += int(tbl.seg.RowLen(i))
+	}
+	return (bytes + storage.PageSize - 1) / storage.PageSize
+}
+
+// scanMatches reads every row of tbl and compares it with rows.
+func scanMatches(t *testing.T, tbl *Table, rows []sqltypes.Row) {
+	t.Helper()
+	i := 0
+	err := tbl.Scan(func(r sqltypes.Row) error {
+		if i >= len(rows) || len(r) != len(rows[i]) {
+			t.Fatalf("%s: row %d = %v, want %d rows", tbl.def.Name, i, r, len(rows))
+		}
+		for ci := range r {
+			if !sqltypes.Equal(r[ci], rows[i][ci]) {
+				t.Fatalf("%s: row %d column %d = %v, want %v", tbl.def.Name, i, ci, r[ci], rows[i][ci])
+			}
+		}
+		i++
+		return nil
+	})
+	if err != nil || i != len(rows) {
+		t.Fatalf("%s: scanned %d of %d rows: %v", tbl.def.Name, i, len(rows), err)
+	}
+}
+
+// TestOpenFillsFreeFrames: with no vector cache every data page the open
+// pass reads goes to the buffer pool. A pool larger than the image ends up
+// holding each of them; a pool half its size fills up and stops, evicting
+// nothing, and the tables still read back exactly what was loaded.
+func TestOpenFillsFreeFrames(t *testing.T) {
+	dir := t.TempDir()
+	buildAwkwardDB(t, dir)
+	db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for _, spec := range awkwardTables {
+		tbl, _ := db.Table(spec.name)
+		total += dataPages(tbl)
+	}
+	if n := db.Pool().NumFrames(); n != total {
+		t.Errorf("a pool larger than the image holds %d frames after open; the tables have %d data pages", n, total)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if total < 16 {
+		t.Fatalf("the image has %d data pages; the test wants a pool of at least 8 below it", total)
+	}
+
+	db, err = Open(dir, Options{Device: storage.RAM, PoolPages: total / 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	pool := db.Registry().Snapshot().Pool
+	if n := db.Pool().NumFrames(); n != total/2 || pool.Evictions != 0 || pool.Hits != 0 || pool.Misses != 0 {
+		t.Errorf("a pool of %d frames under %d data pages: %d frames and %+v after open; want it full and no counter moved",
+			total/2, total, n, pool)
+	}
+	for _, spec := range awkwardTables {
+		tbl, _ := db.Table(spec.name)
+		scanMatches(t, tbl, spec.rows())
+	}
+}
+
+// TestDeclinedAfterKeptOffersRegion: a load of another table can take the
+// room between the open pass, which kept the region because it fit what the
+// cache had left, and the cache's decision. The table is then declined, and
+// every one of its data pages is in the pool: reading it whole makes no
+// device read.
+func TestDeclinedAfterKeptOffersRegion(t *testing.T) {
+	spec := awkwardTables[0]
+	rows := spec.rows()
+	db, err := Open(t.TempDir(), Options{Device: storage.RAM, PoolPages: 256, VectorCacheBytes: 64 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	tbl := mkTable(t, db, spec.name, spec.pk, spec.cols...)
+	size := rowVectorBytes(tbl.types, rows)
+	db.admitHook = func() {
+		if db.vcache.Register(db.vcache.Free()-size+1) == nil {
+			t.Fatal("the cache declined the room the test takes")
+		}
+	}
+	if err := tbl.BulkLoad(rows); err != nil {
+		t.Fatal(err)
+	}
+	if tbl.vcE != nil {
+		t.Fatal("the table holds a cache slot the cache no longer had room for")
+	}
+	snap := db.Registry().Snapshot()
+	if vc := snap.VCache; vc.Declined != 1 || vc.Materializations != 0 {
+		t.Errorf("vcache = %+v; want the table declined, nothing built", *vc)
+	}
+	if n, pages := db.Pool().NumFrames(), dataPages(tbl); n != pages || snap.Pool.Evictions != 0 {
+		t.Errorf("%d frames (%d evictions) in the pool after the load; the table has %d data pages", n, snap.Pool.Evictions, pages)
+	}
+	reads := tbl.file.Reads()
+	scanMatches(t, tbl, rows)
+	if got, misses := tbl.file.Reads()-reads, db.Registry().Snapshot().Pool.Misses-snap.Pool.Misses; got != 0 || misses != 0 {
+		t.Errorf("reading the declined table whole: %d device reads, %d pool misses; want none", got, misses)
 	}
 }
 

@@ -120,6 +120,11 @@ type DB struct {
 	// prepares counts Prepare calls, i.e. statement parses (StmtCacheStats).
 	prepares atomic.Uint64
 
+	// admitHook, when non-nil, runs between a table's open pass and the
+	// cache's decision on it. Tests use it to take the room the open pass
+	// saw, as a concurrent load of another table can.
+	admitHook func()
+
 	// reg is the handle's observability registry: executor dispatch counters
 	// (fused runs vs. general runs, rows scanned, tuples merged), per-Code
 	// query latencies, and — grafted in at Open — the buffer pool's counters.

@@ -26,6 +26,13 @@ import (
 // on different pages therefore overlap their I/O; concurrent misses on the
 // same page trigger exactly one device read.
 //
+// One rule fills the pool besides Get: a page the process has read from the
+// device stays cached until something evicts it. Opening a segment reads the
+// whole file, so the open pass offers every data page it does not keep as
+// vectors (Offer) to the frames that are free; a restart then answers its
+// first queries without reading those pages again, and a build handle's pool
+// keeps what each BulkLoad wrote and re-read, up to its capacity.
+//
 // The bytes of a pinned frame may be read concurrently and are never
 // modified. The one rule lockcheck enforces on the pool mutex (DESIGN.md §8)
 // is that no page is read while it is held.
@@ -59,9 +66,10 @@ type frameKey struct {
 //
 // Lifecycle: loading (installed pinned, ready open) → resident (ready
 // closed, loadErr nil) → evicted (removed from the frame table once
-// unpinned). A failed load is published by closing ready with loadErr set
-// and detaching the frame, so every coalesced waiter observes the error and
-// a later Get retries the read from scratch.
+// unpinned). An offered frame (Offer) starts out resident and unpinned. A
+// failed load is published by closing ready with loadErr set and detaching
+// the frame, so every coalesced waiter observes the error and a later Get
+// retries the read from scratch.
 type Frame struct {
 	key frameKey
 
@@ -137,6 +145,29 @@ func (p *Pool) Get(f *PagedFile, id PageID) (*Frame, error) {
 	}
 	close(fr.ready)
 	return fr, nil
+}
+
+// Offer installs page id of file f from bytes a caller has already read from
+// the device — page, at most PageSize bytes, the rest of the frame zero — as
+// a resident, unpinned frame at the LRU tail. It does so only while a frame
+// is free and the page is not resident: it never evicts, and it counts no
+// hit, miss or eviction, since no device read goes through the pool for it.
+// OpenSegment offers every data page its pass reads and does not keep, so the
+// first queries after an open find those pages resident; a caller that
+// offers a page it has not verified yet must Forget the file if the check
+// fails.
+func (p *Pool) Offer(f *PagedFile, id PageID, page []byte) {
+	key := frameKey{file: f.id, page: id}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.frames) >= p.capacity || p.frames[key] != nil {
+		return
+	}
+	fr := &Frame{key: key, ready: make(chan struct{})}
+	close(fr.ready)
+	copy(fr.data[:], page)
+	p.frames[key] = fr
+	p.lruAppend(fr)
 }
 
 // failLoad publishes a load failure to every waiter coalesced on fr and

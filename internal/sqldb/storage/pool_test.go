@@ -35,7 +35,8 @@ func stats(pool *Pool) (hits, misses uint64) {
 
 // TestPoolConcurrentStress hammers a tiny pool (16 pages over a 256-page
 // file) with many concurrent readers so every access fights for frames and
-// eviction churns continuously. Run under -race; page stamps verify that no
+// eviction churns continuously, while every fourth access also offers a page
+// the way an open pass does. Run under -race; page stamps verify that no
 // reader ever observes another page's bytes.
 func TestPoolConcurrentStress(t *testing.T) {
 	const pages, capacity, workers, iters = 256, 16, 16, 400
@@ -48,7 +49,13 @@ func TestPoolConcurrentStress(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
+			var offered [PageSize]byte
 			for i := 0; i < iters; i++ {
+				if rng.Intn(4) == 0 {
+					id := PageID(rng.Intn(pages))
+					binary.LittleEndian.PutUint32(offered[:], uint32(id))
+					pool.Offer(f, id, offered[:])
+				}
 				// Skewed access: half the traffic on 8 hot pages keeps some
 				// frames cached while the cold tail forces evictions.
 				var id PageID

@@ -249,8 +249,10 @@ func writeSegRegion(f *PagedFile, b []byte) error {
 // OpenSegment opens a segment over file, decoding the directory into memory.
 // The file is read front to back, exactly once: header, data region,
 // directory — one seek and then sequential transfers, straight from the
-// device, since caching pages touched once per open would only displace label
-// pages from the pool.
+// device. Every data page the pass reads and does not keep (below) is offered
+// to the pool (Pool.Offer), so a query after the open finds it resident
+// while a frame was free for it; header and directory pages are not, since
+// nothing reads them through the pool.
 //
 // Every header field is validated against the file's actual page count and
 // both region checksums are verified before the segment is returned, so a
@@ -260,6 +262,8 @@ func writeSegRegion(f *PagedFile, b []byte) error {
 // data region comes first in the file its checksum is the one reported when
 // both regions are damaged. (Flips in the zero padding of a region's last
 // page are outside the checksums and harmless: no decode ever reads them.)
+// A failed open forgets every page it offered (Pool.Forget), so no page of a
+// rejected file stays in the pool.
 //
 // keep, when non-nil, decides whether the open also returns the data region
 // it checksums: it is handed the header's row count and region size, and the
@@ -267,11 +271,22 @@ func writeSegRegion(f *PagedFile, b []byte) error {
 // call), and the region — a fresh slice of exactly its size, filled page by
 // page, returned only once its checksum matched — is kept for as long as
 // keep returns true. Once keep returns false the open stops copying and
-// calling it, and returns a nil region. The payloads stay opaque to storage:
-// the caller that encoded them decides from them whether it will decode the
-// region, and then does so without reading the file a second time. With a
-// nil keep the region is nil.
+// calling it, offers the pages it had copied, and returns a nil region. The
+// payloads stay opaque to storage: the caller that encoded them decides from
+// them whether it will decode the region, and then does so without reading
+// the file a second time; a caller that keeps a region and then does not
+// decode it hands it to the pool with Segment.Offer. With a nil keep the
+// region is nil.
 func OpenSegment(file *PagedFile, pool *Pool, keep func(rows, size int, chunk []byte) bool) (*Segment, []byte, error) {
+	s, data, err := openSegment(file, pool, keep)
+	if err != nil {
+		pool.Forget(file)
+		return nil, nil, err
+	}
+	return s, data, nil
+}
+
+func openSegment(file *PagedFile, pool *Pool, keep func(rows, size int, chunk []byte) bool) (*Segment, []byte, error) {
 	var page [PageSize]byte
 	totalPages := uint64(file.NumPages())
 	if totalPages == 0 {
@@ -323,28 +338,34 @@ func OpenSegment(file *PagedFile, pool *Pool, keep func(rows, size int, chunk []
 
 	// Verify the data region page by page. The region is allocated only at
 	// the first chunk keep wants, so a region it turns down at once costs no
-	// allocation proportional to the data size.
+	// allocation proportional to the data size; every page not copied into
+	// it goes to the pool.
 	crc, kept := uint32(0), keep != nil
 	var data []byte
 	for off := uint64(0); off < dataBytes; off += PageSize {
-		if err := file.ReadPage(PageID(1+off/PageSize), page[:]); err != nil {
+		id := PageID(1 + off/PageSize)
+		if err := file.ReadPage(id, page[:]); err != nil {
 			return nil, nil, err
 		}
 		chunk := page[:min(dataBytes-off, PageSize)]
 		crc = crc32.Update(crc, segCRCTable, chunk)
-		if kept = kept && keep(int(nRows), int(dataBytes), chunk); kept {
-			if data == nil {
-				data = make([]byte, dataBytes)
+		if kept {
+			if kept = keep(int(nRows), int(dataBytes), chunk); kept {
+				if data == nil {
+					data = make([]byte, dataBytes)
+				}
+				copy(data[off:], chunk)
+				continue
 			}
-			copy(data[off:], chunk)
+			offerRegion(pool, file, data[:off])
+			data = nil
 		}
+		pool.Offer(file, id, page[:])
 	}
 	if crc != dataCRC {
 		return nil, nil, corruptSegment("data", "checksum %08x, header says %08x", crc, dataCRC)
 	}
-	if !kept {
-		data = nil
-	} else if data == nil {
+	if kept && data == nil {
 		data = []byte{} // an empty region, kept
 	}
 
@@ -402,6 +423,19 @@ func OpenSegment(file *PagedFile, pool *Pool, keep func(rows, size int, chunk []
 		return nil, nil, corruptSegment("directory", "payloads sum to %d bytes, header says %d", dataOff, dataBytes)
 	}
 	return s, data, nil
+}
+
+// Offer hands the pool the data region OpenSegment returned, for a caller
+// that will not decode it after all: its pages go to free frames as every
+// page the open pass does not keep does.
+func (s *Segment) Offer(data []byte) { offerRegion(s.pool, s.file, data) }
+
+// offerRegion offers data — a data region, or the whole pages at its start —
+// to the pool page by page.
+func offerRegion(pool *Pool, file *PagedFile, data []byte) {
+	for off := 0; off < len(data); off += PageSize {
+		pool.Offer(file, PageID(1+off/PageSize), data[off:min(off+PageSize, len(data))])
+	}
 }
 
 // NumRows returns the row count.

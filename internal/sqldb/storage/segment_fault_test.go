@@ -197,7 +197,11 @@ func TestSegmentOpenRandomMutations(t *testing.T) {
 
 // FuzzOpenSegment feeds arbitrary page-aligned images to OpenSegment: any
 // outcome is fine except a panic, and an accepted segment must serve reads
-// without panicking or violating its own directory.
+// without panicking or violating its own directory. Each image is opened
+// three ways — its whole region kept, kept for one page and then let go, and
+// never asked for — into a fresh pool each time: a rejected image leaves no
+// frame of its file in the pool, and an accepted one leaves exactly the data
+// pages it did not return, each frame equal to the file's page.
 func FuzzOpenSegment(f *testing.F) {
 	dir := f.TempDir()
 	path, _ := writeFaultSegmentF(f, dir)
@@ -207,9 +211,13 @@ func FuzzOpenSegment(f *testing.F) {
 	}
 	f.Add(image)
 	f.Add(image[:PageSize])
-	flipped := append([]byte(nil), image...)
-	flipped[8] ^= 0xff
-	f.Add(flipped)
+	// A flipped header, data and directory byte: rejected before, during and
+	// after the pass that offers the data pages.
+	for _, at := range []int{8, PageSize + 8, len(image) - PageSize + 1} {
+		flipped := append([]byte(nil), image...)
+		flipped[at] ^= 0xff
+		f.Add(flipped)
+	}
 	f.Add(make([]byte, 2*PageSize))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		p := filepath.Join(t.TempDir(), "fz.seg")
@@ -222,27 +230,50 @@ func FuzzOpenSegment(f *testing.F) {
 			return
 		}
 		defer pf.Close()
-		pool := NewPool(64)
-		pool.Register(pf)
-		seg, data, err := OpenSegment(pf, pool, keepAll)
-		if err != nil {
-			return
-		}
-		var buf []byte
-		for i := 0; i < seg.NumRows(); i++ {
-			if buf, err = seg.ReadRow(i, buf); err != nil {
-				return
+		kept := 0
+		keepFirst := func(int, int, []byte) bool { kept++; return kept == 1 }
+		for _, keep := range []func(int, int, []byte) bool{keepAll, keepFirst, nil} {
+			pool := NewPool(64)
+			pool.Register(pf)
+			seg, data, err := OpenSegment(pf, pool, keep)
+			if err != nil {
+				if n := pool.NumFrames(); n != 0 {
+					t.Fatalf("a rejected image left %d frames of its file in the pool", n)
+				}
+				continue
 			}
-			if len(buf) != int(seg.RowLen(i)) {
-				t.Fatalf("row %d: ReadRow returned %d bytes, directory says %d", i, len(buf), seg.RowLen(i))
+			dataBytes := 0
+			for i := 0; i < seg.NumRows(); i++ {
+				dataBytes += int(seg.RowLen(i))
 			}
-		}
-		off := 0
-		for i := 0; i < seg.NumRows(); i++ {
-			off += int(seg.RowLen(i))
-		}
-		if off != len(data) {
-			t.Fatalf("the directory's payloads sum to %d bytes, the kept region holds %d", off, len(data))
+			if data != nil && len(data) != dataBytes {
+				t.Fatalf("the directory's payloads sum to %d bytes, the kept region holds %d", dataBytes, len(data))
+			}
+			dataPages, offered := (dataBytes+PageSize-1)/PageSize, 0
+			if data == nil {
+				offered = min(dataPages, pool.Capacity())
+			}
+			if n := pool.NumFrames(); n != offered {
+				t.Fatalf("%d frames in the pool after an open that returned %d of %d data bytes, want %d",
+					n, len(data), dataBytes, offered)
+			}
+			for key, fr := range pool.frames {
+				if key.page < 1 || int(key.page) > dataPages {
+					t.Fatalf("page %d in the pool is not one of the %d data pages", key.page, dataPages)
+				}
+				if !bytes.Equal(fr.Data(), b[int(key.page)*PageSize:][:PageSize]) {
+					t.Fatalf("page %d in the pool differs from the file's", key.page)
+				}
+			}
+			var buf []byte
+			for i := 0; i < seg.NumRows(); i++ {
+				if buf, err = seg.ReadRow(i, buf); err != nil {
+					return
+				}
+				if len(buf) != int(seg.RowLen(i)) {
+					t.Fatalf("row %d: ReadRow returned %d bytes, directory says %d", i, len(buf), seg.RowLen(i))
+				}
+			}
 		}
 	})
 }

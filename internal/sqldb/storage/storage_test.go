@@ -187,6 +187,80 @@ func TestPoolHitMissAndEviction(t *testing.T) {
 	}
 }
 
+// TestPoolOffer: an offered page becomes a resident, unpinned frame while a
+// frame is free and the page is not resident; it never evicts, never replaces
+// a resident page and moves no counter, and a later Get of it is a hit on the
+// bytes offered, with no device read.
+func TestPoolOffer(t *testing.T) {
+	f, pool := stampedFile(t, 12, 8)
+	counters := func() [3]uint64 {
+		m := pool.Metrics()
+		return [3]uint64{m.Hits.Load(), m.Misses.Load(), m.Evictions.Load()}
+	}
+	fr, err := pool.Get(f, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool.Unpin(fr)
+	before, reads := counters(), f.Reads()
+
+	var page [PageSize]byte
+	offer := func(id PageID, stamp uint32) {
+		binary.LittleEndian.PutUint32(page[:], stamp)
+		pool.Offer(f, id, page[:])
+	}
+	offer(0, 1000) // resident: left as it is
+	for id := PageID(1); id < 12; id++ {
+		offer(id, uint32(id)) // pages 1..7 fill the free frames; 8..11 find none
+	}
+	if got, want := fmt.Sprint(residentPages(pool)), "[0 1 2 3 4 5 6 7]"; got != want {
+		t.Errorf("resident pages after offering 0..11 to a pool holding 0 of 8 = %s, want %s", got, want)
+	}
+	if got := counters(); got != before {
+		t.Errorf("offers moved hits, misses, evictions from %v to %v", before, got)
+	}
+	pool.mu.Lock()
+	stamp := binary.LittleEndian.Uint32(pool.frames[frameKey{file: f.id, page: 0}].data[:])
+	pool.mu.Unlock()
+	if stamp != 0 {
+		t.Errorf("offering resident page 0 replaced its bytes: stamp %d, want 0", stamp)
+	}
+	// The offered pages joined the LRU behind page 0, so the next miss evicts
+	// page 0.
+	fr, err = pool.Get(f, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool.Unpin(fr)
+	reads++
+	if got, want := fmt.Sprint(residentPages(pool)), "[1 2 3 4 5 6 7 8]"; got != want {
+		t.Errorf("resident pages after a miss = %s, want %s", got, want)
+	}
+	before = counters()
+	for _, id := range []PageID{1, 7} {
+		fr, err := pool.Get(f, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]byte, PageSize)
+		if err := f.ReadPage(id, want); err != nil {
+			t.Fatal(err)
+		}
+		reads++
+		if !bytes.Equal(fr.Data(), want) {
+			t.Errorf("page %d from the pool holds stamp %d, the file %d", id,
+				binary.LittleEndian.Uint32(fr.Data()), binary.LittleEndian.Uint32(want))
+		}
+		pool.Unpin(fr)
+	}
+	if got := counters(); got != [3]uint64{before[0] + 2, before[1], before[2]} {
+		t.Errorf("Gets of two offered pages: hits, misses, evictions %v, from %v; want two hits", got, before)
+	}
+	if got := f.Reads(); got != reads {
+		t.Errorf("Gets of offered pages made %d device reads, want 0", got-reads)
+	}
+}
+
 // residentPages lists the pages the pool holds, in ascending order.
 func residentPages(pool *Pool) []PageID {
 	pool.mu.Lock()

@@ -314,8 +314,11 @@ func (t *Table) BulkLoad(rows []sqltypes.Row) error {
 // counted so far, or for one varint per ten bytes of the region if that is
 // more. The bound only grows, so a table whose region is let go would have
 // been declined (or failed its decode), and a table too large for the cache
-// is let go at its first chunk, before any copy. Open never creates the
-// file: a missing one is an error.
+// is let go at its first chunk, before any copy. Every data page the table
+// does not keep as vectors ends up in a free frame of the buffer pool: the
+// open pass offers those it does not keep (storage.OpenSegment), and a region
+// kept for a table the cache then declines is offered whole. Open never
+// creates the file: a missing one is an error.
 func (t *Table) open(jobs []func() error) ([]func() error, error) {
 	db := t.db
 	f, err := storage.OpenPagedFile(t.segPath(), db.dev, &db.clock)
@@ -355,7 +358,7 @@ func (t *Table) open(jobs []func() error) ([]func() error, error) {
 		match = sqltypes.Type(cols[i]) == t.types[i]
 	}
 	if !match {
-		_ = f.Close()
+		_ = db.release(f) // best-effort cleanup; the mismatch wins
 		return jobs, fmt.Errorf("sqldb: table %q: %w: header: columns %v (pk %d) do not match the schema",
 			t.def.Name, storage.ErrCorruptSegment, cols, seg.PKLen())
 	}
@@ -366,8 +369,14 @@ func (t *Table) open(jobs []func() error) ([]func() error, error) {
 		}
 		return jobs, nil
 	}
+	if db.admitHook != nil {
+		db.admitHook()
+	}
 	e := db.vcache.Register(vectorBytes(t.types, seg.NumRows(), varints))
 	if e == nil {
+		// A load of another table took the room keep saw: the region goes to
+		// the pool like every page the open pass does not keep.
+		seg.Offer(data)
 		return jobs, nil
 	}
 	t.vcE = e

@@ -49,15 +49,12 @@ func TestFacadeObservability(t *testing.T) {
 	if got != n {
 		t.Fatalf("hook got %d traces, want %d", got, n)
 	}
+	// The label tables were decoded before the first query, so every query,
+	// the first included, reports its label reads as vector-cache hits.
 	for _, tr := range traces {
-		if tr.Code != "v2v-ea" || !tr.Fused {
-			t.Errorf("trace = %+v", tr)
+		if tr.Code != "v2v-ea" || !tr.Fused || tr.VCacheHits == 0 {
+			t.Errorf("trace = %+v, want a fused v2v-ea with vcache hits", tr)
 		}
-	}
-	// The first query materializes the label tables (a cache miss); warm
-	// repeats must report their label reads as vector-cache hits.
-	if last := traces[len(traces)-1]; last.VCacheHits == 0 {
-		t.Errorf("warm trace carries no vcache hits: %+v", last)
 	}
 	if lines := strings.Count(slow.String(), "\n"); lines != n {
 		t.Errorf("slow log has %d lines, want %d:\n%s", lines, n, slow.String())
@@ -71,6 +68,10 @@ func TestFacadeObservability(t *testing.T) {
 		t.Errorf("snapshot fused runs = %d, want >= %d", snap.Exec.FusedRuns, n)
 	}
 	// Only a table outside the vector cache is read through the buffer pool.
+	// Its pages are resident from the open pass until the caches are dropped.
+	if err := db.DropCaches(); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 2; i++ {
 		if _, ok, err := db.Stop(0); err != nil || !ok {
 			t.Fatalf("Stop(0) = %v, %v", ok, err)

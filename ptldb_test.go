@@ -94,7 +94,11 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 
 	// The label reads above were served by the vector cache; the stops table
-	// (it has text and float columns) is read through the buffer pool.
+	// (it has text and float columns) is read through the buffer pool, where
+	// its pages stay from the open pass until the caches are dropped.
+	if err := db.DropCaches(); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 2; i++ {
 		if stop, ok, err := db.Stop(g); err != nil || !ok || stop.ID != g {
 			t.Fatalf("Stop(%d) = %+v, %v, %v", g, stop, ok, err)
