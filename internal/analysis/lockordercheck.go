@@ -20,9 +20,9 @@ package analysis
 // receive, or a call whose summary says it may blocking-acquire — adds one
 // edge held→acquired per held class. Function summaries (may-acquire, opens
 // a latch, closes a latch, may block — lockcheck's fact) are computed to
-// fixpoint over static module-local calls, so the graph spans packages: the
-// pool's frame latch held across the re-lock that detaches a failed load
-// shows up as Frame.ready → Pool.mu even though the acquisition is a
+// fixpoint over static module-local calls, so the graph spans packages: a
+// mutex taken by a helper while the caller holds a latch or another mutex
+// shows up as an edge from the held class even though the acquisition is a
 // call deep.
 //
 // Findings:
@@ -430,7 +430,7 @@ func (f *lockFacts) summarizeCall(p *Package, call *ast.CallExpr, sum *lockSumma
 }
 
 // structKeyClass resolves a composite-literal key to an annotated latch
-// field: &Frame{ready: make(chan struct{})} opens Frame.ready.
+// field: &slot{opening: make(chan struct{})} opens slot.opening.
 func (f *lockFacts) structKeyClass(p *Package, kv *ast.KeyValueExpr) *lockClass {
 	id, ok := kv.Key.(*ast.Ident)
 	if !ok {

@@ -118,16 +118,13 @@ func TestExplainPreparedGoldens(t *testing.T) {
 	}
 }
 
-// TestExplainPreparedGoldensVectorCache pins the vector-tier renderings: with
-// a resident vector cache configured every access-path operator upgrades to
-// its Vector* name (the warm steady state — label reads served from decoded
-// column vectors) while the rest of the tree is unchanged. Derived from
-// explainGoldens by exactly that substitution, so the two golden sets can
-// never drift structurally.
-func TestExplainPreparedGoldensVectorCache(t *testing.T) {
+// cachedPaperStore is the paper's worked example with the target set of the
+// goldens on a handle whose vector cache has the given budget.
+func cachedPaperStore(t *testing.T, budget int64) (*Store, *sqldb.DB) {
+	t.Helper()
 	labels := ttl.Build(timetable.PaperExample(), order.Identity(7)).Augment()
 	db, err := sqldb.Open(t.TempDir(), sqldb.Options{
-		Device: storage.RAM, PoolPages: 4096, VectorCacheBytes: 64 << 20,
+		Device: storage.RAM, PoolPages: 4096, VectorCacheBytes: budget,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -140,21 +137,53 @@ func TestExplainPreparedGoldensVectorCache(t *testing.T) {
 	if err := st.AddTargetSet("poi", []timetable.StopID{4, 6}, 4); err != nil {
 		t.Fatal(err)
 	}
-	vectorOps := strings.NewReplacer(
-		"SegmentLookup", "VectorLookup",
-		"SegmentScan", "VectorScan",
-		"SegmentProbe", "VectorProbe",
-	)
+	return st, db
+}
+
+// checkExplain compares every prepared rendering of st with its golden
+// after the substitution r.
+func checkExplain(t *testing.T, st *Store, r *strings.Replacer) {
+	t.Helper()
 	for name, segGolden := range explainGoldens {
-		want := vectorOps.Replace(segGolden)
+		want := r.Replace(segGolden)
 		got, err := st.ExplainPrepared(name)
 		if err != nil {
 			t.Errorf("explain %q: %v", name, err)
 			continue
 		}
 		if got != want {
-			t.Errorf("explain %q with vector cache:\n got:\n%s want:\n%s", name, got, want)
+			t.Errorf("explain %q:\n got:\n%s want:\n%s", name, got, want)
 		}
+	}
+}
+
+// TestExplainPreparedGoldensVectorCache pins the vector-tier renderings: with
+// every table resident in the vector cache each access-path operator upgrades
+// to its Vector* name (the warm steady state — label reads served from
+// decoded column vectors) while the rest of the tree is unchanged. Derived
+// from explainGoldens by exactly that substitution, so the two golden sets
+// can never drift structurally.
+func TestExplainPreparedGoldensVectorCache(t *testing.T) {
+	st, _ := cachedPaperStore(t, 64<<20)
+	checkExplain(t, st, strings.NewReplacer(
+		"SegmentLookup", "VectorLookup",
+		"SegmentScan", "VectorScan",
+		"SegmentProbe", "VectorProbe",
+	))
+}
+
+// TestExplainNamesEachTablesTier: EXPLAIN names each operator after the tier
+// that serves its own table, not after whether the handle has a cache. A
+// cache too small for any label table declines them all, so every rendering
+// is the segment golden while the queries hit no vector.
+func TestExplainNamesEachTablesTier(t *testing.T) {
+	st, db := cachedPaperStore(t, 1)
+	checkExplain(t, st, strings.NewReplacer())
+	if _, ok, err := st.EarliestArrival(1, 1, 32400); err != nil || !ok {
+		t.Fatal(ok, err)
+	}
+	if vc := db.Registry().Snapshot().VCache; vc.Declined == 0 || vc.Hits != 0 || vc.Materializations != 0 {
+		t.Errorf("vcache = %+v; want every table declined and no hit", *vc)
 	}
 }
 
@@ -336,9 +365,7 @@ func TestSegmentCountersAndTracePages(t *testing.T) {
 	reg := st.DB.Registry()
 	before := reg.Snapshot()
 
-	if err := st.DB.DropCaches(); err != nil {
-		t.Fatal(err)
-	}
+	st.DB.DropCaches()
 	var traces []obs.Trace
 	st.SetTraceHook(func(tr obs.Trace) { traces = append(traces, tr) })
 	if _, ok, err := st.EarliestArrival(1, 1, 32400); err != nil || !ok {

@@ -161,9 +161,9 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// PoolMetrics are the buffer pool's counters. Hits and misses follow the
-// pool's singleflight accounting (a failed coalesced load is one miss and
-// zero hits); evictions count frames displaced for capacity (DropCaches,
+// PoolMetrics are the buffer pool's counters. Every Get counts one hit or
+// one miss, and every miss is one device read through the pool, failed or
+// not; evictions count frames a miss displaced for capacity (DropCaches,
 // being a bulk reset, is not an eviction). RandReads and SeqReads split
 // every device page read of the handle's files by how the device model
 // charged it — a seek, or a transfer following the previously read page of
@@ -261,12 +261,12 @@ func (m *SegmentMetrics) Snapshot() SegmentSnapshot {
 }
 
 // VCacheMetrics are the resident vector cache's counters: lookups served
-// from decoded column vectors (hits), tables decoded and published
-// (materializations: every admitted table, once, at open), tables declined at
-// registration because their vectors do not fit what the tables admitted
-// before them left of the budget (their lookups bypass the cache and count as
-// neither hit nor miss), the current resident bytes, and the latency of each
-// decode.
+// from decoded column vectors (hits), tables decoded (materializations:
+// every admitted table, once, at open), tables declined at registration
+// because their vectors do not fit what the tables admitted before them left
+// of the budget (their lookups bypass the cache and count as neither hit nor
+// miss), the bytes of the admitted tables' shares (resident bytes), and the
+// latency of each decode.
 type VCacheMetrics struct {
 	Hits Counter
 	// Misses is never incremented: an admitted table is resident before a

@@ -138,7 +138,7 @@ func TestVectorSizePrediction(t *testing.T) {
 		if err != nil || !ok || !sqltypes.Equal(got[len(got)-1], row[len(row)-1]) {
 			t.Fatalf("%v: LookupPK = %v, %v, %v", cols, got, ok, err)
 		}
-		if after := db.Registry().VCache.Snapshot(); tbl.vcE != nil || !reflect.DeepEqual(after, before) {
+		if after := db.Registry().VCache.Snapshot(); tbl.vc != nil || !reflect.DeepEqual(after, before) {
 			t.Errorf("%v: a table with a DOUBLE or TEXT column touched the vector cache: %+v -> %+v", cols, before, after)
 		}
 	}
@@ -152,7 +152,7 @@ func TestVectorSizePrediction(t *testing.T) {
 			t.Errorf("%s: predicted %d bytes of vectors, its rows need %d", spec.name, got, want)
 		}
 
-		m := sf.vcE.Acquire() // what Open decoded
+		m := sf.vc // what Open decoded
 		// The scalar columns own a vector each; the array columns share
 		// Elems and Starts, counted once.
 		allocated := int64(cap(m.Keys))*16 + 8*int64(cap(m.Elems)) + 4*int64(cap(m.Starts))
@@ -287,8 +287,8 @@ func TestDeclinedTableIsNeverBulkRead(t *testing.T) {
 	}
 
 	db, sf = open(size - 1)
-	if sf.vcE != nil {
-		t.Fatal("a table larger than the budget holds a cache slot")
+	if sf.vc != nil {
+		t.Fatal("a table larger than the budget holds a cache share")
 	}
 	var off int64
 	for i := 0; i < probe; i++ {
@@ -300,9 +300,7 @@ func TestDeclinedTableIsNeverBulkRead(t *testing.T) {
 	if got, misses := sf.file.Reads()-reads, db.Registry().Snapshot().Pool.Misses; got != 0 || misses != 0 {
 		t.Errorf("lookup of a declined table right after open: %d device reads, %d pool misses; want none", got, misses)
 	}
-	if err := db.DropCaches(); err != nil {
-		t.Fatal(err)
-	}
+	db.DropCaches()
 	before, reads := db.Registry().Snapshot(), sf.file.Reads()
 	lookup(db)
 	after := db.Registry().Snapshot()
@@ -477,15 +475,15 @@ func TestDeclinedAfterKeptOffersRegion(t *testing.T) {
 	tbl := mkTable(t, db, spec.name, spec.pk, spec.cols...)
 	size := rowVectorBytes(tbl.types, rows)
 	db.admitHook = func() {
-		if db.vcache.Register(db.vcache.Free()-size+1) == nil {
+		if !db.vcache.Register(db.vcache.Free() - size + 1) {
 			t.Fatal("the cache declined the room the test takes")
 		}
 	}
 	if err := tbl.BulkLoad(rows); err != nil {
 		t.Fatal(err)
 	}
-	if tbl.vcE != nil {
-		t.Fatal("the table holds a cache slot the cache no longer had room for")
+	if tbl.vc != nil {
+		t.Fatal("the table holds a cache share the cache no longer had room for")
 	}
 	snap := db.Registry().Snapshot()
 	if vc := snap.VCache; vc.Declined != 1 || vc.Materializations != 0 {
@@ -519,9 +517,7 @@ func TestDropCachesForgetsReadPosition(t *testing.T) {
 	}
 	load(t, tbl, rows...)
 	for _, k := range []int64{3, 4, 5} {
-		if err := db.DropCaches(); err != nil {
-			t.Fatal(err)
-		}
+		db.DropCaches()
 		before := db.Registry().Snapshot().Pool
 		if _, ok, err := tbl.LookupPK([]int64{k}); err != nil || !ok {
 			t.Fatalf("LookupPK(%d) = %v, %v", k, ok, err)
@@ -533,12 +529,10 @@ func TestDropCachesForgetsReadPosition(t *testing.T) {
 	}
 }
 
-// TestFailedDropCachesDropsNothing: DropCaches empties the pool first, and
-// that is all or nothing, so when a page is still pinned the call fails
-// before it forgets a read position. Once the pin is released the same call
-// empties the pool and leaves the resident vectors: they are what the table's
-// open decoded, like its key directory.
-func TestFailedDropCachesDropsNothing(t *testing.T) {
+// TestDropCachesKeepsVectors: DropCaches empties the pool — bytes a reader
+// took from it before stay valid — and leaves the resident vectors: they are
+// what the table's open decoded, like its key directory.
+func TestDropCachesKeepsVectors(t *testing.T) {
 	db, err := Open(t.TempDir(), Options{Device: storage.RAM, PoolPages: 256, VectorCacheBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
@@ -552,23 +546,17 @@ func TestFailedDropCachesDropsNothing(t *testing.T) {
 	if resident == 0 || vc.Materializations.Load() != 1 {
 		t.Fatalf("%d resident bytes after %d materializations; want the table resident", resident, vc.Materializations.Load())
 	}
-	fr, err := db.Pool().Get(tbl.file, 0)
+	header, err := db.Pool().Get(tbl.file, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	frames := db.Pool().NumFrames()
-	if err := db.DropCaches(); err == nil {
-		t.Fatal("DropCaches succeeded with a page pinned")
-	}
-	if got, n := vc.ResidentBytes.Load(), db.Pool().NumFrames(); got != resident || n != frames {
-		t.Fatalf("the failed DropCaches left %d resident bytes and %d frames; want %d and %d untouched", got, n, resident, frames)
-	}
-	db.Pool().Unpin(fr)
-	if err := db.DropCaches(); err != nil {
-		t.Fatal(err)
-	}
+	want := string(header)
+	db.DropCaches()
 	if got, n := vc.ResidentBytes.Load(), db.Pool().NumFrames(); got != resident || n != 0 {
 		t.Fatalf("DropCaches left %d resident bytes and %d frames; want %d and 0", got, n, resident)
+	}
+	if string(header) != want {
+		t.Fatal("DropCaches changed the bytes of a page a reader held")
 	}
 	if row, ok, err := tbl.LookupPK([]int64{1}); err != nil || !ok || len(row[1].A) != 2 || vc.Materializations.Load() != 1 {
 		t.Fatalf("LookupPK(1) = %v, %v, %v after %d materializations; want a hit on the resident vectors", row, ok, err, vc.Materializations.Load())

@@ -209,15 +209,12 @@ func (db *DB) Pool() *storage.Pool { return db.pool }
 // Device returns the device model the database was opened with.
 func (db *DB) Device() storage.DeviceModel { return db.dev }
 
-// DropCaches empties the buffer pool — all or nothing: a pinned page fails the
-// call before anything is dropped — then forgets where every table file was
+// DropCaches empties the buffer pool, then forgets where every table file was
 // last read, emulating the paper's OS cache drop (the first read of any file
 // is a seek). The resident vectors stay, as the key directories do: both are
 // what Open decoded, and a server restart is Close and Open again.
-func (db *DB) DropCaches() error {
-	if err := db.pool.DropCaches(); err != nil {
-		return err
-	}
+func (db *DB) DropCaches() {
+	db.pool.DropCaches()
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	for _, t := range db.tables {
@@ -225,7 +222,6 @@ func (db *DB) DropCaches() error {
 			t.file.ForgetLastRead()
 		}
 	}
-	return nil
 }
 
 // CreateTable declares a new table: its catalog entry. The table reads as
@@ -433,7 +429,7 @@ func (db *DB) Prepare(query string) (*Stmt, error) {
 	}
 	st := &Stmt{db: db, sel: sel}
 	if !db.referenceExec {
-		if st.fused, err = exec.Fuse(sel, catalogAdapter{db}, db.vcache != nil); err != nil {
+		if st.fused, err = exec.Fuse(sel, catalogAdapter{db}); err != nil {
 			return nil, err
 		}
 	}

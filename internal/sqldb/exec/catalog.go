@@ -41,6 +41,10 @@ type Table interface {
 	// arrays and the arena are all recycled between rows, so fn must not
 	// retain any of them past its return.
 	ScanScratch(s *RowScratch, fn func(sqltypes.Row) error) error
+	// Resident reports whether the scratch reads serve the table from
+	// resident decoded vectors rather than from its segment. EXPLAIN names
+	// the table's access-path operator after it.
+	Resident() bool
 
 	// The declarations below are vouched for by the table (sqldb validates
 	// every row it writes); the fused executor trusts them without looking.

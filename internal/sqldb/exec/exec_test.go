@@ -36,6 +36,7 @@ func (m *memTable) Columns() []string              { return m.cols }
 func (m *memTable) PKCols() []int                  { return m.pk }
 func (m *memTable) RunOrder() []int                { return m.runOrder }
 func (m *memTable) TargetBound() ([]int, int, int) { return m.targetCols, m.bound, m.count }
+func (m *memTable) Resident() bool                 { return false }
 func (m *memTable) Floor() (int, int64, []int) {
 	if m.floorCols == nil {
 		return -1, 0, nil

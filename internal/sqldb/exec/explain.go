@@ -27,22 +27,17 @@ func (p *FusedPlan) Explain() string {
 	return b.String()
 }
 
-// Access-path operator names: label tables are columnar segments (directory
-// binary search + payload pages), served from resident decoded column
-// vectors on handles with a vector cache. The operator semantics are
-// identical; the name records which tier serves the rows (the Vector* names
-// describe a handle whose cache admitted the table, which Open decoded; a
-// table the cache declined still reads its segment at runtime).
-func (p *FusedPlan) tier() string {
-	if p.vectors {
-		return "Vector"
+// op names the access-path operator that reads the plan's i-th table
+// (access is "Lookup", "Scan" or "Probe") after the tier serving its rows
+// when Explain runs: Vector when the table's decoded vectors are resident,
+// Segment when its rows are read from the columnar segment (directory binary
+// search + payload pages). The operator semantics are identical.
+func (p *FusedPlan) op(i int, access string) string {
+	if p.tables[i].tb.Resident() {
+		return "Vector" + access
 	}
-	return "Segment"
+	return "Segment" + access
 }
-
-func (p *FusedPlan) lookupOp() string { return p.tier() + "Lookup" }
-func (p *FusedPlan) scanOp() string   { return p.tier() + "Scan" }
-func (p *FusedPlan) probeOp() string  { return p.tier() + "Probe" }
 
 func (p *FusedPlan) explainV2V(b *strings.Builder) {
 	f := p.v2v
@@ -60,8 +55,8 @@ func (p *FusedPlan) explainV2V(b *strings.Builder) {
 		fmt.Fprintf(b, "└─ First by in.ta, out.td desc, out.hub, out.ta, in.td\n")
 	}
 	fmt.Fprintf(b, "   └─ RunJoin out.hub = in.hub, reach out.ta <= in.td\n")
-	fmt.Fprintf(b, "      ├─ %s %s [v = $%d%s]\n", p.lookupOp(), p.tables[0].name, f.outVParam, outFilter)
-	fmt.Fprintf(b, "      └─ %s %s [v = $%d%s]\n", p.lookupOp(), p.tables[1].name, f.inVParam, inFilter)
+	fmt.Fprintf(b, "      ├─ %s %s [v = $%d%s]\n", p.op(0, "Lookup"), p.tables[0].name, f.outVParam, outFilter)
+	fmt.Fprintf(b, "      └─ %s %s [v = $%d%s]\n", p.op(1, "Lookup"), p.tables[1].name, f.inVParam, inFilter)
 }
 
 func (p *FusedPlan) explainKNNNaive(b *strings.Builder) {
@@ -80,9 +75,9 @@ func (p *FusedPlan) explainKNNNaive(b *strings.Builder) {
 	} else {
 		scanFilter = fmt.Sprintf(", ta <= $%d", f.tParam)
 	}
-	fmt.Fprintf(b, "         ├─ %s %s [v = $%d%s]\n", p.lookupOp(), p.tables[0].name, f.qParam, labFilter)
+	fmt.Fprintf(b, "         ├─ %s %s [v = $%d%s]\n", p.op(0, "Lookup"), p.tables[0].name, f.qParam, labFilter)
 	fmt.Fprintf(b, "         └─ %s %s [vs[1:$%d], tas[1:$%d]%s]\n",
-		p.scanOp(), p.tables[1].name, f.kParam, f.kParam, scanFilter)
+		p.op(1, "Scan"), p.tables[1].name, f.kParam, f.kParam, scanFilter)
 }
 
 func (p *FusedPlan) explainCondensed(b *strings.Builder) {
@@ -102,7 +97,7 @@ func (p *FusedPlan) explainCondensed(b *strings.Builder) {
 		bucketSrc = fmt.Sprintf("$%d", f.tParam)
 	}
 	fmt.Fprintf(b, "      └─ %s %s [hub = n1.hub, %s = FLOOR(%s / %d)]\n",
-		p.probeOp(), p.tables[1].name, f.bucketCol, bucketSrc, p.width)
+		p.op(1, "Probe"), p.tables[1].name, f.bucketCol, bucketSrc, p.width)
 	slice := ""
 	if f.kParam > 0 {
 		slice = fmt.Sprintf("[1:$%d]", f.kParam)
@@ -121,5 +116,5 @@ func (p *FusedPlan) explainCondensed(b *strings.Builder) {
 	if f.ea {
 		labFilter = fmt.Sprintf(", td >= $%d", f.tParam)
 	}
-	fmt.Fprintf(b, "         └─ %s %s [v = $%d%s]\n", p.lookupOp(), p.tables[0].name, f.qParam, labFilter)
+	fmt.Fprintf(b, "         └─ %s %s [v = $%d%s]\n", p.op(0, "Lookup"), p.tables[0].name, f.qParam, labFilter)
 }

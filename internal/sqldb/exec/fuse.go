@@ -47,12 +47,6 @@ type FusedPlan struct {
 	// states recycles *queryState between Run calls.
 	states sync.Pool
 
-	// vectors records whether the catalog fronts its tables with the resident
-	// vector cache. It only affects Explain — the runtime dispatch lives
-	// inside the storage layer's scratch reads, which this package reaches
-	// through the same interface either way.
-	vectors bool
-
 	// Exactly one is set; the values are the code's, shared by every plan of
 	// its kind.
 	v2v  *fusedV2V
@@ -174,9 +168,8 @@ var codes = sync.OnceValue(func() []code {
 // Fuse compiles sel into a FusedPlan bound to cat's tables, or returns nil
 // and no error when the statement is not one of the workload's. A statement
 // of the workload whose tables do not have what its kernel reads and trusts
-// is an error naming the table. vectors says whether the resident vector
-// cache fronts cat's tables, which only Explain's operator names show.
-func Fuse(sel *sql.Select, cat Catalog, vectors bool) (*FusedPlan, error) {
+// is an error naming the table.
+func Fuse(sel *sql.Select, cat Catalog) (*FusedPlan, error) {
 	p := recognize(sel)
 	if p == nil {
 		return nil, nil
@@ -186,7 +179,7 @@ func Fuse(sel *sql.Select, cat Catalog, vectors bool) (*FusedPlan, error) {
 			return nil, err
 		}
 	}
-	p.metrics, p.vectors = cat.ExecMetrics(), vectors
+	p.metrics = cat.ExecMetrics()
 	return p, nil
 }
 

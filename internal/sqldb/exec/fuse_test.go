@@ -27,7 +27,7 @@ func mustParse(t *testing.T, q string) *sql.Select {
 // tables bind.
 func mustFuse(t *testing.T, cat Catalog, q string) *FusedPlan {
 	t.Helper()
-	fp, err := Fuse(mustParse(t, q), cat, false)
+	fp, err := Fuse(mustParse(t, q), cat)
 	if err != nil || fp == nil {
 		t.Fatalf("fuse: plan %v, error %v\n%s", fp, err, q)
 	}
@@ -544,7 +544,7 @@ func TestFusedTypedErrors(t *testing.T) {
 			nil, []string{`"aux_ea"`, "primary key is not (dephour, hub)"}},
 	}
 	for _, tc := range cases {
-		fp, err := Fuse(mustParse(t, tc.q), tc.cat, false)
+		fp, err := Fuse(mustParse(t, tc.q), tc.cat)
 		if tc.params == nil && fp != nil {
 			t.Errorf("%s: fused", tc.name)
 			continue

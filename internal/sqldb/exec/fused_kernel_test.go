@@ -640,7 +640,7 @@ func FuzzCondensedKNNStop(f *testing.F) {
 		orderLDArms(rng, cat["aux_ld"], rng.Intn(3) == 0)
 		kind := rng.Intn(4) // the EA kNN, the EA one-to-many, the LD kNN, the LD one-to-many
 		sel := sels[kind]
-		fp, err := Fuse(sel, cat, false)
+		fp, err := Fuse(sel, cat)
 		if err != nil {
 			t.Fatal(err)
 		}

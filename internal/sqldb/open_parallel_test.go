@@ -73,7 +73,7 @@ func TestParallelOpenIsDeterministic(t *testing.T) {
 		}
 		var admitted []string
 		for _, name := range []string{"t1", "t2", "t3"} {
-			if tbl, _ := db.Table(name); tbl.vcE != nil {
+			if tbl, _ := db.Table(name); tbl.vc != nil {
 				admitted = append(admitted, name)
 			}
 		}

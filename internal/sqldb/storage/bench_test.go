@@ -17,10 +17,8 @@ func BenchmarkPoolGetHit(b *testing.B) {
 	stampPages(b, f, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fr, err := pool.Get(f, 0)
-		if err != nil {
+		if _, err := pool.Get(f, 0); err != nil {
 			b.Fatal(err)
 		}
-		pool.Unpin(fr)
 	}
 }

@@ -1,30 +1,30 @@
 package storage
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"ptldb/internal/obs"
 )
 
-// Pool is the shared buffer pool: a fixed number of page frames cached over
-// any number of PagedFiles, with LRU replacement. It is a read cache: table
-// files are written whole by WriteSegmentFile and only read afterwards, so a
-// frame is never dirty and eviction is a map delete. It plays the role of
-// PostgreSQL's shared_buffers in the PTLDB evaluation; DropCaches emulates
-// the paper's "restart the server and clear the operating system's cache"
-// step.
+// Pool is the shared buffer pool: at most a fixed number of page frames
+// cached over any number of PagedFiles, with LRU replacement. It is a read
+// cache: table files are written whole by WriteSegmentFile and only read
+// afterwards, so a frame is never dirty and eviction is a map delete. It
+// plays the role of PostgreSQL's shared_buffers in the PTLDB evaluation;
+// DropCaches emulates the paper's "restart the server and clear the operating
+// system's cache" step.
 //
 // The pool is one frame table and one LRU list under one mutex. Warm label
 // reads are served by the resident vector cache above it, so the pool sees
-// the cold path and the tables the vector cache declines. Device reads
-// happen outside the mutex under a per-frame load latch: on a miss the frame
-// is installed in a "loading" state, the mutex is dropped, the page is read
-// from the device, and the result (bytes or error) is published to every
-// goroutine that coalesced on the frame in the meantime. Concurrent misses
-// on different pages therefore overlap their I/O; concurrent misses on the
-// same page trigger exactly one device read.
+// the cold path and the tables the vector cache declines. A frame's bytes
+// never change once it is installed, and the pool never reuses a frame: a
+// miss reads into a fresh one. Get therefore hands out the frame's bytes
+// themselves, with nothing to release: an evicted frame stays valid for as
+// long as a reader holds its bytes, and the garbage collector frees it after
+// the last one. A miss reads the page with the mutex released, so misses
+// overlap their device time; two concurrent misses on one page are two
+// device reads, and the later one installs nothing.
 //
 // One rule fills the pool besides Get: a page the process has read from the
 // device stays cached until something evicts it. Opening a segment reads the
@@ -33,17 +33,16 @@ import (
 // first queries without reading those pages again, and a build handle's pool
 // keeps what each BulkLoad wrote and re-read, up to its capacity.
 //
-// The bytes of a pinned frame may be read concurrently and are never
-// modified. The one rule lockcheck enforces on the pool mutex (DESIGN.md §8)
-// is that no page is read while it is held.
+// The one rule lockcheck enforces on the pool mutex (DESIGN.md §8) is that no
+// page is read while it is held.
 type Pool struct {
-	// mu is acquisition level 20: taken after a frame latch (level 10) when a
-	// failed load is published (lockordercheck).
+	// mu is acquisition level 20, never taken while another shard-class
+	// mutex is held (lockordercheck).
 	mu       sync.Mutex // lockcheck:shard level=20
 	capacity int
-	frames   map[frameKey]*Frame
-	// LRU list of unpinned resident frames; head is least recently used.
-	lruHead, lruTail *Frame
+	frames   map[frameKey]*frame
+	// LRU list of the resident frames; head is least recently used.
+	lruHead, lruTail *frame
 
 	nextFileID atomic.Int64
 
@@ -51,10 +50,6 @@ type Pool struct {
 	// evictions); Metrics exposes them so a database handle can graft them
 	// into its obs.Registry.
 	metrics obs.PoolMetrics
-
-	// loadHook, when non-nil, runs after a loading frame is installed and
-	// before its device read. Tests use it to coordinate concurrent misses.
-	loadHook func(key frameKey)
 }
 
 type frameKey struct {
@@ -62,40 +57,18 @@ type frameKey struct {
 	page PageID
 }
 
-// Frame is one pinned buffer-pool page. Callers must Unpin it when done.
-//
-// Lifecycle: loading (installed pinned, ready open) → resident (ready
-// closed, loadErr nil) → evicted (removed from the frame table once
-// unpinned). An offered frame (Offer) starts out resident and unpinned. A
-// failed load is published by closing ready with loadErr set and detaching
-// the frame, so every coalesced waiter observes the error and a later Get
-// retries the read from scratch.
-type Frame struct {
-	key frameKey
-
-	// ready is closed once data is valid or loadErr is set; loadErr must
-	// only be read after ready is closed. The latch is acquisition level 10:
-	// the loader holds it open while re-taking the pool mutex (level 20) to
-	// detach a failed load, so it orders strictly below it.
-	ready   chan struct{} // lockcheck:latch level=10
-	loadErr error
-
-	data [PageSize]byte
-	pins int
-
-	prev, next *Frame // LRU links, valid only while unpinned and resident
+// frame is one cached page: its bytes never change after it is installed.
+type frame struct {
+	key        frameKey
+	data       [PageSize]byte
+	prev, next *frame // LRU links
 }
 
-// Data returns the page bytes, which must not be modified. The slice is valid
-// while the frame is pinned.
-func (f *Frame) Data() []byte { return f.data[:] }
-
 // NewPool creates a pool with room for capacity frames (minimum 8). The
-// capacity bounds the resident set; frames pinned concurrently beyond it are
-// allowed as a temporary overflow and trimmed back by later allocations. The
-// frame table grows with the frames the pool holds.
+// capacity bounds the resident set; the frame table grows with the frames
+// the pool holds.
 func NewPool(capacity int) *Pool {
-	return &Pool{capacity: max(capacity, 8), frames: make(map[frameKey]*Frame)}
+	return &Pool{capacity: max(capacity, 8), frames: make(map[frameKey]*frame)}
 }
 
 // Register assigns the pool-local id of a file. It must be called once per
@@ -104,58 +77,65 @@ func (p *Pool) Register(f *PagedFile) {
 	f.id = int(p.nextFileID.Add(1))
 }
 
-// Get pins the frame holding page id of file f, reading it from the device
-// on a miss. Concurrent Gets for the same uncached page coalesce into one
-// device read; all callers receive the same frame (or the same read error).
+// Get returns the bytes of page id of file f, reading the page from the
+// device on a miss. The bytes must not be modified; they stay valid after the
+// page is evicted.
 //
-// hotpath — allocheck root: the resident-hit path (map probe, pin, latch
-// receive, counter) must stay allocation-free; the miss tail allocates only
-// inside installLocked, which is marked cold.
-func (p *Pool) Get(f *PagedFile, id PageID) (*Frame, error) {
+// hotpath — allocheck root: the resident-hit path (map probe, LRU move,
+// counter) must stay allocation-free; the miss allocates only inside miss,
+// which is marked cold.
+func (p *Pool) Get(f *PagedFile, id PageID) ([]byte, error) {
 	key := frameKey{file: f.id, page: id}
 	p.mu.Lock()
-	if fr, ok := p.frames[key]; ok {
-		if fr.pins == 0 {
-			p.lruRemove(fr)
-		}
-		fr.pins++
-		p.mu.Unlock()
-		<-fr.ready // immediate for resident frames
-		if fr.loadErr != nil {
-			// The loader detached the frame; our pin dies with it. The
-			// failed load attempt is the loader's single miss — waiters
-			// that coalesced on it count neither a hit nor a miss.
-			return nil, fr.loadErr
-		}
-		p.metrics.Hits.Add(1)
-		return fr, nil
+	fr, ok := p.frames[key]
+	if ok {
+		p.lruRemove(fr)
+		p.lruAppend(fr)
 	}
-	// Miss: install a loading frame (the latch), then read the page with the
-	// mutex dropped so misses on other pages proceed in parallel. The miss is
-	// counted up front, exactly once per load attempt, whether or not the
-	// read below fails.
-	fr := p.installLocked(key)
 	p.mu.Unlock()
+	if !ok {
+		return p.miss(f, key)
+	}
+	p.metrics.Hits.Add(1)
+	return fr.data[:], nil
+}
+
+// miss reads a page into a fresh frame with no lock held and installs it,
+// evicting from the LRU head while the pool is at capacity. A page another
+// miss installed meanwhile is left as it is: this reader keeps its own bytes
+// and installs nothing. A failed read installs nothing either; it counts its
+// miss like every device read through the pool.
+//
+// hotpath:cold — the pool miss path: the one place Get allocates a frame;
+// the runtime ratchet bounds how often it runs.
+func (p *Pool) miss(f *PagedFile, key frameKey) ([]byte, error) {
 	p.metrics.Misses.Add(1)
-	if p.loadHook != nil {
-		p.loadHook(key)
+	fr := &frame{key: key}
+	if err := f.ReadPage(key.page, fr.data[:]); err != nil {
+		return nil, err
 	}
-	if rerr := f.ReadPage(id, fr.data[:]); rerr != nil {
-		return nil, p.failLoad(fr, rerr)
+	p.mu.Lock()
+	if p.frames[key] == nil {
+		for len(p.frames) >= p.capacity {
+			victim := p.lruHead
+			p.lruRemove(victim)
+			delete(p.frames, victim.key)
+			p.metrics.Evictions.Add(1)
+		}
+		p.installLocked(fr)
 	}
-	close(fr.ready)
-	return fr, nil
+	p.mu.Unlock()
+	return fr.data[:], nil
 }
 
 // Offer installs page id of file f from bytes a caller has already read from
 // the device — page, at most PageSize bytes, the rest of the frame zero — as
-// a resident, unpinned frame at the LRU tail. It does so only while a frame
-// is free and the page is not resident: it never evicts, and it counts no
-// hit, miss or eviction, since no device read goes through the pool for it.
-// OpenSegment offers every data page its pass reads and does not keep, so the
-// first queries after an open find those pages resident; a caller that
-// offers a page it has not verified yet must Forget the file if the check
-// fails.
+// a resident frame at the LRU tail. It does so only while a frame is free and
+// the page is not resident: it never evicts, and it counts no hit, miss or
+// eviction, since no device read goes through the pool for it. OpenSegment
+// offers every data page its pass reads and does not keep, so the first
+// queries after an open find those pages resident; a caller that offers a
+// page it has not verified yet must Forget the file if the check fails.
 func (p *Pool) Offer(f *PagedFile, id PageID, page []byte) {
 	key := frameKey{file: f.id, page: id}
 	p.mu.Lock()
@@ -163,90 +143,36 @@ func (p *Pool) Offer(f *PagedFile, id PageID, page []byte) {
 	if len(p.frames) >= p.capacity || p.frames[key] != nil {
 		return
 	}
-	fr := &Frame{key: key, ready: make(chan struct{})}
-	close(fr.ready)
+	fr := &frame{key: key}
 	copy(fr.data[:], page)
-	p.frames[key] = fr
+	p.installLocked(fr)
+}
+
+// installLocked adds fr to the frame table and the LRU tail. Caller holds
+// p.mu.
+func (p *Pool) installLocked(fr *frame) {
+	p.frames[fr.key] = fr
 	p.lruAppend(fr)
 }
 
-// failLoad publishes a load failure to every waiter coalesced on fr and
-// detaches the frame so subsequent Gets retry from scratch.
-func (p *Pool) failLoad(fr *Frame, err error) error {
-	p.mu.Lock()
-	delete(p.frames, fr.key)
-	p.mu.Unlock()
-	fr.loadErr = err
-	close(fr.ready)
-	return err
-}
-
-// installLocked finds room in the pool (evicting unpinned frames while at
-// capacity) and installs a new loading frame pinned once. When every resident
-// frame is pinned the pool overflows temporarily instead of failing: pinned
-// frames must live somewhere, and later allocations and unpins trim the pool
-// back to capacity. Caller holds p.mu.
-//
-// hotpath:cold — the pool miss path: the one place a frame and its latch are
-// allocated; the runtime ratchet bounds how often it runs.
-func (p *Pool) installLocked(key frameKey) *Frame {
-	for len(p.frames) >= p.capacity && p.lruHead != nil {
-		p.evictLocked(p.lruHead)
-	}
-	fr := &Frame{key: key, pins: 1, ready: make(chan struct{})}
-	p.frames[key] = fr
-	return fr
-}
-
-// evictLocked drops an unpinned resident frame. Caller holds p.mu.
-func (p *Pool) evictLocked(victim *Frame) {
-	p.lruRemove(victim)
-	delete(p.frames, victim.key)
-	p.metrics.Evictions.Add(1)
-}
-
-// Unpin releases one pin. Unpinned frames become eviction candidates.
-func (p *Pool) Unpin(fr *Frame) {
+// DropCaches evicts every frame, emulating a cold server start. Bytes a
+// reader still holds stay valid.
+func (p *Pool) DropCaches() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if fr.pins <= 0 {
-		panic("storage: Unpin of unpinned frame")
-	}
-	fr.pins--
-	if fr.pins == 0 && p.frames[fr.key] == fr {
-		p.lruAppend(fr)
-		// Trim pinned-overflow back toward capacity.
-		for len(p.frames) > p.capacity && p.lruHead != nil {
-			p.evictLocked(p.lruHead)
-		}
-	}
-}
-
-// DropCaches evicts every frame, emulating a cold server start. It fails,
-// evicting nothing, if any frame is still pinned.
-func (p *Pool) DropCaches() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, fr := range p.frames {
-		if fr.pins > 0 {
-			return fmt.Errorf("storage: DropCaches with pinned page %d", fr.key.page)
-		}
-	}
 	clear(p.frames)
 	p.lruHead, p.lruTail = nil, nil
-	return nil
 }
 
 // Forget discards every cached page of f: the file is about to be deleted or
-// replaced. Only f's frames are touched, which keeps it safe beside
-// concurrent loads of other files (DropCaches would evict those too). A page
-// still pinned is left behind — a pin on a file being deleted is a caller
-// bug — and is never served again, since no later file gets f's id.
+// replaced. Only f's frames are touched, so other files keep their pages
+// (DropCaches would evict those too). No later file gets f's id, so a page of
+// f a concurrent miss installs afterwards is never served again.
 func (p *Pool) Forget(f *PagedFile) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for key, fr := range p.frames {
-		if key.file == f.id && fr.pins == 0 {
+		if key.file == f.id {
 			p.lruRemove(fr)
 			delete(p.frames, key)
 		}
@@ -256,13 +182,9 @@ func (p *Pool) Forget(f *PagedFile) {
 // Metrics exposes the pool's counters for grafting into an obs.Registry. The
 // returned pointer is live: counters keep advancing as the pool runs.
 //
-// A Get that coalesces on an in-flight load counts as a hit only once the
-// load succeeds; the loader counts exactly one miss per load attempt
-// (successful or not), so misses equals the number of device reads issued
-// through the pool, and a failed coalesced read contributes one miss and
-// zero hits no matter how many goroutines were waiting on it. Evictions
-// count frames displaced for capacity (by allocation or overflow trimming);
-// DropCaches is a bulk reset and is deliberately not counted.
+// Every Get counts one hit or one miss, and every miss is one device read
+// through the pool, failed or not. Evictions count frames displaced for
+// capacity; DropCaches and Forget are bulk resets and are not counted.
 func (p *Pool) Metrics() *obs.PoolMetrics {
 	return &p.metrics
 }
@@ -277,7 +199,7 @@ func (p *Pool) NumFrames() int {
 // Capacity returns the pool's frame capacity.
 func (p *Pool) Capacity() int { return p.capacity }
 
-func (p *Pool) lruAppend(fr *Frame) {
+func (p *Pool) lruAppend(fr *frame) {
 	fr.prev, fr.next = p.lruTail, nil
 	if p.lruTail != nil {
 		p.lruTail.next = fr
@@ -287,7 +209,7 @@ func (p *Pool) lruAppend(fr *Frame) {
 	p.lruTail = fr
 }
 
-func (p *Pool) lruRemove(fr *Frame) {
+func (p *Pool) lruRemove(fr *frame) {
 	if fr.prev != nil {
 		fr.prev.next = fr.next
 	} else {

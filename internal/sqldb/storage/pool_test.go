@@ -34,13 +34,58 @@ func stats(pool *Pool) (hits, misses uint64) {
 }
 
 // TestPoolConcurrentStress hammers a tiny pool (16 pages over a 256-page
-// file) with many concurrent readers so every access fights for frames and
-// eviction churns continuously, while every fourth access also offers a page
-// the way an open pass does. Run under -race; page stamps verify that no
-// reader ever observes another page's bytes.
+// file and a 32-page second file) with many concurrent readers so every
+// access fights for frames and eviction churns continuously, while every
+// fourth access also offers a page the way an open pass does, and a janitor
+// keeps dropping the caches and forgetting the second file. Run under -race;
+// page stamps verify that no reader ever observes another page's bytes, and
+// a watcher checks that the pool never holds more frames than its capacity.
 func TestPoolConcurrentStress(t *testing.T) {
-	const pages, capacity, workers, iters = 256, 16, 16, 400
+	const pages, otherPages, capacity, workers, iters = 256, 32, 16, 16, 400
 	f, pool := stampedFile(t, pages, capacity)
+	var clock Clock
+	other, err := CreatePagedFile(filepath.Join(t.TempDir(), "other.pg"), RAM, &clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { other.Close() })
+	pool.Register(other)
+	stampPages(t, other, otherPages)
+	reads0 := f.Reads() + other.Reads()
+
+	stop := make(chan struct{})
+	var side sync.WaitGroup
+	side.Add(2)
+	over := make(chan int, 1)
+	go func() { // watcher
+		defer side.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if n := pool.NumFrames(); n > capacity {
+				over <- n
+				return
+			}
+		}
+	}()
+	go func() { // janitor
+		defer side.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			case <-time.After(100 * time.Microsecond):
+			}
+			if i%2 == 0 {
+				pool.DropCaches()
+			} else {
+				pool.Forget(other)
+			}
+		}
+	}()
 
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
@@ -57,36 +102,46 @@ func TestPoolConcurrentStress(t *testing.T) {
 					pool.Offer(f, id, offered[:])
 				}
 				// Skewed access: half the traffic on 8 hot pages keeps some
-				// frames cached while the cold tail forces evictions.
-				var id PageID
-				if rng.Intn(2) == 0 {
+				// frames cached while the cold tail forces evictions; one
+				// access in eight reads the second file.
+				file, id := f, PageID(rng.Intn(pages))
+				switch {
+				case rng.Intn(8) == 0:
+					file, id = other, PageID(rng.Intn(otherPages))
+				case rng.Intn(2) == 0:
 					id = PageID(rng.Intn(8))
-				} else {
-					id = PageID(rng.Intn(pages))
 				}
-				fr, err := pool.Get(f, id)
+				page, err := pool.Get(file, id)
 				if err != nil {
 					errs <- err
 					return
 				}
-				if got := binary.LittleEndian.Uint32(fr.Data()); got != uint32(id) {
+				if got := binary.LittleEndian.Uint32(page); got != uint32(id) {
 					errs <- fmt.Errorf("page %d holds stamp %d", id, got)
-					pool.Unpin(fr)
 					return
 				}
-				pool.Unpin(fr)
 			}
 		}(int64(w) + 1)
 	}
 	wg.Wait()
+	close(stop)
+	side.Wait()
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+	select {
+	case n := <-over:
+		t.Errorf("the pool held %d frames under load, capacity %d", n, capacity)
+	default:
 	}
 
 	hits, misses := stats(pool)
 	if hits+misses != workers*iters {
 		t.Errorf("hits %d + misses %d != %d accesses", hits, misses, workers*iters)
+	}
+	if reads := f.Reads() + other.Reads() - reads0; misses != reads {
+		t.Errorf("%d misses, %d device reads through the pool; want them equal", misses, reads)
 	}
 	if misses == 0 {
 		t.Error("stress run with a 16-page pool over 256 pages never missed")
@@ -96,146 +151,81 @@ func TestPoolConcurrentStress(t *testing.T) {
 	}
 }
 
-// pinsOf reports the pin count of the frame caching page id of f, or 0 if
-// no frame is installed. Tests poll it to detect that a Get has coalesced
-// on an in-flight load (loader holds one pin, each waiter adds one).
-func pinsOf(pool *Pool, f *PagedFile, id PageID) int {
-	pool.mu.Lock()
-	defer pool.mu.Unlock()
-	if fr, ok := pool.frames[frameKey{file: f.id, page: id}]; ok {
-		return fr.pins
-	}
-	return 0
-}
-
-// waitPins polls until the frame for page id has at least n pins.
-func waitPins(t *testing.T, pool *Pool, f *PagedFile, id PageID, n int) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for pinsOf(pool, f, id) < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("frame for page %d never reached %d pins", id, n)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestPoolSingleflightMiss forces two concurrent misses on the same page
-// and asserts that exactly one device read happens: the pool's loadHook
-// blocks the first loader until the second Get has coalesced on its frame.
-func TestPoolSingleflightMiss(t *testing.T) {
-	f, pool := stampedFile(t, 4, 64)
-	hits0, misses0 := stats(pool)
+// TestPoolConcurrentMissesOnOnePage starts several readers of one uncached
+// page at once, round after round. Each reader that misses reads the page
+// itself, so every caller gets the page's bytes, every miss is one device
+// read, and the page ends up in exactly one frame however the readers
+// interleaved.
+func TestPoolConcurrentMissesOnOnePage(t *testing.T) {
+	const rounds, readers = 32, 8
+	f, pool := stampedFile(t, rounds, 64)
 	reads0 := f.Reads()
-
-	release := make(chan struct{})
-	entered := make(chan struct{}, 1)
-	pool.loadHook = func(frameKey) { entered <- struct{}{}; <-release }
-	defer func() { pool.loadHook = nil }()
-
-	type res struct {
-		stamp uint32
-		err   error
-	}
-	out := make(chan res, 2)
-	read := func() {
-		fr, err := pool.Get(f, 3)
-		if err != nil {
-			out <- res{err: err}
-			return
+	for round := 0; round < rounds; round++ {
+		id := PageID(round)
+		gate := make(chan struct{})
+		stamps := make(chan uint32, readers)
+		errs := make(chan error, readers)
+		for r := 0; r < readers; r++ {
+			go func() {
+				<-gate
+				page, err := pool.Get(f, id)
+				if err != nil {
+					errs <- err
+					return
+				}
+				stamps <- binary.LittleEndian.Uint32(page)
+			}()
 		}
-		stamp := binary.LittleEndian.Uint32(fr.Data())
-		pool.Unpin(fr)
-		out <- res{stamp: stamp}
-	}
-
-	go read()
-	<-entered // loader installed its loading frame, now parked before the read
-	go read()
-	// The second Get pins the loading frame the moment it coalesces; wait
-	// for that before letting the device read proceed. (The hit is only
-	// counted once the load succeeds, so the counter can't be used here.)
-	waitPins(t, pool, f, 3, 2)
-	close(release)
-
-	for i := 0; i < 2; i++ {
-		r := <-out
-		if r.err != nil {
-			t.Fatal(r.err)
-		}
-		if r.stamp != 3 {
-			t.Errorf("coalesced read returned stamp %d, want 3", r.stamp)
+		close(gate)
+		for r := 0; r < readers; r++ {
+			select {
+			case err := <-errs:
+				t.Fatal(err)
+			case got := <-stamps:
+				if got != uint32(id) {
+					t.Fatalf("a concurrent read of page %d returned stamp %d", id, got)
+				}
+			}
 		}
 	}
-	if got := f.Reads() - reads0; got != 1 {
-		t.Errorf("two concurrent misses issued %d device reads, want 1", got)
+	hits, misses := stats(pool)
+	if hits+misses != rounds*readers {
+		t.Errorf("hits %d + misses %d != %d reads", hits, misses, rounds*readers)
 	}
-	if _, m := stats(pool); m != misses0+1 {
-		t.Errorf("miss counter advanced by %d, want 1", m-misses0)
+	if reads := f.Reads() - reads0; misses != reads || misses < rounds {
+		t.Errorf("%d misses and %d device reads for %d pages; want them equal and at least one a page", misses, reads, rounds)
 	}
-	if h, _ := stats(pool); h != hits0+1 {
-		t.Errorf("hit counter advanced by %d, want 1 (the coalesced waiter)", h-hits0)
+	if n := pool.NumFrames(); n != rounds {
+		t.Errorf("%d frames resident after reading %d pages, want one a page", n, rounds)
 	}
+	t.Logf("%d of %d pages were read more than once", misses-rounds, rounds)
 }
 
-// TestPoolLoadErrorCoalesced makes the device read fail (read past EOF)
-// while several readers are coalesced on the loading frame: every caller
-// must observe the error, the failed attempt must count exactly one miss
-// and zero hits no matter how many goroutines coalesced on it, and the
-// pool must stay clean — the failed frame is detached so later Gets
-// retry, and valid pages remain readable.
-func TestPoolLoadErrorCoalesced(t *testing.T) {
+// TestPoolLoadErrorInstallsNothing makes the device read fail (a read past
+// EOF): the caller gets the error, the attempt counts one miss and no hit,
+// and nothing is installed, so a retry reads again and fails again, while
+// valid pages stay readable.
+func TestPoolLoadErrorInstallsNothing(t *testing.T) {
 	f, pool := stampedFile(t, 2, 64)
-
-	release := make(chan struct{})
-	entered := make(chan struct{}, 1)
-	pool.loadHook = func(frameKey) { entered <- struct{}{}; <-release }
-
-	hits0, misses0 := stats(pool)
-	const badPage = PageID(99) // past EOF: ReadPage fails after the latch is installed
-	const waiters = 3
-	errc := make(chan error, 1+waiters)
-	go func() { _, err := pool.Get(f, badPage); errc <- err }()
-	<-entered
-	for i := 0; i < waiters; i++ {
-		go func() { _, err := pool.Get(f, badPage); errc <- err }()
-	}
-	// Loader's pin plus one per coalesced waiter.
-	waitPins(t, pool, f, badPage, 1+waiters)
-	close(release)
-
-	for i := 0; i < 1+waiters; i++ {
-		err := <-errc
-		if err == nil {
-			t.Fatal("coalesced Get of unreadable page returned nil error")
+	const badPage = PageID(99)
+	for attempt := 1; attempt <= 2; attempt++ {
+		hits0, misses0 := stats(pool)
+		_, err := pool.Get(f, badPage)
+		if err == nil || !strings.Contains(err.Error(), "read past end") {
+			t.Fatalf("attempt %d: Get of an unreadable page returned %v, want a read past end", attempt, err)
 		}
-		if !strings.Contains(err.Error(), "read past end") {
-			t.Errorf("unexpected error published to waiter: %v", err)
+		if h, m := stats(pool); h != hits0 || m != misses0+1 {
+			t.Errorf("attempt %d moved the counters by %d hits, %d misses; want 0 and 1", attempt, h-hits0, m-misses0)
+		}
+		if n := pool.NumFrames(); n != 0 {
+			t.Fatalf("attempt %d: a failed read left %d frames", attempt, n)
 		}
 	}
-
-	// One failed singleflight read published to N waiters is one miss (the
-	// load attempt) and zero hits.
-	if h, m := stats(pool); h != hits0 || m != misses0+1 {
-		t.Errorf("failed coalesced load moved counters by %d hits, %d misses; want 0 hits, 1 miss",
-			h-hits0, m-misses0)
-	}
-
-	// The failed frame must not poison the pool: the key is free again...
-	pool.loadHook = nil
-	if _, err := pool.Get(f, badPage); err == nil {
-		t.Error("Get of unreadable page after failure returned nil error")
-	}
-	// ...and healthy pages still load.
-	fr, err := pool.Get(f, 1)
+	page, err := pool.Get(f, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := binary.LittleEndian.Uint32(fr.Data()); got != 1 {
-		t.Errorf("page 1 holds stamp %d after load failure", got)
-	}
-	pool.Unpin(fr)
-	if err := pool.DropCaches(); err != nil {
-		t.Errorf("DropCaches after load failure: %v", err)
+	if got := binary.LittleEndian.Uint32(page); got != 1 {
+		t.Errorf("page 1 holds stamp %d after a failed read", got)
 	}
 }

@@ -480,12 +480,11 @@ func (s *Segment) ReadRow(i int, buf []byte) ([]byte, error) {
 	page := PageID(1 + s.offs[i]/PageSize)
 	off := uint32(s.offs[i] % PageSize)
 	for len(rem) > 0 {
-		fr, err := s.pool.Get(s.file, page)
+		data, err := s.pool.Get(s.file, page)
 		if err != nil {
 			return nil, err
 		}
-		c := copy(rem, fr.Data()[off:])
-		s.pool.Unpin(fr)
+		c := copy(rem, data[off:])
 		rem = rem[c:]
 		page++
 		off = 0

@@ -261,7 +261,7 @@ func FuzzOpenSegment(f *testing.F) {
 				if key.page < 1 || int(key.page) > dataPages {
 					t.Fatalf("page %d in the pool is not one of the %d data pages", key.page, dataPages)
 				}
-				if !bytes.Equal(fr.Data(), b[int(key.page)*PageSize:][:PageSize]) {
+				if !bytes.Equal(fr.data[:], b[int(key.page)*PageSize:][:PageSize]) {
 					t.Fatalf("page %d in the pool differs from the file's", key.page)
 				}
 			}

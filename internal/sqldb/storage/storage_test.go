@@ -156,14 +156,13 @@ func TestPoolHitMissAndEviction(t *testing.T) {
 	// evictions (pool of 8 < 20 pages).
 	stampPages(t, f, 20)
 	for i := 0; i < 20; i++ {
-		fr, err := pool.Get(f, PageID(i))
+		page, err := pool.Get(f, PageID(i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fr.Data()[0] != byte(i) {
-			t.Fatalf("page %d content lost through eviction: %d", i, fr.Data()[0])
+		if page[0] != byte(i) {
+			t.Fatalf("page %d content lost through eviction: %d", i, page[0])
 		}
-		pool.Unpin(fr)
 	}
 	if _, misses := stats(pool); misses != 20 {
 		t.Errorf("reading 20 pages through a cold pool missed %d times", misses)
@@ -177,17 +176,15 @@ func TestPoolHitMissAndEviction(t *testing.T) {
 	}
 	// Re-reading the page just touched must hit.
 	h0, _ := stats(pool)
-	fr, err := pool.Get(f, 19)
-	if err != nil {
+	if _, err := pool.Get(f, 19); err != nil {
 		t.Fatal(err)
 	}
-	pool.Unpin(fr)
 	if h1, _ := stats(pool); h1 != h0+1 {
 		t.Errorf("re-read of cached page did not hit (hits %d -> %d)", h0, h1)
 	}
 }
 
-// TestPoolOffer: an offered page becomes a resident, unpinned frame while a
+// TestPoolOffer: an offered page becomes a resident frame while a
 // frame is free and the page is not resident; it never evicts, never replaces
 // a resident page and moves no counter, and a later Get of it is a hit on the
 // bytes offered, with no device read.
@@ -197,11 +194,9 @@ func TestPoolOffer(t *testing.T) {
 		m := pool.Metrics()
 		return [3]uint64{m.Hits.Load(), m.Misses.Load(), m.Evictions.Load()}
 	}
-	fr, err := pool.Get(f, 0)
-	if err != nil {
+	if _, err := pool.Get(f, 0); err != nil {
 		t.Fatal(err)
 	}
-	pool.Unpin(fr)
 	before, reads := counters(), f.Reads()
 
 	var page [PageSize]byte
@@ -227,18 +222,16 @@ func TestPoolOffer(t *testing.T) {
 	}
 	// The offered pages joined the LRU behind page 0, so the next miss evicts
 	// page 0.
-	fr, err = pool.Get(f, 8)
-	if err != nil {
+	if _, err := pool.Get(f, 8); err != nil {
 		t.Fatal(err)
 	}
-	pool.Unpin(fr)
 	reads++
 	if got, want := fmt.Sprint(residentPages(pool)), "[1 2 3 4 5 6 7 8]"; got != want {
 		t.Errorf("resident pages after a miss = %s, want %s", got, want)
 	}
 	before = counters()
 	for _, id := range []PageID{1, 7} {
-		fr, err := pool.Get(f, id)
+		page, err := pool.Get(f, id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,11 +240,10 @@ func TestPoolOffer(t *testing.T) {
 			t.Fatal(err)
 		}
 		reads++
-		if !bytes.Equal(fr.Data(), want) {
+		if !bytes.Equal(page, want) {
 			t.Errorf("page %d from the pool holds stamp %d, the file %d", id,
-				binary.LittleEndian.Uint32(fr.Data()), binary.LittleEndian.Uint32(want))
+				binary.LittleEndian.Uint32(page), binary.LittleEndian.Uint32(want))
 		}
-		pool.Unpin(fr)
 	}
 	if got := counters(); got != [3]uint64{before[0] + 2, before[1], before[2]} {
 		t.Errorf("Gets of two offered pages: hits, misses, evictions %v, from %v; want two hits", got, before)
@@ -286,87 +278,39 @@ func TestPoolPresize(t *testing.T) {
 	}
 }
 
-// TestPoolDropCaches checks that DropCaches empties the pool, and that a
-// call failing on a pinned frame evicts nothing.
+// TestPoolDropCaches checks that DropCaches empties the pool, that bytes a
+// reader took before it stay valid, and that the next Get of a dropped page
+// misses and reads it again.
 func TestPoolDropCaches(t *testing.T) {
 	var clock Clock
 	f, pool := newTestFile(t, RAM, &clock)
 	stampPages(t, f, 43)
-	for i := 0; i < 42; i++ {
-		fr, err := pool.Get(f, PageID(i))
+	var held []byte
+	for i := 0; i < 43; i++ {
+		page, err := pool.Get(f, PageID(i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		pool.Unpin(fr)
+		held = page
 	}
-	fr, err := pool.Get(f, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n0 := pool.NumFrames()
-	if err := pool.DropCaches(); err == nil {
-		t.Error("DropCaches with pinned frame succeeded")
-	}
-	if n := pool.NumFrames(); n != n0 {
-		t.Errorf("failed DropCaches left %d of %d frames", n, n0)
-	}
-	pool.Unpin(fr)
-	if err := pool.DropCaches(); err != nil {
-		t.Fatal(err)
-	}
+	pool.DropCaches()
 	if n := pool.NumFrames(); n != 0 {
 		t.Errorf("%d frames resident after DropCaches", n)
 	}
+	if held[0] != 42 {
+		t.Errorf("bytes of page 42 taken before DropCaches read %d after it", held[0])
+	}
 	_, m0 := stats(pool)
-	fr, err = pool.Get(f, 42)
+	reads := f.Reads()
+	page, err := pool.Get(f, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fr.Data()[0] != 42 {
-		t.Errorf("page 42 read back as %d after DropCaches", fr.Data()[0])
+	if page[0] != 42 {
+		t.Errorf("page 42 read back as %d after DropCaches", page[0])
 	}
-	pool.Unpin(fr)
-	if _, m := stats(pool); m != m0+1 {
-		t.Error("Get after DropCaches did not miss")
-	}
-}
-
-// TestPoolPinnedOverflow pins more frames than the pool's capacity: the
-// pool admits them as a temporary overflow (pinned frames must live
-// somewhere) and trims the resident set back toward capacity once they are
-// unpinned and fresh loads force eviction.
-func TestPoolPinnedOverflow(t *testing.T) {
-	var clock Clock
-	f, _ := newTestFile(t, RAM, &clock)
-	pool := NewPool(8)
-	pool.Register(f)
-	cap := pool.Capacity()
-	stampPages(t, f, 2*cap)
-	var frames []*Frame
-	for i := 0; i < 2*cap; i++ {
-		fr, err := pool.Get(f, PageID(i))
-		if err != nil {
-			t.Fatalf("Get %d with pinned overflow: %v", i, err)
-		}
-		frames = append(frames, fr)
-	}
-	if n := pool.NumFrames(); n != 2*cap {
-		t.Errorf("NumFrames = %d, want %d pinned frames resident", n, 2*cap)
-	}
-	for _, fr := range frames {
-		pool.Unpin(fr)
-	}
-	// Eviction churn (re-reads far exceeding capacity) must trim the
-	// resident set back under the configured capacity.
-	for i := 0; i < 4*cap; i++ {
-		fr, err := pool.Get(f, PageID(i%(2*cap)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		pool.Unpin(fr)
-	}
-	if n := pool.NumFrames(); n > cap {
-		t.Errorf("NumFrames = %d after churn, want <= capacity %d", n, cap)
+	if _, m := stats(pool); m != m0+1 || f.Reads() != reads+1 {
+		t.Errorf("Get after DropCaches: %d misses, %d device reads; want 1 and 1", m-m0, f.Reads()-reads)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync/atomic"
+	"time"
 
 	"ptldb/internal/sqldb/exec"
 	"ptldb/internal/sqldb/sqltypes"
@@ -39,15 +40,15 @@ type Table struct {
 
 	// The open segment, replaced as one by BulkLoad. Between CreateTable and
 	// the first BulkLoad there is no file yet and seg is the zero Segment, an
-	// empty one. vcE is the table's slot in the handle's resident vector
-	// cache — nil when the handle has no cache, the table has a DOUBLE or
-	// TEXT column, or the cache declined it (vcache.Cache.Register) — and
-	// then every read goes straight to the segment. A non-nil vcE holds the
-	// table's vectors: open's decode published them before a read could
-	// reach the table.
+	// empty one. vc is the table's decoded vectors, which open's decode set
+	// before a read could reach the table, holding a share of the handle's
+	// resident vector cache; it is nil when the handle has no cache, the
+	// table has a DOUBLE or TEXT column, or the cache declined it
+	// (vcache.Cache.Register), and then every read goes straight to the
+	// segment.
 	file *storage.PagedFile
 	seg  *storage.Segment
-	vcE  *vcache.Entry
+	vc   *vcache.Mat
 
 	// Access counters: primary-key lookups answered (hit or miss) and full
 	// scans started. They let tests verify the paper's secondary-storage
@@ -142,6 +143,10 @@ func (t *Table) RunOrder() []int { return t.runOrder }
 func (t *Table) TargetBound() ([]int, int, int) {
 	return t.targetCols, int(t.targetBound), int(t.targetCount)
 }
+
+// Resident reports whether the table's decoded vectors are resident, so that
+// its reads never reach the segment.
+func (t *Table) Resident() bool { return t.vc != nil }
 
 // Floor returns the positions of the declared floor's key and columns and its
 // width, -1, 0 and nil when the table declares none.
@@ -293,8 +298,7 @@ func (t *Table) BulkLoad(rows []sqltypes.Row) error {
 	// Drop the old vectors first, so a table the budget held stays admitted;
 	// should the open fail, the old segment serves on from its pages.
 	oldFile := t.file
-	t.vcE.Drop()
-	t.vcE = nil
+	t.dropVectors()
 	jobs, err := t.open(nil)
 	if err != nil {
 		return err
@@ -362,7 +366,7 @@ func (t *Table) open(jobs []func() error) ([]func() error, error) {
 		return jobs, fmt.Errorf("sqldb: table %q: %w: header: columns %v (pk %d) do not match the schema",
 			t.def.Name, storage.ErrCorruptSegment, cols, seg.PKLen())
 	}
-	t.file, t.seg, t.vcE = f, seg, nil
+	t.file, t.seg, t.vc = f, seg, nil
 	if data == nil {
 		if vectors {
 			db.reg.VCache.Declined.Add(1) // its vectors outgrew what the cache had left
@@ -372,22 +376,38 @@ func (t *Table) open(jobs []func() error) ([]func() error, error) {
 	if db.admitHook != nil {
 		db.admitHook()
 	}
-	e := db.vcache.Register(vectorBytes(t.types, seg.NumRows(), varints))
-	if e == nil {
+	size := vectorBytes(t.types, seg.NumRows(), varints)
+	if !db.vcache.Register(size) {
 		// A load of another table took the room keep saw: the region goes to
 		// the pool like every page the open pass does not keep.
 		seg.Offer(data)
 		return jobs, nil
 	}
-	t.vcE = e
 	return append(jobs, func() error {
-		if err := e.Publish(func() (*vcache.Mat, error) { return t.decode(data, varints) }); err != nil {
-			e.Drop()
-			t.vcE = nil
+		start := time.Now()
+		m, err := t.decode(data, varints)
+		if err == nil && m.Bytes != size {
+			// The share was reserved for exactly the predicted size.
+			err = fmt.Errorf("decoded %d bytes of vectors for a table admitted at %d", m.Bytes, size)
+		}
+		if err != nil {
+			db.vcache.Release(size)
 			return fmt.Errorf("sqldb: table %q: %w", t.def.Name, err)
 		}
+		t.vc = m
+		db.reg.VCache.Materializations.Add(1)
+		db.reg.VCache.Materialize.Observe(time.Since(start))
 		return nil
 	}), nil
+}
+
+// dropVectors returns the share of a table the vector cache holds to the
+// budget; the table then reads its segment.
+func (t *Table) dropVectors() {
+	if t.vc != nil {
+		t.db.vcache.Release(t.vc.Bytes)
+		t.vc = nil
+	}
 }
 
 // release forgets a replaced or dropped segment file's pages and closes it.
@@ -404,7 +424,7 @@ func (t *Table) remove() error {
 	if t.file == nil {
 		return nil
 	}
-	t.vcE.Drop()
+	t.dropVectors()
 	return firstError(t.db.release(t.file), os.Remove(t.segPath()))
 }
 
@@ -440,8 +460,8 @@ func (t *Table) LookupPKScratch(keyVals []int64, s *exec.RowScratch) (sqltypes.R
 	var key storage.Key
 	copy(key[:], keyVals)
 	reg := &t.db.reg
-	if t.vcE != nil {
-		m := t.vcE.Acquire()
+	if m := t.vc; m != nil {
+		reg.VCache.Hits.Add(1)
 		i, ok := storage.FindFrom(m.Keys, s.Pos, key)
 		if s.Pos = i; !ok {
 			return nil, false, nil
@@ -492,8 +512,8 @@ func (t *Table) Scan(fn func(sqltypes.Row) error) error {
 func (t *Table) ScanScratch(s *exec.RowScratch, fn func(sqltypes.Row) error) error {
 	t.scans.Add(1)
 	reg := &t.db.reg
-	if t.vcE != nil {
-		m := t.vcE.Acquire()
+	if m := t.vc; m != nil {
+		reg.VCache.Hits.Add(1)
 		n := len(m.Keys)
 		for i := 0; i < n; i++ {
 			if err := fn(vcacheRow(m, i, s)); err != nil {

@@ -16,31 +16,26 @@
 //     and never go stale, so nothing is ever evicted to make room — a budget
 //     just under the working set declines the last tables to register
 //     instead of decoding tables over and over.
-//   - An admitted table is published once: its opener decodes it from the
-//     bytes the open already read and verified and publishes the vectors
-//     before any query can reach the table (sqldb.Open decodes every
-//     admitted table before it returns), so a lookup never misses.
+//   - An admitted table is decoded once, by its opener, from the bytes the
+//     open already read and verified, before any query can reach the table
+//     (sqldb.Open decodes every admitted table before it returns), so a
+//     lookup never misses. The table keeps its vectors as a plain field.
 //   - Dropped vectors are not freed eagerly — in-flight queries may still
 //     hold views into them; the garbage collector reclaims the arrays when
 //     the last view dies, which is what makes serving uncopied slices safe.
-//   - The mutex guards only the admission bookkeeping (the reserved bytes,
-//     the dropped flags). Decode and device I/O never happen under it.
+//   - The mutex guards only the account of reserved bytes. Decode and
+//     device I/O never happen under it.
 //
 // The cache is sized in bytes (Config.VectorCacheBytes). A table registers
 // with the exact size of its vectors, known before any of them is built, so
-// a declined table gets no slot: its lookups never reach the cache and its
+// a declined table gets no share: its lookups never reach the cache and its
 // bytes are never kept to be decoded. Tables are registered per database
 // handle today, but nothing in the accounting assumes one database — a
-// shared multi-city cache only needs entries registered from several
-// handles.
+// shared multi-city cache only needs tables registered from several handles.
 package vcache
 
 import (
-	"errors"
-	"fmt"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"ptldb/internal/obs"
 	"ptldb/internal/sqldb/storage"
@@ -48,7 +43,7 @@ import (
 
 // Mat is one table's decoded segment: the key directory plus fully decoded
 // column vectors. A Mat is immutable after construction; readers alias its
-// slices freely, and Drop merely releases its share.
+// slices freely, and releasing its share leaves them intact.
 type Mat struct {
 	// Keys is the ascending key directory (shared with the segment's own
 	// in-memory directory; both are immutable).
@@ -86,17 +81,19 @@ func (c *Col) Array(i int) []int64 {
 	return c.Ints[c.Starts[j]:c.Starts[j+1]:c.Starts[j+1]]
 }
 
-// Cache is one byte-budgeted set of decoded tables.
+// Cache is the byte budget of a set of decoded tables. It keeps only the
+// account: which share of the budget each admitted table holds. The vectors
+// themselves belong to the table that decoded them.
 type Cache struct {
 	budget int64
 	met    *obs.VCacheMetrics
 
-	// mu guards the reserved-byte account and the entries' dropped flags. It
-	// is never held across a decode, a device read or a blocking channel
-	// operation. Acquisition level 20, never taken while another shard-class
-	// mutex is held (lockordercheck).
+	// mu guards the reserved-byte account. It is never held across a
+	// decode, a device read or a blocking channel operation. Acquisition
+	// level 20, never taken while another shard-class mutex is held
+	// (lockordercheck).
 	mu       sync.Mutex // lockcheck:shard level=20
-	reserved int64      // the shares of every admitted, undropped table
+	reserved int64      // the shares of every admitted, unreleased table
 }
 
 // New returns a cache with the given byte budget. The budget must be
@@ -104,17 +101,6 @@ type Cache struct {
 // met receives the cache's counters and must be non-nil.
 func New(budget int64, met *obs.VCacheMetrics) *Cache {
 	return &Cache{budget: budget, met: met}
-}
-
-// Entry is one admitted table's slot in the cache. The mat pointer is
-// published once, by an atomic compare-and-swap, and read with a single
-// atomic load on the hot path; the dropped flag is guarded by the cache
-// mutex.
-type Entry struct {
-	cache   *Cache
-	mat     atomic.Pointer[Mat]
-	dropped bool  // share returned to the budget
-	size    int64 // bytes of the table's vectors: its share of the budget, fixed at Register
 }
 
 // Free returns the part of the budget no admitted table holds: the largest
@@ -129,11 +115,12 @@ func (c *Cache) Free() int64 {
 
 // Register decides a table's admission on the exact size of its vectors. A
 // table that fits what the tables admitted before it left of the budget is
-// admitted: its share is reserved now and kept until Drop, and the caller
-// publishes its vectors before any reader reaches the entry. Any other is
-// declined: Register counts it and returns nil, and the caller serves the
-// table from its segment without ever asking the cache again.
-func (c *Cache) Register(size int64) *Entry {
+// admitted: Register reserves its share, counts it resident and returns
+// true, and the caller decodes the table before any reader reaches it and
+// keeps the share until it calls Release. Any other is declined: Register
+// counts it and returns false, and the caller serves the table from its
+// segment without ever asking the cache again.
+func (c *Cache) Register(size int64) bool {
 	c.mu.Lock()
 	admit := size <= c.budget-c.reserved
 	if admit {
@@ -142,63 +129,19 @@ func (c *Cache) Register(size int64) *Entry {
 	c.mu.Unlock()
 	if !admit {
 		c.met.Declined.Add(1)
-		return nil
+		return false
 	}
-	return &Entry{cache: c, size: size}
+	c.met.ResidentBytes.Add(size)
+	return true
 }
 
-// Acquire returns the entry's vectors. It is the hot-path gate: one atomic
-// load and the hit counter — no locks, no allocation. The entry's vectors
-// were published before any reader could reach it, so there is no miss.
-//
-// hotpath — allocheck root: the warm-hit gate must stay allocation-free.
-func (e *Entry) Acquire() *Mat {
-	e.cache.met.Hits.Add(1)
-	return e.mat.Load()
-}
-
-// Publish builds the entry's vectors with build and makes them the ones
-// Acquire returns. An entry is published once, between Register and the
-// first read: a second Publish, or vectors of any size but the registered
-// one — the share was reserved for exactly that — is an error and publishes
-// nothing, as is a failed build.
-func (e *Entry) Publish(build func() (*Mat, error)) error {
-	start := time.Now()
-	m, err := build()
-	if err != nil {
-		return err
-	}
-	if m.Bytes != e.size {
-		return fmt.Errorf("vcache: built %d bytes of vectors for a table registered at %d", m.Bytes, e.size)
-	}
-	if !e.mat.CompareAndSwap(nil, m) {
-		return errors.New("vcache: vectors published twice")
-	}
-	c := e.cache
-	c.met.ResidentBytes.Add(m.Bytes)
-	c.met.Materializations.Add(1)
-	c.met.Materialize.Observe(time.Since(start))
-	return nil
-}
-
-// Drop releases an entry when its table is dropped or replaced: its share
-// returns to the budget and its vectors leave the resident bytes. Readers
-// holding views stay correct — the arrays are immutable and live until the
-// garbage collector sees the last view die. Dropping an entry twice returns
-// its share once; dropping a nil entry does nothing.
-func (e *Entry) Drop() {
-	if e == nil {
-		return
-	}
-	c := e.cache
+// Release returns the share of an admitted table to the budget: its decode
+// failed, or the table was dropped or replaced. Readers holding views of its
+// vectors stay correct — the arrays are immutable and live until the garbage
+// collector sees the last view die. The caller releases each share once.
+func (c *Cache) Release(size int64) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e.dropped {
-		return
-	}
-	e.dropped = true
-	c.reserved -= e.size
-	if e.mat.Swap(nil) != nil {
-		c.met.ResidentBytes.Add(-e.size)
-	}
+	c.reserved -= size
+	c.mu.Unlock()
+	c.met.ResidentBytes.Add(-size)
 }

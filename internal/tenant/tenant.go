@@ -6,10 +6,9 @@
 // isolation and eviction:
 //
 //   - Lazy open: a tenant's database opens on its first request. Concurrent
-//     first requests coalesce behind a singleflight latch — the buffer
-//     pool's frame-load protocol lifted to whole databases — so N cold
-//     requests cost one Open, which decodes every table its vector cache
-//     admits before the first of them is answered.
+//     first requests coalesce behind a singleflight latch, the module's
+//     only one, so N cold requests cost one Open, which decodes every table
+//     its vector cache admits before the first of them is answered.
 //   - LRU close: at most Config.MaxOpenTenants databases are open at once;
 //     opening one more closes the least-recently-used idle tenant. Requests
 //     pin their tenant for the duration of the execution, so a database is
@@ -124,8 +123,7 @@ type slot struct {
 
 	// Guarded by Router.mu. The latch is acquisition level 10: the opener
 	// holds it while re-taking the router mutex (level 20) to publish, so the
-	// latch must order strictly below the mutex — the pool's frame-load
-	// protocol applied to database opens.
+	// latch must order strictly below the mutex.
 	opening chan struct{} // lockcheck:latch level=10 — non-nil while an Open is in flight
 	db      DB            // nil while closed
 	pins    int           // in-flight acquisitions; > 0 blocks LRU close
@@ -283,7 +281,7 @@ func (r *Router) Acquire(name string) (*Tenant, error) {
 		r.mu.Lock()
 		s.opening = nil
 		// close is non-blocking, so releasing the latch under the lock is
-		// safe (the vcache publication protocol).
+		// safe.
 		close(latch)
 		if err != nil {
 			r.mu.Unlock()

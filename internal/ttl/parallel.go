@@ -128,7 +128,7 @@ func buildSerial(tt *timetable.Timetable, ord order.Order) (*Labels, BuildStats)
 // waveHubsPerWorker sizes a wave: workers × this many hubs, twice as many
 // searches. A wider wave amortizes the barrier over more searches but prunes
 // each of them against fewer labels. With the commit re-check down to the
-// wave's own runs the optimum is flat; 2 measured best (DESIGN §6.6).
+// wave's own runs the optimum is flat; 2 measured best (DESIGN §6.5).
 const waveHubsPerWorker = 2
 
 // waveTask asks a worker to run one direction of one hub's profile search

@@ -98,7 +98,7 @@ if git grep -nE 'poolShard|perShard|\.shards\b|defaultPoolPages' -- 'internal/sq
 fi
 echo "== the vector cache admits a table once and never evicts (internal/sqldb; the pool's LRU is storage's)"
 if git grep -nE 'evictLocked|evictEntryLocked|DropAll|second-chance|\.hand\b' -- 'internal/sqldb/*.go' ':!internal/sqldb/storage/*' ':!*_test.go'; then
-    echo "vcache.Cache decides admission once, at Register; an admitted table keeps its share until Drop:" >&2
+    echo "vcache.Cache decides admission once, at Register; an admitted table keeps its share until Release:" >&2
     echo "no clock ring, no hand, no eviction, no DropAll (DB.DropCaches leaves the vectors Open decoded)" >&2
     exit 1
 fi
@@ -110,8 +110,19 @@ if git grep -nE 'CountSegRow|DecodeSegRowColumns' -- '*.go'; then
 fi
 echo "== a vector-cache table is decoded at open from the bytes open verified (internal/sqldb)"
 if git grep -nE 'LoadData|OpenSegmentObserved|vcacheMat|\.Unload\(' -- '*.go'; then
-    echo "storage.OpenSegment keeps the data region it checksums for the decode, and sqldb.Open publishes" >&2
+    echo "storage.OpenSegment keeps the data region it checksums for the decode, and sqldb.Open decodes" >&2
     echo "every admitted table before it returns: no second read of a data region, no lazy build, no unload" >&2
+    exit 1
+fi
+echo "== the read tiers serve immutable memory: no pin, no load latch, no publish (internal/sqldb)"
+if git grep -nE 'Unpin|loadErr|failLoad|loadHook|\.pins\b' -- 'internal/sqldb/storage/*.go' ':!*_test.go'; then
+    echo "a pool frame's bytes never change and the garbage collector keeps an evicted one alive for its" >&2
+    echo "readers: storage.Pool.Get returns the bytes, with no pin to release and no per-frame load latch" >&2
+    exit 1
+fi
+if git grep -nE 'vcache\.Entry|\.Publish\(' -- 'internal/sqldb'; then
+    echo "a table holds the vectors its open decoded as a plain field; vcache.Cache keeps only the byte" >&2
+    echo "account (Register, Release): no entry, no publish, no compare-and-swap" >&2
     exit 1
 fi
 echo "== go vet ./..."
