@@ -19,7 +19,7 @@ func TestEncodeFindingsGolden(t *testing.T) {
 			Message: "map literal allocates (hot path via LookupPKScratch)",
 		},
 		{
-			Pos:     token.Position{Filename: "internal/sqldb/vcache/vcache.go", Line: 9, Column: 2},
+			Pos:     token.Position{Filename: "internal/sqldb/storage/pool.go", Line: 9, Column: 2},
 			Checker: "lockordercheck",
 			Message: "lock-order cycle among a ↔ b: opposite acquisition orders can deadlock",
 		},
@@ -33,7 +33,7 @@ func TestEncodeFindingsGolden(t *testing.T) {
     "message": "map literal allocates (hot path via LookupPKScratch)"
   },
   {
-    "file": "internal/sqldb/vcache/vcache.go",
+    "file": "internal/sqldb/storage/pool.go",
     "line": 9,
     "col": 2,
     "checker": "lockordercheck",

@@ -46,17 +46,16 @@ func (w *Workspace) AblationBucket() (*Table, error) {
 			}
 			db.Close()
 		}
+		ds := &Dataset{TT: tt, Dir: dir}
+		set, err := w.EnsureTargetSet(ds, 0.01, 4)
+		if err != nil {
+			return nil, err
+		}
 		db, err := ptldb.Open(dir, ptldb.Config{
 			Device:    "hdd",
 			TraceHook: w.cfg.TraceHook,
 		})
 		if err != nil {
-			return nil, err
-		}
-		ds := &Dataset{TT: tt}
-		set, err := w.EnsureTargetSet(ds, db, 0.01, 4)
-		if err != nil {
-			db.Close()
 			return nil, err
 		}
 		wl := w.NewWorkload(ds, w.cfg.Queries)

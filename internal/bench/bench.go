@@ -222,27 +222,50 @@ func setName(d float64, kmax int) string {
 	return fmt.Sprintf("d%d_k%d", int(d*10000), kmax)
 }
 
-// EnsureTargetSet materializes the kNN/OTM tables for (density, kmax) if not
-// already present, returning the set name. Target stops are drawn uniformly
-// with the workspace seed, so every experiment sees the same sets.
-func (w *Workspace) EnsureTargetSet(ds *Dataset, db *ptldb.DB, d float64, kmax int) (string, error) {
+// knnKMaxes are the kmax values of the kNN experiments' target sets: k <= 4
+// is served by the kmax=4 tables, larger k by kmax=16 (knnKMax).
+var knnKMaxes = []int{4, 16}
+
+// knnKMax is the kmax of the target set that serves a kNN of k.
+func knnKMax(k int) int {
+	if k > 4 {
+		return 16
+	}
+	return 4
+}
+
+// EnsureTargetSet builds the kNN/OTM tables for (density, kmax) into the
+// dataset's directory if they are not there yet, returning the set name. It
+// writes on a handle of its own and closes it before returning: only
+// ptldb.Open admits a table to the vector cache, so a set built on the
+// measuring handle would be read from its segments on the simulated device.
+// Call it before opening the handle that measures. Target stops are drawn
+// uniformly with the workspace seed, so every experiment sees the same sets.
+func (w *Workspace) EnsureTargetSet(ds *Dataset, d float64, kmax int) (string, error) {
 	name := setName(d, kmax)
-	if _, ok := db.TargetSets()[name]; ok {
-		return name, nil
+	db, err := ptldb.Open(ds.Dir, ptldb.Config{Device: "ram", VectorCacheBytes: -1, BuildWorkers: w.cfg.BuildWorkers})
+	if err != nil {
+		return "", err
 	}
-	n := ds.TT.NumStops()
-	count := int(d * float64(n))
-	if count < 1 {
-		count = 1
+	if _, ok := db.TargetSets()[name]; !ok {
+		n := ds.TT.NumStops()
+		count := int(d * float64(n))
+		if count < 1 {
+			count = 1
+		}
+		rng := rand.New(rand.NewSource(w.cfg.Seed ^ int64(count)<<20 ^ int64(kmax)))
+		perm := rng.Perm(n)
+		targets := make([]ptldb.StopID, count)
+		for i := 0; i < count; i++ {
+			targets[i] = ptldb.StopID(perm[i])
+		}
+		w.logf("building target set %s for %s (%d targets)", name, ds.Profile.Name, count)
+		err = db.AddTargetSet(name, targets, kmax)
 	}
-	rng := rand.New(rand.NewSource(w.cfg.Seed ^ int64(count)<<20 ^ int64(kmax)))
-	perm := rng.Perm(n)
-	targets := make([]ptldb.StopID, count)
-	for i := 0; i < count; i++ {
-		targets[i] = ptldb.StopID(perm[i])
+	if cerr := db.Close(); err == nil {
+		err = cerr
 	}
-	w.logf("building target set %s for %s (%d targets)", name, ds.Profile.Name, count)
-	return name, db.AddTargetSet(name, targets, kmax)
+	return name, err
 }
 
 // Workload is a batch of query inputs following the paper's protocol.

@@ -152,6 +152,42 @@ func TestMeasureQueriesChargesIO(t *testing.T) {
 	}
 }
 
+// TestTargetSetBuiltBeforeMeasuringIsResident: a target set EnsureTargetSet
+// has just built is in the directory before the measuring handle opens, so
+// that handle's vector cache (the default budget) admits it, and a kNN on it
+// measured by MeasureQueries charges no simulated I/O. A set built on the
+// measuring handle would be read from its segments on the simulated HDD.
+func TestTargetSetBuiltBeforeMeasuringIsResident(t *testing.T) {
+	w := tinyWorkspace(t)
+	ds, err := w.Dataset("Austin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := w.EnsureTargetSet(ds, 0.01, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := w.Open(ds, "hdd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	wl := w.NewWorkload(ds, 3)
+	if _, err := MeasureQueries(db, 3, func(i int) error {
+		_, err := db.EAKNN(set, wl.Sources[i], wl.Starts[i], 4)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	st, err := db.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.SimulatedIO != 0 {
+		t.Errorf("kNN on a set just built: the measured queries charged %v of simulated I/O; want none", st.SimulatedIO)
+	}
+}
+
 // TestAblationBucketCacheKeyedBySeedAndFormat: the bucket ablation's cached
 // databases are built from (city, width, scale, seed) in the current on-disk
 // format, so two workspaces that differ in seed build side by side in one

@@ -158,6 +158,11 @@ func (w *Workspace) Fig3() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		for _, kmax := range knnKMaxes {
+			if _, err := w.EnsureTargetSet(ds, 0.01, kmax); err != nil {
+				return nil, err
+			}
+		}
 		db, err := w.Open(ds, "hdd")
 		if err != nil {
 			return nil, err
@@ -166,15 +171,7 @@ func (w *Workspace) Fig3() (*Table, error) {
 		eaRow := []string{city, "EA"}
 		ldRow := []string{city, "LD"}
 		for _, k := range Ks {
-			kmax := 4
-			if k > 4 {
-				kmax = 16
-			}
-			set, err := w.EnsureTargetSet(ds, db, 0.01, kmax)
-			if err != nil {
-				db.Close()
-				return nil, err
-			}
+			set := setName(0.01, knnKMax(k))
 			nq := w.cfg.Queries
 			if nq > 30 {
 				nq = 30
@@ -235,6 +232,11 @@ func (w *Workspace) FigKNN(device, id, title string) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		for _, kmax := range knnKMaxes {
+			if _, err := w.EnsureTargetSet(ds, 0.01, kmax); err != nil {
+				return nil, err
+			}
+		}
 		db, err := w.Open(ds, device)
 		if err != nil {
 			return nil, err
@@ -243,15 +245,7 @@ func (w *Workspace) FigKNN(device, id, title string) (*Table, error) {
 		eaRow := []string{city, "EA"}
 		ldRow := []string{city, "LD"}
 		for _, k := range Ks {
-			kmax := 4
-			if k > 4 {
-				kmax = 16
-			}
-			set, err := w.EnsureTargetSet(ds, db, 0.01, kmax)
-			if err != nil {
-				db.Close()
-				return nil, err
-			}
+			set := setName(0.01, knnKMax(k))
 			ea, err := MeasureQueries(db, w.cfg.Queries, func(i int) error {
 				_, err := db.EAKNN(set, wl.Sources[i], wl.Starts[i], k)
 				return err
@@ -314,6 +308,11 @@ func (w *Workspace) densitySweep(id, title string, query func(db *ptldb.DB, set 
 		if err != nil {
 			return nil, err
 		}
+		for _, d := range Densities {
+			if _, err := w.EnsureTargetSet(ds, d, 4); err != nil {
+				return nil, err
+			}
+		}
 		db, err := w.Open(ds, "hdd")
 		if err != nil {
 			return nil, err
@@ -322,11 +321,7 @@ func (w *Workspace) densitySweep(id, title string, query func(db *ptldb.DB, set 
 		eaRow := []string{city, "EA"}
 		ldRow := []string{city, "LD"}
 		for _, d := range Densities {
-			set, err := w.EnsureTargetSet(ds, db, d, 4)
-			if err != nil {
-				db.Close()
-				return nil, err
-			}
+			set := setName(d, 4)
 			ea, err := MeasureQueries(db, w.cfg.Queries, func(i int) error {
 				return query(db, set, wl, i, true)
 			})

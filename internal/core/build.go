@@ -121,23 +121,6 @@ func (s *Store) AddTargetSet(name string, targets []timetable.StopID, kmax int) 
 	return s.saveMeta()
 }
 
-// DropTargetSet removes a target set's five auxiliary tables and its
-// statements, e.g. to rebuild them with a different kmax (the paper builds
-// separate tables per density and kmax).
-func (s *Store) DropTargetSet(name string) error {
-	if _, ok := s.vm().TargetSets[name]; !ok {
-		return fmt.Errorf("core: unknown target set %q", name)
-	}
-	for _, def := range s.targetSetDefs(name, 0) {
-		if err := s.DB.DropTable(def.Name); err != nil {
-			return err
-		}
-	}
-	delete(s.ver.sets, name)
-	delete(s.vm().TargetSets, name)
-	return s.saveMeta()
-}
-
 // setTableKind indexes a target set's five tables: the naive table both naive
 // statements read, then the condensed kNN and one-to-many pairs.
 type setTableKind int

@@ -438,8 +438,16 @@ func TestValidationErrors(t *testing.T) {
 	if err := st.AddTargetSet("poi", []timetable.StopID{1, 2}, 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.AddTargetSet("poi", []timetable.StopID{1, 2}, 2); err == nil {
+	// A refused AddTargetSet prepares and registers nothing.
+	_, parsed := st.DB.StmtCacheStats()
+	if err := st.AddTargetSet("poi", []timetable.StopID{1, 2}, 4); err == nil {
 		t.Error("duplicate set accepted")
+	}
+	if err := st.AddTargetSet("other", []timetable.StopID{1}, 0); err == nil {
+		t.Error("kmax 0 accepted")
+	}
+	if _, now := st.DB.StmtCacheStats(); now != parsed || len(st.ver.sets) != 1 || st.ver.sets["poi"].kmax != 2 {
+		t.Errorf("refused AddTargetSet: %d parses, sets %v", now-parsed, st.ver.sets)
 	}
 	if _, err := st.EAKNN("nope", 0, 0, 1); err == nil {
 		t.Error("unknown set accepted")

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -17,57 +15,51 @@ import (
 	"ptldb/internal/ttl"
 )
 
-// rekeyedCopy copies the database in dir and reloads the set's four condensed
-// tables under the reverse of their declared key — same rows, the other order
-// on disk and in catalog.json: (hub, bucket), the key no builder has written
-// since the tables became bucket-major.
+// rekeyedCopy writes the database in dir into a fresh directory, table by
+// table, with the set's four condensed tables under the reverse of their
+// declared key — same rows, the other order on disk and in catalog.json:
+// (hub, bucket), the key no builder has written since the tables became
+// bucket-major.
 func rekeyedCopy(t *testing.T, dir, set string) string {
 	t.Helper()
-	out := t.TempDir()
-	entries, err := os.ReadDir(dir)
+	src, err := sqldb.Open(dir, sqldb.Options{Device: storage.RAM, PoolPages: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range entries {
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(out, e.Name()), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	defer src.Close()
+	out := t.TempDir()
 	db, err := sqldb.Open(out, sqldb.Options{Device: storage.RAM, PoolPages: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rekey := map[string]bool{}
 	for _, prefix := range []string{"knn_ea", "knn_ld", "otm_ea", "otm_ld"} {
-		name := prefix + "_" + set
-		tbl, ok := db.Table(name)
-		if !ok {
-			t.Fatalf("no table %s", name)
-		}
+		rekey[prefix+"_"+set] = true
+	}
+	names := src.Tables()
+	sort.Strings(names)
+	for _, name := range names {
+		tbl, _ := src.Table(name)
 		var rows []sqltypes.Row
 		if err := tbl.Scan(func(r sqltypes.Row) error { rows = append(rows, r); return nil }); err != nil {
 			t.Fatal(err)
 		}
 		def := tbl.Def()
-		def.PK = []string{def.PK[1], def.PK[0]}
-		if err := db.DropTable(name); err != nil {
-			t.Fatal(err)
+		if rekey[name] {
+			def.PK = []string{def.PK[1], def.PK[0]}
 		}
-		rekeyed, err := db.CreateTable(def)
+		copied, err := db.CreateTable(def)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pk := rekeyed.PKCols()
+		pk := copied.PKCols()
 		sort.Slice(rows, func(i, j int) bool {
-			if a, b := rows[i][pk[0]].I, rows[j][pk[0]].I; a != b {
+			if a, b := rows[i][pk[0]].I, rows[j][pk[0]].I; a != b || len(pk) == 1 {
 				return a < b
 			}
 			return rows[i][pk[1]].I < rows[j][pk[1]].I
 		})
-		if err := rekeyed.BulkLoad(rows); err != nil {
+		if err := copied.BulkLoad(rows); err != nil {
 			t.Fatal(err)
 		}
 	}

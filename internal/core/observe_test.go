@@ -119,22 +119,31 @@ func TestExplainPreparedGoldens(t *testing.T) {
 }
 
 // cachedPaperStore is the paper's worked example with the target set of the
-// goldens on a handle whose vector cache has the given budget.
+// goldens, reopened on a handle whose vector cache has the given budget.
 func cachedPaperStore(t *testing.T, budget int64) (*Store, *sqldb.DB) {
 	t.Helper()
 	labels := ttl.Build(timetable.PaperExample(), order.Identity(7)).Augment()
-	db, err := sqldb.Open(t.TempDir(), sqldb.Options{
-		Device: storage.RAM, PoolPages: 4096, VectorCacheBytes: budget,
-	})
+	dir := t.TempDir()
+	db, err := sqldb.Open(dir, sqldb.Options{Device: storage.RAM, PoolPages: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { db.Close() })
 	st, err := Build(db, labels, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := st.AddTargetSet("poi", []timetable.StopID{4, 6}, 4); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err = sqldb.Open(dir, sqldb.Options{Device: storage.RAM, PoolPages: 4096, VectorCacheBytes: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	if st, err = Open(db); err != nil {
 		t.Fatal(err)
 	}
 	return st, db

@@ -3,7 +3,6 @@ package core
 import (
 	"math/rand"
 	"os"
-	"strings"
 	"testing"
 
 	"ptldb/internal/csa"
@@ -133,108 +132,6 @@ func TestVersionValidation(t *testing.T) {
 	}
 	if _, err := st2.Version("sunday"); err != nil {
 		t.Errorf("version lost after Open: %v", err)
-	}
-}
-
-func TestDropTargetSet(t *testing.T) {
-	st, _ := paperStore(t)
-	if err := st.AddTargetSet("poi", []timetable.StopID{4, 6}, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.DropTargetSet("nope"); err == nil {
-		t.Error("dropping unknown set succeeded")
-	}
-	if err := st.DropTargetSet("poi"); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := st.TargetSets()["poi"]; ok {
-		t.Error("dropped set still registered")
-	}
-	// The set's statements went with it: every set query and its plan are
-	// the caller's mistake of naming an unknown set.
-	for name, q := range map[string]func() error{
-		"EAKNNNaive": func() error { _, err := st.EAKNNNaive("poi", 0, 36000, 1); return err },
-		"LDKNNNaive": func() error { _, err := st.LDKNNNaive("poi", 0, 36000, 1); return err },
-		"EAKNN":      func() error { _, err := st.EAKNN("poi", 0, 36000, 1); return err },
-		"LDKNN":      func() error { _, err := st.LDKNN("poi", 0, 36000, 1); return err },
-		"EAOTM":      func() error { _, err := st.EAOTM("poi", 0, 36000); return err },
-		"LDOTM":      func() error { _, err := st.LDOTM("poi", 0, 36000); return err },
-		"explain":    func() error { _, err := st.ExplainPrepared("knn-ea:poi"); return err },
-	} {
-		if err := q(); !IsInvalidArgument(err) || !strings.Contains(err.Error(), `unknown target set "poi"`) {
-			t.Errorf("%s against the dropped set: %v, want the unknown-set error", name, err)
-		}
-	}
-	if len(st.ver.sets) != 0 {
-		t.Errorf("statement table still holds sets %v", st.ver.sets)
-	}
-	// Rebuild with a different kmax.
-	if err := st.AddTargetSet("poi", []timetable.StopID{4, 6}, 4); err != nil {
-		t.Fatal(err)
-	}
-	got, err := st.EAKNN("poi", 0, 36000, 4)
-	if err != nil || len(got) != 2 {
-		t.Fatalf("rebuilt set: %v %v", got, err)
-	}
-	// A refused AddTargetSet prepares and registers nothing.
-	_, parsed := st.DB.StmtCacheStats()
-	if err := st.AddTargetSet("poi", []timetable.StopID{4}, 1); err == nil {
-		t.Error("duplicate set name accepted")
-	}
-	if err := st.AddTargetSet("other", []timetable.StopID{4}, 0); err == nil {
-		t.Error("kmax 0 accepted")
-	}
-	if _, now := st.DB.StmtCacheStats(); now != parsed || len(st.ver.sets) != 1 || st.ver.sets["poi"].kmax != 4 {
-		t.Errorf("refused AddTargetSet: %d parses, sets %v", now-parsed, st.ver.sets)
-	}
-}
-
-// TestDropTargetSetReleasesVectorCache: dropping a warm target set must give
-// its tables' vectors back to the cache budget — twenty add / warm / drop
-// rounds leave vcache.resident_bytes exactly where it started. (The clock
-// ring itself is checked in vcache's TestDropLeavesTheRing.)
-func TestDropTargetSetReleasesVectorCache(t *testing.T) {
-	labels := ttl.Build(timetable.PaperExample(), order.Identity(7)).Augment()
-	db, err := sqldb.Open(t.TempDir(), sqldb.Options{Device: storage.RAM, PoolPages: 4096, VectorCacheBytes: 64 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { db.Close() })
-	st, err := Build(db, labels, BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm lout and lin so the baseline holds the tables that stay.
-	if _, _, err := st.EarliestArrival(1, 4, 30000); err != nil {
-		t.Fatal(err)
-	}
-	base := db.Registry().Snapshot().VCache.ResidentBytes
-	if base <= 0 {
-		t.Fatalf("baseline ResidentBytes = %d, want > 0", base)
-	}
-	for round := 0; round < 20; round++ {
-		if err := st.AddTargetSet("poi", []timetable.StopID{4, 6}, 4); err != nil {
-			t.Fatal(err)
-		}
-		for _, q := range []func() error{
-			func() error { _, err := st.EAKNN("poi", 1, 30000, 2); return err },
-			func() error { _, err := st.LDKNN("poi", 1, 60000, 2); return err },
-			func() error { _, err := st.EAKNNNaive("poi", 1, 30000, 2); return err },
-			func() error { _, err := st.EAOTM("poi", 1, 30000); return err },
-		} {
-			if err := q(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if warm := db.Registry().Snapshot().VCache.ResidentBytes; warm <= base {
-			t.Fatalf("round %d: ResidentBytes = %d with the set warm, baseline %d", round, warm, base)
-		}
-		if err := st.DropTargetSet("poi"); err != nil {
-			t.Fatal(err)
-		}
-		if got := db.Registry().Snapshot().VCache.ResidentBytes; got != base {
-			t.Fatalf("round %d: ResidentBytes = %d after DropTargetSet, want the baseline %d", round, got, base)
-		}
 	}
 }
 

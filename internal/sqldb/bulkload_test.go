@@ -1,10 +1,12 @@
 package sqldb
 
 import (
+	"fmt"
 	"os"
 	"strings"
 	"testing"
 
+	"ptldb/internal/sqldb/exec"
 	"ptldb/internal/sqldb/sqltypes"
 	"ptldb/internal/sqldb/storage"
 )
@@ -154,37 +156,30 @@ func requireOnlySegments(t *testing.T, dir string, tables ...string) {
 
 // TestBulkLoadReplacesTable: BulkLoad is the table's one write, so loading a
 // table that has rows replaces them — atomically, by rename, leaving only
-// <name>.seg on disk — and under a populated vector cache no reader sees the
-// old vectors afterwards. DropTable + CreateTable + BulkLoad starts over. The
-// old vectors return their share before the new segment registers, so under a
-// budget of exactly the table's vectors the replaced table stays admitted.
+// <name>.seg on disk — and no reader sees the old content afterwards, not
+// even where the old content was resident vectors: the replaced table lets
+// them go and reads its new segment.
 func TestBulkLoadReplacesTable(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256, VectorCacheBytes: 1 << 20})
+	db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
 	tbl := mkTable(t, db, "lab", []string{"k"}, "k", "xs:arr")
 	row := func(k, x int64) sqltypes.Row {
 		return sqltypes.Row{sqltypes.NewInt(k), sqltypes.NewIntArray([]int64{x, x * 2})}
 	}
 	load(t, tbl, row(1, 1), row(2, 2), row(3, 3))
-	// Populate both read tiers with the first content.
-	if got, ok, err := tbl.LookupPK([]int64{2}); err != nil || !ok || got[1].A[1] != 4 {
-		t.Fatalf("LookupPK(2) = %v, %v, %v", got, ok, err)
+	db = reopen(t, db, Options{Device: storage.RAM, PoolPages: 256, VectorCacheBytes: 1 << 20})
+	tbl, _ = db.Table("lab")
+	if got, ok, err := tbl.LookupPK([]int64{2}); err != nil || !ok || got[1].A[1] != 4 || !tbl.Resident() {
+		t.Fatalf("LookupPK(2) = %v, %v, %v (resident %v); want the first content from the vectors", got, ok, err, tbl.Resident())
 	}
-	vc := db.Registry().VCache
-	if vc.Materializations.Load() != 1 || vc.ResidentBytes.Load() == 0 {
-		t.Fatalf("first lookup left %d materializations, %d resident bytes; want the table resident",
-			vc.Materializations.Load(), vc.ResidentBytes.Load())
-	}
-	size := vc.ResidentBytes.Load()
 
 	load(t, tbl, row(2, 20), row(9, 9))
 	requireOnlySegments(t, dir, "lab")
-	if tbl.RowCount() != 2 {
-		t.Fatalf("RowCount = %d after the replacing load, want 2", tbl.RowCount())
+	if tbl.RowCount() != 2 || tbl.Resident() {
+		t.Fatalf("RowCount = %d (resident %v) after the replacing load, want 2 rows read from the segment", tbl.RowCount(), tbl.Resident())
 	}
 	if got, ok, err := tbl.LookupPK([]int64{2}); err != nil || !ok || got[1].A[1] != 40 {
 		t.Fatalf("LookupPK(2) after the replacing load = %v, %v, %v; want the new row", got, ok, err)
@@ -192,43 +187,73 @@ func TestBulkLoadReplacesTable(t *testing.T) {
 	if _, ok, _ := tbl.LookupPK([]int64{1}); ok {
 		t.Error("a row of the replaced content is still visible")
 	}
-	if vc.Materializations.Load() != 2 {
-		t.Errorf("%d materializations, want 2: the replaced table's vectors must not serve the new one", vc.Materializations.Load())
-	}
-	// With the cache and the pool dropped the segment itself answers the same.
+	// With the pool dropped the segment itself answers the same.
 	db.DropCaches()
 	if got, ok, err := tbl.LookupPK([]int64{9}); err != nil || !ok || got[1].A[0] != 9 {
 		t.Fatalf("cold LookupPK(9) = %v, %v, %v", got, ok, err)
 	}
+}
 
-	if err := db.DropTable("lab"); err != nil {
-		t.Fatal(err)
-	}
-	requireOnlySegments(t, dir)
-	if got := vc.ResidentBytes.Load(); got != 0 {
-		t.Errorf("%d vector bytes resident after the table was dropped", got)
-	}
-	tbl = mkTable(t, db, "lab", []string{"k"}, "k", "xs:arr")
-	load(t, tbl, row(4, 4), row(5, 5))
-	if got, ok, err := tbl.LookupPK([]int64{5}); err != nil || !ok || got[1].A[0] != 5 || tbl.RowCount() != 2 {
-		t.Fatalf("recreated table: LookupPK(5) = %v, %v, %v; RowCount %d", got, ok, err, tbl.RowCount())
-	}
-
-	exact, err := Open(t.TempDir(), Options{Device: storage.RAM, PoolPages: 256, VectorCacheBytes: size})
+// TestWrittenTableReadsSegmentUntilOpen: only Open admits a table to the
+// vector cache. A table loaded through a handle with a budget reads its
+// segment — EXPLAIN names the segment tier and no query hits a vector — until
+// the directory is opened again, which admits it; replacing an admitted table
+// lowers vcache.resident_bytes by exactly its vectors.
+func TestWrittenTableReadsSegmentUntilOpen(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Device: storage.RAM, PoolPages: 256, VectorCacheBytes: 1 << 20}
+	db, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer exact.Close()
-	tbl = mkTable(t, exact, "lab", []string{"k"}, "k", "xs:arr")
-	vc = exact.Registry().VCache
-	for _, x := range []int64{1, 10} {
-		load(t, tbl, row(1, x), row(2, x+1), row(3, x+2))
-		if got, ok, err := tbl.LookupPK([]int64{2}); err != nil || !ok || got[1].A[0] != x+1 {
-			t.Fatalf("budget of exactly the table: LookupPK(2) = %v, %v, %v; want %d", got, ok, err, x+1)
+	for _, name := range []string{"lout", "lin"} {
+		tbl, err := db.CreateTable(labelDef(name, "hubs", "tds", "tas"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		load(t, tbl, labelRow(1, []int64{7}, []int64{10}, []int64{10}), labelRow(2, []int64{7}, []int64{20}, []int64{20}))
+	}
+	ea := func(db *DB, tier string) {
+		t.Helper()
+		st, err := db.Prepare(fmt.Sprintf(exec.SQLV2VEA, "lout", "lin"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := st.Explain()
+		if err != nil || !strings.Contains(plan, tier+"Lookup lout") || !strings.Contains(plan, tier+"Lookup lin") {
+			t.Errorf("EXPLAIN = %q, %v; want both tables read by %sLookup", plan, err, tier)
+		}
+		one := sqltypes.NewInt(1)
+		if rel, err := st.Query(one, one, sqltypes.NewInt(0)); err != nil || rel.Rows[0][0].I != 10 {
+			t.Fatalf("EA = %v, %v; want 10", rel, err)
 		}
 	}
-	if d, m, r := vc.Declined.Load(), vc.Materializations.Load(), vc.ResidentBytes.Load(); d != 0 || m != 2 || r != size {
-		t.Errorf("budget of exactly the table: %d declined, %d materializations, %d resident bytes; want 0, 2, %d", d, m, r, size)
+	ea(db, "Segment")
+	for _, name := range []string{"lout", "lin"} {
+		if tbl, _ := db.Table(name); tbl.Resident() {
+			t.Errorf("%s, loaded through the handle, is resident", name)
+		}
+	}
+	if vc := db.Registry().Snapshot().VCache; vc.Hits != 0 || vc.Materializations != 0 || vc.Declined != 0 || vc.ResidentBytes != 0 {
+		t.Errorf("tables loaded through the handle: vcache = %+v; want nothing admitted, declined or hit", *vc)
+	}
+
+	db = reopen(t, db, opts)
+	ea(db, "Vector")
+	lout, _ := db.Table("lout")
+	vc := db.Registry().Snapshot().VCache
+	if !lout.Resident() || vc.Materializations != 2 || vc.Hits == 0 {
+		t.Fatalf("reopened: lout resident %v, vcache = %+v; want both tables admitted and hit", lout.Resident(), *vc)
+	}
+	size := lout.vc.Bytes
+	load(t, lout, labelRow(1, []int64{7}, []int64{10}, []int64{10}))
+	after := db.Registry().Snapshot().VCache
+	if lout.Resident() || after.ResidentBytes != vc.ResidentBytes-size {
+		t.Errorf("replaced lout: resident %v, %d resident bytes, %d before; want its vectors gone from the count",
+			lout.Resident(), after.ResidentBytes, vc.ResidentBytes)
+	}
+	if after.Materializations != 2 {
+		t.Errorf("%d materializations after the load; a load decodes nothing", after.Materializations)
 	}
 }
 

@@ -459,46 +459,6 @@ func TestOpenFillsFreeFrames(t *testing.T) {
 	}
 }
 
-// TestDeclinedAfterKeptOffersRegion: a load of another table can take the
-// room between the open pass, which kept the region because it fit what the
-// cache had left, and the cache's decision. The table is then declined, and
-// every one of its data pages is in the pool: reading it whole makes no
-// device read.
-func TestDeclinedAfterKeptOffersRegion(t *testing.T) {
-	spec := awkwardTables[0]
-	rows := spec.rows()
-	db, err := Open(t.TempDir(), Options{Device: storage.RAM, PoolPages: 256, VectorCacheBytes: 64 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	tbl := mkTable(t, db, spec.name, spec.pk, spec.cols...)
-	size := rowVectorBytes(tbl.types, rows)
-	db.admitHook = func() {
-		if !db.vcache.Register(db.vcache.Free() - size + 1) {
-			t.Fatal("the cache declined the room the test takes")
-		}
-	}
-	if err := tbl.BulkLoad(rows); err != nil {
-		t.Fatal(err)
-	}
-	if tbl.vc != nil {
-		t.Fatal("the table holds a cache share the cache no longer had room for")
-	}
-	snap := db.Registry().Snapshot()
-	if vc := snap.VCache; vc.Declined != 1 || vc.Materializations != 0 {
-		t.Errorf("vcache = %+v; want the table declined, nothing built", *vc)
-	}
-	if n, pages := db.Pool().NumFrames(), dataPages(tbl); n != pages || snap.Pool.Evictions != 0 {
-		t.Errorf("%d frames (%d evictions) in the pool after the load; the table has %d data pages", n, snap.Pool.Evictions, pages)
-	}
-	reads := tbl.file.Reads()
-	scanMatches(t, tbl, rows)
-	if got, misses := tbl.file.Reads()-reads, db.Registry().Snapshot().Pool.Misses-snap.Pool.Misses; got != 0 || misses != 0 {
-		t.Errorf("reading the declined table whole: %d device reads, %d pool misses; want none", got, misses)
-	}
-}
-
 // TestDropCachesForgetsReadPosition: a query after DropCaches is a cold
 // start, so its first page costs a seek even when it happens to follow the
 // page the previous query read last. Two lookups of rows on adjacent pages,
@@ -533,14 +493,12 @@ func TestDropCachesForgetsReadPosition(t *testing.T) {
 // took from it before stay valid — and leaves the resident vectors: they are
 // what the table's open decoded, like its key directory.
 func TestDropCachesKeepsVectors(t *testing.T) {
-	db, err := Open(t.TempDir(), Options{Device: storage.RAM, PoolPages: 256, VectorCacheBytes: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
+	db := newTestDB(t)
 	tbl := mkTable(t, db, "lab", []string{"k"}, "k", "xs:arr")
 	load(t, tbl, sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewIntArray([]int64{1, 2})},
 		sqltypes.Row{sqltypes.NewInt(2), sqltypes.NewIntArray([]int64{3})})
+	db = reopen(t, db, Options{Device: storage.RAM, PoolPages: 256, VectorCacheBytes: 1 << 20})
+	tbl, _ = db.Table("lab")
 	vc := db.Registry().VCache
 	resident := vc.ResidentBytes.Load()
 	if resident == 0 || vc.Materializations.Load() != 1 {

@@ -27,7 +27,6 @@ import (
 	"ptldb/internal/sqldb/sql"
 	"ptldb/internal/sqldb/sqltypes"
 	"ptldb/internal/sqldb/storage"
-	"ptldb/internal/sqldb/vcache"
 )
 
 // ColumnDef declares one column.
@@ -95,8 +94,8 @@ type Options struct {
 	// variable reaches it; production handles leave it false.
 	ReferenceExec bool
 	// VectorCacheBytes is the resident vector cache's byte budget, which
-	// admits tables once, in the order the handle opens them (vcache). Zero
-	// or negative means no cache (the default at this layer; the ptldb
+	// Open spends on the tables of the catalog in catalog order (vectors.go).
+	// Zero or negative means no cache (the default at this layer; the ptldb
 	// facade supplies its own default budget).
 	VectorCacheBytes int64
 }
@@ -110,20 +109,11 @@ type DB struct {
 
 	referenceExec bool // Options.ReferenceExec
 
-	// vcache is the resident vector cache; nil when the handle was opened
-	// without a budget.
-	vcache *vcache.Cache
-
 	mu     sync.RWMutex
 	tables map[string]*Table
 
 	// prepares counts Prepare calls, i.e. statement parses (StmtCacheStats).
 	prepares atomic.Uint64
-
-	// admitHook, when non-nil, runs between a table's open pass and the
-	// cache's decision on it. Tests use it to take the room the open pass
-	// saw, as a concurrent load of another table can.
-	admitHook func()
 
 	// reg is the handle's observability registry: executor dispatch counters
 	// (fused runs vs. general runs, rows scanned, tuples merged), per-Code
@@ -133,7 +123,7 @@ type DB struct {
 
 // Open opens the database in dir, an empty one when dir has no catalog yet
 // (the directory is created if needed; no other file ever is), and returns
-// once every table the vector cache admits is decoded and resident. Every
+// once every table it admits to the vector cache is decoded and resident. Every
 // catalogued table must have its segment: one that is missing, fails
 // validation (wrapping storage.ErrCorruptSegment) or holds a row an admitted
 // table's decode rejects fails the whole open with an error naming the
@@ -156,9 +146,12 @@ func Open(dir string, opts Options) (*DB, error) {
 		tables:        map[string]*Table{},
 	}
 	db.reg.Pool = db.pool.Metrics()
+	// left is what the vector budget has left after the tables admitted so
+	// far; nil when the handle has none.
+	var left *int64
 	if opts.VectorCacheBytes > 0 {
 		db.reg.VCache = &obs.VCacheMetrics{}
-		db.vcache = vcache.New(opts.VectorCacheBytes, db.reg.VCache)
+		left = &opts.VectorCacheBytes
 	}
 	cat, err := os.ReadFile(db.catalogPath())
 	if err != nil {
@@ -171,19 +164,23 @@ func Open(dir string, opts Options) (*DB, error) {
 	if err := json.Unmarshal(cat, &defs); err != nil {
 		return nil, fmt.Errorf("sqldb: parse catalog: %w", err)
 	}
-	// Tables open one after another, in catalog order, so the cache admits
-	// them in that order; the admitted ones then decode on every core.
+	// Tables open one after another, in catalog order, so admission is a
+	// running sum in that order; the admitted ones then decode on every core.
 	var jobs []func() error
 	for _, def := range defs {
 		def.Name = strings.ToLower(def.Name)
 		var t *Table
+		var decode func() error
 		if t, err = db.newTable(def); err == nil {
-			jobs, err = t.open(jobs)
+			decode, err = t.open(left)
 		}
 		if err != nil {
 			break
 		}
 		db.tables[def.Name] = t
+		if decode != nil {
+			jobs = append(jobs, decode)
+		}
 	}
 	if err == nil {
 		err = RunJobs(0, jobs)
@@ -295,23 +292,6 @@ func (db *DB) saveCatalogLocked() error {
 	return err
 }
 
-// DropTable removes a table and deletes its file. Concurrent queries must
-// not be running (bulk-maintenance operation, like everything that writes).
-func (db *DB) DropTable(name string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	name = strings.ToLower(name)
-	t, ok := db.tables[name]
-	if !ok {
-		return fmt.Errorf("sqldb: no table %q", name)
-	}
-	delete(db.tables, name)
-	if err := t.remove(); err != nil {
-		return err
-	}
-	return db.saveCatalogLocked()
-}
-
 // Table returns the named table.
 func (db *DB) Table(name string) (*Table, bool) {
 	db.mu.RLock()
@@ -419,8 +399,7 @@ type Stmt struct {
 // bound to the tables the handle has now — one that lacks a table, a column
 // or a declaration its kernel trusts fails here, naming the table; any other
 // statement runs on the general executor. A fused statement keeps its tables:
-// BulkLoad replaces a table's contents under it, and a statement must not
-// outlive DropTable of one of its tables.
+// BulkLoad replaces a table's contents under it.
 func (db *DB) Prepare(query string) (*Stmt, error) {
 	db.prepares.Add(1)
 	sel, err := sql.Parse(query)

@@ -44,6 +44,21 @@ func mkTable(t *testing.T, db *DB, name string, pk []string, cols ...string) *Ta
 	return tbl
 }
 
+// reopen closes db and opens its directory again with opts: what a writer
+// loaded through db is then admitted to the vector cache as Open admits it.
+func reopen(t *testing.T, db *DB, opts Options) *DB {
+	t.Helper()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err := Open(db.dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	return db
+}
+
 // load makes rows the table's content the one way a table is written: sorted
 // by primary key, then bulk-loaded.
 func load(t testing.TB, tbl *Table, rows ...sqltypes.Row) {

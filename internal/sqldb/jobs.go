@@ -9,9 +9,9 @@ import (
 // RunJobs runs the jobs on up to workers goroutines (GOMAXPROCS when workers
 // is not positive) and returns the first error in job order, once every job
 // has finished. It runs the table loads of a build (core) and the decodes of
-// an open (Open, BulkLoad). Jobs touch disjoint tables (each table owns its
-// files and its vector-cache entry; the buffer pool underneath is one LRU
-// under one mutex), so they need no coordination: job j reports into
+// an open (Open). Jobs touch disjoint tables (each table owns its files and
+// its vectors; the buffer pool underneath is one LRU under one mutex), so
+// they need no coordination: job j reports into
 // errs[j], which only the worker that ran it writes. A failed job does not
 // stop the others — a job has no side effects outside its own table, and the
 // first error fails the whole build or open anyway.

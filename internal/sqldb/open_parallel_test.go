@@ -1,6 +1,6 @@
 package sqldb
 
-// open_parallel_test.go pins the parallel decode at Open: tables register
+// open_parallel_test.go pins the parallel decode at Open: tables are admitted
 // one after another in catalog order, so admission is the same on every open
 // whatever order the decodes finish in; a decode that fails fails the open,
 // naming its table, with every file closed and every worker gone; and a

@@ -274,9 +274,7 @@ func writeSegRegion(f *PagedFile, b []byte) error {
 // calling it, offers the pages it had copied, and returns a nil region. The
 // payloads stay opaque to storage: the caller that encoded them decides from
 // them whether it will decode the region, and then does so without reading
-// the file a second time; a caller that keeps a region and then does not
-// decode it hands it to the pool with Segment.Offer. With a nil keep the
-// region is nil.
+// the file a second time. With a nil keep the region is nil.
 func OpenSegment(file *PagedFile, pool *Pool, keep func(rows, size int, chunk []byte) bool) (*Segment, []byte, error) {
 	s, data, err := openSegment(file, pool, keep)
 	if err != nil {
@@ -424,11 +422,6 @@ func openSegment(file *PagedFile, pool *Pool, keep func(rows, size int, chunk []
 	}
 	return s, data, nil
 }
-
-// Offer hands the pool the data region OpenSegment returned, for a caller
-// that will not decode it after all: its pages go to free frames as every
-// page the open pass does not keep does.
-func (s *Segment) Offer(data []byte) { offerRegion(s.pool, s.file, data) }
 
 // offerRegion offers data — a data region, or the whole pages at its start —
 // to the pool page by page.

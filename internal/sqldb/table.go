@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io/fs"
 	"math"
-	"os"
 	"path/filepath"
 	"sync/atomic"
 	"time"
@@ -14,7 +13,6 @@ import (
 	"ptldb/internal/sqldb/exec"
 	"ptldb/internal/sqldb/sqltypes"
 	"ptldb/internal/sqldb/storage"
-	"ptldb/internal/sqldb/vcache"
 )
 
 // Table is one stored table. It has exactly one physical form, the immutable
@@ -40,15 +38,13 @@ type Table struct {
 
 	// The open segment, replaced as one by BulkLoad. Between CreateTable and
 	// the first BulkLoad there is no file yet and seg is the zero Segment, an
-	// empty one. vc is the table's decoded vectors, which open's decode set
-	// before a read could reach the table, holding a share of the handle's
-	// resident vector cache; it is nil when the handle has no cache, the
-	// table has a DOUBLE or TEXT column, or the cache declined it
-	// (vcache.Cache.Register), and then every read goes straight to the
-	// segment.
+	// empty one. vc is the table's decoded vectors, which Open decoded before
+	// a read could reach the table; it is nil when the handle has no vector
+	// budget, the table has a DOUBLE or TEXT column, Open declined it or
+	// BulkLoad wrote it, and then every read goes straight to the segment.
 	file *storage.PagedFile
 	seg  *storage.Segment
-	vc   *vcache.Mat
+	vc   *Mat
 
 	// Access counters: primary-key lookups answered (hit or miss) and full
 	// scans started. They let tests verify the paper's secondary-storage
@@ -247,9 +243,11 @@ func (t *Table) countTargets(row sqltypes.Row, seen []uint64, distinct int64) (i
 // all of them are validated before a byte is written, so a rejected load
 // leaves the table as it was. The segment is written beside the live one and
 // renamed over it, so loading a table that already has rows replaces them
-// atomically. Reads of this table must not run concurrently with its load
-// (bulk maintenance, like CreateTable and DropTable); loads of different
-// tables may.
+// atomically. The loaded table reads its segment until the directory is
+// opened again: only Open admits a table to the vector cache, and a table
+// that held vectors lets them go (vcache.resident_bytes drops by their size).
+// Reads of this table must not run concurrently with its load (bulk
+// maintenance, like CreateTable); loads of different tables may.
 func (t *Table) BulkLoad(rows []sqltypes.Row) error {
 	sd := storage.SegmentData{
 		Cols:  make([]byte, len(t.types)),
@@ -295,66 +293,66 @@ func (t *Table) BulkLoad(rows []sqltypes.Row) error {
 	if err := storage.WriteSegmentFile(t.segPath(), t.db.dev, &t.db.clock, sd); err != nil {
 		return err
 	}
-	// Drop the old vectors first, so a table the budget held stays admitted;
-	// should the open fail, the old segment serves on from its pages.
-	oldFile := t.file
-	t.dropVectors()
-	jobs, err := t.open(nil)
-	if err != nil {
+	// Should the open fail, the old segment and vectors serve on.
+	oldFile, oldVC := t.file, t.vc
+	if _, err := t.open(nil); err != nil {
 		return err
 	}
-	return firstError(RunJobs(1, jobs), t.db.release(oldFile))
+	if oldVC != nil {
+		t.db.reg.VCache.ResidentBytes.Add(-oldVC.Bytes)
+	}
+	return t.db.release(oldFile)
 }
 
 // open opens and validates the table's segment file — checksums and layout
-// in storage, column layout against the schema here — registers an
-// all-integer table with the vector cache, and appends to jobs the decode of
-// a table the cache admits. For those, the pass that checksums the data
-// region also counts its varints, which is all it takes to know the size of
-// the table's vectors (vectorBytes) before the cache is asked to hold them,
+// in storage, column layout against the schema here. left is what Open's
+// vector budget has left after the tables it admitted before this one, nil
+// when the table is not to be admitted (a handle without a budget, and
+// BulkLoad's reopen). An all-integer table that fits it is admitted: open
+// takes the exact size of its vectors from *left, counts it resident and
+// returns the decode, which the caller runs before any read can reach the
+// table. For such a table, the pass that checksums the data region also
+// counts its varints, which is all it takes to know that size (vectorBytes),
 // and keeps the region it read, for the decode to start from once the
 // checksum has matched. The region is kept only while a lower bound on the
-// table's vectors fits what the cache has left: the size for the varints
-// counted so far, or for one varint per ten bytes of the region if that is
-// more. The bound only grows, so a table whose region is let go would have
-// been declined (or failed its decode), and a table too large for the cache
-// is let go at its first chunk, before any copy. Every data page the table
-// does not keep as vectors ends up in a free frame of the buffer pool: the
-// open pass offers those it does not keep (storage.OpenSegment), and a region
-// kept for a table the cache then declines is offered whole. Open never
-// creates the file: a missing one is an error.
-func (t *Table) open(jobs []func() error) ([]func() error, error) {
+// table's vectors fits *left: the size for the varints counted so far, or for
+// one varint per ten bytes of the region if that is more. The bound only
+// grows and its last value is at least the exact size, so a region kept to
+// the end fits, and a table too large for what is left is let go at its
+// first chunk, before any copy. Every data page the table does not keep as
+// vectors ends up in a free frame of the buffer pool (storage.OpenSegment).
+// Open never creates the file: a missing one is an error.
+func (t *Table) open(left *int64) (decode func() error, err error) {
 	db := t.db
 	f, err := storage.OpenPagedFile(t.segPath(), db.dev, &db.clock)
 	if errors.Is(err, fs.ErrNotExist) {
-		return jobs, fmt.Errorf("sqldb: table %q: segment file %s.seg is missing — the directory is damaged or was built by an older version; rebuild it: %w",
+		return nil, fmt.Errorf("sqldb: table %q: segment file %s.seg is missing — the directory is damaged or was built by an older version; rebuild it: %w",
 			t.def.Name, t.def.Name, err)
 	}
 	if err != nil {
-		return jobs, fmt.Errorf("sqldb: table %q: %w", t.def.Name, err)
+		return nil, fmt.Errorf("sqldb: table %q: %w", t.def.Name, err)
 	}
 	db.pool.Register(f)
 	f.CountReads(&db.reg.Pool.RandReads, &db.reg.Pool.SeqReads)
 
-	vectors := db.vcache != nil
+	vectors := left != nil
 	for _, typ := range t.types {
 		vectors = vectors && (typ == sqltypes.Int64 || typ == sqltypes.IntArray)
 	}
 	varints := 0
 	var keep func(int, int, []byte) bool
 	if vectors {
-		free := db.vcache.Free()
 		keep = func(rows, size int, chunk []byte) bool {
 			varints += sqltypes.CountSegVarints(chunk)
 			// No varint a decode accepts is longer than ten bytes, so a
 			// region holds at least one per ten of its bytes.
-			return vectorBytes(t.types, rows, max(varints, size/binary.MaxVarintLen64)) <= free
+			return vectorBytes(t.types, rows, max(varints, size/binary.MaxVarintLen64)) <= *left
 		}
 	}
 	seg, data, err := storage.OpenSegment(f, db.pool, keep)
 	if err != nil {
 		_ = f.Close() // best-effort cleanup; the open failure wins
-		return jobs, fmt.Errorf("sqldb: table %q: %w", t.def.Name, err)
+		return nil, fmt.Errorf("sqldb: table %q: %w", t.def.Name, err)
 	}
 	cols := seg.Cols()
 	match := len(cols) == len(t.types) && seg.PKLen() == len(t.pkCols)
@@ -363,69 +361,46 @@ func (t *Table) open(jobs []func() error) ([]func() error, error) {
 	}
 	if !match {
 		_ = db.release(f) // best-effort cleanup; the mismatch wins
-		return jobs, fmt.Errorf("sqldb: table %q: %w: header: columns %v (pk %d) do not match the schema",
+		return nil, fmt.Errorf("sqldb: table %q: %w: header: columns %v (pk %d) do not match the schema",
 			t.def.Name, storage.ErrCorruptSegment, cols, seg.PKLen())
 	}
 	t.file, t.seg, t.vc = f, seg, nil
-	if data == nil {
-		if vectors {
-			db.reg.VCache.Declined.Add(1) // its vectors outgrew what the cache had left
-		}
-		return jobs, nil
-	}
-	if db.admitHook != nil {
-		db.admitHook()
+	if !vectors {
+		return nil, nil
 	}
 	size := vectorBytes(t.types, seg.NumRows(), varints)
-	if !db.vcache.Register(size) {
-		// A load of another table took the room keep saw: the region goes to
-		// the pool like every page the open pass does not keep.
-		seg.Offer(data)
-		return jobs, nil
+	// keep checked the size of every region it saw a chunk of; an empty
+	// region, which it never saw, is checked here.
+	if data == nil || size > *left {
+		db.reg.VCache.Declined.Add(1) // its vectors outgrew what the tables before it left
+		return nil, nil
 	}
-	return append(jobs, func() error {
+	*left -= size
+	db.reg.VCache.ResidentBytes.Add(size)
+	return func() error {
 		start := time.Now()
 		m, err := t.decode(data, varints)
 		if err == nil && m.Bytes != size {
-			// The share was reserved for exactly the predicted size.
+			// The table was admitted at exactly the predicted size.
 			err = fmt.Errorf("decoded %d bytes of vectors for a table admitted at %d", m.Bytes, size)
 		}
 		if err != nil {
-			db.vcache.Release(size)
 			return fmt.Errorf("sqldb: table %q: %w", t.def.Name, err)
 		}
 		t.vc = m
 		db.reg.VCache.Materializations.Add(1)
 		db.reg.VCache.Materialize.Observe(time.Since(start))
 		return nil
-	}), nil
+	}, nil
 }
 
-// dropVectors returns the share of a table the vector cache holds to the
-// budget; the table then reads its segment.
-func (t *Table) dropVectors() {
-	if t.vc != nil {
-		t.db.vcache.Release(t.vc.Bytes)
-		t.vc = nil
-	}
-}
-
-// release forgets a replaced or dropped segment file's pages and closes it.
+// release forgets a replaced segment file's pages and closes it.
 func (db *DB) release(f *storage.PagedFile) error {
 	if f == nil {
 		return nil
 	}
 	db.pool.Forget(f)
 	return f.Close()
-}
-
-// remove releases the table's segment and deletes its file.
-func (t *Table) remove() error {
-	if t.file == nil {
-		return nil
-	}
-	t.dropVectors()
-	return firstError(t.db.release(t.file), os.Remove(t.segPath()))
 }
 
 // LookupPK fetches the row with the given primary-key values (one per PK

@@ -6,16 +6,67 @@ import (
 
 	"ptldb/internal/sqldb/exec"
 	"ptldb/internal/sqldb/sqltypes"
-	"ptldb/internal/sqldb/vcache"
+	"ptldb/internal/sqldb/storage"
 )
 
 // The resident-vector tier of a Table: an all-BIGINT/BIGINT[] table's whole
 // segment decoded once into flat column vectors and served as slice views.
-// A table with a DOUBLE or TEXT column is never registered with the cache
-// (Table.open), so nothing here sees one.
+// A hit skips the buffer pool, the payload copy and the varint decode; what
+// is left per lookup is a search of the key directory and value headers
+// that alias the vectors.
+//
+// Admission is Open's alone, decided once per table in catalog order: a
+// table is admitted when its exact vector size fits what the tables admitted
+// before it left of the handle's budget (Options.VectorCacheBytes), and is
+// decoded before Open returns. Any other is declined and reads its segment.
+// Nothing is ever evicted: labels never go stale, so a budget just under the
+// working set declines the last tables instead of decoding tables over and
+// over. A table that BulkLoad writes through an open handle reads its
+// segment until the directory is opened again. A table with a DOUBLE or TEXT
+// column is never admitted, so nothing here sees one.
+
+// Mat is one table's decoded segment: the key directory plus fully decoded
+// column vectors. A Mat is immutable after construction; readers alias its
+// slices freely, and a table that lets its Mat go leaves them intact.
+type Mat struct {
+	// Keys is the ascending key directory (shared with the segment's own
+	// in-memory directory; both are immutable).
+	Keys []storage.Key
+	// Cols holds one decoded column per table column, in storage order.
+	Cols []Col
+	// Elems is every array element of the table, row by row and, within a
+	// row, column by column; Starts is where each of them begins: the a-th
+	// array column of row i spans Elems[Starts[i·A+a]:Starts[i·A+a+1]], A
+	// the number of array columns, so Starts has len(Keys)·A + 1 entries.
+	// The array columns of Cols are views of the two.
+	Elems  []int64
+	Starts []int32
+	// Bytes is the Mat's budget charge: the backing arrays of the keys, the
+	// scalar columns, Elems and Starts.
+	Bytes int64
+}
+
+// Col is one decoded column. A scalar (BIGINT) column stores row i's value at
+// Ints[i] and leaves Starts nil. An array (BIGINT[]) column is a view of its
+// Mat's shared vectors: Ints is Mat.Elems, Starts is Mat.Starts from the
+// column's own first entry, and Stride is the number of array columns, so
+// Starts[i·Stride]:Starts[i·Stride+1] delimits row i's elements.
+type Col struct {
+	Ints   []int64
+	Starts []int32 // nil for scalar columns
+	Stride int
+}
+
+// Array returns row i's elements of an array column. The view aliases the
+// decoded vector: immutable, and kept alive by the garbage collector even
+// after the table is replaced, so callers may retain it as long as they need.
+func (c *Col) Array(i int) []int64 {
+	j := i * c.Stride
+	return c.Ints[c.Starts[j]:c.Starts[j+1]:c.Starts[j+1]]
+}
 
 // vectorBytes is the exact size of a segment table's materialized vectors —
-// vcache.Mat.Bytes before the Mat exists — from what open already knows: the
+// Mat.Bytes before the Mat exists — from what open already knows: the
 // shared key directory, one int64 per row and BIGINT column, one int64 per
 // array element, and one int32 start per row and BIGINT[] column plus the
 // final end. Every varint of an all-integer data region is a BIGINT, an
@@ -38,9 +89,9 @@ func vectorBytes(types []sqltypes.Type, rows, varints int) int64 {
 // per row, and the elements of every array, row by row, one shared vector
 // indexed by one shared vector of starts. The region is decoded in one pass:
 // the varints open counted size every vector, so they are allocated once,
-// at exactly vectorBytes (the size the cache admitted the table on), and
+// at exactly vectorBytes (the size Open admitted the table on), and
 // every row is decoded straight into them.
-func (t *Table) decode(data []byte, varints int) (*vcache.Mat, error) {
+func (t *Table) decode(data []byte, varints int) (*Mat, error) {
 	n, arrays := t.seg.NumRows(), 0
 	for _, typ := range t.types {
 		if typ == sqltypes.IntArray {
@@ -70,9 +121,9 @@ func (t *Table) decode(data []byte, varints int) (*vcache.Mat, error) {
 	if len(elems) != nElems {
 		return nil, fmt.Errorf("decoded %d array elements, open counted %d", len(elems), nElems)
 	}
-	m := &vcache.Mat{
+	m := &Mat{
 		Keys:   t.seg.Keys(),
-		Cols:   make([]vcache.Col, len(t.types)),
+		Cols:   make([]Col, len(t.types)),
 		Elems:  elems,
 		Starts: starts,
 		Bytes:  int64(n)*16 + int64(len(ints))*8 + int64(len(starts))*4,
@@ -82,7 +133,7 @@ func (t *Table) decode(data []byte, varints int) (*vcache.Mat, error) {
 			m.Cols[ci].Ints = ints[k*n : (k+1)*n : (k+1)*n]
 			k++
 		} else {
-			m.Cols[ci] = vcache.Col{Ints: elems, Starts: starts[a:], Stride: arrays}
+			m.Cols[ci] = Col{Ints: elems, Starts: starts[a:], Stride: arrays}
 			a++
 		}
 	}
@@ -93,8 +144,8 @@ func (t *Table) decode(data []byte, varints int) (*vcache.Mat, error) {
 // into the scratch, but the array payloads alias the cached vectors — no
 // copy, no arena traffic. The views satisfy LookupPKScratch's retention
 // contract trivially: the vectors are immutable and the garbage collector
-// keeps them alive as long as any view exists, even once the table is dropped.
-func vcacheRow(m *vcache.Mat, i int, s *exec.RowScratch) sqltypes.Row {
+// keeps them alive as long as any view exists, even once the table is replaced.
+func vcacheRow(m *Mat, i int, s *exec.RowScratch) sqltypes.Row {
 	var r sqltypes.Row
 	if cap(s.Row) >= len(m.Cols) {
 		r = s.Row[:len(m.Cols)]

@@ -120,10 +120,13 @@ type Config struct {
 	// segments are decoded once into in-memory column vectors and served to
 	// the fused executor as direct slice views. 0 selects
 	// DefaultVectorCacheBytes; a negative value means no cache, every read
-	// served from the segments. Admission is decided once per table, at open,
-	// in catalog order: a table is admitted while its vectors fit what the
-	// tables before it left of the budget, and keeps its share; the rest are
-	// declined and read from their segments. Sizing guidance: the sum of
+	// served from the segments. Admission is decided once per table, when
+	// Open (or Create, which returns the directory reopened) opens it, in
+	// catalog order: a table is admitted while its vectors fit what the
+	// tables before it left of the budget, and keeps its vectors; the rest
+	// are declined and read from their segments, as are the tables a handle
+	// writes (AddTargetSet, AddVersion, BuildPathTables) until the directory
+	// is opened again. Sizing guidance: the sum of
 	// every all-integer table's vectors (roughly the .seg bytes on disk)
 	// keeps every table resident. It has no effect on query answers.
 	VectorCacheBytes int64
@@ -207,8 +210,10 @@ type DB struct {
 
 // Create preprocesses tt (TTL labels under the configured vertex order,
 // dummy-tuple augmentation, lout/lin tables) into a new database directory
-// and returns it opened. Preprocessing time is the paper's Table 7 metric;
-// see PreprocessStats for the breakdown.
+// on a build handle of its own, closes that, and returns the directory
+// opened with cfg, as Open would: a created handle serves what an opened one
+// does, its tables admitted to the vector cache. Preprocessing time is the
+// paper's Table 7 metric; see PreprocessStats for the breakdown.
 func Create(dir string, tt *Network, cfg Config) (*DB, error) {
 	db, _, err := CreateWithStats(dir, tt, cfg)
 	return db, err
@@ -216,9 +221,11 @@ func Create(dir string, tt *Network, cfg Config) (*DB, error) {
 
 // PreprocessStats reports how Create spent its time and what it built.
 type PreprocessStats struct {
-	OrderTime     time.Duration `json:"order_ns"`
-	LabelTime     time.Duration `json:"label_ns"`
-	AugmentTime   time.Duration `json:"augment_ns"`
+	OrderTime   time.Duration `json:"order_ns"`
+	LabelTime   time.Duration `json:"label_ns"`
+	AugmentTime time.Duration `json:"augment_ns"`
+	// LoadTime is the table loads and the build handle's Close, which makes
+	// them durable; it stops before the reopen Create returns.
 	LoadTime      time.Duration `json:"load_ns"`
 	LabelTuples   int           `json:"label_tuples"` // before augmentation
 	DummyTuples   int           `json:"dummy_tuples"`
@@ -274,30 +281,24 @@ func CreateWithStats(dir string, tt *Network, cfg Config) (*DB, PreprocessStats,
 	stats.DummyTuples = labels.NumDummies()
 
 	start = time.Now()
-	sdb, err := sqldb.Open(dir, sqldb.Options{
-		Device: dev, PoolPages: cfg.PoolPages, VectorCacheBytes: cfg.vcacheBytes(),
-	})
+	sdb, err := sqldb.Open(dir, sqldb.Options{Device: dev, PoolPages: cfg.PoolPages})
 	if err != nil {
 		return nil, stats, err
 	}
-	store, err := core.Build(sdb, labels, core.BuildOptions{
+	_, err = core.Build(sdb, labels, core.BuildOptions{
 		BucketSeconds: cfg.BucketSeconds,
 		Stops:         tt.Stops(),
 		Workers:       cfg.BuildWorkers,
 	})
-	if err != nil {
-		sdb.Close()
-		return nil, stats, err
-	}
-	if err := sdb.Flush(); err != nil {
-		sdb.Close()
-		return nil, stats, err
+	if cerr := sdb.Close(); err == nil {
+		err = cerr // Close flushes: the build is durable once it returns nil
 	}
 	stats.LoadTime = time.Since(start)
-	if h := cfg.traceHook(); h != nil {
-		store.SetTraceHook(h)
+	if err != nil {
+		return nil, stats, err
 	}
-	return &DB{store: store, db: sdb, buildWorkers: cfg.BuildWorkers}, stats, nil
+	db, err := Open(dir, cfg)
+	return db, stats, err
 }
 
 // Open attaches to a database directory previously built with Create,
@@ -354,7 +355,8 @@ func (d *DB) ShortestDuration(s, g StopID, t, tEnd Time) (dur Time, ok bool, err
 
 // AddTargetSet registers a named set of target stops (e.g. stops near
 // points of interest) and materializes the kNN and one-to-many tables for k
-// up to kmax.
+// up to kmax. This handle reads the new tables from their segments; a
+// handle opened on the directory afterwards admits them to the vector cache.
 func (d *DB) AddTargetSet(name string, targets []StopID, kmax int) error {
 	if err := d.store.AddTargetSet(name, targets, kmax); err != nil {
 		return err

@@ -5,8 +5,8 @@
 # examples/, the general SQL engine's coverage by its callers alone,
 # 10-second fuzzes of the HTTP time parameter, of the segment codec's two
 # row decoders and of the segment open pass, then the benchmark module
-# (benchmark/ is a module of its own, invisible to ./...), a look at what
-# ptldb-build leaves in a database directory, the console on it, and what
+# (benchmark/ is a module of its own, invisible to ./...), the four examples,
+# a look at what ptldb-build leaves in a database directory, the console on it, and what
 # becomes of that directory once its catalog stops declaring the label run
 # order, the target-id bound, the EA condensed floor or the EA one-to-many
 # target count. Also available as `make check`.
@@ -98,7 +98,8 @@ if git grep -nE 'poolShard|perShard|\.shards\b|defaultPoolPages' -- 'internal/sq
 fi
 echo "== the vector cache admits a table once and never evicts (internal/sqldb; the pool's LRU is storage's)"
 if git grep -nE 'evictLocked|evictEntryLocked|DropAll|second-chance|\.hand\b' -- 'internal/sqldb/*.go' ':!internal/sqldb/storage/*' ':!*_test.go'; then
-    echo "vcache.Cache decides admission once, at Register; an admitted table keeps its share until Release:" >&2
+    echo "sqldb.Open decides each table's admission once, on what the tables before it left of the budget;" >&2
+    echo "an admitted table keeps its vectors for the handle's life:" >&2
     echo "no clock ring, no hand, no eviction, no DropAll (DB.DropCaches leaves the vectors Open decoded)" >&2
     exit 1
 fi
@@ -121,8 +122,15 @@ if git grep -nE 'Unpin|loadErr|failLoad|loadHook|\.pins\b' -- 'internal/sqldb/st
     exit 1
 fi
 if git grep -nE 'vcache\.Entry|\.Publish\(' -- 'internal/sqldb'; then
-    echo "a table holds the vectors its open decoded as a plain field; vcache.Cache keeps only the byte" >&2
-    echo "account (Register, Release): no entry, no publish, no compare-and-swap" >&2
+    echo "a table holds the vectors Open decoded as a plain field, set before Open returns:" >&2
+    echo "no entry, no publish, no compare-and-swap" >&2
+    exit 1
+fi
+echo "== vectors are Open's: only sqldb.Open admits and decodes a table, and nothing drops one"
+if git grep -nE 'vcache\.Cache|admitHook|dropVectors|DropTable|DropTargetSet|seg\.Offer|sqldb/vcache' -- '*.go'; then
+    echo "sqldb.Open admits tables on a running sum of its budget in catalog order and decodes them before it" >&2
+    echo "returns; a table BulkLoad writes reads its segment until the directory is opened again:" >&2
+    echo "no shared account, no admission after Open, no drop path" >&2
     exit 1
 fi
 echo "== go vet ./..."
@@ -186,6 +194,10 @@ echo "== benchmark module (vet, tests, smoke run of all four workloads)"
 go -C benchmark vet .
 go -C benchmark test .
 go -C benchmark run . -smoke > /dev/null
+echo "== the four examples run (the facade's write-then-query flows)"
+for ex in quickstart poifinder geomarketing journeyplanner; do
+    go run "./examples/$ex" > /dev/null
+done
 echo "== built image holds segments and the catalog only"
 go run ./cmd/ptldb-build -city Austin -scale 0.01 -targets 0.1:4 -db "$img/db" > /dev/null
 stray=$(ls -A "$img/db" | grep -v -e '\.seg$' -e '^catalog\.json$' || true)

@@ -13,28 +13,22 @@ import (
 	"ptldb/internal/timetable"
 )
 
-// vcacheDifferential builds one database from tt and runs the full seeded
-// query battery two ways over the same directory: with the resident vector
-// cache (the default budget) and without one (a negative budget — every read
+// vcacheDifferential builds one database from tt, target set included, and
+// runs the full seeded query battery two ways over the same directory: with
+// the resident vector cache (the default budget, on a handle opened after the
+// target set was written, so that it admits the set's tables) and without one (a negative budget — every read
 // served from the segments). The answer lists must be identical, and the
 // cache/segment counters prove which tier actually served each handle.
 func vcacheDifferential(t *testing.T, tt *Network, targets []StopID) {
 	t.Helper()
 	dir := t.TempDir()
 
-	vdb, err := Create(dir, tt, Config{Device: "ram"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := vdb.AddTargetSet("poi", targets, 4); err != nil {
-		vdb.Close()
-		t.Fatal(err)
-	}
+	vdb := createWithTargetSet(t, dir, tt, targets)
 	vectored := fusedBattery(t, vdb, tt)
 	if vc := vdb.Snapshot().VCache; vc == nil {
 		t.Error("default handle has no vector cache metrics")
-	} else if vc.Hits == 0 {
-		t.Error("vcache handle served no rows from resident vectors")
+	} else if vc.Hits == 0 || vc.Declined != 0 {
+		t.Errorf("vcache handle: %d hits, %d tables declined; want every label table served from resident vectors", vc.Hits, vc.Declined)
 	}
 	if err := vdb.Close(); err != nil {
 		t.Fatal(err)
@@ -62,6 +56,27 @@ func vcacheDifferential(t *testing.T, tt *Network, targets []StopID) {
 			t.Errorf("answer %d differs:\n  vcache:   %s\n  segments: %s", i, vectored[i], segmented[i])
 		}
 	}
+}
+
+// createWithTargetSet creates the database of tt in dir with the target set
+// "poi" and returns the directory reopened with the default vector cache.
+func createWithTargetSet(t *testing.T, dir string, tt *Network, targets []StopID) *DB {
+	t.Helper()
+	db, err := Create(dir, tt, Config{Device: "ram"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = db.AddTargetSet("poi", targets, 4)
+	if cerr := db.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if db, err = Open(dir, Config{Device: "ram"}); err != nil {
+		t.Fatal(err)
+	}
+	return db
 }
 
 // TestVCacheMatchesSegmentsPaperExample runs the battery on the paper's
@@ -97,16 +112,8 @@ func TestVCacheConcurrentPartialAdmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	db, err := Create(dir, tt, Config{Device: "ram"})
-	if err != nil {
-		t.Fatal(err)
-	}
 	n := tt.NumStops()
-	targets := []StopID{StopID(1 % n), StopID(2 % n), StopID(5 % n), StopID(n - 1)}
-	if err := db.AddTargetSet("poi", targets, 4); err != nil {
-		db.Close()
-		t.Fatal(err)
-	}
+	db := createWithTargetSet(t, dir, tt, []StopID{StopID(1 % n), StopID(2 % n), StopID(5 % n), StopID(n - 1)})
 
 	// Reference answers, computed single-threaded with an unconstrained
 	// cache; the same pass warms every table so ResidentBytes below is the
