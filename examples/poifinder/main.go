@@ -31,11 +31,11 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	db, err := ptldb.Create(dir, tt, ptldb.Config{Device: "hdd"})
+	cfg := ptldb.Config{Device: "hdd"}
+	db, err := ptldb.Create(dir, tt, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer db.Close()
 
 	// "Museums": 1% of stops, as in the paper's D = 0.01 experiments.
 	rng := rand.New(rand.NewSource(5))
@@ -47,6 +47,16 @@ func main() {
 	if err := db.AddTargetSet("museums", museums, 16); err != nil {
 		log.Fatal(err)
 	}
+	// A set added through a handle is read from its segments until the
+	// directory is opened again; reopening puts it in the vector cache, the
+	// tier a serving process queries it from.
+	if err := db.Close(); err != nil {
+		log.Fatal(err)
+	}
+	if db, err = ptldb.Open(dir, cfg); err != nil {
+		log.Fatal(err)
+	}
+	defer db.Close()
 	fmt.Printf("%d museum stops registered among %d stops\n", len(museums), n)
 
 	hotel := ptldb.StopID(rng.Intn(n))

@@ -92,8 +92,30 @@ func ParseTime(s string) (timetable.Time, error) {
 
 // FormatTime renders t as GTFS HH:MM:SS.
 func FormatTime(t timetable.Time) string {
+	var b [16]byte
+	return string(AppendTime(b[:0], t))
+}
+
+// AppendTime appends t's HH:MM:SS rendering to dst: each field of the
+// truncated division by 3600, 60 and 60 is at least two digits. A time past
+// 99 h gets more hour digits, and a negative one a sign on every nonzero
+// field (-100 s is "00:-1:-40"), exactly as fmt's %02d renders them.
+func AppendTime(dst []byte, t timetable.Time) []byte {
 	v := int32(t)
-	return fmt.Sprintf("%02d:%02d:%02d", v/3600, v/60%60, v%60)
+	dst = appendField(dst, v/3600)
+	dst = append(dst, ':')
+	dst = appendField(dst, v/60%60)
+	dst = append(dst, ':')
+	return appendField(dst, v%60)
+}
+
+// appendField renders one field as %02d does: zero-padded to two characters,
+// the sign counting as one.
+func appendField(dst []byte, n int32) []byte {
+	if n >= 0 && n < 10 {
+		dst = append(dst, '0')
+	}
+	return strconv.AppendInt(dst, int64(n), 10)
 }
 
 // Load reads a GTFS directory.

@@ -1,6 +1,9 @@
 package gtfs
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -49,6 +52,36 @@ func TestFormatTimeRoundTrip(t *testing.T) {
 		if err != nil || got != v {
 			t.Errorf("round trip %d -> %q -> %d (%v)", v, FormatTime(v), got, err)
 		}
+	}
+}
+
+// sprintfTime is the rendering FormatTime had before AppendTime: the reference
+// AppendTime must reproduce byte for byte, negative and > 99 h times included.
+func sprintfTime(t timetable.Time) string {
+	v := int32(t)
+	return fmt.Sprintf("%02d:%02d:%02d", v/3600, v/60%60, v%60)
+}
+
+func TestAppendTimeMatchesSprintf(t *testing.T) {
+	check := func(v timetable.Time) {
+		t.Helper()
+		want := sprintfTime(v)
+		if got := string(AppendTime([]byte("x"), v)); got != "x"+want {
+			t.Fatalf("AppendTime(%d) = %q, want %q", v, got[1:], want)
+		}
+		if got := FormatTime(v); got != want {
+			t.Fatalf("FormatTime(%d) = %q, want %q", v, got, want)
+		}
+	}
+	for _, v := range []timetable.Time{0, 1, 9, 10, 59, 60, 599, 3599, 3600, 35999, 36000, 86399,
+		99*3600 + 3599, 100 * 3600, 360000, -1, -9, -10, -59, -60, -100, -3599, -3600, -3661, -36000,
+		math.MaxInt32, math.MinInt32, math.MinInt32 + 1} {
+		check(v)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 100000; i++ {
+		check(timetable.Time(rng.Uint32()))
+		check(timetable.Time(rng.Int31n(2*400*3600) - 400*3600))
 	}
 }
 

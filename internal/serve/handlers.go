@@ -25,7 +25,12 @@ package serve
 // 500 internal); 503 carries Retry-After; an expired deadline is 504. The
 // /plan and /obs families run through the same deadline and
 // Requests/Latency accounting as /query/* (without admission — see
-// Server.await).
+// await).
+//
+// A /query/* 200 body is rendered by appendPoint or appendResults on the
+// handler goroutine, after await returns: the detached execution makes only
+// the store call. encoding/json renders the error bodies and the system
+// endpoints.
 
 import (
 	"context"
@@ -44,10 +49,12 @@ import (
 	"ptldb/internal/timetable"
 )
 
-// PointResponse is the /query/{ea,ld,sd} payload. Value is seconds (a
-// timestamp for ea/ld, a duration for sd) and HMS its clock rendering; both
-// are zero when Found is false. Every field is always present so the shape
-// is golden-stable.
+// PointResponse is the /query/{ea,ld,sd} payload as clients decode it
+// (Client, the benchmark); the server renders it with appendPoint, which
+// FuzzQueryBody holds to this type's encoding/json rendering. Value is
+// seconds (a timestamp for ea/ld, a duration for sd) and HMS its clock
+// rendering; both are zero when Found is false. Every field is always
+// present so the shape is golden-stable.
 type PointResponse struct {
 	Found bool   `json:"found"`
 	Value int64  `json:"value"`
@@ -61,7 +68,9 @@ type StopTime struct {
 	HMS  string `json:"hms"`
 }
 
-// ResultsResponse is the /query/{eaknn,ldknn,eaotm,ldotm} payload.
+// ResultsResponse is the /query/{eaknn,ldknn,eaotm,ldotm} payload as clients
+// decode it; the server renders it with appendResults. An empty answer is
+// an empty array, never null.
 type ResultsResponse struct {
 	Results []StopTime `json:"results"`
 }
@@ -124,8 +133,28 @@ type MultiObsResponse struct {
 // parseFunc validates one endpoint's parameters, returning the execution
 // closure. The closure receives the store at execution time, so the same
 // parsers serve the single-database mux and the per-tenant mux (where the
-// store is acquired inside the execution).
-type parseFunc func(q url.Values) (run func(Store) (any, error), err error)
+// store is acquired inside the execution). It returns the store's answer
+// unrendered.
+type parseFunc func(q url.Values) (run func(Store) (answer, error), err error)
+
+// answer is one query's result as the store returned it: the point (t,
+// found) of an ea/ld/sd, or the rows of a kNN / one-to-many (list set; rows
+// may be nil).
+type answer struct {
+	t     timetable.Time
+	found bool
+	list  bool
+	rows  []core.Result
+}
+
+// body renders a as its 200 body into one buffer that holds the longest
+// rendering of its shape, so appending never grows it.
+func (a answer) body() []byte {
+	if !a.list {
+		return appendPoint(make([]byte, 0, maxPointBody), a.t, a.found)
+	}
+	return appendResults(make([]byte, 0, len(resultsOpen)+len(a.rows)*maxResultRow+len(resultsClose)), a.rows)
+}
 
 func (s *Server) routes() {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -196,12 +225,12 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, parse parseF
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 		return
 	}
-	exec := func() (any, error) { return run(s.store) }
+	exec := func() (answer, error) { return run(s.store) }
 	if tm != nil {
-		exec = func() (any, error) {
+		exec = func() (answer, error) {
 			t, err := s.tenants.Acquire(city)
 			if err != nil {
-				return nil, err
+				return answer{}, err
 			}
 			defer t.Release()
 			return run(t.DB())
@@ -211,7 +240,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, parse parseF
 	start := time.Now()
 	ctx, cancel := context.WithTimeout(r.Context(), s.opts.Timeout)
 	defer cancel()
-	v, status, err := s.do(ctx, exec)
+	a, status, err := s.do(ctx, exec)
 	elapsed := time.Since(start)
 	if status == http.StatusServiceUnavailable {
 		// An admission reject answers in microseconds by design; keeping it
@@ -236,11 +265,11 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, parse parseF
 		writeJSON(w, status, ErrorResponse{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, v)
+	writeBody(w, http.StatusOK, a.body())
 }
 
 func parseV2V(kind string) parseFunc {
-	return func(q url.Values) (func(Store) (any, error), error) {
+	return func(q url.Values) (func(Store) (answer, error), error) {
 		from, err := stopParam(q, "from")
 		if err != nil {
 			return nil, err
@@ -253,21 +282,20 @@ func parseV2V(kind string) parseFunc {
 		if err != nil {
 			return nil, err
 		}
-		return func(st Store) (any, error) {
-			var v timetable.Time
-			var ok bool
+		return func(st Store) (answer, error) {
+			var a answer
 			var err error
 			if kind == "ea" {
-				v, ok, err = st.EarliestArrival(from, to, t)
+				a.t, a.found, err = st.EarliestArrival(from, to, t)
 			} else {
-				v, ok, err = st.LatestDeparture(from, to, t)
+				a.t, a.found, err = st.LatestDeparture(from, to, t)
 			}
-			return pointResponse(v, ok), err
+			return a, err
 		}, nil
 	}
 }
 
-func parseSD(q url.Values) (func(Store) (any, error), error) {
+func parseSD(q url.Values) (func(Store) (answer, error), error) {
 	from, err := stopParam(q, "from")
 	if err != nil {
 		return nil, err
@@ -284,14 +312,14 @@ func parseSD(q url.Values) (func(Store) (any, error), error) {
 	if err != nil {
 		return nil, err
 	}
-	return func(st Store) (any, error) {
+	return func(st Store) (answer, error) {
 		v, ok, err := st.ShortestDuration(from, to, start, end)
-		return pointResponse(v, ok), err
+		return answer{t: v, found: ok}, err
 	}, nil
 }
 
 func parseKNN(kind string) parseFunc {
-	return func(q url.Values) (func(Store) (any, error), error) {
+	return func(q url.Values) (func(Store) (answer, error), error) {
 		set, from, t, err := setParams(q)
 		if err != nil {
 			return nil, err
@@ -300,48 +328,48 @@ func parseKNN(kind string) parseFunc {
 		if err != nil {
 			return nil, err
 		}
-		return func(st Store) (any, error) {
-			var rs []core.Result
+		return func(st Store) (answer, error) {
+			a := answer{list: true}
 			var err error
 			if kind == "eaknn" {
-				rs, err = st.EAKNN(set, from, t, int(k))
+				a.rows, err = st.EAKNN(set, from, t, int(k))
 			} else {
-				rs, err = st.LDKNN(set, from, t, int(k))
+				a.rows, err = st.LDKNN(set, from, t, int(k))
 			}
-			return resultsResponse(rs), err
+			return a, err
 		}, nil
 	}
 }
 
 func parseOTM(kind string) parseFunc {
-	return func(q url.Values) (func(Store) (any, error), error) {
+	return func(q url.Values) (func(Store) (answer, error), error) {
 		set, from, t, err := setParams(q)
 		if err != nil {
 			return nil, err
 		}
-		return func(st Store) (any, error) {
-			var rs []core.Result
+		return func(st Store) (answer, error) {
+			a := answer{list: true}
 			var err error
 			if kind == "eaotm" {
-				rs, err = st.EAOTM(set, from, t)
+				a.rows, err = st.EAOTM(set, from, t)
 			} else {
-				rs, err = st.LDOTM(set, from, t)
+				a.rows, err = st.LDOTM(set, from, t)
 			}
-			return resultsResponse(rs), err
+			return a, err
 		}, nil
 	}
 }
 
 // system wraps a run closure with the system-endpoint half of the pipeline:
 // the same deadline and Requests/Latency accounting as /query/*, without
-// admission (Server.await). Metering lands after the run completes
+// admission (await). Metering lands after the run completes
 // so an /obs snapshot taken inside run never counts the request carrying it
 // — which keeps the zero-traffic /obs golden byte-stable.
 func (s *Server) system(w http.ResponseWriter, r *http.Request, run func() (any, error)) {
 	start := time.Now()
 	ctx, cancel := context.WithTimeout(r.Context(), s.opts.Timeout)
 	defer cancel()
-	v, status, err := s.await(ctx, run)
+	v, status, err := await(s, ctx, run)
 	s.metrics.Requests.Add(1)
 	s.metrics.Latency.Observe(time.Since(start))
 	if err != nil {
@@ -476,19 +504,48 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, HealthResponse{Status: "ok"})
 }
 
-func pointResponse(v timetable.Time, ok bool) PointResponse {
-	if !ok {
-		return PointResponse{}
+// The longest renderings: a 32-bit integer, an HH:MM:SS of one (gtfs.AppendTime),
+// a found point, and one result row with its separating comma.
+const (
+	maxInt32Len  = len("-2147483648")
+	maxHMSLen    = len("-596523:-59:-59")
+	maxPointBody = len(`{"found":true,"value":`) + maxInt32Len + len(`,"hms":"`) + maxHMSLen + len("\"}\n")
+	maxResultRow = len(`{"stop":`) + maxInt32Len + len(`,"when":`) + maxInt32Len + len(`,"hms":"`) + maxHMSLen + len(`"},`)
+	resultsOpen  = `{"results":[`
+	resultsClose = "]}\n"
+)
+
+// appendPoint appends the /query/{ea,ld,sd} body: what encoding/json makes of
+// PointResponse, and a newline. A point not found has every field zero.
+func appendPoint(dst []byte, t timetable.Time, found bool) []byte {
+	if !found {
+		return append(dst, `{"found":false,"value":0,"hms":""}`+"\n"...)
 	}
-	return PointResponse{Found: true, Value: int64(v), HMS: gtfs.FormatTime(v)}
+	dst = append(dst, `{"found":true,"value":`...)
+	dst = strconv.AppendInt(dst, int64(t), 10)
+	dst = append(dst, `,"hms":"`...)
+	dst = gtfs.AppendTime(dst, t)
+	return append(dst, "\"}\n"...)
 }
 
-func resultsResponse(rs []core.Result) ResultsResponse {
-	out := ResultsResponse{Results: make([]StopTime, len(rs))}
+// appendResults appends the kNN / one-to-many body: what encoding/json makes
+// of ResultsResponse, and a newline. Nothing in a row needs escaping: its
+// fields are integers and an HH:MM:SS of digits, colons and minus signs.
+func appendResults(dst []byte, rs []core.Result) []byte {
+	dst = append(dst, resultsOpen...)
 	for i, r := range rs {
-		out.Results[i] = StopTime{Stop: int64(r.Stop), When: int64(r.When), HMS: gtfs.FormatTime(r.When)}
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"stop":`...)
+		dst = strconv.AppendInt(dst, int64(r.Stop), 10)
+		dst = append(dst, `,"when":`...)
+		dst = strconv.AppendInt(dst, int64(r.When), 10)
+		dst = append(dst, `,"hms":"`...)
+		dst = gtfs.AppendTime(dst, r.When)
+		dst = append(dst, `"}`...)
 	}
-	return out
+	return append(dst, resultsClose...)
 }
 
 // stopParam accepts a stop id: an integer that fits timetable.StopID's 32
@@ -571,10 +628,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		writeEncodeFailure(w)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	// Best-effort write: the client may be gone already.
-	_, _ = w.Write(append(blob, '\n'))
+	writeBody(w, status, append(blob, '\n'))
 }
 
 // writeJSONIndent is writeJSON with indentation, for the endpoints meant to
@@ -585,7 +639,13 @@ func writeJSONIndent(w http.ResponseWriter, status int, v any) {
 		writeEncodeFailure(w)
 		return
 	}
+	writeBody(w, status, append(blob, '\n'))
+}
+
+// writeBody sends a rendered JSON body.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_, _ = w.Write(append(blob, '\n'))
+	// Best-effort write: the client may be gone already.
+	_, _ = w.Write(body)
 }

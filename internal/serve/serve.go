@@ -163,15 +163,15 @@ const retryAfter = time.Second
 // do admits and awaits one query execution: a free admission slot or 503,
 // then the run under the deadline (await). It returns the run's value, or an
 // error paired with the HTTP status it maps to.
-func (s *Server) do(ctx context.Context, run func() (any, error)) (any, int, error) {
+func (s *Server) do(ctx context.Context, run func() (answer, error)) (answer, int, error) {
 	s.metrics.Requests.Add(1)
 	if !s.admit.tryAcquire() {
 		s.metrics.Rejected.Add(1)
-		return nil, http.StatusServiceUnavailable, errSaturated
+		return answer{}, http.StatusServiceUnavailable, errSaturated
 	}
 	s.metrics.Executions.Add(1)
 	s.metrics.InFlight.Add(1)
-	return s.await(ctx, func() (any, error) {
+	return await(s, ctx, func() (answer, error) {
 		v, err := run()
 		// The slot is back before the result is published: a client that has
 		// its answer must find the slot free, or its next request is a 503
@@ -183,17 +183,19 @@ func (s *Server) do(ctx context.Context, run func() (any, error)) (any, int, err
 	})
 }
 
-// await runs one execution detached from its handler and waits for the
+// await runs one execution of s detached from its handler and waits for the
 // result or the deadline. The store cannot be interrupted, so a run whose
 // request answered 504 keeps going and its result is dropped; s.runs counts
 // it so Shutdown waits for it. The system endpoints (/plan, /obs, /tenants)
 // call await directly, without admission: they read catalogs and counters,
 // not store executions, so they must stay answerable on a saturated server.
-func (s *Server) await(ctx context.Context, run func() (any, error)) (any, int, error) {
+// T is a query's unrendered answer or a system endpoint's response value.
+func await[T any](s *Server, ctx context.Context, run func() (T, error)) (T, int, error) {
 	type outcome struct {
-		v   any
+		v   T
 		err error
 	}
+	var zero T
 	ch := make(chan outcome, 1)
 	s.runs.Add(1)
 	go func() {
@@ -204,12 +206,12 @@ func (s *Server) await(ctx context.Context, run func() (any, error)) (any, int, 
 	select {
 	case o := <-ch:
 		if o.err != nil {
-			return nil, statusFor(o.err), o.err
+			return zero, statusFor(o.err), o.err
 		}
 		return o.v, http.StatusOK, nil
 	case <-ctx.Done():
 		s.metrics.Timeouts.Add(1)
-		return nil, http.StatusGatewayTimeout, fmt.Errorf("serve: deadline exceeded after %v", s.opts.Timeout)
+		return zero, http.StatusGatewayTimeout, fmt.Errorf("serve: deadline exceeded after %v", s.opts.Timeout)
 	}
 }
 

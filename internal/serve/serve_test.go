@@ -33,14 +33,16 @@ import (
 // is set, in which case query executions park until the channel is closed.
 // eaErr, when set, is returned by EarliestArrival to drive the error-mapping
 // tests; snapBlock parks Snapshot the same way block parks queries (the
-// system-endpoint deadline tests). Close makes the fake double as a
-// tenant.DB for the multi-tenant tests.
+// system-endpoint deadline tests). otmRows sizes a one-to-many answer (2
+// when zero). Close makes the fake double as a tenant.DB for the
+// multi-tenant tests.
 type fakeStore struct {
 	calls      atomic.Int64
 	closeCalls atomic.Int64
 	block      chan struct{}
 	snapBlock  chan struct{}
 	eaErr      error
+	otmRows    int
 }
 
 func (f *fakeStore) enter() {
@@ -89,14 +91,22 @@ func (f *fakeStore) LDKNN(set string, q timetable.StopID, t timetable.Time, k in
 	return f.knn(q, t, k), nil
 }
 
+func (f *fakeStore) otm(q timetable.StopID, t timetable.Time) []core.Result {
+	rows := f.otmRows
+	if rows == 0 {
+		rows = 2
+	}
+	return f.knn(q, t, rows)
+}
+
 func (f *fakeStore) EAOTM(set string, q timetable.StopID, t timetable.Time) ([]core.Result, error) {
 	f.enter()
-	return f.knn(q, t, 2), nil
+	return f.otm(q, t), nil
 }
 
 func (f *fakeStore) LDOTM(set string, q timetable.StopID, t timetable.Time) ([]core.Result, error) {
 	f.enter()
-	return f.knn(q, t, 2), nil
+	return f.otm(q, t), nil
 }
 
 func (f *fakeStore) ExplainPrepared(name string) (string, error) {
@@ -236,7 +246,7 @@ func TestSaturatedServerAnswers503(t *testing.T) {
 func TestAnsweredRequestFreesItsSlot(t *testing.T) {
 	srv := New(&fakeStore{}, Options{MaxInFlight: 1})
 	for i := 0; i < 200_000; i++ {
-		_, code, err := srv.do(context.Background(), func() (any, error) { return i, nil })
+		_, code, err := srv.do(context.Background(), func() (answer, error) { return answer{}, nil })
 		if code != http.StatusOK || err != nil {
 			t.Fatalf("request %d: status %d, %v", i, code, err)
 		}

@@ -3,8 +3,9 @@
 # test suite under the race detector with shuffled test order, then once more
 # with module-wide coverage, which must reach every function outside cmd/ and
 # examples/, the general SQL engine's coverage by its callers alone,
-# 10-second fuzzes of the HTTP time parameter, of the segment codec's two
-# row decoders and of the segment open pass, then the benchmark module
+# 10-second fuzzes of the HTTP time parameter, of the HTTP query bodies, of
+# the segment codec's two row decoders and of the segment open pass, the two
+# allocation ratchets, then the benchmark module
 # (benchmark/ is a module of its own, invisible to ./...), the four examples,
 # a look at what ptldb-build leaves in a database directory, the console on it, and what
 # becomes of that directory once its catalog stops declaring the label run
@@ -180,12 +181,15 @@ if [ -n "$unreached" ]; then
 fi
 echo "== fuzz smoke: an accepted time parameter is the 32-bit time it spells (internal/serve)"
 go test -run '^$' -fuzz '^FuzzTimeParam$' -fuzztime 10s ./internal/serve
+echo "== fuzz smoke: a query body is byte for byte what encoding/json writes (internal/serve)"
+go test -run '^$' -fuzz '^FuzzQueryBody$' -fuzztime 10s ./internal/serve
 echo "== fuzz smoke: the vector decoder agrees with the row decoder (internal/sqldb/sqltypes)"
 go test -run '^$' -fuzz '^FuzzSegCodecRoundTrip$' -fuzztime 10s ./internal/sqldb/sqltypes
 echo "== fuzz smoke: a rejected segment leaves no page in the pool, an accepted one only its own (internal/sqldb/storage)"
 go test -run '^$' -fuzz '^FuzzOpenSegment$' -fuzztime 10s -fuzzminimizetime 50x ./internal/sqldb/storage
-echo "== fused allocs/op ratchet (no race detector)"
+echo "== fused and serving allocs/op ratchets (no race detector)"
 go test -run 'TestFusedAllocsBudget' -count=1 .
+go test -run 'TestQueryAllocsIndependentOfRows' -count=1 ./internal/serve
 echo "== bench smoke (fused executor, 5 iterations)"
 go test -run '^$' -bench 'BenchmarkFusedExec' -benchtime 5x .
 echo "== bench smoke (parallel build, 1 iteration)"
