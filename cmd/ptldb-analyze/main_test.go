@@ -19,9 +19,9 @@ func TestEncodeFindingsGolden(t *testing.T) {
 			Message: "map literal allocates (hot path via LookupPKScratch)",
 		},
 		{
-			Pos:     token.Position{Filename: "internal/sqldb/storage/pool.go", Line: 9, Column: 2},
-			Checker: "lockordercheck",
-			Message: "lock-order cycle among a ↔ b: opposite acquisition orders can deadlock",
+			Pos:     token.Position{Filename: "internal/tenant/tenant.go", Line: 9, Column: 2},
+			Checker: "lockcheck",
+			Message: "call to Get, which may acquire an annotated mutex, while leaf mutex r.mu is held",
 		},
 	}
 	const want = `[
@@ -33,11 +33,11 @@ func TestEncodeFindingsGolden(t *testing.T) {
     "message": "map literal allocates (hot path via LookupPKScratch)"
   },
   {
-    "file": "internal/sqldb/storage/pool.go",
+    "file": "internal/tenant/tenant.go",
     "line": 9,
     "col": 2,
-    "checker": "lockordercheck",
-    "message": "lock-order cycle among a ↔ b: opposite acquisition orders can deadlock"
+    "checker": "lockcheck",
+    "message": "call to Get, which may acquire an annotated mutex, while leaf mutex r.mu is held"
   }
 ]
 `

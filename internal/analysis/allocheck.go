@@ -310,7 +310,7 @@ func (a *allocWalker) checkBoxing(p *Package, call *ast.CallExpr, root string) {
 			continue
 		}
 		tv := p.Info.Types[arg]
-		if tv.Type == nil || tv.Value != nil || isNilIdent(arg) {
+		if tv.Type == nil || tv.Value != nil || tv.IsNil() {
 			continue // constants and nil don't box at run time
 		}
 		if _, ok := tv.Type.Underlying().(*types.Interface); ok {
@@ -351,11 +351,8 @@ func (a *allocWalker) checkMethodValue(p *Package, sel *ast.SelectorExpr, parent
 // errorResult reports whether the expression is a non-nil error return
 // value.
 func (a *allocWalker) errorResult(p *Package, e ast.Expr) bool {
-	if isNilIdent(e) {
-		return false
-	}
-	t := p.Info.Types[e].Type
-	return t != nil && t.String() == "error"
+	tv := p.Info.Types[e]
+	return tv.Type != nil && !tv.IsNil() && tv.Type.String() == "error"
 }
 
 // captured names the first variable a function literal captures from its
@@ -467,4 +464,14 @@ func parentMap(body *ast.BlockStmt) map[ast.Node]ast.Node {
 		return true
 	})
 	return parents
+}
+
+func posLess(a, b token.Position) bool {
+	if a.Filename != b.Filename {
+		return a.Filename < b.Filename
+	}
+	if a.Line != b.Line {
+		return a.Line < b.Line
+	}
+	return a.Column < b.Column
 }

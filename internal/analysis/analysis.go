@@ -3,32 +3,30 @@
 // (go/parser + go/types + the source importer) and runs checkers that lock in
 // the invariants the hot paths depend on but the type system cannot see:
 //
-//   - lockcheck: no device I/O or blocking channel operations while a
-//     buffer-pool shard mutex (a mutex field annotated "lockcheck:shard") is
-//     held, and every Lock has an Unlock on all return paths.
-//   - lockordercheck: a whole-module lock-acquisition graph over all
-//     annotated mutexes ("lockcheck:shard") and latches ("lockcheck:latch")
-//     — cycles, two shard mutexes held at once, and undocumented or violated
-//     "level=N" ordering are findings.
+//   - lockcheck: a held annotated mutex (a mutex field annotated
+//     "lockcheck:leaf") is a leaf — no device I/O, no blocking channel
+//     operation and nothing that may acquire an annotated mutex runs under
+//     it, through calls into any package of the module — and every Lock has
+//     an Unlock on all return paths and never re-locks a held mutex.
 //   - allocheck: functions reachable from "// hotpath" roots must be
 //     statically allocation-free — no heap literals, closures, fmt, string
 //     building or interface boxing; append and make only through the arena
 //     capacity-growth protocol ("hotpath:cold" exempts a cold statement or
 //     callee).
 //   - errcheck: no silently discarded error results in internal/sqldb,
-//     internal/obs, and the cmd/ binaries.
+//     internal/obs, internal/serve, internal/tenant and the cmd/ binaries.
 //
-// The two lock checkers are forward dataflows on one engine — cfg.go's
-// control-flow graph and solver — over one fact base of lock classes and
-// call summaries (newLockFacts). allocheck walks the AST from its roots over
-// modindex.go; errcheck inspects statements where they stand.
+// lockcheck is a forward dataflow on cfg.go's control-flow graph and solver,
+// over one pass that reads the annotations and one fixpoint of module-wide
+// call summaries. allocheck walks the AST from its roots over modindex.go;
+// errcheck inspects statements where they stand.
 //
 // Each checker keeps its place by a violation only it catches: DESIGN.md §8
 // tables the violations seeded into the module and the gates that caught
 // each.
 //
 // Checkers identify project constructs by convention (method names, the
-// lockcheck:shard field annotation, the hotpath comment) rather than by
+// lockcheck:leaf field annotation, the hotpath comment) rather than by
 // type identity, so each checker is exercised by a small self-contained
 // golden-file corpus under testdata/ (see the analysistest package).
 //
@@ -90,21 +88,20 @@ type PackageChecker interface {
 }
 
 // ModuleChecker analyzes all loaded packages at once — for facts that only
-// exist whole-module, like the lock-acquisition graph or cross-package
-// hot-path reachability.
+// exist whole-module, like cross-package call summaries or hot-path
+// reachability.
 type ModuleChecker interface {
 	Checker
 	CheckModule(pkgs []*Package) []Finding
 }
 
 // Checkers returns the full PTLDB suite with its production scoping:
-// errcheck is limited to the storage engine (where a swallowed error means
-// silent data loss), the observability layer, and the CLI binaries; every
-// other checker runs module-wide.
+// errcheck is limited to internal/sqldb (where a swallowed error means
+// silent data loss), internal/obs, internal/serve, internal/tenant and the
+// cmd/ binaries; every other checker runs module-wide.
 func Checkers() []Checker {
 	return []Checker{
 		NewLockCheck(),
-		NewLockOrderCheck(),
 		NewAllocCheck(),
 		NewErrCheck("ptldb/internal/sqldb", "ptldb/internal/obs", "ptldb/internal/serve", "ptldb/internal/tenant", "ptldb/cmd"),
 	}

@@ -8,7 +8,8 @@
 // Every finding must be matched by a want comment on its line, and every want
 // comment must be matched by a finding; either mismatch fails the test. A
 // corpus with no want comments therefore doubles as a negative corpus that
-// must come out clean.
+// must come out clean. A corpus is its directory's package and every package
+// below it, so a case can cross a package boundary.
 package analysistest
 
 import (
@@ -30,27 +31,30 @@ type expectation struct {
 	matched bool
 }
 
-// Run loads the single package rooted at dir and checks the findings of the
-// given checkers against the corpus's want comments. Directive suppression
-// (lint:ignore) is active, so corpora can also prove waivers work.
+// Run loads the packages under dir (dir/...) and checks the findings of the
+// given checkers against the want comments of all of them. Directive
+// suppression (lint:ignore) is active, so corpora can also prove waivers
+// work.
 func Run(t *testing.T, dir string, checkers ...analysis.Checker) {
 	t.Helper()
 	loader, err := analysis.NewLoader(dir)
 	if err != nil {
 		t.Fatalf("analysistest: %v", err)
 	}
-	pkgs, err := loader.Load(dir, ".")
+	pkgs, err := loader.Load(dir, "./...")
 	if err != nil {
 		t.Fatalf("analysistest: loading %s: %v", dir, err)
 	}
-	if len(pkgs) != 1 {
-		t.Fatalf("analysistest: %s resolved to %d packages, want 1", dir, len(pkgs))
+	if len(pkgs) == 0 {
+		t.Fatalf("analysistest: no package under %s", dir)
 	}
-	p := pkgs[0]
-
-	wants, err := parseWants(p)
-	if err != nil {
-		t.Fatalf("analysistest: %v", err)
+	var wants []*expectation
+	for _, p := range pkgs {
+		w, err := parseWants(p)
+		if err != nil {
+			t.Fatalf("analysistest: %v", err)
+		}
+		wants = append(wants, w...)
 	}
 
 	findings := analysis.Run(pkgs, checkers)

@@ -1,10 +1,10 @@
 package analysis
 
-// cfg.go is the intraprocedural engine under lockcheck and lockordercheck: a
-// basic-block control-flow graph over one function body, a generic worklist
-// solver for forward dataflow problems over that graph, and the driver that
-// hands both checkers every function body of the module. (allocheck is not
-// a client: it walks the AST from its "// hotpath" roots over modindex.go.)
+// cfg.go is the intraprocedural engine under lockcheck: a basic-block
+// control-flow graph over one function body, a generic worklist solver for
+// forward dataflow problems over that graph, and the driver that hands the
+// checker every function body of the module. (allocheck is not a client: it
+// walks the AST from its "// hotpath" roots over modindex.go.)
 //
 // The graph is deliberately lightweight. Blocks hold the simple statements
 // and control-condition expressions of the source in evaluation order;
@@ -96,10 +96,10 @@ func Forward[T any](g *CFG, entry T, merge func(T, T) T, transfer func(*Block, T
 	return in
 }
 
-// forEachBody is the lock checkers' one driver: it calls visit on every
-// function body in pkgs — each declared function's and each function
-// literal's, nested or package-level — and each is analyzed on its own,
-// with nothing held on entry.
+// forEachBody is lockcheck's driver: it calls visit on every function body
+// in pkgs — each declared function's and each function literal's, nested or
+// package-level — and each is analyzed on its own, with nothing held on
+// entry.
 func forEachBody(pkgs []*Package, visit func(*Package, *ast.BlockStmt)) {
 	for _, p := range pkgs {
 		for _, f := range p.Files {

@@ -18,10 +18,6 @@ func TestErrCheck(t *testing.T) {
 	analysistest.Run(t, corpus("errcheck"), analysis.NewErrCheck())
 }
 
-func TestLockOrderCheck(t *testing.T) {
-	analysistest.Run(t, corpus("lockordercheck"), analysis.NewLockOrderCheck())
-}
-
 func TestAllocCheck(t *testing.T) {
 	analysistest.Run(t, corpus("allocheck"), analysis.NewAllocCheck())
 }
@@ -72,7 +68,6 @@ func TestStaleWaiver(t *testing.T) {
 func TestCleanCorpus(t *testing.T) {
 	analysistest.Run(t, corpus("clean"),
 		analysis.NewLockCheck(),
-		analysis.NewLockOrderCheck(),
 		analysis.NewAllocCheck(),
 		analysis.NewErrCheck(),
 	)

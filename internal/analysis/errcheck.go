@@ -29,8 +29,9 @@ import (
 // The checker is scoped by import-path prefix: the production suite runs it
 // over internal/sqldb (storage engine: a swallowed error is data loss),
 // internal/obs, internal/serve (a swallowed error becomes a wrong HTTP
-// status), and the cmd/ binaries (see Checkers), so the rest of the module
-// keeps idiomatic latitude.
+// status), internal/tenant (a swallowed Close error hides a city that did
+// not shut down clean) and the cmd/ binaries (see Checkers), so the rest of
+// the module keeps idiomatic latitude.
 type errCheck struct {
 	prefixes []string
 }

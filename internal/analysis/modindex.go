@@ -2,10 +2,9 @@ package analysis
 
 // modindex.go maps every function and method declared in the analyzed
 // packages to its declaration, so static call chains can be followed across
-// package boundaries: by the lock fact base's summary fixpoint (newLockFacts,
-// read by lockcheck and lockordercheck) and by allocheck's walk from its
-// "// hotpath" roots. Anything outside the index — stdlib, interface methods,
-// function values — is a traversal boundary.
+// package boundaries: by lockcheck's summary fixpoint and by allocheck's walk
+// from its "// hotpath" roots. Anything outside the index — stdlib, interface
+// methods, function values — is a traversal boundary.
 
 import (
 	"go/ast"

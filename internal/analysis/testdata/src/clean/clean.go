@@ -12,14 +12,14 @@ type pagedFile struct{}
 
 func (pagedFile) WritePage(page int, data []byte) error { return nil }
 
-type shard struct {
-	mu     sync.Mutex // lockcheck:shard
+type pool struct {
+	mu     sync.Mutex // lockcheck:leaf
 	frames map[int][]byte
 }
 
 // get follows the pool discipline: critical sections touch only memory, and
 // the device write happens between them.
-func get(sh *shard, f pagedFile, page int) ([]byte, error) {
+func get(sh *pool, f pagedFile, page int) ([]byte, error) {
 	sh.mu.Lock()
 	data, ok := sh.frames[page]
 	sh.mu.Unlock()
@@ -40,12 +40,12 @@ type rowScratch struct {
 	Arena []int64
 }
 
-// latched pairs a publication latch with the admission mutex at the levels
-// the module documents: the latch (10) is held across re-taking the mutex
-// (20), the upward direction lockordercheck accepts.
+// latched pairs a publication latch with a leaf admission mutex: the
+// opener keeps its latch open across re-taking the mutex, and nothing
+// receives from the latch under the mutex.
 type latched struct {
-	mu    sync.Mutex    // lockcheck:shard level=20
-	ready chan struct{} // lockcheck:latch level=10
+	mu    sync.Mutex // lockcheck:leaf
+	ready chan struct{}
 	val   int64
 }
 
@@ -64,17 +64,17 @@ func publish(l *latched, build func() int64) {
 	l.mu.Unlock()
 }
 
-// flight/coalescer mirror the serving layer's request-coalescing protocol:
-// the per-key latch (10) is opened under the registry mutex (20) — a hold,
-// not an acquisition — detached executions publish by re-taking the mutex
-// with nothing held, and waiters block on the latch with nothing held.
+// flight/coalescer mirror a request-coalescing protocol: the per-key latch
+// is opened under the leaf registry mutex, detached executions publish by
+// re-taking the mutex with nothing held, and waiters block on the latch
+// with nothing held.
 type flight struct {
-	done chan struct{} // lockcheck:latch level=10
+	done chan struct{}
 	val  int64
 }
 
 type coalescer struct {
-	mu      sync.Mutex // lockcheck:shard level=20
+	mu      sync.Mutex // lockcheck:leaf
 	flights map[string]*flight
 }
 
@@ -100,17 +100,17 @@ func share(c *coalescer, key string, build func() int64) int64 {
 }
 
 // tenantSlot/router mirror the multi-tenant lifecycle protocol: the per-city
-// open latch (10) is installed and closed under the router mutex (20), the
+// open latch is installed and closed under the leaf router mutex, the
 // database open and the evicted victim's close — device I/O — both run with
 // nothing held, and waiters block on the latch only after releasing mu.
 type tenantSlot struct {
-	opening chan struct{} // lockcheck:latch level=10
+	opening chan struct{}
 	handle  int64
 	pinned  bool
 }
 
 type router struct {
-	mu    sync.Mutex // lockcheck:shard level=20
+	mu    sync.Mutex // lockcheck:leaf
 	slots map[string]*tenantSlot
 }
 

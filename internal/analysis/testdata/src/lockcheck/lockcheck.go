@@ -1,18 +1,23 @@
 // Package lockcheck is the golden corpus for the lockcheck checker: a
-// miniature buffer-pool shard (annotated mutex) plus an ordinary registry
-// mutex, with both rule families seeded — I/O and channel operations under a
-// shard lock, and unbalanced Lock/Unlock paths.
+// miniature buffer pool (annotated leaf mutex) plus an ordinary registry
+// mutex, with both rule families seeded — I/O, channel operations and
+// annotated-mutex acquisitions under a leaf mutex, directly and through the
+// helpers of package remote, and unbalanced or re-entrant Lock paths.
 package lockcheck
 
-import "sync"
+import (
+	"sync"
+
+	"ptldb/internal/analysis/testdata/src/lockcheck/remote"
+)
 
 type pagedFile struct{}
 
 func (pagedFile) WritePage(page int, data []byte) error { return nil }
 func (pagedFile) ReadPage(page int, data []byte) error  { return nil }
 
-type shard struct {
-	mu     sync.Mutex // lockcheck:shard
+type pool struct {
+	mu     sync.Mutex // lockcheck:leaf
 	frames map[int][]byte
 	file   pagedFile
 }
@@ -22,56 +27,56 @@ type registry struct {
 	items map[string]int
 }
 
-// --- rule A: nothing slow while a shard mutex is held ---
+// --- rule 1: a held leaf mutex is a leaf ---
 
-func flushUnderLock(sh *shard) error {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for page, data := range sh.frames {
-		if err := sh.file.WritePage(page, data); err != nil { // want `device I/O \(WritePage\) while shard mutex sh\.mu is held`
+func flushUnderLock(p *pool) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for page, data := range p.frames {
+		if err := p.file.WritePage(page, data); err != nil { // want `device I/O \(WritePage\) while leaf mutex p\.mu is held`
 			return err
 		}
 	}
 	return nil
 }
 
-func (sh *shard) writeAll() error {
-	for page, data := range sh.frames {
-		if err := sh.file.WritePage(page, data); err != nil {
+func (p *pool) writeAll() error {
+	for page, data := range p.frames {
+		if err := p.file.WritePage(page, data); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func flushViaHelper(sh *shard) error {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.writeAll() // want `call to writeAll, which may perform device I/O or block on a channel, while shard mutex sh\.mu is held`
+func flushViaHelper(p *pool) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.writeAll() // want `call to writeAll, which may perform device I/O or block on a channel, while leaf mutex p\.mu is held`
 }
 
-func waitUnderLock(sh *shard, ready chan struct{}) {
-	sh.mu.Lock()
-	<-ready // want `channel receive while shard mutex sh\.mu is held`
-	sh.mu.Unlock()
+func waitUnderLock(p *pool, ready chan struct{}) {
+	p.mu.Lock()
+	<-ready // want `channel receive while leaf mutex p\.mu is held`
+	p.mu.Unlock()
 }
 
-func sendUnderLock(sh *shard, ch chan int) {
-	sh.mu.Lock()
-	ch <- 1 // want `channel send while shard mutex sh\.mu is held`
-	sh.mu.Unlock()
+func sendUnderLock(p *pool, ch chan int) {
+	p.mu.Lock()
+	ch <- 1 // want `channel send while leaf mutex p\.mu is held`
+	p.mu.Unlock()
 }
 
-func selectUnderLock(sh *shard, ch chan int) {
-	sh.mu.Lock()
-	select { // want `select \(blocking channel operation\) while shard mutex sh\.mu is held`
+func selectUnderLock(p *pool, ch chan int) {
+	p.mu.Lock()
+	select { // want `select \(blocking channel operation\) while leaf mutex p\.mu is held`
 	case <-ch:
 	default:
 	}
-	sh.mu.Unlock()
+	p.mu.Unlock()
 }
 
-// --- rule B: every Lock has an Unlock on every path ---
+// --- rule 2: every Lock has an Unlock on every path ---
 
 func missingUnlock(r *registry, key string) int {
 	r.mu.Lock()
@@ -97,7 +102,7 @@ func lockSkewInLoop(r *registry, keys []string) {
 
 func doubleLock(r *registry) {
 	r.mu.Lock()
-	r.mu.Lock() // want `second Lock of r\.mu while already held \(Lock at line \d+\): deadlock`
+	r.mu.Lock() // want `^Lock of r\.mu while already held \(Lock at line \d+\): deadlock`
 	r.mu.Unlock()
 }
 
@@ -108,24 +113,24 @@ func forgotten(r *registry) {
 
 // --- disciplined patterns that must stay clean ---
 
-func cleanDefer(sh *shard, key int) []byte {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.frames[key]
+func cleanDefer(p *pool, key int) []byte {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.frames[key]
 }
 
 // The pinned-victim protocol: device I/O strictly between the critical
 // sections, never inside one.
-func cleanWriteBack(sh *shard, page int) error {
-	sh.mu.Lock()
-	data := sh.frames[page]
-	sh.mu.Unlock()
-	if err := sh.file.WritePage(page, data); err != nil {
+func cleanWriteBack(p *pool, page int) error {
+	p.mu.Lock()
+	data := p.frames[page]
+	p.mu.Unlock()
+	if err := p.file.WritePage(page, data); err != nil {
 		return err
 	}
-	sh.mu.Lock()
-	delete(sh.frames, page)
-	sh.mu.Unlock()
+	p.mu.Lock()
+	delete(p.frames, page)
+	p.mu.Unlock()
 	return nil
 }
 
@@ -148,20 +153,20 @@ func cleanDeferredClosure(r *registry) {
 	r.items["x"] = 1
 }
 
-// A mutex without the shard annotation may guard I/O: only the pool shards
-// carry the no-I/O contract.
+// A mutex without the leaf annotation may guard I/O: only annotated mutexes
+// carry the leaf contract.
 func cleanNonShardIO(r *registry, f pagedFile) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return f.WritePage(0, nil)
 }
 
-// close(ch) is a non-blocking channel operation and is how the pool
-// publishes frame-load completion under the latch.
-func cleanCloseUnderLock(sh *shard, ready chan struct{}) {
-	sh.mu.Lock()
+// close(ch) is a non-blocking channel operation and is how an opener
+// publishes completion under the lock.
+func cleanCloseUnderLock(p *pool, ready chan struct{}) {
+	p.mu.Lock()
 	close(ready)
-	sh.mu.Unlock()
+	p.mu.Unlock()
 }
 
 // --- wave-commit / worker-pool patterns (parallel preprocessing) ---
@@ -169,7 +174,7 @@ func cleanCloseUnderLock(sh *shard, ready chan struct{}) {
 // collector is the build pool's error slot: workers finish their job first
 // and only report the result under the lock.
 type collector struct {
-	mu  sync.Mutex // lockcheck:shard
+	mu  sync.Mutex // lockcheck:leaf
 	err error
 }
 
@@ -195,10 +200,10 @@ func cleanFirstError(c *collector) error {
 }
 
 // Running the job inside the critical section serializes the pool and holds
-// a shard mutex across whatever the job does — including device I/O.
-func collectUnderLock(c *collector, sh *shard) {
+// a leaf mutex across whatever the job does — including device I/O.
+func collectUnderLock(c *collector, p *pool) {
 	c.mu.Lock()
-	if err := sh.writeAll(); err != nil { // want `call to writeAll, which may perform device I/O or block on a channel, while shard mutex c\.mu is held`
+	if err := p.writeAll(); err != nil { // want `call to writeAll, which may perform device I/O or block on a channel, while leaf mutex c\.mu is held`
 		c.err = err
 	}
 	c.mu.Unlock()
@@ -208,7 +213,7 @@ func collectUnderLock(c *collector, sh *shard) {
 // as the channel is full and the reader needs the same lock.
 func commitAndNotify(c *collector, done chan int, wave int) {
 	c.mu.Lock()
-	done <- wave // want `channel send while shard mutex c\.mu is held`
+	done <- wave // want `channel send while leaf mutex c\.mu is held`
 	c.mu.Unlock()
 }
 
@@ -216,96 +221,200 @@ func commitAndNotify(c *collector, done chan int, wave int) {
 // that still has a result to report.
 func commitAndWait(c *collector, next chan struct{}) {
 	c.mu.Lock()
-	<-next // want `channel receive while shard mutex c\.mu is held`
+	<-next // want `channel receive while leaf mutex c\.mu is held`
 	c.mu.Unlock()
 }
 
-// --- metrics registry counters under shard locks (observability layer) ---
+// --- metrics registry counters under leaf locks (observability layer) ---
 
-// shardMetrics mirrors the pool's eviction counters: plain atomic adds, safe
-// to bump while a shard mutex is held because they never block or touch the
+// poolMetrics mirrors the pool's eviction counters: plain atomic adds, safe
+// to bump while a leaf mutex is held because they never block or touch the
 // device.
-type shardMetrics struct {
+type poolMetrics struct {
 	evictions int64
 }
 
 // Counting an eviction inside the critical section that performs it is the
 // intended pattern and must stay clean: an atomic add holds no lock and does
 // no I/O.
-func cleanCountEvictionUnderLock(sh *shard, m *shardMetrics, page int) {
-	sh.mu.Lock()
-	delete(sh.frames, page)
+func cleanCountEvictionUnderLock(p *pool, m *poolMetrics, page int) {
+	p.mu.Lock()
+	delete(p.frames, page)
 	addEviction(m)
-	sh.mu.Unlock()
+	p.mu.Unlock()
 }
 
-func addEviction(m *shardMetrics) {
+func addEviction(m *poolMetrics) {
 	m.evictions++ // single-goroutine corpus stand-in for atomic.AddInt64
 }
 
-// Delivering a per-query trace to a hook channel while the shard mutex is
+// Delivering a per-query trace to a hook channel while the leaf mutex is
 // held blocks every pool access behind a slow consumer.
-func traceUnderLock(sh *shard, traces chan int, page int) {
-	sh.mu.Lock()
-	delete(sh.frames, page)
-	traces <- page // want `channel send while shard mutex sh\.mu is held`
-	sh.mu.Unlock()
+func traceUnderLock(p *pool, traces chan int, page int) {
+	p.mu.Lock()
+	delete(p.frames, page)
+	traces <- page // want `channel send while leaf mutex p\.mu is held`
+	p.mu.Unlock()
 }
 
-// Writing the slow-query log under the shard lock serializes the pool behind
+// Writing the slow-query log under the leaf lock serializes the pool behind
 // the log device: the write belongs after Unlock.
-func slowLogUnderLock(sh *shard, log pagedFile, page int) error {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return log.WritePage(page, nil) // want `device I/O \(WritePage\) while shard mutex sh\.mu is held`
+func slowLogUnderLock(p *pool, log pagedFile, page int) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return log.WritePage(page, nil) // want `device I/O \(WritePage\) while leaf mutex p\.mu is held`
 }
 
-// --- resident vector cache admission (vcache singleflight) ---
+// --- singleflight open behind a leaf mutex (the tenant router's latch) ---
 
-// vcCache mirrors the vector cache: an annotated admission mutex guarding
-// the building latch and the byte account, with the decode (device reads)
-// strictly between critical sections.
-type vcCache struct {
-	mu       sync.Mutex // lockcheck:shard
-	resident int64
-	file     pagedFile
+// opener mirrors the tenant router: a leaf mutex guarding each slot's
+// opening latch, with the open itself (device reads) strictly between
+// critical sections.
+type opener struct {
+	mu     sync.Mutex // lockcheck:leaf
+	opened int64
+	file   pagedFile
 }
 
-type vcEntry struct {
-	building chan struct{}
+type openSlot struct {
+	opening chan struct{}
+	val     int
 }
 
 // The disciplined singleflight: the latch is created and later closed under
-// the lock (close never blocks), while the segment read runs between the two
+// the lock (close never blocks), while the read runs between the two
 // critical sections.
-func cleanMaterialize(c *vcCache, e *vcEntry, page int) error {
-	c.mu.Lock()
+func cleanOpen(o *opener, s *openSlot, page int) error {
+	o.mu.Lock()
 	latch := make(chan struct{})
-	e.building = latch
-	c.mu.Unlock()
-	err := c.file.ReadPage(page, nil)
-	c.mu.Lock()
-	e.building = nil
+	s.opening = latch
+	o.mu.Unlock()
+	err := o.file.ReadPage(page, nil)
+	o.mu.Lock()
+	s.opening = nil
 	close(latch)
-	c.resident += 1
-	c.mu.Unlock()
+	o.opened += 1
+	o.mu.Unlock()
 	return err
 }
 
-// Waiting on another builder's latch inside the critical section deadlocks:
-// the builder needs the same lock to publish and release the latch.
-func waitForBuildUnderLock(c *vcCache, e *vcEntry) {
-	c.mu.Lock()
-	<-e.building // want `channel receive while shard mutex c\.mu is held`
-	c.mu.Unlock()
+// The full protocol: a waiter re-checks after the latch closes and waits
+// with nothing held; the opener builds outside the lock and re-takes it to
+// publish while its latch is still open.
+func cleanOpenOrWait(o *opener, s *openSlot, build func() int) int {
+	for {
+		o.mu.Lock()
+		if s.val != 0 {
+			v := s.val
+			o.mu.Unlock()
+			return v
+		}
+		wait := s.opening
+		var latch chan struct{}
+		if wait == nil {
+			latch = make(chan struct{})
+			s.opening = latch
+		}
+		o.mu.Unlock()
+		if wait != nil {
+			<-wait
+			continue
+		}
+		v := build()
+		o.mu.Lock()
+		s.opening = nil
+		close(latch)
+		s.val = v
+		o.mu.Unlock()
+		return v
+	}
 }
 
-// Decoding the segment while the admission lock is held serializes every
-// lookup in the database behind the device.
-func materializeUnderLock(c *vcCache, page int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.file.ReadPage(page, nil) // want `device I/O \(ReadPage\) while shard mutex c\.mu is held`
+// Waiting on another opener's latch inside the critical section deadlocks:
+// the opener needs the same lock to publish and close the latch.
+func waitForOpenUnderLock(o *opener, s *openSlot) {
+	o.mu.Lock()
+	<-s.opening // want `channel receive while leaf mutex o\.mu is held`
+	o.mu.Unlock()
+}
+
+// Reading the device while the lock is held serializes every lookup behind
+// the device.
+func openUnderLock(o *opener, page int) error {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.file.ReadPage(page, nil) // want `device I/O \(ReadPage\) while leaf mutex o\.mu is held`
+}
+
+// --- nesting and re-entry ---
+
+// Two leaf critical sections never nest, whichever instances they are.
+func nested(a, b *pool) {
+	a.mu.Lock()
+	b.mu.Lock() // want `^Lock of leaf mutex b\.mu while leaf mutex a\.mu is held`
+	b.mu.Unlock()
+	a.mu.Unlock()
+}
+
+func nestedAcrossTypes(p *pool, o *opener) {
+	o.mu.Lock()
+	p.mu.Lock() // want `^Lock of leaf mutex p\.mu while leaf mutex o\.mu is held`
+	p.mu.Unlock()
+	o.mu.Unlock()
+}
+
+// Re-locking a held RWMutex deadlocks in every combination: RLock waits for
+// the writer that holds it, Lock for its own reader, and a second RLock for
+// any writer queued behind the first (sync.RWMutex forbids recursive read
+// locking).
+func rlockUnderLock(t *readTable) {
+	t.mu.Lock()
+	t.mu.RLock() // want `RLock of t\.mu while already held \(Lock at line \d+\): deadlock`
+	t.mu.RUnlock()
+	t.mu.Unlock()
+}
+
+func lockUnderRLock(t *readTable) {
+	t.mu.RLock()
+	t.mu.Lock() // want `^Lock of t\.mu while already held \(RLock at line \d+\): deadlock`
+	t.mu.Unlock()
+	t.mu.RUnlock()
+}
+
+func recursiveRLock(t *readTable) {
+	t.mu.RLock()
+	t.mu.RLock() // want `RLock of t\.mu while already held \(RLock at line \d+\): deadlock`
+	t.mu.RUnlock()
+	t.mu.RUnlock()
+}
+
+// --- across a package boundary: remote's helpers under a leaf mutex ---
+
+func remoteLockUnderLock(p *pool, c *remote.Cache) {
+	p.mu.Lock()
+	c.Touch() // want `call to Touch, which may acquire an annotated mutex, while leaf mutex p\.mu is held`
+	p.mu.Unlock()
+}
+
+func remoteWaitUnderLock(p *pool, ready chan struct{}) {
+	p.mu.Lock()
+	remote.Await(ready) // want `call to Await, which may perform device I/O or block on a channel, while leaf mutex p\.mu is held`
+	p.mu.Unlock()
+}
+
+func remoteReadUnderLock(p *pool, f *remote.File, buf []byte) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return f.Load(0, buf) // want `call to Load, which may perform device I/O or block on a channel, while leaf mutex p\.mu is held`
+}
+
+// The same helpers between critical sections are the disciplined shape.
+func cleanRemoteBetween(p *pool, c *remote.Cache, f *remote.File, buf []byte) error {
+	p.mu.Lock()
+	p.frames[0] = buf
+	p.mu.Unlock()
+	c.Touch()
+	return f.Load(0, buf)
 }
 
 // --- paths the CFG sees: break, continue, package-level literals ---
@@ -340,11 +449,11 @@ var lockAndForget = func(r *registry) {
 } // want `function ends with r\.mu still locked \(Lock at line \d+\)`
 
 // Ranging over a channel receives on every iteration.
-func drainUnderLock(sh *shard, ch chan int) {
-	sh.mu.Lock()
-	for range ch { // want `channel receive \(range\) while shard mutex sh\.mu is held`
+func drainUnderLock(p *pool, ch chan int) {
+	p.mu.Lock()
+	for range ch { // want `channel receive \(range\) while leaf mutex p\.mu is held`
 	}
-	sh.mu.Unlock()
+	p.mu.Unlock()
 }
 
 func unbalancedSwitch(r *registry, mode int) {
@@ -361,13 +470,13 @@ func unbalancedSwitch(r *registry, mode int) {
 
 // A select whose comms are sends blocks like one that receives; it is
 // reported once, at the select.
-func selectSendUnderLock(sh *shard, ch chan int) {
-	sh.mu.Lock()
-	select { // want `select \(blocking channel operation\) while shard mutex sh\.mu is held`
+func selectSendUnderLock(p *pool, ch chan int) {
+	p.mu.Lock()
+	select { // want `select \(blocking channel operation\) while leaf mutex p\.mu is held`
 	case ch <- 1:
 	case ch <- 2:
 	}
-	sh.mu.Unlock()
+	p.mu.Unlock()
 }
 
 type readTable struct {

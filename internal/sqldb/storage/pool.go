@@ -36,9 +36,9 @@ import (
 // The one rule lockcheck enforces on the pool mutex (DESIGN.md §8) is that no
 // page is read while it is held.
 type Pool struct {
-	// mu is acquisition level 20, never taken while another shard-class
-	// mutex is held (lockordercheck).
-	mu       sync.Mutex // lockcheck:shard level=20
+	// mu is a leaf (lockcheck): nothing that reads the device, blocks on a
+	// channel or takes an annotated mutex runs while it is held.
+	mu       sync.Mutex // lockcheck:leaf
 	capacity int
 	frames   map[frameKey]*frame
 	// LRU list of the resident frames; head is least recently used.

@@ -121,10 +121,9 @@ type slot struct {
 	dir  string
 	met  *obs.TenantMetrics
 
-	// Guarded by Router.mu. The latch is acquisition level 10: the opener
-	// holds it while re-taking the router mutex (level 20) to publish, so the
-	// latch must order strictly below the mutex.
-	opening chan struct{} // lockcheck:latch level=10 — non-nil while an Open is in flight
+	// Guarded by Router.mu. The opener closes the latch under the router
+	// mutex; a waiter receives from it only after releasing the mutex.
+	opening chan struct{} // non-nil while an Open is in flight
 	db      DB            // nil while closed
 	pins    int           // in-flight acquisitions; > 0 blocks LRU close
 	lastUse uint64        // router sequence number of the last acquisition
@@ -134,13 +133,11 @@ type slot struct {
 type Router struct {
 	cfg Config
 
-	// mu guards every slot's lifecycle fields and the LRU sequence. It is
-	// never held across an Open, a Close or a blocking channel operation —
-	// those happen between critical sections, exactly like the pool's frame
-	// loads. Acquisition level 20: taken after an opening latch
-	// (level 10), never while another shard-class mutex is held
-	// (lockordercheck).
-	mu    sync.Mutex // lockcheck:shard level=20
+	// mu guards every slot's lifecycle fields and the LRU sequence. It is a
+	// leaf (lockcheck): never held across an Open, a Close or a blocking
+	// channel operation — those happen between critical sections, like the
+	// pool's page reads — and nothing under it takes an annotated mutex.
+	mu    sync.Mutex // lockcheck:leaf
 	slots map[string]*slot
 	seq   uint64
 }

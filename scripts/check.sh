@@ -34,10 +34,15 @@ if git grep -nE 'gidx|tupleGroup|ensureLabelOrder|flatIndex|findOrAdd' -- '*.go'
     echo "grouping walks the runs, and the per-target accumulator is an array indexed by the id" >&2
     exit 1
 fi
-echo "== one lock analysis on one engine (internal/analysis)"
+echo "== one lock rule, one lock checker on one engine (internal/analysis)"
 if git grep -nE 'caseBodies|loopBody|blockingFuncs|shardMutexFields|hasDefaultClause' -- 'internal/analysis/*.go'; then
-    echo "lockcheck is transfer functions over cfg.go's solver and reads lockordercheck's facts:" >&2
+    echo "lockcheck is transfer functions over cfg.go's solver, with its own annotation reader and one summary fixpoint:" >&2
     echo "no statement interpreter, no second call-summary fixpoint, no second annotation reader" >&2
+    exit 1
+fi
+if git grep -nE 'lockordercheck|NewLockOrderCheck|lockcheck:shard|lockcheck:latch|stronglyConnected|level=[0-9]' -- '*.go'; then
+    echo "a held lockcheck:leaf mutex is a leaf (DESIGN.md §8.1), so no lock can wait on another:" >&2
+    echo "no lock-order graph or checker, no latch class, no shard class, no acquisition levels" >&2
     exit 1
 fi
 echo "== atomics are typed: no sync/atomic function calls (outside testdata)"
