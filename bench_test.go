@@ -44,9 +44,10 @@ func benchSetup(b *testing.B) (*Network, string) {
 		// segment-only label tables in v3, every table a segment in v4) or a
 		// table gains a declared property (run_order in catalog.json in v5,
 		// target_ids in v6, floor in v7, the target count in v8) or a table is
-		// renamed (one knn_naive table per target set in v9), or a stale cache
-		// would fail to open or carry files the current build no longer writes.
-		const benchDatasetFormat = 9
+		// renamed (one knn_naive table per target set in v9) or the tables move
+		// into one image file (v10), or a stale cache would fail to open or
+		// carry files the current build no longer writes.
+		const benchDatasetFormat = 10
 		dir := filepath.Join(os.TempDir(),
 			fmt.Sprintf("ptldb-gobench-%s-%04d-f%d", benchCity, int(benchScale*10000), benchDatasetFormat))
 		if _, err := os.Stat(filepath.Join(dir, "catalog.json")); err != nil {

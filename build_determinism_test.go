@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
-	"strings"
 	"testing"
+
+	"ptldb/internal/sqldb"
 )
 
 // dirImage reads every file under dir into a name -> content map.
@@ -40,8 +42,9 @@ func dirImage(t *testing.T, dir string) map[string][]byte {
 // label/stops loads of Create, the six-table loads of AddTargetSet and the
 // versioned loads of AddVersion — plus BuildPathTables, whose rows are
 // produced in map iteration order and sorted before they are loaded. The
-// resulting directories — segments and the catalog, nothing else — must be
-// byte-identical, paths_* and the thrice-rewritten ptldb_meta included.
+// resulting directories — the catalog and the image, nothing else — must be
+// byte-identical, every table's segment in the image included: paths_* and
+// the thrice-rewritten ptldb_meta too.
 func TestBuildWorkersDiskImageIdentical(t *testing.T) {
 	tt, err := GenerateCity("Salt Lake City", 0.02, 42)
 	if err != nil {
@@ -71,7 +74,12 @@ func TestBuildWorkersDiskImageIdentical(t *testing.T) {
 		if err := db.Close(); err != nil {
 			t.Fatalf("workers=%d: Close: %v", workers, err)
 		}
-		return dirImage(t, dir)
+		requireOnlyImage(t, dir)
+		img := dirImage(t, dir)
+		for _, seg := range imageSegments(t, dir) {
+			img[seg.name] = img[sqldb.ImageName][seg.off:seg.end]
+		}
+		return img
 	}
 
 	want := build(1)
@@ -80,32 +88,24 @@ func TestBuildWorkersDiskImageIdentical(t *testing.T) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	if len(names) == 0 {
-		t.Fatal("serial build produced no files")
-	}
-	for _, name := range names {
-		if name != "catalog.json" && !strings.HasSuffix(name, ".seg") {
-			t.Errorf("build produced %s; want segments and the catalog only", name)
-		}
-	}
 	for _, table := range []string{"lout", "stops", "ptldb_meta", "knn_ea_poi", "lin__weekend", "paths_out", "paths_in"} {
-		if len(want[table+".seg"]) == 0 {
-			t.Errorf("build produced no %s.seg; the byte-compare is not covering it", table)
+		if len(want[table]) == 0 {
+			t.Errorf("the image holds no segment of %s; the byte-compare is not covering it", table)
 		}
 	}
-	for _, workers := range []int{1, 2, 7} {
+	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0), 7} {
 		got := build(workers)
 		if len(got) != len(want) {
-			t.Errorf("workers=%d: %d files, serial build has %d", workers, len(got), len(want))
+			t.Errorf("workers=%d: %d files and segments, serial build has %d", workers, len(got), len(want))
 		}
 		for _, name := range names {
 			g, ok := got[name]
 			if !ok {
-				t.Errorf("workers=%d: file %s missing", workers, name)
+				t.Errorf("workers=%d: %s missing", workers, name)
 				continue
 			}
 			if !bytes.Equal(g, want[name]) {
-				t.Errorf("workers=%d: file %s differs from serial build (%d vs %d bytes)",
+				t.Errorf("workers=%d: %s differs from serial build (%d vs %d bytes)",
 					workers, name, len(g), len(want[name]))
 			}
 		}

@@ -2,9 +2,9 @@ package ptldb
 
 // coldstart_test.go pins what a cold start costs in device reads, on the
 // image the benchmark's disk_cold workload measures (Austin ×0.15, simulated
-// HDD, a 64 KiB vector cache): Open reads every file once, front to back —
-// one seek per file and nothing else — and leaves every data page it reads in
-// a free frame of the buffer pool, so the first queries after Open read
+// HDD, a 64 KiB vector cache): Open reads the image once, front to back —
+// one seek for the directory and nothing else — and leaves every data page it
+// reads in a free frame of the buffer pool, so the first queries after Open read
 // nothing from the device, the metadata row included. A table the cache
 // cannot hold is decided on at open from its exact vector size, so once the
 // caches are dropped a query reads its rows' own pages and no table is
@@ -17,10 +17,10 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strings"
 	"testing"
 
 	"ptldb/internal/csa"
+	"ptldb/internal/sqldb"
 	"ptldb/internal/sqldb/sqltypes"
 	"ptldb/internal/sqldb/storage"
 	"ptldb/internal/timetable"
@@ -51,48 +51,34 @@ func TestColdStartReads(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Every file but the catalog is a segment — lout, lin, stops, ptldb_meta
-	// and the five tables of the target set — and a segment is read whole.
-	entries, err := os.ReadDir(dir)
+	// The catalog and the image, which holds a segment per table — lout,
+	// lin, stops, ptldb_meta and the five tables of the target set — and is
+	// read whole.
+	requireOnlyImage(t, dir)
+	if n := len(imageSegments(t, dir)); n != 9 {
+		t.Errorf("the image holds %d segments, want 9", n)
+	}
+	st, err := os.Stat(filepath.Join(dir, sqldb.ImageName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	files, segPages := uint64(0), uint64(0)
-	for _, e := range entries {
-		if e.Name() == "catalog.json" {
-			continue
-		}
-		if !strings.HasSuffix(e.Name(), ".seg") {
-			t.Errorf("%s in the database directory: want segments and the catalog only", e.Name())
-			continue
-		}
-		st, err := os.Stat(filepath.Join(dir, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		files++
-		segPages += uint64(st.Size() / storage.PageSize)
-	}
-	if files != 9 {
-		t.Errorf("the image holds %d segments, want 9", files)
-	}
+	imagePages := uint64(st.Size() / storage.PageSize)
 
 	db, err = Open(dir, Config{Device: "hdd", VectorCacheBytes: 64 << 10, PoolPages: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	// One seek per file, every other page the next page of its file; the
-	// store's metadata row is then read from the page the open pass left in
-	// the pool.
+	// One seek, every other page the next page of the image; the store's
+	// metadata row is then read from the page the open pass left in the pool.
 	opened := db.Snapshot()
-	if opened.Pool.RandReads != files || opened.Pool.Misses != 0 {
-		t.Errorf("open cost %d seeks (%d through the pool) for %d files, want one per file and none through the pool",
-			opened.Pool.RandReads, opened.Pool.Misses, files)
+	if opened.Pool.RandReads != 1 || opened.Pool.Misses != 0 {
+		t.Errorf("open cost %d seeks (%d through the pool), want one and none through the pool",
+			opened.Pool.RandReads, opened.Pool.Misses)
 	}
-	if opened.Pool.SeqReads != segPages-files {
-		t.Errorf("open read %d pages sequentially; the segments hold %d beyond their first",
-			opened.Pool.SeqReads, segPages-files)
+	if opened.Pool.SeqReads != imagePages-1 {
+		t.Errorf("open read %d pages sequentially; the image holds %d beyond its first",
+			opened.Pool.SeqReads, imagePages-1)
 	}
 	if opened.VCache.Declined == 0 || opened.VCache.Materializations != 0 {
 		t.Errorf("after open: vcache = %+v; want the label tables declined and nothing built", *opened.VCache)
@@ -134,7 +120,8 @@ func TestColdStartReads(t *testing.T) {
 	}
 
 	// Once the caches are dropped each query reads its rows' pages through
-	// the pool — two seeks for a v2v, one per label — and nothing else.
+	// the pool — two seeks for a v2v, one per label, though both labels lie
+	// in the one image — and nothing else.
 	for i := 0; i < 20; i++ {
 		s, g := StopID(rng.Intn(n)), StopID(rng.Intn(n))
 		when := tt.MinTime() + Time(rng.Int63n(int64(tt.Span())+1))
@@ -149,8 +136,8 @@ func TestColdStartReads(t *testing.T) {
 		after := db.Snapshot()
 		seeks := after.Pool.RandReads - before.Pool.RandReads
 		reads := seeks + after.Pool.SeqReads - before.Pool.SeqReads
-		if pages := after.Pool.Misses - before.Pool.Misses; seeks > 2 || reads != pages {
-			t.Errorf("EA(%d, %d, %d): %d seeks, %d device reads for %d pool misses; want <= 2 seeks and no read past the pool",
+		if pages := after.Pool.Misses - before.Pool.Misses; seeks != 2 || reads != pages {
+			t.Errorf("EA(%d, %d, %d): %d seeks, %d device reads for %d pool misses; want 2 seeks and no read past the pool",
 				s, g, when, seeks, reads, pages)
 		}
 		want := csa.EarliestArrival(tt, s, g, when)

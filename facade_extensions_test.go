@@ -3,8 +3,11 @@ package ptldb
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"ptldb/internal/sqldb"
 )
 
 // TestFacadeVersions covers the weekday/weekend multi-version workflow of
@@ -115,9 +118,9 @@ func TestFacadePathTables(t *testing.T) {
 	}
 }
 
-// TestOpenFailsClosedOnMissingLabelSegment: a database whose lout.seg is gone
-// does not open — it used to open, grow an empty lout beside the real lin,
-// and answer "no journey" to every query. The error names the table and the
+// TestOpenFailsClosedOnMissingLabelSegment: a database whose image lost
+// lout's segment does not open — it used to open, grow an empty lout beside
+// the real lin, and answer "no journey" to every query. The error names the table and the
 // remedy, the failed open leaves the directory exactly as it found it, and a
 // retry fails the same way.
 func TestOpenFailsClosedOnMissingLabelSegment(t *testing.T) {
@@ -138,7 +141,17 @@ func TestOpenFailsClosedOnMissingLabelSegment(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(filepath.Join(dir, "lout.seg")); err != nil {
+	path := filepath.Join(dir, sqldb.ImageName)
+	image, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seg := range imageSegments(t, dir) {
+		if seg.name == "lout" {
+			image = slices.Delete(image, seg.off, seg.end)
+		}
+	}
+	if err := os.WriteFile(path, image, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	listing := func() string {
@@ -158,9 +171,9 @@ func TestOpenFailsClosedOnMissingLabelSegment(t *testing.T) {
 		if err == nil {
 			got, ok, qerr := db.EarliestArrival(s, g, tt.MinTime())
 			db.Close()
-			t.Fatalf("Open accepted a database without lout.seg; EA now answers %v, %v, %v (was %v)", got, ok, qerr, want)
+			t.Fatalf("Open accepted a database without lout's segment; EA now answers %v, %v, %v (was %v)", got, ok, qerr, want)
 		}
-		for _, frag := range []string{`table "lout"`, "lout.seg", "rebuild"} {
+		for _, frag := range []string{`table "lout"`, "rebuild"} {
 			if !strings.Contains(err.Error(), frag) {
 				t.Errorf("error lacks %q: %v", frag, err)
 			}

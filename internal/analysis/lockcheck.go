@@ -16,9 +16,11 @@ import (
 //  1. A held annotated mutex is a leaf. A sync.Mutex / sync.RWMutex field
 //     annotated "lockcheck:leaf" guards one structure's bookkeeping, and
 //     while it is held nothing may run that does device I/O, does a
-//     blocking channel operation or may acquire an annotated mutex. Device
-//     I/O is recognized by the project's page-transfer method names
-//     (ioPrimitives); close never blocks and stays allowed. A call counts
+//     blocking channel operation or wait, or may acquire an annotated
+//     mutex. Device I/O is recognized by the project's page-transfer method
+//     names (ioPrimitives); a wait is sync.WaitGroup.Wait or sync.Cond.Wait,
+//     recognized by the callee's object, not its name (syncWait); close
+//     never blocks and stays allowed. A call counts
 //     by its callee's summary, computed to fixpoint over the static calls
 //     of the whole module, so hiding a read, a receive or a Lock behind a
 //     helper in any package does not evade the rule.
@@ -67,10 +69,32 @@ var ioPrimitives = map[string]bool{
 	"ReadAt": true, "WriteAt": true, "Truncate": true,
 }
 
+// syncWait names the sync method call waits in — "WaitGroup.Wait" or
+// "Cond.Wait", matched by the callee's object, so a Wait method of any other
+// type is not one — or returns "".
+func syncWait(p *Package, call *ast.CallExpr) string {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return ""
+	}
+	fn, ok := p.Info.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" || fn.Name() != "Wait" {
+		return ""
+	}
+	recv := fn.Type().(*types.Signature).Recv().Type()
+	if ptr, ok := recv.(*types.Pointer); ok {
+		recv = ptr.Elem()
+	}
+	if named, ok := recv.(*types.Named); ok && (named.Obj().Name() == "WaitGroup" || named.Obj().Name() == "Cond") {
+		return named.Obj().Name() + ".Wait"
+	}
+	return ""
+}
+
 // lockSummary is what a call to a declared function may do, transitively.
 type lockSummary struct {
 	acquires bool // Lock or RLock an annotated mutex
-	blocks   bool // device I/O, a send, a receive or a select
+	blocks   bool // device I/O, a send, a receive, a select or a sync wait
 	callees  []*types.Func
 }
 
@@ -246,7 +270,7 @@ func (c *lockFunc) directSummary(p *Package, body *ast.BlockStmt) *lockSummary {
 				sum.acquires = sum.acquires || leaf && (op == "Lock" || op == "RLock")
 				return true
 			}
-			sum.blocks = sum.blocks || ioPrimitives[calleeName(x)]
+			sum.blocks = sum.blocks || ioPrimitives[calleeName(x)] || syncWait(p, x) != ""
 			if _, fn, ok := c.idx.callee(p, x); ok {
 				sum.callees = append(sum.callees, fn)
 			}
@@ -424,10 +448,12 @@ func (c *lockFunc) scan(n ast.Node, st lockState, report bool) {
 			switch {
 			case ioPrimitives[calleeName(x)]:
 				c.reportf(x.Pos(), "device I/O (%s) while leaf mutex %s is held", calleeName(x), key)
+			case syncWait(c.pkg, x) != "":
+				c.reportf(x.Pos(), "blocking wait (sync.%s) while leaf mutex %s is held", syncWait(c.pkg, x), key)
 			case ok && c.sums[fn].acquires:
 				c.reportf(x.Pos(), "call to %s, which may acquire an annotated mutex, while leaf mutex %s is held", fn.Name(), key)
 			case ok && c.sums[fn].blocks:
-				c.reportf(x.Pos(), "call to %s, which may perform device I/O or block on a channel, while leaf mutex %s is held",
+				c.reportf(x.Pos(), "call to %s, which may perform device I/O or block, while leaf mutex %s is held",
 					fn.Name(), key)
 			}
 		}

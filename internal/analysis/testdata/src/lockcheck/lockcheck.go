@@ -1,8 +1,9 @@
 // Package lockcheck is the golden corpus for the lockcheck checker: a
 // miniature buffer pool (annotated leaf mutex) plus an ordinary registry
-// mutex, with both rule families seeded — I/O, channel operations and
-// annotated-mutex acquisitions under a leaf mutex, directly and through the
-// helpers of package remote, and unbalanced or re-entrant Lock paths.
+// mutex, with both rule families seeded — I/O, channel operations, sync
+// waits and annotated-mutex acquisitions under a leaf mutex, directly and
+// through the helpers of package remote, and unbalanced or re-entrant Lock
+// paths.
 package lockcheck
 
 import (
@@ -52,7 +53,7 @@ func (p *pool) writeAll() error {
 func flushViaHelper(p *pool) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.writeAll() // want `call to writeAll, which may perform device I/O or block on a channel, while leaf mutex p\.mu is held`
+	return p.writeAll() // want `call to writeAll, which may perform device I/O or block, while leaf mutex p\.mu is held`
 }
 
 func waitUnderLock(p *pool, ready chan struct{}) {
@@ -203,7 +204,7 @@ func cleanFirstError(c *collector) error {
 // a leaf mutex across whatever the job does — including device I/O.
 func collectUnderLock(c *collector, p *pool) {
 	c.mu.Lock()
-	if err := p.writeAll(); err != nil { // want `call to writeAll, which may perform device I/O or block on a channel, while leaf mutex c\.mu is held`
+	if err := p.writeAll(); err != nil { // want `call to writeAll, which may perform device I/O or block, while leaf mutex c\.mu is held`
 		c.err = err
 	}
 	c.mu.Unlock()
@@ -398,14 +399,45 @@ func remoteLockUnderLock(p *pool, c *remote.Cache) {
 
 func remoteWaitUnderLock(p *pool, ready chan struct{}) {
 	p.mu.Lock()
-	remote.Await(ready) // want `call to Await, which may perform device I/O or block on a channel, while leaf mutex p\.mu is held`
+	remote.Await(ready) // want `call to Await, which may perform device I/O or block, while leaf mutex p\.mu is held`
 	p.mu.Unlock()
+}
+
+func remoteDrainUnderLock(p *pool, wg *sync.WaitGroup) {
+	p.mu.Lock()
+	remote.Drain(wg) // want `call to Drain, which may perform device I/O or block, while leaf mutex p\.mu is held`
+	p.mu.Unlock()
+}
+
+// --- sync waits: a WaitGroup's or a Cond's Wait blocks; another Wait does not ---
+
+func waitGroupUnderLock(p *pool, wg *sync.WaitGroup) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	wg.Wait() // want `blocking wait \(sync\.WaitGroup\.Wait\) while leaf mutex p\.mu is held`
+}
+
+func condUnderLock(p *pool, c *sync.Cond) {
+	p.mu.Lock()
+	c.Wait() // want `blocking wait \(sync\.Cond\.Wait\) while leaf mutex p\.mu is held`
+	p.mu.Unlock()
+}
+
+// ticket has a Wait method that only reads a field: the name alone is no wait.
+type ticket struct{ n int }
+
+func (t *ticket) Wait() int { return t.n }
+
+func cleanNonSyncWait(p *pool, t *ticket) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return t.Wait()
 }
 
 func remoteReadUnderLock(p *pool, f *remote.File, buf []byte) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return f.Load(0, buf) // want `call to Load, which may perform device I/O or block on a channel, while leaf mutex p\.mu is held`
+	return f.Load(0, buf) // want `call to Load, which may perform device I/O or block, while leaf mutex p\.mu is held`
 }
 
 // The same helpers between critical sections are the disciplined shape.

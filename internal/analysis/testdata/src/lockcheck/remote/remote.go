@@ -44,3 +44,8 @@ func (f *File) Load(page int64, buf []byte) error {
 	_, err := f.dev.ReadAt(buf, page*int64(len(buf)))
 	return err
 }
+
+// Drain waits for every job of the group to finish.
+func Drain(wg *sync.WaitGroup) {
+	wg.Wait()
+}

@@ -257,7 +257,7 @@ func (w *Workspace) AblationLayout() (*Table, error) {
 			return nil, nil, err
 		}
 		pool.Register(f)
-		seg, _, err := storage.OpenSegment(f, pool, nil)
+		seg, _, err := storage.OpenSegment(f, 0, pool, nil)
 		if err != nil {
 			f.Close()
 			return nil, nil, err

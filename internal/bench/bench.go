@@ -85,9 +85,10 @@ func (c Config) Defaults() Config {
 // they did has none; v7: the naive and condensed tables declare target_ids
 // there; v8: the EA condensed tables declare their floor there; v9: the EA
 // one-to-many table declares its target count there; v10: a target set has one
-// knn_naive table where it had ea_knn_naive and ld_knn_naive): a stale cache
-// would otherwise fail to open.
-const datasetFormat = 10
+// knn_naive table where it had ea_knn_naive and ld_knn_naive; v11: the tables'
+// segments are one image file, image.seg, where each had <table>.seg): a
+// stale cache would otherwise fail to open.
+const datasetFormat = 11
 
 // Densities are the paper's target-density values D = |T| / |V|.
 var Densities = []float64{0.001, 0.005, 0.01, 0.05, 0.1}

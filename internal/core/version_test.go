@@ -3,6 +3,8 @@ package core
 import (
 	"math/rand"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"ptldb/internal/csa"
@@ -135,10 +137,10 @@ func TestVersionValidation(t *testing.T) {
 	}
 }
 
-// TestOneFormPerTable: a built directory holds catalog.json and exactly one
-// file per catalogued table, <table>.seg — after Build, after AddTargetSet,
-// AddVersion and BuildPathTables (each of which also rewrites ptldb_meta), and
-// after a reopen, which must create nothing.
+// TestOneFormPerTable: a flushed directory holds catalog.json and the image,
+// which holds exactly one segment per catalogued table — after Build, after
+// AddTargetSet, AddVersion and BuildPathTables (each of which also rewrites
+// ptldb_meta), and after a reopen, which must create nothing.
 func TestOneFormPerTable(t *testing.T) {
 	tt := timetable.PaperExample()
 	dir := t.TempDir()
@@ -149,22 +151,38 @@ func TestOneFormPerTable(t *testing.T) {
 	defer func() { db.Close() }()
 	onlySegments := func(when string) {
 		t.Helper()
-		want := map[string]bool{"catalog.json": true}
-		for _, name := range db.Tables() {
-			want[name+".seg"] = true
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
 		}
 		entries, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
+		var names []string
 		for _, e := range entries {
-			if !want[e.Name()] {
-				t.Errorf("%s: unexpected file %s", when, e.Name())
-			}
-			delete(want, e.Name())
+			names = append(names, e.Name())
 		}
-		for name := range want {
-			t.Errorf("%s: %s is missing", when, name)
+		if strings.Join(names, " ") != "catalog.json "+sqldb.ImageName {
+			t.Errorf("%s: the directory holds %v, want catalog.json and %s", when, names, sqldb.ImageName)
+			return
+		}
+		f, err := storage.OpenPagedFile(filepath.Join(dir, sqldb.ImageName), storage.RAM, new(storage.Clock))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		pool := storage.NewPool(8)
+		pool.Register(f)
+		segs, base := 0, storage.PageID(0)
+		for base < f.NumPages() {
+			seg, _, err := storage.OpenSegment(f, base, pool, nil)
+			if err != nil {
+				t.Fatalf("%s: segment %d: %v", when, segs, err)
+			}
+			segs, base = segs+1, base+seg.Pages()
+		}
+		if tables := len(db.Tables()); segs != tables {
+			t.Errorf("%s: the image holds %d segments for %d tables", when, segs, tables)
 		}
 	}
 	labels := ttl.Build(tt, order.Identity(7)).Augment()

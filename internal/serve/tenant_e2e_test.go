@@ -20,6 +20,7 @@ import (
 
 	"ptldb"
 	"ptldb/internal/csa"
+	"ptldb/internal/sqldb"
 	"ptldb/internal/tenant"
 	"ptldb/internal/timetable"
 )
@@ -200,7 +201,7 @@ func findPlanName(t *testing.T, base string) string {
 	return pl.Names[0]
 }
 
-// TestCorruptTenantFailsClosed: a city whose lout.seg is damaged cannot be
+// TestCorruptTenantFailsClosed: a city whose image is damaged cannot be
 // opened, so every request to it — first try and retry alike, the failed open
 // is never cached as a success — answers 5xx, while the neighbouring city
 // behind the same server keeps answering 200 with the CSA oracle's values.
@@ -212,12 +213,12 @@ func TestCorruptTenantFailsClosed(t *testing.T) {
 	buildCity(t, filepath.Join(parent, "austin"), "Austin", 7)
 	tt := buildCity(t, filepath.Join(parent, "slc"), "Salt Lake City", 42)
 
-	seg := filepath.Join(parent, "austin", "lout.seg")
+	seg := filepath.Join(parent, "austin", sqldb.ImageName)
 	image, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	image[8192+100] ^= 0x01 // one bit in the data region
+	image[8192+100] ^= 0x01 // one bit in the data region of the first segment
 	if err := os.WriteFile(seg, image, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -83,7 +83,10 @@ func TestTableBulkLoadTinyReopen(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	requireOnlySegments(t, dir, "ints_empty", "ints_single", "mixed_empty", "mixed_single")
+	requireOnlyImage(t, dir)
+	if n := len(imageSegments(t, dir)); n != 4 {
+		t.Errorf("the image holds %d segments, want the four tables'", n)
+	}
 
 	db2, err := Open(dir, opts)
 	if err != nil {
@@ -131,19 +134,22 @@ func TestTableBulkLoadTinyReopen(t *testing.T) {
 	}
 }
 
-// requireOnlySegments fails unless dir holds exactly catalog.json and one
-// <table>.seg per named table.
-func requireOnlySegments(t *testing.T, dir string, tables ...string) {
+// requireLoose fails unless dir holds, besides the catalog and the image a
+// Flush wrote, exactly one loose segment per named table.
+func requireLoose(t *testing.T, dir string, tables ...string) {
 	t.Helper()
-	want := map[string]bool{"catalog.json": true}
+	want := map[string]bool{}
 	for _, name := range tables {
-		want[name+".seg"] = true
+		want[name+".loose"] = true
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
+		if e.Name() == "catalog.json" || e.Name() == ImageName {
+			continue
+		}
 		if !want[e.Name()] {
 			t.Errorf("unexpected file %s in the database directory", e.Name())
 		}
@@ -155,8 +161,8 @@ func requireOnlySegments(t *testing.T, dir string, tables ...string) {
 }
 
 // TestBulkLoadReplacesTable: BulkLoad is the table's one write, so loading a
-// table that has rows replaces them — atomically, by rename, leaving only
-// <name>.seg on disk — and no reader sees the old content afterwards, not
+// table that has rows replaces them — atomically, by rename, leaving one
+// loose segment beside the image until the next Flush — and no reader sees the old content afterwards, not
 // even where the old content was resident vectors: the replaced table lets
 // them go and reads its new segment.
 func TestBulkLoadReplacesTable(t *testing.T) {
@@ -177,7 +183,7 @@ func TestBulkLoadReplacesTable(t *testing.T) {
 	}
 
 	load(t, tbl, row(2, 20), row(9, 9))
-	requireOnlySegments(t, dir, "lab")
+	requireLoose(t, dir, "lab")
 	if tbl.RowCount() != 2 || tbl.Resident() {
 		t.Fatalf("RowCount = %d (resident %v) after the replacing load, want 2 rows read from the segment", tbl.RowCount(), tbl.Resident())
 	}

@@ -1,7 +1,7 @@
 package sqldb
 
 // coldread_test.go pins what a cold start costs in device reads — Open reads
-// every file once, front to back, and a table the vector cache cannot hold is
+// the image once, front to back, and a table the vector cache cannot hold is
 // never bulk-read — and that the size the cache admits a table on, worked out
 // at open from a varint count, is exactly the size of the vectors built later.
 
@@ -147,7 +147,7 @@ func TestVectorSizePrediction(t *testing.T) {
 		rows := spec.rows()
 		want := rowVectorBytes(sf.types, rows)
 
-		data, varints := dataRegion(t, sf)
+		data, varints := dataRegion(t, dir, sf)
 		if got := vectorBytes(sf.types, sf.seg.NumRows(), varints); got != want {
 			t.Errorf("%s: predicted %d bytes of vectors, its rows need %d", spec.name, got, want)
 		}
@@ -197,12 +197,13 @@ func TestVectorSizePrediction(t *testing.T) {
 	}
 }
 
-// dataRegion reads tbl's data region again and counts its varints, as open
-// does.
-func dataRegion(t *testing.T, tbl *Table) ([]byte, int) {
+// dataRegion reads tbl's data region in the image of dir again and counts its
+// varints, as open does.
+func dataRegion(t *testing.T, dir string, tbl *Table) ([]byte, int) {
 	t.Helper()
 	varints := 0
-	_, data, err := storage.OpenSegment(tbl.file, tbl.db.pool, func(_, _ int, chunk []byte) bool {
+	at := storage.PageID(segmentOf(t, dir, tbl.def.Name).off / storage.PageSize)
+	_, data, err := storage.OpenSegment(tbl.file, at, tbl.db.pool, func(_, _ int, chunk []byte) bool {
 		varints += sqltypes.CountSegVarints(chunk)
 		return true
 	})
@@ -212,20 +213,21 @@ func dataRegion(t *testing.T, tbl *Table) ([]byte, int) {
 	return data, varints
 }
 
-// TestOpenReadsEachFileOnce: opening an N-segment database costs N seeks —
-// every other page of every file is the next page of that file.
+// TestOpenReadsEachFileOnce: opening an N-segment database costs one seek —
+// the directory has one file, the image, and every page after its first is
+// the next page of it.
 func TestOpenReadsEachFileOnce(t *testing.T) {
 	dir := t.TempDir()
 	buildAwkwardDB(t, dir)
-	files, pages := uint64(0), uint64(0)
-	for _, spec := range awkwardTables {
-		st, err := os.Stat(filepath.Join(dir, spec.name+".seg"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		files++
-		pages += uint64(st.Size() / storage.PageSize)
+	requireOnlyImage(t, dir)
+	if n := len(imageSegments(t, dir)); n != len(awkwardTables) {
+		t.Fatalf("the image holds %d segments, want %d", n, len(awkwardTables))
 	}
+	st, err := os.Stat(filepath.Join(dir, ImageName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	files, pages := uint64(1), uint64(st.Size()/storage.PageSize)
 	db, err := Open(dir, Options{Device: storage.HDD, PoolPages: 256, VectorCacheBytes: 64 << 20})
 	if err != nil {
 		t.Fatal(err)
@@ -354,7 +356,7 @@ func TestDeclinedTableKeepsNoRegion(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	image, err := os.ReadFile(filepath.Join(dir, spec.name+".seg"))
+	image, err := os.ReadFile(filepath.Join(dir, ImageName)) // the table's segment alone
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,8 @@
 // Package sqldb is the embedded relational database used by PTLDB: a
-// directory of paged table files (one immutable segment per table), a shared
-// buffer pool with a simulated storage device, a persisted catalog, and a SQL
-// query interface (parser + executor) supporting the SELECT dialect of the
-// paper's Codes 1–4.
+// directory holding a persisted catalog and one image file with every
+// table's immutable segment back to back, a shared buffer pool with a
+// simulated storage device, and a SQL query interface (parser + executor)
+// supporting the SELECT dialect of the paper's Codes 1–4.
 //
 // It plays the role PostgreSQL plays in the paper. The engine is read-only
 // storage under a bulk loader: a table is written once, whole, by
@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"slices"
@@ -100,6 +101,11 @@ type Options struct {
 	VectorCacheBytes int64
 }
 
+// ImageName is the file of a database directory that holds every catalogued
+// table's segment, back to back in catalog order (DESIGN.md §10.1). A
+// flushed directory holds it and catalog.json, nothing else.
+const ImageName = "image.seg"
+
 // DB is one open database directory.
 type DB struct {
 	dir   string
@@ -109,8 +115,16 @@ type DB struct {
 
 	referenceExec bool // Options.ReferenceExec
 
+	// image is the image file Open read the tables from, nil when the
+	// directory had none. It stays open, and the tables Open placed on it
+	// keep reading it, after a Flush replaced it on disk.
+	image *storage.PagedFile
+
 	mu     sync.RWMutex
 	tables map[string]*Table
+	// declared is set by CreateTable and cleared by the Flush that writes the
+	// catalog declaring the table.
+	declared bool
 
 	// prepares counts Prepare calls, i.e. statement parses (StmtCacheStats).
 	prepares atomic.Uint64
@@ -123,11 +137,16 @@ type DB struct {
 
 // Open opens the database in dir, an empty one when dir has no catalog yet
 // (the directory is created if needed; no other file ever is), and returns
-// once every table it admits to the vector cache is decoded and resident. Every
-// catalogued table must have its segment: one that is missing, fails
-// validation (wrapping storage.ErrCorruptSegment) or holds a row an admitted
-// table's decode rejects fails the whole open with an error naming the
-// table, and nothing stays open behind the error. The recovery is a rebuild.
+// once every table it admits to the vector cache is decoded and resident.
+// The image holds every catalogued table's segment, back to back in catalog
+// order, and Open walks it front to back in one pass: each segment's header
+// gives its page count, hence the next segment's start. A directory without
+// the image (one in an older, file-per-table layout included), an image that
+// ends before the catalog does or holds pages after its last table, and a
+// segment that fails validation (wrapping storage.ErrCorruptSegment), does
+// not match its table's schema or holds a row an admitted table's decode
+// rejects fail the whole open with an error naming the table or the image,
+// and nothing stays open behind the error. The recovery is a rebuild.
 func Open(dir string, opts Options) (*DB, error) {
 	if opts.Device.Name == "" {
 		opts.Device = storage.SSD
@@ -164,37 +183,62 @@ func Open(dir string, opts Options) (*DB, error) {
 	if err := json.Unmarshal(cat, &defs); err != nil {
 		return nil, fmt.Errorf("sqldb: parse catalog: %w", err)
 	}
+	f, err := storage.OpenPagedFile(db.imagePath(), db.dev, &db.clock)
+	if errors.Is(err, fs.ErrNotExist) && len(defs) == 0 {
+		return db, nil
+	}
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("sqldb: table %q: the directory holds no %s — it is damaged or was built by an older version, with a file per table; rebuild it: %w",
+			defs[0].Name, ImageName, err)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("sqldb: %w", err)
+	}
+	db.image = f
+	db.pool.Register(f)
+	f.CountReads(&db.reg.Pool.RandReads, &db.reg.Pool.SeqReads)
 	// Tables open one after another, in catalog order, so admission is a
 	// running sum in that order; the admitted ones then decode on every core.
 	var jobs []func() error
+	base := storage.PageID(0)
 	for _, def := range defs {
 		def.Name = strings.ToLower(def.Name)
+		if base == f.NumPages() {
+			err = fmt.Errorf("sqldb: table %q: %w: header: the image ends at page %d, before the table's segment; rebuild the database",
+				def.Name, storage.ErrCorruptSegment, base)
+			break
+		}
 		var t *Table
 		var decode func() error
 		if t, err = db.newTable(def); err == nil {
-			decode, err = t.open(left)
+			decode, err = t.open(f, base, left)
 		}
 		if err != nil {
 			break
 		}
 		db.tables[def.Name] = t
+		base += t.seg.Pages()
 		if decode != nil {
 			jobs = append(jobs, decode)
 		}
+	}
+	if err == nil && base != f.NumPages() {
+		err = fmt.Errorf("sqldb: %s: %w: %d pages after the segments of the catalog's %d tables; rebuild the database",
+			ImageName, storage.ErrCorruptSegment, f.NumPages()-base, len(defs))
 	}
 	if err == nil {
 		err = RunJobs(0, jobs)
 	}
 	if err != nil {
-		for _, t := range db.tables {
-			_ = t.file.Close() // best-effort cleanup; the open failure wins
-		}
+		_ = f.Close() // best-effort cleanup; the open failure wins
 		return nil, err
 	}
 	return db, nil
 }
 
 func (db *DB) catalogPath() string { return filepath.Join(db.dir, "catalog.json") }
+
+func (db *DB) imagePath() string { return filepath.Join(db.dir, ImageName) }
 
 // Clock exposes the simulated-device clock: the total device time charged by
 // all I/O since open (or the last Reset).
@@ -206,24 +250,39 @@ func (db *DB) Pool() *storage.Pool { return db.pool }
 // Device returns the device model the database was opened with.
 func (db *DB) Device() storage.DeviceModel { return db.dev }
 
-// DropCaches empties the buffer pool, then forgets where every table file was
-// last read, emulating the paper's OS cache drop (the first read of any file
-// is a seek). The resident vectors stay, as the key directories do: both are
-// what Open decoded, and a server restart is Close and Open again.
+// DropCaches empties the buffer pool, then forgets where the image and every
+// loose segment were last read, emulating the paper's OS cache drop (the
+// first read of any file is a seek). The resident vectors stay, as the key
+// directories do: both are what Open decoded, and a server restart is Close
+// and Open again.
 func (db *DB) DropCaches() {
 	db.pool.DropCaches()
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	for _, t := range db.tables {
-		if t.file != nil {
-			t.file.ForgetLastRead()
-		}
+	for _, f := range db.filesLocked() {
+		f.ForgetLastRead()
 	}
 }
 
-// CreateTable declares a new table: its catalog entry. The table reads as
-// empty until Table.BulkLoad writes its segment, which every catalogued table
-// must have by the time the directory is opened again.
+// filesLocked returns every file the handle's tables read: the image and each
+// loose segment, once each. Caller holds db.mu.
+func (db *DB) filesLocked() []*storage.PagedFile {
+	var files []*storage.PagedFile
+	if db.image != nil {
+		files = append(files, db.image)
+	}
+	for _, t := range db.tables {
+		if t.file != nil && t.file != db.image {
+			files = append(files, t.file)
+		}
+	}
+	return files
+}
+
+// CreateTable declares a new table: its catalog entry, which the next Flush
+// writes. The table reads as empty until Table.BulkLoad writes its segment,
+// which every catalogued table must have by that Flush: the image leaves out
+// a table without one, and the directory then fails to open.
 func (db *DB) CreateTable(def TableDef) (*Table, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -255,41 +314,8 @@ func (db *DB) CreateTable(def TableDef) (*Table, error) {
 		return nil, err
 	}
 	db.tables[name] = t
-	if err := db.saveCatalogLocked(); err != nil {
-		delete(db.tables, name)
-		return nil, err
-	}
+	db.declared = true
 	return t, nil
-}
-
-func (db *DB) saveCatalogLocked() error {
-	defs := make([]TableDef, 0, len(db.tables))
-	for _, t := range db.tables {
-		defs = append(defs, t.def)
-	}
-	// Deterministic order for reproducible catalogs.
-	slices.SortFunc(defs, func(a, b TableDef) int { return strings.Compare(a.Name, b.Name) })
-	data, err := json.MarshalIndent(defs, "", "  ")
-	if err != nil {
-		return err
-	}
-	// Like a segment: the bytes are synced under a temporary name before the
-	// rename, so a crash leaves the old catalog or the new one, never an
-	// empty file behind a durable rename.
-	tmp := db.catalogPath() + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(data)
-	err = firstError(err, f.Sync())
-	if err = firstError(err, f.Close()); err == nil {
-		err = os.Rename(tmp, db.catalogPath())
-	}
-	if err != nil {
-		_ = os.Remove(tmp) // best-effort cleanup; the write failure wins
-	}
-	return err
 }
 
 // Table returns the named table.
@@ -311,16 +337,98 @@ func (db *DB) Tables() []string {
 	return out
 }
 
-// Flush makes every completed write durable. Table files and the catalog are
-// written whole under a temporary name and renamed into place (the segments
-// synced first), so all that is left to do is to sync the directory that
-// holds the renames.
+// Flush makes every completed write durable. When a table was declared or
+// loaded since the last Flush it packs a new image: the segment of every
+// loaded table, in catalog order, copied by page range from the file the
+// table reads — the image this handle opened or the loose segment BulkLoad
+// wrote — is written and synced under a temporary name, and so is the
+// catalog; then the image is renamed into place, then the catalog, the
+// directory is synced, and the loose segments are deleted. The tables keep
+// reading the files they read before, which stay open once replaced or
+// deleted, so a pack changes nothing a reader sees. A crash between the two
+// renames leaves an image the catalog does not describe, which Open refuses.
+// Flush must not run concurrently with a BulkLoad.
 func (db *DB) Flush() error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	names := make([]string, 0, len(db.tables))
+	packed := db.declared
+	for name, t := range db.tables {
+		names = append(names, name)
+		packed = packed || t.loose
+	}
+	if packed {
+		if err := db.packLocked(names); err != nil {
+			return err
+		}
+	}
 	d, err := os.Open(db.dir)
 	if err != nil {
 		return fmt.Errorf("sqldb: %w", err)
 	}
-	return firstError(d.Sync(), d.Close())
+	if err := firstError(d.Sync(), d.Close()); err != nil || !packed {
+		return err
+	}
+	for _, t := range db.tables {
+		if t.loose {
+			if err := os.Remove(t.loosePath()); err != nil {
+				return fmt.Errorf("sqldb: %w", err)
+			}
+			t.loose = false
+		}
+	}
+	db.declared = false
+	return nil
+}
+
+// packLocked writes the catalog of the named tables and their image beside
+// the live ones and renames both into place, the image first. Caller holds
+// db.mu.
+func (db *DB) packLocked(names []string) error {
+	// The catalog lists the tables by name, for reproducible catalogs, and
+	// the image holds their segments in the same order.
+	slices.Sort(names)
+	defs := make([]TableDef, 0, len(names))
+	var segs []*storage.Segment
+	for _, name := range names {
+		t := db.tables[name]
+		defs = append(defs, t.def)
+		if t.file != nil {
+			segs = append(segs, t.seg)
+		}
+	}
+	data, err := json.MarshalIndent(defs, "", "  ")
+	if err != nil {
+		return err
+	}
+	catTmp, imageTmp := db.catalogPath()+".tmp", db.imagePath()+".tmp"
+	err = writeSynced(catTmp, data)
+	if err == nil {
+		err = storage.WriteImage(imageTmp, db.dev, &db.clock, segs)
+	}
+	if err == nil {
+		err = os.Rename(imageTmp, db.imagePath())
+	}
+	if err == nil {
+		err = os.Rename(catTmp, db.catalogPath())
+	}
+	if err != nil {
+		_ = os.Remove(catTmp) // best-effort cleanup; the write failure wins
+		_ = os.Remove(imageTmp)
+		return fmt.Errorf("sqldb: flush: %w", err)
+	}
+	return nil
+}
+
+// writeSynced writes data as the file at path and syncs it.
+func writeSynced(path string, data []byte) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	err = firstError(err, f.Sync())
+	return firstError(err, f.Close())
 }
 
 // Close flushes and releases all files. Every file is closed even when the
@@ -329,12 +437,10 @@ func (db *DB) Close() error {
 	err := db.Flush()
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	for _, t := range db.tables {
-		if t.file != nil {
-			err = firstError(err, t.file.Close())
-		}
+	for _, f := range db.filesLocked() {
+		err = firstError(err, f.Close())
 	}
-	db.tables = map[string]*Table{}
+	db.tables, db.image = map[string]*Table{}, nil
 	return err
 }
 
@@ -348,8 +454,8 @@ func firstError(errs ...error) error {
 	return nil
 }
 
-// SizeOnDisk returns the total bytes of all table files (the paper's
-// Section 4.3 storage report).
+// SizeOnDisk returns the total bytes of the directory's files — after a
+// Flush, the image and the catalog (the paper's Section 4.3 storage report).
 func (db *DB) SizeOnDisk() (int64, error) {
 	var total int64
 	entries, err := os.ReadDir(db.dir)

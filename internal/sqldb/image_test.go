@@ -1,0 +1,338 @@
+package sqldb
+
+// image_test.go checks the directory's one image file: Open walks it by the
+// segments' own headers in catalog order and refuses every way it can
+// disagree with the catalog — cut inside a segment, pages after the last
+// table, a catalogued table it lacks, a segment whose columns are not its
+// table's, and a directory in the older file-per-table layout — naming the
+// table or the image and the rebuild remedy, with no descriptor left open.
+// Flush packs the image: after it the directory holds the catalog and the
+// image only, and the handle keeps answering from what it read before.
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
+	"testing"
+
+	"ptldb/internal/sqldb/exec"
+	"ptldb/internal/sqldb/sqltypes"
+	"ptldb/internal/sqldb/storage"
+)
+
+// imageSegment is one table's segment in an image: its byte range.
+type imageSegment struct {
+	name     string
+	off, end int
+}
+
+// imageSegments walks the image of dir in catalog order and returns each
+// table's byte range.
+func imageSegments(t *testing.T, dir string) []imageSegment {
+	t.Helper()
+	var defs []TableDef
+	cat, err := os.ReadFile(filepath.Join(dir, "catalog.json"))
+	if err == nil {
+		err = json.Unmarshal(cat, &defs)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := storage.OpenPagedFile(filepath.Join(dir, ImageName), storage.RAM, new(storage.Clock))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	pool := storage.NewPool(8)
+	pool.Register(f)
+	var segs []imageSegment
+	base := storage.PageID(0)
+	for _, def := range defs {
+		seg, _, err := storage.OpenSegment(f, base, pool, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", def.Name, err)
+		}
+		segs = append(segs, imageSegment{def.Name, int(base) * storage.PageSize, int(base+seg.Pages()) * storage.PageSize})
+		base += seg.Pages()
+	}
+	return segs
+}
+
+// segmentOf returns the byte range of table name in dir's image.
+func segmentOf(t *testing.T, dir, name string) imageSegment {
+	t.Helper()
+	for _, s := range imageSegments(t, dir) {
+		if s.name == name {
+			return s
+		}
+	}
+	t.Fatalf("no table %q in the image", name)
+	return imageSegment{}
+}
+
+// editImage rewrites dir's image as edit returns it.
+func editImage(t *testing.T, dir string, edit func([]byte) []byte) {
+	t.Helper()
+	path := filepath.Join(dir, ImageName)
+	image, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, edit(image), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// writeSegmentInto writes sd as the segment of table name inside dir's
+// image, in place of the one there.
+func writeSegmentInto(t *testing.T, dir, name string, sd storage.SegmentData) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), name+".seg")
+	if err := storage.WriteSegmentFile(path, storage.RAM, new(storage.Clock), sd); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := segmentOf(t, dir, name)
+	editImage(t, dir, func(b []byte) []byte {
+		return slices.Concat(b[:at.off], seg, b[at.end:])
+	})
+}
+
+// splitImage turns dir into the layout of an older version: one <table>.seg
+// file per table and no image.
+func splitImage(t *testing.T, dir string) {
+	t.Helper()
+	image, err := os.ReadFile(filepath.Join(dir, ImageName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range imageSegments(t, dir) {
+		if err := os.WriteFile(filepath.Join(dir, s.name+".seg"), image[s.off:s.end], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Remove(filepath.Join(dir, ImageName)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// editCatalog rewrites dir's catalog as edit returns it.
+func editCatalog(t *testing.T, dir string, edit func([]TableDef) []TableDef) {
+	t.Helper()
+	path := filepath.Join(dir, "catalog.json")
+	cat, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var defs []TableDef
+	if err := json.Unmarshal(cat, &defs); err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.MarshalIndent(edit(defs), "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// requireOnlyImage fails unless dir holds exactly catalog.json and the image.
+func requireOnlyImage(t *testing.T, dir string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if strings.Join(names, " ") != "catalog.json "+ImageName {
+		t.Errorf("the database directory holds %v; want catalog.json and %s only", names, ImageName)
+	}
+}
+
+// TestImageFailsClosed: every way the image can disagree with the catalog is
+// refused at Open, twice, with an error naming the table or the image and the
+// remedy, the directory unchanged and no descriptor left open; the healthy
+// sibling opens throughout.
+func TestImageFailsClosed(t *testing.T) {
+	healthy := t.TempDir()
+	buildFaultDB(t, healthy)
+	segs := imageSegments(t, healthy)
+	if len(segs) != 3 || segs[0].name != "bad" || segs[1].name != "good" || segs[2].name != "names" {
+		t.Fatalf("image segments %v; want bad, good and names in catalog order", segs)
+	}
+	good := segs[1]
+	cases := []struct {
+		name   string
+		damage func(t *testing.T, dir string)
+		is     error
+		want   []string
+	}{
+		{"truncated-inside-a-segment", func(t *testing.T, dir string) {
+			editImage(t, dir, func(b []byte) []byte { return b[:good.off+2*storage.PageSize] })
+		}, storage.ErrCorruptSegment, []string{`table "good"`, "layout"}},
+		{"pages-after-the-last-table", func(t *testing.T, dir string) {
+			editImage(t, dir, func(b []byte) []byte { return append(b, make([]byte, storage.PageSize)...) })
+		}, storage.ErrCorruptSegment, []string{ImageName, "1 pages after", "rebuild"}},
+		{"catalogued-table-missing", func(t *testing.T, dir string) {
+			editCatalog(t, dir, func(defs []TableDef) []TableDef {
+				extra := defs[1]
+				extra.Name = "zzz"
+				return append(defs, extra)
+			})
+		}, storage.ErrCorruptSegment, []string{`table "zzz"`, "image ends", "rebuild"}},
+		{"column-tags-differ", func(t *testing.T, dir string) {
+			editCatalog(t, dir, func(defs []TableDef) []TableDef {
+				defs[1].Columns[1].Type = sqltypes.Float64
+				return defs
+			})
+		}, storage.ErrCorruptSegment, []string{`table "good"`, "do not match the schema"}},
+		{"file-per-table-layout", splitImage, os.ErrNotExist, []string{`table "bad"`, ImageName, "rebuild"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			buildFaultDB(t, dir)
+			tc.damage(t, dir)
+			listing, before := dirListing(t, dir), openFDs(t)
+			for attempt := 0; attempt < 2; attempt++ {
+				db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256, VectorCacheBytes: 1 << 20})
+				if err == nil {
+					db.Close()
+					t.Fatal("Open accepted the image")
+				}
+				if !errors.Is(err, tc.is) {
+					t.Errorf("error does not wrap %v: %v", tc.is, err)
+				}
+				for _, frag := range tc.want {
+					if !strings.Contains(err.Error(), frag) {
+						t.Errorf("error lacks %q: %v", frag, err)
+					}
+				}
+			}
+			if after := openFDs(t); after != before {
+				t.Errorf("failed opens leaked file descriptors: %d before, %d after", before, after)
+			}
+			if got := dirListing(t, dir); got != listing {
+				t.Errorf("the failed opens changed the directory:\n%s\nwas:\n%s", got, listing)
+			}
+			db, err := Open(healthy, Options{Device: storage.RAM, PoolPages: 256})
+			if err != nil {
+				t.Fatalf("healthy sibling: %v", err)
+			}
+			checkReads(t, db)
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestFlushPacksImage: tables loaded through a handle live in loose files
+// until Flush, which packs them and the tables already in the image into a
+// new image — the catalog's tables, in its order, byte for byte the segments
+// the handle reads — and deletes the loose files. The handle keeps answering
+// after each pack, one opened before another handle's pack keeps answering
+// from the image it opened, and a Flush with nothing new writes nothing.
+func TestFlushPacksImage(t *testing.T) {
+	dir := t.TempDir()
+	buildFaultDB(t, dir)
+	requireOnlyImage(t, dir)
+	old, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Close()
+
+	db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256, VectorCacheBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	extra := mkTable(t, db, "extra", []string{"k"}, "k", "v")
+	load(t, extra, ints(1, 10), ints(2, 20))
+	bad, _ := db.Table("bad")
+	rows := []sqltypes.Row{{sqltypes.NewInt(7), sqltypes.NewInt(8), sqltypes.NewIntArray([]int64{9})}}
+	if err := bad.BulkLoad(rows); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "extra.loose")); err != nil {
+		t.Errorf("before Flush: %v; want the loaded table in its loose file", err)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	requireOnlyImage(t, dir)
+	image, err := os.ReadFile(filepath.Join(dir, ImageName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, s := range imageSegments(t, dir) {
+		names = append(names, s.name)
+	}
+	if strings.Join(names, ",") != "bad,extra,good,names" {
+		t.Errorf("the packed image holds %v; want the catalog's four tables in order", names)
+	}
+	packed, err := os.Stat(filepath.Join(dir, ImageName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := os.Stat(filepath.Join(dir, ImageName)); err != nil || !os.SameFile(again, packed) {
+		t.Errorf("a Flush with nothing new wrote a new image: %v", err)
+	}
+	if again, err := os.ReadFile(filepath.Join(dir, ImageName)); err != nil || !bytes.Equal(again, image) {
+		t.Errorf("a Flush with nothing new changed the image: %v", err)
+	}
+
+	// This handle reads its loose files, unlinked now, and the image it
+	// opened; the older handle reads the image the pack replaced.
+	if row, ok, err := extra.LookupPK([]int64{2}); err != nil || !ok || row[1].I != 20 {
+		t.Errorf("after the pack: extra(2) = %v, %v, %v", row, ok, err)
+	}
+	if row, ok, err := bad.LookupPK([]int64{7}); err != nil || !ok || row[1].I != 8 {
+		t.Errorf("after the pack: bad(7) = %v, %v, %v", row, ok, err)
+	}
+	db.DropCaches()
+	checkGood := func(db *DB) {
+		t.Helper()
+		good, _ := db.Table("good")
+		var s exec.RowScratch
+		if row, ok, err := good.LookupPKScratch([]int64{123}, &s); err != nil || !ok || row[1].I != 369 {
+			t.Errorf("good(123) = %v, %v, %v", row, ok, err)
+		}
+	}
+	checkGood(db)
+	old.DropCaches()
+	checkReads(t, old)
+
+	// The directory opens as packed.
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	checkGood(re)
+	if tbl, ok := re.Table("extra"); !ok || tbl.RowCount() != 2 {
+		t.Errorf("reopened: extra has %v rows", tbl)
+	}
+	if tbl, _ := re.Table("bad"); tbl.RowCount() != 1 {
+		t.Errorf("reopened: bad has %d rows, want the one reloaded", tbl.RowCount())
+	}
+}

@@ -7,7 +7,6 @@ package sqldb
 // query issued right after Open finds every admitted table resident.
 
 import (
-	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -120,9 +119,7 @@ func TestParallelOpenFailsClosed(t *testing.T) {
 		sd.Lens = append(sd.Lens, uint32(len(b)))
 		sd.Data = append(sd.Data, b...)
 	}
-	if err := storage.WriteSegmentFile(filepath.Join(dir, "t3.seg"), storage.RAM, new(storage.Clock), sd); err != nil {
-		t.Fatal(err)
-	}
+	writeSegmentInto(t, dir, "t3", sd)
 	fds, goroutines := openFDs(t), runtime.NumGoroutine()
 	for range 10 {
 		db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256, VectorCacheBytes: 64 << 20})

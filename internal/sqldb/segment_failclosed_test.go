@@ -1,9 +1,10 @@
 package sqldb
 
 // segment_failclosed_test.go checks the engine-level fault policy: a segment
-// is its table's only copy, so a corrupt or truncated .seg fails Open with an
-// error naming the table and wrapping storage.ErrCorruptSegment, and a missing
-// one fails it with an error naming the table and the remedy (rebuild).
+// is its table's only copy, so a corrupt or truncated segment in the image
+// fails Open with an error naming the table and wrapping
+// storage.ErrCorruptSegment, and a missing one fails it with an error naming
+// the table and the remedy (rebuild).
 // Nothing stays open behind the error, nothing is created by it, and a
 // healthy sibling directory is unaffected. Close releases every file even
 // when its flush fails.
@@ -24,8 +25,8 @@ import (
 )
 
 // buildFaultDB bulk-loads two integer tables and one with a text column into
-// dir and closes the database, leaving good.seg, bad.seg and names.seg on
-// disk.
+// dir and closes the database, leaving the segments of bad, good and names,
+// in that order, in the image.
 func buildFaultDB(t *testing.T, dir string) {
 	t.Helper()
 	db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256})
@@ -86,17 +87,17 @@ func openFDs(t *testing.T) int {
 }
 
 // TestOpenFailsClosedOnBadSegment damages each region of one table's segment
-// in turn. Open must return the sentinel with the table and region named,
+// in turn — the image's first, so a cut inside it ends the image there. Open must return the sentinel with the table and region named,
 // leak no file handle, and keep failing on retry; the pristine copy of the
 // same database in a sibling directory opens and reads fine throughout.
 func TestOpenFailsClosedOnBadSegment(t *testing.T) {
 	healthy := t.TempDir()
 	buildFaultDB(t, healthy)
-	pristine, err := os.ReadFile(filepath.Join(healthy, "bad.seg"))
-	if err != nil {
-		t.Fatal(err)
+	bad := segmentOf(t, healthy, "bad")
+	if bad.off != 0 {
+		t.Fatalf("bad's segment starts at byte %d; want the image's first", bad.off)
 	}
-	pages := len(pristine) / storage.PageSize
+	pages := (bad.end - bad.off) / storage.PageSize
 	if pages < 4 {
 		t.Fatalf("segment has %d pages; the fault offsets need header + 2 data + directory", pages)
 	}
@@ -118,10 +119,7 @@ func TestOpenFailsClosedOnBadSegment(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			buildFaultDB(t, dir)
-			image := tc.damage(append([]byte(nil), pristine...))
-			if err := os.WriteFile(filepath.Join(dir, "bad.seg"), image, 0o644); err != nil {
-				t.Fatal(err)
-			}
+			editImage(t, dir, tc.damage)
 			before := openFDs(t)
 			for attempt := 0; attempt < 2; attempt++ {
 				db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256, VectorCacheBytes: 1 << 20})
@@ -175,7 +173,7 @@ func dirListing(t *testing.T, dir string) string {
 
 // TestCloseReleasesFilesWhenFlushFails removes the directory under an open
 // database: the flush cannot sync it and Close must say so — after closing
-// every table's file, not instead.
+// the image and every loose segment, not instead.
 func TestCloseReleasesFilesWhenFlushFails(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
 	buildFaultDB(t, dir)
@@ -184,8 +182,12 @@ func TestCloseReleasesFilesWhenFlushFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if held := openFDs(t) - before; held < 3 {
-		t.Fatalf("the open database holds %d descriptors, want one per table", held)
+	load(t, mkTable(t, db, "more", []string{"k"}, "k"), ints(1))
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if held := openFDs(t) - before; held != 2 {
+		t.Fatalf("the open database holds %d descriptors, want the image and the loose segment", held)
 	}
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
@@ -198,14 +200,15 @@ func TestCloseReleasesFilesWhenFlushFails(t *testing.T) {
 	}
 }
 
-// TestOpenFailsClosedOnMissingSegment removes one table's segment from a
+// TestOpenFailsClosedOnMissingSegment takes tables' segments away from a
 // built directory. The form of a table is not guessed from the files that
-// happen to exist: Open must fail with an error naming the table and telling
+// happen to exist: Open must fail with an error naming a table and telling
 // the operator to rebuild, create nothing in the directory, leak no file
-// handle, and keep failing on retry. The second case is a directory as a
-// build from before every table was a segment left it — a catalogued table
-// with only a heap and an index file — and the third a build that declared a
-// table and never loaded it; both get the same answer.
+// handle, and keep failing on retry. The first case deletes the image, the
+// second leaves the directory as a build from before every table was a
+// segment left it — heap and index files, no image — and the third is a
+// build that declared a table and never loaded it, which the image then
+// lacks.
 func TestOpenFailsClosedOnMissingSegment(t *testing.T) {
 	healthy := t.TempDir()
 	buildFaultDB(t, healthy)
@@ -217,16 +220,17 @@ func TestOpenFailsClosedOnMissingSegment(t *testing.T) {
 	cases := []struct {
 		name, table string
 		damage      func(t *testing.T, dir string)
+		is          error
 	}{
-		{"deleted", "bad", func(t *testing.T, dir string) { remove(t, dir, "bad.seg") }},
-		{"image-from-before-segments", "names", func(t *testing.T, dir string) {
-			remove(t, dir, "names.seg")
+		{"deleted", "bad", func(t *testing.T, dir string) { remove(t, dir, ImageName) }, fs.ErrNotExist},
+		{"image-from-before-segments", "bad", func(t *testing.T, dir string) {
+			remove(t, dir, ImageName)
 			for _, name := range []string{"names.heap", "names.idx"} {
 				if err := os.WriteFile(filepath.Join(dir, name), make([]byte, 2*storage.PageSize), 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}
-		}},
+		}, fs.ErrNotExist},
 		{"declared-never-loaded", "pending", func(t *testing.T, dir string) {
 			db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256})
 			if err != nil {
@@ -245,7 +249,7 @@ func TestOpenFailsClosedOnMissingSegment(t *testing.T) {
 			if err := db.Close(); err != nil {
 				t.Fatal(err)
 			}
-		}},
+		}, storage.ErrCorruptSegment},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -260,10 +264,10 @@ func TestOpenFailsClosedOnMissingSegment(t *testing.T) {
 					db.Close()
 					t.Fatal("Open accepted a directory with a table's segment missing")
 				}
-				if !errors.Is(err, fs.ErrNotExist) {
-					t.Errorf("error does not wrap fs.ErrNotExist: %v", err)
+				if !errors.Is(err, tc.is) {
+					t.Errorf("error does not wrap %v: %v", tc.is, err)
 				}
-				for _, frag := range []string{`table "` + tc.table + `"`, tc.table + ".seg", "rebuild"} {
+				for _, frag := range []string{`table "` + tc.table + `"`, "rebuild"} {
 					if !strings.Contains(err.Error(), frag) {
 						t.Errorf("error lacks %q: %v", frag, err)
 					}
@@ -302,7 +306,7 @@ func TestDamageAfterOpenNeverReachesVectors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	f, err := os.OpenFile(filepath.Join(dir, "bad.seg"), os.O_RDWR, 0)
+	f, err := os.OpenFile(filepath.Join(dir, ImageName), os.O_RDWR, 0) // bad is the image's first segment
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,9 +410,9 @@ func TestMalformedRowFailsMaterialize(t *testing.T) {
 	}
 }
 
-// writeMalformedBad builds the fault database in dir and writes bad.seg anew
-// with rows rows, row k encoded as enc(k); the checksums hold whatever the
-// bytes.
+// writeMalformedBad builds the fault database in dir and writes the segment
+// of bad anew with rows rows, row k encoded as enc(k); the checksums hold
+// whatever the bytes.
 func writeMalformedBad(t *testing.T, dir string, rows int64, enc func(k int64) []byte) {
 	t.Helper()
 	buildFaultDB(t, dir)
@@ -422,7 +426,5 @@ func writeMalformedBad(t *testing.T, dir string, rows int64, enc func(k int64) [
 		sd.Lens = append(sd.Lens, uint32(len(b)))
 		sd.Data = append(sd.Data, b...)
 	}
-	if err := storage.WriteSegmentFile(filepath.Join(dir, "bad.seg"), storage.RAM, new(storage.Clock), sd); err != nil {
-		t.Fatal(err)
-	}
+	writeSegmentInto(t, dir, "bad", sd)
 }

@@ -1,7 +1,8 @@
 // Package storage implements the storage engine of the embedded SQL database
 // used by PTLDB: fixed-size pages on disk, a shared LRU buffer pool (a read
-// cache), and the immutable segment file — rows packed back to back under a
-// sorted key directory — that is every table's one stored form.
+// cache), and the immutable segment — rows packed back to back under a sorted
+// key directory — that is every table's one stored form, alone in a file or
+// back to back with others in an image.
 //
 // Because the PTLDB evaluation compares secondary-storage devices (paper
 // Sections 4.1 vs 4.2), every physical page access is charged against a

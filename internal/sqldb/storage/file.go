@@ -5,6 +5,7 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"ptldb/internal/obs"
 )
@@ -17,8 +18,9 @@ type PageID uint32
 
 // PagedFile is a page-granular view of an on-disk file. All physical reads
 // and writes flow through it so the device model sees every access. A file is
-// either being written (CreatePagedFile: the one pass of WriteSegmentFile) or
-// read (OpenPagedFile: read-only, for the rest of its life). It is safe for
+// either being written (CreatePagedFile: the one pass of WriteSegmentFile or of
+// WriteImage, appending) or read (OpenPagedFile: read-only, for the rest of
+// its life). It is safe for
 // concurrent use: the mutex only guards the page count and the
 // sequential-access detector, while the transfers themselves use pread/
 // pwrite outside any lock so concurrent page I/O overlaps.
@@ -71,7 +73,7 @@ const noPage = ^PageID(0)
 
 // ForgetLastRead resets the sequential-access detector, so the next read is
 // charged as a seek whichever page it is — what a restart does to the disk
-// head. DB.DropCaches calls it on every table file.
+// head. DB.DropCaches calls it on the image and every loose segment.
 func (p *PagedFile) ForgetLastRead() {
 	p.mu.Lock()
 	p.lastRead = noPage
@@ -93,61 +95,58 @@ func (p *PagedFile) Reads() uint64 { return p.reads.Load() }
 // seek count behind the simulated clock. Call it before the file is shared.
 func (p *PagedFile) CountReads(rand, seq *obs.Counter) { p.randReads, p.seqReads = rand, seq }
 
-// Allocate extends the file by one zero page and returns its id.
-func (p *PagedFile) Allocate() (PageID, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	id := p.pages
-	if err := p.f.Truncate(int64(id+1) * PageSize); err != nil {
-		return 0, fmt.Errorf("storage: allocate page %d: %w", id, err)
+// Append stores buf, a whole number of pages, after the file's last page and
+// charges the device one page write per page. A file has one writer.
+func (p *PagedFile) Append(buf []byte) error {
+	if len(buf)%PageSize != 0 {
+		return fmt.Errorf("storage: append of %d bytes is not whole pages", len(buf))
 	}
-	p.pages++
-	return id, nil
+	at := p.NumPages()
+	p.clock.Charge(p.dev.Write * time.Duration(len(buf)/PageSize))
+	if _, err := p.f.WriteAt(buf, int64(at)*PageSize); err != nil {
+		return fmt.Errorf("storage: append at page %d: %w", at, err)
+	}
+	p.mu.Lock()
+	p.pages += PageID(len(buf) / PageSize)
+	p.mu.Unlock()
+	return nil
 }
 
 // ReadPage fills buf (len PageSize) with page id and charges the device
 // model: a sequential read when id follows the previous read, a random read
 // otherwise. The transfer itself runs outside the file lock, so concurrent
 // reads of different pages overlap.
-func (p *PagedFile) ReadPage(id PageID, buf []byte) error {
+func (p *PagedFile) ReadPage(id PageID, buf []byte) error { return p.ReadPages(id, buf[:PageSize]) }
+
+// ReadPages fills buf, a whole number of pages, with the pages from first on
+// in one transfer, charged as that many ReadPage calls in a row: the first
+// page as ReadPage charges it, every later one as a sequential read.
+func (p *PagedFile) ReadPages(first PageID, buf []byte) error {
+	n := PageID(len(buf) / PageSize)
 	p.mu.Lock()
-	if id >= p.pages {
+	if n == 0 || len(buf)%PageSize != 0 || first >= p.pages || n > p.pages-first {
 		p.mu.Unlock()
-		return fmt.Errorf("storage: read past end: page %d of %d", id, p.pages)
+		return fmt.Errorf("storage: read past end: %d bytes from page %d of %d", len(buf), first, p.pages)
 	}
-	seq := p.lastRead != noPage && id == p.lastRead+1
-	p.lastRead = id
+	seq := p.lastRead != noPage && first == p.lastRead+1
+	p.lastRead = first + n - 1
 	p.mu.Unlock()
-	p.reads.Add(1)
+	p.reads.Add(uint64(n))
+	seqs := uint64(n - 1)
 	if seq {
-		p.clock.Charge(p.dev.SeqRead)
-		if p.seqReads != nil {
-			p.seqReads.Add(1)
-		}
+		seqs++
 	} else {
 		p.clock.Charge(p.dev.RandRead)
 		if p.randReads != nil {
 			p.randReads.Add(1)
 		}
 	}
-	if _, err := p.f.ReadAt(buf[:PageSize], int64(id)*PageSize); err != nil {
-		return fmt.Errorf("storage: read page %d: %w", id, err)
+	p.clock.Charge(p.dev.SeqRead * time.Duration(seqs))
+	if p.seqReads != nil && seqs > 0 {
+		p.seqReads.Add(seqs)
 	}
-	return nil
-}
-
-// WritePage stores buf as page id (which must have been allocated) and
-// charges the device write cost.
-func (p *PagedFile) WritePage(id PageID, buf []byte) error {
-	p.mu.Lock()
-	if id >= p.pages {
-		p.mu.Unlock()
-		return fmt.Errorf("storage: write past end: page %d of %d", id, p.pages)
-	}
-	p.mu.Unlock()
-	p.clock.Charge(p.dev.Write)
-	if _, err := p.f.WriteAt(buf[:PageSize], int64(id)*PageSize); err != nil {
-		return fmt.Errorf("storage: write page %d: %w", id, err)
+	if _, err := p.f.ReadAt(buf, int64(first)*PageSize); err != nil {
+		return fmt.Errorf("storage: read page %d: %w", first, err)
 	}
 	return nil
 }

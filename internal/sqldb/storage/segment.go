@@ -57,8 +57,8 @@ func FindFrom(keys []Key, start int, key Key) (int, bool) {
 	return lo, lo < len(keys) && keys[lo] == key
 }
 
-// Segment is the immutable file of one table — the only stored form a table
-// has: the row payloads (opaque to this package — sqldb encodes them with the
+// Segment is the immutable page range of one table — the only stored form a
+// table has: the row payloads (opaque to this package — sqldb encodes them with the
 // tag-free segment codec) packed back to back in a page-aligned data region,
 // plus an in-memory directory mapping each primary key to its payload's
 // offset and length. The directory is decoded once at open, so a cold lookup
@@ -66,7 +66,7 @@ func FindFrom(keys []Key, start int, key Key) (int, bool) {
 // traffic. The zero Segment is an empty one with no file behind it (a table
 // declared but not yet loaded).
 //
-// File layout (all little-endian):
+// Layout, in pages from the segment's first page (all little-endian):
 //
 //	page 0              header: magic, version, row/column counts, pk width,
 //	                    directory location, data size, data/directory/header
@@ -76,17 +76,22 @@ func FindFrom(keys []Key, start int, key Key) (int, bool) {
 //	pages D+1..end      directory: per row varint key0, varint key1,
 //	                    uvarint payload length, zero-padded to a page
 //
-// A segment is written once by WriteSegmentFile during bulk load and never
-// mutated (a table is changed by writing a new file over it); its bytes are a
-// pure function of the row set, which is what keeps build output
-// byte-identical at every worker count. OpenSegment verifies
-// both region checksums and the exact page layout, so a truncated or
-// bit-flipped file is rejected at open with ErrCorruptSegment — the segment
-// is the table's only copy, so the caller fails closed and the recovery is a
-// rebuild (bulk loads are deterministic).
+// The header alone gives the segment's page count, so segments stored back
+// to back in one file are walked front to back, each one's end the next
+// one's start (WriteImage writes such a file; sqldb keeps a database's tables
+// in one). A segment is written once by WriteSegmentFile during bulk load
+// and never mutated (a table is changed by writing a new one); its bytes are
+// a pure function of the row set, which is what keeps build output
+// byte-identical at every worker count, and WriteImage copies them verbatim.
+// OpenSegment verifies both region checksums and the exact page layout, so
+// a truncated or bit-flipped segment is rejected at open with
+// ErrCorruptSegment — the segment is the table's only copy, so the caller
+// fails closed and the recovery is a rebuild (bulk loads are deterministic).
 type Segment struct {
-	file *PagedFile
-	pool *Pool
+	file  *PagedFile
+	pool  *Pool
+	base  PageID // the header page's position in file
+	pages PageID // header, data and directory pages
 
 	cols  []byte // column kind tags, opaque to storage
 	pkLen int
@@ -135,12 +140,13 @@ func headerCRC(page []byte) uint32 {
 	return crc32.Update(crc, segCRCTable, page[segHeaderBytes:PageSize])
 }
 
-// WriteSegmentFile writes sd as the segment file at path, atomically: the
-// bytes go to path+".tmp", are synced, and the finished file is renamed over
-// whatever path held, so a reader (or a crash) sees the old file or the new
-// one, never a partial one. A failed write leaves path untouched and no
-// temporary file. Writes are page-granular through a PagedFile so the device
-// model charges them like any other build I/O.
+// WriteSegmentFile writes sd as a file of one segment at path: the bytes go
+// to path+".tmp" and the finished file is renamed over whatever path held,
+// so a reader of the old file keeps reading it and a failed write leaves
+// path untouched and no temporary file. The file is not synced: it is a
+// loose segment, which a crash may lose, and what must be durable is copied
+// into an image by WriteImage, which syncs. Writes are page-granular through
+// a PagedFile so the device model charges them like any other build I/O.
 func WriteSegmentFile(path string, dev DeviceModel, clock *Clock, sd SegmentData) error {
 	tmp := path + ".tmp"
 	err := writeSegmentFile(tmp, dev, clock, sd)
@@ -152,6 +158,53 @@ func WriteSegmentFile(path string, dev DeviceModel, clock *Clock, sd SegmentData
 		return fmt.Errorf("storage: segment %s: %w", path, err)
 	}
 	return nil
+}
+
+// imageCopyPages is how many pages WriteImage moves per transfer: 1 MiB.
+const imageCopyPages = 128
+
+// WriteImage writes segs back to back, in order, as a new file at path —
+// each segment's pages copied verbatim from its own file by page range, its
+// header first — and syncs it, so that OpenSegment walks the file from page
+// 0, each segment's Pages giving the next one's base. Whatever path held is
+// replaced; a failed write removes path. Every segment must have a file
+// behind it: the zero Segment has none.
+func WriteImage(path string, dev DeviceModel, clock *Clock, segs []*Segment) error {
+	err := writeImage(path, dev, clock, segs)
+	if err != nil {
+		_ = os.Remove(path) // best-effort cleanup; the write failure wins
+		return fmt.Errorf("storage: image %s: %w", path, err)
+	}
+	return nil
+}
+
+func writeImage(path string, dev DeviceModel, clock *Clock, segs []*Segment) (err error) {
+	f, err := CreatePagedFile(path, dev, clock)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	buf := make([]byte, imageCopyPages*PageSize)
+	for i, s := range segs {
+		if s.file == nil {
+			return fmt.Errorf("segment %d has no file", i)
+		}
+		for p := PageID(0); p < s.pages; {
+			b := buf[:min(s.pages-p, imageCopyPages)*PageSize]
+			if err := s.file.ReadPages(s.base+p, b); err != nil {
+				return err
+			}
+			if err := f.Append(b); err != nil {
+				return err
+			}
+			p += PageID(len(b) / PageSize)
+		}
+	}
+	return f.Sync()
 }
 
 func writeSegmentFile(path string, dev DeviceModel, clock *Clock, sd SegmentData) (err error) {
@@ -209,61 +262,51 @@ func writeSegmentFile(path string, dev DeviceModel, clock *Clock, sd SegmentData
 	binary.LittleEndian.PutUint32(page[48:], crc32.Checksum(dir, segCRCTable))
 	copy(page[segHeaderBytes:], sd.Cols)
 	binary.LittleEndian.PutUint32(page[segHeaderCRCAt:], headerCRC(page[:]))
-	if err := writeSegPage(f, page[:]); err != nil {
+	if err := f.Append(page[:]); err != nil {
 		return err
 	}
 	if err := writeSegRegion(f, sd.Data); err != nil {
 		return err
 	}
-	if err := writeSegRegion(f, dir); err != nil {
-		return err
-	}
-	return f.Sync()
+	return writeSegRegion(f, dir)
 }
 
-// writeSegPage allocates the next page and stores buf (len PageSize) there.
-func writeSegPage(f *PagedFile, buf []byte) error {
-	id, err := f.Allocate()
-	if err != nil {
-		return err
-	}
-	return f.WritePage(id, buf)
-}
-
-// writeSegRegion stores b page by page, zero-padding the tail.
+// writeSegRegion appends b, zero-padded to a page.
 func writeSegRegion(f *PagedFile, b []byte) error {
-	var page [PageSize]byte
-	for len(b) > 0 {
-		n := copy(page[:], b)
-		for i := n; i < PageSize; i++ {
-			page[i] = 0
-		}
-		if err := writeSegPage(f, page[:]); err != nil {
+	whole := len(b) / PageSize * PageSize
+	if whole > 0 {
+		if err := f.Append(b[:whole]); err != nil {
 			return err
 		}
-		b = b[n:]
 	}
-	return nil
+	if whole == len(b) {
+		return nil
+	}
+	var page [PageSize]byte
+	copy(page[:], b[whole:])
+	return f.Append(page[:])
 }
 
-// OpenSegment opens a segment over file, decoding the directory into memory.
-// The file is read front to back, exactly once: header, data region,
-// directory — one seek and then sequential transfers, straight from the
-// device. Every data page the pass reads and does not keep (below) is offered
+// OpenSegment opens the segment whose header is page base of file, decoding
+// the directory into memory; the segment's Pages say where the file's next
+// segment, if any, begins. Its pages are read front to back, exactly once:
+// header, data region, directory — sequential transfers straight from the
+// device, so a walk of back-to-back segments costs one seek for the file. Every data page the pass reads and does not keep (below) is offered
 // to the pool (Pool.Offer), so a query after the open finds it resident
 // while a frame was free for it; header and directory pages are not, since
 // nothing reads them through the pool.
 //
-// Every header field is validated against the file's actual page count and
-// both region checksums are verified before the segment is returned, so a
-// truncated file, a bit flip anywhere in a meaningful byte, or a header
-// inflated to provoke huge allocations all fail the open with
-// ErrCorruptSegment instead of panicking or mis-decoding later. Because the
+// Every header field is validated against the pages the file has from base
+// on and both region checksums are verified before the segment is returned,
+// so a file that ends at base or inside the segment, a bit flip anywhere in
+// a meaningful byte, or a header inflated to provoke huge allocations all
+// fail the open with ErrCorruptSegment instead of panicking or mis-decoding
+// later. Pages after the segment are the caller's to account for. Because the
 // data region comes first in the file its checksum is the one reported when
 // both regions are damaged. (Flips in the zero padding of a region's last
 // page are outside the checksums and harmless: no decode ever reads them.)
-// A failed open forgets every page it offered (Pool.Forget), so no page of a
-// rejected file stays in the pool.
+// A failed open forgets every page of file (Pool.Forget), those it offered
+// included, so no page of a rejected file stays in the pool.
 //
 // keep, when non-nil, decides whether the open also returns the data region
 // it checksums: it is handed the header's row count and region size, and the
@@ -275,8 +318,8 @@ func writeSegRegion(f *PagedFile, b []byte) error {
 // payloads stay opaque to storage: the caller that encoded them decides from
 // them whether it will decode the region, and then does so without reading
 // the file a second time. With a nil keep the region is nil.
-func OpenSegment(file *PagedFile, pool *Pool, keep func(rows, size int, chunk []byte) bool) (*Segment, []byte, error) {
-	s, data, err := openSegment(file, pool, keep)
+func OpenSegment(file *PagedFile, base PageID, pool *Pool, keep func(rows, size int, chunk []byte) bool) (*Segment, []byte, error) {
+	s, data, err := openSegment(file, base, pool, keep)
 	if err != nil {
 		pool.Forget(file)
 		return nil, nil, err
@@ -284,13 +327,14 @@ func OpenSegment(file *PagedFile, pool *Pool, keep func(rows, size int, chunk []
 	return s, data, nil
 }
 
-func openSegment(file *PagedFile, pool *Pool, keep func(rows, size int, chunk []byte) bool) (*Segment, []byte, error) {
+func openSegment(file *PagedFile, base PageID, pool *Pool, keep func(rows, size int, chunk []byte) bool) (*Segment, []byte, error) {
 	var page [PageSize]byte
-	totalPages := uint64(file.NumPages())
-	if totalPages == 0 {
-		return nil, nil, corruptSegment("header", "empty file")
+	end := file.NumPages()
+	if base >= end {
+		return nil, nil, corruptSegment("header", "no page %d: the file ends at page %d", base, end)
 	}
-	if err := file.ReadPage(0, page[:]); err != nil {
+	totalPages := uint64(end - base) // the pages the segment may span
+	if err := file.ReadPage(base, page[:]); err != nil {
 		return nil, nil, err
 	}
 	if binary.LittleEndian.Uint32(page[0:]) != segmentMagic {
@@ -313,18 +357,18 @@ func openSegment(file *PagedFile, pool *Pool, keep func(rows, size int, chunk []
 	if segHeaderBytes+int(nCols) > PageSize || pkLen < 1 || pkLen > 2 {
 		return nil, nil, corruptSegment("header", "column count or key width out of range")
 	}
-	// The page layout is fully determined by the header sizes; requiring an
-	// exact match against the file's real page count catches truncation (and
-	// trailing garbage) before any region is read. Bounding both sizes by the
-	// file itself first keeps the ceiling divisions overflow-free.
+	// The page layout is fully determined by the header sizes; requiring it
+	// to fit the pages the file has from base on catches truncation before
+	// any region is read. Bounding both sizes by the file itself first keeps
+	// the ceiling divisions overflow-free.
 	if dataBytes > totalPages*PageSize || dirBytes > totalPages*PageSize {
 		return nil, nil, corruptSegment("layout", "region sizes exceed the file")
 	}
 	dataPages := (dataBytes + PageSize - 1) / PageSize
 	dirPages := (dirBytes + PageSize - 1) / PageSize
-	if uint64(dirPage) != 1+dataPages || totalPages != 1+dataPages+dirPages {
-		return nil, nil, corruptSegment("layout", "%d pages, header implies %d data + %d directory",
-			totalPages, dataPages, dirPages)
+	if uint64(dirPage) != 1+dataPages || 1+dataPages+dirPages > totalPages {
+		return nil, nil, corruptSegment("layout", "%d pages from page %d, header implies 1 + %d data + %d directory",
+			totalPages, base, dataPages, dirPages)
 	}
 	// Every directory entry is at least three bytes, so nRows is bounded by
 	// the (already page-count-checked) directory size — a forged row count
@@ -341,7 +385,7 @@ func openSegment(file *PagedFile, pool *Pool, keep func(rows, size int, chunk []
 	crc, kept := uint32(0), keep != nil
 	var data []byte
 	for off := uint64(0); off < dataBytes; off += PageSize {
-		id := PageID(1 + off/PageSize)
+		id := base + PageID(1+off/PageSize)
 		if err := file.ReadPage(id, page[:]); err != nil {
 			return nil, nil, err
 		}
@@ -355,7 +399,7 @@ func openSegment(file *PagedFile, pool *Pool, keep func(rows, size int, chunk []
 				copy(data[off:], chunk)
 				continue
 			}
-			offerRegion(pool, file, data[:off])
+			offerRegion(pool, file, base, data[:off])
 			data = nil
 		}
 		pool.Offer(file, id, page[:])
@@ -370,7 +414,7 @@ func openSegment(file *PagedFile, pool *Pool, keep func(rows, size int, chunk []
 	// Read and checksum the directory, then decode it.
 	dir := make([]byte, dirBytes)
 	for off := uint64(0); off < dirBytes; off += PageSize {
-		id := PageID(uint64(dirPage) + off/PageSize)
+		id := base + PageID(uint64(dirPage)+off/PageSize)
 		if err := file.ReadPage(id, page[:]); err != nil {
 			return nil, nil, err
 		}
@@ -382,6 +426,8 @@ func openSegment(file *PagedFile, pool *Pool, keep func(rows, size int, chunk []
 	s := &Segment{
 		file:  file,
 		pool:  pool,
+		base:  base,
+		pages: PageID(1 + dataPages + dirPages),
 		cols:  cols,
 		pkLen: int(pkLen),
 		keys:  make([]Key, 0, nRows),
@@ -423,13 +469,17 @@ func openSegment(file *PagedFile, pool *Pool, keep func(rows, size int, chunk []
 	return s, data, nil
 }
 
-// offerRegion offers data — a data region, or the whole pages at its start —
-// to the pool page by page.
-func offerRegion(pool *Pool, file *PagedFile, data []byte) {
+// offerRegion offers data — the data region of the segment at base, or the
+// whole pages at its start — to the pool page by page.
+func offerRegion(pool *Pool, file *PagedFile, base PageID, data []byte) {
 	for off := 0; off < len(data); off += PageSize {
-		pool.Offer(file, PageID(1+off/PageSize), data[off:min(off+PageSize, len(data))])
+		pool.Offer(file, base+PageID(1+off/PageSize), data[off:min(off+PageSize, len(data))])
 	}
 }
+
+// Pages returns the segment's page count: its header, data and directory
+// pages. The zero Segment has none.
+func (s *Segment) Pages() PageID { return s.pages }
 
 // NumRows returns the row count.
 func (s *Segment) NumRows() int { return len(s.keys) }
@@ -470,7 +520,7 @@ func (s *Segment) ReadRow(i int, buf []byte) ([]byte, error) {
 		out = make([]byte, ln)
 	}
 	rem := out
-	page := PageID(1 + s.offs[i]/PageSize)
+	page := s.base + PageID(1+s.offs[i]/PageSize)
 	off := uint32(s.offs[i] % PageSize)
 	for len(rem) > 0 {
 		data, err := s.pool.Get(s.file, page)

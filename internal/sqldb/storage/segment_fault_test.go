@@ -43,7 +43,7 @@ func tryOpen(t *testing.T, path string) (*Segment, []byte, *PagedFile, error) {
 	}
 	pool := NewPool(64)
 	pool.Register(f)
-	seg, data, err := OpenSegment(f, pool, keepAll)
+	seg, data, err := OpenSegment(f, 0, pool, keepAll)
 	if err != nil {
 		f.Close()
 		return nil, nil, nil, err
@@ -195,13 +195,17 @@ func TestSegmentOpenRandomMutations(t *testing.T) {
 	}
 }
 
-// FuzzOpenSegment feeds arbitrary page-aligned images to OpenSegment: any
-// outcome is fine except a panic, and an accepted segment must serve reads
-// without panicking or violating its own directory. Each image is opened
-// three ways — its whole region kept, kept for one page and then let go, and
-// never asked for — into a fresh pool each time: a rejected image leaves no
-// frame of its file in the pool, and an accepted one leaves exactly the data
-// pages it did not return, each frame equal to the file's page.
+// FuzzOpenSegment feeds arbitrary page-aligned images to a walk of segments
+// stored back to back, as a database image stores them, at a nonzero base:
+// the file is one page of zeros and then the image, and the walk opens a
+// segment at page 1 and each next one where the last accepted one ends, while
+// pages remain (at most four). Any outcome is fine except a panic, and an
+// accepted segment must serve reads without panicking or violating its own
+// directory. Each image is walked three ways — every region kept, the first
+// page of the first region kept and then let go, and no region asked for —
+// into a fresh pool each time: a walk that rejects a segment leaves no frame
+// of its file in the pool, and one that accepts every segment leaves exactly
+// the data pages they did not return, each frame equal to the file's page.
 func FuzzOpenSegment(f *testing.F) {
 	dir := f.TempDir()
 	path, _ := writeFaultSegmentF(f, dir)
@@ -209,19 +213,31 @@ func FuzzOpenSegment(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	small := filepath.Join(dir, "small.seg")
+	if err := WriteSegmentFile(small, RAM, &Clock{}, buildSegmentData(rand.New(rand.NewSource(5)), 3)); err != nil {
+		f.Fatal(err)
+	}
+	second, err := os.ReadFile(small)
+	if err != nil {
+		f.Fatal(err)
+	}
+	two := append(append([]byte(nil), image...), second...)
+	f.Add(two)
 	f.Add(image)
 	f.Add(image[:PageSize])
-	// A flipped header, data and directory byte: rejected before, during and
-	// after the pass that offers the data pages.
-	for _, at := range []int{8, PageSize + 8, len(image) - PageSize + 1} {
-		flipped := append([]byte(nil), image...)
+	// A flipped header, data and directory byte of each segment: rejected
+	// before, during and after the pass that offers the data pages.
+	for _, at := range []int{8, PageSize + 8, len(image) - PageSize + 1, len(image) + 8, len(two) - PageSize + 1} {
+		flipped := append([]byte(nil), two...)
 		flipped[at] ^= 0xff
 		f.Add(flipped)
 	}
+	f.Add(two[:len(two)-PageSize])
 	f.Add(make([]byte, 2*PageSize))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		p := filepath.Join(t.TempDir(), "fz.seg")
-		if err := os.WriteFile(p, b, 0o644); err != nil {
+		file := append(make([]byte, PageSize), b...)
+		if err := os.WriteFile(p, file, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		var clock Clock
@@ -235,43 +251,62 @@ func FuzzOpenSegment(f *testing.F) {
 		for _, keep := range []func(int, int, []byte) bool{keepAll, keepFirst, nil} {
 			pool := NewPool(64)
 			pool.Register(pf)
-			seg, data, err := OpenSegment(pf, pool, keep)
-			if err != nil {
+			var segs []*Segment
+			var regions [][]byte
+			base, rejected := PageID(1), false
+			for len(segs) < 4 && base < pf.NumPages() {
+				seg, data, err := OpenSegment(pf, base, pool, keep)
+				if err != nil {
+					rejected = true
+					break
+				}
+				segs, regions = append(segs, seg), append(regions, data)
+				base += seg.Pages()
+			}
+			if rejected {
 				if n := pool.NumFrames(); n != 0 {
 					t.Fatalf("a rejected image left %d frames of its file in the pool", n)
 				}
 				continue
 			}
-			dataBytes := 0
-			for i := 0; i < seg.NumRows(); i++ {
-				dataBytes += int(seg.RowLen(i))
+			offered, dataPage := 0, map[PageID]bool{}
+			for i, seg := range segs {
+				dataBytes := 0
+				for r := 0; r < seg.NumRows(); r++ {
+					dataBytes += int(seg.RowLen(r))
+				}
+				data := regions[i]
+				if data != nil && len(data) != dataBytes {
+					t.Fatalf("segment %d: the directory's payloads sum to %d bytes, the kept region holds %d", i, dataBytes, len(data))
+				}
+				dataPages := (dataBytes + PageSize - 1) / PageSize
+				if data == nil {
+					offered += dataPages
+				}
+				for id := seg.base + 1; id <= seg.base+PageID(dataPages); id++ {
+					dataPage[id] = true
+				}
 			}
-			if data != nil && len(data) != dataBytes {
-				t.Fatalf("the directory's payloads sum to %d bytes, the kept region holds %d", dataBytes, len(data))
-			}
-			dataPages, offered := (dataBytes+PageSize-1)/PageSize, 0
-			if data == nil {
-				offered = min(dataPages, pool.Capacity())
-			}
-			if n := pool.NumFrames(); n != offered {
-				t.Fatalf("%d frames in the pool after an open that returned %d of %d data bytes, want %d",
-					n, len(data), dataBytes, offered)
+			if n := pool.NumFrames(); n != min(offered, pool.Capacity()) {
+				t.Fatalf("%d frames in the pool after a walk of %d segments that offered %d data pages", n, len(segs), offered)
 			}
 			for key, fr := range pool.frames {
-				if key.page < 1 || int(key.page) > dataPages {
-					t.Fatalf("page %d in the pool is not one of the %d data pages", key.page, dataPages)
+				if !dataPage[key.page] {
+					t.Fatalf("page %d in the pool is not a data page of the %d segments", key.page, len(segs))
 				}
-				if !bytes.Equal(fr.data[:], b[int(key.page)*PageSize:][:PageSize]) {
+				if !bytes.Equal(fr.data[:], file[int(key.page)*PageSize:][:PageSize]) {
 					t.Fatalf("page %d in the pool differs from the file's", key.page)
 				}
 			}
 			var buf []byte
-			for i := 0; i < seg.NumRows(); i++ {
-				if buf, err = seg.ReadRow(i, buf); err != nil {
-					return
-				}
-				if len(buf) != int(seg.RowLen(i)) {
-					t.Fatalf("row %d: ReadRow returned %d bytes, directory says %d", i, len(buf), seg.RowLen(i))
+			for _, seg := range segs {
+				for i := 0; i < seg.NumRows(); i++ {
+					if buf, err = seg.ReadRow(i, buf); err != nil {
+						return
+					}
+					if len(buf) != int(seg.RowLen(i)) {
+						t.Fatalf("row %d: ReadRow returned %d bytes, directory says %d", i, len(buf), seg.RowLen(i))
+					}
 				}
 			}
 		}

@@ -2,10 +2,13 @@ package storage
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
 // buildSegmentData fabricates n rows with deterministic payloads, sized so
@@ -36,7 +39,7 @@ func openSegmentAt(t *testing.T, path string, pool *Pool) (*Segment, *PagedFile)
 		t.Fatal(err)
 	}
 	pool.Register(f)
-	seg, _, err := OpenSegment(f, pool, nil)
+	seg, _, err := OpenSegment(f, 0, pool, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +171,7 @@ func TestSegmentRejectsBadInput(t *testing.T) {
 	defer f.Close()
 	pool := NewPool(8)
 	pool.Register(f)
-	if _, _, err := OpenSegment(f, pool, nil); err == nil {
+	if _, _, err := OpenSegment(f, 0, pool, nil); err == nil {
 		t.Fatal("OpenSegment accepted a zeroed file")
 	}
 }
@@ -205,5 +208,84 @@ func TestSegmentColdReadPages(t *testing.T) {
 	missesAfter := pool.Metrics().Misses.Load()
 	if got := missesAfter - missesBefore; got != 1 {
 		t.Fatalf("cold lookup read %d pages, want 1", got)
+	}
+}
+
+// TestWriteImageWalk packs three segments into one image and walks it: the
+// image is the three files back to back, byte for byte; the walk from page 0
+// opens each segment where the one before it ends, in one seek; and every
+// row reads back from the image as it was written.
+func TestWriteImageWalk(t *testing.T) {
+	dir := t.TempDir()
+	pool := NewPool(256)
+	var want []byte
+	var segs []*Segment
+	var datas []SegmentData
+	for i, rows := range []int{40, 0, 7} {
+		path := filepath.Join(dir, fmt.Sprintf("s%d.seg", i))
+		sd := buildSegmentData(rand.New(rand.NewSource(int64(i))), rows)
+		if err := WriteSegmentFile(path, RAM, &Clock{}, sd); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, b...)
+		seg, f := openSegmentAt(t, path, pool)
+		defer f.Close()
+		if seg.Pages() != PageID(len(b)/PageSize) {
+			t.Errorf("segment %d: Pages() = %d, its file has %d", i, seg.Pages(), len(b)/PageSize)
+		}
+		segs, datas = append(segs, seg), append(datas, sd)
+	}
+	image := filepath.Join(dir, "image.seg")
+	if err := WriteImage(image, RAM, &Clock{}, segs); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(image); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("the image is not the segment files back to back (%d vs %d bytes, %v)", len(got), len(want), err)
+	}
+	if err := WriteImage(filepath.Join(dir, "bad.seg"), RAM, &Clock{}, []*Segment{segs[0], new(Segment)}); err == nil {
+		t.Error("WriteImage packed a segment with no file")
+	} else if _, err := os.Stat(filepath.Join(dir, "bad.seg")); !os.IsNotExist(err) {
+		t.Errorf("a failed WriteImage left its file behind: %v", err)
+	}
+
+	var clock Clock
+	f, err := OpenPagedFile(image, HDD, &clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	pool = NewPool(256)
+	pool.Register(f)
+	base := PageID(0)
+	for i, sd := range datas {
+		seg, _, err := OpenSegment(f, base, pool, nil)
+		if err != nil {
+			t.Fatalf("segment %d at page %d: %v", i, base, err)
+		}
+		off := 0
+		for r, ln := range sd.Lens {
+			row, err := seg.ReadRow(r, nil)
+			if err != nil || !bytes.Equal(row, sd.Data[off:off+int(ln)]) {
+				t.Fatalf("segment %d row %d read back wrong: %v", i, r, err)
+			}
+			off += int(ln)
+		}
+		base += seg.Pages()
+	}
+	if base != f.NumPages() {
+		t.Errorf("the walk ended at page %d of %d", base, f.NumPages())
+	}
+	if got, want := clock.Elapsed(), HDD.RandRead+HDD.SeqRead*time.Duration(base-1); got != want {
+		t.Errorf("the walk charged %v, want one seek and %d sequential reads: %v", got, base-1, want)
+	}
+	if _, _, err := OpenSegment(f, base, pool, nil); !errors.Is(err, ErrCorruptSegment) {
+		t.Errorf("a segment past the image's end = %v, want ErrCorruptSegment", err)
+	}
+	if pool.NumFrames() != 0 {
+		t.Errorf("the rejected open left %d frames of the image in the pool", pool.NumFrames())
 	}
 }

@@ -33,12 +33,8 @@ func stampPages(t testing.TB, f *PagedFile, n int) {
 	t.Helper()
 	var page [PageSize]byte
 	for i := 0; i < n; i++ {
-		id, err := f.Allocate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		binary.LittleEndian.PutUint32(page[:], uint32(id))
-		if err := f.WritePage(id, page[:]); err != nil {
+		binary.LittleEndian.PutUint32(page[:], uint32(f.NumPages()))
+		if err := f.Append(page[:]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -50,27 +46,36 @@ func TestPagedFileBasics(t *testing.T) {
 	if f.NumPages() != 0 {
 		t.Fatalf("new file has %d pages", f.NumPages())
 	}
-	id, err := f.Allocate()
-	if err != nil || id != 0 {
-		t.Fatalf("Allocate = %d, %v", id, err)
-	}
-	buf := make([]byte, PageSize)
+	buf := make([]byte, 3*PageSize)
 	copy(buf, "hello")
-	if err := f.WritePage(id, buf); err != nil {
-		t.Fatal(err)
+	copy(buf[2*PageSize:], "world")
+	if err := f.Append(buf[:PageSize]); err != nil || f.NumPages() != 1 {
+		t.Fatalf("Append of a page = %v, %d pages", err, f.NumPages())
+	}
+	if err := f.Append(buf[:10]); err == nil || f.NumPages() != 1 {
+		t.Errorf("Append of a part page = %v, %d pages; want an error and nothing added", err, f.NumPages())
+	}
+	if err := f.Append(buf); err != nil || f.NumPages() != 4 {
+		t.Fatalf("Append of three pages = %v, %d pages", err, f.NumPages())
 	}
 	got := make([]byte, PageSize)
-	if err := f.ReadPage(id, got); err != nil {
+	if err := f.ReadPage(0, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got[:5], []byte("hello")) {
 		t.Errorf("read back %q", got[:5])
 	}
+	if err := f.ReadPages(1, buf); err != nil || !bytes.Equal(buf[:5], []byte("hello")) || !bytes.Equal(buf[2*PageSize:][:5], []byte("world")) {
+		t.Errorf("ReadPages(1, three pages) = %v, %q … %q", err, buf[:5], buf[2*PageSize:][:5])
+	}
 	if err := f.ReadPage(7, got); err == nil {
 		t.Error("read past end succeeded")
 	}
-	if err := f.WritePage(7, buf); err == nil {
-		t.Error("write past end succeeded")
+	if err := f.ReadPages(2, buf); err == nil {
+		t.Error("a read running past the end succeeded")
+	}
+	if err := f.ReadPages(0, buf[:PageSize+1]); err == nil {
+		t.Error("a read of a part page succeeded")
 	}
 }
 
@@ -78,10 +83,9 @@ func TestDeviceCharging(t *testing.T) {
 	var clock Clock
 	f, _ := newTestFile(t, HDD, &clock)
 	buf := make([]byte, PageSize)
-	for i := 0; i < 4; i++ {
-		if _, err := f.Allocate(); err != nil {
-			t.Fatal(err)
-		}
+	stampPages(t, f, 4)
+	if got := clock.Elapsed(); got != 4*HDD.Write {
+		t.Errorf("four page writes charged %v, want %v", got, 4*HDD.Write)
 	}
 	clock.Reset()
 	var randReads, seqReads obs.Counter
@@ -117,10 +121,27 @@ func TestDeviceCharging(t *testing.T) {
 	if got := clock.Elapsed() - before; got != HDD.RandRead {
 		t.Errorf("read after ForgetLastRead charged %v, want %v", got, HDD.RandRead)
 	}
+	// A read of several pages is charged as that many reads in a row: here a
+	// sequential one (page 2 follows page 1) and two more.
+	before = clock.Elapsed()
+	if err := f.ReadPages(2, make([]byte, 2*PageSize)); err != nil {
+		t.Fatal(err)
+	}
+	if got := clock.Elapsed() - before; got != 2*HDD.SeqRead {
+		t.Errorf("two-page read after page 1 charged %v, want %v", got, 2*HDD.SeqRead)
+	}
+	f.ForgetLastRead()
+	before = clock.Elapsed()
+	if err := f.ReadPages(0, make([]byte, 3*PageSize)); err != nil {
+		t.Fatal(err)
+	}
+	if got := clock.Elapsed() - before; got != HDD.RandRead+2*HDD.SeqRead {
+		t.Errorf("three-page read after ForgetLastRead charged %v, want %v", got, HDD.RandRead+2*HDD.SeqRead)
+	}
 	// The counters split the reads exactly as the clock was charged.
-	if r, s := randReads.Load(), seqReads.Load(); r != 3 || s != 1 ||
+	if r, s := randReads.Load(), seqReads.Load(); r != 4 || s != 5 ||
 		clock.Elapsed() != time.Duration(r)*HDD.RandRead+time.Duration(s)*HDD.SeqRead {
-		t.Errorf("counted %d random + %d sequential reads for %v charged, want 3 + 1", r, s, clock.Elapsed())
+		t.Errorf("counted %d random + %d sequential reads for %v charged, want 4 + 5", r, s, clock.Elapsed())
 	}
 }
 
@@ -349,10 +370,7 @@ func TestOpenPagedFileErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if err := f.WritePage(0, make([]byte, PageSize)); err == nil {
-		t.Error("write to a file opened for reading succeeded")
-	}
-	if _, err := f.Allocate(); err == nil {
-		t.Error("growing a file opened for reading succeeded")
+	if err := f.Append(make([]byte, PageSize)); err == nil || f.NumPages() != 1 {
+		t.Errorf("Append to a file opened for reading = %v, %d pages; want an error and one page", err, f.NumPages())
 	}
 }

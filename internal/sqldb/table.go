@@ -2,9 +2,7 @@ package sqldb
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"io/fs"
 	"math"
 	"path/filepath"
 	"sync/atomic"
@@ -15,11 +13,13 @@ import (
 	"ptldb/internal/sqldb/storage"
 )
 
-// Table is one stored table. It has exactly one physical form, the immutable
-// segment file <name>.seg: one directory search plus the payload's own pages
-// per row, fronted by the resident vector cache for all-integer tables. The
-// file is written whole by BulkLoad and only read in between; both executors
-// read through LookupPKScratch and ScanScratch.
+// Table is one stored table. It has exactly one physical form, an immutable
+// segment: one directory search plus the payload's own pages per row, fronted
+// by the resident vector cache for all-integer tables. The segment is a page
+// range of the directory's image when Open read the table, and a loose file
+// when BulkLoad wrote it through this handle; it is written whole by
+// BulkLoad, copied whole into the next image by Flush and only read in
+// between. Both executors read through LookupPKScratch and ScanScratch.
 type Table struct {
 	def    TableDef
 	db     *DB
@@ -36,15 +36,17 @@ type Table struct {
 	targetBound, targetCount        int64
 	floorKey                        int
 
-	// The open segment, replaced as one by BulkLoad. Between CreateTable and
-	// the first BulkLoad there is no file yet and seg is the zero Segment, an
-	// empty one. vc is the table's decoded vectors, which Open decoded before
+	// The open segment and the file it lies in, replaced as one by BulkLoad.
+	// Between CreateTable and the first BulkLoad there is no file yet and seg
+	// is the zero Segment, an empty one. loose is set from a BulkLoad until
+	// the Flush that packs the table into an image deletes its loose file. vc is the table's decoded vectors, which Open decoded before
 	// a read could reach the table; it is nil when the handle has no vector
 	// budget, the table has a DOUBLE or TEXT column, Open declined it or
 	// BulkLoad wrote it, and then every read goes straight to the segment.
-	file *storage.PagedFile
-	seg  *storage.Segment
-	vc   *Mat
+	file  *storage.PagedFile
+	seg   *storage.Segment
+	vc    *Mat
+	loose bool
 
 	// Access counters: primary-key lookups answered (hit or miss) and full
 	// scans started. They let tests verify the paper's secondary-storage
@@ -156,8 +158,9 @@ func (t *Table) Floor() (key int, width int64, cols []int) {
 // RowCount returns the number of stored rows.
 func (t *Table) RowCount() uint64 { return uint64(t.seg.NumRows()) }
 
-// segPath is the table's one file.
-func (t *Table) segPath() string { return filepath.Join(t.db.dir, t.def.Name+".seg") }
+// loosePath is where BulkLoad writes the table's segment; Flush copies it
+// into the image and deletes it.
+func (t *Table) loosePath() string { return filepath.Join(t.db.dir, t.def.Name+".loose") }
 
 // checkRow validates arity, the absence of NULL, the column types — coercing
 // integer values into DOUBLE columns in place — and the declared target-id
@@ -241,13 +244,15 @@ func (t *Table) countTargets(row sqltypes.Row, seen []uint64, distinct int64) (i
 // BulkLoad makes rows the table's content — the one write a table has. The
 // rows must be sorted by strictly ascending primary key and hold no NULL;
 // all of them are validated before a byte is written, so a rejected load
-// leaves the table as it was. The segment is written beside the live one and
-// renamed over it, so loading a table that already has rows replaces them
-// atomically. The loaded table reads its segment until the directory is
-// opened again: only Open admits a table to the vector cache, and a table
-// that held vectors lets them go (vcache.resident_bytes drops by their size).
-// Reads of this table must not run concurrently with its load (bulk
-// maintenance, like CreateTable); loads of different tables may.
+// leaves the table as it was. The segment is written as a loose file of its
+// own, not synced — the next Flush copies it into the image, which it syncs —
+// and replaces the table's old segment as one. The loaded table reads its
+// loose segment until the directory is opened again: only Open admits a table
+// to the vector cache, and a table that held vectors lets them go
+// (vcache.resident_bytes drops by their size). Reads of this table must not
+// run concurrently with its load, nor a Flush with any load (bulk
+// maintenance, like CreateTable); loads of different tables may run
+// concurrently.
 func (t *Table) BulkLoad(rows []sqltypes.Row) error {
 	sd := storage.SegmentData{
 		Cols:  make([]byte, len(t.types)),
@@ -290,22 +295,35 @@ func (t *Table) BulkLoad(rows []sqltypes.Row) error {
 		sd.Data = data
 		sd.Lens[i] = uint32(len(sd.Data) - start)
 	}
-	if err := storage.WriteSegmentFile(t.segPath(), t.db.dev, &t.db.clock, sd); err != nil {
+	db := t.db
+	if err := storage.WriteSegmentFile(t.loosePath(), db.dev, &db.clock, sd); err != nil {
 		return err
 	}
+	t.loose = true
+	f, err := storage.OpenPagedFile(t.loosePath(), db.dev, &db.clock)
+	if err != nil {
+		return fmt.Errorf("sqldb: table %q: %w", t.def.Name, err)
+	}
+	db.pool.Register(f)
+	f.CountReads(&db.reg.Pool.RandReads, &db.reg.Pool.SeqReads)
 	// Should the open fail, the old segment and vectors serve on.
 	oldFile, oldVC := t.file, t.vc
-	if _, err := t.open(nil); err != nil {
+	if _, err := t.open(f, 0, nil); err != nil {
+		_ = db.release(f) // best-effort cleanup; the open failure wins
 		return err
 	}
 	if oldVC != nil {
-		t.db.reg.VCache.ResidentBytes.Add(-oldVC.Bytes)
+		db.reg.VCache.ResidentBytes.Add(-oldVC.Bytes)
 	}
-	return t.db.release(oldFile)
+	if oldFile == db.image {
+		return nil // the image stays open for the tables still in it
+	}
+	return db.release(oldFile)
 }
 
-// open opens and validates the table's segment file — checksums and layout
-// in storage, column layout against the schema here. left is what Open's
+// open opens and validates the table's segment, the one at page base of f —
+// checksums and layout in storage, column layout against the schema here —
+// and makes it the table's. left is what Open's
 // vector budget has left after the tables it admitted before this one, nil
 // when the table is not to be admitted (a handle without a budget, and
 // BulkLoad's reopen). An all-integer table that fits it is admitted: open
@@ -321,20 +339,9 @@ func (t *Table) BulkLoad(rows []sqltypes.Row) error {
 // the end fits, and a table too large for what is left is let go at its
 // first chunk, before any copy. Every data page the table does not keep as
 // vectors ends up in a free frame of the buffer pool (storage.OpenSegment).
-// Open never creates the file: a missing one is an error.
-func (t *Table) open(left *int64) (decode func() error, err error) {
+// A failed open leaves the table as it was and f open: f is the caller's.
+func (t *Table) open(f *storage.PagedFile, base storage.PageID, left *int64) (decode func() error, err error) {
 	db := t.db
-	f, err := storage.OpenPagedFile(t.segPath(), db.dev, &db.clock)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, fmt.Errorf("sqldb: table %q: segment file %s.seg is missing — the directory is damaged or was built by an older version; rebuild it: %w",
-			t.def.Name, t.def.Name, err)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("sqldb: table %q: %w", t.def.Name, err)
-	}
-	db.pool.Register(f)
-	f.CountReads(&db.reg.Pool.RandReads, &db.reg.Pool.SeqReads)
-
 	vectors := left != nil
 	for _, typ := range t.types {
 		vectors = vectors && (typ == sqltypes.Int64 || typ == sqltypes.IntArray)
@@ -349,9 +356,8 @@ func (t *Table) open(left *int64) (decode func() error, err error) {
 			return vectorBytes(t.types, rows, max(varints, size/binary.MaxVarintLen64)) <= *left
 		}
 	}
-	seg, data, err := storage.OpenSegment(f, db.pool, keep)
+	seg, data, err := storage.OpenSegment(f, base, db.pool, keep)
 	if err != nil {
-		_ = f.Close() // best-effort cleanup; the open failure wins
 		return nil, fmt.Errorf("sqldb: table %q: %w", t.def.Name, err)
 	}
 	cols := seg.Cols()
@@ -360,8 +366,7 @@ func (t *Table) open(left *int64) (decode func() error, err error) {
 		match = sqltypes.Type(cols[i]) == t.types[i]
 	}
 	if !match {
-		_ = db.release(f) // best-effort cleanup; the mismatch wins
-		return nil, fmt.Errorf("sqldb: table %q: %w: header: columns %v (pk %d) do not match the schema",
+		return nil, fmt.Errorf("sqldb: table %q: %w: header: columns %v (pk %d) do not match the schema; rebuild the database",
 			t.def.Name, storage.ErrCorruptSegment, cols, seg.PKLen())
 	}
 	t.file, t.seg, t.vc = f, seg, nil
@@ -394,7 +399,7 @@ func (t *Table) open(left *int64) (decode func() error, err error) {
 	}, nil
 }
 
-// release forgets a replaced segment file's pages and closes it.
+// release forgets a replaced loose segment's pages and closes its file.
 func (db *DB) release(f *storage.PagedFile) error {
 	if f == nil {
 		return nil

@@ -19,6 +19,7 @@ import (
 
 	"ptldb/internal/core"
 	"ptldb/internal/csa"
+	"ptldb/internal/sqldb"
 	"ptldb/internal/sqldb/storage"
 )
 
@@ -32,16 +33,21 @@ type condensedFile struct {
 func openCondensedFile(t *testing.T, dir, table string) condensedFile {
 	t.Helper()
 	var clock storage.Clock
-	f, err := storage.OpenPagedFile(filepath.Join(dir, table+".seg"), storage.RAM, &clock)
+	f, err := storage.OpenPagedFile(filepath.Join(dir, sqldb.ImageName), storage.RAM, &clock)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
 	pool := storage.NewPool(8)
 	pool.Register(f)
-	seg, _, err := storage.OpenSegment(f, pool, nil)
-	if err != nil {
-		t.Fatal(err)
+	var seg *storage.Segment
+	for _, s := range imageSegments(t, dir) {
+		if s.name == table {
+			seg, _, err = storage.OpenSegment(f, storage.PageID(s.off/storage.PageSize), pool, nil)
+		}
+	}
+	if seg == nil || err != nil {
+		t.Fatalf("no segment of %s in the image: %v", table, err)
 	}
 	cf := condensedFile{seg: seg, offs: make([]int64, seg.NumRows()+1)}
 	for i := 0; i < seg.NumRows(); i++ {

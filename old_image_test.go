@@ -57,12 +57,19 @@ func TestUndeclaredImageFailsClosed(t *testing.T) {
 		}
 	}
 	// twoNaive turns knn_naive_poi back into the two identical tables an older
-	// build wrote, ea_knn_naive_poi and ld_knn_naive_poi, segments included.
+	// build wrote, ea_knn_naive_poi and ld_knn_naive_poi, segments included:
+	// the image holds the segments in the order of the catalog it returns.
+	imagePath := filepath.Join(dir, sqldb.ImageName)
+	builtImage, err := os.ReadFile(imagePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segOf := map[string][]byte{}
+	for _, seg := range imageSegments(t, dir) {
+		segOf[seg.name] = builtImage[seg.off:seg.end]
+	}
 	twoNaive := func(defs []sqldb.TableDef) []sqldb.TableDef {
-		seg, err := os.ReadFile(filepath.Join(dir, "knn_naive_poi.seg"))
-		if err != nil {
-			t.Fatal(err)
-		}
+		segOf["ea_knn_naive_poi"], segOf["ld_knn_naive_poi"] = segOf["knn_naive_poi"], segOf["knn_naive_poi"]
 		for i := range defs {
 			if defs[i].Name == "knn_naive_poi" {
 				ld := defs[i]
@@ -71,10 +78,12 @@ func TestUndeclaredImageFailsClosed(t *testing.T) {
 				break
 			}
 		}
-		for _, name := range []string{"ea_knn_naive_poi", "ld_knn_naive_poi"} {
-			if err := os.WriteFile(filepath.Join(dir, name+".seg"), seg, 0o644); err != nil {
-				t.Fatal(err)
-			}
+		var image []byte
+		for _, def := range defs {
+			image = append(image, segOf[def.Name]...)
+		}
+		if err := os.WriteFile(imagePath, image, 0o644); err != nil {
+			t.Fatal(err)
 		}
 		return defs
 	}
@@ -131,8 +140,11 @@ func TestUndeclaredImageFailsClosed(t *testing.T) {
 		}
 	}
 
-	// The catalog as built opens.
+	// The catalog and image as built open.
 	if err := os.WriteFile(path, built, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(imagePath, builtImage, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if db, err = Open(dir, Config{Device: "ram"}); err != nil {

@@ -127,7 +127,7 @@ type Config struct {
 	// are declined and read from their segments, as are the tables a handle
 	// writes (AddTargetSet, AddVersion, BuildPathTables) until the directory
 	// is opened again. Sizing guidance: the sum of
-	// every all-integer table's vectors (roughly the .seg bytes on disk)
+	// every all-integer table's vectors (roughly the image's bytes on disk)
 	// keeps every table resident. It has no effect on query answers.
 	VectorCacheBytes int64
 	// BuildWorkers bounds the preprocessing parallelism (default GOMAXPROCS):
@@ -173,8 +173,8 @@ func (c Config) traceHook() func(obs.Trace) {
 
 // DefaultVectorCacheBytes is the vector-cache budget when Config leaves
 // VectorCacheBytes zero: 256 MiB, enough to keep every label table of one
-// paper-scale city resident (their decoded vectors are close to the .seg
-// bytes on disk, tens of MiB per city at the benchmark scales).
+// paper-scale city resident (their decoded vectors are close to their
+// segments' bytes on disk, tens of MiB per city at the benchmark scales).
 const DefaultVectorCacheBytes = 256 << 20
 
 // vcacheBytes resolves the effective vector-cache budget: the default when
@@ -450,8 +450,8 @@ func (d *DB) LDOTM(set string, q StopID, t Time) ([]Result, error) {
 	return d.store.LDOTM(set, q, t)
 }
 
-// DropCaches empties the buffer pool and forgets where every table file was
-// last read, emulating the paper's OS cache drop before each experiment. The
+// DropCaches empties the buffer pool and forgets where the image (and every
+// segment the handle wrote) was last read, emulating the paper's OS cache drop before each experiment. The
 // resident vectors stay: Open decoded them, and a server restart is Close
 // and Open again. The error is always nil; the signature keeps the callers
 // that check it compiling.
@@ -466,7 +466,8 @@ type Stats struct {
 	SimulatedIO time.Duration
 	// CacheHits and CacheMisses count buffer-pool accesses.
 	CacheHits, CacheMisses uint64
-	// SizeOnDisk is the total bytes of all table files.
+	// SizeOnDisk is the total bytes of the directory's files: the image and
+	// the catalog.
 	SizeOnDisk int64
 }
 

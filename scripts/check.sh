@@ -4,10 +4,12 @@
 # with module-wide coverage, which must reach every function outside cmd/ and
 # examples/, the general SQL engine's coverage by its callers alone,
 # 10-second fuzzes of the HTTP time parameter, of the HTTP query bodies, of
-# the segment codec's two row decoders and of the segment open pass, the two
+# the segment codec's two row decoders and of a walk of back-to-back
+# segments, the two
 # allocation ratchets, then the benchmark module
 # (benchmark/ is a module of its own, invisible to ./...), the four examples,
-# a look at what ptldb-build leaves in a database directory, the console on it, and what
+# a look at what ptldb-build leaves in a database directory (the catalog and
+# the image, nothing else), the console on it, and what
 # becomes of that directory once its catalog stops declaring the label run
 # order, the target-id bound, the EA condensed floor or the EA one-to-many
 # target count. Also available as `make check`.
@@ -139,6 +141,12 @@ if git grep -nE 'vcache\.Cache|admitHook|dropVectors|DropTable|DropTargetSet|seg
     echo "no shared account, no admission after Open, no drop path" >&2
     exit 1
 fi
+echo "== a database directory is the catalog and one image (internal/sqldb)"
+if git grep -nE 'segPath|Name *\+ *"\.seg"' -- '*.go' ':!*_test.go'; then
+    echo "sqldb.Open reads every table from the directory's one image, walked by the segments' own headers:" >&2
+    echo "no file per table to open, no per-table segment path (a loose segment is BulkLoad's until Flush packs it)" >&2
+    exit 1
+fi
 echo "== go vet ./..."
 go vet ./...
 echo "== ptldb-analyze ./... (project lint)"
@@ -190,7 +198,7 @@ echo "== fuzz smoke: a query body is byte for byte what encoding/json writes (in
 go test -run '^$' -fuzz '^FuzzQueryBody$' -fuzztime 10s ./internal/serve
 echo "== fuzz smoke: the vector decoder agrees with the row decoder (internal/sqldb/sqltypes)"
 go test -run '^$' -fuzz '^FuzzSegCodecRoundTrip$' -fuzztime 10s ./internal/sqldb/sqltypes
-echo "== fuzz smoke: a rejected segment leaves no page in the pool, an accepted one only its own (internal/sqldb/storage)"
+echo "== fuzz smoke: two segments back to back at a nonzero base: a rejected one leaves no page in the pool, accepted ones only their own (internal/sqldb/storage)"
 go test -run '^$' -fuzz '^FuzzOpenSegment$' -fuzztime 10s -fuzzminimizetime 50x ./internal/sqldb/storage
 echo "== fused and serving allocs/op ratchets (no race detector)"
 go test -run 'TestFusedAllocsBudget' -count=1 .
@@ -207,11 +215,10 @@ echo "== the four examples run (the facade's write-then-query flows)"
 for ex in quickstart poifinder geomarketing journeyplanner; do
     go run "./examples/$ex" > /dev/null
 done
-echo "== built image holds segments and the catalog only"
+echo "== built directory holds exactly catalog.json and the image"
 go run ./cmd/ptldb-build -city Austin -scale 0.01 -targets 0.1:4 -db "$img/db" > /dev/null
-stray=$(ls -A "$img/db" | grep -v -e '\.seg$' -e '^catalog\.json$' || true)
-if [ -n "$stray" ] || [ ! -f "$img/db/lout.seg" ]; then
-    echo "ptldb-build left something other than <table>.seg and catalog.json:" >&2
+if [ "$(ls -A "$img/db" | tr '\n' ' ')" != "catalog.json image.seg " ]; then
+    echo "ptldb-build left something other than catalog.json and image.seg (a loose segment, a .tmp file, a file per table):" >&2
     ls -A "$img/db" >&2
     exit 1
 fi
