@@ -22,7 +22,11 @@
 // Against a multi-tenant server (ptldb-serve -tenants), add -tenant CITY to
 // pick the city; paths gain the /t/{city} prefix.
 //
-// TIME accepts either seconds after midnight or HH:MM:SS. sql and explain take
+// TIME accepts either seconds after midnight or HH:MM:SS. With SRC = DST, ea,
+// ld and sd answer from the event times at SRC that the labels record (its
+// dummy tuples), not TIME itself: ea gives the earliest at or after TIME, ld
+// the latest at or before it, and sd gives 0 when one lies in [FROM, TO]. If
+// there is none, the answer is no journey. sql and explain take
 // a statement of the dialect of Codes 1–4 (DESIGN.md §3.4) and, after it, the
 // values of its parameters $1, $2, … as integers:
 //

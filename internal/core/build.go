@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"ptldb/internal/sqldb"
@@ -26,7 +27,9 @@ type targetTuple struct {
 // the paper notes they can equivalently be created by plain SQL over lin
 // (the statements are omitted there for space); the builders below are the
 // straightforward procedural equivalent, and their output is validated
-// against a specification oracle in the tests.
+// against a specification oracle in the tests. The tables and the meta row
+// registering the set are one Load: a failed one leaves the database and the
+// store as they were.
 func (s *Store) AddTargetSet(name string, targets []timetable.StopID, kmax int) error {
 	if !setNameRE.MatchString(name) {
 		return fmt.Errorf("core: invalid target-set name %q", name)
@@ -87,38 +90,35 @@ func (s *Store) AddTargetSet(name string, targets []timetable.StopID, kmax int) 
 	}
 	sort.Slice(hubs, func(i, j int) bool { return hubs[i] < hubs[j] })
 
-	// Create the five auxiliary tables serially (the catalog is shared
-	// state), then compute and bulk-load each one as an independent job on
-	// the worker pool. The otm tables share the knn layout with the best
-	// entry per target instead of the top-k (paper Section 3.3): kmax = |T|.
-	var tbls [numSetTables]*sqldb.Table
-	for i, def := range s.targetSetDefs(name, len(targets)) {
-		var err error
-		if tbls[i], err = s.DB.CreateTable(def); err != nil {
-			return err
-		}
-	}
-	kmaxOTM := len(targets)
-	jobs := []func() error{
-		func() error { return tbls[naiveTable].BulkLoad(naiveRows(hubs, byHub, kmax)) },
-		func() error { return tbls[knnEATable].BulkLoad(s.condensedEARows(hubs, byHub, kmax)) },
-		func() error { return tbls[knnLDTable].BulkLoad(s.condensedLDRows(hubs, byHub, kmax)) },
-		func() error { return tbls[otmEATable].BulkLoad(s.condensedEARows(hubs, byHub, kmaxOTM)) },
-		func() error { return tbls[otmLDTable].BulkLoad(s.condensedLDRows(hubs, byHub, kmaxOTM)) },
-	}
-	if err := sqldb.RunJobs(s.workers, jobs); err != nil {
-		return err
-	}
-	if err := s.prepareSet(name, kmax); err != nil {
-		return err
-	}
-
+	// The five auxiliary tables and the meta row registering the set are one
+	// Load, each table computed and written on the worker pool. The otm
+	// tables share the knn layout with the best entry per target instead of
+	// the top-k (paper Section 3.3): kmax = |T|.
 	ts := TargetSetMeta{KMax: kmax, Targets: make([]int32, len(targets))}
 	for i, w := range targets {
 		ts.Targets[i] = int32(w)
 	}
+	vm := *s.vm()
+	vm.TargetSets = maps.Clone(vm.TargetSets)
+	vm.TargetSets[name] = ts
+	kmaxOTM := len(targets)
+	rows := [numSetTables]func() []sqltypes.Row{
+		naiveTable: func() []sqltypes.Row { return naiveRows(hubs, byHub, kmax) },
+		knnEATable: func() []sqltypes.Row { return s.condensedEARows(hubs, byHub, kmax) },
+		knnLDTable: func() []sqltypes.Row { return s.condensedLDRows(hubs, byHub, kmax) },
+		otmEATable: func() []sqltypes.Row { return s.condensedEARows(hubs, byHub, kmaxOTM) },
+		otmLDTable: func() []sqltypes.Row { return s.condensedLDRows(hubs, byHub, kmaxOTM) },
+	}
+	var loads []sqldb.TableLoad
+	for i, def := range s.targetSetDefs(name, len(targets)) {
+		loads = append(loads, sqldb.TableLoad{Def: def, Rows: func() ([]sqltypes.Row, error) { return rows[i](), nil }})
+	}
+	loads = append(loads, s.meta.withVersion(s.version, &vm).load())
+	if err := s.DB.Load(s.workers, loads...); err != nil {
+		return err
+	}
 	s.vm().TargetSets[name] = ts
-	return s.saveMeta()
+	return s.prepareSet(name, kmax)
 }
 
 // setTableKind indexes a target set's five tables: the naive table both naive
@@ -149,7 +149,7 @@ func (s *Store) targetSetDefs(set string, targets int) [numSetTables]sqldb.Table
 
 // targetBound is the declaration every target-set table makes of the columns
 // that hold targets: stop ids, so below the number of stops — and, when count
-// is positive, at most count distinct ones. BulkLoad holds the builders to it,
+// is positive, at most count distinct ones. Load holds the builders to it,
 // the kNN / one-to-many kernels size their per-target array by the bound, and
 // the EA one-to-many kernel stops its sweep by the count.
 func targetBound(stops, count int, cols ...string) *sqldb.TargetIDs {
@@ -233,7 +233,7 @@ func arrivalTimes(rs []Result) sqltypes.Value {
 // contiguous run of the file (DESIGN.md §10.1). Every arrival a row holds is
 // no earlier than the start of its bucket — the expanded arm departs inside
 // it, the top-k arm in later ones, and no tuple arrives before it departs —
-// and the table declares so: BulkLoad holds the builder to it, and the kNN and
+// and the table declares so: Load holds the builder to it, and the kNN and
 // one-to-many kernels stop their sweep by it (DESIGN.md §7.4). The one-to-many
 // table also declares its count of targets — the set's size, every id its rows
 // can hold — by which that sweep stops; the kNN table passes 0, no count.

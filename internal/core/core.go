@@ -23,6 +23,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"regexp"
 	"sort"
 
@@ -77,8 +78,7 @@ type Store struct {
 	meta    Meta
 	version string
 
-	// workers is the table-load parallelism of Build/AddVersion/AddTargetSet
-	// (0 = GOMAXPROCS).
+	// workers is the table-load parallelism of the writers (0 = GOMAXPROCS).
 	workers int
 
 	// stmts is the statement table (stmts.go), one entry per version; every
@@ -96,11 +96,11 @@ type Store struct {
 // vm returns the metadata of the bound version.
 func (s *Store) vm() *VersionMeta { return s.meta.Versions[s.version] }
 
-// SetBuildWorkers sets the table-load parallelism used by AddVersion and
-// AddTargetSet (0 = GOMAXPROCS). Build-time parallelism is configured via
-// BuildOptions.Workers instead. Per-table content and on-disk images do not
-// depend on the worker count: tables are created serially and each load
-// writes only its own table's files.
+// SetBuildWorkers sets the table-load parallelism used by AddVersion,
+// AddTargetSet and BuildPathTables (0 = GOMAXPROCS). Build-time parallelism
+// is configured via BuildOptions.Workers instead. Per-table content and
+// on-disk images do not depend on the worker count: each load writes only
+// its own table's file, and the catalog lists the tables by name.
 func (s *Store) SetBuildWorkers(n int) { s.workers = n }
 
 // tableSuffix returns the version suffix of physical table names.
@@ -143,7 +143,8 @@ func (s *Store) Versions() []string {
 // AddVersion loads a second timetable's labels (e.g. the weekend schedule)
 // as a new version: paper Section 3.1's "different versions of the lout and
 // lin DB tables, for servicing each different period". The labels must
-// cover the same stop set.
+// cover the same stop set. The version's tables and the meta row naming it
+// are one Load: a failed one leaves the database and the store as they were.
 func (s *Store) AddVersion(name string, labels *ttl.Labels) error {
 	if !setNameRE.MatchString(name) || name == BaseVersion {
 		return fmt.Errorf("core: invalid version name %q", name)
@@ -157,21 +158,15 @@ func (s *Store) AddVersion(name string, labels *ttl.Labels) error {
 	if !labels.Augmented {
 		labels = labels.Clone().Augment()
 	}
-	vm := &VersionMeta{MinTime: timetable.Infinity, MaxTime: timetable.NegInfinity,
-		TargetSets: map[string]TargetSetMeta{}}
-	if err := loadLabelTables(s.DB, "__"+name, labels, vm, s.workers); err != nil {
-		return err
-	}
-	if vm.MinTime == timetable.Infinity {
-		vm.MinTime, vm.MaxTime = 0, 0
-	}
-	v := *s
-	v.version = name
-	if err := v.prepareVersion(); err != nil {
-		return err
+	vm := newVersionMeta(labels)
+	loads := append(labelLoads("__"+name, labels), s.meta.withVersion(name, vm).load())
+	if err := s.DB.Load(s.workers, loads...); err != nil {
+		return fmt.Errorf("core: load labels (a lout / lin row = stop id): %w", err)
 	}
 	s.meta.Versions[name] = vm
-	return s.saveMeta()
+	v := *s
+	v.version = name
+	return v.prepareVersion()
 }
 
 var setNameRE = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
@@ -192,8 +187,13 @@ type BuildOptions struct {
 // Build creates the lout and lin tables from TTL labels inside an empty
 // database, plus a stops metadata table when a timetable is supplied via
 // BuildOptions. The labels are augmented with the paper's dummy tuples if
-// they are not already.
+// they are not already. A database that already holds tables is refused: a
+// load would replace those of the new build's names and keep the rest, such
+// as another build's path and target-set tables.
 func Build(db *sqldb.DB, labels *ttl.Labels, opts BuildOptions) (*Store, error) {
+	if n := len(db.Tables()); n != 0 {
+		return nil, fmt.Errorf("core: the database already holds %d tables; build into an empty directory", n)
+	}
 	if opts.BucketSeconds == 0 {
 		opts.BucketSeconds = DefaultBucketSeconds
 	}
@@ -203,64 +203,27 @@ func Build(db *sqldb.DB, labels *ttl.Labels, opts BuildOptions) (*Store, error) 
 	if !labels.Augmented {
 		labels = labels.Clone().Augment()
 	}
-	base := &VersionMeta{MinTime: timetable.Infinity, MaxTime: timetable.NegInfinity,
-		TargetSets: map[string]TargetSetMeta{}}
 	s := &Store{
 		DB: db,
 		meta: Meta{
 			Stops:         labels.NumStops(),
 			BucketSeconds: opts.BucketSeconds,
-			Versions:      map[string]*VersionMeta{BaseVersion: base},
+			Versions:      map[string]*VersionMeta{},
 		},
 		version: BaseVersion,
 		workers: opts.Workers,
 		stmts:   map[string]*versionStmts{},
 	}
-	// Tables are created serially (the catalog is shared state), then filled
-	// on the worker pool: each load touches only its own table's files, so
-	// the resulting database does not depend on the worker count.
-	jobs, outRange, inRange, err := labelTableJobs(db, "", labels)
-	if err != nil {
-		return nil, err
-	}
+	// The tables and the meta row describing them are one Load: each table
+	// is computed and written on the worker pool into its own file, so the
+	// resulting database does not depend on the worker count.
+	loads := labelLoads("", labels)
 	if opts.Stops != nil {
-		stopsTbl, err := db.CreateTable(sqldb.TableDef{
-			Name: "stops",
-			PK:   []string{"v"},
-			Columns: []sqldb.ColumnDef{
-				{Name: "v", Type: sqltypes.Int64},
-				{Name: "name", Type: sqltypes.Text},
-				{Name: "lat", Type: sqltypes.Float64},
-				{Name: "lon", Type: sqltypes.Float64},
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-		stops := opts.Stops
-		jobs = append(jobs, func() error { return loadStops(stopsTbl, stops) })
+		loads = append(loads, stopsLoad(opts.Stops))
 	}
-	if err := sqldb.RunJobs(opts.Workers, jobs); err != nil {
-		return nil, err
-	}
-	base.fold(*outRange)
-	base.fold(*inRange)
-	if base.MinTime == timetable.Infinity {
-		base.MinTime, base.MaxTime = 0, 0
-	}
-
-	if _, err := db.CreateTable(sqldb.TableDef{
-		Name: metaTable,
-		PK:   []string{"id"},
-		Columns: []sqldb.ColumnDef{
-			{Name: "id", Type: sqltypes.Int64},
-			{Name: "payload", Type: sqltypes.Text},
-		},
-	}); err != nil {
-		return nil, err
-	}
-	if err := s.saveMeta(); err != nil {
-		return nil, err
+	s.meta.Versions[BaseVersion] = newVersionMeta(labels)
+	if err := db.Load(opts.Workers, append(loads, s.meta.load())...); err != nil {
+		return nil, fmt.Errorf("core: load labels (a lout / lin row = stop id): %w", err)
 	}
 	if err := s.prepareVersion(); err != nil {
 		return nil, err
@@ -269,81 +232,57 @@ func Build(db *sqldb.DB, labels *ttl.Labels, opts BuildOptions) (*Store, error) 
 	return s, nil
 }
 
-// timeRange is one load job's private (min, max) fold slot, merged into the
-// version metadata after the pool drains — the jobs never share state.
-type timeRange struct {
-	min, max timetable.Time
-}
-
-// fold merges one load job's time range into the version metadata.
-func (vm *VersionMeta) fold(r timeRange) {
-	if r.min < vm.MinTime {
-		vm.MinTime = r.min
+// newVersionMeta is the metadata of a version with labels and no target set
+// yet: the earliest departure and the latest arrival of any tuple, 0 and 0
+// when the labels hold none.
+func newVersionMeta(labels *ttl.Labels) *VersionMeta {
+	vm := &VersionMeta{MinTime: timetable.Infinity, MaxTime: timetable.NegInfinity,
+		TargetSets: map[string]TargetSetMeta{}}
+	for _, side := range [][][]ttl.Tuple{labels.Out, labels.In} {
+		for _, label := range side {
+			for _, t := range label {
+				vm.MinTime, vm.MaxTime = min(vm.MinTime, t.Dep), max(vm.MaxTime, t.Arr)
+			}
+		}
 	}
-	if r.max > vm.MaxTime {
-		vm.MaxTime = r.max
+	if vm.MinTime == timetable.Infinity {
+		vm.MinTime, vm.MaxTime = 0, 0
 	}
+	return vm
 }
 
 // labelRunOrder is the run order every label table declares: hubs ascend; a
 // hub's run is a Pareto antichain, ascending in departure and in arrival.
-// Declared, it is validated by BulkLoad, the kernels search the runs instead
+// Declared, it is validated by Load, the kernels search the runs instead
 // of scanning them, and Open refuses a label table without it.
 var labelRunOrder = []string{"hubs", "tds", "tas"}
 
-// labelTableJobs creates one version's lout/lin tables and returns the two
-// load jobs plus the time-range slots they fill.
-func labelTableJobs(db *sqldb.DB, suffix string, labels *ttl.Labels) (jobs []func() error, out, in *timeRange, err error) {
-	def := func(name string) sqldb.TableDef {
-		return sqldb.TableDef{
-			Name: name,
-			PK:   []string{"v"},
-			Columns: []sqldb.ColumnDef{
-				{Name: "v", Type: sqltypes.Int64},
-				{Name: "hubs", Type: sqltypes.IntArray},
-				{Name: "tds", Type: sqltypes.IntArray},
-				{Name: "tas", Type: sqltypes.IntArray},
+// labelLoads are the loads of one version's lout and lin tables. Each row
+// is a stop's label, in ascending stop id order, so a rejected row's index is
+// its stop. The tables declare their run order and Load alone checks it: a
+// label in any other order is its error, naming the position.
+func labelLoads(suffix string, labels *ttl.Labels) []sqldb.TableLoad {
+	load := func(name string, side [][]ttl.Tuple) sqldb.TableLoad {
+		return sqldb.TableLoad{
+			Def: sqldb.TableDef{
+				Name: name,
+				PK:   []string{"v"},
+				Columns: []sqldb.ColumnDef{
+					{Name: "v", Type: sqltypes.Int64},
+					{Name: "hubs", Type: sqltypes.IntArray},
+					{Name: "tds", Type: sqltypes.IntArray},
+					{Name: "tas", Type: sqltypes.IntArray},
+				},
+				RunOrder: labelRunOrder,
 			},
-			RunOrder: labelRunOrder,
+			Rows: func() ([]sqltypes.Row, error) { return labelRows(side), nil },
 		}
 	}
-	loutTbl, err := db.CreateTable(def("lout" + suffix))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	linTbl, err := db.CreateTable(def("lin" + suffix))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	out, in = &timeRange{}, &timeRange{}
-	jobs = []func() error{
-		func() error { return loadLabelSide(loutTbl, labels.Out, out) },
-		func() error { return loadLabelSide(linTbl, labels.In, in) },
-	}
-	return jobs, out, in, nil
+	return []sqldb.TableLoad{load("lout"+suffix, labels.Out), load("lin"+suffix, labels.In)}
 }
 
-// loadLabelTables creates and fills one version's lout/lin tables on the
-// worker pool, folding the label time range into vm.
-func loadLabelTables(db *sqldb.DB, suffix string, labels *ttl.Labels, vm *VersionMeta, workers int) error {
-	jobs, out, in, err := labelTableJobs(db, suffix, labels)
-	if err != nil {
-		return err
-	}
-	if err := sqldb.RunJobs(workers, jobs); err != nil {
-		return err
-	}
-	vm.fold(*out)
-	vm.fold(*in)
-	return nil
-}
-
-// loadLabelSide bulk-loads one label side into its table: the rows are
-// already in ascending primary-key (stop id) order, so a rejected row's index
-// is its stop. The table declares its run order and BulkLoad alone checks it:
-// a label in any other order is its error, naming the position.
-func loadLabelSide(tbl *sqldb.Table, side [][]ttl.Tuple, r *timeRange) error {
-	r.min, r.max = timetable.Infinity, timetable.NegInfinity
+// labelRows are the rows of one label side: (v, hubs, tds, tas) per stop.
+func labelRows(side [][]ttl.Tuple) []sqltypes.Row {
 	rows := make([]sqltypes.Row, len(side))
 	for v, label := range side {
 		hubs := make([]int64, len(label))
@@ -351,12 +290,6 @@ func loadLabelSide(tbl *sqldb.Table, side [][]ttl.Tuple, r *timeRange) error {
 		tas := make([]int64, len(label))
 		for i, t := range label {
 			hubs[i], tds[i], tas[i] = int64(t.Hub), int64(t.Dep), int64(t.Arr)
-			if t.Dep < r.min {
-				r.min = t.Dep
-			}
-			if t.Arr > r.max {
-				r.max = t.Arr
-			}
 		}
 		rows[v] = sqltypes.Row{
 			sqltypes.NewInt(int64(v)),
@@ -365,26 +298,37 @@ func loadLabelSide(tbl *sqldb.Table, side [][]ttl.Tuple, r *timeRange) error {
 			sqltypes.NewIntArray(tas),
 		}
 	}
-	if err := tbl.BulkLoad(rows); err != nil {
-		return fmt.Errorf("core: load %s (row = stop id): %w", tbl.Def().Name, err)
-	}
-	return nil
+	return rows
 }
 
-// loadStops bulk-loads the stops metadata table in ascending id order.
-func loadStops(tbl *sqldb.Table, stops []timetable.Stop) error {
-	sorted := append([]timetable.Stop(nil), stops...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID < sorted[j].ID })
-	rows := make([]sqltypes.Row, len(sorted))
-	for i, stop := range sorted {
-		rows[i] = sqltypes.Row{
-			sqltypes.NewInt(int64(stop.ID)),
-			sqltypes.NewText(stop.Name),
-			sqltypes.NewFloat(stop.Lat),
-			sqltypes.NewFloat(stop.Lon),
-		}
+// stopsLoad is the load of the stops metadata table, in ascending id order.
+func stopsLoad(stops []timetable.Stop) sqldb.TableLoad {
+	return sqldb.TableLoad{
+		Def: sqldb.TableDef{
+			Name: "stops",
+			PK:   []string{"v"},
+			Columns: []sqldb.ColumnDef{
+				{Name: "v", Type: sqltypes.Int64},
+				{Name: "name", Type: sqltypes.Text},
+				{Name: "lat", Type: sqltypes.Float64},
+				{Name: "lon", Type: sqltypes.Float64},
+			},
+		},
+		Rows: func() ([]sqltypes.Row, error) {
+			sorted := append([]timetable.Stop(nil), stops...)
+			sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID < sorted[j].ID })
+			rows := make([]sqltypes.Row, len(sorted))
+			for i, stop := range sorted {
+				rows[i] = sqltypes.Row{
+					sqltypes.NewInt(int64(stop.ID)),
+					sqltypes.NewText(stop.Name),
+					sqltypes.NewFloat(stop.Lat),
+					sqltypes.NewFloat(stop.Lon),
+				}
+			}
+			return rows, nil
+		},
 	}
-	return tbl.BulkLoad(rows)
 }
 
 // Open attaches to a previously built PTLDB database.
@@ -444,18 +388,34 @@ func (s *Store) TargetSets() map[string]TargetSetMeta { return s.vm().TargetSets
 // metaTable is the one-row table (id 0, JSON payload) holding Meta.
 const metaTable = "ptldb_meta"
 
-// saveMeta rewrites the meta table with the store's current metadata: a bulk
-// load of its one row, which replaces the table's file atomically.
-func (s *Store) saveMeta() error {
-	blob, err := json.Marshal(s.meta)
-	if err != nil {
-		return err
+// load is the load of the meta table holding m: its one row, which a writer
+// puts in the same Load as the tables m describes.
+func (m Meta) load() sqldb.TableLoad {
+	return sqldb.TableLoad{
+		Def: sqldb.TableDef{
+			Name: metaTable,
+			PK:   []string{"id"},
+			Columns: []sqldb.ColumnDef{
+				{Name: "id", Type: sqltypes.Int64},
+				{Name: "payload", Type: sqltypes.Text},
+			},
+		},
+		Rows: func() ([]sqltypes.Row, error) {
+			blob, err := json.Marshal(m)
+			if err != nil {
+				return nil, err
+			}
+			return []sqltypes.Row{{sqltypes.NewInt(0), sqltypes.NewText(string(blob))}}, nil
+		},
 	}
-	tbl, ok := s.DB.Table(metaTable)
-	if !ok {
-		return fmt.Errorf("core: %s table missing", metaTable)
-	}
-	return tbl.BulkLoad([]sqltypes.Row{{sqltypes.NewInt(0), sqltypes.NewText(string(blob))}})
+}
+
+// withVersion returns m with version name described by vm, leaving the
+// versions of m as they are.
+func (m Meta) withVersion(name string, vm *VersionMeta) Meta {
+	m.Versions = maps.Clone(m.Versions)
+	m.Versions[name] = vm
+	return m
 }
 
 // Stop returns the stored metadata of one stop (requires the stops table).

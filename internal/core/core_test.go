@@ -141,15 +141,21 @@ func TestV2VRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for iter := 0; iter < 3; iter++ {
 		tt := randomTimetable(rng, 12+rng.Intn(10), 150+rng.Intn(150))
-		st, _ := newStore(t, tt, order.ByDegree(tt), BuildOptions{})
+		st, labels := newStore(t, tt, order.ByDegree(tt), BuildOptions{})
 		n := timetable.StopID(tt.NumStops())
 		for trial := 0; trial < 120; trial++ {
 			s := timetable.StopID(rng.Intn(int(n)))
 			g := timetable.StopID(rng.Intn(int(n)))
+			tq := timetable.Time(rng.Intn(90000))
 			if s == g {
+				// A self-query answers by the dummy tuples, as the
+				// in-memory labels do, not by CSA's t.
+				got, ok, err := st.EarliestArrival(s, s, tq)
+				if want := labels.EarliestArrival(s, s, tq); err != nil || ok != (want < timetable.Infinity) || (ok && got != want) {
+					t.Fatalf("iter %d: EA(%d,%d,%v) = %v,%v,%v; labels %v", iter, s, s, tq, got, ok, err, want)
+				}
 				continue
 			}
-			tq := timetable.Time(rng.Intn(90000))
 			want := csa.EarliestArrival(tt, s, g, tq)
 			got, ok, err := st.EarliestArrival(s, g, tq)
 			if err != nil {

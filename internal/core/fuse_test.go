@@ -97,7 +97,7 @@ func TestBuildRejectsUnorderedLabels(t *testing.T) {
 		if err == nil {
 			t.Fatalf("%s accepted a label that is not run-ordered", what)
 		}
-		for _, frag := range []string{"lout", "row 3", "run order"} {
+		for _, frag := range []string{"lout", "row 3", "run order", "row = stop id"} {
 			if !strings.Contains(err.Error(), frag) {
 				t.Errorf("%s: error lacks %q: %v", what, frag, err)
 			}

@@ -36,124 +36,121 @@ func packVHub(v, hub timetable.StopID) int64 {
 // preprocessing: one earliest-arrival tree (csa.EarliestArrivalTree) per
 // distinct (stop, departure) pair occurring in the labels. A tuple's journey
 // boards at exactly its t_d, so the tree from (stop, t_d) reaches its hub at
-// its t_a.
+// its t_a. The two tables are one Load, each expanded on the worker pool: a
+// failed one leaves the database as it was, and a second call is refused.
 func (s *Store) BuildPathTables(tt *timetable.Timetable) error {
+	if s.HasPathTables() {
+		return fmt.Errorf("core: the path tables of version %q already exist", s.version)
+	}
 	if tt.NumStops() != s.meta.Stops {
 		return fmt.Errorf("core: timetable has %d stops, store has %d", tt.NumStops(), s.meta.Stops)
 	}
-	def := func(name string) sqldb.TableDef {
-		return sqldb.TableDef{
-			Name: name,
-			PK:   []string{"vhub", "td"},
-			Columns: []sqldb.ColumnDef{
-				{Name: "vhub", Type: sqltypes.Int64},
-				{Name: "td", Type: sqltypes.Int64},
-				{Name: "stops", Type: sqltypes.IntArray},
-				{Name: "trips", Type: sqltypes.IntArray},
-			},
-		}
-	}
-	pout, err := s.DB.CreateTable(def(s.pathsOutTable()))
-	if err != nil {
-		return err
-	}
-	pin, err := s.DB.CreateTable(def(s.pathsInTable()))
-	if err != nil {
-		return err
-	}
-
-	// paths_out: journeys v -> hub. All tuples of one lout row that share a
-	// departure time are covered by a single scan from (v, td).
 	lout, ok := s.DB.Table(s.loutTable())
 	if !ok {
 		return fmt.Errorf("core: %s table missing", s.loutTable())
 	}
-	var outRows, inRows []sqltypes.Row
-	err = lout.Scan(func(row sqltypes.Row) error {
-		v := timetable.StopID(row[0].I)
-		hubs, tds, tas := row[1].A, row[2].A, row[3].A
-		byDep := map[int64][]int{}
-		for i := range hubs {
-			if tds[i] == tas[i] { // dummy tuple
-				continue
-			}
-			byDep[tds[i]] = append(byDep[tds[i]], i)
+	lin, ok := s.DB.Table(s.linTable())
+	if !ok {
+		return fmt.Errorf("core: %s table missing", s.linTable())
+	}
+	load := func(name string, rows func() ([]sqltypes.Row, error)) sqldb.TableLoad {
+		return sqldb.TableLoad{
+			Def: sqldb.TableDef{
+				Name: name,
+				PK:   []string{"vhub", "td"},
+				Columns: []sqldb.ColumnDef{
+					{Name: "vhub", Type: sqltypes.Int64},
+					{Name: "td", Type: sqltypes.Int64},
+					{Name: "stops", Type: sqltypes.IntArray},
+					{Name: "trips", Type: sqltypes.IntArray},
+				},
+			},
+			// The journeys come out in map iteration order.
+			Rows: func() ([]sqltypes.Row, error) {
+				rows, err := rows()
+				sort.Slice(rows, func(a, b int) bool {
+					if rows[a][0].I != rows[b][0].I {
+						return rows[a][0].I < rows[b][0].I
+					}
+					return rows[a][1].I < rows[b][1].I
+				})
+				return rows, err
+			},
 		}
-		for dep, idxs := range byDep {
-			tree := csa.EarliestArrivalTree(tt, v, timetable.Time(dep))
-			for _, i := range idxs {
-				hub := timetable.StopID(hubs[i])
-				if tree.Arr[hub] != timetable.Time(tas[i]) {
-					return fmt.Errorf("core: path expansion mismatch for %d->%d@%d: scan %v, label %d",
-						v, hub, dep, tree.Arr[hub], tas[i])
+	}
+	// paths_out: journeys v -> hub. All tuples of one lout row that share a
+	// departure time are covered by a single scan from (v, td).
+	pathsOut := func() (rows []sqltypes.Row, err error) {
+		err = lout.Scan(func(row sqltypes.Row) error {
+			v := timetable.StopID(row[0].I)
+			hubs, tds, tas := row[1].A, row[2].A, row[3].A
+			byDep := map[int64][]int{}
+			for i := range hubs {
+				if tds[i] == tas[i] { // dummy tuple
+					continue
 				}
-				stops, trips := pathColumns(v, tree.Journey(tt, hub))
-				outRows = append(outRows, sqltypes.Row{
-					sqltypes.NewInt(packVHub(v, hub)), sqltypes.NewInt(dep),
+				byDep[tds[i]] = append(byDep[tds[i]], i)
+			}
+			for dep, idxs := range byDep {
+				tree := csa.EarliestArrivalTree(tt, v, timetable.Time(dep))
+				for _, i := range idxs {
+					hub := timetable.StopID(hubs[i])
+					if tree.Arr[hub] != timetable.Time(tas[i]) {
+						return fmt.Errorf("core: path expansion mismatch for %d->%d@%d: scan %v, label %d",
+							v, hub, dep, tree.Arr[hub], tas[i])
+					}
+					stops, trips := pathColumns(v, tree.Journey(tt, hub))
+					rows = append(rows, sqltypes.Row{
+						sqltypes.NewInt(packVHub(v, hub)), sqltypes.NewInt(dep),
+						sqltypes.NewIntArray(stops), sqltypes.NewIntArray(trips),
+					})
+				}
+			}
+			return nil
+		})
+		return rows, err
+	}
+	// paths_in: journeys hub -> v. Bucket all lin tuples by (hub, td) so one
+	// scan from the hub covers every target stop sharing the departure.
+	pathsIn := func() (rows []sqltypes.Row, err error) {
+		type dest struct {
+			v  timetable.StopID
+			ta int64
+		}
+		byHubDep := map[[2]int64][]dest{}
+		err = lin.Scan(func(row sqltypes.Row) error {
+			v := timetable.StopID(row[0].I)
+			hubs, tds, tas := row[1].A, row[2].A, row[3].A
+			for i := range hubs {
+				if tds[i] == tas[i] {
+					continue
+				}
+				k := [2]int64{hubs[i], tds[i]}
+				byHubDep[k] = append(byHubDep[k], dest{v: v, ta: tas[i]})
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		for k, dests := range byHubDep {
+			hub, dep := timetable.StopID(k[0]), k[1]
+			tree := csa.EarliestArrivalTree(tt, hub, timetable.Time(dep))
+			for _, d := range dests {
+				if tree.Arr[d.v] != timetable.Time(d.ta) {
+					return nil, fmt.Errorf("core: path expansion mismatch for %d->%d@%d: scan %v, label %d",
+						hub, d.v, dep, tree.Arr[d.v], d.ta)
+				}
+				stops, trips := pathColumns(hub, tree.Journey(tt, d.v))
+				rows = append(rows, sqltypes.Row{
+					sqltypes.NewInt(packVHub(d.v, hub)), sqltypes.NewInt(dep),
 					sqltypes.NewIntArray(stops), sqltypes.NewIntArray(trips),
 				})
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		return err
+		return rows, nil
 	}
-	if err := loadPathRows(pout, outRows); err != nil {
-		return err
-	}
-
-	// paths_in: journeys hub -> v. Bucket all lin tuples by (hub, td) so one
-	// scan from the hub covers every target stop sharing the departure.
-	lin, _ := s.DB.Table(s.linTable())
-	type dest struct {
-		v  timetable.StopID
-		ta int64
-	}
-	byHubDep := map[[2]int64][]dest{}
-	err = lin.Scan(func(row sqltypes.Row) error {
-		v := timetable.StopID(row[0].I)
-		hubs, tds, tas := row[1].A, row[2].A, row[3].A
-		for i := range hubs {
-			if tds[i] == tas[i] {
-				continue
-			}
-			k := [2]int64{hubs[i], tds[i]}
-			byHubDep[k] = append(byHubDep[k], dest{v: v, ta: tas[i]})
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	for k, dests := range byHubDep {
-		hub, dep := timetable.StopID(k[0]), k[1]
-		tree := csa.EarliestArrivalTree(tt, hub, timetable.Time(dep))
-		for _, d := range dests {
-			if tree.Arr[d.v] != timetable.Time(d.ta) {
-				return fmt.Errorf("core: path expansion mismatch for %d->%d@%d: scan %v, label %d",
-					hub, d.v, dep, tree.Arr[d.v], d.ta)
-			}
-			stops, trips := pathColumns(hub, tree.Journey(tt, d.v))
-			inRows = append(inRows, sqltypes.Row{
-				sqltypes.NewInt(packVHub(d.v, hub)), sqltypes.NewInt(dep),
-				sqltypes.NewIntArray(stops), sqltypes.NewIntArray(trips),
-			})
-		}
-	}
-	return loadPathRows(pin, inRows)
-}
-
-// loadPathRows sorts expanded journeys by their (vhub, td) key — they were
-// produced in map iteration order — and bulk-loads them.
-func loadPathRows(tbl *sqldb.Table, rows []sqltypes.Row) error {
-	sort.Slice(rows, func(a, b int) bool {
-		if rows[a][0].I != rows[b][0].I {
-			return rows[a][0].I < rows[b][0].I
-		}
-		return rows[a][1].I < rows[b][1].I
-	})
-	return tbl.BulkLoad(rows)
+	return s.DB.Load(s.workers, load(s.pathsOutTable(), pathsOut), load(s.pathsInTable(), pathsIn))
 }
 
 func (s *Store) pathsOutTable() string { return "paths_out" + s.tableSuffix() }

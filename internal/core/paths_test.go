@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"ptldb/internal/csa"
@@ -60,6 +61,9 @@ func TestPathTablesPaperExample(t *testing.T) {
 	}
 	if !st.HasPathTables() {
 		t.Fatal("path tables missing after build")
+	}
+	if err := st.BuildPathTables(tt); err == nil || !strings.Contains(err.Error(), "already exist") {
+		t.Errorf("a second BuildPathTables: %v; want a refusal", err)
 	}
 
 	// Full trip-1 ride 5 -> 6 via the center.

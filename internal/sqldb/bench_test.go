@@ -41,16 +41,11 @@ WHERE outp.hub=inp.hub AND outp.ta<=inp.td AND outp.td>=$3`
 // BenchmarkPointLookupSQL measures a PK point query end to end.
 func BenchmarkPointLookupSQL(b *testing.B) {
 	db := benchDB(b)
-	tbl, err := db.CreateTable(TableDef{Name: "kv", PK: []string{"k"},
-		Columns: []ColumnDef{{Name: "k", Type: sqltypes.Int64}, {Name: "v", Type: sqltypes.Int64}}})
-	if err != nil {
-		b.Fatal(err)
-	}
 	var rows []sqltypes.Row
 	for i := int64(0); i < 10000; i++ {
 		rows = append(rows, ints(i, i*2))
 	}
-	load(b, tbl, rows...)
+	load(b, db, mkTable("kv", []string{"k"}, "k", "v"), rows...)
 	st, err := db.Prepare("SELECT v FROM kv WHERE k = $1")
 	if err != nil {
 		b.Fatal(err)
@@ -70,16 +65,6 @@ func BenchmarkPointLookupSQL(b *testing.B) {
 func BenchmarkUnnestJoinAggregate(b *testing.B) {
 	db := benchDB(b)
 	for _, name := range []string{"lo", "li"} {
-		tbl, err := db.CreateTable(TableDef{Name: name, PK: []string{"v"},
-			Columns: []ColumnDef{
-				{Name: "v", Type: sqltypes.Int64},
-				{Name: "hubs", Type: sqltypes.IntArray},
-				{Name: "tds", Type: sqltypes.IntArray},
-				{Name: "tas", Type: sqltypes.IntArray},
-			}})
-		if err != nil {
-			b.Fatal(err)
-		}
 		// 1000-tuple label: 50 hubs x 20 departures.
 		var hubs, tds, tas []int64
 		for h := int64(0); h < 50; h++ {
@@ -89,7 +74,7 @@ func BenchmarkUnnestJoinAggregate(b *testing.B) {
 				tas = append(tas, 30000+d*600+900)
 			}
 		}
-		load(b, tbl, sqltypes.Row{sqltypes.NewInt(0),
+		load(b, db, mkTable(name, []string{"v"}, "v", "hubs:arr", "tds:arr", "tas:arr"), sqltypes.Row{sqltypes.NewInt(0),
 			sqltypes.NewIntArray(hubs), sqltypes.NewIntArray(tds), sqltypes.NewIntArray(tas)})
 	}
 	st, err := db.Prepare(`

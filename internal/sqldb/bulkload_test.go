@@ -12,7 +12,7 @@ import (
 )
 
 // TestTableBulkLoadKeyless: a table without a primary key has no stored form
-// and is refused when it is declared, before any file exists.
+// and is refused when its definition is validated, before any file exists.
 func TestTableBulkLoadKeyless(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir, Options{Device: storage.RAM})
@@ -20,10 +20,9 @@ func TestTableBulkLoadKeyless(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	_, err = db.CreateTable(TableDef{Name: "plain",
-		Columns: []ColumnDef{{Name: "a", Type: sqltypes.Int64}, {Name: "b", Type: sqltypes.Int64}}})
+	_, err = tryLoad(db, mkTable("plain", nil, "a", "b"), ints(1, 2))
 	if err == nil || !strings.Contains(err.Error(), "primary key") {
-		t.Fatalf("CreateTable without a key: %v, want a rejection naming the primary key", err)
+		t.Fatalf("Load without a key: %v, want a rejection naming the primary key", err)
 	}
 	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
 		t.Fatalf("refused table left %d files behind", len(entries))
@@ -34,12 +33,7 @@ func TestTableBulkLoadKeyless(t *testing.T) {
 // as floats.
 func TestTableBulkLoadCoercesInts(t *testing.T) {
 	db := newTestDB(t)
-	tbl := mkTable(t, db, "coerce", []string{"k"}, "k", "x:float")
-	if err := tbl.BulkLoad([]sqltypes.Row{
-		{sqltypes.NewInt(1), sqltypes.NewInt(7)},
-	}); err != nil {
-		t.Fatal(err)
-	}
+	tbl := load(t, db, mkTable("coerce", []string{"k"}, "k", "x:float"), sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewInt(7)})
 	row, ok, err := tbl.LookupPK([]int64{1})
 	if err != nil || !ok {
 		t.Fatalf("LookupPK = %v, %v", ok, err)
@@ -71,14 +65,8 @@ func TestTableBulkLoadTinyReopen(t *testing.T) {
 			sqltypes.Row{sqltypes.NewInt(7), sqltypes.NewInt(70), sqltypes.NewFloat(1.5), sqltypes.NewText("seven")}},
 	}
 	for _, kind := range kinds {
-		empty := mkTable(t, db, kind.prefix+"_empty", []string{"k"}, kind.cols...)
-		if err := empty.BulkLoad(nil); err != nil {
-			t.Fatalf("BulkLoad(nil): %v", err)
-		}
-		single := mkTable(t, db, kind.prefix+"_single", []string{"k"}, kind.cols...)
-		if err := single.BulkLoad([]sqltypes.Row{kind.row}); err != nil {
-			t.Fatalf("BulkLoad(1 row): %v", err)
-		}
+		load(t, db, mkTable(kind.prefix+"_empty", []string{"k"}, kind.cols...))
+		load(t, db, mkTable(kind.prefix+"_single", []string{"k"}, kind.cols...), kind.row)
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
@@ -128,8 +116,8 @@ func TestTableBulkLoadTinyReopen(t *testing.T) {
 			}
 		}
 		// A table can be loaded after a reopen as well as before one.
-		if err := single.BulkLoad(nil); err != nil || single.RowCount() != 0 {
-			t.Fatalf("emptying %s_single after reopen: %v (%d rows)", kind.prefix, err, single.RowCount())
+		if emptied := load(t, db2, single.Def()); emptied.RowCount() != 0 || single.RowCount() != 1 {
+			t.Fatalf("emptying %s_single after reopen: %d rows, the replaced table %d", kind.prefix, emptied.RowCount(), single.RowCount())
 		}
 	}
 }
@@ -160,30 +148,38 @@ func requireLoose(t *testing.T, dir string, tables ...string) {
 	}
 }
 
-// TestBulkLoadReplacesTable: BulkLoad is the table's one write, so loading a
-// table that has rows replaces them — atomically, by rename, leaving one
-// loose segment beside the image until the next Flush — and no reader sees the old content afterwards, not
-// even where the old content was resident vectors: the replaced table lets
-// them go and reads its new segment.
+// TestBulkLoadReplacesTable: a Load of a name the catalog holds makes a new
+// table, leaving one loose segment beside the image until the next Flush.
+// DB.Table and every later Prepare see the new rows; the replaced table does
+// not change — a statement prepared on it, and the table itself, keep
+// answering the rows they answered, from the vectors it had — and Close
+// closes its file with the others.
 func TestBulkLoadReplacesTable(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl := mkTable(t, db, "lab", []string{"k"}, "k", "xs:arr")
+	def := mkTable("lab", []string{"k"}, "k", "xs:arr")
 	row := func(k, x int64) sqltypes.Row {
 		return sqltypes.Row{sqltypes.NewInt(k), sqltypes.NewIntArray([]int64{x, x * 2})}
 	}
-	load(t, tbl, row(1, 1), row(2, 2), row(3, 3))
+	load(t, db, def, row(1, 1), row(2, 2), row(3, 3))
 	db = reopen(t, db, Options{Device: storage.RAM, PoolPages: 256, VectorCacheBytes: 1 << 20})
-	tbl, _ = db.Table("lab")
-	if got, ok, err := tbl.LookupPK([]int64{2}); err != nil || !ok || got[1].A[1] != 4 || !tbl.Resident() {
-		t.Fatalf("LookupPK(2) = %v, %v, %v (resident %v); want the first content from the vectors", got, ok, err, tbl.Resident())
+	old, _ := db.Table("lab")
+	if got, ok, err := old.LookupPK([]int64{2}); err != nil || !ok || got[1].A[1] != 4 || !old.Resident() {
+		t.Fatalf("LookupPK(2) = %v, %v, %v (resident %v); want the first content from the vectors", got, ok, err, old.Resident())
+	}
+	prepared, err := db.Prepare("SELECT k FROM lab WHERE k = $1")
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	load(t, tbl, row(2, 20), row(9, 9))
+	tbl := load(t, db, def, row(2, 20), row(9, 9))
 	requireLoose(t, dir, "lab")
+	if now, _ := db.Table("lab"); now != tbl || tbl == old {
+		t.Fatal("DB.Table does not return the table the replacing load made")
+	}
 	if tbl.RowCount() != 2 || tbl.Resident() {
 		t.Fatalf("RowCount = %d (resident %v) after the replacing load, want 2 rows read from the segment", tbl.RowCount(), tbl.Resident())
 	}
@@ -191,7 +187,17 @@ func TestBulkLoadReplacesTable(t *testing.T) {
 		t.Fatalf("LookupPK(2) after the replacing load = %v, %v, %v; want the new row", got, ok, err)
 	}
 	if _, ok, _ := tbl.LookupPK([]int64{1}); ok {
-		t.Error("a row of the replaced content is still visible")
+		t.Error("a row of the replaced content is visible in the new table")
+	}
+	if rel, err := db.Query("SELECT k FROM lab WHERE k = 1"); err != nil || len(rel.Rows) != 0 {
+		t.Errorf("a query after the load answers %v, %v; want the new table, without k = 1", rel, err)
+	}
+	// The replaced table and a statement prepared on it answer as before.
+	if got, ok, err := old.LookupPK([]int64{2}); err != nil || !ok || got[1].A[1] != 4 || !old.Resident() || old.RowCount() != 3 {
+		t.Errorf("the replaced table answers LookupPK(2) = %v, %v, %v (resident %v, %d rows); want what it answered", got, ok, err, old.Resident(), old.RowCount())
+	}
+	if rel, err := prepared.Query(sqltypes.NewInt(1)); err != nil || len(rel.Rows) != 1 {
+		t.Errorf("the statement prepared before the load answers k = 1 with %v, %v; want the row it read", rel, err)
 	}
 	// With the pool dropped the segment itself answers the same.
 	db.DropCaches()
@@ -204,7 +210,9 @@ func TestBulkLoadReplacesTable(t *testing.T) {
 // vector cache. A table loaded through a handle with a budget reads its
 // segment — EXPLAIN names the segment tier and no query hits a vector — until
 // the directory is opened again, which admits it; replacing an admitted table
-// lowers vcache.resident_bytes by exactly its vectors.
+// lowers vcache.resident_bytes by exactly its vectors, and the replacing
+// table, written through the handle, reads its segment, while a statement
+// prepared before the load keeps answering from the replaced one.
 func TestWrittenTableReadsSegmentUntilOpen(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Device: storage.RAM, PoolPages: 256, VectorCacheBytes: 1 << 20}
@@ -213,28 +221,34 @@ func TestWrittenTableReadsSegmentUntilOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"lout", "lin"} {
-		tbl, err := db.CreateTable(labelDef(name, "hubs", "tds", "tas"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		load(t, tbl, labelRow(1, []int64{7}, []int64{10}, []int64{10}), labelRow(2, []int64{7}, []int64{20}, []int64{20}))
+		load(t, db, labelDef(name, "hubs", "tds", "tas"), labelRow(1, []int64{7}, []int64{10}, []int64{10}), labelRow(2, []int64{7}, []int64{20}, []int64{20}))
 	}
-	ea := func(db *DB, tier string) {
+	// eaIs runs EA(1, 1, 0) on st and wants the arrival want, -1 for none.
+	eaIs := func(st *Stmt, want int64) {
+		t.Helper()
+		one := sqltypes.NewInt(1)
+		rel, err := st.Query(one, one, sqltypes.NewInt(0))
+		if err != nil || len(rel.Rows) != 1 {
+			t.Fatalf("EA = %v, %v", rel, err)
+		}
+		if got := rel.Rows[0][0]; (want < 0) != got.IsNull() || (want >= 0 && got.I != want) {
+			t.Errorf("EA = %v; want %d (-1: none)", got, want)
+		}
+	}
+	ea := func(db *DB, loutTier, linTier string, want int64) *Stmt {
 		t.Helper()
 		st, err := db.Prepare(fmt.Sprintf(exec.SQLV2VEA, "lout", "lin"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		plan, err := st.Explain()
-		if err != nil || !strings.Contains(plan, tier+"Lookup lout") || !strings.Contains(plan, tier+"Lookup lin") {
-			t.Errorf("EXPLAIN = %q, %v; want both tables read by %sLookup", plan, err, tier)
+		if err != nil || !strings.Contains(plan, loutTier+"Lookup lout") || !strings.Contains(plan, linTier+"Lookup lin") {
+			t.Errorf("EXPLAIN = %q, %v; want lout read by %sLookup, lin by %sLookup", plan, err, loutTier, linTier)
 		}
-		one := sqltypes.NewInt(1)
-		if rel, err := st.Query(one, one, sqltypes.NewInt(0)); err != nil || rel.Rows[0][0].I != 10 {
-			t.Fatalf("EA = %v, %v; want 10", rel, err)
-		}
+		eaIs(st, want)
+		return st
 	}
-	ea(db, "Segment")
+	ea(db, "Segment", "Segment", 10)
 	for _, name := range []string{"lout", "lin"} {
 		if tbl, _ := db.Table(name); tbl.Resident() {
 			t.Errorf("%s, loaded through the handle, is resident", name)
@@ -245,55 +259,139 @@ func TestWrittenTableReadsSegmentUntilOpen(t *testing.T) {
 	}
 
 	db = reopen(t, db, opts)
-	ea(db, "Vector")
+	before := ea(db, "Vector", "Vector", 10)
 	lout, _ := db.Table("lout")
 	vc := db.Registry().Snapshot().VCache
 	if !lout.Resident() || vc.Materializations != 2 || vc.Hits == 0 {
 		t.Fatalf("reopened: lout resident %v, vcache = %+v; want both tables admitted and hit", lout.Resident(), *vc)
 	}
-	size := lout.vc.Bytes
-	load(t, lout, labelRow(1, []int64{7}, []int64{10}, []int64{10}))
+	// Stop 1's new label leaves at 15, after lin's tuple: no journey.
+	replaced := load(t, db, lout.Def(), labelRow(1, []int64{7}, []int64{15}, []int64{15}))
 	after := db.Registry().Snapshot().VCache
-	if lout.Resident() || after.ResidentBytes != vc.ResidentBytes-size {
-		t.Errorf("replaced lout: resident %v, %d resident bytes, %d before; want its vectors gone from the count",
-			lout.Resident(), after.ResidentBytes, vc.ResidentBytes)
+	if replaced.Resident() || after.ResidentBytes != vc.ResidentBytes-lout.vc.Bytes {
+		t.Errorf("replaced lout: new table resident %v, %d resident bytes, %d before; want the old vectors gone from the count",
+			replaced.Resident(), after.ResidentBytes, vc.ResidentBytes)
 	}
 	if after.Materializations != 2 {
 		t.Errorf("%d materializations after the load; a load decodes nothing", after.Materializations)
 	}
+	ea(db, "Segment", "Vector", -1)
+	eaIs(before, 10) // prepared on the replaced lout, which keeps its vectors
 }
 
-// TestTableBulkLoadErrors: every precondition failure must leave the table
+// TestCloseClosesReplacedFiles: Close closes every file the handle opened —
+// the image and each loose segment, those of replaced tables included —
+// counted in the process's descriptor table; nothing is closed before, so a
+// replaced table keeps answering until Close.
+func TestCloseClosesReplacedFiles(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	def := mkTable("kv", []string{"k"}, "k", "v")
+	load(t, db, def, ints(1, 10))
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	db = reopen(t, db, Options{Device: storage.RAM, PoolPages: 256})
+	before := openFDs(t)
+	first, _ := db.Table("kv")
+	second := load(t, db, def, ints(1, 20))
+	third := load(t, db, def, ints(1, 30))
+	if got := openFDs(t) - before; got != 2 {
+		t.Errorf("two loads opened %d descriptors, want one each", got)
+	}
+	for i, tbl := range []*Table{first, second, third} {
+		if row, ok, err := tbl.LookupPK([]int64{1}); err != nil || !ok || row[1].I != int64(10*(i+1)) {
+			t.Errorf("table %d answers %v, %v, %v; want %d", i, row, ok, err, 10*(i+1))
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := openFDs(t) - before; got != -1 {
+		t.Errorf("Close left %d descriptors of its own open; want the image and both loose segments closed", got+1)
+	}
+	requireOnlyImage(t, dir)
+}
+
+// TestFailedLoadLeavesCatalog: a batch that fails in any of its loads enters
+// none of them: the catalog, every table and the directory stay as they
+// were — the loose segments the batch wrote are removed — and a retry of the
+// same batch succeeds.
+func TestFailedLoadLeavesCatalog(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	kept := load(t, db, mkTable("kept", []string{"k"}, "k", "v"), ints(1, 10))
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	good := TableLoad{Def: mkTable("good", []string{"k"}, "k"), Rows: rowsOf(ints(1), ints(2))}
+	replace := TableLoad{Def: kept.Def(), Rows: rowsOf(ints(1, 99))}
+	bad := TableLoad{Def: mkTable("bad", []string{"k"}, "k"), Rows: rowsOf(ints(2), ints(1))}
+	if err := db.Load(2, good, replace, bad); err == nil || !strings.Contains(err.Error(), "ascending") {
+		t.Fatalf("a batch with an unordered load: %v; want the ordering error", err)
+	}
+	if names := db.Tables(); len(names) != 1 {
+		t.Errorf("the catalog holds %v after the failed batch; want kept alone", names)
+	}
+	if now, _ := db.Table("kept"); now != kept {
+		t.Error("the failed batch replaced kept")
+	}
+	requireLoose(t, dir)
+	if err := db.Load(2, good, replace, TableLoad{Def: bad.Def, Rows: rowsOf(ints(1), ints(2))}); err != nil {
+		t.Fatalf("the retry: %v", err)
+	}
+	requireLoose(t, dir, "good", "kept", "bad")
+	if names := db.Tables(); len(names) != 3 {
+		t.Errorf("the catalog holds %v after the retry; want good, kept and bad", names)
+	}
+	now, _ := db.Table("kept")
+	if row, ok, err := now.LookupPK([]int64{1}); err != nil || !ok || row[1].I != 99 {
+		t.Errorf("kept after the retry answers %v, %v, %v; want 99", row, ok, err)
+	}
+	if err := db.Load(1, good, good); err == nil || !strings.Contains(err.Error(), "twice") {
+		t.Errorf("a batch loading one name twice: %v; want a refusal", err)
+	}
+}
+
+// TestTableBulkLoadErrors: every precondition failure must leave the catalog
 // as it was, since validation happens before any byte is written.
 func TestTableBulkLoadErrors(t *testing.T) {
 	db := newTestDB(t)
-	tbl := mkTable(t, db, "t", []string{"k"}, "k", "v")
+	def := mkTable("t", []string{"k"}, "k", "v")
 	rejected := func() {
 		t.Helper()
-		if err := tbl.BulkLoad([]sqltypes.Row{ints(2, 0), ints(1, 0)}); err == nil {
+		if _, err := tryLoad(db, def, ints(2, 0), ints(1, 0)); err == nil {
 			t.Error("descending keys accepted")
 		}
-		if err := tbl.BulkLoad([]sqltypes.Row{ints(1, 0), ints(1, 1)}); err == nil {
+		if _, err := tryLoad(db, def, ints(1, 0), ints(1, 1)); err == nil {
 			t.Error("duplicate keys accepted")
 		}
-		if err := tbl.BulkLoad([]sqltypes.Row{ints(1)}); err == nil {
+		if _, err := tryLoad(db, def, ints(1)); err == nil {
 			t.Error("short row accepted")
 		}
-		if err := tbl.BulkLoad([]sqltypes.Row{
-			{sqltypes.NewInt(1), sqltypes.NewText("no")},
-		}); err == nil {
+		if _, err := tryLoad(db, def, sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewText("no")}); err == nil {
 			t.Error("type mismatch accepted")
 		}
-		if err := tbl.BulkLoad([]sqltypes.Row{{sqltypes.NewInt(1), sqltypes.Null}}); err == nil {
+		if _, err := tryLoad(db, def, sqltypes.Row{sqltypes.NewInt(1), sqltypes.Null}); err == nil {
 			t.Error("NULL accepted")
 		}
 	}
 	rejected()
-	if tbl.RowCount() != 0 {
-		t.Fatalf("rejected loads stored %d rows", tbl.RowCount())
+	if _, ok := db.Table("t"); ok {
+		t.Fatal("rejected loads entered the table")
 	}
-	load(t, tbl, ints(1, 10))
+	tbl := load(t, db, def, ints(1, 10))
 	rejected()
+	if now, _ := db.Table("t"); now != tbl {
+		t.Fatal("a rejected load replaced the loaded table")
+	}
 	if row, ok, err := tbl.LookupPK([]int64{1}); err != nil || !ok || row[1].I != 10 || tbl.RowCount() != 1 {
 		t.Fatalf("rejected loads changed a loaded table: %v, %v, %v (%d rows)", row, ok, err, tbl.RowCount())
 	}

@@ -83,7 +83,7 @@ func buildAwkwardDB(t *testing.T, dir string) {
 		t.Fatal(err)
 	}
 	for _, spec := range awkwardTables {
-		if err := mkTable(t, db, spec.name, spec.pk, spec.cols...).BulkLoad(spec.rows()); err != nil {
+		if _, err := tryLoad(db, mkTable(spec.name, spec.pk, spec.cols...), spec.rows()...); err != nil {
 			t.Fatalf("%s: %v", spec.name, err)
 		}
 	}
@@ -123,9 +123,9 @@ func TestVectorSizePrediction(t *testing.T) {
 	}
 	defer db.Close()
 	for _, cols := range [][]string{{"k", "lat:float"}, {"k", "name:text"}, {"k", "xs:arr", "name:text", "lat:float"}} {
-		tbl := mkTable(t, db, "mixed"+strings.Join(cols, "_"), []string{"k"}, cols...)
+		def := mkTable("mixed"+strings.Join(cols, "_"), []string{"k"}, cols...)
 		row := sqltypes.Row{sqltypes.NewInt(1)}
-		for _, c := range tbl.Def().Columns[1:] {
+		for _, c := range def.Columns[1:] {
 			row = append(row, map[sqltypes.Type]sqltypes.Value{
 				sqltypes.Float64:  sqltypes.NewFloat(30.25),
 				sqltypes.Text:     sqltypes.NewText("Congress Ave"),
@@ -133,7 +133,7 @@ func TestVectorSizePrediction(t *testing.T) {
 			}[c.Type])
 		}
 		before := db.Registry().VCache.Snapshot()
-		load(t, tbl, row)
+		tbl := load(t, db, def, row)
 		got, ok, err := tbl.LookupPK([]int64{1})
 		if err != nil || !ok || !sqltypes.Equal(got[len(got)-1], row[len(row)-1]) {
 			t.Fatalf("%v: LookupPK = %v, %v, %v", cols, got, ok, err)
@@ -258,7 +258,7 @@ func TestDeclinedTableIsNeverBulkRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mkTable(t, db, spec.name, spec.pk, spec.cols...).BulkLoad(rows); err != nil {
+	if _, err := tryLoad(db, mkTable(spec.name, spec.pk, spec.cols...), rows...); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {
@@ -348,8 +348,8 @@ func TestDeclinedTableKeepsNoRegion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl := mkTable(t, db, spec.name, spec.pk, spec.cols...)
-	if err := tbl.BulkLoad(rows); err != nil {
+	tbl, err := tryLoad(db, mkTable(spec.name, spec.pk, spec.cols...), rows...)
+	if err != nil {
 		t.Fatal(err)
 	}
 	types, size := tbl.types, rowVectorBytes(tbl.types, rows)
@@ -472,12 +472,11 @@ func TestDropCachesForgetsReadPosition(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	tbl := mkTable(t, db, "wide", []string{"k"}, "k", "xs:arr")
 	var rows []sqltypes.Row
 	for i := int64(0); i < 8; i++ { // key byte + two length bytes + one byte per zero: exactly one page per row
 		rows = append(rows, sqltypes.Row{sqltypes.NewInt(i), sqltypes.NewIntArray(make([]int64, storage.PageSize-3))})
 	}
-	load(t, tbl, rows...)
+	tbl := load(t, db, mkTable("wide", []string{"k"}, "k", "xs:arr"), rows...)
 	for _, k := range []int64{3, 4, 5} {
 		db.DropCaches()
 		before := db.Registry().Snapshot().Pool
@@ -496,11 +495,10 @@ func TestDropCachesForgetsReadPosition(t *testing.T) {
 // what the table's open decoded, like its key directory.
 func TestDropCachesKeepsVectors(t *testing.T) {
 	db := newTestDB(t)
-	tbl := mkTable(t, db, "lab", []string{"k"}, "k", "xs:arr")
-	load(t, tbl, sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewIntArray([]int64{1, 2})},
+	load(t, db, mkTable("lab", []string{"k"}, "k", "xs:arr"), sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewIntArray([]int64{1, 2})},
 		sqltypes.Row{sqltypes.NewInt(2), sqltypes.NewIntArray([]int64{3})})
 	db = reopen(t, db, Options{Device: storage.RAM, PoolPages: 256, VectorCacheBytes: 1 << 20})
-	tbl, _ = db.Table("lab")
+	tbl, _ := db.Table("lab")
 	vc := db.Registry().VCache
 	resident := vc.ResidentBytes.Load()
 	if resident == 0 || vc.Materializations.Load() != 1 {

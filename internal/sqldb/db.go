@@ -5,10 +5,10 @@
 // supporting the SELECT dialect of the paper's Codes 1–4.
 //
 // It plays the role PostgreSQL plays in the paper. The engine is read-only
-// storage under a bulk loader: a table is written once, whole, by
-// Table.BulkLoad, and nothing else writes — there is no row-at-a-time insert,
-// no WAL and no MVCC, matching the paper's workload in which all tables are
-// created during preprocessing — and read queries may run concurrently.
+// storage under a bulk loader: a table is written once, whole, by DB.Load,
+// and never changes after — there is no row-at-a-time insert, no WAL and no
+// MVCC, matching the paper's workload in which all tables are created during
+// preprocessing — and read queries may run concurrently.
 package sqldb
 
 import (
@@ -16,11 +16,11 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"ptldb/internal/obs"
@@ -44,8 +44,8 @@ type ColumnDef struct {
 // of them in every row is an id in [0, Bound) and, when Count is positive, that
 // the rows hold at most Count distinct ids. Floor, when set, declares that
 // every element of its columns in every row is at least the row's Key value
-// times Width. BulkLoad rejects a load that breaks any of them, so readers
-// trust all three unchecked.
+// times Width. Load rejects a load that breaks any of them, so readers trust
+// all three unchecked.
 type TableDef struct {
 	Name      string      `json:"name"`
 	Columns   []ColumnDef `json:"columns"`
@@ -115,16 +115,15 @@ type DB struct {
 
 	referenceExec bool // Options.ReferenceExec
 
-	// image is the image file Open read the tables from, nil when the
-	// directory had none. It stays open, and the tables Open placed on it
-	// keep reading it, after a Flush replaced it on disk.
-	image *storage.PagedFile
-
-	mu     sync.RWMutex
+	// tables is the catalog. Only Open, Load and Close write it, and none of
+	// them runs concurrently with another call on the handle (DESIGN.md §6).
 	tables map[string]*Table
-	// declared is set by CreateTable and cleared by the Flush that writes the
-	// catalog declaring the table.
-	declared bool
+	// files is every file the handle opened — the image, then each loose
+	// segment — which stay open, and readable, until Close closes them all.
+	files []*storage.PagedFile
+	// unflushed is the path of every loose segment Load wrote since the last
+	// Flush, which packs them into the image and deletes them.
+	unflushed []string
 
 	// prepares counts Prepare calls, i.e. statement parses (StmtCacheStats).
 	prepares atomic.Uint64
@@ -194,33 +193,34 @@ func Open(dir string, opts Options) (*DB, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sqldb: %w", err)
 	}
-	db.image = f
+	db.files = append(db.files, f)
 	db.pool.Register(f)
 	f.CountReads(&db.reg.Pool.RandReads, &db.reg.Pool.SeqReads)
 	// Tables open one after another, in catalog order, so admission is a
 	// running sum in that order; the admitted ones then decode on every core.
-	var jobs []func() error
+	tables := make([]*Table, len(defs))
+	jobs := make([]func() error, 0, len(defs))
 	base := storage.PageID(0)
-	for _, def := range defs {
-		def.Name = strings.ToLower(def.Name)
+	for i, def := range defs {
 		if base == f.NumPages() {
 			err = fmt.Errorf("sqldb: table %q: %w: header: the image ends at page %d, before the table's segment; rebuild the database",
-				def.Name, storage.ErrCorruptSegment, base)
+				strings.ToLower(def.Name), storage.ErrCorruptSegment, base)
 			break
 		}
-		var t *Table
-		var decode func() error
-		if t, err = db.newTable(def); err == nil {
-			decode, err = t.open(f, base, left)
+		var sc *schema
+		var pages storage.PageID
+		var finish func() (*Table, error)
+		if sc, err = newSchema(def); err == nil {
+			pages, finish, err = db.newTable(sc, f, base, left)
 		}
 		if err != nil {
 			break
 		}
-		db.tables[def.Name] = t
-		base += t.seg.Pages()
-		if decode != nil {
-			jobs = append(jobs, decode)
-		}
+		base += pages
+		jobs = append(jobs, func() (err error) {
+			tables[i], err = finish()
+			return err
+		})
 	}
 	if err == nil && base != f.NumPages() {
 		err = fmt.Errorf("sqldb: %s: %w: %d pages after the segments of the catalog's %d tables; rebuild the database",
@@ -232,6 +232,9 @@ func Open(dir string, opts Options) (*DB, error) {
 	if err != nil {
 		_ = f.Close() // best-effort cleanup; the open failure wins
 		return nil, err
+	}
+	for _, t := range tables {
+		db.tables[t.def.Name] = t
 	}
 	return db, nil
 }
@@ -250,86 +253,129 @@ func (db *DB) Pool() *storage.Pool { return db.pool }
 // Device returns the device model the database was opened with.
 func (db *DB) Device() storage.DeviceModel { return db.dev }
 
-// DropCaches empties the buffer pool, then forgets where the image and every
-// loose segment were last read, emulating the paper's OS cache drop (the
-// first read of any file is a seek). The resident vectors stay, as the key
+// DropCaches empties the buffer pool, then forgets where every file the
+// handle opened was last read, emulating the paper's OS cache drop (the first
+// read of any file is a seek). The resident vectors stay, as the key
 // directories do: both are what Open decoded, and a server restart is Close
 // and Open again.
 func (db *DB) DropCaches() {
 	db.pool.DropCaches()
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	for _, f := range db.filesLocked() {
+	for _, f := range db.files {
 		f.ForgetLastRead()
 	}
 }
 
-// filesLocked returns every file the handle's tables read: the image and each
-// loose segment, once each. Caller holds db.mu.
-func (db *DB) filesLocked() []*storage.PagedFile {
-	var files []*storage.PagedFile
-	if db.image != nil {
-		files = append(files, db.image)
-	}
-	for _, t := range db.tables {
-		if t.file != nil && t.file != db.image {
-			files = append(files, t.file)
-		}
-	}
-	return files
+// TableLoad is one table of a Load: its definition and the function that
+// computes its rows, sorted by strictly ascending primary key and free of
+// NULL. Load calls Rows on its worker pool, once.
+type TableLoad struct {
+	Def  TableDef
+	Rows func() ([]sqltypes.Row, error)
 }
 
-// CreateTable declares a new table: its catalog entry, which the next Flush
-// writes. The table reads as empty until Table.BulkLoad writes its segment,
-// which every catalogued table must have by that Flush: the image leaves out
-// a table without one, and the directory then fails to open.
-func (db *DB) CreateTable(def TableDef) (*Table, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	name := strings.ToLower(def.Name)
-	if name == "" {
-		return nil, fmt.Errorf("sqldb: empty table name")
-	}
-	if _, exists := db.tables[name]; exists {
-		return nil, fmt.Errorf("sqldb: table %q already exists", def.Name)
-	}
-	if len(def.Columns) == 0 {
-		return nil, fmt.Errorf("sqldb: table %q has no columns", def.Name)
-	}
-	if len(def.PK) < 1 || len(def.PK) > 2 {
-		return nil, fmt.Errorf("sqldb: table %q: a table needs a primary key of one or two columns, got %d", def.Name, len(def.PK))
-	}
-	for _, pk := range def.PK {
-		ci := colIndex(def.Columns, pk)
-		if ci < 0 {
-			return nil, fmt.Errorf("sqldb: table %q: unknown PK column %q", def.Name, pk)
+// Load writes a batch of new tables, the one write there is. It validates
+// every definition, then on up to workers goroutines (RunJobs) computes each
+// table's rows, checks them against the definition and writes them as a loose
+// segment — not synced; the next Flush packs it — that a new Table reads.
+// Only once every load has succeeded are the tables entered in the catalog,
+// each replacing any table of its name; a failed batch removes the segments
+// it wrote and leaves the catalog as it was. A replaced table does not change
+// (a statement prepared on it keeps reading it, and its file stays open until
+// Close), but its vectors leave the count of resident bytes. A loaded table
+// reads its segment until the directory is opened again: only Open admits a
+// table to the vector cache. Load must not run concurrently with any other
+// call on the handle.
+func (db *DB) Load(workers int, loads ...TableLoad) error {
+	schemas := make([]*schema, len(loads))
+	for i, l := range loads {
+		sc, err := newSchema(l.Def)
+		if err != nil {
+			return err
 		}
-		if def.Columns[ci].Type != sqltypes.Int64 {
-			return nil, fmt.Errorf("sqldb: table %q: PK column %q must be BIGINT", def.Name, pk)
+		for _, prev := range schemas[:i] {
+			if prev.def.Name == sc.def.Name {
+				return fmt.Errorf("sqldb: table %q is loaded twice in one batch", l.Def.Name)
+			}
+		}
+		schemas[i] = sc
+	}
+	tables := make([]*Table, len(loads))
+	written := make([]bool, len(loads))
+	jobs := make([]func() error, len(loads))
+	for i, l := range loads {
+		jobs[i] = func() error {
+			sc := schemas[i]
+			sd, err := sc.encode(l.Rows)
+			if err != nil {
+				return err
+			}
+			path := db.loosePath(sc.def.Name)
+			if err := storage.WriteSegmentFile(path, db.dev, &db.clock, sd); err != nil {
+				return err
+			}
+			written[i] = true
+			tables[i], err = db.openLoose(sc, path)
+			return err
 		}
 	}
-	def.Name = name
-	t, err := db.newTable(def)
+	if err := RunJobs(workers, jobs); err != nil {
+		for i, sc := range schemas {
+			if t := tables[i]; t != nil {
+				db.pool.Forget(t.file)
+				_ = t.file.Close() // best-effort cleanup; the load failure wins
+			}
+			// A path an earlier load left for the next Flush stays its.
+			if path := db.loosePath(sc.def.Name); written[i] && !slices.Contains(db.unflushed, path) {
+				_ = os.Remove(path) // best-effort cleanup; the load failure wins
+			}
+		}
+		return err
+	}
+	for _, t := range tables {
+		if old := db.tables[t.def.Name]; old != nil && old.vc != nil {
+			db.reg.VCache.ResidentBytes.Add(-old.vc.Bytes)
+		}
+		db.tables[t.def.Name] = t
+		db.files = append(db.files, t.file)
+		if path := db.loosePath(t.def.Name); !slices.Contains(db.unflushed, path) {
+			db.unflushed = append(db.unflushed, path)
+		}
+	}
+	return nil
+}
+
+// loosePath is where Load writes the named table's segment; Flush copies it
+// into the image and deletes it.
+func (db *DB) loosePath(name string) string { return filepath.Join(db.dir, name+".loose") }
+
+// openLoose opens the loose segment at path as a new table of sc.
+func (db *DB) openLoose(sc *schema, path string) (*Table, error) {
+	f, err := storage.OpenPagedFile(path, db.dev, &db.clock)
 	if err != nil {
+		return nil, fmt.Errorf("sqldb: table %q: %w", sc.def.Name, err)
+	}
+	db.pool.Register(f)
+	f.CountReads(&db.reg.Pool.RandReads, &db.reg.Pool.SeqReads)
+	_, finish, err := db.newTable(sc, f, 0, nil)
+	var t *Table
+	if err == nil {
+		t, err = finish()
+	}
+	if err != nil {
+		_ = f.Close() // best-effort cleanup; the open failure wins
 		return nil, err
 	}
-	db.tables[name] = t
-	db.declared = true
 	return t, nil
 }
 
 // Table returns the named table.
 func (db *DB) Table(name string) (*Table, bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
 	t, ok := db.tables[strings.ToLower(name)]
 	return t, ok
 }
 
 // Tables returns the names of all tables.
 func (db *DB) Tables() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
 	out := make([]string, 0, len(db.tables))
 	for n := range db.tables {
 		out = append(out, n)
@@ -337,28 +383,20 @@ func (db *DB) Tables() []string {
 	return out
 }
 
-// Flush makes every completed write durable. When a table was declared or
-// loaded since the last Flush it packs a new image: the segment of every
-// loaded table, in catalog order, copied by page range from the file the
-// table reads — the image this handle opened or the loose segment BulkLoad
-// wrote — is written and synced under a temporary name, and so is the
-// catalog; then the image is renamed into place, then the catalog, the
-// directory is synced, and the loose segments are deleted. The tables keep
-// reading the files they read before, which stay open once replaced or
-// deleted, so a pack changes nothing a reader sees. A crash between the two
-// renames leaves an image the catalog does not describe, which Open refuses.
-// Flush must not run concurrently with a BulkLoad.
+// Flush makes every completed write durable. When a Load wrote tables since
+// the last Flush it packs a new image: the segment of every catalogued table,
+// in catalog order, copied by page range from the file the table reads — the
+// image this handle opened or a loose segment — is written and synced under a
+// temporary name, and so is the catalog; then the image is renamed into
+// place, then the catalog, the directory is synced, and the loose segments
+// are deleted. The tables keep reading the files they read before, which stay
+// open once replaced or deleted, so a pack changes nothing a reader sees. A
+// crash between the two renames leaves an image the catalog does not
+// describe, which Open refuses. Flush must not run concurrently with a Load.
 func (db *DB) Flush() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	names := make([]string, 0, len(db.tables))
-	packed := db.declared
-	for name, t := range db.tables {
-		names = append(names, name)
-		packed = packed || t.loose
-	}
+	packed := len(db.unflushed) > 0
 	if packed {
-		if err := db.packLocked(names); err != nil {
+		if err := db.pack(); err != nil {
 			return err
 		}
 	}
@@ -369,33 +407,29 @@ func (db *DB) Flush() error {
 	if err := firstError(d.Sync(), d.Close()); err != nil || !packed {
 		return err
 	}
-	for _, t := range db.tables {
-		if t.loose {
-			if err := os.Remove(t.loosePath()); err != nil {
-				return fmt.Errorf("sqldb: %w", err)
-			}
-			t.loose = false
+	// A path leaves the list once removed, so a Flush after a failed removal
+	// packs again and removes the rest.
+	for len(db.unflushed) > 0 {
+		if err := os.Remove(db.unflushed[0]); err != nil {
+			return fmt.Errorf("sqldb: %w", err)
 		}
+		db.unflushed = db.unflushed[1:]
 	}
-	db.declared = false
 	return nil
 }
 
-// packLocked writes the catalog of the named tables and their image beside
-// the live ones and renames both into place, the image first. Caller holds
-// db.mu.
-func (db *DB) packLocked(names []string) error {
+// pack writes the catalog and the image beside the live ones and renames
+// both into place, the image first.
+func (db *DB) pack() error {
 	// The catalog lists the tables by name, for reproducible catalogs, and
 	// the image holds their segments in the same order.
+	names := db.Tables()
 	slices.Sort(names)
-	defs := make([]TableDef, 0, len(names))
-	var segs []*storage.Segment
-	for _, name := range names {
+	defs := make([]TableDef, len(names))
+	segs := make([]*storage.Segment, len(names))
+	for i, name := range names {
 		t := db.tables[name]
-		defs = append(defs, t.def)
-		if t.file != nil {
-			segs = append(segs, t.seg)
-		}
+		defs[i], segs[i] = t.def, t.seg
 	}
 	data, err := json.MarshalIndent(defs, "", "  ")
 	if err != nil {
@@ -431,16 +465,15 @@ func writeSynced(path string, data []byte) error {
 	return firstError(err, f.Close())
 }
 
-// Close flushes and releases all files. Every file is closed even when the
-// flush fails (the directory may be gone); the first error is returned.
+// Close flushes and closes every file the handle opened, those of replaced
+// tables included. Every file is closed even when the flush fails (the
+// directory may be gone); the first error is returned.
 func (db *DB) Close() error {
 	err := db.Flush()
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	for _, f := range db.filesLocked() {
+	for _, f := range db.files {
 		err = firstError(err, f.Close())
 	}
-	db.tables, db.image = map[string]*Table{}, nil
+	db.tables, db.files = map[string]*Table{}, nil
 	return err
 }
 
@@ -479,7 +512,7 @@ func (db *DB) Query(query string, params ...sqltypes.Value) (*exec.Relation, err
 		return nil, err
 	}
 	db.reg.Exec.GeneralRuns.Add(1)
-	return exec.Run(sel, catalogAdapter{db}, params)
+	return exec.Run(sel, &catalog{db, db.tables}, params)
 }
 
 // QueryTraced executes a SELECT and also returns the access-path trace (one
@@ -490,31 +523,34 @@ func (db *DB) QueryTraced(query string, params ...sqltypes.Value) (*exec.Relatio
 		return nil, nil, err
 	}
 	db.reg.Exec.GeneralRuns.Add(1)
-	return exec.RunTraced(sel, catalogAdapter{db}, params)
+	return exec.RunTraced(sel, &catalog{db, db.tables}, params)
 }
 
 // Stmt is a prepared statement: parsed once, executable many times.
 type Stmt struct {
 	db    *DB
 	sel   *sql.Select
+	cat   *catalog        // the tables the handle had at Prepare
 	fused *exec.FusedPlan // non-nil when the statement matched a fused shape
 }
 
-// Prepare parses a SELECT for repeated execution. A statement of the workload
-// (exec.Fuse: the ten texts of exec/codes.go) compiles to its fused plan,
-// bound to the tables the handle has now — one that lacks a table, a column
-// or a declaration its kernel trusts fails here, naming the table; any other
-// statement runs on the general executor. A fused statement keeps its tables:
-// BulkLoad replaces a table's contents under it.
+// Prepare parses a SELECT for repeated execution on the tables the handle
+// has now. A statement of the workload (exec.Fuse: the ten texts of
+// exec/codes.go) compiles to its fused plan, bound to its tables — one that
+// lacks a table, a column or a declaration its kernel trusts fails here,
+// naming the table; any other statement runs on the general executor, over
+// the same tables. Tables never change, so a statement answers from what it
+// was prepared on: a Load that replaces a table by name leaves it reading the
+// table it had.
 func (db *DB) Prepare(query string) (*Stmt, error) {
 	db.prepares.Add(1)
 	sel, err := sql.Parse(query)
 	if err != nil {
 		return nil, err
 	}
-	st := &Stmt{db: db, sel: sel}
+	st := &Stmt{db: db, sel: sel, cat: &catalog{db, maps.Clone(db.tables)}}
 	if !db.referenceExec {
-		if st.fused, err = exec.Fuse(sel, catalogAdapter{db}); err != nil {
+		if st.fused, err = exec.Fuse(sel, st.cat); err != nil {
 			return nil, err
 		}
 	}
@@ -559,7 +595,7 @@ func (s *Stmt) QueryInfo(params ...sqltypes.Value) (*exec.Relation, ExecInfo, er
 		return rel, ExecInfo{Fused: true}, err
 	}
 	s.db.reg.Exec.GeneralRuns.Add(1)
-	rel, err := exec.Run(s.sel, catalogAdapter{s.db}, params)
+	rel, err := exec.Run(s.sel, s.cat, params)
 	return rel, ExecInfo{}, err
 }
 
@@ -592,11 +628,15 @@ func (db *DB) StmtCacheStats() (hits, misses uint64) {
 	return 0, db.prepares.Load()
 }
 
-// catalogAdapter exposes DB tables to the executor.
-type catalogAdapter struct{ db *DB }
+// catalog exposes tables of db to the executor: the live catalog to
+// DB.Query, and to a Stmt the tables the handle had at Prepare.
+type catalog struct {
+	db     *DB
+	tables map[string]*Table
+}
 
-func (c catalogAdapter) Table(name string) (exec.Table, bool) {
-	t, ok := c.db.Table(name)
+func (c *catalog) Table(name string) (exec.Table, bool) {
+	t, ok := c.tables[strings.ToLower(name)]
 	if !ok {
 		return nil, false
 	}
@@ -605,7 +645,7 @@ func (c catalogAdapter) Table(name string) (exec.Table, bool) {
 
 // ExecMetrics returns the handle's executor counters, which both executors
 // feed.
-func (c catalogAdapter) ExecMetrics() *obs.ExecMetrics { return &c.db.reg.Exec }
+func (c *catalog) ExecMetrics() *obs.ExecMetrics { return &c.db.reg.Exec }
 
 func colIndex(cols []ColumnDef, name string) int {
 	for i, c := range cols {

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"os"
 	"sort"
 	"strings"
 	"testing"
@@ -19,8 +20,9 @@ func newTestDB(t *testing.T) *DB {
 	return db
 }
 
-func mkTable(t *testing.T, db *DB, name string, pk []string, cols ...string) *Table {
-	t.Helper()
+// mkTable declares a table keyed by pk of the columns cols, each "name" (a
+// BIGINT), "name:arr", "name:text" or "name:float".
+func mkTable(name string, pk []string, cols ...string) TableDef {
 	def := TableDef{Name: name, PK: pk}
 	for _, c := range cols {
 		parts := strings.SplitN(c, ":", 2)
@@ -37,11 +39,7 @@ func mkTable(t *testing.T, db *DB, name string, pk []string, cols ...string) *Ta
 		}
 		def.Columns = append(def.Columns, ColumnDef{Name: parts[0], Type: typ})
 	}
-	tbl, err := db.CreateTable(def)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tbl
+	return def
 }
 
 // reopen closes db and opens its directory again with opts: what a writer
@@ -59,21 +57,43 @@ func reopen(t *testing.T, db *DB, opts Options) *DB {
 	return db
 }
 
-// load makes rows the table's content the one way a table is written: sorted
-// by primary key, then bulk-loaded.
-func load(t testing.TB, tbl *Table, rows ...sqltypes.Row) {
+// rowsOf is a TableLoad's Rows that returns rows.
+func rowsOf(rows ...sqltypes.Row) func() ([]sqltypes.Row, error) {
+	return func() ([]sqltypes.Row, error) { return rows, nil }
+}
+
+// tryLoad loads rows, as they are, as the table def through db.Load and
+// returns the table the catalog then holds.
+func tryLoad(db *DB, def TableDef, rows ...sqltypes.Row) (*Table, error) {
+	if err := db.Load(1, TableLoad{Def: def, Rows: rowsOf(rows...)}); err != nil {
+		return nil, err
+	}
+	t, _ := db.Table(def.Name)
+	return t, nil
+}
+
+// load makes rows the content of a new table of def — replacing any table of
+// its name — the one way a table is written: sorted by primary key, then
+// loaded.
+func load(t testing.TB, db *DB, def TableDef, rows ...sqltypes.Row) *Table {
 	t.Helper()
+	var pk []int
+	for _, name := range def.PK {
+		pk = append(pk, colIndex(def.Columns, name))
+	}
 	sort.SliceStable(rows, func(a, b int) bool {
-		for _, ci := range tbl.PKCols() {
+		for _, ci := range pk {
 			if rows[a][ci].I != rows[b][ci].I {
 				return rows[a][ci].I < rows[b][ci].I
 			}
 		}
 		return false
 	})
-	if err := tbl.BulkLoad(rows); err != nil {
+	tbl, err := tryLoad(db, def, rows...)
+	if err != nil {
 		t.Fatal(err)
 	}
+	return tbl
 }
 
 // numbered prefixes each row with its position: the key (column "n") of test
@@ -136,37 +156,33 @@ func eqRows(t *testing.T, got, want [][]int64) {
 	}
 }
 
+// TestCreateTableValidation: Load validates every definition of a batch
+// before it writes, and a batch with one bad definition enters nothing.
 func TestCreateTableValidation(t *testing.T) {
 	db := newTestDB(t)
-	if _, err := db.CreateTable(TableDef{Name: ""}); err == nil {
-		t.Error("empty name accepted")
+	refused := func(what string, def TableDef) {
+		t.Helper()
+		ok := TableLoad{Def: mkTable("ok", []string{"a"}, "a"), Rows: rowsOf()}
+		if err := db.Load(1, ok, TableLoad{Def: def, Rows: rowsOf()}); err == nil {
+			t.Errorf("%s accepted", what)
+		}
 	}
-	if _, err := db.CreateTable(TableDef{Name: "t"}); err == nil {
-		t.Error("no columns accepted")
-	}
-	if _, err := db.CreateTable(TableDef{Name: "t",
-		Columns: []ColumnDef{{Name: "a", Type: sqltypes.Int64}}, PK: []string{"b"}}); err == nil {
-		t.Error("unknown PK column accepted")
-	}
-	if _, err := db.CreateTable(TableDef{Name: "t",
-		Columns: []ColumnDef{{Name: "a", Type: sqltypes.IntArray}}, PK: []string{"a"}}); err == nil {
-		t.Error("array PK accepted")
-	}
-	if _, err := db.CreateTable(TableDef{Name: "t",
-		Columns: []ColumnDef{{Name: "a", Type: sqltypes.Int64}}}); err == nil {
-		t.Error("keyless table accepted")
-	}
-	if _, err := db.CreateTable(TableDef{Name: "t", PK: []string{"a", "b", "c"}, Columns: []ColumnDef{
-		{Name: "a", Type: sqltypes.Int64}, {Name: "b", Type: sqltypes.Int64}, {Name: "c", Type: sqltypes.Int64}}}); err == nil {
-		t.Error("three-column PK accepted")
-	}
+	refused("empty name", TableDef{Name: ""})
+	refused("no columns", TableDef{Name: "t"})
+	refused("unknown PK column", TableDef{Name: "t",
+		Columns: []ColumnDef{{Name: "a", Type: sqltypes.Int64}}, PK: []string{"b"}})
+	refused("array PK", TableDef{Name: "t",
+		Columns: []ColumnDef{{Name: "a", Type: sqltypes.IntArray}}, PK: []string{"a"}})
+	refused("keyless table", TableDef{Name: "t",
+		Columns: []ColumnDef{{Name: "a", Type: sqltypes.Int64}}})
+	refused("three-column PK", TableDef{Name: "t", PK: []string{"a", "b", "c"}, Columns: []ColumnDef{
+		{Name: "a", Type: sqltypes.Int64}, {Name: "b", Type: sqltypes.Int64}, {Name: "c", Type: sqltypes.Int64}}})
+	refused("one name twice (case-insensitive)", mkTable("OK", []string{"a"}, "a"))
 	if names := db.Tables(); len(names) != 0 {
 		t.Errorf("rejected definitions left tables %v", names)
 	}
-	mkTable(t, db, "t", []string{"a"}, "a")
-	if _, err := db.CreateTable(TableDef{Name: "T", PK: []string{"a"},
-		Columns: []ColumnDef{{Name: "a", Type: sqltypes.Int64}}}); err == nil {
-		t.Error("duplicate (case-insensitive) table accepted")
+	if entries, _ := os.ReadDir(db.dir); len(entries) != 0 {
+		t.Errorf("rejected definitions left %d files", len(entries))
 	}
 }
 
@@ -175,30 +191,30 @@ func TestCreateTableValidation(t *testing.T) {
 // that a refused load stores nothing.
 func TestInsertValidationAndLookup(t *testing.T) {
 	db := newTestDB(t)
-	tbl := mkTable(t, db, "t", []string{"id"}, "id", "xs:arr", "name:text", "w:float")
+	def := mkTable("t", []string{"id"}, "id", "xs:arr", "name:text", "w:float")
 	row := func(id int64) sqltypes.Row {
 		return sqltypes.Row{sqltypes.NewInt(id), sqltypes.NewIntArray([]int64{10, 20}), sqltypes.NewText("one"), sqltypes.NewFloat(0.5)}
 	}
-	if err := tbl.BulkLoad([]sqltypes.Row{row(1), row(1)}); err == nil {
+	if _, err := tryLoad(db, def, row(1), row(1)); err == nil {
 		t.Error("duplicate PK accepted")
 	}
-	if err := tbl.BulkLoad([]sqltypes.Row{row(1), ints(2)}); err == nil {
+	if _, err := tryLoad(db, def, row(1), ints(2)); err == nil {
 		t.Error("wrong arity accepted")
 	}
-	if err := tbl.BulkLoad([]sqltypes.Row{{sqltypes.NewText("x"), row(1)[1], row(1)[2], row(1)[3]}}); err == nil {
+	if _, err := tryLoad(db, def, sqltypes.Row{sqltypes.NewText("x"), row(1)[1], row(1)[2], row(1)[3]}); err == nil {
 		t.Error("type mismatch accepted")
 	}
 	for ci := range row(1) {
 		withNull := row(1)
 		withNull[ci] = sqltypes.Null
-		if err := tbl.BulkLoad([]sqltypes.Row{withNull}); err == nil {
+		if _, err := tryLoad(db, def, withNull); err == nil {
 			t.Errorf("NULL in column %d accepted", ci)
 		}
 	}
-	if tbl.RowCount() != 0 {
-		t.Fatalf("refused loads stored %d rows", tbl.RowCount())
+	if _, ok := db.Table("t"); ok {
+		t.Fatal("refused loads entered the table")
 	}
-	load(t, tbl, row(1))
+	tbl := load(t, db, def, row(1))
 	got, ok, err := tbl.LookupPK([]int64{1})
 	if err != nil || !ok {
 		t.Fatalf("LookupPK: %v %v", ok, err)
@@ -217,16 +233,11 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := db.CreateTable(TableDef{Name: "kv", PK: []string{"k"},
-		Columns: []ColumnDef{{Name: "k", Type: sqltypes.Int64}, {Name: "v", Type: sqltypes.IntArray}}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var rows []sqltypes.Row
 	for i := int64(0); i < 500; i++ {
 		rows = append(rows, sqltypes.Row{sqltypes.NewInt(i), sqltypes.NewIntArray([]int64{i, i * 2})})
 	}
-	load(t, tbl, rows...)
+	load(t, db, mkTable("kv", []string{"k"}, "k", "v:arr"), rows...)
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -253,12 +264,12 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 
 func TestBasicSelect(t *testing.T) {
 	db := newTestDB(t)
-	tbl := mkTable(t, db, "nums", []string{"a"}, "a", "b")
+	tbl := mkTable("nums", []string{"a"}, "a", "b")
 	var rows []sqltypes.Row
 	for i := int64(0); i < 10; i++ {
 		rows = append(rows, ints(i, i*i))
 	}
-	load(t, tbl, rows...)
+	load(t, db, tbl, rows...)
 	eqRows(t, queryInts(t, db, "SELECT a, b FROM nums WHERE a >= 7 ORDER BY a DESC"),
 		[][]int64{{9, 81}, {8, 64}, {7, 49}})
 	eqRows(t, queryInts(t, db, "SELECT b FROM nums WHERE a = $1", sqltypes.NewInt(4)),
@@ -290,8 +301,8 @@ func TestSelectWithoutFrom(t *testing.T) {
 
 func TestUnnestParallel(t *testing.T) {
 	db := newTestDB(t)
-	tbl := mkTable(t, db, "lab", []string{"v"}, "v", "hubs:arr", "tds:arr")
-	load(t, tbl, sqltypes.Row{sqltypes.NewInt(1),
+	tbl := mkTable("lab", []string{"v"}, "v", "hubs:arr", "tds:arr")
+	load(t, db, tbl, sqltypes.Row{sqltypes.NewInt(1),
 		sqltypes.NewIntArray([]int64{10, 20, 30}), sqltypes.NewIntArray([]int64{100, 200, 300})})
 	got := queryInts(t, db, "SELECT v, UNNEST(hubs) AS h, UNNEST(tds) AS d FROM lab WHERE v=1")
 	eqRows(t, got, [][]int64{{1, 10, 100}, {1, 20, 200}, {1, 30, 300}})
@@ -305,8 +316,8 @@ func TestUnnestParallel(t *testing.T) {
 
 func TestGroupByWithOrderOnAggregate(t *testing.T) {
 	db := newTestDB(t)
-	tbl := mkTable(t, db, "obs", []string{"n"}, "n", "grp", "val")
-	load(t, tbl, numbered(ints(1, 5), ints(1, 3), ints(2, 9), ints(2, 1), ints(3, 4))...)
+	tbl := mkTable("obs", []string{"n"}, "n", "grp", "val")
+	load(t, db, tbl, numbered(ints(1, 5), ints(1, 3), ints(2, 9), ints(2, 1), ints(3, 4))...)
 	got := queryInts(t, db, "SELECT grp, MIN(val) FROM obs GROUP BY grp ORDER BY MIN(val), grp")
 	eqRows(t, got, [][]int64{{2, 1}, {1, 3}, {3, 4}})
 	got = queryInts(t, db, "SELECT grp, MAX(val) FROM obs GROUP BY grp ORDER BY MAX(val) DESC LIMIT 2")
@@ -321,8 +332,8 @@ func TestGroupByWithOrderOnAggregate(t *testing.T) {
 
 func TestUnionDedupAndAll(t *testing.T) {
 	db := newTestDB(t)
-	tbl := mkTable(t, db, "u", []string{"n"}, "n", "x")
-	load(t, tbl, numbered(ints(1), ints(2))...)
+	tbl := mkTable("u", []string{"n"}, "n", "x")
+	load(t, db, tbl, numbered(ints(1), ints(2))...)
 	got := queryInts(t, db, "SELECT x FROM (SELECT x FROM u UNION SELECT x FROM u) s ORDER BY x")
 	eqRows(t, got, [][]int64{{1}, {2}})
 	got = queryInts(t, db, "SELECT x FROM (SELECT x FROM u UNION ALL SELECT x FROM u) s ORDER BY x")
@@ -336,10 +347,10 @@ func TestUnionDedupAndAll(t *testing.T) {
 
 func TestCTEAndHashJoin(t *testing.T) {
 	db := newTestDB(t)
-	a := mkTable(t, db, "a", []string{"id"}, "id", "k")
-	b := mkTable(t, db, "b", []string{"id"}, "id", "k", "w")
-	load(t, a, ints(1, 10), ints(2, 20), ints(3, 10))
-	load(t, b, ints(1, 10, 111), ints(2, 30, 222))
+	a := mkTable("a", []string{"id"}, "id", "k")
+	b := mkTable("b", []string{"id"}, "id", "k", "w")
+	load(t, db, a, ints(1, 10), ints(2, 20), ints(3, 10))
+	load(t, db, b, ints(1, 10, 111), ints(2, 30, 222))
 	got := queryInts(t, db, `
 WITH aa AS (SELECT id, k FROM a)
 SELECT aa.id, b.w FROM aa, b WHERE aa.k = b.k ORDER BY aa.id`)
@@ -348,16 +359,16 @@ SELECT aa.id, b.w FROM aa, b WHERE aa.k = b.k ORDER BY aa.id`)
 
 func TestIndexNestedLoopJoin(t *testing.T) {
 	db := newTestDB(t)
-	dim := mkTable(t, db, "dim", []string{"h", "bucket"}, "h", "bucket", "payload")
+	dim := mkTable("dim", []string{"h", "bucket"}, "h", "bucket", "payload")
 	var dims []sqltypes.Row
 	for h := int64(0); h < 5; h++ {
 		for bk := int64(0); bk < 4; bk++ {
 			dims = append(dims, ints(h, bk, h*100+bk))
 		}
 	}
-	load(t, dim, dims...)
-	facts := mkTable(t, db, "facts", []string{"id"}, "id", "h", "t")
-	load(t, facts, ints(1, 2, 7200), ints(2, 4, 3601),
+	load(t, db, dim, dims...)
+	facts := mkTable("facts", []string{"id"}, "id", "h", "t")
+	load(t, db, facts, ints(1, 2, 7200), ints(2, 4, 3601),
 		ints(3, 9, 0)) // no matching dim row
 	got := queryInts(t, db, `
 WITH f AS (SELECT id, h, t FROM facts)
@@ -369,8 +380,8 @@ ORDER BY f.id`)
 
 func TestThreeValuedLogicAndNulls(t *testing.T) {
 	db := newTestDB(t)
-	tbl := mkTable(t, db, "n", []string{"k"}, "k", "x")
-	load(t, tbl, ints(0, 0), ints(1, 1))
+	tbl := mkTable("n", []string{"k"}, "k", "x")
+	load(t, db, tbl, ints(0, 0), ints(1, 1))
 	// A stored row holds no NULL; MIN over no rows makes one.
 	const nullable = "((SELECT MIN(x) AS y FROM n WHERE x > 5) UNION ALL (SELECT MIN(x) AS y FROM n WHERE x > 0)) s"
 	eqRows(t, queryInts(t, db, "SELECT y FROM "+nullable), [][]int64{{-999999}, {1}})
@@ -384,8 +395,8 @@ func TestThreeValuedLogicAndNulls(t *testing.T) {
 
 func TestQueryErrors(t *testing.T) {
 	db := newTestDB(t)
-	tbl := mkTable(t, db, "t", []string{"a"}, "a", "xs:arr")
-	load(t, tbl, sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewIntArray([]int64{1})})
+	tbl := mkTable("t", []string{"a"}, "a", "xs:arr")
+	load(t, db, tbl, sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewIntArray([]int64{1})})
 	for _, q := range []string{
 		"SELECT nope FROM t",
 		"SELECT a FROM missing",
@@ -407,19 +418,19 @@ func TestQueryErrors(t *testing.T) {
 // Table 2/3 (augmented labels of Figure 1) and runs Code 1 verbatim.
 func TestPaperCode1OnExampleData(t *testing.T) {
 	db := newTestDB(t)
-	lout := mkTable(t, db, "lout", []string{"v"}, "v", "hubs:arr", "tds:arr", "tas:arr")
-	lin := mkTable(t, db, "lin", []string{"v"}, "v", "hubs:arr", "tds:arr", "tas:arr")
+	lout := mkTable("lout", []string{"v"}, "v", "hubs:arr", "tds:arr", "tas:arr")
+	lin := mkTable("lin", []string{"v"}, "v", "hubs:arr", "tds:arr", "tas:arr")
 
 	// From Table 1 of the paper (times in 100 s units), stops 0, 1 and 4.
 	label := func(v int64, hubs, tds, tas []int64) sqltypes.Row {
 		return sqltypes.Row{sqltypes.NewInt(v),
 			sqltypes.NewIntArray(hubs), sqltypes.NewIntArray(tds), sqltypes.NewIntArray(tas)}
 	}
-	load(t, lout,
+	load(t, db, lout,
 		label(0, []int64{0}, []int64{360}, []int64{360}),
 		label(1, []int64{0, 1, 1}, []int64{324, 324, 396}, []int64{360, 324, 396}),
 		label(4, []int64{0, 4}, []int64{324, 396}, []int64{360, 396}))
-	load(t, lin,
+	load(t, db, lin,
 		label(0, []int64{0}, []int64{360}, []int64{360}),
 		label(1, []int64{0, 1, 1}, []int64{360, 324, 396}, []int64{396, 324, 396}),
 		label(4, []int64{0, 4}, []int64{360, 396}, []int64{396, 396}))
@@ -448,12 +459,12 @@ WHERE outp.hub=inp.hub AND outp.ta<=inp.td AND outp.td>=$3`
 
 func TestDropCachesForcesMisses(t *testing.T) {
 	db := newTestDB(t)
-	tbl := mkTable(t, db, "t", []string{"a"}, "a", "b")
+	tbl := mkTable("t", []string{"a"}, "a", "b")
 	var rows []sqltypes.Row
 	for i := int64(0); i < 100; i++ {
 		rows = append(rows, ints(i, i))
 	}
-	load(t, tbl, rows...)
+	load(t, db, tbl, rows...)
 	queryInts(t, db, "SELECT b FROM t WHERE a=50")
 	db.DropCaches()
 	m0 := db.Pool().Metrics().Misses.Load()
@@ -465,8 +476,8 @@ func TestDropCachesForcesMisses(t *testing.T) {
 
 func TestPreparedStatement(t *testing.T) {
 	db := newTestDB(t)
-	tbl := mkTable(t, db, "t", []string{"a"}, "a", "b")
-	load(t, tbl, ints(1, 10), ints(2, 20))
+	tbl := mkTable("t", []string{"a"}, "a", "b")
+	load(t, db, tbl, ints(1, 10), ints(2, 20))
 	st, err := db.Prepare("SELECT b FROM t WHERE a = $1")
 	if err != nil {
 		t.Fatal(err)
@@ -484,8 +495,8 @@ func TestPreparedStatement(t *testing.T) {
 
 func TestSizeOnDisk(t *testing.T) {
 	db := newTestDB(t)
-	tbl := mkTable(t, db, "t", []string{"a"}, "a", "b")
-	load(t, tbl, ints(1, 1))
+	tbl := mkTable("t", []string{"a"}, "a", "b")
+	load(t, db, tbl, ints(1, 1))
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -502,11 +513,11 @@ func TestSizeOnDisk(t *testing.T) {
 // encoded-key join that once took it is gone.
 func TestHashJoinTextKeysFallback(t *testing.T) {
 	db := newTestDB(t)
-	a := mkTable(t, db, "ta", []string{"id"}, "id", "name:text")
-	b := mkTable(t, db, "tb", []string{"id"}, "id", "name:text", "w")
-	load(t, a, sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewText("x")},
+	a := mkTable("ta", []string{"id"}, "id", "name:text")
+	b := mkTable("tb", []string{"id"}, "id", "name:text", "w")
+	load(t, db, a, sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewText("x")},
 		sqltypes.Row{sqltypes.NewInt(2), sqltypes.NewText("y")})
-	load(t, b, sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewText("y"), sqltypes.NewInt(7)})
+	load(t, db, b, sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewText("y"), sqltypes.NewInt(7)})
 	wantRefused(t, db, "SELECT ta.id, tb.w FROM ta, tb WHERE ta.name = tb.name", "TEXT is not numeric")
 	// TEXT values still project and filter by key.
 	rel, err := db.Query("SELECT name FROM ta WHERE id = 2")
@@ -520,15 +531,15 @@ func TestHashJoinTextKeysFallback(t *testing.T) {
 // wrapping subquery.
 func TestFusedPredicateMatchesPostFilter(t *testing.T) {
 	db := newTestDB(t)
-	a := mkTable(t, db, "fa", []string{"id"}, "id", "k", "x")
-	b := mkTable(t, db, "fb", []string{"id"}, "id", "k", "y")
+	a := mkTable("fa", []string{"id"}, "id", "k", "x")
+	b := mkTable("fb", []string{"id"}, "id", "k", "y")
 	var as, bs []sqltypes.Row
 	for i := int64(0); i < 20; i++ {
 		as = append(as, ints(i, i%5, i*3))
 		bs = append(bs, ints(i, i%5, i*7))
 	}
-	load(t, a, as...)
-	load(t, b, bs...)
+	load(t, db, a, as...)
+	load(t, db, b, bs...)
 	fused := queryInts(t, db,
 		"SELECT fa.id, fb.id FROM fa, fb WHERE fa.k = fb.k AND fa.x <= fb.y AND fa.id < fb.id ORDER BY fa.id, fb.id")
 	wrapped := queryInts(t, db, `
@@ -545,12 +556,12 @@ WHERE x <= y AND id1 < id2 ORDER BY id1, id2`)
 // into the last join.
 func TestThreeWayJoin(t *testing.T) {
 	db := newTestDB(t)
-	a := mkTable(t, db, "j1", []string{"id"}, "id", "k")
-	b := mkTable(t, db, "j2", []string{"id"}, "id", "k", "m")
-	c := mkTable(t, db, "j3", []string{"id"}, "id", "m", "w")
-	load(t, a, ints(1, 10), ints(2, 20))
-	load(t, b, ints(1, 10, 100), ints(2, 20, 200))
-	load(t, c, ints(1, 100, 111), ints(2, 200, 222))
+	a := mkTable("j1", []string{"id"}, "id", "k")
+	b := mkTable("j2", []string{"id"}, "id", "k", "m")
+	c := mkTable("j3", []string{"id"}, "id", "m", "w")
+	load(t, db, a, ints(1, 10), ints(2, 20))
+	load(t, db, b, ints(1, 10, 100), ints(2, 20, 200))
+	load(t, db, c, ints(1, 100, 111), ints(2, 200, 222))
 	got := queryInts(t, db, `
 SELECT j1.id, j3.w FROM j1, j2, j3
 WHERE j1.k = j2.k AND j2.m = j3.m AND j3.w > 111
@@ -562,12 +573,12 @@ ORDER BY j1.id`)
 // honours the fused residual WHERE.
 func TestIndexJoinWithFusedPredicate(t *testing.T) {
 	db := newTestDB(t)
-	dim := mkTable(t, db, "dim2", []string{"h"}, "h", "payload")
+	dim := mkTable("dim2", []string{"h"}, "h", "payload")
 	var dims []sqltypes.Row
 	for h := int64(0); h < 10; h++ {
 		dims = append(dims, ints(h, h*10))
 	}
-	load(t, dim, dims...)
+	load(t, db, dim, dims...)
 	got := queryInts(t, db, `
 WITH f AS (SELECT 1 AS one FROM dim2 WHERE h = 0)
 SELECT d.payload FROM dim2 d, f WHERE d.h = 5 - f.one AND d.payload > 100`)
@@ -582,8 +593,8 @@ SELECT d.payload FROM dim2 d, f WHERE d.h = 5 - f.one AND d.payload > 10`)
 // mis-routed an aggregated-but-empty arm to the non-aggregate ORDER BY path.
 func TestAggregateEmptyGroupedUnionArm(t *testing.T) {
 	db := newTestDB(t)
-	tbl := mkTable(t, db, "eg", []string{"n"}, "n", "grp", "val")
-	load(t, tbl, numbered(ints(1, 5))...)
+	tbl := mkTable("eg", []string{"n"}, "n", "grp", "val")
+	load(t, db, tbl, numbered(ints(1, 5))...)
 	got := queryInts(t, db, `
 SELECT grp, v FROM (
   (SELECT grp, MIN(val) AS v FROM eg WHERE val > 100 GROUP BY grp ORDER BY MIN(val), grp LIMIT 3)
@@ -596,8 +607,8 @@ SELECT grp, v FROM (
 // TestAggregateWithoutGroupByRejectsBareColumns enforces the standard rule.
 func TestAggregateWithoutGroupByRejectsBareColumns(t *testing.T) {
 	db := newTestDB(t)
-	tbl := mkTable(t, db, "ng", []string{"n"}, "n", "a", "b")
-	load(t, tbl, numbered(ints(1, 2))...)
+	tbl := mkTable("ng", []string{"n"}, "n", "a", "b")
+	load(t, db, tbl, numbered(ints(1, 2))...)
 	if _, err := db.Query("SELECT a, MIN(b) FROM ng"); err == nil {
 		t.Error("bare column alongside aggregate without GROUP BY accepted")
 	}
@@ -610,8 +621,8 @@ func TestAggregateWithoutGroupByRejectsBareColumns(t *testing.T) {
 // derived table's WHERE, and AND over comparisons, say the same.
 func TestHavingInBetween(t *testing.T) {
 	db := newTestDB(t)
-	tbl := mkTable(t, db, "h", []string{"n"}, "n", "grp", "val")
-	load(t, tbl, numbered(ints(1, 5), ints(1, 3), ints(2, 9), ints(2, 1), ints(3, 4), ints(4, 8))...)
+	tbl := mkTable("h", []string{"n"}, "n", "grp", "val")
+	load(t, db, tbl, numbered(ints(1, 5), ints(1, 3), ints(2, 9), ints(2, 1), ints(3, 4), ints(4, 8))...)
 	wantRefused(t, db, "SELECT grp, MIN(val) FROM h GROUP BY grp HAVING MIN(val) < 4 ORDER BY grp", `"HAVING"`)
 	got := queryInts(t, db, "SELECT grp, m FROM (SELECT grp, MIN(val) AS m FROM h GROUP BY grp) g WHERE m < 4 ORDER BY grp")
 	eqRows(t, got, [][]int64{{1, 3}, {2, 1}})
@@ -624,15 +635,20 @@ func TestHavingInBetween(t *testing.T) {
 // TestCaseExpression: CASE is outside the dialect.
 func TestCaseExpression(t *testing.T) {
 	db := newTestDB(t)
-	tbl := mkTable(t, db, "c", []string{"n"}, "n", "x")
-	load(t, tbl, numbered(ints(1), ints(5), ints(12))...)
+	tbl := mkTable("c", []string{"n"}, "n", "x")
+	load(t, db, tbl, numbered(ints(1), ints(5), ints(12))...)
 	wantRefused(t, db, "SELECT CASE WHEN x < 3 THEN 100 ELSE 300 END FROM c ORDER BY x", `"CASE"`)
 	wantRefused(t, db, "SELECT MIN(CASE WHEN x < 10 THEN 1 END) FROM c", `"CASE"`)
 }
 
+// TestAccessorsAndReplace: the handle's accessors, and a Load of a name the
+// catalog holds: a refused one names its row and replaces nothing, an
+// accepted one makes a new table — DB.Table returns it, a statement
+// prepared before it and the replaced table keep their rows — and each table
+// counts its own accesses.
 func TestAccessorsAndReplace(t *testing.T) {
 	db := newTestDB(t)
-	tbl := mkTable(t, db, "acc", []string{"k"}, "k", "v")
+	tbl := load(t, db, mkTable("acc", []string{"k"}, "k", "v"), ints(1, 10), ints(2, 20))
 	if db.Device().Name != "ram" {
 		t.Errorf("Device = %q", db.Device().Name)
 	}
@@ -646,33 +662,51 @@ func TestAccessorsAndReplace(t *testing.T) {
 	if def := tbl.Def(); def.Name != "acc" || len(def.Columns) != 2 {
 		t.Errorf("Def = %+v", def)
 	}
-	load(t, tbl, ints(1, 10), ints(2, 20))
+	st, err := db.Prepare("SELECT v FROM acc WHERE k = $1")
+	if err != nil {
+		t.Fatal(err)
+	}
 	// A refused load surfaces the failing row index and replaces nothing.
-	if err := tbl.BulkLoad([]sqltypes.Row{ints(3, 30), ints(1, 99)}); err == nil || !strings.Contains(err.Error(), "row 1") {
+	if _, err := tryLoad(db, tbl.Def(), ints(3, 30), ints(1, 99)); err == nil || !strings.Contains(err.Error(), "row 1") {
 		t.Errorf("out-of-order load: %v, want a rejection naming row 1", err)
 	}
-	// Loading a table that has rows replaces them.
-	load(t, tbl, ints(1, 10), ints(2, 222))
-	row, ok, err := tbl.LookupPK([]int64{2})
-	if err != nil || !ok || row[1].I != 222 || tbl.RowCount() != 2 {
-		t.Fatalf("after replace: %v %v %v (%d rows)", row, ok, err, tbl.RowCount())
+	if now, _ := db.Table("acc"); now != tbl {
+		t.Error("a refused load replaced the table")
 	}
-	l0, s0 := tbl.AccessStats()
-	tbl.LookupPK([]int64{1})
-	tbl.Scan(func(sqltypes.Row) error { return nil })
-	l1, s1 := tbl.AccessStats()
+	// Loading a name that has a table makes a new one.
+	replaced := load(t, db, tbl.Def(), ints(1, 10), ints(2, 222))
+	if now, _ := db.Table("acc"); now != replaced {
+		t.Error("DB.Table does not return the replacing table")
+	}
+	row, ok, err := replaced.LookupPK([]int64{2})
+	if err != nil || !ok || row[1].I != 222 || replaced.RowCount() != 2 {
+		t.Fatalf("after replace: %v %v %v (%d rows)", row, ok, err, replaced.RowCount())
+	}
+	if row, ok, err := tbl.LookupPK([]int64{2}); err != nil || !ok || row[1].I != 20 {
+		t.Errorf("the replaced table answers %v %v %v; want its own row, 20", row, ok, err)
+	}
+	if rel, err := st.Query(sqltypes.NewInt(2)); err != nil || len(rel.Rows) != 1 || rel.Rows[0][0].I != 20 {
+		t.Errorf("the statement prepared before the replace answers %v, %v; want the row it bound, 20", rel, err)
+	}
+	if got := queryInts(t, db, "SELECT v FROM acc WHERE k = 2"); len(got) != 1 || got[0][0] != 222 {
+		t.Errorf("a query after the replace answers %v; want 222", got)
+	}
+	l0, s0 := replaced.AccessStats()
+	replaced.LookupPK([]int64{1})
+	replaced.Scan(func(sqltypes.Row) error { return nil })
+	l1, s1 := replaced.AccessStats()
 	if l1 != l0+1 || s1 != s0+1 {
 		t.Errorf("access stats: lookups %d->%d scans %d->%d", l0, l1, s0, s1)
 	}
-	if _, _, err := tbl.LookupPK([]int64{1, 2}); err == nil {
+	if _, _, err := replaced.LookupPK([]int64{1, 2}); err == nil {
 		t.Error("wrong key arity accepted")
 	}
 }
 
 func TestQueryTracedSQL(t *testing.T) {
 	db := newTestDB(t)
-	tbl := mkTable(t, db, "qt", []string{"k"}, "k", "v")
-	load(t, tbl, ints(1, 10))
+	tbl := mkTable("qt", []string{"k"}, "k", "v")
+	load(t, db, tbl, ints(1, 10))
 	rel, trace, err := db.QueryTraced("SELECT v FROM qt WHERE k = 1")
 	if err != nil || len(rel.Rows) != 1 {
 		t.Fatal(rel, err)

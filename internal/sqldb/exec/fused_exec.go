@@ -7,7 +7,7 @@ package exec
 // cannot know — integer parameters, arrays of matching lengths, target ids
 // inside the declared bound — is checked here, and a violation is an error
 // naming the plan kind or the table. The order of a label's arrays is not
-// among them: a table declares it (Table.RunOrder), BulkLoad validated it
+// among them: a table declares it (Table.RunOrder), Load validated it
 // where the row was written, and the kernels trust it.
 
 import (
@@ -167,7 +167,7 @@ func (p *FusedPlan) runV2V(params []sqltypes.Value, st *queryState) (*Relation, 
 		}
 	}
 
-	// Run-order join (DESIGN.md §7.2): both tables declare, and BulkLoad
+	// Run-order join (DESIGN.md §7.2): both tables declare, and Load
 	// validated, that hubs ascend and that tds and tas both ascend within a
 	// hub's run. Gallop to each common hub and search its two runs.
 	no, ni := len(out.hubs), len(in.hubs)
@@ -349,7 +349,7 @@ func (p *FusedPlan) runKNNNaive(params []sqltypes.Value, st *queryState) (*Relat
 // emit ends a grouped query: it publishes the fold count and returns the
 // accumulated targets in topK's order, or the error of a folded target id
 // outside the bound the second table declares (a violated storage invariant:
-// BulkLoad validates every element of a declared column).
+// Load validates every element of a declared column).
 func (p *FusedPlan) emit(st *queryState, k int, limited, desc bool) (*Relation, error) {
 	if a := &st.acc; a.strayed {
 		return nil, fmt.Errorf("exec: table %q: target id %d is outside the declared [0, %d)", p.tables[1].name, a.stray, len(a.slots))

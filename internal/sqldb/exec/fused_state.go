@@ -116,7 +116,7 @@ func (r *tableRef) bindErr(format string, a ...any) error {
 }
 
 // lengthsErr reports a row whose parallel arrays are not all BIGINT[] of one
-// length — a violated storage invariant (BulkLoad validates a declared run
+// length — a violated storage invariant (Load validates a declared run
 // order; the condensed builders emit parallel arrays).
 func (r *tableRef) lengthsErr(cols ...int) error {
 	names := make([]string, len(cols))

@@ -238,6 +238,59 @@ func TestImageFailsClosed(t *testing.T) {
 	}
 }
 
+// TestFlushRetriesAfterFailedRemoval: when a Flush fails to delete a loose
+// file after its pack, the next Flush packs again and deletes only the loose
+// files still left, not the ones the failed Flush already deleted.
+func TestFlushRetriesAfterFailedRemoval(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	a := load(t, db, mkTable("a", []string{"k"}, "k", "v"), ints(1, 10))
+	b := load(t, db, mkTable("b", []string{"k"}, "k", "v"), ints(2, 20))
+	// b reads its open file; a non-empty directory at its path fails the
+	// deletion that follows the pack, after a's.
+	loose := filepath.Join(dir, "b.loose")
+	if err := os.Remove(loose); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(loose, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(loose, "x"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Flush(); err == nil || !strings.Contains(err.Error(), "b.loose") {
+		t.Fatalf("Flush with b.loose undeletable: %v; want the error naming it", err)
+	}
+	if err := os.Remove(filepath.Join(loose, "x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatalf("the Flush after the failed deletion: %v", err)
+	}
+	requireOnlyImage(t, dir)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	for _, want := range []struct {
+		tbl  *Table
+		k, v int64
+	}{{a, 1, 10}, {b, 2, 20}} {
+		tbl, _ := re.Table(want.tbl.Def().Name)
+		if row, ok, err := tbl.LookupPK([]int64{want.k}); err != nil || !ok || row[1].I != want.v {
+			t.Errorf("reopened %s(%d) = %v, %v, %v; want %d", want.tbl.Def().Name, want.k, row, ok, err, want.v)
+		}
+	}
+}
+
 // TestFlushPacksImage: tables loaded through a handle live in loose files
 // until Flush, which packs them and the tables already in the image into a
 // new image — the catalog's tables, in its order, byte for byte the segments
@@ -259,13 +312,9 @@ func TestFlushPacksImage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	extra := mkTable(t, db, "extra", []string{"k"}, "k", "v")
-	load(t, extra, ints(1, 10), ints(2, 20))
+	extra := load(t, db, mkTable("extra", []string{"k"}, "k", "v"), ints(1, 10), ints(2, 20))
 	bad, _ := db.Table("bad")
-	rows := []sqltypes.Row{{sqltypes.NewInt(7), sqltypes.NewInt(8), sqltypes.NewIntArray([]int64{9})}}
-	if err := bad.BulkLoad(rows); err != nil {
-		t.Fatal(err)
-	}
+	bad = load(t, db, bad.Def(), sqltypes.Row{sqltypes.NewInt(7), sqltypes.NewInt(8), sqltypes.NewIntArray([]int64{9})})
 	if _, err := os.Stat(filepath.Join(dir, "extra.loose")); err != nil {
 		t.Errorf("before Flush: %v; want the loaded table in its loose file", err)
 	}

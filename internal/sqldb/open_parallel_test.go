@@ -41,11 +41,8 @@ func buildTables(t *testing.T, dir string, n int64, widths ...int64) []int64 {
 	}
 	sizes := make([]int64, len(widths))
 	for i, w := range widths {
-		tbl := mkTable(t, db, "t"+string(rune('1'+i)), []string{"k"}, "k", "xs:arr")
 		rows := labelRows(n, w)
-		if err := tbl.BulkLoad(rows); err != nil {
-			t.Fatal(err)
-		}
+		tbl := load(t, db, mkTable("t"+string(rune('1'+i)), []string{"k"}, "k", "xs:arr"), rows...)
 		sizes[i] = rowVectorBytes(tbl.types, rows)
 	}
 	if err := db.Close(); err != nil {

@@ -49,13 +49,7 @@ func TestBulkLoadValidatesRunOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	tbl, err := db.CreateTable(labelDef("lab", "hubs", "tds", "tas"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tbl.RunOrder(); !slices.Equal(got, []int{1, 2, 3}) {
-		t.Fatalf("RunOrder() = %v, want the positions of hubs, tds, tas", got)
-	}
+	def := labelDef("lab", "hubs", "tds", "tas")
 	good := labelRow(0, []int64{1, 1, 1, 1, 5, 5}, []int64{10, 10, 10, 20, 3, 4}, []int64{30, 30, 31, 31, 9, 9})
 	bad := []struct {
 		name string
@@ -70,7 +64,7 @@ func TestBulkLoadValidatesRunOrder(t *testing.T) {
 	rejected := func(loaded ...string) {
 		t.Helper()
 		for _, tc := range bad {
-			err := tbl.BulkLoad([]sqltypes.Row{good, tc.row})
+			_, err := tryLoad(db, def, good, tc.row)
 			if err == nil {
 				t.Errorf("%s: accepted", tc.name)
 				continue
@@ -84,23 +78,25 @@ func TestBulkLoadValidatesRunOrder(t *testing.T) {
 		requireLoose(t, dir, loaded...)
 	}
 	rejected()
-	if tbl.RowCount() != 0 {
-		t.Fatalf("rejected loads stored %d rows", tbl.RowCount())
+	if _, ok := db.Table("lab"); ok {
+		t.Fatal("rejected loads entered the table")
 	}
-	load(t, tbl, good, labelRow(2, nil, nil, nil))
+	tbl := load(t, db, def, good, labelRow(2, nil, nil, nil))
+	if got := tbl.RunOrder(); !slices.Equal(got, []int{1, 2, 3}) {
+		t.Fatalf("RunOrder() = %v, want the positions of hubs, tds, tas", got)
+	}
 	rejected("lab")
+	if now, _ := db.Table("lab"); now != tbl {
+		t.Fatal("a rejected load replaced the loaded table")
+	}
 	if row, ok, err := tbl.LookupPK([]int64{0}); err != nil || !ok || !slices.Equal(row[3].A, good[3].A) || tbl.RowCount() != 2 {
 		t.Fatalf("rejected loads changed a loaded table: %v, %v, %v (%d rows)", row, ok, err, tbl.RowCount())
 	}
 
-	free, err := db.CreateTable(labelDef("free"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	free := load(t, db, labelDef("free"), bad[0].row, good)
 	if free.RunOrder() != nil {
 		t.Fatalf("undeclared table reports run order %v", free.RunOrder())
 	}
-	load(t, free, bad[0].row, good)
 }
 
 // targetDef is a condensed-shaped table declaring ids: vs and vs_exp hold
@@ -123,7 +119,7 @@ func targetDef(name string, ids *TargetIDs) TableDef {
 // a later one — rejects the whole load naming row, column, position and value,
 // and the table, loaded or not, stays as it was. A column that declares nothing
 // takes any value. A declaration that is not BIGINT[] columns of the table
-// under a bound an array can have is refused at CreateTable and again at Open,
+// under a bound an array can have is refused at Load and again at Open,
 // and a sound one survives close and reopen.
 func TestBulkLoadValidatesTargetBound(t *testing.T) {
 	dir := t.TempDir()
@@ -131,16 +127,10 @@ func TestBulkLoadValidatesTargetBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := db.CreateTable(targetDef("aux", &TargetIDs{Columns: []string{"vs", "vs_exp"}, Bound: 10}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	def := targetDef("aux", &TargetIDs{Columns: []string{"vs", "vs_exp"}, Bound: 10})
 	declares := func(tbl *Table) bool {
 		cols, bound, count := tbl.TargetBound()
 		return slices.Equal(cols, []int{1, 3}) && bound == 10 && count == 0
-	}
-	if !declares(tbl) {
-		t.Fatalf("TargetBound() does not report the positions of vs, vs_exp under 10")
 	}
 	row := func(hub int64, vs, vsExp []int64) sqltypes.Row {
 		return sqltypes.Row{sqltypes.NewInt(hub), sqltypes.NewIntArray(vs),
@@ -164,7 +154,7 @@ func TestBulkLoadValidatesTargetBound(t *testing.T) {
 				{row(0, tc.vs, tc.vsExp), row(1, []int64{0, 9, 9}, []int64{5})},
 				{row(0, []int64{0, 9, 9}, []int64{5}), row(1, tc.vs, tc.vsExp)},
 			} {
-				err := tbl.BulkLoad(rows)
+				_, err := tryLoad(db, def, rows...)
 				if err == nil {
 					t.Errorf("%s on row %d: accepted", tc.name, at)
 					continue
@@ -179,10 +169,13 @@ func TestBulkLoadValidatesTargetBound(t *testing.T) {
 		requireLoose(t, dir, loaded...)
 	}
 	rejected()
-	if tbl.RowCount() != 0 {
-		t.Fatalf("rejected loads stored %d rows", tbl.RowCount())
+	if _, ok := db.Table("aux"); ok {
+		t.Fatal("rejected loads entered the table")
 	}
-	load(t, tbl, row(4, []int64{0, 9, 9}, []int64{5}), row(6, nil, nil))
+	tbl := load(t, db, def, row(4, []int64{0, 9, 9}, []int64{5}), row(6, nil, nil))
+	if !declares(tbl) {
+		t.Fatalf("TargetBound() does not report the positions of vs, vs_exp under 10")
+	}
 	rejected("aux")
 	if got, ok, err := tbl.LookupPK([]int64{4}); err != nil || !ok || !slices.Equal(got[1].A, []int64{0, 9, 9}) || tbl.RowCount() != 2 {
 		t.Fatalf("rejected loads changed a loaded table: %v, %v, %v (%d rows)", got, ok, err, tbl.RowCount())
@@ -198,18 +191,14 @@ func TestBulkLoadValidatesTargetBound(t *testing.T) {
 		"a missing column (any case)": {Columns: []string{"VS", "Vs_Exp", "v"}, Bound: 10},
 	}
 	for what, ids := range refused {
-		if _, err := db.CreateTable(targetDef("other", ids)); err == nil || !strings.Contains(err.Error(), `"other"`) {
-			t.Errorf("CreateTable declaring %s: %v, want a rejection naming the table", what, err)
+		if _, err := tryLoad(db, targetDef("other", ids)); err == nil || !strings.Contains(err.Error(), `"other"`) {
+			t.Errorf("Load declaring %s: %v, want a rejection naming the table", what, err)
 		}
 	}
-	free, err := db.CreateTable(targetDef("free", nil))
-	if err != nil {
-		t.Fatal(err)
-	}
+	free := load(t, db, targetDef("free", nil), row(0, []int64{-1, 1 << 40}, []int64{-9}))
 	if cols, bound, _ := free.TargetBound(); cols != nil || bound != 0 {
 		t.Fatalf("undeclared table reports target ids %v under %d", cols, bound)
 	}
-	load(t, free, row(0, []int64{-1, 1 << 40}, []int64{-9}))
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -260,8 +249,8 @@ func TestBulkLoadValidatesTargetBound(t *testing.T) {
 	if cols, _, _ := free.TargetBound(); !declares(tbl) || cols != nil {
 		t.Fatalf("after reopen: aux declares %v, free %v", tbl.Def().TargetIDs, free.Def().TargetIDs)
 	}
-	if err := tbl.BulkLoad([]sqltypes.Row{row(0, []int64{10}, nil)}); err == nil {
-		t.Fatal("the reopened table took an id at its bound")
+	if _, err := tryLoad(db, tbl.Def(), row(0, []int64{10}, nil)); err == nil {
+		t.Fatal("the reopened table's definition took an id at its bound")
 	}
 }
 
@@ -271,7 +260,7 @@ func TestBulkLoadValidatesTargetBound(t *testing.T) {
 // once, and rows holding exactly the count load. One distinct id more rejects
 // the whole load naming the table, row, column, position, id and count, and a
 // loaded table keeps serving the segment it had. A count outside [0, bound] is
-// refused at CreateTable and again at Open, and a sound one survives close and
+// refused at Load and again at Open, and a sound one survives close and
 // reopen.
 func TestBulkLoadValidatesTargetCount(t *testing.T) {
 	dir := t.TempDir()
@@ -279,16 +268,10 @@ func TestBulkLoadValidatesTargetCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := db.CreateTable(targetDef("aux", &TargetIDs{Columns: []string{"vs", "vs_exp"}, Bound: 10, Count: 3}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	def := targetDef("aux", &TargetIDs{Columns: []string{"vs", "vs_exp"}, Bound: 10, Count: 3})
 	declares := func(tbl *Table) bool {
 		cols, bound, count := tbl.TargetBound()
 		return slices.Equal(cols, []int{1, 3}) && bound == 10 && count == 3
-	}
-	if !declares(tbl) {
-		t.Fatalf("TargetBound() does not report vs, vs_exp under 10 with the count 3")
 	}
 	row := func(hub int64, vs, vsExp []int64) sqltypes.Row {
 		// tas declares nothing: its values are neither ids nor counted.
@@ -296,7 +279,10 @@ func TestBulkLoadValidatesTargetCount(t *testing.T) {
 			sqltypes.NewIntArray([]int64{1, 4, 5, 6}), sqltypes.NewIntArray(vsExp)}
 	}
 	// Three distinct ids, each more than once, in both columns and on both rows.
-	load(t, tbl, row(0, []int64{2, 9, 2}, []int64{9}), row(1, []int64{0}, []int64{0, 2, 9}))
+	tbl := load(t, db, def, row(0, []int64{2, 9, 2}, []int64{9}), row(1, []int64{0}, []int64{0, 2, 9}))
+	if !declares(tbl) {
+		t.Fatalf("TargetBound() does not report vs, vs_exp under 10 with the count 3")
+	}
 	bad := []struct {
 		name  string
 		rows  []sqltypes.Row
@@ -308,7 +294,7 @@ func TestBulkLoadValidatesTargetCount(t *testing.T) {
 			[]string{"row 1", "aux.vs_exp:", "target id 1", "position 2", "count 3"}},
 	}
 	for _, tc := range bad {
-		err := tbl.BulkLoad(tc.rows)
+		_, err := tryLoad(db, def, tc.rows...)
 		if err == nil {
 			t.Errorf("%s: accepted", tc.name)
 			continue
@@ -327,8 +313,8 @@ func TestBulkLoadValidatesTargetCount(t *testing.T) {
 	refused := map[string]int64{"a count below zero": -1, "a count past the bound": 11}
 	for what, count := range refused {
 		ids := &TargetIDs{Columns: []string{"vs"}, Bound: 10, Count: count}
-		if _, err := db.CreateTable(targetDef("other", ids)); err == nil || !strings.Contains(err.Error(), `"other"`) {
-			t.Errorf("CreateTable declaring %s: %v, want a rejection naming the table", what, err)
+		if _, err := tryLoad(db, targetDef("other", ids)); err == nil || !strings.Contains(err.Error(), `"other"`) {
+			t.Errorf("Load declaring %s: %v, want a rejection naming the table", what, err)
 		}
 	}
 	if err := db.Close(); err != nil {
@@ -374,8 +360,8 @@ func TestBulkLoadValidatesTargetCount(t *testing.T) {
 	if !declares(tbl) {
 		t.Fatalf("after reopen: aux declares %+v", tbl.Def().TargetIDs)
 	}
-	if err := tbl.BulkLoad(bad[0].rows); err == nil {
-		t.Fatal("the reopened table took a fourth distinct id")
+	if _, err := tryLoad(db, tbl.Def(), bad[0].rows...); err == nil {
+		t.Fatal("the reopened table's definition took a fourth distinct id")
 	}
 }
 
@@ -401,7 +387,7 @@ func floorDef(name string, fl *Floor) TableDef {
 // naming table, column, row, position, value and floor, before a byte is
 // written, and a loaded table stays as it was. A column that declares nothing
 // takes any value. A declaration that is not BIGINT[] columns over a BIGINT key
-// at a width of at least 1 is refused at CreateTable and again at Open, and a
+// at a width of at least 1 is refused at Load and again at Open, and a
 // sound one survives close and reopen.
 func TestBulkLoadValidatesFloor(t *testing.T) {
 	dir := t.TempDir()
@@ -410,16 +396,10 @@ func TestBulkLoadValidatesFloor(t *testing.T) {
 		t.Fatal(err)
 	}
 	declared := &Floor{Key: "dephour", Width: 10, Columns: []string{"tas", "tas_exp"}}
-	tbl, err := db.CreateTable(floorDef("aux", declared))
-	if err != nil {
-		t.Fatal(err)
-	}
+	def := floorDef("aux", declared)
 	declares := func(tbl *Table) bool {
 		key, width, cols := tbl.Floor()
 		return key == 1 && width == 10 && slices.Equal(cols, []int{2, 4})
-	}
-	if !declares(tbl) {
-		t.Fatalf("Floor() does not report dephour × 10 over the positions of tas, tas_exp")
 	}
 	row := func(bucket int64, tas, tasExp []int64) sqltypes.Row {
 		return sqltypes.Row{sqltypes.NewInt(0), sqltypes.NewInt(bucket), sqltypes.NewIntArray(tas),
@@ -442,7 +422,7 @@ func TestBulkLoadValidatesFloor(t *testing.T) {
 		t.Helper()
 		for _, tc := range bad {
 			for at, rows := range [][]sqltypes.Row{{tc.row}, {lowest, tc.row}} {
-				err := tbl.BulkLoad(rows)
+				_, err := tryLoad(db, def, rows...)
 				if err == nil {
 					t.Errorf("%s on row %d: accepted", tc.name, at)
 					continue
@@ -457,12 +437,15 @@ func TestBulkLoadValidatesFloor(t *testing.T) {
 		requireLoose(t, dir, loaded...)
 	}
 	rejected()
-	if tbl.RowCount() != 0 {
-		t.Fatalf("rejected loads stored %d rows", tbl.RowCount())
+	if _, ok := db.Table("aux"); ok {
+		t.Fatal("rejected loads entered the table")
 	}
 	// Values at the floor, above it, below zero, and an undeclared column
 	// far below it all load.
-	load(t, tbl, lowest, row(-2, []int64{-20, -11}, []int64{-20}), row(3, []int64{30}, []int64{30, 35}))
+	tbl := load(t, db, def, lowest, row(-2, []int64{-20, -11}, []int64{-20}), row(3, []int64{30}, []int64{30, 35}))
+	if !declares(tbl) {
+		t.Fatalf("Floor() does not report dephour × 10 over the positions of tas, tas_exp")
+	}
 	rejected("aux")
 	if got, ok, err := tbl.LookupPK([]int64{3, 0}); err != nil || !ok || !slices.Equal(got[4].A, []int64{30, 35}) || tbl.RowCount() != 3 {
 		t.Fatalf("rejected loads changed a loaded table: %v, %v, %v (%d rows)", got, ok, err, tbl.RowCount())
@@ -478,8 +461,8 @@ func TestBulkLoadValidatesFloor(t *testing.T) {
 		"a missing column": {Key: "dephour", Width: 10, Columns: []string{"tas_exp", "nope"}},
 	}
 	for what, fl := range refused {
-		if _, err := db.CreateTable(floorDef("other", fl)); err == nil || !strings.Contains(err.Error(), `"other"`) {
-			t.Errorf("CreateTable declaring %s: %v, want a rejection naming the table", what, err)
+		if _, err := tryLoad(db, floorDef("other", fl)); err == nil || !strings.Contains(err.Error(), `"other"`) {
+			t.Errorf("Load declaring %s: %v, want a rejection naming the table", what, err)
 		}
 	}
 	if err := db.Close(); err != nil {
@@ -528,13 +511,13 @@ func TestBulkLoadValidatesFloor(t *testing.T) {
 	if !declares(tbl) {
 		t.Fatalf("after reopen: aux declares %+v", tbl.Def().Floor)
 	}
-	if err := tbl.BulkLoad([]sqltypes.Row{row(1, []int64{9}, nil)}); err == nil {
-		t.Fatal("the reopened table took a value below its floor")
+	if _, err := tryLoad(db, tbl.Def(), row(1, []int64{9}, nil)); err == nil {
+		t.Fatal("the reopened table's definition took a value below its floor")
 	}
 }
 
 // TestRunOrderDeclarationFailsClosed: a declaration that is not three
-// BIGINT[] columns of the table is refused where the table is declared, and
+// BIGINT[] columns of the table is refused where the table is loaded, and
 // refused again — naming the table, opening nothing — when the same text
 // reaches Open through a hand-edited catalog. A table that declares nothing
 // writes a catalog entry without the field.
@@ -551,8 +534,8 @@ func TestRunOrderDeclarationFailsClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 	for what, runOrder := range bad {
-		if _, err := db.CreateTable(labelDef("lab", runOrder...)); err == nil || !strings.Contains(err.Error(), `"lab"`) {
-			t.Errorf("CreateTable declaring %s: %v, want a rejection naming the table", what, err)
+		if _, err := tryLoad(db, labelDef("lab", runOrder...)); err == nil || !strings.Contains(err.Error(), `"lab"`) {
+			t.Errorf("Load declaring %s: %v, want a rejection naming the table", what, err)
 		}
 	}
 	if _, ok := db.Table("lab"); ok {
@@ -562,11 +545,7 @@ func TestRunOrderDeclarationFailsClosed(t *testing.T) {
 		t.Fatalf("a refused declaration wrote the catalog: %v", err)
 	}
 	for _, def := range []TableDef{labelDef("lab", "hubs", "tds", "tas"), labelDef("other")} {
-		tbl, err := db.CreateTable(def)
-		if err != nil {
-			t.Fatal(err)
-		}
-		load(t, tbl, labelRow(1, []int64{1}, []int64{2}, []int64{3}))
+		load(t, db, def, labelRow(1, []int64{1}, []int64{2}, []int64{3}))
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
@@ -636,11 +615,7 @@ func TestFusedPlanAnswersOrErrors(t *testing.T) {
 	}
 	defer db.Close()
 	for _, def := range []TableDef{labelDef("lout", "hubs", "tds", "tas"), labelDef("lin", "hubs", "tds", "tas"), labelDef("lin_old")} {
-		tbl, err := db.CreateTable(def)
-		if err != nil {
-			t.Fatal(err)
-		}
-		load(t, tbl, labelRow(1, []int64{7}, []int64{10}, []int64{10})) // the hub's dummy tuple
+		load(t, db, def, labelRow(1, []int64{7}, []int64{10}, []int64{10})) // the hub's dummy tuple
 	}
 	one := sqltypes.NewInt(1)
 	st, err := db.Prepare(fmt.Sprintf(exec.SQLV2VEA, "lout", "lin"))

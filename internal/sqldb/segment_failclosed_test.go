@@ -34,7 +34,6 @@ func buildFaultDB(t *testing.T, dir string) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"good", "bad"} {
-		tbl := mkTable(t, db, name, []string{"k"}, "k", "v", "xs:arr")
 		rows := make([]sqltypes.Row, 0, 3000)
 		for i := int64(0); i < 3000; i++ {
 			rows = append(rows, sqltypes.Row{
@@ -42,11 +41,9 @@ func buildFaultDB(t *testing.T, dir string) {
 				sqltypes.NewIntArray([]int64{i, i + 1, i + 2}),
 			})
 		}
-		if err := tbl.BulkLoad(rows); err != nil {
-			t.Fatal(err)
-		}
+		load(t, db, mkTable(name, []string{"k"}, "k", "v", "xs:arr"), rows...)
 	}
-	load(t, mkTable(t, db, "names", []string{"k"}, "k", "s:text"),
+	load(t, db, mkTable("names", []string{"k"}, "k", "s:text"),
 		sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewText("one")})
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
@@ -182,7 +179,7 @@ func TestCloseReleasesFilesWhenFlushFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	load(t, mkTable(t, db, "more", []string{"k"}, "k"), ints(1))
+	load(t, db, mkTable("more", []string{"k"}, "k"), ints(1))
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -207,8 +204,7 @@ func TestCloseReleasesFilesWhenFlushFails(t *testing.T) {
 // handle, and keep failing on retry. The first case deletes the image, the
 // second leaves the directory as a build from before every table was a
 // segment left it — heap and index files, no image — and the third is a
-// build that declared a table and never loaded it, which the image then
-// lacks.
+// catalog that declares a table after the last one the image holds.
 func TestOpenFailsClosedOnMissingSegment(t *testing.T) {
 	healthy := t.TempDir()
 	buildFaultDB(t, healthy)
@@ -232,23 +228,11 @@ func TestOpenFailsClosedOnMissingSegment(t *testing.T) {
 			}
 		}, fs.ErrNotExist},
 		{"declared-never-loaded", "pending", func(t *testing.T, dir string) {
-			db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Until it is loaded the table reads as empty and has no file.
-			tbl := mkTable(t, db, "pending", []string{"k"}, "k", "v")
-			rows := 0
-			if err := tbl.Scan(func(sqltypes.Row) error { rows++; return nil }); err != nil || rows != 0 || tbl.RowCount() != 0 {
-				t.Fatalf("scan of a never-loaded table: %d rows (RowCount %d), %v", rows, tbl.RowCount(), err)
-			}
-			if _, ok, err := tbl.LookupPK([]int64{1}); err != nil || ok {
-				t.Fatalf("LookupPK on a never-loaded table = %v, %v", ok, err)
-			}
-			db.DropCaches()
-			if err := db.Close(); err != nil {
-				t.Fatal(err)
-			}
+			// Load enters a table in the catalog only with its segment, so
+			// only an edit of the catalog can declare one the image lacks.
+			editCatalog(t, dir, func(defs []TableDef) []TableDef {
+				return append(defs, mkTable("pending", []string{"k"}, "k", "v"))
+			})
 		}, storage.ErrCorruptSegment},
 	}
 	for _, tc := range cases {

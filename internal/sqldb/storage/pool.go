@@ -31,7 +31,7 @@ import (
 // whole file, so the open pass offers every data page it does not keep as
 // vectors (Offer) to the frames that are free; a restart then answers its
 // first queries without reading those pages again, and a build handle's pool
-// keeps what each BulkLoad wrote and re-read, up to its capacity.
+// keeps what each Load wrote and re-read, up to its capacity.
 //
 // The one rule lockcheck enforces on the pool mutex (DESIGN.md §8) is that no
 // page is read while it is held.

@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -17,12 +17,34 @@ import (
 // segment: one directory search plus the payload's own pages per row, fronted
 // by the resident vector cache for all-integer tables. The segment is a page
 // range of the directory's image when Open read the table, and a loose file
-// when BulkLoad wrote it through this handle; it is written whole by
-// BulkLoad, copied whole into the next image by Flush and only read in
-// between. Both executors read through LookupPKScratch and ScanScratch.
+// when Load wrote it through this handle; Flush copies it whole into the next
+// image. Nothing of a Table changes once its constructor (newTable, then
+// its finish) has returned it — a Load of the same name makes a new one — so
+// a reader holds it without a lock. Both executors read through
+// LookupPKScratch and ScanScratch.
 type Table struct {
+	schema
+	db *DB
+
+	// The open segment and the file it lies in. vc is the table's decoded
+	// vectors, which Open decoded before a read could reach the table; it is
+	// nil when the handle has no vector budget, the table has a DOUBLE or
+	// TEXT column, Open declined it or Load wrote it, and then every read
+	// goes straight to the segment.
+	file *storage.PagedFile
+	seg  *storage.Segment
+	vc   *Mat
+
+	// Access counters: primary-key lookups answered (hit or miss) and full
+	// scans started. They let tests verify the paper's secondary-storage
+	// claims (e.g. "any v2v query needs to access exactly two rows").
+	lookups, scans atomic.Uint64
+}
+
+// schema is a table definition resolved against its columns: what Load
+// checks rows against and what a Table reads by.
+type schema struct {
 	def    TableDef
-	db     *DB
 	pkCols []int
 	// types caches the column types in storage order so hot-path decodes
 	// never walk the TableDef.
@@ -35,48 +57,50 @@ type Table struct {
 	runOrder, targetCols, floorCols []int
 	targetBound, targetCount        int64
 	floorKey                        int
-
-	// The open segment and the file it lies in, replaced as one by BulkLoad.
-	// Between CreateTable and the first BulkLoad there is no file yet and seg
-	// is the zero Segment, an empty one. loose is set from a BulkLoad until
-	// the Flush that packs the table into an image deletes its loose file. vc is the table's decoded vectors, which Open decoded before
-	// a read could reach the table; it is nil when the handle has no vector
-	// budget, the table has a DOUBLE or TEXT column, Open declined it or
-	// BulkLoad wrote it, and then every read goes straight to the segment.
-	file  *storage.PagedFile
-	seg   *storage.Segment
-	vc    *Mat
-	loose bool
-
-	// Access counters: primary-key lookups answered (hit or miss) and full
-	// scans started. They let tests verify the paper's secondary-storage
-	// claims (e.g. "any v2v query needs to access exactly two rows").
-	lookups, scans atomic.Uint64
 }
 
-// newTable builds the in-memory side of a table from its definition — one
-// being created or one read back from the catalog. A run-order declaration
-// that is not three existing BIGINT[] columns, a target-id declaration that is
-// not at least one of them under a bound in [1, math.MaxInt32] with a count in
-// [0, bound], or a floor that is not at least one of them over a BIGINT key
-// column and a width >= 1, is an error either way.
-func (db *DB) newTable(def TableDef) (*Table, error) {
-	t := &Table{def: def, db: db, types: make([]sqltypes.Type, len(def.Columns)), seg: new(storage.Segment)}
+// newSchema validates def — one being loaded or one read back from the
+// catalog — and resolves its columns; the table's name is lowercased. A
+// table needs a name, columns and a primary key of one or two BIGINT
+// columns. A run-order declaration that is not three existing BIGINT[]
+// columns, a target-id declaration that is not at least one of them under a
+// bound in [1, math.MaxInt32] with a count in [0, bound], or a floor that is
+// not at least one of them over a BIGINT key column and a width >= 1, is an
+// error too.
+func newSchema(def TableDef) (*schema, error) {
+	def.Name = strings.ToLower(def.Name)
+	if def.Name == "" {
+		return nil, fmt.Errorf("sqldb: empty table name")
+	}
+	if len(def.Columns) == 0 {
+		return nil, fmt.Errorf("sqldb: table %q has no columns", def.Name)
+	}
+	if len(def.PK) < 1 || len(def.PK) > 2 {
+		return nil, fmt.Errorf("sqldb: table %q: a table needs a primary key of one or two columns, got %d", def.Name, len(def.PK))
+	}
+	sc := &schema{def: def, types: make([]sqltypes.Type, len(def.Columns))}
 	for i, c := range def.Columns {
-		t.types[i] = c.Type
+		sc.types[i] = c.Type
 	}
 	for _, pk := range def.PK {
-		t.pkCols = append(t.pkCols, colIndex(def.Columns, pk))
+		ci := colIndex(def.Columns, pk)
+		if ci < 0 {
+			return nil, fmt.Errorf("sqldb: table %q: unknown PK column %q", def.Name, pk)
+		}
+		if sc.types[ci] != sqltypes.Int64 {
+			return nil, fmt.Errorf("sqldb: table %q: PK column %q must be BIGINT", def.Name, pk)
+		}
+		sc.pkCols = append(sc.pkCols, ci)
 	}
 	if len(def.RunOrder) != 0 && len(def.RunOrder) != 3 {
 		return nil, fmt.Errorf("sqldb: table %q: run order names %d columns, want 3", def.Name, len(def.RunOrder))
 	}
 	for _, name := range def.RunOrder {
 		ci := colIndex(def.Columns, name)
-		if ci < 0 || t.types[ci] != sqltypes.IntArray {
+		if ci < 0 || sc.types[ci] != sqltypes.IntArray {
 			return nil, fmt.Errorf("sqldb: table %q: run-order column %q is not a BIGINT[] column of the table", def.Name, name)
 		}
-		t.runOrder = append(t.runOrder, ci)
+		sc.runOrder = append(sc.runOrder, ci)
 	}
 	if ids := def.TargetIDs; ids != nil {
 		if len(ids.Columns) == 0 || ids.Bound < 1 || ids.Bound > math.MaxInt32 || ids.Count < 0 || ids.Count > ids.Bound {
@@ -85,29 +109,29 @@ func (db *DB) newTable(def TableDef) (*Table, error) {
 		}
 		for _, name := range ids.Columns {
 			ci := colIndex(def.Columns, name)
-			if ci < 0 || t.types[ci] != sqltypes.IntArray {
+			if ci < 0 || sc.types[ci] != sqltypes.IntArray {
 				return nil, fmt.Errorf("sqldb: table %q: target-id column %q is not a BIGINT[] column of the table", def.Name, name)
 			}
-			t.targetCols = append(t.targetCols, ci)
+			sc.targetCols = append(sc.targetCols, ci)
 		}
-		t.targetBound, t.targetCount = ids.Bound, ids.Count
+		sc.targetBound, sc.targetCount = ids.Bound, ids.Count
 	}
 	if fl := def.Floor; fl != nil {
 		key := colIndex(def.Columns, fl.Key)
-		if key < 0 || t.types[key] != sqltypes.Int64 || fl.Width < 1 || len(fl.Columns) == 0 {
+		if key < 0 || sc.types[key] != sqltypes.Int64 || fl.Width < 1 || len(fl.Columns) == 0 {
 			return nil, fmt.Errorf("sqldb: table %q: floor declares key %q, width %d and %d columns, want a BIGINT column of the table, a width of at least 1 and at least one column",
 				def.Name, fl.Key, fl.Width, len(fl.Columns))
 		}
 		for _, name := range fl.Columns {
 			ci := colIndex(def.Columns, name)
-			if ci < 0 || t.types[ci] != sqltypes.IntArray {
+			if ci < 0 || sc.types[ci] != sqltypes.IntArray {
 				return nil, fmt.Errorf("sqldb: table %q: floor column %q is not a BIGINT[] column of the table", def.Name, name)
 			}
-			t.floorCols = append(t.floorCols, ci)
+			sc.floorCols = append(sc.floorCols, ci)
 		}
-		t.floorKey = key
+		sc.floorKey = key
 	}
-	return t, nil
+	return sc, nil
 }
 
 // AccessStats reports how many PK lookups and full scans the table has
@@ -158,14 +182,10 @@ func (t *Table) Floor() (key int, width int64, cols []int) {
 // RowCount returns the number of stored rows.
 func (t *Table) RowCount() uint64 { return uint64(t.seg.NumRows()) }
 
-// loosePath is where BulkLoad writes the table's segment; Flush copies it
-// into the image and deletes it.
-func (t *Table) loosePath() string { return filepath.Join(t.db.dir, t.def.Name+".loose") }
-
 // checkRow validates arity, the absence of NULL, the column types — coercing
 // integer values into DOUBLE columns in place — and the declared target-id
 // bound, floor and run order.
-func (t *Table) checkRow(row sqltypes.Row) error {
+func (t *schema) checkRow(row sqltypes.Row) error {
 	if len(row) != len(t.def.Columns) {
 		return fmt.Errorf("sqldb: %s: row has %d values, table has %d columns", t.def.Name, len(row), len(t.def.Columns))
 	}
@@ -224,7 +244,7 @@ func (t *Table) checkRow(row sqltypes.Row) error {
 // countTargets marks the target ids of a checked row in seen, one bit per id
 // of the bound, and returns the number of distinct ids marked so far, or an
 // error at the first id past the declared count.
-func (t *Table) countTargets(row sqltypes.Row, seen []uint64, distinct int64) (int64, error) {
+func (t *schema) countTargets(row sqltypes.Row, seen []uint64, distinct int64) (int64, error) {
 	for _, ci := range t.targetCols {
 		for i, id := range row[ci].A {
 			w, bit := id>>6, uint64(1)<<(id&63)
@@ -241,19 +261,15 @@ func (t *Table) countTargets(row sqltypes.Row, seen []uint64, distinct int64) (i
 	return distinct, nil
 }
 
-// BulkLoad makes rows the table's content — the one write a table has. The
-// rows must be sorted by strictly ascending primary key and hold no NULL;
-// all of them are validated before a byte is written, so a rejected load
-// leaves the table as it was. The segment is written as a loose file of its
-// own, not synced — the next Flush copies it into the image, which it syncs —
-// and replaces the table's old segment as one. The loaded table reads its
-// loose segment until the directory is opened again: only Open admits a table
-// to the vector cache, and a table that held vectors lets them go
-// (vcache.resident_bytes drops by their size). Reads of this table must not
-// run concurrently with its load, nor a Flush with any load (bulk
-// maintenance, like CreateTable); loads of different tables may run
-// concurrently.
-func (t *Table) BulkLoad(rows []sqltypes.Row) error {
+// encode computes the table's rows and encodes them as its segment. The rows
+// must be sorted by strictly ascending primary key and hold no NULL; each is
+// checked against the schema as it is encoded, so a rejected load names the
+// first row that breaks it and writes nothing.
+func (t *schema) encode(load func() ([]sqltypes.Row, error)) (storage.SegmentData, error) {
+	rows, err := load()
+	if err != nil {
+		return storage.SegmentData{}, err
+	}
 	sd := storage.SegmentData{
 		Cols:  make([]byte, len(t.types)),
 		PKLen: len(t.pkCols),
@@ -270,80 +286,57 @@ func (t *Table) BulkLoad(rows []sqltypes.Row) error {
 		seen = make([]uint64, (t.targetBound+63)/64)
 	}
 	distinct := int64(0)
-	// The rows are validated and encoded in memory; the file is not touched
-	// until every one of them has passed.
 	for i, r := range rows {
 		err := t.checkRow(r)
 		if err == nil && seen != nil {
 			distinct, err = t.countTargets(r, seen, distinct)
 		}
 		if err != nil {
-			return fmt.Errorf("row %d: %w", i, err)
+			return sd, fmt.Errorf("row %d: %w", i, err)
 		}
 		for k, ci := range t.pkCols {
 			sd.Keys[i][k] = r[ci].I
 		}
 		if i > 0 && !sd.Keys[i-1].Less(sd.Keys[i]) {
-			return fmt.Errorf("sqldb: %s: bulk load rows not in strictly ascending key order at row %d (%v then %v)",
+			return sd, fmt.Errorf("sqldb: %s: bulk load rows not in strictly ascending key order at row %d (%v then %v)",
 				t.def.Name, i, sd.Keys[i-1], sd.Keys[i])
 		}
 		start := len(sd.Data)
 		data, err := sqltypes.EncodeSegRow(sd.Data, r)
 		if err != nil {
-			return fmt.Errorf("sqldb: %s: row %d: %w", t.def.Name, i, err)
+			return sd, fmt.Errorf("sqldb: %s: row %d: %w", t.def.Name, i, err)
 		}
 		sd.Data = data
 		sd.Lens[i] = uint32(len(sd.Data) - start)
 	}
-	db := t.db
-	if err := storage.WriteSegmentFile(t.loosePath(), db.dev, &db.clock, sd); err != nil {
-		return err
-	}
-	t.loose = true
-	f, err := storage.OpenPagedFile(t.loosePath(), db.dev, &db.clock)
-	if err != nil {
-		return fmt.Errorf("sqldb: table %q: %w", t.def.Name, err)
-	}
-	db.pool.Register(f)
-	f.CountReads(&db.reg.Pool.RandReads, &db.reg.Pool.SeqReads)
-	// Should the open fail, the old segment and vectors serve on.
-	oldFile, oldVC := t.file, t.vc
-	if _, err := t.open(f, 0, nil); err != nil {
-		_ = db.release(f) // best-effort cleanup; the open failure wins
-		return err
-	}
-	if oldVC != nil {
-		db.reg.VCache.ResidentBytes.Add(-oldVC.Bytes)
-	}
-	if oldFile == db.image {
-		return nil // the image stays open for the tables still in it
-	}
-	return db.release(oldFile)
+	return sd, nil
 }
 
-// open opens and validates the table's segment, the one at page base of f —
-// checksums and layout in storage, column layout against the schema here —
-// and makes it the table's. left is what Open's
-// vector budget has left after the tables it admitted before this one, nil
-// when the table is not to be admitted (a handle without a budget, and
-// BulkLoad's reopen). An all-integer table that fits it is admitted: open
-// takes the exact size of its vectors from *left, counts it resident and
-// returns the decode, which the caller runs before any read can reach the
-// table. For such a table, the pass that checksums the data region also
-// counts its varints, which is all it takes to know that size (vectorBytes),
-// and keeps the region it read, for the decode to start from once the
-// checksum has matched. The region is kept only while a lower bound on the
-// table's vectors fits *left: the size for the varints counted so far, or for
-// one varint per ten bytes of the region if that is more. The bound only
-// grows and its last value is at least the exact size, so a region kept to
-// the end fits, and a table too large for what is left is let go at its
-// first chunk, before any copy. Every data page the table does not keep as
-// vectors ends up in a free frame of the buffer pool (storage.OpenSegment).
-// A failed open leaves the table as it was and f open: f is the caller's.
-func (t *Table) open(f *storage.PagedFile, base storage.PageID, left *int64) (decode func() error, err error) {
-	db := t.db
+// newTable is the one constructor of a Table: the table of sc on the segment
+// at page base of f. It comes in two halves. The first, newTable itself,
+// opens and validates the segment — checksums and layout in storage, column
+// layout against the schema here — and returns its page count, which places
+// the next segment of an image. left is what Open's vector budget has left
+// after the tables it admitted before this one, nil when the table is not to
+// be admitted (a handle without a budget, and Load). An all-integer table
+// that fits it is admitted: newTable takes the exact size of its vectors from
+// *left and counts it resident. For such a table, the pass that checksums the
+// data region also counts its varints, which is all it takes to know that
+// size (vectorBytes), and keeps the region it read, for the decode to start
+// from once the checksum has matched. The region is kept only while a lower
+// bound on the table's vectors fits *left: the size for the varints counted
+// so far, or for one varint per ten bytes of the region if that is more. The
+// bound only grows and its last value is at least the exact size, so a region
+// kept to the end fits, and a table too large for what is left is let go at
+// its first chunk, before any copy. Every data page the table does not keep
+// as vectors ends up in a free frame of the buffer pool (storage.OpenSegment).
+//
+// The second half, finish, decodes an admitted table's vectors and returns
+// the table, complete; Open runs the first halves in catalog order and the
+// finishes on every core. A failed open leaves f open: f is the caller's.
+func (db *DB) newTable(sc *schema, f *storage.PagedFile, base storage.PageID, left *int64) (pages storage.PageID, finish func() (*Table, error), err error) {
 	vectors := left != nil
-	for _, typ := range t.types {
+	for _, typ := range sc.types {
 		vectors = vectors && (typ == sqltypes.Int64 || typ == sqltypes.IntArray)
 	}
 	varints := 0
@@ -353,36 +346,37 @@ func (t *Table) open(f *storage.PagedFile, base storage.PageID, left *int64) (de
 			varints += sqltypes.CountSegVarints(chunk)
 			// No varint a decode accepts is longer than ten bytes, so a
 			// region holds at least one per ten of its bytes.
-			return vectorBytes(t.types, rows, max(varints, size/binary.MaxVarintLen64)) <= *left
+			return vectorBytes(sc.types, rows, max(varints, size/binary.MaxVarintLen64)) <= *left
 		}
 	}
 	seg, data, err := storage.OpenSegment(f, base, db.pool, keep)
 	if err != nil {
-		return nil, fmt.Errorf("sqldb: table %q: %w", t.def.Name, err)
+		return 0, nil, fmt.Errorf("sqldb: table %q: %w", sc.def.Name, err)
 	}
 	cols := seg.Cols()
-	match := len(cols) == len(t.types) && seg.PKLen() == len(t.pkCols)
+	match := len(cols) == len(sc.types) && seg.PKLen() == len(sc.pkCols)
 	for i := 0; match && i < len(cols); i++ {
-		match = sqltypes.Type(cols[i]) == t.types[i]
+		match = sqltypes.Type(cols[i]) == sc.types[i]
 	}
 	if !match {
-		return nil, fmt.Errorf("sqldb: table %q: %w: header: columns %v (pk %d) do not match the schema; rebuild the database",
-			t.def.Name, storage.ErrCorruptSegment, cols, seg.PKLen())
+		return 0, nil, fmt.Errorf("sqldb: table %q: %w: header: columns %v (pk %d) do not match the schema; rebuild the database",
+			sc.def.Name, storage.ErrCorruptSegment, cols, seg.PKLen())
 	}
-	t.file, t.seg, t.vc = f, seg, nil
+	t := &Table{schema: *sc, db: db, file: f, seg: seg}
+	done := func() (*Table, error) { return t, nil }
 	if !vectors {
-		return nil, nil
+		return seg.Pages(), done, nil
 	}
-	size := vectorBytes(t.types, seg.NumRows(), varints)
+	size := vectorBytes(sc.types, seg.NumRows(), varints)
 	// keep checked the size of every region it saw a chunk of; an empty
 	// region, which it never saw, is checked here.
 	if data == nil || size > *left {
 		db.reg.VCache.Declined.Add(1) // its vectors outgrew what the tables before it left
-		return nil, nil
+		return seg.Pages(), done, nil
 	}
 	*left -= size
 	db.reg.VCache.ResidentBytes.Add(size)
-	return func() error {
+	return seg.Pages(), func() (*Table, error) {
 		start := time.Now()
 		m, err := t.decode(data, varints)
 		if err == nil && m.Bytes != size {
@@ -390,22 +384,13 @@ func (t *Table) open(f *storage.PagedFile, base storage.PageID, left *int64) (de
 			err = fmt.Errorf("decoded %d bytes of vectors for a table admitted at %d", m.Bytes, size)
 		}
 		if err != nil {
-			return fmt.Errorf("sqldb: table %q: %w", t.def.Name, err)
+			return nil, fmt.Errorf("sqldb: table %q: %w", sc.def.Name, err)
 		}
 		t.vc = m
 		db.reg.VCache.Materializations.Add(1)
 		db.reg.VCache.Materialize.Observe(time.Since(start))
-		return nil
+		return t, nil
 	}, nil
-}
-
-// release forgets a replaced loose segment's pages and closes its file.
-func (db *DB) release(f *storage.PagedFile) error {
-	if f == nil {
-		return nil
-	}
-	db.pool.Forget(f)
-	return f.Close()
 }
 
 // LookupPK fetches the row with the given primary-key values (one per PK
@@ -436,7 +421,7 @@ func (t *Table) LookupPKScratch(keyVals []int64, s *exec.RowScratch) (sqltypes.R
 			t.def.Name, len(keyVals), len(t.pkCols))
 	}
 	t.lookups.Add(1)
-	// Single-column keys leave the second component zero, as BulkLoad's do.
+	// Single-column keys leave the second component zero, as Load's do.
 	var key storage.Key
 	copy(key[:], keyVals)
 	reg := &t.db.reg

@@ -21,7 +21,7 @@ import (
 // decoded before Open returns. Any other is declined and reads its segment.
 // Nothing is ever evicted: labels never go stale, so a budget just under the
 // working set declines the last tables instead of decoding tables over and
-// over. A table that BulkLoad writes through an open handle reads its
+// over. A table that Load writes through an open handle reads its
 // segment until the directory is opened again. A table with a DOUBLE or TEXT
 // column is never admitted, so nothing here sees one.
 

@@ -337,18 +337,28 @@ func (d *DB) Close() error { return d.db.Close() }
 
 // EarliestArrival answers EA(s, g, t): the earliest arrival at g over
 // journeys leaving s no sooner than t. ok is false when no journey exists.
+//
+// A query from a stop to itself answers by the labels' dummy tuples, the
+// times of the events at s that the labels record (paper Section 3.1), not
+// by t itself: EA(s, s, t) is the earliest of them at or after t, so it may
+// be later than t, and ok is false when there is none (the paper's example
+// has EA(1, 1, 324) = 324 because stop 1 has an event at 324).
+// LatestDeparture(s, s, t) is the latest of them at or before t, and
+// ShortestDuration(s, s, t, tEnd) is 0 when one lies in [t, tEnd].
 func (d *DB) EarliestArrival(s, g StopID, t Time) (arr Time, ok bool, err error) {
 	return d.store.EarliestArrival(s, g, t)
 }
 
 // LatestDeparture answers LD(s, g, t): the latest departure from s arriving
-// at g no later than t.
+// at g no later than t. For s == g see EarliestArrival: it is the latest
+// recorded event time at s at or before t.
 func (d *DB) LatestDeparture(s, g StopID, t Time) (dep Time, ok bool, err error) {
 	return d.store.LatestDeparture(s, g, t)
 }
 
 // ShortestDuration answers SD(s, g, t, tEnd): the minimum journey duration
-// within the window.
+// within the window. For s == g see EarliestArrival: it is 0 when a recorded
+// event time at s lies in [t, tEnd], and ok is false otherwise.
 func (d *DB) ShortestDuration(s, g StopID, t, tEnd Time) (dur Time, ok bool, err error) {
 	return d.store.ShortestDuration(s, g, t, tEnd)
 }

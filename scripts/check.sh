@@ -32,7 +32,7 @@ if git grep -nE 'ErrNotFused|DisableFusedExec|FusedOff' -- '*.go' ':!*_test.go' 
 fi
 echo "== no grouping hash, no label re-sort, no accumulator hash"
 if git grep -nE 'gidx|tupleGroup|ensureLabelOrder|flatIndex|findOrAdd' -- '*.go'; then
-    echo "a label's run order and a target id's bound are BulkLoad's to check and the kernels' to trust:" >&2
+    echo "a label's run order and a target id's bound are Load's to check and the kernels' to trust:" >&2
     echo "grouping walks the runs, and the per-target accumulator is an array indexed by the id" >&2
     exit 1
 fi
@@ -137,14 +137,23 @@ fi
 echo "== vectors are Open's: only sqldb.Open admits and decodes a table, and nothing drops one"
 if git grep -nE 'vcache\.Cache|admitHook|dropVectors|DropTable|DropTargetSet|seg\.Offer|sqldb/vcache' -- '*.go'; then
     echo "sqldb.Open admits tables on a running sum of its budget in catalog order and decodes them before it" >&2
-    echo "returns; a table BulkLoad writes reads its segment until the directory is opened again:" >&2
+    echo "returns; a table Load writes reads its segment until the directory is opened again:" >&2
     echo "no shared account, no admission after Open, no drop path" >&2
     exit 1
 fi
 echo "== a database directory is the catalog and one image (internal/sqldb)"
 if git grep -nE 'segPath|Name *\+ *"\.seg"' -- '*.go' ':!*_test.go'; then
     echo "sqldb.Open reads every table from the directory's one image, walked by the segments' own headers:" >&2
-    echo "no file per table to open, no per-table segment path (a loose segment is BulkLoad's until Flush packs it)" >&2
+    echo "no file per table to open, no per-table segment path (a loose segment is Load's until Flush packs it)" >&2
+    exit 1
+fi
+echo "== a table never changes once it can be read: one batch Load writes tables (internal/sqldb)"
+# A field selector is preceded by an identifier or a closing bracket; the
+# ".loose" extension of a loose segment's file name is not one.
+if git grep -nE 'CreateTable|\.BulkLoad\(|func \(db \*DB\) release|db\.mu\b|[[:alnum:]_)]\.declared\b|[[:alnum:]_)]\.loose\b' -- '*.go' ':!*_test.go'; then
+    echo "sqldb.DB.Load writes a batch of new tables and enters them in the catalog together; a table is built" >&2
+    echo "complete by its constructor and never changes: no CreateTable, no BulkLoad, no in-place reopen or" >&2
+    echo "release, no catalog lock, no declared flag, no per-table loose flag (DESIGN.md §6)" >&2
     exit 1
 fi
 echo "== go vet ./..."

@@ -1,0 +1,220 @@
+package ptldb
+
+// writer_failure_test.go: a writer call that fails leaves the directory as
+// it was. Its tables and the meta row that names them are one batch, entered
+// only once every table of it is written.
+
+import (
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"ptldb/internal/csa"
+	"ptldb/internal/timetable"
+)
+
+// TestFailedWriterLeavesDirectory makes one loose segment of a writer call
+// unwritable — a directory stands at its path — and requires the call to
+// fail with that path named, Close to succeed, the directory to open again
+// and answer what CSA answers, and a retry of the same call on the reopened
+// directory to succeed and answer what CSA answers.
+func TestFailedWriterLeavesDirectory(t *testing.T) {
+	tt, err := GenerateCity("Austin", 0.02, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := tt.NumStops()
+	targets := []StopID{1, 3, 5, 8, 13, 21}
+	// eaMatchesCSA checks EA on h, a handle of tt's timetable, against CSA
+	// for a spread of stop pairs and times.
+	eaMatchesCSA := func(t *testing.T, what string, h *DB) {
+		t.Helper()
+		for i := 0; i < 20; i++ {
+			s, g := StopID(i*7%n), StopID((i*13+2)%n)
+			if s == g {
+				continue // a self-query is not CSA's t (EarliestArrival's doc)
+			}
+			when := tt.MinTime() + Time(i)*tt.Span()/20
+			got, ok, err := h.EarliestArrival(s, g, when)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := csa.EarliestArrival(tt, s, g, when); ok != (want != timetable.Infinity) || (ok && got != want) {
+				t.Errorf("%s: EA(%d, %d, %d) = %d, %v; the oracle has %d", what, s, g, when, got, ok, want)
+			}
+		}
+	}
+	cases := []struct {
+		call    string
+		blocked string // the loose segment made unwritable
+		write   func(db *DB) error
+		check   func(t *testing.T, db *DB)
+	}{
+		{"AddTargetSet", "knn_ea_poi.loose",
+			func(db *DB) error { return db.AddTargetSet("poi", targets, 3) },
+			func(t *testing.T, db *DB) {
+				q, when := StopID(0), tt.MinTime()+tt.Span()/3
+				got, err := db.EAKNN("poi", q, when, 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkNeighbors(t, "EA kNN", got, csa.EarliestArrivalKNN(tt, q, targets, when, 3))
+			}},
+		{"AddVersion", "lin__weekend.loose",
+			func(db *DB) error { return db.AddVersion("weekend", tt) },
+			func(t *testing.T, db *DB) {
+				we, err := db.Version("weekend")
+				if err != nil {
+					t.Fatal(err)
+				}
+				eaMatchesCSA(t, "weekend", we)
+			}},
+		{"BuildPathTables", "paths_in.loose",
+			func(db *DB) error { return db.BuildPathTables(tt) },
+			func(t *testing.T, db *DB) {
+				checked := 0
+				for s := 0; s < n && checked < 10; s++ {
+					g := (s*17 + 5) % n
+					if s == g {
+						continue
+					}
+					j, ok, err := db.JourneyFromDB(StopID(s), StopID(g), tt.MinTime())
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := csa.EarliestArrival(tt, StopID(s), StopID(g), tt.MinTime())
+					if ok != (want != timetable.Infinity) || (ok && j.Arr != want) {
+						t.Errorf("journey %d -> %d arrives %d, %v; the oracle has %d", s, g, j.Arr, ok, want)
+					}
+					if ok {
+						checked++
+					}
+				}
+				if checked == 0 {
+					t.Error("no journey checked")
+				}
+			}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.call, func(t *testing.T) {
+			dir := t.TempDir()
+			db, err := Create(dir, tt, Config{Device: "ram"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			blocked := filepath.Join(dir, tc.blocked)
+			if err := os.Mkdir(blocked, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.write(db); err == nil || !strings.Contains(err.Error(), tc.blocked) {
+				db.Close()
+				t.Fatalf("%s with %s unwritable: %v; want the error naming it", tc.call, tc.blocked, err)
+			}
+			if err := os.Remove(blocked); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatalf("Close after the failed %s: %v", tc.call, err)
+			}
+			requireOnlyImage(t, dir)
+
+			db, err = Open(dir, Config{Device: "ram"})
+			if err != nil {
+				t.Fatalf("Open after the failed %s: %v", tc.call, err)
+			}
+			defer db.Close()
+			eaMatchesCSA(t, "after the failed "+tc.call, db)
+			if err := tc.write(db); err != nil {
+				t.Fatalf("retrying %s: %v", tc.call, err)
+			}
+			tc.check(t, db)
+			eaMatchesCSA(t, "after the retried "+tc.call, db)
+		})
+	}
+}
+
+// TestCreateRefusesBuiltDirectory: Create into a directory that already holds
+// a database fails and leaves every file of it as it was, so the directory
+// keeps answering for its own timetable — its path tables included, which a
+// build over it would otherwise leave beside another timetable's labels.
+func TestCreateRefusesBuiltDirectory(t *testing.T) {
+	tt, err := GenerateCity("Austin", 0.02, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := GenerateCity("Austin", 0.02, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	db, err := Create(dir, tt, Config{Device: "ram"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.BuildPathTables(tt); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snapshot := func() map[string]string {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := map[string]string{}
+		for _, e := range entries {
+			b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[e.Name()] = string(b)
+		}
+		return files
+	}
+	before := snapshot()
+
+	if db, err := Create(dir, other, Config{Device: "ram"}); err == nil || !strings.Contains(err.Error(), "already holds") {
+		if db != nil {
+			db.Close()
+		}
+		t.Fatalf("a second Create into the built directory: %v; want a refusal", err)
+	}
+	after := snapshot()
+	if len(after) != len(before) {
+		t.Errorf("the refused Create left files %d, want %d", len(after), len(before))
+	}
+	for name, b := range before {
+		if after[name] != b {
+			t.Errorf("the refused Create changed %s", name)
+		}
+	}
+
+	db, err = Open(dir, Config{Device: "ram"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	n, checked := tt.NumStops(), 0
+	for s := 0; s < n && checked < 10; s++ {
+		g := (s*17 + 5) % n
+		if s == g {
+			continue
+		}
+		j, ok, err := db.JourneyFromDB(StopID(s), StopID(g), tt.MinTime())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := csa.EarliestArrival(tt, StopID(s), StopID(g), tt.MinTime())
+		if ok != (want != timetable.Infinity) || (ok && j.Arr != want) {
+			t.Errorf("journey %d -> %d arrives %d, %v; the oracle has %d", s, g, j.Arr, ok, want)
+		}
+		if ok {
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Error("no journey checked")
+	}
+}
