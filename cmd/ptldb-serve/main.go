@@ -8,15 +8,16 @@
 //	ptldb-serve -db DIR [-addr 127.0.0.1:8080] [-device ssd]
 //	            [-max-inflight 64] [-timeout 5s] [-drain 10s]
 //	            [-slow DURATION] [-pool-pages N]
-//	ptldb-serve -tenants DIR [-max-open 4] [shared flags as above]
+//	ptldb-serve -tenants DIR [shared flags as above]
 //
 // With -db, one database is served at the root paths. With -tenants, DIR's
 // subdirectories (each a built database, the subdirectory name being the
-// city key) are served from one process behind /t/{city}/... paths:
-// databases open lazily on first request, at most -max-open stay open (LRU,
-// in-flight queries pin theirs), and the -vcache-bytes and -pool-pages
-// budgets are process-wide — each open tenant gets an equal share. See
-// DESIGN.md §14.
+// city key) are served from one process behind /t/{city}/... paths: a
+// city's database opens on its first request and stays open until
+// shutdown (a city whose database fails to open answers 500 with the open's
+// error until the process restarts), and the -vcache-bytes and -pool-pages
+// budgets are process-wide — each city gets an equal share. See DESIGN.md
+// §14.
 //
 // Endpoints (all GET, all JSON; prefix /t/{city} in -tenants mode):
 //
@@ -61,7 +62,6 @@ func main() {
 	var (
 		dbDir     = flag.String("db", "", "database directory (this or -tenants required)")
 		tenantDir = flag.String("tenants", "", "parent directory of per-city databases; serve them all")
-		maxOpen   = flag.Int("max-open", 4, "max concurrently open tenant databases (-tenants mode)")
 		addr      = flag.String("addr", "127.0.0.1:8080", "listen address")
 		device    = flag.String("device", "ssd", "simulated device: hdd, ssd, ram")
 		vcBytes   = flag.Int64("vcache-bytes", 0, "vector-cache budget in bytes, process-wide (0 = default, negative = no cache)")
@@ -87,14 +87,13 @@ func main() {
 		what    string
 	)
 	if *tenantDir != "" {
-		router, err := tenant.New(*tenantDir, tenant.Config{MaxOpenTenants: *maxOpen, Base: cfg})
+		router, err := tenant.New(*tenantDir, tenant.Config{Base: cfg})
 		if err != nil {
 			fatal(err)
 		}
 		srv = serve.NewMulti(router, opts)
 		closeDB = router.Close
-		what = fmt.Sprintf("tenants %s [%s], max-open %d", *tenantDir,
-			strings.Join(router.Names(), " "), *maxOpen)
+		what = fmt.Sprintf("tenants %s [%s]", *tenantDir, strings.Join(router.Names(), " "))
 	} else {
 		db, err := ptldb.Open(*dbDir, cfg)
 		if err != nil {

@@ -368,9 +368,9 @@ func (m *ServeMetrics) Snapshot() ServeSnapshot {
 // TenantMetrics are one city's counters in a multi-tenant router
 // (internal/tenant): query requests routed to the tenant, their latency
 // (admission rejections excluded, like ServeMetrics.Latency), and the tenant
-// database's open/close events under lazy open and LRU close. One
-// TenantMetrics lives for the router's whole lifetime even while its tenant
-// database is closed, so the counters survive open/close cycles.
+// database's open and close: Opens reads 1 once its first request has
+// opened it, Closes 1 once the router has closed it. One TenantMetrics lives
+// for the router's whole lifetime, before the open and after the close.
 type TenantMetrics struct {
 	Requests Counter
 	Opens    Counter

@@ -215,9 +215,8 @@ func (s *Server) unknownTenant(w http.ResponseWriter, city string) {
 
 // serveQuery is the shared request pipeline: parse, admit, run detached
 // under the deadline, map errors, record latency. In tenant mode (tm
-// non-nil) the execution acquires the tenant itself — pinning the database
-// against LRU close for exactly the execution, and folding a cold open into
-// the admission/deadline envelope.
+// non-nil) the execution acquires the tenant itself, folding a cold open
+// into the admission/deadline envelope.
 func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, parse parseFunc, city string, tm *obs.TenantMetrics) {
 	run, err := parse(r.URL.Query())
 	if err != nil {
@@ -232,7 +231,6 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, parse parseF
 			if err != nil {
 				return answer{}, err
 			}
-			defer t.Release()
 			return run(t.DB())
 		}
 		tm.Requests.Add(1)
@@ -387,13 +385,12 @@ func (s *Server) system(w http.ResponseWriter, r *http.Request, run func() (any,
 
 // planRun builds the /plan execution over an acquired store: the name
 // listing when name is empty, one rendered plan otherwise.
-func planRun(name string, acquire func() (Store, func(), error)) func() (any, error) {
+func planRun(name string, acquire func() (Store, error)) func() (any, error) {
 	return func() (any, error) {
-		st, release, err := acquire()
+		st, err := acquire()
 		if err != nil {
 			return nil, err
 		}
-		defer release()
 		if name == "" {
 			return PlanListResponse{Names: st.ExplainNames()}, nil
 		}
@@ -405,9 +402,9 @@ func planRun(name string, acquire func() (Store, func(), error)) func() (any, er
 	}
 }
 
-// acquireSingle hands out the single-database store with a no-op release.
-func (s *Server) acquireSingle() (Store, func(), error) {
-	return s.store, func() {}, nil
+// acquireSingle hands out the single-database store.
+func (s *Server) acquireSingle() (Store, error) {
+	return s.store, nil
 }
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
@@ -429,12 +426,12 @@ func (s *Server) handleTenantPlan(w http.ResponseWriter, r *http.Request) {
 		s.unknownTenant(w, city)
 		return
 	}
-	s.system(w, r, planRun(r.URL.Query().Get("name"), func() (Store, func(), error) {
+	s.system(w, r, planRun(r.URL.Query().Get("name"), func() (Store, error) {
 		t, err := s.tenants.Acquire(city)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return t.DB(), t.Release, nil
+		return t.DB(), nil
 	}))
 }
 
@@ -452,7 +449,6 @@ func (s *Server) handleTenantObs(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		defer t.Release()
 		snap := t.DB().Snapshot()
 		var resident int64
 		if snap.VCache != nil {

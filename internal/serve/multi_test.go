@@ -1,16 +1,19 @@
 package serve
 
 // multi_test.go exercises the multi-tenant server against fake tenant
-// databases: a query reaches its own city's store, lazy open and LRU close
-// flow through the serving layer, unknown cities are 404 before admission,
-// and the /tenants and rollup /obs shapes are pinned byte-for-byte like the
+// databases: a query reaches its own city's store, a city opens once on its
+// first request and stays open, a city that fails to open answers 500 while
+// its neighbour answers 200, unknown cities are 404 before admission, and
+// the /tenants and rollup /obs shapes are pinned byte-for-byte like the
 // single-database goldens.
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"ptldb"
@@ -18,11 +21,14 @@ import (
 )
 
 // fakeFleet builds a tenant router whose Open hook hands out fakeStores,
-// recording every handle per city.
+// recording every handle per city. Opening the city named fail counts an
+// attempt in failed and returns an error instead.
 type fakeFleet struct {
-	mu    sync.Mutex
-	block chan struct{} // when non-nil, installed on every fake
-	byDir map[string][]*fakeStore
+	mu     sync.Mutex
+	block  chan struct{} // when non-nil, installed on every fake
+	byDir  map[string][]*fakeStore
+	fail   string
+	failed atomic.Int64
 }
 
 func newFakeFleet(block chan struct{}) *fakeFleet {
@@ -30,6 +36,10 @@ func newFakeFleet(block chan struct{}) *fakeFleet {
 }
 
 func (ff *fakeFleet) open(dir string, cfg ptldb.Config) (tenant.DB, error) {
+	if ff.fail != "" && dir == "/fake/"+ff.fail {
+		ff.failed.Add(1)
+		return nil, fmt.Errorf("fake %s: damaged image", ff.fail)
+	}
 	fs := &fakeStore{block: ff.block}
 	ff.mu.Lock()
 	ff.byDir[dir] = append(ff.byDir[dir], fs)
@@ -48,13 +58,13 @@ func (ff *fakeFleet) latest(city string) *fakeStore {
 	return fakes[len(fakes)-1]
 }
 
-func fakeRouter(t *testing.T, ff *fakeFleet, maxOpen int, cities ...string) *tenant.Router {
+func fakeRouter(t *testing.T, ff *fakeFleet, cities ...string) *tenant.Router {
 	t.Helper()
 	dirs := map[string]string{}
 	for _, c := range cities {
 		dirs[c] = "/fake/" + c
 	}
-	r, err := tenant.NewFromDirs(dirs, tenant.Config{MaxOpenTenants: maxOpen, Open: ff.open})
+	r, err := tenant.NewFromDirs(dirs, tenant.Config{Open: ff.open})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +77,7 @@ func fakeRouter(t *testing.T, ff *fakeFleet, maxOpen int, cities ...string) *ten
 func TestTenantQueriesAreCityScoped(t *testing.T) {
 	block := make(chan struct{})
 	ff := newFakeFleet(block)
-	router := fakeRouter(t, ff, 2, "austin", "berlin")
+	router := fakeRouter(t, ff, "austin", "berlin")
 	srv := NewMulti(router, Options{})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -102,11 +112,11 @@ func TestTenantQueriesAreCityScoped(t *testing.T) {
 }
 
 // TestTenantLifecycleOverHTTP sends one query to austin, berlin and austin
-// again with a cap of one open tenant: each request reaches its own city's
-// store, and lazy open and LRU close flow through the serving layer.
+// again: each request reaches its own city's store, each city opens once on
+// its first request and stays open, and the router's Close closes both.
 func TestTenantLifecycleOverHTTP(t *testing.T) {
 	ff := newFakeFleet(nil)
-	router := fakeRouter(t, ff, 1, "austin", "berlin")
+	router := fakeRouter(t, ff, "austin", "berlin")
 	srv := NewMulti(router, Options{})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -115,37 +125,30 @@ func TestTenantLifecycleOverHTTP(t *testing.T) {
 	if code, body := get(t, ts.URL+"/t/austin"+q); code != http.StatusOK {
 		t.Fatalf("austin query: status %d, body %s", code, body)
 	}
-	if router.OpenCount() != 1 || ff.latest("berlin") != nil {
-		t.Fatalf("after one austin query: %d open, berlin opened %v", router.OpenCount(), ff.latest("berlin"))
+	if ff.latest("berlin") != nil {
+		t.Fatal("an austin query opened berlin")
 	}
 	austin := ff.latest("austin")
 	if code, _ := get(t, ts.URL+"/t/berlin"+q); code != http.StatusOK {
 		t.Fatalf("berlin query failed")
 	}
-	// The identical query went to each city's own store once.
-	if a, b := austin.calls.Load(), ff.latest("berlin").calls.Load(); a != 1 || b != 1 {
-		t.Errorf("store calls austin/berlin = %d/%d, want 1/1", a, b)
-	}
-	// The cap is 1: opening berlin closed idle austin.
-	if got := austin.closeCalls.Load(); got != 1 {
-		t.Errorf("austin close calls = %d, want 1 (LRU close under cap)", got)
-	}
-	if router.OpenCount() != 1 {
-		t.Errorf("open count = %d, want 1", router.OpenCount())
-	}
-	// A later austin query reopens it transparently.
 	if code, _ := get(t, ts.URL+"/t/austin"+q); code != http.StatusOK {
-		t.Fatalf("austin reopen query failed")
+		t.Fatalf("second austin query failed")
 	}
-	if reopened := ff.latest("austin"); reopened == austin || reopened.calls.Load() != 1 {
-		t.Errorf("austin reopen: same handle %v, store calls %d, want a new handle with 1 call",
-			reopened == austin, reopened.calls.Load())
+	// Austin kept its one handle: both of its queries reached it.
+	if ff.latest("austin") != austin {
+		t.Error("austin reopened")
 	}
-	m := router.Metrics("austin")
-	if m.Opens.Load() != 2 || m.Closes.Load() != 1 {
-		t.Errorf("austin opens/closes = %d/%d, want 2/1", m.Opens.Load(), m.Closes.Load())
+	if a, b := austin.calls.Load(), ff.latest("berlin").calls.Load(); a != 2 || b != 1 {
+		t.Errorf("store calls austin/berlin = %d/%d, want 2/1", a, b)
 	}
-	if a, b := m.Requests.Load(), router.Metrics("berlin").Requests.Load(); a != 2 || b != 1 {
+	for _, city := range []string{"austin", "berlin"} {
+		m := router.Metrics(city)
+		if m.Opens.Load() != 1 || m.Closes.Load() != 0 {
+			t.Errorf("%s opens/closes = %d/%d, want 1/0", city, m.Opens.Load(), m.Closes.Load())
+		}
+	}
+	if a, b := router.Metrics("austin").Requests.Load(), router.Metrics("berlin").Requests.Load(); a != 2 || b != 1 {
 		t.Errorf("per-tenant requests = %d/%d, want 2/1", a, b)
 	}
 	// The rollup /obs sums the per-tenant counters into totals.
@@ -154,10 +157,62 @@ func TestTenantLifecycleOverHTTP(t *testing.T) {
 		t.Fatalf("/obs status %d", code)
 	}
 	for _, frag := range []string{
-		"\"totals\"", "\"opens\": 3", "\"closes\": 2", "\"open_tenants\": 1",
+		"\"totals\"", "\"opens\": 2", "\"closes\": 0", "\"open_tenants\": 2",
 	} {
 		if !strings.Contains(body, frag) {
 			t.Errorf("rollup /obs lacks %s:\n%s", frag, body)
+		}
+	}
+	if err := router.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if a, b := austin.closeCalls.Load(), ff.latest("berlin").closeCalls.Load(); a != 1 || b != 1 {
+		t.Errorf("close calls austin/berlin = %d/%d, want 1/1", a, b)
+	}
+}
+
+// TestFailedTenantOpenOverHTTP: a city whose database fails to open answers
+// 500 with the open's error to its concurrent first requests and to a later
+// one, at the cost of one Open; its /tenants row reads closed, and the
+// neighbouring city still answers.
+func TestFailedTenantOpenOverHTTP(t *testing.T) {
+	ff := newFakeFleet(nil)
+	ff.fail = "austin"
+	router := fakeRouter(t, ff, "austin", "berlin")
+	srv := NewMulti(router, Options{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	const q = "/query/ea?from=1&to=2&t=28800"
+	check := func(code int, body string) {
+		if code != http.StatusInternalServerError || !strings.Contains(body, "damaged image") {
+			t.Errorf("failing city answered %d %q, want 500 naming the open's error", code, body)
+		}
+	}
+	const n = 16
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			check(get(t, ts.URL+"/t/austin"+q))
+		}()
+	}
+	wg.Wait()
+	check(get(t, ts.URL+"/t/austin"+q))
+	if got := ff.failed.Load(); got != 1 {
+		t.Errorf("%d requests ran %d opens of the failing city, want 1", n+1, got)
+	}
+	if code, body := get(t, ts.URL+"/t/berlin"+q); code != http.StatusOK {
+		t.Errorf("healthy city: status %d, body %s", code, body)
+	}
+	var list TenantListResponse
+	if err := (&Client{BaseURL: ts.URL}).get("/tenants", &list); err != nil {
+		t.Fatal(err)
+	}
+	for _, ti := range list.Tenants {
+		if want := ti.City == "berlin"; ti.Open != want {
+			t.Errorf("/tenants row %+v: open %v, want %v", ti, ti.Open, want)
 		}
 	}
 	if err := router.Close(); err != nil {
@@ -169,7 +224,7 @@ func TestTenantLifecycleOverHTTP(t *testing.T) {
 // across every per-city endpoint family.
 func TestUnknownTenant404(t *testing.T) {
 	ff := newFakeFleet(nil)
-	router := fakeRouter(t, ff, 2, "austin")
+	router := fakeRouter(t, ff, "austin")
 	srv := NewMulti(router, Options{})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -192,8 +247,8 @@ func TestUnknownTenant404(t *testing.T) {
 		t.Errorf("unknown tenants: bad_requests %d requests %d, want 3 and 0 (rejected before the pipeline)",
 			m.BadRequests.Load(), m.Requests.Load())
 	}
-	if router.OpenCount() != 0 {
-		t.Errorf("unknown tenant requests opened %d databases", router.OpenCount())
+	if ff.latest("austin") != nil {
+		t.Error("unknown tenant requests opened a database")
 	}
 }
 
@@ -325,7 +380,7 @@ const tenantObsGolden = `{
 // listing, then one city's /obs (which lazily opens it).
 func TestMultiGoldens(t *testing.T) {
 	ff := newFakeFleet(nil)
-	router := fakeRouter(t, ff, 2, "austin", "berlin")
+	router := fakeRouter(t, ff, "austin", "berlin")
 	srv := NewMulti(router, Options{})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

@@ -26,8 +26,8 @@
 // A server built with NewMulti fronts a tenant.Router instead of one store:
 // the query and system endpoints move under /t/{city}/..., /tenants lists
 // the cities, and /obs becomes the cross-tenant rollup. The pipeline is
-// identical — the tenant acquisition (pinning the database open, and opening
-// it cold if needed) simply happens inside the detached execution, so the
+// identical — the tenant acquisition (opening the database on the city's
+// first request) simply happens inside the detached execution, so the
 // admission cap also bounds concurrent cold opens and a slow open answers 504
 // like any slow execution.
 package serve

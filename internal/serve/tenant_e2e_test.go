@@ -203,7 +203,7 @@ func findPlanName(t *testing.T, base string) string {
 
 // TestCorruptTenantFailsClosed: a city whose image is damaged cannot be
 // opened, so every request to it — first try and retry alike, the failed open
-// is never cached as a success — answers 5xx, while the neighbouring city
+// being remembered — answers 5xx naming the cause, while the neighbouring city
 // behind the same server keeps answering 200 with the CSA oracle's values.
 func TestCorruptTenantFailsClosed(t *testing.T) {
 	if testing.Short() {
@@ -223,7 +223,7 @@ func TestCorruptTenantFailsClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	router, err := tenant.New(parent, tenant.Config{MaxOpenTenants: 2, Base: ptldb.Config{Device: "ram"}})
+	router, err := tenant.New(parent, tenant.Config{Base: ptldb.Config{Device: "ram"}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,16 +2,17 @@ package tenant
 
 // tenant_test.go exercises the router's lifecycle contracts against
 // controllable fake databases: concurrent first requests coalesce into one
-// Open, pinned tenants survive LRU pressure, eviction picks the
-// least-recently-used idle tenant, budgets divide evenly, and an 8-tenant
-// churn stays race-clean and never queries a closed database
-// (scripts/check.sh runs this package with -race).
+// Open, a failed open is remembered, budgets divide evenly across the
+// tenants, Close closes each opened handle once and refuses later
+// acquisitions, and an 8-tenant churn stays race-clean and never queries a
+// closed database (scripts/check.sh runs this package with -race).
 
 import (
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -24,7 +25,7 @@ import (
 )
 
 // fakeDB answers queries with synthetic values and fails loudly when used
-// after Close — the invariant the pinning protocol must uphold.
+// after Close or closed twice.
 type fakeDB struct {
 	name    string
 	closed  atomic.Bool
@@ -78,7 +79,9 @@ func (f *fakeDB) LDOTM(set string, q timetable.StopID, t timetable.Time) ([]core
 
 func (f *fakeDB) ExplainPrepared(name string) (string, error) { return "FakePlan\n", f.enter() }
 func (f *fakeDB) ExplainNames() []string                      { return []string{"v2v-ea"} }
-func (f *fakeDB) Snapshot() obs.Snapshot                      { return obs.Snapshot{} }
+func (f *fakeDB) Snapshot() obs.Snapshot {
+	return obs.Snapshot{VCache: &obs.VCacheSnapshot{ResidentBytes: 4096}}
+}
 
 func (f *fakeDB) Close() error {
 	if f.closed.Swap(true) {
@@ -89,8 +92,10 @@ func (f *fakeDB) Close() error {
 
 // opener is a Config.Open hook recording every open: its count per tenant,
 // the configs handed down, and the live handles for post-hoc inspection.
+// Opening the tenant named fail returns an error instead of a handle.
 type opener struct {
 	delay time.Duration
+	fail  string
 	mu    sync.Mutex
 	count map[string]int
 	cfgs  []ptldb.Config
@@ -106,12 +111,15 @@ func (o *opener) open(dir string, cfg ptldb.Config) (DB, error) {
 		time.Sleep(o.delay)
 	}
 	name := filepath.Base(dir)
-	db := &fakeDB{name: name}
 	o.mu.Lock()
+	defer o.mu.Unlock()
 	o.count[name]++
 	o.cfgs = append(o.cfgs, cfg)
+	if name == o.fail {
+		return nil, fmt.Errorf("fake %s: damaged image", name)
+	}
+	db := &fakeDB{name: name}
 	o.dbs[name] = append(o.dbs[name], db)
-	o.mu.Unlock()
 	return db, nil
 }
 
@@ -171,129 +179,152 @@ func TestConcurrentFirstOpenSingleflight(t *testing.T) {
 	}
 }
 
-func TestPinnedTenantSurvivesLRUPressure(t *testing.T) {
-	op := newOpener(0)
-	r, err := NewFromDirs(dirs("a", "b", "c"), Config{MaxOpenTenants: 1, Open: op.open})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ha, err := r.Acquire("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// a is pinned: opening b must exceed the cap instead of closing a.
-	hb, err := r.Acquire("b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ha.DB().(*fakeDB).closed.Load() {
-		t.Fatal("pinned tenant a was closed by LRU pressure")
-	}
-	if got := r.OpenCount(); got != 2 {
-		t.Errorf("open count = %d, want 2 (cap exceeded while every tenant is pinned)", got)
-	}
-	// Queries through the pinned handle still work.
-	if _, _, err := ha.DB().EarliestArrival(1, 2, 28800); err != nil {
-		t.Errorf("query through pinned tenant: %v", err)
-	}
-	// b goes idle while a stays pinned: opening c may close only b.
-	hb.Release()
-	hc, err := r.Acquire("c")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hc.Release()
-	if !hb.DB().(*fakeDB).closed.Load() {
-		t.Error("idle tenant b not closed when c opened over the cap")
-	}
-	if ha.DB().(*fakeDB).closed.Load() {
-		t.Error("pinned tenant a closed while its query was still in flight")
-	}
-	ha.Release()
-	if got := r.Metrics("b").Closes.Load(); got != 1 {
-		t.Errorf("b's closes counter = %d, want 1", got)
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLRUEvictionOrder(t *testing.T) {
-	op := newOpener(0)
-	r, err := NewFromDirs(dirs("a", "b", "c"), Config{MaxOpenTenants: 2, Open: op.open})
-	if err != nil {
-		t.Fatal(err)
-	}
-	use := func(name string) *fakeDB {
-		h, err := r.Acquire(name)
-		if err != nil {
-			t.Fatalf("Acquire(%s): %v", name, err)
-		}
-		db := h.DB().(*fakeDB)
-		h.Release()
-		return db
-	}
-	dba := use("a")
-	dbb := use("b")
-	use("a") // refresh a: b becomes the LRU
-	use("c") // evicts b
-	if !dbb.closed.Load() {
-		t.Error("LRU tenant b not evicted")
-	}
-	if dba.closed.Load() {
-		t.Error("recently used tenant a evicted")
-	}
-	// A fresh acquisition of b reopens it.
-	if db2 := use("b"); db2 == dbb || db2.closed.Load() {
-		t.Error("b not reopened with a fresh handle")
-	}
-	if got := op.opens("b"); got != 2 {
-		t.Errorf("b opened %d times, want 2", got)
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestBudgetShares checks Base's process-wide budgets divide evenly into
-// every tenant's open config, and that zero budgets divide the
-// single-database defaults.
+// TestBudgetShares checks Base's process-wide budgets divide evenly by the
+// number of tenants into every tenant's open config, that zero budgets
+// divide the single-database defaults, and that MaxOpenTenants changes
+// nothing.
 func TestBudgetShares(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
+		tenants   []string
 		maxOpen   int
 		base      ptldb.Config
 		wantPages int
 		wantBytes int64
 	}{
-		{"set", 4, ptldb.Config{Device: "ram", PoolPages: 4096, VectorCacheBytes: 64 << 20}, 1024, 16 << 20},
-		{"defaults", 2, ptldb.Config{Device: "ram"}, 65536, 128 << 20},
+		{"set", []string{"a", "b", "c", "d"}, 0, ptldb.Config{Device: "ram", PoolPages: 4096, VectorCacheBytes: 64 << 20}, 1024, 16 << 20},
+		{"set, MaxOpenTenants ignored", []string{"a", "b", "c", "d"}, 1, ptldb.Config{Device: "ram", PoolPages: 4096, VectorCacheBytes: 64 << 20}, 1024, 16 << 20},
+		{"defaults", []string{"a", "b"}, 0, ptldb.Config{Device: "ram"}, 65536, 128 << 20},
+		{"defaults, MaxOpenTenants ignored", []string{"a", "b"}, 8, ptldb.Config{Device: "ram"}, 65536, 128 << 20},
+		{"too small to divide", []string{"a", "b", "c"}, 0, ptldb.Config{Device: "ram", PoolPages: 2, VectorCacheBytes: 2}, 1, -1},
 	} {
 		op := newOpener(0)
-		r, err := NewFromDirs(dirs("a", "b"), Config{MaxOpenTenants: tc.maxOpen, Base: tc.base, Open: op.open})
+		r, err := NewFromDirs(dirs(tc.tenants...), Config{MaxOpenTenants: tc.maxOpen, Base: tc.base, Open: op.open})
 		if err != nil {
 			t.Fatal(err)
 		}
-		h, err := r.Acquire("a")
-		if err != nil {
-			t.Fatal(err)
+		for _, name := range tc.tenants {
+			if _, err := r.Acquire(name); err != nil {
+				t.Fatal(err)
+			}
 		}
-		h.Release()
 		op.mu.Lock()
-		cfg := op.cfgs[0]
+		cfgs := op.cfgs
 		op.mu.Unlock()
-		if cfg.PoolPages != tc.wantPages {
-			t.Errorf("%s: pool share = %d pages, want %d", tc.name, cfg.PoolPages, tc.wantPages)
+		if len(cfgs) != len(tc.tenants) {
+			t.Fatalf("%s: %d opens for %d tenants", tc.name, len(cfgs), len(tc.tenants))
 		}
-		if cfg.VectorCacheBytes != tc.wantBytes {
-			t.Errorf("%s: vcache share = %d bytes, want %d", tc.name, cfg.VectorCacheBytes, tc.wantBytes)
-		}
-		if cfg.Device != "ram" {
-			t.Errorf("%s: Base.Device %q not forwarded", tc.name, cfg.Device)
+		for _, cfg := range cfgs {
+			if cfg.PoolPages != tc.wantPages {
+				t.Errorf("%s: pool share = %d pages, want %d", tc.name, cfg.PoolPages, tc.wantPages)
+			}
+			if cfg.VectorCacheBytes != tc.wantBytes {
+				t.Errorf("%s: vcache share = %d bytes, want %d", tc.name, cfg.VectorCacheBytes, tc.wantBytes)
+			}
+			if cfg.Device != "ram" {
+				t.Errorf("%s: Base.Device %q not forwarded", tc.name, cfg.Device)
+			}
 		}
 		if err := r.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestFailedOpenRemembered: a tenant whose Open fails costs one Open, however
+// many requests arrive together or after; every one of them gets that open's
+// error, and the other tenants still answer.
+func TestFailedOpenRemembered(t *testing.T) {
+	op := newOpener(10 * time.Millisecond)
+	op.fail = "austin"
+	r, err := NewFromDirs(dirs("austin", "berlin"), Config{Open: op.open})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 16
+	var wg sync.WaitGroup
+	errs := make([]error, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			h, err := r.Acquire("austin")
+			if h != nil {
+				t.Errorf("Acquire of a failing tenant returned a handle")
+			}
+			errs[i] = err
+		}(i)
+	}
+	wg.Wait()
+	if got := op.opens("austin"); got != 1 {
+		t.Fatalf("%d concurrent first requests ran %d opens, want 1", n, got)
+	}
+	for i, err := range errs {
+		if err == nil || !strings.Contains(err.Error(), "damaged image") {
+			t.Errorf("request %d: error %v, want the open's error", i, err)
+		}
+	}
+	// A later request gets the same error and opens nothing.
+	if _, err := r.Acquire("austin"); err == nil || err.Error() != errs[0].Error() {
+		t.Errorf("request %d: error %v, want %v", n+1, err, errs[0])
+	}
+	if got := op.opens("austin"); got != 1 {
+		t.Errorf("a request after the failed open ran another: %d opens, want 1", got)
+	}
+	h, err := r.Acquire("berlin")
+	if err != nil {
+		t.Fatalf("healthy tenant: %v", err)
+	}
+	if _, _, err := h.DB().EarliestArrival(1, 2, 28800); err != nil {
+		t.Errorf("healthy tenant query: %v", err)
+	}
+	snaps := r.Snapshot()
+	if a := snaps["austin"]; a.Open || a.Opens != 0 {
+		t.Errorf("failed tenant snapshot = %+v, want closed with no opens", a)
+	}
+	if !snaps["berlin"].Open {
+		t.Errorf("healthy tenant snapshot = %+v, want open", snaps["berlin"])
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAcquireAfterClose: Close closes each opened handle once and drops it, a
+// second Close does nothing, and every later Acquire fails — on an opened
+// tenant and on a never-opened one — without opening anything.
+func TestAcquireAfterClose(t *testing.T) {
+	op := newOpener(0)
+	r, err := NewFromDirs(dirs("a", "b"), Config{Open: op.open})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := r.Acquire("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if h.DB() != nil {
+		t.Error("a closed router still holds tenant a's database")
+	}
+	if err := r.Close(); err != nil {
+		t.Fatalf("second Close: %v (the fakes fail a double close)", err)
+	}
+	for _, name := range []string{"a", "b"} {
+		if h, err := r.Acquire(name); err == nil || h != nil {
+			t.Errorf("Acquire(%s) after Close = %v, %v; want an error", name, h, err)
+		}
+	}
+	if a, b := op.opens("a"), op.opens("b"); a != 1 || b != 0 {
+		t.Errorf("opens a/b = %d/%d, want 1/0", a, b)
+	}
+	if !op.dbs["a"][0].closed.Load() {
+		t.Error("opened tenant a not closed by Close")
+	}
+	if m := r.Metrics("a"); m.Closes.Load() != 1 {
+		t.Errorf("a's closes counter = %d, want 1", m.Closes.Load())
 	}
 }
 
@@ -342,7 +373,7 @@ func TestNewScansSubdirectories(t *testing.T) {
 
 func TestSnapshotRollup(t *testing.T) {
 	op := newOpener(0)
-	r, err := NewFromDirs(dirs("a", "b"), Config{MaxOpenTenants: 2, Open: op.open})
+	r, err := NewFromDirs(dirs("a", "b"), Config{Open: op.open})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,12 +382,11 @@ func TestSnapshotRollup(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.Metrics().Requests.Add(3)
-	h.Release()
 	snaps := r.Snapshot()
 	if len(snaps) != 2 {
 		t.Fatalf("snapshot has %d tenants, want 2", len(snaps))
 	}
-	if !snaps["a"].Open || snaps["a"].Requests != 3 || snaps["a"].Opens != 1 {
+	if !snaps["a"].Open || snaps["a"].Requests != 3 || snaps["a"].Opens != 1 || snaps["a"].ResidentBytes != 4096 {
 		t.Errorf("a snapshot = %+v", snaps["a"])
 	}
 	if snaps["b"].Open || snaps["b"].Opens != 0 {
@@ -365,19 +395,21 @@ func TestSnapshotRollup(t *testing.T) {
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if snaps := r.Snapshot(); snaps["a"].Open || snaps["a"].Closes != 1 {
+	if snaps := r.Snapshot(); snaps["a"].Open || snaps["a"].Closes != 1 || snaps["a"].ResidentBytes != 0 {
 		t.Errorf("post-close a snapshot = %+v", snaps["a"])
 	}
 }
 
-// TestChurnRace is the 8-tenant smoke in the style of the vcache eviction
-// battery: 8 goroutines acquire random tenants through a cap of 3, query,
-// and release. The fakes turn any query-after-close into an error, so the
-// race detector plus the fakes' own checks cover the pinning protocol.
+// TestChurnRace is the 8-tenant smoke: 8 goroutines acquire random tenants
+// and query them, taking a lock-free Snapshot now and then, then Close runs.
+// The fakes turn a query after close and a double close into errors, so the
+// race detector plus the fakes' own checks cover the open-once contract:
+// each tenant opens exactly once, no query reaches a closed handle, and
+// Close closes each handle exactly once.
 func TestChurnRace(t *testing.T) {
-	op := newOpener(0)
+	op := newOpener(time.Millisecond)
 	names := []string{"t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7"}
-	r, err := NewFromDirs(dirs(names...), Config{MaxOpenTenants: 3, Open: op.open})
+	r, err := NewFromDirs(dirs(names...), Config{Open: op.open})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,37 +430,32 @@ func TestChurnRace(t *testing.T) {
 				if _, _, err := h.DB().EarliestArrival(1, 2, 28800); err != nil {
 					t.Errorf("query %s: %v", name, err)
 				}
-				h.Release()
+				if i%50 == 0 {
+					r.Snapshot()
+				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	if got := r.OpenCount(); got > 3 {
-		t.Errorf("open count = %d after quiesce, want <= 3", got)
-	}
-	// Conservation: every open has either a matching close or a live handle.
-	var opens, closes, live uint64
 	for _, name := range names {
-		m := r.Metrics(name)
-		opens += m.Opens.Load()
-		closes += m.Closes.Load()
-	}
-	live = uint64(r.OpenCount())
-	if opens != closes+live {
-		t.Errorf("opens %d != closes %d + live %d", opens, closes, live)
+		if got := op.opens(name); got != 1 {
+			t.Errorf("%s opened %d times, want 1", name, got)
+		}
+		if m := r.Metrics(name); m.Opens.Load() != 1 || m.Closes.Load() != 0 {
+			t.Errorf("%s opens/closes = %d/%d before Close, want 1/0", name, m.Opens.Load(), m.Closes.Load())
+		}
 	}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Every fake the opener ever produced must now be closed exactly once
-	// (double closes error inside the fakes).
 	op.mu.Lock()
 	defer op.mu.Unlock()
-	for name, dbs := range op.dbs {
-		for _, db := range dbs {
-			if !db.closed.Load() {
-				t.Errorf("%s handle leaked open after router Close", name)
-			}
+	for _, name := range names {
+		if dbs := op.dbs[name]; len(dbs) != 1 || !dbs[0].closed.Load() {
+			t.Errorf("%s: %d handles, want one, closed by router Close", name, len(dbs))
+		}
+		if got := r.Metrics(name).Closes.Load(); got != 1 {
+			t.Errorf("%s closes = %d after Close, want 1", name, got)
 		}
 	}
 }
