@@ -16,6 +16,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"ptldb/internal/sqldb"
 )
 
 // The benchmark dataset: one profile at one scale relative to the paper.
@@ -42,15 +44,16 @@ func benchSetup(b *testing.B) (*Network, string) {
 		// benchDatasetFormat versions the cached dataset directory: bump it
 		// whenever the on-disk format changes (the segment header CRC in v2,
 		// segment-only label tables in v3, every table a segment in v4) or a
-		// table gains a declared property (run_order in catalog.json in v5,
+		// table gains a declared property (run_order in the catalog in v5,
 		// target_ids in v6, floor in v7, the target count in v8) or a table is
 		// renamed (one knn_naive table per target set in v9) or the tables move
-		// into one image file (v10), or a stale cache would fail to open or
-		// carry files the current build no longer writes.
-		const benchDatasetFormat = 10
+		// into one image file (v10) whose segment headers hold the table
+		// definitions (v11), or a stale cache would fail to open or carry files
+		// the current build no longer writes.
+		const benchDatasetFormat = 11
 		dir := filepath.Join(os.TempDir(),
 			fmt.Sprintf("ptldb-gobench-%s-%04d-f%d", benchCity, int(benchScale*10000), benchDatasetFormat))
-		if _, err := os.Stat(filepath.Join(dir, "catalog.json")); err != nil {
+		if _, err := os.Stat(filepath.Join(dir, sqldb.ImageName)); err != nil {
 			db, err := Create(dir, tt, Config{Device: "ram"})
 			if err != nil {
 				benchState.err = err

@@ -42,7 +42,7 @@ func dirImage(t *testing.T, dir string) map[string][]byte {
 // label/stops loads of Create, the six-table loads of AddTargetSet and the
 // versioned loads of AddVersion — plus BuildPathTables, whose rows are
 // produced in map iteration order and sorted before they are loaded. The
-// resulting directories — the catalog and the image, nothing else — must be
+// resulting directories — the image, nothing else — must be
 // byte-identical, every table's segment in the image included: paths_* and
 // the thrice-rewritten ptldb_meta too.
 func TestBuildWorkersDiskImageIdentical(t *testing.T) {

@@ -51,7 +51,7 @@ func TestColdStartReads(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The catalog and the image, which holds a segment per table — lout,
+	// The image, which holds a segment per table — lout,
 	// lin, stops, ptldb_meta and the five tables of the target set — and is
 	// read whole.
 	requireOnlyImage(t, dir)
@@ -170,7 +170,7 @@ func checkNeighbors(t *testing.T, what string, got []Result, want []csa.Neighbor
 }
 
 // TestVectorSizeMatchesPrediction reopens a store under budgets that grow
-// by one table at a time, in catalog order: the sum of the vector sizes
+// by one table at a time, in image order: the sum of the vector sizes
 // worked out here from the rows of the first k all-integer tables. Open
 // admits a table on the size predicted from its varints and refuses vectors
 // of any other size, so the open succeeding proves prediction == Mat.Bytes;
@@ -200,7 +200,7 @@ func TestVectorSizeMatchesPrediction(t *testing.T) {
 		}
 		sdb := db.Store().DB
 		names := sdb.Tables()
-		slices.Sort(names) // catalog order
+		slices.Sort(names) // image order
 		var sizes []int64
 		for _, name := range names {
 			if name == "stops" || name == "ptldb_meta" {

@@ -1,7 +1,7 @@
 package ptldb
 
-// image_test.go: a database directory is one file of segments, the image,
-// beside its catalog. A writer leaves exactly those two files, and a handle
+// image_test.go: a database directory is one file, the image, whose segments
+// define their own tables. A writer leaves exactly that file, and a handle
 // keeps answering from the image it opened after another handle's Flush
 // replaced that image on disk.
 
@@ -18,25 +18,17 @@ import (
 	"ptldb/internal/timetable"
 )
 
-// imageSegment is one catalogued table's segment: its byte range in the
+// imageSegment is one table's segment: its name and its byte range in the
 // image.
 type imageSegment struct {
 	name     string
 	off, end int
 }
 
-// imageSegments walks the image of dir in catalog order, as Open does, and
-// returns each table's segment.
+// imageSegments walks the image of dir front to back, as Open does, and
+// returns each table's segment, named by the definition in its header.
 func imageSegments(t *testing.T, dir string) []imageSegment {
 	t.Helper()
-	var defs []sqldb.TableDef
-	cat, err := os.ReadFile(filepath.Join(dir, "catalog.json"))
-	if err == nil {
-		err = json.Unmarshal(cat, &defs)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
 	f, err := storage.OpenPagedFile(filepath.Join(dir, sqldb.ImageName), storage.RAM, new(storage.Clock))
 	if err != nil {
 		t.Fatal(err)
@@ -45,22 +37,22 @@ func imageSegments(t *testing.T, dir string) []imageSegment {
 	pool := storage.NewPool(8)
 	pool.Register(f)
 	var segs []imageSegment
-	base := storage.PageID(0)
-	for _, def := range defs {
+	for base := storage.PageID(0); base < f.NumPages(); {
 		seg, _, err := storage.OpenSegment(f, base, pool, nil)
 		if err != nil {
-			t.Fatalf("%s: %v", def.Name, err)
+			t.Fatalf("segment at page %d: %v", base, err)
+		}
+		var def sqldb.TableDef
+		if err := json.Unmarshal(seg.Meta(), &def); err != nil {
+			t.Fatalf("segment at page %d: %v", base, err)
 		}
 		segs = append(segs, imageSegment{def.Name, int(base) * storage.PageSize, int(base+seg.Pages()) * storage.PageSize})
 		base += seg.Pages()
 	}
-	if base != f.NumPages() {
-		t.Fatalf("the image has %d pages after its last table's segment", f.NumPages()-base)
-	}
 	return segs
 }
 
-// requireOnlyImage fails unless dir holds exactly catalog.json and the image.
+// requireOnlyImage fails unless dir holds exactly the image.
 func requireOnlyImage(t *testing.T, dir string) {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
@@ -71,15 +63,15 @@ func requireOnlyImage(t *testing.T, dir string) {
 	for _, e := range entries {
 		names = append(names, e.Name())
 	}
-	if strings.Join(names, " ") != "catalog.json "+sqldb.ImageName {
-		t.Errorf("the database directory holds %v; want catalog.json and %s only", names, sqldb.ImageName)
+	if strings.Join(names, " ") != sqldb.ImageName {
+		t.Errorf("the database directory holds %v; want %s only", names, sqldb.ImageName)
 	}
 }
 
-// TestWriterLeavesCatalogAndImage: Create, AddTargetSet and Close leave the
-// catalog and the image, nothing else — no loose segment, no temporary file
-// — and the image holds one segment per catalogued table.
-func TestWriterLeavesCatalogAndImage(t *testing.T) {
+// TestWriterLeavesOnlyImage: Create, AddTargetSet and Close leave the image,
+// nothing else — no loose segment, no temporary file — and the image holds
+// one segment per table.
+func TestWriterLeavesOnlyImage(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Create(dir, timetable.PaperExample(), Config{Device: "ram"})
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"ptldb"
 	"ptldb/internal/csa"
 	"ptldb/internal/order"
+	"ptldb/internal/sqldb"
 	"ptldb/internal/sqldb/sqltypes"
 	"ptldb/internal/sqldb/storage"
 	"ptldb/internal/ttl"
@@ -39,7 +40,7 @@ func (w *Workspace) AblationBucket() (*Table, error) {
 	}
 	for _, width := range []int32{900, 3600, 10800} {
 		dir := w.cacheDir(fmt.Sprintf("%s_bucket%d", sanitize(city), width))
-		if _, err := os.Stat(filepath.Join(dir, "catalog.json")); err != nil {
+		if _, err := os.Stat(filepath.Join(dir, sqldb.ImageName)); err != nil {
 			db, err := ptldb.Create(dir, tt, ptldb.Config{Device: "ram", BucketSeconds: width})
 			if err != nil {
 				return nil, err

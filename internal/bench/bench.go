@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"ptldb"
+	"ptldb/internal/sqldb"
 	"ptldb/internal/timetable"
 )
 
@@ -81,14 +82,14 @@ func (c Config) Defaults() Config {
 // image changes (v2: segment region checksums; v3: label tables are segments
 // only; v4: condensed tables are keyed, hence laid out, bucket-first; v5:
 // every table is a segment — a v4 image has stops.heap and no stops.seg; v6:
-// the label tables declare run_order in catalog.json — a v5 image built before
+// the label tables declare run_order in the catalog — a v5 image built before
 // they did has none; v7: the naive and condensed tables declare target_ids
 // there; v8: the EA condensed tables declare their floor there; v9: the EA
 // one-to-many table declares its target count there; v10: a target set has one
 // knn_naive table where it had ea_knn_naive and ld_knn_naive; v11: the tables'
-// segments are one image file, image.seg, where each had <table>.seg): a
-// stale cache would otherwise fail to open.
-const datasetFormat = 11
+// segments are one image file, image.seg, where each had <table>.seg; v12: the
+// catalog moved into the segment headers): a stale cache would fail to open.
+const datasetFormat = 12
 
 // Densities are the paper's target-density values D = |T| / |V|.
 var Densities = []float64{0.001, 0.005, 0.01, 0.05, 0.1}
@@ -163,7 +164,7 @@ func (w *Workspace) Dataset(city string) (*Dataset, error) {
 	ds := &Dataset{Profile: prof, TT: tt, Dir: dir}
 
 	statsPath := filepath.Join(dir, "preproc.json")
-	if _, err := os.Stat(filepath.Join(dir, "catalog.json")); err == nil {
+	if _, err := os.Stat(filepath.Join(dir, sqldb.ImageName)); err == nil {
 		w.logf("reusing cached database for %s (%s)", city, dir)
 		if blob, err := os.ReadFile(statsPath); err == nil {
 			_ = json.Unmarshal(blob, &ds.Preproc)

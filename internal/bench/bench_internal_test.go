@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"ptldb/internal/sqldb"
 )
 
 func tinyWorkspace(t *testing.T) *Workspace {
@@ -205,7 +207,7 @@ func TestAblationBucketCacheKeyedBySeedAndFormat(t *testing.T) {
 		}
 		for _, width := range []int{900, 3600, 10800} {
 			want := fmt.Sprintf("austin_bucket%d_s0050_r%d_f%d", width, seed, datasetFormat)
-			if _, err := os.Stat(filepath.Join(cache, want, "catalog.json")); err != nil {
+			if _, err := os.Stat(filepath.Join(cache, want, sqldb.ImageName)); err != nil {
 				t.Errorf("seed %d, width %d: no database at %s: %v", seed, width, want, err)
 			}
 		}

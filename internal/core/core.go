@@ -100,7 +100,7 @@ func (s *Store) vm() *VersionMeta { return s.meta.Versions[s.version] }
 // AddTargetSet and BuildPathTables (0 = GOMAXPROCS). Build-time parallelism
 // is configured via BuildOptions.Workers instead. Per-table content and
 // on-disk images do not depend on the worker count: each load writes only
-// its own table's file, and the catalog lists the tables by name.
+// its own table's segment, and the image orders the segments by name.
 func (s *Store) SetBuildWorkers(n int) { s.workers = n }
 
 // tableSuffix returns the version suffix of physical table names.

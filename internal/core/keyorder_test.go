@@ -17,7 +17,7 @@ import (
 
 // rekeyedCopy writes the database in dir into a fresh directory, table by
 // table, with the set's four condensed tables under the reverse of their
-// declared key — same rows, the other order on disk and in catalog.json:
+// declared key — same rows, the other order on disk and in the definition:
 // (hub, bucket), the key no builder has written since the tables became
 // bucket-major.
 func rekeyedCopy(t *testing.T, dir, set string) string {

@@ -137,8 +137,8 @@ func TestVersionValidation(t *testing.T) {
 	}
 }
 
-// TestOneFormPerTable: a flushed directory holds catalog.json and the image,
-// which holds exactly one segment per catalogued table — after Build, after
+// TestOneFormPerTable: a flushed directory holds the image alone, which
+// holds exactly one segment per table of the handle — after Build, after
 // AddTargetSet, AddVersion and BuildPathTables (each of which also rewrites
 // ptldb_meta), and after a reopen, which must create nothing.
 func TestOneFormPerTable(t *testing.T) {
@@ -162,8 +162,8 @@ func TestOneFormPerTable(t *testing.T) {
 		for _, e := range entries {
 			names = append(names, e.Name())
 		}
-		if strings.Join(names, " ") != "catalog.json "+sqldb.ImageName {
-			t.Errorf("%s: the directory holds %v, want catalog.json and %s", when, names, sqldb.ImageName)
+		if strings.Join(names, " ") != sqldb.ImageName {
+			t.Errorf("%s: the directory holds %v, want %s alone", when, names, sqldb.ImageName)
 			return
 		}
 		f, err := storage.OpenPagedFile(filepath.Join(dir, sqldb.ImageName), storage.RAM, new(storage.Clock))

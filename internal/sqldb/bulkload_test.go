@@ -46,8 +46,7 @@ func TestTableBulkLoadCoercesInts(t *testing.T) {
 // TestTableBulkLoadTinyReopen bulk-loads zero-row and one-row tables —
 // all-BIGINT and with DOUBLE and TEXT columns — and cycles the database
 // through Close/Open: all must come back valid, with correct counts and
-// working lookups and scans, from a directory of segments and the catalog
-// alone.
+// working lookups and scans, from the image alone.
 func TestTableBulkLoadTinyReopen(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Device: storage.RAM, PoolPages: 256, VectorCacheBytes: 1 << 20}
@@ -122,8 +121,8 @@ func TestTableBulkLoadTinyReopen(t *testing.T) {
 	}
 }
 
-// requireLoose fails unless dir holds, besides the catalog and the image a
-// Flush wrote, exactly one loose segment per named table.
+// requireLoose fails unless dir holds, besides the image a Flush wrote,
+// exactly one loose segment per named table.
 func requireLoose(t *testing.T, dir string, tables ...string) {
 	t.Helper()
 	want := map[string]bool{}
@@ -135,7 +134,7 @@ func requireLoose(t *testing.T, dir string, tables ...string) {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		if e.Name() == "catalog.json" || e.Name() == ImageName {
+		if e.Name() == ImageName {
 			continue
 		}
 		if !want[e.Name()] {

@@ -203,9 +203,11 @@ func dataRegion(t *testing.T, dir string, tbl *Table) ([]byte, int) {
 	t.Helper()
 	varints := 0
 	at := storage.PageID(segmentOf(t, dir, tbl.def.Name).off / storage.PageSize)
-	_, data, err := storage.OpenSegment(tbl.file, at, tbl.db.pool, func(_, _ int, chunk []byte) bool {
-		varints += sqltypes.CountSegVarints(chunk)
-		return true
+	_, data, err := storage.OpenSegment(tbl.file, at, tbl.db.pool, func(_, _ []byte) (func(int, int, []byte) bool, error) {
+		return func(_, _ int, chunk []byte) bool {
+			varints += sqltypes.CountSegVarints(chunk)
+			return true
+		}, nil
 	})
 	if err != nil {
 		t.Fatal(err)

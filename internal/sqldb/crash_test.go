@@ -1,0 +1,236 @@
+package sqldb_test
+
+// crash_test.go stops the facade's four writers at every file-system step
+// they take, as a crash there would: the directory a crash leaves must open
+// as the database before the call or the one after it. One rename of one
+// file commits a writer, so no step leaves anything in between.
+
+import (
+	"bytes"
+	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
+	"testing"
+
+	"ptldb"
+	"ptldb/internal/csa"
+	"ptldb/internal/sqldb"
+	"ptldb/internal/timetable"
+)
+
+// copyDir copies the files of dir, if it exists, into a new directory at to.
+func copyDir(t *testing.T, dir, to string) {
+	t.Helper()
+	if err := os.MkdirAll(to, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if errors.Is(err, fs.ErrNotExist) {
+		return
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(to, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// readImage returns the image of dir, nil when dir has none.
+func readImage(t *testing.T, dir string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join(dir, sqldb.ImageName))
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestCrashAtEveryStep runs Create, AddTargetSet, AddVersion and
+// BuildPathTables on one directory, one table at a time, and copies the
+// directory after every file-system step each takes — a loose segment
+// written, the image written and synced, renamed into place, the directory
+// synced, a file removed. Every copy must hold the image from before the call
+// or the one after it, beside nothing but loose and temporary files, and
+// open as that database: none before Create, and then the writers' data up
+// to the call, answering what CSA answers, and none of the call's unless it
+// is the image after it. Both images must occur among each call's copies.
+func TestCrashAtEveryStep(t *testing.T) {
+	tt, err := ptldb.GenerateCity("Austin", 0.01, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	weekend, err := ptldb.GenerateCity("Austin", 0.01, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if weekend.NumStops() != tt.NumStops() {
+		t.Fatalf("the versions have %d and %d stops", tt.NumStops(), weekend.NumStops())
+	}
+	n := tt.NumStops()
+	targets := []ptldb.StopID{1, 3, 5, 8, 13, 21}
+	// eaMatchesCSA checks EA on h, a handle of net's timetable, against CSA
+	// for a spread of stop pairs and times.
+	eaMatchesCSA := func(t *testing.T, what string, h *ptldb.DB, net *ptldb.Network) {
+		t.Helper()
+		for i := 0; i < 10; i++ {
+			s, g := ptldb.StopID(i*7%n), ptldb.StopID((i*13+2)%n)
+			when := net.MinTime() + ptldb.Time(i)*net.Span()/10
+			got, ok, err := h.EarliestArrival(s, g, when)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := csa.EarliestArrival(net, s, g, when); ok != (want != timetable.Infinity) || (ok && got != want) {
+				t.Errorf("%s: EA(%d, %d, %d) = %d, %v; the oracle has %d", what, s, g, when, got, ok, want)
+			}
+		}
+	}
+
+	dir := filepath.Join(t.TempDir(), "db")
+	states := t.TempDir()
+	var steps []string
+	defer sqldb.SetAfterStep(func(step string) {
+		copyDir(t, dir, filepath.Join(states, strconv.Itoa(len(steps))))
+		steps = append(steps, step)
+	})()
+	var db *ptldb.DB
+	defer func() {
+		if db != nil {
+			db.Close()
+		}
+	}()
+	cfg := ptldb.Config{Device: "ram", BuildWorkers: 1}
+	writers := []struct {
+		name  string
+		write func() error
+		has   func(h *ptldb.DB) bool
+		check func(t *testing.T, what string, h *ptldb.DB)
+	}{
+		{"Create", func() (err error) { db, err = ptldb.Create(dir, tt, cfg); return err },
+			func(*ptldb.DB) bool { return true },
+			func(t *testing.T, what string, h *ptldb.DB) { eaMatchesCSA(t, what, h, tt) }},
+		{"AddTargetSet", func() error { return db.AddTargetSet("poi", targets, 3) },
+			func(h *ptldb.DB) bool { _, ok := h.TargetSets()["poi"]; return ok },
+			func(t *testing.T, what string, h *ptldb.DB) {
+				q, when := ptldb.StopID(0), tt.MinTime()+tt.Span()/3
+				got, err := h.EAKNN("poi", q, when, 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := csa.EarliestArrivalKNN(tt, q, targets, when, 3)
+				if len(got) != len(want) {
+					t.Fatalf("%s: EA kNN has %d results, the oracle %d", what, len(got), len(want))
+				}
+				for i := range got {
+					if got[i].Stop != want[i].Stop || got[i].When != want[i].When {
+						t.Errorf("%s: EA kNN position %d is %v, the oracle has %v", what, i, got[i], want[i])
+					}
+				}
+			}},
+		{"AddVersion", func() error { return db.AddVersion("weekend", weekend) },
+			func(h *ptldb.DB) bool { return slices.Contains(h.Versions(), "weekend") },
+			func(t *testing.T, what string, h *ptldb.DB) {
+				we, err := h.Version("weekend")
+				if err != nil {
+					t.Fatal(err)
+				}
+				eaMatchesCSA(t, what+", weekend", we, weekend)
+			}},
+		{"BuildPathTables", func() error { return db.BuildPathTables(tt) },
+			func(h *ptldb.DB) bool { return h.Store().HasPathTables() },
+			func(t *testing.T, what string, h *ptldb.DB) {
+				checked := 0
+				for s := 0; s < n && checked < 5; s++ {
+					g := (s*17 + 5) % n
+					j, ok, err := h.JourneyFromDB(ptldb.StopID(s), ptldb.StopID(g), tt.MinTime())
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := csa.EarliestArrival(tt, ptldb.StopID(s), ptldb.StopID(g), tt.MinTime())
+					if s != g && (ok != (want != timetable.Infinity) || (ok && j.Arr != want)) {
+						t.Errorf("%s: journey %d -> %d arrives %d, %v; the oracle has %d", what, s, g, j.Arr, ok, want)
+					}
+					if ok && s != g {
+						checked++
+					}
+				}
+				if checked == 0 {
+					t.Errorf("%s: no journey checked", what)
+				}
+			}},
+	}
+	for w, wr := range writers {
+		before, first := readImage(t, dir), len(steps)
+		if err := wr.write(); err != nil {
+			t.Fatalf("%s: %v", wr.name, err)
+		}
+		after := readImage(t, dir)
+		seen := map[int]bool{}
+		for i := first; i < len(steps); i++ {
+			what := wr.name + ", after " + steps[i]
+			state := filepath.Join(states, strconv.Itoa(i))
+			// done is how many writers the state holds the work of.
+			var done int
+			switch image := readImage(t, state); {
+			case bytes.Equal(image, after):
+				done = w + 1
+			case bytes.Equal(image, before):
+				done = w
+			default:
+				t.Fatalf("%s: the image is neither the one before the call nor the one after it", what)
+			}
+			seen[done] = true
+			entries, err := os.ReadDir(state)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range entries {
+				if name := e.Name(); name != sqldb.ImageName && !strings.HasSuffix(name, ".loose") && !strings.HasSuffix(name, ".tmp") {
+					t.Errorf("%s: the directory holds %s", what, name)
+				}
+			}
+			if done == 0 {
+				sdb, err := sqldb.Open(state, sqldb.Options{})
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				if names := sdb.Tables(); len(names) != 0 {
+					t.Errorf("%s: the directory holds the tables %v before Create", what, names)
+				}
+				sdb.Close()
+				continue
+			}
+			h, err := ptldb.Open(state, ptldb.Config{Device: "ram"})
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			for k, c := range writers {
+				if has := c.has(h); has != (k < done) {
+					t.Errorf("%s: holds the data of %s: %v, want %v", what, c.name, has, k < done)
+				} else if has {
+					c.check(t, what, h)
+				}
+			}
+			if err := h.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !seen[w] || !seen[w+1] {
+			t.Errorf("%s: its %d steps left the image before the call: %v, the one after it: %v; want both", wr.name, len(steps)-first, seen[w], seen[w+1])
+		}
+		t.Logf("%s: %d steps: %s", wr.name, len(steps)-first, strings.Join(steps[first:], "; "))
+	}
+}

@@ -1,8 +1,8 @@
 // Package sqldb is the embedded relational database used by PTLDB: a
-// directory holding a persisted catalog and one image file with every
-// table's immutable segment back to back, a shared buffer pool with a
-// simulated storage device, and a SQL query interface (parser + executor)
-// supporting the SELECT dialect of the paper's Codes 1–4.
+// directory holding one image file with every table's immutable segment back
+// to back, each segment's header carrying its table's definition, a shared
+// buffer pool with a simulated storage device, and a SQL query interface
+// (parser + executor) supporting the SELECT dialect of the paper's Codes 1–4.
 //
 // It plays the role PostgreSQL plays in the paper. The engine is read-only
 // storage under a bulk loader: a table is written once, whole, by DB.Load,
@@ -12,7 +12,6 @@
 package sqldb
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -95,16 +94,27 @@ type Options struct {
 	// variable reaches it; production handles leave it false.
 	ReferenceExec bool
 	// VectorCacheBytes is the resident vector cache's byte budget, which
-	// Open spends on the tables of the catalog in catalog order (vectors.go).
+	// Open spends on the tables of the image in image order (vectors.go).
 	// Zero or negative means no cache (the default at this layer; the ptldb
 	// facade supplies its own default budget).
 	VectorCacheBytes int64
 }
 
-// ImageName is the file of a database directory that holds every catalogued
-// table's segment, back to back in catalog order (DESIGN.md §10.1). A
-// flushed directory holds it and catalog.json, nothing else.
+// ImageName is the one file of a database directory: every table's segment,
+// back to back in the order of the tables' names, each segment's header page
+// holding its table's definition (DESIGN.md §10.1). A flushed directory holds
+// it and nothing else; one without it is an empty database.
 const ImageName = "image.seg"
+
+// afterStep, nil outside tests, is called after each file-system step of a
+// writer, named, so that a test can copy the directory a crash there leaves.
+var afterStep func(step string)
+
+func step(what string) {
+	if afterStep != nil {
+		afterStep(what)
+	}
+}
 
 // DB is one open database directory.
 type DB struct {
@@ -121,9 +131,8 @@ type DB struct {
 	// files is every file the handle opened — the image, then each loose
 	// segment — which stay open, and readable, until Close closes them all.
 	files []*storage.PagedFile
-	// unflushed is the path of every loose segment Load wrote since the last
-	// Flush, which packs them into the image and deletes them.
-	unflushed []string
+	// loaded is set by Load and cleared by the Flush that packs its tables.
+	loaded bool
 
 	// prepares counts Prepare calls, i.e. statement parses (StmtCacheStats).
 	prepares atomic.Uint64
@@ -134,18 +143,17 @@ type DB struct {
 	reg obs.Registry
 }
 
-// Open opens the database in dir, an empty one when dir has no catalog yet
-// (the directory is created if needed; no other file ever is), and returns
-// once every table it admits to the vector cache is decoded and resident.
-// The image holds every catalogued table's segment, back to back in catalog
-// order, and Open walks it front to back in one pass: each segment's header
-// gives its page count, hence the next segment's start. A directory without
-// the image (one in an older, file-per-table layout included), an image that
-// ends before the catalog does or holds pages after its last table, and a
-// segment that fails validation (wrapping storage.ErrCorruptSegment), does
-// not match its table's schema or holds a row an admitted table's decode
-// rejects fail the whole open with an error naming the table or the image,
-// and nothing stays open behind the error. The recovery is a rebuild.
+// Open opens the database in dir and returns once every table it admits to
+// the vector cache is decoded and resident. It walks the image front to back
+// in one pass, each segment's header giving its table's definition and its
+// page count, hence the next segment's start. Without the image, dir is an
+// empty database (created if needed; no other file ever is) if it holds
+// nothing but loose and temporary files, and any other file — the older
+// layouts' catalog among them — fails the open. So do a segment that fails
+// validation (wrapping storage.ErrCorruptSegment), a definition that is not
+// valid or not its segment's columns, and a row an admitted table's decode
+// rejects: the error names the table, or the file and the page, and nothing
+// stays open behind it. The recovery is a rebuild.
 func Open(dir string, opts Options) (*DB, error) {
 	if opts.Device.Name == "" {
 		opts.Device = storage.SSD
@@ -171,24 +179,19 @@ func Open(dir string, opts Options) (*DB, error) {
 		db.reg.VCache = &obs.VCacheMetrics{}
 		left = &opts.VectorCacheBytes
 	}
-	cat, err := os.ReadFile(db.catalogPath())
-	if err != nil {
-		if os.IsNotExist(err) {
-			return db, nil
-		}
-		return nil, fmt.Errorf("sqldb: read catalog: %w", err)
-	}
-	var defs []TableDef
-	if err := json.Unmarshal(cat, &defs); err != nil {
-		return nil, fmt.Errorf("sqldb: parse catalog: %w", err)
-	}
 	f, err := storage.OpenPagedFile(db.imagePath(), db.dev, &db.clock)
-	if errors.Is(err, fs.ErrNotExist) && len(defs) == 0 {
-		return db, nil
-	}
 	if errors.Is(err, fs.ErrNotExist) {
-		return nil, fmt.Errorf("sqldb: table %q: the directory holds no %s — it is damaged or was built by an older version, with a file per table; rebuild it: %w",
-			defs[0].Name, ImageName, err)
+		entries, rerr := os.ReadDir(dir)
+		if rerr != nil {
+			return nil, fmt.Errorf("sqldb: %w", rerr)
+		}
+		for _, e := range entries {
+			if !scratchFile(e.Name()) {
+				return nil, fmt.Errorf("sqldb: %s holds %s but no %s — it is damaged or was built by an older version; rebuild it: %w",
+					dir, e.Name(), ImageName, err)
+			}
+		}
+		return db, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("sqldb: %w", err)
@@ -196,35 +199,20 @@ func Open(dir string, opts Options) (*DB, error) {
 	db.files = append(db.files, f)
 	db.pool.Register(f)
 	f.CountReads(&db.reg.Pool.RandReads, &db.reg.Pool.SeqReads)
-	// Tables open one after another, in catalog order, so admission is a
+	// Tables open one after another, in image order, so admission is a
 	// running sum in that order; the admitted ones then decode on every core.
-	tables := make([]*Table, len(defs))
-	jobs := make([]func() error, 0, len(defs))
-	base := storage.PageID(0)
-	for i, def := range defs {
-		if base == f.NumPages() {
-			err = fmt.Errorf("sqldb: table %q: %w: header: the image ends at page %d, before the table's segment; rebuild the database",
-				strings.ToLower(def.Name), storage.ErrCorruptSegment, base)
-			break
-		}
-		var sc *schema
-		var pages storage.PageID
-		var finish func() (*Table, error)
-		if sc, err = newSchema(def); err == nil {
-			pages, finish, err = db.newTable(sc, f, base, left)
-		}
-		if err != nil {
-			break
-		}
-		base += pages
+	// An image holds at least one segment.
+	var tables []*Table
+	var jobs []func() error
+	for base := storage.PageID(0); err == nil && (base == 0 || base < f.NumPages()); {
+		pages, finish, nerr := db.newTable(f, ImageName, base, left)
+		base, err = base+pages, nerr
+		i := len(tables)
+		tables = append(tables, nil)
 		jobs = append(jobs, func() (err error) {
 			tables[i], err = finish()
 			return err
 		})
-	}
-	if err == nil && base != f.NumPages() {
-		err = fmt.Errorf("sqldb: %s: %w: %d pages after the segments of the catalog's %d tables; rebuild the database",
-			ImageName, storage.ErrCorruptSegment, f.NumPages()-base, len(defs))
 	}
 	if err == nil {
 		err = RunJobs(0, jobs)
@@ -239,7 +227,10 @@ func Open(dir string, opts Options) (*DB, error) {
 	return db, nil
 }
 
-func (db *DB) catalogPath() string { return filepath.Join(db.dir, "catalog.json") }
+// scratchFile reports whether name is a loose segment or a temporary file.
+func scratchFile(name string) bool {
+	return strings.HasSuffix(name, ".loose") || strings.HasSuffix(name, ".tmp")
+}
 
 func (db *DB) imagePath() string { return filepath.Join(db.dir, ImageName) }
 
@@ -276,15 +267,16 @@ type TableLoad struct {
 // Load writes a batch of new tables, the one write there is. It validates
 // every definition, then on up to workers goroutines (RunJobs) computes each
 // table's rows, checks them against the definition and writes them as a loose
-// segment — not synced; the next Flush packs it — that a new Table reads.
-// Only once every load has succeeded are the tables entered in the catalog,
-// each replacing any table of its name; a failed batch removes the segments
-// it wrote and leaves the catalog as it was. A replaced table does not change
-// (a statement prepared on it keeps reading it, and its file stays open until
-// Close), but its vectors leave the count of resident bytes. A loaded table
-// reads its segment until the directory is opened again: only Open admits a
-// table to the vector cache. Load must not run concurrently with any other
-// call on the handle.
+// segment, the definition in its header page (one that does not fit fails
+// before the file is created) — not synced; the next Flush packs it — that a
+// new Table reads. Only once every load has succeeded are the tables entered
+// in the catalog, each replacing any table of its name; a failed batch
+// removes the segments it wrote and leaves the catalog as it was. A replaced
+// table does not change (a statement prepared on it keeps reading it, and its
+// file stays open until Close), but its vectors leave the count of resident
+// bytes. A loaded table reads its segment until the directory is opened
+// again: only Open admits a table to the vector cache. Load must not run
+// concurrently with any other call on the handle.
 func (db *DB) Load(workers int, loads ...TableLoad) error {
 	schemas := make([]*schema, len(loads))
 	for i, l := range loads {
@@ -300,7 +292,6 @@ func (db *DB) Load(workers int, loads ...TableLoad) error {
 		schemas[i] = sc
 	}
 	tables := make([]*Table, len(loads))
-	written := make([]bool, len(loads))
 	jobs := make([]func() error, len(loads))
 	for i, l := range loads {
 		jobs[i] = func() error {
@@ -313,8 +304,10 @@ func (db *DB) Load(workers int, loads ...TableLoad) error {
 			if err := storage.WriteSegmentFile(path, db.dev, &db.clock, sd); err != nil {
 				return err
 			}
-			written[i] = true
-			tables[i], err = db.openLoose(sc, path)
+			step("write " + filepath.Base(path))
+			if tables[i], err = db.openLoose(path); err != nil {
+				_ = os.Remove(path) // best-effort cleanup; the load failure wins
+			}
 			return err
 		}
 	}
@@ -322,11 +315,7 @@ func (db *DB) Load(workers int, loads ...TableLoad) error {
 		for i, sc := range schemas {
 			if t := tables[i]; t != nil {
 				db.pool.Forget(t.file)
-				_ = t.file.Close() // best-effort cleanup; the load failure wins
-			}
-			// A path an earlier load left for the next Flush stays its.
-			if path := db.loosePath(sc.def.Name); written[i] && !slices.Contains(db.unflushed, path) {
-				_ = os.Remove(path) // best-effort cleanup; the load failure wins
+				_ = firstError(t.file.Close(), os.Remove(db.loosePath(sc.def.Name))) // best-effort cleanup; the load failure wins
 			}
 		}
 		return err
@@ -337,10 +326,8 @@ func (db *DB) Load(workers int, loads ...TableLoad) error {
 		}
 		db.tables[t.def.Name] = t
 		db.files = append(db.files, t.file)
-		if path := db.loosePath(t.def.Name); !slices.Contains(db.unflushed, path) {
-			db.unflushed = append(db.unflushed, path)
-		}
 	}
+	db.loaded = true
 	return nil
 }
 
@@ -348,15 +335,15 @@ func (db *DB) Load(workers int, loads ...TableLoad) error {
 // into the image and deletes it.
 func (db *DB) loosePath(name string) string { return filepath.Join(db.dir, name+".loose") }
 
-// openLoose opens the loose segment at path as a new table of sc.
-func (db *DB) openLoose(sc *schema, path string) (*Table, error) {
+// openLoose opens the loose segment at path as a new table.
+func (db *DB) openLoose(path string) (*Table, error) {
 	f, err := storage.OpenPagedFile(path, db.dev, &db.clock)
 	if err != nil {
-		return nil, fmt.Errorf("sqldb: table %q: %w", sc.def.Name, err)
+		return nil, fmt.Errorf("sqldb: %w", err)
 	}
 	db.pool.Register(f)
 	f.CountReads(&db.reg.Pool.RandReads, &db.reg.Pool.SeqReads)
-	_, finish, err := db.newTable(sc, f, 0, nil)
+	_, finish, err := db.newTable(f, filepath.Base(path), 0, nil)
 	var t *Table
 	if err == nil {
 		t, err = finish()
@@ -384,18 +371,17 @@ func (db *DB) Tables() []string {
 }
 
 // Flush makes every completed write durable. When a Load wrote tables since
-// the last Flush it packs a new image: the segment of every catalogued table,
-// in catalog order, copied by page range from the file the table reads — the
-// image this handle opened or a loose segment — is written and synced under a
-// temporary name, and so is the catalog; then the image is renamed into
-// place, then the catalog, the directory is synced, and the loose segments
-// are deleted. The tables keep reading the files they read before, which stay
-// open once replaced or deleted, so a pack changes nothing a reader sees. A
-// crash between the two renames leaves an image the catalog does not
-// describe, which Open refuses. Flush must not run concurrently with a Load.
+// the last Flush it packs a new image: the segment of every table, in the
+// order of their names, copied by page range from the file the table reads —
+// the image this handle opened or a loose segment — is written and synced
+// beside the image and renamed over it, the one rename that commits. The
+// directory is synced and every loose and temporary file in it deleted, a
+// crashed writer's too. The tables keep reading the files they read before,
+// which stay open once replaced or deleted, so a pack changes nothing a
+// reader sees. Flush must not run concurrently with a Load on any handle of
+// the directory.
 func (db *DB) Flush() error {
-	packed := len(db.unflushed) > 0
-	if packed {
+	if db.loaded {
 		if err := db.pack(); err != nil {
 			return err
 		}
@@ -404,65 +390,47 @@ func (db *DB) Flush() error {
 	if err != nil {
 		return fmt.Errorf("sqldb: %w", err)
 	}
-	if err := firstError(d.Sync(), d.Close()); err != nil || !packed {
+	if err := firstError(d.Sync(), d.Close()); err != nil || !db.loaded {
 		return err
 	}
-	// A path leaves the list once removed, so a Flush after a failed removal
-	// packs again and removes the rest.
-	for len(db.unflushed) > 0 {
-		if err := os.Remove(db.unflushed[0]); err != nil {
-			return fmt.Errorf("sqldb: %w", err)
-		}
-		db.unflushed = db.unflushed[1:]
+	step("sync the directory")
+	// loaded stays set until every removal succeeded, so a Flush after a
+	// failed one packs again and removes the rest.
+	entries, err := os.ReadDir(db.dir)
+	if err != nil {
+		return fmt.Errorf("sqldb: %w", err)
 	}
+	for _, e := range entries {
+		if scratchFile(e.Name()) {
+			if err := os.Remove(filepath.Join(db.dir, e.Name())); err != nil {
+				return fmt.Errorf("sqldb: %w", err)
+			}
+			step("remove " + e.Name())
+		}
+	}
+	db.loaded = false
 	return nil
 }
 
-// pack writes the catalog and the image beside the live ones and renames
-// both into place, the image first.
+// pack writes the image beside the live one and renames it into place.
 func (db *DB) pack() error {
-	// The catalog lists the tables by name, for reproducible catalogs, and
-	// the image holds their segments in the same order.
 	names := db.Tables()
 	slices.Sort(names)
-	defs := make([]TableDef, len(names))
 	segs := make([]*storage.Segment, len(names))
 	for i, name := range names {
-		t := db.tables[name]
-		defs[i], segs[i] = t.def, t.seg
+		segs[i] = db.tables[name].seg
 	}
-	data, err := json.MarshalIndent(defs, "", "  ")
-	if err != nil {
-		return err
-	}
-	catTmp, imageTmp := db.catalogPath()+".tmp", db.imagePath()+".tmp"
-	err = writeSynced(catTmp, data)
+	tmp := db.imagePath() + ".tmp"
+	err := storage.WriteImage(tmp, db.dev, &db.clock, segs)
 	if err == nil {
-		err = storage.WriteImage(imageTmp, db.dev, &db.clock, segs)
-	}
-	if err == nil {
-		err = os.Rename(imageTmp, db.imagePath())
-	}
-	if err == nil {
-		err = os.Rename(catTmp, db.catalogPath())
+		step("write and sync " + ImageName + ".tmp")
+		err = os.Rename(tmp, db.imagePath()) // on failure, the next pack removes tmp
 	}
 	if err != nil {
-		_ = os.Remove(catTmp) // best-effort cleanup; the write failure wins
-		_ = os.Remove(imageTmp)
 		return fmt.Errorf("sqldb: flush: %w", err)
 	}
+	step("rename " + ImageName + ".tmp")
 	return nil
-}
-
-// writeSynced writes data as the file at path and syncs it.
-func writeSynced(path string, data []byte) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(data)
-	err = firstError(err, f.Sync())
-	return firstError(err, f.Close())
 }
 
 // Close flushes and closes every file the handle opened, those of replaced
@@ -488,7 +456,7 @@ func firstError(errs ...error) error {
 }
 
 // SizeOnDisk returns the total bytes of the directory's files — after a
-// Flush, the image and the catalog (the paper's Section 4.3 storage report).
+// Flush, the image alone (the paper's Section 4.3 storage report).
 func (db *DB) SizeOnDisk() (int64, error) {
 	var total int64
 	entries, err := os.ReadDir(db.dir)

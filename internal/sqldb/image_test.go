@@ -1,18 +1,21 @@
 package sqldb
 
-// image_test.go checks the directory's one image file: Open walks it by the
-// segments' own headers in catalog order and refuses every way it can
-// disagree with the catalog — cut inside a segment, pages after the last
-// table, a catalogued table it lacks, a segment whose columns are not its
-// table's, and a directory in the older file-per-table layout — naming the
-// table or the image and the rebuild remedy, with no descriptor left open.
-// Flush packs the image: after it the directory holds the catalog and the
-// image only, and the handle keeps answering from what it read before.
+// image_test.go checks the directory's one file, the image: Open walks it by
+// the segments' own headers, each of which defines its table, and refuses
+// every way it can be damaged or old — cut inside a segment, pages after the
+// last table that are no segment, a header edited without its checksum, a
+// definition whose columns are not its segment's, and the directories of the
+// older layouts — naming the table or the image and the rebuild remedy, with
+// no descriptor left open. Flush packs the image: after it the directory
+// holds the image only, and the handle keeps answering from what it read
+// before.
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -24,24 +27,18 @@ import (
 	"ptldb/internal/sqldb/storage"
 )
 
-// imageSegment is one table's segment in an image: its byte range.
+// imageSegment is one table's segment in an image: its definition and its
+// byte range.
 type imageSegment struct {
 	name     string
+	def      TableDef
 	off, end int
 }
 
-// imageSegments walks the image of dir in catalog order and returns each
-// table's byte range.
+// imageSegments walks the image of dir front to back, as Open does, and
+// returns each table's segment.
 func imageSegments(t *testing.T, dir string) []imageSegment {
 	t.Helper()
-	var defs []TableDef
-	cat, err := os.ReadFile(filepath.Join(dir, "catalog.json"))
-	if err == nil {
-		err = json.Unmarshal(cat, &defs)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
 	f, err := storage.OpenPagedFile(filepath.Join(dir, ImageName), storage.RAM, new(storage.Clock))
 	if err != nil {
 		t.Fatal(err)
@@ -50,19 +47,22 @@ func imageSegments(t *testing.T, dir string) []imageSegment {
 	pool := storage.NewPool(8)
 	pool.Register(f)
 	var segs []imageSegment
-	base := storage.PageID(0)
-	for _, def := range defs {
+	for base := storage.PageID(0); base < f.NumPages(); {
 		seg, _, err := storage.OpenSegment(f, base, pool, nil)
 		if err != nil {
-			t.Fatalf("%s: %v", def.Name, err)
+			t.Fatalf("segment at page %d: %v", base, err)
 		}
-		segs = append(segs, imageSegment{def.Name, int(base) * storage.PageSize, int(base+seg.Pages()) * storage.PageSize})
+		var def TableDef
+		if err := json.Unmarshal(seg.Meta(), &def); err != nil {
+			t.Fatalf("segment at page %d: %v", base, err)
+		}
+		segs = append(segs, imageSegment{def.Name, def, int(base) * storage.PageSize, int(base+seg.Pages()) * storage.PageSize})
 		base += seg.Pages()
 	}
 	return segs
 }
 
-// segmentOf returns the byte range of table name in dir's image.
+// segmentOf returns the segment of table name in dir's image.
 func segmentOf(t *testing.T, dir, name string) imageSegment {
 	t.Helper()
 	for _, s := range imageSegments(t, dir) {
@@ -88,9 +88,18 @@ func editImage(t *testing.T, dir string, edit func([]byte) []byte) {
 }
 
 // writeSegmentInto writes sd as the segment of table name inside dir's
-// image, in place of the one there.
+// image, in place of the one there, with that one's definition when sd has
+// no meta of its own.
 func writeSegmentInto(t *testing.T, dir, name string, sd storage.SegmentData) {
 	t.Helper()
+	at := segmentOf(t, dir, name)
+	if sd.Meta == nil {
+		meta, err := json.Marshal(at.def)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sd.Meta = meta
+	}
 	path := filepath.Join(t.TempDir(), name+".seg")
 	if err := storage.WriteSegmentFile(path, storage.RAM, new(storage.Clock), sd); err != nil {
 		t.Fatal(err)
@@ -99,52 +108,81 @@ func writeSegmentInto(t *testing.T, dir, name string, sd storage.SegmentData) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	at := segmentOf(t, dir, name)
 	editImage(t, dir, func(b []byte) []byte {
 		return slices.Concat(b[:at.off], seg, b[at.end:])
 	})
 }
 
-// splitImage turns dir into the layout of an older version: one <table>.seg
-// file per table and no image.
+// editDef rewrites the definition in the header of table name's segment in
+// dir's image as edit leaves it, and seals the header with its new checksum
+// (by writing the segment anew, rows unchanged): the way to give Open a
+// definition Load refuses to write.
+func editDef(t *testing.T, dir, name string, edit func(*TableDef)) {
+	t.Helper()
+	f, err := storage.OpenPagedFile(filepath.Join(dir, ImageName), storage.RAM, new(storage.Clock))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	pool := storage.NewPool(8)
+	pool.Register(f)
+	at := segmentOf(t, dir, name)
+	var sd storage.SegmentData
+	keepAll := func(cols, _ []byte) (func(int, int, []byte) bool, error) {
+		sd.Cols = append([]byte(nil), cols...)
+		return func(int, int, []byte) bool { return true }, nil
+	}
+	seg, data, err := storage.OpenSegment(f, storage.PageID(at.off/storage.PageSize), pool, keepAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sd.PKLen, sd.Keys, sd.Data = seg.PKLen(), seg.Keys(), data
+	for i := range seg.NumRows() {
+		sd.Lens = append(sd.Lens, seg.RowLen(i))
+	}
+	def := at.def
+	edit(&def)
+	if sd.Meta, err = json.Marshal(def); err != nil {
+		t.Fatal(err)
+	}
+	writeSegmentInto(t, dir, name, sd)
+}
+
+// splitImage turns dir into the layout of an older version: catalog.json and
+// one <table>.seg file per table, no image.
 func splitImage(t *testing.T, dir string) {
 	t.Helper()
 	image, err := os.ReadFile(filepath.Join(dir, ImageName))
 	if err != nil {
 		t.Fatal(err)
 	}
+	var defs []TableDef
 	for _, s := range imageSegments(t, dir) {
+		defs = append(defs, s.def)
 		if err := os.WriteFile(filepath.Join(dir, s.name+".seg"), image[s.off:s.end], 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
+	writeCatalog(t, dir, defs)
 	if err := os.Remove(filepath.Join(dir, ImageName)); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// editCatalog rewrites dir's catalog as edit returns it.
-func editCatalog(t *testing.T, dir string, edit func([]TableDef) []TableDef) {
+// writeCatalog writes defs as the catalog.json of the layouts before the
+// image described itself.
+func writeCatalog(t *testing.T, dir string, defs []TableDef) {
 	t.Helper()
-	path := filepath.Join(dir, "catalog.json")
-	cat, err := os.ReadFile(path)
+	data, err := json.MarshalIndent(defs, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var defs []TableDef
-	if err := json.Unmarshal(cat, &defs); err != nil {
-		t.Fatal(err)
-	}
-	data, err := json.MarshalIndent(edit(defs), "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "catalog.json"), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// requireOnlyImage fails unless dir holds exactly catalog.json and the image.
+// requireOnlyImage fails unless dir holds exactly the image.
 func requireOnlyImage(t *testing.T, dir string) {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
@@ -155,13 +193,13 @@ func requireOnlyImage(t *testing.T, dir string) {
 	for _, e := range entries {
 		names = append(names, e.Name())
 	}
-	if strings.Join(names, " ") != "catalog.json "+ImageName {
-		t.Errorf("the database directory holds %v; want catalog.json and %s only", names, ImageName)
+	if strings.Join(names, " ") != ImageName {
+		t.Errorf("the database directory holds %v; want %s only", names, ImageName)
 	}
 }
 
-// TestImageFailsClosed: every way the image can disagree with the catalog is
-// refused at Open, twice, with an error naming the table or the image and the
+// TestImageFailsClosed: every way the image can be damaged or old is refused
+// at Open, twice, with an error naming the table or the image and the
 // remedy, the directory unchanged and no descriptor left open; the healthy
 // sibling opens throughout.
 func TestImageFailsClosed(t *testing.T) {
@@ -169,7 +207,7 @@ func TestImageFailsClosed(t *testing.T) {
 	buildFaultDB(t, healthy)
 	segs := imageSegments(t, healthy)
 	if len(segs) != 3 || segs[0].name != "bad" || segs[1].name != "good" || segs[2].name != "names" {
-		t.Fatalf("image segments %v; want bad, good and names in catalog order", segs)
+		t.Fatalf("image segments %v; want bad, good and names in order", segs)
 	}
 	good := segs[1]
 	cases := []struct {
@@ -183,21 +221,27 @@ func TestImageFailsClosed(t *testing.T) {
 		}, storage.ErrCorruptSegment, []string{`table "good"`, "layout"}},
 		{"pages-after-the-last-table", func(t *testing.T, dir string) {
 			editImage(t, dir, func(b []byte) []byte { return append(b, make([]byte, storage.PageSize)...) })
-		}, storage.ErrCorruptSegment, []string{ImageName, "1 pages after", "rebuild"}},
-		{"catalogued-table-missing", func(t *testing.T, dir string) {
-			editCatalog(t, dir, func(defs []TableDef) []TableDef {
-				extra := defs[1]
-				extra.Name = "zzz"
-				return append(defs, extra)
+		}, storage.ErrCorruptSegment, []string{ImageName, "bad magic", "rebuild"}},
+		{"header-edited-not-resealed", func(t *testing.T, dir string) {
+			editImage(t, dir, func(b []byte) []byte {
+				header := b[good.off : good.off+storage.PageSize]
+				if !bytes.Contains(header, []byte(`"name":"good"`)) {
+					t.Fatalf("good's header does not hold its definition")
+				}
+				copy(header, bytes.Replace(header, []byte(`"name":"good"`), []byte(`"name":"gold"`), 1))
+				return b
 			})
-		}, storage.ErrCorruptSegment, []string{`table "zzz"`, "image ends", "rebuild"}},
+		}, storage.ErrCorruptSegment, []string{ImageName, fmt.Sprintf("page %d", good.off/storage.PageSize), "header", "checksum", "rebuild"}},
 		{"column-tags-differ", func(t *testing.T, dir string) {
-			editCatalog(t, dir, func(defs []TableDef) []TableDef {
-				defs[1].Columns[1].Type = sqltypes.Float64
-				return defs
-			})
+			editDef(t, dir, "good", func(def *TableDef) { def.Columns[1].Type = sqltypes.Float64 })
 		}, storage.ErrCorruptSegment, []string{`table "good"`, "do not match the schema"}},
-		{"file-per-table-layout", splitImage, os.ErrNotExist, []string{`table "bad"`, ImageName, "rebuild"}},
+		{"two-file-layout", func(t *testing.T, dir string) {
+			// The layout before the image described itself: segments of
+			// version 2 and catalog.json beside them.
+			writeCatalog(t, dir, []TableDef{segs[0].def, segs[1].def, segs[2].def})
+			editImage(t, dir, func(b []byte) []byte { binary.LittleEndian.PutUint32(b[4:], 2); return b })
+		}, storage.ErrCorruptSegment, []string{ImageName, "version 2", "rebuild"}},
+		{"file-per-table-layout", splitImage, os.ErrNotExist, []string{"bad.seg", ImageName, "rebuild"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -235,6 +279,60 @@ func TestImageFailsClosed(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestFlushRemovesStrayFiles: what a crashed writer leaves — a loose segment
+// and a temporary image — changes nothing Open reads: the directory opens as
+// before, and one holding nothing else is an empty database. A Flush that
+// packs deletes them with its own loose files, leaving the image alone; one
+// with nothing to pack leaves them.
+func TestFlushRemovesStrayFiles(t *testing.T) {
+	dir := t.TempDir()
+	buildFaultDB(t, dir)
+	stray := func(dir string) {
+		for _, name := range []string{"x.loose", ImageName + ".tmp"} {
+			if err := os.WriteFile(filepath.Join(dir, name), make([]byte, storage.PageSize), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	stray(dir)
+	listing := dirListing(t, dir)
+	db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256, VectorCacheBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkReads(t, db)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := dirListing(t, dir); got != listing {
+		t.Errorf("a handle that wrote nothing changed the directory:\n%s\nwas:\n%s", got, listing)
+	}
+	db, err = Open(dir, Options{Device: storage.RAM, PoolPages: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	load(t, db, mkTable("more", []string{"k"}, "k"), ints(1))
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	requireOnlyImage(t, dir)
+	checkReads(t, db)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	empty := t.TempDir()
+	stray(empty)
+	db, err = Open(empty, Options{Device: storage.RAM, PoolPages: 256})
+	if err != nil {
+		t.Fatalf("a directory holding only a crashed writer's files: %v", err)
+	}
+	defer db.Close()
+	if names := db.Tables(); len(names) != 0 {
+		t.Errorf("a directory without an image holds the tables %v", names)
 	}
 }
 
@@ -293,8 +391,8 @@ func TestFlushRetriesAfterFailedRemoval(t *testing.T) {
 
 // TestFlushPacksImage: tables loaded through a handle live in loose files
 // until Flush, which packs them and the tables already in the image into a
-// new image — the catalog's tables, in its order, byte for byte the segments
-// the handle reads — and deletes the loose files. The handle keeps answering
+// new image — the handle's tables, in the order of their names, byte for byte
+// the segments the handle reads — and deletes the loose files. The handle keeps answering
 // after each pack, one opened before another handle's pack keeps answering
 // from the image it opened, and a Flush with nothing new writes nothing.
 func TestFlushPacksImage(t *testing.T) {
@@ -331,7 +429,7 @@ func TestFlushPacksImage(t *testing.T) {
 		names = append(names, s.name)
 	}
 	if strings.Join(names, ",") != "bad,extra,good,names" {
-		t.Errorf("the packed image holds %v; want the catalog's four tables in order", names)
+		t.Errorf("the packed image holds %v; want the handle's four tables in order", names)
 	}
 	packed, err := os.Stat(filepath.Join(dir, ImageName))
 	if err != nil {

@@ -1,7 +1,7 @@
 package sqldb
 
 // open_parallel_test.go pins the parallel decode at Open: tables are admitted
-// one after another in catalog order, so admission is the same on every open
+// one after another in image order, so admission is the same on every open
 // whatever order the decodes finish in; a decode that fails fails the open,
 // naming its table, with every file closed and every worker gone; and a
 // query issued right after Open finds every admitted table resident.
@@ -31,7 +31,7 @@ func labelRows(n, width int64) []sqltypes.Row {
 }
 
 // buildTables bulk-loads one (k, xs) table per entry of widths into dir,
-// named t1, t2, … in catalog order, each of n rows whose arrays have that
+// named t1, t2, … in image order, each of n rows whose arrays have that
 // width, and returns each table's vector size.
 func buildTables(t *testing.T, dir string, n int64, widths ...int64) []int64 {
 	t.Helper()
@@ -52,7 +52,7 @@ func buildTables(t *testing.T, dir string, n int64, widths ...int64) []int64 {
 }
 
 // TestParallelOpenIsDeterministic: under a budget that fits tables 1 and 3
-// of the catalog but not 2, fifty opens admit exactly {1, 3}, decode both
+// of the image but not 2, fifty opens admit exactly {1, 3}, decode both
 // and serve their first lookups from the vectors, reading nothing and
 // missing nothing; table 2 answers from its segment.
 func TestParallelOpenIsDeterministic(t *testing.T) {

@@ -2,12 +2,10 @@ package sqldb
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
-	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -203,42 +201,14 @@ func TestBulkLoadValidatesTargetBound(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	catalog, err := os.ReadFile(filepath.Join(dir, "catalog.json"))
-	if err != nil {
-		t.Fatal(err)
+	if n := bytes.Count(readImage(t, dir), []byte(`"target_ids"`)); n != 1 {
+		t.Fatalf("the image mentions target_ids %d times, want once (the declaring table only)", n)
 	}
-	if n := bytes.Count(catalog, []byte(`"target_ids"`)); n != 1 {
-		t.Fatalf("catalog mentions target_ids %d times, want once (the declaring table only):\n%s", n, catalog)
-	}
+	edits := map[string]func(*TableDef){}
 	for what, ids := range refused {
-		edited, err := json.Marshal(ids)
-		if err != nil {
-			t.Fatal(err)
-		}
-		edited = regexp.MustCompile(`(?s)"target_ids": \{.*?\}`).ReplaceAll(catalog, append([]byte(`"target_ids": `), edited...))
-		if bytes.Equal(edited, catalog) {
-			t.Fatalf("the catalog's declaration was not found:\n%s", catalog)
-		}
-		if err := os.WriteFile(filepath.Join(dir, "catalog.json"), edited, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		before := openFDs(t)
-		db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256, VectorCacheBytes: 1 << 20})
-		if err == nil {
-			db.Close()
-			t.Fatalf("Open accepted a catalog declaring %s", what)
-		}
-		if !strings.Contains(err.Error(), `"aux"`) {
-			t.Errorf("catalog declaring %s: error does not name the table: %v", what, err)
-		}
-		if after := openFDs(t); after != before {
-			t.Errorf("catalog declaring %s: failed open leaked file descriptors: %d before, %d after", what, before, after)
-		}
+		edits[what] = func(def *TableDef) { def.TargetIDs = ids }
 	}
-
-	if err := os.WriteFile(filepath.Join(dir, "catalog.json"), catalog, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	refuseAtOpen(t, dir, "aux", edits)
 	db, err = Open(dir, Options{Device: storage.RAM, PoolPages: 256})
 	if err != nil {
 		t.Fatal(err)
@@ -321,36 +291,14 @@ func TestBulkLoadValidatesTargetCount(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	catalog, err := os.ReadFile(filepath.Join(dir, "catalog.json"))
-	if err != nil {
-		t.Fatal(err)
+	if image := readImage(t, dir); bytes.Count(image, []byte(`"count"`)) != 1 || !bytes.Contains(image, []byte(`"count":3`)) {
+		t.Fatalf("the image does not hold the one declaration as expected")
 	}
-	declared := []byte(`"count": 3`)
-	if n := bytes.Count(catalog, []byte(`"count"`)); n != 1 || !bytes.Contains(catalog, declared) {
-		t.Fatalf("catalog does not hold the one declaration as expected:\n%s", catalog)
-	}
+	edits := map[string]func(*TableDef){}
 	for what, count := range refused {
-		edited := bytes.Replace(catalog, declared, []byte(fmt.Sprintf(`"count": %d`, count)), 1)
-		if err := os.WriteFile(filepath.Join(dir, "catalog.json"), edited, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		before := openFDs(t)
-		db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256, VectorCacheBytes: 1 << 20})
-		if err == nil {
-			db.Close()
-			t.Fatalf("Open accepted a catalog declaring %s", what)
-		}
-		if !strings.Contains(err.Error(), `"aux"`) {
-			t.Errorf("catalog declaring %s: error does not name the table: %v", what, err)
-		}
-		if after := openFDs(t); after != before {
-			t.Errorf("catalog declaring %s: failed open leaked file descriptors: %d before, %d after", what, before, after)
-		}
+		edits[what] = func(def *TableDef) { def.TargetIDs.Count = count }
 	}
-
-	if err := os.WriteFile(filepath.Join(dir, "catalog.json"), catalog, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	refuseAtOpen(t, dir, "aux", edits)
 	db, err = Open(dir, Options{Device: storage.RAM, PoolPages: 256})
 	if err != nil {
 		t.Fatal(err)
@@ -469,39 +417,11 @@ func TestBulkLoadValidatesFloor(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	catalog, err := os.ReadFile(filepath.Join(dir, "catalog.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	edits := map[string]func(*TableDef){}
 	for what, fl := range refused {
-		edited, err := json.Marshal(fl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		edited = regexp.MustCompile(`(?s)"floor": \{.*?\}`).ReplaceAll(catalog, append([]byte(`"floor": `), edited...))
-		if bytes.Equal(edited, catalog) {
-			t.Fatalf("the catalog's declaration was not found:\n%s", catalog)
-		}
-		if err := os.WriteFile(filepath.Join(dir, "catalog.json"), edited, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		before := openFDs(t)
-		db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256, VectorCacheBytes: 1 << 20})
-		if err == nil {
-			db.Close()
-			t.Fatalf("Open accepted a catalog declaring %s", what)
-		}
-		if !strings.Contains(err.Error(), `"aux"`) {
-			t.Errorf("catalog declaring %s: error does not name the table: %v", what, err)
-		}
-		if after := openFDs(t); after != before {
-			t.Errorf("catalog declaring %s: failed open leaked file descriptors: %d before, %d after", what, before, after)
-		}
+		edits[what] = func(def *TableDef) { def.Floor = fl }
 	}
-
-	if err := os.WriteFile(filepath.Join(dir, "catalog.json"), catalog, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	refuseAtOpen(t, dir, "aux", edits)
 	db, err = Open(dir, Options{Device: storage.RAM, PoolPages: 256})
 	if err != nil {
 		t.Fatal(err)
@@ -518,9 +438,9 @@ func TestBulkLoadValidatesFloor(t *testing.T) {
 
 // TestRunOrderDeclarationFailsClosed: a declaration that is not three
 // BIGINT[] columns of the table is refused where the table is loaded, and
-// refused again — naming the table, opening nothing — when the same text
-// reaches Open through a hand-edited catalog. A table that declares nothing
-// writes a catalog entry without the field.
+// refused again — naming the table, opening nothing — when the same
+// declaration reaches Open through a hand-edited header. A table that
+// declares nothing writes a definition without the field.
 func TestRunOrderDeclarationFailsClosed(t *testing.T) {
 	bad := map[string][]string{
 		"a missing column": {"hubs", "tds", "nope"},
@@ -541,8 +461,8 @@ func TestRunOrderDeclarationFailsClosed(t *testing.T) {
 	if _, ok := db.Table("lab"); ok {
 		t.Fatal("a refused declaration left the table behind")
 	}
-	if _, err := os.Stat(filepath.Join(dir, "catalog.json")); !os.IsNotExist(err) {
-		t.Fatalf("a refused declaration wrote the catalog: %v", err)
+	if listing := dirListing(t, dir); listing != "" {
+		t.Fatalf("a refused declaration wrote files:\n%s", listing)
 	}
 	for _, def := range []TableDef{labelDef("lab", "hubs", "tds", "tas"), labelDef("other")} {
 		load(t, db, def, labelRow(1, []int64{1}, []int64{2}, []int64{3}))
@@ -550,45 +470,19 @@ func TestRunOrderDeclarationFailsClosed(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	catalog, err := os.ReadFile(filepath.Join(dir, "catalog.json"))
-	if err != nil {
-		t.Fatal(err)
+	image := readImage(t, dir)
+	if n := bytes.Count(image, []byte(`"run_order"`)); n != 1 {
+		t.Fatalf("the image mentions run_order %d times, want once (the declaring table only)", n)
 	}
-	if n := bytes.Count(catalog, []byte(`"run_order"`)); n != 1 {
-		t.Fatalf("catalog mentions run_order %d times, want once (the declaring table only):\n%s", n, catalog)
+	if !bytes.Contains(image, []byte(`"run_order":["hubs","tds","tas"]`)) {
+		t.Fatalf("the image does not hold the declaration as expected")
 	}
-	declared := []byte(`"run_order": [
-      "hubs",
-      "tds",
-      "tas"
-    ]`)
-	if !bytes.Contains(catalog, declared) {
-		t.Fatalf("catalog does not hold the declaration as expected:\n%s", catalog)
-	}
-
+	edits := map[string]func(*TableDef){}
 	for what, runOrder := range bad {
-		edited := bytes.Replace(catalog, declared, []byte(`"run_order": ["`+strings.Join(runOrder, `", "`)+`"]`), 1)
-		if err := os.WriteFile(filepath.Join(dir, "catalog.json"), edited, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		before := openFDs(t)
-		db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256, VectorCacheBytes: 1 << 20})
-		if err == nil {
-			db.Close()
-			t.Fatalf("Open accepted a catalog declaring %s", what)
-		}
-		if !strings.Contains(err.Error(), `"lab"`) {
-			t.Errorf("catalog declaring %s: error does not name the table: %v", what, err)
-		}
-		if after := openFDs(t); after != before {
-			t.Errorf("catalog declaring %s: failed open leaked file descriptors: %d before, %d after", what, before, after)
-		}
+		edits[what] = func(def *TableDef) { def.RunOrder = runOrder }
 	}
-
 	// The declaration restored, the directory opens and still declares.
-	if err := os.WriteFile(filepath.Join(dir, "catalog.json"), catalog, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	refuseAtOpen(t, dir, "lab", edits)
 	db, err = Open(dir, Options{Device: storage.RAM, PoolPages: 256})
 	if err != nil {
 		t.Fatal(err)
@@ -684,5 +578,46 @@ func TestFusedPlanAnswersOrErrors(t *testing.T) {
 	}
 	if fused, general := ref.FusedStats(); fused != 0 || general != 1 {
 		t.Errorf("reference handle: %d fused runs, %d general runs; want 0 and 1", fused, general)
+	}
+}
+
+// readImage returns the bytes of dir's image.
+func readImage(t *testing.T, dir string) []byte {
+	t.Helper()
+	image, err := os.ReadFile(filepath.Join(dir, ImageName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return image
+}
+
+// refuseAtOpen gives table name, in turn, each definition an edit makes of
+// its own — sealed in the header of its segment, as Load never writes one —
+// and requires Open to refuse each, naming the table, with no descriptor
+// left open. The image is restored as built afterwards.
+func refuseAtOpen(t *testing.T, dir, name string, edits map[string]func(*TableDef)) {
+	t.Helper()
+	built := readImage(t, dir)
+	restore := func() {
+		if err := os.WriteFile(filepath.Join(dir, ImageName), built, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer restore()
+	for what, edit := range edits {
+		editDef(t, dir, name, edit)
+		before := openFDs(t)
+		db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256, VectorCacheBytes: 1 << 20})
+		if err == nil {
+			db.Close()
+			t.Fatalf("Open accepted a header declaring %s", what)
+		}
+		if !strings.Contains(err.Error(), `"`+name+`"`) {
+			t.Errorf("header declaring %s: error does not name the table: %v", what, err)
+		}
+		if after := openFDs(t); after != before {
+			t.Errorf("header declaring %s: failed open leaked file descriptors: %d before, %d after", what, before, after)
+		}
+		restore()
 	}
 }

@@ -2,9 +2,10 @@ package sqldb
 
 // segment_failclosed_test.go checks the engine-level fault policy: a segment
 // is its table's only copy, so a corrupt or truncated segment in the image
-// fails Open with an error naming the table and wrapping
-// storage.ErrCorruptSegment, and a missing one fails it with an error naming
-// the table and the remedy (rebuild).
+// fails Open with an error naming the table — or, when its header does not
+// verify, the image and the page — and wrapping storage.ErrCorruptSegment,
+// and a directory of an older layout fails it with an error naming a file of
+// it and the remedy (rebuild).
 // Nothing stays open behind the error, nothing is created by it, and a
 // healthy sibling directory is unaffected. Close releases every file even
 // when its flush fails.
@@ -84,9 +85,11 @@ func openFDs(t *testing.T) int {
 }
 
 // TestOpenFailsClosedOnBadSegment damages each region of one table's segment
-// in turn — the image's first, so a cut inside it ends the image there. Open must return the sentinel with the table and region named,
-// leak no file handle, and keep failing on retry; the pristine copy of the
-// same database in a sibling directory opens and reads fine throughout.
+// in turn — the image's first, so a cut inside it ends the image there. Open
+// must return the sentinel with the region and the table named, or the image
+// and page 0 when the header that names the table is what is damaged, leak no
+// file handle, and keep failing on retry; the pristine copy of the same
+// database in a sibling directory opens and reads fine throughout.
 func TestOpenFailsClosedOnBadSegment(t *testing.T) {
 	healthy := t.TempDir()
 	buildFaultDB(t, healthy)
@@ -101,16 +104,17 @@ func TestOpenFailsClosedOnBadSegment(t *testing.T) {
 	flip := func(off int) func([]byte) []byte {
 		return func(b []byte) []byte { b[off] ^= 0x20; return b }
 	}
+	const table, header = `table "bad"`, ImageName + ": the segment at page 0"
 	cases := []struct {
-		name, region string
-		damage       func([]byte) []byte
+		name, region, names string
+		damage              func([]byte) []byte
 	}{
-		{"header-flip", "header", flip(9)},
-		{"data-flip", "data", flip(storage.PageSize + 17)},
-		{"directory-flip", "directory", flip((pages-1)*storage.PageSize + 5)},
-		{"truncated-to-header", "layout", func(b []byte) []byte { return b[:storage.PageSize] }},
-		{"truncated-mid-data", "layout", func(b []byte) []byte { return b[:2*storage.PageSize] }},
-		{"truncated-empty", "header", func(b []byte) []byte { return nil }},
+		{"header-flip", "header", header, flip(9)},
+		{"data-flip", "data", table, flip(storage.PageSize + 17)},
+		{"directory-flip", "directory", table, flip((pages-1)*storage.PageSize + 5)},
+		{"truncated-to-header", "layout", table, func(b []byte) []byte { return b[:storage.PageSize] }},
+		{"truncated-mid-data", "layout", table, func(b []byte) []byte { return b[:2*storage.PageSize] }},
+		{"truncated-empty", "header", header, func(b []byte) []byte { return nil }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -127,7 +131,7 @@ func TestOpenFailsClosedOnBadSegment(t *testing.T) {
 				if !errors.Is(err, storage.ErrCorruptSegment) {
 					t.Errorf("error does not wrap ErrCorruptSegment: %v", err)
 				}
-				for _, frag := range []string{`table "bad"`, tc.region} {
+				for _, frag := range []string{tc.names, tc.region} {
 					if !strings.Contains(err.Error(), frag) {
 						t.Errorf("error lacks %q: %v", frag, err)
 					}
@@ -197,14 +201,14 @@ func TestCloseReleasesFilesWhenFlushFails(t *testing.T) {
 	}
 }
 
-// TestOpenFailsClosedOnMissingSegment takes tables' segments away from a
-// built directory. The form of a table is not guessed from the files that
-// happen to exist: Open must fail with an error naming a table and telling
-// the operator to rebuild, create nothing in the directory, leak no file
-// handle, and keep failing on retry. The first case deletes the image, the
-// second leaves the directory as a build from before every table was a
-// segment left it — heap and index files, no image — and the third is a
-// catalog that declares a table after the last one the image holds.
+// TestOpenFailsClosedOnMissingSegment takes the image away from a built
+// directory. The form of a table is not guessed from the files that happen
+// to exist: a directory without the image is an empty database only when it
+// holds nothing else, so Open must fail with an error naming a file it holds
+// and telling the operator to rebuild, create nothing in the directory, leak
+// no file handle, and keep failing on retry. The case leaves the directory
+// as a build from before every table was a segment left it — heap and index
+// files, no image.
 func TestOpenFailsClosedOnMissingSegment(t *testing.T) {
 	healthy := t.TempDir()
 	buildFaultDB(t, healthy)
@@ -214,12 +218,11 @@ func TestOpenFailsClosedOnMissingSegment(t *testing.T) {
 		}
 	}
 	cases := []struct {
-		name, table string
-		damage      func(t *testing.T, dir string)
-		is          error
+		name, file string
+		damage     func(t *testing.T, dir string)
+		is         error
 	}{
-		{"deleted", "bad", func(t *testing.T, dir string) { remove(t, dir, ImageName) }, fs.ErrNotExist},
-		{"image-from-before-segments", "bad", func(t *testing.T, dir string) {
+		{"image-from-before-segments", "names.heap", func(t *testing.T, dir string) {
 			remove(t, dir, ImageName)
 			for _, name := range []string{"names.heap", "names.idx"} {
 				if err := os.WriteFile(filepath.Join(dir, name), make([]byte, 2*storage.PageSize), 0o644); err != nil {
@@ -227,13 +230,6 @@ func TestOpenFailsClosedOnMissingSegment(t *testing.T) {
 				}
 			}
 		}, fs.ErrNotExist},
-		{"declared-never-loaded", "pending", func(t *testing.T, dir string) {
-			// Load enters a table in the catalog only with its segment, so
-			// only an edit of the catalog can declare one the image lacks.
-			editCatalog(t, dir, func(defs []TableDef) []TableDef {
-				return append(defs, mkTable("pending", []string{"k"}, "k", "v"))
-			})
-		}, storage.ErrCorruptSegment},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -251,7 +247,7 @@ func TestOpenFailsClosedOnMissingSegment(t *testing.T) {
 				if !errors.Is(err, tc.is) {
 					t.Errorf("error does not wrap %v: %v", tc.is, err)
 				}
-				for _, frag := range []string{`table "` + tc.table + `"`, "rebuild"} {
+				for _, frag := range []string{tc.file, ImageName, "rebuild"} {
 					if !strings.Contains(err.Error(), frag) {
 						t.Errorf("error lacks %q: %v", frag, err)
 					}

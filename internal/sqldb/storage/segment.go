@@ -69,8 +69,8 @@ func FindFrom(keys []Key, start int, key Key) (int, bool) {
 // Layout, in pages from the segment's first page (all little-endian):
 //
 //	page 0              header: magic, version, row/column counts, pk width,
-//	                    directory location, data size, data/directory/header
-//	                    CRC-32C checksums, column kind tags
+//	                    directory location, data and meta sizes, CRC-32C
+//	                    checksums, column kind tags, meta
 //	pages 1..D          data region: payloads back to back, spilling across
 //	                    page boundaries, zero-padded to a page
 //	pages D+1..end      directory: per row varint key0, varint key1,
@@ -81,8 +81,8 @@ func FindFrom(keys []Key, start int, key Key) (int, bool) {
 // one's start (WriteImage writes such a file; sqldb keeps a database's tables
 // in one). A segment is written once by WriteSegmentFile during bulk load
 // and never mutated (a table is changed by writing a new one); its bytes are
-// a pure function of the row set, which is what keeps build output
-// byte-identical at every worker count, and WriteImage copies them verbatim.
+// a pure function of the row set and its definition, which is what keeps
+// build output byte-identical at every worker count; WriteImage copies them.
 // OpenSegment verifies both region checksums and the exact page layout, so
 // a truncated or bit-flipped segment is rejected at open with
 // ErrCorruptSegment — the segment is the table's only copy, so the caller
@@ -93,7 +93,7 @@ type Segment struct {
 	base  PageID // the header page's position in file
 	pages PageID // header, data and directory pages
 
-	cols  []byte // column kind tags, opaque to storage
+	meta  []byte // the writer's description of the segment, opaque to storage
 	pkLen int
 
 	keys []Key    // ascending, one per row
@@ -109,13 +109,15 @@ type SegmentData struct {
 	Keys  []Key    // strictly ascending
 	Lens  []uint32 // payload length per row
 	Data  []byte   // concatenated payloads, len == sum(Lens)
+	Meta  []byte   // opaque; stored after Cols, and both must fit the header page
 }
 
 const (
 	segmentMagic   = 0x50545331 // "PTS1"
-	segmentVersion = 2          // v2 added the region and header checksums
-	segHeaderCRCAt = 52         // offset of the header's own checksum
-	segHeaderBytes = 56         // fixed fields + header CRC; column tags follow
+	segmentVersion = 3          // v2 added the region and header checksums, v3 the meta
+	segMetaLenAt   = 52         // offset of the meta's byte count
+	segHeaderCRCAt = 56         // offset of the header's own checksum
+	segHeaderBytes = 60         // fixed fields + header CRC; column tags, then the meta, follow
 )
 
 // ErrCorruptSegment is wrapped by every validation failure of OpenSegment: the
@@ -132,9 +134,9 @@ func corruptSegment(region, format string, args ...any) error {
 var segCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
 // headerCRC checksums the whole header page except the stored checksum
-// itself: the fixed fields, the column tags, and the zero padding (the
-// writer zeroes it, so including it costs nothing and leaves no byte of the
-// page outside some checksum).
+// itself: the fixed fields, the column tags, the meta and the zero padding
+// (the writer zeroes it, so including it costs nothing and leaves no byte of
+// the page outside some checksum).
 func headerCRC(page []byte) uint32 {
 	crc := crc32.Checksum(page[:segHeaderCRCAt], segCRCTable)
 	return crc32.Update(crc, segCRCTable, page[segHeaderBytes:PageSize])
@@ -142,11 +144,12 @@ func headerCRC(page []byte) uint32 {
 
 // WriteSegmentFile writes sd as a file of one segment at path: the bytes go
 // to path+".tmp" and the finished file is renamed over whatever path held,
-// so a reader of the old file keeps reading it and a failed write leaves
-// path untouched and no temporary file. The file is not synced: it is a
-// loose segment, which a crash may lose, and what must be durable is copied
-// into an image by WriteImage, which syncs. Writes are page-granular through
-// a PagedFile so the device model charges them like any other build I/O.
+// so a reader of the old file keeps reading it and a failed write (tags and
+// meta too large for the header page fail first) leaves path untouched and
+// no temporary file. The file is not synced: it is a loose segment, which a
+// crash may lose, and what must be durable is copied into an image by
+// WriteImage, which syncs. Writes are page-granular through a PagedFile so
+// the device model charges them like any other build I/O.
 func WriteSegmentFile(path string, dev DeviceModel, clock *Clock, sd SegmentData) error {
 	tmp := path + ".tmp"
 	err := writeSegmentFile(tmp, dev, clock, sd)
@@ -214,8 +217,8 @@ func writeSegmentFile(path string, dev DeviceModel, clock *Clock, sd SegmentData
 	if sd.PKLen < 1 || sd.PKLen > 2 {
 		return fmt.Errorf("pk width %d out of range", sd.PKLen)
 	}
-	if segHeaderBytes+len(sd.Cols) > PageSize {
-		return fmt.Errorf("%d columns overflow the header page", len(sd.Cols))
+	if segHeaderBytes+len(sd.Cols)+len(sd.Meta) > PageSize {
+		return fmt.Errorf("%d columns and %d bytes of meta overflow the header page", len(sd.Cols), len(sd.Meta))
 	}
 	var total uint64
 	for i, ln := range sd.Lens {
@@ -260,7 +263,9 @@ func writeSegmentFile(path string, dev DeviceModel, clock *Clock, sd SegmentData
 	binary.LittleEndian.PutUint64(page[36:], uint64(len(sd.Data)))
 	binary.LittleEndian.PutUint32(page[44:], crc32.Checksum(sd.Data, segCRCTable))
 	binary.LittleEndian.PutUint32(page[48:], crc32.Checksum(dir, segCRCTable))
+	binary.LittleEndian.PutUint32(page[segMetaLenAt:], uint32(len(sd.Meta)))
 	copy(page[segHeaderBytes:], sd.Cols)
+	copy(page[segHeaderBytes+len(sd.Cols):], sd.Meta)
 	binary.LittleEndian.PutUint32(page[segHeaderCRCAt:], headerCRC(page[:]))
 	if err := f.Append(page[:]); err != nil {
 		return err
@@ -308,33 +313,31 @@ func writeSegRegion(f *PagedFile, b []byte) error {
 // A failed open forgets every page of file (Pool.Forget), those it offered
 // included, so no page of a rejected file stays in the pool.
 //
-// keep, when non-nil, decides whether the open also returns the data region
-// it checksums: it is handed the header's row count and region size, and the
-// region chunk by chunk in file order (each chunk valid only during the
-// call), and the region — a fresh slice of exactly its size, filled page by
-// page, returned only once its checksum matched — is kept for as long as
-// keep returns true. Once keep returns false the open stops copying and
-// calling it, offers the pages it had copied, and returns a nil region. The
-// payloads stay opaque to storage: the caller that encoded them decides from
-// them whether it will decode the region, and then does so without reading
-// the file a second time. With a nil keep the region is nil.
-func OpenSegment(file *PagedFile, base PageID, pool *Pool, keep func(rows, size int, chunk []byte) bool) (*Segment, []byte, error) {
-	s, data, err := openSegment(file, base, pool, keep)
-	if err != nil {
-		pool.Forget(file)
-		return nil, nil, err
-	}
-	return s, data, nil
-}
-
-func openSegment(file *PagedFile, base PageID, pool *Pool, keep func(rows, size int, chunk []byte) bool) (*Segment, []byte, error) {
+// admit, when non-nil, is handed the column tags (valid only during the call)
+// and the meta once the header page has verified, before any other page is
+// read; an error it returns fails the open as is. The keep it returns, when non-nil, decides whether the open
+// also returns the data region it checksums: it is handed the header's row
+// count and region size, and the region chunk by chunk in file order (each
+// chunk valid only during the call), and the region — a fresh slice of
+// exactly its size, filled page by page, returned only once its checksum
+// matched — is kept for as long as keep returns true. Once keep returns false
+// the open stops copying and calling it, offers the pages it had copied, and
+// returns a nil region. The meta and the payloads stay opaque to storage: the
+// caller that wrote them decides from them whether it will decode the region,
+// and then does so without reading the file a second time.
+func OpenSegment(file *PagedFile, base PageID, pool *Pool, admit func(cols, meta []byte) (keep func(rows, size int, chunk []byte) bool, err error)) (_ *Segment, _ []byte, err error) {
+	defer func() {
+		if err != nil {
+			pool.Forget(file)
+		}
+	}()
 	var page [PageSize]byte
 	end := file.NumPages()
 	if base >= end {
 		return nil, nil, corruptSegment("header", "no page %d: the file ends at page %d", base, end)
 	}
 	totalPages := uint64(end - base) // the pages the segment may span
-	if err := file.ReadPage(base, page[:]); err != nil {
+	if err = file.ReadPage(base, page[:]); err != nil {
 		return nil, nil, err
 	}
 	if binary.LittleEndian.Uint32(page[0:]) != segmentMagic {
@@ -351,11 +354,19 @@ func openSegment(file *PagedFile, base PageID, pool *Pool, keep func(rows, size 
 	dataBytes := binary.LittleEndian.Uint64(page[36:])
 	dataCRC := binary.LittleEndian.Uint32(page[44:])
 	dirCRC := binary.LittleEndian.Uint32(page[48:])
+	metaLen := binary.LittleEndian.Uint32(page[segMetaLenAt:])
 	if got := binary.LittleEndian.Uint32(page[segHeaderCRCAt:]); got != headerCRC(page[:]) {
 		return nil, nil, corruptSegment("header", "checksum %08x does not match", got)
 	}
-	if segHeaderBytes+int(nCols) > PageSize || pkLen < 1 || pkLen > 2 {
-		return nil, nil, corruptSegment("header", "column count or key width out of range")
+	if uint64(segHeaderBytes)+uint64(nCols)+uint64(metaLen) > PageSize || pkLen < 1 || pkLen > 2 {
+		return nil, nil, corruptSegment("header", "column count, meta size or key width out of range")
+	}
+	meta := append([]byte(nil), page[segHeaderBytes+int(nCols):][:metaLen]...)
+	var keep func(rows, size int, chunk []byte) bool
+	if admit != nil {
+		if keep, err = admit(page[segHeaderBytes:][:nCols], meta); err != nil {
+			return nil, nil, err
+		}
 	}
 	// The page layout is fully determined by the header sizes; requiring it
 	// to fit the pages the file has from base on catches truncation before
@@ -376,7 +387,6 @@ func openSegment(file *PagedFile, base PageID, pool *Pool, keep func(rows, size 
 	if nRows > dirBytes/3 {
 		return nil, nil, corruptSegment("directory", "%d rows claimed in %d bytes", nRows, dirBytes)
 	}
-	cols := append([]byte(nil), page[segHeaderBytes:segHeaderBytes+int(nCols)]...)
 
 	// Verify the data region page by page. The region is allocated only at
 	// the first chunk keep wants, so a region it turns down at once costs no
@@ -428,7 +438,7 @@ func openSegment(file *PagedFile, base PageID, pool *Pool, keep func(rows, size 
 		pool:  pool,
 		base:  base,
 		pages: PageID(1 + dataPages + dirPages),
-		cols:  cols,
+		meta:  meta,
 		pkLen: int(pkLen),
 		keys:  make([]Key, 0, nRows),
 		offs:  make([]int64, 0, nRows),
@@ -484,8 +494,8 @@ func (s *Segment) Pages() PageID { return s.pages }
 // NumRows returns the row count.
 func (s *Segment) NumRows() int { return len(s.keys) }
 
-// Cols returns the column kind tags recorded at write time.
-func (s *Segment) Cols() []byte { return s.cols }
+// Meta returns the meta recorded at write time.
+func (s *Segment) Meta() []byte { return s.meta }
 
 // PKLen returns the number of key components in use.
 func (s *Segment) PKLen() int { return s.pkLen }

@@ -43,7 +43,7 @@ func tryOpen(t *testing.T, path string) (*Segment, []byte, *PagedFile, error) {
 	}
 	pool := NewPool(64)
 	pool.Register(f)
-	seg, data, err := OpenSegment(f, 0, pool, keepAll)
+	seg, data, err := OpenSegment(f, 0, pool, keeping(keepAll))
 	if err != nil {
 		f.Close()
 		return nil, nil, nil, err
@@ -53,6 +53,11 @@ func tryOpen(t *testing.T, path string) (*Segment, []byte, *PagedFile, error) {
 
 // keepAll keeps every data region it is shown.
 func keepAll(int, int, []byte) bool { return true }
+
+// keeping admits every segment with keep deciding on its data region.
+func keeping(keep func(int, int, []byte) bool) func(cols, meta []byte) (func(int, int, []byte) bool, error) {
+	return func([]byte, []byte) (func(int, int, []byte) bool, error) { return keep, nil }
+}
 
 // corrupt copies the pristine image to a fresh file with fn applied.
 func corrupt(t *testing.T, dir, name string, image []byte, fn func(b []byte) []byte) string {
@@ -255,7 +260,7 @@ func FuzzOpenSegment(f *testing.F) {
 			var regions [][]byte
 			base, rejected := PageID(1), false
 			for len(segs) < 4 && base < pf.NumPages() {
-				seg, data, err := OpenSegment(pf, base, pool, keep)
+				seg, data, err := OpenSegment(pf, base, pool, keeping(keep))
 				if err != nil {
 					rejected = true
 					break

@@ -31,7 +31,7 @@ func openCounted(t *testing.T, path string, keep func(int, int, []byte) bool) (f
 	f.CountReads(seeks, seq)
 	pool := NewPool(8)
 	pool.Register(f)
-	_, data, err = OpenSegment(f, 0, pool, keep)
+	_, data, err = OpenSegment(f, 0, pool, keeping(keep))
 	return f, data, clock, seeks, seq, err
 }
 

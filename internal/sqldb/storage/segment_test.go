@@ -14,7 +14,7 @@ import (
 // buildSegmentData fabricates n rows with deterministic payloads, sized so
 // several rows spill across page boundaries.
 func buildSegmentData(rng *rand.Rand, n int) SegmentData {
-	sd := SegmentData{Cols: []byte{1, 4, 4, 4}, PKLen: 1}
+	sd := SegmentData{Cols: []byte{1, 4, 4, 4}, PKLen: 1, Meta: []byte(`{"name":"t"}`)}
 	for i := 0; i < n; i++ {
 		ln := rng.Intn(3 * PageSize / 2)
 		if i%7 == 0 {
@@ -31,7 +31,9 @@ func buildSegmentData(rng *rand.Rand, n int) SegmentData {
 	return sd
 }
 
-func openSegmentAt(t *testing.T, path string, pool *Pool) (*Segment, *PagedFile) {
+// openSegmentAt opens the segment of the file at path and returns it with
+// the column tags its header holds.
+func openSegmentAt(t *testing.T, path string, pool *Pool) (*Segment, *PagedFile, []byte) {
 	t.Helper()
 	var clock Clock
 	f, err := OpenPagedFile(path, RAM, &clock)
@@ -39,11 +41,15 @@ func openSegmentAt(t *testing.T, path string, pool *Pool) (*Segment, *PagedFile)
 		t.Fatal(err)
 	}
 	pool.Register(f)
-	seg, _, err := OpenSegment(f, 0, pool, nil)
+	var tags []byte
+	seg, _, err := OpenSegment(f, 0, pool, func(cols, _ []byte) (func(int, int, []byte) bool, error) {
+		tags = append([]byte(nil), cols...)
+		return nil, nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return seg, f
+	return seg, f, tags
 }
 
 func TestSegmentRoundTrip(t *testing.T) {
@@ -64,17 +70,20 @@ func TestSegmentRoundTrip(t *testing.T) {
 	}
 
 	pool := NewPool(64)
-	seg, f := openSegmentAt(t, path, pool)
+	seg, f, cols := openSegmentAt(t, path, pool)
 	defer f.Close()
 
 	if seg.NumRows() != len(sd.Keys) {
 		t.Fatalf("NumRows = %d, want %d", seg.NumRows(), len(sd.Keys))
 	}
-	if !bytes.Equal(seg.Cols(), sd.Cols) {
-		t.Fatalf("Cols = %v, want %v", seg.Cols(), sd.Cols)
+	if !bytes.Equal(cols, sd.Cols) {
+		t.Fatalf("column tags %v, want %v", cols, sd.Cols)
 	}
 	if seg.PKLen() != sd.PKLen {
 		t.Fatalf("PKLen = %d, want %d", seg.PKLen(), sd.PKLen)
+	}
+	if !bytes.Equal(seg.Meta(), sd.Meta) {
+		t.Fatalf("Meta = %q, want %q", seg.Meta(), sd.Meta)
 	}
 	var buf []byte
 	off := 0
@@ -137,6 +146,8 @@ func TestSegmentRejectsBadInput(t *testing.T) {
 		{Cols: []byte{1}, PKLen: 3, Keys: nil, Lens: nil},
 		{Cols: []byte{1}, PKLen: 1, Keys: []Key{{2, 0}, {1, 0}}, Lens: []uint32{0, 0}},
 		{Cols: []byte{1}, PKLen: 1, Keys: []Key{{1, 0}}, Lens: []uint32{4}, Data: []byte{0}},
+		// One byte of meta more than the header page has room for.
+		{Cols: []byte{1}, PKLen: 1, Meta: make([]byte, PageSize-segHeaderBytes)},
 	}
 	// A rejected write leaves the file it would have replaced as it was, and
 	// no temporary beside it.
@@ -176,6 +187,52 @@ func TestSegmentRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestOpenSegmentAdmitsFromHeader: admit sees the column tags and the meta
+// as written, with only the header page read; the meta may fill the page; an
+// error admit returns fails the open as is, with no page of the file left in
+// the pool.
+func TestOpenSegmentAdmitsFromHeader(t *testing.T) {
+	sd := buildSegmentData(rand.New(rand.NewSource(3)), 30)
+	sd.Meta = bytes.Repeat([]byte{'m'}, PageSize-segHeaderBytes-len(sd.Cols))
+	path := filepath.Join(t.TempDir(), "t.seg")
+	if err := WriteSegmentFile(path, RAM, &Clock{}, sd); err != nil {
+		t.Fatal(err)
+	}
+	f, err := OpenPagedFile(path, RAM, &Clock{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	pool := NewPool(64)
+	pool.Register(f)
+	refused := errors.New("refused")
+	for _, fail := range []bool{false, true} {
+		reads := f.Reads()
+		seg, _, err := OpenSegment(f, 0, pool, func(cols, meta []byte) (func(int, int, []byte) bool, error) {
+			if !bytes.Equal(cols, sd.Cols) || !bytes.Equal(meta, sd.Meta) {
+				t.Errorf("admit got tags %v and %d bytes of meta, want %v and %d", cols, len(meta), sd.Cols, len(sd.Meta))
+			}
+			if n := f.Reads() - reads; n != 1 {
+				t.Errorf("admit called after %d page reads, want the header's alone", n)
+			}
+			if fail {
+				return nil, refused
+			}
+			return nil, nil
+		})
+		if fail {
+			if err != refused || pool.NumFrames() != 0 {
+				t.Errorf("open refused by admit = %v with %d frames pooled, want its error and none", err, pool.NumFrames())
+			}
+			continue
+		}
+		if err != nil || !bytes.Equal(seg.Meta(), sd.Meta) {
+			t.Fatalf("open of a segment whose meta fills its header page = %v", err)
+		}
+		pool.DropCaches()
+	}
+}
+
 // TestSegmentColdReadPages pins the cold-I/O claim: after DropCaches a
 // single-row lookup reads exactly the payload's pages — the in-memory
 // directory costs nothing per query.
@@ -194,7 +251,7 @@ func TestSegmentColdReadPages(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := NewPool(64)
-	seg, f := openSegmentAt(t, path, pool)
+	seg, f, _ := openSegmentAt(t, path, pool)
 	defer f.Close()
 	pool.DropCaches()
 	missesBefore := pool.Metrics().Misses.Load()
@@ -232,7 +289,7 @@ func TestWriteImageWalk(t *testing.T) {
 			t.Fatal(err)
 		}
 		want = append(want, b...)
-		seg, f := openSegmentAt(t, path, pool)
+		seg, f, _ := openSegmentAt(t, path, pool)
 		defer f.Close()
 		if seg.Pages() != PageID(len(b)/PageSize) {
 			t.Errorf("segment %d: Pages() = %d, its file has %d", i, seg.Pages(), len(b)/PageSize)

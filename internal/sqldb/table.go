@@ -2,8 +2,10 @@ package sqldb
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -59,10 +61,10 @@ type schema struct {
 	floorKey                        int
 }
 
-// newSchema validates def — one being loaded or one read back from the
-// catalog — and resolves its columns; the table's name is lowercased. A
-// table needs a name, columns and a primary key of one or two BIGINT
-// columns. A run-order declaration that is not three existing BIGINT[]
+// newSchema validates def — one being loaded or one read back from a
+// segment's header — and resolves its columns; the table's name is
+// lowercased. A table needs a name, columns and a primary key of one or two
+// BIGINT columns. A run-order declaration that is not three existing BIGINT[]
 // columns, a target-id declaration that is not at least one of them under a
 // bound in [1, math.MaxInt32] with a count in [0, bound], or a floor that is
 // not at least one of them over a BIGINT key column and a width >= 1, is an
@@ -261,12 +263,17 @@ func (t *schema) countTargets(row sqltypes.Row, seen []uint64, distinct int64) (
 	return distinct, nil
 }
 
-// encode computes the table's rows and encodes them as its segment. The rows
-// must be sorted by strictly ascending primary key and hold no NULL; each is
-// checked against the schema as it is encoded, so a rejected load names the
-// first row that breaks it and writes nothing.
+// encode computes the table's rows and encodes them as its segment, the
+// definition as its meta (compact JSON). The rows must be sorted by strictly
+// ascending primary key and hold no NULL; each is checked against the schema
+// as it is encoded, so a rejected load names the first row that breaks it
+// and writes nothing.
 func (t *schema) encode(load func() ([]sqltypes.Row, error)) (storage.SegmentData, error) {
 	rows, err := load()
+	if err != nil {
+		return storage.SegmentData{}, err
+	}
+	meta, err := json.Marshal(t.def)
 	if err != nil {
 		return storage.SegmentData{}, err
 	}
@@ -275,6 +282,7 @@ func (t *schema) encode(load func() ([]sqltypes.Row, error)) (storage.SegmentDat
 		PKLen: len(t.pkCols),
 		Keys:  make([]storage.Key, len(rows)),
 		Lens:  make([]uint32, len(rows)),
+		Meta:  meta,
 	}
 	for i, typ := range t.types {
 		sd.Cols[i] = byte(typ)
@@ -312,55 +320,67 @@ func (t *schema) encode(load func() ([]sqltypes.Row, error)) (storage.SegmentDat
 	return sd, nil
 }
 
-// newTable is the one constructor of a Table: the table of sc on the segment
-// at page base of f. It comes in two halves. The first, newTable itself,
-// opens and validates the segment — checksums and layout in storage, column
-// layout against the schema here — and returns its page count, which places
-// the next segment of an image. left is what Open's vector budget has left
-// after the tables it admitted before this one, nil when the table is not to
-// be admitted (a handle without a budget, and Load). An all-integer table
-// that fits it is admitted: newTable takes the exact size of its vectors from
-// *left and counts it resident. For such a table, the pass that checksums the
-// data region also counts its varints, which is all it takes to know that
-// size (vectorBytes), and keeps the region it read, for the decode to start
-// from once the checksum has matched. The region is kept only while a lower
-// bound on the table's vectors fits *left: the size for the varints counted
-// so far, or for one varint per ten bytes of the region if that is more. The
-// bound only grows and its last value is at least the exact size, so a region
-// kept to the end fits, and a table too large for what is left is let go at
-// its first chunk, before any copy. Every data page the table does not keep
-// as vectors ends up in a free frame of the buffer pool (storage.OpenSegment).
+// newTable is the one constructor of a Table: the table its segment's header
+// defines, at page base of f, the file named file. It comes in two halves.
+// The first, newTable itself, opens and validates the segment — checksums and
+// layout in storage, the definition and the column tags against it here — and
+// returns its page count, which places the next segment of an image. left is
+// what Open's vector budget has left after the tables it admitted before this
+// one, nil when the table is not to be admitted (a handle without a budget,
+// and Load). An all-integer table (by the header's column tags) that fits it
+// is admitted: newTable takes the exact size of its vectors from *left and
+// counts it resident. For such a table, the pass that checksums the data
+// region also counts its varints, which is all it takes to know that size
+// (vectorBytes), and keeps the region it read, for the decode to start from
+// once the checksum has matched. The region is kept only while a lower bound
+// on the table's vectors fits *left: the size for the varints counted so far,
+// or for one varint per ten bytes of the region if that is more. The bound
+// only grows and its last value is at least the exact size, so a region kept
+// to the end fits, and a table too large for what is left is let go at its
+// first chunk, before any copy. Every data page the table does not keep as
+// vectors ends up in a free frame of the buffer pool (storage.OpenSegment).
 //
 // The second half, finish, decodes an admitted table's vectors and returns
-// the table, complete; Open runs the first halves in catalog order and the
+// the table, complete; Open runs the first halves in image order and the
 // finishes on every core. A failed open leaves f open: f is the caller's.
-func (db *DB) newTable(sc *schema, f *storage.PagedFile, base storage.PageID, left *int64) (pages storage.PageID, finish func() (*Table, error), err error) {
-	vectors := left != nil
-	for _, typ := range sc.types {
-		vectors = vectors && (typ == sqltypes.Int64 || typ == sqltypes.IntArray)
-	}
-	varints := 0
-	var keep func(int, int, []byte) bool
-	if vectors {
-		keep = func(rows, size int, chunk []byte) bool {
+func (db *DB) newTable(f *storage.PagedFile, file string, base storage.PageID, left *int64) (pages storage.PageID, finish func() (*Table, error), err error) {
+	var def TableDef
+	var types []sqltypes.Type // the header's column tags
+	vectors, varints := false, 0
+	admit := func(cols, meta []byte) (func(int, int, []byte) bool, error) {
+		if err := json.Unmarshal(meta, &def); err != nil {
+			return nil, fmt.Errorf("%w: header: the table definition does not parse: %v", storage.ErrCorruptSegment, err)
+		}
+		vectors = left != nil
+		types = make([]sqltypes.Type, len(cols))
+		for i, c := range cols {
+			types[i] = sqltypes.Type(c)
+			vectors = vectors && (types[i] == sqltypes.Int64 || types[i] == sqltypes.IntArray)
+		}
+		if !vectors {
+			return nil, nil
+		}
+		return func(rows, size int, chunk []byte) bool {
 			varints += sqltypes.CountSegVarints(chunk)
 			// No varint a decode accepts is longer than ten bytes, so a
 			// region holds at least one per ten of its bytes.
-			return vectorBytes(sc.types, rows, max(varints, size/binary.MaxVarintLen64)) <= *left
-		}
+			return vectorBytes(types, rows, max(varints, size/binary.MaxVarintLen64)) <= *left
+		}, nil
 	}
-	seg, data, err := storage.OpenSegment(f, base, db.pool, keep)
+	seg, data, err := storage.OpenSegment(f, base, db.pool, admit)
+	if err != nil && def.Name == "" {
+		return 0, nil, fmt.Errorf("sqldb: %s: the segment at page %d: %w; rebuild the database", file, base, err)
+	}
 	if err != nil {
-		return 0, nil, fmt.Errorf("sqldb: table %q: %w", sc.def.Name, err)
+		return 0, nil, fmt.Errorf("sqldb: table %q: %w", strings.ToLower(def.Name), err)
 	}
-	cols := seg.Cols()
-	match := len(cols) == len(sc.types) && seg.PKLen() == len(sc.pkCols)
-	for i := 0; match && i < len(cols); i++ {
-		match = sqltypes.Type(cols[i]) == sc.types[i]
+	sc, err := newSchema(def)
+	if err != nil {
+		return 0, nil, err
 	}
-	if !match {
+	if !slices.Equal(types, sc.types) || seg.PKLen() != len(sc.pkCols) {
 		return 0, nil, fmt.Errorf("sqldb: table %q: %w: header: columns %v (pk %d) do not match the schema; rebuild the database",
-			sc.def.Name, storage.ErrCorruptSegment, cols, seg.PKLen())
+			sc.def.Name, storage.ErrCorruptSegment, types, seg.PKLen())
 	}
 	t := &Table{schema: *sc, db: db, file: f, seg: seg}
 	done := func() (*Table, error) { return t, nil }

@@ -15,7 +15,7 @@ import (
 // is left per lookup is a search of the key directory and value headers
 // that alias the vectors.
 //
-// Admission is Open's alone, decided once per table in catalog order: a
+// Admission is Open's alone, decided once per table in image order: a
 // table is admitted when its exact vector size fits what the tables admitted
 // before it left of the handle's budget (Options.VectorCacheBytes), and is
 // decoded before Open returns. Any other is declined and reads its segment.

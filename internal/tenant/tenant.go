@@ -132,8 +132,8 @@ type Router struct {
 	closed  atomic.Bool
 }
 
-// New builds a router over dir's subdirectories that hold a database catalog,
-// each a tenant named after its subdirectory. No database is opened yet.
+// New builds a router over dir's subdirectories that hold a database image
+// (sqldb.ImageName), each a tenant named after it. None is opened yet.
 func New(dir string, cfg Config) (*Router, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -145,7 +145,7 @@ func New(dir string, cfg Config) (*Router, error) {
 			continue
 		}
 		sub := filepath.Join(dir, e.Name())
-		if _, err := os.Stat(filepath.Join(sub, "catalog.json")); err != nil {
+		if _, err := os.Stat(filepath.Join(sub, sqldb.ImageName)); err != nil {
 			continue
 		}
 		dirs[e.Name()] = sub

@@ -21,6 +21,7 @@ import (
 	"ptldb"
 	"ptldb/internal/core"
 	"ptldb/internal/obs"
+	"ptldb/internal/sqldb"
 	"ptldb/internal/timetable"
 )
 
@@ -348,11 +349,11 @@ func TestNewScansSubdirectories(t *testing.T) {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, "catalog.json"), []byte("{}"), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, sqldb.ImageName), nil, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// A subdirectory without a catalog and a plain file are both skipped.
+	// A subdirectory without an image and a plain file are both skipped.
 	if err := os.MkdirAll(filepath.Join(root, "not-a-db"), 0o755); err != nil {
 		t.Fatal(err)
 	}

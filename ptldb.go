@@ -122,7 +122,7 @@ type Config struct {
 	// DefaultVectorCacheBytes; a negative value means no cache, every read
 	// served from the segments. Admission is decided once per table, when
 	// Open (or Create, which returns the directory reopened) opens it, in
-	// catalog order: a table is admitted while its vectors fit what the
+	// image order: a table is admitted while its vectors fit what the
 	// tables before it left of the budget, and keeps its vectors; the rest
 	// are declined and read from their segments, as are the tables a handle
 	// writes (AddTargetSet, AddVersion, BuildPathTables) until the directory
@@ -476,8 +476,7 @@ type Stats struct {
 	SimulatedIO time.Duration
 	// CacheHits and CacheMisses count buffer-pool accesses.
 	CacheHits, CacheMisses uint64
-	// SizeOnDisk is the total bytes of the directory's files: the image and
-	// the catalog.
+	// SizeOnDisk is the total bytes of the directory's files: the image.
 	SizeOnDisk int64
 }
 

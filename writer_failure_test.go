@@ -5,12 +5,15 @@ package ptldb
 // only once every table of it is written.
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"ptldb/internal/csa"
+	"ptldb/internal/sqldb"
+	"ptldb/internal/sqldb/storage"
 	"ptldb/internal/timetable"
 )
 
@@ -216,5 +219,38 @@ func TestCreateRefusesBuiltDirectory(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Error("no journey checked")
+	}
+}
+
+// TestOverlongDefinitionRefused: a table's definition lives in the header
+// page of its segment, so a target set whose name makes its tables'
+// definitions longer than that page is refused by Load — the error names the
+// table, no file is created for it, the directory stays the image it was and
+// the handle keeps the sets it had.
+func TestOverlongDefinitionRefused(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Create(dir, timetable.PaperExample(), Config{Device: "ram"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	built, err := os.ReadFile(filepath.Join(dir, sqldb.ImageName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := strings.Repeat("p", storage.PageSize)
+	err = db.AddTargetSet(name, []StopID{4, 6}, 2)
+	if err == nil || !strings.Contains(err.Error(), "overflow the header page") || !strings.Contains(err.Error(), "_"+name+".loose") {
+		t.Fatalf("AddTargetSet with a %d-byte name: %v; want the header overflow, naming the table", len(name), err)
+	}
+	requireOnlyImage(t, dir)
+	if now, err := os.ReadFile(filepath.Join(dir, sqldb.ImageName)); err != nil || !bytes.Equal(now, built) {
+		t.Errorf("the refused set changed the image (%v)", err)
+	}
+	if sets := db.TargetSets(); len(sets) != 0 {
+		t.Errorf("the refused set left the sets %v", sets)
+	}
+	if err := db.AddTargetSet("poi", []StopID{4, 6}, 2); err != nil {
+		t.Fatalf("a set of a short name after the refused one: %v", err)
 	}
 }
