@@ -1,8 +1,9 @@
 package ptldb
 
 // Shared fixtures of BenchmarkFusedExec (fused_bench_test.go), the one
-// testing.B benchmark of this package: a cached benchmark database, a query
-// workload drawn per the paper's protocol, and a timing loop. The paper's
+// testing.B benchmark of this package: a cached benchmark database with one
+// target set, a query workload drawn per the paper's protocol, and a timing
+// loop. The paper's
 // figures come from cmd/ptldb-bench, system performance from benchmark/.
 //
 // Reported metrics: ns/op is wall-clock CPU; "sim-ms/op" adds the simulated
@@ -20,10 +21,12 @@ import (
 	"ptldb/internal/sqldb"
 )
 
-// The benchmark dataset: one profile at one scale relative to the paper.
+// The benchmark dataset: one profile at one scale relative to the paper, and
+// its target set of density 0.01 and kmax 4.
 const (
 	benchCity  = "Austin"
 	benchScale = 0.02
+	benchSet   = "d100_k4"
 )
 
 var benchState struct {
@@ -48,18 +51,24 @@ func benchSetup(b *testing.B) (*Network, string) {
 		// target_ids in v6, floor in v7, the target count in v8) or a table is
 		// renamed (one knn_naive table per target set in v9) or the tables move
 		// into one image file (v10) whose segment headers hold the table
-		// definitions (v11), or a stale cache would fail to open or carry files
-		// the current build no longer writes.
-		const benchDatasetFormat = 11
+		// definitions (v11), or the dataset gains a table (its target set, v12),
+		// or a stale cache would fail to open or lack a table the benchmark
+		// queries.
+		const benchDatasetFormat = 12
 		dir := filepath.Join(os.TempDir(),
 			fmt.Sprintf("ptldb-gobench-%s-%04d-f%d", benchCity, int(benchScale*10000), benchDatasetFormat))
 		if _, err := os.Stat(filepath.Join(dir, sqldb.ImageName)); err != nil {
 			db, err := Create(dir, tt, Config{Device: "ram"})
+			if err == nil {
+				err = db.Close()
+			}
+			if err == nil {
+				err = AddTargetSet(dir, "base", benchSet, benchTargets(tt, 0.01, 4), 4, Config{Device: "ram"})
+			}
 			if err != nil {
 				benchState.err = err
 				return
 			}
-			db.Close()
 		}
 		benchState.tt, benchState.dir = tt, dir
 	})
@@ -91,13 +100,9 @@ func benchWorkload(tt *Network, n int) (src, dst []StopID, starts, ends []Time) 
 	return
 }
 
-// benchEnsureSet materializes the target set for (density, kmax) once.
-func benchEnsureSet(b *testing.B, db *DB, tt *Network, d float64, kmax int) string {
-	b.Helper()
-	name := fmt.Sprintf("d%d_k%d", int(d*10000), kmax)
-	if _, ok := db.TargetSets()[name]; ok {
-		return name
-	}
+// benchTargets draws the target stops of a set of density d and the given
+// kmax.
+func benchTargets(tt *Network, d float64, kmax int) []StopID {
 	n := tt.NumStops()
 	count := int(d * float64(n))
 	if count < 1 {
@@ -109,10 +114,7 @@ func benchEnsureSet(b *testing.B, db *DB, tt *Network, d float64, kmax int) stri
 	for i := range targets {
 		targets[i] = StopID(perm[i])
 	}
-	if err := db.AddTargetSet(name, targets, kmax); err != nil {
-		b.Fatal(err)
-	}
-	return name
+	return targets
 }
 
 // runQueries benchmarks fn over the workload, reporting wall clock as ns/op

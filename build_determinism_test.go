@@ -58,21 +58,22 @@ func TestBuildWorkersDiskImageIdentical(t *testing.T) {
 
 	build := func(workers int) map[string][]byte {
 		dir := t.TempDir()
-		db, err := Create(dir, tt, Config{Device: "ram", BuildWorkers: workers})
+		cfg := Config{Device: "ram", BuildWorkers: workers}
+		db, err := Create(dir, tt, cfg)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if err := db.AddTargetSet("poi", targets, 4); err != nil {
-			t.Fatalf("workers=%d: AddTargetSet: %v", workers, err)
-		}
-		if err := db.AddVersion("weekend", tt2); err != nil {
-			t.Fatalf("workers=%d: AddVersion: %v", workers, err)
-		}
-		if err := db.BuildPathTables(tt); err != nil {
-			t.Fatalf("workers=%d: BuildPathTables: %v", workers, err)
-		}
 		if err := db.Close(); err != nil {
 			t.Fatalf("workers=%d: Close: %v", workers, err)
+		}
+		if err := AddTargetSet(dir, "base", "poi", targets, 4, cfg); err != nil {
+			t.Fatalf("workers=%d: AddTargetSet: %v", workers, err)
+		}
+		if err := AddVersion(dir, "weekend", tt2, cfg); err != nil {
+			t.Fatalf("workers=%d: AddVersion: %v", workers, err)
+		}
+		if err := BuildPathTables(dir, "base", tt, cfg); err != nil {
+			t.Fatalf("workers=%d: BuildPathTables: %v", workers, err)
 		}
 		requireOnlyImage(t, dir)
 		img := dirImage(t, dir)

@@ -7,7 +7,9 @@
 //	ptldb-build -db DIR (-gtfs FEEDDIR | -city NAME [-scale F] [-seed N])
 //	            [-targets 0.01:16,0.1:4] [-bucket 3600] [-order neighbor-degree]
 //
-// The -targets flag registers random target sets as density:kmax pairs.
+// The -targets flag registers random target sets as density:kmax pairs, each
+// added to the directory by ptldb.AddTargetSet after Create. The size line
+// and -obs-out come from the directory opened after the last writer.
 package main
 
 import (
@@ -72,17 +74,20 @@ func main() {
 	fmt.Fprintf(os.Stderr, "ptldb-build: network: %d stops, %d connections, %d trips, span %v-%v\n",
 		tt.NumStops(), tt.NumConnections(), tt.NumTrips(), tt.MinTime(), tt.MaxTime())
 
-	db, stats, err := ptldb.CreateWithStats(*dbDir, tt, ptldb.Config{
+	cfg := ptldb.Config{
 		Device:        "ram",
 		BucketSeconds: int32(*bucket),
 		Ordering:      *ordFlag,
 		Seed:          *seed,
 		BuildWorkers:  *workers,
-	})
+	}
+	db, stats, err := ptldb.CreateWithStats(*dbDir, tt, cfg)
+	if err == nil {
+		err = db.Close()
+	}
 	if err != nil {
 		fatal(err)
 	}
-	defer db.Close()
 	fmt.Fprintf(os.Stderr,
 		"ptldb-build: labels: %d tuples (%d/stop) + %d dummies; order %v, build %v, load %v\n",
 		stats.LabelTuples, stats.TuplesPerStop, stats.DummyTuples,
@@ -117,13 +122,17 @@ func main() {
 				set[i] = ptldb.StopID(perm[i])
 			}
 			name := fmt.Sprintf("d%d_k%d", int(d*10000), kmax)
-			if err := db.AddTargetSet(name, set, kmax); err != nil {
+			if err := ptldb.AddTargetSet(*dbDir, "base", name, set, kmax, cfg); err != nil {
 				fatal(err)
 			}
 			fmt.Fprintf(os.Stderr, "ptldb-build: target set %s: %d targets, kmax %d\n", name, count, kmax)
 		}
 	}
 
+	if db, err = ptldb.Open(*dbDir, cfg); err != nil {
+		fatal(err)
+	}
+	defer db.Close()
 	st, err := db.Stats()
 	if err != nil {
 		fatal(err)

@@ -39,15 +39,7 @@ func TestColdStartReads(t *testing.T) {
 		targets = append(targets, StopID(v))
 	}
 	dir := t.TempDir()
-	db, err := Create(dir, tt, Config{Device: "ram"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.AddTargetSet("poi", targets, kmax); err != nil {
-		db.Close()
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
+	if err := createAndWrite(t, dir, tt, Config{Device: "ram"}, addPOI(targets, kmax)).Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -64,7 +56,7 @@ func TestColdStartReads(t *testing.T) {
 	}
 	imagePages := uint64(st.Size() / storage.PageSize)
 
-	db, err = Open(dir, Config{Device: "hdd", VectorCacheBytes: 64 << 10, PoolPages: 4096})
+	db, err := Open(dir, Config{Device: "hdd", VectorCacheBytes: 64 << 10, PoolPages: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,14 +182,7 @@ func TestVectorSizeMatchesPrediction(t *testing.T) {
 		{"austin", austin, []StopID{1, 2, 5, StopID(austin.NumStops() - 1)}},
 	} {
 		dir := t.TempDir()
-		db, err := Create(dir, city.tt, Config{Device: "ram"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := db.AddTargetSet("poi", city.targets, 4); err != nil {
-			db.Close()
-			t.Fatal(err)
-		}
+		db := createAndWrite(t, dir, city.tt, Config{Device: "ram"}, addPOI(city.targets, 4))
 		sdb := db.Store().DB
 		names := sdb.Tables()
 		slices.Sort(names) // image order

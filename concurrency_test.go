@@ -15,15 +15,8 @@ func TestConcurrentQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := Create(t.TempDir(), tt, Config{Device: "ssd", PoolPages: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := createAndWrite(t, t.TempDir(), tt, Config{Device: "ssd", PoolPages: 512}, addPOI([]StopID{1, 2, 3, 5, 8, 13}, 4))
 	defer db.Close()
-	targets := []StopID{1, 2, 3, 5, 8, 13}
-	if err := db.AddTargetSet("poi", targets, 4); err != nil {
-		t.Fatal(err)
-	}
 
 	// Reference answers computed single-threaded.
 	type q struct {
@@ -89,14 +82,10 @@ func TestConcurrentVersionHandles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := Create(t.TempDir(), tt, Config{Device: "ram"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := createAndWrite(t, t.TempDir(), tt, Config{Device: "ram"}, func(dir string) error {
+		return AddVersion(dir, "weekend", tt2, Config{Device: "ram"})
+	})
 	defer db.Close()
-	if err := db.AddVersion("weekend", tt2); err != nil {
-		t.Fatal(err)
-	}
 	weekend, err := db.Version("weekend")
 	if err != nil {
 		t.Fatal(err)

@@ -32,10 +32,12 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 	db, err := ptldb.Create(dir, tt, ptldb.Config{})
+	if err == nil {
+		err = db.Close()
+	}
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer db.Close()
 
 	// "Residential" stops: a 5% sample of the city.
 	rng := rand.New(rand.NewSource(2))
@@ -44,9 +46,13 @@ func main() {
 	for _, idx := range rng.Perm(n)[:n/20+1] {
 		homes = append(homes, ptldb.StopID(idx))
 	}
-	if err := db.AddTargetSet("homes", homes, 4); err != nil {
+	if err := ptldb.AddTargetSet(dir, "base", "homes", homes, 4, ptldb.Config{}); err != nil {
 		log.Fatal(err)
 	}
+	if db, err = ptldb.Open(dir, ptldb.Config{}); err != nil {
+		log.Fatal(err)
+	}
+	defer db.Close()
 	fmt.Printf("scoring candidate store sites against %d residential stops\n", len(homes))
 
 	// Candidate sites: a handful of central stops. LD-OTM is defined from

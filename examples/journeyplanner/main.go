@@ -32,7 +32,19 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 	db, err := ptldb.Create(dir, tt, ptldb.Config{})
+	if err == nil {
+		err = db.Close()
+	}
 	if err != nil {
+		log.Fatal(err)
+	}
+	// The expanded-path tables (the paper's suggested deployment) let the
+	// database alone reconstruct an itinerary; the writer takes the
+	// directory, and the handle opened after it serves them.
+	if err := ptldb.BuildPathTables(dir, "base", tt, ptldb.Config{}); err != nil {
+		log.Fatal(err)
+	}
+	if db, err = ptldb.Open(dir, ptldb.Config{}); err != nil {
 		log.Fatal(err)
 	}
 	defer db.Close()
@@ -92,11 +104,7 @@ func main() {
 		}
 	}
 
-	// The same itinerary can come entirely from the database once the
-	// expanded-path tables are built (the paper's suggested deployment).
-	if err := db.BuildPathTables(tt); err != nil {
-		log.Fatal(err)
-	}
+	// The same itinerary comes entirely from the database's path tables.
 	dj, ok, err := db.JourneyFromDB(src, dst, depart)
 	if err != nil || !ok {
 		log.Fatalf("database journey: %v %v", ok, err)

@@ -33,6 +33,9 @@ func main() {
 	defer os.RemoveAll(dir)
 	cfg := ptldb.Config{Device: "hdd"}
 	db, err := ptldb.Create(dir, tt, cfg)
+	if err == nil {
+		err = db.Close()
+	}
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,13 +47,7 @@ func main() {
 	for _, idx := range rng.Perm(n)[:n/100+1] {
 		museums = append(museums, ptldb.StopID(idx))
 	}
-	if err := db.AddTargetSet("museums", museums, 16); err != nil {
-		log.Fatal(err)
-	}
-	// A set added through a handle is read from its segments until the
-	// directory is opened again; reopening puts it in the vector cache, the
-	// tier a serving process queries it from.
-	if err := db.Close(); err != nil {
+	if err := ptldb.AddTargetSet(dir, "base", "museums", museums, 16, cfg); err != nil {
 		log.Fatal(err)
 	}
 	if db, err = ptldb.Open(dir, cfg); err != nil {

@@ -30,11 +30,11 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	db, err := ptldb.Create(dir, tt, ptldb.Config{Device: "ssd"})
+	cfg := ptldb.Config{Device: "ssd"}
+	db, err := ptldb.Create(dir, tt, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer db.Close()
 
 	// 3. Vertex-to-vertex queries (paper Code 1).
 	s, g := ptldb.StopID(0), ptldb.StopID(tt.NumStops()/2)
@@ -54,11 +54,19 @@ func main() {
 	}
 
 	// 4. Register a target set (stops near points of interest) and ask the
-	// paper's new query types.
-	pois := []ptldb.StopID{3, 7, 11, 19, 23}
-	if err := db.AddTargetSet("poi", pois, 4); err != nil {
+	// paper's new query types. A handle only reads: the writer takes the
+	// directory, and a handle opened after it answers on the set.
+	if err := db.Close(); err != nil {
 		log.Fatal(err)
 	}
+	pois := []ptldb.StopID{3, 7, 11, 19, 23}
+	if err := ptldb.AddTargetSet(dir, "base", "poi", pois, 4, cfg); err != nil {
+		log.Fatal(err)
+	}
+	if db, err = ptldb.Open(dir, cfg); err != nil {
+		log.Fatal(err)
+	}
+	defer db.Close()
 	near, err := db.EAKNN("poi", s, morning, 3)
 	if err != nil {
 		log.Fatal(err)

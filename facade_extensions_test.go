@@ -22,13 +22,9 @@ func TestFacadeVersions(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	db, err := Create(dir, weekday, Config{Device: "ram"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.AddVersion("weekend", weekend); err != nil {
-		t.Fatal(err)
-	}
+	db := createAndWrite(t, dir, weekday, Config{Device: "ram"}, func(dir string) error {
+		return AddVersion(dir, "weekend", weekend, Config{Device: "ram"})
+	}, addPOI([]StopID{1, 2, 3}, 2))
 	if got := db.Versions(); len(got) != 2 {
 		t.Fatalf("Versions = %v", got)
 	}
@@ -38,23 +34,20 @@ func TestFacadeVersions(t *testing.T) {
 	}
 
 	// Target sets are independent per version.
-	if err := db.AddTargetSet("poi", []StopID{1, 2, 3}, 2); err != nil {
-		t.Fatal(err)
-	}
 	if len(we.TargetSets()) != 0 {
 		t.Error("weekend version sees the base target set")
 	}
-	if err := we.AddTargetSet("poi", []StopID{1, 2, 3}, 2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := we.EAKNN("poi", 0, weekend.MinTime(), 2); err != nil {
-		t.Fatal(err)
-	}
-
-	// Both versions survive close/reopen.
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if err := AddTargetSet(dir, "weekend", "poi", []StopID{1, 2, 3}, 2, Config{Device: "ram"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := AddTargetSet(dir, "holiday", "poi", []StopID{1, 2, 3}, 2, Config{Device: "ram"}); !IsInvalidArgument(err) {
+		t.Errorf("a set of an unknown version: %v; want an invalid argument", err)
+	}
+
+	// Both versions and their sets are in the directory.
 	db2, err := Open(dir, Config{Device: "ram"})
 	if err != nil {
 		t.Fatal(err)
@@ -65,6 +58,9 @@ func TestFacadeVersions(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := we2.EAKNN("poi", 0, weekend.MinTime(), 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db2.EAKNN("poi", 0, weekday.MinTime(), 2); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db2.Version("holiday"); err == nil {
@@ -79,14 +75,8 @@ func TestFacadePathTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := Create(t.TempDir(), tt, Config{Device: "ram"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := createAndWrite(t, t.TempDir(), tt, Config{Device: "ram"}, addPaths(tt))
 	defer db.Close()
-	if err := db.BuildPathTables(tt); err != nil {
-		t.Fatal(err)
-	}
 	general := db.Snapshot().Exec.GeneralRuns
 	checked := 0
 	for s := 0; s < tt.NumStops() && checked < 25; s++ {

@@ -44,15 +44,7 @@ func TestFusedAllocsBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	db, err := Create(dir, tt, Config{Device: "ram"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.AddTargetSet("poi", []StopID{1, 3, 5, 7, 11, 13}, 4); err != nil {
-		db.Close()
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
+	if err := createAndWrite(t, dir, tt, Config{Device: "ram"}, addPOI([]StopID{1, 3, 5, 7, 11, 13}, 4)).Close(); err != nil {
 		t.Fatal(err)
 	}
 

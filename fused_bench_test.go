@@ -22,7 +22,6 @@ func BenchmarkFusedExec(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		set := benchEnsureSet(b, db, tt, 0.01, 4)
 
 		b.Run("V2V-EA/"+path, func(b *testing.B) {
 			runQueries(b, db, func(i int) error {
@@ -40,31 +39,31 @@ func BenchmarkFusedExec(b *testing.B) {
 		})
 		b.Run("KNNNaive-EA/"+path, func(b *testing.B) {
 			runQueries(b, db, func(i int) error {
-				_, err := db.EAKNNNaive(set, src[i%pool], starts[i%pool], 4)
+				_, err := db.EAKNNNaive(benchSet, src[i%pool], starts[i%pool], 4)
 				return err
 			})
 		})
 		b.Run("KNN-EA/"+path, func(b *testing.B) {
 			runQueries(b, db, func(i int) error {
-				_, err := db.EAKNN(set, src[i%pool], starts[i%pool], 4)
+				_, err := db.EAKNN(benchSet, src[i%pool], starts[i%pool], 4)
 				return err
 			})
 		})
 		b.Run("KNN-LD/"+path, func(b *testing.B) {
 			runQueries(b, db, func(i int) error {
-				_, err := db.LDKNN(set, src[i%pool], ends[i%pool], 4)
+				_, err := db.LDKNN(benchSet, src[i%pool], ends[i%pool], 4)
 				return err
 			})
 		})
 		b.Run("OTM-EA/"+path, func(b *testing.B) {
 			runQueries(b, db, func(i int) error {
-				_, err := db.EAOTM(set, src[i%pool], starts[i%pool])
+				_, err := db.EAOTM(benchSet, src[i%pool], starts[i%pool])
 				return err
 			})
 		})
 		b.Run("OTM-LD/"+path, func(b *testing.B) {
 			runQueries(b, db, func(i int) error {
-				_, err := db.LDOTM(set, src[i%pool], ends[i%pool])
+				_, err := db.LDOTM(benchSet, src[i%pool], ends[i%pool])
 				return err
 			})
 		})

@@ -109,20 +109,9 @@ func TestFusedMatchesGeneralExecutor(t *testing.T) {
 	}
 	dir := t.TempDir()
 
-	fdb, err := Create(dir, tt, Config{Device: "ram"})
-	if err != nil {
-		t.Fatal(err)
-	}
 	n := tt.NumStops()
 	targets := []StopID{StopID(1 % n), StopID(2 % n), StopID(5 % n), StopID(n - 1)}
-	if err := fdb.AddTargetSet("poi", targets, 4); err != nil {
-		fdb.Close()
-		t.Fatal(err)
-	}
-	if err := fdb.BuildPathTables(tt); err != nil {
-		fdb.Close()
-		t.Fatal(err)
-	}
+	fdb := createAndWrite(t, dir, tt, Config{Device: "ram"}, addPOI(targets, 4), addPaths(tt))
 	fused := fusedBattery(t, fdb, tt)
 	if runs, general := fdb.Store().DB.FusedStats(); runs == 0 || general != 0 {
 		t.Errorf("production handle: %d fused runs, %d general runs; want > 0 and 0", runs, general)

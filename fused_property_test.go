@@ -49,14 +49,8 @@ func TestCondensedKernelProperties(t *testing.T) {
 		}
 
 		dir := t.TempDir()
-		fdb, err := Create(dir, tt, Config{Device: "ram"})
-		if err != nil {
-			t.Fatal(err)
-		}
+		fdb := createAndWrite(t, dir, tt, Config{Device: "ram"}, addPOI(targets, kmax))
 		defer fdb.Close()
-		if err := fdb.AddTargetSet("poi", targets, kmax); err != nil {
-			t.Fatal(err)
-		}
 		gdb, err := OpenReference(dir, Config{Device: "ram"})
 		if err != nil {
 			t.Fatal(err)

@@ -237,37 +237,33 @@ func knnKMax(k int) int {
 }
 
 // EnsureTargetSet builds the kNN/OTM tables for (density, kmax) into the
-// dataset's directory if they are not there yet, returning the set name. It
-// writes on a handle of its own and closes it before returning: only
-// ptldb.Open admits a table to the vector cache, so a set built on the
-// measuring handle would be read from its segments on the simulated device.
-// Call it before opening the handle that measures. Target stops are drawn
-// uniformly with the workspace seed, so every experiment sees the same sets.
+// dataset's directory if they are not there yet, returning the set name. The
+// directory writer has committed them when it returns, so a handle opened
+// after it — call it before opening the handle that measures — admits them
+// to its vector cache. Target stops are drawn uniformly with the workspace
+// seed, so every experiment sees the same sets, and a set that is there
+// already is the writer's one refusal of these arguments: a name the version
+// has (ptldb.ErrInvalidArgument).
 func (w *Workspace) EnsureTargetSet(ds *Dataset, d float64, kmax int) (string, error) {
 	name := setName(d, kmax)
-	db, err := ptldb.Open(ds.Dir, ptldb.Config{Device: "ram", VectorCacheBytes: -1, BuildWorkers: w.cfg.BuildWorkers})
-	if err != nil {
+	n := ds.TT.NumStops()
+	count := int(d * float64(n))
+	if count < 1 {
+		count = 1
+	}
+	rng := rand.New(rand.NewSource(w.cfg.Seed ^ int64(count)<<20 ^ int64(kmax)))
+	perm := rng.Perm(n)
+	targets := make([]ptldb.StopID, count)
+	for i := 0; i < count; i++ {
+		targets[i] = ptldb.StopID(perm[i])
+	}
+	switch err := ptldb.AddTargetSet(ds.Dir, "base", name, targets, kmax, ptldb.Config{Device: "ram", BuildWorkers: w.cfg.BuildWorkers}); {
+	case err == nil:
+		w.logf("built target set %s for %s (%d targets)", name, ds.Profile.Name, count)
+	case !ptldb.IsInvalidArgument(err):
 		return "", err
 	}
-	if _, ok := db.TargetSets()[name]; !ok {
-		n := ds.TT.NumStops()
-		count := int(d * float64(n))
-		if count < 1 {
-			count = 1
-		}
-		rng := rand.New(rand.NewSource(w.cfg.Seed ^ int64(count)<<20 ^ int64(kmax)))
-		perm := rng.Perm(n)
-		targets := make([]ptldb.StopID, count)
-		for i := 0; i < count; i++ {
-			targets[i] = ptldb.StopID(perm[i])
-		}
-		w.logf("building target set %s for %s (%d targets)", name, ds.Profile.Name, count)
-		err = db.AddTargetSet(name, targets, kmax)
-	}
-	if cerr := db.Close(); err == nil {
-		err = cerr
-	}
-	return name, err
+	return name, nil
 }
 
 // Workload is a batch of query inputs following the paper's protocol.

@@ -157,8 +157,7 @@ func TestMeasureQueriesChargesIO(t *testing.T) {
 // TestTargetSetBuiltBeforeMeasuringIsResident: a target set EnsureTargetSet
 // has just built is in the directory before the measuring handle opens, so
 // that handle's vector cache (the default budget) admits it, and a kNN on it
-// measured by MeasureQueries charges no simulated I/O. A set built on the
-// measuring handle would be read from its segments on the simulated HDD.
+// measured by MeasureQueries charges no simulated I/O.
 func TestTargetSetBuiltBeforeMeasuringIsResident(t *testing.T) {
 	w := tinyWorkspace(t)
 	ds, err := w.Dataset("Austin")

@@ -55,11 +55,7 @@ func TestV2VAccessesExactlyTwoRows(t *testing.T) {
 func TestKNNAccessPattern(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	tt := randomTimetable(rng, 20, 400)
-	st, _ := newStore(t, tt, order.ByDegree(tt), BuildOptions{})
-	targets := []timetable.StopID{1, 4, 7, 10, 13}
-	if err := st.AddTargetSet("poi", targets, 4); err != nil {
-		t.Fatal(err)
-	}
+	st, _ := newStore(t, tt, order.ByDegree(tt), BuildOptions{}, addSet("poi", []timetable.StopID{1, 4, 7, 10, 13}, 4))
 	lout, _ := st.DB.Table("lout")
 
 	for trial := 0; trial < 30; trial++ {
@@ -101,10 +97,7 @@ func TestKNNAccessPattern(t *testing.T) {
 // design intends: Code 1 does two point lookups; the optimized kNN joins the
 // knn table with an index nested loop; the naive query full-scans its table.
 func TestQueryTraces(t *testing.T) {
-	st, _ := paperStore(t)
-	if err := st.AddTargetSet("poi", []timetable.StopID{4, 6}, 4); err != nil {
-		t.Fatal(err)
-	}
+	st, _ := paperStore(t, addSet("poi", []timetable.StopID{4, 6}, 4))
 
 	_, trace, err := st.DB.QueryTraced(`
 WITH outp AS (SELECT UNNEST(hubs) AS hub, UNNEST(tds) AS td, UNNEST(tas) AS ta FROM lout WHERE v=$1),

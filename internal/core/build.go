@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"maps"
 	"sort"
 
 	"ptldb/internal/sqldb"
@@ -28,14 +27,19 @@ type targetTuple struct {
 // (the statements are omitted there for space); the builders below are the
 // straightforward procedural equivalent, and their output is validated
 // against a specification oracle in the tests. The tables and the meta row
-// registering the set are one Load: a failed one leaves the database and the
-// store as they were.
-func (s *Store) AddTargetSet(name string, targets []timetable.StopID, kmax int) error {
+// registering the set are one Load: a failed one leaves the database as it
+// was. A name the version already has is a caller mistake
+// (ErrInvalidArgument).
+func (w *Writer) AddTargetSet(name string, targets []timetable.StopID, kmax int) error {
 	if !setNameRE.MatchString(name) {
 		return fmt.Errorf("core: invalid target-set name %q", name)
 	}
+	s, err := w.view(w.version)
+	if err != nil {
+		return err
+	}
 	if _, dup := s.vm().TargetSets[name]; dup {
-		return fmt.Errorf("core: target set %q already exists", name)
+		return invalidf("target set %q already exists", name)
 	}
 	if kmax < 1 {
 		return fmt.Errorf("core: kmax must be positive")
@@ -44,12 +48,12 @@ func (s *Store) AddTargetSet(name string, targets []timetable.StopID, kmax int) 
 	if len(targets) == 0 {
 		return fmt.Errorf("core: empty target set")
 	}
-	for _, w := range targets {
-		if int(w) < 0 || int(w) >= s.meta.Stops {
-			return fmt.Errorf("core: target %d out of range", w)
+	for _, v := range targets {
+		if int(v) < 0 || int(v) >= s.meta.Stops {
+			return fmt.Errorf("core: target %d out of range", v)
 		}
 	}
-	lin, ok := s.DB.Table(s.linTable())
+	lin, ok := w.db.Table(s.linTable())
 	if !ok {
 		return fmt.Errorf("core: %s table missing", s.linTable())
 	}
@@ -58,19 +62,19 @@ func (s *Store) AddTargetSet(name string, targets []timetable.StopID, kmax int) 
 	// paper's case of reaching a target directly, with the target itself as
 	// hub) by hub, sorted by (td, ta, v).
 	byHub := map[timetable.StopID][]targetTuple{}
-	for _, w := range targets {
-		row, found, err := lin.LookupPK([]int64{int64(w)})
+	for _, v := range targets {
+		row, found, err := lin.LookupPK([]int64{int64(v)})
 		if err != nil {
 			return err
 		}
 		if !found {
-			return fmt.Errorf("core: stop %d has no lin row", w)
+			return fmt.Errorf("core: stop %d has no lin row", v)
 		}
 		hubs, tds, tas := row[1].A, row[2].A, row[3].A
 		for i := range hubs {
 			h := timetable.StopID(hubs[i])
 			byHub[h] = append(byHub[h], targetTuple{
-				td: timetable.Time(tds[i]), ta: timetable.Time(tas[i]), v: w,
+				td: timetable.Time(tds[i]), ta: timetable.Time(tas[i]), v: v,
 			})
 		}
 	}
@@ -95,12 +99,10 @@ func (s *Store) AddTargetSet(name string, targets []timetable.StopID, kmax int) 
 	// tables share the knn layout with the best entry per target instead of
 	// the top-k (paper Section 3.3): kmax = |T|.
 	ts := TargetSetMeta{KMax: kmax, Targets: make([]int32, len(targets))}
-	for i, w := range targets {
-		ts.Targets[i] = int32(w)
+	for i, v := range targets {
+		ts.Targets[i] = int32(v)
 	}
-	vm := *s.vm()
-	vm.TargetSets = maps.Clone(vm.TargetSets)
-	vm.TargetSets[name] = ts
+	s.vm().TargetSets[name] = ts
 	kmaxOTM := len(targets)
 	rows := [numSetTables]func() []sqltypes.Row{
 		naiveTable: func() []sqltypes.Row { return naiveRows(hubs, byHub, kmax) },
@@ -113,12 +115,7 @@ func (s *Store) AddTargetSet(name string, targets []timetable.StopID, kmax int) 
 	for i, def := range s.targetSetDefs(name, len(targets)) {
 		loads = append(loads, sqldb.TableLoad{Def: def, Rows: func() ([]sqltypes.Row, error) { return rows[i](), nil }})
 	}
-	loads = append(loads, s.meta.withVersion(s.version, &vm).load())
-	if err := s.DB.Load(s.workers, loads...); err != nil {
-		return err
-	}
-	s.vm().TargetSets[name] = ts
-	return s.prepareSet(name, kmax)
+	return w.db.Load(w.workers, append(loads, s.meta.load())...)
 }
 
 // setTableKind indexes a target set's five tables: the naive table both naive
@@ -136,14 +133,14 @@ const (
 
 // targetSetDefs are the five auxiliary tables of a target set of size targets
 // under the bound version. A caller after the names alone may pass any size.
-func (s *Store) targetSetDefs(set string, targets int) [numSetTables]sqldb.TableDef {
-	n, w := s.meta.Stops, int64(s.meta.BucketSeconds)
+func (v view) targetSetDefs(set string, targets int) [numSetTables]sqldb.TableDef {
+	n, w := v.meta.Stops, int64(v.meta.BucketSeconds)
 	return [numSetTables]sqldb.TableDef{
-		naiveTable: naiveDef(s.setTable("knn_naive", set), n),
-		knnEATable: condensedEADef(s.setTable("knn_ea", set), n, 0, w),
-		knnLDTable: condensedLDDef(s.setTable("knn_ld", set), n),
-		otmEATable: condensedEADef(s.setTable("otm_ea", set), n, targets, w),
-		otmLDTable: condensedLDDef(s.setTable("otm_ld", set), n),
+		naiveTable: naiveDef(v.setTable("knn_naive", set), n),
+		knnEATable: condensedEADef(v.setTable("knn_ea", set), n, 0, w),
+		knnLDTable: condensedLDDef(v.setTable("knn_ld", set), n),
+		otmEATable: condensedEADef(v.setTable("otm_ea", set), n, targets, w),
+		otmLDTable: condensedLDDef(v.setTable("otm_ld", set), n),
 	}
 }
 
@@ -260,15 +257,15 @@ func condensedEADef(n string, stops, count int, width int64) sqldb.TableDef {
 // hub within the bucket (ordered by t_d) and whose vs/tas columns hold the
 // top-k per-target earliest arrivals over strictly later buckets
 // (Theorem 3.2.2). Rows come out in ascending (dephour, hub) order.
-func (s *Store) condensedEARows(hubs []timetable.StopID, byHub map[timetable.StopID][]targetTuple, k int) []sqltypes.Row {
+func (v view) condensedEARows(hubs []timetable.StopID, byHub map[timetable.StopID][]targetTuple, k int) []sqltypes.Row {
 	var rows []sqltypes.Row
 	// Rows must exist for every bucket a journey can arrive at a hub in,
 	// from the global earliest event: a missing row would silently drop the
 	// join candidate (proof of Theorem 3.2.2).
-	hmin := s.hour(s.vm().MinTime)
+	hmin := v.hour(v.vm().MinTime)
 	for _, h := range hubs {
 		ts := byHub[h] // sorted by td
-		hmax := s.hour(ts[len(ts)-1].td)
+		hmax := v.hour(ts[len(ts)-1].td)
 		// Iterate buckets from late to early, folding each bucket's tuples
 		// into the per-target future bests before emitting the row below it.
 		future := map[timetable.StopID]timetable.Time{}
@@ -276,7 +273,7 @@ func (s *Store) condensedEARows(hubs []timetable.StopID, byHub map[timetable.Sto
 		for bucket := hmax; bucket >= hmin; bucket-- {
 			// Tuples departing within this bucket: ts[lo:idx).
 			lo := idx
-			for lo > 0 && s.hour(ts[lo-1].td) == bucket {
+			for lo > 0 && v.hour(ts[lo-1].td) == bucket {
 				lo--
 			}
 			top := topKEA(future, k)
@@ -334,9 +331,9 @@ func condensedLDDef(n string, stops int) sqldb.TableDef {
 // per-target latest departures among tuples arriving at or before the bucket
 // start (paper Section 3.2.1, LD variant). Rows come out in ascending
 // (arrhour, hub) order.
-func (s *Store) condensedLDRows(hubs []timetable.StopID, byHub map[timetable.StopID][]targetTuple, k int) []sqltypes.Row {
+func (v view) condensedLDRows(hubs []timetable.StopID, byHub map[timetable.StopID][]targetTuple, k int) []sqltypes.Row {
 	var rows []sqltypes.Row
-	hmax := s.hour(s.vm().MaxTime)
+	hmax := v.hour(v.vm().MaxTime)
 	for _, h := range hubs {
 		all := byHub[h]
 		// Order by arrival for bucket grouping; exp columns stay ordered by
@@ -351,13 +348,13 @@ func (s *Store) condensedLDRows(hubs []timetable.StopID, byHub map[timetable.Sto
 			}
 			return byArr[i].v < byArr[j].v
 		})
-		hmin := s.hour(byArr[0].ta)
+		hmin := v.hour(byArr[0].ta)
 		past := map[timetable.StopID]timetable.Time{} // target -> latest td with ta <= bucket start
 		idx := 0
 		for bucket := hmin; bucket <= hmax; bucket++ {
 			// Fold tuples arriving strictly before (or exactly at) the
 			// bucket start into the past set: ta <= bucket*width.
-			bound := timetable.Time(bucket * int64(s.meta.BucketSeconds))
+			bound := timetable.Time(bucket * int64(v.meta.BucketSeconds))
 			for idx < len(byArr) && byArr[idx].ta <= bound {
 				t := byArr[idx]
 				if b, ok := past[t.v]; !ok || t.td > b {
@@ -375,7 +372,7 @@ func (s *Store) condensedLDRows(hubs []timetable.StopID, byHub map[timetable.Sto
 				lo--
 			}
 			hi := idx
-			for hi < len(byArr) && s.hour(byArr[hi].ta) == bucket {
+			for hi < len(byArr) && v.hour(byArr[hi].ta) == bucket {
 				hi++
 			}
 			bucketTuples := append([]targetTuple(nil), byArr[lo:hi]...)

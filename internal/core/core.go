@@ -23,7 +23,6 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"maps"
 	"regexp"
 	"sort"
 
@@ -72,14 +71,13 @@ type Result struct {
 }
 
 // Store is an open PTLDB database, bound to one timetable version (the base
-// version unless Version was used).
+// version unless Version was used). Open is its one constructor, and it
+// only reads: its metadata and its statement table are complete when Open
+// returns, and nothing assigns to them after. A Writer adds tables; a Store
+// opened after the writes queries them.
 type Store struct {
-	DB      *sqldb.DB
-	meta    Meta
-	version string
-
-	// workers is the table-load parallelism of the writers (0 = GOMAXPROCS).
-	workers int
+	DB *sqldb.DB
+	view
 
 	// stmts is the statement table (stmts.go), one entry per version; every
 	// Version view of the store shares it, as they share meta.Versions. ver
@@ -93,30 +91,31 @@ type Store struct {
 	traceHook func(obs.Trace)
 }
 
-// vm returns the metadata of the bound version.
-func (s *Store) vm() *VersionMeta { return s.meta.Versions[s.version] }
+// view is the metadata of a database bound to one of its timetable
+// versions: the table names and the bucket arithmetic a Store's queries and
+// a Writer's loads share.
+type view struct {
+	meta    Meta
+	version string
+}
 
-// SetBuildWorkers sets the table-load parallelism used by AddVersion,
-// AddTargetSet and BuildPathTables (0 = GOMAXPROCS). Build-time parallelism
-// is configured via BuildOptions.Workers instead. Per-table content and
-// on-disk images do not depend on the worker count: each load writes only
-// its own table's segment, and the image orders the segments by name.
-func (s *Store) SetBuildWorkers(n int) { s.workers = n }
+// vm returns the metadata of the bound version.
+func (v view) vm() *VersionMeta { return v.meta.Versions[v.version] }
 
 // tableSuffix returns the version suffix of physical table names.
-func (s *Store) tableSuffix() string {
-	if s.version == BaseVersion {
+func (v view) tableSuffix() string {
+	if v.version == BaseVersion {
 		return ""
 	}
-	return "__" + s.version
+	return "__" + v.version
 }
 
 // loutTable and linTable name the label tables of the bound version.
-func (s *Store) loutTable() string { return "lout" + s.tableSuffix() }
-func (s *Store) linTable() string  { return "lin" + s.tableSuffix() }
+func (v view) loutTable() string { return "lout" + v.tableSuffix() }
+func (v view) linTable() string  { return "lin" + v.tableSuffix() }
 
 // setTable names a per-target-set auxiliary table of the bound version.
-func (s *Store) setTable(prefix, set string) string { return prefix + "_" + set + s.tableSuffix() }
+func (v view) setTable(prefix, set string) string { return prefix + "_" + set + v.tableSuffix() }
 
 // Version returns a view of the store bound to the named timetable version.
 // It prepares nothing: the view binds the version's entry in the statement
@@ -131,42 +130,87 @@ func (s *Store) Version(name string) (*Store, error) {
 }
 
 // Versions lists the available timetable versions.
-func (s *Store) Versions() []string {
-	out := make([]string, 0, len(s.meta.Versions))
-	for v := range s.meta.Versions {
+func (s *Store) Versions() []string { return s.meta.versionNames() }
+
+// versionNames lists the versions of m, sorted.
+func (m Meta) versionNames() []string {
+	out := make([]string, 0, len(m.Versions))
+	for v := range m.Versions {
 		out = append(out, v)
 	}
 	sort.Strings(out)
 	return out
 }
 
+// Writer adds tables to a PTLDB database: target sets, timetable versions
+// and path tables, after Build's lout, lin and stops. It holds no metadata
+// of its own: each call reads the meta row, as Open does, and loads its
+// tables together with the meta row naming them, so the database is the one
+// copy of the metadata. A writer prepares nothing; a Store opened on the
+// database after the writes queries what they added.
+type Writer struct {
+	db      *sqldb.DB
+	version string
+	// workers is the table-load parallelism (0 = GOMAXPROCS). Per-table
+	// content and on-disk images do not depend on it: each load writes only
+	// its own table's segment, and the image orders the segments by name.
+	workers int
+}
+
+// NewWriter returns a writer of the base version of the PTLDB database in
+// db, loading tables on up to workers goroutines (0 = GOMAXPROCS).
+func NewWriter(db *sqldb.DB, workers int) *Writer {
+	return &Writer{db: db, version: BaseVersion, workers: workers}
+}
+
+// Version returns a writer bound to the named timetable version: its target
+// sets and path tables are that version's.
+func (w *Writer) Version(name string) (*Writer, error) {
+	if _, err := w.view(name); err != nil {
+		return nil, err
+	}
+	return &Writer{db: w.db, version: name, workers: w.workers}, nil
+}
+
+// view reads the meta row and binds it to the named version.
+func (w *Writer) view(version string) (view, error) {
+	meta, err := readMeta(w.db)
+	if err != nil {
+		return view{}, err
+	}
+	if meta.Versions[version] == nil {
+		return view{}, invalidf("unknown version %q", version)
+	}
+	return view{meta: meta, version: version}, nil
+}
+
 // AddVersion loads a second timetable's labels (e.g. the weekend schedule)
 // as a new version: paper Section 3.1's "different versions of the lout and
 // lin DB tables, for servicing each different period". The labels must
 // cover the same stop set. The version's tables and the meta row naming it
-// are one Load: a failed one leaves the database and the store as they were.
-func (s *Store) AddVersion(name string, labels *ttl.Labels) error {
+// are one Load: a failed one leaves the database as it was.
+func (w *Writer) AddVersion(name string, labels *ttl.Labels) error {
 	if !setNameRE.MatchString(name) || name == BaseVersion {
 		return fmt.Errorf("core: invalid version name %q", name)
 	}
-	if _, dup := s.meta.Versions[name]; dup {
+	meta, err := readMeta(w.db)
+	if err != nil {
+		return err
+	}
+	if _, dup := meta.Versions[name]; dup {
 		return fmt.Errorf("core: version %q already exists", name)
 	}
-	if labels.NumStops() != s.meta.Stops {
-		return fmt.Errorf("core: version has %d stops, store has %d", labels.NumStops(), s.meta.Stops)
+	if labels.NumStops() != meta.Stops {
+		return fmt.Errorf("core: version has %d stops, store has %d", labels.NumStops(), meta.Stops)
 	}
 	if !labels.Augmented {
 		labels = labels.Clone().Augment()
 	}
-	vm := newVersionMeta(labels)
-	loads := append(labelLoads("__"+name, labels), s.meta.withVersion(name, vm).load())
-	if err := s.DB.Load(s.workers, loads...); err != nil {
+	meta.Versions[name] = newVersionMeta(labels)
+	if err := w.db.Load(w.workers, append(labelLoads("__"+name, labels), meta.load())...); err != nil {
 		return fmt.Errorf("core: load labels (a lout / lin row = stop id): %w", err)
 	}
-	s.meta.Versions[name] = vm
-	v := *s
-	v.version = name
-	return v.prepareVersion()
+	return nil
 }
 
 var setNameRE = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
@@ -186,11 +230,12 @@ type BuildOptions struct {
 
 // Build creates the lout and lin tables from TTL labels inside an empty
 // database, plus a stops metadata table when a timetable is supplied via
-// BuildOptions. The labels are augmented with the paper's dummy tuples if
-// they are not already. A database that already holds tables is refused: a
-// load would replace those of the new build's names and keep the rest, such
-// as another build's path and target-set tables.
-func Build(db *sqldb.DB, labels *ttl.Labels, opts BuildOptions) (*Store, error) {
+// BuildOptions, and returns the writer of its base version. The labels are
+// augmented with the paper's dummy tuples if they are not already. A
+// database that already holds tables is refused: a load would replace those
+// of the new build's names and keep the rest, such as another build's path
+// and target-set tables.
+func Build(db *sqldb.DB, labels *ttl.Labels, opts BuildOptions) (*Writer, error) {
 	if n := len(db.Tables()); n != 0 {
 		return nil, fmt.Errorf("core: the database already holds %d tables; build into an empty directory", n)
 	}
@@ -203,16 +248,10 @@ func Build(db *sqldb.DB, labels *ttl.Labels, opts BuildOptions) (*Store, error) 
 	if !labels.Augmented {
 		labels = labels.Clone().Augment()
 	}
-	s := &Store{
-		DB: db,
-		meta: Meta{
-			Stops:         labels.NumStops(),
-			BucketSeconds: opts.BucketSeconds,
-			Versions:      map[string]*VersionMeta{},
-		},
-		version: BaseVersion,
-		workers: opts.Workers,
-		stmts:   map[string]*versionStmts{},
+	meta := Meta{
+		Stops:         labels.NumStops(),
+		BucketSeconds: opts.BucketSeconds,
+		Versions:      map[string]*VersionMeta{BaseVersion: newVersionMeta(labels)},
 	}
 	// The tables and the meta row describing them are one Load: each table
 	// is computed and written on the worker pool into its own file, so the
@@ -221,15 +260,10 @@ func Build(db *sqldb.DB, labels *ttl.Labels, opts BuildOptions) (*Store, error) 
 	if opts.Stops != nil {
 		loads = append(loads, stopsLoad(opts.Stops))
 	}
-	s.meta.Versions[BaseVersion] = newVersionMeta(labels)
-	if err := db.Load(opts.Workers, append(loads, s.meta.load())...); err != nil {
+	if err := db.Load(opts.Workers, append(loads, meta.load())...); err != nil {
 		return nil, fmt.Errorf("core: load labels (a lout / lin row = stop id): %w", err)
 	}
-	if err := s.prepareVersion(); err != nil {
-		return nil, err
-	}
-	s.ver = s.stmts[BaseVersion]
-	return s, nil
+	return NewWriter(db, opts.Workers), nil
 }
 
 // newVersionMeta is the metadata of a version with labels and no target set
@@ -331,45 +365,48 @@ func stopsLoad(stops []timetable.Stop) sqldb.TableLoad {
 	}
 }
 
-// Open attaches to a previously built PTLDB database.
+// Open attaches to a previously built PTLDB database. It is the one
+// constructor of a Store and the one place statements are prepared.
 func Open(db *sqldb.DB) (*Store, error) {
-	tbl, ok := db.Table(metaTable)
-	if !ok {
-		return nil, fmt.Errorf("core: not a PTLDB database: no %s table", metaTable)
-	}
-	row, found, err := tbl.LookupPK([]int64{0})
+	meta, err := readMeta(db)
 	if err != nil {
-		return nil, fmt.Errorf("core: not a PTLDB database: %w", err)
+		return nil, err
 	}
-	if !found {
-		return nil, fmt.Errorf("core: %s has no row 0", metaTable)
-	}
-	var meta Meta
-	if err := json.Unmarshal([]byte(row[1].S), &meta); err != nil {
-		return nil, fmt.Errorf("core: corrupt meta: %w", err)
-	}
-	if meta.Versions[BaseVersion] == nil {
-		return nil, fmt.Errorf("core: corrupt meta: no %q version", BaseVersion)
-	}
-	s := &Store{DB: db, meta: meta, version: BaseVersion, stmts: map[string]*versionStmts{}}
 	// Every version enters the statement table with every set it has.
 	// Preparing a statement binds it to its tables and checks they declare
 	// what its kernel trusts, so a directory built before a declaration
 	// existed is refused here, naming the table, like every other old image.
-	for _, name := range s.Versions() {
-		v := *s
-		v.version = name
-		if err := v.prepareVersion(); err != nil {
+	stmts := make(map[string]*versionStmts, len(meta.Versions))
+	for _, name := range meta.versionNames() {
+		if stmts[name], err = prepareVersion(db, view{meta: meta, version: name}); err != nil {
 			return nil, err
 		}
-		for set, ts := range v.vm().TargetSets {
-			if err := v.prepareSet(set, ts.KMax); err != nil {
-				return nil, err
-			}
-		}
 	}
-	s.ver = s.stmts[BaseVersion]
-	return s, nil
+	return &Store{DB: db, view: view{meta: meta, version: BaseVersion}, stmts: stmts, ver: stmts[BaseVersion]}, nil
+}
+
+// readMeta reads the meta row of db: what Open binds a Store to, and what
+// every Writer call starts from.
+func readMeta(db *sqldb.DB) (Meta, error) {
+	tbl, ok := db.Table(metaTable)
+	if !ok {
+		return Meta{}, fmt.Errorf("core: not a PTLDB database: no %s table", metaTable)
+	}
+	row, found, err := tbl.LookupPK([]int64{0})
+	if err != nil {
+		return Meta{}, fmt.Errorf("core: not a PTLDB database: %w", err)
+	}
+	if !found {
+		return Meta{}, fmt.Errorf("core: %s has no row 0", metaTable)
+	}
+	var meta Meta
+	if err := json.Unmarshal([]byte(row[1].S), &meta); err != nil {
+		return Meta{}, fmt.Errorf("core: corrupt meta: %w", err)
+	}
+	if meta.Versions[BaseVersion] == nil {
+		return Meta{}, fmt.Errorf("core: corrupt meta: no %q version", BaseVersion)
+	}
+	return meta, nil
 }
 
 // Meta returns the store metadata.
@@ -410,14 +447,6 @@ func (m Meta) load() sqldb.TableLoad {
 	}
 }
 
-// withVersion returns m with version name described by vm, leaving the
-// versions of m as they are.
-func (m Meta) withVersion(name string, vm *VersionMeta) Meta {
-	m.Versions = maps.Clone(m.Versions)
-	m.Versions[name] = vm
-	return m
-}
-
 // Stop returns the stored metadata of one stop (requires the stops table).
 func (s *Store) Stop(v timetable.StopID) (timetable.Stop, bool, error) {
 	tbl, ok := s.DB.Table("stops")
@@ -440,8 +469,8 @@ func (s *Store) Stop(v timetable.StopID) (timetable.Stop, bool, error) {
 // division, matching timetable.Time.Hour and the FLOOR(x/width.0) bucket
 // expressions of the condensed SQL: negative timestamps belong to the bucket
 // below zero.
-func (s *Store) hour(t timetable.Time) int64 {
-	return timetable.FloorDiv(int64(t), int64(s.meta.BucketSeconds))
+func (v view) hour(t timetable.Time) int64 {
+	return timetable.FloorDiv(int64(t), int64(v.meta.BucketSeconds))
 }
 
 // sortedCopy returns targets sorted ascending with duplicates removed.

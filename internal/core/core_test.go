@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -15,7 +16,60 @@ import (
 	"ptldb/internal/ttl"
 )
 
-func newStore(t *testing.T, tt *timetable.Timetable, ord order.Order, opts BuildOptions) (*Store, *ttl.Labels) {
+// writeAndOpen builds labels into db with opts, runs each write on the
+// writer Build returns and opens db: a Writer writes and a Store opened after
+// it reads, so every test store comes to be this way.
+func writeAndOpen(t *testing.T, db *sqldb.DB, labels *ttl.Labels, opts BuildOptions, writes ...func(*Writer) error) *Store {
+	t.Helper()
+	w, err := Build(db, labels, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, write := range writes {
+		if err := write(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := Open(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// addSet is the write that adds a target set to the writer's version.
+func addSet(name string, targets []timetable.StopID, kmax int) func(*Writer) error {
+	return func(w *Writer) error { return w.AddTargetSet(name, targets, kmax) }
+}
+
+// addVersion is the write that adds the version name of labels and runs
+// each write on that version's writer.
+func addVersion(name string, labels *ttl.Labels, writes ...func(*Writer) error) func(*Writer) error {
+	return func(w *Writer) error {
+		if err := w.AddVersion(name, labels); err != nil {
+			return err
+		}
+		v, err := w.Version(name)
+		if err != nil {
+			return err
+		}
+		for _, write := range writes {
+			if err := write(v); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// paperLabels are the augmented labels of the paper's Figure 1 network under
+// the identity order, those of paperStore.
+func paperLabels() *ttl.Labels {
+	return ttl.Build(timetable.PaperExample(), order.Identity(7)).Augment()
+}
+
+// newStore is writeAndOpen on a new database of tt's labels under ord.
+func newStore(t *testing.T, tt *timetable.Timetable, ord order.Order, opts BuildOptions, writes ...func(*Writer) error) (*Store, *ttl.Labels) {
 	t.Helper()
 	labels := ttl.Build(tt, ord).Augment()
 	db, err := sqldb.Open(t.TempDir(), sqldb.Options{Device: storage.RAM, PoolPages: 4096})
@@ -23,15 +77,11 @@ func newStore(t *testing.T, tt *timetable.Timetable, ord order.Order, opts Build
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
-	st, err := Build(db, labels, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return st, labels
+	return writeAndOpen(t, db, labels, opts, writes...), labels
 }
 
-func paperStore(t *testing.T) (*Store, *ttl.Labels) {
-	return newStore(t, timetable.PaperExample(), order.Identity(7), BuildOptions{})
+func paperStore(t *testing.T, writes ...func(*Writer) error) (*Store, *ttl.Labels) {
+	return newStore(t, timetable.PaperExample(), order.Identity(7), BuildOptions{}, writes...)
 }
 
 func randomTimetable(rng *rand.Rand, stops, conns int) *timetable.Timetable {
@@ -258,7 +308,6 @@ func TestKNNAndOTMRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for iter := 0; iter < 3; iter++ {
 		tt := randomTimetable(rng, 14+rng.Intn(8), 200+rng.Intn(150))
-		st, labels := newStore(t, tt, order.ByNeighborDegree(tt), BuildOptions{})
 		n := tt.NumStops()
 
 		// Random target set (may include any stop), kmax 4.
@@ -272,9 +321,7 @@ func TestKNNAndOTMRandom(t *testing.T) {
 			targets = []timetable.StopID{0, 1, 2}
 		}
 		const kmax = 4
-		if err := st.AddTargetSet("poi", targets, kmax); err != nil {
-			t.Fatal(err)
-		}
+		st, labels := newStore(t, tt, order.ByNeighborDegree(tt), BuildOptions{}, addSet("poi", targets, kmax))
 
 		for trial := 0; trial < 40; trial++ {
 			q := timetable.StopID(rng.Intn(n))
@@ -336,10 +383,7 @@ func TestKNNAndOTMRandom(t *testing.T) {
 // TestPaperKNNExample reproduces Section 3.2.1's worked example:
 // EA-kNN(0, {4, 6}, 360, 1) = (4, 396).
 func TestPaperKNNExample(t *testing.T) {
-	st, _ := paperStore(t)
-	if err := st.AddTargetSet("poi", []timetable.StopID{4, 6}, 4); err != nil {
-		t.Fatal(err)
-	}
+	st, _ := paperStore(t, addSet("poi", []timetable.StopID{4, 6}, 4))
 	for _, fn := range []func(string, timetable.StopID, timetable.Time, int) ([]Result, error){
 		st.EAKNN, st.EAKNNNaive,
 	} {
@@ -357,11 +401,8 @@ func TestBucketWidthAblationCorrectness(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	tt := randomTimetable(rng, 15, 250)
 	for _, width := range []int32{900, 3600, 10800} {
-		st, labels := newStore(t, tt, order.ByDegree(tt), BuildOptions{BucketSeconds: width})
 		targets := []timetable.StopID{1, 3, 5, 7, 9}
-		if err := st.AddTargetSet("poi", targets, 4); err != nil {
-			t.Fatal(err)
-		}
+		st, labels := newStore(t, tt, order.ByDegree(tt), BuildOptions{BucketSeconds: width}, addSet("poi", targets, 4))
 		for trial := 0; trial < 25; trial++ {
 			q := timetable.StopID(rng.Intn(tt.NumStops()))
 			tq := timetable.Time(rng.Intn(90000))
@@ -393,11 +434,11 @@ func TestOpenReload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := Build(db, labels, BuildOptions{})
+	w, err := Build(db, labels, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.AddTargetSet("poi", []timetable.StopID{4, 6}, 2); err != nil {
+	if err := w.AddTargetSet("poi", []timetable.StopID{4, 6}, 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {
@@ -427,33 +468,71 @@ func TestOpenReload(t *testing.T) {
 	}
 }
 
-func TestValidationErrors(t *testing.T) {
-	st, _ := paperStore(t)
-	if err := st.AddTargetSet("Bad Name", []timetable.StopID{1}, 2); err == nil {
-		t.Error("invalid set name accepted")
-	}
-	if err := st.AddTargetSet("poi", nil, 2); err == nil {
-		t.Error("empty target set accepted")
-	}
-	if err := st.AddTargetSet("poi", []timetable.StopID{99}, 2); err == nil {
-		t.Error("out-of-range target accepted")
-	}
-	if err := st.AddTargetSet("poi", []timetable.StopID{1}, 0); err == nil {
-		t.Error("kmax 0 accepted")
-	}
-	if err := st.AddTargetSet("poi", []timetable.StopID{1, 2}, 2); err != nil {
+// TestBuildIntoMissingDirectory runs the benchmark's build flow on a missing
+// nested path — sqldb.Open, Build, Flush, AddTargetSet on the writer Build
+// returns, Close — and opens the result.
+func TestBuildIntoMissingDirectory(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "missing", "db")
+	db, err := sqldb.Open(dir, sqldb.Options{Device: storage.RAM, PoolPages: 1024})
+	if err != nil {
 		t.Fatal(err)
 	}
-	// A refused AddTargetSet prepares and registers nothing.
-	_, parsed := st.DB.StmtCacheStats()
-	if err := st.AddTargetSet("poi", []timetable.StopID{1, 2}, 4); err == nil {
-		t.Error("duplicate set accepted")
+	w, err := Build(db, paperLabels(), BuildOptions{})
+	if err == nil {
+		err = db.Flush()
 	}
-	if err := st.AddTargetSet("other", []timetable.StopID{1}, 0); err == nil {
-		t.Error("kmax 0 accepted")
+	if err == nil {
+		err = w.AddTargetSet("poi", []timetable.StopID{4, 6}, 4)
 	}
-	if _, now := st.DB.StmtCacheStats(); now != parsed || len(st.ver.sets) != 1 || st.ver.sets["poi"].kmax != 2 {
-		t.Errorf("refused AddTargetSet: %d parses, sets %v", now-parsed, st.ver.sets)
+	if cerr := db.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if db, err = sqldb.Open(dir, sqldb.Options{Device: storage.RAM, PoolPages: 1024}); err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	st, err := Open(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := st.EAKNN("poi", 0, 36000, 1); err != nil || len(got) != 1 || got[0].Stop != 4 || got[0].When != 39600 {
+		t.Errorf("EA-kNN(0, {4, 6}, 360, 1) = %v, %v; want [(4, 396)]", got, err)
+	}
+}
+
+// TestValidationErrors: the writer refuses a bad set, and a refused one
+// registers nothing — the store opened after it has the one good set with
+// its kmax — and the store refuses queries outside what it registered.
+func TestValidationErrors(t *testing.T) {
+	st, _ := paperStore(t, func(w *Writer) error {
+		if err := w.AddTargetSet("Bad Name", []timetable.StopID{1}, 2); err == nil {
+			t.Error("invalid set name accepted")
+		}
+		if err := w.AddTargetSet("poi", nil, 2); err == nil {
+			t.Error("empty target set accepted")
+		}
+		if err := w.AddTargetSet("poi", []timetable.StopID{99}, 2); err == nil {
+			t.Error("out-of-range target accepted")
+		}
+		if err := w.AddTargetSet("poi", []timetable.StopID{1}, 0); err == nil {
+			t.Error("kmax 0 accepted")
+		}
+		if err := w.AddTargetSet("poi", []timetable.StopID{1, 2}, 2); err != nil {
+			return err
+		}
+		if err := w.AddTargetSet("poi", []timetable.StopID{1, 2}, 4); !IsInvalidArgument(err) {
+			t.Errorf("duplicate set: %v; want an invalid argument", err)
+		}
+		if err := w.AddTargetSet("other", []timetable.StopID{1}, 0); err == nil {
+			t.Error("kmax 0 accepted")
+		}
+		return nil
+	})
+	if len(st.ver.sets) != 1 || st.ver.sets["poi"].kmax != 2 {
+		t.Errorf("after the refused sets: sets %v", st.ver.sets)
 	}
 	if _, err := st.EAKNN("nope", 0, 0, 1); err == nil {
 		t.Error("unknown set accepted")
@@ -474,10 +553,8 @@ func TestBuildRejectsBadOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	st, err := Build(db, labels, BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Target sets build from the stored lin table, so no labels are needed.
+	st := writeAndOpen(t, db, labels, BuildOptions{}, addSet("poi", []timetable.StopID{1}, 2))
 	// The store augmented a clone; the original is untouched.
 	if labels.Augmented {
 		t.Error("Build mutated the caller's labels")
@@ -485,9 +562,8 @@ func TestBuildRejectsBadOptions(t *testing.T) {
 	if arr, ok, _ := st.EarliestArrival(1, 1, 32400); !ok || arr != 32400 {
 		t.Error("auto-augmented store gives wrong answers")
 	}
-	// Target sets build from the stored lin table, so no labels are needed.
-	if err := st.AddTargetSet("poi", []timetable.StopID{1}, 2); err != nil {
-		t.Errorf("AddTargetSet after Build: %v", err)
+	if _, ok := st.TargetSet("poi"); !ok {
+		t.Error("the set added after Build is missing")
 	}
 }
 
@@ -499,10 +575,7 @@ func TestStopsMetadataTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	st, err := Build(db, labels, BuildOptions{Stops: tt.Stops()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := writeAndOpen(t, db, labels, BuildOptions{Stops: tt.Stops()})
 	s, ok, err := st.Stop(3)
 	if err != nil || !ok {
 		t.Fatalf("Stop(3): %v %v", ok, err)
@@ -531,10 +604,7 @@ func TestStopsMetadataTable(t *testing.T) {
 	// Without the option, Stop reports a missing table.
 	db2, _ := sqldb.Open(t.TempDir(), sqldb.Options{Device: storage.RAM, PoolPages: 1024})
 	defer db2.Close()
-	st2, err := Build(db2, labels, BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st2 := writeAndOpen(t, db2, labels, BuildOptions{})
 	if _, _, err := st2.Stop(0); err == nil {
 		t.Error("Stop without stops table succeeded")
 	}

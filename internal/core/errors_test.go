@@ -11,10 +11,7 @@ import (
 // fixture every classification case below queries against.
 func buildErrStore(t *testing.T) *Store {
 	t.Helper()
-	s, _ := paperStore(t)
-	if err := s.AddTargetSet("poi", []timetable.StopID{2, 5}, 2); err != nil {
-		t.Fatal(err)
-	}
+	s, _ := paperStore(t, addSet("poi", []timetable.StopID{2, 5}, 2))
 	return s
 }
 

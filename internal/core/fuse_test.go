@@ -22,18 +22,9 @@ var (
 // requires every entry to compile to its fused plan over its own version's
 // tables. Then the query battery never reaches the general executor.
 func TestPreparedStatementsFuse(t *testing.T) {
-	st, labels := paperStore(t)
-	if err := st.AddVersion("weekend", labels); err != nil {
-		t.Fatal(err)
-	}
+	st, _ := paperStore(t, addSet("poi", []timetable.StopID{4, 6}, 4), addVersion("weekend", paperLabels(), addSet("poi", []timetable.StopID{2, 5}, 2)))
 	we, err := st.Version("weekend")
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.AddTargetSet("poi", []timetable.StopID{4, 6}, 4); err != nil {
-		t.Fatal(err)
-	}
-	if err := we.AddTargetSet("poi", []timetable.StopID{2, 5}, 2); err != nil {
 		t.Fatal(err)
 	}
 
@@ -103,7 +94,7 @@ func TestBuildRejectsUnorderedLabels(t *testing.T) {
 			}
 		}
 	}
-	check("AddVersion", st.AddVersion("weekend", bad))
+	check("AddVersion", NewWriter(st.DB, 0).AddVersion("weekend", bad))
 	if arr, ok, err := st.EarliestArrival(1, 1, 32400); err != nil || !ok || arr != 32400 {
 		t.Errorf("after the refused version: EA(1,1,324) = %v, %v, %v", arr, ok, err)
 	}

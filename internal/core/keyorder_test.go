@@ -82,12 +82,12 @@ func TestCondensedKeyOrderDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := Build(db, ttl.Build(tt, order.ByNeighborDegree(tt)).Augment(), BuildOptions{})
+	w, err := Build(db, ttl.Build(tt, order.ByNeighborDegree(tt)).Augment(), BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const kmax = 4
-	if err := st.AddTargetSet("poi", []timetable.StopID{1, 4, 6, 9, 12, 15, 18}, kmax); err != nil {
+	if err := w.AddTargetSet("poi", []timetable.StopID{1, 4, 6, 9, 12, 15, 18}, kmax); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {

@@ -58,14 +58,7 @@ func negativeStore(t *testing.T, reference bool) (*Store, *ttl.Labels) {
 		}
 		db.Close()
 	})
-	st, err := Build(db, labels, BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.AddTargetSet("poi", []timetable.StopID{2}, 2); err != nil {
-		t.Fatal(err)
-	}
-	return st, labels
+	return writeAndOpen(t, db, labels, BuildOptions{}, addSet("poi", []timetable.StopID{2}, 2)), labels
 }
 
 // TestKNNNegativeTimeStraddle is the regression test for the Hour()-bucket

@@ -93,10 +93,7 @@ var explainGoldens = map[string]string{
 }
 
 func TestExplainPreparedGoldens(t *testing.T) {
-	st, _ := paperStore(t)
-	if err := st.AddTargetSet("poi", []timetable.StopID{4, 6}, 4); err != nil {
-		t.Fatal(err)
-	}
+	st, _ := paperStore(t, addSet("poi", []timetable.StopID{4, 6}, 4))
 	names := st.ExplainNames()
 	if len(names) != len(explainGoldens) {
 		t.Fatalf("ExplainNames lists %d queries, goldens pin %d: %v", len(names), len(explainGoldens), names)
@@ -128,11 +125,11 @@ func cachedPaperStore(t *testing.T, budget int64) (*Store, *sqldb.DB) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := Build(db, labels, BuildOptions{})
+	w, err := Build(db, labels, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.AddTargetSet("poi", []timetable.StopID{4, 6}, 4); err != nil {
+	if err := w.AddTargetSet("poi", []timetable.StopID{4, 6}, 4); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {
@@ -143,7 +140,8 @@ func cachedPaperStore(t *testing.T, budget int64) (*Store, *sqldb.DB) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
-	if st, err = Open(db); err != nil {
+	st, err := Open(db)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return st, db
@@ -262,10 +260,9 @@ func TestSnapshotWorkedExample(t *testing.T) {
 // TestTraceHook checks trace delivery: codes, the fused flag, row counts and
 // wall times for both the prepared Codes and raw SQL.
 func TestTraceHook(t *testing.T) {
-	st, _ := paperStore(t)
-	if err := st.AddTargetSet("poi", []timetable.StopID{4, 6}, 4); err != nil {
-		t.Fatal(err)
-	}
+	st, _ := paperStore(t, addSet("poi", []timetable.StopID{4, 6}, 4), func(w *Writer) error {
+		return w.BuildPathTables(timetable.PaperExample())
+	})
 	var traces []obs.Trace
 	st.SetTraceHook(func(tr obs.Trace) { traces = append(traces, tr) })
 
@@ -277,9 +274,6 @@ func TestTraceHook(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := st.Raw("SELECT COUNT(*) FROM lout"); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.BuildPathTables(timetable.PaperExample()); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok, err := st.EarliestArrivalJourneyDB(5, 6, 28800); err != nil || !ok {

@@ -38,18 +38,22 @@ func packVHub(v, hub timetable.StopID) int64 {
 // boards at exactly its t_d, so the tree from (stop, t_d) reaches its hub at
 // its t_a. The two tables are one Load, each expanded on the worker pool: a
 // failed one leaves the database as it was, and a second call is refused.
-func (s *Store) BuildPathTables(tt *timetable.Timetable) error {
-	if s.HasPathTables() {
+func (w *Writer) BuildPathTables(tt *timetable.Timetable) error {
+	s, err := w.view(w.version)
+	if err != nil {
+		return err
+	}
+	if _, ok := w.db.Table(s.pathsOutTable()); ok {
 		return fmt.Errorf("core: the path tables of version %q already exist", s.version)
 	}
 	if tt.NumStops() != s.meta.Stops {
 		return fmt.Errorf("core: timetable has %d stops, store has %d", tt.NumStops(), s.meta.Stops)
 	}
-	lout, ok := s.DB.Table(s.loutTable())
+	lout, ok := w.db.Table(s.loutTable())
 	if !ok {
 		return fmt.Errorf("core: %s table missing", s.loutTable())
 	}
-	lin, ok := s.DB.Table(s.linTable())
+	lin, ok := w.db.Table(s.linTable())
 	if !ok {
 		return fmt.Errorf("core: %s table missing", s.linTable())
 	}
@@ -150,11 +154,11 @@ func (s *Store) BuildPathTables(tt *timetable.Timetable) error {
 		}
 		return rows, nil
 	}
-	return s.DB.Load(s.workers, load(s.pathsOutTable(), pathsOut), load(s.pathsInTable(), pathsIn))
+	return w.db.Load(w.workers, load(s.pathsOutTable(), pathsOut), load(s.pathsInTable(), pathsIn))
 }
 
-func (s *Store) pathsOutTable() string { return "paths_out" + s.tableSuffix() }
-func (s *Store) pathsInTable() string  { return "paths_in" + s.tableSuffix() }
+func (v view) pathsOutTable() string { return "paths_out" + v.tableSuffix() }
+func (v view) pathsInTable() string  { return "paths_in" + v.tableSuffix() }
 
 // HasPathTables reports whether BuildPathTables ran for the bound version.
 func (s *Store) HasPathTables() bool {

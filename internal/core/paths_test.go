@@ -49,20 +49,25 @@ func validateDBJourney(t *testing.T, tt *timetable.Timetable, j DBJourney, src, 
 
 func TestPathTablesPaperExample(t *testing.T) {
 	tt := timetable.PaperExample()
-	st, _ := paperStore(t)
-	if st.HasPathTables() {
+	built, _ := paperStore(t)
+	if built.HasPathTables() {
 		t.Fatal("path tables exist before build")
 	}
-	if _, _, err := st.EarliestArrivalJourneyDB(5, 6, 0); err == nil {
+	if _, _, err := built.EarliestArrivalJourneyDB(5, 6, 0); err == nil {
 		t.Error("journey query without path tables succeeded")
 	}
-	if err := st.BuildPathTables(tt); err != nil {
+	w := NewWriter(built.DB, 0)
+	if err := w.BuildPathTables(tt); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(built.DB)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !st.HasPathTables() {
 		t.Fatal("path tables missing after build")
 	}
-	if err := st.BuildPathTables(tt); err == nil || !strings.Contains(err.Error(), "already exist") {
+	if err := w.BuildPathTables(tt); err == nil || !strings.Contains(err.Error(), "already exist") {
 		t.Errorf("a second BuildPathTables: %v; want a refusal", err)
 	}
 
@@ -102,10 +107,7 @@ func TestPathTablesRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(66))
 	for iter := 0; iter < 3; iter++ {
 		tt := randomTimetable(rng, 12+rng.Intn(8), 150+rng.Intn(100))
-		st, _ := newStore(t, tt, order.ByNeighborDegree(tt), BuildOptions{})
-		if err := st.BuildPathTables(tt); err != nil {
-			t.Fatal(err)
-		}
+		st, _ := newStore(t, tt, order.ByNeighborDegree(tt), BuildOptions{}, func(w *Writer) error { return w.BuildPathTables(tt) })
 		general := st.DB.Registry().Exec.GeneralRuns.Load()
 		n := tt.NumStops()
 		for trial := 0; trial < 60; trial++ {

@@ -69,7 +69,7 @@ func reopenedStore(t *testing.T) *Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range []*Store{built, we} {
+	for _, s := range []*Writer{built, we} {
 		if err := s.AddTargetSet("poi", []timetable.StopID{4, 6}, 4); err != nil {
 			t.Fatal(err)
 		}
@@ -148,21 +148,22 @@ func TestReopenPreparesStatements(t *testing.T) {
 	}
 }
 
-// TestTargetSetSharedAcrossViews: every view of a version shares its entry
-// in the statement table, so a set added through one view is queryable —
-// and explainable — through a view bound before it was added.
+// TestTargetSetSharedAcrossViews: every view of a version shares the entry
+// Open prepared for it, so a set the writer added before Open is queryable —
+// and explainable — through a view bound after it, answering as the store
+// does.
 func TestTargetSetSharedAcrossViews(t *testing.T) {
-	st, _ := paperStore(t)
+	st, _ := paperStore(t, addSet("poi", []timetable.StopID{4, 6}, 4))
 	v, err := st.Version(BaseVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.AddTargetSet("poi", []timetable.StopID{4, 6}, 4); err != nil {
-		t.Fatal(err)
+	if v.ver != st.ver {
+		t.Error("the view did not bind the store's entry")
 	}
 	got, err := v.EAKNN("poi", 0, 36000, 2)
 	if err != nil {
-		t.Fatalf("view bound before AddTargetSet: %v", err)
+		t.Fatalf("view: %v", err)
 	}
 	want, err := st.EAKNN("poi", 0, 36000, 2)
 	if err != nil {

@@ -3,9 +3,9 @@ package core
 // stmts.go is a store's statement table. The paper gives every timetable
 // version (Section 3.1) and every target set (Section 3.2, Tables 4–6) its own
 // tables, all queried by the same Codes 1–4 with the table names filled in, so
-// the statements a store can run are fixed by its catalog. Each is prepared
-// once, when its tables appear, and a query indexes the table: nothing on the
-// query path formats or parses a statement.
+// the statements a store can run are fixed by its catalog. Open prepares
+// each once and nothing adds to the table after, and a query indexes it:
+// nothing on the query path formats or parses a statement.
 
 import (
 	"fmt"
@@ -59,37 +59,32 @@ type setStmts struct {
 	stmts [numSetKinds]*sqldb.Stmt
 }
 
-// prepareVersion enters the bound version in the statement table with its v2v
-// statements and no target sets.
-func (s *Store) prepareVersion() error {
-	e := &versionStmts{sets: map[string]*setStmts{}}
-	if err := s.prepare("", e.v2v[:]); err != nil {
-		return err
+// prepareVersion is the entry of v's version in the statement table: its v2v
+// statements and those of every target set it has. Only Open calls it.
+func prepareVersion(db *sqldb.DB, v view) (*versionStmts, error) {
+	e := &versionStmts{sets: make(map[string]*setStmts, len(v.vm().TargetSets))}
+	if err := v.prepare(db, "", e.v2v[:]); err != nil {
+		return nil, err
 	}
-	s.stmts[s.version] = e
-	return nil
+	for set, ts := range v.vm().TargetSets {
+		se := &setStmts{kmax: ts.KMax}
+		if err := v.prepare(db, set, se.stmts[:]); err != nil {
+			return nil, err
+		}
+		e.sets[set] = se
+	}
+	return e, nil
 }
 
-// prepareSet enters one target set of the bound version in the statement
-// table.
-func (s *Store) prepareSet(set string, kmax int) error {
-	e := &setStmts{kmax: kmax}
-	if err := s.prepare(set, e.stmts[:]); err != nil {
-		return err
-	}
-	s.stmts[s.version].sets[set] = e
-	return nil
-}
-
-// prepare parses the bound version's statements into into: its four v2v
-// statements when set is "", else the six of its target set of that name,
-// each the text of exec/codes.go over that version's or set's tables. It is
-// the one place core formats a statement or calls Prepare.
-func (s *Store) prepare(set string, into []*sqldb.Stmt) error {
-	lout, w := s.loutTable(), s.meta.BucketSeconds
+// prepare parses the bound version's statements on db into into: its four
+// v2v statements when set is "", else the six of its target set of that
+// name, each the text of exec/codes.go over that version's or set's tables.
+// It is the one place core formats a statement or calls Prepare.
+func (v view) prepare(db *sqldb.DB, set string, into []*sqldb.Stmt) error {
+	lout, w := v.loutTable(), v.meta.BucketSeconds
 	var texts []string
 	if set == "" {
-		lin := s.linTable()
+		lin := v.linTable()
 		texts = []string{
 			v2vEA:      fmt.Sprintf(exec.SQLV2VEA, lout, lin),
 			v2vLD:      fmt.Sprintf(exec.SQLV2VLD, lout, lin),
@@ -97,7 +92,7 @@ func (s *Store) prepare(set string, into []*sqldb.Stmt) error {
 			v2vWitness: fmt.Sprintf(exec.SQLV2VEAWitness, lout, lin),
 		}
 	} else {
-		t := s.targetSetDefs(set, 0)
+		t := v.targetSetDefs(set, 0)
 		texts = []string{
 			knnNaiveEA: fmt.Sprintf(exec.SQLKNNNaiveEA, t[naiveTable].Name, lout),
 			knnNaiveLD: fmt.Sprintf(exec.SQLKNNNaiveLD, t[naiveTable].Name, lout),
@@ -108,7 +103,7 @@ func (s *Store) prepare(set string, into []*sqldb.Stmt) error {
 		}
 	}
 	for i, text := range texts {
-		st, err := s.DB.Prepare(text)
+		st, err := db.Prepare(text)
 		if err != nil {
 			return err
 		}

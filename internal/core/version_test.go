@@ -23,11 +23,11 @@ func TestVersions(t *testing.T) {
 	weekday := randomTimetable(rng, 15, 260)
 	weekend := randomTimetable(rng, 15, 120) // sparser service
 
-	st, _ := newStore(t, weekday, order.ByDegree(weekday), BuildOptions{})
+	// Target sets are per version: same name, independent tables.
+	targets := []timetable.StopID{2, 5, 9}
 	weekendLabels := ttl.Build(weekend, order.ByDegree(weekend)).Augment()
-	if err := st.AddVersion("weekend", weekendLabels); err != nil {
-		t.Fatal(err)
-	}
+	st, _ := newStore(t, weekday, order.ByDegree(weekday), BuildOptions{},
+		addSet("poi", targets, 4), addVersion("weekend", weekendLabels, addSet("poi", targets, 4)))
 
 	if got := st.Versions(); len(got) != 2 || got[0] != "base" || got[1] != "weekend" {
 		t.Fatalf("Versions = %v", got)
@@ -66,14 +66,6 @@ func TestVersions(t *testing.T) {
 		}
 	}
 
-	// Target sets are per version: same name, independent tables.
-	targets := []timetable.StopID{2, 5, 9}
-	if err := st.AddTargetSet("poi", targets, 4); err != nil {
-		t.Fatal(err)
-	}
-	if err := we.AddTargetSet("poi", targets, 4); err != nil {
-		t.Fatal(err)
-	}
 	if _, ok := st.TargetSets()["poi"]; !ok {
 		t.Error("base target set missing")
 	}
@@ -104,25 +96,28 @@ func TestVersions(t *testing.T) {
 }
 
 func TestVersionValidation(t *testing.T) {
-	st, _ := paperStore(t)
-	labels := ttl.Build(timetable.PaperExample(), order.Identity(7)).Augment()
-	if err := st.AddVersion("base", labels); err == nil {
+	st, labels := paperStore(t)
+	w := NewWriter(st.DB, 0)
+	if err := w.AddVersion("base", labels); err == nil {
 		t.Error("shadowing the base version accepted")
 	}
-	if err := st.AddVersion("Bad Name", labels); err == nil {
+	if err := w.AddVersion("Bad Name", labels); err == nil {
 		t.Error("invalid version name accepted")
 	}
 	var b timetable.Builder
 	b.AddStops(3)
 	small := ttl.Build(b.MustBuild(), order.Identity(3)).Augment()
-	if err := st.AddVersion("tiny", small); err == nil {
+	if err := w.AddVersion("tiny", small); err == nil {
 		t.Error("stop-count mismatch accepted")
 	}
-	if err := st.AddVersion("sunday", labels); err != nil {
+	if err := w.AddVersion("sunday", labels); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.AddVersion("sunday", labels); err == nil {
+	if err := w.AddVersion("sunday", labels); err == nil {
 		t.Error("duplicate version accepted")
+	}
+	if _, err := w.Version("nope"); !IsInvalidArgument(err) {
+		t.Errorf("writer of an unknown version: %v; want an invalid argument", err)
 	}
 	if _, err := st.Version("nope"); err == nil {
 		t.Error("unknown version accepted")
@@ -186,20 +181,20 @@ func TestOneFormPerTable(t *testing.T) {
 		}
 	}
 	labels := ttl.Build(tt, order.Identity(7)).Augment()
-	st, err := Build(db, labels, BuildOptions{Stops: tt.Stops()})
+	w, err := Build(db, labels, BuildOptions{Stops: tt.Stops()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	onlySegments("after Build")
-	if err := st.AddTargetSet("poi", []timetable.StopID{4, 6}, 4); err != nil {
+	if err := w.AddTargetSet("poi", []timetable.StopID{4, 6}, 4); err != nil {
 		t.Fatal(err)
 	}
 	onlySegments("after AddTargetSet")
-	if err := st.AddVersion("weekend", labels); err != nil {
+	if err := w.AddVersion("weekend", labels); err != nil {
 		t.Fatal(err)
 	}
 	onlySegments("after AddVersion")
-	if err := st.BuildPathTables(tt); err != nil {
+	if err := w.BuildPathTables(tt); err != nil {
 		t.Fatal(err)
 	}
 	onlySegments("after BuildPathTables")
@@ -209,7 +204,8 @@ func TestOneFormPerTable(t *testing.T) {
 	if db, err = sqldb.Open(dir, sqldb.Options{Device: storage.RAM, PoolPages: 4096}); err != nil {
 		t.Fatal(err)
 	}
-	if st, err = Open(db); err != nil {
+	st, err := Open(db)
+	if err != nil {
 		t.Fatal(err)
 	}
 	onlySegments("after a reopen")

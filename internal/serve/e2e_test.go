@@ -28,15 +28,22 @@ func TestClientMatchesDirectDB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := ptldb.Create(t.TempDir(), tt, ptldb.Config{Device: "ram"})
+	dir := t.TempDir()
+	db, err := ptldb.Create(dir, tt, ptldb.Config{Device: "ram"})
+	if err == nil {
+		err = db.Close()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { db.Close() })
 	targets := []ptldb.StopID{1, 3, 5, 7, 11, 13}
-	if err := db.AddTargetSet("poi", targets, 4); err != nil {
+	if err := ptldb.AddTargetSet(dir, "base", "poi", targets, 4, ptldb.Config{Device: "ram"}); err != nil {
 		t.Fatal(err)
 	}
+	if db, err = ptldb.Open(dir, ptldb.Config{Device: "ram"}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
 
 	srv := New(db, Options{})
 	l, err := net.Listen("tcp", "127.0.0.1:0")

@@ -25,8 +25,8 @@ import (
 	"ptldb/internal/timetable"
 )
 
-// buildCity generates a city store under dir, adds the shared target set,
-// and closes it so servers can reopen it read-only.
+// buildCity generates a city store under dir and adds the shared target set,
+// for servers to open.
 func buildCity(t *testing.T, dir, city string, seed int64) *ptldb.Network {
 	t.Helper()
 	tt, err := ptldb.GenerateCity(city, 0.02, seed)
@@ -34,13 +34,13 @@ func buildCity(t *testing.T, dir, city string, seed int64) *ptldb.Network {
 		t.Fatal(err)
 	}
 	db, err := ptldb.Create(dir, tt, ptldb.Config{Device: "ram"})
+	if err == nil {
+		err = db.Close()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.AddTargetSet("poi", []ptldb.StopID{1, 3, 5, 7, 11, 13}, 4); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
+	if err := ptldb.AddTargetSet(dir, "base", "poi", []ptldb.StopID{1, 3, 5, 7, 11, 13}, 4, ptldb.Config{Device: "ram"}); err != nil {
 		t.Fatal(err)
 	}
 	return tt

@@ -59,11 +59,12 @@ func readImage(t *testing.T, dir string) []byte {
 	return b
 }
 
-// TestCrashAtEveryStep runs Create, AddTargetSet, AddVersion and
-// BuildPathTables on one directory, one table at a time, and copies the
-// directory after every file-system step each takes — a loose segment
-// written, the image written and synced, renamed into place, the directory
-// synced, a file removed. Every copy must hold the image from before the call
+// TestCrashAtEveryStep runs Create and the directory writers AddTargetSet,
+// AddVersion and BuildPathTables on one directory, missing at first, one
+// table at a time, and copies the directory after every file-system step
+// each takes — the directory made, a loose segment written, the image
+// written and synced, renamed into place, the directory synced, a file
+// removed. Every copy must hold the image from before the call
 // or the one after it, beside nothing but loose and temporary files, and
 // open as that database: none before Create, and then the writers' data up
 // to the call, answering what CSA answers, and none of the call's unless it
@@ -106,12 +107,6 @@ func TestCrashAtEveryStep(t *testing.T) {
 		copyDir(t, dir, filepath.Join(states, strconv.Itoa(len(steps))))
 		steps = append(steps, step)
 	})()
-	var db *ptldb.DB
-	defer func() {
-		if db != nil {
-			db.Close()
-		}
-	}()
 	cfg := ptldb.Config{Device: "ram", BuildWorkers: 1}
 	writers := []struct {
 		name  string
@@ -119,10 +114,16 @@ func TestCrashAtEveryStep(t *testing.T) {
 		has   func(h *ptldb.DB) bool
 		check func(t *testing.T, what string, h *ptldb.DB)
 	}{
-		{"Create", func() (err error) { db, err = ptldb.Create(dir, tt, cfg); return err },
+		{"Create", func() error {
+			db, err := ptldb.Create(dir, tt, cfg)
+			if err != nil {
+				return err
+			}
+			return db.Close()
+		},
 			func(*ptldb.DB) bool { return true },
 			func(t *testing.T, what string, h *ptldb.DB) { eaMatchesCSA(t, what, h, tt) }},
-		{"AddTargetSet", func() error { return db.AddTargetSet("poi", targets, 3) },
+		{"AddTargetSet", func() error { return ptldb.AddTargetSet(dir, "base", "poi", targets, 3, cfg) },
 			func(h *ptldb.DB) bool { _, ok := h.TargetSets()["poi"]; return ok },
 			func(t *testing.T, what string, h *ptldb.DB) {
 				q, when := ptldb.StopID(0), tt.MinTime()+tt.Span()/3
@@ -140,7 +141,7 @@ func TestCrashAtEveryStep(t *testing.T) {
 					}
 				}
 			}},
-		{"AddVersion", func() error { return db.AddVersion("weekend", weekend) },
+		{"AddVersion", func() error { return ptldb.AddVersion(dir, "weekend", weekend, cfg) },
 			func(h *ptldb.DB) bool { return slices.Contains(h.Versions(), "weekend") },
 			func(t *testing.T, what string, h *ptldb.DB) {
 				we, err := h.Version("weekend")
@@ -149,7 +150,7 @@ func TestCrashAtEveryStep(t *testing.T) {
 				}
 				eaMatchesCSA(t, what+", weekend", we, weekend)
 			}},
-		{"BuildPathTables", func() error { return db.BuildPathTables(tt) },
+		{"BuildPathTables", func() error { return ptldb.BuildPathTables(dir, "base", tt, cfg) },
 			func(h *ptldb.DB) bool { return h.Store().HasPathTables() },
 			func(t *testing.T, what string, h *ptldb.DB) {
 				checked := 0

@@ -147,22 +147,19 @@ type DB struct {
 // the vector cache is decoded and resident. It walks the image front to back
 // in one pass, each segment's header giving its table's definition and its
 // page count, hence the next segment's start. Without the image, dir is an
-// empty database (created if needed; no other file ever is) if it holds
-// nothing but loose and temporary files, and any other file — the older
-// layouts' catalog among them — fails the open. So do a segment that fails
-// validation (wrapping storage.ErrCorruptSegment), a definition that is not
-// valid or not its segment's columns, and a row an admitted table's decode
-// rejects: the error names the table, or the file and the page, and nothing
-// stays open behind it. The recovery is a rebuild.
+// empty database if it is missing or holds nothing but loose and temporary
+// files — Open creates nothing; the first Load makes the directory — and
+// any other file, the older layouts' catalog among them, fails the open. So
+// do a segment that fails validation (wrapping storage.ErrCorruptSegment), a
+// definition that is not valid or not its segment's columns, and a row an
+// admitted table's decode rejects: the error names the table, or the file
+// and the page, and nothing stays open behind it. The recovery is a rebuild.
 func Open(dir string, opts Options) (*DB, error) {
 	if opts.Device.Name == "" {
 		opts.Device = storage.SSD
 	}
 	if opts.PoolPages == 0 {
 		opts.PoolPages = DefaultPoolPages
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("sqldb: %w", err)
 	}
 	db := &DB{
 		dir:           dir,
@@ -182,6 +179,9 @@ func Open(dir string, opts Options) (*DB, error) {
 	f, err := storage.OpenPagedFile(db.imagePath(), db.dev, &db.clock)
 	if errors.Is(err, fs.ErrNotExist) {
 		entries, rerr := os.ReadDir(dir)
+		if errors.Is(rerr, fs.ErrNotExist) {
+			return db, nil
+		}
 		if rerr != nil {
 			return nil, fmt.Errorf("sqldb: %w", rerr)
 		}
@@ -265,18 +265,19 @@ type TableLoad struct {
 }
 
 // Load writes a batch of new tables, the one write there is. It validates
-// every definition, then on up to workers goroutines (RunJobs) computes each
-// table's rows, checks them against the definition and writes them as a loose
-// segment, the definition in its header page (one that does not fit fails
-// before the file is created) — not synced; the next Flush packs it — that a
-// new Table reads. Only once every load has succeeded are the tables entered
-// in the catalog, each replacing any table of its name; a failed batch
-// removes the segments it wrote and leaves the catalog as it was. A replaced
-// table does not change (a statement prepared on it keeps reading it, and its
-// file stays open until Close), but its vectors leave the count of resident
-// bytes. A loaded table reads its segment until the directory is opened
-// again: only Open admits a table to the vector cache. Load must not run
-// concurrently with any other call on the handle.
+// every definition and makes the directory if it is missing, then on up to
+// workers goroutines (RunJobs) computes each table's rows, checks them
+// against the definition and writes them as a loose segment, the definition
+// in its header page (one that does not fit fails before the file is
+// created) — not synced; the next Flush packs it — that a new Table reads.
+// Only once every load has succeeded are the tables entered in the catalog,
+// each replacing any table of its name; a failed batch removes the segments
+// it wrote and leaves the catalog as it was. A replaced table does not change
+// (a statement prepared on it keeps reading it, and its file stays open
+// until Close), but its vectors leave the count of resident bytes. A loaded
+// table reads its segment until the directory is opened again: only Open
+// admits a table to the vector cache. Load must not run concurrently with
+// any other call on the handle.
 func (db *DB) Load(workers int, loads ...TableLoad) error {
 	schemas := make([]*schema, len(loads))
 	for i, l := range loads {
@@ -290,6 +291,9 @@ func (db *DB) Load(workers int, loads ...TableLoad) error {
 			}
 		}
 		schemas[i] = sc
+	}
+	if err := db.makeDir(); err != nil {
+		return err
 	}
 	tables := make([]*Table, len(loads))
 	jobs := make([]func() error, len(loads))
@@ -328,6 +332,18 @@ func (db *DB) Load(workers int, loads ...TableLoad) error {
 		db.files = append(db.files, t.file)
 	}
 	db.loaded = true
+	return nil
+}
+
+// makeDir makes the handle's directory, and its parents, if it is missing.
+func (db *DB) makeDir() error {
+	if _, err := os.Stat(db.dir); !errors.Is(err, fs.ErrNotExist) {
+		return nil // a directory that is there, or one a write will fail on, naming it
+	}
+	if err := os.MkdirAll(db.dir, 0o755); err != nil {
+		return fmt.Errorf("sqldb: %w", err)
+	}
+	step("make " + filepath.Base(db.dir))
 	return nil
 }
 
@@ -370,27 +386,28 @@ func (db *DB) Tables() []string {
 	return out
 }
 
-// Flush makes every completed write durable. When a Load wrote tables since
-// the last Flush it packs a new image: the segment of every table, in the
-// order of their names, copied by page range from the file the table reads —
-// the image this handle opened or a loose segment — is written and synced
-// beside the image and renamed over it, the one rename that commits. The
-// directory is synced and every loose and temporary file in it deleted, a
-// crashed writer's too. The tables keep reading the files they read before,
-// which stay open once replaced or deleted, so a pack changes nothing a
-// reader sees. Flush must not run concurrently with a Load on any handle of
-// the directory.
+// Flush makes every completed write durable; with no Load since the last
+// Flush it does nothing, the directory not even opened. After a Load it packs
+// a new image: the segment of every table, in the order of their names,
+// copied by page range from the file the table reads — the image this handle
+// opened or a loose segment — is written and synced beside the image and
+// renamed over it, the one rename that commits. The directory is synced and
+// every loose and temporary file in it deleted, a crashed writer's too. The
+// tables keep reading the files they read before, which stay open once
+// replaced or deleted, so a pack changes nothing a reader sees. Flush must
+// not run concurrently with a Load on any handle of the directory.
 func (db *DB) Flush() error {
-	if db.loaded {
-		if err := db.pack(); err != nil {
-			return err
-		}
+	if !db.loaded {
+		return nil
+	}
+	if err := db.pack(); err != nil {
+		return err
 	}
 	d, err := os.Open(db.dir)
 	if err != nil {
 		return fmt.Errorf("sqldb: %w", err)
 	}
-	if err := firstError(d.Sync(), d.Close()); err != nil || !db.loaded {
+	if err := firstError(d.Sync(), d.Close()); err != nil {
 		return err
 	}
 	step("sync the directory")

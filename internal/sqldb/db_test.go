@@ -1,7 +1,10 @@
 package sqldb
 
 import (
+	"errors"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -260,6 +263,47 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	}
 	got := queryInts(t, db2, "SELECT UNNEST(v[2:2]) FROM kv WHERE k = $1", sqltypes.NewInt(7))
 	eqRows(t, got, [][]int64{{14}})
+}
+
+// TestMissingDirectoryIsEmpty: Open of a missing path is an empty database
+// and creates nothing, nor do a Flush and a Close with nothing loaded; the
+// first Load makes the directory, parents included, and what it loads
+// persists.
+func TestMissingDirectoryIsEmpty(t *testing.T) {
+	parent := filepath.Join(t.TempDir(), "missing")
+	dir := filepath.Join(parent, "db")
+	db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if names := db.Tables(); len(names) != 0 {
+		t.Errorf("a missing directory holds the tables %v", names)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(parent); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("Open, Flush and Close of a missing directory left %s behind (%v)", parent, err)
+	}
+
+	db, err = Open(dir, Options{Device: storage.RAM, PoolPages: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	load(t, db, mkTable("kv", []string{"k"}, "k"), sqltypes.Row{sqltypes.NewInt(7)})
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if db, err = Open(dir, Options{Device: storage.RAM, PoolPages: 256}); err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if tbl, ok := db.Table("kv"); !ok || tbl.RowCount() != 1 {
+		t.Errorf("the table loaded into a missing directory: %v", db.Tables())
+	}
 }
 
 func TestBasicSelect(t *testing.T) {

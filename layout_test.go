@@ -106,14 +106,8 @@ func TestCondensedLayoutColdReads(t *testing.T) {
 	// A one-byte vector cache declines every table, so all reads go through
 	// the buffer pool (small, so dropping it per query is cheap; no query
 	// comes near filling it) to the simulated disk.
-	db, err := Create(dir, tt, Config{Device: "hdd", VectorCacheBytes: 1, PoolPages: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := createAndWrite(t, dir, tt, Config{Device: "hdd", VectorCacheBytes: 1, PoolPages: 512}, addPOI(targets, kmax))
 	defer db.Close()
-	if err := db.AddTargetSet("poi", targets, kmax); err != nil {
-		t.Fatal(err)
-	}
 	sdb := db.Store().DB
 	lout, ok := sdb.Table("lout")
 	if !ok {

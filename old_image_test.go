@@ -27,14 +27,7 @@ import (
 
 func TestUndeclaredImageFailsClosed(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Create(dir, timetable.PaperExample(), Config{Device: "ram"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.AddTargetSet("poi", []StopID{1, 4, 6}, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
+	if err := createAndWrite(t, dir, timetable.PaperExample(), Config{Device: "ram"}, addPOI([]StopID{1, 4, 6}, 2)).Close(); err != nil {
 		t.Fatal(err)
 	}
 	built, err := os.ReadFile(filepath.Join(dir, sqldb.ImageName))
@@ -146,7 +139,8 @@ func TestUndeclaredImageFailsClosed(t *testing.T) {
 	}
 
 	// The image as built opens.
-	if db, err = Open(dir, Config{Device: "ram"}); err != nil {
+	db, err := Open(dir, Config{Device: "ram"})
+	if err != nil {
 		t.Fatal(err)
 	}
 	db.Close()

@@ -8,13 +8,16 @@
 // networks, entirely through SQL over hub-label tables stored in an embedded
 // relational engine (the stand-in for the paper's PostgreSQL).
 //
-// Typical flow:
+// Typical flow — the writers take the directory, and a handle opened after
+// them queries what they wrote:
 //
 //	tt, _ := ptldb.GenerateCity("Austin", 0.1, 1)      // or ptldb.LoadGTFS(dir)
 //	db, _ := ptldb.Create("/tmp/austin", tt, ptldb.Config{})
-//	defer db.Close()
 //	arr, ok, _ := db.EarliestArrival(12, 87, 8*3600)
-//	_ = db.AddTargetSet("museums", []ptldb.StopID{4, 9, 23}, 16)
+//	db.Close()
+//	_ = ptldb.AddTargetSet("/tmp/austin", "base", "museums", []ptldb.StopID{4, 9, 23}, 16, ptldb.Config{})
+//	db, _ = ptldb.Open("/tmp/austin", ptldb.Config{})
+//	defer db.Close()
 //	nearest, _ := db.EAKNN("museums", 12, 8*3600, 4)
 //
 // The heavy lifting lives in the internal packages: timetable (network
@@ -121,19 +124,20 @@ type Config struct {
 	// the fused executor as direct slice views. 0 selects
 	// DefaultVectorCacheBytes; a negative value means no cache, every read
 	// served from the segments. Admission is decided once per table, when
-	// Open (or Create, which returns the directory reopened) opens it, in
+	// Open (or Create, which returns the directory opened) opens it, in
 	// image order: a table is admitted while its vectors fit what the
 	// tables before it left of the budget, and keeps its vectors; the rest
-	// are declined and read from their segments, as are the tables a handle
-	// writes (AddTargetSet, AddVersion, BuildPathTables) until the directory
-	// is opened again. Sizing guidance: the sum of
-	// every all-integer table's vectors (roughly the image's bytes on disk)
-	// keeps every table resident. It has no effect on query answers.
+	// are declined and read from their segments. Sizing guidance: the sum
+	// of every all-integer table's vectors (roughly the image's bytes on
+	// disk) keeps every table resident. It has no effect on query answers.
+	// The directory writers (AddTargetSet, AddVersion, BuildPathTables)
+	// ignore it.
 	VectorCacheBytes int64
 	// BuildWorkers bounds the preprocessing parallelism (default GOMAXPROCS):
 	// TTL label construction runs rank-batched waves of this width, and the
-	// table loads of Create / AddTargetSet / AddVersion run on a worker pool
-	// of this size. The built database is byte-identical for every value.
+	// table loads of Create and of the directory writers (AddTargetSet,
+	// AddVersion, BuildPathTables) run on a worker pool of this size. The
+	// built database is byte-identical for every value.
 	BuildWorkers int
 	// TraceHook, when non-nil, receives one Trace per successful query method
 	// call on this handle (and on Version handles derived from it). The hook
@@ -199,21 +203,22 @@ func (c Config) device() (storage.DeviceModel, error) {
 	}
 }
 
-// DB is an open PTLDB database.
+// DB is an open PTLDB database. It only reads: what it answers is the
+// directory as Open found it. The writers — Create, AddTargetSet, AddVersion
+// and BuildPathTables — take the directory, and a handle opened after them
+// sees what they added; one opened before keeps its image.
 type DB struct {
 	store *core.Store
 	db    *sqldb.DB
-	// buildWorkers is the Config.BuildWorkers this handle was opened with;
-	// AddVersion builds its labels at the same parallelism.
-	buildWorkers int
 }
 
 // Create preprocesses tt (TTL labels under the configured vertex order,
-// dummy-tuple augmentation, lout/lin tables) into a new database directory
-// on a build handle of its own, closes that, and returns the directory
-// opened with cfg, as Open would: a created handle serves what an opened one
-// does, its tables admitted to the vector cache. Preprocessing time is the
-// paper's Table 7 metric; see PreprocessStats for the breakdown.
+// dummy-tuple augmentation, lout/lin tables) into a new database directory,
+// made if it is missing, on a build handle of its own, closes that, and
+// returns the directory opened with cfg, as Open would: a created handle
+// serves what an opened one does, its tables admitted to the vector cache.
+// Preprocessing time is the paper's Table 7 metric; see PreprocessStats for
+// the breakdown.
 func Create(dir string, tt *Network, cfg Config) (*DB, error) {
 	db, _, err := CreateWithStats(dir, tt, cfg)
 	return db, err
@@ -225,7 +230,7 @@ type PreprocessStats struct {
 	LabelTime   time.Duration `json:"label_ns"`
 	AugmentTime time.Duration `json:"augment_ns"`
 	// LoadTime is the table loads and the build handle's Close, which makes
-	// them durable; it stops before the reopen Create returns.
+	// them durable; it stops before Create opens the directory.
 	LoadTime      time.Duration `json:"load_ns"`
 	LabelTuples   int           `json:"label_tuples"` // before augmentation
 	DummyTuples   int           `json:"dummy_tuples"`
@@ -325,14 +330,65 @@ func open(dir string, cfg Config, reference bool) (*DB, error) {
 		sdb.Close()
 		return nil, err
 	}
-	store.SetBuildWorkers(cfg.BuildWorkers)
 	if h := cfg.traceHook(); h != nil {
 		store.SetTraceHook(h)
 	}
-	return &DB{store: store, db: sdb, buildWorkers: cfg.BuildWorkers}, nil
+	return &DB{store: store, db: sdb}, nil
 }
 
-// Close flushes and closes the database.
+// write opens dir on a build handle — cfg's device and pool, no vector
+// budget — runs fn on the writer of the named timetable version and closes
+// the handle, whose flush commits fn's tables with one rename. A failed fn
+// leaves the directory as it was.
+func write(dir, version string, cfg Config, fn func(*core.Writer) error) error {
+	dev, err := cfg.device()
+	if err != nil {
+		return err
+	}
+	sdb, err := sqldb.Open(dir, sqldb.Options{Device: dev, PoolPages: cfg.PoolPages})
+	if err != nil {
+		return err
+	}
+	w, err := core.NewWriter(sdb, cfg.BuildWorkers).Version(version)
+	if err == nil {
+		err = fn(w)
+	}
+	if cerr := sdb.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// AddTargetSet registers a named set of target stops (e.g. stops near
+// points of interest) under the timetable version of the database in dir
+// ("base" is the version Create loaded) and materializes its kNN and
+// one-to-many tables for k up to kmax. A handle opened on dir afterwards
+// answers queries on the set. A name the version already has is
+// ErrInvalidArgument.
+func AddTargetSet(dir, version, name string, targets []StopID, kmax int, cfg Config) error {
+	return write(dir, version, cfg, func(w *core.Writer) error { return w.AddTargetSet(name, targets, kmax) })
+}
+
+// AddVersion loads a second timetable (e.g. the weekend schedule) into the
+// database in dir as a named version with its own lout/lin tables — the
+// paper's Section 3.1 approach to period-dependent timetables. The network
+// must have the same stops.
+func AddVersion(dir, name string, tt *Network, cfg Config) error {
+	labels := ttl.BuildParallel(tt, order.ByNeighborDegree(tt), cfg.BuildWorkers).Augment()
+	return write(dir, core.BaseVersion, cfg, func(w *core.Writer) error { return w.AddVersion(name, labels) })
+}
+
+// BuildPathTables materializes the expanded journey of every label tuple of
+// a timetable version of the database in dir into paths_out/paths_in
+// tables, enabling JourneyFromDB. This implements the paper's Section 3.1
+// suggestion of storing expanded paths in the database instead of the TTL
+// pivot columns. The version's network must be supplied; expect
+// preprocessing-scale running time.
+func BuildPathTables(dir, version string, tt *Network, cfg Config) error {
+	return write(dir, version, cfg, func(w *core.Writer) error { return w.BuildPathTables(tt) })
+}
+
+// Close closes the database.
 func (d *DB) Close() error { return d.db.Close() }
 
 // EarliestArrival answers EA(s, g, t): the earliest arrival at g over
@@ -363,32 +419,10 @@ func (d *DB) ShortestDuration(s, g StopID, t, tEnd Time) (dur Time, ok bool, err
 	return d.store.ShortestDuration(s, g, t, tEnd)
 }
 
-// AddTargetSet registers a named set of target stops (e.g. stops near
-// points of interest) and materializes the kNN and one-to-many tables for k
-// up to kmax. This handle reads the new tables from their segments; a
-// handle opened on the directory afterwards admits them to the vector cache.
-func (d *DB) AddTargetSet(name string, targets []StopID, kmax int) error {
-	if err := d.store.AddTargetSet(name, targets, kmax); err != nil {
-		return err
-	}
-	return d.db.Flush()
-}
-
 // TargetSets lists the target sets registered under this DB's timetable
 // version.
 func (d *DB) TargetSets() map[string]core.TargetSetMeta {
 	return d.store.TargetSets()
-}
-
-// AddVersion loads a second timetable (e.g. the weekend schedule) as a named
-// version with its own lout/lin tables — the paper's Section 3.1 approach to
-// period-dependent timetables. The network must have the same stops.
-func (d *DB) AddVersion(name string, tt2 *Network) error {
-	labels := ttl.BuildParallel(tt2, order.ByNeighborDegree(tt2), d.buildWorkers).Augment()
-	if err := d.store.AddVersion(name, labels); err != nil {
-		return err
-	}
-	return d.db.Flush()
 }
 
 // Version returns a handle answering queries against the named timetable
@@ -399,23 +433,11 @@ func (d *DB) Version(name string) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DB{store: st, db: d.db, buildWorkers: d.buildWorkers}, nil
+	return &DB{store: st, db: d.db}, nil
 }
 
 // Versions lists the available timetable versions.
 func (d *DB) Versions() []string { return d.store.Versions() }
-
-// BuildPathTables materializes the expanded journey of every label tuple
-// into paths_out/paths_in tables, enabling JourneyFromDB. This implements
-// the paper's Section 3.1 suggestion of storing expanded paths in the
-// database instead of the TTL pivot columns. The original network must be
-// supplied; expect preprocessing-scale running time.
-func (d *DB) BuildPathTables(tt *Network) error {
-	if err := d.store.BuildPathTables(tt); err != nil {
-		return err
-	}
-	return d.db.Flush()
-}
 
 // JourneyFromDB answers EA(s, g, t) and reconstructs the itinerary's stop
 // and trip sequence entirely from database tables (one witness query plus at
@@ -460,8 +482,8 @@ func (d *DB) LDOTM(set string, q StopID, t Time) ([]Result, error) {
 	return d.store.LDOTM(set, q, t)
 }
 
-// DropCaches empties the buffer pool and forgets where the image (and every
-// segment the handle wrote) was last read, emulating the paper's OS cache drop before each experiment. The
+// DropCaches empties the buffer pool and forgets where the image was last
+// read, emulating the paper's OS cache drop before each experiment. The
 // resident vectors stay: Open decoded them, and a server restart is Close
 // and Open again. The error is always nil; the signature keeps the callers
 // that check it compiling.

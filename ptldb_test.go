@@ -1,27 +1,62 @@
 package ptldb
 
 import (
+	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"ptldb/internal/gtfs"
+	"ptldb/internal/timetable"
 )
 
-func buildSmallCity(t *testing.T) (*Network, *DB) {
+// createAndWrite creates the database of tt in dir on the RAM device,
+// closes the handle Create returns, runs each directory writer on dir and
+// returns dir opened with cfg: a handle that answers what the writers added.
+func createAndWrite(t testing.TB, dir string, tt *Network, cfg Config, writes ...func(dir string) error) *DB {
 	t.Helper()
+	db, err := Create(dir, tt, Config{Device: "ram"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, write := range writes {
+		if err := write(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if db, err = Open(dir, cfg); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// addPOI is the directory writer that adds the base version's target set
+// "poi" of targets, for k up to kmax.
+func addPOI(targets []StopID, kmax int) func(dir string) error {
+	return func(dir string) error { return AddTargetSet(dir, "base", "poi", targets, kmax, Config{Device: "ram"}) }
+}
+
+// addPaths is the directory writer that builds the base version's path
+// tables from tt.
+func addPaths(tt *Network) func(dir string) error {
+	return func(dir string) error { return BuildPathTables(dir, "base", tt, Config{Device: "ram"}) }
+}
+
+func TestFacadeEndToEnd(t *testing.T) {
 	tt, err := GenerateCity("Salt Lake City", 0.02, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := Create(t.TempDir(), tt, Config{Device: "ram"})
+	dir := t.TempDir()
+	db, err := Create(dir, tt, Config{Device: "ram"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
-	return tt, db
-}
-
-func TestFacadeEndToEnd(t *testing.T) {
-	tt, db := buildSmallCity(t)
 
 	// A couple of point queries at the start of service.
 	s, g := StopID(0), StopID(tt.NumStops()-1)
@@ -61,11 +96,20 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Errorf("EA from a stop past the last: err %v, want an invalid-argument error", err)
 	}
 
-	// Target sets and kNN.
+	// Target sets and kNN: the writer takes the directory, the handle open
+	// on it keeps its image, and a handle opened after the writer answers
+	// on the set.
 	targets := []StopID{1, 3, 5, 7, 11, 13}
-	if err := db.AddTargetSet("poi", targets, 4); err != nil {
+	if err := addPOI(targets, 4)(dir); err != nil {
 		t.Fatal(err)
 	}
+	if _, ok := db.TargetSets()["poi"]; ok {
+		t.Error("a handle opened before the writer lists its set")
+	}
+	if db, err = Open(dir, Config{Device: "ram"}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
 	if _, ok := db.TargetSets()["poi"]; !ok {
 		t.Error("target set not listed")
 	}
@@ -233,5 +277,26 @@ func TestLoadGTFS(t *testing.T) {
 	}
 	if _, _, err := LoadGTFS(t.TempDir()); err == nil {
 		t.Error("LoadGTFS of an empty directory succeeded")
+	}
+}
+
+// TestMissingDirectory: Open of a missing nested path fails and leaves no
+// path behind; Create into one makes it, and a target set added to it is
+// answered by a handle opened after.
+func TestMissingDirectory(t *testing.T) {
+	parent := filepath.Join(t.TempDir(), "missing")
+	dir := filepath.Join(parent, "db")
+	if db, err := Open(dir, Config{Device: "ram"}); err == nil {
+		db.Close()
+		t.Fatal("Open of a missing directory succeeded")
+	}
+	if _, err := os.Stat(parent); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("the failed Open left %s behind (%v)", parent, err)
+	}
+	db := createAndWrite(t, dir, timetable.PaperExample(), Config{Device: "ram"}, addPOI([]StopID{4, 6}, 2))
+	defer db.Close()
+	got, err := db.EAKNN("poi", 0, 36000, 1)
+	if err != nil || len(got) != 1 || got[0].Stop != 4 || got[0].When != 39600 {
+		t.Errorf("EA-kNN(0, {4, 6}, 360, 1) = %v, %v; want [(4, 396)]", got, err)
 	}
 }

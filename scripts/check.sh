@@ -171,6 +171,12 @@ if git grep -nE 'CreateTable|\.BulkLoad\(|func \(db \*DB\) release|db\.mu\b|[[:a
     echo "release, no catalog lock, no declared flag, no per-table loose flag (DESIGN.md §6)" >&2
     exit 1
 fi
+echo "== a handle reads or writes, never both (ptldb.go, internal/core)"
+if git grep -nE 'func \([[:alnum:]_]+ \*(DB|Store)\) (AddTargetSet|AddVersion|BuildPathTables|SetBuildWorkers)\(' -- ptldb.go 'internal/core/*.go' ':!*_test.go'; then
+    echo "ptldb.DB and core.Store only read, and are complete when Open returns: the writers are the directory" >&2
+    echo "functions ptldb.AddTargetSet / AddVersion / BuildPathTables and core.Writer (DESIGN.md §6)" >&2
+    exit 1
+fi
 echo "== go vet ./..."
 go vet ./...
 echo "== ptldb-analyze ./... (project lint)"

@@ -23,7 +23,7 @@ func vcacheDifferential(t *testing.T, tt *Network, targets []StopID) {
 	t.Helper()
 	dir := t.TempDir()
 
-	vdb := createWithTargetSet(t, dir, tt, targets)
+	vdb := createAndWrite(t, dir, tt, Config{Device: "ram"}, addPOI(targets, 4))
 	vectored := fusedBattery(t, vdb, tt)
 	if vc := vdb.Snapshot().VCache; vc == nil {
 		t.Error("default handle has no vector cache metrics")
@@ -56,27 +56,6 @@ func vcacheDifferential(t *testing.T, tt *Network, targets []StopID) {
 			t.Errorf("answer %d differs:\n  vcache:   %s\n  segments: %s", i, vectored[i], segmented[i])
 		}
 	}
-}
-
-// createWithTargetSet creates the database of tt in dir with the target set
-// "poi" and returns the directory reopened with the default vector cache.
-func createWithTargetSet(t *testing.T, dir string, tt *Network, targets []StopID) *DB {
-	t.Helper()
-	db, err := Create(dir, tt, Config{Device: "ram"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = db.AddTargetSet("poi", targets, 4)
-	if cerr := db.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db, err = Open(dir, Config{Device: "ram"}); err != nil {
-		t.Fatal(err)
-	}
-	return db
 }
 
 // TestVCacheMatchesSegmentsPaperExample runs the battery on the paper's
@@ -113,7 +92,7 @@ func TestVCacheConcurrentPartialAdmission(t *testing.T) {
 	}
 	dir := t.TempDir()
 	n := tt.NumStops()
-	db := createWithTargetSet(t, dir, tt, []StopID{StopID(1 % n), StopID(2 % n), StopID(5 % n), StopID(n - 1)})
+	db := createAndWrite(t, dir, tt, Config{Device: "ram"}, addPOI([]StopID{StopID(1 % n), StopID(2 % n), StopID(5 % n), StopID(n - 1)}, 4))
 
 	// Reference answers, computed single-threaded with an unconstrained
 	// cache; the same pass warms every table so ResidentBytes below is the
@@ -248,16 +227,8 @@ func TestCursorLookupsMatchAcrossTiers(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	db, err := Create(dir, tt, Config{Device: "ram"})
-	if err != nil {
-		t.Fatal(err)
-	}
 	n := tt.NumStops()
-	if err := db.AddTargetSet("poi", []StopID{StopID(1 % n), StopID(2 % n), StopID(5 % n), StopID(n - 1)}, 4); err != nil {
-		db.Close()
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
+	if err := createAndWrite(t, dir, tt, Config{Device: "ram"}, addPOI([]StopID{StopID(1 % n), StopID(2 % n), StopID(5 % n), StopID(n - 1)}, 4)).Close(); err != nil {
 		t.Fatal(err)
 	}
 	vdb, err := Open(dir, Config{Device: "ram"})

@@ -17,11 +17,11 @@ import (
 	"ptldb/internal/timetable"
 )
 
-// TestFailedWriterLeavesDirectory makes one loose segment of a writer call
-// unwritable — a directory stands at its path — and requires the call to
-// fail with that path named, Close to succeed, the directory to open again
-// and answer what CSA answers, and a retry of the same call on the reopened
-// directory to succeed and answer what CSA answers.
+// TestFailedWriterLeavesDirectory makes one loose segment of a directory
+// writer unwritable — a directory stands at its path — and requires the call
+// to fail with that path named, the directory to hold the image alone and to
+// open again and answer what CSA answers, and a retry of the same call to
+// succeed and a handle opened after it to answer what CSA answers.
 func TestFailedWriterLeavesDirectory(t *testing.T) {
 	tt, err := GenerateCity("Austin", 0.02, 3)
 	if err != nil {
@@ -51,11 +51,11 @@ func TestFailedWriterLeavesDirectory(t *testing.T) {
 	cases := []struct {
 		call    string
 		blocked string // the loose segment made unwritable
-		write   func(db *DB) error
+		write   func(dir string) error
 		check   func(t *testing.T, db *DB)
 	}{
 		{"AddTargetSet", "knn_ea_poi.loose",
-			func(db *DB) error { return db.AddTargetSet("poi", targets, 3) },
+			func(dir string) error { return AddTargetSet(dir, "base", "poi", targets, 3, Config{Device: "ram"}) },
 			func(t *testing.T, db *DB) {
 				q, when := StopID(0), tt.MinTime()+tt.Span()/3
 				got, err := db.EAKNN("poi", q, when, 3)
@@ -65,7 +65,7 @@ func TestFailedWriterLeavesDirectory(t *testing.T) {
 				checkNeighbors(t, "EA kNN", got, csa.EarliestArrivalKNN(tt, q, targets, when, 3))
 			}},
 		{"AddVersion", "lin__weekend.loose",
-			func(db *DB) error { return db.AddVersion("weekend", tt) },
+			func(dir string) error { return AddVersion(dir, "weekend", tt, Config{Device: "ram"}) },
 			func(t *testing.T, db *DB) {
 				we, err := db.Version("weekend")
 				if err != nil {
@@ -74,7 +74,7 @@ func TestFailedWriterLeavesDirectory(t *testing.T) {
 				eaMatchesCSA(t, "weekend", we)
 			}},
 		{"BuildPathTables", "paths_in.loose",
-			func(db *DB) error { return db.BuildPathTables(tt) },
+			addPaths(tt),
 			func(t *testing.T, db *DB) {
 				checked := 0
 				for s := 0; s < n && checked < 10; s++ {
@@ -102,35 +102,37 @@ func TestFailedWriterLeavesDirectory(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.call, func(t *testing.T) {
 			dir := t.TempDir()
-			db, err := Create(dir, tt, Config{Device: "ram"})
-			if err != nil {
+			if err := createAndWrite(t, dir, tt, Config{Device: "ram"}).Close(); err != nil {
 				t.Fatal(err)
 			}
 			blocked := filepath.Join(dir, tc.blocked)
 			if err := os.Mkdir(blocked, 0o755); err != nil {
 				t.Fatal(err)
 			}
-			if err := tc.write(db); err == nil || !strings.Contains(err.Error(), tc.blocked) {
-				db.Close()
+			if err := tc.write(dir); err == nil || !strings.Contains(err.Error(), tc.blocked) {
 				t.Fatalf("%s with %s unwritable: %v; want the error naming it", tc.call, tc.blocked, err)
 			}
 			if err := os.Remove(blocked); err != nil {
 				t.Fatal(err)
 			}
-			if err := db.Close(); err != nil {
-				t.Fatalf("Close after the failed %s: %v", tc.call, err)
-			}
 			requireOnlyImage(t, dir)
 
-			db, err = Open(dir, Config{Device: "ram"})
+			db, err := Open(dir, Config{Device: "ram"})
 			if err != nil {
 				t.Fatalf("Open after the failed %s: %v", tc.call, err)
 			}
-			defer db.Close()
 			eaMatchesCSA(t, "after the failed "+tc.call, db)
-			if err := tc.write(db); err != nil {
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.write(dir); err != nil {
 				t.Fatalf("retrying %s: %v", tc.call, err)
 			}
+			requireOnlyImage(t, dir)
+			if db, err = Open(dir, Config{Device: "ram"}); err != nil {
+				t.Fatalf("Open after the retried %s: %v", tc.call, err)
+			}
+			defer db.Close()
 			tc.check(t, db)
 			eaMatchesCSA(t, "after the retried "+tc.call, db)
 		})
@@ -151,14 +153,7 @@ func TestCreateRefusesBuiltDirectory(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	db, err := Create(dir, tt, Config{Device: "ram"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.BuildPathTables(tt); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
+	if err := createAndWrite(t, dir, tt, Config{Device: "ram"}, addPaths(tt)).Close(); err != nil {
 		t.Fatal(err)
 	}
 	snapshot := func() map[string]string {
@@ -194,7 +189,7 @@ func TestCreateRefusesBuiltDirectory(t *testing.T) {
 		}
 	}
 
-	db, err = Open(dir, Config{Device: "ram"})
+	db, err := Open(dir, Config{Device: "ram"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,20 +221,18 @@ func TestCreateRefusesBuiltDirectory(t *testing.T) {
 // page of its segment, so a target set whose name makes its tables'
 // definitions longer than that page is refused by Load — the error names the
 // table, no file is created for it, the directory stays the image it was and
-// the handle keeps the sets it had.
+// a handle opened on it has the sets it had.
 func TestOverlongDefinitionRefused(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Create(dir, timetable.PaperExample(), Config{Device: "ram"})
-	if err != nil {
+	if err := createAndWrite(t, dir, timetable.PaperExample(), Config{Device: "ram"}).Close(); err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
 	built, err := os.ReadFile(filepath.Join(dir, sqldb.ImageName))
 	if err != nil {
 		t.Fatal(err)
 	}
 	name := strings.Repeat("p", storage.PageSize)
-	err = db.AddTargetSet(name, []StopID{4, 6}, 2)
+	err = AddTargetSet(dir, "base", name, []StopID{4, 6}, 2, Config{Device: "ram"})
 	if err == nil || !strings.Contains(err.Error(), "overflow the header page") || !strings.Contains(err.Error(), "_"+name+".loose") {
 		t.Fatalf("AddTargetSet with a %d-byte name: %v; want the header overflow, naming the table", len(name), err)
 	}
@@ -247,10 +240,15 @@ func TestOverlongDefinitionRefused(t *testing.T) {
 	if now, err := os.ReadFile(filepath.Join(dir, sqldb.ImageName)); err != nil || !bytes.Equal(now, built) {
 		t.Errorf("the refused set changed the image (%v)", err)
 	}
+	db, err := Open(dir, Config{Device: "ram"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
 	if sets := db.TargetSets(); len(sets) != 0 {
 		t.Errorf("the refused set left the sets %v", sets)
 	}
-	if err := db.AddTargetSet("poi", []StopID{4, 6}, 2); err != nil {
+	if err := AddTargetSet(dir, "base", "poi", []StopID{4, 6}, 2, Config{Device: "ram"}); err != nil {
 		t.Fatalf("a set of a short name after the refused one: %v", err)
 	}
 }
