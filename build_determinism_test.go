@@ -2,6 +2,7 @@ package ptldb
 
 import (
 	"bytes"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"ptldb/internal/sqldb"
+	"ptldb/internal/timetable"
 )
 
 // dirImage reads every file under dir into a name -> content map.
@@ -110,5 +112,34 @@ func TestBuildWorkersDiskImageIdentical(t *testing.T) {
 					workers, name, len(g), len(want[name]))
 			}
 		}
+	}
+}
+
+// TestImagePinned pins the image of the paper's example network — Create,
+// a target set and the path tables, so every builder of an array column
+// (labels, the five target-set tables, paths) — by its length and an FNV-1a
+// digest of its bytes. The segment codec writes an array element as a
+// varint, which carries no width, so the in-memory type of an element does
+// not reach the file: a change that moves a byte here changed the format,
+// and one that does so on purpose updates both numbers and says why.
+func TestImagePinned(t *testing.T) {
+	const (
+		wantBytes  = 270336
+		wantDigest = 0xd921bc6fd36455de
+	)
+	tt := timetable.PaperExample()
+	dir := t.TempDir()
+	db := createAndWrite(t, dir, tt, Config{Device: "ram"}, addPOI([]StopID{4, 6}, 2), addPaths(tt))
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	img, err := os.ReadFile(filepath.Join(dir, sqldb.ImageName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(img)
+	if len(img) != wantBytes || h.Sum64() != wantDigest {
+		t.Errorf("image of the paper's example: %d bytes, digest %#x; want %d, %#x", len(img), h.Sum64(), wantBytes, uint64(wantDigest))
 	}
 }

@@ -192,15 +192,15 @@ func TestVectorSizeMatchesPrediction(t *testing.T) {
 				continue // a table with a DOUBLE or TEXT column has no vectors
 			}
 			tbl, _ := sdb.Table(name)
-			// 16·rows + 8·(scalar values + elements) + 4·(rows·arrays + 1).
-			rows, values, arrays := int64(0), int64(0), int64(0)
+			// 16·rows + 8·scalar values + 4·elements + 4·(rows·arrays + 1).
+			rows, scalars, elems, arrays := int64(0), int64(0), int64(0), int64(0)
 			err := tbl.Scan(func(r sqltypes.Row) error {
 				rows++
 				for _, v := range r {
 					if v.T == sqltypes.Int64 {
-						values++
+						scalars++
 					} else {
-						values += int64(len(v.A))
+						elems += int64(len(v.A))
 					}
 				}
 				return nil
@@ -213,7 +213,7 @@ func TestVectorSizeMatchesPrediction(t *testing.T) {
 					arrays++
 				}
 			}
-			sizes = append(sizes, 16*rows+8*values+4*(rows*arrays+1))
+			sizes = append(sizes, 16*rows+8*scalars+4*elems+4*(rows*arrays+1))
 		}
 		if err := db.Close(); err != nil {
 			t.Fatal(err)

@@ -229,12 +229,12 @@ func (w *Workspace) AblationLayout() (*Table, error) {
 	}
 	for v := 0; v < labels.NumStops(); v++ {
 		lab := labels.Out[v]
-		hubs := make([]int64, len(lab))
-		tds := make([]int64, len(lab))
-		tas := make([]int64, len(lab))
+		hubs := make([]int32, len(lab))
+		tds := make([]int32, len(lab))
+		tas := make([]int32, len(lab))
 		for i, tup := range lab {
-			hubs[i], tds[i], tas[i] = int64(tup.Hub), int64(tup.Dep), int64(tup.Arr)
-			small := sqltypes.Row{sqltypes.NewInt(hubs[i]), sqltypes.NewInt(tds[i]), sqltypes.NewInt(tas[i])}
+			hubs[i], tds[i], tas[i] = int32(tup.Hub), int32(tup.Dep), int32(tup.Arr)
+			small := sqltypes.Row{sqltypes.NewInt(int64(tup.Hub)), sqltypes.NewInt(int64(tup.Dep)), sqltypes.NewInt(int64(tup.Arr))}
 			if err := add(&flat, storage.Key{int64(v), int64(i)}, small); err != nil {
 				return nil, err
 			}

@@ -209,17 +209,17 @@ func bestPerTargetEA(ts []targetTuple, k int) []Result {
 }
 
 func targetIDs(rs []Result) sqltypes.Value {
-	a := make([]int64, len(rs))
+	a := make([]int32, len(rs))
 	for i, r := range rs {
-		a[i] = int64(r.Stop)
+		a[i] = int32(r.Stop)
 	}
 	return sqltypes.NewIntArray(a)
 }
 
 func arrivalTimes(rs []Result) sqltypes.Value {
-	a := make([]int64, len(rs))
+	a := make([]int32, len(rs))
 	for i, r := range rs {
-		a[i] = int64(r.When)
+		a[i] = int32(r.When)
 	}
 	return sqltypes.NewIntArray(a)
 }
@@ -432,9 +432,9 @@ func topKLD(best map[timetable.StopID]timetable.Time, k int) []Result {
 }
 
 func expColumn(ts []targetTuple, get func(targetTuple) timetable.Time) sqltypes.Value {
-	a := make([]int64, len(ts))
+	a := make([]int32, len(ts))
 	for i, t := range ts {
-		a[i] = int64(get(t))
+		a[i] = int32(get(t))
 	}
 	return sqltypes.NewIntArray(a)
 }

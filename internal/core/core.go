@@ -319,11 +319,11 @@ func labelLoads(suffix string, labels *ttl.Labels) []sqldb.TableLoad {
 func labelRows(side [][]ttl.Tuple) []sqltypes.Row {
 	rows := make([]sqltypes.Row, len(side))
 	for v, label := range side {
-		hubs := make([]int64, len(label))
-		tds := make([]int64, len(label))
-		tas := make([]int64, len(label))
+		hubs := make([]int32, len(label))
+		tds := make([]int32, len(label))
+		tas := make([]int32, len(label))
 		for i, t := range label {
-			hubs[i], tds[i], tas[i] = int64(t.Hub), int64(t.Dep), int64(t.Arr)
+			hubs[i], tds[i], tas[i] = int32(t.Hub), int32(t.Dep), int32(t.Arr)
 		}
 		rows[v] = sqltypes.Row{
 			sqltypes.NewInt(int64(v)),

@@ -88,15 +88,16 @@ func (w *Writer) BuildPathTables(tt *timetable.Timetable) error {
 		err = lout.Scan(func(row sqltypes.Row) error {
 			v := timetable.StopID(row[0].I)
 			hubs, tds, tas := row[1].A, row[2].A, row[3].A
-			byDep := map[int64][]int{}
+			byDep := map[timetable.Time][]int{}
 			for i := range hubs {
 				if tds[i] == tas[i] { // dummy tuple
 					continue
 				}
-				byDep[tds[i]] = append(byDep[tds[i]], i)
+				dep := timetable.Time(tds[i])
+				byDep[dep] = append(byDep[dep], i)
 			}
 			for dep, idxs := range byDep {
-				tree := csa.EarliestArrivalTree(tt, v, timetable.Time(dep))
+				tree := csa.EarliestArrivalTree(tt, v, dep)
 				for _, i := range idxs {
 					hub := timetable.StopID(hubs[i])
 					if tree.Arr[hub] != timetable.Time(tas[i]) {
@@ -105,7 +106,7 @@ func (w *Writer) BuildPathTables(tt *timetable.Timetable) error {
 					}
 					stops, trips := pathColumns(v, tree.Journey(tt, hub))
 					rows = append(rows, sqltypes.Row{
-						sqltypes.NewInt(packVHub(v, hub)), sqltypes.NewInt(dep),
+						sqltypes.NewInt(packVHub(v, hub)), sqltypes.NewInt(int64(dep)),
 						sqltypes.NewIntArray(stops), sqltypes.NewIntArray(trips),
 					})
 				}
@@ -119,9 +120,9 @@ func (w *Writer) BuildPathTables(tt *timetable.Timetable) error {
 	pathsIn := func() (rows []sqltypes.Row, err error) {
 		type dest struct {
 			v  timetable.StopID
-			ta int64
+			ta timetable.Time
 		}
-		byHubDep := map[[2]int64][]dest{}
+		byHubDep := map[[2]int32][]dest{}
 		err = lin.Scan(func(row sqltypes.Row) error {
 			v := timetable.StopID(row[0].I)
 			hubs, tds, tas := row[1].A, row[2].A, row[3].A
@@ -129,8 +130,8 @@ func (w *Writer) BuildPathTables(tt *timetable.Timetable) error {
 				if tds[i] == tas[i] {
 					continue
 				}
-				k := [2]int64{hubs[i], tds[i]}
-				byHubDep[k] = append(byHubDep[k], dest{v: v, ta: tas[i]})
+				k := [2]int32{hubs[i], tds[i]}
+				byHubDep[k] = append(byHubDep[k], dest{v: v, ta: timetable.Time(tas[i])})
 			}
 			return nil
 		})
@@ -138,16 +139,16 @@ func (w *Writer) BuildPathTables(tt *timetable.Timetable) error {
 			return nil, err
 		}
 		for k, dests := range byHubDep {
-			hub, dep := timetable.StopID(k[0]), k[1]
-			tree := csa.EarliestArrivalTree(tt, hub, timetable.Time(dep))
+			hub, dep := timetable.StopID(k[0]), timetable.Time(k[1])
+			tree := csa.EarliestArrivalTree(tt, hub, dep)
 			for _, d := range dests {
-				if tree.Arr[d.v] != timetable.Time(d.ta) {
+				if tree.Arr[d.v] != d.ta {
 					return nil, fmt.Errorf("core: path expansion mismatch for %d->%d@%d: scan %v, label %d",
 						hub, d.v, dep, tree.Arr[d.v], d.ta)
 				}
 				stops, trips := pathColumns(hub, tree.Journey(tt, d.v))
 				rows = append(rows, sqltypes.Row{
-					sqltypes.NewInt(packVHub(d.v, hub)), sqltypes.NewInt(dep),
+					sqltypes.NewInt(packVHub(d.v, hub)), sqltypes.NewInt(int64(dep)),
 					sqltypes.NewIntArray(stops), sqltypes.NewIntArray(trips),
 				})
 			}
@@ -168,12 +169,12 @@ func (s *Store) HasPathTables() bool {
 
 // pathColumns returns a journey's stop sequence (src first) and the trip of
 // each leg, the stops and trips columns of its path row.
-func pathColumns(src timetable.StopID, legs []timetable.Connection) (stops, trips []int64) {
-	stops = append(make([]int64, 0, len(legs)+1), int64(src))
-	trips = make([]int64, 0, len(legs))
+func pathColumns(src timetable.StopID, legs []timetable.Connection) (stops, trips []int32) {
+	stops = append(make([]int32, 0, len(legs)+1), int32(src))
+	trips = make([]int32, 0, len(legs))
 	for _, c := range legs {
-		stops = append(stops, int64(c.To))
-		trips = append(trips, int64(c.Trip))
+		stops = append(stops, int32(c.To))
+		trips = append(trips, int32(c.Trip))
 	}
 	return stops, trips
 }

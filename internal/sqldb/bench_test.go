@@ -66,9 +66,9 @@ func BenchmarkUnnestJoinAggregate(b *testing.B) {
 	db := benchDB(b)
 	for _, name := range []string{"lo", "li"} {
 		// 1000-tuple label: 50 hubs x 20 departures.
-		var hubs, tds, tas []int64
-		for h := int64(0); h < 50; h++ {
-			for d := int64(0); d < 20; d++ {
+		var hubs, tds, tas []int32
+		for h := int32(0); h < 50; h++ {
+			for d := int32(0); d < 20; d++ {
 				hubs = append(hubs, h)
 				tds = append(tds, 30000+d*600)
 				tas = append(tas, 30000+d*600+900)

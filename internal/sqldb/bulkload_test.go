@@ -160,8 +160,8 @@ func TestBulkLoadReplacesTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	def := mkTable("lab", []string{"k"}, "k", "xs:arr")
-	row := func(k, x int64) sqltypes.Row {
-		return sqltypes.Row{sqltypes.NewInt(k), sqltypes.NewIntArray([]int64{x, x * 2})}
+	row := func(k int64, x int32) sqltypes.Row {
+		return sqltypes.Row{sqltypes.NewInt(k), sqltypes.NewIntArray([]int32{x, x * 2})}
 	}
 	load(t, db, def, row(1, 1), row(2, 2), row(3, 3))
 	db = reopen(t, db, Options{Device: storage.RAM, PoolPages: 256, VectorCacheBytes: 1 << 20})
@@ -220,7 +220,7 @@ func TestWrittenTableReadsSegmentUntilOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"lout", "lin"} {
-		load(t, db, labelDef(name, "hubs", "tds", "tas"), labelRow(1, []int64{7}, []int64{10}, []int64{10}), labelRow(2, []int64{7}, []int64{20}, []int64{20}))
+		load(t, db, labelDef(name, "hubs", "tds", "tas"), labelRow(1, []int32{7}, []int32{10}, []int32{10}), labelRow(2, []int32{7}, []int32{20}, []int32{20}))
 	}
 	// eaIs runs EA(1, 1, 0) on st and wants the arrival want, -1 for none.
 	eaIs := func(st *Stmt, want int64) {
@@ -265,7 +265,7 @@ func TestWrittenTableReadsSegmentUntilOpen(t *testing.T) {
 		t.Fatalf("reopened: lout resident %v, vcache = %+v; want both tables admitted and hit", lout.Resident(), *vc)
 	}
 	// Stop 1's new label leaves at 15, after lin's tuple: no journey.
-	replaced := load(t, db, lout.Def(), labelRow(1, []int64{7}, []int64{15}, []int64{15}))
+	replaced := load(t, db, lout.Def(), labelRow(1, []int32{7}, []int32{15}, []int32{15}))
 	after := db.Registry().Snapshot().VCache
 	if replaced.Resident() || after.ResidentBytes != vc.ResidentBytes-lout.vc.Bytes {
 		t.Errorf("replaced lout: new table resident %v, %d resident bytes, %d before; want the old vectors gone from the count",

@@ -32,9 +32,9 @@ var awkwardTables = []struct {
 		var rows []sqltypes.Row
 		for i := int64(0); i < 2000; i++ {
 			n := int(i % 37)
-			a, b, c := make([]int64, n), make([]int64, n), make([]int64, n)
+			a, b, c := make([]int32, n), make([]int32, n), make([]int32, n)
 			for j := range a {
-				a[j], b[j], c[j] = int64(j)*3, 20000+i*int64(j), 90000-int64(j)*400
+				a[j], b[j], c[j] = int32(j)*3, 20000+int32(i)*int32(j), 90000-int32(j)*400
 			}
 			rows = append(rows, sqltypes.Row{sqltypes.NewInt(i), sqltypes.NewIntArray(a), sqltypes.NewIntArray(b), sqltypes.NewIntArray(c)})
 		}
@@ -43,7 +43,7 @@ var awkwardTables = []struct {
 	{"empty_arrays", []string{"k"}, []string{"k", "xs:arr", "ys:arr"}, func() []sqltypes.Row {
 		var rows []sqltypes.Row
 		for i := int64(0); i < 300; i++ {
-			rows = append(rows, sqltypes.Row{sqltypes.NewInt(i), sqltypes.NewIntArray(nil), sqltypes.NewIntArray([]int64{})})
+			rows = append(rows, sqltypes.Row{sqltypes.NewInt(i), sqltypes.NewIntArray(nil), sqltypes.NewIntArray([]int32{})})
 		}
 		return rows
 	}},
@@ -51,7 +51,7 @@ var awkwardTables = []struct {
 		var rows []sqltypes.Row
 		for i := int64(-50); i < 50; i++ {
 			rows = append(rows, sqltypes.Row{sqltypes.NewInt(i), sqltypes.NewInt(math.MinInt64 + i + 50),
-				sqltypes.NewIntArray([]int64{math.MaxInt64, math.MinInt64, 0, -1, i << 40, -(i << 20)})})
+				sqltypes.NewIntArray([]int32{math.MaxInt32, math.MinInt32, 0, -1, int32(i) << 24, -(int32(i) << 20)})})
 		}
 		return rows
 	}},
@@ -67,7 +67,7 @@ var awkwardTables = []struct {
 		for b := int64(0); b < 24; b++ {
 			for h := int64(0); h < 40; h += 1 + b%3 {
 				rows = append(rows, sqltypes.Row{sqltypes.NewInt(b), sqltypes.NewInt(h),
-					sqltypes.NewIntArray([]int64{h, h + 1}), sqltypes.NewIntArray([]int64{b * 3600})})
+					sqltypes.NewIntArray([]int32{int32(h), int32(h) + 1}), sqltypes.NewIntArray([]int32{int32(b) * 3600})})
 			}
 		}
 		return rows
@@ -93,26 +93,26 @@ func buildAwkwardDB(t *testing.T, dir string) {
 }
 
 // rowVectorBytes works a table's vector size out from its rows alone:
-// 16·rows + 8·(scalar values + elements) + 4·(rows·arrays + 1).
+// 16·rows + 8·scalar values + 4·elements + 4·(rows·arrays + 1).
 func rowVectorBytes(types []sqltypes.Type, rows []sqltypes.Row) int64 {
-	n, values, arrays := int64(len(rows)), int64(0), int64(0)
+	n, scalars, elems, arrays := int64(len(rows)), int64(0), int64(0), int64(0)
 	for ci, typ := range types {
 		if typ == sqltypes.Int64 {
-			values += n
+			scalars += n
 			continue
 		}
 		arrays++
 		for _, r := range rows {
-			values += int64(len(r[ci].A))
+			elems += int64(len(r[ci].A))
 		}
 	}
-	return 16*n + 8*values + 4*(n*arrays+1)
+	return 16*n + 8*scalars + 4*elems + 4*(n*arrays+1)
 }
 
 // TestVectorSizePrediction: for every awkward table the size predicted from
 // the varint count, the size worked out from the rows, Mat.Bytes and the
 // bytes actually allocated all agree, and decode allocates per column, not
-// per row. The prediction holds for all-BIGINT/BIGINT[] tables only, so a
+// per row. The prediction holds for all-BIGINT/INT[] tables only, so a
 // table with a DOUBLE or TEXT column is never registered with the cache.
 func TestVectorSizePrediction(t *testing.T) {
 	dir := t.TempDir()
@@ -129,7 +129,7 @@ func TestVectorSizePrediction(t *testing.T) {
 			row = append(row, map[sqltypes.Type]sqltypes.Value{
 				sqltypes.Float64:  sqltypes.NewFloat(30.25),
 				sqltypes.Text:     sqltypes.NewText("Congress Ave"),
-				sqltypes.IntArray: sqltypes.NewIntArray([]int64{1, 2, 3}),
+				sqltypes.IntArray: sqltypes.NewIntArray([]int32{1, 2, 3}),
 			}[c.Type])
 		}
 		before := db.Registry().VCache.Snapshot()
@@ -155,7 +155,7 @@ func TestVectorSizePrediction(t *testing.T) {
 		m := sf.vc // what Open decoded
 		// The scalar columns own a vector each; the array columns share
 		// Elems and Starts, counted once.
-		allocated := int64(cap(m.Keys))*16 + 8*int64(cap(m.Elems)) + 4*int64(cap(m.Starts))
+		allocated := int64(cap(m.Keys))*16 + 4*int64(cap(m.Elems)) + 4*int64(cap(m.Starts))
 		if len(m.Elems) != cap(m.Elems) || len(m.Starts) != cap(m.Starts) {
 			t.Errorf("%s: shared vectors have slack: elems %d/%d, starts %d/%d", spec.name,
 				len(m.Elems), cap(m.Elems), len(m.Starts), cap(m.Starts))
@@ -476,7 +476,7 @@ func TestDropCachesForgetsReadPosition(t *testing.T) {
 	defer db.Close()
 	var rows []sqltypes.Row
 	for i := int64(0); i < 8; i++ { // key byte + two length bytes + one byte per zero: exactly one page per row
-		rows = append(rows, sqltypes.Row{sqltypes.NewInt(i), sqltypes.NewIntArray(make([]int64, storage.PageSize-3))})
+		rows = append(rows, sqltypes.Row{sqltypes.NewInt(i), sqltypes.NewIntArray(make([]int32, storage.PageSize-3))})
 	}
 	tbl := load(t, db, mkTable("wide", []string{"k"}, "k", "xs:arr"), rows...)
 	for _, k := range []int64{3, 4, 5} {
@@ -497,8 +497,8 @@ func TestDropCachesForgetsReadPosition(t *testing.T) {
 // what the table's open decoded, like its key directory.
 func TestDropCachesKeepsVectors(t *testing.T) {
 	db := newTestDB(t)
-	load(t, db, mkTable("lab", []string{"k"}, "k", "xs:arr"), sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewIntArray([]int64{1, 2})},
-		sqltypes.Row{sqltypes.NewInt(2), sqltypes.NewIntArray([]int64{3})})
+	load(t, db, mkTable("lab", []string{"k"}, "k", "xs:arr"), sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewIntArray([]int32{1, 2})},
+		sqltypes.Row{sqltypes.NewInt(2), sqltypes.NewIntArray([]int32{3})})
 	db = reopen(t, db, Options{Device: storage.RAM, PoolPages: 256, VectorCacheBytes: 1 << 20})
 	tbl, _ := db.Table("lab")
 	vc := db.Registry().VCache

@@ -36,10 +36,10 @@ type ColumnDef struct {
 }
 
 // TableDef declares a table: columns plus a primary key of one or two
-// integer columns. RunOrder, when set, names three BIGINT[] columns (g, a, b)
+// integer columns. RunOrder, when set, names three INT[] columns (g, a, b)
 // and declares that in every row the three arrays have equal length, g is
 // non-decreasing, and within a run of equal g both a and b are non-decreasing.
-// TargetIDs, when set, names BIGINT[] columns and declares that every element
+// TargetIDs, when set, names INT[] columns and declares that every element
 // of them in every row is an id in [0, Bound) and, when Count is positive, that
 // the rows hold at most Count distinct ids. Floor, when set, declares that
 // every element of its columns in every row is at least the row's Key value
@@ -66,7 +66,7 @@ type TargetIDs struct {
 }
 
 // Floor is TableDef's declaration of a lower bound that moves with a key: Key
-// is a BIGINT column, Width is at least 1, and every element of the BIGINT[]
+// is a BIGINT column, Width is at least 1, and every element of the INT[]
 // Columns is >= Key × Width in its row (a condensed EA table: no arrival of a
 // row's arms is earlier than the start of its departure bucket).
 type Floor struct {

@@ -196,7 +196,7 @@ func TestInsertValidationAndLookup(t *testing.T) {
 	db := newTestDB(t)
 	def := mkTable("t", []string{"id"}, "id", "xs:arr", "name:text", "w:float")
 	row := func(id int64) sqltypes.Row {
-		return sqltypes.Row{sqltypes.NewInt(id), sqltypes.NewIntArray([]int64{10, 20}), sqltypes.NewText("one"), sqltypes.NewFloat(0.5)}
+		return sqltypes.Row{sqltypes.NewInt(id), sqltypes.NewIntArray([]int32{10, 20}), sqltypes.NewText("one"), sqltypes.NewFloat(0.5)}
 	}
 	if _, err := tryLoad(db, def, row(1), row(1)); err == nil {
 		t.Error("duplicate PK accepted")
@@ -238,7 +238,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	}
 	var rows []sqltypes.Row
 	for i := int64(0); i < 500; i++ {
-		rows = append(rows, sqltypes.Row{sqltypes.NewInt(i), sqltypes.NewIntArray([]int64{i, i * 2})})
+		rows = append(rows, sqltypes.Row{sqltypes.NewInt(i), sqltypes.NewIntArray([]int32{int32(i), int32(i) * 2})})
 	}
 	load(t, db, mkTable("kv", []string{"k"}, "k", "v:arr"), rows...)
 	if err := db.Close(); err != nil {
@@ -347,7 +347,7 @@ func TestUnnestParallel(t *testing.T) {
 	db := newTestDB(t)
 	tbl := mkTable("lab", []string{"v"}, "v", "hubs:arr", "tds:arr")
 	load(t, db, tbl, sqltypes.Row{sqltypes.NewInt(1),
-		sqltypes.NewIntArray([]int64{10, 20, 30}), sqltypes.NewIntArray([]int64{100, 200, 300})})
+		sqltypes.NewIntArray([]int32{10, 20, 30}), sqltypes.NewIntArray([]int32{100, 200, 300})})
 	got := queryInts(t, db, "SELECT v, UNNEST(hubs) AS h, UNNEST(tds) AS d FROM lab WHERE v=1")
 	eqRows(t, got, [][]int64{{1, 10, 100}, {1, 20, 200}, {1, 30, 300}})
 	// Slices clamp like PostgreSQL.
@@ -440,7 +440,7 @@ func TestThreeValuedLogicAndNulls(t *testing.T) {
 func TestQueryErrors(t *testing.T) {
 	db := newTestDB(t)
 	tbl := mkTable("t", []string{"a"}, "a", "xs:arr")
-	load(t, db, tbl, sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewIntArray([]int64{1})})
+	load(t, db, tbl, sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewIntArray([]int32{1})})
 	for _, q := range []string{
 		"SELECT nope FROM t",
 		"SELECT a FROM missing",
@@ -466,18 +466,18 @@ func TestPaperCode1OnExampleData(t *testing.T) {
 	lin := mkTable("lin", []string{"v"}, "v", "hubs:arr", "tds:arr", "tas:arr")
 
 	// From Table 1 of the paper (times in 100 s units), stops 0, 1 and 4.
-	label := func(v int64, hubs, tds, tas []int64) sqltypes.Row {
+	label := func(v int64, hubs, tds, tas []int32) sqltypes.Row {
 		return sqltypes.Row{sqltypes.NewInt(v),
 			sqltypes.NewIntArray(hubs), sqltypes.NewIntArray(tds), sqltypes.NewIntArray(tas)}
 	}
 	load(t, db, lout,
-		label(0, []int64{0}, []int64{360}, []int64{360}),
-		label(1, []int64{0, 1, 1}, []int64{324, 324, 396}, []int64{360, 324, 396}),
-		label(4, []int64{0, 4}, []int64{324, 396}, []int64{360, 396}))
+		label(0, []int32{0}, []int32{360}, []int32{360}),
+		label(1, []int32{0, 1, 1}, []int32{324, 324, 396}, []int32{360, 324, 396}),
+		label(4, []int32{0, 4}, []int32{324, 396}, []int32{360, 396}))
 	load(t, db, lin,
-		label(0, []int64{0}, []int64{360}, []int64{360}),
-		label(1, []int64{0, 1, 1}, []int64{360, 324, 396}, []int64{396, 324, 396}),
-		label(4, []int64{0, 4}, []int64{360, 396}, []int64{396, 396}))
+		label(0, []int32{0}, []int32{360}, []int32{360}),
+		label(1, []int32{0, 1, 1}, []int32{360, 324, 396}, []int32{396, 324, 396}),
+		label(4, []int32{0, 4}, []int32{360, 396}, []int32{396, 396}))
 
 	const code1EA = `
 WITH outp AS

@@ -49,11 +49,11 @@ type Table interface {
 	// The declarations below are vouched for by the table (sqldb validates
 	// every row it writes); the fused executor trusts them without looking.
 
-	// RunOrder returns the positions of three BIGINT[] columns (g, a, b), or
+	// RunOrder returns the positions of three INT[] columns (g, a, b), or
 	// nil: in every stored row the arrays have equal length, g is
 	// non-decreasing, and within equal g both a and b are non-decreasing.
 	RunOrder() []int
-	// TargetBound returns the positions of the BIGINT[] columns that hold
+	// TargetBound returns the positions of the INT[] columns that hold
 	// target ids, their exclusive bound and a count, or nil, 0 and 0: every
 	// element of those columns in every stored row is in [0, bound), and when
 	// count is positive the stored rows hold at most count distinct ids. The
@@ -61,7 +61,7 @@ type Table interface {
 	// one-to-many kernel stops its sweep by the count.
 	TargetBound() (cols []int, bound, count int)
 	// Floor returns the position of a BIGINT key column, a width >= 1 and the
-	// positions of BIGINT[] columns, or -1, 0 and nil: every element of those
+	// positions of INT[] columns, or -1, 0 and nil: every element of those
 	// columns in every stored row is at least the row's key times the width.
 	// The EA kNN and one-to-many kernels stop their sweep by it.
 	Floor() (key int, width int64, cols []int)
@@ -73,7 +73,7 @@ type Table interface {
 type RowScratch struct {
 	Buf   []byte       // encoded-row payload buffer
 	Row   sqltypes.Row // decoded value headers
-	Arena []int64      // backing store for decoded BIGINT[] values
+	Arena []int32      // backing store for decoded INT[] values
 	// Pos is where the last LookupPKScratch through this scratch ended in its
 	// table's key directory — the row found, or the insertion point of a miss.
 	// The next lookup starts its search there. It is a hint the search

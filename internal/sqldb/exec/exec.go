@@ -505,7 +505,7 @@ func (r *runner) evalUnnest(items []sql.SelectItem, input *Relation) (*Relation,
 
 	out := &Relation{Schema: itemSchema(items)}
 	merged := uint64(0) // rows produced by UNNEST expansion
-	arrays := make([][]int64, len(items))
+	arrays := make([][]int32, len(items))
 	arrayNull := make([]bool, len(items))
 	scalars := make(sqltypes.Row, len(items))
 	for _, row := range input.Rows {
@@ -542,7 +542,7 @@ func (r *runner) evalUnnest(items []sql.SelectItem, input *Relation) (*Relation,
 			for i := range items {
 				if unnest[i] != nil {
 					if !arrayNull[i] && j < len(arrays[i]) {
-						orow[i] = sqltypes.NewInt(arrays[i][j])
+						orow[i] = sqltypes.NewInt(int64(arrays[i][j])) // an element widens to BIGINT
 					} else {
 						orow[i] = sqltypes.Null
 					}

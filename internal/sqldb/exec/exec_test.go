@@ -214,7 +214,7 @@ func TestArithmeticTyping(t *testing.T) {
 // errors (TestParseRejectsOutsideDialect).
 func TestScalarFunctions(t *testing.T) {
 	cat := memCatalog{"arrs": {cols: []string{"xs"}, rows: []sqltypes.Row{
-		{sqltypes.NewIntArray([]int64{5, 1, 9})},
+		{sqltypes.NewIntArray([]int32{5, 1, 9})},
 	}}}
 	rel := run(t, cat, "SELECT FLOOR(2.9), FLOOR(7), FLOOR(0 - 7/2.0) FROM arrs")
 	for i, want := range []int64{2, 7, -4} {
@@ -333,7 +333,7 @@ func TestSumAvgAggregates(t *testing.T) {
 
 func TestOrderByAliasAfterUnnest(t *testing.T) {
 	cat := memCatalog{"arrs": {cols: []string{"xs"}, rows: []sqltypes.Row{
-		{sqltypes.NewIntArray([]int64{5, 1, 9})},
+		{sqltypes.NewIntArray([]int32{5, 1, 9})},
 	}}}
 	// After UNNEST, ORDER BY must reference output columns (by alias).
 	rel := run(t, cat, "SELECT UNNEST(xs) AS x FROM arrs ORDER BY x DESC")
@@ -477,7 +477,7 @@ func TestStarExpansionVariants(t *testing.T) {
 // and "-" and "/" compute in doubles as soon as one side is one.
 func TestNegateAndFloatPaths(t *testing.T) {
 	cat := memCatalog{"arrs": {cols: []string{"xs"}, rows: []sqltypes.Row{
-		{sqltypes.NewIntArray([]int64{5, 1, 9})},
+		{sqltypes.NewIntArray([]int32{5, 1, 9})},
 	}}}
 	rel := run(t, cat, "SELECT 0 - 2.5, 0 - 1 - 1, 5 / 2.0, 1 - 0.5 FROM arrs")
 	if r := rel.Rows[0]; r[0].F != -2.5 || r[1].I != -2 || r[2].F != 2.5 || r[3].F != 0.5 {

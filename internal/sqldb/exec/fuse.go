@@ -5,7 +5,7 @@ package exec
 // same syntax tree, identifiers compared case-insensitively, with a table
 // name in each table hole and a positive integral width in the bucket hole —
 // and compiles into a FusedPlan bound to the statement's two tables, which
-// fused_exec.go evaluates directly over the typed int64 column vectors, with
+// fused_exec.go evaluates directly over the typed column vectors, with
 // no per-element boxing and no intermediate Relation materialization. Any
 // other statement, including another spelling of the same query, runs on the
 // general executor (Run).

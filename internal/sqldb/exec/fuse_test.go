@@ -224,13 +224,13 @@ func randLabelTable(rng *rand.Rand, nStops, maxEntries int) *memTable {
 	tbl := &memTable{cols: labelCols, pk: []int{0}, runOrder: []int{1, 2, 3}}
 	for v := int64(1); v <= int64(nStops); v++ {
 		n := rng.Intn(maxEntries + 1)
-		hubs := make([]int64, n)
-		tds := make([]int64, n)
-		tas := make([]int64, n)
+		hubs := make([]int32, n)
+		tds := make([]int32, n)
+		tas := make([]int32, n)
 		for i := 0; i < n; i++ {
-			hubs[i] = int64(rng.Intn(4))
-			tds[i] = int64(rng.Intn(200))
-			tas[i] = tds[i] + 1 + int64(rng.Intn(80))
+			hubs[i] = int32(rng.Intn(4))
+			tds[i] = int32(rng.Intn(200))
+			tas[i] = tds[i] + 1 + int32(rng.Intn(80))
 		}
 		slices.Sort(hubs)
 		for i := 0; i < n; {
@@ -298,11 +298,11 @@ func randNaiveTable(rng *rand.Rand) *memTable {
 			}
 			seen[td] = true
 			n := rng.Intn(5)
-			vs := make([]int64, n)
-			tas := make([]int64, n)
+			vs := make([]int32, n)
+			tas := make([]int32, n)
 			for j := 0; j < n; j++ {
-				vs[j] = int64(100 + rng.Intn(6))
-				tas[j] = td + int64(rng.Intn(120))
+				vs[j] = int32(100 + rng.Intn(6))
+				tas[j] = int32(td) + int32(rng.Intn(120))
 			}
 			tbl.rows = append(tbl.rows, sqltypes.Row{
 				sqltypes.NewInt(hub), sqltypes.NewInt(td),
@@ -363,33 +363,33 @@ func randAuxTable(rng *rand.Rand, bucketCol, top string) *memTable {
 			if rng.Intn(4) == 0 {
 				continue // leave some (hub, bucket) cells missing
 			}
-			start := bucket * auxWidth
-			atOrAfter := func(lo int64) int64 {
+			start := int32(bucket * auxWidth)
+			atOrAfter := func(lo int32) int32 {
 				if rng.Intn(4) == 0 {
 					return lo
 				}
-				return lo + int64(rng.Intn(120))
+				return lo + int32(rng.Intn(120))
 			}
 			n := rng.Intn(4)
-			vs := make([]int64, n)
-			tops := make([]int64, n)
+			vs := make([]int32, n)
+			tops := make([]int32, n)
 			for j := 0; j < n; j++ {
-				vs[j] = int64(100 + rng.Intn(6))
-				tops[j] = int64(rng.Intn(400))
+				vs[j] = int32(100 + rng.Intn(6))
+				tops[j] = int32(rng.Intn(400))
 				if ea {
 					tops[j] = atOrAfter(start)
 				}
 			}
 			m := rng.Intn(4)
-			tdsExp := make([]int64, m)
-			vsExp := make([]int64, m)
-			tasExp := make([]int64, m)
+			tdsExp := make([]int32, m)
+			vsExp := make([]int32, m)
+			tasExp := make([]int32, m)
 			for j := 0; j < m; j++ {
-				tdsExp[j] = int64(rng.Intn(400))
+				tdsExp[j] = int32(rng.Intn(400))
 				if ea {
-					tdsExp[j] = start + int64(rng.Intn(auxWidth))
+					tdsExp[j] = start + int32(rng.Intn(auxWidth))
 				}
-				vsExp[j] = int64(100 + rng.Intn(6))
+				vsExp[j] = int32(100 + rng.Intn(6))
 				tasExp[j] = atOrAfter(tdsExp[j])
 			}
 			tbl.rows = append(tbl.rows, sqltypes.Row{
@@ -407,7 +407,7 @@ func randAuxTable(rng *rand.Rand, bucketCol, top string) *memTable {
 // declareCount makes tbl declare exactly the number of distinct target ids its
 // rows hold — 1 when they hold none, the least a declaration says.
 func declareCount(tbl *memTable) {
-	ids := map[int64]bool{}
+	ids := map[int32]bool{}
 	for _, row := range tbl.rows {
 		for _, c := range tbl.targetCols {
 			for _, v := range row[c].A {
@@ -464,7 +464,7 @@ func TestFusedTypedErrors(t *testing.T) {
 	ones := []sqltypes.Value{one, one, one}
 	// Stop 1 reaches hub 0 at 20, in bucket 0 of width 50.
 	lout := &memTable{cols: labelCols, pk: []int{0}, runOrder: []int{1, 2, 3},
-		rows: []sqltypes.Row{{one, arr([]int64{0}), arr([]int64{10}), arr([]int64{20})}}}
+		rows: []sqltypes.Row{{one, arr([]int32{0}), arr([]int32{10}), arr([]int32{20})}}}
 	good := memCatalog{
 		"lout":   lout,
 		"lin":    randLabelTable(rng, 3, 5),
@@ -485,8 +485,8 @@ func TestFusedTypedErrors(t *testing.T) {
 		*good["naive"], *good["aux_ea"], *good["aux_ea"], *good["naive"], *good["aux_ea"]
 	unboundNaive.targetCols, unboundAux.targetCols, halfAux.targetCols = nil, nil, []int{2}
 	tightNaive.bound, tightAux.bound = 100, 100
-	tightNaive.rows = []sqltypes.Row{{zero, sqltypes.NewInt(30), arr([]int64{3, 100}), arr([]int64{40, 41})}}
-	tightAux.rows = []sqltypes.Row{{zero, zero, arr([]int64{7}), arr([]int64{60}), arr([]int64{20, 21}), arr([]int64{-1, 104}), arr([]int64{30, 31})}}
+	tightNaive.rows = []sqltypes.Row{{zero, sqltypes.NewInt(30), arr([]int32{3, 100}), arr([]int32{40, 41})}}
+	tightAux.rows = []sqltypes.Row{{zero, zero, arr([]int32{7}), arr([]int32{60}), arr([]int32{20, 21}), arr([]int32{-1, 104}), arr([]int32{30, 31})}}
 	// EA tables that declare no floor, one at another width than the
 	// statement's, or one over the top-k arm alone.
 	unflooredAux, widerFloorAux, halfFlooredAux := *good["aux_ea"], *good["aux_ea"], *good["aux_ea"]
@@ -528,16 +528,16 @@ func TestFusedTypedErrors(t *testing.T) {
 		{"no target count, EA one-to-many", otmEA, with("aux_ea", &uncountedAux), nil, []string{`"aux_ea"`, "target count", "rebuild"}},
 		{"unequal label arrays", v2vEA,
 			with("lout", &memTable{cols: labelCols, pk: []int{0}, runOrder: []int{1, 2, 3},
-				rows: []sqltypes.Row{{one, arr([]int64{1, 2}), arr([]int64{5}), arr([]int64{6, 7})}}}),
+				rows: []sqltypes.Row{{one, arr([]int32{1, 2}), arr([]int32{5}), arr([]int32{6, 7})}}}),
 			ones, []string{`"lout"`, "one length"}},
 		{"unequal naive arrays", naiveEA,
 			with("naive", &memTable{cols: good["naive"].cols, pk: []int{0, 1}, targetCols: []int{2}, bound: 106,
-				rows: []sqltypes.Row{{zero, sqltypes.NewInt(30), arr([]int64{1, 2}), arr([]int64{5})}}}),
+				rows: []sqltypes.Row{{zero, sqltypes.NewInt(30), arr([]int32{1, 2}), arr([]int32{5})}}}),
 			ones, []string{`"naive"`, "vs, tas"}},
 		{"unequal condensed arrays", knnEA,
 			with("aux_ea", &memTable{cols: good["aux_ea"].cols, pk: []int{1, 0}, targetCols: []int{2, 5}, bound: 106,
 				floorKey: 1, floorWidth: auxWidth, floorCols: []int{3, 6},
-				rows: []sqltypes.Row{{zero, zero, arr(nil), arr(nil), arr([]int64{1}), arr(nil), arr(nil)}}}),
+				rows: []sqltypes.Row{{zero, zero, arr(nil), arr(nil), arr([]int32{1}), arr(nil), arr(nil)}}}),
 			ones, []string{`"aux_ea"`, "tds_exp"}},
 		{"hub-first condensed table", knnEA,
 			with("aux_ea", &memTable{cols: good["aux_ea"].cols, pk: []int{0, 1}, rows: good["aux_ea"].rows}),
@@ -577,7 +577,7 @@ func TestFusedPlanKeepsItsTableBound(t *testing.T) {
 	one, arr := sqltypes.NewInt(1), sqltypes.NewIntArray
 	wide := memCatalog{
 		"lout": &memTable{cols: labelCols, pk: []int{0}, runOrder: []int{1, 2, 3},
-			rows: []sqltypes.Row{{one, arr([]int64{0, 1, 2, 3}), arr([]int64{10, 10, 10, 10}), arr([]int64{20, 20, 20, 20})}}},
+			rows: []sqltypes.Row{{one, arr([]int32{0, 1, 2, 3}), arr([]int32{10, 10, 10, 10}), arr([]int32{20, 20, 20, 20})}}},
 		"aux_ea": randAuxTable(rng, "dephour", "tas"),
 	}
 	tight := *wide["aux_ea"]
@@ -675,7 +675,7 @@ func TestFusedRunMakesNoCatalogCalls(t *testing.T) {
 // or row view kept in any other field would read that query's data (DESIGN.md
 // §7.3). Every kind runs through scratch reads that put the label and each
 // fetched row in an arena, and every state the pool hands back is
-// searched field by field for an []int64 that points into either arena.
+// searched field by field for an []int32 that points into either arena.
 func TestPooledStateKeepsNoArenaView(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	cat := memCatalog{
@@ -728,10 +728,10 @@ func TestPooledStateKeepsNoArenaView(t *testing.T) {
 	}
 }
 
-// arenaViews returns the path of every []int64 reachable from v through
+// arenaViews returns the path of every []int32 reachable from v through
 // fields, arrays and slice elements — the arena fields themselves excepted —
 // whose backing array lies inside one of the arenas.
-func arenaViews(v reflect.Value, path string, arenas ...[]int64) []string {
+func arenaViews(v reflect.Value, path string, arenas ...[]int32) []string {
 	switch v.Kind() {
 	case reflect.Struct:
 		var out []string
@@ -742,10 +742,10 @@ func arenaViews(v reflect.Value, path string, arenas ...[]int64) []string {
 		}
 		return out
 	case reflect.Array, reflect.Slice:
-		if v.Kind() == reflect.Slice && v.Type().Elem().Kind() == reflect.Int64 {
+		if v.Kind() == reflect.Slice && v.Type().Elem().Kind() == reflect.Int32 {
 			for _, a := range arenas {
 				lo := reflect.ValueOf(a).Pointer()
-				if p := v.Pointer(); v.Cap() > 0 && cap(a) > 0 && p >= lo && p < lo+uintptr(cap(a))*8 {
+				if p := v.Pointer(); v.Cap() > 0 && cap(a) > 0 && p >= lo && p < lo+uintptr(cap(a))*4 {
 					return []string{path}
 				}
 			}

@@ -1,14 +1,16 @@
 package exec
 
 // fused_exec.go evaluates a FusedPlan directly over the label tables' typed
-// int64 column vectors. Each Run works in a queryState of its own, taken from
-// the plan's pool (fused_state.go), so a plan is safe for concurrent use. The
-// tables and their layout were bound and checked once, by Fuse; what Fuse
-// cannot know — integer parameters, arrays of matching lengths, target ids
-// inside the declared bound — is checked here, and a violation is an error
-// naming the plan kind or the table. The order of a label's arrays is not
-// among them: a table declares it (Table.RunOrder), Load validated it
-// where the row was written, and the kernels trust it.
+// column vectors: int64 scalars and int32 array elements, each element
+// widened to int64 where a kernel loads it, so no comparison or difference
+// of two elements can overflow. Each Run works in a queryState of its own,
+// taken from the plan's pool (fused_state.go), so a plan is safe for
+// concurrent use. The tables and their layout were bound and checked once,
+// by Fuse; what Fuse cannot know — integer parameters, arrays of matching
+// lengths, target ids inside the declared bound — is checked here, and a
+// violation is an error naming the plan kind or the table. The order of a
+// label's arrays is not among them: a table declares it (Table.RunOrder),
+// Load validated it where the row was written, and the kernels trust it.
 
 import (
 	"fmt"
@@ -66,16 +68,16 @@ func (p *FusedPlan) limitParam(params []sqltypes.Value, n int) (int, error) {
 // of the distance moved, not of hi-lo.
 //
 // hotpath — allocheck root: the run-order join's search over hubs and tds.
-func firstGE(a []int64, lo, hi int, v int64) int {
+func firstGE(a []int32, lo, hi int, v int64) int {
 	for step := 1; lo+step <= hi; step <<= 1 {
-		if a[lo+step-1] >= v {
+		if int64(a[lo+step-1]) >= v {
 			hi = lo + step - 1
 			break
 		}
 		lo += step
 	}
 	for lo < hi {
-		if m := int(uint(lo+hi) >> 1); a[m] < v {
+		if m := int(uint(lo+hi) >> 1); int64(a[m]) < v {
 			lo = m + 1
 		} else {
 			hi = m
@@ -88,16 +90,16 @@ func firstGE(a []int64, lo, hi int, v int64) int {
 // one past the last value <= v — without a v+1 to overflow at math.MaxInt64.
 //
 // hotpath — allocheck root: the run-order join's run ends and LD bounds.
-func firstGT(a []int64, lo, hi int, v int64) int {
+func firstGT(a []int32, lo, hi int, v int64) int {
 	for step := 1; lo+step <= hi; step <<= 1 {
-		if a[lo+step-1] > v {
+		if int64(a[lo+step-1]) > v {
 			hi = lo + step - 1
 			break
 		}
 		lo += step
 	}
 	for lo < hi {
-		if m := int(uint(lo+hi) >> 1); a[m] <= v {
+		if m := int(uint(lo+hi) >> 1); int64(a[m]) <= v {
 			lo = m + 1
 		} else {
 			hi = m
@@ -114,8 +116,8 @@ func firstGT(a []int64, lo, hi int, v int64) int {
 // [lo, hi] or not, and a wrong one costs a search from lo.
 //
 // hotpath — allocheck root: the LD condensed fold's cursor over a hub's run.
-func firstGTFrom(a []int64, lo, hi, hint int, v int64) int {
-	if lo < hint && hint <= hi && a[hint-1] <= v {
+func firstGTFrom(a []int32, lo, hi, hint int, v int64) int {
+	if lo < hint && hint <= hi && int64(a[hint-1]) <= v {
 		lo = hint
 	}
 	return firstGT(a, lo, hi, v)
@@ -172,8 +174,8 @@ func (p *FusedPlan) runV2V(params []sqltypes.Value, st *queryState) (*Relation, 
 	// hub's run. Gallop to each common hub and search its two runs.
 	no, ni := len(out.hubs), len(in.hubs)
 	for i, j := 0, 0; i < no && j < ni; {
-		h := out.hubs[i]
-		if hj := in.hubs[j]; h < hj {
+		h := int64(out.hubs[i])
+		if hj := int64(in.hubs[j]); h < hj {
 			i = firstGE(out.hubs, i, no, hj)
 			continue
 		} else if h > hj {
@@ -186,16 +188,16 @@ func (p *FusedPlan) runV2V(params []sqltypes.Value, st *queryState) (*Relation, 
 			// The first departure >= t arrives earliest, so it reaches
 			// most of the in run, whose first tuple arrives earliest.
 			if x := firstGE(out.tds, i, ie, t); x < ie {
-				if y := firstGE(in.tds, j, je, out.tas[x]); y < je {
-					fold(in.tas[y])
+				if y := firstGE(in.tds, j, je, int64(out.tas[x])); y < je {
+					fold(int64(in.tas[y]))
 				}
 			}
 		case 'L':
 			// The mirror: the last arrival <= t departs latest; the last
 			// out tuple reaching it is the latest departure.
 			if y := firstGT(in.tas, j, je, t); y > j {
-				if x := firstGT(out.tas, i, ie, in.tds[y-1]); x > i {
-					fold(out.tds[x-1])
+				if x := firstGT(out.tas, i, ie, int64(in.tds[y-1])); x > i {
+					fold(int64(out.tds[x-1]))
 				}
 			}
 		case 'S':
@@ -203,11 +205,11 @@ func (p *FusedPlan) runV2V(params []sqltypes.Value, st *queryState) (*Relation, 
 			// arrives after tEnd, so does every later departure's.
 			y := j
 			for x := firstGE(out.tds, i, ie, t); x < ie; x++ {
-				y = firstGE(in.tds, y, je, out.tas[x])
-				if y == je || in.tas[y] > tEnd {
+				y = firstGE(in.tds, y, je, int64(out.tas[x]))
+				if y == je || int64(in.tas[y]) > tEnd {
 					break
 				}
-				fold(in.tas[y] - out.tds[x])
+				fold(int64(in.tas[y]) - int64(out.tds[x]))
 			}
 		case 'W':
 			// The EA fold, then the statement's ORDER BY among the pairs of
@@ -221,25 +223,25 @@ func (p *FusedPlan) runV2V(params []sqltypes.Value, st *queryState) (*Relation, 
 			if x0 == ie {
 				break
 			}
-			y0 := firstGE(in.tds, j, je, out.tas[x0])
+			y0 := firstGE(in.tds, j, je, int64(out.tas[x0]))
 			if y0 == je {
 				break
 			}
 			merged++
-			arr := in.tas[y0]
+			arr := int64(in.tas[y0])
 			if hasBest && arr > best {
 				break
 			}
 			y1 := firstGT(in.tas, y0, je, arr)
-			xm := firstGT(out.tas, x0, ie, in.tds[y1-1]) - 1
-			dep := out.tds[xm]
+			xm := firstGT(out.tas, x0, ie, int64(in.tds[y1-1])) - 1
+			dep := int64(out.tds[xm])
 			if hasBest && arr == best && dep <= witness[1] {
 				break
 			}
 			x := firstGE(out.tds, x0, xm+1, dep)
-			y := firstGE(in.tds, y0, y1, out.tas[x])
+			y := firstGE(in.tds, y0, y1, int64(out.tas[x]))
 			best, hasBest = arr, true
-			witness = [5]int64{h, dep, out.tas[x], in.tds[y], arr}
+			witness = [5]int64{h, dep, int64(out.tas[x]), int64(in.tds[y]), arr}
 		}
 		i, j = ie, je
 	}
@@ -323,7 +325,7 @@ func (p *FusedPlan) runKNNNaive(params []sqltypes.Value, st *queryState) (*Relat
 				return nil
 			}
 			for j := 0; j < kl; j++ {
-				st.acc.foldMin(vv.A[j], av.A[j])
+				st.acc.foldMin(int64(vv.A[j]), int64(av.A[j]))
 			}
 			st.merged += uint64(kl)
 			return nil
@@ -333,8 +335,8 @@ func (p *FusedPlan) runKNNNaive(params []sqltypes.Value, st *queryState) (*Relat
 			return nil
 		}
 		for j := 0; j < kl; j++ {
-			if av.A[j] <= t {
-				st.acc.foldMax(vv.A[j], dep)
+			if int64(av.A[j]) <= t {
+				st.acc.foldMax(int64(vv.A[j]), dep)
 				st.merged++
 			}
 		}
@@ -363,8 +365,8 @@ func (p *FusedPlan) emit(st *queryState, k int, limited, desc bool) (*Relation, 
 // condArms are the typed arm arrays of one condensed-table row, the top-k arm
 // already cut to the query's k.
 type condArms struct {
-	topV, topVal       []int64
-	expTd, expV, expTa []int64
+	topV, topVal       []int32
+	expTd, expV, expTa []int32
 }
 
 // hotpath — allocheck root: per distinct condensed row.
@@ -395,12 +397,12 @@ func (c *condArms) load(row sqltypes.Row, ix *[maxFusedCols]int, k int, limited 
 // hotpath — allocheck root: the EA inner loops.
 func (st *queryState) foldEA(c *condArms, g *hubGroup) {
 	for x, v := range c.topV {
-		st.acc.foldMin(v, c.topVal[x])
+		st.acc.foldMin(int64(v), int64(c.topVal[x]))
 	}
 	st.merged += uint64(len(c.topV))
 	for x, td := range c.expTd {
-		if g.minTa <= td {
-			st.acc.foldMin(c.expV[x], c.expTa[x])
+		if g.minTa <= int64(td) {
+			st.acc.foldMin(int64(c.expV[x]), int64(c.expTa[x]))
 			st.merged++
 		}
 	}
@@ -420,22 +422,22 @@ func (st *queryState) foldEA(c *condArms, g *hubGroup) {
 func (st *queryState) foldLD(c *condArms, g *hubGroup, t int64) {
 	pos := int(g.lo)
 	for x := len(c.topV) - 1; x >= 0; x-- {
-		td, end, ok := st.bestDeparture(g, c.topVal[x], pos)
+		td, end, ok := st.bestDeparture(g, int64(c.topVal[x]), pos)
 		pos = end
 		if ok {
-			st.acc.foldMax(c.topV[x], td)
+			st.acc.foldMax(int64(c.topV[x]), td)
 			st.merged++
 		}
 	}
 	pos = int(g.lo)
 	for x, v := range c.expV {
-		if c.expTa[x] > t {
+		if int64(c.expTa[x]) > t {
 			continue
 		}
-		td, end, ok := st.bestDeparture(g, c.expTd[x], pos)
+		td, end, ok := st.bestDeparture(g, int64(c.expTd[x]), pos)
 		pos = end
 		if ok {
-			st.acc.foldMax(v, td)
+			st.acc.foldMax(int64(v), td)
 			st.merged++
 		}
 	}
@@ -512,7 +514,7 @@ func (p *FusedPlan) runCondensed(params []sqltypes.Value, st *queryState) (*Rela
 				break
 			}
 		}
-		if skip && st.lab.tds[g.hi-1] < tau {
+		if skip && int64(st.lab.tds[g.hi-1]) < tau {
 			continue
 		}
 		st.scratch.Arena = st.scratch.Arena[:labEnd]

@@ -95,7 +95,7 @@ func TestGroupsAreLabelRuns(t *testing.T) {
 				if ta = max(ta, td); rng.Intn(3) > 0 {
 					ta += int64(rng.Intn(60)) // else a dummy tuple, or one arriving with the last
 				}
-				lab.hubs, lab.tds, lab.tas = append(lab.hubs, hub), append(lab.tds, td), append(lab.tas, ta)
+				lab.hubs, lab.tds, lab.tas = append(lab.hubs, int32(hub)), append(lab.tds, int32(td)), append(lab.tas, int32(ta))
 			}
 		}
 		ascending := func(st *queryState, what string) {
@@ -111,15 +111,16 @@ func TestGroupsAreLabelRuns(t *testing.T) {
 			type key struct{ hub, bucket int64 }
 			minTa := map[key]int64{}
 			for i, td := range lab.tds {
-				if td < at {
+				if int64(td) < at {
 					continue
 				}
-				k := key{hub: lab.hubs[i]}
+				ta := int64(lab.tas[i])
+				k := key{hub: int64(lab.hubs[i])}
 				if width > 0 {
-					k.bucket = floorDiv(lab.tas[i], width)
+					k.bucket = floorDiv(ta, width)
 				}
-				if m, ok := minTa[k]; !ok || lab.tas[i] < m {
-					minTa[k] = lab.tas[i]
+				if m, ok := minTa[k]; !ok || ta < m {
+					minTa[k] = ta
 				}
 			}
 			var st queryState
@@ -144,7 +145,7 @@ func TestGroupsAreLabelRuns(t *testing.T) {
 				t.Fatalf("trial %d LD: group %+v does not continue the label at %d", trial, g, next)
 			}
 			for i := g.lo; i < g.hi; i++ {
-				if lab.hubs[i] != g.hub {
+				if int64(lab.hubs[i]) != g.hub {
 					t.Fatalf("trial %d LD: group %+v holds tuple %d of hub %d", trial, g, i, lab.hubs[i])
 				}
 			}
@@ -201,7 +202,7 @@ func awkwardCatalog(rng *rand.Rand, dense bool) memCatalog {
 	}
 	lout := randLabelTable(rng, 6, maxEntries)
 	for _, row := range lout.rows[1:] { // stop 1 keeps the non-negative range
-		shift := int64(rng.Intn(300))
+		shift := int32(rng.Intn(300))
 		for _, col := range row[2:] { // tds and tas move together: the order survives
 			for i := range col.A {
 				col.A[i] -= shift
@@ -228,9 +229,9 @@ func awkwardCatalog(rng *rand.Rand, dense bool) memCatalog {
 			tbl.floorKey, tbl.floorWidth, tbl.floorCols = 1, awkwardWidth, []int{3, 6}
 		}
 		arr := func(n int, gen func() int64) sqltypes.Value {
-			a := make([]int64, n)
+			a := make([]int32, n)
 			for i := range a {
-				a[i] = gen()
+				a[i] = int32(gen())
 			}
 			return sqltypes.NewIntArray(a)
 		}
@@ -359,97 +360,97 @@ func TestFusedKNNStopRule(t *testing.T) {
 	const w = 10
 	type cond struct {
 		bucket, hub                    int64
-		vs, tas, tdsExp, vsExp, tasExp []int64
+		vs, tas, tdsExp, vsExp, tasExp []int32
 	}
 	cases := []struct {
 		name           string
-		hubs, tds, tas []int64 // stop 1's label
+		hubs, tds, tas []int32 // stop 1's label
 		rows           []cond
 		t, k           int64
 		count          int // > 0: the one-to-many, over a table declaring this count
 		probes         int
 	}{
 		{name: "a value at the bucket start ties the k-th value",
-			hubs: []int64{0, 1}, tds: []int64{0, 0}, tas: []int64{5, 12}, // groups (0, 0), (1, 1)
+			hubs: []int32{0, 1}, tds: []int32{0, 0}, tas: []int32{5, 12}, // groups (0, 0), (1, 1)
 			rows: []cond{
-				{bucket: 0, hub: 0, tdsExp: []int64{5}, vsExp: []int64{5}, tasExp: []int64{10}},
-				{bucket: 1, hub: 1, vs: []int64{3}, tas: []int64{10}}, // (3, 10) displaces (5, 10)
+				{bucket: 0, hub: 0, tdsExp: []int32{5}, vsExp: []int32{5}, tasExp: []int32{10}},
+				{bucket: 1, hub: 1, vs: []int32{3}, tas: []int32{10}}, // (3, 10) displaces (5, 10)
 			},
 			k: 1, probes: 2},
 		{name: "k = 1 stops at the first bucket after the best value",
-			hubs: []int64{0, 1, 2}, tds: []int64{0, 0, 0}, tas: []int64{5, 25, 31}, // groups (0, 0), (2, 1), (3, 2)
+			hubs: []int32{0, 1, 2}, tds: []int32{0, 0, 0}, tas: []int32{5, 25, 31}, // groups (0, 0), (2, 1), (3, 2)
 			rows: []cond{
-				{bucket: 0, hub: 0, tdsExp: []int64{5}, vsExp: []int64{5}, tasExp: []int64{10}},
-				{bucket: 2, hub: 1, vs: []int64{3}, tas: []int64{20}},
-				{bucket: 3, hub: 2, vs: []int64{4}, tas: []int64{30}},
+				{bucket: 0, hub: 0, tdsExp: []int32{5}, vsExp: []int32{5}, tasExp: []int32{10}},
+				{bucket: 2, hub: 1, vs: []int32{3}, tas: []int32{20}},
+				{bucket: 3, hub: 2, vs: []int32{4}, tas: []int32{30}},
 			},
 			k: 1, probes: 1},
 		{name: "fewer than k targets never stop",
-			hubs: []int64{0, 1, 2}, tds: []int64{0, 0, 0}, tas: []int64{5, 25, 45}, // groups (0, 0), (2, 1), (4, 2)
+			hubs: []int32{0, 1, 2}, tds: []int32{0, 0, 0}, tas: []int32{5, 25, 45}, // groups (0, 0), (2, 1), (4, 2)
 			rows: []cond{
-				{bucket: 0, hub: 0, vs: []int64{5}, tas: []int64{10}},
-				{bucket: 2, hub: 1, vs: []int64{3}, tas: []int64{20}},
-				{bucket: 4, hub: 2, vs: []int64{5}, tas: []int64{40}},
+				{bucket: 0, hub: 0, vs: []int32{5}, tas: []int32{10}},
+				{bucket: 2, hub: 1, vs: []int32{3}, tas: []int32{20}},
+				{bucket: 4, hub: 2, vs: []int32{5}, tas: []int32{40}},
 			},
 			k: 3, probes: 3},
 		{name: "a negative bucket starting at the k-th value",
-			hubs: []int64{0, 1}, tds: []int64{-50, -40}, tas: []int64{-35, -25}, // groups (-4, 0), (-3, 1)
+			hubs: []int32{0, 1}, tds: []int32{-50, -40}, tas: []int32{-35, -25}, // groups (-4, 0), (-3, 1)
 			rows: []cond{
-				{bucket: -4, hub: 0, vs: []int64{1, 2}, tas: []int64{-40, -30}},
-				{bucket: -3, hub: 1, vs: []int64{0}, tas: []int64{-30}}, // (0, -30) displaces (2, -30)
+				{bucket: -4, hub: 0, vs: []int32{1, 2}, tas: []int32{-40, -30}},
+				{bucket: -3, hub: 1, vs: []int32{0}, tas: []int32{-30}}, // (0, -30) displaces (2, -30)
 			},
 			t: -100, k: 2, probes: 2},
 		{name: "a negative bucket starting after the k-th value",
-			hubs: []int64{0, 1}, tds: []int64{-50, -40}, tas: []int64{-35, -25},
+			hubs: []int32{0, 1}, tds: []int32{-50, -40}, tas: []int32{-35, -25},
 			rows: []cond{
-				{bucket: -4, hub: 0, vs: []int64{1, 2}, tas: []int64{-40, -31}},
-				{bucket: -3, hub: 1, vs: []int64{0}, tas: []int64{-30}},
+				{bucket: -4, hub: 0, vs: []int32{1, 2}, tas: []int32{-40, -31}},
+				{bucket: -3, hub: 1, vs: []int32{0}, tas: []int32{-30}},
 			},
 			t: -100, k: 2, probes: 1},
 		{name: "one-to-many stops at the first bucket after the largest value once every target is in",
-			hubs: []int64{0, 1, 2}, tds: []int64{0, 0, 0}, tas: []int64{5, 25, 41}, // groups (0, 0), (2, 1), (4, 2)
+			hubs: []int32{0, 1, 2}, tds: []int32{0, 0, 0}, tas: []int32{5, 25, 41}, // groups (0, 0), (2, 1), (4, 2)
 			rows: []cond{
-				{bucket: 0, hub: 0, vs: []int64{3}, tas: []int64{12}, tdsExp: []int64{5}, vsExp: []int64{5}, tasExp: []int64{18}},
-				{bucket: 2, hub: 1, vs: []int64{3}, tas: []int64{20}},
-				{bucket: 4, hub: 2, vs: []int64{5}, tas: []int64{40}},
+				{bucket: 0, hub: 0, vs: []int32{3}, tas: []int32{12}, tdsExp: []int32{5}, vsExp: []int32{5}, tasExp: []int32{18}},
+				{bucket: 2, hub: 1, vs: []int32{3}, tas: []int32{20}},
+				{bucket: 4, hub: 2, vs: []int32{5}, tas: []int32{40}},
 			},
 			count: 2, probes: 1},
 		{name: "one-to-many: a bucket that starts at the largest value",
-			hubs: []int64{0, 1, 2}, tds: []int64{0, 0, 0}, tas: []int64{5, 25, 35}, // groups (0, 0), (2, 1), (3, 2)
+			hubs: []int32{0, 1, 2}, tds: []int32{0, 0, 0}, tas: []int32{5, 25, 35}, // groups (0, 0), (2, 1), (3, 2)
 			rows: []cond{
-				{bucket: 0, hub: 0, vs: []int64{3, 5}, tas: []int64{12, 20}},
-				{bucket: 2, hub: 1, vs: []int64{5}, tas: []int64{20}}, // ties (5, 20)
-				{bucket: 3, hub: 2, vs: []int64{3}, tas: []int64{30}},
+				{bucket: 0, hub: 0, vs: []int32{3, 5}, tas: []int32{12, 20}},
+				{bucket: 2, hub: 1, vs: []int32{5}, tas: []int32{20}}, // ties (5, 20)
+				{bucket: 3, hub: 2, vs: []int32{3}, tas: []int32{30}},
 			},
 			count: 2, probes: 2},
 		{name: "one-to-many: fewer than count targets never stop",
-			hubs: []int64{0, 1, 2}, tds: []int64{0, 0, 0}, tas: []int64{5, 25, 45}, // groups (0, 0), (2, 1), (4, 2)
+			hubs: []int32{0, 1, 2}, tds: []int32{0, 0, 0}, tas: []int32{5, 25, 45}, // groups (0, 0), (2, 1), (4, 2)
 			rows: []cond{
-				{bucket: 0, hub: 0, vs: []int64{3}, tas: []int64{10}},
-				{bucket: 2, hub: 1, vs: []int64{5}, tas: []int64{20}},
-				{bucket: 4, hub: 2, vs: []int64{7}, tas: []int64{40}},
+				{bucket: 0, hub: 0, vs: []int32{3}, tas: []int32{10}},
+				{bucket: 2, hub: 1, vs: []int32{5}, tas: []int32{20}},
+				{bucket: 4, hub: 2, vs: []int32{7}, tas: []int32{40}},
 			},
 			count: 3, probes: 3},
 		{name: "one-to-many: a count that overstates the table's ids never stops",
-			hubs: []int64{0, 1, 2}, tds: []int64{0, 0, 0}, tas: []int64{5, 25, 41},
+			hubs: []int32{0, 1, 2}, tds: []int32{0, 0, 0}, tas: []int32{5, 25, 41},
 			rows: []cond{
-				{bucket: 0, hub: 0, vs: []int64{3}, tas: []int64{12}, tdsExp: []int64{5}, vsExp: []int64{5}, tasExp: []int64{18}},
-				{bucket: 2, hub: 1, vs: []int64{3}, tas: []int64{20}},
-				{bucket: 4, hub: 2, vs: []int64{5}, tas: []int64{40}},
+				{bucket: 0, hub: 0, vs: []int32{3}, tas: []int32{12}, tdsExp: []int32{5}, vsExp: []int32{5}, tasExp: []int32{18}},
+				{bucket: 2, hub: 1, vs: []int32{3}, tas: []int32{20}},
+				{bucket: 4, hub: 2, vs: []int32{5}, tas: []int32{40}},
 			},
 			count: 3, probes: 3},
 		{name: "one-to-many: a negative bucket starting at the largest value",
-			hubs: []int64{0, 1}, tds: []int64{-50, -40}, tas: []int64{-35, -25}, // groups (-4, 0), (-3, 1)
+			hubs: []int32{0, 1}, tds: []int32{-50, -40}, tas: []int32{-35, -25}, // groups (-4, 0), (-3, 1)
 			rows: []cond{
-				{bucket: -4, hub: 0, vs: []int64{1, 2}, tas: []int64{-40, -30}},
-				{bucket: -3, hub: 1, vs: []int64{2}, tas: []int64{-30}},
+				{bucket: -4, hub: 0, vs: []int32{1, 2}, tas: []int32{-40, -30}},
+				{bucket: -3, hub: 1, vs: []int32{2}, tas: []int32{-30}},
 			},
 			t: -100, count: 2, probes: 2},
 		{name: "one-to-many: a negative bucket starting after the largest value",
-			hubs: []int64{0, 1}, tds: []int64{-50, -40}, tas: []int64{-35, -25},
+			hubs: []int32{0, 1}, tds: []int32{-50, -40}, tas: []int32{-35, -25},
 			rows: []cond{
-				{bucket: -4, hub: 0, vs: []int64{1, 2}, tas: []int64{-40, -31}},
-				{bucket: -3, hub: 1, vs: []int64{1}, tas: []int64{-30}},
+				{bucket: -4, hub: 0, vs: []int32{1, 2}, tas: []int32{-40, -31}},
+				{bucket: -3, hub: 1, vs: []int32{1}, tas: []int32{-30}},
 			},
 			t: -100, count: 2, probes: 1},
 	}
@@ -496,37 +497,37 @@ func TestFusedLDKNNSkip(t *testing.T) {
 	const w, at = 10, 100
 	type cond struct {
 		hub                            int64
-		vs, tds, tdsExp, vsExp, tasExp []int64
+		vs, tds, tdsExp, vsExp, tasExp []int32
 	}
 	// Stop 1's label puts hubs 0, 1 and 2 at latest departures 8, 5 and 9,
 	// and each hub's row folds one target at that departure.
-	skipLabel := [3][]int64{{0, 1, 2}, {8, 5, 9}, {9, 6, 10}}
+	skipLabel := [3][]int32{{0, 1, 2}, {8, 5, 9}, {9, 6, 10}}
 	skipRows := []cond{
-		{hub: 0, vs: []int64{5}, tds: []int64{50}},
-		{hub: 1, vs: []int64{3}, tds: []int64{50}},
-		{hub: 2, vs: []int64{4}, tds: []int64{50}},
+		{hub: 0, vs: []int32{5}, tds: []int32{50}},
+		{hub: 1, vs: []int32{3}, tds: []int32{50}},
+		{hub: 2, vs: []int32{4}, tds: []int32{50}},
 	}
 	cases := []struct {
 		name   string
-		label  [3][]int64 // hubs, tds, tas
+		label  [3][]int32 // hubs, tds, tas
 		rows   []cond
 		k      int64   // 0: the one-to-many
 		probes []int64 // the hubs looked up, in order
 	}{
 		{name: "a run whose latest departure ties the k-th value",
-			label: [3][]int64{{0, 1}, {5, 5}, {6, 7}},
+			label: [3][]int32{{0, 1}, {5, 5}, {6, 7}},
 			rows: []cond{
-				{hub: 0, vs: []int64{5}, tds: []int64{50}},
-				{hub: 1, vs: []int64{3}, tds: []int64{50}}, // (3, 5) displaces (5, 5)
+				{hub: 0, vs: []int32{5}, tds: []int32{50}},
+				{hub: 1, vs: []int32{3}, tds: []int32{50}}, // (3, 5) displaces (5, 5)
 			},
 			k: 1, probes: []int64{0, 1}},
 		{name: "a run below the k-th value is skipped, a later one above it is not",
 			label: skipLabel, rows: skipRows, k: 1, probes: []int64{0, 2}},
 		{name: "the bound is the run's last departure",
-			label: [3][]int64{{0, 1, 1}, {8, 2, 9}, {9, 3, 60}},
+			label: [3][]int32{{0, 1, 1}, {8, 2, 9}, {9, 3, 60}},
 			rows: []cond{
-				{hub: 0, vs: []int64{5}, tds: []int64{50}},
-				{hub: 1, vs: []int64{3}, tds: []int64{70}, tdsExp: []int64{4}, vsExp: []int64{6}, tasExp: []int64{90}},
+				{hub: 0, vs: []int32{5}, tds: []int32{50}},
+				{hub: 1, vs: []int32{3}, tds: []int32{70}, tdsExp: []int32{4}, vsExp: []int32{6}, tasExp: []int32{90}},
 			},
 			k: 1, probes: []int64{0, 1}},
 		{name: "fewer than k targets never skip",
@@ -591,7 +592,7 @@ func orderLDArms(rng *rand.Rand, tbl *memTable, shuffle bool) {
 				slices.SortStableFunc(perm, func(a, b int) int { return sign * cmp.Compare(th[a], th[b]) })
 			}
 			for _, c := range arm {
-				col := make([]int64, len(perm))
+				col := make([]int32, len(perm))
 				for i, p := range perm {
 					col[i] = row[c].A[p]
 				}
@@ -648,7 +649,7 @@ func FuzzCondensedKNNStop(f *testing.F) {
 		for _, row := range cat["lout"].rows {
 			for _, c := range row[2:4] { // tds, tas
 				for i := range c.A {
-					c.A[i] += d
+					c.A[i] += int32(d)
 				}
 			}
 		}
@@ -657,7 +658,7 @@ func FuzzCondensedKNNStop(f *testing.F) {
 				row[1].I += d / auxWidth
 				for _, c := range []int{3, 4, 6} { // tas or tds, tds_exp, tas_exp
 					for i := range row[c].A {
-						row[c].A[i] += d
+						row[c].A[i] += int32(d)
 					}
 				}
 			}

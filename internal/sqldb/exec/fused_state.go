@@ -115,7 +115,7 @@ func (r *tableRef) bindErr(format string, a ...any) error {
 	return fmt.Errorf("exec: table %q: %s; rebuild the database", r.name, fmt.Sprintf(format, a...))
 }
 
-// lengthsErr reports a row whose parallel arrays are not all BIGINT[] of one
+// lengthsErr reports a row whose parallel arrays are not all INT[] of one
 // length — a violated storage invariant (Load validates a declared run
 // order; the condensed builders emit parallel arrays).
 func (r *tableRef) lengthsErr(cols ...int) error {
@@ -123,13 +123,14 @@ func (r *tableRef) lengthsErr(cols ...int) error {
 	for i, c := range cols {
 		names[i] = r.cols[c]
 	}
-	return fmt.Errorf("exec: table %q: a row's %s are not BIGINT[] values of one length", r.name, strings.Join(names, ", "))
+	return fmt.Errorf("exec: table %q: a row's %s are not INT[] values of one length", r.name, strings.Join(names, ", "))
 }
 
 // label is one stop's hub label as three parallel typed columns, run-ordered:
-// hubs ascend, and tds and tas both ascend within a hub's run.
+// hubs ascend, and tds and tas both ascend within a hub's run. The elements
+// are 32-bit; everything computed from them is int64, widened at the load.
 type label struct {
-	hubs, tds, tas []int64
+	hubs, tds, tas []int32
 }
 
 // label point-looks-up the label of stop v in the referenced label table,
@@ -468,14 +469,14 @@ func (st *queryState) groupByHub(hub int64) *hubGroup {
 // hotpath — allocheck root: the one walk over the label of an EA query.
 func (st *queryState) groupEA(lab label, t, width int64) {
 	for i, td := range lab.tds {
-		if td < t {
+		if int64(td) < t {
 			continue
 		}
-		ta, bucket := lab.tas[i], int64(0)
+		ta, bucket := int64(lab.tas[i]), int64(0)
 		if width > 0 {
 			bucket = floorDiv(ta, width)
 		}
-		if g, added := st.groupOf(lab.hubs[i], bucket); added {
+		if g, added := st.groupOf(int64(lab.hubs[i]), bucket); added {
 			g.minTa = ta
 		}
 	}
@@ -491,7 +492,7 @@ func (st *queryState) groupEA(lab label, t, width int64) {
 func (st *queryState) groupLD(lab label, bucket int64) {
 	st.lab = lab
 	for i, hub := range lab.hubs {
-		g, added := st.groupOf(hub, bucket)
+		g, added := st.groupOf(int64(hub), bucket)
 		if added {
 			g.lo = int32(i)
 		}
@@ -592,5 +593,5 @@ func (st *queryState) bestDeparture(g *hubGroup, x int64, pos int) (int64, int, 
 	if i == int(g.lo) {
 		return 0, i, false
 	}
-	return st.lab.tds[i-1], i, true
+	return int64(st.lab.tds[i-1]), i, true
 }

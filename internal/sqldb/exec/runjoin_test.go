@@ -20,22 +20,28 @@ import (
 func TestGallopSearches(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 2000; trial++ {
-		a := make([]int64, rng.Intn(40))
+		a := make([]int32, rng.Intn(40))
 		for i := range a {
-			a[i] = int64(rng.Intn(12))
+			a[i] = int32(rng.Intn(12))
 		}
-		if trial%5 == 0 { // the ends of the domain, where v+1 would wrap
+		if trial%5 == 0 { // the ends of the element domain
 			for i := range a {
-				a[i] = []int64{math.MinInt64, -1, 0, math.MaxInt64}[rng.Intn(4)]
+				a[i] = []int32{math.MinInt32, -1, 0, math.MaxInt32}[rng.Intn(4)]
 			}
 		}
 		slices.Sort(a)
 		lo := rng.Intn(len(a) + 1)
 		hi := lo + rng.Intn(len(a)-lo+1)
-		for _, v := range []int64{math.MinInt64, -1, 0, int64(rng.Intn(13)), math.MaxInt64} {
-			ge, _ := slices.BinarySearch(a[lo:hi], v)
+		// Probes at the ends of int64, where v+1 would wrap, and just past the
+		// ends of int32, which only a widened comparison orders right.
+		for _, v := range []int64{math.MinInt64, math.MinInt32 - 1, math.MinInt32, -1, 0, int64(rng.Intn(13)),
+			math.MaxInt32, math.MaxInt32 + 1, math.MaxInt64} {
+			ge := 0
+			for ge < hi-lo && int64(a[lo+ge]) < v {
+				ge++
+			}
 			gt := ge
-			for gt < hi-lo && a[lo+gt] == v {
+			for gt < hi-lo && int64(a[lo+gt]) == v {
 				gt++
 			}
 			if got := firstGE(a, lo, hi, v); got != lo+ge {
@@ -59,7 +65,7 @@ func TestGallopSearches(t *testing.T) {
 func bruteV2V(op byte, out, in sqltypes.Row, t, tEnd int64) (best int64, ok bool) {
 	for x, hub := range out[1].A {
 		for y, inHub := range in[1].A {
-			outTd, outTa, inTd, inTa := out[2].A[x], out[3].A[x], in[2].A[y], in[3].A[y]
+			outTd, outTa, inTd, inTa := int64(out[2].A[x]), int64(out[3].A[x]), int64(in[2].A[y]), int64(in[3].A[y])
 			if hub != inHub || outTa > inTd {
 				continue
 			}
@@ -95,7 +101,7 @@ func bruteV2V(op byte, out, in sqltypes.Row, t, tEnd int64) (best int64, ok bool
 func bruteWitness(out, in sqltypes.Row, t int64) (best [5]int64, ok bool) {
 	for x, hub := range out[1].A {
 		for y, inHub := range in[1].A {
-			row := [5]int64{hub, out[2].A[x], out[3].A[x], in[2].A[y], in[3].A[y]}
+			row := [5]int64{int64(hub), int64(out[2].A[x]), int64(out[3].A[x]), int64(in[2].A[y]), int64(in[3].A[y])}
 			if hub != inHub || row[2] > row[3] || row[1] < t {
 				continue
 			}
@@ -110,7 +116,7 @@ func bruteWitness(out, in sqltypes.Row, t int64) (best [5]int64, ok bool) {
 }
 
 // TestRunJoinMatchesBruteForce builds random run-ordered label pairs — hubs at
-// both ends of int64, runs with equal-departure ties with different arrivals,
+// both ends of int32, runs with equal-departure ties with different arrivals,
 // equal-arrival ties with different departures and fully duplicate tuples,
 // empty labels, pairs with no or exactly one common hub — and checks all three
 // aggregates and the witness at every interesting time: below, at, between and
@@ -118,26 +124,26 @@ func bruteWitness(out, in sqltypes.Row, t int64) (best [5]int64, ok bool) {
 // general executor's row, column for column.
 func TestRunJoinMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	hubPool := []int64{math.MinInt64, -3, 0, 1, 2, 7, math.MaxInt64}
+	hubPool := []int32{math.MinInt32, -3, 0, 1, 2, 7, math.MaxInt32}
 	// side draws one label over the hubs of hubPool selected by mask.
 	side := func(v int64, mask int) sqltypes.Row {
-		var hubs, tds, tas []int64
+		var hubs, tds, tas []int32
 		for hi, hub := range hubPool {
 			if mask&(1<<hi) == 0 {
 				continue
 			}
-			td, ta := int64(rng.Intn(20)), int64(20+rng.Intn(20))
+			td, ta := int32(rng.Intn(20)), int32(20+rng.Intn(20))
 			for n := 1 + rng.Intn(5); n > 0; n-- {
 				hubs, tds, tas = append(hubs, hub), append(tds, td), append(tas, ta)
 				switch rng.Intn(5) {
 				case 0: // a fully duplicate tuple
 				case 1: // an equal-departure tie with a later arrival
-					ta += int64(1 + rng.Intn(10))
+					ta += int32(1 + rng.Intn(10))
 				case 2: // an equal-arrival tie with a later departure
-					td += int64(1 + rng.Intn(10))
+					td += int32(1 + rng.Intn(10))
 				default:
-					td += int64(rng.Intn(15))
-					ta += int64(rng.Intn(15))
+					td += int32(rng.Intn(15))
+					ta += int32(rng.Intn(15))
 				}
 			}
 		}
@@ -165,9 +171,9 @@ func TestRunJoinMatchesBruteForce(t *testing.T) {
 			"lin":  &memTable{cols: labelCols, pk: []int{0}, runOrder: []int{1, 2, 3}, rows: []sqltypes.Row{in}},
 		}
 		times := []int64{math.MinInt64, -1, math.MaxInt64 - 1, math.MaxInt64}
-		for _, col := range [][]int64{out[2].A, out[3].A, in[2].A, in[3].A} {
+		for _, col := range [][]int32{out[2].A, out[3].A, in[2].A, in[3].A} {
 			for _, v := range col {
-				times = append(times, v-1, v, v+1)
+				times = append(times, int64(v)-1, int64(v), int64(v)+1)
 			}
 		}
 		slices.Sort(times)

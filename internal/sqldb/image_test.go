@@ -412,7 +412,7 @@ func TestFlushPacksImage(t *testing.T) {
 	defer db.Close()
 	extra := load(t, db, mkTable("extra", []string{"k"}, "k", "v"), ints(1, 10), ints(2, 20))
 	bad, _ := db.Table("bad")
-	bad = load(t, db, bad.Def(), sqltypes.Row{sqltypes.NewInt(7), sqltypes.NewInt(8), sqltypes.NewIntArray([]int64{9})})
+	bad = load(t, db, bad.Def(), sqltypes.Row{sqltypes.NewInt(7), sqltypes.NewInt(8), sqltypes.NewIntArray([]int32{9})})
 	if _, err := os.Stat(filepath.Join(dir, "extra.loose")); err != nil {
 		t.Errorf("before Flush: %v; want the loaded table in its loose file", err)
 	}

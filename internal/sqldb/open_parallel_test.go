@@ -21,9 +21,9 @@ import (
 func labelRows(n, width int64) []sqltypes.Row {
 	rows := make([]sqltypes.Row, n)
 	for k := range n {
-		xs := make([]int64, width)
+		xs := make([]int32, width)
 		for j := range xs {
-			xs[j] = k + int64(j)
+			xs[j] = int32(k) + int32(j)
 		}
 		rows[k] = sqltypes.Row{sqltypes.NewInt(k), sqltypes.NewIntArray(xs)}
 	}

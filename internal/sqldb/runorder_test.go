@@ -29,7 +29,7 @@ func labelDef(name string, runOrder ...string) TableDef {
 	}
 }
 
-func labelRow(v int64, hubs, tds, tas []int64) sqltypes.Row {
+func labelRow(v int64, hubs, tds, tas []int32) sqltypes.Row {
 	return sqltypes.Row{sqltypes.NewInt(v), sqltypes.NewIntArray(hubs), sqltypes.NewIntArray(tds),
 		sqltypes.NewIntArray(tas), sqltypes.NewIntArray(nil)}
 }
@@ -48,16 +48,16 @@ func TestBulkLoadValidatesRunOrder(t *testing.T) {
 	}
 	defer db.Close()
 	def := labelDef("lab", "hubs", "tds", "tas")
-	good := labelRow(0, []int64{1, 1, 1, 1, 5, 5}, []int64{10, 10, 10, 20, 3, 4}, []int64{30, 30, 31, 31, 9, 9})
+	good := labelRow(0, []int32{1, 1, 1, 1, 5, 5}, []int32{10, 10, 10, 20, 3, 4}, []int32{30, 30, 31, 31, 9, 9})
 	bad := []struct {
 		name string
 		row  sqltypes.Row
 		frag string
 	}{
-		{"hub descends", labelRow(1, []int64{1, 2, 1}, []int64{1, 1, 1}, []int64{2, 2, 2}), "position 2"},
-		{"td descends inside a run", labelRow(1, []int64{4, 4}, []int64{9, 8}, []int64{10, 10}), "position 1"},
-		{"ta descends inside a run", labelRow(1, []int64{4, 4, 4, 4}, []int64{1, 2, 3, 4}, []int64{9, 9, 9, 8}), "position 3"},
-		{"arrays of different length", labelRow(1, []int64{4, 4}, []int64{1, 2}, []int64{9}), "lengths 2, 2, 1"},
+		{"hub descends", labelRow(1, []int32{1, 2, 1}, []int32{1, 1, 1}, []int32{2, 2, 2}), "position 2"},
+		{"td descends inside a run", labelRow(1, []int32{4, 4}, []int32{9, 8}, []int32{10, 10}), "position 1"},
+		{"ta descends inside a run", labelRow(1, []int32{4, 4, 4, 4}, []int32{1, 2, 3, 4}, []int32{9, 9, 9, 8}), "position 3"},
+		{"arrays of different length", labelRow(1, []int32{4, 4}, []int32{1, 2}, []int32{9}), "lengths 2, 2, 1"},
 	}
 	rejected := func(loaded ...string) {
 		t.Helper()
@@ -116,7 +116,7 @@ func targetDef(name string, ids *TargetIDs) TableDef {
 // has. An id below zero or at the bound — in either column, on the first row or
 // a later one — rejects the whole load naming row, column, position and value,
 // and the table, loaded or not, stays as it was. A column that declares nothing
-// takes any value. A declaration that is not BIGINT[] columns of the table
+// takes any value. A declaration that is not INT[] columns of the table
 // under a bound an array can have is refused at Load and again at Open,
 // and a sound one survives close and reopen.
 func TestBulkLoadValidatesTargetBound(t *testing.T) {
@@ -130,27 +130,27 @@ func TestBulkLoadValidatesTargetBound(t *testing.T) {
 		cols, bound, count := tbl.TargetBound()
 		return slices.Equal(cols, []int{1, 3}) && bound == 10 && count == 0
 	}
-	row := func(hub int64, vs, vsExp []int64) sqltypes.Row {
+	row := func(hub int64, vs, vsExp []int32) sqltypes.Row {
 		return sqltypes.Row{sqltypes.NewInt(hub), sqltypes.NewIntArray(vs),
-			sqltypes.NewIntArray([]int64{-5, 10, math.MaxInt64}), sqltypes.NewIntArray(vsExp)}
+			sqltypes.NewIntArray([]int32{-5, 10, math.MaxInt32}), sqltypes.NewIntArray(vsExp)}
 	}
 	bad := []struct {
 		name      string
-		vs, vsExp []int64
+		vs, vsExp []int32
 		frags     []string
 	}{
-		{"vs below zero", []int64{3, -1}, nil, []string{"aux.vs:", "target id -1", "position 1"}},
-		{"vs at the bound", []int64{10}, []int64{1}, []string{"aux.vs:", "target id 10", "position 0"}},
-		{"vs_exp below zero", []int64{0, 9}, []int64{0, 1, -7}, []string{"aux.vs_exp:", "target id -7", "position 2"}},
-		{"vs_exp at the bound", nil, []int64{9, 10}, []string{"aux.vs_exp:", "target id 10", "position 1"}},
-		{"an absurd id", []int64{math.MaxInt64}, nil, []string{"aux.vs:", "position 0"}},
+		{"vs below zero", []int32{3, -1}, nil, []string{"aux.vs:", "target id -1", "position 1"}},
+		{"vs at the bound", []int32{10}, []int32{1}, []string{"aux.vs:", "target id 10", "position 0"}},
+		{"vs_exp below zero", []int32{0, 9}, []int32{0, 1, -7}, []string{"aux.vs_exp:", "target id -7", "position 2"}},
+		{"vs_exp at the bound", nil, []int32{9, 10}, []string{"aux.vs_exp:", "target id 10", "position 1"}},
+		{"an absurd id", []int32{math.MaxInt32}, nil, []string{"aux.vs:", "position 0"}},
 	}
 	rejected := func(loaded ...string) {
 		t.Helper()
 		for _, tc := range bad {
 			for at, rows := range [][]sqltypes.Row{
-				{row(0, tc.vs, tc.vsExp), row(1, []int64{0, 9, 9}, []int64{5})},
-				{row(0, []int64{0, 9, 9}, []int64{5}), row(1, tc.vs, tc.vsExp)},
+				{row(0, tc.vs, tc.vsExp), row(1, []int32{0, 9, 9}, []int32{5})},
+				{row(0, []int32{0, 9, 9}, []int32{5}), row(1, tc.vs, tc.vsExp)},
 			} {
 				_, err := tryLoad(db, def, rows...)
 				if err == nil {
@@ -170,12 +170,12 @@ func TestBulkLoadValidatesTargetBound(t *testing.T) {
 	if _, ok := db.Table("aux"); ok {
 		t.Fatal("rejected loads entered the table")
 	}
-	tbl := load(t, db, def, row(4, []int64{0, 9, 9}, []int64{5}), row(6, nil, nil))
+	tbl := load(t, db, def, row(4, []int32{0, 9, 9}, []int32{5}), row(6, nil, nil))
 	if !declares(tbl) {
 		t.Fatalf("TargetBound() does not report the positions of vs, vs_exp under 10")
 	}
 	rejected("aux")
-	if got, ok, err := tbl.LookupPK([]int64{4}); err != nil || !ok || !slices.Equal(got[1].A, []int64{0, 9, 9}) || tbl.RowCount() != 2 {
+	if got, ok, err := tbl.LookupPK([]int64{4}); err != nil || !ok || !slices.Equal(got[1].A, []int32{0, 9, 9}) || tbl.RowCount() != 2 {
 		t.Fatalf("rejected loads changed a loaded table: %v, %v, %v (%d rows)", got, ok, err, tbl.RowCount())
 	}
 
@@ -193,7 +193,7 @@ func TestBulkLoadValidatesTargetBound(t *testing.T) {
 			t.Errorf("Load declaring %s: %v, want a rejection naming the table", what, err)
 		}
 	}
-	free := load(t, db, targetDef("free", nil), row(0, []int64{-1, 1 << 40}, []int64{-9}))
+	free := load(t, db, targetDef("free", nil), row(0, []int32{-1, math.MaxInt32}, []int32{-9}))
 	if cols, bound, _ := free.TargetBound(); cols != nil || bound != 0 {
 		t.Fatalf("undeclared table reports target ids %v under %d", cols, bound)
 	}
@@ -219,7 +219,7 @@ func TestBulkLoadValidatesTargetBound(t *testing.T) {
 	if cols, _, _ := free.TargetBound(); !declares(tbl) || cols != nil {
 		t.Fatalf("after reopen: aux declares %v, free %v", tbl.Def().TargetIDs, free.Def().TargetIDs)
 	}
-	if _, err := tryLoad(db, tbl.Def(), row(0, []int64{10}, nil)); err == nil {
+	if _, err := tryLoad(db, tbl.Def(), row(0, []int32{10}, nil)); err == nil {
 		t.Fatal("the reopened table's definition took an id at its bound")
 	}
 }
@@ -243,13 +243,13 @@ func TestBulkLoadValidatesTargetCount(t *testing.T) {
 		cols, bound, count := tbl.TargetBound()
 		return slices.Equal(cols, []int{1, 3}) && bound == 10 && count == 3
 	}
-	row := func(hub int64, vs, vsExp []int64) sqltypes.Row {
+	row := func(hub int64, vs, vsExp []int32) sqltypes.Row {
 		// tas declares nothing: its values are neither ids nor counted.
 		return sqltypes.Row{sqltypes.NewInt(hub), sqltypes.NewIntArray(vs),
-			sqltypes.NewIntArray([]int64{1, 4, 5, 6}), sqltypes.NewIntArray(vsExp)}
+			sqltypes.NewIntArray([]int32{1, 4, 5, 6}), sqltypes.NewIntArray(vsExp)}
 	}
 	// Three distinct ids, each more than once, in both columns and on both rows.
-	tbl := load(t, db, def, row(0, []int64{2, 9, 2}, []int64{9}), row(1, []int64{0}, []int64{0, 2, 9}))
+	tbl := load(t, db, def, row(0, []int32{2, 9, 2}, []int32{9}), row(1, []int32{0}, []int32{0, 2, 9}))
 	if !declares(tbl) {
 		t.Fatalf("TargetBound() does not report vs, vs_exp under 10 with the count 3")
 	}
@@ -258,9 +258,9 @@ func TestBulkLoadValidatesTargetCount(t *testing.T) {
 		rows  []sqltypes.Row
 		frags []string
 	}{
-		{"a fourth id on the first row", []sqltypes.Row{row(0, []int64{2, 9, 0, 5}, nil)},
+		{"a fourth id on the first row", []sqltypes.Row{row(0, []int32{2, 9, 0, 5}, nil)},
 			[]string{"row 0", "aux.vs:", "target id 5", "position 3", "count 3"}},
-		{"a fourth id in vs_exp of a later row", []sqltypes.Row{row(0, []int64{2, 9}, []int64{9, 2}), row(1, []int64{9}, []int64{2, 0, 1})},
+		{"a fourth id in vs_exp of a later row", []sqltypes.Row{row(0, []int32{2, 9}, []int32{9, 2}), row(1, []int32{9}, []int32{2, 0, 1})},
 			[]string{"row 1", "aux.vs_exp:", "target id 1", "position 2", "count 3"}},
 	}
 	for _, tc := range bad {
@@ -276,7 +276,7 @@ func TestBulkLoadValidatesTargetCount(t *testing.T) {
 		}
 	}
 	requireLoose(t, dir, "aux")
-	if got, ok, err := tbl.LookupPK([]int64{1}); err != nil || !ok || !slices.Equal(got[3].A, []int64{0, 2, 9}) || tbl.RowCount() != 2 {
+	if got, ok, err := tbl.LookupPK([]int64{1}); err != nil || !ok || !slices.Equal(got[3].A, []int32{0, 2, 9}) || tbl.RowCount() != 2 {
 		t.Fatalf("rejected loads changed a loaded table: %v, %v, %v (%d rows)", got, ok, err, tbl.RowCount())
 	}
 
@@ -334,7 +334,7 @@ func floorDef(name string, fl *Floor) TableDef {
 // product itself would overflow. An element below it rejects the whole load
 // naming table, column, row, position, value and floor, before a byte is
 // written, and a loaded table stays as it was. A column that declares nothing
-// takes any value. A declaration that is not BIGINT[] columns over a BIGINT key
+// takes any value. A declaration that is not INT[] columns over a BIGINT key
 // at a width of at least 1 is refused at Load and again at Open, and a
 // sound one survives close and reopen.
 func TestBulkLoadValidatesFloor(t *testing.T) {
@@ -349,22 +349,22 @@ func TestBulkLoadValidatesFloor(t *testing.T) {
 		key, width, cols := tbl.Floor()
 		return key == 1 && width == 10 && slices.Equal(cols, []int{2, 4})
 	}
-	row := func(bucket int64, tas, tasExp []int64) sqltypes.Row {
+	row := func(bucket int64, tas, tasExp []int32) sqltypes.Row {
 		return sqltypes.Row{sqltypes.NewInt(0), sqltypes.NewInt(bucket), sqltypes.NewIntArray(tas),
-			sqltypes.NewIntArray([]int64{math.MinInt64, -1}), sqltypes.NewIntArray(tasExp)}
+			sqltypes.NewIntArray([]int32{math.MinInt32, -1}), sqltypes.NewIntArray(tasExp)}
 	}
 	// The lowest bucket's floor lies below int64: every value clears it.
-	lowest := row(math.MinInt64, []int64{math.MinInt64}, []int64{math.MinInt64, 0})
+	lowest := row(math.MinInt64, []int32{math.MinInt32}, []int32{math.MinInt32, 0})
 	bad := []struct {
 		name  string
 		row   sqltypes.Row
 		frags []string
 	}{
-		{"tas one below", row(3, []int64{30, 29}, nil), []string{"aux.tas:", "value 29", "position 1", "floor dephour × 10 = 3 × 10"}},
-		{"tas_exp below a negative bucket", row(-2, []int64{-20}, []int64{-15, -21}), []string{"aux.tas_exp:", "value -21", "position 1", "-2 × 10"}},
-		{"the least int64 near the least bucket", row(math.MinInt64/10, nil, []int64{math.MinInt64}),
-			[]string{"aux.tas_exp:", "value -9223372036854775808", "position 0", "-922337203685477580 × 10"}},
-		{"a bucket whose floor lies above int64", row(math.MaxInt64, []int64{math.MaxInt64}, nil), []string{"aux.tas:", "value 9223372036854775807", "position 0"}},
+		{"tas one below", row(3, []int32{30, 29}, nil), []string{"aux.tas:", "value 29", "position 1", "floor dephour × 10 = 3 × 10"}},
+		{"tas_exp below a negative bucket", row(-2, []int32{-20}, []int32{-15, -21}), []string{"aux.tas_exp:", "value -21", "position 1", "-2 × 10"}},
+		{"the least int32 just below its bucket", row(math.MinInt32/10, nil, []int32{math.MinInt32}),
+			[]string{"aux.tas_exp:", "value -2147483648", "position 0", "-214748364 × 10"}},
+		{"a bucket whose floor lies above int64", row(math.MaxInt64, []int32{math.MaxInt32}, nil), []string{"aux.tas:", "value 2147483647", "position 0"}},
 	}
 	rejected := func(loaded ...string) {
 		t.Helper()
@@ -390,18 +390,18 @@ func TestBulkLoadValidatesFloor(t *testing.T) {
 	}
 	// Values at the floor, above it, below zero, and an undeclared column
 	// far below it all load.
-	tbl := load(t, db, def, lowest, row(-2, []int64{-20, -11}, []int64{-20}), row(3, []int64{30}, []int64{30, 35}))
+	tbl := load(t, db, def, lowest, row(-2, []int32{-20, -11}, []int32{-20}), row(3, []int32{30}, []int32{30, 35}))
 	if !declares(tbl) {
 		t.Fatalf("Floor() does not report dephour × 10 over the positions of tas, tas_exp")
 	}
 	rejected("aux")
-	if got, ok, err := tbl.LookupPK([]int64{3, 0}); err != nil || !ok || !slices.Equal(got[4].A, []int64{30, 35}) || tbl.RowCount() != 3 {
+	if got, ok, err := tbl.LookupPK([]int64{3, 0}); err != nil || !ok || !slices.Equal(got[4].A, []int32{30, 35}) || tbl.RowCount() != 3 {
 		t.Fatalf("rejected loads changed a loaded table: %v, %v, %v (%d rows)", got, ok, err, tbl.RowCount())
 	}
 
 	refused := map[string]*Floor{
 		"a missing key":    {Key: "nope", Width: 10, Columns: []string{"tas"}},
-		"a BIGINT[] key":   {Key: "tas", Width: 10, Columns: []string{"tas"}},
+		"an INT[] key":     {Key: "tas", Width: 10, Columns: []string{"tas"}},
 		"a zero width":     {Key: "dephour", Columns: []string{"tas"}},
 		"a negative width": {Key: "dephour", Width: -10, Columns: []string{"tas"}},
 		"no column":        {Key: "dephour", Width: 10},
@@ -431,13 +431,13 @@ func TestBulkLoadValidatesFloor(t *testing.T) {
 	if !declares(tbl) {
 		t.Fatalf("after reopen: aux declares %+v", tbl.Def().Floor)
 	}
-	if _, err := tryLoad(db, tbl.Def(), row(1, []int64{9}, nil)); err == nil {
+	if _, err := tryLoad(db, tbl.Def(), row(1, []int32{9}, nil)); err == nil {
 		t.Fatal("the reopened table's definition took a value below its floor")
 	}
 }
 
 // TestRunOrderDeclarationFailsClosed: a declaration that is not three
-// BIGINT[] columns of the table is refused where the table is loaded, and
+// INT[] columns of the table is refused where the table is loaded, and
 // refused again — naming the table, opening nothing — when the same
 // declaration reaches Open through a hand-edited header. A table that
 // declares nothing writes a definition without the field.
@@ -465,7 +465,7 @@ func TestRunOrderDeclarationFailsClosed(t *testing.T) {
 		t.Fatalf("a refused declaration wrote files:\n%s", listing)
 	}
 	for _, def := range []TableDef{labelDef("lab", "hubs", "tds", "tas"), labelDef("other")} {
-		load(t, db, def, labelRow(1, []int64{1}, []int64{2}, []int64{3}))
+		load(t, db, def, labelRow(1, []int32{1}, []int32{2}, []int32{3}))
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
@@ -509,7 +509,7 @@ func TestFusedPlanAnswersOrErrors(t *testing.T) {
 	}
 	defer db.Close()
 	for _, def := range []TableDef{labelDef("lout", "hubs", "tds", "tas"), labelDef("lin", "hubs", "tds", "tas"), labelDef("lin_old")} {
-		load(t, db, def, labelRow(1, []int64{7}, []int64{10}, []int64{10})) // the hub's dummy tuple
+		load(t, db, def, labelRow(1, []int32{7}, []int32{10}, []int32{10})) // the hub's dummy tuple
 	}
 	one := sqltypes.NewInt(1)
 	st, err := db.Prepare(fmt.Sprintf(exec.SQLV2VEA, "lout", "lin"))

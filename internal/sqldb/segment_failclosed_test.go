@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -39,7 +40,7 @@ func buildFaultDB(t *testing.T, dir string) {
 		for i := int64(0); i < 3000; i++ {
 			rows = append(rows, sqltypes.Row{
 				sqltypes.NewInt(i), sqltypes.NewInt(i * 3),
-				sqltypes.NewIntArray([]int64{i, i + 1, i + 2}),
+				sqltypes.NewIntArray([]int32{int32(i), int32(i) + 1, int32(i) + 2}),
 			})
 		}
 		load(t, db, mkTable(name, []string{"k"}, "k", "v", "xs:arr"), rows...)
@@ -298,7 +299,7 @@ func TestDamageAfterOpenNeverReachesVectors(t *testing.T) {
 	var s exec.RowScratch
 	for k := int64(0); k < 3000; k += 7 {
 		row, ok, err := bad.LookupPKScratch([]int64{k}, &s)
-		if err != nil || !ok || row[1].I != 3*k || len(row[2].A) != 3 || row[2].A[2] != k+2 {
+		if err != nil || !ok || row[1].I != 3*k || len(row[2].A) != 3 || int64(row[2].A[2]) != k+2 {
 			t.Fatalf("lookup(%d) over a segment damaged after open = %v, %v, %v; want the row loaded", k, row, ok, err)
 		}
 	}
@@ -314,18 +315,20 @@ func TestDamageAfterOpenNeverReachesVectors(t *testing.T) {
 }
 
 // TestMalformedRowFailsMaterialize: a segment whose checksums hold but one of
-// whose rows is malformed fails the open of a handle whose vector cache
-// admits the table — open checks the regions, then decodes the rows, and the
-// one-pass decode keeps every check on a row — with an error naming the
-// table, every file closed and the directory as it was, on every retry. The
-// checks are the decode's: a handle without a cache opens the same directory
-// and its well-formed sibling serves.
+// whose rows is malformed — an array element outside int32 among them —
+// fails the open of a handle whose vector cache admits the table — open
+// checks the regions, then decodes the rows, and the one-pass decode keeps
+// every check on a row — with an error naming the table and wrapping
+// storage.ErrCorruptSegment, every file closed and the directory as it was,
+// on every retry. The checks are the decode's: a handle without a cache opens
+// the same directory, its well-formed sibling serves, and a segment-tier
+// lookup of the malformed row is the same refusal, never a value.
 func TestMalformedRowFailsMaterialize(t *testing.T) {
 	const rows = 3000
 	// bad.seg's rows are (k, 3k, [k, k+1, k+2]), as buildFaultDB writes them.
 	encode := func(k int64) []byte {
 		b, err := sqltypes.EncodeSegRow(nil, sqltypes.Row{sqltypes.NewInt(k), sqltypes.NewInt(3 * k),
-			sqltypes.NewIntArray([]int64{k, k + 1, k + 2})})
+			sqltypes.NewIntArray([]int32{int32(k), int32(k) + 1, int32(k) + 2})})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -347,6 +350,10 @@ func TestMalformedRowFailsMaterialize(t *testing.T) {
 		// row, and it is the last, so the vector has no room for a fourth.
 		{"one element more than counted", rows - 1, binary.AppendVarint(binary.AppendVarint(binary.AppendVarint(
 			binary.AppendUvarint(head(rows-1), 4), rows-1), 1), 1)},
+		// Three elements whose running sum leaves int32 at the last: the
+		// bytes are well-formed varints, so only the width check refuses them.
+		{"an element outside int32", 1500, binary.AppendVarint(binary.AppendVarint(binary.AppendVarint(
+			binary.AppendUvarint(head(1500), 3), 1500), 1), math.MaxInt32)},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -363,8 +370,8 @@ func TestMalformedRowFailsMaterialize(t *testing.T) {
 					db.Close()
 					t.Fatal("Open admitted a table with a malformed row")
 				}
-				if !strings.Contains(err.Error(), `sqldb: table "bad": `) {
-					t.Errorf("open of a table with a malformed row = %v, want an error naming the table", err)
+				if !errors.Is(err, storage.ErrCorruptSegment) || !strings.Contains(err.Error(), `sqldb: table "bad": `) {
+					t.Errorf("open of a table with a malformed row = %v, want ErrCorruptSegment naming the table", err)
 				}
 			}
 			if after := openFDs(t); after != before {
@@ -382,6 +389,11 @@ func TestMalformedRowFailsMaterialize(t *testing.T) {
 			var s exec.RowScratch
 			if row, ok, err := good.LookupPKScratch([]int64{123}, &s); err != nil || !ok || row[1].I != 369 {
 				t.Errorf("well-formed sibling: LookupPKScratch(123) = %v, %v, %v", row, ok, err)
+			}
+			bad, _ := db.Table("bad")
+			if row, _, err := bad.LookupPKScratch([]int64{c.row}, &s); !errors.Is(err, storage.ErrCorruptSegment) ||
+				!strings.Contains(err.Error(), "sqldb: bad: ") || row != nil {
+				t.Errorf("segment-tier lookup of the malformed row = %v, %v; want ErrCorruptSegment naming the table", row, err)
 			}
 		})
 	}

@@ -5,15 +5,25 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+
+	"ptldb/internal/sqldb/storage"
 )
 
 // Segment codec: the row encoding of every stored table. Unlike EncodeRow it
 // writes no per-value type tags — the column types are fixed by the table
 // schema and stored once in the segment header — so a label row costs exactly
-// its varints. BIGINT is a zigzag varint, BIGINT[] a uvarint length plus
+// its varints. BIGINT is a zigzag varint, INT[] a uvarint length plus
 // per-element delta varints, DOUBLE its 8 IEEE-754 bytes (little-endian, bit
 // pattern preserved) and TEXT a uvarint length plus the bytes. There is no
-// encoding of NULL: a stored row has none.
+// encoding of NULL: a stored row has none. Varints carry no width: an INT[]
+// element is any value whose running delta sum stays inside int32, and a row
+// whose sum leaves it is corrupt.
+
+// corrupt is every decoder's error for bytes that are no encoded row: it
+// wraps storage.ErrCorruptSegment, since a segment is a table's only copy.
+func corrupt(format string, a ...any) error {
+	return fmt.Errorf("sqltypes: %w: %s", storage.ErrCorruptSegment, fmt.Sprintf(format, a...))
+}
 
 // EncodeSegRow appends the segment encoding of r to buf. A NULL value is an
 // error.
@@ -31,8 +41,8 @@ func EncodeSegRow(buf []byte, r Row) ([]byte, error) {
 			buf = binary.AppendUvarint(buf, uint64(len(v.A)))
 			prev := int64(0)
 			for _, x := range v.A {
-				buf = binary.AppendVarint(buf, x-prev)
-				prev = x
+				buf = binary.AppendVarint(buf, int64(x)-prev)
+				prev = int64(x)
 			}
 		default:
 			return nil, fmt.Errorf("sqltypes: segment cannot encode %s at value %d", v.T, i)
@@ -43,14 +53,16 @@ func EncodeSegRow(buf []byte, r Row) ([]byte, error) {
 
 // DecodeSegRowInto parses a row written by EncodeSegRow given the column
 // types, reusing caller-owned buffers: the returned Row occupies row's
-// capacity when it suffices, and every BIGINT[] value is carved out of arena,
+// capacity when it suffices, and every INT[] value is carved out of arena,
 // which is returned grown. The arena is append-only — growing it reallocates
 // but never overwrites, so array slices from earlier calls stay valid as long
 // as the caller keeps passing the returned arena back in. Truncating the
 // arena between calls (arena[:0]) recycles the backing and clobbers all
 // previously decoded arrays; only do that when nothing is retained. A TEXT
-// value is copied out of buf, so it is always safe to keep.
-func DecodeSegRowInto(buf []byte, types []Type, row Row, arena []int64) (Row, []int64, error) {
+// value is copied out of buf, so it is always safe to keep. Malformed bytes,
+// an array element outside int32 among them, are an error wrapping
+// storage.ErrCorruptSegment.
+func DecodeSegRowInto(buf []byte, types []Type, row Row, arena []int32) (Row, []int32, error) {
 	var r Row
 	if cap(row) >= len(types) {
 		r = row[:len(types)]
@@ -62,20 +74,20 @@ func DecodeSegRowInto(buf []byte, types []Type, row Row, arena []int64) (Row, []
 		case Int64:
 			v, k := binary.Varint(buf)
 			if k <= 0 {
-				return nil, arena, fmt.Errorf("sqltypes: corrupt segment int at value %d", i)
+				return nil, arena, corrupt("int at value %d", i)
 			}
 			buf = buf[k:]
 			r[i] = NewInt(v)
 		case Float64:
 			if len(buf) < 8 {
-				return nil, arena, fmt.Errorf("sqltypes: corrupt segment float at value %d", i)
+				return nil, arena, corrupt("float at value %d", i)
 			}
 			r[i] = NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(buf)))
 			buf = buf[8:]
 		case Text:
 			ln, k := binary.Uvarint(buf)
 			if k <= 0 || ln > uint64(len(buf)-k) {
-				return nil, arena, fmt.Errorf("sqltypes: corrupt segment text at value %d", i)
+				return nil, arena, corrupt("text at value %d", i)
 			}
 			// hotpath:cold — text columns never appear in the integer-only
 			// label tables the fused codes read; the copy is also what makes
@@ -88,7 +100,7 @@ func DecodeSegRowInto(buf []byte, types []Type, row Row, arena []int64) (Row, []
 			// remaining buffer is corrupt — checked before it can size the
 			// arena (or overflow int) on attacker-controlled input.
 			if k <= 0 || ln > uint64(len(buf)-k) {
-				return nil, arena, fmt.Errorf("sqltypes: corrupt segment array at value %d", i)
+				return nil, arena, corrupt("array at value %d", i)
 			}
 			buf = buf[k:]
 			if free := cap(arena) - len(arena); free < int(ln) {
@@ -99,7 +111,7 @@ func DecodeSegRowInto(buf []byte, types []Type, row Row, arena []int64) (Row, []
 				if grown < 64 {
 					grown = 64
 				}
-				na := make([]int64, len(arena), grown)
+				na := make([]int32, len(arena), grown)
 				copy(na, arena)
 				arena = na
 			}
@@ -109,11 +121,15 @@ func DecodeSegRowInto(buf []byte, types []Type, row Row, arena []int64) (Row, []
 			for j := range a {
 				d, k := binary.Varint(buf)
 				if k <= 0 {
-					return nil, arena, fmt.Errorf("sqltypes: corrupt segment array element %d of value %d", j, i)
+					return nil, arena, corrupt("array element %d of value %d", j, i)
 				}
 				buf = buf[k:]
-				prev += d
-				a[j] = prev
+				// prev is inside int32, so a sum that wraps int64 lands
+				// outside it too.
+				if prev += d; prev != int64(int32(prev)) {
+					return nil, arena, corrupt("array element %d of value %d is %d, outside int32", j, i, prev)
+				}
+				a[j] = int32(prev)
 			}
 			r[i] = NewIntArray(a)
 		default:
@@ -121,13 +137,13 @@ func DecodeSegRowInto(buf []byte, types []Type, row Row, arena []int64) (Row, []
 		}
 	}
 	if len(buf) != 0 {
-		return nil, arena, fmt.Errorf("sqltypes: %d trailing bytes after segment row", len(buf))
+		return nil, arena, corrupt("%d trailing bytes after segment row", len(buf))
 	}
 	return r, arena, nil
 }
 
 // The three functions below decode a whole table at once, into column vectors
-// instead of rows, and apply to all-BIGINT/BIGINT[] tables only (the resident
+// instead of rows, and apply to all-BIGINT/INT[] tables only (the resident
 // vector cache holds no others). They rest on one property of that encoding:
 // every payload byte belongs to exactly one varint, and a varint ends at its
 // only byte below 0x80. So the varints of any run of rows can be counted
@@ -154,39 +170,39 @@ func CountSegVarints(b []byte) int {
 	return n
 }
 
-// DecodeSegRowVectors decodes one encoded row of BIGINT / BIGINT[] columns:
+// DecodeSegRowVectors decodes one encoded row of BIGINT / INT[] columns:
 // the k-th BIGINT of the row goes to scalars[k], and the elements of its
-// BIGINT[] values onto the end of elems, in column order, with the length of
+// INT[] values onto the end of elems, in column order, with the length of
 // elems after the a-th array recorded at ends[a]. It accepts exactly the rows
-// DecodeSegRowInto accepts and decodes the same values, but elems grows only
-// within its capacity — the caller sized it once, for the whole table, from
-// the varint count — so an array that does not fit is an error, never a
-// reallocation. The one-, two- and three-byte varints that make up nearly
-// every label are decoded inline; longer ones go to binary.Uvarint.
-func DecodeSegRowVectors(buf []byte, types []Type, scalars, elems []int64, ends []int32) ([]int64, error) {
+// DecodeSegRowInto accepts, refusing an element outside int32 as that does,
+// and decodes the same values, but elems grows only within its capacity — the
+// caller sized it once, for the whole table, from the varint count — so an
+// array that does not fit is an error, never a reallocation. The one-, two-
+// and three-byte varints that make up nearly every label value are decoded
+// inline; longer ones go to binary.Uvarint.
+func DecodeSegRowVectors(buf []byte, types []Type, scalars []int64, elems, ends []int32) ([]int32, error) {
 	s, a := 0, 0
 	for i, t := range types {
 		// A BIGINT decodes like a one-element array without the length
 		// prefix: its single delta from zero is the value itself.
-		var out []int64
-		if t == Int64 {
-			out = scalars[s : s+1]
-			s++
-		} else {
+		var out []int32
+		n := 1
+		if t != Int64 {
 			ln, k := binary.Uvarint(buf)
 			if k <= 0 || t != IntArray {
-				return elems, fmt.Errorf("sqltypes: corrupt segment array at value %d", i)
+				return elems, corrupt("array at value %d", i)
 			}
 			if ln > uint64(cap(elems)-len(elems)) {
-				return elems, fmt.Errorf("sqltypes: segment value %d overflows its vector", i)
+				return elems, corrupt("value %d overflows its vector", i)
 			}
 			buf = buf[k:]
-			out, elems = elems[len(elems):len(elems)+int(ln)], elems[:len(elems)+int(ln)]
+			n = int(ln)
+			out, elems = elems[len(elems):len(elems)+n], elems[:len(elems)+n]
 			ends[a] = int32(len(elems))
 			a++
 		}
 		prev := int64(0)
-		for j := range out {
+		for j := 0; j < n; j++ {
 			var u uint64
 			var k int
 			switch {
@@ -198,16 +214,24 @@ func DecodeSegRowVectors(buf []byte, types []Type, scalars, elems []int64, ends 
 				u, k = uint64(buf[0]&0x7f)|uint64(buf[1]&0x7f)<<7|uint64(buf[2])<<14, 3
 			default:
 				if u, k = binary.Uvarint(buf); k <= 0 {
-					return elems, fmt.Errorf("sqltypes: corrupt segment element %d of value %d", j, i)
+					return elems, corrupt("element %d of value %d", j, i)
 				}
 			}
 			buf = buf[k:]
 			prev += int64(u>>1) ^ -int64(u&1)
-			out[j] = prev
+			switch {
+			case t == Int64:
+				scalars[s] = prev
+				s++
+			case prev != int64(int32(prev)):
+				return elems, corrupt("element %d of value %d is %d, outside int32", j, i, prev)
+			default:
+				out[j] = int32(prev)
+			}
 		}
 	}
 	if len(buf) != 0 {
-		return elems, fmt.Errorf("sqltypes: %d trailing bytes after segment row", len(buf))
+		return elems, corrupt("%d trailing bytes after segment row", len(buf))
 	}
 	return elems, nil
 }

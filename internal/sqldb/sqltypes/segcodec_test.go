@@ -1,14 +1,20 @@
 package sqltypes
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
+
+	"ptldb/internal/sqldb/storage"
 )
 
 // randSegRow draws a row of the given column types, with the pathological
-// shapes (empty arrays, single-element arrays, max-magnitude deltas, NaN and
+// shapes (empty arrays, single-element arrays, max-magnitude deltas — the
+// int32 extremes for array elements, the int64 ones for scalars — NaN and
 // signed-zero doubles, empty and non-UTF-8 text) over-represented.
 func randSegRow(rng *rand.Rand, types []Type) Row {
 	r := make(Row, len(types))
@@ -24,28 +30,28 @@ func randSegRow(rng *rand.Rand, types []Type) Row {
 				r[i] = NewInt(rng.Int63n(1 << 40))
 			}
 		case IntArray:
-			var a []int64
+			var a []int32
 			switch rng.Intn(5) {
 			case 0: // empty label run
-				a = []int64{}
-			case 1: // single-label stop
-				a = []int64{rng.Int63n(1 << 32)}
-			case 2: // max-int64 deltas: alternating extremes
+				a = []int32{}
+			case 1: // single-label stop, anywhere in int32
+				a = []int32{int32(rng.Uint32())}
+			case 2: // max-int32 deltas: alternating extremes
 				n := 1 + rng.Intn(6)
-				a = make([]int64, n)
+				a = make([]int32, n)
 				for j := range a {
 					if j%2 == 0 {
-						a[j] = math.MaxInt64
+						a[j] = math.MaxInt32
 					} else {
-						a[j] = math.MinInt64
+						a[j] = math.MinInt32
 					}
 				}
 			default: // typical sorted label run
 				n := rng.Intn(64)
-				a = make([]int64, n)
-				v := int64(0)
+				a = make([]int32, n)
+				v := int32(0)
 				for j := range a {
-					v += rng.Int63n(1 << 20)
+					v += rng.Int31n(1 << 20)
 					a[j] = v
 				}
 			}
@@ -91,7 +97,7 @@ func rowsEqual(t *testing.T, want, got Row) {
 }
 
 // TestSegCodecRoundTripFuzz is the seeded fuzz round-trip for the segment
-// codec, covering empty runs, single-label stops and max-int64 deltas.
+// codec, covering empty runs, single-label stops and max-int32 deltas.
 func TestSegCodecRoundTripFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(1316))
 	shapes := [][]Type{
@@ -107,7 +113,7 @@ func TestSegCodecRoundTripFuzz(t *testing.T) {
 	}
 	var buf []byte
 	var row Row
-	var arena []int64
+	var arena []int32
 	for iter := 0; iter < 2000; iter++ {
 		types := shapes[rng.Intn(len(shapes))]
 		in := randSegRow(rng, types)
@@ -178,17 +184,61 @@ func TestSegCodecRejectsIneligible(t *testing.T) {
 	}
 }
 
+// TestSegDecodeRefusesElementOutsideInt32 pins the width of an INT[]
+// element: varints carry none, so bytes whose running delta sum leaves int32
+// — past either end, or by a delta that wraps int64 — are corrupt, and both
+// decoders refuse them with storage.ErrCorruptSegment instead of narrowing.
+// The extremes themselves decode.
+func TestSegDecodeRefusesElementOutsideInt32(t *testing.T) {
+	types := []Type{Int64, IntArray}
+	row := func(deltas ...int64) []byte {
+		b := binary.AppendUvarint(binary.AppendVarint(nil, 7), uint64(len(deltas)))
+		for _, d := range deltas {
+			b = binary.AppendVarint(b, d)
+		}
+		return b
+	}
+	decodeBoth := func(enc []byte) (Row, []int32, error, error) {
+		got, _, rowErr := DecodeSegRowInto(enc, types, nil, nil)
+		elems, vecErr := DecodeSegRowVectors(enc, types, make([]int64, 1), make([]int32, 0, 8), make([]int32, 1))
+		return got, elems, rowErr, vecErr
+	}
+	for _, c := range []struct {
+		name   string
+		deltas []int64
+	}{
+		{"one past MaxInt32", []int64{math.MaxInt32 + 1}},
+		{"one below MinInt32", []int64{math.MinInt32 - 1}},
+		{"a step past MaxInt32", []int64{5, math.MaxInt32}},
+		{"a step below MinInt32", []int64{math.MinInt32, -1}},
+		{"a delta that wraps int64", []int64{math.MaxInt32, math.MaxInt64}},
+		{"the int64 extremes", []int64{math.MaxInt64, math.MinInt64}},
+	} {
+		_, _, rowErr, vecErr := decodeBoth(row(c.deltas...))
+		for name, err := range map[string]error{"DecodeSegRowInto": rowErr, "DecodeSegRowVectors": vecErr} {
+			if !errors.Is(err, storage.ErrCorruptSegment) || !strings.Contains(err.Error(), "outside int32") {
+				t.Errorf("%s: %s = %v, want ErrCorruptSegment naming int32", c.name, name, err)
+			}
+		}
+	}
+	got, elems, rowErr, vecErr := decodeBoth(row(math.MaxInt32, math.MinInt32-math.MaxInt32, math.MaxInt32))
+	want := []int32{math.MaxInt32, math.MinInt32, -1}
+	if rowErr != nil || vecErr != nil || !slices.Equal(got[1].A, want) || !slices.Equal(elems, want) {
+		t.Errorf("the int32 extremes decode to %v, %v (%v, %v); want %v from both", got, elems, rowErr, vecErr, want)
+	}
+}
+
 // TestSegDecodeArenaAliasing is the aliasing-hostile test: arrays carved out
 // of the arena for row A must stay intact while row B decodes into the same
 // growing arena, across reallocation boundaries.
 func TestSegDecodeArenaAliasing(t *testing.T) {
 	types := []Type{Int64, IntArray}
-	mk := func(base int64, n int) Row {
-		a := make([]int64, n)
+	mk := func(base int32, n int) Row {
+		a := make([]int32, n)
 		for i := range a {
-			a[i] = base + int64(i)
+			a[i] = base + int32(i)
 		}
-		return Row{NewInt(base), NewIntArray(a)}
+		return Row{NewInt(int64(base)), NewIntArray(a)}
 	}
 	rowA := mk(100, 48) // large enough to force the first growth
 	rowB := mk(9000, 512)
@@ -214,12 +264,12 @@ func TestSegDecodeArenaAliasing(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, v := range heldA {
-		if v != 100+int64(i) {
+		if v != 100+int32(i) {
 			t.Fatalf("row A array clobbered at %d: got %d", i, v)
 		}
 	}
 	for i, v := range decB[1].A {
-		if v != 9000+int64(i) {
+		if v != 9000+int32(i) {
 			t.Fatalf("row B array wrong at %d: got %d", i, v)
 		}
 	}
@@ -261,16 +311,31 @@ func FuzzSegCodecRoundTrip(f *testing.F) {
 		f.Add(byte(len(r)-1), kinds, buf)
 	}
 	seed(Row{NewInt(42)})
-	seed(Row{NewInt(7), NewIntArray([]int64{1, 5, 5, 9})})
+	seed(Row{NewInt(7), NewIntArray([]int32{1, 5, 5, 9})})
 	seed(Row{NewIntArray(nil)})
-	// Varints of 1, 2, 3, 4 and 10 bytes, as scalars and as deltas.
+	// Varints of 1, 2, 3, 4 and 10 bytes as scalars; of 1, 2, 3, 4 and 5
+	// bytes, the widest an int32 delta takes, as deltas.
 	seed(Row{NewInt(5), NewInt(1000), NewInt(100000), NewInt(10000000), NewInt(math.MinInt64)})
-	seed(Row{NewIntArray([]int64{5, 1005, 101005, 10101005, math.MaxInt64})})
-	// Deltas that wrap: MaxInt64 and MinInt64 alternating.
-	seed(Row{NewInt(math.MaxInt64), NewIntArray([]int64{math.MaxInt64, math.MinInt64, math.MaxInt64, 0})})
+	seed(Row{NewIntArray([]int32{5, 1005, 101005, 10101005, math.MaxInt32})})
+	// The widest deltas: MaxInt32 and MinInt32 alternating.
+	seed(Row{NewInt(math.MaxInt64), NewIntArray([]int32{math.MaxInt32, math.MinInt32, math.MaxInt32, 0})})
+	// Elements whose running sum leaves int32, which no INT[] value can
+	// encode: one past each end, a step past MaxInt32, and a delta that
+	// wraps int64.
+	elems := func(deltas ...int64) []byte {
+		b := binary.AppendUvarint(nil, uint64(len(deltas)))
+		for _, d := range deltas {
+			b = binary.AppendVarint(b, d)
+		}
+		return b
+	}
+	f.Add(byte(0), uint16(1), elems(math.MaxInt32+1))
+	f.Add(byte(0), uint16(1), elems(math.MinInt32-1))
+	f.Add(byte(0), uint16(1), elems(math.MaxInt32, 1))
+	f.Add(byte(1), uint16(0b0100), append(binary.AppendVarint(nil, 3), elems(math.MaxInt32, math.MaxInt64)...))
 	// Empty arrays, and two arrays of different lengths in one row.
-	seed(Row{NewInt(1), NewIntArray([]int64{}), NewIntArray([]int64{})})
-	seed(Row{NewInt(7), NewIntArray([]int64{1, 2, 3}), NewIntArray([]int64{9})})
+	seed(Row{NewInt(1), NewIntArray([]int32{}), NewIntArray([]int32{})})
+	seed(Row{NewInt(7), NewIntArray([]int32{1, 2, 3}), NewIntArray([]int32{9})})
 	// Non-canonical 0x80 0x00 (zero in two bytes) as a scalar, a length and an
 	// element.
 	f.Add(byte(0), uint16(0), []byte{0x80, 0x00})
@@ -330,9 +395,9 @@ func FuzzSegCodecRoundTrip(f *testing.F) {
 // refused with one slot fewer.
 func checkSegVectors(t *testing.T, enc []byte, types []Type, want Row, rowErr error) {
 	t.Helper()
-	decode := func(capacity int) ([]int64, []int64, []int32, error) {
+	decode := func(capacity int) ([]int64, []int32, []int32, error) {
 		scalars, ends := make([]int64, len(types)), make([]int32, len(types))
-		elems, err := DecodeSegRowVectors(enc, types, scalars, make([]int64, 0, capacity), ends)
+		elems, err := DecodeSegRowVectors(enc, types, scalars, make([]int32, 0, capacity), ends)
 		return scalars, elems, ends, err
 	}
 	if rowErr != nil {

@@ -1,8 +1,10 @@
 // Package sqltypes defines the value system of the embedded SQL engine used
-// by PTLDB: 64-bit integers, double-precision floats, text, arrays of 64-bit
-// integers (PostgreSQL's BIGINT[] as used for the hubs/tds/tas columns), and
-// SQL NULL. It also provides the segment row codec of the storage engine and
-// the executor's row-key encoding.
+// by PTLDB: 64-bit integers, double-precision floats, text, arrays of 32-bit
+// integers (PostgreSQL's INT[], the type of the hubs/tds/tas columns: every
+// element is a stop id, a trip id or a seconds-of-day time, all 32-bit in
+// the timetable), and SQL NULL. An array element read as a scalar — UNNEST —
+// widens to a BIGINT. It also provides the segment row codec of the storage
+// engine and the executor's row-key encoding.
 package sqltypes
 
 import (
@@ -25,7 +27,7 @@ const (
 	Float64
 	// Text is TEXT.
 	Text
-	// IntArray is BIGINT[].
+	// IntArray is INT[]: an array of 32-bit integers.
 	IntArray
 )
 
@@ -41,7 +43,7 @@ func (t Type) String() string {
 	case Text:
 		return "TEXT"
 	case IntArray:
-		return "BIGINT[]"
+		return "INT[]"
 	default:
 		return fmt.Sprintf("Type(%d)", uint8(t))
 	}
@@ -53,7 +55,7 @@ type Value struct {
 	I int64
 	F float64
 	S string
-	A []int64
+	A []int32
 }
 
 // Null is the SQL NULL value.
@@ -68,8 +70,8 @@ func NewFloat(v float64) Value { return Value{T: Float64, F: v} }
 // NewText returns a TEXT value.
 func NewText(s string) Value { return Value{T: Text, S: s} }
 
-// NewIntArray returns a BIGINT[] value. The slice is not copied.
-func NewIntArray(a []int64) Value { return Value{T: IntArray, A: a} }
+// NewIntArray returns an INT[] value. The slice is not copied.
+func NewIntArray(a []int32) Value { return Value{T: IntArray, A: a} }
 
 // IsNull reports whether v is SQL NULL.
 func (v Value) IsNull() bool { return v.T == NullType }
@@ -118,7 +120,7 @@ func (v Value) String() string {
 			if i > 0 {
 				b.WriteByte(',')
 			}
-			b.WriteString(strconv.FormatInt(x, 10))
+			b.WriteString(strconv.FormatInt(int64(x), 10))
 		}
 		b.WriteByte('}')
 		return b.String()
@@ -211,7 +213,7 @@ func (r Row) Clone() Row {
 	out := make(Row, len(r))
 	for i, v := range r {
 		if v.T == IntArray {
-			v.A = append([]int64(nil), v.A...)
+			v.A = append([]int32(nil), v.A...)
 		}
 		out[i] = v
 	}
@@ -241,8 +243,8 @@ func EncodeRow(buf []byte, r Row) []byte {
 			buf = binary.AppendUvarint(buf, uint64(len(v.A)))
 			prev := int64(0)
 			for _, x := range v.A {
-				buf = binary.AppendVarint(buf, x-prev)
-				prev = x
+				buf = binary.AppendVarint(buf, int64(x)-prev)
+				prev = int64(x)
 			}
 		}
 	}

@@ -11,7 +11,7 @@ import (
 
 func TestTypeString(t *testing.T) {
 	cases := map[Type]string{
-		NullType: "NULL", Int64: "BIGINT", Float64: "DOUBLE", Text: "TEXT", IntArray: "BIGINT[]",
+		NullType: "NULL", Int64: "BIGINT", Float64: "DOUBLE", Text: "TEXT", IntArray: "INT[]",
 		Type(99): "Type(99)",
 	}
 	for typ, want := range cases {
@@ -30,7 +30,7 @@ func TestValueString(t *testing.T) {
 		{NewInt(-42), "-42"},
 		{NewFloat(2.5), "2.5"},
 		{NewText("hi"), "hi"},
-		{NewIntArray([]int64{1, 2, 3}), "{1,2,3}"},
+		{NewIntArray([]int32{1, 2, 3}), "{1,2,3}"},
 		{NewIntArray(nil), "{}"},
 	}
 	for _, c := range cases {
@@ -72,9 +72,9 @@ func TestCompare(t *testing.T) {
 		{NewInt(0), Null, 1},
 		{Null, Null, 0},
 		{NewText("a"), NewText("b"), -1},
-		{NewIntArray([]int64{1, 2}), NewIntArray([]int64{1, 3}), -1},
-		{NewIntArray([]int64{1, 2}), NewIntArray([]int64{1, 2, 0}), -1},
-		{NewIntArray([]int64{1, 2}), NewIntArray([]int64{1, 2}), 0},
+		{NewIntArray([]int32{1, 2}), NewIntArray([]int32{1, 3}), -1},
+		{NewIntArray([]int32{1, 2}), NewIntArray([]int32{1, 2, 0}), -1},
+		{NewIntArray([]int32{1, 2}), NewIntArray([]int32{1, 2}), 0},
 	}
 	for _, c := range cases {
 		got, err := Compare(c.a, c.b)
@@ -129,8 +129,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		{NewFloat(0), NewFloat(math.Copysign(0, -1))},
 		{NewFloat(math.NaN()), NewFloat(math.Float64frombits(0x7ff8dead0000beef)), NewFloat(math.Float64frombits(0xfff0000000000001))},
 		{NewText(""), NewText("hello, κόσμε"), NewText("\xff\xfe not utf-8 \x80"), NewText(multiPage)},
-		{NewIntArray(nil), NewIntArray([]int64{5}), NewIntArray([]int64{100, 90, 80, -3})},
-		{NewInt(1), NewFloat(30.2672), NewText("x"), NewIntArray([]int64{36000, 36100, 39600})},
+		{NewIntArray(nil), NewIntArray([]int32{5}), NewIntArray([]int32{100, 90, 80, -3})},
+		{NewInt(1), NewFloat(30.2672), NewText("x"), NewIntArray([]int32{36000, 36100, 39600})},
 	}
 	for i, r := range rows {
 		buf, err := EncodeSegRow(nil, r)
@@ -153,7 +153,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeRejectsCorrupt(t *testing.T) {
-	row := Row{NewInt(12345), NewText("abc"), NewFloat(2.5), NewIntArray([]int64{1, 2, 3})}
+	row := Row{NewInt(12345), NewText("abc"), NewFloat(2.5), NewIntArray([]int32{1, 2, 3})}
 	types := typesOf(row)
 	good, err := EncodeSegRow(nil, row)
 	if err != nil {
@@ -202,9 +202,9 @@ func TestEncodeDecodeQuick(t *testing.T) {
 				rng.Read(b)
 				r[i] = NewText(string(b))
 			default:
-				a := make([]int64, rng.Intn(50))
+				a := make([]int32, rng.Intn(50))
 				for j := range a {
-					a[j] = rng.Int63n(1 << 40)
+					a[j] = int32(rng.Uint32())
 				}
 				r[i] = NewIntArray(a)
 			}
@@ -230,7 +230,7 @@ func TestEncodeDecodeQuick(t *testing.T) {
 }
 
 func TestRowClone(t *testing.T) {
-	r := Row{NewIntArray([]int64{1, 2}), NewText("a")}
+	r := Row{NewIntArray([]int32{1, 2}), NewText("a")}
 	c := r.Clone()
 	c[0].A[0] = 99
 	if r[0].A[0] != 1 {
@@ -239,7 +239,7 @@ func TestRowClone(t *testing.T) {
 }
 
 func TestCompareArraysEqualPrefixLonger(t *testing.T) {
-	got, err := Compare(NewIntArray([]int64{1, 2, 3}), NewIntArray([]int64{1, 2}))
+	got, err := Compare(NewIntArray([]int32{1, 2, 3}), NewIntArray([]int32{1, 2}))
 	if err != nil || got != 1 {
 		t.Errorf("Compare longer-vs-prefix = %d, %v", got, err)
 	}
@@ -249,8 +249,8 @@ func TestCompareArraysEqualPrefixLonger(t *testing.T) {
 // mixed column kinds.
 func TestDecodeRowInto(t *testing.T) {
 	rows := []Row{
-		{NewInt(1), NewIntArray([]int64{3, 1, 4, 1, 5}), NewIntArray([]int64{9, 2, 6})},
-		{NewInt(2), NewIntArray(nil), NewIntArray([]int64{-7})},
+		{NewInt(1), NewIntArray([]int32{3, 1, 4, 1, 5}), NewIntArray([]int32{9, 2, 6})},
+		{NewInt(2), NewIntArray(nil), NewIntArray([]int32{-7})},
 		{NewInt(3), NewText("x"), NewFloat(2.5)},
 	}
 	encode := func(r Row) []byte {
@@ -264,7 +264,7 @@ func TestDecodeRowInto(t *testing.T) {
 	// Reused buffers round-trip every row; the arena is append-only, so
 	// arrays decoded in earlier calls keep their contents afterwards.
 	var scratchRow Row
-	var arena []int64
+	var arena []int32
 	var decoded []Row
 	for i, r := range rows {
 		got, grown, err := DecodeSegRowInto(encode(r), typesOf(r), scratchRow, arena)

@@ -64,7 +64,7 @@ type schema struct {
 // newSchema validates def — one being loaded or one read back from a
 // segment's header — and resolves its columns; the table's name is
 // lowercased. A table needs a name, columns and a primary key of one or two
-// BIGINT columns. A run-order declaration that is not three existing BIGINT[]
+// BIGINT columns. A run-order declaration that is not three existing INT[]
 // columns, a target-id declaration that is not at least one of them under a
 // bound in [1, math.MaxInt32] with a count in [0, bound], or a floor that is
 // not at least one of them over a BIGINT key column and a width >= 1, is an
@@ -100,7 +100,7 @@ func newSchema(def TableDef) (*schema, error) {
 	for _, name := range def.RunOrder {
 		ci := colIndex(def.Columns, name)
 		if ci < 0 || sc.types[ci] != sqltypes.IntArray {
-			return nil, fmt.Errorf("sqldb: table %q: run-order column %q is not a BIGINT[] column of the table", def.Name, name)
+			return nil, fmt.Errorf("sqldb: table %q: run-order column %q is not an INT[] column of the table", def.Name, name)
 		}
 		sc.runOrder = append(sc.runOrder, ci)
 	}
@@ -112,7 +112,7 @@ func newSchema(def TableDef) (*schema, error) {
 		for _, name := range ids.Columns {
 			ci := colIndex(def.Columns, name)
 			if ci < 0 || sc.types[ci] != sqltypes.IntArray {
-				return nil, fmt.Errorf("sqldb: table %q: target-id column %q is not a BIGINT[] column of the table", def.Name, name)
+				return nil, fmt.Errorf("sqldb: table %q: target-id column %q is not an INT[] column of the table", def.Name, name)
 			}
 			sc.targetCols = append(sc.targetCols, ci)
 		}
@@ -127,7 +127,7 @@ func newSchema(def TableDef) (*schema, error) {
 		for _, name := range fl.Columns {
 			ci := colIndex(def.Columns, name)
 			if ci < 0 || sc.types[ci] != sqltypes.IntArray {
-				return nil, fmt.Errorf("sqldb: table %q: floor column %q is not a BIGINT[] column of the table", def.Name, name)
+				return nil, fmt.Errorf("sqldb: table %q: floor column %q is not an INT[] column of the table", def.Name, name)
 			}
 			sc.floorCols = append(sc.floorCols, ci)
 		}
@@ -204,7 +204,7 @@ func (t *schema) checkRow(row sqltypes.Row) error {
 	}
 	for _, ci := range t.targetCols {
 		for i, id := range row[ci].A {
-			if id < 0 || id >= t.targetBound {
+			if id < 0 || int64(id) >= t.targetBound {
 				return fmt.Errorf("sqldb: %s.%s: target id %d at position %d is outside [0, %d)",
 					t.def.Name, t.def.Columns[ci].Name, id, i, t.targetBound)
 			}
@@ -213,9 +213,10 @@ func (t *schema) checkRow(row sqltypes.Row) error {
 	if fl := t.def.Floor; fl != nil {
 		key := row[t.floorKey].I
 		for _, ci := range t.floorCols {
-			for i, x := range row[ci].A {
+			for i, e := range row[ci].A {
 				// x >= key × width exactly when FLOOR(x / width) >= key, which
 				// no key near either end of int64 can overflow.
+				x := int64(e)
 				q := x / fl.Width
 				if x%fl.Width != 0 && x < 0 {
 					q--

@@ -9,7 +9,7 @@ import (
 	"ptldb/internal/sqldb/storage"
 )
 
-// The resident-vector tier of a Table: an all-BIGINT/BIGINT[] table's whole
+// The resident-vector tier of a Table: an all-BIGINT/INT[] table's whole
 // segment decoded once into flat column vectors and served as slice views.
 // A hit skips the buffer pool, the payload copy and the varint decode; what
 // is left per lookup is a search of the key directory and value headers
@@ -39,7 +39,7 @@ type Mat struct {
 	// array column of row i spans Elems[Starts[i·A+a]:Starts[i·A+a+1]], A
 	// the number of array columns, so Starts has len(Keys)·A + 1 entries.
 	// The array columns of Cols are views of the two.
-	Elems  []int64
+	Elems  []int32
 	Starts []int32
 	// Bytes is the Mat's budget charge: the backing arrays of the keys, the
 	// scalar columns, Elems and Starts.
@@ -47,12 +47,13 @@ type Mat struct {
 }
 
 // Col is one decoded column. A scalar (BIGINT) column stores row i's value at
-// Ints[i] and leaves Starts nil. An array (BIGINT[]) column is a view of its
-// Mat's shared vectors: Ints is Mat.Elems, Starts is Mat.Starts from the
-// column's own first entry, and Stride is the number of array columns, so
+// Ints[i] and leaves Elems and Starts nil. An array (INT[]) column is a view
+// of its Mat's shared vectors: Elems is Mat.Elems, Starts is Mat.Starts from
+// the column's own first entry, and Stride is the number of array columns, so
 // Starts[i·Stride]:Starts[i·Stride+1] delimits row i's elements.
 type Col struct {
-	Ints   []int64
+	Ints   []int64 // nil for array columns
+	Elems  []int32 // nil for scalar columns
 	Starts []int32 // nil for scalar columns
 	Stride int
 }
@@ -60,18 +61,18 @@ type Col struct {
 // Array returns row i's elements of an array column. The view aliases the
 // decoded vector: immutable, and kept alive by the garbage collector even
 // after the table is replaced, so callers may retain it as long as they need.
-func (c *Col) Array(i int) []int64 {
+func (c *Col) Array(i int) []int32 {
 	j := i * c.Stride
-	return c.Ints[c.Starts[j]:c.Starts[j+1]:c.Starts[j+1]]
+	return c.Elems[c.Starts[j]:c.Starts[j+1]:c.Starts[j+1]]
 }
 
 // vectorBytes is the exact size of a segment table's materialized vectors —
-// Mat.Bytes before the Mat exists — from what open already knows: the
-// shared key directory, one int64 per row and BIGINT column, one int64 per
-// array element, and one int32 start per row and BIGINT[] column plus the
-// final end. Every varint of an all-integer data region is a BIGINT, an
-// array's length prefix or an array element, so the elements are the varints
-// minus one per row and column.
+// Mat.Bytes before the Mat exists — from what open already knows: 16 B per
+// row of the shared key directory, 8 B per row and BIGINT column, 4 B per
+// array element, and a 4-B start per row and INT[] column plus the final end.
+// Every varint of an all-integer data region is a BIGINT, an array's length
+// prefix or an array element, so the elements are the varints minus one per
+// row and column.
 func vectorBytes(types []sqltypes.Type, rows, varints int) int64 {
 	n, arrays := int64(rows), int64(0)
 	for _, typ := range types {
@@ -80,17 +81,17 @@ func vectorBytes(types []sqltypes.Type, rows, varints int) int64 {
 		}
 	}
 	elems := int64(varints) - n*int64(len(types))
-	return 16*n + 8*(n*(int64(len(types))-arrays)+elems) + 4*(n*arrays+1)
+	return 16*n + 8*n*(int64(len(types))-arrays) + 4*elems + 4*(n*arrays+1)
 }
 
 // decode turns the table's data region — the bytes open read and verified —
 // into vectors for the resident vector cache: the key directory is shared
 // with the segment (both immutable), each scalar column becomes one int64
-// per row, and the elements of every array, row by row, one shared vector
-// indexed by one shared vector of starts. The region is decoded in one pass:
-// the varints open counted size every vector, so they are allocated once,
-// at exactly vectorBytes (the size Open admitted the table on), and
-// every row is decoded straight into them.
+// per row, and the elements of every array, row by row, one shared int32
+// vector indexed by one shared vector of starts. The region is decoded in
+// one pass: the varints open counted size every vector, so they are
+// allocated once, at exactly vectorBytes (the size Open admitted the table
+// on), and every row is decoded straight into them.
 func (t *Table) decode(data []byte, varints int) (*Mat, error) {
 	n, arrays := t.seg.NumRows(), 0
 	for _, typ := range t.types {
@@ -103,9 +104,10 @@ func (t *Table) decode(data []byte, varints int) (*Mat, error) {
 	if nElems < 0 || nElems > math.MaxInt32 {
 		return nil, fmt.Errorf("%d array elements do not fit the vector index", nElems)
 	}
-	ints := make([]int64, n*scalars+nElems)
+	ints := make([]int64, n*scalars)
+	elems := make([]int32, 0, nElems)
 	starts := make([]int32, n*arrays+1)
-	elems, row := ints[n*scalars:n*scalars], make([]int64, scalars)
+	row := make([]int64, scalars)
 	for i, off := 0, 0; i < n; i++ {
 		end := off + int(t.seg.RowLen(i))
 		var err error
@@ -126,14 +128,14 @@ func (t *Table) decode(data []byte, varints int) (*Mat, error) {
 		Cols:   make([]Col, len(t.types)),
 		Elems:  elems,
 		Starts: starts,
-		Bytes:  int64(n)*16 + int64(len(ints))*8 + int64(len(starts))*4,
+		Bytes:  int64(n)*16 + int64(len(ints))*8 + int64(len(elems))*4 + int64(len(starts))*4,
 	}
 	for ci, k, a := 0, 0, 0; ci < len(t.types); ci++ {
 		if t.types[ci] == sqltypes.Int64 {
 			m.Cols[ci].Ints = ints[k*n : (k+1)*n : (k+1)*n]
 			k++
 		} else {
-			m.Cols[ci] = Col{Ints: elems, Starts: starts[a:], Stride: arrays}
+			m.Cols[ci] = Col{Elems: elems, Starts: starts[a:], Stride: arrays}
 			a++
 		}
 	}

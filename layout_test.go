@@ -171,9 +171,9 @@ func TestCondensedLayoutColdReads(t *testing.T) {
 			for j, hub := range label[1].A {
 				switch td, ta := label[2].A[j], label[3].A[j]; {
 				case !kind.ea:
-					probes = append(probes, storage.Key{int64(when) / width, hub})
-				case td >= int64(when):
-					probes = append(probes, storage.Key{ta / width, hub})
+					probes = append(probes, storage.Key{int64(when) / width, int64(hub)})
+				case int64(td) >= int64(when):
+					probes = append(probes, storage.Key{int64(ta) / width, int64(hub)})
 				}
 			}
 			before := db.Snapshot().Pool

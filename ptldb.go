@@ -113,11 +113,12 @@ type Config struct {
 	// BucketSeconds is the kNN/one-to-many grouping granularity
 	// (default 3600, the paper's one-hour buckets).
 	BucketSeconds int32
-	// Ordering selects the TTL vertex order: "neighbor-degree" (default),
-	// "degree", "hub-usage" (sampled-journey betweenness, slower to compute
-	// but usually smallest labels) or "random".
+	// Ordering selects the TTL vertex order of every label build — Create's
+	// and AddVersion's: "neighbor-degree" (default), "degree", "hub-usage"
+	// (sampled-journey betweenness, slower to compute but usually smallest
+	// labels) or "random".
 	Ordering string
-	// Seed feeds the "random" ordering.
+	// Seed feeds the "hub-usage" and "random" orderings.
 	Seed int64
 	// VectorCacheBytes sets the resident vector cache's byte budget: label
 	// segments are decoded once into in-memory column vectors and served to
@@ -128,8 +129,12 @@ type Config struct {
 	// image order: a table is admitted while its vectors fit what the
 	// tables before it left of the budget, and keeps its vectors; the rest
 	// are declined and read from their segments. Sizing guidance: the sum
-	// of every all-integer table's vectors (roughly the image's bytes on
-	// disk) keeps every table resident. It has no effect on query answers.
+	// of every all-integer table's vectors keeps every table resident; a
+	// table's vectors take 16 B per row, 8 B per BIGINT value, 4 B per array
+	// element and 4 B per array start (one per row and INT[] column, plus
+	// one), which comes to about 2.4 times the image's bytes on disk (Austin
+	// ×0.15: 9.04 MiB of vectors from a 3.72 MiB image). It has no effect on
+	// query answers.
 	// The directory writers (AddTargetSet, AddVersion, BuildPathTables)
 	// ignore it.
 	VectorCacheBytes int64
@@ -254,22 +259,9 @@ func CreateWithStats(dir string, tt *Network, cfg Config) (*DB, PreprocessStats,
 	}
 
 	start := time.Now()
-	var ord order.Order
-	switch cfg.Ordering {
-	case "", "neighbor-degree":
-		ord = order.ByNeighborDegree(tt)
-	case "degree":
-		ord = order.ByDegree(tt)
-	case "hub-usage":
-		samples := tt.NumStops() / 10
-		if samples < 32 {
-			samples = 32
-		}
-		ord = order.ByHubUsage(tt, samples, cfg.Seed)
-	case "random":
-		ord = order.Random(tt.NumStops(), cfg.Seed)
-	default:
-		return nil, stats, fmt.Errorf("ptldb: unknown ordering %q", cfg.Ordering)
+	ord, err := cfg.order(tt)
+	if err != nil {
+		return nil, stats, err
 	}
 	stats.OrderTime = time.Since(start)
 
@@ -371,11 +363,37 @@ func AddTargetSet(dir, version, name string, targets []StopID, kmax int, cfg Con
 
 // AddVersion loads a second timetable (e.g. the weekend schedule) into the
 // database in dir as a named version with its own lout/lin tables — the
-// paper's Section 3.1 approach to period-dependent timetables. The network
-// must have the same stops.
+// paper's Section 3.1 approach to period-dependent timetables — labelled
+// under cfg's Ordering and Seed, as Create labels. The network must have the
+// same stops.
 func AddVersion(dir, name string, tt *Network, cfg Config) error {
-	labels := ttl.BuildParallel(tt, order.ByNeighborDegree(tt), cfg.BuildWorkers).Augment()
+	ord, err := cfg.order(tt)
+	if err != nil {
+		return err
+	}
+	labels := ttl.BuildParallel(tt, ord, cfg.BuildWorkers).Augment()
 	return write(dir, core.BaseVersion, cfg, func(w *core.Writer) error { return w.AddVersion(name, labels) })
+}
+
+// order computes the TTL vertex order of tt that c.Ordering names, or an
+// error naming an unknown one.
+func (c Config) order(tt *Network) (order.Order, error) {
+	switch c.Ordering {
+	case "", "neighbor-degree":
+		return order.ByNeighborDegree(tt), nil
+	case "degree":
+		return order.ByDegree(tt), nil
+	case "hub-usage":
+		samples := tt.NumStops() / 10
+		if samples < 32 {
+			samples = 32
+		}
+		return order.ByHubUsage(tt, samples, c.Seed), nil
+	case "random":
+		return order.Random(tt.NumStops(), c.Seed), nil
+	default:
+		return nil, fmt.Errorf("ptldb: unknown ordering %q", c.Ordering)
+	}
 }
 
 // BuildPathTables materializes the expanded journey of every label tuple of

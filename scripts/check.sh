@@ -127,6 +127,15 @@ if git grep -nE 'CountSegRow|DecodeSegRowColumns' -- '*.go'; then
     echo "with sqltypes.DecodeSegRowVectors, into row-major array vectors: no counting pass, no per-column vectors" >&2
     exit 1
 fi
+echo "== array elements are 32-bit, from the value to the kernels (internal/sqldb)"
+if git grep -nE '^[[:space:]]*A[[:space:]]+\[\]int64' -- internal/sqldb/sqltypes/value.go ||
+    git grep -nE '^[[:space:]]*Elems[[:space:]]+\[\]int64' -- internal/sqldb/vectors.go ||
+    git grep -nE '^[[:space:]]*Arena[[:space:]]+\[\]int64' -- internal/sqldb/exec/catalog.go ||
+    git grep -nE 'hubs, tds, tas[[:space:]]+\[\]int64' -- internal/sqldb/exec/fused_state.go; then
+    echo "an INT[] element is an int32 everywhere: sqltypes.Value.A, the vector cache's Elems, the row scratch's" >&2
+    echo "Arena and the fused kernels' label; a kernel widens an element where it loads it (DESIGN.md §7)" >&2
+    exit 1
+fi
 echo "== a vector-cache table is decoded at open from the bytes open verified (internal/sqldb)"
 if git grep -nE 'LoadData|OpenSegmentObserved|vcacheMat|\.Unload\(' -- '*.go'; then
     echo "storage.OpenSegment keeps the data region it checksums for the decode, and sqldb.Open decodes" >&2
