@@ -72,7 +72,7 @@ func requireOnlyImage(t *testing.T, dir string) {
 }
 
 // TestWriterLeavesOnlyImage: Create, Close and AddTargetSet leave the image,
-// nothing else — no loose segment, no temporary file — and the image holds
+// nothing else — no temporary file, no file per table — and the image holds
 // one segment per table.
 func TestWriterLeavesOnlyImage(t *testing.T) {
 	dir := t.TempDir()

@@ -249,16 +249,16 @@ func (w *Workspace) AblationLayout() (*Table, error) {
 	var clock storage.Clock
 	pool := storage.NewPool(65536)
 	open := func(name string, sd storage.SegmentData) (*storage.Segment, func(), error) {
-		path := filepath.Join(dir, name)
-		if err := storage.WriteSegmentFile(path, storage.HDD, &clock, sd); err != nil {
-			return nil, nil, err
-		}
-		f, err := storage.OpenPagedFile(path, storage.HDD, &clock)
+		f, err := storage.CreatePagedFile(filepath.Join(dir, name), storage.HDD, &clock)
 		if err != nil {
 			return nil, nil, err
 		}
 		pool.Register(f)
-		seg, _, err := storage.OpenSegment(f, 0, pool, nil)
+		err = storage.AppendSegment(f, sd)
+		var seg *storage.Segment
+		if err == nil {
+			seg, _, err = storage.OpenSegment(f, 0, pool, nil)
+		}
 		if err != nil {
 			f.Close()
 			return nil, nil, err

@@ -95,7 +95,7 @@ func (w *Writer) AddTargetSet(name string, targets []timetable.StopID, kmax int)
 	sort.Slice(hubs, func(i, j int) bool { return hubs[i] < hubs[j] })
 
 	// The five auxiliary tables and the meta row registering the set are one
-	// Load, each table computed and written on the worker pool. The otm
+	// Load, each table computed and encoded on the worker pool. The otm
 	// tables share the knn layout with the best entry per target instead of
 	// the top-k (paper Section 3.3): kmax = |T|.
 	ts := TargetSetMeta{KMax: kmax, Targets: make([]int32, len(targets))}

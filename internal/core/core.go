@@ -152,7 +152,7 @@ type Writer struct {
 	db      *sqldb.DB
 	version string
 	// workers is the table-load parallelism (0 = GOMAXPROCS). Per-table
-	// content and on-disk images do not depend on it: each load writes only
+	// content and on-disk images do not depend on it: each load encodes only
 	// its own table's segment, and the image orders the segments by name.
 	workers int
 }
@@ -254,8 +254,9 @@ func Build(db *sqldb.DB, labels *ttl.Labels, opts BuildOptions) (*Writer, error)
 		Versions:      map[string]*VersionMeta{BaseVersion: newVersionMeta(labels)},
 	}
 	// The tables and the meta row describing them are one Load: each table
-	// is computed and written on the worker pool into its own file, so the
-	// resulting database does not depend on the worker count.
+	// is computed and encoded on the worker pool into its own segment, and
+	// the image orders the segments by name, so the resulting database does
+	// not depend on the worker count.
 	loads := labelLoads("", labels)
 	if opts.Stops != nil {
 		loads = append(loads, stopsLoad(opts.Stops))

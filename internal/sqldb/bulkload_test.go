@@ -1,8 +1,10 @@
 package sqldb
 
 import (
+	"bytes"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -121,34 +123,19 @@ func TestTableBulkLoadTinyReopen(t *testing.T) {
 	}
 }
 
-// requireLoose fails unless dir holds, besides the image a Flush wrote,
-// exactly one loose segment per named table.
-func requireLoose(t *testing.T, dir string, tables ...string) {
+// requireCommitted fails unless dir holds what the Loads through a handle
+// leave behind: nothing before one has succeeded, the image alone after.
+func requireCommitted(t *testing.T, dir string, loaded bool) {
 	t.Helper()
-	want := map[string]bool{}
-	for _, name := range tables {
-		want[name+".loose"] = true
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if e.Name() == ImageName {
-			continue
-		}
-		if !want[e.Name()] {
-			t.Errorf("unexpected file %s in the database directory", e.Name())
-		}
-		delete(want, e.Name())
-	}
-	for name := range want {
-		t.Errorf("%s missing from the database directory", name)
+	if loaded {
+		requireOnlyImage(t, dir)
+	} else if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Errorf("the directory holds %d files before any load (%v); want none", len(entries), err)
 	}
 }
 
 // TestBulkLoadReplacesTable: a Load of a name the catalog holds makes a new
-// table, leaving one loose segment beside the image until the next Flush.
+// table and commits it in a new image, the directory's only file.
 // DB.Table and every later Prepare see the new rows; the replaced table does
 // not change — a statement prepared on it, and the table itself, keep
 // answering the rows they answered, from the vectors it had — and Close
@@ -175,7 +162,7 @@ func TestBulkLoadReplacesTable(t *testing.T) {
 	}
 
 	tbl := load(t, db, def, row(2, 20), row(9, 9))
-	requireLoose(t, dir, "lab")
+	requireOnlyImage(t, dir)
 	if now, _ := db.Table("lab"); now != tbl || tbl == old {
 		t.Fatal("DB.Table does not return the table the replacing load made")
 	}
@@ -278,10 +265,138 @@ func TestWrittenTableReadsSegmentUntilOpen(t *testing.T) {
 	eaIs(before, 10) // prepared on the replaced lout, which keeps its vectors
 }
 
+// TestLoadWritesImage: every Load commits the handle's next image, the
+// directory's only file — the handle's tables in the order of their names,
+// those the Load did not write byte for byte the segments they were — and the
+// same handle goes on answering: each loaded table from the new image, a
+// statement prepared before a replacing Load from the table it replaced. A
+// Flush after the Loads changes no file; a handle opened before them answers
+// from the image it opened, and the directory opens again as the last Load
+// left it.
+func TestLoadWritesImage(t *testing.T) {
+	dir := t.TempDir()
+	buildFaultDB(t, dir)
+	requireOnlyImage(t, dir)
+	old, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Close()
+	db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256, VectorCacheBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	prepared, err := db.Prepare("SELECT v FROM bad WHERE k = $1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// segments returns the tables of the image in image order and each
+	// one's segment.
+	segments := func() ([]string, map[string][]byte) {
+		t.Helper()
+		image, err := os.ReadFile(filepath.Join(dir, ImageName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		segs := map[string][]byte{}
+		for _, s := range imageSegments(t, dir) {
+			names, segs[s.name] = append(names, s.name), image[s.off:s.end]
+		}
+		return names, segs
+	}
+	_, before := segments()
+
+	extra := load(t, db, mkTable("extra", []string{"k"}, "k", "v"), ints(1, 10), ints(2, 20))
+	requireOnlyImage(t, dir)
+	badDef := mkTable("bad", []string{"k"}, "k", "v", "xs:arr")
+	bad := load(t, db, badDef, sqltypes.Row{sqltypes.NewInt(7), sqltypes.NewInt(8), sqltypes.NewIntArray([]int32{9})})
+	requireOnlyImage(t, dir)
+	names, after := segments()
+	if strings.Join(names, ",") != "bad,extra,good,names" {
+		t.Errorf("the image holds %v; want the handle's four tables in the order of their names", names)
+	}
+	for _, name := range []string{"good", "names"} {
+		if !bytes.Equal(after[name], before[name]) {
+			t.Errorf("%s, which no Load wrote, is not the segment it was", name)
+		}
+	}
+	if bytes.Equal(after["bad"], before["bad"]) {
+		t.Error("the replacing Load left bad's segment as it was")
+	}
+
+	if now, _ := db.Table("bad"); now != bad {
+		t.Error("DB.Table does not return the table the replacing Load made")
+	}
+	if row, ok, err := extra.LookupPK([]int64{2}); err != nil || !ok || row[1].I != 20 {
+		t.Errorf("extra(2) = %v, %v, %v; want 20", row, ok, err)
+	}
+	if rel, err := db.Query("SELECT v FROM bad WHERE k = 7"); err != nil || len(rel.Rows) != 1 || rel.Rows[0][0].I != 8 {
+		t.Errorf("bad(7) after the replacing Load = %v, %v; want 8", rel, err)
+	}
+	if rel, err := prepared.Query(sqltypes.NewInt(123)); err != nil || len(rel.Rows) != 1 || rel.Rows[0][0].I != 369 {
+		t.Errorf("the statement prepared before the replacing Load answers bad(123) = %v, %v; want the replaced table's 369", rel, err)
+	}
+
+	// A Flush writes nothing: every file stays, byte for byte.
+	listing, image := dirListing(t, dir), after
+	st, err := os.Stat(filepath.Join(dir, ImageName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := dirListing(t, dir); got != listing {
+		t.Errorf("Flush changed the directory:\n%s\nwas:\n%s", got, listing)
+	}
+	if again, err := os.Stat(filepath.Join(dir, ImageName)); err != nil || !os.SameFile(again, st) {
+		t.Errorf("Flush replaced the image (%v)", err)
+	}
+	if _, now := segments(); len(now) != len(image) {
+		t.Errorf("Flush changed the image's tables: %d, were %d", len(now), len(image))
+	} else {
+		for name, seg := range image {
+			if !bytes.Equal(now[name], seg) {
+				t.Errorf("Flush changed %s's segment", name)
+			}
+		}
+	}
+
+	db.DropCaches()
+	checkGood := func(db *DB) {
+		t.Helper()
+		good, _ := db.Table("good")
+		if row, ok, err := good.LookupPK([]int64{123}); err != nil || !ok || row[1].I != 369 {
+			t.Errorf("good(123) = %v, %v, %v", row, ok, err)
+		}
+	}
+	checkGood(db)
+	old.DropCaches()
+	checkReads(t, old)
+
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	checkGood(re)
+	if tbl, ok := re.Table("extra"); !ok || tbl.RowCount() != 2 {
+		t.Errorf("reopened: extra has %v rows", tbl)
+	}
+	if tbl, _ := re.Table("bad"); tbl.RowCount() != 1 {
+		t.Errorf("reopened: bad has %d rows, want the one reloaded", tbl.RowCount())
+	}
+}
+
 // TestCloseClosesReplacedFiles: Close closes every file the handle opened —
-// the image and each loose segment, those of replaced tables included —
-// counted in the process's descriptor table; nothing is closed before, so a
-// replaced table keeps answering until Close.
+// the image Open read and the one each Load wrote, those only replaced tables
+// read included — counted in the process's descriptor table; nothing is
+// closed before, so a replaced table keeps answering until Close.
 func TestCloseClosesReplacedFiles(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256})
@@ -290,9 +405,6 @@ func TestCloseClosesReplacedFiles(t *testing.T) {
 	}
 	def := mkTable("kv", []string{"k"}, "k", "v")
 	load(t, db, def, ints(1, 10))
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	db = reopen(t, db, Options{Device: storage.RAM, PoolPages: 256})
 	before := openFDs(t)
 	first, _ := db.Table("kv")
@@ -310,15 +422,17 @@ func TestCloseClosesReplacedFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := openFDs(t) - before; got != -1 {
-		t.Errorf("Close left %d descriptors of its own open; want the image and both loose segments closed", got+1)
+		t.Errorf("Close left %d descriptors of its own open; want all three images closed", got+1)
 	}
 	requireOnlyImage(t, dir)
 }
 
 // TestFailedLoadLeavesCatalog: a batch that fails in any of its loads enters
 // none of them: the catalog, every table and the directory stay as they
-// were — the loose segments the batch wrote are removed — and a retry of the
-// same batch succeeds.
+// were — the image byte for byte, and nothing beside it — and a retry of the
+// same batch succeeds. So does a batch whose image cannot be written (a
+// directory stands at image.seg.tmp): the error names the file, and no
+// descriptor stays open.
 func TestFailedLoadLeavesCatalog(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256})
@@ -327,8 +441,21 @@ func TestFailedLoadLeavesCatalog(t *testing.T) {
 	}
 	defer db.Close()
 	kept := load(t, db, mkTable("kept", []string{"k"}, "k", "v"), ints(1, 10))
-	if err := db.Flush(); err != nil {
+	image, err := os.ReadFile(filepath.Join(dir, ImageName))
+	if err != nil {
 		t.Fatal(err)
+	}
+	unchanged := func(what string) {
+		t.Helper()
+		if names := db.Tables(); len(names) != 1 {
+			t.Errorf("%s: the catalog holds %v; want kept alone", what, names)
+		}
+		if now, _ := db.Table("kept"); now != kept {
+			t.Errorf("%s replaced kept", what)
+		}
+		if now, err := os.ReadFile(filepath.Join(dir, ImageName)); err != nil || !bytes.Equal(now, image) {
+			t.Errorf("%s changed the image (%v)", what, err)
+		}
 	}
 	good := TableLoad{Def: mkTable("good", []string{"k"}, "k"), Rows: rowsOf(ints(1), ints(2))}
 	replace := TableLoad{Def: kept.Def(), Rows: rowsOf(ints(1, 99))}
@@ -336,17 +463,27 @@ func TestFailedLoadLeavesCatalog(t *testing.T) {
 	if err := db.Load(2, good, replace, bad); err == nil || !strings.Contains(err.Error(), "ascending") {
 		t.Fatalf("a batch with an unordered load: %v; want the ordering error", err)
 	}
-	if names := db.Tables(); len(names) != 1 {
-		t.Errorf("the catalog holds %v after the failed batch; want kept alone", names)
+	unchanged("the failed batch")
+	requireOnlyImage(t, dir)
+	blocked := filepath.Join(dir, ImageName+".tmp")
+	if err := os.Mkdir(blocked, 0o755); err != nil {
+		t.Fatal(err)
 	}
-	if now, _ := db.Table("kept"); now != kept {
-		t.Error("the failed batch replaced kept")
+	fds := openFDs(t)
+	if err := db.Load(2, good, replace); err == nil || !strings.Contains(err.Error(), ImageName+".tmp") {
+		t.Fatalf("a batch with image.seg.tmp unwritable: %v; want the error naming it", err)
 	}
-	requireLoose(t, dir)
+	if now := openFDs(t); now != fds {
+		t.Errorf("the batch that could not write its image left %d descriptors open", now-fds)
+	}
+	unchanged("the batch that could not write its image")
+	if err := os.Remove(blocked); err != nil {
+		t.Fatal(err)
+	}
 	if err := db.Load(2, good, replace, TableLoad{Def: bad.Def, Rows: rowsOf(ints(1), ints(2))}); err != nil {
 		t.Fatalf("the retry: %v", err)
 	}
-	requireLoose(t, dir, "good", "kept", "bad")
+	requireOnlyImage(t, dir)
 	if names := db.Tables(); len(names) != 3 {
 		t.Errorf("the catalog holds %v after the retry; want good, kept and bad", names)
 	}

@@ -2,8 +2,9 @@ package sqldb_test
 
 // crash_test.go stops the facade's four writers at every file-system step
 // they take, as a crash there would: the directory a crash leaves must open
-// as the database before the call or the one after it. One rename of one
-// file commits a writer, so no step leaves anything in between.
+// as the database before the call or the one after it, and the call run again
+// on it must succeed. One rename of one file commits a writer, so no step
+// leaves anything in between.
 
 import (
 	"bytes"
@@ -62,13 +63,17 @@ func readImage(t *testing.T, dir string) []byte {
 // TestCrashAtEveryStep runs Create and the directory writers AddTargetSet,
 // AddVersion and BuildPathTables on one directory, missing at first, one
 // table at a time, and copies the directory after every file-system step
-// each takes — the directory made, a loose segment written, the image
-// written and synced, renamed into place, the directory synced, a file
-// removed. Every copy must hold the image from before the call
-// or the one after it, beside nothing but loose and temporary files, and
-// open as that database: none before Create, and then the writers' data up
-// to the call, answering what CSA answers, and none of the call's unless it
-// is the image after it. Both images must occur among each call's copies.
+// each takes — the directory made, a segment appended to image.seg.tmp, that
+// file synced, renamed over the image, the directory synced. Every copy must
+// hold the image from before the call or the one after it, and nothing but
+// image.seg.tmp beside it, and open as that database: none before Create, and
+// then the writers' data up to the call, answering what CSA answers, and none
+// of the call's unless it is the image after it. Both images must occur among
+// each call's copies. A copy holding the image after the call holds it alone;
+// on one holding the image before it, the same call run again — over the
+// temporary image the crash left, if any — must succeed and leave the image
+// alone, byte for byte the one the call wrote uncrashed, which opens with the
+// call's data too, answering what CSA answers.
 func TestCrashAtEveryStep(t *testing.T) {
 	tt, err := ptldb.GenerateCity("Austin", 0.01, 3)
 	if err != nil {
@@ -103,18 +108,21 @@ func TestCrashAtEveryStep(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
 	states := t.TempDir()
 	var steps []string
+	recording := true // false while a call runs again on a copy
 	defer sqldb.SetAfterStep(func(step string) {
-		copyDir(t, dir, filepath.Join(states, strconv.Itoa(len(steps))))
-		steps = append(steps, step)
+		if recording {
+			copyDir(t, dir, filepath.Join(states, strconv.Itoa(len(steps))))
+			steps = append(steps, step)
+		}
 	})()
 	cfg := ptldb.Config{Device: "ram", BuildWorkers: 1}
 	writers := []struct {
 		name  string
-		write func() error
+		write func(dir string) error
 		has   func(h *ptldb.DB) bool
 		check func(t *testing.T, what string, h *ptldb.DB)
 	}{
-		{"Create", func() error {
+		{"Create", func(dir string) error {
 			db, err := ptldb.Create(dir, tt, cfg)
 			if err != nil {
 				return err
@@ -123,7 +131,7 @@ func TestCrashAtEveryStep(t *testing.T) {
 		},
 			func(*ptldb.DB) bool { return true },
 			func(t *testing.T, what string, h *ptldb.DB) { eaMatchesCSA(t, what, h, tt) }},
-		{"AddTargetSet", func() error { return ptldb.AddTargetSet(dir, "base", "poi", targets, 3, cfg) },
+		{"AddTargetSet", func(dir string) error { return ptldb.AddTargetSet(dir, "base", "poi", targets, 3, cfg) },
 			func(h *ptldb.DB) bool { _, ok := h.TargetSets()["poi"]; return ok },
 			func(t *testing.T, what string, h *ptldb.DB) {
 				q, when := ptldb.StopID(0), tt.MinTime()+tt.Span()/3
@@ -141,7 +149,7 @@ func TestCrashAtEveryStep(t *testing.T) {
 					}
 				}
 			}},
-		{"AddVersion", func() error { return ptldb.AddVersion(dir, "weekend", weekend, cfg) },
+		{"AddVersion", func(dir string) error { return ptldb.AddVersion(dir, "weekend", weekend, cfg) },
 			func(h *ptldb.DB) bool { return slices.Contains(h.Versions(), "weekend") },
 			func(t *testing.T, what string, h *ptldb.DB) {
 				we, err := h.Version("weekend")
@@ -150,7 +158,7 @@ func TestCrashAtEveryStep(t *testing.T) {
 				}
 				eaMatchesCSA(t, what+", weekend", we, weekend)
 			}},
-		{"BuildPathTables", func() error { return ptldb.BuildPathTables(dir, "base", tt, cfg) },
+		{"BuildPathTables", func(dir string) error { return ptldb.BuildPathTables(dir, "base", tt, cfg) },
 			func(h *ptldb.DB) bool { return h.Store().HasPathTables() },
 			func(t *testing.T, what string, h *ptldb.DB) {
 				checked := 0
@@ -173,13 +181,57 @@ func TestCrashAtEveryStep(t *testing.T) {
 				}
 			}},
 	}
+	// holds opens state, which holds the data of the first done writers, and
+	// requires it to answer for those and to have none of the rest's.
+	holds := func(what, state string, done int) {
+		t.Helper()
+		if done == 0 {
+			sdb, err := sqldb.Open(state, sqldb.Options{})
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			if names := sdb.Tables(); len(names) != 0 {
+				t.Errorf("%s: the directory holds the tables %v before Create", what, names)
+			}
+			sdb.Close()
+			return
+		}
+		h, err := ptldb.Open(state, ptldb.Config{Device: "ram"})
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		for k, c := range writers {
+			if has := c.has(h); has != (k < done) {
+				t.Errorf("%s: holds the data of %s: %v, want %v", what, c.name, has, k < done)
+			} else if has {
+				c.check(t, what, h)
+			}
+		}
+		if err := h.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// files returns the names of the files of state.
+	files := func(state string) []string {
+		t.Helper()
+		entries, err := os.ReadDir(state)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		return names
+	}
 	for w, wr := range writers {
 		before, first := readImage(t, dir), len(steps)
-		if err := wr.write(); err != nil {
+		if err := wr.write(dir); err != nil {
 			t.Fatalf("%s: %v", wr.name, err)
 		}
 		after := readImage(t, dir)
 		seen := map[int]bool{}
+		recording = false
 		for i := first; i < len(steps); i++ {
 			what := wr.name + ", after " + steps[i]
 			state := filepath.Join(states, strconv.Itoa(i))
@@ -194,41 +246,27 @@ func TestCrashAtEveryStep(t *testing.T) {
 				t.Fatalf("%s: the image is neither the one before the call nor the one after it", what)
 			}
 			seen[done] = true
-			entries, err := os.ReadDir(state)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, e := range entries {
-				if name := e.Name(); name != sqldb.ImageName && !strings.HasSuffix(name, ".loose") && !strings.HasSuffix(name, ".tmp") {
+			for _, name := range files(state) {
+				if name != sqldb.ImageName && (name != sqldb.ImageName+".tmp" || done > w) {
 					t.Errorf("%s: the directory holds %s", what, name)
 				}
 			}
-			if done == 0 {
-				sdb, err := sqldb.Open(state, sqldb.Options{})
-				if err != nil {
-					t.Fatalf("%s: %v", what, err)
-				}
-				if names := sdb.Tables(); len(names) != 0 {
-					t.Errorf("%s: the directory holds the tables %v before Create", what, names)
-				}
-				sdb.Close()
+			holds(what, state, done)
+			if done > w {
 				continue
 			}
-			h, err := ptldb.Open(state, ptldb.Config{Device: "ram"})
-			if err != nil {
-				t.Fatalf("%s: %v", what, err)
+			if err := wr.write(state); err != nil {
+				t.Fatalf("%s, run again: %v", what, err)
 			}
-			for k, c := range writers {
-				if has := c.has(h); has != (k < done) {
-					t.Errorf("%s: holds the data of %s: %v, want %v", what, c.name, has, k < done)
-				} else if has {
-					c.check(t, what, h)
-				}
+			if names := files(state); len(names) != 1 || names[0] != sqldb.ImageName {
+				t.Errorf("%s, run again: the directory holds %v, want %s alone", what, names, sqldb.ImageName)
 			}
-			if err := h.Close(); err != nil {
-				t.Fatal(err)
+			if !bytes.Equal(readImage(t, state), after) {
+				t.Errorf("%s, run again: the image is not the one the call wrote uncrashed", what)
 			}
+			holds(what+", run again", state, w+1)
 		}
+		recording = true
 		if !seen[w] || !seen[w+1] {
 			t.Errorf("%s: its %d steps left the image before the call: %v, the one after it: %v; want both", wr.name, len(steps)-first, seen[w], seen[w+1])
 		}

@@ -102,9 +102,14 @@ type Options struct {
 
 // ImageName is the one file of a database directory: every table's segment,
 // back to back in the order of the tables' names, each segment's header page
-// holding its table's definition (DESIGN.md §10.1). A flushed directory holds
-// it and nothing else; one without it is an empty database.
+// holding its table's definition (DESIGN.md §10.1). A directory holds it and
+// nothing else, but for the image.seg.tmp a writer's crash may leave; one
+// without it is an empty database.
 const ImageName = "image.seg"
+
+// tmpName is the one temporary file of a directory: the image a Load writes,
+// before it is renamed over the image.
+const tmpName = ImageName + ".tmp"
 
 // afterStep, nil outside tests, is called after each file-system step of a
 // writer, named, so that a test can copy the directory a crash there leaves.
@@ -128,11 +133,10 @@ type DB struct {
 	// tables is the catalog. Only Open, Load and Close write it, and none of
 	// them runs concurrently with another call on the handle (DESIGN.md §6).
 	tables map[string]*Table
-	// files is every file the handle opened — the image, then each loose
-	// segment — which stay open, and readable, until Close closes them all.
+	// files is every image the handle opened — the one Open read, then the
+	// one each Load wrote — which stay open, and readable, until Close closes
+	// them all.
 	files []*storage.PagedFile
-	// loaded is set by Load and cleared by the Flush that packs its tables.
-	loaded bool
 
 	// prepares counts Prepare calls, i.e. statement parses (StmtCacheStats).
 	prepares atomic.Uint64
@@ -147,9 +151,10 @@ type DB struct {
 // the vector cache is decoded and resident. It walks the image front to back
 // in one pass, each segment's header giving its table's definition and its
 // page count, hence the next segment's start. Without the image, dir is an
-// empty database if it is missing or holds nothing but loose and temporary
-// files — Open creates nothing; the first Load makes the directory — and
-// any other file, the older layouts' catalog among them, fails the open. So
+// empty database if it is missing or holds nothing but the temporary image
+// a crashed writer left — Open creates nothing; the first Load makes the
+// directory — and any other file, the older layouts' catalog among them,
+// fails the open. So
 // do a segment that fails validation (wrapping storage.ErrCorruptSegment), a
 // definition that is not valid or not its segment's columns, and a row an
 // admitted table's decode rejects: the error names the table, or the file
@@ -186,7 +191,7 @@ func Open(dir string, opts Options) (*DB, error) {
 			return nil, fmt.Errorf("sqldb: %w", rerr)
 		}
 		for _, e := range entries {
-			if !scratchFile(e.Name()) {
+			if e.Name() != tmpName {
 				return nil, fmt.Errorf("sqldb: %s holds %s but no %s — it is damaged or was built by an older version; rebuild it: %w",
 					dir, e.Name(), ImageName, err)
 			}
@@ -227,11 +232,6 @@ func Open(dir string, opts Options) (*DB, error) {
 	return db, nil
 }
 
-// scratchFile reports whether name is a loose segment or a temporary file.
-func scratchFile(name string) bool {
-	return strings.HasSuffix(name, ".loose") || strings.HasSuffix(name, ".tmp")
-}
-
 func (db *DB) imagePath() string { return filepath.Join(db.dir, ImageName) }
 
 // Clock exposes the simulated-device clock: the total device time charged by
@@ -244,7 +244,7 @@ func (db *DB) Pool() *storage.Pool { return db.pool }
 // Device returns the device model the database was opened with.
 func (db *DB) Device() storage.DeviceModel { return db.dev }
 
-// DropCaches empties the buffer pool, then forgets where every file the
+// DropCaches empties the buffer pool, then forgets where every image the
 // handle opened was last read, emulating the paper's OS cache drop (the first
 // read of any file is a seek). The resident vectors stay, as the key
 // directories do: both are what Open decoded, and a server restart is Close
@@ -264,21 +264,31 @@ type TableLoad struct {
 	Rows func() ([]sqltypes.Row, error)
 }
 
-// Load writes a batch of new tables, the one write there is. It validates
-// every definition and makes the directory if it is missing, then on up to
-// workers goroutines (RunJobs) computes each table's rows, checks them
-// against the definition and writes them as a loose segment, the definition
-// in its header page (one that does not fit fails before the file is
-// created) — not synced; the next Flush packs it — that a new Table reads.
-// Only once every load has succeeded are the tables entered in the catalog,
-// each replacing any table of its name; a failed batch removes the segments
-// it wrote and leaves the catalog as it was. A replaced table does not change
-// (a statement prepared on it keeps reading it, and its file stays open
-// until Close), but its vectors leave the count of resident bytes. A loaded
-// table reads its segment until the directory is opened again: only Open
-// admits a table to the vector cache. Load must not run concurrently with
-// any other call on the handle.
+// Load writes a batch of new tables and commits it: the one write there is.
+// It validates every definition, then on up to workers goroutines (RunJobs)
+// computes each table's rows, checks them against the definition and encodes
+// them as its segment in memory, the definition in its header page (one that
+// does not fit fails here), so that a batch that fails there writes nothing.
+// Then it writes the directory's next image, making the directory if it is
+// missing: the segments of the handle's tables and of the batch's, in the
+// order of their names — a table the batch does not replace copied by page
+// range from the file it reads — go to image.seg.tmp, truncated first (a
+// crashed writer may have left one), which is synced, read back into the
+// batch's new Tables, renamed over the image — the one rename, which commits
+// the batch — and the directory synced. A failure before the rename leaves
+// the directory and the catalog as they were; after it the catalog enters the
+// batch, each table replacing any of its name, and a failed sync of the
+// directory is returned with the batch committed. A replaced table does not
+// change (a statement prepared on it keeps reading it, and its file stays
+// open until Close), but its vectors leave the count of resident bytes. A
+// loaded table reads its segment until the directory is opened again: only
+// Open admits a table to the vector cache. Load must not run concurrently
+// with any other call on the handle, nor with a Load on another handle of the
+// directory.
 func (db *DB) Load(workers int, loads ...TableLoad) error {
+	if len(loads) == 0 {
+		return nil
+	}
 	schemas := make([]*schema, len(loads))
 	for i, l := range loads {
 		sc, err := newSchema(l.Def)
@@ -292,47 +302,112 @@ func (db *DB) Load(workers int, loads ...TableLoad) error {
 		}
 		schemas[i] = sc
 	}
-	if err := db.makeDir(); err != nil {
-		return err
-	}
-	tables := make([]*Table, len(loads))
+	segs := make([]storage.SegmentData, len(loads))
 	jobs := make([]func() error, len(loads))
 	for i, l := range loads {
-		jobs[i] = func() error {
-			sc := schemas[i]
-			sd, err := sc.encode(l.Rows)
-			if err != nil {
-				return err
-			}
-			path := db.loosePath(sc.def.Name)
-			if err := storage.WriteSegmentFile(path, db.dev, &db.clock, sd); err != nil {
-				return err
-			}
-			step("write " + filepath.Base(path))
-			if tables[i], err = db.openLoose(path); err != nil {
-				_ = os.Remove(path) // best-effort cleanup; the load failure wins
-			}
+		jobs[i] = func() (err error) {
+			segs[i], err = schemas[i].encode(l.Rows)
 			return err
 		}
 	}
 	if err := RunJobs(workers, jobs); err != nil {
-		for i, sc := range schemas {
-			if t := tables[i]; t != nil {
-				db.pool.Forget(t.file)
-				_ = firstError(t.file.Close(), os.Remove(db.loosePath(sc.def.Name))) // best-effort cleanup; the load failure wins
-			}
-		}
 		return err
 	}
+	f, tables, err := db.commit(workers, schemas, segs)
+	if err != nil {
+		return err
+	}
+	db.files = append(db.files, f)
 	for _, t := range tables {
 		if old := db.tables[t.def.Name]; old != nil && old.vc != nil {
 			db.reg.VCache.ResidentBytes.Add(-old.vc.Bytes)
 		}
 		db.tables[t.def.Name] = t
-		db.files = append(db.files, t.file)
 	}
-	db.loaded = true
+	d, err := os.Open(db.dir)
+	if err == nil {
+		err = firstError(d.Sync(), d.Close())
+	}
+	if err != nil {
+		return fmt.Errorf("sqldb: %w", err)
+	}
+	step("sync the directory")
 	return nil
+}
+
+// commit writes the handle's tables and the loads' segments, in the order of
+// their names, to image.seg.tmp, syncs it, reads the loads' new tables back
+// from it and renames it over the image. It returns the new image, open for
+// reading, and the loads' tables; a failure removes the file.
+func (db *DB) commit(workers int, loads []*schema, segs []storage.SegmentData) (*storage.PagedFile, []*Table, error) {
+	if err := db.makeDir(); err != nil {
+		return nil, nil, err
+	}
+	load := map[string]int{}
+	names := db.Tables()
+	for i, sc := range loads {
+		load[sc.def.Name] = i
+		if _, ok := db.tables[sc.def.Name]; !ok {
+			names = append(names, sc.def.Name)
+		}
+	}
+	slices.Sort(names)
+	tmp := filepath.Join(db.dir, tmpName)
+	w, err := storage.CreatePagedFile(tmp, db.dev, &db.clock)
+	if err != nil {
+		return nil, nil, fmt.Errorf("sqldb: %w", err)
+	}
+	var f *storage.PagedFile // the image written, open for reading
+	fail := func(err error) (*storage.PagedFile, []*Table, error) {
+		if f != nil {
+			db.pool.Forget(f)
+			_ = f.Close() // best-effort cleanup; the load failure wins
+		}
+		_ = os.Remove(tmp) // best-effort cleanup; the load failure wins
+		return nil, nil, err
+	}
+	bases := make([]storage.PageID, len(loads))
+	for _, name := range names {
+		if i, ok := load[name]; ok {
+			bases[i] = w.NumPages()
+			err = storage.AppendSegment(w, segs[i])
+		} else {
+			err = db.tables[name].seg.AppendTo(w)
+		}
+		if err != nil {
+			_ = w.Close() // best-effort cleanup; the write failure wins
+			return fail(fmt.Errorf("sqldb: table %q: %w", name, err))
+		}
+		step("append " + name + " to " + tmpName)
+	}
+	if err := firstError(w.Sync(), w.Close()); err != nil {
+		return fail(fmt.Errorf("sqldb: %w", err))
+	}
+	step("sync " + tmpName)
+	if f, err = storage.OpenPagedFile(tmp, db.dev, &db.clock); err != nil {
+		return fail(fmt.Errorf("sqldb: %w", err))
+	}
+	db.pool.Register(f)
+	f.CountReads(&db.reg.Pool.RandReads, &db.reg.Pool.SeqReads)
+	tables := make([]*Table, len(loads))
+	jobs := make([]func() error, len(loads))
+	for i := range loads {
+		jobs[i] = func() error {
+			_, finish, err := db.newTable(f, ImageName, bases[i], nil)
+			if err == nil {
+				tables[i], err = finish()
+			}
+			return err
+		}
+	}
+	if err := RunJobs(workers, jobs); err != nil {
+		return fail(err)
+	}
+	if err := os.Rename(tmp, db.imagePath()); err != nil {
+		return fail(fmt.Errorf("sqldb: %w", err))
+	}
+	step("rename " + tmpName)
+	return f, tables, nil
 }
 
 // makeDir makes the handle's directory, and its parents, if it is missing.
@@ -345,30 +420,6 @@ func (db *DB) makeDir() error {
 	}
 	step("make " + filepath.Base(db.dir))
 	return nil
-}
-
-// loosePath is where Load writes the named table's segment; Flush copies it
-// into the image and deletes it.
-func (db *DB) loosePath(name string) string { return filepath.Join(db.dir, name+".loose") }
-
-// openLoose opens the loose segment at path as a new table.
-func (db *DB) openLoose(path string) (*Table, error) {
-	f, err := storage.OpenPagedFile(path, db.dev, &db.clock)
-	if err != nil {
-		return nil, fmt.Errorf("sqldb: %w", err)
-	}
-	db.pool.Register(f)
-	f.CountReads(&db.reg.Pool.RandReads, &db.reg.Pool.SeqReads)
-	_, finish, err := db.newTable(f, filepath.Base(path), 0, nil)
-	var t *Table
-	if err == nil {
-		t, err = finish()
-	}
-	if err != nil {
-		_ = f.Close() // best-effort cleanup; the open failure wins
-		return nil, err
-	}
-	return t, nil
 }
 
 // Table returns the named table.
@@ -386,75 +437,16 @@ func (db *DB) Tables() []string {
 	return out
 }
 
-// Flush makes every completed write durable; with no Load since the last
-// Flush it does nothing, the directory not even opened. After a Load it packs
-// a new image: the segment of every table, in the order of their names,
-// copied by page range from the file the table reads — the image this handle
-// opened or a loose segment — is written and synced beside the image and
-// renamed over it, the one rename that commits. The directory is synced and
-// every loose and temporary file in it deleted, a crashed writer's too. The
-// tables keep reading the files they read before, which stay open once
-// replaced or deleted, so a pack changes nothing a reader sees. Flush must
-// not run concurrently with a Load on any handle of the directory.
-func (db *DB) Flush() error {
-	if !db.loaded {
-		return nil
-	}
-	if err := db.pack(); err != nil {
-		return err
-	}
-	d, err := os.Open(db.dir)
-	if err != nil {
-		return fmt.Errorf("sqldb: %w", err)
-	}
-	if err := firstError(d.Sync(), d.Close()); err != nil {
-		return err
-	}
-	step("sync the directory")
-	// loaded stays set until every removal succeeded, so a Flush after a
-	// failed one packs again and removes the rest.
-	entries, err := os.ReadDir(db.dir)
-	if err != nil {
-		return fmt.Errorf("sqldb: %w", err)
-	}
-	for _, e := range entries {
-		if scratchFile(e.Name()) {
-			if err := os.Remove(filepath.Join(db.dir, e.Name())); err != nil {
-				return fmt.Errorf("sqldb: %w", err)
-			}
-			step("remove " + e.Name())
-		}
-	}
-	db.loaded = false
-	return nil
-}
+// Flush does nothing and returns nil: each Load commits its own batch.
+//
+// Deprecated: Load writes, syncs and renames the image itself. Flush goes
+// when benchmark/dataset.go stops calling it (ROADMAP item 1).
+func (db *DB) Flush() error { return nil }
 
-// pack writes the image beside the live one and renames it into place.
-func (db *DB) pack() error {
-	names := db.Tables()
-	slices.Sort(names)
-	segs := make([]*storage.Segment, len(names))
-	for i, name := range names {
-		segs[i] = db.tables[name].seg
-	}
-	tmp := db.imagePath() + ".tmp"
-	err := storage.WriteImage(tmp, db.dev, &db.clock, segs)
-	if err == nil {
-		step("write and sync " + ImageName + ".tmp")
-		err = os.Rename(tmp, db.imagePath()) // on failure, the next pack removes tmp
-	}
-	if err != nil {
-		return fmt.Errorf("sqldb: flush: %w", err)
-	}
-	step("rename " + ImageName + ".tmp")
-	return nil
-}
-
-// Close flushes and closes every file the handle opened, those of replaced
-// tables included. Every file is closed even when the flush fails (the
-// directory may be gone); the first error is returned.
+// Close closes every image the handle opened, those only replaced tables
+// read included, and writes nothing; the first error is returned.
 func (db *DB) Close() error {
-	err := db.Flush()
+	var err error
 	for _, f := range db.files {
 		err = firstError(err, f.Close())
 	}
@@ -472,8 +464,9 @@ func firstError(errs ...error) error {
 	return nil
 }
 
-// SizeOnDisk returns the total bytes of the directory's files — after a
-// Flush, the image alone (the paper's Section 4.3 storage report).
+// SizeOnDisk returns the total bytes of the directory's files — outside a
+// Load, the image alone, but for a crashed writer's image.seg.tmp (the
+// paper's Section 4.3 storage report).
 func (db *DB) SizeOnDisk() (int64, error) {
 	var total int64
 	entries, err := os.ReadDir(db.dir)

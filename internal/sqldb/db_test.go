@@ -541,9 +541,6 @@ func TestSizeOnDisk(t *testing.T) {
 	db := newTestDB(t)
 	tbl := mkTable("t", []string{"a"}, "a", "b")
 	load(t, db, tbl, ints(1, 1))
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	n, err := db.SizeOnDisk()
 	if err != nil || n <= 0 {
 		t.Errorf("SizeOnDisk = %d, %v", n, err)

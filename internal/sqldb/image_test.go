@@ -6,9 +6,7 @@ package sqldb
 // last table that are no segment, a header edited without its checksum, a
 // definition whose columns are not its segment's, and the directories of the
 // older layouts — naming the table or the image and the rebuild remedy, with
-// no descriptor left open. Flush packs the image: after it the directory
-// holds the image only, and the handle keeps answering from what it read
-// before.
+// no descriptor left open.
 
 import (
 	"bytes"
@@ -22,7 +20,6 @@ import (
 	"strings"
 	"testing"
 
-	"ptldb/internal/sqldb/exec"
 	"ptldb/internal/sqldb/sqltypes"
 	"ptldb/internal/sqldb/storage"
 )
@@ -101,7 +98,11 @@ func writeSegmentInto(t *testing.T, dir, name string, sd storage.SegmentData) {
 		sd.Meta = meta
 	}
 	path := filepath.Join(t.TempDir(), name+".seg")
-	if err := storage.WriteSegmentFile(path, storage.RAM, new(storage.Clock), sd); err != nil {
+	f, err := storage.CreatePagedFile(path, storage.RAM, new(storage.Clock))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := firstError(storage.AppendSegment(f, sd), f.Close()); err != nil {
 		t.Fatal(err)
 	}
 	seg, err := os.ReadFile(path)
@@ -282,19 +283,25 @@ func TestImageFailsClosed(t *testing.T) {
 	}
 }
 
-// TestFlushRemovesStrayFiles: what a crashed writer leaves — a loose segment
-// and a temporary image — changes nothing Open reads: the directory opens as
-// before, and one holding nothing else is an empty database. A Flush that
-// packs deletes them with its own loose files, leaving the image alone; one
-// with nothing to pack leaves them.
+// TestFlushRemovesStrayFiles: what a crashed writer leaves — its temporary
+// image, here longer than the image the directory holds — changes nothing
+// Open reads: the directory opens as before, and a handle that writes
+// nothing, Flush included, leaves it as it was. The next Load writes its
+// image over the stray file, truncating it, and renames it into place,
+// leaving the image alone and nothing of the stray bytes in it; a directory
+// holding nothing but the stray file is an empty database.
 func TestFlushRemovesStrayFiles(t *testing.T) {
 	dir := t.TempDir()
 	buildFaultDB(t, dir)
+	info, err := os.Stat(filepath.Join(dir, ImageName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	strayLen := 2*info.Size() + storage.PageSize
 	stray := func(dir string) {
-		for _, name := range []string{"x.loose", ImageName + ".tmp"} {
-			if err := os.WriteFile(filepath.Join(dir, name), make([]byte, storage.PageSize), 0o644); err != nil {
-				t.Fatal(err)
-			}
+		junk := bytes.Repeat([]byte{0xa5}, int(strayLen))
+		if err := os.WriteFile(filepath.Join(dir, tmpName), junk, 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
 	stray(dir)
@@ -304,6 +311,9 @@ func TestFlushRemovesStrayFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkReads(t, db)
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -315,11 +325,33 @@ func TestFlushRemovesStrayFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	load(t, db, mkTable("more", []string{"k"}, "k"), ints(1))
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	requireOnlyImage(t, dir)
 	checkReads(t, db)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if info, err := os.Stat(filepath.Join(dir, ImageName)); err != nil {
+		t.Fatal(err)
+	} else if info.Size() >= strayLen {
+		t.Fatalf("the image after the Load is %d bytes; want it shorter than the %d stray bytes", info.Size(), strayLen)
+	}
+	db, err = Open(dir, Options{Device: storage.RAM, PoolPages: 256})
+	if err != nil {
+		t.Fatalf("reopening the image the Load wrote over the stray file: %v", err)
+	}
+	checkReads(t, db)
+	names := db.Tables()
+	slices.Sort(names)
+	if !slices.Equal(names, []string{"bad", "good", "more", "names"}) {
+		t.Errorf("the reopened image holds %v; want bad, good, more and names", names)
+	}
+	more, _ := db.Table("more")
+	if more == nil {
+		t.Fatal("the reopened image lacks more")
+	}
+	if _, ok, err := more.LookupPK([]int64{1}); err != nil || !ok {
+		t.Errorf("more after reopening: %v, %v; want its row", ok, err)
+	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -328,158 +360,10 @@ func TestFlushRemovesStrayFiles(t *testing.T) {
 	stray(empty)
 	db, err = Open(empty, Options{Device: storage.RAM, PoolPages: 256})
 	if err != nil {
-		t.Fatalf("a directory holding only a crashed writer's files: %v", err)
+		t.Fatalf("a directory holding only a crashed writer's temporary image: %v", err)
 	}
 	defer db.Close()
 	if names := db.Tables(); len(names) != 0 {
 		t.Errorf("a directory without an image holds the tables %v", names)
-	}
-}
-
-// TestFlushRetriesAfterFailedRemoval: when a Flush fails to delete a loose
-// file after its pack, the next Flush packs again and deletes only the loose
-// files still left, not the ones the failed Flush already deleted.
-func TestFlushRetriesAfterFailedRemoval(t *testing.T) {
-	dir := t.TempDir()
-	db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	a := load(t, db, mkTable("a", []string{"k"}, "k", "v"), ints(1, 10))
-	b := load(t, db, mkTable("b", []string{"k"}, "k", "v"), ints(2, 20))
-	// b reads its open file; a non-empty directory at its path fails the
-	// deletion that follows the pack, after a's.
-	loose := filepath.Join(dir, "b.loose")
-	if err := os.Remove(loose); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Mkdir(loose, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(loose, "x"), nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Flush(); err == nil || !strings.Contains(err.Error(), "b.loose") {
-		t.Fatalf("Flush with b.loose undeletable: %v; want the error naming it", err)
-	}
-	if err := os.Remove(filepath.Join(loose, "x")); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Flush(); err != nil {
-		t.Fatalf("the Flush after the failed deletion: %v", err)
-	}
-	requireOnlyImage(t, dir)
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	for _, want := range []struct {
-		tbl  *Table
-		k, v int64
-	}{{a, 1, 10}, {b, 2, 20}} {
-		tbl, _ := re.Table(want.tbl.Def().Name)
-		if row, ok, err := tbl.LookupPK([]int64{want.k}); err != nil || !ok || row[1].I != want.v {
-			t.Errorf("reopened %s(%d) = %v, %v, %v; want %d", want.tbl.Def().Name, want.k, row, ok, err, want.v)
-		}
-	}
-}
-
-// TestFlushPacksImage: tables loaded through a handle live in loose files
-// until Flush, which packs them and the tables already in the image into a
-// new image — the handle's tables, in the order of their names, byte for byte
-// the segments the handle reads — and deletes the loose files. The handle keeps answering
-// after each pack, one opened before another handle's pack keeps answering
-// from the image it opened, and a Flush with nothing new writes nothing.
-func TestFlushPacksImage(t *testing.T) {
-	dir := t.TempDir()
-	buildFaultDB(t, dir)
-	requireOnlyImage(t, dir)
-	old, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer old.Close()
-
-	db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256, VectorCacheBytes: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	extra := load(t, db, mkTable("extra", []string{"k"}, "k", "v"), ints(1, 10), ints(2, 20))
-	bad, _ := db.Table("bad")
-	bad = load(t, db, bad.Def(), sqltypes.Row{sqltypes.NewInt(7), sqltypes.NewInt(8), sqltypes.NewIntArray([]int32{9})})
-	if _, err := os.Stat(filepath.Join(dir, "extra.loose")); err != nil {
-		t.Errorf("before Flush: %v; want the loaded table in its loose file", err)
-	}
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	requireOnlyImage(t, dir)
-	image, err := os.ReadFile(filepath.Join(dir, ImageName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, s := range imageSegments(t, dir) {
-		names = append(names, s.name)
-	}
-	if strings.Join(names, ",") != "bad,extra,good,names" {
-		t.Errorf("the packed image holds %v; want the handle's four tables in order", names)
-	}
-	packed, err := os.Stat(filepath.Join(dir, ImageName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if again, err := os.Stat(filepath.Join(dir, ImageName)); err != nil || !os.SameFile(again, packed) {
-		t.Errorf("a Flush with nothing new wrote a new image: %v", err)
-	}
-	if again, err := os.ReadFile(filepath.Join(dir, ImageName)); err != nil || !bytes.Equal(again, image) {
-		t.Errorf("a Flush with nothing new changed the image: %v", err)
-	}
-
-	// This handle reads its loose files, unlinked now, and the image it
-	// opened; the older handle reads the image the pack replaced.
-	if row, ok, err := extra.LookupPK([]int64{2}); err != nil || !ok || row[1].I != 20 {
-		t.Errorf("after the pack: extra(2) = %v, %v, %v", row, ok, err)
-	}
-	if row, ok, err := bad.LookupPK([]int64{7}); err != nil || !ok || row[1].I != 8 {
-		t.Errorf("after the pack: bad(7) = %v, %v, %v", row, ok, err)
-	}
-	db.DropCaches()
-	checkGood := func(db *DB) {
-		t.Helper()
-		good, _ := db.Table("good")
-		var s exec.RowScratch
-		if row, ok, err := good.LookupPKScratch([]int64{123}, &s); err != nil || !ok || row[1].I != 369 {
-			t.Errorf("good(123) = %v, %v, %v", row, ok, err)
-		}
-	}
-	checkGood(db)
-	old.DropCaches()
-	checkReads(t, old)
-
-	// The directory opens as packed.
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	checkGood(re)
-	if tbl, ok := re.Table("extra"); !ok || tbl.RowCount() != 2 {
-		t.Errorf("reopened: extra has %v rows", tbl)
-	}
-	if tbl, _ := re.Table("bad"); tbl.RowCount() != 1 {
-		t.Errorf("reopened: bad has %d rows, want the one reloaded", tbl.RowCount())
 	}
 }

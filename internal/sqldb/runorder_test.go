@@ -59,7 +59,7 @@ func TestBulkLoadValidatesRunOrder(t *testing.T) {
 		{"ta descends inside a run", labelRow(1, []int32{4, 4, 4, 4}, []int32{1, 2, 3, 4}, []int32{9, 9, 9, 8}), "position 3"},
 		{"arrays of different length", labelRow(1, []int32{4, 4}, []int32{1, 2}, []int32{9}), "lengths 2, 2, 1"},
 	}
-	rejected := func(loaded ...string) {
+	rejected := func(loaded bool) {
 		t.Helper()
 		for _, tc := range bad {
 			_, err := tryLoad(db, def, good, tc.row)
@@ -73,9 +73,9 @@ func TestBulkLoadValidatesRunOrder(t *testing.T) {
 				}
 			}
 		}
-		requireLoose(t, dir, loaded...)
+		requireCommitted(t, dir, loaded)
 	}
-	rejected()
+	rejected(false)
 	if _, ok := db.Table("lab"); ok {
 		t.Fatal("rejected loads entered the table")
 	}
@@ -83,7 +83,7 @@ func TestBulkLoadValidatesRunOrder(t *testing.T) {
 	if got := tbl.RunOrder(); !slices.Equal(got, []int{1, 2, 3}) {
 		t.Fatalf("RunOrder() = %v, want the positions of hubs, tds, tas", got)
 	}
-	rejected("lab")
+	rejected(true)
 	if now, _ := db.Table("lab"); now != tbl {
 		t.Fatal("a rejected load replaced the loaded table")
 	}
@@ -145,7 +145,7 @@ func TestBulkLoadValidatesTargetBound(t *testing.T) {
 		{"vs_exp at the bound", nil, []int32{9, 10}, []string{"aux.vs_exp:", "target id 10", "position 1"}},
 		{"an absurd id", []int32{math.MaxInt32}, nil, []string{"aux.vs:", "position 0"}},
 	}
-	rejected := func(loaded ...string) {
+	rejected := func(loaded bool) {
 		t.Helper()
 		for _, tc := range bad {
 			for at, rows := range [][]sqltypes.Row{
@@ -164,9 +164,9 @@ func TestBulkLoadValidatesTargetBound(t *testing.T) {
 				}
 			}
 		}
-		requireLoose(t, dir, loaded...)
+		requireCommitted(t, dir, loaded)
 	}
-	rejected()
+	rejected(false)
 	if _, ok := db.Table("aux"); ok {
 		t.Fatal("rejected loads entered the table")
 	}
@@ -174,7 +174,7 @@ func TestBulkLoadValidatesTargetBound(t *testing.T) {
 	if !declares(tbl) {
 		t.Fatalf("TargetBound() does not report the positions of vs, vs_exp under 10")
 	}
-	rejected("aux")
+	rejected(true)
 	if got, ok, err := tbl.LookupPK([]int64{4}); err != nil || !ok || !slices.Equal(got[1].A, []int32{0, 9, 9}) || tbl.RowCount() != 2 {
 		t.Fatalf("rejected loads changed a loaded table: %v, %v, %v (%d rows)", got, ok, err, tbl.RowCount())
 	}
@@ -275,7 +275,7 @@ func TestBulkLoadValidatesTargetCount(t *testing.T) {
 			}
 		}
 	}
-	requireLoose(t, dir, "aux")
+	requireCommitted(t, dir, true)
 	if got, ok, err := tbl.LookupPK([]int64{1}); err != nil || !ok || !slices.Equal(got[3].A, []int32{0, 2, 9}) || tbl.RowCount() != 2 {
 		t.Fatalf("rejected loads changed a loaded table: %v, %v, %v (%d rows)", got, ok, err, tbl.RowCount())
 	}
@@ -366,7 +366,7 @@ func TestBulkLoadValidatesFloor(t *testing.T) {
 			[]string{"aux.tas_exp:", "value -2147483648", "position 0", "-214748364 × 10"}},
 		{"a bucket whose floor lies above int64", row(math.MaxInt64, []int32{math.MaxInt32}, nil), []string{"aux.tas:", "value 2147483647", "position 0"}},
 	}
-	rejected := func(loaded ...string) {
+	rejected := func(loaded bool) {
 		t.Helper()
 		for _, tc := range bad {
 			for at, rows := range [][]sqltypes.Row{{tc.row}, {lowest, tc.row}} {
@@ -382,9 +382,9 @@ func TestBulkLoadValidatesFloor(t *testing.T) {
 				}
 			}
 		}
-		requireLoose(t, dir, loaded...)
+		requireCommitted(t, dir, loaded)
 	}
-	rejected()
+	rejected(false)
 	if _, ok := db.Table("aux"); ok {
 		t.Fatal("rejected loads entered the table")
 	}
@@ -394,7 +394,7 @@ func TestBulkLoadValidatesFloor(t *testing.T) {
 	if !declares(tbl) {
 		t.Fatalf("Floor() does not report dephour × 10 over the positions of tas, tas_exp")
 	}
-	rejected("aux")
+	rejected(true)
 	if got, ok, err := tbl.LookupPK([]int64{3, 0}); err != nil || !ok || !slices.Equal(got[4].A, []int32{30, 35}) || tbl.RowCount() != 3 {
 		t.Fatalf("rejected loads changed a loaded table: %v, %v, %v (%d rows)", got, ok, err, tbl.RowCount())
 	}
@@ -554,9 +554,6 @@ func TestFusedPlanAnswersOrErrors(t *testing.T) {
 		t.Errorf("%d fused runs, %d general runs; want 4 and 0", fused, general)
 	}
 
-	if err := db.Flush(); err != nil { // another handle sees what a Flush packed
-		t.Fatal(err)
-	}
 	ref, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256, ReferenceExec: true})
 	if err != nil {
 		t.Fatal(err)

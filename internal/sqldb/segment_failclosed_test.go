@@ -7,8 +7,7 @@ package sqldb
 // and a directory of an older layout fails it with an error naming a file of
 // it and the remedy (rebuild).
 // Nothing stays open behind the error, nothing is created by it, and a
-// healthy sibling directory is unaffected. Close releases every file even
-// when its flush fails.
+// healthy sibling directory is unaffected.
 
 import (
 	"encoding/binary"
@@ -174,8 +173,11 @@ func dirListing(t *testing.T, dir string) string {
 }
 
 // TestCloseReleasesFilesWhenFlushFails removes the directory under an open
-// database with a loaded table: the flush cannot pack it and Close must say
-// so — after closing the image and every loose segment, not instead.
+// database that has loaded a table and puts a plain file in its place.
+// Neither Flush nor Close writes, so neither fails: the tables still answer
+// from the images the handle holds open, the next Load cannot make the
+// directory, fails naming it and keeps no descriptor, and Close closes both
+// images — the one Open opened and the one the first Load wrote.
 func TestCloseReleasesFilesWhenFlushFails(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
 	buildFaultDB(t, dir)
@@ -186,13 +188,30 @@ func TestCloseReleasesFilesWhenFlushFails(t *testing.T) {
 	}
 	load(t, db, mkTable("more", []string{"k"}, "k"), ints(1))
 	if held := openFDs(t) - before; held != 2 {
-		t.Fatalf("the open database holds %d descriptors, want the image and the loose segment", held)
+		t.Fatalf("the open database holds %d descriptors, want the opened image and the written one", held)
 	}
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Close(); !errors.Is(err, fs.ErrNotExist) {
-		t.Errorf("Close with the directory gone = %v, want the flush's not-exist error", err)
+	if err := os.WriteFile(dir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	checkReads(t, db)
+	if err := db.Flush(); err != nil {
+		t.Errorf("Flush with the directory gone = %v, want nil", err)
+	}
+	fds := openFDs(t)
+	if _, err := tryLoad(db, mkTable("late", []string{"k"}, "k"), ints(1)); err == nil || !strings.Contains(err.Error(), dir) {
+		t.Errorf("Load with a file in place of the directory = %v, want an error naming it", err)
+	}
+	if now := openFDs(t); now != fds {
+		t.Errorf("the Load that could not write its image left %d descriptors open", now-fds)
+	}
+	if _, ok := db.Table("late"); ok {
+		t.Error("the failed Load entered its table")
+	}
+	if err := db.Close(); err != nil {
+		t.Errorf("Close with the directory gone = %v, want nil", err)
 	}
 	if after := openFDs(t); after != before {
 		t.Errorf("Close leaked file descriptors: %d before, %d after", before, after)

@@ -18,9 +18,9 @@ type PageID uint32
 
 // PagedFile is a page-granular view of an on-disk file. All physical reads
 // and writes flow through it so the device model sees every access. A file is
-// either being written (CreatePagedFile: the one pass of WriteSegmentFile or of
-// WriteImage, appending) or read (OpenPagedFile: read-only, for the rest of
-// its life). It is safe for
+// either being written (CreatePagedFile: the one appending pass that writes an
+// image, AppendSegment and Segment.AppendTo) or read (OpenPagedFile:
+// read-only, for the rest of its life). It is safe for
 // concurrent use: the mutex only guards the page count and the
 // sequential-access detector, while the transfers themselves use pread/
 // pwrite outside any lock so concurrent page I/O overlaps.
@@ -73,7 +73,7 @@ const noPage = ^PageID(0)
 
 // ForgetLastRead resets the sequential-access detector, so the next read is
 // charged as a seek whichever page it is — what a restart does to the disk
-// head. DB.DropCaches calls it on the image and every loose segment.
+// head. DB.DropCaches calls it on every image the handle opened.
 func (p *PagedFile) ForgetLastRead() {
 	p.mu.Lock()
 	p.lastRead = noPage

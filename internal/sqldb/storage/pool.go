@@ -9,8 +9,9 @@ import (
 
 // Pool is the shared buffer pool: at most a fixed number of page frames
 // cached over any number of PagedFiles, with LRU replacement. It is a read
-// cache: segments are written whole by WriteSegmentFile, copied whole into
-// an image by WriteImage and only read afterwards, so a frame is never dirty and eviction is a map delete. It
+// cache: segments are written whole into an image by AppendSegment or copied
+// whole from an older one by Segment.AppendTo, and only read afterwards, so a
+// frame is never dirty and eviction is a map delete. It
 // plays the role of PostgreSQL's shared_buffers in the PTLDB evaluation;
 // DropCaches emulates the paper's "restart the server and clear the operating
 // system's cache" step.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"os"
 )
 
 // Key is a primary key of up to two BIGINT components; a single-column key
@@ -63,8 +62,7 @@ func FindFrom(keys []Key, start int, key Key) (int, bool) {
 // plus an in-memory directory mapping each primary key to its payload's
 // offset and length. The directory is decoded once at open, so a cold lookup
 // costs only the payload's own pages — no header, index or slotted-page
-// traffic. The zero Segment is an empty one with no file behind it (a table
-// declared but not yet loaded).
+// traffic.
 //
 // Layout, in pages from the segment's first page (all little-endian):
 //
@@ -78,11 +76,11 @@ func FindFrom(keys []Key, start int, key Key) (int, bool) {
 //
 // The header alone gives the segment's page count, so segments stored back
 // to back in one file are walked front to back, each one's end the next
-// one's start (WriteImage writes such a file; sqldb keeps a database's tables
-// in one). A segment is written once by WriteSegmentFile during bulk load
-// and never mutated (a table is changed by writing a new one); its bytes are
-// a pure function of the row set and its definition, which is what keeps
-// build output byte-identical at every worker count; WriteImage copies them.
+// one's start (sqldb keeps a database's tables in one such file). A segment
+// is written once by AppendSegment during bulk load and never mutated (a
+// table is changed by writing a new one); its bytes are a pure function of
+// the row set and its definition, which is what keeps build output
+// byte-identical at every worker count; AppendTo copies them.
 // OpenSegment verifies both region checksums and the exact page layout, so
 // a truncated or bit-flipped segment is rejected at open with
 // ErrCorruptSegment — the segment is the table's only copy, so the caller
@@ -101,8 +99,8 @@ type Segment struct {
 	lens []uint32 // payload lengths
 }
 
-// SegmentData is the input to WriteSegmentFile: one table's rows in key
-// order, already encoded.
+// SegmentData is the input to AppendSegment: one table's rows in key order,
+// already encoded.
 type SegmentData struct {
 	Cols  []byte   // one kind tag per column
 	PKLen int      // leading key components in use (1 or 2)
@@ -121,7 +119,7 @@ const (
 )
 
 // ErrCorruptSegment is wrapped by every validation failure of OpenSegment: the
-// file's bytes are not a segment WriteSegmentFile produced.
+// file's bytes are not a segment AppendSegment produced.
 var ErrCorruptSegment = errors.New("corrupt segment")
 
 // corruptSegment builds a validation failure naming the damaged region
@@ -142,112 +140,66 @@ func headerCRC(page []byte) uint32 {
 	return crc32.Update(crc, segCRCTable, page[segHeaderBytes:PageSize])
 }
 
-// WriteSegmentFile writes sd as a file of one segment at path: the bytes go
-// to path+".tmp" and the finished file is renamed over whatever path held,
-// so a reader of the old file keeps reading it and a failed write (tags and
-// meta too large for the header page fail first) leaves path untouched and
-// no temporary file. The file is not synced: it is a loose segment, which a
-// crash may lose, and what must be durable is copied into an image by
-// WriteImage, which syncs. Writes are page-granular through a PagedFile so
-// the device model charges them like any other build I/O.
-func WriteSegmentFile(path string, dev DeviceModel, clock *Clock, sd SegmentData) error {
-	tmp := path + ".tmp"
-	err := writeSegmentFile(tmp, dev, clock, sd)
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		_ = os.Remove(tmp) // best-effort cleanup; the write failure wins
-		return fmt.Errorf("storage: segment %s: %w", path, err)
-	}
-	return nil
-}
-
-// imageCopyPages is how many pages WriteImage moves per transfer: 1 MiB.
+// imageCopyPages is how many pages AppendTo moves per transfer: 1 MiB.
 const imageCopyPages = 128
 
-// WriteImage writes segs back to back, in order, as a new file at path —
-// each segment's pages copied verbatim from its own file by page range, its
-// header first — and syncs it, so that OpenSegment walks the file from page
-// 0, each segment's Pages giving the next one's base. Whatever path held is
-// replaced; a failed write removes path. Every segment must have a file
-// behind it: the zero Segment has none.
-func WriteImage(path string, dev DeviceModel, clock *Clock, segs []*Segment) error {
-	err := writeImage(path, dev, clock, segs)
-	if err != nil {
-		_ = os.Remove(path) // best-effort cleanup; the write failure wins
-		return fmt.Errorf("storage: image %s: %w", path, err)
+// AppendTo appends s to f, its pages copied verbatim by page range from its
+// own file, header first, so that a walk of f finds it where f ended.
+func (s *Segment) AppendTo(f *PagedFile) error {
+	buf := make([]byte, min(s.pages, imageCopyPages)*PageSize)
+	for p := PageID(0); p < s.pages; {
+		b := buf[:min(s.pages-p, imageCopyPages)*PageSize]
+		if err := s.file.ReadPages(s.base+p, b); err != nil {
+			return err
+		}
+		if err := f.Append(b); err != nil {
+			return err
+		}
+		p += PageID(len(b) / PageSize)
 	}
 	return nil
 }
 
-func writeImage(path string, dev DeviceModel, clock *Clock, segs []*Segment) (err error) {
-	f, err := CreatePagedFile(path, dev, clock)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	buf := make([]byte, imageCopyPages*PageSize)
-	for i, s := range segs {
-		if s.file == nil {
-			return fmt.Errorf("segment %d has no file", i)
-		}
-		for p := PageID(0); p < s.pages; {
-			b := buf[:min(s.pages-p, imageCopyPages)*PageSize]
-			if err := s.file.ReadPages(s.base+p, b); err != nil {
-				return err
-			}
-			if err := f.Append(b); err != nil {
-				return err
-			}
-			p += PageID(len(b) / PageSize)
-		}
-	}
-	return f.Sync()
-}
-
-func writeSegmentFile(path string, dev DeviceModel, clock *Clock, sd SegmentData) (err error) {
+// Check reports why sd cannot be written as a segment: lens that disagree
+// with the keys or the data, a pk width outside [1, 2], keys not strictly
+// ascending, or column tags and meta that overflow the header page.
+func (sd *SegmentData) Check() error {
 	if len(sd.Keys) != len(sd.Lens) {
-		return fmt.Errorf("%d keys vs %d lens", len(sd.Keys), len(sd.Lens))
+		return fmt.Errorf("storage: %d keys vs %d lens", len(sd.Keys), len(sd.Lens))
 	}
 	if sd.PKLen < 1 || sd.PKLen > 2 {
-		return fmt.Errorf("pk width %d out of range", sd.PKLen)
+		return fmt.Errorf("storage: pk width %d out of range", sd.PKLen)
 	}
 	if segHeaderBytes+len(sd.Cols)+len(sd.Meta) > PageSize {
-		return fmt.Errorf("%d columns and %d bytes of meta overflow the header page", len(sd.Cols), len(sd.Meta))
+		return fmt.Errorf("storage: %d columns and %d bytes of meta overflow the header page", len(sd.Cols), len(sd.Meta))
 	}
 	var total uint64
 	for i, ln := range sd.Lens {
 		total += uint64(ln)
 		if i > 0 && !sd.Keys[i-1].Less(sd.Keys[i]) {
-			return fmt.Errorf("keys not strictly ascending at row %d", i)
+			return fmt.Errorf("storage: keys not strictly ascending at row %d", i)
 		}
 	}
 	if total != uint64(len(sd.Data)) {
-		return fmt.Errorf("%d data bytes vs %d from lens", len(sd.Data), total)
+		return fmt.Errorf("storage: %d data bytes vs %d from lens", len(sd.Data), total)
 	}
+	return nil
+}
 
-	// Build the directory image.
+// AppendSegment appends sd to f as one segment — header page, data region,
+// directory — once it passes Check: a rejected sd appends nothing. Writes
+// are page-granular through f, so the device model charges them like any
+// other build I/O; syncing f is the caller's.
+func AppendSegment(f *PagedFile, sd SegmentData) error {
+	if err := sd.Check(); err != nil {
+		return err
+	}
 	var dir []byte
 	for i, k := range sd.Keys {
 		dir = binary.AppendVarint(dir, k[0])
 		dir = binary.AppendVarint(dir, k[1])
 		dir = binary.AppendUvarint(dir, uint64(sd.Lens[i]))
 	}
-
-	f, err := CreatePagedFile(path, dev, clock)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}()
 
 	dataPages := (len(sd.Data) + PageSize - 1) / PageSize
 	dirPage := 1 + dataPages

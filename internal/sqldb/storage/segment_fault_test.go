@@ -25,7 +25,7 @@ func writeFaultSegment(t *testing.T, dir string) (string, SegmentData) {
 	path := filepath.Join(dir, "fault.seg")
 	sd := buildSegmentData(rand.New(rand.NewSource(23)), 60)
 	var clock Clock
-	if err := WriteSegmentFile(path, RAM, &clock, sd); err != nil {
+	if err := createSegmentFile(path, RAM, &clock, sd); err != nil {
 		t.Fatal(err)
 	}
 	return path, sd
@@ -219,7 +219,7 @@ func FuzzOpenSegment(f *testing.F) {
 		f.Fatal(err)
 	}
 	small := filepath.Join(dir, "small.seg")
-	if err := WriteSegmentFile(small, RAM, &Clock{}, buildSegmentData(rand.New(rand.NewSource(5)), 3)); err != nil {
+	if err := createSegmentFile(small, RAM, &Clock{}, buildSegmentData(rand.New(rand.NewSource(5)), 3)); err != nil {
 		f.Fatal(err)
 	}
 	second, err := os.ReadFile(small)
@@ -324,7 +324,7 @@ func writeFaultSegmentF(f *testing.F, dir string) (string, SegmentData) {
 	path := filepath.Join(dir, "fault.seg")
 	sd := buildSegmentData(rand.New(rand.NewSource(23)), 60)
 	var clock Clock
-	if err := WriteSegmentFile(path, RAM, &clock, sd); err != nil {
+	if err := createSegmentFile(path, RAM, &clock, sd); err != nil {
 		f.Fatal(err)
 	}
 	return path, sd

@@ -39,7 +39,7 @@ func TestOpenSegmentReadsFileOnceInOrder(t *testing.T) {
 	for _, rows := range []int{0, 1, 60} {
 		path := filepath.Join(t.TempDir(), "order.seg")
 		sd := buildSegmentData(rand.New(rand.NewSource(23)), rows)
-		if err := WriteSegmentFile(path, RAM, &Clock{}, sd); err != nil {
+		if err := createSegmentFile(path, RAM, &Clock{}, sd); err != nil {
 			t.Fatal(err)
 		}
 		var seen []byte

@@ -31,6 +31,19 @@ func buildSegmentData(rng *rand.Rand, n int) SegmentData {
 	return sd
 }
 
+// createSegmentFile writes sd as a new file of one segment at path.
+func createSegmentFile(path string, dev DeviceModel, clock *Clock, sd SegmentData) error {
+	f, err := CreatePagedFile(path, dev, clock)
+	if err != nil {
+		return err
+	}
+	err = AppendSegment(f, sd)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
 // openSegmentAt opens the segment of the file at path and returns it with
 // the column tags its header holds.
 func openSegmentAt(t *testing.T, path string, pool *Pool) (*Segment, *PagedFile, []byte) {
@@ -58,7 +71,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	sd := buildSegmentData(rng, 40)
 	var clock Clock
-	if err := WriteSegmentFile(path, RAM, &clock, sd); err != nil {
+	if err := createSegmentFile(path, RAM, &clock, sd); err != nil {
 		t.Fatal(err)
 	}
 	st, err := os.Stat(path)
@@ -118,7 +131,7 @@ func TestSegmentWriteDeterministic(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		path := filepath.Join(dir, "t.seg")
 		var clock Clock
-		if err := WriteSegmentFile(path, RAM, &clock, sd); err != nil {
+		if err := createSegmentFile(path, RAM, &clock, sd); err != nil {
 			t.Fatal(err)
 		}
 		b, err := os.ReadFile(path)
@@ -149,10 +162,13 @@ func TestSegmentRejectsBadInput(t *testing.T) {
 		// One byte of meta more than the header page has room for.
 		{Cols: []byte{1}, PKLen: 1, Meta: make([]byte, PageSize-segHeaderBytes)},
 	}
-	// A rejected write leaves the file it would have replaced as it was, and
-	// no temporary beside it.
-	good := buildSegmentData(rand.New(rand.NewSource(9)), 10)
-	if err := WriteSegmentFile(path, dev, &clock, good); err != nil {
+	// A rejected segment appends nothing: the file keeps the segment before
+	// it, byte for byte, and ends where that one ends.
+	w, err := CreatePagedFile(path, dev, &clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := AppendSegment(w, buildSegmentData(rand.New(rand.NewSource(9)), 10)); err != nil {
 		t.Fatal(err)
 	}
 	before, err := os.ReadFile(path)
@@ -160,15 +176,18 @@ func TestSegmentRejectsBadInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, sd := range cases {
-		if err := WriteSegmentFile(path, dev, &clock, sd); err == nil {
-			t.Fatalf("case %d: WriteSegmentFile succeeded, want error", i)
+		if err := sd.Check(); err == nil {
+			t.Errorf("case %d: Check passed, want error", i)
+		}
+		if err := AppendSegment(w, sd); err == nil {
+			t.Fatalf("case %d: AppendSegment succeeded, want error", i)
 		}
 	}
-	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(before, after) {
-		t.Fatalf("rejected writes changed the existing segment (%v)", err)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
-		t.Fatalf("rejected writes left %d files in the directory, want 1", len(entries))
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(before, after) {
+		t.Fatalf("rejected segments changed the file (%v)", err)
 	}
 	// A non-segment page-aligned file must be rejected at open.
 	zeroed := filepath.Join(dir, "not.seg")
@@ -195,7 +214,7 @@ func TestOpenSegmentAdmitsFromHeader(t *testing.T) {
 	sd := buildSegmentData(rand.New(rand.NewSource(3)), 30)
 	sd.Meta = bytes.Repeat([]byte{'m'}, PageSize-segHeaderBytes-len(sd.Cols))
 	path := filepath.Join(t.TempDir(), "t.seg")
-	if err := WriteSegmentFile(path, RAM, &Clock{}, sd); err != nil {
+	if err := createSegmentFile(path, RAM, &Clock{}, sd); err != nil {
 		t.Fatal(err)
 	}
 	f, err := OpenPagedFile(path, RAM, &Clock{})
@@ -247,7 +266,7 @@ func TestSegmentColdReadPages(t *testing.T) {
 		sd.Data = append(sd.Data, payload...)
 	}
 	var clock Clock
-	if err := WriteSegmentFile(path, RAM, &clock, sd); err != nil {
+	if err := createSegmentFile(path, RAM, &clock, sd); err != nil {
 		t.Fatal(err)
 	}
 	pool := NewPool(64)
@@ -268,10 +287,12 @@ func TestSegmentColdReadPages(t *testing.T) {
 	}
 }
 
-// TestWriteImageWalk packs three segments into one image and walks it: the
-// image is the three files back to back, byte for byte; the walk from page 0
-// opens each segment where the one before it ends, in one seek; and every
-// row reads back from the image as it was written.
+// TestWriteImageWalk writes an image the way a load does — the first and
+// last segments copied from files of their own (Segment.AppendTo), the middle
+// one appended from its data — and walks it: the image is the three segment
+// files back to back, byte for byte; the walk from page 0 opens each segment
+// where the one before it ends, in one seek; and every row reads back from
+// the image as it was written.
 func TestWriteImageWalk(t *testing.T) {
 	dir := t.TempDir()
 	pool := NewPool(256)
@@ -281,7 +302,7 @@ func TestWriteImageWalk(t *testing.T) {
 	for i, rows := range []int{40, 0, 7} {
 		path := filepath.Join(dir, fmt.Sprintf("s%d.seg", i))
 		sd := buildSegmentData(rand.New(rand.NewSource(int64(i))), rows)
-		if err := WriteSegmentFile(path, RAM, &Clock{}, sd); err != nil {
+		if err := createSegmentFile(path, RAM, &Clock{}, sd); err != nil {
 			t.Fatal(err)
 		}
 		b, err := os.ReadFile(path)
@@ -297,16 +318,25 @@ func TestWriteImageWalk(t *testing.T) {
 		segs, datas = append(segs, seg), append(datas, sd)
 	}
 	image := filepath.Join(dir, "image.seg")
-	if err := WriteImage(image, RAM, &Clock{}, segs); err != nil {
+	w, err := CreatePagedFile(image, RAM, &Clock{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, seg := range segs {
+		if i == 1 {
+			err = AppendSegment(w, datas[i])
+		} else {
+			err = seg.AppendTo(w)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if got, err := os.ReadFile(image); err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("the image is not the segment files back to back (%d vs %d bytes, %v)", len(got), len(want), err)
-	}
-	if err := WriteImage(filepath.Join(dir, "bad.seg"), RAM, &Clock{}, []*Segment{segs[0], new(Segment)}); err == nil {
-		t.Error("WriteImage packed a segment with no file")
-	} else if _, err := os.Stat(filepath.Join(dir, "bad.seg")); !os.IsNotExist(err) {
-		t.Errorf("a failed WriteImage left its file behind: %v", err)
 	}
 
 	var clock Clock

@@ -18,8 +18,8 @@ import (
 // Table is one stored table. It has exactly one physical form, an immutable
 // segment: one directory search plus the payload's own pages per row, fronted
 // by the resident vector cache for all-integer tables. The segment is a page
-// range of the directory's image when Open read the table, and a loose file
-// when Load wrote it through this handle; Flush copies it whole into the next
+// range of an image of the directory: the one Open read, or the one the Load
+// that wrote the table committed; a later Load copies it whole into its own
 // image. Nothing of a Table changes once its constructor (newTable, then
 // its finish) has returned it — a Load of the same name makes a new one — so
 // a reader holds it without a lock. Both executors read through
@@ -268,7 +268,7 @@ func (t *schema) countTargets(row sqltypes.Row, seen []uint64, distinct int64) (
 // definition as its meta (compact JSON). The rows must be sorted by strictly
 // ascending primary key and hold no NULL; each is checked against the schema
 // as it is encoded, so a rejected load names the first row that breaks it
-// and writes nothing.
+// and writes nothing, and so does a definition too long for the header page.
 func (t *schema) encode(load func() ([]sqltypes.Row, error)) (storage.SegmentData, error) {
 	rows, err := load()
 	if err != nil {
@@ -318,6 +318,9 @@ func (t *schema) encode(load func() ([]sqltypes.Row, error)) (storage.SegmentDat
 		sd.Data = data
 		sd.Lens[i] = uint32(len(sd.Data) - start)
 	}
+	if err := sd.Check(); err != nil {
+		return sd, fmt.Errorf("sqldb: table %q: %w", t.def.Name, err)
+	}
 	return sd, nil
 }
 
@@ -328,7 +331,7 @@ func (t *schema) encode(load func() ([]sqltypes.Row, error)) (storage.SegmentDat
 // returns its page count, which places the next segment of an image. left is
 // what Open's vector budget has left after the tables it admitted before this
 // one, nil when the table is not to be admitted (a handle without a budget,
-// and Load). An all-integer table (by the header's column tags) that fits it
+// and Load, which reads its tables back from the image it wrote). An all-integer table (by the header's column tags) that fits it
 // is admitted: newTable takes the exact size of its vectors from *left and
 // counts it resident. For such a table, the pass that checksums the data
 // region also counts its varints, which is all it takes to know that size

@@ -234,8 +234,9 @@ type PreprocessStats struct {
 	OrderTime   time.Duration `json:"order_ns"`
 	LabelTime   time.Duration `json:"label_ns"`
 	AugmentTime time.Duration `json:"augment_ns"`
-	// LoadTime is the table loads and the build handle's Close, which makes
-	// them durable; it stops before Create opens the directory.
+	// LoadTime is the build's one Load — its tables encoded, written as the
+	// image, synced and renamed into place — and the build handle's Close;
+	// it stops before Create opens the directory.
 	LoadTime      time.Duration `json:"load_ns"`
 	LabelTuples   int           `json:"label_tuples"` // before augmentation
 	DummyTuples   int           `json:"dummy_tuples"`
@@ -288,7 +289,7 @@ func CreateWithStats(dir string, tt *Network, cfg Config) (*DB, PreprocessStats,
 		Workers:       cfg.BuildWorkers,
 	})
 	if cerr := sdb.Close(); err == nil {
-		err = cerr // Close flushes: the build is durable once it returns nil
+		err = cerr
 	}
 	stats.LoadTime = time.Since(start)
 	if err != nil {
@@ -330,8 +331,8 @@ func open(dir string, cfg Config, reference bool) (*DB, error) {
 
 // write opens dir on a build handle — cfg's device and pool, no vector
 // budget — runs fn on the writer of the named timetable version and closes
-// the handle, whose flush commits fn's tables with one rename. A failed fn
-// leaves the directory as it was.
+// the handle. fn's tables are one Load, which commits them with one rename,
+// so a failed fn leaves the directory as it was.
 func write(dir, version string, cfg Config, fn func(*core.Writer) error) error {
 	dev, err := cfg.device()
 	if err != nil {

@@ -6,12 +6,12 @@
 # 10-second fuzzes of the HTTP time parameter, of the HTTP query bodies, of
 # the segment codec's two row decoders and of a walk of back-to-back
 # segments, the two
-# allocation ratchets, then the benchmark module
-# (benchmark/ is a module of its own, invisible to ./...), the four examples,
-# a look at what ptldb-build leaves in a database directory (the image,
-# nothing else), the console on it, and what becomes of an image whose
-# tables stop declaring the label run order, the target-id bound, the EA
-# condensed floor or the EA one-to-many target count. Also available as
+# allocation ratchets, the four examples, a look at what ptldb-build leaves
+# in a database directory (the image, nothing else), the console on it, what
+# becomes of an image whose tables stop declaring the label run order, the
+# target-id bound, the EA condensed floor or the EA one-to-many target count,
+# and last the benchmark module (benchmark/ is a module of its own, invisible
+# to ./...), so that a failure there stops no other step. Also available as
 # `make check`.
 set -eu
 cd "$(dirname "$0")/.."
@@ -156,14 +156,14 @@ fi
 echo "== vectors are Open's: only sqldb.Open admits and decodes a table, and nothing drops one"
 if git grep -nE 'vcache\.Cache|admitHook|dropVectors|DropTable|DropTargetSet|seg\.Offer|sqldb/vcache' -- '*.go'; then
     echo "sqldb.Open admits tables on a running sum of its budget in image order and decodes them before it" >&2
-    echo "returns; a table Load writes reads its segment until the directory is opened again:" >&2
-    echo "no shared account, no admission after Open, no drop path" >&2
+    echo "returns; a table Load writes reads its segment in the image the Load committed until the directory" >&2
+    echo "is opened again: no shared account, no admission after Open, no drop path" >&2
     exit 1
 fi
 echo "== a database directory is one self-describing image (internal/sqldb)"
 if git grep -nE 'segPath|Name *\+ *"\.seg"' -- '*.go' ':!*_test.go'; then
     echo "sqldb.Open reads every table from the directory's one image, walked by the segments' own headers:" >&2
-    echo "no file per table to open, no per-table segment path (a loose segment is Load's until Flush packs it)" >&2
+    echo "no file per table to open, no per-table segment path (a Load writes its tables into the next image)" >&2
     exit 1
 fi
 if git grep -nE 'catalog\.json|catalogPath|writeSynced' -- '*.go' ':!*_test.go'; then
@@ -171,9 +171,15 @@ if git grep -nE 'catalog\.json|catalogPath|writeSynced' -- '*.go' ':!*_test.go';
     echo "no catalog file, no second file to write and sync beside the image (DESIGN.md §10.1)" >&2
     exit 1
 fi
+echo "== a Load is the commit: its batch goes straight into the next image, renamed into place (internal/sqldb)"
+if git grep -nE 'openLoose|loosePath|WriteSegmentFile|"\.loose"' -- '*.go' ':!*_test.go'; then
+    echo "sqldb.DB.Load encodes its batch in memory and writes it, with a copy of every table it keeps, as" >&2
+    echo "image.seg.tmp, synced and renamed over the image: no loose segment file, no file per segment," >&2
+    echo "no second write of a table by a later Flush (DESIGN.md §6)" >&2
+    exit 1
+fi
 echo "== a table never changes once it can be read: one batch Load writes tables (internal/sqldb)"
-# A field selector is preceded by an identifier or a closing bracket; the
-# ".loose" extension of a loose segment's file name is not one.
+# A field selector is preceded by an identifier or a closing bracket.
 if git grep -nE 'CreateTable|\.BulkLoad\(|func \(db \*DB\) release|db\.mu\b|[[:alnum:]_)]\.declared\b|[[:alnum:]_)]\.loose\b' -- '*.go' ':!*_test.go'; then
     echo "sqldb.DB.Load writes a batch of new tables and enters them in the catalog together; a table is built" >&2
     echo "complete by its constructor and never changes: no CreateTable, no BulkLoad, no in-place reopen or" >&2
@@ -248,10 +254,6 @@ echo "== bench smoke (fused executor, 5 iterations)"
 go test -run '^$' -bench 'BenchmarkFusedExec' -benchtime 5x .
 echo "== bench smoke (parallel build, 1 iteration)"
 go test -run '^$' -bench 'BenchmarkBuildParallel/workers=GOMAXPROCS' -benchtime 1x ./internal/ttl
-echo "== benchmark module (vet, tests, smoke run of all four workloads)"
-go -C benchmark vet .
-go -C benchmark test .
-go -C benchmark run . -smoke > /dev/null
 echo "== the four examples run (the facade's write-then-query flows)"
 for ex in quickstart poifinder geomarketing journeyplanner; do
     go run "./examples/$ex" > /dev/null
@@ -259,7 +261,7 @@ done
 echo "== built directory holds exactly the image"
 go run ./cmd/ptldb-build -city Austin -scale 0.01 -targets 0.1:4 -db "$img/db" > /dev/null
 if [ "$(ls -A "$img/db" | tr '\n' ' ')" != "image.seg " ]; then
-    echo "ptldb-build left something other than image.seg (a catalog, a loose segment, a .tmp file, a file per table):" >&2
+    echo "ptldb-build left something other than image.seg (a catalog, a .tmp file, a file per table):" >&2
     ls -A "$img/db" >&2
     exit 1
 fi
@@ -289,4 +291,8 @@ echo "== an image whose tables stop declaring the label run order, the target-id
 # loaded again under the definition without the key (and, for the image from
 # before one knn_naive table per set, under the two names it had then).
 go test -count=1 -run '^TestUndeclaredImageFailsClosed$' .
+echo "== benchmark module (vet, tests, smoke run of all four workloads)"
+go -C benchmark vet .
+go -C benchmark test .
+go -C benchmark run . -smoke > /dev/null
 echo "== OK"

@@ -17,11 +17,12 @@ import (
 	"ptldb/internal/timetable"
 )
 
-// TestFailedWriterLeavesDirectory makes one loose segment of a directory
-// writer unwritable — a directory stands at its path — and requires the call
-// to fail with that path named, the directory to hold the image alone and to
-// open again and answer what CSA answers, and a retry of the same call to
-// succeed and a handle opened after it to answer what CSA answers.
+// TestFailedWriterLeavesDirectory makes the image a directory writer writes
+// unwritable — a directory stands at image.seg.tmp — and requires the call to
+// fail with that path named, the directory to hold the image alone once the
+// obstacle is gone and to open again and answer what CSA answers, and a retry
+// of the same call to succeed and a handle opened after it to answer what CSA
+// answers.
 func TestFailedWriterLeavesDirectory(t *testing.T) {
 	tt, err := GenerateCity("Austin", 0.02, 3)
 	if err != nil {
@@ -48,13 +49,13 @@ func TestFailedWriterLeavesDirectory(t *testing.T) {
 			}
 		}
 	}
+	blocked := sqldb.ImageName + ".tmp"
 	cases := []struct {
-		call    string
-		blocked string // the loose segment made unwritable
-		write   func(dir string) error
-		check   func(t *testing.T, db *DB)
+		call  string
+		write func(dir string) error
+		check func(t *testing.T, db *DB)
 	}{
-		{"AddTargetSet", "knn_ea_poi.loose",
+		{"AddTargetSet",
 			func(dir string) error { return AddTargetSet(dir, "base", "poi", targets, 3, Config{Device: "ram"}) },
 			func(t *testing.T, db *DB) {
 				q, when := StopID(0), tt.MinTime()+tt.Span()/3
@@ -64,7 +65,7 @@ func TestFailedWriterLeavesDirectory(t *testing.T) {
 				}
 				checkNeighbors(t, "EA kNN", got, csa.EarliestArrivalKNN(tt, q, targets, when, 3))
 			}},
-		{"AddVersion", "lin__weekend.loose",
+		{"AddVersion",
 			func(dir string) error { return AddVersion(dir, "weekend", tt, Config{Device: "ram"}) },
 			func(t *testing.T, db *DB) {
 				we, err := db.Version("weekend")
@@ -73,7 +74,7 @@ func TestFailedWriterLeavesDirectory(t *testing.T) {
 				}
 				eaMatchesCSA(t, "weekend", we)
 			}},
-		{"BuildPathTables", "paths_in.loose",
+		{"BuildPathTables",
 			addPaths(tt),
 			func(t *testing.T, db *DB) {
 				checked := 0
@@ -105,14 +106,13 @@ func TestFailedWriterLeavesDirectory(t *testing.T) {
 			if err := createAndWrite(t, dir, tt, Config{Device: "ram"}).Close(); err != nil {
 				t.Fatal(err)
 			}
-			blocked := filepath.Join(dir, tc.blocked)
-			if err := os.Mkdir(blocked, 0o755); err != nil {
+			if err := os.Mkdir(filepath.Join(dir, blocked), 0o755); err != nil {
 				t.Fatal(err)
 			}
-			if err := tc.write(dir); err == nil || !strings.Contains(err.Error(), tc.blocked) {
-				t.Fatalf("%s with %s unwritable: %v; want the error naming it", tc.call, tc.blocked, err)
+			if err := tc.write(dir); err == nil || !strings.Contains(err.Error(), blocked) {
+				t.Fatalf("%s with %s unwritable: %v; want the error naming it", tc.call, blocked, err)
 			}
-			if err := os.Remove(blocked); err != nil {
+			if err := os.Remove(filepath.Join(dir, blocked)); err != nil {
 				t.Fatal(err)
 			}
 			requireOnlyImage(t, dir)
@@ -220,7 +220,7 @@ func TestCreateRefusesBuiltDirectory(t *testing.T) {
 // TestOverlongDefinitionRefused: a table's definition lives in the header
 // page of its segment, so a target set whose name makes its tables'
 // definitions longer than that page is refused by Load — the error names the
-// table, no file is created for it, the directory stays the image it was and
+// table, nothing is written, the directory stays the image it was and
 // a handle opened on it has the sets it had.
 func TestOverlongDefinitionRefused(t *testing.T) {
 	dir := t.TempDir()
@@ -233,7 +233,7 @@ func TestOverlongDefinitionRefused(t *testing.T) {
 	}
 	name := strings.Repeat("p", storage.PageSize)
 	err = AddTargetSet(dir, "base", name, []StopID{4, 6}, 2, Config{Device: "ram"})
-	if err == nil || !strings.Contains(err.Error(), "overflow the header page") || !strings.Contains(err.Error(), "_"+name+".loose") {
+	if err == nil || !strings.Contains(err.Error(), "overflow the header page") || !strings.Contains(err.Error(), "_"+name+`"`) {
 		t.Fatalf("AddTargetSet with a %d-byte name: %v; want the header overflow, naming the table", len(name), err)
 	}
 	requireOnlyImage(t, dir)
