@@ -4,30 +4,35 @@ package serve
 // into a Server fronting a real database — and requires every answer to be
 // identical to a direct DB call: the wire layer must be invisible. It also
 // checks the typed error classification end to end (an out-of-range stop id
-// surfaces as HTTP 400 through the client).
+// surfaces as HTTP 400 through the client), and the horizon rule over the
+// wire: times past 24:00:00 and before 0 answer what CSA answers.
 
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"ptldb"
+	"ptldb/internal/csa"
+	"ptldb/internal/gtfs"
 	"ptldb/internal/obs"
+	"ptldb/internal/timetable"
 )
 
-func TestClientMatchesDirectDB(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a database")
-	}
-	tt, err := ptldb.GenerateCity("Salt Lake City", 0.02, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
+// serveNetwork builds tt into a new database with the target set "poi" of
+// targets for k up to kmax, serves it on a loopback listener for the rest of
+// the test, and returns the database and a client of the server.
+func serveNetwork(t *testing.T, tt *ptldb.Network, targets []ptldb.StopID, kmax int) (*ptldb.DB, *Client) {
+	t.Helper()
 	dir := t.TempDir()
 	db, err := ptldb.Create(dir, tt, ptldb.Config{Device: "ram"})
 	if err == nil {
@@ -36,8 +41,7 @@ func TestClientMatchesDirectDB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	targets := []ptldb.StopID{1, 3, 5, 7, 11, 13}
-	if err := ptldb.AddTargetSet(dir, "base", "poi", targets, 4, ptldb.Config{Device: "ram"}); err != nil {
+	if err := ptldb.AddTargetSet(dir, "base", "poi", targets, kmax, ptldb.Config{Device: "ram"}); err != nil {
 		t.Fatal(err)
 	}
 	if db, err = ptldb.Open(dir, ptldb.Config{Device: "ram"}); err != nil {
@@ -66,6 +70,18 @@ func TestClientMatchesDirectDB(t *testing.T) {
 	if err := c.Health(); err != nil {
 		t.Fatal(err)
 	}
+	return db, c
+}
+
+func TestClientMatchesDirectDB(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a database")
+	}
+	tt, err := ptldb.GenerateCity("Salt Lake City", 0.02, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, c := serveNetwork(t, tt, []ptldb.StopID{1, 3, 5, 7, 11, 13}, 4)
 
 	n := ptldb.StopID(tt.NumStops())
 	t0, t1 := tt.MinTime(), tt.MinTime()+tt.Span()
@@ -169,5 +185,76 @@ func TestClientMatchesDirectDB(t *testing.T) {
 	var raw obs.Snapshot
 	if err := c.Get("/obs", &raw); err != nil || raw.Serve == nil || raw.Serve.Requests <= snap.Serve.Requests {
 		t.Errorf("Get(/obs) = %+v, %v; want the snapshot one request on", raw.Serve, err)
+	}
+
+	// The horizon (DESIGN.md §7.4): on the network whose last trip crosses
+	// midnight, at the times at and past either end of its timetable that
+	// core's horizon test queries, spelled as HH:MM:SS past 24 h or as
+	// negative seconds, every answer over the wire is the direct call's and
+	// CSA's.
+	htt := timetable.HorizonExample()
+	htargets := []ptldb.StopID{2, 4, 5}
+	hdb, hc := serveNetwork(t, htt, htargets, len(htargets))
+	spell := func(t ptldb.Time) string {
+		if t < 0 {
+			return strconv.Itoa(int(t))
+		}
+		return gtfs.FormatTime(t)
+	}
+	last := htt.MaxTime() / 3600 * 3600
+	for _, tq := range []ptldb.Time{-5, 0, htt.MinTime(), htt.MaxTime(), htt.MaxTime() + 1, last, last + 3599, 200 * 3600, math.MaxInt32} {
+		at := spell(tq)
+		point := func(path string, direct ptldb.Time, found bool, err error, oracle, none ptldb.Time) {
+			t.Helper()
+			var pr PointResponse
+			if gerr := hc.Get(path, &pr); gerr != nil || err != nil {
+				t.Fatalf("%s: over the wire %v, direct %v", path, gerr, err)
+			}
+			if pr.Found != found || ptldb.Time(pr.Value) != direct || found != (oracle != none) || (found && direct != oracle) {
+				t.Errorf("%s = (%d, %v) over the wire, (%d, %v) direct; CSA %d", path, pr.Value, pr.Found, direct, found, oracle)
+			}
+		}
+		n := ptldb.StopID(htt.NumStops())
+		for s := ptldb.StopID(0); s < n; s++ {
+			for g := ptldb.StopID(0); g < n; g++ {
+				if s == g {
+					continue // the dummy-tuple answer, not CSA's
+				}
+				v, ok, err := hdb.EarliestArrival(s, g, tq)
+				point(fmt.Sprintf("/query/ea?from=%d&to=%d&t=%s", s, g, at), v, ok, err, csa.EarliestArrival(htt, s, g, tq), timetable.Infinity)
+				v, ok, err = hdb.LatestDeparture(s, g, tq)
+				point(fmt.Sprintf("/query/ld?from=%d&to=%d&t=%s", s, g, at), v, ok, err, csa.LatestDeparture(htt, s, g, tq), timetable.NegInfinity)
+				v, ok, err = hdb.ShortestDuration(s, g, -5, tq)
+				point(fmt.Sprintf("/query/sd?from=%d&to=%d&start=-5&end=%s", s, g, at), v, ok, err, csa.ShortestDuration(htt, s, g, -5, tq), timetable.Infinity)
+			}
+		}
+		results := func(path string, direct []ptldb.Result, err error, oracle []csa.Neighbor) {
+			t.Helper()
+			var rr ResultsResponse
+			if gerr := hc.Get(path, &rr); gerr != nil || err != nil {
+				t.Fatalf("%s: over the wire %v, direct %v", path, gerr, err)
+			}
+			wire, want := make([]ptldb.Result, len(rr.Results)), make([]ptldb.Result, len(oracle))
+			for i, r := range rr.Results {
+				wire[i] = ptldb.Result{Stop: ptldb.StopID(r.Stop), When: ptldb.Time(r.When)}
+			}
+			for i, r := range oracle {
+				want[i] = ptldb.Result{Stop: r.Stop, When: r.When}
+			}
+			if !slices.Equal(wire, direct) || !slices.Equal(direct, want) {
+				t.Errorf("%s = %v over the wire, %v direct; CSA %v", path, wire, direct, want)
+			}
+		}
+		k := len(htargets)
+		for _, q := range []ptldb.StopID{0, 1, 3} { // a target answers by its dummy tuples
+			got, err := hdb.EAKNN("poi", q, tq, k)
+			results(fmt.Sprintf("/query/eaknn?set=poi&from=%d&t=%s&k=%d", q, at, k), got, err, csa.EarliestArrivalKNN(htt, q, htargets, tq, k))
+			got, err = hdb.LDKNN("poi", q, tq, k)
+			results(fmt.Sprintf("/query/ldknn?set=poi&from=%d&t=%s&k=%d", q, at, k), got, err, csa.LatestDepartureKNN(htt, q, htargets, tq, k))
+			got, err = hdb.EAOTM("poi", q, tq)
+			results(fmt.Sprintf("/query/eaotm?set=poi&from=%d&t=%s", q, at), got, err, csa.EarliestArrivalKNN(htt, q, htargets, tq, k))
+			got, err = hdb.LDOTM("poi", q, tq)
+			results(fmt.Sprintf("/query/ldotm?set=poi&from=%d&t=%s", q, at), got, err, csa.LatestDepartureKNN(htt, q, htargets, tq, k))
+		}
 	}
 }

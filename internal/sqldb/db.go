@@ -156,9 +156,10 @@ type DB struct {
 // directory — and any other file, the older layouts' catalog among them,
 // fails the open. So
 // do a segment that fails validation (wrapping storage.ErrCorruptSegment), a
-// definition that is not valid or not its segment's columns, and a row an
-// admitted table's decode rejects: the error names the table, or the file
-// and the page, and nothing stays open behind it. The recovery is a rebuild.
+// definition that is not valid or not its segment's columns, a table name not
+// above the one before it (Load writes them in name order; the same sentinel)
+// and a row an admitted table's decode rejects: the error names the table, or
+// the file and the page, and nothing stays open behind it. Rebuild it.
 func Open(dir string, opts Options) (*DB, error) {
 	if opts.Device.Name == "" {
 		opts.Device = storage.SSD
@@ -206,18 +207,22 @@ func Open(dir string, opts Options) (*DB, error) {
 	f.CountReads(&db.reg.Pool.RandReads, &db.reg.Pool.SeqReads)
 	// Tables open one after another, in image order, so admission is a
 	// running sum in that order; the admitted ones then decode on every core.
-	// An image holds at least one segment.
+	// An image holds at least one segment, and its tables ascend by name.
 	var tables []*Table
 	var jobs []func() error
 	for base := storage.PageID(0); err == nil && (base == 0 || base < f.NumPages()); {
-		pages, finish, nerr := db.newTable(f, ImageName, base, left)
-		base, err = base+pages, nerr
-		i := len(tables)
-		tables = append(tables, nil)
-		jobs = append(jobs, func() (err error) {
-			tables[i], err = finish()
-			return err
-		})
+		t, decode, nerr := db.newTable(f, ImageName, base, left)
+		if n := len(tables); nerr == nil && n > 0 && t.def.Name <= tables[n-1].def.Name {
+			nerr = fmt.Errorf("sqldb: %s: the segment at page %d: %w: table %q follows table %q, out of name order; rebuild the database",
+				ImageName, base, storage.ErrCorruptSegment, t.def.Name, tables[n-1].def.Name)
+		}
+		if err = nerr; err == nil {
+			base += t.seg.Pages()
+			tables = append(tables, t)
+			if decode != nil {
+				jobs = append(jobs, decode)
+			}
+		}
 	}
 	if err == nil {
 		err = RunJobs(0, jobs)
@@ -392,11 +397,8 @@ func (db *DB) commit(workers int, loads []*schema, segs []storage.SegmentData) (
 	tables := make([]*Table, len(loads))
 	jobs := make([]func() error, len(loads))
 	for i := range loads {
-		jobs[i] = func() error {
-			_, finish, err := db.newTable(f, ImageName, bases[i], nil)
-			if err == nil {
-				tables[i], err = finish()
-			}
+		jobs[i] = func() (err error) {
+			tables[i], _, err = db.newTable(f, ImageName, bases[i], nil)
 			return err
 		}
 	}

@@ -478,7 +478,7 @@ func (p *FusedPlan) runCondensed(params []sqltypes.Value, st *queryState) (*Rela
 	if f.ea {
 		st.groupEA(lab, t, p.width)
 	} else {
-		st.groupLD(lab, floorDiv(t, p.width))
+		st.groupLD(lab, FloorDiv(t, p.width))
 	}
 	st.orderGroups()
 	// On the segment tier the label lives in the arena and an LD query keeps
@@ -506,11 +506,11 @@ func (p *FusedPlan) runCondensed(params []sqltypes.Value, st *queryState) (*Rela
 	// order: a later group may still count, so this skips and never stops. An
 	// LD one-to-many has no k and fetches every group.
 	tau, skip := int64(0), false
-	for _, gi := range st.order {
-		g := &st.groups[gi]
+	for i := range st.groups {
+		g := &st.groups[i]
 		if f.ea && g.bucket != bucket {
 			bucket = g.bucket
-			if kth, ok := st.kthVal(settle, false); ok && bucket > floorDiv(kth, p.width) {
+			if kth, ok := st.kthVal(settle, false); ok && bucket > FloorDiv(kth, p.width) {
 				break
 			}
 		}
@@ -541,12 +541,13 @@ func (p *FusedPlan) runCondensed(params []sqltypes.Value, st *queryState) (*Rela
 	return p.emit(st, k, limited, !f.ea)
 }
 
-// floorDiv returns floor(a/b) for b > 0, matching FLOOR(a/b.0) in the
+// FloorDiv returns floor(a/b) for b > 0, matching FLOOR(a/b.0) in the
 // condensed SQL: the bucket of a negative timestamp is the one below zero,
-// where Go's integer division would truncate toward it.
+// where Go's integer division would truncate toward it. It is the engine's one
+// floor division: sqldb's Load checks a declared floor with it too.
 //
 // hotpath — allocheck root: per-entry bucket arithmetic in the condensed scan.
-func floorDiv(a, b int64) int64 {
+func FloorDiv(a, b int64) int64 {
 	q := a / b
 	if a%b != 0 && a < 0 {
 		q--

@@ -2,13 +2,14 @@ package exec
 
 // fused_kernel_test.go tests the hash-free condensed kernel on the shapes
 // real label data rarely produces: many label tuples per (hub, bucket),
-// negative timestamps through floorDiv, a timestamp so far out that its bucket
-// is not worth counting to (the probe order needs a comparison sort), k beyond
-// an arm's length, empty labels and query stops that are themselves targets —
+// negative timestamps through FloorDiv, a timestamp so far out that its bucket
+// spans four bytes (the probe order takes four counting passes), k beyond an
+// arm's length, empty labels and query stops that are themselves targets —
 // against condensed tables keyed (bucket, hub), always compared with the
 // general executor and always probing in ascending key order — plus the
-// per-target accumulator, the label grouping and top-k selection on their own,
-// and one plan shared by many goroutines.
+// per-target accumulator, the label grouping, the probe order at the spans
+// where its passes change in number and top-k selection on their own, and one
+// plan shared by many goroutines.
 
 import (
 	"cmp"
@@ -117,7 +118,7 @@ func TestGroupsAreLabelRuns(t *testing.T) {
 				ta := int64(lab.tas[i])
 				k := key{hub: int64(lab.hubs[i])}
 				if width > 0 {
-					k.bucket = floorDiv(ta, width)
+					k.bucket = FloorDiv(ta, width)
 				}
 				if m, ok := minTa[k]; !ok || ta < m {
 					minTa[k] = ta
@@ -160,6 +161,72 @@ func TestGroupsAreLabelRuns(t *testing.T) {
 	}
 }
 
+// TestOrderGroupsPassEdges: orderGroups leaves a label's groups in what a
+// stable sort by bucket leaves — the condensed key order (bucket, hub), since
+// groups arrive hub-ascending — at the spans where its counting passes change
+// in number (0, 1, 2, 3, 6 and 8 bytes), negative buckets and the full int64
+// range included, and on an LD grouping (one bucket, already in order). A
+// warmed state orders without allocating.
+func TestOrderGroupsPassEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	// groups returns an EA-shaped grouping over [lo, lo+span]: hubs ascend,
+	// buckets ascend within a hub, and both ends of the span are present.
+	groups := func(lo int64, span uint64) []hubGroup {
+		bucket := func() int64 {
+			if span == math.MaxUint64 {
+				return int64(rng.Uint64())
+			}
+			return int64(uint64(lo) + rng.Uint64()%(span+1))
+		}
+		hi := int64(uint64(lo) + span)
+		gs := []hubGroup{{hub: 0, bucket: hi}, {hub: 1, bucket: lo}}
+		for hub := int64(2); hub < 60; hub += 1 + int64(rng.Intn(3)) {
+			bs := []int64{bucket(), bucket(), bucket(), bucket()}[:1+rng.Intn(4)]
+			slices.Sort(bs)
+			for _, b := range slices.Compact(bs) {
+				gs = append(gs, hubGroup{hub: hub, bucket: b, minTa: b ^ hub})
+			}
+		}
+		return gs
+	}
+	ld := make([]hubGroup, 40)
+	for i := range ld {
+		ld[i] = hubGroup{hub: int64(3 * i), bucket: 9, lo: int32(i), hi: int32(i + 1)}
+	}
+	cases := []struct {
+		name string
+		in   []hubGroup
+	}{
+		{"span 0", groups(-4, 0)},
+		{"span 1", groups(-1, 1)},
+		{"span 255", groups(-100, 255)},
+		{"span 256", groups(-100, 256)},
+		{"span 65535", groups(7, 65535)},
+		{"span 65536", groups(-65536, 65536)},
+		{"span 2^40", groups(-1<<39, 1<<40)},
+		{"full int64 range", groups(math.MinInt64, math.MaxUint64)},
+		{"LD, in order", ld},
+		{"one group", groups(5, 0)[:1]},
+		{"no group", nil},
+	}
+	var st queryState
+	for _, c := range cases {
+		want := slices.Clone(c.in)
+		slices.SortStableFunc(want, func(a, b hubGroup) int { return cmp.Compare(a.bucket, b.bucket) })
+		run := func() {
+			st.groups = append(st.groups[:0], c.in...)
+			st.orderGroups()
+		}
+		run()
+		if !slices.Equal(st.groups, want) {
+			t.Fatalf("%s: got %+v, want %+v", c.name, st.groups, want)
+		}
+		if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+			t.Errorf("%s: %.1f allocations per orderGroups on a warmed state, want 0", c.name, allocs)
+		}
+	}
+}
+
 func TestTopKMatchesSortAndTruncate(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 300; trial++ {
@@ -191,8 +258,8 @@ func TestTopKMatchesSortAndTruncate(t *testing.T) {
 // builder's do. Timestamps span
 // [-300, 280) so that, at width 50, buckets run from -6 to 5; dense labels
 // put ~15 tuples on each of four hubs, i.e. several per (hub, bucket), and
-// give stop 6 one departure a billion seconds out (bucket 20 000 000), past
-// the span orderGroups counts over.
+// give stop 6 one departure a billion seconds out (bucket 20 000 000), a
+// bucket span of four bytes, which orderGroups orders in four counting passes.
 const awkwardWidth = 50
 
 func awkwardCatalog(rng *rand.Rand, dense bool) memCatalog {

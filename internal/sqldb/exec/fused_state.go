@@ -392,14 +392,16 @@ type queryState struct {
 	scan    RowScratch // the naive scan's rows: ScanScratch recycles its arena per row
 	key     [2]int64   // lookup key buffer (escapes through the Table interface)
 
-	// One group per distinct (hub, bucket) key of the label, in label order:
-	// hubs ascend, and buckets ascend within a hub.
+	// One group per distinct (hub, bucket) key of the label, in label order —
+	// hubs ascend, and buckets ascend within a hub — until a condensed query's
+	// orderGroups puts them in the aux table's key order, its lookup order.
 	groups []hubGroup
 	lab    label // LD only: the label the groups' [lo, hi) index
 
-	// Condensed only: positions of groups ascending in the aux table's key
-	// order — the aux lookup order — and the per-bucket counts that build it.
-	order, bucketCnt []int32
+	// Condensed only: orderGroups' spare slice, which each of its passes
+	// moves the groups into, and the counts of one pass's byte values.
+	spare []hubGroup
+	cnt   [257]int32
 
 	acc    targetAcc
 	kth    []int64 // condensed only: kthVal's heap (EA stop rule, LD kNN skip)
@@ -474,7 +476,7 @@ func (st *queryState) groupEA(lab label, t, width int64) {
 		}
 		ta, bucket := int64(lab.tas[i]), int64(0)
 		if width > 0 {
-			bucket = floorDiv(ta, width)
+			bucket = FloorDiv(ta, width)
 		}
 		if g, added := st.groupOf(int64(lab.hubs[i]), bucket); added {
 			g.minTa = ta
@@ -500,84 +502,49 @@ func (st *queryState) groupLD(lab label, bucket int64) {
 	}
 }
 
-// maxCountedBuckets bounds the bucket span orderGroups counts over: 4 096
-// hour-wide buckets are 170 days of timetable, and a pooled count array of
-// that size is 16 KiB.
-const maxCountedBuckets = 1 << 12
-
-// orderGroups fills st.order with the positions of st.groups ascending in the
-// condensed table's key order, (bucket, hub). A segment lays its rows out in
-// key order, so probing in that order sweeps the file front to back: each page
-// is read once and a run of adjacent rows is one sequential read. Groups
-// appear in label order, which is hub-ascending — a declared, validated
-// property of every label row — so one stable counting pass over the buckets
-// puts them in key order.
+// orderGroups puts st.groups in the condensed table's key order, (bucket,
+// hub). A segment lays its rows out in key order, so probing in that order
+// sweeps the file front to back: each page is read once and a run of adjacent
+// rows is one sequential read. Groups appear in label order, which is
+// hub-ascending — a declared, validated property of every label row — so a
+// stable sort by bucket alone puts them in key order: one stable counting pass
+// per byte of the buckets' span, least significant byte first, each moving
+// the groups into the spare slice and swapping the two. A span under 256
+// buckets — every hour-wide timetable — is one pass; an LD grouping, whose
+// groups share one bucket, is none; the full int64 range is eight. The cost
+// is O(groups × bytes of span), with no bound to declare.
 //
 // hotpath — allocheck root: once per condensed query, over its groups.
 func (st *queryState) orderGroups() {
 	n := len(st.groups)
-	if cap(st.order) < n {
-		st.order = make([]int32, n)
-	}
-	order := st.order[:n]
-	st.order = order
-	if n == 0 {
+	if n < 2 {
 		return
 	}
 	lo, hi := st.groups[0].bucket, st.groups[0].bucket
-	inOrder := true
 	for i := range st.groups {
-		order[i] = int32(i)
-		if i == 0 {
-			continue
-		}
-		a, b := &st.groups[i-1], &st.groups[i]
-		lo, hi = min(lo, b.bucket), max(hi, b.bucket)
-		inOrder = inOrder && a.keyLess(b)
+		lo, hi = min(lo, st.groups[i].bucket), max(hi, st.groups[i].bucket)
 	}
-	if inOrder {
-		return
+	if cap(st.spare) < n {
+		st.spare = make([]hubGroup, n)
 	}
 	span := uint64(hi) - uint64(lo) // exact even where hi-lo overflows int64
-	if span >= maxCountedBuckets {
-		// hotpath:cold — timestamps spread over more buckets than are worth
-		// counting.
-		slices.SortFunc(order, func(x, y int32) int {
-			switch a, b := &st.groups[x], &st.groups[y]; {
-			case a.keyLess(b):
-				return -1
-			case b.keyLess(a):
-				return 1
-			}
-			return 0
-		})
-		return
+	for shift := uint(0); span>>shift != 0; shift += 8 {
+		src, dst := st.groups, st.spare[:n]
+		cnt := st.cnt[:min(span>>shift, 255)+2]
+		clear(cnt)
+		for i := range src {
+			cnt[(uint64(src[i].bucket)-uint64(lo))>>shift&0xff+1]++
+		}
+		for d := 1; d < len(cnt); d++ {
+			cnt[d] += cnt[d-1]
+		}
+		for i := range src {
+			d := (uint64(src[i].bucket) - uint64(lo)) >> shift & 0xff
+			dst[cnt[d]] = src[i]
+			cnt[d]++
+		}
+		st.groups, st.spare = dst, src
 	}
-	// Stable counting sort by bucket: within a bucket the groups keep their
-	// label order, which is hub-ascending.
-	if cap(st.bucketCnt) < int(span)+2 {
-		st.bucketCnt = make([]int32, span+2)
-	}
-	cnt := st.bucketCnt[:span+2]
-	clear(cnt)
-	for i := range st.groups {
-		cnt[uint64(st.groups[i].bucket)-uint64(lo)+1]++
-	}
-	for b := 1; b < len(cnt); b++ {
-		cnt[b] += cnt[b-1]
-	}
-	for i := range st.groups {
-		b := uint64(st.groups[i].bucket) - uint64(lo)
-		order[cnt[b]] = int32(i)
-		cnt[b]++
-	}
-}
-
-// keyLess orders two groups by the condensed key, (bucket, hub).
-//
-// hotpath — allocheck root: per group in orderGroups.
-func (g *hubGroup) keyLess(o *hubGroup) bool {
-	return g.bucket < o.bucket || (g.bucket == o.bucket && g.hub < o.hub)
 }
 
 // bestDeparture returns the latest departure among g's tuples arriving at the

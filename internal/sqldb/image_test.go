@@ -4,9 +4,10 @@ package sqldb
 // the segments' own headers, each of which defines its table, and refuses
 // every way it can be damaged or old — cut inside a segment, pages after the
 // last table that are no segment, a header edited without its checksum, a
-// definition whose columns are not its segment's, and the directories of the
-// older layouts — naming the table or the image and the rebuild remedy, with
-// no descriptor left open.
+// definition whose columns are not its segment's, intact segments out of
+// name order (one repeated, two swapped, the image twice over), and the
+// directories of the older layouts — naming the table or the image and the
+// rebuild remedy, with no descriptor left open.
 
 import (
 	"bytes"
@@ -210,7 +211,8 @@ func TestImageFailsClosed(t *testing.T) {
 	if len(segs) != 3 || segs[0].name != "bad" || segs[1].name != "good" || segs[2].name != "names" {
 		t.Fatalf("image segments %v; want bad, good and names in order", segs)
 	}
-	good := segs[1]
+	bad, good, names := segs[0], segs[1], segs[2]
+	page := func(off int) string { return fmt.Sprintf("page %d", off/storage.PageSize) }
 	cases := []struct {
 		name   string
 		damage func(t *testing.T, dir string)
@@ -243,6 +245,18 @@ func TestImageFailsClosed(t *testing.T) {
 			editImage(t, dir, func(b []byte) []byte { binary.LittleEndian.PutUint32(b[4:], 2); return b })
 		}, storage.ErrCorruptSegment, []string{ImageName, "version 2", "rebuild"}},
 		{"file-per-table-layout", splitImage, os.ErrNotExist, []string{"bad.seg", ImageName, "rebuild"}},
+		// Every segment intact, but in an order no Load writes.
+		{"a-segment-repeated", func(t *testing.T, dir string) {
+			editImage(t, dir, func(b []byte) []byte { return slices.Concat(b[:good.end], b[good.off:]) })
+		}, storage.ErrCorruptSegment, []string{ImageName, page(good.end), `table "good" follows table "good"`, "name order", "rebuild"}},
+		{"two-segments-swapped", func(t *testing.T, dir string) {
+			editImage(t, dir, func(b []byte) []byte {
+				return slices.Concat(b[:good.off], b[names.off:names.end], b[good.off:good.end])
+			})
+		}, storage.ErrCorruptSegment, []string{ImageName, page(good.off + names.end - names.off), `table "good" follows table "names"`, "rebuild"}},
+		{"image-doubled", func(t *testing.T, dir string) {
+			editImage(t, dir, func(b []byte) []byte { return slices.Concat(b, b) })
+		}, storage.ErrCorruptSegment, []string{ImageName, page(names.end + bad.off), `table "bad" follows table "names"`, "rebuild"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

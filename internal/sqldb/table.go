@@ -217,11 +217,7 @@ func (t *schema) checkRow(row sqltypes.Row) error {
 				// x >= key × width exactly when FLOOR(x / width) >= key, which
 				// no key near either end of int64 can overflow.
 				x := int64(e)
-				q := x / fl.Width
-				if x%fl.Width != 0 && x < 0 {
-					q--
-				}
-				if q < key {
+				if exec.FloorDiv(x, fl.Width) < key {
 					return fmt.Errorf("sqldb: %s.%s: value %d at position %d is below the floor %s × %d = %d × %d",
 						t.def.Name, t.def.Columns[ci].Name, x, i, fl.Key, fl.Width, key, fl.Width)
 				}
@@ -328,7 +324,7 @@ func (t *schema) encode(load func() ([]sqltypes.Row, error)) (storage.SegmentDat
 // defines, at page base of f, the file named file. It comes in two halves.
 // The first, newTable itself, opens and validates the segment — checksums and
 // layout in storage, the definition and the column tags against it here — and
-// returns its page count, which places the next segment of an image. left is
+// returns the table, whose page count places the next segment of an image. left is
 // what Open's vector budget has left after the tables it admitted before this
 // one, nil when the table is not to be admitted (a handle without a budget,
 // and Load, which reads its tables back from the image it wrote). An all-integer table (by the header's column tags) that fits it
@@ -344,10 +340,11 @@ func (t *schema) encode(load func() ([]sqltypes.Row, error)) (storage.SegmentDat
 // first chunk, before any copy. Every data page the table does not keep as
 // vectors ends up in a free frame of the buffer pool (storage.OpenSegment).
 //
-// The second half, finish, decodes an admitted table's vectors and returns
-// the table, complete; Open runs the first halves in image order and the
-// finishes on every core. A failed open leaves f open: f is the caller's.
-func (db *DB) newTable(f *storage.PagedFile, file string, base storage.PageID, left *int64) (pages storage.PageID, finish func() (*Table, error), err error) {
+// The second half, decode, decodes an admitted table's vectors into it, and
+// is nil for a table not admitted; Open runs the first halves in image order
+// and the decodes on every core. A failed open leaves f open: f is the
+// caller's.
+func (db *DB) newTable(f *storage.PagedFile, file string, base storage.PageID, left *int64) (t *Table, decode func() error, err error) {
 	var def TableDef
 	var types []sqltypes.Type // the header's column tags
 	vectors, varints := false, 0
@@ -373,34 +370,33 @@ func (db *DB) newTable(f *storage.PagedFile, file string, base storage.PageID, l
 	}
 	seg, data, err := storage.OpenSegment(f, base, db.pool, admit)
 	if err != nil && def.Name == "" {
-		return 0, nil, fmt.Errorf("sqldb: %s: the segment at page %d: %w; rebuild the database", file, base, err)
+		return nil, nil, fmt.Errorf("sqldb: %s: the segment at page %d: %w; rebuild the database", file, base, err)
 	}
 	if err != nil {
-		return 0, nil, fmt.Errorf("sqldb: table %q: %w", strings.ToLower(def.Name), err)
+		return nil, nil, fmt.Errorf("sqldb: table %q: %w", strings.ToLower(def.Name), err)
 	}
 	sc, err := newSchema(def)
 	if err != nil {
-		return 0, nil, err
+		return nil, nil, err
 	}
 	if !slices.Equal(types, sc.types) || seg.PKLen() != len(sc.pkCols) {
-		return 0, nil, fmt.Errorf("sqldb: table %q: %w: header: columns %v (pk %d) do not match the schema; rebuild the database",
+		return nil, nil, fmt.Errorf("sqldb: table %q: %w: header: columns %v (pk %d) do not match the schema; rebuild the database",
 			sc.def.Name, storage.ErrCorruptSegment, types, seg.PKLen())
 	}
-	t := &Table{schema: *sc, db: db, file: f, seg: seg}
-	done := func() (*Table, error) { return t, nil }
+	t = &Table{schema: *sc, db: db, file: f, seg: seg}
 	if !vectors {
-		return seg.Pages(), done, nil
+		return t, nil, nil
 	}
 	size := vectorBytes(sc.types, seg.NumRows(), varints)
 	// keep checked the size of every region it saw a chunk of; an empty
 	// region, which it never saw, is checked here.
 	if data == nil || size > *left {
 		db.reg.VCache.Declined.Add(1) // its vectors outgrew what the tables before it left
-		return seg.Pages(), done, nil
+		return t, nil, nil
 	}
 	*left -= size
 	db.reg.VCache.ResidentBytes.Add(size)
-	return seg.Pages(), func() (*Table, error) {
+	return t, func() error {
 		start := time.Now()
 		m, err := t.decode(data, varints)
 		if err == nil && m.Bytes != size {
@@ -408,12 +404,12 @@ func (db *DB) newTable(f *storage.PagedFile, file string, base storage.PageID, l
 			err = fmt.Errorf("decoded %d bytes of vectors for a table admitted at %d", m.Bytes, size)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("sqldb: table %q: %w", sc.def.Name, err)
+			return fmt.Errorf("sqldb: table %q: %w", sc.def.Name, err)
 		}
 		t.vc = m
 		db.reg.VCache.Materializations.Add(1)
 		db.reg.VCache.Materialize.Observe(time.Since(start))
-		return t, nil
+		return nil
 	}, nil
 }
 

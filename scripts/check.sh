@@ -1,13 +1,15 @@
 #!/bin/sh
-# Full pre-merge gate: formatting, vet, project lint, build, and the whole
-# test suite under the race detector with shuffled test order, then once more
-# with module-wide coverage, which must reach every function outside cmd/ and
-# examples/, the general SQL engine's coverage by its callers alone,
-# 10-second fuzzes of the HTTP time parameter, of the HTTP query bodies, of
-# the segment codec's two row decoders and of a walk of back-to-back
-# segments, the two
-# allocation ratchets, the four examples, a look at what ptldb-build leaves
-# in a database directory (the image, nothing else), the console on it, what
+# Full pre-merge gate: formatting; the ratchets that keep a deleted mechanism
+# deleted (one executor, one image file, one probe order — one counting pass
+# per byte of the bucket span, no comparison-sort fallback —, and the rest
+# below); vet, project lint, build, and the whole test suite under the race
+# detector with shuffled test order, then once more with module-wide
+# coverage, which must reach every function outside cmd/ and examples/, the
+# general SQL engine's coverage by its callers alone, 10-second fuzzes of the
+# HTTP time parameter, of the HTTP query bodies, of the segment codec's two
+# row decoders and of a walk of back-to-back segments, the two allocation
+# ratchets, the four examples, a look at what ptldb-build leaves in a
+# database directory (the image, nothing else), the console on it, what
 # becomes of an image whose tables stop declaring the label run order, the
 # target-id bound, the EA condensed floor or the EA one-to-many target count,
 # and last the benchmark module (benchmark/ is a module of its own, invisible
@@ -106,6 +108,12 @@ echo "== a fused statement binds its tables at Prepare (internal/sqldb/exec)"
 if git grep -nE 'RunOrdered|TargetBounded|Floored|ScratchTable|MetricsSource|lookupPKScratch|scanScratch|execMetrics|resolveSlow|SetVectorCache' -- '*.go' ':!*_test.go'; then
     echo "exec.Fuse looks a plan's tables up and checks their declarations once; every exec.Table and" >&2
     echo "exec.Catalog method is required: no optional table interface, no fallback, no per-query lookup" >&2
+    exit 1
+fi
+echo "== the probe order is one counting pass per byte (internal/sqldb/exec)"
+if git grep -nE 'maxCountedBuckets|st\.order\b' -- 'internal/sqldb/exec'; then
+    echo "orderGroups sorts the groups themselves by bucket, one stable counting pass per byte of their span" >&2
+    echo "(DESIGN.md §7.4): no bucket-span limit, no comparison-sort fallback, no index permutation" >&2
     exit 1
 fi
 echo "== the buffer pool is one LRU under one mutex (internal/sqldb/storage, internal/tenant)"
