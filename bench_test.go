@@ -52,9 +52,10 @@ func benchSetup(b *testing.B) (*Network, string) {
 		// renamed (one knn_naive table per target set in v9) or the tables move
 		// into one image file (v10) whose segment headers hold the table
 		// definitions (v11), or the dataset gains a table (its target set, v12),
-		// or a stale cache would fail to open or lack a table the benchmark
-		// queries.
-		const benchDatasetFormat = 12
+		// or the segments store the label hubs as runs (segment version 4,
+		// v13), or a stale cache would fail to open or lack a table the
+		// benchmark queries.
+		const benchDatasetFormat = 13
 		dir := filepath.Join(os.TempDir(),
 			fmt.Sprintf("ptldb-gobench-%s-%04d-f%d", benchCity, int(benchScale*10000), benchDatasetFormat))
 		if _, err := os.Stat(filepath.Join(dir, sqldb.ImageName)); err != nil {

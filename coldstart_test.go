@@ -164,7 +164,8 @@ func checkNeighbors(t *testing.T, what string, got []Result, want []csa.Neighbor
 // TestVectorSizeMatchesPrediction reopens a store under budgets that grow
 // by one table at a time, in image order: the sum of the vector sizes
 // worked out here from the rows of the first k all-integer tables. Open
-// admits a table on the size predicted from its varints and refuses vectors
+// admits a table on the size its segment's header gives (row and element
+// counts; the label hubs are stored as runs) and refuses vectors
 // of any other size, so the open succeeding proves prediction == Mat.Bytes;
 // exactly the first k tables resident, in exactly that many bytes, proves
 // both are right, table by table.

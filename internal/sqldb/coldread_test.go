@@ -3,14 +3,17 @@ package sqldb
 // coldread_test.go pins what a cold start costs in device reads — Open reads
 // the image once, front to back, and a table the vector cache cannot hold is
 // never bulk-read — and that the size the cache admits a table on, worked out
-// at open from a varint count, is exactly the size of the vectors built later.
+// at open from the row and element counts of its segment's header, is exactly
+// the size of the vectors built later.
 
 import (
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -21,12 +24,13 @@ import (
 )
 
 // awkwardTables are row sets chosen to stress the size prediction: it must
-// hold whatever the mix of scalars, length prefixes and elements.
+// hold whatever the mix of scalars, arrays, runs and elements.
 var awkwardTables = []struct {
-	name string
-	pk   []string
-	cols []string
-	rows func() []sqltypes.Row
+	name     string
+	pk       []string
+	cols     []string
+	rows     func() []sqltypes.Row
+	runOrder []string
 }{
 	{"labels", []string{"k"}, []string{"k", "hubs:arr", "tds:arr", "tas:arr"}, func() []sqltypes.Row {
 		var rows []sqltypes.Row
@@ -39,14 +43,14 @@ var awkwardTables = []struct {
 			rows = append(rows, sqltypes.Row{sqltypes.NewInt(i), sqltypes.NewIntArray(a), sqltypes.NewIntArray(b), sqltypes.NewIntArray(c)})
 		}
 		return rows
-	}},
+	}, nil},
 	{"empty_arrays", []string{"k"}, []string{"k", "xs:arr", "ys:arr"}, func() []sqltypes.Row {
 		var rows []sqltypes.Row
 		for i := int64(0); i < 300; i++ {
 			rows = append(rows, sqltypes.Row{sqltypes.NewInt(i), sqltypes.NewIntArray(nil), sqltypes.NewIntArray([]int32{})})
 		}
 		return rows
-	}},
+	}, nil},
 	{"negative_deltas", []string{"k"}, []string{"k", "v", "xs:arr"}, func() []sqltypes.Row {
 		var rows []sqltypes.Row
 		for i := int64(-50); i < 50; i++ {
@@ -54,14 +58,14 @@ var awkwardTables = []struct {
 				sqltypes.NewIntArray([]int32{math.MaxInt32, math.MinInt32, 0, -1, int32(i) << 24, -(int32(i) << 20)})})
 		}
 		return rows
-	}},
+	}, nil},
 	{"scalar_only", []string{"k"}, []string{"k", "a", "b"}, func() []sqltypes.Row {
 		var rows []sqltypes.Row
 		for i := int64(0); i < 1000; i++ {
 			rows = append(rows, ints(i, i*i*i, -i<<33))
 		}
 		return rows
-	}},
+	}, nil},
 	{"two_column_key", []string{"b", "h"}, []string{"b", "h", "vs:arr", "tas:arr"}, func() []sqltypes.Row {
 		var rows []sqltypes.Row
 		for b := int64(0); b < 24; b++ {
@@ -71,8 +75,23 @@ var awkwardTables = []struct {
 			}
 		}
 		return rows
-	}},
-	{"zero_rows", []string{"k"}, []string{"k", "xs:arr"}, func() []sqltypes.Row { return []sqltypes.Row{} }},
+	}, nil},
+	{"zero_rows", []string{"k"}, []string{"k", "xs:arr"}, func() []sqltypes.Row { return []sqltypes.Row{} }, nil},
+	// Hubs stored as runs: runs of one to seven tuples, empty labels among
+	// them, and the hubs column between a scalar and its siblings.
+	{"hub_runs", []string{"k"}, []string{"k", "hubs:arr", "w", "tds:arr", "tas:arr"}, func() []sqltypes.Row {
+		var rows []sqltypes.Row
+		for i := int64(0); i < 1500; i++ {
+			n := int(i % 53)
+			hubs, tds, tas := make([]int32, n), make([]int32, n), make([]int32, n)
+			for j := range hubs {
+				hubs[j], tds[j], tas[j] = int32(j/(1+int(i)%7))*5, int32(i)+int32(j), 90000+int32(j)
+			}
+			rows = append(rows, sqltypes.Row{sqltypes.NewInt(i), sqltypes.NewIntArray(hubs), sqltypes.NewInt(-i),
+				sqltypes.NewIntArray(tds), sqltypes.NewIntArray(tas)})
+		}
+		return rows
+	}, []string{"hubs", "tds", "tas"}},
 }
 
 // buildAwkwardDB bulk-loads awkwardTables into dir and closes the database.
@@ -83,7 +102,9 @@ func buildAwkwardDB(t *testing.T, dir string) {
 		t.Fatal(err)
 	}
 	for _, spec := range awkwardTables {
-		if _, err := tryLoad(db, mkTable(spec.name, spec.pk, spec.cols...), spec.rows()...); err != nil {
+		def := mkTable(spec.name, spec.pk, spec.cols...)
+		def.RunOrder = spec.runOrder
+		if _, err := tryLoad(db, def, spec.rows()...); err != nil {
 			t.Fatalf("%s: %v", spec.name, err)
 		}
 	}
@@ -110,9 +131,9 @@ func rowVectorBytes(types []sqltypes.Type, rows []sqltypes.Row) int64 {
 }
 
 // TestVectorSizePrediction: for every awkward table the size predicted from
-// the varint count, the size worked out from the rows, Mat.Bytes and the
+// its segment's header, the size worked out from the rows, Mat.Bytes and the
 // bytes actually allocated all agree, and decode allocates per column, not
-// per row. The prediction holds for all-BIGINT/INT[] tables only, so a
+// per row; a run-ordered table's header tags its leading column as runs. The prediction holds for all-BIGINT/INT[] tables only, so a
 // table with a DOUBLE or TEXT column is never registered with the cache.
 func TestVectorSizePrediction(t *testing.T) {
 	dir := t.TempDir()
@@ -127,9 +148,12 @@ func TestVectorSizePrediction(t *testing.T) {
 		rows := spec.rows()
 		want := rowVectorBytes(sf.types, rows)
 
-		data, varints := dataRegion(t, dir, sf)
-		if got := vectorBytes(sf.types, sf.seg.NumRows(), varints); got != want {
+		data, tags, elems := dataRegion(t, dir, sf)
+		if got := vectorBytes(tags, sf.seg.NumRows(), elems); got != want {
 			t.Errorf("%s: predicted %d bytes of vectors, its rows need %d", spec.name, got, want)
+		}
+		if runs := slices.Index(tags, sqltypes.IntRuns); (spec.runOrder != nil) != (runs == 1) {
+			t.Errorf("%s: the header's column tags are %v; want the hubs alone as runs exactly when it declares a run order", spec.name, tags)
 		}
 
 		m := sf.vc // what Open decoded
@@ -167,7 +191,7 @@ func TestVectorSizePrediction(t *testing.T) {
 		// vectors, one row's scalars, the Mat and its column headers — and
 		// one more under the race detector.
 		allocs := testing.AllocsPerRun(5, func() {
-			if _, err := sf.decode(data, varints); err != nil {
+			if _, err := sf.decode(data, elems); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -199,22 +223,23 @@ func TestVectorSizePrediction(t *testing.T) {
 	}
 }
 
-// dataRegion reads tbl's data region in the image of dir again and counts its
-// varints, as open does.
-func dataRegion(t *testing.T, dir string, tbl *Table) ([]byte, int) {
+// dataRegion reads tbl's data region in the image of dir again, with the
+// column tags and the element count its header records, as open does.
+func dataRegion(t *testing.T, dir string, tbl *Table) ([]byte, []sqltypes.Type, int) {
 	t.Helper()
-	varints := 0
+	var tags []sqltypes.Type
+	var meta segMeta
 	at := storage.PageID(segmentOf(t, dir, tbl.def.Name).off / storage.PageSize)
-	_, data, err := storage.OpenSegment(tbl.file, at, tbl.db.pool, func(_, _ []byte) (func(int, int, []byte) bool, error) {
-		return func(_, _ int, chunk []byte) bool {
-			varints += sqltypes.CountSegVarints(chunk)
-			return true
-		}, nil
+	_, data, err := storage.OpenSegment(tbl.file, at, tbl.db.pool, func(_ int, cols, raw []byte) (bool, error) {
+		for _, c := range cols {
+			tags = append(tags, sqltypes.Type(c))
+		}
+		return true, json.Unmarshal(raw, &meta)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return data, varints
+	return data, tags, int(meta.Elems)
 }
 
 // TestOpenReadsEachFileOnce: opening an N-segment database costs one seek —
@@ -339,11 +364,11 @@ func TestDeclinedTableIsNeverBulkRead(t *testing.T) {
 	}
 }
 
-// TestDeclinedTableKeepsNoRegion: a table too large for the cache is let go
-// at the first chunk of its open pass, before its data region is allocated,
-// even when the varints of that chunk alone would fit: the region's size
-// bounds its varints from below too. The open allocates what an open without
-// a cache does, give or take a few closures, not the region's kilobytes.
+// TestDeclinedTableKeepsNoRegion: a table too large for the cache is declined
+// from its segment's header, which gives its exact vector size, before its
+// data region is read, so the region is never allocated: the open allocates
+// what an open without a cache does, give or take a few closures, not the
+// region's kilobytes — under a budget one byte short of the table's vectors.
 func TestDeclinedTableKeepsNoRegion(t *testing.T) {
 	spec := awkwardTables[0]
 	rows := spec.rows()
@@ -356,18 +381,13 @@ func TestDeclinedTableKeepsNoRegion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	types, size := tbl.types, rowVectorBytes(tbl.types, rows)
+	budget := rowVectorBytes(tbl.types, rows) - 1
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
 	image, err := os.ReadFile(filepath.Join(dir, ImageName)) // the table's segment alone
 	if err != nil {
 		t.Fatal(err)
-	}
-	first := sqltypes.CountSegVarints(image[storage.PageSize : 2*storage.PageSize])
-	budget := vectorBytes(types, len(rows), first) + 1
-	if budget >= size {
-		t.Fatalf("a budget of %d bytes holds the table's %d; the test wants it declined", budget, size)
 	}
 	allocated := func(budget int64) uint64 {
 		var before, after runtime.MemStats

@@ -25,11 +25,12 @@ import (
 	"ptldb/internal/sqldb/storage"
 )
 
-// imageSegment is one table's segment in an image: its definition and its
-// byte range.
+// imageSegment is one table's segment in an image: its definition, the meta
+// that holds it and its byte range.
 type imageSegment struct {
 	name     string
 	def      TableDef
+	meta     []byte
 	off, end int
 }
 
@@ -54,7 +55,7 @@ func imageSegments(t *testing.T, dir string) []imageSegment {
 		if err := json.Unmarshal(seg.Meta(), &def); err != nil {
 			t.Fatalf("segment at page %d: %v", base, err)
 		}
-		segs = append(segs, imageSegment{def.Name, def, int(base) * storage.PageSize, int(base+seg.Pages()) * storage.PageSize})
+		segs = append(segs, imageSegment{def.Name, def, seg.Meta(), int(base) * storage.PageSize, int(base+seg.Pages()) * storage.PageSize})
 		base += seg.Pages()
 	}
 	return segs
@@ -86,17 +87,13 @@ func editImage(t *testing.T, dir string, edit func([]byte) []byte) {
 }
 
 // writeSegmentInto writes sd as the segment of table name inside dir's
-// image, in place of the one there, with that one's definition when sd has
-// no meta of its own.
+// image, in place of the one there, with that one's meta — its definition
+// and element count — when sd has no meta of its own.
 func writeSegmentInto(t *testing.T, dir, name string, sd storage.SegmentData) {
 	t.Helper()
 	at := segmentOf(t, dir, name)
 	if sd.Meta == nil {
-		meta, err := json.Marshal(at.def)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sd.Meta = meta
+		sd.Meta = at.meta
 	}
 	path := filepath.Join(t.TempDir(), name+".seg")
 	f, err := storage.CreatePagedFile(path, storage.RAM, new(storage.Clock))
@@ -130,9 +127,9 @@ func editDef(t *testing.T, dir, name string, edit func(*TableDef)) {
 	pool.Register(f)
 	at := segmentOf(t, dir, name)
 	var sd storage.SegmentData
-	keepAll := func(cols, _ []byte) (func(int, int, []byte) bool, error) {
+	keepAll := func(_ int, cols, _ []byte) (bool, error) {
 		sd.Cols = append([]byte(nil), cols...)
-		return func(int, int, []byte) bool { return true }, nil
+		return true, nil
 	}
 	seg, data, err := storage.OpenSegment(f, storage.PageID(at.off/storage.PageSize), pool, keepAll)
 	if err != nil {
@@ -142,9 +139,12 @@ func editDef(t *testing.T, dir, name string, edit func(*TableDef)) {
 	for i := range seg.NumRows() {
 		sd.Lens = append(sd.Lens, seg.RowLen(i))
 	}
-	def := at.def
-	edit(&def)
-	if sd.Meta, err = json.Marshal(def); err != nil {
+	var meta segMeta
+	if err := json.Unmarshal(at.meta, &meta); err != nil {
+		t.Fatal(err)
+	}
+	edit(&meta.TableDef)
+	if sd.Meta, err = json.Marshal(meta); err != nil {
 		t.Fatal(err)
 	}
 	writeSegmentInto(t, dir, name, sd)
@@ -244,6 +244,11 @@ func TestImageFailsClosed(t *testing.T) {
 			writeCatalog(t, dir, []TableDef{segs[0].def, segs[1].def, segs[2].def})
 			editImage(t, dir, func(b []byte) []byte { binary.LittleEndian.PutUint32(b[4:], 2); return b })
 		}, storage.ErrCorruptSegment, []string{ImageName, "version 2", "rebuild"}},
+		{"segment-version-3", func(t *testing.T, dir string) {
+			// The image before hubs were stored as runs and the meta counted
+			// the elements: the header's version is the first field read.
+			editImage(t, dir, func(b []byte) []byte { binary.LittleEndian.PutUint32(b[4:], 3); return b })
+		}, storage.ErrCorruptSegment, []string{ImageName, "page 0", "version 3 not supported", "rebuild"}},
 		{"file-per-table-layout", splitImage, os.ErrNotExist, []string{"bad.seg", ImageName, "rebuild"}},
 		// Every segment intact, but in an order no Load writes.
 		{"a-segment-repeated", func(t *testing.T, dir string) {

@@ -105,7 +105,7 @@ func TestParallelOpenFailsClosed(t *testing.T) {
 	// t3 anew, its row 1000 one byte longer than its values.
 	sd := storage.SegmentData{Cols: []byte{byte(sqltypes.Int64), byte(sqltypes.IntArray)}, PKLen: 1}
 	for k, r := range labelRows(2000, 3) {
-		b, err := sqltypes.EncodeSegRow(nil, r)
+		b, err := sqltypes.EncodeSegRow(nil, []sqltypes.Type{sqltypes.Int64, sqltypes.IntArray}, r)
 		if err != nil {
 			t.Fatal(err)
 		}

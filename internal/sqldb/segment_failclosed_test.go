@@ -11,6 +11,7 @@ package sqldb
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"io/fs"
 	"math"
@@ -334,19 +335,21 @@ func TestDamageAfterOpenNeverReachesVectors(t *testing.T) {
 }
 
 // TestMalformedRowFailsMaterialize: a segment whose checksums hold but one of
-// whose rows is malformed — an array element outside int32 among them —
-// fails the open of a handle whose vector cache admits the table — open
-// checks the regions, then decodes the rows, and the one-pass decode keeps
-// every check on a row — with an error naming the table and wrapping
-// storage.ErrCorruptSegment, every file closed and the directory as it was,
-// on every retry. The checks are the decode's: a handle without a cache opens
-// the same directory, its well-formed sibling serves, and a segment-tier
-// lookup of the malformed row is the same refusal, never a value.
+// whose rows is malformed — an array element outside int32 among them, and
+// in a table whose hubs are stored as runs, a run that is empty, overshoots
+// its array, repeats the hub before it or leaves int32 — fails the open of a
+// handle whose vector cache admits the table — open checks the regions, then
+// decodes the rows, and the one-pass decode keeps every check on a row —
+// with an error naming the table and wrapping storage.ErrCorruptSegment,
+// every file closed and the directory as it was, on every retry. The checks
+// are the decode's: a handle without a cache opens the same directory, its
+// well-formed sibling serves, and a segment-tier lookup of the malformed row
+// is the same refusal, never a value.
 func TestMalformedRowFailsMaterialize(t *testing.T) {
 	const rows = 3000
 	// bad.seg's rows are (k, 3k, [k, k+1, k+2]), as buildFaultDB writes them.
 	encode := func(k int64) []byte {
-		b, err := sqltypes.EncodeSegRow(nil, sqltypes.Row{sqltypes.NewInt(k), sqltypes.NewInt(3 * k),
+		b, err := sqltypes.EncodeSegRow(nil, []sqltypes.Type{sqltypes.Int64, sqltypes.Int64, sqltypes.IntArray}, sqltypes.Row{sqltypes.NewInt(k), sqltypes.NewInt(3 * k),
 			sqltypes.NewIntArray([]int32{int32(k), int32(k) + 1, int32(k) + 2})})
 		if err != nil {
 			t.Fatal(err)
@@ -357,30 +360,62 @@ func TestMalformedRowFailsMaterialize(t *testing.T) {
 	// The last delta, 1, is 0x02; with the continuation bit set the varint
 	// runs on into the next row.
 	midVarint := func(b []byte) []byte { b[len(b)-1] |= 0x80; return b }
+	// In the runs form bad's rows are (k, 3k, hubs [k, k, k+1] as the runs
+	// (k, 2) (1, 1), tds [1, 2, 1], tas [5, 6, 7]); runs(k, pairs) is row k
+	// with the hubs' runs given as (delta, count) pairs.
+	runsTypes := []sqltypes.Type{sqltypes.Int64, sqltypes.Int64, sqltypes.IntRuns, sqltypes.IntArray, sqltypes.IntArray}
+	runs := func(k int64, pairs ...int64) []byte {
+		b := binary.AppendUvarint(head(k), 3)
+		for i, x := range pairs {
+			if i%2 == 0 {
+				b = binary.AppendVarint(b, x)
+			} else {
+				b = binary.AppendUvarint(b, uint64(x))
+			}
+		}
+		b, err := sqltypes.EncodeSegRow(b, runsTypes[3:], sqltypes.Row{
+			sqltypes.NewIntArray([]int32{1, 2, 1}), sqltypes.NewIntArray([]int32{5, 6, 7})})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
 	for _, c := range []struct {
 		name string
 		row  int64
 		enc  []byte
+		runs bool
 	}{
-		{"array length past the row's end", 1500, append(head(1500), 0x7f, 0x02)},
-		{"trailing byte", 1500, append(encode(1500), 0x00)},
-		{"row ends mid-varint", 1500, midVarint(encode(1500))},
-		// Four elements claimed, three present: open counts three for the
-		// row, and it is the last, so the vector has no room for a fourth.
+		{"array length past the row's end", 1500, append(head(1500), 0x7f, 0x02), false},
+		{"trailing byte", 1500, append(encode(1500), 0x00), false},
+		{"row ends mid-varint", 1500, midVarint(encode(1500)), false},
+		// Four elements claimed, three present: the header counts three for
+		// the row, and it is the last, so the vector has no room for a fourth.
 		{"one element more than counted", rows - 1, binary.AppendVarint(binary.AppendVarint(binary.AppendVarint(
-			binary.AppendUvarint(head(rows-1), 4), rows-1), 1), 1)},
+			binary.AppendUvarint(head(rows-1), 4), rows-1), 1), 1), false},
 		// Three elements whose running sum leaves int32 at the last: the
 		// bytes are well-formed varints, so only the width check refuses them.
 		{"an element outside int32", 1500, binary.AppendVarint(binary.AppendVarint(binary.AppendVarint(
-			binary.AppendUvarint(head(1500), 3), 1500), 1), math.MaxInt32)},
+			binary.AppendUvarint(head(1500), 3), 1500), 1), math.MaxInt32), false},
+		{"runs: a zero count", 1500, runs(1500, 1500, 0, 1500, 2, 1, 1), true},
+		{"runs: a count past the array", 1500, runs(1500, 1500, 4), true},
+		{"runs: a repeated hub", 1500, runs(1500, 1500, 2, 0, 1), true},
+		{"runs: a hub past MaxInt32", 1500, runs(1500, 1500, 2, math.MaxInt32, 1), true},
+		{"runs: a hub below MinInt32", 1500, runs(1500, math.MinInt32-1, 3), true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
-			writeMalformedBad(t, dir, rows, func(k int64) []byte {
+			buildFaultDB(t, dir)
+			var sd storage.SegmentData
+			enc := encode
+			if c.runs {
+				sd, enc = runsSegment(t, runsTypes, rows), func(k int64) []byte { return runs(k, k, 2, 1, 1) }
+			}
+			writeMalformedBad(t, dir, sd, rows, func(k int64) []byte {
 				if k == c.row {
 					return c.enc
 				}
-				return encode(k)
+				return enc(k)
 			})
 			listing, before := dirListing(t, dir), openFDs(t)
 			for range 2 {
@@ -418,16 +453,33 @@ func TestMalformedRowFailsMaterialize(t *testing.T) {
 	}
 }
 
-// writeMalformedBad builds the fault database in dir and writes the segment
-// of bad anew with rows rows, row k encoded as enc(k); the checksums hold
-// whatever the bytes.
-func writeMalformedBad(t *testing.T, dir string, rows int64, enc func(k int64) []byte) {
+// runsSegment is the segment data of bad as a run-ordered table of rows rows,
+// (k, v, hubs, tds, tas) with three tuples a row, rows not yet added: its
+// column tags and its meta.
+func runsSegment(t *testing.T, types []sqltypes.Type, rows int64) storage.SegmentData {
 	t.Helper()
-	buildFaultDB(t, dir)
-	sd := storage.SegmentData{
-		Cols:  []byte{byte(sqltypes.Int64), byte(sqltypes.Int64), byte(sqltypes.IntArray)},
-		PKLen: 1,
+	def := mkTable("bad", []string{"k"}, "k", "v", "hubs:arr", "tds:arr", "tas:arr")
+	def.RunOrder = []string{"hubs", "tds", "tas"}
+	meta, err := json.Marshal(segMeta{TableDef: def, Elems: 9 * rows})
+	if err != nil {
+		t.Fatal(err)
 	}
+	sd := storage.SegmentData{Meta: meta}
+	for _, typ := range types {
+		sd.Cols = append(sd.Cols, byte(typ))
+	}
+	return sd
+}
+
+// writeMalformedBad writes the segment of bad in dir's fault database anew
+// with rows rows, row k encoded as enc(k), under sd's column tags and meta —
+// bad's own when sd has none; the checksums hold whatever the bytes.
+func writeMalformedBad(t *testing.T, dir string, sd storage.SegmentData, rows int64, enc func(k int64) []byte) {
+	t.Helper()
+	if sd.Cols == nil {
+		sd.Cols = []byte{byte(sqltypes.Int64), byte(sqltypes.Int64), byte(sqltypes.IntArray)}
+	}
+	sd.PKLen = 1
 	for k := int64(0); k < rows; k++ {
 		b := enc(k)
 		sd.Keys = append(sd.Keys, storage.Key{k})

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/bits"
 
 	"ptldb/internal/sqldb/storage"
 )
@@ -14,10 +13,13 @@ import (
 // schema and stored once in the segment header — so a label row costs exactly
 // its varints. BIGINT is a zigzag varint, INT[] a uvarint length plus
 // per-element delta varints, DOUBLE its 8 IEEE-754 bytes (little-endian, bit
-// pattern preserved) and TEXT a uvarint length plus the bytes. There is no
-// encoding of NULL: a stored row has none. Varints carry no width: an INT[]
-// element is any value whose running delta sum stays inside int32, and a row
-// whose sum leaves it is corrupt.
+// pattern preserved) and TEXT a uvarint length plus the bytes. IntRuns, the
+// stored form of a non-decreasing INT[] (a label's hubs), is a uvarint length
+// plus one (zigzag delta from the previous run's value, uvarint count ≥ 1)
+// pair per run of equal elements; after the first run every delta is > 0.
+// There is no encoding of NULL: a stored row has none. Varints carry no
+// width: an INT[] element is any value whose running delta sum stays inside
+// int32, and a row whose sum leaves it is corrupt.
 
 // corrupt is every decoder's error for bytes that are no encoded row: it
 // wraps storage.ErrCorruptSegment, since a segment is a table's only copy.
@@ -25,11 +27,23 @@ func corrupt(format string, a ...any) error {
 	return fmt.Errorf("sqltypes: %w: %s", storage.ErrCorruptSegment, fmt.Sprintf(format, a...))
 }
 
-// EncodeSegRow appends the segment encoding of r to buf. A NULL value is an
-// error.
-func EncodeSegRow(buf []byte, r Row) ([]byte, error) {
+// EncodeSegRow appends the segment encoding of r under the column tags types
+// to buf. Each value must have its column's type — an IntArray value in an
+// IntRuns column, non-decreasing — and NULL has none. The decoders bound an
+// array's length by the bytes after it in the row, so an IntRuns value reads
+// back only from a row holding at least a byte per element after its length:
+// a run-ordered table's rows do, with its two sibling arrays, as long, stored
+// after it.
+func EncodeSegRow(buf []byte, types []Type, r Row) ([]byte, error) {
+	if len(r) != len(types) {
+		return nil, fmt.Errorf("sqltypes: segment row of %d values under %d column tags", len(r), len(types))
+	}
 	for i, v := range r {
-		switch v.T {
+		t := types[i]
+		if v.T != t && (t != IntRuns || v.T != IntArray) {
+			return nil, fmt.Errorf("sqltypes: segment cannot encode %s as %s at value %d", v.T, t, i)
+		}
+		switch t {
 		case Int64:
 			buf = binary.AppendVarint(buf, v.I)
 		case Float64:
@@ -44,8 +58,59 @@ func EncodeSegRow(buf []byte, r Row) ([]byte, error) {
 				buf = binary.AppendVarint(buf, int64(x)-prev)
 				prev = int64(x)
 			}
+		case IntRuns:
+			buf = binary.AppendUvarint(buf, uint64(len(v.A)))
+			prev := int64(0)
+			for j := 0; j < len(v.A); {
+				x, run := v.A[j], 1
+				for j+run < len(v.A) && v.A[j+run] == x {
+					run++
+				}
+				if j > 0 && int64(x) < prev {
+					return nil, fmt.Errorf("sqltypes: segment cannot encode %s as %s at value %d: element %d descends", v.T, t, i, j)
+				}
+				buf = binary.AppendVarint(buf, int64(x)-prev)
+				buf = binary.AppendUvarint(buf, uint64(run))
+				prev = int64(x)
+				j += run
+			}
 		default:
 			return nil, fmt.Errorf("sqltypes: segment cannot encode %s at value %d", v.T, i)
+		}
+	}
+	return buf, nil
+}
+
+// decodeRuns expands the runs of an IntRuns value — the bytes after its
+// length — into out, whose length is that length, and returns the bytes after
+// them. A run of no element or of more than are left, a value that does not
+// ascend past the run before it, or one outside int32 is corrupt; i is the
+// value's position, for the error. Both row decoders call it once per array.
+func decodeRuns(buf []byte, out []int32, i int) ([]byte, error) {
+	prev := int64(0)
+	for j := 0; j < len(out); {
+		d, k := binary.Varint(buf)
+		if k <= 0 {
+			return nil, corrupt("run at element %d of value %d", j, i)
+		}
+		buf = buf[k:]
+		n, k := binary.Uvarint(buf)
+		switch {
+		case k <= 0:
+			return nil, corrupt("run at element %d of value %d", j, i)
+		case n == 0 || n > uint64(len(out)-j):
+			return nil, corrupt("run of %d at element %d of value %d, which has %d", n, j, i, len(out))
+		case j > 0 && d <= 0:
+			return nil, corrupt("run at element %d of value %d does not ascend (delta %d)", j, i, d)
+		}
+		buf = buf[k:]
+		// prev is inside int32, so a sum that wraps int64 lands outside it
+		// too.
+		if prev += d; prev != int64(int32(prev)) {
+			return nil, corrupt("run at element %d of value %d is %d, outside int32", j, i, prev)
+		}
+		for end := j + int(n); j < end; j++ {
+			out[j] = int32(prev)
 		}
 	}
 	return buf, nil
@@ -94,11 +159,13 @@ func DecodeSegRowInto(buf []byte, types []Type, row Row, arena []int32) (Row, []
 			// the value safe to retain past the scratch buffer.
 			r[i] = NewText(string(buf[k : k+int(ln)]))
 			buf = buf[k+int(ln):]
-		case IntArray:
+		case IntArray, IntRuns:
 			ln, k := binary.Uvarint(buf)
-			// Every element costs at least one byte, so a length beyond the
-			// remaining buffer is corrupt — checked before it can size the
-			// arena (or overflow int) on attacker-controlled input.
+			// Every element costs at least one byte — an IntRuns column's
+			// elements less, but the run-ordered columns stored after it
+			// hold as many elements at a byte or more each — so a length
+			// beyond the remaining buffer is corrupt, checked before it can
+			// size the arena (or overflow int) on attacker-controlled input.
 			if k <= 0 || ln > uint64(len(buf)-k) {
 				return nil, arena, corrupt("array at value %d", i)
 			}
@@ -117,6 +184,14 @@ func DecodeSegRowInto(buf []byte, types []Type, row Row, arena []int32) (Row, []
 			}
 			a := arena[len(arena) : len(arena)+int(ln) : len(arena)+int(ln)]
 			arena = arena[:len(arena)+int(ln)]
+			r[i] = NewIntArray(a)
+			if t == IntRuns {
+				var err error
+				if buf, err = decodeRuns(buf, a, i); err != nil {
+					return nil, arena, err
+				}
+				continue
+			}
 			prev := int64(0)
 			for j := range a {
 				d, k := binary.Varint(buf)
@@ -131,7 +206,6 @@ func DecodeSegRowInto(buf []byte, types []Type, row Row, arena []int32) (Row, []
 				}
 				a[j] = int32(prev)
 			}
-			r[i] = NewIntArray(a)
 		default:
 			return nil, arena, fmt.Errorf("sqltypes: segment cannot decode %s at value %d", t, i)
 		}
@@ -142,44 +216,18 @@ func DecodeSegRowInto(buf []byte, types []Type, row Row, arena []int32) (Row, []
 	return r, arena, nil
 }
 
-// The three functions below decode a whole table at once, into column vectors
-// instead of rows, and apply to all-BIGINT/INT[] tables only (the resident
-// vector cache holds no others). They rest on one property of that encoding:
-// every payload byte belongs to exactly one varint, and a varint ends at its
-// only byte below 0x80. So the varints of any run of rows can be counted
-// without decoding them, and their number is the rows' scalars + array length
-// prefixes + array elements. A DOUBLE or TEXT column breaks the property.
-
-// CountSegVarints returns how many varints end in b: the bytes below 0x80,
-// counted eight at a time. b may be any chunk of encoded rows — a varint
-// split across two chunks is counted once, with the chunk holding its last
-// byte.
-//
-// hotpath — allocheck root: runs over every data page of every segment at
-// open.
-func CountSegVarints(b []byte) int {
-	n := 0
-	for ; len(b) >= 8; b = b[8:] {
-		n += 8 - bits.OnesCount64(binary.LittleEndian.Uint64(b)&0x8080808080808080)
-	}
-	for _, c := range b {
-		if c < 0x80 {
-			n++
-		}
-	}
-	return n
-}
-
-// DecodeSegRowVectors decodes one encoded row of BIGINT / INT[] columns:
-// the k-th BIGINT of the row goes to scalars[k], and the elements of its
-// INT[] values onto the end of elems, in column order, with the length of
-// elems after the a-th array recorded at ends[a]. It accepts exactly the rows
-// DecodeSegRowInto accepts, refusing an element outside int32 as that does,
-// and decodes the same values, but elems grows only within its capacity — the
-// caller sized it once, for the whole table, from the varint count — so an
-// array that does not fit is an error, never a reallocation. The one-, two-
-// and three-byte varints that make up nearly every label value are decoded
-// inline; longer ones go to binary.Uvarint.
+// DecodeSegRowVectors decodes one encoded row of BIGINT / INT[] columns
+// (IntArray or IntRuns) into column vectors instead of a Row, for the
+// resident vector cache, which holds no other table: the k-th BIGINT of the
+// row goes to scalars[k], and the elements of its INT[] values onto the end
+// of elems, in column order, with the length of elems after the a-th array
+// recorded at ends[a]. It accepts exactly the rows DecodeSegRowInto accepts,
+// refusing an element outside int32 as that does, and decodes the same
+// values, but elems grows only within its capacity — the caller sized it
+// once, for the whole table, from the element count its segment's header
+// records — so an array that does not fit is an error, never a
+// reallocation. The one-, two- and three-byte varints that make up nearly
+// every label value are decoded inline; longer ones go to binary.Uvarint.
 func DecodeSegRowVectors(buf []byte, types []Type, scalars []int64, elems, ends []int32) ([]int32, error) {
 	s, a := 0, 0
 	for i, t := range types {
@@ -188,8 +236,10 @@ func DecodeSegRowVectors(buf []byte, types []Type, scalars []int64, elems, ends 
 		var out []int32
 		n := 1
 		if t != Int64 {
+			// The row decoder's bound on a length, which an IntRuns value
+			// needs checked: its runs alone may hold fewer bytes.
 			ln, k := binary.Uvarint(buf)
-			if k <= 0 || t != IntArray {
+			if k <= 0 || (t != IntArray && t != IntRuns) || ln > uint64(len(buf)-k) {
 				return elems, corrupt("array at value %d", i)
 			}
 			if ln > uint64(cap(elems)-len(elems)) {
@@ -200,6 +250,13 @@ func DecodeSegRowVectors(buf []byte, types []Type, scalars []int64, elems, ends 
 			out, elems = elems[len(elems):len(elems)+n], elems[:len(elems)+n]
 			ends[a] = int32(len(elems))
 			a++
+			if t == IntRuns {
+				var err error
+				if buf, err = decodeRuns(buf, out, i); err != nil {
+					return elems, err
+				}
+				continue
+			}
 		}
 		prev := int64(0)
 		for j := 0; j < n; j++ {

@@ -29,6 +29,11 @@ const (
 	Text
 	// IntArray is INT[]: an array of 32-bit integers.
 	IntArray
+	// IntRuns is a storage form of INT[], never a Value's type: the column
+	// tag of a segment column whose non-decreasing arrays are stored as
+	// runs of equal elements (segcodec.go). Both row decoders expand it into
+	// an IntArray value.
+	IntRuns
 )
 
 // String returns the SQL-ish name of the type.
@@ -44,6 +49,8 @@ func (t Type) String() string {
 		return "TEXT"
 	case IntArray:
 		return "INT[]"
+	case IntRuns:
+		return "INT[] runs"
 	default:
 		return fmt.Sprintf("Type(%d)", uint8(t))
 	}

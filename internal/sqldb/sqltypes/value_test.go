@@ -133,7 +133,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		{NewInt(1), NewFloat(30.2672), NewText("x"), NewIntArray([]int32{36000, 36100, 39600})},
 	}
 	for i, r := range rows {
-		buf, err := EncodeSegRow(nil, r)
+		buf, err := EncodeSegRow(nil, typesOf(r), r)
 		if err != nil {
 			t.Fatalf("row %d: EncodeSegRow: %v", i, err)
 		}
@@ -155,7 +155,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 func TestDecodeRejectsCorrupt(t *testing.T) {
 	row := Row{NewInt(12345), NewText("abc"), NewFloat(2.5), NewIntArray([]int32{1, 2, 3})}
 	types := typesOf(row)
-	good, err := EncodeSegRow(nil, row)
+	good, err := EncodeSegRow(nil, typesOf(row), row)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestEncodeDecodeQuick(t *testing.T) {
 				r[i] = NewIntArray(a)
 			}
 		}
-		buf, err := EncodeSegRow(nil, r)
+		buf, err := EncodeSegRow(nil, typesOf(r), r)
 		if err != nil {
 			return false
 		}
@@ -254,7 +254,7 @@ func TestDecodeRowInto(t *testing.T) {
 		{NewInt(3), NewText("x"), NewFloat(2.5)},
 	}
 	encode := func(r Row) []byte {
-		buf, err := EncodeSegRow(nil, r)
+		buf, err := EncodeSegRow(nil, typesOf(r), r)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -112,7 +112,7 @@ type SegmentData struct {
 
 const (
 	segmentMagic   = 0x50545331 // "PTS1"
-	segmentVersion = 3          // v2 added the region and header checksums, v3 the meta
+	segmentVersion = 4          // v2 added the region and header checksums, v3 the meta, v4 sqldb's runs column and element count
 	segMetaLenAt   = 52         // offset of the meta's byte count
 	segHeaderCRCAt = 56         // offset of the header's own checksum
 	segHeaderBytes = 60         // fixed fields + header CRC; column tags, then the meta, follow
@@ -265,19 +265,21 @@ func writeSegRegion(f *PagedFile, b []byte) error {
 // A failed open forgets every page of file (Pool.Forget), those it offered
 // included, so no page of a rejected file stays in the pool.
 //
-// admit, when non-nil, is handed the column tags (valid only during the call)
-// and the meta once the header page has verified, before any other page is
-// read; an error it returns fails the open as is. The keep it returns, when non-nil, decides whether the open
-// also returns the data region it checksums: it is handed the header's row
-// count and region size, and the region chunk by chunk in file order (each
-// chunk valid only during the call), and the region — a fresh slice of
-// exactly its size, filled page by page, returned only once its checksum
-// matched — is kept for as long as keep returns true. Once keep returns false
-// the open stops copying and calling it, offers the pages it had copied, and
-// returns a nil region. The meta and the payloads stay opaque to storage: the
-// caller that wrote them decides from them whether it will decode the region,
-// and then does so without reading the file a second time.
-func OpenSegment(file *PagedFile, base PageID, pool *Pool, admit func(cols, meta []byte) (keep func(rows, size int, chunk []byte) bool, err error)) (_ *Segment, _ []byte, err error) {
+// admit, when non-nil, is handed the header's row count, the column tags
+// (valid only during the call) and the meta once the header page has
+// verified, before any other page is read; an error it returns fails the
+// open as is. When it returns true the open also returns the data region it
+// checksums — a fresh slice of exactly its size, filled page by page from
+// the first data page on and returned only once its checksum matched — and
+// offers none of its pages to the pool; when it returns false the region is
+// never copied. The meta and the payloads stay opaque to storage: the caller
+// that wrote them decides from them whether it will decode the region, and
+// then does so without reading the file a second time. The row count is
+// clamped to one per three bytes of the file (a directory entry's least
+// size): a header claiming more, like any the layout or the directory then
+// refutes, fails the open before a data page is read, so no decision on it
+// takes effect.
+func OpenSegment(file *PagedFile, base PageID, pool *Pool, admit func(rows int, cols, meta []byte) (keep bool, err error)) (_ *Segment, _ []byte, err error) {
 	defer func() {
 		if err != nil {
 			pool.Forget(file)
@@ -314,9 +316,10 @@ func OpenSegment(file *PagedFile, base PageID, pool *Pool, admit func(cols, meta
 		return nil, nil, corruptSegment("header", "column count, meta size or key width out of range")
 	}
 	meta := append([]byte(nil), page[segHeaderBytes+int(nCols):][:metaLen]...)
-	var keep func(rows, size int, chunk []byte) bool
+	keep := false
 	if admit != nil {
-		if keep, err = admit(page[segHeaderBytes:][:nCols], meta); err != nil {
+		rows := int(min(nRows, totalPages*PageSize/3))
+		if keep, err = admit(rows, page[segHeaderBytes:][:nCols], meta); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -340,12 +343,13 @@ func OpenSegment(file *PagedFile, base PageID, pool *Pool, admit func(cols, meta
 		return nil, nil, corruptSegment("directory", "%d rows claimed in %d bytes", nRows, dirBytes)
 	}
 
-	// Verify the data region page by page. The region is allocated only at
-	// the first chunk keep wants, so a region it turns down at once costs no
-	// allocation proportional to the data size; every page not copied into
-	// it goes to the pool.
-	crc, kept := uint32(0), keep != nil
+	// Verify the data region page by page, copying each page into the
+	// region when it is kept and offering it to the pool otherwise.
+	crc := uint32(0)
 	var data []byte
+	if keep {
+		data = make([]byte, dataBytes)
+	}
 	for off := uint64(0); off < dataBytes; off += PageSize {
 		id := base + PageID(1+off/PageSize)
 		if err := file.ReadPage(id, page[:]); err != nil {
@@ -353,24 +357,14 @@ func OpenSegment(file *PagedFile, base PageID, pool *Pool, admit func(cols, meta
 		}
 		chunk := page[:min(dataBytes-off, PageSize)]
 		crc = crc32.Update(crc, segCRCTable, chunk)
-		if kept {
-			if kept = keep(int(nRows), int(dataBytes), chunk); kept {
-				if data == nil {
-					data = make([]byte, dataBytes)
-				}
-				copy(data[off:], chunk)
-				continue
-			}
-			offerRegion(pool, file, base, data[:off])
-			data = nil
+		if keep {
+			copy(data[off:], chunk)
+			continue
 		}
 		pool.Offer(file, id, page[:])
 	}
 	if crc != dataCRC {
 		return nil, nil, corruptSegment("data", "checksum %08x, header says %08x", crc, dataCRC)
-	}
-	if kept && data == nil {
-		data = []byte{} // an empty region, kept
 	}
 
 	// Read and checksum the directory, then decode it.
@@ -429,14 +423,6 @@ func OpenSegment(file *PagedFile, base PageID, pool *Pool, admit func(cols, meta
 		return nil, nil, corruptSegment("directory", "payloads sum to %d bytes, header says %d", dataOff, dataBytes)
 	}
 	return s, data, nil
-}
-
-// offerRegion offers data — the data region of the segment at base, or the
-// whole pages at its start — to the pool page by page.
-func offerRegion(pool *Pool, file *PagedFile, base PageID, data []byte) {
-	for off := 0; off < len(data); off += PageSize {
-		pool.Offer(file, base+PageID(1+off/PageSize), data[off:min(off+PageSize, len(data))])
-	}
 }
 
 // Pages returns the segment's page count: its header, data and directory

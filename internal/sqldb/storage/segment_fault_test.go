@@ -43,7 +43,7 @@ func tryOpen(t *testing.T, path string) (*Segment, []byte, *PagedFile, error) {
 	}
 	pool := NewPool(64)
 	pool.Register(f)
-	seg, data, err := OpenSegment(f, 0, pool, keeping(keepAll))
+	seg, data, err := OpenSegment(f, 0, pool, keeping(true))
 	if err != nil {
 		f.Close()
 		return nil, nil, nil, err
@@ -51,12 +51,9 @@ func tryOpen(t *testing.T, path string) (*Segment, []byte, *PagedFile, error) {
 	return seg, data, f, nil
 }
 
-// keepAll keeps every data region it is shown.
-func keepAll(int, int, []byte) bool { return true }
-
-// keeping admits every segment with keep deciding on its data region.
-func keeping(keep func(int, int, []byte) bool) func(cols, meta []byte) (func(int, int, []byte) bool, error) {
-	return func([]byte, []byte) (func(int, int, []byte) bool, error) { return keep, nil }
+// keeping admits every segment, keeping its data region or not.
+func keeping(keep bool) func(int, []byte, []byte) (bool, error) {
+	return func(int, []byte, []byte) (bool, error) { return keep, nil }
 }
 
 // corrupt copies the pristine image to a fresh file with fn applied.
@@ -206,8 +203,8 @@ func TestSegmentOpenRandomMutations(t *testing.T) {
 // segment at page 1 and each next one where the last accepted one ends, while
 // pages remain (at most four). Any outcome is fine except a panic, and an
 // accepted segment must serve reads without panicking or violating its own
-// directory. Each image is walked three ways — every region kept, the first
-// page of the first region kept and then let go, and no region asked for —
+// directory. Each image is walked three ways — every region kept, every
+// region declined, and no region asked for —
 // into a fresh pool each time: a walk that rejects a segment leaves no frame
 // of its file in the pool, and one that accepts every segment leaves exactly
 // the data pages they did not return, each frame equal to the file's page.
@@ -251,16 +248,14 @@ func FuzzOpenSegment(f *testing.F) {
 			return
 		}
 		defer pf.Close()
-		kept := 0
-		keepFirst := func(int, int, []byte) bool { kept++; return kept == 1 }
-		for _, keep := range []func(int, int, []byte) bool{keepAll, keepFirst, nil} {
+		for _, keep := range []func(int, []byte, []byte) (bool, error){keeping(true), keeping(false), nil} {
 			pool := NewPool(64)
 			pool.Register(pf)
 			var segs []*Segment
 			var regions [][]byte
 			base, rejected := PageID(1), false
 			for len(segs) < 4 && base < pf.NumPages() {
-				seg, data, err := OpenSegment(pf, base, pool, keeping(keep))
+				seg, data, err := OpenSegment(pf, base, pool, keep)
 				if err != nil {
 					rejected = true
 					break

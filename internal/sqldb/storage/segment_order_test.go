@@ -19,8 +19,8 @@ import (
 )
 
 // openCounted opens path as a segment on the HDD model with the device
-// counters attached, handing the data region to keep.
-func openCounted(t *testing.T, path string, keep func(int, int, []byte) bool) (f *PagedFile, data []byte, clock *Clock, seeks, seq *obs.Counter, err error) {
+// counters attached, with admit deciding on its data region.
+func openCounted(t *testing.T, path string, admit func(int, []byte, []byte) (bool, error)) (f *PagedFile, data []byte, clock *Clock, seeks, seq *obs.Counter, err error) {
 	t.Helper()
 	clock, seeks, seq = &Clock{}, &obs.Counter{}, &obs.Counter{}
 	f, err = OpenPagedFile(path, HDD, clock)
@@ -31,7 +31,7 @@ func openCounted(t *testing.T, path string, keep func(int, int, []byte) bool) (f
 	f.CountReads(seeks, seq)
 	pool := NewPool(8)
 	pool.Register(f)
-	_, data, err = OpenSegment(f, 0, pool, keeping(keep))
+	_, data, err = OpenSegment(f, 0, pool, admit)
 	return f, data, clock, seeks, seq, err
 }
 
@@ -42,14 +42,12 @@ func TestOpenSegmentReadsFileOnceInOrder(t *testing.T) {
 		if err := createSegmentFile(path, RAM, &Clock{}, sd); err != nil {
 			t.Fatal(err)
 		}
-		var seen []byte
-		f, data, clock, seeks, seq, err := openCounted(t, path, func(n, size int, chunk []byte) bool {
-			if len(chunk) == 0 || len(chunk) > PageSize || n != rows || size != len(sd.Data) {
-				t.Errorf("keep got a %d-byte chunk of a %d-row, %d-byte region, want at most a page of %d rows and %d bytes",
-					len(chunk), n, size, rows, len(sd.Data))
+		admitted := 0
+		f, data, clock, seeks, seq, err := openCounted(t, path, func(n int, _, _ []byte) (bool, error) {
+			if admitted++; n != rows {
+				t.Errorf("admit got %d rows, want %d", n, rows)
 			}
-			seen = append(seen, chunk...)
-			return true
+			return true, nil
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -65,36 +63,41 @@ func TestOpenSegmentReadsFileOnceInOrder(t *testing.T) {
 		if want := HDD.RandRead + HDD.SeqRead*time.Duration(pages-1); clock.Elapsed() != want {
 			t.Errorf("%d rows: open charged %v, want %v", rows, clock.Elapsed(), want)
 		}
-		if !bytes.Equal(seen, sd.Data) || !bytes.Equal(data, sd.Data) || data == nil || len(data) != cap(data) {
-			t.Errorf("%d rows: keep saw %d bytes and the open kept %d (cap %d), not the %d-byte data region",
-				rows, len(seen), len(data), cap(data), len(sd.Data))
+		if admitted != 1 || !bytes.Equal(data, sd.Data) || data == nil || len(data) != cap(data) {
+			t.Errorf("%d rows: admit asked %d times and the open kept %d bytes (cap %d), not the %d-byte data region",
+				rows, admitted, len(data), cap(data), len(sd.Data))
 		}
 	}
 }
 
-// TestOpenSegmentStopsKeeping: once keep turns a region down it is not asked
-// again and no region is returned, but every page is still read and checked —
-// a region turned down at its first chunk and a damaged region alike.
+// TestOpenSegmentStopsKeeping: a region admit declines is never copied — no
+// region is returned — but every page is still read and checked, and each
+// data page is offered to the pool; a damaged region that admit keeps is
+// refused and returns no region either.
 func TestOpenSegmentStopsKeeping(t *testing.T) {
 	path, sd := writeFaultSegment(t, t.TempDir())
 	dataPages := (len(sd.Data) + PageSize - 1) / PageSize
 	if dataPages < 3 {
 		t.Fatalf("fixture has %d data pages; the test wants at least three", dataPages)
 	}
-	for _, upTo := range []int{0, 1, dataPages - 1} {
-		calls := 0
-		f, data, _, _, _, err := openCounted(t, path, func(int, int, []byte) bool { calls++; return calls <= upTo })
-		if err != nil || data != nil || calls != upTo+1 || f.Reads() != uint64(f.NumPages()) {
-			t.Errorf("keep true for %d chunks: open = %v, region of %d bytes, keep asked %d times, %d of %d pages read; want a nil region after %d calls, every page read",
-				upTo, err, len(data), calls, f.Reads(), f.NumPages(), upTo+1)
-		}
+	f, err := OpenPagedFile(path, RAM, &Clock{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	pool := NewPool(64)
+	pool.Register(f)
+	if _, data, err := OpenSegment(f, 0, pool, keeping(false)); err != nil || data != nil ||
+		f.Reads() != uint64(f.NumPages()) || pool.NumFrames() != dataPages {
+		t.Errorf("a declined region: open = %v, region of %d bytes, %d of %d pages read, %d frames pooled; want no region, every page read and the %d data pages pooled",
+			err, len(data), f.Reads(), f.NumPages(), pool.NumFrames(), dataPages)
 	}
 	image, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := corrupt(t, t.TempDir(), "data.seg", image, func(b []byte) []byte { b[PageSize+len(sd.Data)/2] ^= 0x40; return b })
-	if _, data, _, _, _, err := openCounted(t, p, keepAll); !errors.Is(err, ErrCorruptSegment) || data != nil {
+	if _, data, _, _, _, err := openCounted(t, p, keeping(true)); !errors.Is(err, ErrCorruptSegment) || data != nil {
 		t.Errorf("a damaged region kept: open = %v with %d bytes; want ErrCorruptSegment and no region", err, len(data))
 	}
 }
@@ -145,13 +148,12 @@ func TestOpenSegmentTruncatedInsideDataReadsOnlyHeader(t *testing.T) {
 		t.Fatalf("fixture has %d data pages; the test wants a cut well inside the region", dataPages)
 	}
 	p := corrupt(t, t.TempDir(), "cut.seg", image, func(b []byte) []byte { return b[:PageSize*(1+dataPages/2)] })
-	observed := 0
-	f, _, _, seeks, seq, err := openCounted(t, p, func(_, _ int, chunk []byte) bool { observed += len(chunk); return true })
+	f, data, _, seeks, seq, err := openCounted(t, p, keeping(true))
 	if !errors.Is(err, ErrCorruptSegment) || !strings.Contains(err.Error(), "layout") {
 		t.Fatalf("open = %v, want ErrCorruptSegment naming the layout", err)
 	}
-	if f.Reads() != 1 || seeks.Load() != 1 || seq.Load() != 0 || observed != 0 {
-		t.Errorf("a truncated file cost %d reads (%d random, %d sequential) and %d observed bytes; want the header page only",
-			f.Reads(), seeks.Load(), seq.Load(), observed)
+	if f.Reads() != 1 || seeks.Load() != 1 || seq.Load() != 0 || data != nil {
+		t.Errorf("a truncated file cost %d reads (%d random, %d sequential) and returned %d bytes of region; want the header page only",
+			f.Reads(), seeks.Load(), seq.Load(), len(data))
 	}
 }

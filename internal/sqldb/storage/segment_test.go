@@ -55,9 +55,9 @@ func openSegmentAt(t *testing.T, path string, pool *Pool) (*Segment, *PagedFile,
 	}
 	pool.Register(f)
 	var tags []byte
-	seg, _, err := OpenSegment(f, 0, pool, func(cols, _ []byte) (func(int, int, []byte) bool, error) {
+	seg, _, err := OpenSegment(f, 0, pool, func(_ int, cols, _ []byte) (bool, error) {
 		tags = append([]byte(nil), cols...)
-		return nil, nil
+		return false, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -206,8 +206,8 @@ func TestSegmentRejectsBadInput(t *testing.T) {
 	}
 }
 
-// TestOpenSegmentAdmitsFromHeader: admit sees the column tags and the meta
-// as written, with only the header page read; the meta may fill the page; an
+// TestOpenSegmentAdmitsFromHeader: admit sees the row count, the column tags
+// and the meta as written, with only the header page read; the meta may fill the page; an
 // error admit returns fails the open as is, with no page of the file left in
 // the pool.
 func TestOpenSegmentAdmitsFromHeader(t *testing.T) {
@@ -227,17 +227,18 @@ func TestOpenSegmentAdmitsFromHeader(t *testing.T) {
 	refused := errors.New("refused")
 	for _, fail := range []bool{false, true} {
 		reads := f.Reads()
-		seg, _, err := OpenSegment(f, 0, pool, func(cols, meta []byte) (func(int, int, []byte) bool, error) {
-			if !bytes.Equal(cols, sd.Cols) || !bytes.Equal(meta, sd.Meta) {
-				t.Errorf("admit got tags %v and %d bytes of meta, want %v and %d", cols, len(meta), sd.Cols, len(sd.Meta))
+		seg, _, err := OpenSegment(f, 0, pool, func(rows int, cols, meta []byte) (bool, error) {
+			if rows != len(sd.Keys) || !bytes.Equal(cols, sd.Cols) || !bytes.Equal(meta, sd.Meta) {
+				t.Errorf("admit got %d rows, tags %v and %d bytes of meta, want %d, %v and %d",
+					rows, cols, len(meta), len(sd.Keys), sd.Cols, len(sd.Meta))
 			}
 			if n := f.Reads() - reads; n != 1 {
 				t.Errorf("admit called after %d page reads, want the header's alone", n)
 			}
 			if fail {
-				return nil, refused
+				return false, refused
 			}
-			return nil, nil
+			return false, nil
 		})
 		if fail {
 			if err != refused || pool.NumFrames() != 0 {

@@ -1,7 +1,6 @@
 package sqldb
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -48,9 +47,11 @@ type Table struct {
 type schema struct {
 	def    TableDef
 	pkCols []int
-	// types caches the column types in storage order so hot-path decodes
-	// never walk the TableDef.
-	types []sqltypes.Type
+	// types caches the column types in storage order; stored is the column
+	// tags the segment stores them under: types, but IntRuns for the leading
+	// run-order column when both its siblings follow it (storedTypes). The
+	// reads decode by stored, so hot paths never walk the TableDef.
+	types, stored []sqltypes.Type
 	// runOrder is the positions of def.RunOrder's columns, nil when the table
 	// declares no run order; targetCols those of def.TargetIDs' columns under
 	// targetBound, at most targetCount distinct, nil, 0 and 0 when it declares
@@ -133,7 +134,32 @@ func newSchema(def TableDef) (*schema, error) {
 		}
 		sc.floorKey = key
 	}
+	sc.stored = storedTypes(sc.types, sc.runOrder)
 	return sc, nil
+}
+
+// storedTypes is the column tags a table with the column types types and the
+// run-order positions runOrder stores its rows under: a run order's leading
+// column ascends, so its arrays are stored as runs (sqltypes.IntRuns), when
+// both its sibling columns, as long by the run order, are stored after it —
+// they are what gives a runs array the bytes after it that the decoders
+// bound its length by.
+func storedTypes(types []sqltypes.Type, runOrder []int) []sqltypes.Type {
+	if runOrder == nil || runOrder[1] < runOrder[0] || runOrder[2] < runOrder[0] {
+		return types
+	}
+	stored := slices.Clone(types)
+	stored[runOrder[0]] = sqltypes.IntRuns
+	return stored
+}
+
+// segMeta is a segment's meta: the table's definition and, beside it, the
+// number of INT[] elements its rows hold, runs expanded — the exact size of
+// its element vector, which Open admits the table on before it reads a data
+// page. Elems is the encoder's, never a caller's.
+type segMeta struct {
+	TableDef
+	Elems int64 `json:"elems"`
 }
 
 // AccessStats reports how many PK lookups and full scans the table has
@@ -261,29 +287,26 @@ func (t *schema) countTargets(row sqltypes.Row, seen []uint64, distinct int64) (
 }
 
 // encode computes the table's rows and encodes them as its segment, the
-// definition as its meta (compact JSON). The rows must be sorted by strictly
-// ascending primary key and hold no NULL; each is checked against the schema
-// as it is encoded, so a rejected load names the first row that breaks it
-// and writes nothing, and so does a definition too long for the header page.
+// definition and the rows' INT[] element count as its meta (compact JSON).
+// The rows must be sorted by strictly ascending primary key and hold no NULL;
+// each is checked against the schema as it is encoded, so a rejected load
+// names the first row that breaks it and writes nothing, and so does a
+// definition too long for the header page.
 func (t *schema) encode(load func() ([]sqltypes.Row, error)) (storage.SegmentData, error) {
 	rows, err := load()
 	if err != nil {
 		return storage.SegmentData{}, err
 	}
-	meta, err := json.Marshal(t.def)
-	if err != nil {
-		return storage.SegmentData{}, err
-	}
 	sd := storage.SegmentData{
-		Cols:  make([]byte, len(t.types)),
+		Cols:  make([]byte, len(t.stored)),
 		PKLen: len(t.pkCols),
 		Keys:  make([]storage.Key, len(rows)),
 		Lens:  make([]uint32, len(rows)),
-		Meta:  meta,
 	}
-	for i, typ := range t.types {
+	for i, typ := range t.stored {
 		sd.Cols[i] = byte(typ)
 	}
+	meta := segMeta{TableDef: t.def}
 	// A declared count of distinct target ids holds over all rows together:
 	// seen has one bit per id of the bound.
 	var seen []uint64
@@ -307,12 +330,18 @@ func (t *schema) encode(load func() ([]sqltypes.Row, error)) (storage.SegmentDat
 				t.def.Name, i, sd.Keys[i-1], sd.Keys[i])
 		}
 		start := len(sd.Data)
-		data, err := sqltypes.EncodeSegRow(sd.Data, r)
+		data, err := sqltypes.EncodeSegRow(sd.Data, t.stored, r)
 		if err != nil {
 			return sd, fmt.Errorf("sqldb: %s: row %d: %w", t.def.Name, i, err)
 		}
 		sd.Data = data
 		sd.Lens[i] = uint32(len(sd.Data) - start)
+		for _, v := range r {
+			meta.Elems += int64(len(v.A))
+		}
+	}
+	if sd.Meta, err = json.Marshal(meta); err != nil {
+		return sd, err
 	}
 	if err := sd.Check(); err != nil {
 		return sd, fmt.Errorf("sqldb: table %q: %w", t.def.Name, err)
@@ -327,48 +356,45 @@ func (t *schema) encode(load func() ([]sqltypes.Row, error)) (storage.SegmentDat
 // returns the table, whose page count places the next segment of an image. left is
 // what Open's vector budget has left after the tables it admitted before this
 // one, nil when the table is not to be admitted (a handle without a budget,
-// and Load, which reads its tables back from the image it wrote). An all-integer table (by the header's column tags) that fits it
-// is admitted: newTable takes the exact size of its vectors from *left and
-// counts it resident. For such a table, the pass that checksums the data
-// region also counts its varints, which is all it takes to know that size
-// (vectorBytes), and keeps the region it read, for the decode to start from
-// once the checksum has matched. The region is kept only while a lower bound
-// on the table's vectors fits *left: the size for the varints counted so far,
-// or for one varint per ten bytes of the region if that is more. The bound
-// only grows and its last value is at least the exact size, so a region kept
-// to the end fits, and a table too large for what is left is let go at its
-// first chunk, before any copy. Every data page the table does not keep as
-// vectors ends up in a free frame of the buffer pool (storage.OpenSegment).
+// and Load, which reads its tables back from the image it wrote). An
+// all-integer table (by the header's column tags) whose vectors fit it is
+// admitted: the header alone gives their exact size (vectorBytes of its row
+// count and the element count its meta records), so the decision is made
+// before any data page is read, and an admitted table's open pass keeps the
+// data region it checksums for the decode to start from, while a declined
+// one's pages go to free frames of the buffer pool (storage.OpenSegment).
+// newTable takes that size from *left and counts it resident.
 //
 // The second half, decode, decodes an admitted table's vectors into it, and
 // is nil for a table not admitted; Open runs the first halves in image order
 // and the decodes on every core. A failed open leaves f open: f is the
 // caller's.
 func (db *DB) newTable(f *storage.PagedFile, file string, base storage.PageID, left *int64) (t *Table, decode func() error, err error) {
-	var def TableDef
+	var meta segMeta
 	var types []sqltypes.Type // the header's column tags
-	vectors, varints := false, 0
-	admit := func(cols, meta []byte) (func(int, int, []byte) bool, error) {
-		if err := json.Unmarshal(meta, &def); err != nil {
-			return nil, fmt.Errorf("%w: header: the table definition does not parse: %v", storage.ErrCorruptSegment, err)
+	vectors, size := false, int64(0)
+	admit := func(rows int, cols, raw []byte) (bool, error) {
+		if err := json.Unmarshal(raw, &meta); err != nil {
+			return false, fmt.Errorf("%w: header: the table definition does not parse: %v", storage.ErrCorruptSegment, err)
+		}
+		if meta.Elems < 0 {
+			return false, fmt.Errorf("%w: header: %d array elements", storage.ErrCorruptSegment, meta.Elems)
 		}
 		vectors = left != nil
 		types = make([]sqltypes.Type, len(cols))
 		for i, c := range cols {
 			types[i] = sqltypes.Type(c)
-			vectors = vectors && (types[i] == sqltypes.Int64 || types[i] == sqltypes.IntArray)
+			vectors = vectors && (types[i] == sqltypes.Int64 || types[i] == sqltypes.IntArray || types[i] == sqltypes.IntRuns)
 		}
 		if !vectors {
-			return nil, nil
+			return false, nil
 		}
-		return func(rows, size int, chunk []byte) bool {
-			varints += sqltypes.CountSegVarints(chunk)
-			// No varint a decode accepts is longer than ten bytes, so a
-			// region holds at least one per ten of its bytes.
-			return vectorBytes(types, rows, max(varints, size/binary.MaxVarintLen64)) <= *left
-		}, nil
+		// The vectors index their elements with int32 starts.
+		size = vectorBytes(types, rows, int(meta.Elems))
+		return size <= *left && meta.Elems <= math.MaxInt32, nil
 	}
 	seg, data, err := storage.OpenSegment(f, base, db.pool, admit)
+	def := meta.TableDef
 	if err != nil && def.Name == "" {
 		return nil, nil, fmt.Errorf("sqldb: %s: the segment at page %d: %w; rebuild the database", file, base, err)
 	}
@@ -379,26 +405,22 @@ func (db *DB) newTable(f *storage.PagedFile, file string, base storage.PageID, l
 	if err != nil {
 		return nil, nil, err
 	}
-	if !slices.Equal(types, sc.types) || seg.PKLen() != len(sc.pkCols) {
+	if !slices.Equal(types, sc.stored) || seg.PKLen() != len(sc.pkCols) {
 		return nil, nil, fmt.Errorf("sqldb: table %q: %w: header: columns %v (pk %d) do not match the schema; rebuild the database",
 			sc.def.Name, storage.ErrCorruptSegment, types, seg.PKLen())
 	}
 	t = &Table{schema: *sc, db: db, file: f, seg: seg}
-	if !vectors {
-		return t, nil, nil
-	}
-	size := vectorBytes(sc.types, seg.NumRows(), varints)
-	// keep checked the size of every region it saw a chunk of; an empty
-	// region, which it never saw, is checked here.
-	if data == nil || size > *left {
-		db.reg.VCache.Declined.Add(1) // its vectors outgrew what the tables before it left
+	if data == nil {
+		if vectors {
+			db.reg.VCache.Declined.Add(1) // its vectors outgrow what the tables before it left
+		}
 		return t, nil, nil
 	}
 	*left -= size
 	db.reg.VCache.ResidentBytes.Add(size)
 	return t, func() error {
 		start := time.Now()
-		m, err := t.decode(data, varints)
+		m, err := t.decode(data, int(meta.Elems))
 		if err == nil && m.Bytes != size {
 			// The table was admitted at exactly the predicted size.
 			err = fmt.Errorf("decoded %d bytes of vectors for a table admitted at %d", m.Bytes, size)
@@ -464,7 +486,7 @@ func (t *Table) LookupPKScratch(keyVals []int64, s *exec.RowScratch) (sqltypes.R
 		return nil, false, err
 	}
 	s.Buf = data
-	row, arena, err := sqltypes.DecodeSegRowInto(data, t.types, s.Row, s.Arena)
+	row, arena, err := sqltypes.DecodeSegRowInto(data, t.stored, s.Row, s.Arena)
 	if err != nil {
 		return nil, false, fmt.Errorf("sqldb: %s: %w", t.def.Name, err)
 	}
@@ -516,7 +538,7 @@ func (t *Table) ScanScratch(s *exec.RowScratch, fn func(sqltypes.Row) error) err
 			return err
 		}
 		s.Buf = data
-		row, arena, err := sqltypes.DecodeSegRowInto(data, t.types, s.Row, s.Arena[:0])
+		row, arena, err := sqltypes.DecodeSegRowInto(data, t.stored, s.Row, s.Arena[:0])
 		if err != nil {
 			return fmt.Errorf("sqldb: %s: %w", t.def.Name, err)
 		}

@@ -2,7 +2,6 @@ package sqldb
 
 import (
 	"fmt"
-	"math"
 
 	"ptldb/internal/sqldb/exec"
 	"ptldb/internal/sqldb/sqltypes"
@@ -67,21 +66,18 @@ func (c *Col) Array(i int) []int32 {
 }
 
 // vectorBytes is the exact size of a segment table's materialized vectors —
-// Mat.Bytes before the Mat exists — from what open already knows: 16 B per
-// row of the shared key directory, 8 B per row and BIGINT column, 4 B per
-// array element, and a 4-B start per row and INT[] column plus the final end.
-// Every varint of an all-integer data region is a BIGINT, an array's length
-// prefix or an array element, so the elements are the varints minus one per
-// row and column.
-func vectorBytes(types []sqltypes.Type, rows, varints int) int64 {
+// Mat.Bytes before the Mat exists — from what its segment's header says (the
+// column tags, the row count and the element count of the meta): 16 B per row
+// of the shared key directory, 8 B per row and BIGINT column, 4 B per array
+// element, and a 4-B start per row and INT[] column plus the final end.
+func vectorBytes(types []sqltypes.Type, rows, elems int) int64 {
 	n, arrays := int64(rows), int64(0)
 	for _, typ := range types {
-		if typ == sqltypes.IntArray {
+		if typ != sqltypes.Int64 {
 			arrays++
 		}
 	}
-	elems := int64(varints) - n*int64(len(types))
-	return 16*n + 8*n*(int64(len(types))-arrays) + 4*elems + 4*(n*arrays+1)
+	return 16*n + 8*n*(int64(len(types))-arrays) + 4*int64(elems) + 4*(n*arrays+1)
 }
 
 // decode turns the table's data region — the bytes open read and verified —
@@ -89,21 +85,18 @@ func vectorBytes(types []sqltypes.Type, rows, varints int) int64 {
 // with the segment (both immutable), each scalar column becomes one int64
 // per row, and the elements of every array, row by row, one shared int32
 // vector indexed by one shared vector of starts. The region is decoded in
-// one pass: the varints open counted size every vector, so they are
-// allocated once, at exactly vectorBytes (the size Open admitted the table
-// on), and every row is decoded straight into them.
-func (t *Table) decode(data []byte, varints int) (*Mat, error) {
+// one pass: nElems, the element count the segment's header records, sizes
+// every vector, so they are allocated once, at exactly vectorBytes (the size
+// Open admitted the table on), and every row is decoded straight into them.
+// Rows holding more elements than that, or fewer, are a corrupt segment.
+func (t *Table) decode(data []byte, nElems int) (*Mat, error) {
 	n, arrays := t.seg.NumRows(), 0
-	for _, typ := range t.types {
-		if typ == sqltypes.IntArray {
+	for _, typ := range t.stored {
+		if typ != sqltypes.Int64 {
 			arrays++
 		}
 	}
-	scalars := len(t.types) - arrays
-	nElems := varints - n*len(t.types)
-	if nElems < 0 || nElems > math.MaxInt32 {
-		return nil, fmt.Errorf("%d array elements do not fit the vector index", nElems)
-	}
+	scalars := len(t.stored) - arrays
 	ints := make([]int64, n*scalars)
 	elems := make([]int32, 0, nElems)
 	starts := make([]int32, n*arrays+1)
@@ -111,7 +104,7 @@ func (t *Table) decode(data []byte, varints int) (*Mat, error) {
 	for i, off := 0, 0; i < n; i++ {
 		end := off + int(t.seg.RowLen(i))
 		var err error
-		elems, err = sqltypes.DecodeSegRowVectors(data[off:end], t.types, row, elems, starts[i*arrays+1:])
+		elems, err = sqltypes.DecodeSegRowVectors(data[off:end], t.stored, row, elems, starts[i*arrays+1:])
 		if err != nil {
 			return nil, err
 		}
@@ -121,7 +114,7 @@ func (t *Table) decode(data []byte, varints int) (*Mat, error) {
 		off = end
 	}
 	if len(elems) != nElems {
-		return nil, fmt.Errorf("decoded %d array elements, open counted %d", len(elems), nElems)
+		return nil, fmt.Errorf("%w: the rows hold %d array elements, the header %d", storage.ErrCorruptSegment, len(elems), nElems)
 	}
 	m := &Mat{
 		Keys:   t.seg.Keys(),

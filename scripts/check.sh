@@ -7,7 +7,7 @@
 # coverage, which must reach every function outside cmd/ and examples/, the
 # general SQL engine's coverage by its callers alone, 10-second fuzzes of the
 # HTTP time parameter, of the HTTP query bodies, of the segment codec's two
-# row decoders and of a walk of back-to-back segments, the two allocation
+# row decoders (runs columns included) and of a walk of back-to-back segments, the two allocation
 # ratchets, the four examples, a look at what ptldb-build leaves in a
 # database directory (the image, nothing else), the console on it, what
 # becomes of an image whose tables stop declaring the label run order, the
@@ -131,8 +131,16 @@ if git grep -nE 'evictLocked|evictEntryLocked|DropAll|second-chance|\.hand\b' --
 fi
 echo "== a vector-cache table is decoded in one pass (internal/sqldb)"
 if git grep -nE 'CountSegRow|DecodeSegRowColumns' -- '*.go'; then
-    echo "Table.decode sizes a table's vectors from the varints open counted and decodes each row once," >&2
-    echo "with sqltypes.DecodeSegRowVectors, into row-major array vectors: no counting pass, no per-column vectors" >&2
+    echo "Table.decode sizes a table's vectors from the element count its segment's header records and decodes" >&2
+    echo "each row once, with sqltypes.DecodeSegRowVectors, into row-major array vectors: no counting pass, no" >&2
+    echo "per-column vectors" >&2
+    exit 1
+fi
+echo "== a table's vector size comes from its segment's header (outside tests)"
+if git grep -nE 'CountSegVarints' -- '*.go' ':!*_test.go'; then
+    echo "the meta of a segment's header records its INT[] element count, runs expanded, and sqldb.Open admits" >&2
+    echo "a table on it before a data page is read: no varint count (runs hold fewer varints than elements)," >&2
+    echo "no admission chunk by chunk (DESIGN.md §11)" >&2
     exit 1
 fi
 echo "== array elements are 32-bit, from the value to the kernels (internal/sqldb)"
@@ -251,7 +259,7 @@ echo "== fuzz smoke: an accepted time parameter is the 32-bit time it spells (in
 go test -run '^$' -fuzz '^FuzzTimeParam$' -fuzztime 10s ./internal/serve
 echo "== fuzz smoke: a query body is byte for byte what encoding/json writes (internal/serve)"
 go test -run '^$' -fuzz '^FuzzQueryBody$' -fuzztime 10s ./internal/serve
-echo "== fuzz smoke: the vector decoder agrees with the row decoder (internal/sqldb/sqltypes)"
+echo "== fuzz smoke: the vector decoder agrees with the row decoder, runs columns included (internal/sqldb/sqltypes)"
 go test -run '^$' -fuzz '^FuzzSegCodecRoundTrip$' -fuzztime 10s ./internal/sqldb/sqltypes
 echo "== fuzz smoke: two segments back to back at a nonzero base: a rejected one leaves no page in the pool, accepted ones only their own (internal/sqldb/storage)"
 go test -run '^$' -fuzz '^FuzzOpenSegment$' -fuzztime 10s -fuzzminimizetime 50x ./internal/sqldb/storage
