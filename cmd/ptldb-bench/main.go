@@ -1,22 +1,26 @@
 // Command ptldb-bench regenerates the tables and figures of the PTLDB
 // paper's evaluation (Section 4: Table 7, Figs. 2-8, the storage report) on
 // synthetic datasets, plus the four ablations of the paper's own design
-// arguments (bucket, ordering, layout, engine). System performance of this
-// implementation — latency, throughput, serving, tenants, cold I/O — is
-// measured by the benchmark/ module instead (see benchmark/README.md).
+// arguments (bucket, ordering, layout, engine), and ends its report with the
+// claim table: the paper's claims judged on the tables the same run printed
+// (a claim whose experiments were not in -exp reads "not run"). Every
+// database opens with no vector cache, so each figure reads the simulated
+// device it names. System performance of this implementation — latency,
+// throughput, serving, tenants, warm caches — is measured by the benchmark/
+// module instead (see benchmark/README.md).
 //
 // Usage:
 //
 //	ptldb-bench [-scale 0.05] [-queries 200] [-cities Austin,Berlin]
-//	            [-exp table7,fig2|all] [-cache DIR] [-seed N] [-o FILE]
+//	            [-exp table7,fig2|all] [-cache DIR] [-seed N] [-o FILE] [-q]
 //
 // At -scale 1.0 the datasets match the paper's published sizes; smaller
 // scales preserve average degree and temporal structure. Built databases are
-// cached in -cache and reused across runs.
+// cached in -cache and reused across runs. EXPERIMENTS.md embeds the report of
+// ptldb-bench -scale 0.1 -queries 60 -seed 1.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -27,7 +31,6 @@ import (
 	"time"
 
 	"ptldb/internal/bench"
-	"ptldb/internal/obs"
 )
 
 func main() {
@@ -39,11 +42,9 @@ func main() {
 		cache   = flag.String("cache", "", "database cache directory (default: $TMPDIR/ptldb-bench-cache)")
 		seed    = flag.Int64("seed", 1, "workload and generator seed")
 		workers = flag.Int("build-workers", 0, "preprocessing parallelism for database builds (0 = GOMAXPROCS)")
-		vcBytes = flag.Int64("vcache-bytes", 0, "vector-cache budget in bytes (0 = default, negative = no cache)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		out     = flag.String("o", "", "write the report to a file instead of stdout")
-		obsOut  = flag.String("obs-out", "", "write per-code query observability totals (JSON) to this file")
 		quiet   = flag.Bool("q", false, "suppress progress output")
 	)
 	flag.Parse()
@@ -79,12 +80,6 @@ func main() {
 		Seed:         *seed,
 		CacheDir:     *cache,
 		BuildWorkers: *workers,
-	}
-	cfg.VCacheBytes = *vcBytes
-	var agg *obs.Aggregator
-	if *obsOut != "" {
-		agg = obs.NewAggregator()
-		cfg.TraceHook = agg.Observe
 	}
 	if *cities != "" {
 		for _, c := range strings.Split(*cities, ",") {
@@ -124,6 +119,7 @@ func main() {
 		fatal(err)
 	}
 	start := time.Now()
+	tabs := map[string]*bench.Table{}
 	for _, id := range ids {
 		t0 := time.Now()
 		tbl, err := w.Run(id)
@@ -133,21 +129,16 @@ func main() {
 		if err := tbl.Render(sink); err != nil {
 			fatal(err)
 		}
+		tabs[id] = tbl
 		if !*quiet {
 			fmt.Fprintf(os.Stderr, "# %s done in %v\n", id, time.Since(t0).Round(time.Millisecond))
 		}
 	}
+	if err := bench.ClaimTable(tabs, w.Config().Scale).Render(sink); err != nil {
+		fatal(err)
+	}
 	if !*quiet {
 		fmt.Fprintf(os.Stderr, "# total %v\n", time.Since(start).Round(time.Millisecond))
-	}
-	if agg != nil {
-		blob, err := json.MarshalIndent(agg.Totals(), "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*obsOut, append(blob, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 // are stored bucket-first, so the same trade-off shows at the page level: an
 // LD query reads one bucket's run of rows and an EA query a suffix of
 // buckets, and a run's length grows with the width. The pages and seeks
-// columns are exact counts from a second pass with no vector cache and the
+// columns are exact counts from a second pass on the same handle with the
 // buffer pool dropped before every query.
 func (w *Workspace) AblationBucket() (*Table, error) {
 	city := w.cfg.Cities[0]
@@ -36,12 +36,12 @@ func (w *Workspace) AblationBucket() (*Table, error) {
 		Columns: []string{"bucket", "knn_ea rows", "EA-kNN avg", "LD-kNN avg",
 			"EA-kNN pages/query", "EA-kNN random reads/query", "LD-kNN pages/query", "LD-kNN random reads/query"},
 		Notes: []string{"The paper argues one-hour buckets balance row count against exp-column width.",
-			"pages and random reads per query: exact device reads of a cold query (pool dropped before each, no vector cache), label pages included."},
+			"pages and random reads per query: exact device reads of a cold query (pool dropped before each), label pages included."},
 	}
 	for _, width := range []int32{900, 3600, 10800} {
 		dir := w.cacheDir(fmt.Sprintf("%s_bucket%d", sanitize(city), width))
 		if _, err := os.Stat(filepath.Join(dir, sqldb.ImageName)); err != nil {
-			db, err := ptldb.Create(dir, tt, ptldb.Config{Device: "ram", BucketSeconds: width})
+			db, err := ptldb.Create(dir, tt, ptldb.Config{Device: "ram", BucketSeconds: width, VectorCacheBytes: -1})
 			if err != nil {
 				return nil, err
 			}
@@ -52,68 +52,37 @@ func (w *Workspace) AblationBucket() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		db, err := ptldb.Open(dir, ptldb.Config{
-			Device:    "hdd",
-			TraceHook: w.cfg.TraceHook,
-		})
+		db, err := w.Open(ds, "hdd")
 		if err != nil {
 			return nil, err
 		}
+		defer db.Close()
 		wl := w.NewWorkload(ds, w.cfg.Queries)
-		ea, err := MeasureQueries(db, w.cfg.Queries, func(i int) error {
-			_, err := db.EAKNN(set, wl.Sources[i], wl.Starts[i], 4)
-			return err
-		})
-		if err != nil {
-			db.Close()
-			return nil, err
-		}
-		ld, err := MeasureQueries(db, w.cfg.Queries, func(i int) error {
-			_, err := db.LDKNN(set, wl.Sources[i], wl.Ends[i], 4)
-			return err
-		})
-		if err != nil {
-			db.Close()
-			return nil, err
-		}
-		rows := "-"
+		row := []string{fmt.Sprintf("%ds", width), "-"}
 		if rel, err := db.Store().Raw(fmt.Sprintf("SELECT COUNT(*) FROM knn_ea_%s", set)); err == nil && len(rel.Rows) == 1 {
-			rows = rel.Rows[0][0].String()
+			row[1] = rel.Rows[0][0].String()
 		}
-		db.Close()
-
-		cold, err := w.coldKNNReads(dir, set, wl)
-		if err != nil {
-			return nil, err
+		queries := []func(i int) error{
+			func(i int) error { _, err := db.EAKNN(set, wl.Sources[i], wl.Starts[i], 4); return err },
+			func(i int) error { _, err := db.LDKNN(set, wl.Sources[i], wl.Ends[i], 4); return err },
 		}
-		t.Rows = append(t.Rows, []string{fmt.Sprintf("%ds", width), rows, ms(ea), ms(ld),
-			cold[0], cold[1], cold[2], cold[3]})
+		for _, query := range queries {
+			avg, err := MeasureQueries(db, w.cfg.Queries, query)
+			if err != nil {
+				return nil, err
+			}
+			row = append(row, ms(avg))
+		}
+		for _, query := range queries {
+			c, err := coldReads(db, w.cfg.Queries, query)
+			if err != nil {
+				return nil, err
+			}
+			row = append(row, fmt.Sprintf("%.2f", c.pages), fmt.Sprintf("%.2f", c.seeks))
+		}
+		t.Rows = append(t.Rows, row)
 	}
 	return t, nil
-}
-
-// coldKNNReads reopens the database in dir with no vector cache on the
-// simulated HDD and returns, formatted, the device pages and random reads per
-// cold EA-kNN query and per cold LD-kNN query of the workload.
-func (w *Workspace) coldKNNReads(dir, set string, wl Workload) (cells [4]string, err error) {
-	db, err := ptldb.Open(dir, ptldb.Config{
-		Device: "hdd", VectorCacheBytes: -1,
-	})
-	if err != nil {
-		return cells, err
-	}
-	defer db.Close()
-	for i, query := range []func(i int) error{
-		func(i int) error { _, err := db.EAKNN(set, wl.Sources[i], wl.Starts[i], 4); return err },
-		func(i int) error { _, err := db.LDKNN(set, wl.Sources[i], wl.Ends[i], 4); return err },
-	} {
-		c, err := coldReads(db, w.cfg.Queries, query)
-		if err != nil {
-			return cells, err
-		}
-		cells[2*i], cells[2*i+1] = fmt.Sprintf("%.2f", c.pages), fmt.Sprintf("%.2f", c.seeks)
-	}
-	return cells, nil
 }
 
 // coldCost is the per-query cost of a workload run cold.
@@ -401,7 +370,6 @@ func (w *Workspace) AblationEngine() (*Table, error) {
 		{"PTLDB cold per query (SSD sim)", ptldb.Config{Device: "ssd", VectorCacheBytes: -1}},
 		{"PTLDB cold per query (HDD sim)", ptldb.Config{Device: "hdd", VectorCacheBytes: -1}},
 	} {
-		e.cfg.TraceHook = w.cfg.TraceHook
 		db, err := ptldb.Open(ds.Dir, e.cfg)
 		if err != nil {
 			return nil, err

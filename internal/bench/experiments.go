@@ -94,9 +94,8 @@ func (w *Workspace) Table7() (*Table, error) {
 func (w *Workspace) FigV2V(device, id, title string) (*Table, error) {
 	t := &Table{
 		ID: id, Title: title,
-		Columns:   []string{"Graph", "EA", "LD", "SD"},
-		ChartCols: []int{1, 2, 3},
-		Notes:     []string{fmt.Sprintf("%d queries per type; cold cache per type; times are CPU + simulated %s device time.", w.cfg.Queries, device)},
+		Columns: []string{"Graph", "EA", "LD", "SD"},
+		Notes:   []string{fmt.Sprintf("%d queries per type; cold cache per type; times are CPU + simulated %s device time.", w.cfg.Queries, device)},
 	}
 	for _, city := range w.cfg.Cities {
 		ds, err := w.Dataset(city)
@@ -223,9 +222,8 @@ func (w *Workspace) FigKNN(device, id, title string) (*Table, error) {
 	t := &Table{ID: id, Title: title,
 		Notes: []string{fmt.Sprintf("avg per query over %d queries, cold cache per series.", w.cfg.Queries)}}
 	t.Columns = []string{"Graph", "dir"}
-	for i, k := range Ks {
+	for _, k := range Ks {
 		t.Columns = append(t.Columns, fmt.Sprintf("k=%d", k))
-		t.ChartCols = append(t.ChartCols, 2+i)
 	}
 	for _, city := range w.cfg.Cities {
 		ds, err := w.Dataset(city)
@@ -299,9 +297,8 @@ func (w *Workspace) densitySweep(id, title string, query func(db *ptldb.DB, set 
 	t := &Table{ID: id, Title: title,
 		Notes: []string{fmt.Sprintf("avg per query over %d queries; kmax=4 tables per density.", w.cfg.Queries)}}
 	t.Columns = []string{"Graph", "dir"}
-	for i, d := range Densities {
+	for _, d := range Densities {
 		t.Columns = append(t.Columns, fmt.Sprintf("D=%g", d))
-		t.ChartCols = append(t.ChartCols, 2+i)
 	}
 	for _, city := range w.cfg.Cities {
 		ds, err := w.Dataset(city)
@@ -353,8 +350,7 @@ func (w *Workspace) Fig7() (*Table, error) {
 		Title: "EA, LD and SD vertex-to-vertex queries on SSD (and speedup over HDD)",
 		Columns: []string{"Graph", "EA", "LD", "SD",
 			"EA vs HDD", "LD vs HDD", "SD vs HDD"},
-		ChartCols: []int{1, 2, 3},
-		Notes:     []string{"The paper reports 3-20x (EA), 6-17x (LD), 3-19x (SD) SSD speedups."},
+		Notes: []string{"The paper reports 3-20x (EA), 6-17x (LD), 3-19x (SD) SSD speedups."},
 	}
 	for _, city := range w.cfg.Cities {
 		ds, err := w.Dataset(city)

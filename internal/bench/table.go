@@ -3,10 +3,9 @@ package bench
 import (
 	"fmt"
 	"io"
-	"math"
-	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 )
 
 // Table is a rendered experiment result.
@@ -16,22 +15,19 @@ type Table struct {
 	Columns []string
 	Rows    [][]string
 	Notes   []string
-	// ChartCols lists column indexes holding millisecond values; when set,
-	// Render appends a log-scale bar chart (the paper plots these figures on
-	// logarithmic axes).
-	ChartCols []int
 }
 
 // Render pretty-prints the table.
 func (t *Table) Render(w io.Writer) error {
+	// Widths count runes, as the padding of %-*s does.
 	widths := make([]int, len(t.Columns))
 	for i, c := range t.Columns {
-		widths[i] = len(c)
+		widths[i] = utf8.RuneCountInString(c)
 	}
 	for _, row := range t.Rows {
 		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
+			if i < len(widths) {
+				widths[i] = max(widths[i], utf8.RuneCountInString(cell))
 			}
 		}
 	}
@@ -67,71 +63,12 @@ func (t *Table) Render(w io.Writer) error {
 			return err
 		}
 	}
-	if len(t.ChartCols) > 0 {
-		if err := t.renderChart(w, widths); err != nil {
-			return err
-		}
-	}
 	for _, n := range t.Notes {
 		if _, err := fmt.Fprintf(w, "\n> %s\n", n); err != nil {
 			return err
 		}
 	}
 	_, err := fmt.Fprintln(w)
-	return err
-}
-
-// renderChart draws one log-scale bar per (row, chart column), labelled with
-// the non-chart columns.
-func (t *Table) renderChart(w io.Writer, widths []int) error {
-	const barWidth = 34
-	min, max := math.Inf(1), math.Inf(-1)
-	vals := make([][]float64, len(t.Rows))
-	for i, row := range t.Rows {
-		vals[i] = make([]float64, len(t.ChartCols))
-		for j, c := range t.ChartCols {
-			v, err := strconv.ParseFloat(row[c], 64)
-			if err != nil || v <= 0 {
-				vals[i][j] = math.NaN()
-				continue
-			}
-			vals[i][j] = v
-			min, max = math.Min(min, v), math.Max(max, v)
-		}
-	}
-	if math.IsInf(min, 1) || min == max {
-		return nil // nothing chartable
-	}
-	if _, err := fmt.Fprintf(w, "\n```\nlog scale, %.3g ms .. %.3g ms\n", min, max); err != nil {
-		return err
-	}
-	span := math.Log(max) - math.Log(min)
-	chartSet := map[int]bool{}
-	for _, c := range t.ChartCols {
-		chartSet[c] = true
-	}
-	firstChart := t.ChartCols[0]
-	for i, row := range t.Rows {
-		var label strings.Builder
-		for c, cell := range row {
-			if chartSet[c] || c >= firstChart {
-				continue // label columns precede the charted series
-			}
-			fmt.Fprintf(&label, "%-*s ", widths[c], cell)
-		}
-		for j, c := range t.ChartCols {
-			v := vals[i][j]
-			if math.IsNaN(v) {
-				continue
-			}
-			n := 1 + int((math.Log(v)-math.Log(min))/span*float64(barWidth-1))
-			if _, err := fmt.Fprintf(w, "%s%-8s %-*s %s ms\n",
-				label.String(), t.Columns[c], barWidth, strings.Repeat("#", n), row[c]); err != nil {
-				return err
-			}
-		}
-	}
-	_, err := fmt.Fprintln(w, "```")
 	return err
 }
 

@@ -22,7 +22,7 @@ import (
 // method call (the paper Codes plus Raw). A nil fn disables tracing. The hook
 // runs synchronously on the querying goroutine, so it must be cheap and
 // must not call back into the store; fan-out or buffering belongs in the
-// hook itself (see obs.SlowQueryLogger and obs.Aggregator).
+// hook itself (see obs.SlowQueryLogger).
 //
 // Version views share the hook installed at the time Version was called;
 // installing a hook afterwards only affects the receiver.

@@ -429,7 +429,7 @@ type Registry struct {
 }
 
 // Snapshot is a JSON-marshalable copy of a Registry, the payload of
-// DB.Snapshot and ptldb-bench -obs-out. VCache is nil when the handle runs
+// DB.Snapshot. VCache is nil when the handle runs
 // without a vector cache.
 type Snapshot struct {
 	Pool    PoolSnapshot             `json:"pool"`
@@ -520,65 +520,4 @@ func (l *SlowQueryLogger) Observe(tr Trace) {
 	// Best-effort log sink: a failed slow-query line must not fail the query.
 	_, _ = fmt.Fprintf(l.w, "slow query: code=%s path=%s wall=%v rows=%d pages=%d rand_reads=%d seq_reads=%d\n",
 		tr.Code, path, tr.Wall, tr.Rows, tr.PagesRead, tr.RandReads, tr.SeqReads)
-}
-
-// Aggregator folds traces into per-code totals; ptldb-bench -obs-out uses
-// one as its TraceHook so traces survive the benchmark's internal
-// open/close cycles. Safe for concurrent Observe.
-type Aggregator struct {
-	mu     sync.Mutex
-	byCode map[string]*TraceTotals
-}
-
-// TraceTotals are one code's aggregated trace records.
-type TraceTotals struct {
-	Count      uint64        `json:"count"`
-	Fused      uint64        `json:"fused"`
-	Rows       uint64        `json:"rows"`
-	PagesRead  uint64        `json:"pages_read"`
-	RandReads  uint64        `json:"rand_reads"`
-	SeqReads   uint64        `json:"seq_reads"`
-	VCacheHits uint64        `json:"vcache_hits,omitempty"`
-	WallTotal  time.Duration `json:"wall_total_ns"`
-	WallMax    time.Duration `json:"wall_max_ns"`
-}
-
-// NewAggregator returns an empty aggregator.
-func NewAggregator() *Aggregator {
-	return &Aggregator{byCode: map[string]*TraceTotals{}}
-}
-
-// Observe folds one trace.
-func (a *Aggregator) Observe(tr Trace) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	t := a.byCode[tr.Code]
-	if t == nil {
-		t = &TraceTotals{}
-		a.byCode[tr.Code] = t
-	}
-	t.Count++
-	if tr.Fused {
-		t.Fused++
-	}
-	t.Rows += uint64(tr.Rows)
-	t.PagesRead += tr.PagesRead
-	t.RandReads += tr.RandReads
-	t.SeqReads += tr.SeqReads
-	t.VCacheHits += tr.VCacheHits
-	t.WallTotal += tr.Wall
-	if tr.Wall > t.WallMax {
-		t.WallMax = tr.Wall
-	}
-}
-
-// Totals returns a copy of the aggregate, keyed by code name.
-func (a *Aggregator) Totals() map[string]TraceTotals {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make(map[string]TraceTotals, len(a.byCode))
-	for k, v := range a.byCode {
-		out[k] = *v
-	}
-	return out
 }

@@ -163,35 +163,3 @@ func TestSlowQueryLogger(t *testing.T) {
 		t.Errorf("general path not labelled: %q", buf.String())
 	}
 }
-
-func TestAggregator(t *testing.T) {
-	a := NewAggregator()
-	var wg sync.WaitGroup
-	wg.Add(4)
-	for g := 0; g < 4; g++ {
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				a.Observe(Trace{Code: "v2v-ea", Fused: true, Rows: 1,
-					Wall: time.Duration(g+1) * time.Millisecond, PagesRead: 2, RandReads: 1, SeqReads: 1})
-			}
-		}(g)
-	}
-	wg.Wait()
-	a.Observe(Trace{Code: "raw", Wall: time.Second})
-	tot := a.Totals()
-	ea := tot["v2v-ea"]
-	if ea.Count != 400 || ea.Fused != 400 || ea.Rows != 400 || ea.PagesRead != 800 ||
-		ea.RandReads != 400 || ea.SeqReads != 400 {
-		t.Fatalf("v2v-ea totals = %+v", ea)
-	}
-	if ea.WallMax != 4*time.Millisecond {
-		t.Errorf("wall max = %v, want 4ms", ea.WallMax)
-	}
-	if tot["raw"].Count != 1 || tot["raw"].Fused != 0 {
-		t.Errorf("raw totals = %+v", tot["raw"])
-	}
-	if len(tot) != 2 {
-		t.Errorf("totals cover %d codes, want 2 (raw, v2v-ea)", len(tot))
-	}
-}

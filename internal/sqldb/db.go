@@ -446,12 +446,20 @@ func (db *DB) Tables() []string {
 func (db *DB) Flush() error { return nil }
 
 // Close closes every image the handle opened, those only replaced tables
-// read included, and writes nothing; the first error is returned.
+// read included, and writes nothing; the first error is returned. It also
+// lets go of what the handle holds in memory — each table's resident vectors
+// and every frame of the pool — because a prepared statement binds its tables
+// and may outlive the handle: a query through one after Close reads a closed
+// image and fails.
 func (db *DB) Close() error {
 	var err error
 	for _, f := range db.files {
 		err = firstError(err, f.Close())
 	}
+	for _, t := range db.tables {
+		t.vc = nil
+	}
+	db.pool.DropCaches()
 	db.tables, db.files = map[string]*Table{}, nil
 	return err
 }

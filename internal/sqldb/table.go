@@ -21,7 +21,8 @@ import (
 // that wrote the table committed; a later Load copies it whole into its own
 // image. Nothing of a Table changes once its constructor (newTable, then
 // its finish) has returned it — a Load of the same name makes a new one — so
-// a reader holds it without a lock. Both executors read through
+// a reader holds it without a lock; only the handle's Close, which never runs
+// beside a query, lets go of its vectors. Both executors read through
 // LookupPKScratch and ScanScratch.
 type Table struct {
 	schema
@@ -30,8 +31,8 @@ type Table struct {
 	// The open segment and the file it lies in. vc is the table's decoded
 	// vectors, which Open decoded before a read could reach the table; it is
 	// nil when the handle has no vector budget, the table has a DOUBLE or
-	// TEXT column, Open declined it or Load wrote it, and then every read
-	// goes straight to the segment.
+	// TEXT column, Open declined it, Load wrote it or the handle is closed,
+	// and then every read goes straight to the segment.
 	file *storage.PagedFile
 	seg  *storage.Segment
 	vc   *Mat

@@ -2,7 +2,13 @@ package sqldb
 
 import (
 	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"ptldb/internal/sqldb/sqltypes"
+	"ptldb/internal/sqldb/storage"
 )
 
 func TestColArray(t *testing.T) {
@@ -25,4 +31,48 @@ func TestColArray(t *testing.T) {
 	if elems[5] != 6 {
 		t.Fatal("append through an Array view overwrote the decoded vector")
 	}
+}
+
+// TestCloseFreesVectors: a statement binds its tables, so a closed handle that
+// is still referenced through one must not keep the tables' vectors. Close lets
+// them go and empties the pool, and a query through the statement then fails:
+// it reads an image that is closed.
+func TestCloseFreesVectors(t *testing.T) {
+	db := newTestDB(t)
+	load(t, db, mkTable("t", []string{"a"}, "a", "b:arr"),
+		sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewIntArray([]int32{10, 11})},
+		sqltypes.Row{sqltypes.NewInt(2), sqltypes.NewIntArray([]int32{20})})
+	db = reopen(t, db, Options{Device: storage.RAM, PoolPages: 256, VectorCacheBytes: 1 << 20})
+	st, err := db.Prepare("SELECT b FROM t WHERE a = $1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Query(sqltypes.NewInt(1)); err != nil {
+		t.Fatal(err)
+	}
+	tbl, _ := db.Table("t")
+	if tbl.vc == nil {
+		t.Fatal("the table was not admitted to the vector cache")
+	}
+	var freed atomic.Bool
+	runtime.SetFinalizer(tbl.vc, func(*Mat) { freed.Store(true) })
+	tbl = nil
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20 && !freed.Load(); i++ {
+		runtime.GC()
+		time.Sleep(5 * time.Millisecond)
+	}
+	if !freed.Load() {
+		t.Error("the vectors of a closed handle stay reachable through its prepared statement")
+	}
+	if n := db.Pool().NumFrames(); n != 0 {
+		t.Errorf("the closed handle's pool holds %d frames, want 0", n)
+	}
+	if rel, err := st.Query(sqltypes.NewInt(1)); err == nil {
+		t.Errorf("a query on a closed handle answered %v, want an error", rel.Rows)
+	}
+	runtime.KeepAlive(db)
+	runtime.KeepAlive(st)
 }
