@@ -33,7 +33,7 @@ func main() {
 		seed    = flag.Int64("seed", 1, "generator seed")
 		targets = flag.String("targets", "", "comma-separated density:kmax target sets, e.g. 0.01:16")
 		bucket  = flag.Int("bucket", 3600, "knn/otm bucket width in seconds")
-		ordFlag = flag.String("order", "neighbor-degree", "vertex ordering: neighbor-degree, degree, random")
+		ordFlag = flag.String("order", "neighbor-degree", "vertex ordering: neighbor-degree, degree, hub-usage, random")
 		workers = flag.Int("workers", 0, "preprocessing parallelism (0 = GOMAXPROCS); output is identical for every value")
 		obsOut  = flag.String("obs-out", "", "write the build's observability snapshot (JSON) to this file")
 		list    = flag.Bool("list", false, "list synthetic city profiles and exit")

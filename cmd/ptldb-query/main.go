@@ -45,6 +45,7 @@ import (
 
 	"ptldb"
 	"ptldb/internal/gtfs"
+	"ptldb/internal/obs"
 	"ptldb/internal/serve"
 	"ptldb/internal/sqldb/sqltypes"
 	"ptldb/internal/timetable"
@@ -112,9 +113,11 @@ func main() {
 		return
 	}
 
-	db, err := ptldb.Open(*dbDir, ptldb.Config{
-		Device: *device, SlowQueryThreshold: *slow, VectorCacheBytes: *vcBytes,
-	})
+	cfg := ptldb.Config{Device: *device, VectorCacheBytes: *vcBytes}
+	if *slow > 0 {
+		cfg.TraceHook = obs.NewSlowQueryLogger(os.Stderr, *slow).Observe
+	}
+	db, err := ptldb.Open(*dbDir, cfg)
 	if err != nil {
 		fatal(err)
 	}

@@ -54,6 +54,7 @@ import (
 	"time"
 
 	"ptldb"
+	"ptldb/internal/obs"
 	"ptldb/internal/serve"
 	"ptldb/internal/tenant"
 )
@@ -75,9 +76,9 @@ func main() {
 	if (*dbDir == "") == (*tenantDir == "") {
 		fatal(fmt.Errorf("usage: ptldb-serve {-db DIR | -tenants DIR} [flags] (see source header)"))
 	}
-	cfg := ptldb.Config{
-		Device: *device, SlowQueryThreshold: *slow,
-		VectorCacheBytes: *vcBytes, PoolPages: *poolPages,
+	cfg := ptldb.Config{Device: *device, VectorCacheBytes: *vcBytes, PoolPages: *poolPages}
+	if *slow > 0 {
+		cfg.TraceHook = obs.NewSlowQueryLogger(os.Stderr, *slow).Observe
 	}
 	opts := serve.Options{MaxInFlight: *inflight, Timeout: *timeout}
 

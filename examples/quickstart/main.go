@@ -92,6 +92,7 @@ func main() {
 	}
 
 	st, _ := db.Stats()
-	fmt.Printf("database: %.1f MiB on disk, %d cache hits / %d misses\n",
-		float64(st.SizeOnDisk)/(1<<20), st.CacheHits, st.CacheMisses)
+	pool := db.Snapshot().Pool
+	fmt.Printf("database: %.1f MiB on disk, %d buffer-pool hits / %d misses\n",
+		float64(st.SizeOnDisk)/(1<<20), pool.Hits, pool.Misses)
 }

@@ -70,10 +70,10 @@ func BenchmarkFusedExec(b *testing.B) {
 
 		// Sanity: the intended executor served this handle. hits may be 0
 		// when -bench filters out every sub-benchmark of this path.
-		if fused, general := db.Store().DB.FusedStats(); path == "fused" && general != 0 {
-			b.Fatalf("fused handle ran the general executor %d times", general)
-		} else if path == "general" && fused != 0 {
-			b.Fatalf("general handle recorded %d fused executions", fused)
+		if ex := db.Snapshot().Exec; path == "fused" && ex.GeneralRuns != 0 {
+			b.Fatalf("fused handle ran the general executor %d times", ex.GeneralRuns)
+		} else if path == "general" && ex.FusedRuns != 0 {
+			b.Fatalf("general handle recorded %d fused executions", ex.FusedRuns)
 		}
 		if err := db.Close(); err != nil {
 			b.Fatal(err)

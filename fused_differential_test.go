@@ -100,7 +100,7 @@ func fusedBattery(t *testing.T, db *DB, tt *Network) []string {
 // TestFusedMatchesGeneralExecutor builds one database, runs the battery on
 // the production handle, reopens the same directory on the reference executor
 // (OpenReference), reruns the identical battery, and requires every answer to
-// match. The FusedStats counters prove that each handle ran its own executor
+// match. The registry's executor counters prove that each handle ran its own executor
 // and no other.
 func TestFusedMatchesGeneralExecutor(t *testing.T) {
 	tt, err := GenerateCity("Austin", 0.01, 7)
@@ -113,8 +113,8 @@ func TestFusedMatchesGeneralExecutor(t *testing.T) {
 	targets := []StopID{StopID(1 % n), StopID(2 % n), StopID(5 % n), StopID(n - 1)}
 	fdb := createAndWrite(t, dir, tt, Config{Device: "ram"}, addPOI(targets, 4), addPaths(tt))
 	fused := fusedBattery(t, fdb, tt)
-	if runs, general := fdb.Store().DB.FusedStats(); runs == 0 || general != 0 {
-		t.Errorf("production handle: %d fused runs, %d general runs; want > 0 and 0", runs, general)
+	if ex := fdb.Snapshot().Exec; ex.FusedRuns == 0 || ex.GeneralRuns != 0 {
+		t.Errorf("production handle: %d fused runs, %d general runs; want > 0 and 0", ex.FusedRuns, ex.GeneralRuns)
 	}
 	if err := fdb.Close(); err != nil {
 		t.Fatal(err)
@@ -126,8 +126,8 @@ func TestFusedMatchesGeneralExecutor(t *testing.T) {
 	}
 	defer gdb.Close()
 	general := fusedBattery(t, gdb, tt)
-	if runs, generalRuns := gdb.Store().DB.FusedStats(); runs != 0 || generalRuns == 0 {
-		t.Errorf("reference handle: %d fused runs, %d general runs; want 0 and > 0", runs, generalRuns)
+	if ex := gdb.Snapshot().Exec; ex.FusedRuns != 0 || ex.GeneralRuns == 0 {
+		t.Errorf("reference handle: %d fused runs, %d general runs; want 0 and > 0", ex.FusedRuns, ex.GeneralRuns)
 	}
 
 	if len(fused) != len(general) {

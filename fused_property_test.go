@@ -134,11 +134,11 @@ func TestCondensedKernelProperties(t *testing.T) {
 				}
 			}
 		}
-		if fused, general := fdb.Store().DB.FusedStats(); fused == 0 || general != 0 {
-			t.Errorf("%s: production handle ran %d fused, %d general; want > 0 and 0", city.name, fused, general)
+		if ex := fdb.Snapshot().Exec; ex.FusedRuns == 0 || ex.GeneralRuns != 0 {
+			t.Errorf("%s: production handle ran %d fused, %d general; want > 0 and 0", city.name, ex.FusedRuns, ex.GeneralRuns)
 		}
-		if fused, general := gdb.Store().DB.FusedStats(); fused != 0 || general == 0 {
-			t.Errorf("%s: reference handle ran %d fused, %d general; want 0 and > 0", city.name, fused, general)
+		if ex := gdb.Snapshot().Exec; ex.FusedRuns != 0 || ex.GeneralRuns == 0 {
+			t.Errorf("%s: reference handle ran %d fused, %d general; want 0 and > 0", city.name, ex.FusedRuns, ex.GeneralRuns)
 		}
 	}
 }

@@ -230,3 +230,29 @@ func TestAblationBucketCacheKeyedBySeedAndFormat(t *testing.T) {
 		t.Errorf("cache holds %d directories (%v), want one per (seed, width) = 6", len(entries), err)
 	}
 }
+
+// TestStorageIndependentOfExperimentOrder: Storage builds every target set
+// the figures read before it measures, so on a fresh workspace it reports
+// what it reports after the figures have run.
+func TestStorageIndependentOfExperimentOrder(t *testing.T) {
+	var rows [2][][]string
+	for i, before := range [][]string{nil, {"fig3", "fig4", "fig5", "fig6", "fig7", "fig8"}} {
+		w, err := NewWorkspace(Config{Scale: 0.005, Cities: []string{"Austin"}, Queries: 2, Seed: 3, CacheDir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range before {
+			if _, err := w.Run(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tab, err := w.Storage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows[i] = tab.Rows
+	}
+	if !slices.EqualFunc(rows[0], rows[1], slices.Equal[[]string]) {
+		t.Errorf("storage on a fresh workspace %v, after the figures %v", rows[0], rows[1])
+	}
+}

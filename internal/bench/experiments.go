@@ -373,11 +373,14 @@ func (w *Workspace) Fig7() (*Table, error) {
 }
 
 // Storage reports the on-disk footprint per dataset (paper Section 4.3: all
-// tables for all densities and kmax values fit in 12 GB).
+// tables for all densities and kmax values fit in 12 GB). Before it measures
+// it builds every target set the figures read — each D of Densities at
+// kmax=4, and D=0.01 at each kmax of knnKMaxes — so its bytes do not depend on
+// which experiments ran before it.
 func (w *Workspace) Storage() (*Table, error) {
 	t := &Table{
 		ID:      "storage",
-		Title:   "database size on disk (all tables built so far)",
+		Title:   "database size on disk (labels, stops, every D at kmax=4 and D=0.01 at kmax=16)",
 		Columns: []string{"Graph", "bytes", "MiB", "rows lout", "label tuples/stop"},
 	}
 	var total int64
@@ -385,6 +388,16 @@ func (w *Workspace) Storage() (*Table, error) {
 		ds, err := w.Dataset(city)
 		if err != nil {
 			return nil, err
+		}
+		for _, d := range Densities {
+			if _, err := w.EnsureTargetSet(ds, d, 4); err != nil {
+				return nil, err
+			}
+		}
+		for _, kmax := range knnKMaxes {
+			if _, err := w.EnsureTargetSet(ds, 0.01, kmax); err != nil {
+				return nil, err
+			}
 		}
 		db, err := w.Open(ds, "ram")
 		if err != nil {

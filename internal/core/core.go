@@ -72,9 +72,9 @@ type Result struct {
 
 // Store is an open PTLDB database, bound to one timetable version (the base
 // version unless Version was used). Open is its one constructor, and it
-// only reads: its metadata and its statement table are complete when Open
-// returns, and nothing assigns to them after. A Writer adds tables; a Store
-// opened after the writes queries them.
+// only reads: its metadata, its statement table and its trace hook are
+// complete when Open returns, and nothing assigns to them after. A Writer
+// adds tables; a Store opened after the writes queries them.
 type Store struct {
 	DB *sqldb.DB
 	view
@@ -85,10 +85,10 @@ type Store struct {
 	stmts map[string]*versionStmts
 	ver   *versionStmts
 
-	// traceHook, when non-nil, receives one obs.Trace per successful query
-	// method call (see SetTraceHook). Version copies the struct, so views
-	// inherit the hook installed before binding.
-	traceHook func(obs.Trace)
+	// hook, when non-nil, receives one obs.Trace per successful query
+	// method call (observe.go). Open sets it and nothing changes it after;
+	// Version copies the struct, so every view delivers to it.
+	hook func(obs.Trace)
 }
 
 // view is the metadata of a database bound to one of its timetable
@@ -367,8 +367,12 @@ func stopsLoad(stops []timetable.Stop) sqldb.TableLoad {
 }
 
 // Open attaches to a previously built PTLDB database. It is the one
-// constructor of a Store and the one place statements are prepared.
-func Open(db *sqldb.DB) (*Store, error) {
+// constructor of a Store and the one place statements are prepared. hook,
+// when non-nil, receives one obs.Trace per successful query of the store and
+// of every Version view of it, synchronously on the querying goroutine, so
+// it must be cheap and must not call back into the store; fan-out or
+// buffering belongs in the hook itself (see obs.SlowQueryLogger).
+func Open(db *sqldb.DB, hook func(obs.Trace)) (*Store, error) {
 	meta, err := readMeta(db)
 	if err != nil {
 		return nil, err
@@ -383,7 +387,7 @@ func Open(db *sqldb.DB) (*Store, error) {
 			return nil, err
 		}
 	}
-	return &Store{DB: db, view: view{meta: meta, version: BaseVersion}, stmts: stmts, ver: stmts[BaseVersion]}, nil
+	return &Store{DB: db, view: view{meta: meta, version: BaseVersion}, stmts: stmts, ver: stmts[BaseVersion], hook: hook}, nil
 }
 
 // readMeta reads the meta row of db: what Open binds a Store to, and what

@@ -30,7 +30,7 @@ func writeAndOpen(t *testing.T, db *sqldb.DB, labels *ttl.Labels, opts BuildOpti
 			t.Fatal(err)
 		}
 	}
-	st, err := Open(db)
+	st, err := Open(db, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +450,7 @@ func TestOpenReload(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	st2, err := Open(db2)
+	st2, err := Open(db2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,7 +494,7 @@ func TestBuildIntoMissingDirectory(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	st, err := Open(db)
+	st, err := Open(db, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,8 @@ func TestPreparedStatementsFuse(t *testing.T) {
 
 	queryBattery(t, st)
 	queryBattery(t, we)
-	fused, general := st.DB.FusedStats()
+	ex := &st.DB.Registry().Exec
+	fused, general := ex.FusedRuns.Load(), ex.GeneralRuns.Load()
 	if fused == 0 {
 		t.Error("query battery recorded no fused executions")
 	}

@@ -100,7 +100,7 @@ func TestCondensedKeyOrderDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { db.Close() })
-		return Open(db)
+		return Open(db, nil)
 	}
 	rekeyedDir := rekeyedCopy(t, dir, "poi")
 	if _, err := open(rekeyedDir, false); err == nil || !strings.Contains(err.Error(), `"knn_ea_poi"`) || !strings.Contains(err.Error(), "primary key is not") {

@@ -52,7 +52,8 @@ func negativeStore(t *testing.T, reference bool) (*Store, *ttl.Labels) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
-		fused, general := db.FusedStats()
+		ex := &db.Registry().Exec
+		fused, general := ex.FusedRuns.Load(), ex.GeneralRuns.Load()
 		if (reference && fused != 0) || (!reference && general != 0) || fused+general == 0 {
 			t.Errorf("reference executor %v: %d fused runs, %d general runs", reference, fused, general)
 		}

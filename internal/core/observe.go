@@ -1,10 +1,11 @@
 package core
 
 // observe.go is the store-level half of the observability layer: every public
-// query method funnels through observe(), which feeds the per-Code counters
-// and latency histograms of the database's obs.Registry and, when a trace
-// hook is installed, emits one obs.Trace per successful query. ExplainPrepared
-// renders the operator tree a prepared paper query will execute with.
+// query method records through begin and record, which feed the per-Code
+// counters and latency histograms of the database's obs.Registry and, when
+// Open was given a trace hook, emit one obs.Trace per successful query.
+// ExplainPrepared renders the operator tree a prepared paper query will
+// execute with.
 
 import (
 	"slices"
@@ -18,100 +19,60 @@ import (
 	"ptldb/internal/sqldb/sqltypes"
 )
 
-// SetTraceHook installs fn to receive one obs.Trace per successful query
-// method call (the paper Codes plus Raw). A nil fn disables tracing. The hook
-// runs synchronously on the querying goroutine, so it must be cheap and
-// must not call back into the store; fan-out or buffering belongs in the
-// hook itself (see obs.SlowQueryLogger).
-//
-// Version views share the hook installed at the time Version was called;
-// installing a hook afterwards only affects the receiver.
-func (s *Store) SetTraceHook(fn func(obs.Trace)) { s.traceHook = fn }
-
-// ioMark is the registry's device and cache counters at the start of a traced
-// query; since fills a trace with their movement.
-type ioMark struct {
-	misses, randReads, seqReads, vhits uint64
+// mark is the start of one observed query: its wall clock and, when a trace
+// hook is installed, the registry's device-read counters.
+type mark struct {
+	start                       time.Time
+	misses, randReads, seqReads uint64
 }
 
-func markIO(reg *obs.Registry) ioMark {
-	m := ioMark{
-		misses:    reg.Pool.Misses.Load(),
-		randReads: reg.Pool.RandReads.Load(),
-		seqReads:  reg.Pool.SeqReads.Load(),
+// begin marks the start of a query.
+func (s *Store) begin() mark {
+	var m mark
+	if s.hook != nil {
+		p := s.DB.Registry().Pool
+		m.misses, m.randReads, m.seqReads = p.Misses.Load(), p.RandReads.Load(), p.SeqReads.Load()
 	}
-	if reg.VCache != nil {
-		m.vhits = reg.VCache.Hits.Load()
-	}
+	m.start = time.Now()
 	return m
 }
 
-func (m ioMark) since(reg *obs.Registry, tr *obs.Trace) {
-	tr.PagesRead = reg.Pool.Misses.Load() - m.misses
-	tr.RandReads = reg.Pool.RandReads.Load() - m.randReads
-	tr.SeqReads = reg.Pool.SeqReads.Load() - m.seqReads
-	if reg.VCache != nil {
-		tr.VCacheHits = reg.VCache.Hits.Load() - m.vhits
-	}
-}
-
-// observe runs st and feeds the registry: the Code's call count and latency
-// histogram always, and — only when a trace hook is installed — one
-// obs.Trace carrying the execution path and the device-read deltas (pages
-// fetched from disk on behalf of this query, split into seeks and sequential
-// reads; concurrent queries on the same DB inflate them, which is fine for
-// the single-stream serving loops it is meant for).
-func (s *Store) observe(code obs.Code, st *sqldb.Stmt, params ...sqltypes.Value) (*exec.Relation, error) {
+// record ends the query begun at m, which produced rel and err, and feeds the
+// registry: the Code's call count and latency histogram always, and — only
+// when a trace hook is installed and the query succeeded — one obs.Trace
+// carrying the execution path and the device-read deltas (pages fetched from
+// disk on behalf of this query, split into seeks and sequential reads;
+// concurrent queries on the same DB inflate them, which is fine for the
+// single-stream serving loops it is meant for).
+func (s *Store) record(m mark, code obs.Code, fused bool, rel *exec.Relation, err error) (*exec.Relation, error) {
+	wall := time.Since(m.start)
 	reg := s.DB.Registry()
-	var before ioMark
-	if s.traceHook != nil {
-		before = markIO(reg)
-	}
-	start := time.Now()
-	rel, info, err := st.QueryInfo(params...)
-	wall := time.Since(start)
 	q := &reg.Query[code]
 	q.Count.Add(1)
 	q.Latency.Observe(wall)
 	if err != nil {
 		return nil, err
 	}
-	if s.traceHook != nil {
-		tr := obs.Trace{
-			Code:  code.String(),
-			Fused: info.Fused,
-			Rows:  len(rel.Rows),
-			Wall:  wall,
-		}
-		before.since(reg, &tr)
-		s.traceHook(tr)
+	if s.hook != nil {
+		s.hook(obs.Trace{
+			Code:      code.String(),
+			Fused:     fused,
+			Rows:      len(rel.Rows),
+			Wall:      wall,
+			PagesRead: reg.Pool.Misses.Load() - m.misses,
+			RandReads: reg.Pool.RandReads.Load() - m.randReads,
+			SeqReads:  reg.Pool.SeqReads.Load() - m.seqReads,
+		})
 	}
 	return rel, nil
 }
 
-// observeRaw is observe for ad-hoc SQL running outside the prepared-statement
-// path (Raw/RawTraced): same counters under obs.CodeRaw, never fused.
-func (s *Store) observeRaw(run func() (*exec.Relation, error)) (*exec.Relation, error) {
-	reg := s.DB.Registry()
-	var before ioMark
-	if s.traceHook != nil {
-		before = markIO(reg)
-	}
-	start := time.Now()
-	rel, err := run()
-	wall := time.Since(start)
-	q := &reg.Query[obs.CodeRaw]
-	q.Count.Add(1)
-	q.Latency.Observe(wall)
-	if err != nil {
-		return nil, err
-	}
-	if s.traceHook != nil {
-		tr := obs.Trace{Code: obs.CodeRaw.String(), Rows: len(rel.Rows), Wall: wall}
-		before.since(reg, &tr)
-		s.traceHook(tr)
-	}
-	return rel, nil
+// observe runs the prepared statement st, recorded under code; the trace's
+// execution path is the one st compiled to at Prepare.
+func (s *Store) observe(code obs.Code, st *sqldb.Stmt, params ...sqltypes.Value) (*exec.Relation, error) {
+	m := s.begin()
+	rel, err := st.Query(params...)
+	return s.record(m, code, st.Fused(), rel, err)
 }
 
 // ExplainNames lists the query names ExplainPrepared accepts under the bound

@@ -140,7 +140,7 @@ func cachedPaperStore(t *testing.T, budget int64) (*Store, *sqldb.DB) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
-	st, err := Open(db)
+	st, err := Open(db, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,14 +257,25 @@ func TestSnapshotWorkedExample(t *testing.T) {
 	}
 }
 
+// reopen opens a second store on st's database, its queries delivering their
+// traces to hook.
+func reopen(t *testing.T, st *Store, hook func(obs.Trace)) *Store {
+	t.Helper()
+	traced, err := Open(st.DB, hook)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return traced
+}
+
 // TestTraceHook checks trace delivery: codes, the fused flag, row counts and
 // wall times for both the prepared Codes and raw SQL.
 func TestTraceHook(t *testing.T) {
-	st, _ := paperStore(t, addSet("poi", []timetable.StopID{4, 6}, 4), func(w *Writer) error {
+	plain, _ := paperStore(t, addSet("poi", []timetable.StopID{4, 6}, 4), func(w *Writer) error {
 		return w.BuildPathTables(timetable.PaperExample())
 	})
 	var traces []obs.Trace
-	st.SetTraceHook(func(tr obs.Trace) { traces = append(traces, tr) })
+	st := reopen(t, plain, func(tr obs.Trace) { traces = append(traces, tr) })
 
 	if _, _, err := st.EarliestArrival(1, 1, 32400); err != nil {
 		t.Fatal(err)
@@ -310,30 +321,41 @@ func TestTraceHook(t *testing.T) {
 	if len(traces) != n {
 		t.Errorf("failed query emitted a trace")
 	}
-	st.SetTraceHook(nil)
-	if _, _, err := st.EarliestArrival(1, 1, 32400); err != nil {
+	// A store opened without a hook, on the same database, delivers none.
+	if _, _, err := plain.EarliestArrival(1, 1, 32400); err != nil {
 		t.Fatal(err)
 	}
 	if len(traces) != n {
-		t.Errorf("nil hook still received traces")
+		t.Errorf("a store opened without a hook delivered traces")
 	}
 }
 
-// TestVersionInheritsTraceHook: Version copies the store, so a hook installed
-// before binding sees the view's queries too.
+// TestVersionInheritsTraceHook: the hook given to Open sees the queries of
+// every Version view of the store, and a store opened without one delivers
+// nothing from any view.
 func TestVersionInheritsTraceHook(t *testing.T) {
-	st, _ := paperStore(t)
+	plain, _ := paperStore(t, addVersion("weekend", paperLabels()))
 	var count int
-	st.SetTraceHook(func(obs.Trace) { count++ })
-	v, err := st.Version(BaseVersion)
-	if err != nil {
-		t.Fatal(err)
+	st := reopen(t, plain, func(obs.Trace) { count++ })
+	query := func(st *Store) {
+		t.Helper()
+		for _, name := range st.Versions() {
+			v, err := st.Version(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := v.EarliestArrival(1, 1, 32400); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	if _, _, err := v.EarliestArrival(1, 1, 32400); err != nil {
-		t.Fatal(err)
+	query(st)
+	if want := len(st.Versions()); want != 2 || count != want {
+		t.Errorf("%d version views delivered %d traces, want 2 and 2", want, count)
 	}
-	if count != 1 {
-		t.Errorf("version view delivered %d traces, want 1", count)
+	query(plain)
+	if count != 2 {
+		t.Errorf("the views of a store opened without a hook delivered %d traces", count-2)
 	}
 }
 
@@ -365,16 +387,15 @@ func TestQueryLatencyObserved(t *testing.T) {
 // through the buffer pool like any other page).
 func TestSegmentCountersAndTracePages(t *testing.T) {
 	st, _ := paperStore(t)
+	var traces []obs.Trace
+	traced := reopen(t, st, func(tr obs.Trace) { traces = append(traces, tr) })
 	reg := st.DB.Registry()
 	before := reg.Snapshot()
 
 	st.DB.DropCaches()
-	var traces []obs.Trace
-	st.SetTraceHook(func(tr obs.Trace) { traces = append(traces, tr) })
-	if _, ok, err := st.EarliestArrival(1, 1, 32400); err != nil || !ok {
+	if _, ok, err := traced.EarliestArrival(1, 1, 32400); err != nil || !ok {
 		t.Fatal(ok, err)
 	}
-	st.SetTraceHook(nil)
 
 	after := reg.Snapshot()
 	if got := after.Segment.Hits - before.Segment.Hits; got == 0 {

@@ -60,7 +60,7 @@ func TestPathTablesPaperExample(t *testing.T) {
 	if err := w.BuildPathTables(tt); err != nil {
 		t.Fatal(err)
 	}
-	st, err := Open(built.DB)
+	st, err := Open(built.DB, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

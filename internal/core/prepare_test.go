@@ -84,7 +84,7 @@ func reopenedStore(t *testing.T) *Store {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
-	st, err := Open(db)
+	st, err := Open(db, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -175,21 +175,17 @@ func (s *Store) LDOTM(set string, q timetable.StopID, t timetable.Time) ([]Resul
 }
 
 // Raw exposes the underlying relation of an arbitrary SQL query, for the
-// query CLI and tests. Observed under obs.CodeRaw.
+// query CLI and tests. Recorded under obs.CodeRaw, never fused.
 func (s *Store) Raw(q string, params ...sqltypes.Value) (*exec.Relation, error) {
-	return s.observeRaw(func() (*exec.Relation, error) {
-		return s.DB.Query(q, params...)
-	})
+	m := s.begin()
+	rel, err := s.DB.Query(q, params...)
+	return s.record(m, obs.CodeRaw, false, rel, err)
 }
 
 // RawTraced is Raw plus the access-path trace (EXPLAIN ANALYZE).
 func (s *Store) RawTraced(q string, params ...sqltypes.Value) (*exec.Relation, []string, error) {
-	var trace []string
-	rel, err := s.observeRaw(func() (*exec.Relation, error) {
-		var err error
-		var r *exec.Relation
-		r, trace, err = s.DB.QueryTraced(q, params...)
-		return r, err
-	})
+	m := s.begin()
+	rel, trace, err := s.DB.QueryTraced(q, params...)
+	rel, err = s.record(m, obs.CodeRaw, false, rel, err)
 	return rel, trace, err
 }

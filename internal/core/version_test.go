@@ -123,7 +123,7 @@ func TestVersionValidation(t *testing.T) {
 		t.Error("unknown version accepted")
 	}
 	// The version survives reopening via the persisted meta.
-	st2, err := Open(st.DB)
+	st2, err := Open(st.DB, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestOneFormPerTable(t *testing.T) {
 	if db, err = sqldb.Open(dir, sqldb.Options{Device: storage.RAM, PoolPages: 4096}); err != nil {
 		t.Fatal(err)
 	}
-	st, err := Open(db)
+	st, err := Open(db, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Package obs is PTLDB's zero-dependency observability layer: atomic
 // counters and fixed-bucket latency histograms for the buffer pool, the
-// executor and the paper's query Codes, plus per-query trace records, a
-// slow-query log writer and a trace aggregator.
+// executor and the paper's query Codes, plus per-query trace records and a
+// slow-query logger that consumes them.
 //
 // Everything on a query hot path is allocation-free: counters are atomic
 // adds, histograms index a fixed bucket array, and traces are plain value
@@ -486,10 +486,6 @@ type Trace struct {
 	// attribution as PagesRead, plus any read past the pool).
 	RandReads uint64 `json:"rand_reads"`
 	SeqReads  uint64 `json:"seq_reads"`
-	// VCacheHits counts resident-vector-cache hits while the query ran
-	// (same approximate attribution as PagesRead). Zero when the cache is
-	// disabled.
-	VCacheHits uint64 `json:"vcache_hits,omitempty"`
 }
 
 // SlowQueryLogger writes one line per trace whose wall time reaches the

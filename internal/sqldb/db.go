@@ -474,23 +474,19 @@ func firstError(errs ...error) error {
 	return nil
 }
 
-// SizeOnDisk returns the total bytes of the directory's files — outside a
-// Load, the image alone, but for a crashed writer's image.seg.tmp (the
-// paper's Section 4.3 storage report).
+// SizeOnDisk returns the bytes of the directory's image, which is the
+// database (the paper's Section 4.3 storage report): 0 for a directory
+// without one. A file beside it — a crashed writer's image.seg.tmp, or one a
+// caller keeps there — is not counted.
 func (db *DB) SizeOnDisk() (int64, error) {
-	var total int64
-	entries, err := os.ReadDir(db.dir)
+	info, err := os.Stat(db.imagePath())
+	if errors.Is(err, fs.ErrNotExist) {
+		return 0, nil
+	}
 	if err != nil {
 		return 0, err
 	}
-	for _, e := range entries {
-		info, err := e.Info()
-		if err != nil {
-			return 0, err
-		}
-		total += info.Size()
-	}
-	return total, nil
+	return info.Size(), nil
 }
 
 // Query parses and executes a SELECT with positional parameters ($1 …).
@@ -557,34 +553,18 @@ func (s *Stmt) Kind() string {
 	return s.fused.Kind()
 }
 
-// ExecInfo reports which execution path answered one Stmt.Query: Fused is
-// set when the fused plan produced the result. Returned by value so the hot
-// path never allocates for it.
-type ExecInfo struct {
-	Fused bool
-}
-
 // Query executes the prepared statement. The statement is immutable after
 // Prepare (execution never mutates the AST or the fused plan), so one Stmt
-// may be executed from many goroutines concurrently.
+// may be executed from many goroutines concurrently. A fused plan answers or
+// fails; the general executor runs only a statement that did not fuse at
+// Prepare (Fused reports which).
 func (s *Stmt) Query(params ...sqltypes.Value) (*exec.Relation, error) {
-	rel, _, err := s.QueryInfo(params...)
-	return rel, err
-}
-
-// QueryInfo is Query, additionally reporting which execution path produced
-// the result — the per-query counterpart of FusedStats, used by trace hooks.
-// A fused plan answers or fails; the general executor runs only a statement
-// that did not fuse at Prepare.
-func (s *Stmt) QueryInfo(params ...sqltypes.Value) (*exec.Relation, ExecInfo, error) {
 	if s.fused != nil {
 		s.db.reg.Exec.FusedRuns.Add(1)
-		rel, err := s.fused.Run(params)
-		return rel, ExecInfo{Fused: true}, err
+		return s.fused.Run(params)
 	}
 	s.db.reg.Exec.GeneralRuns.Add(1)
-	rel, err := exec.Run(s.sel, s.cat, params)
-	return rel, ExecInfo{}, err
+	return exec.Run(s.sel, s.cat, params)
 }
 
 // Explain renders the fused operator tree of a statement that compiled to
@@ -594,13 +574,6 @@ func (s *Stmt) Explain() (string, error) {
 		return "", errors.New("sqldb: statement has no fused plan to explain")
 	}
 	return s.fused.Explain(), nil
-}
-
-// FusedStats reports how many prepared-statement executions ran on the fused
-// plans and how many on the general executor (which also counts every
-// DB.Query).
-func (db *DB) FusedStats() (fused, general uint64) {
-	return db.reg.Exec.FusedRuns.Load(), db.reg.Exec.GeneralRuns.Load()
 }
 
 // Registry exposes the handle's observability registry. The pointer is

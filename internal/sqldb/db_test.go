@@ -545,6 +545,17 @@ func TestSizeOnDisk(t *testing.T) {
 	if err != nil || n <= 0 {
 		t.Errorf("SizeOnDisk = %d, %v", n, err)
 	}
+	// The image is the database: a file kept beside it is not counted.
+	if err := os.WriteFile(filepath.Join(db.dir, "preproc.json"), []byte(`{"order_ns":1}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	info, err := os.Stat(filepath.Join(db.dir, ImageName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err := db.SizeOnDisk(); err != nil || m != n || m != info.Size() {
+		t.Errorf("SizeOnDisk with a file beside the image = %d, %v; want the image's %d", m, err, info.Size())
+	}
 }
 
 // TestHashJoinTextKeysFallback exercises the generic encoded-key join path:

@@ -516,9 +516,10 @@ func TestFusedPlanAnswersOrErrors(t *testing.T) {
 	if err != nil || !st.Fused() {
 		t.Fatalf("v2v-ea: fused %v, %v", st.Fused(), err)
 	}
-	rel, info, err := st.QueryInfo(one, one, sqltypes.NewInt(0))
-	if err != nil || !info.Fused || rel.Rows[0][0].I != 10 {
-		t.Fatalf("EA = %v, %+v, %v; want 10 from the fused plan", rel, info, err)
+	ex := &db.Registry().Exec
+	rel, err := st.Query(one, one, sqltypes.NewInt(0))
+	if err != nil || ex.FusedRuns.Load() != 1 || rel.Rows[0][0].I != 10 {
+		t.Fatalf("EA = %v, %v after %d fused runs; want 10 from the fused plan", rel, err, ex.FusedRuns.Load())
 	}
 	if old, err := db.Prepare(fmt.Sprintf(exec.SQLV2VEA, "lout", "lin_old")); err == nil {
 		t.Errorf("an undeclared label table prepared: fused %v", old.Fused())
@@ -539,9 +540,10 @@ func TestFusedPlanAnswersOrErrors(t *testing.T) {
 		{"a NULL parameter", st, []sqltypes.Value{one, one, {}}, []string{"v2v-ea", "$3", "BIGINT"}},
 		{"a missing parameter", st, []sqltypes.Value{one, one}, []string{"v2v-ea", "$3", "missing"}},
 	} {
-		_, info, err := tc.st.QueryInfo(tc.params...)
-		if err == nil || !info.Fused {
-			t.Errorf("%s: err = %v, info = %+v; want an error from the fused plan", tc.what, err, info)
+		before := ex.FusedRuns.Load()
+		_, err := tc.st.Query(tc.params...)
+		if err == nil || ex.FusedRuns.Load() != before+1 {
+			t.Errorf("%s: err = %v, fused runs %d -> %d; want an error from the fused plan", tc.what, err, before, ex.FusedRuns.Load())
 			continue
 		}
 		for _, frag := range tc.want {
@@ -550,7 +552,7 @@ func TestFusedPlanAnswersOrErrors(t *testing.T) {
 			}
 		}
 	}
-	if fused, general := db.FusedStats(); fused != 4 || general != 0 {
+	if fused, general := ex.FusedRuns.Load(), ex.GeneralRuns.Load(); fused != 4 || general != 0 {
 		t.Errorf("%d fused runs, %d general runs; want 4 and 0", fused, general)
 	}
 
@@ -569,11 +571,12 @@ func TestFusedPlanAnswersOrErrors(t *testing.T) {
 	if _, err := rst.Explain(); err == nil {
 		t.Error("reference handle explained a fused plan it does not have")
 	}
-	rel, info, err = rst.QueryInfo(one, one, sqltypes.NewInt(0))
-	if err != nil || info.Fused || rel.Rows[0][0].I != 10 {
-		t.Fatalf("reference EA = %v, %+v, %v; want 10 from the general executor", rel, info, err)
+	rex := &ref.Registry().Exec
+	rel, err = rst.Query(one, one, sqltypes.NewInt(0))
+	if err != nil || rex.GeneralRuns.Load() != 1 || rel.Rows[0][0].I != 10 {
+		t.Fatalf("reference EA = %v, %v after %d general runs; want 10 from the general executor", rel, err, rex.GeneralRuns.Load())
 	}
-	if fused, general := ref.FusedStats(); fused != 0 || general != 1 {
+	if fused, general := rex.FusedRuns.Load(), rex.GeneralRuns.Load(); fused != 0 || general != 1 {
 		t.Errorf("reference handle: %d fused runs, %d general runs; want 0 and 1", fused, general)
 	}
 }

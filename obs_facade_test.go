@@ -1,14 +1,18 @@
 package ptldb
 
 import (
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"ptldb/internal/obs"
 )
 
 // TestFacadeObservability wires the public observability surface end to end:
-// Config.TraceHook, Config.SlowQueryThreshold + SlowQueryLog, DB.Snapshot and
+// Config.TraceHook (a collecting hook and the slow-query logger, the one
+// ptldb-query and ptldb-serve install for -slow), DB.Snapshot and
 // DB.ExplainPrepared on a real database.
 func TestFacadeObservability(t *testing.T) {
 	tt, err := GenerateCity("Salt Lake City", 0.02, 42)
@@ -20,17 +24,17 @@ func TestFacadeObservability(t *testing.T) {
 		traces []Trace
 		slow   strings.Builder
 	)
+	// A one-nanosecond threshold is below every wall time, so each query
+	// also produces one slow-log line.
+	slowLog := obs.NewSlowQueryLogger(&slow, time.Nanosecond)
 	db, err := Create(t.TempDir(), tt, Config{
 		Device: "ram",
 		TraceHook: func(tr Trace) {
 			mu.Lock()
 			traces = append(traces, tr)
 			mu.Unlock()
+			slowLog.Observe(tr)
 		},
-		// A negative-duration threshold is below every wall time, so each
-		// query also produces one slow-log line.
-		SlowQueryThreshold: time.Nanosecond,
-		SlowQueryLog:       &slow,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -49,15 +53,21 @@ func TestFacadeObservability(t *testing.T) {
 	if got != n {
 		t.Fatalf("hook got %d traces, want %d", got, n)
 	}
-	// The label tables were decoded before the first query, so every query,
-	// the first included, reports its label reads as vector-cache hits.
 	for _, tr := range traces {
-		if tr.Code != "v2v-ea" || !tr.Fused || tr.VCacheHits == 0 {
-			t.Errorf("trace = %+v, want a fused v2v-ea with vcache hits", tr)
+		if tr.Code != "v2v-ea" || !tr.Fused {
+			t.Errorf("trace = %+v, want a fused v2v-ea", tr)
 		}
 	}
-	if lines := strings.Count(slow.String(), "\n"); lines != n {
-		t.Errorf("slow log has %d lines, want %d:\n%s", lines, n, slow.String())
+	// Every label table was decoded at Open, so no query reads a page.
+	line := regexp.MustCompile(`^slow query: code=v2v-ea path=fused wall=[0-9.]+[a-zµ]+ rows=1 pages=0 rand_reads=0 seq_reads=0$`)
+	lines := strings.Split(strings.TrimSuffix(slow.String(), "\n"), "\n")
+	if len(lines) != n {
+		t.Errorf("slow log has %d lines, want %d:\n%s", len(lines), n, slow.String())
+	}
+	for _, l := range lines {
+		if !line.MatchString(l) {
+			t.Errorf("slow log line %q, want %v", l, line)
+		}
 	}
 
 	snap := db.Snapshot()

@@ -28,8 +28,6 @@ package ptldb
 
 import (
 	"fmt"
-	"io"
-	"os"
 	"time"
 
 	"ptldb/internal/core"
@@ -145,39 +143,13 @@ type Config struct {
 	// built database is byte-identical for every value.
 	BuildWorkers int
 	// TraceHook, when non-nil, receives one Trace per successful query method
-	// call on this handle (and on Version handles derived from it). The hook
-	// runs synchronously on the querying goroutine, so it must be cheap; see
-	// DB.Snapshot for always-on aggregate counters that need no hook.
+	// call on this handle (and on Version handles derived from it), and is
+	// fixed for the handle's life. The hook runs synchronously on the
+	// querying goroutine, so it must be cheap; see DB.Snapshot for always-on
+	// aggregate counters that need no hook. A slow-query log is such a hook:
+	// ptldb-query and ptldb-serve install internal/obs's SlowQueryLogger
+	// here for -slow.
 	TraceHook func(Trace)
-	// SlowQueryThreshold, when positive, logs every query slower than the
-	// threshold to SlowQueryLog — one line per offender with its code,
-	// execution path, wall time, row count and pages read.
-	SlowQueryThreshold time.Duration
-	// SlowQueryLog is the slow-query destination (default os.Stderr). Only
-	// consulted when SlowQueryThreshold > 0.
-	SlowQueryLog io.Writer
-}
-
-// traceHook composes the user hook and the slow-query logger into the single
-// hook installed on the store (nil when neither is configured).
-func (c Config) traceHook() func(obs.Trace) {
-	hook := c.TraceHook
-	if c.SlowQueryThreshold <= 0 {
-		return hook
-	}
-	w := c.SlowQueryLog
-	if w == nil {
-		w = os.Stderr
-	}
-	slow := obs.NewSlowQueryLogger(w, c.SlowQueryThreshold)
-	if hook == nil {
-		return slow.Observe
-	}
-	user := hook
-	return func(t obs.Trace) {
-		slow.Observe(t)
-		user(t)
-	}
 }
 
 // DefaultVectorCacheBytes is the vector-cache budget when Config leaves
@@ -318,13 +290,10 @@ func open(dir string, cfg Config, reference bool) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	store, err := core.Open(sdb)
+	store, err := core.Open(sdb, cfg.TraceHook)
 	if err != nil {
 		sdb.Close()
 		return nil, err
-	}
-	if h := cfg.traceHook(); h != nil {
-		store.SetTraceHook(h)
 	}
 	return &DB{store: store, db: sdb}, nil
 }
@@ -511,27 +480,24 @@ func (d *DB) DropCaches() error {
 	return nil
 }
 
-// Stats reports I/O statistics of the session.
+// Stats reports I/O statistics of the session. Buffer-pool hits and misses
+// are counters of the registry: Snapshot().Pool.
 type Stats struct {
 	// SimulatedIO is the total simulated device time charged so far.
 	SimulatedIO time.Duration
-	// CacheHits and CacheMisses count buffer-pool accesses.
-	CacheHits, CacheMisses uint64
-	// SizeOnDisk is the total bytes of the directory's files: the image.
+	// SizeOnDisk is the bytes of the directory's image, the database; a
+	// file beside it is not counted.
 	SizeOnDisk int64
 }
 
 // Stats returns the session's I/O statistics.
 func (d *DB) Stats() (Stats, error) {
-	pm := d.db.Pool().Metrics()
 	size, err := d.db.SizeOnDisk()
 	if err != nil {
 		return Stats{}, err
 	}
 	return Stats{
 		SimulatedIO: d.db.Clock().Elapsed(),
-		CacheHits:   pm.Hits.Load(),
-		CacheMisses: pm.Misses.Load(),
 		SizeOnDisk:  size,
 	}, nil
 }

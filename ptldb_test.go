@@ -152,8 +152,8 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.SizeOnDisk <= 0 || st.CacheHits == 0 || st.CacheMisses == 0 {
-		t.Errorf("stats = %+v", st)
+	if pool := db.Snapshot().Pool; st.SizeOnDisk <= 0 || pool.Hits == 0 || pool.Misses == 0 {
+		t.Errorf("stats = %+v, pool = %+v", st, pool)
 	}
 }
 

@@ -2,8 +2,8 @@
 # Full pre-merge gate: formatting; the ratchets that keep a deleted mechanism
 # deleted (one executor, one image file, one probe order — one counting pass
 # per byte of the bucket span, no comparison-sort fallback —, one measuring
-# regime and no chart or trace aggregator in ptldb-bench, and the rest
-# below); vet, project lint, build, and the whole test suite under the race
+# regime and no chart or trace aggregator in ptldb-bench, one trace hook
+# fixed at Open, and the rest below); vet, project lint, build, and the whole test suite under the race
 # detector with shuffled test order, then once more with module-wide
 # coverage, which must reach every function outside cmd/ and examples/, the
 # general SQL engine's coverage by its callers alone, 10-second fuzzes of the
@@ -208,6 +208,14 @@ echo "== a handle reads or writes, never both (ptldb.go, internal/core)"
 if git grep -nE 'func \([[:alnum:]_]+ \*(DB|Store)\) (AddTargetSet|AddVersion|BuildPathTables|SetBuildWorkers)\(' -- ptldb.go 'internal/core/*.go' ':!*_test.go'; then
     echo "ptldb.DB and core.Store only read, and are complete when Open returns: the writers are the directory" >&2
     echo "functions ptldb.AddTargetSet / AddVersion / BuildPathTables and core.Writer (DESIGN.md §6)" >&2
+    exit 1
+fi
+echo "== one way to observe a query: the trace hook is fixed at Open (outside tests and benchmark/)"
+# ERE has no lookahead: the last alternative is SlowQueryLog not followed by "ger".
+if git grep -nE 'SetTraceHook|QueryInfo|ExecInfo|FusedStats|observeRaw|SlowQueryThreshold|VCacheHits|CacheHits|CacheMisses|SlowQueryLog([^g]|$|g[^e]|g$|ge[^r]|ge$)' -- '*.go' ':!*_test.go' ':!benchmark'; then
+    echo "core.Open takes the one trace hook and a Store never changes after it; a slow-query log is the hook" >&2
+    echo "obs.NewSlowQueryLogger(w, d).Observe; a trace's path is Stmt.Fused(), and the executor and pool counters" >&2
+    echo "are read from the registry (Registry().Exec, Snapshot().Pool): no setter, no second Config knob, no mirror" >&2
     exit 1
 fi
 echo "== ptldb-bench has one producer's knobs: no vector budget, no chart, no trace aggregator"
