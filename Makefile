@@ -25,8 +25,10 @@ race:
 	$(GO) test -race ./...
 
 # Smoke run of the fused-vs-general executor benchmark — the one place the
-# reference executor is timed: a few iterations each, enough to catch
-# fused-path fallbacks or crashes without the full measurement cost. System
+# reference executor is timed: a few iterations of each of its 14
+# sub-benchmarks, enough to catch fused-path fallbacks or crashes without the
+# full measurement cost. Its database is ptldb-bench's dataset cache (Austin
+# at scale 0.02 under $TMPDIR/ptldb-bench-cache), built on first use. System
 # performance is measured by benchmark/ (sh benchmark/run.sh).
 bench-quick:
 	$(GO) test -run '^$$' -bench 'BenchmarkFusedExec' -benchtime 5x .

@@ -1,12 +1,14 @@
 // Command ptldb-build preprocesses a transit network into a PTLDB database
-// directory: TTL labels, dummy augmentation and the lout/lin tables, plus
-// optional kNN/one-to-many target sets.
+// directory: TTL labels under the neighbor-degree vertex order, dummy
+// augmentation and the lout/lin tables, plus optional kNN/one-to-many target
+// sets.
 //
 // Usage:
 //
 //	ptldb-build -db DIR (-gtfs FEEDDIR | -city NAME [-scale F] [-seed N])
-//	            [-targets 0.01:16,0.1:4] [-bucket 3600] [-order neighbor-degree]
+//	            [-targets 0.01:16,0.1:4] [-bucket 3600]
 //
+// -seed feeds the generator and the draw of the -targets sets.
 // The -targets flag registers random target sets as density:kmax pairs, each
 // added to the directory by ptldb.AddTargetSet after Create. The size line
 // and -obs-out come from the directory opened after the last writer.
@@ -33,7 +35,6 @@ func main() {
 		seed    = flag.Int64("seed", 1, "generator seed")
 		targets = flag.String("targets", "", "comma-separated density:kmax target sets, e.g. 0.01:16")
 		bucket  = flag.Int("bucket", 3600, "knn/otm bucket width in seconds")
-		ordFlag = flag.String("order", "neighbor-degree", "vertex ordering: neighbor-degree, degree, hub-usage, random")
 		workers = flag.Int("workers", 0, "preprocessing parallelism (0 = GOMAXPROCS); output is identical for every value")
 		obsOut  = flag.String("obs-out", "", "write the build's observability snapshot (JSON) to this file")
 		list    = flag.Bool("list", false, "list synthetic city profiles and exit")
@@ -77,8 +78,6 @@ func main() {
 	cfg := ptldb.Config{
 		Device:        "ram",
 		BucketSeconds: int32(*bucket),
-		Ordering:      *ordFlag,
-		Seed:          *seed,
 		BuildWorkers:  *workers,
 	}
 	db, stats, err := ptldb.CreateWithStats(*dbDir, tt, cfg)

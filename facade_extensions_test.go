@@ -1,19 +1,13 @@
 package ptldb
 
 import (
-	"bytes"
-	"hash/fnv"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 
-	"ptldb/internal/csa"
 	"ptldb/internal/sqldb"
-	"ptldb/internal/sqldb/sqltypes"
-	"ptldb/internal/timetable"
 )
 
 // TestFacadeVersions covers the weekday/weekend multi-version workflow of
@@ -71,113 +65,6 @@ func TestFacadeVersions(t *testing.T) {
 	}
 	if _, err := db2.Version("holiday"); err == nil {
 		t.Error("unknown version accepted")
-	}
-}
-
-// labelsDigest returns the label tuples of one side of a handle's version —
-// table lout or lin plus the version's suffix — and an FNV-1a digest of its
-// rows.
-func labelsDigest(t *testing.T, db *DB, table string) (int, uint64) {
-	t.Helper()
-	tbl, ok := db.Store().DB.Table(table)
-	if !ok {
-		t.Fatalf("no table %s", table)
-	}
-	h, tuples := fnv.New64a(), 0
-	err := tbl.Scan(func(r sqltypes.Row) error {
-		tuples += len(r[1].A)
-		h.Write(sqltypes.EncodeRow(nil, r))
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("%s: %v", table, err)
-	}
-	return tuples, h.Sum64()
-}
-
-// TestAddVersionHonoursOrdering: AddVersion labels a version under the
-// Config's Ordering and Seed, as Create labels the base: a hub-usage
-// database's weekend version holds exactly the labels a hub-usage Create of
-// the weekend network holds — which the default ordering's differ from — and
-// answers as CSA does. An unknown ordering fails AddVersion before any build
-// and leaves the directory as it was.
-func TestAddVersionHonoursOrdering(t *testing.T) {
-	weekday, err := GenerateCity("Austin", 0.01, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	weekend, err := GenerateCity("Austin", 0.01, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hubUsage := Config{Device: "ram", Ordering: "hub-usage", Seed: 5}
-	created := func(tt *Network, cfg Config) (string, *DB) {
-		dir := t.TempDir()
-		db, err := Create(dir, tt, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return dir, db
-	}
-	dir, db := created(weekday, hubUsage)
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	image := func() []byte {
-		b, err := os.ReadFile(filepath.Join(dir, sqldb.ImageName))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	before := image()
-	err = AddVersion(dir, "weekend", weekend, Config{Device: "ram", Ordering: "by-whim"})
-	if err == nil || !strings.Contains(err.Error(), `unknown ordering "by-whim"`) {
-		t.Fatalf("AddVersion under an unknown ordering = %v, want it named", err)
-	}
-	if !bytes.Equal(image(), before) {
-		t.Fatal("a refused AddVersion changed the image")
-	}
-	if err := AddVersion(dir, "weekend", weekend, hubUsage); err != nil {
-		t.Fatal(err)
-	}
-	db, err = Open(dir, hubUsage)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	_, want := created(weekend, hubUsage)
-	defer want.Close()
-	_, plain := created(weekend, Config{Device: "ram"})
-	defer plain.Close()
-	for _, side := range []string{"lout", "lin"} {
-		n, d := labelsDigest(t, db, side+"__weekend")
-		wn, wd := labelsDigest(t, want, side)
-		if n != wn || d != wd {
-			t.Errorf("%s of the weekend version: %d tuples, digest %#x; a hub-usage Create has %d, %#x", side, n, d, wn, wd)
-		}
-		if pn, pd := labelsDigest(t, plain, side); pn == wn && pd == wd {
-			t.Errorf("%s: the default ordering builds the hub-usage labels too; the comparison tells nothing", side)
-		}
-	}
-	we, err := db.Version("weekend")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(9))
-	for range 200 {
-		s, g := StopID(rng.Intn(weekend.NumStops())), StopID(rng.Intn(weekend.NumStops()))
-		when := weekend.MinTime() + Time(rng.Intn(int(weekend.MaxTime()-weekend.MinTime())+1))
-		if s == g {
-			continue // a self-query answers by the dummy tuples, not CSA's t
-		}
-		got, ok, err := we.EarliestArrival(s, g, when)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := csa.EarliestArrival(weekend, s, g, when); ok != (want != timetable.Infinity) || (ok && got != want) {
-			t.Errorf("weekend EA(%d, %d, %d) = %d, %v; the oracle has %d", s, g, when, got, ok, want)
-		}
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"ptldb/internal/csa"
 	"ptldb/internal/order"
 	"ptldb/internal/sqldb"
+	"ptldb/internal/sqldb/exec"
 	"ptldb/internal/sqldb/sqltypes"
 	"ptldb/internal/sqldb/storage"
 	"ptldb/internal/ttl"
@@ -163,12 +164,13 @@ func (w *Workspace) AblationOrdering() (*Table, error) {
 }
 
 // AblationLayout justifies the paper's array-per-stop row design (inherited
-// from COLD) on the engine's one storage form: it compares fetching one
-// stop's full label from a segment keyed (v) whose rows hold three arrays
-// (one directory search + one wide row) against a normalized segment keyed
-// (v, seq) with one small row per tuple (one search + a walk of the directory
-// while the first key component is v), on the simulated HDD with a cold cache
-// per batch.
+// from COLD) on the engine's one storage form: one Load writes a table keyed
+// (v) whose rows hold a stop's label as three arrays, hubs stored as runs as
+// lout's are, and a normalized table keyed (v, seq) with one small row per
+// tuple. Fetching one stop's label is one primary-key lookup of the first
+// and, of the second, one lookup per tuple until the first miss, each a step
+// along the key directory from the last; both on the simulated HDD, with no
+// vector cache and the caches dropped before each batch.
 func (w *Workspace) AblationLayout() (*Table, error) {
 	city := w.cfg.Cities[0]
 	tt, err := ptldb.GenerateCity(city, w.cfg.Scale, w.cfg.Seed)
@@ -183,68 +185,57 @@ func (w *Workspace) AblationLayout() (*Table, error) {
 	}
 	defer os.RemoveAll(dir)
 
-	// The array rows store hubs as runs, the form lin and lout store them in.
-	arrTypes := []sqltypes.Type{sqltypes.Int64, sqltypes.IntRuns, sqltypes.IntArray, sqltypes.IntArray}
-	flatTypes := []sqltypes.Type{sqltypes.Int64, sqltypes.Int64, sqltypes.Int64}
-	arr := storage.SegmentData{Cols: typeTags(arrTypes), PKLen: 1}
-	flat := storage.SegmentData{Cols: typeTags(flatTypes), PKLen: 2}
-	add := func(sd *storage.SegmentData, types []sqltypes.Type, key storage.Key, row sqltypes.Row) error {
-		start := len(sd.Data)
-		data, err := sqltypes.EncodeSegRow(sd.Data, types, row)
-		if err != nil {
-			return err
-		}
-		sd.Keys, sd.Lens, sd.Data = append(sd.Keys, key), append(sd.Lens, uint32(len(data)-start)), data
-		return nil
-	}
-	for v := 0; v < labels.NumStops(); v++ {
-		lab := labels.Out[v]
+	var arrRows, flatRows []sqltypes.Row
+	for v, lab := range labels.Out {
 		hubs := make([]int32, len(lab))
 		tds := make([]int32, len(lab))
 		tas := make([]int32, len(lab))
 		for i, tup := range lab {
 			hubs[i], tds[i], tas[i] = int32(tup.Hub), int32(tup.Dep), int32(tup.Arr)
-			small := sqltypes.Row{sqltypes.NewInt(int64(tup.Hub)), sqltypes.NewInt(int64(tup.Dep)), sqltypes.NewInt(int64(tup.Arr))}
-			if err := add(&flat, flatTypes, storage.Key{int64(v), int64(i)}, small); err != nil {
-				return nil, err
+			flatRows = append(flatRows, sqltypes.Row{sqltypes.NewInt(int64(v)), sqltypes.NewInt(int64(i)),
+				sqltypes.NewInt(int64(tup.Hub)), sqltypes.NewInt(int64(tup.Dep)), sqltypes.NewInt(int64(tup.Arr))})
+		}
+		arrRows = append(arrRows, sqltypes.Row{sqltypes.NewInt(int64(v)),
+			sqltypes.NewIntArray(hubs), sqltypes.NewIntArray(tds), sqltypes.NewIntArray(tas)})
+	}
+	// columns declares a table's columns: the first a BIGINT, the rest of type t.
+	columns := func(t sqltypes.Type, names ...string) []sqldb.ColumnDef {
+		cols := make([]sqldb.ColumnDef, len(names))
+		for i, name := range names {
+			cols[i] = sqldb.ColumnDef{Name: name, Type: sqltypes.Int64}
+			if i > 0 {
+				cols[i].Type = t
 			}
 		}
-		row := sqltypes.Row{sqltypes.NewInt(int64(v)),
-			sqltypes.NewIntArray(hubs), sqltypes.NewIntArray(tds), sqltypes.NewIntArray(tas)}
-		if err := add(&arr, arrTypes, storage.Key{int64(v), 0}, row); err != nil {
-			return nil, err
-		}
+		return cols
 	}
-
-	var clock storage.Clock
-	pool := storage.NewPool(65536)
-	open := func(name string, sd storage.SegmentData) (*storage.Segment, func(), error) {
-		f, err := storage.CreatePagedFile(filepath.Join(dir, name), storage.HDD, &clock)
-		if err != nil {
-			return nil, nil, err
-		}
-		pool.Register(f)
-		err = storage.AppendSegment(f, sd)
-		var seg *storage.Segment
-		if err == nil {
-			seg, _, err = storage.OpenSegment(f, 0, pool, nil)
-		}
-		if err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-		return seg, func() { f.Close() }, nil
-	}
-	arrSeg, closeArr, err := open("arr.seg", arr)
+	build, err := sqldb.Open(dir, sqldb.Options{Device: storage.RAM})
 	if err != nil {
 		return nil, err
 	}
-	defer closeArr()
-	flatSeg, closeFlat, err := open("flat.seg", flat)
+	err = build.Load(w.cfg.BuildWorkers,
+		sqldb.TableLoad{
+			Def: sqldb.TableDef{Name: "arr", Columns: columns(sqltypes.IntArray, "v", "hubs", "tds", "tas"),
+				PK: []string{"v"}, RunOrder: []string{"hubs", "tds", "tas"}},
+			Rows: func() ([]sqltypes.Row, error) { return arrRows, nil },
+		},
+		sqldb.TableLoad{
+			Def:  sqldb.TableDef{Name: "flat", Columns: columns(sqltypes.Int64, "v", "seq", "hub", "td", "ta"), PK: []string{"v", "seq"}},
+			Rows: func() ([]sqltypes.Row, error) { return flatRows, nil },
+		})
+	if cerr := build.Close(); err == nil {
+		err = cerr
+	}
 	if err != nil {
 		return nil, err
 	}
-	defer closeFlat()
+	db, err := sqldb.Open(dir, sqldb.Options{Device: storage.HDD})
+	if err != nil {
+		return nil, err
+	}
+	defer db.Close()
+	arr, _ := db.Table("arr")
+	flat, _ := db.Table("flat")
 
 	rng := rand.New(rand.NewSource(w.cfg.Seed))
 	n := w.cfg.Queries
@@ -253,48 +244,41 @@ func (w *Workspace) AblationLayout() (*Table, error) {
 		stops[i] = int64(rng.Intn(labels.NumStops()))
 	}
 
-	measure := func(fetch func(v int64) error) (time.Duration, error) {
-		pool.DropCaches()
-		clock.Reset()
+	var scratch exec.RowScratch
+	// measure returns the time and the device pages of one fetch.
+	measure := func(fetch func(v int64) error) (time.Duration, float64, error) {
+		db.DropCaches()
+		db.Clock().Reset()
+		misses := db.Registry().Pool.Misses.Load()
 		start := time.Now()
 		for _, v := range stops {
 			if err := fetch(v); err != nil {
-				return 0, err
+				return 0, 0, err
 			}
 		}
-		return (time.Since(start) + clock.Elapsed()) / time.Duration(n), nil
+		pages := float64(db.Registry().Pool.Misses.Load()-misses) / float64(n)
+		return (time.Since(start) + db.Clock().Elapsed()) / time.Duration(n), pages, nil
 	}
-	readRow := func(seg *storage.Segment, i int, types []sqltypes.Type) error {
-		data, err := seg.ReadRow(i, nil)
-		if err != nil {
-			return err
+	arrTime, arrPages, err := measure(func(v int64) error {
+		if _, ok, err := arr.LookupPKScratch([]int64{v}, &scratch); !ok || err != nil {
+			return fmt.Errorf("array row for %d: found %v, %v", v, ok, err)
 		}
-		_, _, err = sqltypes.DecodeSegRowInto(data, types, nil, nil)
-		return err
-	}
-
-	arrTime, err := measure(func(v int64) error {
-		i, ok := storage.FindFrom(arrSeg.Keys(), 0, storage.Key{v, 0})
-		if !ok {
-			return fmt.Errorf("array row for %d missing", v)
-		}
-		return readRow(arrSeg, i, arrTypes)
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	flatTime, err := measure(func(v int64) error {
+	flatTime, flatPages, err := measure(func(v int64) error {
 		// Every stop has a tuple 0 (augmented labels hold its dummies).
-		i, ok := storage.FindFrom(flatSeg.Keys(), 0, storage.Key{v, 0})
-		if !ok {
-			return fmt.Errorf("first tuple row for %d missing", v)
-		}
-		for ; i < flatSeg.NumRows() && flatSeg.Key(i)[0] == v; i++ {
-			if err := readRow(flatSeg, i, flatTypes); err != nil {
-				return err
+		for seq := int64(0); ; seq++ {
+			_, ok, err := flat.LookupPKScratch([]int64{v, seq}, &scratch)
+			if err != nil || (!ok && seq == 0) {
+				return fmt.Errorf("first tuple row for %d: found %v, %v", v, ok, err)
+			}
+			if !ok {
+				return nil
 			}
 		}
-		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -304,12 +288,13 @@ func (w *Workspace) AblationLayout() (*Table, error) {
 	return &Table{
 		ID:      "ablation-layout",
 		Title:   fmt.Sprintf("row layout: array-per-stop vs tuple-per-row on %s (fetch one stop's L_out, HDD, cold)", city),
-		Columns: []string{"layout", "avg fetch", "notes"},
+		Columns: []string{"layout", "avg fetch", "pages/fetch", "notes"},
 		Rows: [][]string{
-			{"array (PTLDB/COLD)", ms(arrTime), fmt.Sprintf("1 directory search + 1 wide row; %d KiB of payload", len(arr.Data)>>10)},
-			{"tuple-per-row", ms(flatTime), fmt.Sprintf("1 search + ~%d-entry directory walk + %d small rows; %d KiB of payload", avgLabel, avgLabel, len(flat.Data)>>10)},
+			{"array (PTLDB/COLD)", ms(arrTime), fmt.Sprintf("%.2f", arrPages), "1 key lookup + 1 wide row"},
+			{"tuple-per-row", ms(flatTime), fmt.Sprintf("%.2f", flatPages), fmt.Sprintf("1 key lookup per tuple + 1 past the last: ~%d small rows", avgLabel)},
 		},
 		Notes: []string{"Both variants are segments, so both keep a stop's tuples contiguous in key order: what the array columns buy is delta compression and hub runs (fewer pages per label) and one row decode per stop.",
+			"pages/fetch: device pages a cold fetch reads (the buffer pool's misses).",
 			fmt.Sprintf("array layout %s faster on cold HDD.", speedup(flatTime, arrTime))},
 	}, nil
 }
@@ -465,13 +450,4 @@ func warmPass(db *ptldb.DB, n int, fn func(i int) error) (time.Duration, error) 
 		d += st.SimulatedIO
 	}
 	return d / time.Duration(n), nil
-}
-
-// typeTags renders column types as a segment header's kind tags.
-func typeTags(types []sqltypes.Type) []byte {
-	tags := make([]byte, len(types))
-	for i, t := range types {
-		tags[i] = byte(t)
-	}
-	return tags
 }

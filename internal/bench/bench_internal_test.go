@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -88,7 +89,8 @@ func TestDatasetCaching(t *testing.T) {
 }
 
 // TestAllExperimentsRun executes every experiment end to end at tiny scale,
-// sanity-checks the rendered tables and judges every claim on them: each
+// sanity-checks the rendered tables (ablation-layout's pages per fetch are
+// positive) and judges every claim on them: each
 // claim gets a verdict, and on table7 alone every claim that reads another
 // table reads "not run".
 func TestAllExperimentsRun(t *testing.T) {
@@ -116,6 +118,12 @@ func TestAllExperimentsRun(t *testing.T) {
 			t.Errorf("%s: render holds a chart block", id)
 		}
 		tabs[id] = tbl
+	}
+	// A cold fetch reads at least its row's page from the device.
+	for _, row := range tabs["ablation-layout"].Rows {
+		if pages, err := strconv.ParseFloat(row[2], 64); err != nil || pages <= 0 {
+			t.Errorf("ablation-layout %s: pages/fetch %q, want a positive number", row[0], row[2])
+		}
 	}
 	for _, row := range ClaimTable(tabs, w.Config().Scale).Rows {
 		if v := row[4]; !strings.HasPrefix(v, "✅") && !strings.HasPrefix(v, "⚠️") && !strings.HasPrefix(v, "❌") {

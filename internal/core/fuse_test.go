@@ -4,23 +4,18 @@ import (
 	"strings"
 	"testing"
 
+	"ptldb/internal/obs"
 	"ptldb/internal/sqldb"
 	"ptldb/internal/sqldb/storage"
 	"ptldb/internal/timetable"
 	"ptldb/internal/ttl"
 )
 
-// fusedV2VKinds and fusedSetKinds are the fused plans (exec.FusedPlan.Kind)
-// the entries of the statement table must compile to, by kind.
-var (
-	fusedV2VKinds = [numV2VKinds]string{"v2v-ea", "v2v-ld", "v2v-sd", "v2v-ea-witness"}
-	fusedSetKinds = [numSetKinds]string{"knn-naive-ea", "knn-naive-ld", "cond-knn-ea", "cond-knn-ld", "cond-otm-ea", "cond-otm-ld"}
-)
-
 // TestPreparedStatementsFuse walks the whole statement table — the base
 // version, a version added with AddVersion, and a target set on each — and
-// requires every entry to compile to its fused plan over its own version's
-// tables. Then the query battery never reaches the general executor.
+// requires every entry to compile to the fused plan of its code (its Kind is
+// the code's name) over its own version's tables: four per version, six per
+// target set. Then the query battery never reaches the general executor.
 func TestPreparedStatementsFuse(t *testing.T) {
 	st, _ := paperStore(t, addSet("poi", []timetable.StopID{4, 6}, 4), addVersion("weekend", paperLabels(), addSet("poi", []timetable.StopID{2, 5}, 2)))
 	we, err := st.Version("weekend")
@@ -36,26 +31,33 @@ func TestPreparedStatementsFuse(t *testing.T) {
 		if version != BaseVersion {
 			lout += "__" + version
 		}
-		check := func(name string, stmt *sqldb.Stmt, kind string) {
+		check := func(where string, stmts *stmtTable, want int) {
 			t.Helper()
-			if !stmt.Fused() || stmt.Kind() != kind {
-				t.Errorf("%s %s: fused %v as %q, want %q", version, name, stmt.Fused(), stmt.Kind(), kind)
-				return
+			n := 0
+			for code, stmt := range stmts {
+				if stmt == nil {
+					continue
+				}
+				n++
+				name := obs.Code(code).String()
+				if !stmt.Fused() || stmt.Kind() != name {
+					t.Errorf("%s %s: fused %v as %q, want %q", version, where, stmt.Fused(), stmt.Kind(), name)
+					continue
+				}
+				if plan, _ := stmt.Explain(); !strings.Contains(plan, " "+lout+" ") {
+					t.Errorf("%s %s %s does not read %s:\n%s", version, where, name, lout, plan)
+				}
 			}
-			if plan, _ := stmt.Explain(); !strings.Contains(plan, " "+lout+" ") {
-				t.Errorf("%s %s does not read %s:\n%s", version, name, lout, plan)
+			if n != want {
+				t.Errorf("%s %s: %d statements, want %d", version, where, n, want)
 			}
 		}
-		for k, stmt := range e.v2v {
-			check(v2vKindNames[k], stmt, fusedV2VKinds[k])
-		}
+		check("v2v", &e.stmts, 4)
 		if len(e.sets) != 1 {
 			t.Errorf("%s: %d target sets in the statement table, want 1", version, len(e.sets))
 		}
 		for set, ss := range e.sets {
-			for k, stmt := range ss.stmts {
-				check(setKindNames[k]+":"+set, stmt, fusedSetKinds[k])
-			}
+			check("set "+set, &ss.stmts, 6)
 		}
 	}
 

@@ -8,13 +8,11 @@ package core
 // execute with.
 
 import (
-	"slices"
 	"sort"
 	"strings"
 	"time"
 
 	"ptldb/internal/obs"
-	"ptldb/internal/sqldb"
 	"ptldb/internal/sqldb/exec"
 	"ptldb/internal/sqldb/sqltypes"
 )
@@ -67,41 +65,40 @@ func (s *Store) record(m mark, code obs.Code, fused bool, rel *exec.Relation, er
 	return rel, nil
 }
 
-// observe runs the prepared statement st, recorded under code; the trace's
-// execution path is the one st compiled to at Prepare.
-func (s *Store) observe(code obs.Code, st *sqldb.Stmt, params ...sqltypes.Value) (*exec.Relation, error) {
+// observe runs the statement of t prepared for code, recorded under code; the
+// trace's execution path is the one it compiled to at Prepare.
+func (s *Store) observe(t *stmtTable, code obs.Code, params ...sqltypes.Value) (*exec.Relation, error) {
+	st := t[code]
 	m := s.begin()
 	rel, err := st.Query(params...)
 	return s.record(m, code, st.Fused(), rel, err)
 }
 
 // ExplainNames lists the query names ExplainPrepared accepts under the bound
-// version: the four v2v kinds plus "<kind>:<set>" for every registered
-// target set, sets sorted.
+// version: the names of the four v2v codes plus "<code>:<set>" for each of
+// the six codes of every registered target set, sets sorted.
 func (s *Store) ExplainNames() []string {
 	sets := make([]string, 0, len(s.ver.sets))
 	for set := range s.ver.sets {
 		sets = append(sets, set)
 	}
 	sort.Strings(sets)
-	out := append([]string(nil), v2vKindNames[:]...)
+	out := s.ver.stmts.names(nil, "")
 	for _, set := range sets {
-		for _, kind := range setKindNames {
-			out = append(out, kind+":"+set)
-		}
+		out = s.ver.sets[set].stmts.names(out, ":"+set)
 	}
 	return out
 }
 
 // ExplainPrepared renders the plan of one of the paper's prepared queries,
-// named "<kind>" for the v2v Codes (v2vKindNames) or "<kind>:<set>" for the
-// per-target-set Codes (setKindNames). The statement is the query method's
-// own entry in the statement table, so the rendered tree is the tree that
-// method executes.
+// named by its code: "<code>" for the v2v codes or "<code>:<set>" for the
+// per-target-set codes (ExplainNames lists them). The statement is the query
+// method's own entry in the statement table, so the rendered tree is the tree
+// that method executes.
 func (s *Store) ExplainPrepared(name string) (string, error) {
 	kind, set, _ := strings.Cut(name, ":")
-	if k := slices.Index(v2vKindNames[:], kind); k >= 0 {
-		return s.ver.v2v[k].Explain()
+	if st := s.ver.stmts.named(kind); st != nil {
+		return st.Explain()
 	}
 	if set == "" {
 		return "", invalidf("explain %q: kind %q needs a target set (\"%s:<set>\")", name, kind, kind)
@@ -110,9 +107,9 @@ func (s *Store) ExplainPrepared(name string) (string, error) {
 	if !ok {
 		return "", invalidf("explain %q: unknown target set %q", name, set)
 	}
-	k := slices.Index(setKindNames[:], kind)
-	if k < 0 {
+	st := e.stmts.named(kind)
+	if st == nil {
 		return "", invalidf("unknown query kind %q", kind)
 	}
-	return e.stmts[k].Explain()
+	return st.Explain()
 }

@@ -58,7 +58,7 @@ var explainGoldens = map[string]string{
          ├─ SegmentLookup lout [v = $1]
          └─ SegmentScan knn_naive_poi [vs[1:$3], tas[1:$3], ta <= $2]
 `,
-	"knn-ea:poi": `FusedPlan cond-knn-ea
+	"knn-ea:poi": `FusedPlan knn-ea
 └─ TopK k = $3 by MIN(ta) asc, v2
    └─ GroupFold MIN(ta) per target
       └─ SegmentProbe knn_ea_poi [hub = n1.hub, dephour = FLOOR(n1.ta / 3600)]
@@ -66,7 +66,7 @@ var explainGoldens = map[string]string{
          ├─ Arm expanded: fold vs_exp/tas_exp where n1.ta <= tds_exp
          └─ SegmentLookup lout [v = $1, td >= $2]
 `,
-	"knn-ld:poi": `FusedPlan cond-knn-ld
+	"knn-ld:poi": `FusedPlan knn-ld
 └─ TopK k = $3 by MAX(td) desc, v2
    └─ GroupFold MAX(td) per target
       └─ SegmentProbe knn_ld_poi [hub = n1.hub, arrhour = FLOOR($2 / 3600)]
@@ -74,7 +74,7 @@ var explainGoldens = map[string]string{
          ├─ Arm expanded: fold vs_exp where tds_exp >= n1.ta and tas_exp <= $2
          └─ SegmentLookup lout [v = $1]
 `,
-	"otm-ea:poi": `FusedPlan cond-otm-ea
+	"otm-ea:poi": `FusedPlan otm-ea
 └─ Sort by MIN(ta) asc, v2
    └─ GroupFold MIN(ta) per target
       └─ SegmentProbe otm_ea_poi [hub = n1.hub, dephour = FLOOR(n1.ta / 3600)]
@@ -82,7 +82,7 @@ var explainGoldens = map[string]string{
          ├─ Arm expanded: fold vs_exp/tas_exp where n1.ta <= tds_exp
          └─ SegmentLookup lout [v = $1, td >= $2]
 `,
-	"otm-ld:poi": `FusedPlan cond-otm-ld
+	"otm-ld:poi": `FusedPlan otm-ld
 └─ Sort by MAX(td) desc, v2
    └─ GroupFold MAX(td) per target
       └─ SegmentProbe otm_ld_poi [hub = n1.hub, arrhour = FLOOR($2 / 3600)]

@@ -197,7 +197,7 @@ func (s *Store) EarliestArrivalJourneyDB(src, dst timetable.StopID, t timetable.
 	if err := s.checkStops(src, dst); err != nil {
 		return DBJourney{}, false, err
 	}
-	rel, err := s.observe(obs.CodeV2VEAWitness, s.ver.v2v[v2vWitness],
+	rel, err := s.observe(&s.ver.stmts, obs.CodeV2VEAWitness,
 		sqltypes.NewInt(int64(src)), sqltypes.NewInt(int64(dst)), sqltypes.NewInt(int64(t)))
 	if err != nil {
 		return DBJourney{}, false, err

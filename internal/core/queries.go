@@ -4,16 +4,15 @@ import (
 	"fmt"
 
 	"ptldb/internal/obs"
-	"ptldb/internal/sqldb"
 	"ptldb/internal/sqldb/exec"
 	"ptldb/internal/sqldb/sqltypes"
 	"ptldb/internal/timetable"
 )
 
-// queryScalar runs a statement whose result is a single one-column row,
-// observed under code.
-func (s *Store) queryScalar(code obs.Code, st *sqldb.Stmt, params ...sqltypes.Value) (timetable.Time, bool, error) {
-	rel, err := s.observe(code, st, params...)
+// queryScalar runs the statement of t for code, whose result is a single
+// one-column row, observed under code.
+func (s *Store) queryScalar(t *stmtTable, code obs.Code, params ...sqltypes.Value) (timetable.Time, bool, error) {
+	rel, err := s.observe(t, code, params...)
 	if err != nil {
 		return 0, false, err
 	}
@@ -37,7 +36,7 @@ func (s *Store) EarliestArrival(src, dst timetable.StopID, t timetable.Time) (ar
 	if err := s.checkStops(src, dst); err != nil {
 		return 0, false, err
 	}
-	return s.queryScalar(obs.CodeV2VEA, s.ver.v2v[v2vEA],
+	return s.queryScalar(&s.ver.stmts, obs.CodeV2VEA,
 		sqltypes.NewInt(int64(src)), sqltypes.NewInt(int64(dst)), sqltypes.NewInt(int64(t)))
 }
 
@@ -46,7 +45,7 @@ func (s *Store) LatestDeparture(src, dst timetable.StopID, t timetable.Time) (de
 	if err := s.checkStops(src, dst); err != nil {
 		return 0, false, err
 	}
-	return s.queryScalar(obs.CodeV2VLD, s.ver.v2v[v2vLD],
+	return s.queryScalar(&s.ver.stmts, obs.CodeV2VLD,
 		sqltypes.NewInt(int64(src)), sqltypes.NewInt(int64(dst)), sqltypes.NewInt(int64(t)))
 }
 
@@ -55,15 +54,15 @@ func (s *Store) ShortestDuration(src, dst timetable.StopID, t, tEnd timetable.Ti
 	if err := s.checkStops(src, dst); err != nil {
 		return 0, false, err
 	}
-	return s.queryScalar(obs.CodeV2VSD, s.ver.v2v[v2vSD],
+	return s.queryScalar(&s.ver.stmts, obs.CodeV2VSD,
 		sqltypes.NewInt(int64(src)), sqltypes.NewInt(int64(dst)),
 		sqltypes.NewInt(int64(t)), sqltypes.NewInt(int64(tEnd)))
 }
 
-// queryResults runs a statement returning (stop, time) rows, observed under
-// code.
-func (s *Store) queryResults(code obs.Code, st *sqldb.Stmt, params ...sqltypes.Value) ([]Result, error) {
-	rel, err := s.observe(code, st, params...)
+// queryResults runs the statement of t for code, which returns (stop, time)
+// rows, observed under code.
+func (s *Store) queryResults(t *stmtTable, code obs.Code, params ...sqltypes.Value) ([]Result, error) {
+	rel, err := s.observe(t, code, params...)
 	if err != nil {
 		return nil, err
 	}
@@ -104,7 +103,7 @@ func (s *Store) EAKNNNaive(set string, q timetable.StopID, t timetable.Time, k i
 	if err != nil {
 		return nil, err
 	}
-	return s.queryResults(obs.CodeKNNNaiveEA, e.stmts[knnNaiveEA],
+	return s.queryResults(&e.stmts, obs.CodeKNNNaiveEA,
 		sqltypes.NewInt(int64(q)), sqltypes.NewInt(int64(t)), sqltypes.NewInt(int64(k)))
 }
 
@@ -115,7 +114,7 @@ func (s *Store) LDKNNNaive(set string, q timetable.StopID, t timetable.Time, k i
 	if err != nil {
 		return nil, err
 	}
-	return s.queryResults(obs.CodeKNNNaiveLD, e.stmts[knnNaiveLD],
+	return s.queryResults(&e.stmts, obs.CodeKNNNaiveLD,
 		sqltypes.NewInt(int64(q)), sqltypes.NewInt(int64(t)), sqltypes.NewInt(int64(k)))
 }
 
@@ -125,7 +124,7 @@ func (s *Store) EAKNN(set string, q timetable.StopID, t timetable.Time, k int) (
 	if err != nil {
 		return nil, err
 	}
-	return s.queryResults(obs.CodeKNNEA, e.stmts[knnEA],
+	return s.queryResults(&e.stmts, obs.CodeKNNEA,
 		sqltypes.NewInt(int64(q)), sqltypes.NewInt(int64(t)), sqltypes.NewInt(int64(k)))
 }
 
@@ -149,7 +148,7 @@ func (s *Store) LDKNN(set string, q timetable.StopID, t timetable.Time, k int) (
 	if err != nil {
 		return nil, err
 	}
-	return s.queryResults(obs.CodeKNNLD, e.stmts[knnLD],
+	return s.queryResults(&e.stmts, obs.CodeKNNLD,
 		sqltypes.NewInt(int64(q)), sqltypes.NewInt(s.clampLD(t)), sqltypes.NewInt(int64(k)))
 }
 
@@ -160,7 +159,7 @@ func (s *Store) EAOTM(set string, q timetable.StopID, t timetable.Time) ([]Resul
 	if err != nil {
 		return nil, err
 	}
-	return s.queryResults(obs.CodeOTMEA, e.stmts[otmEA],
+	return s.queryResults(&e.stmts, obs.CodeOTMEA,
 		sqltypes.NewInt(int64(q)), sqltypes.NewInt(int64(t)))
 }
 
@@ -170,7 +169,7 @@ func (s *Store) LDOTM(set string, q timetable.StopID, t timetable.Time) ([]Resul
 	if err != nil {
 		return nil, err
 	}
-	return s.queryResults(obs.CodeOTMLD, e.stmts[otmLD],
+	return s.queryResults(&e.stmts, obs.CodeOTMLD,
 		sqltypes.NewInt(int64(q)), sqltypes.NewInt(s.clampLD(t)))
 }
 

@@ -10,45 +10,22 @@ package core
 import (
 	"fmt"
 
+	"ptldb/internal/obs"
 	"ptldb/internal/sqldb"
 	"ptldb/internal/sqldb/exec"
 )
 
-// v2vKind indexes a version's vertex-to-vertex statements: Code 1's EA, LD
-// and SD, and the journey witness. v2vKindNames is its one name table, the
-// names ExplainPrepared accepts for them.
-type v2vKind int
-
-const (
-	v2vEA v2vKind = iota
-	v2vLD
-	v2vSD
-	v2vWitness
-	numV2VKinds
-)
-
-var v2vKindNames = [numV2VKinds]string{"v2v-ea", "v2v-ld", "v2v-sd", "v2v-ea-witness"}
-
-// setKind indexes a target set's kNN and one-to-many statements (Codes 2–4).
-// setKindNames is its one name table, in the order ExplainNames lists them.
-type setKind int
-
-const (
-	knnNaiveEA setKind = iota
-	knnNaiveLD
-	knnEA
-	knnLD
-	otmEA
-	otmLD
-	numSetKinds
-)
-
-var setKindNames = [numSetKinds]string{"knn-naive-ea", "knn-naive-ld", "knn-ea", "knn-ld", "otm-ea", "otm-ld"}
+// stmtTable holds one statement per query code: a version's entry fills the
+// four vertex-to-vertex codes (Code 1's EA, LD and SD, and the journey
+// witness), a target set's the six kNN and one-to-many codes (Codes 2–4), and
+// every other slot is nil. The codes' names (obs.Code.String) are the names
+// ExplainPrepared accepts, in the order ExplainNames lists them.
+type stmtTable [obs.NumCodes]*sqldb.Stmt
 
 // versionStmts is one timetable version's entry in the statement table.
 type versionStmts struct {
-	v2v  [numV2VKinds]*sqldb.Stmt
-	sets map[string]*setStmts
+	stmts stmtTable
+	sets  map[string]*setStmts
 }
 
 // setStmts is one target set's entry: its statements and the kmax its kNN
@@ -56,19 +33,19 @@ type versionStmts struct {
 // fetches its statement.
 type setStmts struct {
 	kmax  int
-	stmts [numSetKinds]*sqldb.Stmt
+	stmts stmtTable
 }
 
 // prepareVersion is the entry of v's version in the statement table: its v2v
 // statements and those of every target set it has. Only Open calls it.
 func prepareVersion(db *sqldb.DB, v view) (*versionStmts, error) {
 	e := &versionStmts{sets: make(map[string]*setStmts, len(v.vm().TargetSets))}
-	if err := v.prepare(db, "", e.v2v[:]); err != nil {
+	if err := v.prepare(db, "", &e.stmts); err != nil {
 		return nil, err
 	}
 	for set, ts := range v.vm().TargetSets {
 		se := &setStmts{kmax: ts.KMax}
-		if err := v.prepare(db, set, se.stmts[:]); err != nil {
+		if err := v.prepare(db, set, &se.stmts); err != nil {
 			return nil, err
 		}
 		e.sets[set] = se
@@ -80,34 +57,58 @@ func prepareVersion(db *sqldb.DB, v view) (*versionStmts, error) {
 // v2v statements when set is "", else the six of its target set of that
 // name, each the text of exec/codes.go over that version's or set's tables.
 // It is the one place core formats a statement or calls Prepare.
-func (v view) prepare(db *sqldb.DB, set string, into []*sqldb.Stmt) error {
+func (v view) prepare(db *sqldb.DB, set string, into *stmtTable) error {
 	lout, w := v.loutTable(), v.meta.BucketSeconds
-	var texts []string
+	var texts [obs.NumCodes]string
 	if set == "" {
 		lin := v.linTable()
-		texts = []string{
-			v2vEA:      fmt.Sprintf(exec.SQLV2VEA, lout, lin),
-			v2vLD:      fmt.Sprintf(exec.SQLV2VLD, lout, lin),
-			v2vSD:      fmt.Sprintf(exec.SQLV2VSD, lout, lin),
-			v2vWitness: fmt.Sprintf(exec.SQLV2VEAWitness, lout, lin),
+		texts = [obs.NumCodes]string{
+			obs.CodeV2VEA:        fmt.Sprintf(exec.SQLV2VEA, lout, lin),
+			obs.CodeV2VLD:        fmt.Sprintf(exec.SQLV2VLD, lout, lin),
+			obs.CodeV2VSD:        fmt.Sprintf(exec.SQLV2VSD, lout, lin),
+			obs.CodeV2VEAWitness: fmt.Sprintf(exec.SQLV2VEAWitness, lout, lin),
 		}
 	} else {
 		t := v.targetSetDefs(set, 0)
-		texts = []string{
-			knnNaiveEA: fmt.Sprintf(exec.SQLKNNNaiveEA, t[naiveTable].Name, lout),
-			knnNaiveLD: fmt.Sprintf(exec.SQLKNNNaiveLD, t[naiveTable].Name, lout),
-			knnEA:      fmt.Sprintf(exec.SQLKNNEA, t[knnEATable].Name, w, lout),
-			knnLD:      fmt.Sprintf(exec.SQLKNNLD, t[knnLDTable].Name, w, lout),
-			otmEA:      fmt.Sprintf(exec.SQLOTMEA, t[otmEATable].Name, w, lout),
-			otmLD:      fmt.Sprintf(exec.SQLOTMLD, t[otmLDTable].Name, w, lout),
+		texts = [obs.NumCodes]string{
+			obs.CodeKNNNaiveEA: fmt.Sprintf(exec.SQLKNNNaiveEA, t[naiveTable].Name, lout),
+			obs.CodeKNNNaiveLD: fmt.Sprintf(exec.SQLKNNNaiveLD, t[naiveTable].Name, lout),
+			obs.CodeKNNEA:      fmt.Sprintf(exec.SQLKNNEA, t[knnEATable].Name, w, lout),
+			obs.CodeKNNLD:      fmt.Sprintf(exec.SQLKNNLD, t[knnLDTable].Name, w, lout),
+			obs.CodeOTMEA:      fmt.Sprintf(exec.SQLOTMEA, t[otmEATable].Name, w, lout),
+			obs.CodeOTMLD:      fmt.Sprintf(exec.SQLOTMLD, t[otmLDTable].Name, w, lout),
 		}
 	}
-	for i, text := range texts {
+	for code, text := range texts {
+		if text == "" {
+			continue
+		}
 		st, err := db.Prepare(text)
 		if err != nil {
 			return err
 		}
-		into[i] = st
+		into[code] = st
 	}
 	return nil
+}
+
+// named is t's statement whose code is named name, nil when t has none.
+func (t *stmtTable) named(name string) *sqldb.Stmt {
+	for code, st := range t {
+		if st != nil && obs.Code(code).String() == name {
+			return st
+		}
+	}
+	return nil
+}
+
+// names appends the names of t's statements, in code order, each followed by
+// suffix, to out.
+func (t *stmtTable) names(out []string, suffix string) []string {
+	for code, st := range t {
+		if st != nil {
+			out = append(out, obs.Code(code).String()+suffix)
+		}
+	}
+	return out
 }

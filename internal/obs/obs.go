@@ -47,7 +47,10 @@ func (g *Gauge) Load() int64 { return g.v.Load() }
 
 // Code identifies one query shape of the paper: Codes 1-4 in their EA/LD/SD
 // variants, plus the journey witness of Code 1 and Raw for ad-hoc SQL issued
-// through the store.
+// through the store. It is the one list of the workload's statements: exec's
+// recognizer tags each fused plan with its code, core's statement tables are
+// indexed by it, and its names are the plans' kinds and the names
+// ExplainPrepared accepts.
 type Code int
 
 // The query codes, in the order the paper introduces them.

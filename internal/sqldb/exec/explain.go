@@ -15,7 +15,7 @@ import (
 // evaluates the plan, not the SQL's syntactic join order.
 func (p *FusedPlan) Explain() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "FusedPlan %s\n", p.kind)
+	fmt.Fprintf(&b, "FusedPlan %s\n", p.code)
 	switch {
 	case p.v2v != nil:
 		p.explainV2V(&b)

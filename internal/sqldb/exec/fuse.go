@@ -33,7 +33,7 @@ import (
 // its tables. Plans are immutable after Fuse apart from the pool of query
 // states, and safe for concurrent Run calls. A plan must not be copied.
 type FusedPlan struct {
-	kind   string
+	code   obs.Code
 	schema Schema
 	// width is the statement's bucket width (the condensed codes only).
 	width int64
@@ -67,9 +67,9 @@ func (p *FusedPlan) reads(labelTable, second string, pk int, targets []int, cols
 	p.tables[1] = tableRef{name: second, cols: cols, pk: pk, targets: targets}
 }
 
-// Kind names the recognized statement ("v2v-ea", "knn-naive-ld",
-// "cond-otm-ea", ...) for tests and diagnostics.
-func (p *FusedPlan) Kind() string { return p.kind }
+// Kind names the recognized statement by its code ("v2v-ea",
+// "knn-naive-ld", "otm-ea", ...) for tests and diagnostics.
+func (p *FusedPlan) Kind() string { return p.code.String() }
 
 // fusedV2V is Code 1: join of one lout and one lin label, MIN/MAX scalar or
 // the witness row.
@@ -119,10 +119,10 @@ func condensed(ea bool, kParam int) *fusedCondensed {
 	return f
 }
 
-// code is one statement of the workload: its text, and the kernel values the
-// text fixes.
+// code is one statement of the workload: its query code, its text, and the
+// kernel values the text fixes.
 type code struct {
-	kind string
+	code obs.Code
 	text string
 	v2v  *fusedV2V
 	knn  *fusedKNNNaive
@@ -139,16 +139,16 @@ const holePrefix = "ptldb_hole_"
 // codes parses the workload once per process.
 var codes = sync.OnceValue(func() []code {
 	cs := []code{
-		{kind: "v2v-ea", text: SQLV2VEA, v2v: &fusedV2V{op: 'E', outVParam: 1, inVParam: 2, tParam: 3}},
-		{kind: "v2v-ld", text: SQLV2VLD, v2v: &fusedV2V{op: 'L', outVParam: 1, inVParam: 2, tParam: 3}},
-		{kind: "v2v-sd", text: SQLV2VSD, v2v: &fusedV2V{op: 'S', outVParam: 1, inVParam: 2, tParam: 3, tEndParam: 4}},
-		{kind: "v2v-ea-witness", text: SQLV2VEAWitness, v2v: &fusedV2V{op: 'W', outVParam: 1, inVParam: 2, tParam: 3}},
-		{kind: "knn-naive-ea", text: SQLKNNNaiveEA, knn: &fusedKNNNaive{ea: true, qParam: 1, tParam: 2, kParam: 3}},
-		{kind: "knn-naive-ld", text: SQLKNNNaiveLD, knn: &fusedKNNNaive{qParam: 1, tParam: 2, kParam: 3}},
-		{kind: "cond-knn-ea", text: SQLKNNEA, cond: condensed(true, 3)},
-		{kind: "cond-otm-ea", text: SQLOTMEA, cond: condensed(true, 0)},
-		{kind: "cond-knn-ld", text: SQLKNNLD, cond: condensed(false, 3)},
-		{kind: "cond-otm-ld", text: SQLOTMLD, cond: condensed(false, 0)},
+		{code: obs.CodeV2VEA, text: SQLV2VEA, v2v: &fusedV2V{op: 'E', outVParam: 1, inVParam: 2, tParam: 3}},
+		{code: obs.CodeV2VLD, text: SQLV2VLD, v2v: &fusedV2V{op: 'L', outVParam: 1, inVParam: 2, tParam: 3}},
+		{code: obs.CodeV2VSD, text: SQLV2VSD, v2v: &fusedV2V{op: 'S', outVParam: 1, inVParam: 2, tParam: 3, tEndParam: 4}},
+		{code: obs.CodeV2VEAWitness, text: SQLV2VEAWitness, v2v: &fusedV2V{op: 'W', outVParam: 1, inVParam: 2, tParam: 3}},
+		{code: obs.CodeKNNNaiveEA, text: SQLKNNNaiveEA, knn: &fusedKNNNaive{ea: true, qParam: 1, tParam: 2, kParam: 3}},
+		{code: obs.CodeKNNNaiveLD, text: SQLKNNNaiveLD, knn: &fusedKNNNaive{qParam: 1, tParam: 2, kParam: 3}},
+		{code: obs.CodeKNNEA, text: SQLKNNEA, cond: condensed(true, 3)},
+		{code: obs.CodeOTMEA, text: SQLOTMEA, cond: condensed(true, 0)},
+		{code: obs.CodeKNNLD, text: SQLKNNLD, cond: condensed(false, 3)},
+		{code: obs.CodeOTMLD, text: SQLOTMLD, cond: condensed(false, 0)},
 	}
 	for i := range cs {
 		c := &cs[i]
@@ -158,7 +158,7 @@ var codes = sync.OnceValue(func() []code {
 		}
 		pattern, err := sql.Parse(fmt.Sprintf(c.text, args...))
 		if err != nil {
-			panic(fmt.Sprintf("exec: %s does not parse: %v", c.kind, err))
+			panic(fmt.Sprintf("exec: %s does not parse: %v", c.code, err))
 		}
 		c.pattern = pattern
 	}
@@ -193,7 +193,7 @@ func recognize(sel *sql.Select) *FusedPlan {
 		if !m.sel(c.pattern, sel) || !baseTablesDistinctFromCTEs(sel, m.tables[:]...) {
 			continue
 		}
-		p := &FusedPlan{kind: c.kind, schema: itemSchema(sel.Core.Items), width: m.width,
+		p := &FusedPlan{code: c.code, schema: itemSchema(sel.Core.Items), width: m.width,
 			v2v: c.v2v, knn: c.knn, cond: c.cond}
 		switch {
 		case c.v2v != nil: // %[1]s = lout, %[2]s = lin

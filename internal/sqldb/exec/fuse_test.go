@@ -49,13 +49,13 @@ func TestFuseRecognizesCodes(t *testing.T) {
 		{"v2v-ea-witness", fmt.Sprintf(SQLV2VEAWitness, "lout__weekend", "lin__weekend"), "lout__weekend", "lin__weekend", 0},
 		{"knn-naive-ea", fmt.Sprintf(SQLKNNNaiveEA, "knn_naive_s", "lout"), "lout", "knn_naive_s", 0},
 		{"knn-naive-ld", fmt.Sprintf(SQLKNNNaiveLD, "knn_naive_s_v2", "lout_v2"), "lout_v2", "knn_naive_s_v2", 0},
-		{"cond-knn-ea", fmt.Sprintf(SQLKNNEA, "knn_ea_s", 3600, "lout"), "lout", "knn_ea_s", 3600},
-		{"cond-otm-ea", fmt.Sprintf(SQLOTMEA, "otm_ea_s", 900, "lout"), "lout", "otm_ea_s", 900},
-		{"cond-knn-ld", fmt.Sprintf(SQLKNNLD, "knn_ld_s_v2", 900, "lout_v2"), "lout_v2", "knn_ld_s_v2", 900},
-		{"cond-otm-ld", fmt.Sprintf(SQLOTMLD, "otm_ld_s", 1, "LOUT"), "LOUT", "otm_ld_s", 1},
+		{"knn-ea", fmt.Sprintf(SQLKNNEA, "knn_ea_s", 3600, "lout"), "lout", "knn_ea_s", 3600},
+		{"otm-ea", fmt.Sprintf(SQLOTMEA, "otm_ea_s", 900, "lout"), "lout", "otm_ea_s", 900},
+		{"knn-ld", fmt.Sprintf(SQLKNNLD, "knn_ld_s_v2", 900, "lout_v2"), "lout_v2", "knn_ld_s_v2", 900},
+		{"otm-ld", fmt.Sprintf(SQLOTMLD, "otm_ld_s", 1, "LOUT"), "LOUT", "otm_ld_s", 1},
 		// Identifiers compare case-insensitively, as the general executor
 		// resolves them.
-		{"cond-knn-ea", strings.ToUpper(fmt.Sprintf(SQLKNNEA, "knn_ea_s", 50, "lout")), "LOUT", "KNN_EA_S", 50},
+		{"knn-ea", strings.ToUpper(fmt.Sprintf(SQLKNNEA, "knn_ea_s", 50, "lout")), "LOUT", "KNN_EA_S", 50},
 	}
 	for _, tc := range cases {
 		fp := recognize(mustParse(t, tc.q))
@@ -509,7 +509,7 @@ func TestFusedTypedErrors(t *testing.T) {
 		{"float parameter", v2vEA, good, []sqltypes.Value{one, sqltypes.NewFloat(1.5), one}, []string{"v2v-ea", "$2", "BIGINT"}},
 		{"missing parameter", v2vEA, good, ones[:2], []string{"v2v-ea", "$3", "missing"}},
 		{"negative k, naive", naiveEA, good, []sqltypes.Value{one, one, sqltypes.NewInt(-1)}, []string{"knn-naive-ea", "negative LIMIT"}},
-		{"negative k, condensed", knnEA, good, []sqltypes.Value{one, one, sqltypes.NewInt(-2)}, []string{"cond-knn-ea", "negative LIMIT"}},
+		{"negative k, condensed", knnEA, good, []sqltypes.Value{one, one, sqltypes.NewInt(-2)}, []string{"knn-ea", "negative LIMIT"}},
 		{"missing table", v2vEA, memCatalog{"lout": good["lout"]}, nil, []string{`"lin"`}},
 		{"table without key", v2vEA,
 			with("lout", &memTable{cols: labelCols, runOrder: []int{1, 2, 3}}), nil, []string{`"lout"`, "primary key"}},

@@ -8,7 +8,7 @@ package exec
 // concurrent use. The tables and their layout were bound and checked once,
 // by Fuse; what Fuse cannot know — integer parameters, arrays of matching
 // lengths, target ids inside the declared bound — is checked here, and a
-// violation is an error naming the plan kind or the table. The order of a
+// violation is an error naming the plan's code or the table. The order of a
 // label's arrays is not among them: a table declares it (Table.RunOrder),
 // Load validated it where the row was written, and the kernels trust it.
 
@@ -48,16 +48,16 @@ func (p *FusedPlan) intParam(params []sqltypes.Value, n int) (int64, error) {
 // hotpath:cold — a caller bug.
 func (p *FusedPlan) paramErr(params []sqltypes.Value, n int) error {
 	if n > len(params) {
-		return fmt.Errorf("exec: %s: parameter $%d is missing", p.kind, n)
+		return fmt.Errorf("exec: %s: parameter $%d is missing", p.code, n)
 	}
-	return fmt.Errorf("exec: %s: parameter $%d is %s, want BIGINT", p.kind, n, params[n-1].T)
+	return fmt.Errorf("exec: %s: parameter $%d is %s, want BIGINT", p.code, n, params[n-1].T)
 }
 
 // limitParam reads the LIMIT parameter n, a non-negative BIGINT.
 func (p *FusedPlan) limitParam(params []sqltypes.Value, n int) (int, error) {
 	k, err := p.intParam(params, n)
 	if err == nil && k < 0 {
-		err = fmt.Errorf("exec: %s: negative LIMIT %d in parameter $%d", p.kind, k, n)
+		err = fmt.Errorf("exec: %s: negative LIMIT %d in parameter $%d", p.code, k, n)
 	}
 	return int(k), err
 }

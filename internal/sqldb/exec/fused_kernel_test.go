@@ -370,10 +370,10 @@ func TestFusedCondensedAwkwardShapes(t *testing.T) {
 		kNN  bool
 		kind string
 	}{
-		{fmt.Sprintf(SQLKNNEA, "aux_ea", width, "lout"), true, "cond-knn-ea"},
-		{fmt.Sprintf(SQLKNNLD, "aux_ld", width, "lout"), true, "cond-knn-ld"},
-		{fmt.Sprintf(SQLOTMEA, "aux_ea", width, "lout"), false, "cond-otm-ea"},
-		{fmt.Sprintf(SQLOTMLD, "aux_ld", width, "lout"), false, "cond-otm-ld"},
+		{fmt.Sprintf(SQLKNNEA, "aux_ea", width, "lout"), true, "knn-ea"},
+		{fmt.Sprintf(SQLKNNLD, "aux_ld", width, "lout"), true, "knn-ld"},
+		{fmt.Sprintf(SQLOTMEA, "aux_ea", width, "lout"), false, "otm-ea"},
+		{fmt.Sprintf(SQLOTMLD, "aux_ld", width, "lout"), false, "otm-ld"},
 	}
 	for trial := 0; trial < 32; trial++ {
 		cat := awkwardCatalog(rng, trial%2 == 0)

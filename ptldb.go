@@ -111,13 +111,6 @@ type Config struct {
 	// BucketSeconds is the kNN/one-to-many grouping granularity
 	// (default 3600, the paper's one-hour buckets).
 	BucketSeconds int32
-	// Ordering selects the TTL vertex order of every label build — Create's
-	// and AddVersion's: "neighbor-degree" (default), "degree", "hub-usage"
-	// (sampled-journey betweenness, slower to compute but usually smallest
-	// labels) or "random".
-	Ordering string
-	// Seed feeds the "hub-usage" and "random" orderings.
-	Seed int64
 	// VectorCacheBytes sets the resident vector cache's byte budget: label
 	// segments are decoded once into in-memory column vectors and served to
 	// the fused executor as direct slice views. 0 selects
@@ -130,8 +123,8 @@ type Config struct {
 	// of every all-integer table's vectors keeps every table resident; a
 	// table's vectors take 16 B per row, 8 B per BIGINT value, 4 B per array
 	// element and 4 B per array start (one per row and INT[] column, plus
-	// one), which comes to about 2.4 times the image's bytes on disk (Austin
-	// ×0.15: 9.04 MiB of vectors from a 3.72 MiB image). It has no effect on
+	// one), which comes to about 2.8 times the image's bytes on disk (Austin
+	// ×0.15: 9.04 MiB of vectors from a 3.25 MiB image). It has no effect on
 	// query answers.
 	// The directory writers (AddTargetSet, AddVersion, BuildPathTables)
 	// ignore it.
@@ -154,7 +147,7 @@ type Config struct {
 
 // DefaultVectorCacheBytes is the vector-cache budget when Config leaves
 // VectorCacheBytes zero: 256 MiB, enough to keep every label table of one
-// paper-scale city resident (their decoded vectors are close to their
+// paper-scale city resident (their decoded vectors are about 2.8 times their
 // segments' bytes on disk, tens of MiB per city at the benchmark scales).
 const DefaultVectorCacheBytes = 256 << 20
 
@@ -189,7 +182,7 @@ type DB struct {
 	db    *sqldb.DB
 }
 
-// Create preprocesses tt (TTL labels under the configured vertex order,
+// Create preprocesses tt (TTL labels under the neighbor-degree vertex order,
 // dummy-tuple augmentation, lout/lin tables) into a new database directory,
 // made if it is missing, on a build handle of its own, closes that, and
 // returns the directory opened with cfg, as Open would: a created handle
@@ -232,10 +225,7 @@ func CreateWithStats(dir string, tt *Network, cfg Config) (*DB, PreprocessStats,
 	}
 
 	start := time.Now()
-	ord, err := cfg.order(tt)
-	if err != nil {
-		return nil, stats, err
-	}
+	ord := order.ByNeighborDegree(tt)
 	stats.OrderTime = time.Since(start)
 
 	start = time.Now()
@@ -334,36 +324,11 @@ func AddTargetSet(dir, version, name string, targets []StopID, kmax int, cfg Con
 // AddVersion loads a second timetable (e.g. the weekend schedule) into the
 // database in dir as a named version with its own lout/lin tables — the
 // paper's Section 3.1 approach to period-dependent timetables — labelled
-// under cfg's Ordering and Seed, as Create labels. The network must have the
-// same stops.
+// under the vertex order Create labels under. The network must have the same
+// stops.
 func AddVersion(dir, name string, tt *Network, cfg Config) error {
-	ord, err := cfg.order(tt)
-	if err != nil {
-		return err
-	}
-	labels := ttl.BuildParallel(tt, ord, cfg.BuildWorkers).Augment()
+	labels := ttl.BuildParallel(tt, order.ByNeighborDegree(tt), cfg.BuildWorkers).Augment()
 	return write(dir, core.BaseVersion, cfg, func(w *core.Writer) error { return w.AddVersion(name, labels) })
-}
-
-// order computes the TTL vertex order of tt that c.Ordering names, or an
-// error naming an unknown one.
-func (c Config) order(tt *Network) (order.Order, error) {
-	switch c.Ordering {
-	case "", "neighbor-degree":
-		return order.ByNeighborDegree(tt), nil
-	case "degree":
-		return order.ByDegree(tt), nil
-	case "hub-usage":
-		samples := tt.NumStops() / 10
-		if samples < 32 {
-			samples = 32
-		}
-		return order.ByHubUsage(tt, samples, c.Seed), nil
-	case "random":
-		return order.Random(tt.NumStops(), c.Seed), nil
-	default:
-		return nil, fmt.Errorf("ptldb: unknown ordering %q", c.Ordering)
-	}
 }
 
 // BuildPathTables materializes the expanded journey of every label tuple of

@@ -244,9 +244,6 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Create(t.TempDir(), tt, Config{Device: "floppy"}); err == nil {
 		t.Error("unknown device accepted")
 	}
-	if _, err := Create(t.TempDir(), tt, Config{Ordering: "alphabetical"}); err == nil {
-		t.Error("unknown ordering accepted")
-	}
 	if _, err := Open(t.TempDir(), Config{}); err == nil {
 		t.Error("opening an empty directory succeeded")
 	}

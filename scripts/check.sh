@@ -3,7 +3,9 @@
 # deleted (one executor, one image file, one probe order — one counting pass
 # per byte of the bucket span, no comparison-sort fallback —, one measuring
 # regime and no chart or trace aggregator in ptldb-bench, one trace hook
-# fixed at Open, and the rest below); vet, project lint, build, and the whole test suite under the race
+# fixed at Open, one owner per decision — only sqldb writes a segment, one
+# dataset cache, obs.Code the one list of the statements, no vertex-order
+# knob —, and the rest below); vet, project lint, build, and the whole test suite under the race
 # detector with shuffled test order, then once more with module-wide
 # coverage, which must reach every function outside cmd/ and examples/, the
 # general SQL engine's coverage by its callers alone, 10-second fuzzes of the
@@ -223,6 +225,15 @@ if git grep -nE 'ChartCols|renderChart|NewAggregator|TraceTotals|VCacheBytes' --
     git grep -nE 'obs-out|vcache-bytes' -- 'cmd/ptldb-bench'; then
     echo "every ptldb-bench database opens with no vector cache (bench.Workspace.Open), so each figure reads the" >&2
     echo "device it names; the report is tables and the claim table: no chart, no per-query trace file" >&2
+    exit 1
+fi
+echo "== one owner per decision: sqldb writes segments, one dataset cache, obs.Code names the statements, one vertex order"
+if git grep -nE 'Ordering:|cfg\.order\(|typeTags|benchDatasetFormat|v2vKindNames|setKindNames' -- '*.go' ':!*_test.go' ':!benchmark' ||
+    git grep -nE 'storage\.(SegmentData|AppendSegment|OpenSegment|CreatePagedFile|NewPool|FindFrom)|sqltypes\.(EncodeSegRow|DecodeSegRow|IntRuns)' -- 'internal/bench/*.go' 'cmd/' ':!*_test.go'; then
+    echo "only sqldb.DB.Load writes a segment (ablation-layout loads its two tables and reads them by key);" >&2
+    echo "BenchmarkFusedExec takes ptldb-bench's dataset cache, the one with a format number; core and exec index" >&2
+    echo "the statements by obs.Code, whose names are the only list; every label build uses the neighbor-degree" >&2
+    echo "order, and ablation-ordering alone compares orders: no Config.Ordering, no Seed, no -order" >&2
     exit 1
 fi
 echo "== go vet ./..."
