@@ -164,8 +164,9 @@ func checkNeighbors(t *testing.T, what string, got []Result, want []csa.Neighbor
 // TestVectorSizeMatchesPrediction reopens a store under budgets that grow
 // by one table at a time, in image order: the sum of the vector sizes
 // worked out here from the rows of the first k all-integer tables. Open
-// admits a table on the size its segment's header gives (row and element
-// counts; the label hubs are stored as runs) and refuses vectors
+// admits a table on the size its segment's header gives (row and int32
+// counts; the label hubs are stored, and kept resident, as runs: two int32s
+// per run) and refuses vectors
 // of any other size, so the open succeeding proves prediction == Mat.Bytes;
 // exactly the first k tables resident, in exactly that many bytes, proves
 // both are right, table by table.
@@ -193,14 +194,18 @@ func TestVectorSizeMatchesPrediction(t *testing.T) {
 				continue // a table with a DOUBLE or TEXT column has no vectors
 			}
 			tbl, _ := sdb.Table(name)
-			// 16·rows + 8·scalar values + 4·elements + 4·(rows·arrays + 1).
+			// 16·rows + 8·scalar values + 4·int32s + 4·(rows·arrays + 1), a
+			// label's hubs counted as two int32s per run.
 			rows, scalars, elems, arrays := int64(0), int64(0), int64(0), int64(0)
 			err := tbl.Scan(func(r sqltypes.Row) error {
 				rows++
-				for _, v := range r {
-					if v.T == sqltypes.Int64 {
+				for ci, v := range r {
+					switch {
+					case v.T == sqltypes.Int64:
 						scalars++
-					} else {
+					case tbl.RunOrder() != nil && ci == tbl.RunOrder()[0]:
+						elems += 2 * int64(sqltypes.RunCount(v.A))
+					default:
 						elems += int64(len(v.A))
 					}
 				}

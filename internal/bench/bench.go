@@ -86,8 +86,9 @@ func (c Config) Defaults() Config {
 // knn_naive table where it had ea_knn_naive and ld_knn_naive; v11: the tables'
 // segments are one image file, image.seg, where each had <table>.seg; v12: the
 // catalog moved into the segment headers; v13: segment version 4, the label
-// hubs stored as runs): a stale cache would fail to open.
-const datasetFormat = 13
+// hubs stored as runs; v14: segment version 5, whose element count is the
+// resident int32s, two per hub run): a stale cache would fail to open.
+const datasetFormat = 14
 
 // Densities are the paper's target-density values D = |T| / |V|.
 var Densities = []float64{0.001, 0.005, 0.01, 0.05, 0.1}

@@ -100,6 +100,14 @@ func (s *Store) ExplainPrepared(name string) (string, error) {
 	if st := s.ver.stmts.named(kind); st != nil {
 		return st.Explain()
 	}
+	// Ad-hoc SQL has a code but no statement to explain.
+	known := false
+	for c := obs.Code(0); c < obs.NumCodes; c++ {
+		known = known || (c != obs.CodeRaw && c.String() == kind)
+	}
+	if !known {
+		return "", invalidf("explain %q: unknown query kind %q", name, kind)
+	}
 	if set == "" {
 		return "", invalidf("explain %q: kind %q needs a target set (\"%s:<set>\")", name, kind, kind)
 	}
@@ -109,7 +117,7 @@ func (s *Store) ExplainPrepared(name string) (string, error) {
 	}
 	st := e.stmts.named(kind)
 	if st == nil {
-		return "", invalidf("unknown query kind %q", kind)
+		return "", invalidf("explain %q: unknown query kind %q", name, kind)
 	}
 	return st.Explain()
 }

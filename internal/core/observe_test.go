@@ -115,6 +115,26 @@ func TestExplainPreparedGoldens(t *testing.T) {
 	}
 }
 
+// TestExplainPreparedNameErrors: a name that is no query code — or the code
+// of ad-hoc SQL, which has no statement — reads as an unknown kind whether or
+// not it names a set, a per-set code without a set
+// asks for one, an unknown set is named, and every one is an invalid argument.
+func TestExplainPreparedNameErrors(t *testing.T) {
+	st, _ := paperStore(t, addSet("poi", []timetable.StopID{4, 6}, 4))
+	for _, c := range []struct{ name, want string }{
+		{"bogus", `explain "bogus": unknown query kind "bogus"`},
+		{"bogus:poi", `explain "bogus:poi": unknown query kind "bogus"`},
+		{"raw", `explain "raw": unknown query kind "raw"`},
+		{"knn-ea", `explain "knn-ea": kind "knn-ea" needs a target set ("knn-ea:<set>")`},
+		{"knn-ea:nope", `explain "knn-ea:nope": unknown target set "nope"`},
+	} {
+		_, err := st.ExplainPrepared(c.name)
+		if err == nil || !strings.Contains(err.Error(), c.want) || !IsInvalidArgument(err) {
+			t.Errorf("ExplainPrepared(%q) = %v; want an invalid argument reading %s", c.name, err, c.want)
+		}
+	}
+}
+
 // cachedPaperStore is the paper's worked example with the target set of the
 // goldens, reopened on a handle whose vector cache has the given budget.
 func cachedPaperStore(t *testing.T, budget int64) (*Store, *sqldb.DB) {

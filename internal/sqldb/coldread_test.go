@@ -113,18 +113,24 @@ func buildAwkwardDB(t *testing.T, dir string) {
 	}
 }
 
-// rowVectorBytes works a table's vector size out from its rows alone:
-// 16·rows + 8·scalar values + 4·elements + 4·(rows·arrays + 1).
-func rowVectorBytes(types []sqltypes.Type, rows []sqltypes.Row) int64 {
+// rowVectorBytes works a table's vector size out from its rows and its
+// column tags alone: 16·rows + 8·scalar values + 4·int32s + 4·(rows·arrays +
+// 1), where an INT[] column holds an int32 per element and a runs column two
+// per run.
+func rowVectorBytes(tags []sqltypes.Type, rows []sqltypes.Row) int64 {
 	n, scalars, elems, arrays := int64(len(rows)), int64(0), int64(0), int64(0)
-	for ci, typ := range types {
+	for ci, typ := range tags {
 		if typ == sqltypes.Int64 {
 			scalars += n
 			continue
 		}
 		arrays++
 		for _, r := range rows {
-			elems += int64(len(r[ci].A))
+			if typ == sqltypes.IntRuns {
+				elems += 2 * int64(sqltypes.RunCount(r[ci].A))
+			} else {
+				elems += int64(len(r[ci].A))
+			}
 		}
 	}
 	return 16*n + 8*scalars + 4*elems + 4*(n*arrays+1)
@@ -146,7 +152,7 @@ func TestVectorSizePrediction(t *testing.T) {
 	for _, spec := range awkwardTables {
 		sf, _ := db.Table(spec.name)
 		rows := spec.rows()
-		want := rowVectorBytes(sf.types, rows)
+		want := rowVectorBytes(sf.stored, rows)
 
 		data, tags, elems := dataRegion(t, dir, sf)
 		if got := vectorBytes(tags, sf.seg.NumRows(), elems); got != want {
@@ -179,8 +185,11 @@ func TestVectorSizePrediction(t *testing.T) {
 		}
 		var s exec.RowScratch
 		for i, r := range rows {
-			got := vcacheRow(m, i, &s)
+			got := vcacheRow(m, sf.stored, i, &s)
 			for ci := range r {
+				if got[ci].T == sqltypes.IntRuns {
+					got[ci] = sqltypes.NewIntArray(sqltypes.ExpandRuns(got[ci].A))
+				}
 				if !sqltypes.Equal(got[ci], r[ci]) {
 					t.Fatalf("%s: row %d column %d = %v, want %v", spec.name, i, ci, got[ci], r[ci])
 				}

@@ -27,19 +27,26 @@ type Table interface {
 	// PKCols returns the indices of the primary-key columns (at most two,
 	// in key order), or nil when the table has no primary key.
 	PKCols() []int
-	// LookupPK fetches the row with the given PK values.
+	// LookupPK fetches the row with the given PK values, every array value
+	// a plain INT[]: the general executor's row view.
 	LookupPK(key []int64) (sqltypes.Row, bool, error)
-	// Scan calls fn for every row in primary-key order.
+	// Scan calls fn for every row in primary-key order, in LookupPK's view.
 	Scan(fn func(sqltypes.Row) error) error
 	// LookupPKScratch is LookupPK decoding into s's buffers. The returned
 	// row (aliasing s.Row) is only valid until the next call with the same
 	// scratch. Array values are carved out of s.Arena, which is append-only
 	// for the scratch's lifetime, so they STAY valid across calls — the
-	// fused operators retain label arrays for the whole query.
+	// fused operators retain label arrays for the whole query. Unlike
+	// LookupPK's row, it serves the leading column of the declared run
+	// order (a label's hubs) in its run form, an sqltypes.IntRuns value —
+	// the run values, then the run ends, which ascend strictly to the
+	// length of the other two run-order columns — and the fused kernels
+	// read no other form.
 	LookupPKScratch(key []int64, s *RowScratch) (sqltypes.Row, bool, error)
 	// ScanScratch is Scan reusing s for every row: the callback row, its
 	// arrays and the arena are all recycled between rows, so fn must not
-	// retain any of them past its return.
+	// retain any of them past its return. A run-order column comes in its
+	// run form, as LookupPKScratch's does.
 	ScanScratch(s *RowScratch, fn func(sqltypes.Row) error) error
 	// Resident reports whether the scratch reads serve the table from
 	// resident decoded vectors rather than from its segment. EXPLAIN names

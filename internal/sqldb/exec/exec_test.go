@@ -16,7 +16,9 @@ import (
 // sets one builds rows that keep it — or break it on purpose. Its scratch
 // reads recycle buffers with maximal hostility — rows and the arena are reused
 // exactly as the Table contracts allow — to surface aliasing bugs in the fused
-// operators.
+// operators. Like a stored table's, they serve the leading run-order
+// column in its run form (sqltypes.IntRuns); LookupPK and Scan serve the rows
+// as they are.
 type memTable struct {
 	cols       []string
 	pk         []int
@@ -74,19 +76,20 @@ func (m *memTable) LookupPKScratch(key []int64, s *RowScratch) (sqltypes.Row, bo
 	if err != nil || !ok {
 		return nil, ok, err
 	}
-	return copyRow(row, s), true, nil
+	return m.copyRow(row, s), true, nil
 }
 
 func (m *memTable) ScanScratch(s *RowScratch, fn func(sqltypes.Row) error) error {
 	return m.Scan(func(row sqltypes.Row) error {
 		s.Arena = s.Arena[:0] // recycle: clobbers the previous row's arrays
-		return fn(copyRow(row, s))
+		return fn(m.copyRow(row, s))
 	})
 }
 
 // copyRow materializes row into s per the scratch contracts: the Row header is
-// recycled, arrays are carved out of s.Arena by appending.
-func copyRow(row sqltypes.Row, s *RowScratch) sqltypes.Row {
+// recycled, arrays are carved out of s.Arena by appending, the leading
+// run-order column's as its run form.
+func (m *memTable) copyRow(row sqltypes.Row, s *RowScratch) sqltypes.Row {
 	if cap(s.Row) >= len(row) {
 		s.Row = s.Row[:len(row)]
 	} else {
@@ -95,12 +98,33 @@ func copyRow(row sqltypes.Row, s *RowScratch) sqltypes.Row {
 	for i, v := range row {
 		if v.T == sqltypes.IntArray {
 			start := len(s.Arena)
-			s.Arena = append(s.Arena, v.A...)
-			v = sqltypes.NewIntArray(s.Arena[start:len(s.Arena):len(s.Arena)])
+			if m.runOrder != nil && i == m.runOrder[0] {
+				s.Arena = appendRuns(s.Arena, v.A)
+				v.T = sqltypes.IntRuns
+			} else {
+				s.Arena = append(s.Arena, v.A...)
+			}
+			v.A = s.Arena[start:len(s.Arena):len(s.Arena)]
 		}
 		s.Row[i] = v
 	}
 	return s.Row
+}
+
+// appendRuns appends the run form of a (sqltypes.IntRuns) to dst: the value
+// of each run of equal adjacent elements, then the end of each run.
+func appendRuns(dst, a []int32) []int32 {
+	for j, x := range a {
+		if j == 0 || x != a[j-1] {
+			dst = append(dst, x)
+		}
+	}
+	for j := range a {
+		if j == len(a)-1 || a[j+1] != a[j] {
+			dst = append(dst, int32(j+1))
+		}
+	}
+	return dst
 }
 
 type memCatalog map[string]*memTable

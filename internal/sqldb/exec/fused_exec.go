@@ -67,7 +67,8 @@ func (p *FusedPlan) limitParam(params []sqltypes.Value, n int) (int, error) {
 // distances, then a binary search of the last gap — so it costs the logarithm
 // of the distance moved, not of hi-lo.
 //
-// hotpath — allocheck root: the run-order join's search over hubs and tds.
+// hotpath — allocheck root: the run-order join's search over run hubs and
+// tds.
 func firstGE(a []int32, lo, hi int, v int64) int {
 	for step := 1; lo+step <= hi; step <<= 1 {
 		if int64(a[lo+step-1]) >= v {
@@ -86,10 +87,10 @@ func firstGE(a []int32, lo, hi int, v int64) int {
 	return lo
 }
 
-// firstGT is firstGE for the first value greater than v — the end of v's run,
-// one past the last value <= v — without a v+1 to overflow at math.MaxInt64.
+// firstGT is firstGE for the first value greater than v — one past the last
+// value <= v — without a v+1 to overflow at math.MaxInt64.
 //
-// hotpath — allocheck root: the run-order join's run ends and LD bounds.
+// hotpath — allocheck root: the run-order join's LD bounds.
 func firstGT(a []int32, lo, hi int, v int64) int {
 	for step := 1; lo+step <= hi; step <<= 1 {
 		if int64(a[lo+step-1]) > v {
@@ -171,18 +172,22 @@ func (p *FusedPlan) runV2V(params []sqltypes.Value, st *queryState) (*Relation, 
 
 	// Run-order join (DESIGN.md §7.2): both tables declare, and Load
 	// validated, that hubs ascend and that tds and tas both ascend within a
-	// hub's run. Gallop to each common hub and search its two runs.
+	// hub's run, and both serve a label's hubs as its runs. Gallop over the
+	// run hubs to each common hub and search its two runs, whose bounds the
+	// run ends give.
 	no, ni := len(out.hubs), len(in.hubs)
-	for i, j := 0, 0; i < no && j < ni; {
-		h := int64(out.hubs[i])
-		if hj := int64(in.hubs[j]); h < hj {
-			i = firstGE(out.hubs, i, no, hj)
+	for ro, ri := 0, 0; ro < no && ri < ni; {
+		h := int64(out.hubs[ro])
+		if hj := int64(in.hubs[ri]); h < hj {
+			ro = firstGE(out.hubs, ro, no, hj)
 			continue
 		} else if h > hj {
-			j = firstGE(in.hubs, j, ni, h)
+			ri = firstGE(in.hubs, ri, ni, h)
 			continue
 		}
-		ie, je := firstGT(out.hubs, i, no, h), firstGT(in.hubs, j, ni, h)
+		i, ie := out.run(ro)
+		j, je := in.run(ri)
+		ro, ri = ro+1, ri+1
 		switch f.op {
 		case 'E':
 			// The first departure >= t arrives earliest, so it reaches
@@ -243,7 +248,6 @@ func (p *FusedPlan) runV2V(params []sqltypes.Value, st *queryState) (*Relation, 
 			best, hasBest = arr, true
 			witness = [5]int64{h, dep, int64(out.tas[x]), int64(in.tds[y]), arr}
 		}
-		i, j = ie, je
 	}
 
 	p.metrics.TuplesMerged.Add(merged)

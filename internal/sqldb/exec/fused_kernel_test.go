@@ -82,13 +82,15 @@ func TestTargetAccMatchesMap(t *testing.T) {
 // TestGroupsAreLabelRuns: on a run-ordered label the grouping needs no lookup —
 // the tuples of one (hub, bucket) key are adjacent, so there is one group per
 // distinct key, in strictly ascending (hub, bucket) order, and an LD group is
-// exactly its hub's run of the label. Labels carry negative times, dummy
+// exactly its hub's run of the label, as its run ends give it. Labels carry
+// negative times, dummy
 // tuples (td == ta) and many tuples per key; width 1 makes every distinct
 // arrival a bucket of its own.
 func TestGroupsAreLabelRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	for trial := 0; trial < 400; trial++ {
 		var lab label
+		var hubs []int32 // the hub of each tuple, which lab holds as runs
 		for hub, nHubs := int64(-2), int64(rng.Intn(6)); hub < nHubs; hub += 1 + int64(rng.Intn(3)) {
 			td, ta := int64(rng.Intn(200))-300, int64(0)
 			for n := 1 + rng.Intn(40); n > 0; n-- {
@@ -96,9 +98,10 @@ func TestGroupsAreLabelRuns(t *testing.T) {
 				if ta = max(ta, td); rng.Intn(3) > 0 {
 					ta += int64(rng.Intn(60)) // else a dummy tuple, or one arriving with the last
 				}
-				lab.hubs, lab.tds, lab.tas = append(lab.hubs, int32(hub)), append(lab.tds, int32(td)), append(lab.tas, int32(ta))
+				hubs, lab.tds, lab.tas = append(hubs, int32(hub)), append(lab.tds, int32(td)), append(lab.tas, int32(ta))
 			}
 		}
+		lab.hubs, lab.ends = sqltypes.SplitRuns(appendRuns(nil, hubs))
 		ascending := func(st *queryState, what string) {
 			t.Helper()
 			for i := 1; i < len(st.groups); i++ {
@@ -116,7 +119,7 @@ func TestGroupsAreLabelRuns(t *testing.T) {
 					continue
 				}
 				ta := int64(lab.tas[i])
-				k := key{hub: int64(lab.hubs[i])}
+				k := key{hub: int64(hubs[i])}
 				if width > 0 {
 					k.bucket = FloorDiv(ta, width)
 				}
@@ -146,8 +149,8 @@ func TestGroupsAreLabelRuns(t *testing.T) {
 				t.Fatalf("trial %d LD: group %+v does not continue the label at %d", trial, g, next)
 			}
 			for i := g.lo; i < g.hi; i++ {
-				if int64(lab.hubs[i]) != g.hub {
-					t.Fatalf("trial %d LD: group %+v holds tuple %d of hub %d", trial, g, i, lab.hubs[i])
+				if int64(hubs[i]) != g.hub {
+					t.Fatalf("trial %d LD: group %+v holds tuple %d of hub %d", trial, g, i, hubs[i])
 				}
 			}
 			if got := st.groupByHub(g.hub); got == nil || *got != g {
@@ -155,8 +158,8 @@ func TestGroupsAreLabelRuns(t *testing.T) {
 			}
 			next = g.hi
 		}
-		if int(next) != len(lab.hubs) || st.groupByHub(-3) != nil || st.groupByHub(100) != nil {
-			t.Fatalf("trial %d LD: groups end at %d of %d tuples, or a hub outside the label has a group", trial, next, len(lab.hubs))
+		if int(next) != len(hubs) || st.groupByHub(-3) != nil || st.groupByHub(100) != nil {
+			t.Fatalf("trial %d LD: groups end at %d of %d tuples, or a hub outside the label has a group", trial, next, len(hubs))
 		}
 	}
 }

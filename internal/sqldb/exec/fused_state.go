@@ -117,7 +117,8 @@ func (r *tableRef) bindErr(format string, a ...any) error {
 
 // lengthsErr reports a row whose parallel arrays are not all INT[] of one
 // length — a violated storage invariant (Load validates a declared run
-// order; the condensed builders emit parallel arrays).
+// order; the condensed builders emit parallel arrays). For a label row it
+// also reports hubs whose runs do not end at the length of tds and tas.
 func (r *tableRef) lengthsErr(cols ...int) error {
 	names := make([]string, len(cols))
 	for i, c := range cols {
@@ -126,11 +127,24 @@ func (r *tableRef) lengthsErr(cols ...int) error {
 	return fmt.Errorf("exec: table %q: a row's %s are not INT[] values of one length", r.name, strings.Join(names, ", "))
 }
 
-// label is one stop's hub label as three parallel typed columns, run-ordered:
-// hubs ascend, and tds and tas both ascend within a hub's run. The elements
-// are 32-bit; everything computed from them is int64, widened at the load.
+// label is one stop's hub label, run-ordered, in the run form the tables
+// serve it in: hubs[r] is the hub of run r and ends[r] the index one past the
+// run in the parallel tds and tas, so run r is [ends[r-1], ends[r]) — from 0
+// for the first. Hubs ascend strictly, ends ascend strictly to len(tds), and
+// tds and tas both ascend within a run. The elements are 32-bit; everything
+// computed from them is int64, widened at the load.
 type label struct {
-	hubs, tds, tas []int32
+	hubs, ends, tds, tas []int32
+}
+
+// run returns the [lo, hi) of run r in l.tds and l.tas.
+//
+// hotpath — allocheck root: per run of a label.
+func (l *label) run(r int) (lo, hi int) {
+	if r > 0 {
+		lo = int(l.ends[r-1])
+	}
+	return lo, int(l.ends[r])
 }
 
 // label point-looks-up the label of stop v in the referenced label table,
@@ -148,12 +162,19 @@ func (r *tableRef) label(v int64, st *queryState) (label, error) {
 	if !found {
 		return label{}, nil
 	}
+	// The hubs come as runs (sqltypes.IntRuns), whose ends the decoder
+	// checked to ascend strictly; the last must be the tuple count.
 	hv, dv, av := row[r.idx[labHubs]], row[r.idx[labTds]], row[r.idx[labTas]]
-	if hv.T != sqltypes.IntArray || dv.T != sqltypes.IntArray || av.T != sqltypes.IntArray ||
-		len(hv.A) != len(dv.A) || len(hv.A) != len(av.A) {
+	hubs, ends := sqltypes.SplitRuns(hv.A)
+	n := 0
+	if len(ends) > 0 {
+		n = int(ends[len(ends)-1])
+	}
+	if hv.T != sqltypes.IntRuns || dv.T != sqltypes.IntArray || av.T != sqltypes.IntArray ||
+		len(hv.A)%2 != 0 || len(dv.A) != n || len(av.A) != n {
 		return label{}, r.lengthsErr(labHubs, labTds, labTas)
 	}
-	return label{hubs: hv.A, tds: dv.A, tas: av.A}, nil
+	return label{hubs: hubs, ends: ends, tds: dv.A, tas: av.A}, nil
 }
 
 // --- per-target accumulator ----------------------------------------------------
@@ -466,39 +487,43 @@ func (st *queryState) groupByHub(hub int64) *hubGroup {
 
 // groupEA groups the label tuples departing at or after t by (hub,
 // FLOOR(ta/width)) — by hub alone when width is 0 — keeping the earliest
-// arrival per group: the first, since arrivals ascend within a hub's run.
+// arrival per group: the first, since arrivals ascend within a hub's run. It
+// walks the tuples of each run with the run's hub known.
 //
 // hotpath — allocheck root: the one walk over the label of an EA query.
 func (st *queryState) groupEA(lab label, t, width int64) {
-	for i, td := range lab.tds {
-		if int64(td) < t {
-			continue
-		}
-		ta, bucket := int64(lab.tas[i]), int64(0)
-		if width > 0 {
-			bucket = FloorDiv(ta, width)
-		}
-		if g, added := st.groupOf(int64(lab.hubs[i]), bucket); added {
-			g.minTa = ta
+	for r, h := range lab.hubs {
+		hub := int64(h)
+		lo, hi := lab.run(r)
+		for i := lo; i < hi; i++ {
+			if int64(lab.tds[i]) < t {
+				continue
+			}
+			ta, bucket := int64(lab.tas[i]), int64(0)
+			if width > 0 {
+				bucket = FloorDiv(ta, width)
+			}
+			if g, added := st.groupOf(hub, bucket); added {
+				g.minTa = ta
+			}
 		}
 	}
 }
 
-// groupLD groups every label tuple by hub (all probe the one given bucket),
-// recording each hub's run [lo, hi) of the label, which st retains: inside a
-// run arrivals and departures ascend together, so bestDeparture answers "the
-// latest departure among tuples reaching the hub by x" with one search, and
-// the run's last departure bounds every answer for the hub.
+// groupLD groups every label tuple by hub (all probe the one given bucket):
+// one group per run, whose [lo, hi) the run's ends give, and the label, which
+// st retains: inside a run arrivals and departures ascend together, so
+// bestDeparture answers "the latest departure among tuples reaching the hub
+// by x" with one search, and the run's last departure bounds every answer
+// for the hub.
 //
-// hotpath — allocheck root: the one walk over the label of an LD query.
+// hotpath — allocheck root: the one pass over the runs of an LD query.
 func (st *queryState) groupLD(lab label, bucket int64) {
 	st.lab = lab
-	for i, hub := range lab.hubs {
-		g, added := st.groupOf(int64(hub), bucket)
-		if added {
-			g.lo = int32(i)
-		}
-		g.hi = int32(i + 1)
+	lo := int32(0)
+	for r, hub := range lab.hubs {
+		st.groups = append(st.groups, hubGroup{hub: int64(hub), bucket: bucket, lo: lo, hi: lab.ends[r]})
+		lo = lab.ends[r]
 	}
 }
 

@@ -249,6 +249,12 @@ func TestImageFailsClosed(t *testing.T) {
 			// the elements: the header's version is the first field read.
 			editImage(t, dir, func(b []byte) []byte { binary.LittleEndian.PutUint32(b[4:], 3); return b })
 		}, storage.ErrCorruptSegment, []string{ImageName, "page 0", "version 3 not supported", "rebuild"}},
+		{"segment-version-4", func(t *testing.T, dir string) {
+			// The image whose meta counted the label hubs expanded, one
+			// element per tuple, where the resident vectors keep two int32s
+			// per run: its element counts would size no vector right.
+			editImage(t, dir, func(b []byte) []byte { binary.LittleEndian.PutUint32(b[4:], 4); return b })
+		}, storage.ErrCorruptSegment, []string{ImageName, "page 0", "version 4 not supported", "rebuild"}},
 		{"file-per-table-layout", splitImage, os.ErrNotExist, []string{"bad.seg", ImageName, "rebuild"}},
 		// Every segment intact, but in an order no Load writes.
 		{"a-segment-repeated", func(t *testing.T, dir string) {

@@ -437,16 +437,18 @@ func TestBulkLoadValidatesFloor(t *testing.T) {
 }
 
 // TestRunOrderDeclarationFailsClosed: a declaration that is not three
-// INT[] columns of the table is refused where the table is loaded, and
+// INT[] columns of the table, the leading one (stored as runs) before the
+// other two, is refused where the table is loaded, and
 // refused again — naming the table, opening nothing — when the same
 // declaration reaches Open through a hand-edited header. A table that
 // declares nothing writes a definition without the field.
 func TestRunOrderDeclarationFailsClosed(t *testing.T) {
 	bad := map[string][]string{
-		"a missing column": {"hubs", "tds", "nope"},
-		"a BIGINT column":  {"v", "tds", "tas"},
-		"a fourth column":  {"hubs", "tds", "tas", "extra"},
-		"two columns":      {"hubs", "tds"},
+		"a missing column":     {"hubs", "tds", "nope"},
+		"a BIGINT column":      {"v", "tds", "tas"},
+		"a fourth column":      {"hubs", "tds", "tas", "extra"},
+		"two columns":          {"hubs", "tds"},
+		"runs after a sibling": {"tds", "hubs", "tas"},
 	}
 	dir := t.TempDir()
 	db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256})

@@ -16,10 +16,11 @@ import (
 // pattern preserved) and TEXT a uvarint length plus the bytes. IntRuns, the
 // stored form of a non-decreasing INT[] (a label's hubs), is a uvarint length
 // plus one (zigzag delta from the previous run's value, uvarint count ≥ 1)
-// pair per run of equal elements; after the first run every delta is > 0.
-// There is no encoding of NULL: a stored row has none. Varints carry no
-// width: an INT[] element is any value whose running delta sum stays inside
-// int32, and a row whose sum leaves it is corrupt.
+// pair per run of equal elements; after the first run every delta is > 0. It
+// decodes to its run form (Value's IntRuns), never expanded. There is no
+// encoding of NULL: a stored row has none. Varints carry no width: an INT[]
+// element is any value whose running delta sum stays inside int32, and a row
+// whose sum leaves it is corrupt.
 
 // corrupt is every decoder's error for bytes that are no encoded row: it
 // wraps storage.ErrCorruptSegment, since a segment is a table's only copy.
@@ -81,39 +82,115 @@ func EncodeSegRow(buf []byte, types []Type, r Row) ([]byte, error) {
 	return buf, nil
 }
 
-// decodeRuns expands the runs of an IntRuns value — the bytes after its
-// length — into out, whose length is that length, and returns the bytes after
-// them. A run of no element or of more than are left, a value that does not
-// ascend past the run before it, or one outside int32 is corrupt; i is the
-// value's position, for the error. Both row decoders call it once per array.
-func decodeRuns(buf []byte, out []int32, i int) ([]byte, error) {
-	prev := int64(0)
-	for j := 0; j < len(out); {
+// countRuns checks the runs of an IntRuns value of n elements — the bytes
+// after its length — and returns how many there are. A run of no element or
+// of more than are left, a value that does not ascend past the run before it,
+// or one outside int32 is corrupt, and so is a length past int32, which no
+// run end can hold; i is the value's position, for the error. The counts are
+// at least 1 and sum to n, so the run ends putRuns writes ascend strictly to
+// n. Both row decoders call it once per runs value, before putRuns.
+func countRuns(buf []byte, n uint64, i int) (int, error) {
+	if n > math.MaxInt32 {
+		return 0, corrupt("runs value %d of %d elements, past int32", i, n)
+	}
+	prev, runs := int64(0), 0
+	for j := uint64(0); j < n; runs++ {
 		d, k := binary.Varint(buf)
 		if k <= 0 {
-			return nil, corrupt("run at element %d of value %d", j, i)
+			return 0, corrupt("run at element %d of value %d", j, i)
 		}
 		buf = buf[k:]
-		n, k := binary.Uvarint(buf)
+		c, k := binary.Uvarint(buf)
 		switch {
 		case k <= 0:
-			return nil, corrupt("run at element %d of value %d", j, i)
-		case n == 0 || n > uint64(len(out)-j):
-			return nil, corrupt("run of %d at element %d of value %d, which has %d", n, j, i, len(out))
+			return 0, corrupt("run at element %d of value %d", j, i)
+		case c == 0 || c > n-j:
+			return 0, corrupt("run of %d at element %d of value %d, which has %d", c, j, i, n)
 		case j > 0 && d <= 0:
-			return nil, corrupt("run at element %d of value %d does not ascend (delta %d)", j, i, d)
+			return 0, corrupt("run at element %d of value %d does not ascend (delta %d)", j, i, d)
 		}
 		buf = buf[k:]
 		// prev is inside int32, so a sum that wraps int64 lands outside it
 		// too.
 		if prev += d; prev != int64(int32(prev)) {
-			return nil, corrupt("run at element %d of value %d is %d, outside int32", j, i, prev)
+			return 0, corrupt("run at element %d of value %d is %d, outside int32", j, i, prev)
 		}
-		for end := j + int(n); j < end; j++ {
-			out[j] = int32(prev)
+		j += c
+	}
+	return runs, nil
+}
+
+// putRuns writes the runs countRuns checked into out, two int32s per run — the
+// run form of an IntRuns value (Value's IntRuns) — and returns the bytes after
+// them.
+func putRuns(buf []byte, out []int32) []byte {
+	vals, ends := SplitRuns(out)
+	prev, end := int64(0), uint64(0)
+	for r := range vals {
+		d, k := binary.Varint(buf)
+		buf = buf[k:]
+		c, k := binary.Uvarint(buf)
+		buf = buf[k:]
+		prev, end = prev+d, end+c
+		vals[r], ends[r] = int32(prev), int32(end)
+	}
+	return buf
+}
+
+// SplitRuns returns the run values and the run ends of an IntRuns value's
+// elements (Value's IntRuns).
+func SplitRuns(a []int32) (vals, ends []int32) {
+	r := len(a) / 2
+	return a[:r:r], a[r : 2*r : 2*r]
+}
+
+// ExpandRuns returns, in a new array, the elements that an IntRuns value's
+// elements stand for: each run value repeated up to its run's end.
+func ExpandRuns(a []int32) []int32 {
+	vals, ends := SplitRuns(a)
+	n := int32(0)
+	if len(ends) > 0 {
+		n = ends[len(ends)-1]
+	}
+	out := make([]int32, 0, n)
+	for r, v := range vals {
+		for int32(len(out)) < ends[r] {
+			out = append(out, v)
 		}
 	}
-	return buf, nil
+	return out
+}
+
+// RunCount returns the number of runs of equal adjacent elements in a: the
+// number of run values of its run form.
+func RunCount(a []int32) int {
+	n := 0
+	for j, x := range a {
+		if j == 0 || x != a[j-1] {
+			n++
+		}
+	}
+	return n
+}
+
+// carve returns n int32s carved out of the end of arena and the arena grown
+// past them: within its capacity when it has room, else in a new backing
+// array — at least twice the old one — that the old elements are copied into,
+// so slices carved before stay valid.
+func carve(arena []int32, n int) ([]int32, []int32) {
+	if free := cap(arena) - len(arena); free < n {
+		grown := 2 * cap(arena)
+		if grown < len(arena)+n {
+			grown = len(arena) + n
+		}
+		if grown < 64 {
+			grown = 64
+		}
+		na := make([]int32, len(arena), grown)
+		copy(na, arena)
+		arena = na
+	}
+	return arena[len(arena) : len(arena)+n : len(arena)+n], arena[:len(arena)+n]
 }
 
 // DecodeSegRowInto parses a row written by EncodeSegRow given the column
@@ -124,8 +201,9 @@ func decodeRuns(buf []byte, out []int32, i int) ([]byte, error) {
 // as the caller keeps passing the returned arena back in. Truncating the
 // arena between calls (arena[:0]) recycles the backing and clobbers all
 // previously decoded arrays; only do that when nothing is retained. A TEXT
-// value is copied out of buf, so it is always safe to keep. Malformed bytes,
-// an array element outside int32 among them, are an error wrapping
+// value is copied out of buf, so it is always safe to keep. An IntRuns column
+// decodes to its run form, an IntRuns value of two int32s per run. Malformed
+// bytes, an array element outside int32 among them, are an error wrapping
 // storage.ErrCorruptSegment.
 func DecodeSegRowInto(buf []byte, types []Type, row Row, arena []int32) (Row, []int32, error) {
 	var r Row
@@ -170,28 +248,20 @@ func DecodeSegRowInto(buf []byte, types []Type, row Row, arena []int32) (Row, []
 				return nil, arena, corrupt("array at value %d", i)
 			}
 			buf = buf[k:]
-			if free := cap(arena) - len(arena); free < int(ln) {
-				grown := 2 * cap(arena)
-				if grown < len(arena)+int(ln) {
-					grown = len(arena) + int(ln)
-				}
-				if grown < 64 {
-					grown = 64
-				}
-				na := make([]int32, len(arena), grown)
-				copy(na, arena)
-				arena = na
-			}
-			a := arena[len(arena) : len(arena)+int(ln) : len(arena)+int(ln)]
-			arena = arena[:len(arena)+int(ln)]
-			r[i] = NewIntArray(a)
 			if t == IntRuns {
-				var err error
-				if buf, err = decodeRuns(buf, a, i); err != nil {
+				runs, err := countRuns(buf, ln, i)
+				if err != nil {
 					return nil, arena, err
 				}
+				var a []int32
+				a, arena = carve(arena, 2*runs)
+				buf = putRuns(buf, a)
+				r[i] = Value{T: IntRuns, A: a}
 				continue
 			}
+			var a []int32
+			a, arena = carve(arena, int(ln))
+			r[i] = NewIntArray(a)
 			prev := int64(0)
 			for j := range a {
 				d, k := binary.Varint(buf)
@@ -219,13 +289,13 @@ func DecodeSegRowInto(buf []byte, types []Type, row Row, arena []int32) (Row, []
 // DecodeSegRowVectors decodes one encoded row of BIGINT / INT[] columns
 // (IntArray or IntRuns) into column vectors instead of a Row, for the
 // resident vector cache, which holds no other table: the k-th BIGINT of the
-// row goes to scalars[k], and the elements of its INT[] values onto the end
-// of elems, in column order, with the length of elems after the a-th array
-// recorded at ends[a]. It accepts exactly the rows DecodeSegRowInto accepts,
-// refusing an element outside int32 as that does, and decodes the same
-// values, but elems grows only within its capacity — the caller sized it
-// once, for the whole table, from the element count its segment's header
-// records — so an array that does not fit is an error, never a
+// row goes to scalars[k], and the elements of its INT[] values — an IntRuns
+// value's run form, two int32s per run — onto the end of elems, in column
+// order, with the length of elems after the a-th array recorded at ends[a].
+// It accepts exactly the rows DecodeSegRowInto accepts, refusing an element
+// outside int32 as that does, and decodes the same values, but elems grows
+// only within its capacity — the caller sized it once, for the whole table,
+// from the int32 count its segment's header records — so an array that does not fit is an error, never a
 // reallocation. The one-, two- and three-byte varints that make up nearly
 // every label value are decoded inline; longer ones go to binary.Uvarint.
 func DecodeSegRowVectors(buf []byte, types []Type, scalars []int64, elems, ends []int32) ([]int32, error) {
@@ -242,19 +312,23 @@ func DecodeSegRowVectors(buf []byte, types []Type, scalars []int64, elems, ends 
 			if k <= 0 || (t != IntArray && t != IntRuns) || ln > uint64(len(buf)-k) {
 				return elems, corrupt("array at value %d", i)
 			}
-			if ln > uint64(cap(elems)-len(elems)) {
-				return elems, corrupt("value %d overflows its vector", i)
-			}
 			buf = buf[k:]
 			n = int(ln)
+			if t == IntRuns {
+				runs, err := countRuns(buf, ln, i)
+				if err != nil {
+					return elems, err
+				}
+				n = 2 * runs
+			}
+			if n > cap(elems)-len(elems) {
+				return elems, corrupt("value %d overflows its vector", i)
+			}
 			out, elems = elems[len(elems):len(elems)+n], elems[:len(elems)+n]
 			ends[a] = int32(len(elems))
 			a++
 			if t == IntRuns {
-				var err error
-				if buf, err = decodeRuns(buf, out, i); err != nil {
-					return elems, err
-				}
+				buf = putRuns(buf, out)
 				continue
 			}
 		}

@@ -121,6 +121,19 @@ func repeat(v int32, n int) []int32 {
 	return a
 }
 
+// expanded returns r with every IntRuns value — a runs column as the
+// decoders read it — replaced by the IntArray it stands for, which is what
+// EncodeSegRow takes in that column.
+func expanded(r Row) Row {
+	out := slices.Clone(r)
+	for i, v := range out {
+		if v.T == IntRuns {
+			out[i] = NewIntArray(ExpandRuns(v.A))
+		}
+	}
+	return out
+}
+
 // rowsEqual requires bit-exact equality (see sameValue).
 func rowsEqual(t *testing.T, want, got Row) {
 	t.Helper()
@@ -165,13 +178,14 @@ func TestSegCodecRoundTripFuzz(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iter %d: decode: %v", iter, err)
 		}
-		rowsEqual(t, in, row)
+		rowsEqual(t, in, expanded(row))
 	}
 }
 
 // TestSegCodecMatchesRowCodec cross-checks the two codecs: the executor's
-// row key (EncodeRow) of a row read back from a segment is the key of the row
-// that was stored, so grouping over stored rows sees the values written.
+// row key (EncodeRow) of a row read back from a segment, runs expanded as the
+// general executor's rows hold them, is the key of the row that was stored,
+// so grouping over stored rows sees the values written.
 func TestSegCodecMatchesRowCodec(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, types := range [][]Type{
@@ -189,7 +203,7 @@ func TestSegCodecMatchesRowCodec(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want, key := EncodeRow(nil, in), EncodeRow(nil, got); string(key) != string(want) {
+			if want, key := EncodeRow(nil, in), EncodeRow(nil, expanded(got)); string(key) != string(want) {
 				t.Fatalf("row %v reads back with key %x, stored with %x", in, key, want)
 			}
 		}
@@ -284,7 +298,8 @@ func TestSegDecodeRefusesElementOutsideInt32(t *testing.T) {
 
 // TestSegDecodeRunsFailClosed pins the runs form of a label's hubs: an
 // empty array, one run and runs at both ends of int32 decode, by both
-// decoders, to the arrays they spell; a zero count, a count past the length,
+// decoders, to the same run form — the run values, then the run ends — which
+// expands to the arrays they spell; a zero count, a count past the length,
 // a run that does not ascend past the one before it (a repeated hub, or a
 // lower one), a value one past either end of int32 and a row cut inside a run
 // are refused by both with storage.ErrCorruptSegment.
@@ -313,6 +328,9 @@ func TestSegDecodeRunsFailClosed(t *testing.T) {
 		elems, vecErr := DecodeSegRowVectors(enc, types, make([]int64, 1), make([]int32, 0, 64), ends)
 		var hubs []int32
 		if rowErr == nil {
+			if got[1].T != IntRuns {
+				t.Fatalf("the runs column decodes to a %s value", got[1].T)
+			}
 			hubs = got[1].A
 		}
 		if vecErr == nil {
@@ -321,18 +339,21 @@ func TestSegDecodeRunsFailClosed(t *testing.T) {
 		return hubs, elems, rowErr, vecErr
 	}
 	for _, c := range []struct {
-		name string
-		enc  []byte
-		want []int32
+		name       string
+		enc        []byte
+		runs, want []int32
 	}{
-		{"empty", row(0), []int32{}},
-		{"one run", row(3, 5, 3), []int32{5, 5, 5}},
-		{"three runs", row(6, 2, 3, 7, 1, 31, 2), []int32{2, 2, 2, 9, 40, 40}},
-		{"the int32 ends", row(3, math.MinInt32, 2, math.MaxInt32-math.MinInt32, 1), []int32{math.MinInt32, math.MinInt32, math.MaxInt32}},
+		{"empty", row(0), []int32{}, []int32{}},
+		{"one run", row(3, 5, 3), []int32{5, 3}, []int32{5, 5, 5}},
+		{"three runs", row(6, 2, 3, 7, 1, 31, 2), []int32{2, 9, 40, 3, 4, 6}, []int32{2, 2, 2, 9, 40, 40}},
+		{"the int32 ends", row(3, math.MinInt32, 2, math.MaxInt32-math.MinInt32, 1), []int32{math.MinInt32, math.MaxInt32, 2, 3}, []int32{math.MinInt32, math.MinInt32, math.MaxInt32}},
 	} {
 		hubs, elems, rowErr, vecErr := decodeBoth(c.enc)
-		if rowErr != nil || vecErr != nil || !slices.Equal(hubs, c.want) || !slices.Equal(elems, c.want) {
-			t.Errorf("%s: hubs decode to %v and %v (%v, %v); want %v from both", c.name, hubs, elems, rowErr, vecErr, c.want)
+		if rowErr != nil || vecErr != nil || !slices.Equal(hubs, c.runs) || !slices.Equal(elems, c.runs) {
+			t.Errorf("%s: hubs decode to %v and %v (%v, %v); want the run form %v from both", c.name, hubs, elems, rowErr, vecErr, c.runs)
+		}
+		if got := ExpandRuns(hubs); !slices.Equal(got, c.want) {
+			t.Errorf("%s: the run form %v expands to %v, want %v", c.name, hubs, got, c.want)
 		}
 	}
 	for _, c := range []struct {
@@ -417,7 +438,8 @@ func TestSegDecodeArenaAliasing(t *testing.T) {
 // FuzzSegCodecRoundTrip feeds arbitrary bytes to DecodeSegRowInto under a
 // fuzz-chosen schema, runs columns included: any outcome is fine except a
 // panic, and whatever the decoder accepts must re-encode and decode back to
-// the same row. The comparison is semantic, not byte-for-byte — non-canonical
+// the same row, a runs column compared through its expansion (what
+// EncodeSegRow takes). The comparison is semantic, not byte-for-byte — non-canonical
 // varints in the input decode fine but re-encode shorter — so the canonical
 // re-encoding is additionally required to be a fixed point of the codec. The
 // one row that re-encodes yet does not decode is one whose runs column is
@@ -546,17 +568,18 @@ func FuzzSegCodecRoundTrip(f *testing.F) {
 		if err != nil {
 			return // rejected input: fine, as long as it didn't panic
 		}
-		enc, err := EncodeSegRow(nil, types, row)
+		flat := expanded(row)
+		enc, err := EncodeSegRow(nil, types, flat)
 		if err != nil {
-			t.Fatalf("decoded row refuses to re-encode: %v (row %v)", err, row)
+			t.Fatalf("decoded row refuses to re-encode: %v (row %v)", err, flat)
 		}
 		again, _, err := DecodeSegRowInto(enc, types, nil, nil)
 		if runsAt >= 0 {
-			head, err := EncodeSegRow(nil, types[:runsAt], row[:runsAt])
+			head, err := EncodeSegRow(nil, types[:runsAt], flat[:runsAt])
 			if err != nil {
 				t.Fatal(err)
 			}
-			n := len(row[runsAt].A)
+			n := len(flat[runsAt].A)
 			if after := len(enc) - len(head) - len(binary.AppendUvarint(nil, uint64(n))); n > after {
 				if err == nil {
 					t.Fatalf("a runs column of %d elements with %d bytes after its length decodes from %x", n, after, enc)
@@ -565,12 +588,12 @@ func FuzzSegCodecRoundTrip(f *testing.F) {
 			}
 		}
 		if err != nil {
-			t.Fatalf("re-encoding does not decode: %v (row %v)", err, row)
+			t.Fatalf("re-encoding does not decode: %v (row %v)", err, flat)
 		}
-		rowsEqual(t, row, again)
+		rowsEqual(t, flat, expanded(again))
 		// The canonical encoding must be a fixed point: encoding the second
 		// decode reproduces it byte-for-byte.
-		enc2, err := EncodeSegRow(nil, types, again)
+		enc2, err := EncodeSegRow(nil, types, expanded(again))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -587,8 +610,9 @@ func FuzzSegCodecRoundTrip(f *testing.F) {
 // encoded all-integer row, which the row decoder decoded to want or rejected
 // with rowErr. A rejected row must be rejected again, whatever room the
 // vector has. An accepted one must fill exactly as many elements as want's
-// arrays hold — the count a segment's header records, which sizes the
-// vector — with want's values, and be refused with one slot fewer.
+// arrays hold, a runs column's in its run form — the count a segment's
+// header records, which sizes the vector — with want's values, and be
+// refused with one slot fewer.
 func checkSegVectors(t *testing.T, enc []byte, types []Type, want Row, rowErr error) {
 	t.Helper()
 	decode := func(capacity int) ([]int64, []int32, []int32, error) {
@@ -622,12 +646,12 @@ func checkSegVectors(t *testing.T, enc []byte, types []Type, want Row, rowErr er
 			got = NewInt(scalars[s])
 			s++
 		} else {
-			got = NewIntArray(elems[start:ends[a]])
+			got = Value{T: v.T, A: elems[start:ends[a]]}
 			start = ends[a]
 			a++
 		}
-		if !Equal(got, v) {
-			t.Fatalf("DecodeSegRowVectors(%x): value %d = %v, want %v", enc, i, got, v)
+		if got.I != v.I || !slices.Equal(got.A, v.A) {
+			t.Fatalf("DecodeSegRowVectors(%x): value %d = %v %v, want %v %v", enc, i, got.T, got.A, v.T, v.A)
 		}
 	}
 	// One slot short and the row must be refused, not grown into.

@@ -29,10 +29,16 @@ const (
 	Text
 	// IntArray is INT[]: an array of 32-bit integers.
 	IntArray
-	// IntRuns is a storage form of INT[], never a Value's type: the column
-	// tag of a segment column whose non-decreasing arrays are stored as
-	// runs of equal elements (segcodec.go). Both row decoders expand it into
-	// an IntArray value.
+	// IntRuns is the run form of a non-decreasing INT[]: the column tag of a
+	// segment column whose arrays are stored as runs of equal elements
+	// (segcodec.go), and the type of the value both row decoders read such a
+	// column into. Its A holds two int32s per run: the R run values, which
+	// ascend strictly, then the R run ends, where ends[r] is the index one
+	// past run r in the expanded array, so ends ascend strictly and the last
+	// is its length (SplitRuns, ExpandRuns). Only the scratch reads of a
+	// table return it, for the fused kernels; the general executor's rows
+	// (LookupPK, Scan) hold the expanded IntArray, and no SQL operator
+	// accepts it.
 	IntRuns
 )
 
@@ -219,7 +225,7 @@ type Row []Value
 func (r Row) Clone() Row {
 	out := make(Row, len(r))
 	for i, v := range r {
-		if v.T == IntArray {
+		if v.T == IntArray || v.T == IntRuns {
 			v.A = append([]int32(nil), v.A...)
 		}
 		out[i] = v

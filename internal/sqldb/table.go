@@ -67,9 +67,10 @@ type schema struct {
 // segment's header — and resolves its columns; the table's name is
 // lowercased. A table needs a name, columns and a primary key of one or two
 // BIGINT columns. A run-order declaration that is not three existing INT[]
-// columns, a target-id declaration that is not at least one of them under a
-// bound in [1, math.MaxInt32] with a count in [0, bound], or a floor that is
-// not at least one of them over a BIGINT key column and a width >= 1, is an
+// columns, the first stored before the other two, a target-id declaration
+// that is not at least one of them under a bound in [1, math.MaxInt32] with a
+// count in [0, bound], or a floor that is not at least one of them over a
+// BIGINT key column and a width >= 1, is an
 // error too.
 func newSchema(def TableDef) (*schema, error) {
 	def.Name = strings.ToLower(def.Name)
@@ -106,6 +107,10 @@ func newSchema(def TableDef) (*schema, error) {
 		}
 		sc.runOrder = append(sc.runOrder, ci)
 	}
+	if r := sc.runOrder; r != nil && (r[1] < r[0] || r[2] < r[0]) {
+		return nil, fmt.Errorf("sqldb: table %q: run-order column %q is stored as runs, so it must come before %q and %q",
+			def.Name, def.RunOrder[0], def.RunOrder[1], def.RunOrder[2])
+	}
 	if ids := def.TargetIDs; ids != nil {
 		if len(ids.Columns) == 0 || ids.Bound < 1 || ids.Bound > math.MaxInt32 || ids.Count < 0 || ids.Count > ids.Bound {
 			return nil, fmt.Errorf("sqldb: table %q: target ids declare %d columns under the bound %d with the count %d, want at least one, a bound in [1, %d] and a count in [0, bound]",
@@ -141,12 +146,12 @@ func newSchema(def TableDef) (*schema, error) {
 
 // storedTypes is the column tags a table with the column types types and the
 // run-order positions runOrder stores its rows under: a run order's leading
-// column ascends, so its arrays are stored as runs (sqltypes.IntRuns), when
-// both its sibling columns, as long by the run order, are stored after it —
-// they are what gives a runs array the bytes after it that the decoders
-// bound its length by.
+// column ascends, so its arrays are stored as runs (sqltypes.IntRuns). Both
+// its sibling columns, as long by the run order, are stored after it
+// (newSchema requires it): they are what gives a runs array the bytes after
+// it that the decoders bound its length by.
 func storedTypes(types []sqltypes.Type, runOrder []int) []sqltypes.Type {
-	if runOrder == nil || runOrder[1] < runOrder[0] || runOrder[2] < runOrder[0] {
+	if runOrder == nil {
 		return types
 	}
 	stored := slices.Clone(types)
@@ -155,9 +160,11 @@ func storedTypes(types []sqltypes.Type, runOrder []int) []sqltypes.Type {
 }
 
 // segMeta is a segment's meta: the table's definition and, beside it, the
-// number of INT[] elements its rows hold, runs expanded — the exact size of
-// its element vector, which Open admits the table on before it reads a data
-// page. Elems is the encoder's, never a caller's.
+// number of int32s its rows' INT[] values hold as the resident vectors keep
+// them — each element of an INT[] column, and two per run of a runs column
+// (sqltypes.IntRuns' run form) — the exact size of its element vector, which
+// Open admits the table on before it reads a data page. Elems is the
+// encoder's, never a caller's.
 type segMeta struct {
 	TableDef
 	Elems int64 `json:"elems"`
@@ -288,7 +295,7 @@ func (t *schema) countTargets(row sqltypes.Row, seen []uint64, distinct int64) (
 }
 
 // encode computes the table's rows and encodes them as its segment, the
-// definition and the rows' INT[] element count as its meta (compact JSON).
+// definition and the rows' resident int32 count as its meta (compact JSON).
 // The rows must be sorted by strictly ascending primary key and hold no NULL;
 // each is checked against the schema as it is encoded, so a rejected load
 // names the first row that breaks it and writes nothing, and so does a
@@ -337,8 +344,12 @@ func (t *schema) encode(load func() ([]sqltypes.Row, error)) (storage.SegmentDat
 		}
 		sd.Data = data
 		sd.Lens[i] = uint32(len(sd.Data) - start)
-		for _, v := range r {
-			meta.Elems += int64(len(v.A))
+		for ci, v := range r {
+			if t.stored[ci] == sqltypes.IntRuns {
+				meta.Elems += 2 * int64(sqltypes.RunCount(v.A))
+			} else {
+				meta.Elems += int64(len(v.A))
+			}
 		}
 	}
 	if sd.Meta, err = json.Marshal(meta); err != nil {
@@ -437,16 +448,35 @@ func (db *DB) newTable(f *storage.PagedFile, file string, base storage.PageID, l
 }
 
 // LookupPK fetches the row with the given primary-key values (one per PK
-// column) into buffers of its own, so the caller may keep the row.
+// column) into buffers of its own, so the caller may keep the row. A runs
+// column comes expanded, an IntArray value: this is the general executor's
+// row view, which holds no run form.
 func (t *Table) LookupPK(keyVals []int64) (sqltypes.Row, bool, error) {
 	var s exec.RowScratch
-	return t.LookupPKScratch(keyVals, &s)
+	row, ok, err := t.LookupPKScratch(keyVals, &s)
+	if ok {
+		expandRuns(row)
+	}
+	return row, ok, err
+}
+
+// expandRuns replaces each run-form value of row (sqltypes.IntRuns) by the
+// IntArray it stands for, in a new array of its own.
+func expandRuns(row sqltypes.Row) {
+	for i, v := range row {
+		if v.T == sqltypes.IntRuns {
+			row[i] = sqltypes.NewIntArray(sqltypes.ExpandRuns(v.A))
+		}
+	}
 }
 
 // LookupPKScratch is LookupPK decoding into s's reusable buffers. The
 // returned row is valid until the next call with the same scratch; its array
 // values live in s.Arena (which only ever grows) or alias immutable cached
-// vectors, so they remain valid for the scratch's lifetime.
+// vectors, so they remain valid for the scratch's lifetime. Unlike LookupPK
+// it serves a runs column (a label's hubs) in its run form, an
+// sqltypes.IntRuns value, from either tier: the form the resident vectors
+// keep and the fused kernels read.
 //
 // Both tiers find the row with the one search of the key directory they
 // share, storage.FindFrom, started where s's last lookup ended (s.Pos): a
@@ -474,7 +504,7 @@ func (t *Table) LookupPKScratch(keyVals []int64, s *exec.RowScratch) (sqltypes.R
 		if s.Pos = i; !ok {
 			return nil, false, nil
 		}
-		row := vcacheRow(m, i, s)
+		row := vcacheRow(m, t.stored, i, s)
 		reg.Exec.RowsScanned.Add(1)
 		return row, true, nil
 	}
@@ -500,17 +530,20 @@ func (t *Table) LookupPKScratch(keyVals []int64, s *exec.RowScratch) (sqltypes.R
 }
 
 // Scan calls fn for every row in key order. Every row gets buffers of its
-// own, so fn may keep it (the general executor does).
+// own, so fn may keep it (the general executor does), and a runs column comes
+// expanded, as LookupPK's does.
 func (t *Table) Scan(fn func(sqltypes.Row) error) error {
 	var s exec.RowScratch
 	return t.ScanScratch(&s, func(row sqltypes.Row) error {
 		s = exec.RowScratch{}
+		expandRuns(row)
 		return fn(row)
 	})
 }
 
 // ScanScratch is Scan reusing s's buffers — including the arena — for every
-// row, so the callback must not retain the row or any of its array values. It
+// row, so the callback must not retain the row or any of its array values; a
+// runs column comes in its run form, as LookupPKScratch's does. It
 // iterates the resident vectors, or else the segment directory, in key order.
 // Counters accumulate locally and publish once at the end; a scan abandoned
 // by an error drops its partial count.
@@ -524,7 +557,7 @@ func (t *Table) ScanScratch(s *exec.RowScratch, fn func(sqltypes.Row) error) err
 		reg.VCache.Hits.Add(1)
 		n := len(m.Keys)
 		for i := 0; i < n; i++ {
-			if err := fn(vcacheRow(m, i, s)); err != nil {
+			if err := fn(vcacheRow(m, t.stored, i, s)); err != nil {
 				return err
 			}
 		}

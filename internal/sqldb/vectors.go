@@ -12,7 +12,9 @@ import (
 // segment decoded once into flat column vectors and served as slice views.
 // A hit skips the buffer pool, the payload copy and the varint decode; what
 // is left per lookup is a search of the key directory and value headers
-// that alias the vectors.
+// that alias the vectors. A runs column — a label's hubs — stays in the run
+// form it is stored in, two int32s per run (sqltypes.IntRuns), never one per
+// tuple: a label of Austin ×0.15 holds about 34 runs against 1 321 tuples.
 //
 // Admission is Open's alone, decided once per table in image order: a
 // table is admitted when its exact vector size fits what the tables admitted
@@ -33,11 +35,12 @@ type Mat struct {
 	Keys []storage.Key
 	// Cols holds one decoded column per table column, in storage order.
 	Cols []Col
-	// Elems is every array element of the table, row by row and, within a
-	// row, column by column; Starts is where each of them begins: the a-th
-	// array column of row i spans Elems[Starts[i·A+a]:Starts[i·A+a+1]], A
-	// the number of array columns, so Starts has len(Keys)·A + 1 entries.
-	// The array columns of Cols are views of the two.
+	// Elems is every array element of the table — a runs column's run form,
+	// its R run values then its R run ends — row by row and, within a row,
+	// column by column; Starts is where each of them begins: the a-th array
+	// column of row i spans Elems[Starts[i·A+a]:Starts[i·A+a+1]], A the
+	// number of array columns, so Starts has len(Keys)·A + 1 entries. The
+	// array columns of Cols are views of the two.
 	Elems  []int32
 	Starts []int32
 	// Bytes is the Mat's budget charge: the backing arrays of the keys, the
@@ -46,7 +49,7 @@ type Mat struct {
 }
 
 // Col is one decoded column. A scalar (BIGINT) column stores row i's value at
-// Ints[i] and leaves Elems and Starts nil. An array (INT[]) column is a view
+// Ints[i] and leaves Elems and Starts nil. An array (INT[] or runs) column is a view
 // of its Mat's shared vectors: Elems is Mat.Elems, Starts is Mat.Starts from
 // the column's own first entry, and Stride is the number of array columns, so
 // Starts[i·Stride]:Starts[i·Stride+1] delimits row i's elements.
@@ -57,7 +60,8 @@ type Col struct {
 	Stride int
 }
 
-// Array returns row i's elements of an array column. The view aliases the
+// Array returns row i's elements of an array column, a runs column's in its
+// run form. The view aliases the
 // decoded vector: immutable, and kept alive by the garbage collector even
 // after the table is replaced, so callers may retain it as long as they need.
 func (c *Col) Array(i int) []int32 {
@@ -67,9 +71,10 @@ func (c *Col) Array(i int) []int32 {
 
 // vectorBytes is the exact size of a segment table's materialized vectors —
 // Mat.Bytes before the Mat exists — from what its segment's header says (the
-// column tags, the row count and the element count of the meta): 16 B per row
-// of the shared key directory, 8 B per row and BIGINT column, 4 B per array
-// element, and a 4-B start per row and INT[] column plus the final end.
+// column tags, the row count and the int32 count of the meta, which counts a
+// runs column's run form): 16 B per row of the shared key directory, 8 B per
+// row and BIGINT column, 4 B per int32 of Elems, and a 4-B start per row and
+// array column plus the final end.
 func vectorBytes(types []sqltypes.Type, rows, elems int) int64 {
 	n, arrays := int64(rows), int64(0)
 	for _, typ := range types {
@@ -83,9 +88,10 @@ func vectorBytes(types []sqltypes.Type, rows, elems int) int64 {
 // decode turns the table's data region — the bytes open read and verified —
 // into vectors for the resident vector cache: the key directory is shared
 // with the segment (both immutable), each scalar column becomes one int64
-// per row, and the elements of every array, row by row, one shared int32
-// vector indexed by one shared vector of starts. The region is decoded in
-// one pass: nElems, the element count the segment's header records, sizes
+// per row, and the elements of every array (a runs column's run form), row by
+// row, one shared int32 vector indexed by one shared vector of starts. The
+// region is decoded in one pass: nElems, the int32 count the segment's header
+// records, sizes
 // every vector, so they are allocated once, at exactly vectorBytes (the size
 // Open admitted the table on), and every row is decoded straight into them.
 // Rows holding more elements than that, or fewer, are a corrupt segment.
@@ -135,12 +141,13 @@ func (t *Table) decode(data []byte, nElems int) (*Mat, error) {
 	return m, nil
 }
 
-// vcacheRow assembles row i of m into s.Row. The value headers are written
-// into the scratch, but the array payloads alias the cached vectors — no
-// copy, no arena traffic. The views satisfy LookupPKScratch's retention
+// vcacheRow assembles row i of m, a table whose column tags are stored, into
+// s.Row: a runs column as an sqltypes.IntRuns value, as the segment tier's
+// decode serves it. The value headers are written into the scratch, but the
+// array payloads alias the cached vectors — no copy, no arena traffic. The views satisfy LookupPKScratch's retention
 // contract trivially: the vectors are immutable and the garbage collector
 // keeps them alive as long as any view exists, even once the table is replaced.
-func vcacheRow(m *Mat, i int, s *exec.RowScratch) sqltypes.Row {
+func vcacheRow(m *Mat, stored []sqltypes.Type, i int, s *exec.RowScratch) sqltypes.Row {
 	var r sqltypes.Row
 	if cap(s.Row) >= len(m.Cols) {
 		r = s.Row[:len(m.Cols)]
@@ -152,7 +159,7 @@ func vcacheRow(m *Mat, i int, s *exec.RowScratch) sqltypes.Row {
 		if col.Starts == nil {
 			r[ci] = sqltypes.NewInt(col.Ints[i])
 		} else {
-			r[ci] = sqltypes.NewIntArray(col.Array(i))
+			r[ci] = sqltypes.Value{T: stored[ci], A: col.Array(i)}
 		}
 	}
 	s.Row = r

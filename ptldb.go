@@ -122,10 +122,11 @@ type Config struct {
 	// are declined and read from their segments. Sizing guidance: the sum
 	// of every all-integer table's vectors keeps every table resident; a
 	// table's vectors take 16 B per row, 8 B per BIGINT value, 4 B per array
-	// element and 4 B per array start (one per row and INT[] column, plus
-	// one), which comes to about 2.8 times the image's bytes on disk (Austin
-	// ×0.15: 9.04 MiB of vectors from a 3.25 MiB image). It has no effect on
-	// query answers.
+	// element — a label's hubs kept as runs, 8 B per run — and 4 B per array
+	// start (one per row and array column, plus one), which comes to about
+	// 2.2 times the image's bytes on disk (Austin ×0.15: 7.15 MiB of vectors
+	// from a 3.25 MiB image, as the benchmark's vcache.resident_mb and
+	// storage.disk_bytes_seg read). It has no effect on query answers.
 	// The directory writers (AddTargetSet, AddVersion, BuildPathTables)
 	// ignore it.
 	VectorCacheBytes int64
@@ -147,7 +148,7 @@ type Config struct {
 
 // DefaultVectorCacheBytes is the vector-cache budget when Config leaves
 // VectorCacheBytes zero: 256 MiB, enough to keep every label table of one
-// paper-scale city resident (their decoded vectors are about 2.8 times their
+// paper-scale city resident (their decoded vectors are about 2.2 times their
 // segments' bytes on disk, tens of MiB per city at the benchmark scales).
 const DefaultVectorCacheBytes = 256 << 20
 

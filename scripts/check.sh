@@ -5,7 +5,7 @@
 # regime and no chart or trace aggregator in ptldb-bench, one trace hook
 # fixed at Open, one owner per decision — only sqldb writes a segment, one
 # dataset cache, obs.Code the one list of the statements, no vertex-order
-# knob —, and the rest below); vet, project lint, build, and the whole test suite under the race
+# knob —, a resident label that keeps its hubs as runs, and the rest below); vet, project lint, build, and the whole test suite under the race
 # detector with shuffled test order, then once more with module-wide
 # coverage, which must reach every function outside cmd/ and examples/, the
 # general SQL engine's coverage by its callers alone, 10-second fuzzes of the
@@ -142,18 +142,28 @@ if git grep -nE 'CountSegRow|DecodeSegRowColumns' -- '*.go'; then
 fi
 echo "== a table's vector size comes from its segment's header (outside tests)"
 if git grep -nE 'CountSegVarints' -- '*.go' ':!*_test.go'; then
-    echo "the meta of a segment's header records its INT[] element count, runs expanded, and sqldb.Open admits" >&2
-    echo "a table on it before a data page is read: no varint count (runs hold fewer varints than elements)," >&2
-    echo "no admission chunk by chunk (DESIGN.md §11)" >&2
+    echo "the meta of a segment's header records the int32 count of its table's resident vectors (an INT[]" >&2
+    echo "column's elements, two per run of a runs column), and sqldb.Open admits a table on it before a data" >&2
+    echo "page is read: no varint count, no admission chunk by chunk (DESIGN.md §11)" >&2
     exit 1
 fi
 echo "== array elements are 32-bit, from the value to the kernels (internal/sqldb)"
 if git grep -nE '^[[:space:]]*A[[:space:]]+\[\]int64' -- internal/sqldb/sqltypes/value.go ||
     git grep -nE '^[[:space:]]*Elems[[:space:]]+\[\]int64' -- internal/sqldb/vectors.go ||
     git grep -nE '^[[:space:]]*Arena[[:space:]]+\[\]int64' -- internal/sqldb/exec/catalog.go ||
-    git grep -nE 'hubs, tds, tas[[:space:]]+\[\]int64' -- internal/sqldb/exec/fused_state.go; then
+    git grep -nE 'hubs, ends, tds, tas[[:space:]]+\[\]int64' -- internal/sqldb/exec/fused_state.go; then
     echo "an INT[] element is an int32 everywhere: sqltypes.Value.A, the vector cache's Elems, the row scratch's" >&2
     echo "Arena and the fused kernels' label; a kernel widens an element where it loads it (DESIGN.md §7)" >&2
+    exit 1
+fi
+echo "== the resident label keeps its hubs as runs (internal/sqldb)"
+if git grep -nE 'firstGT(From)?\([^,]*hubs' -- 'internal/sqldb/exec/*.go' ':!*_test.go' ||
+    git grep -nE 'ExpandRuns' -- 'internal/sqldb/exec/*.go' internal/sqldb/vectors.go ':!*_test.go' ||
+    git grep -nE '^[[:space:]]*Hubs[[:space:]]' -- internal/sqldb/vectors.go; then
+    echo "a runs column (a label's hubs) stays in its run form from the segment to the kernels: the vectors" >&2
+    echo "keep two int32s per run, LookupPKScratch serves them as an sqltypes.IntRuns value from both tiers, and a" >&2
+    echo "kernel takes a run's end from the next run's start; only LookupPK and Scan, the general executor's row" >&2
+    echo "view, expand them (DESIGN.md §7.2, §11): no search for a run's end over hubs, no expanded hubs vector" >&2
     exit 1
 fi
 echo "== a vector-cache table is decoded at open from the bytes open verified (internal/sqldb)"

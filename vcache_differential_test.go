@@ -220,7 +220,8 @@ func TestVCacheConcurrentPartialAdmission(t *testing.T) {
 // a two-word-key one (a condensed table) over probe sequences that ascend,
 // descend, repeat and jump, hit and miss below, between and above, with the
 // carried position now and then replaced by garbage. Every lookup on either
-// tier returns exactly the row a full scan stored under that key, or nothing.
+// tier returns exactly the row a full scan stored under that key, or nothing,
+// once its runs are expanded.
 func TestCursorLookupsMatchAcrossTiers(t *testing.T) {
 	tt, err := GenerateCity("Austin", 0.01, 7)
 	if err != nil {
@@ -324,6 +325,7 @@ func TestCursorLookupsMatchAcrossTiers(t *testing.T) {
 				if len(got) != len(want) {
 					t.Fatalf("round %d step %d tier %d: key %v: %d columns, want %d", round, step, tier, key, len(got), len(want))
 				}
+				got = expandedRow(got)
 				for ci := range want {
 					if got[ci].T != want[ci].T || got[ci].I != want[ci].I || !slices.Equal(got[ci].A, want[ci].A) {
 						t.Fatalf("round %d step %d tier %d: key %v column %d: got %v, stored %v", round, step, tier, key, ci, got[ci], want[ci])
@@ -345,5 +347,82 @@ func TestCursorLookupsMatchAcrossTiers(t *testing.T) {
 	}
 	if sdb.Snapshot().Segment.Hits == 0 {
 		t.Error("the negative-budget handle served no row from segments")
+	}
+}
+
+// expandedRow returns a copy of row with every run-form value (a label's hubs
+// as the scratch reads serve them) replaced by the IntArray it stands for.
+func expandedRow(row sqltypes.Row) sqltypes.Row {
+	out := slices.Clone(row)
+	for ci, v := range out {
+		if v.T == sqltypes.IntRuns {
+			out[ci] = sqltypes.NewIntArray(sqltypes.ExpandRuns(v.A))
+		}
+	}
+	return out
+}
+
+// TestScratchReadsServeHubRuns: on a built city every lin and lout row that
+// LookupPKScratch serves — once from the resident vectors, once from the
+// segment through the pool — holds its hubs as runs (an IntRuns value, two
+// int32s per run, fewer than the tuples), and expands to exactly the row
+// LookupPK returns, whose hubs are a plain INT[].
+func TestScratchReadsServeHubRuns(t *testing.T) {
+	tt, err := GenerateCity("Austin", 0.01, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := createAndWrite(t, dir, tt, Config{Device: "ram"}).Close(); err != nil {
+		t.Fatal(err)
+	}
+	vdb, err := Open(dir, Config{Device: "ram"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer vdb.Close()
+	sdb, err := Open(dir, Config{Device: "ram", VectorCacheBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sdb.Close()
+	for _, name := range []string{"lin", "lout"} {
+		runs, tuples := 0, 0
+		for tier, h := range []*DB{vdb, sdb} {
+			tbl, ok := h.db.Table(name)
+			if !ok || tbl.Resident() != (tier == 0) {
+				t.Fatalf("%s tier %d: table found %v, resident %v", name, tier, ok, ok && tbl.Resident())
+			}
+			hubs := tbl.RunOrder()[0]
+			var s exec.RowScratch
+			for v := 0; v < tt.NumStops(); v++ {
+				key := []int64{int64(v)}
+				want, ok, err := tbl.LookupPK(key)
+				if err != nil || !ok {
+					t.Fatalf("%s tier %d: LookupPK(%d): found %v, %v", name, tier, v, ok, err)
+				}
+				got, ok, err := tbl.LookupPKScratch(key, &s)
+				if err != nil || !ok {
+					t.Fatalf("%s tier %d: LookupPKScratch(%d): found %v, %v", name, tier, v, ok, err)
+				}
+				if want[hubs].T != sqltypes.IntArray || got[hubs].T != sqltypes.IntRuns {
+					t.Fatalf("%s tier %d stop %d: hubs are %s through LookupPK and %s through LookupPKScratch; want INT[] and runs",
+						name, tier, v, want[hubs].T, got[hubs].T)
+				}
+				if tier == 0 {
+					runs += len(got[hubs].A) / 2
+					tuples += len(want[hubs].A)
+				}
+				got = expandedRow(got)
+				for ci := range want {
+					if got[ci].T != want[ci].T || got[ci].I != want[ci].I || !slices.Equal(got[ci].A, want[ci].A) {
+						t.Fatalf("%s tier %d stop %d column %d: the scratch row expands to %v, LookupPK returns %v", name, tier, v, ci, got[ci], want[ci])
+					}
+				}
+			}
+		}
+		if runs == 0 || runs >= tuples {
+			t.Errorf("%s: %d hub runs for %d tuples; want fewer runs than tuples", name, runs, tuples)
+		}
 	}
 }
