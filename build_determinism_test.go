@@ -138,17 +138,18 @@ func pinnedImage(t *testing.T) (string, *Network) {
 // a target set and the path tables, so every builder of an array column
 // (labels, the five target-set tables, paths) — by its length and an FNV-1a
 // digest of its bytes. The segment codec writes an array element as a
-// varint, which carries no width, so the in-memory type of an element does
-// not reach the file: a change that moves a byte here changed the format,
-// and one that does so on purpose updates both numbers and says why (segment
-// version 4 moved the digest: the label hubs stored as runs, and each
-// header's meta counting its table's array elements; version 5 moved it
-// again: that count is of the int32s the resident vectors hold, two per hub
-// run).
+// varint, or packed at a width its run's values set, never the in-memory
+// type's, so that type does not reach the file: a change that moves a byte
+// here changed the format, and one that does so on purpose updates both
+// numbers and says why (segment version 4 moved the digest: the label hubs
+// stored as runs, and each header's meta counting its table's array
+// elements; version 5 moved it again: that count is of the int32s the
+// resident vectors hold, two per hub run; version 6 again: the label tds and
+// tas packed per hub run).
 func TestImagePinned(t *testing.T) {
 	const (
 		wantBytes  = 270336
-		wantDigest = 0xfed214091f46a587
+		wantDigest = 0xcd6aec2a67b65ea5
 	)
 	dir, _ := pinnedImage(t)
 	img, err := os.ReadFile(filepath.Join(dir, sqldb.ImageName))

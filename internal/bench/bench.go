@@ -87,8 +87,9 @@ func (c Config) Defaults() Config {
 // segments are one image file, image.seg, where each had <table>.seg; v12: the
 // catalog moved into the segment headers; v13: segment version 4, the label
 // hubs stored as runs; v14: segment version 5, whose element count is the
-// resident int32s, two per hub run): a stale cache would fail to open.
-const datasetFormat = 14
+// resident int32s, two per hub run; v15: segment version 6, the label tds
+// and tas packed per hub run): a stale cache would fail to open.
+const datasetFormat = 15
 
 // Densities are the paper's target-density values D = |T| / |V|.
 var Densities = []float64{0.001, 0.005, 0.01, 0.05, 0.1}

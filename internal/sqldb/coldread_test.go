@@ -158,8 +158,9 @@ func TestVectorSizePrediction(t *testing.T) {
 		if got := vectorBytes(tags, sf.seg.NumRows(), elems); got != want {
 			t.Errorf("%s: predicted %d bytes of vectors, its rows need %d", spec.name, got, want)
 		}
-		if runs := slices.Index(tags, sqltypes.IntRuns); (spec.runOrder != nil) != (runs == 1) {
-			t.Errorf("%s: the header's column tags are %v; want the hubs alone as runs exactly when it declares a run order", spec.name, tags)
+		if runs := slices.Index(tags, sqltypes.IntRuns); (spec.runOrder != nil) != (runs == 1) ||
+			(runs == 1 && (tags[3] != sqltypes.IntRunGaps || tags[4] != sqltypes.IntRunOffsets)) {
+			t.Errorf("%s: the header's column tags are %v; want the hubs as runs, tds as gaps and tas as offsets exactly when it declares a run order", spec.name, tags)
 		}
 
 		m := sf.vc // what Open decoded

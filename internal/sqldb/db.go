@@ -36,9 +36,12 @@ type ColumnDef struct {
 }
 
 // TableDef declares a table: columns plus a primary key of one or two
-// integer columns. RunOrder, when set, names three INT[] columns (g, a, b)
-// and declares that in every row the three arrays have equal length, g is
-// non-decreasing, and within a run of equal g both a and b are non-decreasing.
+// integer columns. RunOrder, when set, names three INT[] columns (g, a, b),
+// stored in that order, and declares that in every row the three arrays have
+// equal length, g is non-decreasing, b is never below a, and within a run of
+// equal g a ascends strictly and b is non-decreasing — a label's hubs, tds and
+// tas: a minimal label holds one tuple per (hub, departure), and none arrives
+// before it departs.
 // TargetIDs, when set, names INT[] columns and declares that every element
 // of them in every row is an id in [0, Bound) and, when Count is positive, that
 // the rows hold at most Count distinct ids. Floor, when set, declares that

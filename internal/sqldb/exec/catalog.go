@@ -58,7 +58,8 @@ type Table interface {
 
 	// RunOrder returns the positions of three INT[] columns (g, a, b), or
 	// nil: in every stored row the arrays have equal length, g is
-	// non-decreasing, and within equal g both a and b are non-decreasing.
+	// non-decreasing, b is never below a, and within equal g a ascends
+	// strictly and b is non-decreasing.
 	RunOrder() []int
 	// TargetBound returns the positions of the INT[] columns that hold
 	// target ids, their exclusive bound and a count, or nil, 0 and 0: every

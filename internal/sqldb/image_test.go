@@ -255,6 +255,11 @@ func TestImageFailsClosed(t *testing.T) {
 			// per run: its element counts would size no vector right.
 			editImage(t, dir, func(b []byte) []byte { binary.LittleEndian.PutUint32(b[4:], 4); return b })
 		}, storage.ErrCorruptSegment, []string{ImageName, "page 0", "version 4 not supported", "rebuild"}},
+		{"segment-version-5", func(t *testing.T, dir string) {
+			// The image whose label tds and tas were delta varints, where
+			// version 6 packs them per hub run: its rows would not decode.
+			editImage(t, dir, func(b []byte) []byte { binary.LittleEndian.PutUint32(b[4:], 5); return b })
+		}, storage.ErrCorruptSegment, []string{ImageName, "page 0", "version 5 not supported", "rebuild"}},
 		{"file-per-table-layout", splitImage, os.ErrNotExist, []string{"bad.seg", ImageName, "rebuild"}},
 		// Every segment intact, but in an order no Load writes.
 		{"a-segment-repeated", func(t *testing.T, dir string) {

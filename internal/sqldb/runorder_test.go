@@ -38,8 +38,11 @@ func labelRow(v int64, hubs, tds, tas []int32) sqltypes.Row {
 // of the one write a table has. A row that breaks it rejects the whole load
 // with the row and the array position named, and the table — loaded or not —
 // stays as it was, with no temporary file behind. What the declaration admits
-// (ties, duplicates, empty arrays, a later run restarting lower) loads, and a
-// table that declares nothing takes any order.
+// (ties in tas, repeated hubs, arrivals equal to departures, empty arrays, a
+// later run restarting lower) loads, and a table that declares nothing takes
+// any order. A td repeated inside a run, which a minimal label never holds,
+// and a ta below its td are refused: the packed columns have no encoding for
+// either.
 func TestBulkLoadValidatesRunOrder(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256})
@@ -48,7 +51,7 @@ func TestBulkLoadValidatesRunOrder(t *testing.T) {
 	}
 	defer db.Close()
 	def := labelDef("lab", "hubs", "tds", "tas")
-	good := labelRow(0, []int32{1, 1, 1, 1, 5, 5}, []int32{10, 10, 10, 20, 3, 4}, []int32{30, 30, 31, 31, 9, 9})
+	good := labelRow(0, []int32{1, 1, 1, 1, 5, 5}, []int32{10, 11, 12, 20, 3, 4}, []int32{30, 30, 31, 31, 9, 9})
 	bad := []struct {
 		name string
 		row  sqltypes.Row
@@ -57,6 +60,8 @@ func TestBulkLoadValidatesRunOrder(t *testing.T) {
 		{"hub descends", labelRow(1, []int32{1, 2, 1}, []int32{1, 1, 1}, []int32{2, 2, 2}), "position 2"},
 		{"td descends inside a run", labelRow(1, []int32{4, 4}, []int32{9, 8}, []int32{10, 10}), "position 1"},
 		{"ta descends inside a run", labelRow(1, []int32{4, 4, 4, 4}, []int32{1, 2, 3, 4}, []int32{9, 9, 9, 8}), "position 3"},
+		{"td repeated inside a run", labelRow(1, []int32{4, 4, 4}, []int32{1, 2, 2}, []int32{9, 9, 9}), "position 2"},
+		{"ta below td", labelRow(1, []int32{4, 7}, []int32{1, 8}, []int32{9, 7}), "position 1"},
 		{"arrays of different length", labelRow(1, []int32{4, 4}, []int32{1, 2}, []int32{9}), "lengths 2, 2, 1"},
 	}
 	rejected := func(loaded bool) {
@@ -437,8 +442,8 @@ func TestBulkLoadValidatesFloor(t *testing.T) {
 }
 
 // TestRunOrderDeclarationFailsClosed: a declaration that is not three
-// INT[] columns of the table, the leading one (stored as runs) before the
-// other two, is refused where the table is loaded, and
+// INT[] columns of the table in the order they are stored (as runs, gaps and
+// offsets) is refused where the table is loaded, and
 // refused again — naming the table, opening nothing — when the same
 // declaration reaches Open through a hand-edited header. A table that
 // declares nothing writes a definition without the field.
@@ -449,6 +454,7 @@ func TestRunOrderDeclarationFailsClosed(t *testing.T) {
 		"a fourth column":      {"hubs", "tds", "tas", "extra"},
 		"two columns":          {"hubs", "tds"},
 		"runs after a sibling": {"tds", "hubs", "tas"},
+		"siblings swapped":     {"hubs", "tas", "tds"},
 	}
 	dir := t.TempDir()
 	db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256})

@@ -10,6 +10,7 @@ package sqldb
 // healthy sibling directory is unaffected.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -337,7 +338,8 @@ func TestDamageAfterOpenNeverReachesVectors(t *testing.T) {
 // TestMalformedRowFailsMaterialize: a segment whose checksums hold but one of
 // whose rows is malformed — an array element outside int32 among them, and
 // in a table whose hubs are stored as runs, a run that is empty, overshoots
-// its array, repeats the hub before it or leaves int32 — fails the open of a
+// its array, repeats the hub before it or leaves int32, and tds packed with a
+// zero gap or past 32 bits wide — fails the open of a
 // handle whose vector cache admits the table — open checks the regions, then
 // decodes the rows, and the one-pass decode keeps every check on a row —
 // with an error naming the table and wrapping storage.ErrCorruptSegment,
@@ -361,10 +363,11 @@ func TestMalformedRowFailsMaterialize(t *testing.T) {
 	// runs on into the next row.
 	midVarint := func(b []byte) []byte { b[len(b)-1] |= 0x80; return b }
 	// In the runs form bad's rows are (k, 3k, hubs [k, k, k+1] as the runs
-	// (k, 2) (1, 1), tds [1, 2, 1], tas [5, 6, 7]); runs(k, pairs) is row k
-	// with the hubs' runs given as (delta, count) pairs.
-	runsTypes := []sqltypes.Type{sqltypes.Int64, sqltypes.Int64, sqltypes.IntRuns, sqltypes.IntArray, sqltypes.IntArray}
-	runs := func(k int64, pairs ...int64) []byte {
+	// (k, 2) (1, 1), tds [1, 2, 1], tas [5, 6, 7], both packed per run);
+	// runs(k, pairs) is row k with the hubs' runs given as (delta, count)
+	// pairs.
+	runsTypes := []sqltypes.Type{sqltypes.Int64, sqltypes.Int64, sqltypes.IntRuns, sqltypes.IntRunGaps, sqltypes.IntRunOffsets}
+	hubs := func(k int64, pairs ...int64) []byte {
 		b := binary.AppendUvarint(head(k), 3)
 		for i, x := range pairs {
 			if i%2 == 0 {
@@ -373,12 +376,20 @@ func TestMalformedRowFailsMaterialize(t *testing.T) {
 				b = binary.AppendUvarint(b, uint64(x))
 			}
 		}
-		b, err := sqltypes.EncodeSegRow(b, runsTypes[3:], sqltypes.Row{
+		return b
+	}
+	runs := func(k int64, pairs ...int64) []byte {
+		full, err := sqltypes.EncodeSegRow(nil, runsTypes, sqltypes.Row{sqltypes.NewInt(k), sqltypes.NewInt(3 * k),
+			sqltypes.NewIntArray([]int32{int32(k), int32(k), int32(k) + 1}),
 			sqltypes.NewIntArray([]int32{1, 2, 1}), sqltypes.NewIntArray([]int32{5, 6, 7})})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return b
+		good := hubs(k, k, 2, 1, 1)
+		if !bytes.HasPrefix(full, good) {
+			t.Fatalf("row %d encodes to %x, whose hubs are not %x", k, full, good)
+		}
+		return append(hubs(k, pairs...), full[len(good):]...)
 	}
 	for _, c := range []struct {
 		name string
@@ -402,6 +413,10 @@ func TestMalformedRowFailsMaterialize(t *testing.T) {
 		{"runs: a repeated hub", 1500, runs(1500, 1500, 2, 0, 1), true},
 		{"runs: a hub past MaxInt32", 1500, runs(1500, 1500, 2, math.MaxInt32, 1), true},
 		{"runs: a hub below MinInt32", 1500, runs(1500, math.MinInt32-1, 3), true},
+		// Sound hubs, then tds with a gap of 0 inside the first run, or packed
+		// 33 bits wide; tas as the sound rows pack it.
+		{"packed: a zero gap", 1500, append(hubs(1500, 1500, 2, 1, 1), 0x02, 1, 0x00, 0x00, 0, 3, 0x24, 3, 0x06), true},
+		{"packed: a width past 32", 1500, append(hubs(1500, 1500, 2, 1, 1), 0x02, 33, 1, 0, 0, 0, 0, 0x00, 0, 3, 0x24, 3, 0x06), true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"ptldb/internal/sqldb/storage"
 )
@@ -11,16 +12,33 @@ import (
 // Segment codec: the row encoding of every stored table. Unlike EncodeRow it
 // writes no per-value type tags — the column types are fixed by the table
 // schema and stored once in the segment header — so a label row costs exactly
-// its varints. BIGINT is a zigzag varint, INT[] a uvarint length plus
-// per-element delta varints, DOUBLE its 8 IEEE-754 bytes (little-endian, bit
-// pattern preserved) and TEXT a uvarint length plus the bytes. IntRuns, the
-// stored form of a non-decreasing INT[] (a label's hubs), is a uvarint length
-// plus one (zigzag delta from the previous run's value, uvarint count ≥ 1)
-// pair per run of equal elements; after the first run every delta is > 0. It
-// decodes to its run form (Value's IntRuns), never expanded. There is no
-// encoding of NULL: a stored row has none. Varints carry no width: an INT[]
-// element is any value whose running delta sum stays inside int32, and a row
-// whose sum leaves it is corrupt.
+// its varints and packed bits. BIGINT is a zigzag varint, INT[] a uvarint
+// length plus per-element delta varints, DOUBLE its 8 IEEE-754 bytes
+// (little-endian, bit pattern preserved) and TEXT a uvarint length plus the
+// bytes. There is no encoding of NULL: a stored row has none.
+//
+// A run-ordered table (a label: hubs, tds, tas) stores its three arrays in
+// three forms of their own, one per column tag:
+//
+//   - IntRuns, the leading column (hubs), non-decreasing: a uvarint length
+//     plus one (zigzag delta from the previous run's value, uvarint count ≥ 1)
+//     pair per run of equal elements; after the first run every delta is > 0.
+//     It decodes to its run form (Value's IntRuns), never expanded.
+//   - IntRunGaps, the first sibling (tds): no length — it is the runs
+//     value's — and per run of the IntRuns value before it a zigzag varint
+//     from the previous run's first element (0 before the first run), then
+//     one width byte w ≤ 32 and the run's n − 1 gaps, each ≥ 1 (the elements
+//     ascend strictly inside a run), packed at w bits.
+//   - IntRunOffsets, the second sibling (tas): per run one width byte w ≤ 32
+//     and the run's n offsets from the IntRunGaps value before it (ta − td,
+//     ≥ 0), packed at w bits; the elements never descend inside a run.
+//
+// Packed fields are written least significant bit first, each run's from a
+// byte boundary, its last byte padded with zero bits. The siblings decode to
+// plain IntArray values. Varints carry no width: an INT[] element is any
+// value whose running sum stays inside int32, and a row whose sum leaves it is
+// corrupt; so is a width past 32, packed bits that run past the row, a zero
+// gap and a sibling element outside int32 or descending inside its run.
 
 // corrupt is every decoder's error for bytes that are no encoded row: it
 // wraps storage.ErrCorruptSegment, since a segment is a table's only copy.
@@ -30,18 +48,26 @@ func corrupt(format string, a ...any) error {
 
 // EncodeSegRow appends the segment encoding of r under the column tags types
 // to buf. Each value must have its column's type — an IntArray value in an
-// IntRuns column, non-decreasing — and NULL has none. The decoders bound an
-// array's length by the bytes after it in the row, so an IntRuns value reads
-// back only from a row holding at least a byte per element after its length:
-// a run-ordered table's rows do, with its two sibling arrays, as long, stored
-// after it.
+// IntRuns, IntRunGaps or IntRunOffsets column — and NULL has none. An IntRuns
+// value must not descend; an IntRunGaps value must be as long as the IntRuns
+// value before it and ascend strictly inside each of its runs, and an
+// IntRunOffsets value as long, at or above the IntRunGaps value before it
+// element by element and never descending inside a run. The decoders bound
+// an IntRuns value's length by the bits after it in the row, so it reads back
+// only from a row holding at least a bit per element after its length: a
+// run-ordered table's rows do, with its two packed siblings stored after it.
 func EncodeSegRow(buf []byte, types []Type, r Row) ([]byte, error) {
 	if len(r) != len(types) {
 		return nil, fmt.Errorf("sqltypes: segment row of %d values under %d column tags", len(r), len(types))
 	}
+	// g is the last runs value and ends its run ends, base the last gaps
+	// value after it; fields is one run's packed fields.
+	var g, base, fields []int32
+	var ends []int
+	runs, gaps := false, false
 	for i, v := range r {
 		t := types[i]
-		if v.T != t && (t != IntRuns || v.T != IntArray) {
+		if v.T != t && (v.T != IntArray || (t != IntRuns && t != IntRunGaps && t != IntRunOffsets)) {
 			return nil, fmt.Errorf("sqltypes: segment cannot encode %s as %s at value %d", v.T, t, i)
 		}
 		switch t {
@@ -62,6 +88,7 @@ func EncodeSegRow(buf []byte, types []Type, r Row) ([]byte, error) {
 		case IntRuns:
 			buf = binary.AppendUvarint(buf, uint64(len(v.A)))
 			prev := int64(0)
+			ends = ends[:0]
 			for j := 0; j < len(v.A); {
 				x, run := v.A[j], 1
 				for j+run < len(v.A) && v.A[j+run] == x {
@@ -74,12 +101,227 @@ func EncodeSegRow(buf []byte, types []Type, r Row) ([]byte, error) {
 				buf = binary.AppendUvarint(buf, uint64(run))
 				prev = int64(x)
 				j += run
+				ends = append(ends, j)
+			}
+			g, runs, base, gaps = v.A, true, nil, false
+		case IntRunGaps, IntRunOffsets:
+			a := v.A
+			switch {
+			case !runs || (t == IntRunOffsets && !gaps):
+				return nil, fmt.Errorf("sqltypes: segment cannot encode %s at value %d: no runs value before it", t, i)
+			case len(a) != len(g):
+				return nil, fmt.Errorf("sqltypes: segment cannot encode %s at value %d: %d elements, its runs value %d", t, i, len(a), len(g))
+			}
+			prev, s := int64(0), 0
+			for _, e := range ends {
+				fields = fields[:0]
+				if t == IntRunGaps {
+					buf = binary.AppendVarint(buf, int64(a[s])-prev)
+					prev = int64(a[s])
+					for j := s + 1; j < e; j++ {
+						if a[j] <= a[j-1] {
+							return nil, fmt.Errorf("sqltypes: segment cannot encode %s at value %d: element %d does not ascend past %d inside its run", t, i, j, a[j-1])
+						}
+						fields = append(fields, a[j]-a[j-1])
+					}
+				} else {
+					for j := s; j < e; j++ {
+						if a[j] < base[j] || (j > s && a[j] < a[j-1]) {
+							return nil, fmt.Errorf("sqltypes: segment cannot encode %s at value %d: element %d is below its base %d or descends inside its run", t, i, j, base[j])
+						}
+						fields = append(fields, a[j]-base[j])
+					}
+				}
+				buf = appendPacked(buf, fields)
+				s = e
+			}
+			if t == IntRunGaps {
+				base, gaps = a, true
 			}
 		default:
 			return nil, fmt.Errorf("sqltypes: segment cannot encode %s at value %d", v.T, i)
 		}
 	}
 	return buf, nil
+}
+
+// appendPacked appends one width byte w — the bit length of the widest of the
+// fields f, each read as a uint32 — and the fields packed at w bits, least
+// significant bit first, into whole bytes.
+func appendPacked(buf []byte, f []int32) []byte {
+	w := 0
+	for _, x := range f {
+		w = max(w, bits.Len32(uint32(x)))
+	}
+	buf = append(buf, byte(w))
+	acc, have := uint64(0), 0
+	for _, x := range f {
+		acc |= uint64(uint32(x)) << have
+		for have += w; have >= 8; have -= 8 {
+			buf = append(buf, byte(acc))
+			acc >>= 8
+		}
+	}
+	if have > 0 {
+		buf = append(buf, byte(acc))
+	}
+	return buf
+}
+
+// packed reads the width byte w at the front of buf, for run r of the
+// sibling value i whose n fields are packed after it, and returns w, the bytes
+// after the width byte — the fields first, then the rest of the row, which a
+// reader may load whole words of (refill) — and the bytes after the fields.
+// A width past 32, or fields that run past buf, are corrupt.
+func packed(buf []byte, n int, r, i int) (w uint, p, rest []byte, err error) {
+	if len(buf) == 0 {
+		return 0, nil, nil, corrupt("run %d of value %d has no width", r, i)
+	}
+	if w = uint(buf[0]); w > 32 {
+		return 0, nil, nil, corrupt("run %d of value %d is packed %d bits wide, past 32", r, i, w)
+	}
+	p = buf[1:]
+	// n < 2³¹ fields of ≤ 32 bits: no overflow in uint64, on any platform.
+	nb := (uint64(n)*uint64(w) + 7) / 8
+	if nb > uint64(len(p)) {
+		return 0, nil, nil, corrupt("run %d of value %d packs %d bytes, past the row's %d", r, i, nb, len(p))
+	}
+	return w, p, p[nb:], nil
+}
+
+// refill adds the bytes at the front of p to acc, which holds have bits
+// already read from the bytes before them, and returns p past the bytes
+// whose bits acc now holds whole, acc and its count of bits: at least 56
+// from one little-endian word when p holds eight bytes, else every byte of p
+// up to 64. A byte read twice adds the bits acc already holds.
+func refill(p []byte, acc uint64, have uint) ([]byte, uint64, uint) {
+	if len(p) >= 8 {
+		acc |= binary.LittleEndian.Uint64(p) << have
+		k := (63 - have) >> 3
+		return p[k:], acc, have + k<<3
+	}
+	for ; have <= 56 && len(p) > 0; p = p[1:] {
+		acc |= uint64(p[0]) << have
+		have += 8
+	}
+	return p, acc, have
+}
+
+// runCtx is what a row decoder knows, for the packed siblings, of the
+// IntRuns value it decoded last: its run ends, and the elements of the
+// IntRunGaps value decoded after it.
+type runCtx struct {
+	ends, base []int32
+	runs, gaps bool
+}
+
+// setRuns records a decoded IntRuns value's run form a.
+func (c *runCtx) setRuns(a []int32) {
+	_, c.ends = SplitRuns(a)
+	c.runs, c.base, c.gaps = true, nil, false
+}
+
+// length returns the number of elements of the sibling value i tagged t: the
+// runs value's. A sibling with no runs value before it, or an IntRunOffsets
+// value with no IntRunGaps value after that, is corrupt.
+func (c *runCtx) length(t Type, i int) (int, error) {
+	if !c.runs || (t == IntRunOffsets && !c.gaps) {
+		return 0, corrupt("%s value %d stored after no runs value", t, i)
+	}
+	if len(c.ends) == 0 {
+		return 0, nil
+	}
+	return int(c.ends[len(c.ends)-1]), nil
+}
+
+// put decodes the sibling value i tagged t into out, as long as length
+// returned, and returns the bytes after it. Each run's fields are read w bits
+// at a time from a word refilled when it holds fewer (refill).
+func (c *runCtx) put(buf []byte, t Type, out []int32, i int) ([]byte, error) {
+	start := int32(0)
+	if t == IntRunGaps {
+		c.base, c.gaps = out, true
+		first := int64(0)
+		for r, end := range c.ends {
+			d, k := binary.Varint(buf)
+			if k <= 0 {
+				return nil, corrupt("run %d of value %d", r, i)
+			}
+			// first is inside int32, so a sum that wraps int64 lands
+			// outside it too.
+			if first += d; first != int64(int32(first)) {
+				return nil, corrupt("run %d of value %d starts at %d, outside int32", r, i, first)
+			}
+			w, p, rest, err := packed(buf[k:], int(end-start-1), r, i)
+			if err != nil {
+				return nil, err
+			}
+			x, acc, have, mask := first, uint64(0), uint(0), uint64(1)<<w-1
+			o := out[start:end]
+			o[0] = int32(x)
+			for j := 1; j < len(o); j++ {
+				if have < w {
+					p, acc, have = refill(p, acc, have)
+				}
+				gap := int64(acc & mask)
+				acc, have = acc>>w, have-w
+				if gap == 0 {
+					return nil, corrupt("element %d of value %d repeats the one before it inside its run", int(start)+j, i)
+				}
+				if x += gap; x > math.MaxInt32 {
+					return nil, corrupt("element %d of value %d is %d, outside int32", int(start)+j, i, x)
+				}
+				o[j] = int32(x)
+			}
+			buf, start = rest, end
+		}
+		return buf, nil
+	}
+	for r, end := range c.ends {
+		w, p, rest, err := packed(buf, int(end-start), r, i)
+		if err != nil {
+			return nil, err
+		}
+		// Offsets of 0 — a run of dummy tuples — leave the gaps value's
+		// elements, which ascend inside the run.
+		if w == 0 {
+			copy(out[start:end], c.base[start:end])
+			buf, start = rest, end
+			continue
+		}
+		prev, acc, have, mask := int64(math.MinInt64), uint64(0), uint(0), uint64(1)<<w-1
+		o := out[start:end]
+		base := c.base[start:end]
+		base = base[:len(o)]
+		for j := range o {
+			if have < w {
+				p, acc, have = refill(p, acc, have)
+			}
+			x := int64(base[j]) + int64(acc&mask)
+			acc, have = acc>>w, have-w
+			switch {
+			case x > math.MaxInt32:
+				return nil, corrupt("element %d of value %d is %d, outside int32", int(start)+j, i, x)
+			case x < prev:
+				return nil, corrupt("element %d of value %d descends inside its run", int(start)+j, i)
+			}
+			o[j], prev = int32(x), x
+		}
+		buf, start = rest, end
+	}
+	return buf, nil
+}
+
+// maxLen is the most elements an array of column tag t can hold in the rest
+// bytes after its length: a byte each for an INT[] element, a bit each for an
+// IntRuns value's, whose packed IntRunGaps sibling after it spends at least
+// that — a gap of at least 1 costs a bit, a run's first element and width
+// two bytes.
+func maxLen(t Type, rest int) uint64 {
+	if t == IntRuns {
+		return 8 * uint64(rest)
+	}
+	return uint64(rest)
 }
 
 // countRuns checks the runs of an IntRuns value of n elements — the bytes
@@ -202,9 +444,9 @@ func carve(arena []int32, n int) ([]int32, []int32) {
 // arena between calls (arena[:0]) recycles the backing and clobbers all
 // previously decoded arrays; only do that when nothing is retained. A TEXT
 // value is copied out of buf, so it is always safe to keep. An IntRuns column
-// decodes to its run form, an IntRuns value of two int32s per run. Malformed
-// bytes, an array element outside int32 among them, are an error wrapping
-// storage.ErrCorruptSegment.
+// decodes to its run form, an IntRuns value of two int32s per run, and its
+// packed siblings to IntArray values. Malformed bytes, an array element
+// outside int32 among them, are an error wrapping storage.ErrCorruptSegment.
 func DecodeSegRowInto(buf []byte, types []Type, row Row, arena []int32) (Row, []int32, error) {
 	var r Row
 	if cap(row) >= len(types) {
@@ -212,6 +454,7 @@ func DecodeSegRowInto(buf []byte, types []Type, row Row, arena []int32) (Row, []
 	} else {
 		r = make(Row, len(types))
 	}
+	var rc runCtx
 	for i, t := range types {
 		switch t {
 		case Int64:
@@ -237,14 +480,25 @@ func DecodeSegRowInto(buf []byte, types []Type, row Row, arena []int32) (Row, []
 			// the value safe to retain past the scratch buffer.
 			r[i] = NewText(string(buf[k : k+int(ln)]))
 			buf = buf[k+int(ln):]
+		case IntRunGaps, IntRunOffsets:
+			// The runs value before it bounded the length by the row's
+			// bits, before it could size the arena.
+			n, err := rc.length(t, i)
+			if err != nil {
+				return nil, arena, err
+			}
+			var a []int32
+			a, arena = carve(arena, n)
+			if buf, err = rc.put(buf, t, a, i); err != nil {
+				return nil, arena, err
+			}
+			r[i] = NewIntArray(a)
 		case IntArray, IntRuns:
 			ln, k := binary.Uvarint(buf)
-			// Every element costs at least one byte — an IntRuns column's
-			// elements less, but the run-ordered columns stored after it
-			// hold as many elements at a byte or more each — so a length
-			// beyond the remaining buffer is corrupt, checked before it can
-			// size the arena (or overflow int) on attacker-controlled input.
-			if k <= 0 || ln > uint64(len(buf)-k) {
+			// A length beyond what the rest of the row can hold (maxLen) is
+			// corrupt, checked before it can size the arena (or overflow
+			// int) on attacker-controlled input.
+			if k <= 0 || ln > maxLen(t, len(buf)-k) {
 				return nil, arena, corrupt("array at value %d", i)
 			}
 			buf = buf[k:]
@@ -256,6 +510,7 @@ func DecodeSegRowInto(buf []byte, types []Type, row Row, arena []int32) (Row, []
 				var a []int32
 				a, arena = carve(arena, 2*runs)
 				buf = putRuns(buf, a)
+				rc.setRuns(a)
 				r[i] = Value{T: IntRuns, A: a}
 				continue
 			}
@@ -286,30 +541,34 @@ func DecodeSegRowInto(buf []byte, types []Type, row Row, arena []int32) (Row, []
 	return r, arena, nil
 }
 
-// DecodeSegRowVectors decodes one encoded row of BIGINT / INT[] columns
-// (IntArray or IntRuns) into column vectors instead of a Row, for the
+// DecodeSegRowVectors decodes one encoded row of BIGINT / INT[] columns (any
+// tag but DOUBLE and TEXT) into column vectors instead of a Row, for the
 // resident vector cache, which holds no other table: the k-th BIGINT of the
 // row goes to scalars[k], and the elements of its INT[] values — an IntRuns
 // value's run form, two int32s per run — onto the end of elems, in column
 // order, with the length of elems after the a-th array recorded at ends[a].
 // It accepts exactly the rows DecodeSegRowInto accepts, refusing an element
-// outside int32 as that does, and decodes the same values, but elems grows
-// only within its capacity — the caller sized it once, for the whole table,
-// from the int32 count its segment's header records — so an array that does not fit is an error, never a
-// reallocation. The one-, two- and three-byte varints that make up nearly
-// every label value are decoded inline; longer ones go to binary.Uvarint.
+// outside int32 as that does, and decodes the same values. elems grows only
+// within its capacity, which the caller sized once, for the whole table, from
+// the int32 count its segment's header records: an array that does not fit
+// is an error, never a reallocation. The one-, two- and three-byte varints
+// that make up nearly every varint label value are decoded inline; longer
+// ones go to binary.Uvarint.
 func DecodeSegRowVectors(buf []byte, types []Type, scalars []int64, elems, ends []int32) ([]int32, error) {
 	s, a := 0, 0
+	var rc runCtx
 	for i, t := range types {
 		// A BIGINT decodes like a one-element array without the length
 		// prefix: its single delta from zero is the value itself.
 		var out []int32
 		n := 1
-		if t != Int64 {
-			// The row decoder's bound on a length, which an IntRuns value
-			// needs checked: its runs alone may hold fewer bytes.
+		switch t {
+		case Int64:
+		case IntArray, IntRuns:
+			// The row decoder's bound on a length (maxLen), checked before
+			// the length can size anything.
 			ln, k := binary.Uvarint(buf)
-			if k <= 0 || (t != IntArray && t != IntRuns) || ln > uint64(len(buf)-k) {
+			if k <= 0 || ln > maxLen(t, len(buf)-k) {
 				return elems, corrupt("array at value %d", i)
 			}
 			buf = buf[k:]
@@ -321,14 +580,31 @@ func DecodeSegRowVectors(buf []byte, types []Type, scalars []int64, elems, ends 
 				}
 				n = 2 * runs
 			}
+		case IntRunGaps, IntRunOffsets:
+			var err error
+			if n, err = rc.length(t, i); err != nil {
+				return elems, err
+			}
+		default:
+			return elems, corrupt("array at value %d", i)
+		}
+		if t != Int64 {
 			if n > cap(elems)-len(elems) {
 				return elems, corrupt("value %d overflows its vector", i)
 			}
 			out, elems = elems[len(elems):len(elems)+n], elems[:len(elems)+n]
 			ends[a] = int32(len(elems))
 			a++
-			if t == IntRuns {
+			switch t {
+			case IntRuns:
 				buf = putRuns(buf, out)
+				rc.setRuns(out)
+				continue
+			case IntRunGaps, IntRunOffsets:
+				var err error
+				if buf, err = rc.put(buf, t, out, i); err != nil {
+					return elems, err
+				}
 				continue
 			}
 		}

@@ -17,16 +17,16 @@ import (
 // int32 extremes for array elements, the int64 ones for scalars — NaN and
 // signed-zero doubles, empty and non-UTF-8 text) over-represented. An IntRuns
 // column gets a non-decreasing array (no runs, one run, runs at the int32
-// ends, hub-like runs), and every INT[] column after it its length, as a
-// run-ordered table's siblings have.
+// ends, hub-like runs), and the packed siblings after it arrays as long that
+// keep the run order (randRunSibling).
 func randSegRow(rng *rand.Rand, types []Type) Row {
 	r := make(Row, len(types))
-	runLen := -1
+	var runs, base []int32 // the last runs value, and the last gaps value after it
 	for i, t := range types {
-		if t == IntArray && runLen >= 0 {
-			a := make([]int32, runLen)
-			for j := range a {
-				a[j] = int32(rng.Uint32())
+		if t == IntRunGaps || t == IntRunOffsets {
+			a := randRunSibling(rng, t, runs, base)
+			if t == IntRunGaps {
+				base = a
 			}
 			r[i] = NewIntArray(a)
 			continue
@@ -47,7 +47,7 @@ func randSegRow(rng *rand.Rand, types []Type) Row {
 					h += 1 + rng.Int31n(1<<12)
 				}
 			}
-			runLen = len(a)
+			runs, base = a, nil
 			r[i] = NewIntArray(a)
 		case Int64:
 			switch rng.Intn(4) {
@@ -112,6 +112,50 @@ func randSegRow(rng *rand.Rand, types []Type) Row {
 	return r
 }
 
+// randRunSibling draws the value of a packed sibling column tagged t for the
+// runs value g, base being the gaps value before it: per run of g, elements
+// that ascend strictly (IntRunGaps) — across the whole of int32, in gaps of 1
+// at its top, or departure-like, 1 to 8 192 s apart — or that never descend
+// and sit at or above base (IntRunOffsets) — equal to it, as a dummy tuple's
+// arrival is, at MaxInt32, or up to an hour later.
+func randRunSibling(rng *rand.Rand, t Type, g, base []int32) []int32 {
+	a := make([]int32, len(g))
+	for s := 0; s < len(g); {
+		e := s + 1
+		for e < len(g) && g[e] == g[s] {
+			e++
+		}
+		mode := rng.Intn(4)
+		x := int64(math.MinInt32)
+		for j := s; j < e; j++ {
+			switch {
+			case t == IntRunGaps && mode == 0: // the widest gap, into the last element
+				x = int64(math.MinInt32) + int64(j-s)
+				if j == e-1 && j > s {
+					x = math.MaxInt32
+				}
+			case t == IntRunGaps && mode == 1:
+				x = math.MaxInt32 - int64(e-1-j)
+			case t == IntRunGaps:
+				if j == s {
+					x = rng.Int63n(1<<17) - 1<<10
+				} else {
+					x += 1 + rng.Int63n(1<<13)
+				}
+			case mode == 0:
+				x = max(x, int64(base[j]))
+			case mode == 1:
+				x = math.MaxInt32
+			default:
+				x = min(math.MaxInt32, max(x, int64(base[j])+rng.Int63n(3600)))
+			}
+			a[j] = int32(x)
+		}
+		s = e
+	}
+	return a
+}
+
 // repeat returns n copies of v.
 func repeat(v int32, n int) []int32 {
 	a := make([]int32, n)
@@ -152,7 +196,7 @@ func rowsEqual(t *testing.T, want, got Row) {
 func TestSegCodecRoundTripFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(1316))
 	shapes := [][]Type{
-		{Int64, IntRuns, IntArray, IntArray},              // lout/lin as stored
+		{Int64, IntRuns, IntRunGaps, IntRunOffsets},       // lout/lin as stored
 		{Int64, IntArray, IntArray, IntArray},             // lout/lin's types
 		{Int64, Int64, IntArray, IntArray},                // naive kNN (hub, td, vs, tas)
 		{Int64, Int64, Int64, Int64, Int64, Int64, Int64}, // condensed
@@ -189,7 +233,7 @@ func TestSegCodecRoundTripFuzz(t *testing.T) {
 func TestSegCodecMatchesRowCodec(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, types := range [][]Type{
-		{Int64, IntRuns, IntArray, IntArray},
+		{Int64, IntRuns, IntRunGaps, IntRunOffsets},
 		{Int64, IntArray, IntArray, IntArray},
 		{Int64, Text, Float64, Float64},
 	} {
@@ -211,9 +255,12 @@ func TestSegCodecMatchesRowCodec(t *testing.T) {
 }
 
 // TestSegCodecRejectsIneligible pins what the codec has no encoding for: a
-// NULL value, a value of another type than its column's and a descending
-// array in a runs column refuse to encode, and a schema naming no storable
-// column type refuses to decode.
+// NULL value, a value of another type than its column's, a descending array
+// in a runs column, and packed siblings that break the run order — a repeated
+// or descending td inside a run, a ta below its td or descending inside a
+// run, a length other than the runs value's, or no runs (gaps) value before
+// them — refuse to encode, and a schema naming no storable column type
+// refuses to decode.
 func TestSegCodecRejectsIneligible(t *testing.T) {
 	for _, r := range []Row{
 		{Null},
@@ -232,6 +279,14 @@ func TestSegCodecRejectsIneligible(t *testing.T) {
 		{[]Type{IntRuns}, Row{NewInt(1)}},
 		{[]Type{Int64, Int64}, Row{NewInt(1)}},
 		{[]Type{IntRuns}, Row{NewIntArray([]int32{3, 3, 2})}},
+		{labelTypes, Row{NewInt(1), NewIntArray([]int32{4, 4}), NewIntArray([]int32{9, 9}), NewIntArray([]int32{9, 9})}},
+		{labelTypes, Row{NewInt(1), NewIntArray([]int32{4, 4}), NewIntArray([]int32{9, 8}), NewIntArray([]int32{9, 9})}},
+		{labelTypes, Row{NewInt(1), NewIntArray([]int32{4, 5}), NewIntArray([]int32{9, 8}), NewIntArray([]int32{9, 7})}},
+		{labelTypes, Row{NewInt(1), NewIntArray([]int32{4, 4}), NewIntArray([]int32{1, 2}), NewIntArray([]int32{9, 8})}},
+		{labelTypes, Row{NewInt(1), NewIntArray([]int32{4, 4}), NewIntArray([]int32{1}), NewIntArray([]int32{9})}},
+		{labelTypes, Row{NewInt(1), NewIntArray([]int32{4, 4}), NewIntArray([]int32{1, 2}), NewIntArray([]int32{9})}},
+		{[]Type{Int64, IntArray, IntRunGaps}, Row{NewInt(1), NewIntArray([]int32{4}), NewIntArray([]int32{1})}},
+		{[]Type{Int64, IntRuns, IntRunOffsets}, Row{NewInt(1), NewIntArray([]int32{4}), NewIntArray([]int32{1})}},
 	} {
 		if _, err := EncodeSegRow(nil, c.types, c.r); err == nil {
 			t.Fatalf("EncodeSegRow(%v, %v) succeeded, want error", c.types, c.r)
@@ -304,24 +359,8 @@ func TestSegDecodeRefusesElementOutsideInt32(t *testing.T) {
 // lower one), a value one past either end of int32 and a row cut inside a run
 // are refused by both with storage.ErrCorruptSegment.
 func TestSegDecodeRunsFailClosed(t *testing.T) {
-	types := []Type{Int64, IntRuns, IntArray, IntArray}
-	// row encodes a label row of n tuples whose hubs are the (delta, count)
-	// pairs and whose siblings hold n zeros each.
-	row := func(n int, pairs ...int64) []byte {
-		b := binary.AppendUvarint(binary.AppendVarint(nil, 7), uint64(n))
-		for i, x := range pairs {
-			if i%2 == 0 {
-				b = binary.AppendVarint(b, x)
-			} else {
-				b = binary.AppendUvarint(b, uint64(x))
-			}
-		}
-		for range 2 {
-			b = binary.AppendUvarint(b, uint64(n))
-			b = append(b, make([]byte, n)...)
-		}
-		return b
-	}
+	types := labelTypes
+	row := func(n int, pairs ...int64) []byte { return labelBytes(n, pairs, nil, nil) }
 	decodeBoth := func(enc []byte) ([]int32, []int32, error, error) {
 		got, _, rowErr := DecodeSegRowInto(enc, types, nil, nil)
 		ends := make([]int32, 3)
@@ -375,6 +414,137 @@ func TestSegDecodeRunsFailClosed(t *testing.T) {
 		for name, err := range map[string]error{"DecodeSegRowInto": rowErr, "DecodeSegRowVectors": vecErr} {
 			if !errors.Is(err, storage.ErrCorruptSegment) {
 				t.Errorf("%s: %s = %v, want ErrCorruptSegment", c.name, name, err)
+			}
+		}
+	}
+}
+
+// labelTypes is a label row as lout and lin store it: (v, hubs, tds, tas).
+var labelTypes = []Type{Int64, IntRuns, IntRunGaps, IntRunOffsets}
+
+// labelBytes encodes a label row (labelTypes) of n tuples whose hubs are the
+// (delta, count) pairs and whose tds and tas are the bytes given, or, when
+// tds is nil, 0, 1, 2, … inside each run at gaps of 1, with tas equal.
+func labelBytes(n int, pairs []int64, tds, tas []byte) []byte {
+	b := binary.AppendUvarint(binary.AppendVarint(nil, 7), uint64(n))
+	for i, x := range pairs {
+		if i%2 == 0 {
+			b = binary.AppendVarint(b, x)
+		} else {
+			b = binary.AppendUvarint(b, uint64(x))
+		}
+	}
+	if tds == nil {
+		for i := 1; i < len(pairs); i += 2 {
+			tds = append(tds, 0) // the run's first element, 0 after 0
+			tas = append(tas, 0) // offsets of 0
+			if c := int(pairs[i]); c > 1 {
+				tds = append(tds, 1)
+				for k := 0; k < c-1; k += 8 {
+					tds = append(tds, byte(1)<<min(8, c-1-k)-1)
+				}
+			} else {
+				tds = append(tds, 0)
+			}
+		}
+	}
+	return append(append(b, tds...), tas...)
+}
+
+// packedRun is one run of a packed sibling: for IntRunGaps the zigzag
+// varint of its first element's delta first, then the width byte and the
+// packed fields.
+func packedRun(delta *int64, width byte, fields ...byte) []byte {
+	var b []byte
+	if delta != nil {
+		b = binary.AppendVarint(b, *delta)
+	}
+	return append(append(b, width), fields...)
+}
+
+// first is a pointer to d, for packedRun.
+func first(d int64) *int64 { return &d }
+
+// TestSegDecodePackedFailClosed pins the packed siblings of a label's hubs:
+// per run of the hubs, tds as its first element and gaps, tas as offsets from
+// tds, each run's fields at a width of its own. Widths 0 (a run of one, and
+// offsets of 0) and 32 (gaps and offsets spanning int32) decode, by both
+// decoders, to the same absolute elements; a width of 33, packed bits past
+// the row, a first element or a sum of gaps or offsets outside int32, a zero
+// gap, tas descending inside a run, a runs length past the bits after it and
+// a sibling with no runs value before it are refused by both with
+// storage.ErrCorruptSegment.
+func TestSegDecodePackedFailClosed(t *testing.T) {
+	decodeBoth := func(types []Type, enc []byte) ([]int32, []int32, []int32, []int32, error, error) {
+		got, _, rowErr := DecodeSegRowInto(enc, types, nil, nil)
+		ends := make([]int32, len(types))
+		elems, vecErr := DecodeSegRowVectors(enc, types, make([]int64, len(types)), make([]int32, 0, 64), ends)
+		var tds, tas, vtds, vtas []int32
+		if rowErr == nil {
+			tds, tas = got[2].A, got[3].A
+		}
+		if vecErr == nil {
+			vtds, vtas = elems[ends[0]:ends[1]], elems[ends[1]:ends[2]]
+		}
+		return tds, tas, vtds, vtas, rowErr, vecErr
+	}
+	cat := func(parts ...[]byte) []byte { return slices.Concat(parts...) }
+	ones32 := []byte{0xff, 0xff, 0xff, 0xff}
+	for _, c := range []struct {
+		name     string
+		enc      []byte
+		tds, tas []int32
+	}{
+		{"width 0: a run of one", labelBytes(1, []int64{5, 1}, packedRun(first(100), 0), packedRun(nil, 0)),
+			[]int32{100}, []int32{100}},
+		{"width 32: the int32 ends", labelBytes(2, []int64{5, 2}, packedRun(first(math.MinInt32), 32, ones32...), packedRun(nil, 32, cat(ones32, make([]byte, 4))...)),
+			[]int32{math.MinInt32, math.MaxInt32}, []int32{math.MaxInt32, math.MaxInt32}},
+		{"two runs", labelBytes(5, []int64{2, 3, 7, 2},
+			cat(packedRun(first(28800), 4, 0x5a), packedRun(first(-100), 3, 0x07)),
+			cat(packedRun(nil, 4, 0xa0, 0x05), packedRun(nil, 1, 0x02))),
+			[]int32{28800, 28810, 28815, 28700, 28707}, []int32{28800, 28820, 28820, 28700, 28708}},
+	} {
+		tds, tas, vtds, vtas, rowErr, vecErr := decodeBoth(labelTypes, c.enc)
+		if rowErr != nil || vecErr != nil || !slices.Equal(tds, c.tds) || !slices.Equal(tas, c.tas) || !slices.Equal(vtds, c.tds) || !slices.Equal(vtas, c.tas) {
+			t.Errorf("%s: decode to tds %v / %v, tas %v / %v (%v, %v); want %v and %v from both", c.name, tds, vtds, tas, vtas, rowErr, vecErr, c.tds, c.tas)
+		}
+		// The decoded row is what EncodeSegRow writes.
+		if rowErr == nil {
+			row, _, _ := DecodeSegRowInto(c.enc, labelTypes, nil, nil)
+			if enc, err := EncodeSegRow(nil, labelTypes, expanded(row)); err != nil || string(enc) != string(c.enc) {
+				t.Errorf("%s: re-encodes to %x (%v), want %x", c.name, enc, err, c.enc)
+			}
+		}
+	}
+	for _, c := range []struct {
+		name, frag string
+		types      []Type
+		enc        []byte
+	}{
+		{"tds width 33", "past 32", labelTypes, labelBytes(2, []int64{5, 2}, packedRun(first(0), 33, 1, 0, 0, 0, 0, 0, 0, 0, 0), packedRun(nil, 0))},
+		{"tas width 33", "past 32", labelTypes, labelBytes(1, []int64{5, 1}, packedRun(first(0), 0), packedRun(nil, 33, 0, 0, 0, 0, 0))},
+		{"tds width 0 over two elements", "repeats", labelTypes, labelBytes(2, []int64{5, 2}, packedRun(first(0), 0), packedRun(nil, 0))},
+		{"a zero gap", "repeats", labelTypes, labelBytes(3, []int64{5, 3}, packedRun(first(0), 2, 0x01), packedRun(nil, 0))},
+		{"tds bits past the row", "past the row", labelTypes, labelBytes(2, []int64{5, 2}, packedRun(first(0), 16, 0x01), nil)},
+		{"tas bits past the row", "past the row", labelTypes, labelBytes(2, []int64{5, 2}, packedRun(first(0), 1, 0x01), packedRun(nil, 32, 0, 0, 0, 0, 0))},
+		{"a run with no width", "no width", labelTypes, labelBytes(2, []int64{5, 1, 1, 1}, append(packedRun(first(0), 0), 2), nil)},
+		{"a first element past MaxInt32", "outside int32", labelTypes, labelBytes(1, []int64{5, 1}, packedRun(first(math.MaxInt32+1), 0), packedRun(nil, 0))},
+		{"a first element below MinInt32", "outside int32", labelTypes, labelBytes(1, []int64{5, 1}, packedRun(first(math.MinInt32-1), 0), packedRun(nil, 0))},
+		{"a later run's first past MaxInt32", "outside int32", labelTypes, labelBytes(2, []int64{5, 1, 1, 1},
+			cat(packedRun(first(math.MaxInt32), 0), packedRun(first(1), 0)), cat(packedRun(nil, 0), packedRun(nil, 0)))},
+		{"gaps past MaxInt32", "outside int32", labelTypes, labelBytes(2, []int64{5, 2}, packedRun(first(math.MaxInt32), 1, 0x01), packedRun(nil, 0))},
+		{"an offset past MaxInt32", "outside int32", labelTypes, labelBytes(1, []int64{5, 1}, packedRun(first(math.MaxInt32), 0), packedRun(nil, 1, 0x01))},
+		{"the widest offset past MaxInt32", "outside int32", labelTypes, labelBytes(1, []int64{5, 1}, packedRun(first(0), 0), packedRun(nil, 32, ones32...))},
+		{"tas descending inside a run", "descends", labelTypes, labelBytes(2, []int64{5, 2}, packedRun(first(0), 4, 0x0a), packedRun(nil, 5, 0x14, 0x00))},
+		{"a runs length past the bits after it", "array at value 1", labelTypes, labelBytes(17, []int64{5, 17}, nil, nil)[:4]},
+		{"a runs length of 2⁴⁰", "array at value 1", labelTypes, labelBytes(1<<40, []int64{5, 1 << 40}, []byte{}, nil)},
+		{"gaps with no runs value", "no runs value", []Type{Int64, IntArray, IntRunGaps}, []byte{14, 0, 0, 0}},
+		{"offsets with no gaps value", "no runs value", []Type{Int64, IntRuns, IntRunOffsets}, labelBytes(1, []int64{5, 1}, packedRun(nil, 0), nil)},
+	} {
+		_, _, _, _, rowErr, vecErr := decodeBoth(c.types, c.enc)
+		for name, err := range map[string]error{"DecodeSegRowInto": rowErr, "DecodeSegRowVectors": vecErr} {
+			if !errors.Is(err, storage.ErrCorruptSegment) || !strings.Contains(err.Error(), c.frag) {
+				t.Errorf("%s: %s = %v, want ErrCorruptSegment naming %q", c.name, name, err, c.frag)
 			}
 		}
 	}
@@ -436,30 +606,39 @@ func TestSegDecodeArenaAliasing(t *testing.T) {
 }
 
 // FuzzSegCodecRoundTrip feeds arbitrary bytes to DecodeSegRowInto under a
-// fuzz-chosen schema, runs columns included: any outcome is fine except a
-// panic, and whatever the decoder accepts must re-encode and decode back to
-// the same row, a runs column compared through its expansion (what
-// EncodeSegRow takes). The comparison is semantic, not byte-for-byte — non-canonical
-// varints in the input decode fine but re-encode shorter — so the canonical
-// re-encoding is additionally required to be a fixed point of the codec. The
-// one row that re-encodes yet does not decode is one whose runs column is
-// longer than the canonical bytes after its length: the decoders bound a
-// length by them, and no run-ordered table stores such a row. Under an
-// all-integer schema the vector decoder must agree with the row decoder on
-// every input (checkSegVectors).
+// fuzz-chosen schema, runs columns and their packed siblings included: any
+// outcome is fine except a panic, and whatever the decoder accepts must
+// re-encode and decode back to the same row, a runs column compared through
+// its expansion (what EncodeSegRow takes). The comparison is semantic, not
+// byte-for-byte — non-canonical varints, widths and padding bits in the input
+// decode fine but re-encode shorter or zeroed — so the canonical re-encoding
+// is additionally required to be a fixed point of the codec. The one row that
+// re-encodes yet does not decode is one whose runs column holds more elements
+// than the canonical bits after its length: the decoders bound a length by
+// them, and no run-ordered table stores such a row (its packed gaps spend
+// them). Under an all-integer schema the vector decoder must agree with the
+// row decoder on every input (checkSegVectors).
 func FuzzSegCodecRoundTrip(f *testing.F) {
 	// The schema is 1..7 columns (ncols' low three bits) whose kinds are read
 	// two bits at a time from kinds, lowest column first; with ncols' bit 3
-	// set the first INT[] column is stored as runs.
+	// set the first INT[] column is stored as runs, and with bit 4 set the
+	// first three are a run-ordered triple: runs, then the two packed
+	// siblings.
 	fuzzKinds := [4]Type{Int64, IntArray, Float64, Text}
-	const runsBit = 0x08
+	const runsBit, labelBit = 0x08, 0x10
 	schema := func(ncols byte, kinds uint16) []Type {
 		types := make([]Type, int(ncols&0x07)+1)
-		runs := ncols&runsBit != 0
+		var arrays []Type // the tags the first INT[] columns are stored under
+		switch {
+		case ncols&labelBit != 0:
+			arrays = []Type{IntRuns, IntRunGaps, IntRunOffsets}
+		case ncols&runsBit != 0:
+			arrays = []Type{IntRuns}
+		}
 		for i := range types {
 			types[i] = fuzzKinds[kinds>>(2*i)&3]
-			if runs && types[i] == IntArray {
-				types[i], runs = IntRuns, false
+			if types[i] == IntArray && len(arrays) > 0 {
+				types[i], arrays = arrays[0], arrays[1:]
 			}
 		}
 		return types
@@ -518,31 +697,18 @@ func FuzzSegCodecRoundTrip(f *testing.F) {
 	seed(Row{NewText("\xff\xc0 not utf-8"), NewText(strings.Repeat("p", 3*8192))})
 	f.Add(byte(0), uint16(3), []byte{0x05, 'a', 'b'}) // text length past the end of the row
 	f.Add(byte(0), uint16(2), []byte{1, 2, 3, 4, 5, 6, 7})
-	// A label row as lout and lin store it — (v, hubs as runs, tds, tas) —
-	// and raw ones whose runs are given as (delta, count) pairs: an empty
-	// array, one run, a zero count, a count past the length, a repeated hub
-	// (a delta of 0 after the first run), a run at each end of int32 and one
-	// past each end.
-	const label = runsBit | 3
+	// A label row as lout and lin store it — (v, hubs as runs, tds and tas
+	// packed) — and raw ones (labelBytes) whose runs are given as (delta,
+	// count) pairs: an empty array, one run, a zero count, a count past the
+	// length, a repeated hub (a delta of 0 after the first run), a run at each
+	// end of int32 and one past each end; then packed siblings at widths 0, 32
+	// and 33, with bits past the row, a zero gap, elements past int32 and tas
+	// descending inside a run (TestSegDecodePackedFailClosed's).
+	const label = labelBit | 3
 	const labelKinds = 0b01010100
-	seedAs(runsBit, Row{NewInt(7), NewIntArray([]int32{2, 2, 2, 9, 40, 40}), NewIntArray([]int32{1, 2, 3, 1, 5, 6}), NewIntArray([]int32{4, 5, 6, 2, 9, 9})})
-	runs := func(n int, pairs ...int64) []byte {
-		b := binary.AppendUvarint(binary.AppendVarint(nil, 7), uint64(n))
-		for i, x := range pairs {
-			if i%2 == 0 {
-				b = binary.AppendVarint(b, x)
-			} else {
-				b = binary.AppendUvarint(b, uint64(x))
-			}
-		}
-		for range 2 { // the siblings: n elements of 1 each
-			b = binary.AppendUvarint(b, uint64(n))
-			for j := 0; j < n; j++ {
-				b = binary.AppendVarint(b, int64(j&1)*2-1)
-			}
-		}
-		return b
-	}
+	seedAs(labelBit, Row{NewInt(7), NewIntArray([]int32{2, 2, 2, 9, 40, 40}), NewIntArray([]int32{1, 2, 3, 1, 5, 6}), NewIntArray([]int32{4, 5, 6, 2, 9, 9})})
+	seedAs(labelBit, Row{NewInt(7), NewIntArray([]int32{3, 3}), NewIntArray([]int32{math.MinInt32, math.MaxInt32}), NewIntArray([]int32{math.MaxInt32, math.MaxInt32})})
+	runs := func(n int, pairs ...int64) []byte { return labelBytes(n, pairs, nil, nil) }
 	f.Add(byte(label), uint16(labelKinds), runs(0))
 	f.Add(byte(label), uint16(labelKinds), runs(3, 5, 3))
 	f.Add(byte(label), uint16(labelKinds), runs(3, 5, 0, 5, 3))
@@ -552,11 +718,31 @@ func FuzzSegCodecRoundTrip(f *testing.F) {
 	f.Add(byte(label), uint16(labelKinds), runs(1, math.MaxInt32+1, 1))
 	f.Add(byte(label), uint16(labelKinds), runs(1, math.MinInt32-1, 1))
 	f.Add(byte(label), uint16(labelKinds), runs(2, math.MaxInt32, 1, 1, 1))
+	f.Add(byte(label), uint16(labelKinds), runs(17, 5, 17)[:4])
+	for _, sib := range [][2][]byte{
+		{packedRun(first(100), 0), packedRun(nil, 0)},
+		{packedRun(first(0), 33, 1, 0, 0, 0, 0), packedRun(nil, 0)},
+		{packedRun(first(0), 0), packedRun(nil, 33, 0, 0, 0, 0, 0)},
+		{packedRun(first(0), 16, 0x01), nil},
+		{packedRun(first(math.MaxInt32+1), 0), packedRun(nil, 0)},
+		{packedRun(first(math.MaxInt32), 0), packedRun(nil, 1, 0x01)},
+		{packedRun(first(0), 0), packedRun(nil, 32, 0xff, 0xff, 0xff, 0xff)},
+	} {
+		f.Add(byte(label), uint16(labelKinds), labelBytes(1, []int64{5, 1}, sib[0], sib[1]))
+	}
+	for _, sib := range [][2][]byte{
+		{packedRun(first(0), 0), packedRun(nil, 0)},
+		{packedRun(first(0), 1, 0x00), packedRun(nil, 0)},
+		{packedRun(first(0), 4, 0x0a), packedRun(nil, 5, 0x14, 0x00)},
+		{packedRun(first(math.MinInt32), 32, 0xff, 0xff, 0xff, 0xff), packedRun(nil, 32, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0)},
+	} {
+		f.Add(byte(label), uint16(labelKinds), labelBytes(2, []int64{5, 2}, sib[0], sib[1]))
+	}
 	f.Fuzz(func(t *testing.T, ncols byte, kinds uint16, data []byte) {
 		types := schema(ncols, kinds)
 		intsOnly, runsAt := true, -1
 		for i, typ := range types {
-			intsOnly = intsOnly && (typ == Int64 || typ == IntArray || typ == IntRuns)
+			intsOnly = intsOnly && typ != Float64 && typ != Text
 			if typ == IntRuns {
 				runsAt = i
 			}
@@ -575,12 +761,12 @@ func FuzzSegCodecRoundTrip(f *testing.F) {
 		}
 		again, _, err := DecodeSegRowInto(enc, types, nil, nil)
 		if runsAt >= 0 {
-			head, err := EncodeSegRow(nil, types[:runsAt], flat[:runsAt])
-			if err != nil {
-				t.Fatal(err)
+			head, headErr := EncodeSegRow(nil, types[:runsAt], flat[:runsAt])
+			if headErr != nil {
+				t.Fatal(headErr)
 			}
 			n := len(flat[runsAt].A)
-			if after := len(enc) - len(head) - len(binary.AppendUvarint(nil, uint64(n))); n > after {
+			if after := len(enc) - len(head) - len(binary.AppendUvarint(nil, uint64(n))); n > 8*after {
 				if err == nil {
 					t.Fatalf("a runs column of %d elements with %d bytes after its length decodes from %x", n, after, enc)
 				}
@@ -621,9 +807,9 @@ func checkSegVectors(t *testing.T, enc []byte, types []Type, want Row, rowErr er
 		return scalars, elems, ends, err
 	}
 	if rowErr != nil {
-		// Every array's length is bounded by the bytes after it, so no row
-		// holds more elements than twice its bytes.
-		if _, _, _, err := decode(2 * len(enc)); err == nil {
+		// Every array's length is bounded by the bits after it, so no row
+		// of at most seven columns holds more elements than 64 per byte.
+		if _, _, _, err := decode(64 * len(enc)); err == nil {
 			t.Fatalf("DecodeSegRowVectors accepts %x, which DecodeSegRowInto rejects: %v", enc, rowErr)
 		}
 		return

@@ -40,6 +40,14 @@ const (
 	// (LookupPK, Scan) hold the expanded IntArray, and no SQL operator
 	// accepts it.
 	IntRuns
+	// IntRunGaps and IntRunOffsets are the column tags of a run-ordered
+	// table's two sibling columns (segcodec.go): INT[] columns as long as the
+	// IntRuns column before them and stored per run of it, IntRunGaps as
+	// its runs' first values and bit-packed gaps, IntRunOffsets as bit-packed
+	// offsets from the IntRunGaps column before it. They are storage-only:
+	// both row decoders read such a column into a plain IntArray value.
+	IntRunGaps
+	IntRunOffsets
 )
 
 // String returns the SQL-ish name of the type.
@@ -57,6 +65,10 @@ func (t Type) String() string {
 		return "INT[]"
 	case IntRuns:
 		return "INT[] runs"
+	case IntRunGaps:
+		return "INT[] run gaps"
+	case IntRunOffsets:
+		return "INT[] run offsets"
 	default:
 		return fmt.Sprintf("Type(%d)", uint8(t))
 	}

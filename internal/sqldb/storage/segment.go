@@ -112,7 +112,7 @@ type SegmentData struct {
 
 const (
 	segmentMagic   = 0x50545331 // "PTS1"
-	segmentVersion = 5          // v2 added the region and header checksums, v3 the meta, v4 sqldb's runs column and element count, v5 that count as the resident int32s (two per run)
+	segmentVersion = 6          // v2 added the region and header checksums, v3 the meta, v4 sqldb's runs column and element count, v5 that count as the resident int32s (two per run), v6 the runs column's siblings packed per run
 	segMetaLenAt   = 52         // offset of the meta's byte count
 	segHeaderCRCAt = 56         // offset of the header's own checksum
 	segHeaderBytes = 60         // fixed fields + header CRC; column tags, then the meta, follow

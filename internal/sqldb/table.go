@@ -49,9 +49,9 @@ type schema struct {
 	def    TableDef
 	pkCols []int
 	// types caches the column types in storage order; stored is the column
-	// tags the segment stores them under: types, but IntRuns for the leading
-	// run-order column when both its siblings follow it (storedTypes). The
-	// reads decode by stored, so hot paths never walk the TableDef.
+	// tags the segment stores them under: types, but IntRuns, IntRunGaps and
+	// IntRunOffsets for the run-order columns (storedTypes). The reads decode
+	// by stored, so hot paths never walk the TableDef.
 	types, stored []sqltypes.Type
 	// runOrder is the positions of def.RunOrder's columns, nil when the table
 	// declares no run order; targetCols those of def.TargetIDs' columns under
@@ -67,7 +67,7 @@ type schema struct {
 // segment's header — and resolves its columns; the table's name is
 // lowercased. A table needs a name, columns and a primary key of one or two
 // BIGINT columns. A run-order declaration that is not three existing INT[]
-// columns, the first stored before the other two, a target-id declaration
+// columns stored in the order it names them, a target-id declaration
 // that is not at least one of them under a bound in [1, math.MaxInt32] with a
 // count in [0, bound], or a floor that is not at least one of them over a
 // BIGINT key column and a width >= 1, is an
@@ -107,8 +107,8 @@ func newSchema(def TableDef) (*schema, error) {
 		}
 		sc.runOrder = append(sc.runOrder, ci)
 	}
-	if r := sc.runOrder; r != nil && (r[1] < r[0] || r[2] < r[0]) {
-		return nil, fmt.Errorf("sqldb: table %q: run-order column %q is stored as runs, so it must come before %q and %q",
+	if r := sc.runOrder; r != nil && (r[1] < r[0] || r[2] < r[1]) {
+		return nil, fmt.Errorf("sqldb: table %q: run-order columns %q, %q and %q are stored as runs, gaps and offsets, so they must come in that order",
 			def.Name, def.RunOrder[0], def.RunOrder[1], def.RunOrder[2])
 	}
 	if ids := def.TargetIDs; ids != nil {
@@ -146,16 +146,20 @@ func newSchema(def TableDef) (*schema, error) {
 
 // storedTypes is the column tags a table with the column types types and the
 // run-order positions runOrder stores its rows under: a run order's leading
-// column ascends, so its arrays are stored as runs (sqltypes.IntRuns). Both
-// its sibling columns, as long by the run order, are stored after it
-// (newSchema requires it): they are what gives a runs array the bytes after
-// it that the decoders bound its length by.
+// column ascends, so its arrays are stored as runs (sqltypes.IntRuns), and its
+// two siblings, stored after it in that order (newSchema requires it), are
+// packed per run of it: the first as each run's first element and its gaps
+// (sqltypes.IntRunGaps), the second as offsets from the first
+// (sqltypes.IntRunOffsets). The gaps are what gives a runs array the bits
+// after it that the decoders bound its length by.
 func storedTypes(types []sqltypes.Type, runOrder []int) []sqltypes.Type {
 	if runOrder == nil {
 		return types
 	}
 	stored := slices.Clone(types)
 	stored[runOrder[0]] = sqltypes.IntRuns
+	stored[runOrder[1]] = sqltypes.IntRunGaps
+	stored[runOrder[2]] = sqltypes.IntRunOffsets
 	return stored
 }
 
@@ -265,8 +269,12 @@ func (t *schema) checkRow(row sqltypes.Row) error {
 	if len(g) != len(a) || len(g) != len(b) {
 		return fmt.Errorf("sqldb: %s: run-order arrays %v have lengths %d, %d, %d", t.def.Name, t.def.RunOrder, len(g), len(a), len(b))
 	}
-	for i := 1; i < len(g); i++ {
-		if g[i] < g[i-1] || (g[i] == g[i-1] && (a[i] < a[i-1] || b[i] < b[i-1])) {
+	for i := range g {
+		if b[i] < a[i] {
+			return fmt.Errorf("sqldb: %s: run order %v broken at position %d: (%d, %d, %d) has %d below %d",
+				t.def.Name, t.def.RunOrder, i, g[i], a[i], b[i], b[i], a[i])
+		}
+		if i > 0 && (g[i] < g[i-1] || (g[i] == g[i-1] && (a[i] <= a[i-1] || b[i] < b[i-1]))) {
 			return fmt.Errorf("sqldb: %s: run order %v broken at position %d: (%d, %d, %d) after (%d, %d, %d)",
 				t.def.Name, t.def.RunOrder, i, g[i], a[i], b[i], g[i-1], a[i-1], b[i-1])
 		}
@@ -396,7 +404,11 @@ func (db *DB) newTable(f *storage.PagedFile, file string, base storage.PageID, l
 		types = make([]sqltypes.Type, len(cols))
 		for i, c := range cols {
 			types[i] = sqltypes.Type(c)
-			vectors = vectors && (types[i] == sqltypes.Int64 || types[i] == sqltypes.IntArray || types[i] == sqltypes.IntRuns)
+			switch types[i] {
+			case sqltypes.Int64, sqltypes.IntArray, sqltypes.IntRuns, sqltypes.IntRunGaps, sqltypes.IntRunOffsets:
+			default:
+				vectors = false
+			}
 		}
 		if !vectors {
 			return false, nil

@@ -159,7 +159,10 @@ func vcacheRow(m *Mat, stored []sqltypes.Type, i int, s *exec.RowScratch) sqltyp
 		if col.Starts == nil {
 			r[ci] = sqltypes.NewInt(col.Ints[i])
 		} else {
-			r[ci] = sqltypes.Value{T: stored[ci], A: col.Array(i)}
+			r[ci] = sqltypes.NewIntArray(col.Array(i))
+			if stored[ci] == sqltypes.IntRuns {
+				r[ci].T = sqltypes.IntRuns
+			}
 		}
 	}
 	s.Row = r

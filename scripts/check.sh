@@ -5,12 +5,13 @@
 # regime and no chart or trace aggregator in ptldb-bench, one trace hook
 # fixed at Open, one owner per decision — only sqldb writes a segment, one
 # dataset cache, obs.Code the one list of the statements, no vertex-order
-# knob —, a resident label that keeps its hubs as runs, and the rest below); vet, project lint, build, and the whole test suite under the race
+# knob —, a resident label that keeps its hubs as runs, a label's tds and tas
+# packed per hub run, and the rest below); vet, project lint, build, and the whole test suite under the race
 # detector with shuffled test order, then once more with module-wide
 # coverage, which must reach every function outside cmd/ and examples/, the
 # general SQL engine's coverage by its callers alone, 10-second fuzzes of the
 # HTTP time parameter, of the HTTP query bodies, of the segment codec's two
-# row decoders (runs columns included) and of a walk of back-to-back segments, the two allocation
+# row decoders (runs columns and their packed siblings included) and of a walk of back-to-back segments, the two allocation
 # ratchets, the four examples, a small ptldb-bench run that must end with
 # the claim table and judge every claim, a look at what ptldb-build leaves in a
 # database directory (the image, nothing else), the console on it, what
@@ -166,6 +167,15 @@ if git grep -nE 'firstGT(From)?\([^,]*hubs' -- 'internal/sqldb/exec/*.go' ':!*_t
     echo "view, expand them (DESIGN.md §7.2, §11): no search for a run's end over hubs, no expanded hubs vector" >&2
     exit 1
 fi
+echo "== a label's tds and tas are packed per hub run, not stored as delta varints (internal/sqldb)"
+if git grep -nE 'IntRuns, (sqltypes\.)?IntArray, (sqltypes\.)?IntArray' -- '*.go' ||
+    ! git grep -qE 'stored\[runOrder\[1\]\] = sqltypes\.IntRunGaps' -- internal/sqldb/table.go ||
+    ! git grep -qE 'stored\[runOrder\[2\]\] = sqltypes\.IntRunOffsets' -- internal/sqldb/table.go; then
+    echo "storedTypes stores a run order's two siblings packed per run of its runs column (sqltypes.IntRunGaps," >&2
+    echo "sqltypes.IntRunOffsets): no run-ordered row whose siblings are INT[] delta varints, in the codec's" >&2
+    echo "callers or its tests (DESIGN.md §10)" >&2
+    exit 1
+fi
 echo "== a vector-cache table is decoded at open from the bytes open verified (internal/sqldb)"
 if git grep -nE 'LoadData|OpenSegmentObserved|vcacheMat|\.Unload\(' -- '*.go'; then
     echo "storage.OpenSegment keeps the data region it checksums for the decode, and sqldb.Open decodes" >&2
@@ -297,7 +307,7 @@ echo "== fuzz smoke: an accepted time parameter is the 32-bit time it spells (in
 go test -run '^$' -fuzz '^FuzzTimeParam$' -fuzztime 10s ./internal/serve
 echo "== fuzz smoke: a query body is byte for byte what encoding/json writes (internal/serve)"
 go test -run '^$' -fuzz '^FuzzQueryBody$' -fuzztime 10s ./internal/serve
-echo "== fuzz smoke: the vector decoder agrees with the row decoder, runs columns included (internal/sqldb/sqltypes)"
+echo "== fuzz smoke: the vector decoder agrees with the row decoder, runs columns and their packed siblings included (internal/sqldb/sqltypes)"
 go test -run '^$' -fuzz '^FuzzSegCodecRoundTrip$' -fuzztime 10s ./internal/sqldb/sqltypes
 echo "== fuzz smoke: two segments back to back at a nonzero base: a rejected one leaves no page in the pool, accepted ones only their own (internal/sqldb/storage)"
 go test -run '^$' -fuzz '^FuzzOpenSegment$' -fuzztime 10s -fuzzminimizetime 50x ./internal/sqldb/storage
