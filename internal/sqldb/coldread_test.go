@@ -164,22 +164,12 @@ func TestVectorSizePrediction(t *testing.T) {
 		}
 
 		m := sf.vc // what Open decoded
-		// The scalar columns own a vector each; the array columns share
-		// Elems and Starts, counted once.
-		allocated := int64(cap(m.Keys))*16 + 4*int64(cap(m.Elems)) + 4*int64(cap(m.Starts))
-		if len(m.Elems) != cap(m.Elems) || len(m.Starts) != cap(m.Starts) {
-			t.Errorf("%s: shared vectors have slack: elems %d/%d, starts %d/%d", spec.name,
-				len(m.Elems), cap(m.Elems), len(m.Starts), cap(m.Starts))
-		}
-		for ci := range m.Cols {
-			col := &m.Cols[ci]
-			if col.Starts != nil {
-				continue
-			}
-			if len(col.Ints) != cap(col.Ints) {
-				t.Errorf("%s: column %d has slack: ints %d/%d", spec.name, ci, len(col.Ints), cap(col.Ints))
-			}
-			allocated += 8 * int64(cap(col.Ints))
+		// The scalar columns share Ints; the array columns share Elems and
+		// Starts.
+		allocated := int64(cap(m.Keys))*16 + 8*int64(cap(m.Ints)) + 4*int64(cap(m.Elems)) + 4*int64(cap(m.Starts))
+		if len(m.Ints) != cap(m.Ints) || len(m.Elems) != cap(m.Elems) || len(m.Starts) != cap(m.Starts) {
+			t.Errorf("%s: shared vectors have slack: ints %d/%d, elems %d/%d, starts %d/%d", spec.name,
+				len(m.Ints), cap(m.Ints), len(m.Elems), cap(m.Elems), len(m.Starts), cap(m.Starts))
 		}
 		if m.Bytes != want || allocated != want {
 			t.Errorf("%s: Mat.Bytes %d, allocated %d, want %d", spec.name, m.Bytes, allocated, want)
@@ -197,8 +187,8 @@ func TestVectorSizePrediction(t *testing.T) {
 			}
 		}
 
-		// Five allocations whatever the row count — the int64 and starts
-		// vectors, one row's scalars, the Mat and its column headers — and
+		// Five allocations whatever the row count — the int64, int32 and
+		// starts vectors, the one row the rows decode into and the Mat — and
 		// one more under the race detector.
 		allocs := testing.AllocsPerRun(5, func() {
 			if _, err := sf.decode(data, elems); err != nil {

@@ -341,7 +341,7 @@ func TestDamageAfterOpenNeverReachesVectors(t *testing.T) {
 // its array, repeats the hub before it or leaves int32, and tds packed with a
 // zero gap or past 32 bits wide — fails the open of a
 // handle whose vector cache admits the table — open checks the regions, then
-// decodes the rows, and the one-pass decode keeps every check on a row —
+// decodes the rows with the row decoder the segment tier reads them with —
 // with an error naming the table and wrapping storage.ErrCorruptSegment,
 // every file closed and the directory as it was, on every retry. The checks
 // are the decode's: a handle without a cache opens the same directory, its
@@ -349,15 +349,7 @@ func TestDamageAfterOpenNeverReachesVectors(t *testing.T) {
 // is the same refusal, never a value.
 func TestMalformedRowFailsMaterialize(t *testing.T) {
 	const rows = 3000
-	// bad.seg's rows are (k, 3k, [k, k+1, k+2]), as buildFaultDB writes them.
-	encode := func(k int64) []byte {
-		b, err := sqltypes.EncodeSegRow(nil, []sqltypes.Type{sqltypes.Int64, sqltypes.Int64, sqltypes.IntArray}, sqltypes.Row{sqltypes.NewInt(k), sqltypes.NewInt(3 * k),
-			sqltypes.NewIntArray([]int32{int32(k), int32(k) + 1, int32(k) + 2})})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
+	encode := func(k int64) []byte { return badRow(t, k) }
 	head := func(k int64) []byte { return binary.AppendVarint(binary.AppendVarint(nil, k), 3*k) }
 	// The last delta, 1, is 0x02; with the continuation bit set the varint
 	// runs on into the next row.
@@ -432,23 +424,7 @@ func TestMalformedRowFailsMaterialize(t *testing.T) {
 				}
 				return enc(k)
 			})
-			listing, before := dirListing(t, dir), openFDs(t)
-			for range 2 {
-				db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256, VectorCacheBytes: 64 << 20})
-				if err == nil {
-					db.Close()
-					t.Fatal("Open admitted a table with a malformed row")
-				}
-				if !errors.Is(err, storage.ErrCorruptSegment) || !strings.Contains(err.Error(), `sqldb: table "bad": `) {
-					t.Errorf("open of a table with a malformed row = %v, want ErrCorruptSegment naming the table", err)
-				}
-			}
-			if after := openFDs(t); after != before {
-				t.Errorf("failed opens leaked file descriptors: %d before, %d after", before, after)
-			}
-			if got := dirListing(t, dir); got != listing {
-				t.Errorf("the failed opens changed the directory:\n%s\nwas:\n%s", got, listing)
-			}
+			requireVectorOpenFails(t, dir)
 			db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256})
 			if err != nil {
 				t.Fatalf("open without a cache of a checksum-valid segment: %v", err)
@@ -465,6 +441,82 @@ func TestMalformedRowFailsMaterialize(t *testing.T) {
 				t.Errorf("segment-tier lookup of the malformed row = %v, %v; want ErrCorruptSegment naming the table", row, err)
 			}
 		})
+	}
+}
+
+// TestMiscountedHeaderFailsMaterialize: a segment whose rows are sound but
+// whose header counts one array element more than they hold, or one fewer —
+// the count that sizes the vectors — fails the open of a handle whose vector
+// cache admits the table with an error naming the table and wrapping
+// storage.ErrCorruptSegment, every file closed and the directory as it was.
+// The count is the vector tier's alone: a handle without a cache opens the
+// same directory and serves the table's rows.
+func TestMiscountedHeaderFailsMaterialize(t *testing.T) {
+	const rows = 3000
+	for _, c := range []struct {
+		name  string
+		delta int64
+	}{{"one element more", 1}, {"one element fewer", -1}} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			buildFaultDB(t, dir)
+			var meta segMeta
+			if err := json.Unmarshal(segmentOf(t, dir, "bad").meta, &meta); err != nil {
+				t.Fatal(err)
+			}
+			if meta.Elems != 3*rows {
+				t.Fatalf("bad's header counts %d array elements, want %d", meta.Elems, 3*rows)
+			}
+			meta.Elems += c.delta
+			forged, err := json.Marshal(meta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			writeMalformedBad(t, dir, storage.SegmentData{Meta: forged}, rows, func(k int64) []byte { return badRow(t, k) })
+			requireVectorOpenFails(t, dir)
+			db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256})
+			if err != nil {
+				t.Fatalf("open without a cache: %v", err)
+			}
+			defer db.Close()
+			checkReads(t, db)
+		})
+	}
+}
+
+// badRow is row k of bad as buildFaultDB writes it, (k, 3k, [k, k+1, k+2]),
+// in the segment encoding.
+func badRow(t *testing.T, k int64) []byte {
+	t.Helper()
+	b, err := sqltypes.EncodeSegRow(nil, []sqltypes.Type{sqltypes.Int64, sqltypes.Int64, sqltypes.IntArray}, sqltypes.Row{sqltypes.NewInt(k), sqltypes.NewInt(3 * k),
+		sqltypes.NewIntArray([]int32{int32(k), int32(k) + 1, int32(k) + 2})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// requireVectorOpenFails opens dir twice with a vector cache that admits bad
+// and requires each open to fail with storage.ErrCorruptSegment naming the
+// table, every file closed and the directory as it was.
+func requireVectorOpenFails(t *testing.T, dir string) {
+	t.Helper()
+	listing, before := dirListing(t, dir), openFDs(t)
+	for range 2 {
+		db, err := Open(dir, Options{Device: storage.RAM, PoolPages: 256, VectorCacheBytes: 64 << 20})
+		if err == nil {
+			db.Close()
+			t.Fatal("Open admitted a table that does not decode")
+		}
+		if !errors.Is(err, storage.ErrCorruptSegment) || !strings.Contains(err.Error(), `sqldb: table "bad": `) {
+			t.Errorf("open of a table that does not decode = %v, want ErrCorruptSegment naming the table", err)
+		}
+	}
+	if after := openFDs(t); after != before {
+		t.Errorf("failed opens leaked file descriptors: %d before, %d after", before, after)
+	}
+	if got := dirListing(t, dir); got != listing {
+		t.Errorf("the failed opens changed the directory:\n%s\nwas:\n%s", got, listing)
 	}
 }
 

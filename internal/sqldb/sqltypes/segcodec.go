@@ -52,7 +52,7 @@ func corrupt(format string, a ...any) error {
 // value must not descend; an IntRunGaps value must be as long as the IntRuns
 // value before it and ascend strictly inside each of its runs, and an
 // IntRunOffsets value as long, at or above the IntRunGaps value before it
-// element by element and never descending inside a run. The decoders bound
+// element by element and never descending inside a run. The decoder bounds
 // an IntRuns value's length by the bits after it in the row, so it reads back
 // only from a row holding at least a bit per element after its length: a
 // run-ordered table's rows do, with its two packed siblings stored after it.
@@ -330,7 +330,7 @@ func maxLen(t Type, rest int) uint64 {
 // or one outside int32 is corrupt, and so is a length past int32, which no
 // run end can hold; i is the value's position, for the error. The counts are
 // at least 1 and sum to n, so the run ends putRuns writes ascend strictly to
-// n. Both row decoders call it once per runs value, before putRuns.
+// n. DecodeSegRowInto calls it once per runs value, before putRuns.
 func countRuns(buf []byte, n uint64, i int) (int, error) {
 	if n > math.MaxInt32 {
 		return 0, corrupt("runs value %d of %d elements, past int32", i, n)
@@ -442,7 +442,11 @@ func carve(arena []int32, n int) ([]int32, []int32) {
 // but never overwrites, so array slices from earlier calls stay valid as long
 // as the caller keeps passing the returned arena back in. Truncating the
 // arena between calls (arena[:0]) recycles the backing and clobbers all
-// previously decoded arrays; only do that when nothing is retained. A TEXT
+// previously decoded arrays; only do that when nothing is retained. Each
+// array is carved right after the one before it, in column order, so an
+// arena with room for them all holds them back to back and is never
+// reallocated: the vector tier decodes a whole table into one arena sized by
+// its segment's header, and reads a reallocation as a miscount. A TEXT
 // value is copied out of buf, so it is always safe to keep. An IntRuns column
 // decodes to its run form, an IntRuns value of two int32s per run, and its
 // packed siblings to IntArray values. Malformed bytes, an array element
@@ -519,14 +523,27 @@ func DecodeSegRowInto(buf []byte, types []Type, row Row, arena []int32) (Row, []
 			r[i] = NewIntArray(a)
 			prev := int64(0)
 			for j := range a {
-				d, k := binary.Varint(buf)
-				if k <= 0 {
-					return nil, arena, corrupt("array element %d of value %d", j, i)
+				// The one-, two- and three-byte varints that make up nearly
+				// every element are decoded inline; longer ones go to
+				// binary.Uvarint. Either way the zigzag is undone below.
+				var u uint64
+				var k int
+				switch {
+				case len(buf) > 0 && buf[0] < 0x80:
+					u, k = uint64(buf[0]), 1
+				case len(buf) > 1 && buf[1] < 0x80:
+					u, k = uint64(buf[0]&0x7f)|uint64(buf[1])<<7, 2
+				case len(buf) > 2 && buf[2] < 0x80:
+					u, k = uint64(buf[0]&0x7f)|uint64(buf[1]&0x7f)<<7|uint64(buf[2])<<14, 3
+				default:
+					if u, k = binary.Uvarint(buf); k <= 0 {
+						return nil, arena, corrupt("array element %d of value %d", j, i)
+					}
 				}
 				buf = buf[k:]
 				// prev is inside int32, so a sum that wraps int64 lands
 				// outside it too.
-				if prev += d; prev != int64(int32(prev)) {
+				if prev += int64(u>>1) ^ -int64(u&1); prev != int64(int32(prev)) {
 					return nil, arena, corrupt("array element %d of value %d is %d, outside int32", j, i, prev)
 				}
 				a[j] = int32(prev)
@@ -539,106 +556,4 @@ func DecodeSegRowInto(buf []byte, types []Type, row Row, arena []int32) (Row, []
 		return nil, arena, corrupt("%d trailing bytes after segment row", len(buf))
 	}
 	return r, arena, nil
-}
-
-// DecodeSegRowVectors decodes one encoded row of BIGINT / INT[] columns (any
-// tag but DOUBLE and TEXT) into column vectors instead of a Row, for the
-// resident vector cache, which holds no other table: the k-th BIGINT of the
-// row goes to scalars[k], and the elements of its INT[] values — an IntRuns
-// value's run form, two int32s per run — onto the end of elems, in column
-// order, with the length of elems after the a-th array recorded at ends[a].
-// It accepts exactly the rows DecodeSegRowInto accepts, refusing an element
-// outside int32 as that does, and decodes the same values. elems grows only
-// within its capacity, which the caller sized once, for the whole table, from
-// the int32 count its segment's header records: an array that does not fit
-// is an error, never a reallocation. The one-, two- and three-byte varints
-// that make up nearly every varint label value are decoded inline; longer
-// ones go to binary.Uvarint.
-func DecodeSegRowVectors(buf []byte, types []Type, scalars []int64, elems, ends []int32) ([]int32, error) {
-	s, a := 0, 0
-	var rc runCtx
-	for i, t := range types {
-		// A BIGINT decodes like a one-element array without the length
-		// prefix: its single delta from zero is the value itself.
-		var out []int32
-		n := 1
-		switch t {
-		case Int64:
-		case IntArray, IntRuns:
-			// The row decoder's bound on a length (maxLen), checked before
-			// the length can size anything.
-			ln, k := binary.Uvarint(buf)
-			if k <= 0 || ln > maxLen(t, len(buf)-k) {
-				return elems, corrupt("array at value %d", i)
-			}
-			buf = buf[k:]
-			n = int(ln)
-			if t == IntRuns {
-				runs, err := countRuns(buf, ln, i)
-				if err != nil {
-					return elems, err
-				}
-				n = 2 * runs
-			}
-		case IntRunGaps, IntRunOffsets:
-			var err error
-			if n, err = rc.length(t, i); err != nil {
-				return elems, err
-			}
-		default:
-			return elems, corrupt("array at value %d", i)
-		}
-		if t != Int64 {
-			if n > cap(elems)-len(elems) {
-				return elems, corrupt("value %d overflows its vector", i)
-			}
-			out, elems = elems[len(elems):len(elems)+n], elems[:len(elems)+n]
-			ends[a] = int32(len(elems))
-			a++
-			switch t {
-			case IntRuns:
-				buf = putRuns(buf, out)
-				rc.setRuns(out)
-				continue
-			case IntRunGaps, IntRunOffsets:
-				var err error
-				if buf, err = rc.put(buf, t, out, i); err != nil {
-					return elems, err
-				}
-				continue
-			}
-		}
-		prev := int64(0)
-		for j := 0; j < n; j++ {
-			var u uint64
-			var k int
-			switch {
-			case len(buf) > 0 && buf[0] < 0x80:
-				u, k = uint64(buf[0]), 1
-			case len(buf) > 1 && buf[1] < 0x80:
-				u, k = uint64(buf[0]&0x7f)|uint64(buf[1])<<7, 2
-			case len(buf) > 2 && buf[2] < 0x80:
-				u, k = uint64(buf[0]&0x7f)|uint64(buf[1]&0x7f)<<7|uint64(buf[2])<<14, 3
-			default:
-				if u, k = binary.Uvarint(buf); k <= 0 {
-					return elems, corrupt("element %d of value %d", j, i)
-				}
-			}
-			buf = buf[k:]
-			prev += int64(u>>1) ^ -int64(u&1)
-			switch {
-			case t == Int64:
-				scalars[s] = prev
-				s++
-			case prev != int64(int32(prev)):
-				return elems, corrupt("element %d of value %d is %d, outside int32", j, i, prev)
-			default:
-				out[j] = int32(prev)
-			}
-		}
-	}
-	if len(buf) != 0 {
-		return elems, corrupt("%d trailing bytes after segment row", len(buf))
-	}
-	return elems, nil
 }

@@ -166,7 +166,7 @@ func repeat(v int32, n int) []int32 {
 }
 
 // expanded returns r with every IntRuns value — a runs column as the
-// decoders read it — replaced by the IntArray it stands for, which is what
+// decoder reads it — replaced by the IntArray it stands for, which is what
 // EncodeSegRow takes in that column.
 func expanded(r Row) Row {
 	out := slices.Clone(r)
@@ -309,8 +309,8 @@ func TestSegCodecRejectsIneligible(t *testing.T) {
 
 // TestSegDecodeRefusesElementOutsideInt32 pins the width of an INT[]
 // element: varints carry none, so bytes whose running delta sum leaves int32
-// — past either end, or by a delta that wraps int64 — are corrupt, and both
-// decoders refuse them with storage.ErrCorruptSegment instead of narrowing.
+// — past either end, or by a delta that wraps int64 — are corrupt, and the
+// decoder refuses them with storage.ErrCorruptSegment instead of narrowing.
 // The extremes themselves decode.
 func TestSegDecodeRefusesElementOutsideInt32(t *testing.T) {
 	types := []Type{Int64, IntArray}
@@ -320,11 +320,6 @@ func TestSegDecodeRefusesElementOutsideInt32(t *testing.T) {
 			b = binary.AppendVarint(b, d)
 		}
 		return b
-	}
-	decodeBoth := func(enc []byte) (Row, []int32, error, error) {
-		got, _, rowErr := DecodeSegRowInto(enc, types, nil, nil)
-		elems, vecErr := DecodeSegRowVectors(enc, types, make([]int64, 1), make([]int32, 0, 8), make([]int32, 1))
-		return got, elems, rowErr, vecErr
 	}
 	for _, c := range []struct {
 		name   string
@@ -337,45 +332,37 @@ func TestSegDecodeRefusesElementOutsideInt32(t *testing.T) {
 		{"a delta that wraps int64", []int64{math.MaxInt32, math.MaxInt64}},
 		{"the int64 extremes", []int64{math.MaxInt64, math.MinInt64}},
 	} {
-		_, _, rowErr, vecErr := decodeBoth(row(c.deltas...))
-		for name, err := range map[string]error{"DecodeSegRowInto": rowErr, "DecodeSegRowVectors": vecErr} {
-			if !errors.Is(err, storage.ErrCorruptSegment) || !strings.Contains(err.Error(), "outside int32") {
-				t.Errorf("%s: %s = %v, want ErrCorruptSegment naming int32", c.name, name, err)
-			}
+		_, _, err := DecodeSegRowInto(row(c.deltas...), types, nil, nil)
+		if !errors.Is(err, storage.ErrCorruptSegment) || !strings.Contains(err.Error(), "outside int32") {
+			t.Errorf("%s: DecodeSegRowInto = %v, want ErrCorruptSegment naming int32", c.name, err)
 		}
 	}
-	got, elems, rowErr, vecErr := decodeBoth(row(math.MaxInt32, math.MinInt32-math.MaxInt32, math.MaxInt32))
+	got, _, err := DecodeSegRowInto(row(math.MaxInt32, math.MinInt32-math.MaxInt32, math.MaxInt32), types, nil, nil)
 	want := []int32{math.MaxInt32, math.MinInt32, -1}
-	if rowErr != nil || vecErr != nil || !slices.Equal(got[1].A, want) || !slices.Equal(elems, want) {
-		t.Errorf("the int32 extremes decode to %v, %v (%v, %v); want %v from both", got, elems, rowErr, vecErr, want)
+	if err != nil || !slices.Equal(got[1].A, want) {
+		t.Errorf("the int32 extremes decode to %v (%v); want %v", got, err, want)
 	}
 }
 
 // TestSegDecodeRunsFailClosed pins the runs form of a label's hubs: an
-// empty array, one run and runs at both ends of int32 decode, by both
-// decoders, to the same run form — the run values, then the run ends — which
-// expands to the arrays they spell; a zero count, a count past the length,
-// a run that does not ascend past the one before it (a repeated hub, or a
-// lower one), a value one past either end of int32 and a row cut inside a run
-// are refused by both with storage.ErrCorruptSegment.
+// empty array, one run and runs at both ends of int32 decode to the run form
+// — the run values, then the run ends — which expands to the arrays they
+// spell; a zero count, a count past the length, a run that does not ascend
+// past the one before it (a repeated hub, or a lower one), a value one past
+// either end of int32 and a row cut inside a run are refused with
+// storage.ErrCorruptSegment.
 func TestSegDecodeRunsFailClosed(t *testing.T) {
 	types := labelTypes
 	row := func(n int, pairs ...int64) []byte { return labelBytes(n, pairs, nil, nil) }
-	decodeBoth := func(enc []byte) ([]int32, []int32, error, error) {
-		got, _, rowErr := DecodeSegRowInto(enc, types, nil, nil)
-		ends := make([]int32, 3)
-		elems, vecErr := DecodeSegRowVectors(enc, types, make([]int64, 1), make([]int32, 0, 64), ends)
-		var hubs []int32
-		if rowErr == nil {
-			if got[1].T != IntRuns {
-				t.Fatalf("the runs column decodes to a %s value", got[1].T)
-			}
-			hubs = got[1].A
+	decode := func(enc []byte) ([]int32, error) {
+		got, _, err := DecodeSegRowInto(enc, types, nil, nil)
+		if err != nil {
+			return nil, err
 		}
-		if vecErr == nil {
-			elems = elems[:ends[0]]
+		if got[1].T != IntRuns {
+			t.Fatalf("the runs column decodes to a %s value", got[1].T)
 		}
-		return hubs, elems, rowErr, vecErr
+		return got[1].A, nil
 	}
 	for _, c := range []struct {
 		name       string
@@ -387,9 +374,9 @@ func TestSegDecodeRunsFailClosed(t *testing.T) {
 		{"three runs", row(6, 2, 3, 7, 1, 31, 2), []int32{2, 9, 40, 3, 4, 6}, []int32{2, 2, 2, 9, 40, 40}},
 		{"the int32 ends", row(3, math.MinInt32, 2, math.MaxInt32-math.MinInt32, 1), []int32{math.MinInt32, math.MaxInt32, 2, 3}, []int32{math.MinInt32, math.MinInt32, math.MaxInt32}},
 	} {
-		hubs, elems, rowErr, vecErr := decodeBoth(c.enc)
-		if rowErr != nil || vecErr != nil || !slices.Equal(hubs, c.runs) || !slices.Equal(elems, c.runs) {
-			t.Errorf("%s: hubs decode to %v and %v (%v, %v); want the run form %v from both", c.name, hubs, elems, rowErr, vecErr, c.runs)
+		hubs, err := decode(c.enc)
+		if err != nil || !slices.Equal(hubs, c.runs) {
+			t.Errorf("%s: hubs decode to %v (%v); want the run form %v", c.name, hubs, err, c.runs)
 		}
 		if got := ExpandRuns(hubs); !slices.Equal(got, c.want) {
 			t.Errorf("%s: the run form %v expands to %v, want %v", c.name, hubs, got, c.want)
@@ -410,11 +397,8 @@ func TestSegDecodeRunsFailClosed(t *testing.T) {
 		{"a delta that wraps int64", row(2, math.MaxInt32, 1, math.MaxInt64, 1)},
 		{"cut inside a run", binary.AppendVarint(binary.AppendUvarint(binary.AppendVarint(nil, 7), 3), 5)},
 	} {
-		_, _, rowErr, vecErr := decodeBoth(c.enc)
-		for name, err := range map[string]error{"DecodeSegRowInto": rowErr, "DecodeSegRowVectors": vecErr} {
-			if !errors.Is(err, storage.ErrCorruptSegment) {
-				t.Errorf("%s: %s = %v, want ErrCorruptSegment", c.name, name, err)
-			}
+		if _, err := decode(c.enc); !errors.Is(err, storage.ErrCorruptSegment) {
+			t.Errorf("%s: DecodeSegRowInto = %v, want ErrCorruptSegment", c.name, err)
 		}
 	}
 }
@@ -468,26 +452,12 @@ func first(d int64) *int64 { return &d }
 // TestSegDecodePackedFailClosed pins the packed siblings of a label's hubs:
 // per run of the hubs, tds as its first element and gaps, tas as offsets from
 // tds, each run's fields at a width of its own. Widths 0 (a run of one, and
-// offsets of 0) and 32 (gaps and offsets spanning int32) decode, by both
-// decoders, to the same absolute elements; a width of 33, packed bits past
-// the row, a first element or a sum of gaps or offsets outside int32, a zero
-// gap, tas descending inside a run, a runs length past the bits after it and
-// a sibling with no runs value before it are refused by both with
-// storage.ErrCorruptSegment.
+// offsets of 0) and 32 (gaps and offsets spanning int32) decode to the
+// absolute elements; a width of 33, packed bits past the row, a first element
+// or a sum of gaps or offsets outside int32, a zero gap, tas descending
+// inside a run, a runs length past the bits after it and a sibling with no
+// runs value before it are refused with storage.ErrCorruptSegment.
 func TestSegDecodePackedFailClosed(t *testing.T) {
-	decodeBoth := func(types []Type, enc []byte) ([]int32, []int32, []int32, []int32, error, error) {
-		got, _, rowErr := DecodeSegRowInto(enc, types, nil, nil)
-		ends := make([]int32, len(types))
-		elems, vecErr := DecodeSegRowVectors(enc, types, make([]int64, len(types)), make([]int32, 0, 64), ends)
-		var tds, tas, vtds, vtas []int32
-		if rowErr == nil {
-			tds, tas = got[2].A, got[3].A
-		}
-		if vecErr == nil {
-			vtds, vtas = elems[ends[0]:ends[1]], elems[ends[1]:ends[2]]
-		}
-		return tds, tas, vtds, vtas, rowErr, vecErr
-	}
 	cat := func(parts ...[]byte) []byte { return slices.Concat(parts...) }
 	ones32 := []byte{0xff, 0xff, 0xff, 0xff}
 	for _, c := range []struct {
@@ -504,16 +474,17 @@ func TestSegDecodePackedFailClosed(t *testing.T) {
 			cat(packedRun(nil, 4, 0xa0, 0x05), packedRun(nil, 1, 0x02))),
 			[]int32{28800, 28810, 28815, 28700, 28707}, []int32{28800, 28820, 28820, 28700, 28708}},
 	} {
-		tds, tas, vtds, vtas, rowErr, vecErr := decodeBoth(labelTypes, c.enc)
-		if rowErr != nil || vecErr != nil || !slices.Equal(tds, c.tds) || !slices.Equal(tas, c.tas) || !slices.Equal(vtds, c.tds) || !slices.Equal(vtas, c.tas) {
-			t.Errorf("%s: decode to tds %v / %v, tas %v / %v (%v, %v); want %v and %v from both", c.name, tds, vtds, tas, vtas, rowErr, vecErr, c.tds, c.tas)
+		row, _, err := DecodeSegRowInto(c.enc, labelTypes, nil, nil)
+		if err != nil {
+			t.Errorf("%s: DecodeSegRowInto = %v, want tds %v and tas %v", c.name, err, c.tds, c.tas)
+			continue
+		}
+		if tds, tas := row[2].A, row[3].A; !slices.Equal(tds, c.tds) || !slices.Equal(tas, c.tas) {
+			t.Errorf("%s: decode to tds %v, tas %v; want %v and %v", c.name, tds, tas, c.tds, c.tas)
 		}
 		// The decoded row is what EncodeSegRow writes.
-		if rowErr == nil {
-			row, _, _ := DecodeSegRowInto(c.enc, labelTypes, nil, nil)
-			if enc, err := EncodeSegRow(nil, labelTypes, expanded(row)); err != nil || string(enc) != string(c.enc) {
-				t.Errorf("%s: re-encodes to %x (%v), want %x", c.name, enc, err, c.enc)
-			}
+		if enc, err := EncodeSegRow(nil, labelTypes, expanded(row)); err != nil || string(enc) != string(c.enc) {
+			t.Errorf("%s: re-encodes to %x (%v), want %x", c.name, enc, err, c.enc)
 		}
 	}
 	for _, c := range []struct {
@@ -541,11 +512,8 @@ func TestSegDecodePackedFailClosed(t *testing.T) {
 		{"gaps with no runs value", "no runs value", []Type{Int64, IntArray, IntRunGaps}, []byte{14, 0, 0, 0}},
 		{"offsets with no gaps value", "no runs value", []Type{Int64, IntRuns, IntRunOffsets}, labelBytes(1, []int64{5, 1}, packedRun(nil, 0), nil)},
 	} {
-		_, _, _, _, rowErr, vecErr := decodeBoth(c.types, c.enc)
-		for name, err := range map[string]error{"DecodeSegRowInto": rowErr, "DecodeSegRowVectors": vecErr} {
-			if !errors.Is(err, storage.ErrCorruptSegment) || !strings.Contains(err.Error(), c.frag) {
-				t.Errorf("%s: %s = %v, want ErrCorruptSegment naming %q", c.name, name, err, c.frag)
-			}
+		if _, _, err := DecodeSegRowInto(c.enc, c.types, nil, nil); !errors.Is(err, storage.ErrCorruptSegment) || !strings.Contains(err.Error(), c.frag) {
+			t.Errorf("%s: DecodeSegRowInto = %v, want ErrCorruptSegment naming %q", c.name, err, c.frag)
 		}
 	}
 }
@@ -614,10 +582,9 @@ func TestSegDecodeArenaAliasing(t *testing.T) {
 // decode fine but re-encode shorter or zeroed — so the canonical re-encoding
 // is additionally required to be a fixed point of the codec. The one row that
 // re-encodes yet does not decode is one whose runs column holds more elements
-// than the canonical bits after its length: the decoders bound a length by
+// than the canonical bits after its length: the decoder bounds a length by
 // them, and no run-ordered table stores such a row (its packed gaps spend
-// them). Under an all-integer schema the vector decoder must agree with the
-// row decoder on every input (checkSegVectors).
+// them).
 func FuzzSegCodecRoundTrip(f *testing.F) {
 	// The schema is 1..7 columns (ncols' low three bits) whose kinds are read
 	// two bits at a time from kinds, lowest column first; with ncols' bit 3
@@ -740,17 +707,13 @@ func FuzzSegCodecRoundTrip(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, ncols byte, kinds uint16, data []byte) {
 		types := schema(ncols, kinds)
-		intsOnly, runsAt := true, -1
+		runsAt := -1
 		for i, typ := range types {
-			intsOnly = intsOnly && typ != Float64 && typ != Text
 			if typ == IntRuns {
 				runsAt = i
 			}
 		}
 		row, _, err := DecodeSegRowInto(data, types, nil, nil)
-		if intsOnly {
-			checkSegVectors(t, data, types, row, err)
-		}
 		if err != nil {
 			return // rejected input: fine, as long as it didn't panic
 		}
@@ -786,64 +749,5 @@ func FuzzSegCodecRoundTrip(f *testing.F) {
 		if string(enc2) != string(enc) {
 			t.Fatalf("canonical encoding not a fixed point:\n first %x\nsecond %x", enc, enc2)
 		}
-		if intsOnly {
-			checkSegVectors(t, enc, types, row, nil)
-		}
 	})
-}
-
-// checkSegVectors holds DecodeSegRowVectors to DecodeSegRowInto on one
-// encoded all-integer row, which the row decoder decoded to want or rejected
-// with rowErr. A rejected row must be rejected again, whatever room the
-// vector has. An accepted one must fill exactly as many elements as want's
-// arrays hold, a runs column's in its run form — the count a segment's
-// header records, which sizes the vector — with want's values, and be
-// refused with one slot fewer.
-func checkSegVectors(t *testing.T, enc []byte, types []Type, want Row, rowErr error) {
-	t.Helper()
-	decode := func(capacity int) ([]int64, []int32, []int32, error) {
-		scalars, ends := make([]int64, len(types)), make([]int32, len(types))
-		elems, err := DecodeSegRowVectors(enc, types, scalars, make([]int32, 0, capacity), ends)
-		return scalars, elems, ends, err
-	}
-	if rowErr != nil {
-		// Every array's length is bounded by the bits after it, so no row
-		// of at most seven columns holds more elements than 64 per byte.
-		if _, _, _, err := decode(64 * len(enc)); err == nil {
-			t.Fatalf("DecodeSegRowVectors accepts %x, which DecodeSegRowInto rejects: %v", enc, rowErr)
-		}
-		return
-	}
-	n := 0
-	for _, v := range want {
-		n += len(v.A)
-	}
-	scalars, elems, ends, err := decode(n)
-	if err != nil {
-		t.Fatalf("DecodeSegRowVectors rejects a row the decoder accepts: %v (%x)", err, enc)
-	}
-	if len(elems) != n {
-		t.Fatalf("DecodeSegRowVectors(%x) filled %d elements, want %d", enc, len(elems), n)
-	}
-	s, a, start := 0, 0, int32(0)
-	for i, v := range want {
-		var got Value
-		if v.T == Int64 {
-			got = NewInt(scalars[s])
-			s++
-		} else {
-			got = Value{T: v.T, A: elems[start:ends[a]]}
-			start = ends[a]
-			a++
-		}
-		if got.I != v.I || !slices.Equal(got.A, v.A) {
-			t.Fatalf("DecodeSegRowVectors(%x): value %d = %v %v, want %v %v", enc, i, got.T, got.A, v.T, v.A)
-		}
-	}
-	// One slot short and the row must be refused, not grown into.
-	if n > 0 {
-		if _, _, _, err := decode(n - 1); err == nil {
-			t.Fatalf("DecodeSegRowVectors(%x) fit %d elements into %d slots", enc, n, n-1)
-		}
-	}
 }

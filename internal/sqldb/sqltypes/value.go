@@ -31,7 +31,7 @@ const (
 	IntArray
 	// IntRuns is the run form of a non-decreasing INT[]: the column tag of a
 	// segment column whose arrays are stored as runs of equal elements
-	// (segcodec.go), and the type of the value both row decoders read such a
+	// (segcodec.go), and the type of the value the row decoder reads such a
 	// column into. Its A holds two int32s per run: the R run values, which
 	// ascend strictly, then the R run ends, where ends[r] is the index one
 	// past run r in the expanded array, so ends ascend strictly and the last
@@ -45,7 +45,7 @@ const (
 	// IntRuns column before them and stored per run of it, IntRunGaps as
 	// its runs' first values and bit-packed gaps, IntRunOffsets as bit-packed
 	// offsets from the IntRunGaps column before it. They are storage-only:
-	// both row decoders read such a column into a plain IntArray value.
+	// the row decoder reads such a column into a plain IntArray value.
 	IntRunGaps
 	IntRunOffsets
 )

@@ -33,40 +33,19 @@ type Mat struct {
 	// Keys is the ascending key directory (shared with the segment's own
 	// in-memory directory; both are immutable).
 	Keys []storage.Key
-	// Cols holds one decoded column per table column, in storage order.
-	Cols []Col
+	// Ints is every BIGINT of the table, column by column: the k-th scalar
+	// column of row i is Ints[k·n+i], n = len(Keys).
+	Ints []int64
 	// Elems is every array element of the table — a runs column's run form,
 	// its R run values then its R run ends — row by row and, within a row,
 	// column by column; Starts is where each of them begins: the a-th array
 	// column of row i spans Elems[Starts[i·A+a]:Starts[i·A+a+1]], A the
-	// number of array columns, so Starts has len(Keys)·A + 1 entries. The
-	// array columns of Cols are views of the two.
+	// number of array columns, so Starts has len(Keys)·A + 1 entries.
 	Elems  []int32
 	Starts []int32
-	// Bytes is the Mat's budget charge: the backing arrays of the keys, the
-	// scalar columns, Elems and Starts.
+	// Bytes is the Mat's budget charge: the backing arrays of the keys, Ints,
+	// Elems and Starts.
 	Bytes int64
-}
-
-// Col is one decoded column. A scalar (BIGINT) column stores row i's value at
-// Ints[i] and leaves Elems and Starts nil. An array (INT[] or runs) column is a view
-// of its Mat's shared vectors: Elems is Mat.Elems, Starts is Mat.Starts from
-// the column's own first entry, and Stride is the number of array columns, so
-// Starts[i·Stride]:Starts[i·Stride+1] delimits row i's elements.
-type Col struct {
-	Ints   []int64 // nil for array columns
-	Elems  []int32 // nil for scalar columns
-	Starts []int32 // nil for scalar columns
-	Stride int
-}
-
-// Array returns row i's elements of an array column, a runs column's in its
-// run form. The view aliases the
-// decoded vector: immutable, and kept alive by the garbage collector even
-// after the table is replaced, so callers may retain it as long as they need.
-func (c *Col) Array(i int) []int32 {
-	j := i * c.Stride
-	return c.Elems[c.Starts[j]:c.Starts[j+1]:c.Starts[j+1]]
 }
 
 // vectorBytes is the exact size of a segment table's materialized vectors —
@@ -87,14 +66,15 @@ func vectorBytes(types []sqltypes.Type, rows, elems int) int64 {
 
 // decode turns the table's data region — the bytes open read and verified —
 // into vectors for the resident vector cache: the key directory is shared
-// with the segment (both immutable), each scalar column becomes one int64
-// per row, and the elements of every array (a runs column's run form), row by
-// row, one shared int32 vector indexed by one shared vector of starts. The
-// region is decoded in one pass: nElems, the int32 count the segment's header
-// records, sizes
-// every vector, so they are allocated once, at exactly vectorBytes (the size
-// Open admitted the table on), and every row is decoded straight into them.
-// Rows holding more elements than that, or fewer, are a corrupt segment.
+// with the segment (both immutable), the scalar columns become one int64 per
+// row and column, and the elements of every array (a runs column's run form),
+// row by row, one shared int32 vector indexed by one shared vector of starts.
+// Each row is decoded once, by sqltypes.DecodeSegRowInto, with that shared
+// vector as its arena: nElems, the int32 count the segment's header records,
+// is the arena's capacity, so the arrays are carved out of it back to back
+// and every vector is allocated once, at exactly vectorBytes (the size Open
+// admitted the table on). A row that would grow the arena past the header's
+// count, or rows that hold fewer elements, are a corrupt segment.
 func (t *Table) decode(data []byte, nElems int) (*Mat, error) {
 	n, arrays := t.seg.NumRows(), 0
 	for _, typ := range t.stored {
@@ -102,68 +82,72 @@ func (t *Table) decode(data []byte, nElems int) (*Mat, error) {
 			arrays++
 		}
 	}
-	scalars := len(t.stored) - arrays
-	ints := make([]int64, n*scalars)
+	ints := make([]int64, n*(len(t.stored)-arrays))
 	elems := make([]int32, 0, nElems)
 	starts := make([]int32, n*arrays+1)
-	row := make([]int64, scalars)
+	row := make(sqltypes.Row, len(t.stored))
 	for i, off := 0, 0; i < n; i++ {
 		end := off + int(t.seg.RowLen(i))
 		var err error
-		elems, err = sqltypes.DecodeSegRowVectors(data[off:end], t.stored, row, elems, starts[i*arrays+1:])
-		if err != nil {
+		if row, elems, err = sqltypes.DecodeSegRowInto(data[off:end], t.stored, row, elems); err != nil {
 			return nil, err
 		}
-		for k, v := range row {
-			ints[k*n+i] = v
+		if cap(elems) != nElems {
+			return nil, fmt.Errorf("%w: row %d holds array elements past the header's %d", storage.ErrCorruptSegment, i, nElems)
+		}
+		k, a := i, i*arrays
+		for ci, v := range row {
+			if t.stored[ci] == sqltypes.Int64 {
+				ints[k] = v.I
+				k += n
+			} else {
+				starts[a+1] = starts[a] + int32(len(v.A))
+				a++
+			}
 		}
 		off = end
 	}
 	if len(elems) != nElems {
 		return nil, fmt.Errorf("%w: the rows hold %d array elements, the header %d", storage.ErrCorruptSegment, len(elems), nElems)
 	}
-	m := &Mat{
+	return &Mat{
 		Keys:   t.seg.Keys(),
-		Cols:   make([]Col, len(t.types)),
+		Ints:   ints,
 		Elems:  elems,
 		Starts: starts,
 		Bytes:  int64(n)*16 + int64(len(ints))*8 + int64(len(elems))*4 + int64(len(starts))*4,
-	}
-	for ci, k, a := 0, 0, 0; ci < len(t.types); ci++ {
-		if t.types[ci] == sqltypes.Int64 {
-			m.Cols[ci].Ints = ints[k*n : (k+1)*n : (k+1)*n]
-			k++
-		} else {
-			m.Cols[ci] = Col{Elems: elems, Starts: starts[a:], Stride: arrays}
-			a++
-		}
-	}
-	return m, nil
+	}, nil
 }
 
 // vcacheRow assembles row i of m, a table whose column tags are stored, into
 // s.Row: a runs column as an sqltypes.IntRuns value, as the segment tier's
 // decode serves it. The value headers are written into the scratch, but the
-// array payloads alias the cached vectors — no copy, no arena traffic. The views satisfy LookupPKScratch's retention
-// contract trivially: the vectors are immutable and the garbage collector
-// keeps them alive as long as any view exists, even once the table is replaced.
+// array payloads alias the cached vectors — no copy, no arena traffic — each
+// capped at its own end, so an append through one cannot overwrite the next.
+// The views satisfy LookupPKScratch's retention contract trivially: the
+// vectors are immutable and the garbage collector keeps them alive as long
+// as any view exists, even once the table is replaced.
 func vcacheRow(m *Mat, stored []sqltypes.Type, i int, s *exec.RowScratch) sqltypes.Row {
 	var r sqltypes.Row
-	if cap(s.Row) >= len(m.Cols) {
-		r = s.Row[:len(m.Cols)]
+	if cap(s.Row) >= len(stored) {
+		r = s.Row[:len(stored)]
 	} else {
-		r = make(sqltypes.Row, len(m.Cols))
+		r = make(sqltypes.Row, len(stored))
 	}
-	for ci := range m.Cols {
-		col := &m.Cols[ci]
-		if col.Starts == nil {
-			r[ci] = sqltypes.NewInt(col.Ints[i])
-		} else {
-			r[ci] = sqltypes.NewIntArray(col.Array(i))
-			if stored[ci] == sqltypes.IntRuns {
-				r[ci].T = sqltypes.IntRuns
-			}
+	n := len(m.Keys)
+	k, a := i, i*((len(m.Starts)-1)/n)
+	for ci, typ := range stored {
+		if typ == sqltypes.Int64 {
+			r[ci] = sqltypes.NewInt(m.Ints[k])
+			k += n
+			continue
 		}
+		lo, hi := m.Starts[a], m.Starts[a+1]
+		r[ci] = sqltypes.NewIntArray(m.Elems[lo:hi:hi])
+		if typ == sqltypes.IntRuns {
+			r[ci].T = sqltypes.IntRuns
+		}
+		a++
 	}
 	s.Row = r
 	return r

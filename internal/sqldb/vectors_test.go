@@ -7,29 +7,44 @@ import (
 	"testing"
 	"time"
 
+	"ptldb/internal/sqldb/exec"
 	"ptldb/internal/sqldb/sqltypes"
 	"ptldb/internal/sqldb/storage"
 )
 
-func TestColArray(t *testing.T) {
-	// Two rows of two array columns, row-major: ([1 2], []) and ([3 4 5], [6]).
-	elems, starts := []int32{1, 2, 3, 4, 5, 6}, []int32{0, 2, 2, 5, 6}
-	xs := Col{Elems: elems, Starts: starts, Stride: 2}
-	ys := Col{Elems: elems, Starts: starts[1:], Stride: 2}
-	for _, c := range []struct {
-		col  *Col
-		row  int
-		want []int32
-	}{{&xs, 0, []int32{1, 2}}, {&ys, 0, nil}, {&xs, 1, []int32{3, 4, 5}}, {&ys, 1, []int32{6}}} {
-		if got := c.col.Array(c.row); fmt.Sprint(got) != fmt.Sprint(c.want) || len(got) != len(c.want) {
-			t.Fatalf("Array(%d) = %v, want %v", c.row, got, c.want)
-		}
+// TestVcacheRowArrayViews: vcacheRow reads a row's scalars and arrays
+// straight out of the Mat's vectors — a runs column as an IntRuns value in
+// its run form — and caps every array view at its own end, so an append
+// through one cannot overwrite the next array's elements.
+func TestVcacheRowArrayViews(t *testing.T) {
+	// Two rows of (k, xs, hubs as runs), row-major: (10, [1 2], no run) and
+	// (20, [3 4 5], one run of 6 ending at 1).
+	stored := []sqltypes.Type{sqltypes.Int64, sqltypes.IntArray, sqltypes.IntRuns}
+	m := &Mat{
+		Keys:   []storage.Key{{10}, {20}},
+		Ints:   []int64{10, 20},
+		Elems:  []int32{1, 2, 3, 4, 5, 6, 1},
+		Starts: []int32{0, 2, 2, 5, 7},
 	}
-	// The full-slice expression must cap the view so an append cannot
-	// clobber the next array's elements.
-	_ = append(xs.Array(1), 99)
-	if elems[5] != 6 {
-		t.Fatal("append through an Array view overwrote the decoded vector")
+	want := []sqltypes.Row{
+		{sqltypes.NewInt(10), sqltypes.NewIntArray([]int32{1, 2}), {T: sqltypes.IntRuns, A: []int32{}}},
+		{sqltypes.NewInt(20), sqltypes.NewIntArray([]int32{3, 4, 5}), {T: sqltypes.IntRuns, A: []int32{6, 1}}},
+	}
+	var s exec.RowScratch
+	for i, w := range want {
+		got := vcacheRow(m, stored, i, &s)
+		for ci := range w {
+			if got[ci].T != w[ci].T || got[ci].I != w[ci].I || fmt.Sprint(got[ci].A) != fmt.Sprint(w[ci].A) || len(got[ci].A) != len(w[ci].A) {
+				t.Fatalf("row %d column %d = %v %v, want %v %v", i, ci, got[ci].T, got[ci], w[ci].T, w[ci])
+			}
+		}
+		// The full-slice expression must cap each view so an append cannot
+		// clobber the next array's elements.
+		_ = append(got[1].A, 99)
+		_ = append(got[2].A, 99)
+	}
+	if fmt.Sprint(m.Elems) != "[1 2 3 4 5 6 1]" {
+		t.Fatalf("appends through the views overwrote the decoded vector: %v", m.Elems)
 	}
 }
 

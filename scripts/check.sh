@@ -6,12 +6,12 @@
 # fixed at Open, one owner per decision — only sqldb writes a segment, one
 # dataset cache, obs.Code the one list of the statements, no vertex-order
 # knob —, a resident label that keeps its hubs as runs, a label's tds and tas
-# packed per hub run, and the rest below); vet, project lint, build, and the whole test suite under the race
+# packed per hub run, one row decoder for both read tiers, and the rest below); vet, project lint, build, and the whole test suite under the race
 # detector with shuffled test order, then once more with module-wide
 # coverage, which must reach every function outside cmd/ and examples/, the
 # general SQL engine's coverage by its callers alone, 10-second fuzzes of the
-# HTTP time parameter, of the HTTP query bodies, of the segment codec's two
-# row decoders (runs columns and their packed siblings included) and of a walk of back-to-back segments, the two allocation
+# HTTP time parameter, of the HTTP query bodies, of the segment codec's one
+# row decoder (runs columns and their packed siblings included) and of a walk of back-to-back segments, the two allocation
 # ratchets, the four examples, a small ptldb-bench run that must end with
 # the claim table and judge every claim, a look at what ptldb-build leaves in a
 # database directory (the image, nothing else), the console on it, what
@@ -134,11 +134,13 @@ if git grep -nE 'evictLocked|evictEntryLocked|DropAll|second-chance|\.hand\b' --
     echo "no clock ring, no hand, no eviction, no DropAll (DB.DropCaches leaves the vectors Open decoded)" >&2
     exit 1
 fi
-echo "== a vector-cache table is decoded in one pass (internal/sqldb)"
-if git grep -nE 'CountSegRow|DecodeSegRowColumns' -- '*.go'; then
+echo "== a vector-cache table is decoded in one pass, by the one row decoder (internal/sqldb)"
+if git grep -nE 'CountSegRow|DecodeSegRowColumns|DecodeSegRowVectors' -- '*.go' ||
+    git grep -nE 'type Col\b|\bCols\b' -- internal/sqldb/vectors.go; then
     echo "Table.decode sizes a table's vectors from the element count its segment's header records and decodes" >&2
-    echo "each row once, with sqltypes.DecodeSegRowVectors, into row-major array vectors: no counting pass, no" >&2
-    echo "per-column vectors" >&2
+    echo "each row once, with sqltypes.DecodeSegRowInto (the segment tier's row decoder), into row-major array" >&2
+    echo "vectors carved out of one arena: no counting pass, no per-column vectors, no second row decoder, and a" >&2
+    echo "Mat holds its vectors and no column views of them (DESIGN.md §11)" >&2
     exit 1
 fi
 echo "== a table's vector size comes from its segment's header (outside tests)"
@@ -307,7 +309,7 @@ echo "== fuzz smoke: an accepted time parameter is the 32-bit time it spells (in
 go test -run '^$' -fuzz '^FuzzTimeParam$' -fuzztime 10s ./internal/serve
 echo "== fuzz smoke: a query body is byte for byte what encoding/json writes (internal/serve)"
 go test -run '^$' -fuzz '^FuzzQueryBody$' -fuzztime 10s ./internal/serve
-echo "== fuzz smoke: the vector decoder agrees with the row decoder, runs columns and their packed siblings included (internal/sqldb/sqltypes)"
+echo "== fuzz smoke: a row the row decoder accepts re-encodes to a fixed point, runs columns and their packed siblings included (internal/sqldb/sqltypes)"
 go test -run '^$' -fuzz '^FuzzSegCodecRoundTrip$' -fuzztime 10s ./internal/sqldb/sqltypes
 echo "== fuzz smoke: two segments back to back at a nonzero base: a rejected one leaves no page in the pool, accepted ones only their own (internal/sqldb/storage)"
 go test -run '^$' -fuzz '^FuzzOpenSegment$' -fuzztime 10s -fuzzminimizetime 50x ./internal/sqldb/storage
